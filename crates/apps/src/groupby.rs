@@ -26,18 +26,17 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fg_cluster::{Cluster, ClusterCfg, ClusterError, Communicator};
-use fg_core::{map_stage, PipelineCfg, Program, Rounds, Stage, StageCtx};
+use fg_core::{map_stage, PipelineCfg, Program, Rounds};
 use fg_pdm::DiskRef;
-use fg_sort::chunks::{self, CHUNK_HEADER_BYTES};
+use fg_sort::chunks::{Scatter, CHUNK_HEADER_BYTES};
 use fg_sort::config::SortConfig;
+use fg_sort::dsort::pass1::{receive_stage, send_stage};
 use fg_sort::input::INPUT_FILE;
 use fg_sort::SortError;
 use parking_lot::Mutex;
 
 /// Message tag for group-by traffic.
 const TAG_GROUPBY: u64 = 0x6B0B_0001;
-const MSG_DATA: u8 = 0;
-const MSG_DONE: u8 = 1;
 
 /// Name of the per-node output file: `(key, count)` pairs sorted by key,
 /// 16 bytes each, holding the counts of the keys this node owns.
@@ -133,109 +132,42 @@ fn groupby_pass(
         }),
     );
 
-    // Combiner: fold the block's records into per-destination (key, count)
-    // chunk lists; duplicates within a block collapse here.
+    // Combiner: fold the block's records into (key, count) pairs —
+    // duplicates within a block collapse here — and pack the pairs by
+    // owning node.  The table, the pair list and the scatter's scratch are
+    // the stage's own and are reused every round.
     let fmt = cfg.record;
-    let aggregate = prog.add_stage(
-        "aggregate",
+    let aggregate = prog.add_stage("aggregate", {
+        let mut partial: HashMap<u64, u64> = HashMap::new();
+        let mut pairs: Vec<u8> = Vec::new();
+        let mut scatter = Scatter::new(nodes);
         map_stage(move |buf, _ctx| {
-            let mut partial: HashMap<u64, u64> = HashMap::new();
+            partial.clear();
             for rec in fmt.records(buf.filled()) {
                 *partial.entry(fmt.key(rec)).or_insert(0) += 1;
             }
-            let mut groups: Vec<Vec<u8>> = vec![Vec::new(); nodes];
-            for (key, count) in partial {
-                let g = &mut groups[owner_of(key, nodes)];
-                g.extend_from_slice(&key.to_le_bytes());
-                g.extend_from_slice(&count.to_le_bytes());
+            pairs.clear();
+            for (key, count) in &partial {
+                pairs.extend_from_slice(&key.to_le_bytes());
+                pairs.extend_from_slice(&count.to_le_bytes());
             }
-            let mut packed = Vec::with_capacity(
-                groups.iter().map(|g| g.len()).sum::<usize>() + nodes * CHUNK_HEADER_BYTES,
+            debug_assert!(
+                scatter.max_len(pairs.len()) <= buf.capacity(),
+                "combiner output too large"
             );
-            for (d, g) in groups.iter().enumerate() {
-                if !g.is_empty() {
-                    chunks::push_chunk(&mut packed, d as u64, 0, g);
-                }
-            }
-            debug_assert!(packed.len() <= buf.capacity(), "combiner output too large");
-            buf.copy_from(&packed);
+            let len = scatter.scatter(&pairs, PAIR, buf.space_mut(), |_, pair| {
+                owner_of(fmt.key(pair), nodes)
+            });
+            buf.set_filled(len);
             Ok(())
-        }),
-    );
+        })
+    });
 
-    let comm_send = comm.clone();
-    let send = prog.add_stage(
-        "send",
-        Box::new(move |ctx: &mut StageCtx| {
-            while let Some(buf) = ctx.accept()? {
-                for chunk in chunks::iter_chunks(buf.filled()) {
-                    let chunk = chunk?;
-                    let mut payload = Vec::with_capacity(1 + chunk.data.len());
-                    payload.push(MSG_DATA);
-                    payload.extend_from_slice(chunk.data);
-                    comm_send
-                        .send(chunk.a as usize, TAG_GROUPBY, payload)
-                        .map_err(SortError::from)?;
-                }
-                ctx.convey(buf)?;
-            }
-            for dst in 0..nodes {
-                comm_send
-                    .send(dst, TAG_GROUPBY, vec![MSG_DONE])
-                    .map_err(SortError::from)?;
-            }
-            Ok(())
-        }) as Box<dyn Stage>,
-    );
-
-    // ---- receive pipeline ----
-    // The receive stage packs incoming partial counts into buffers; the
-    // merge stage folds them into the node's table.
-    let comm_recv = comm.clone();
-    let receive = prog.add_stage(
-        "receive",
-        Box::new(move |ctx: &mut StageCtx| {
-            let pid = ctx.pipelines().next().expect("receive pipeline");
-            let mut carry: Vec<u8> = Vec::new();
-            let mut dones = 0usize;
-            loop {
-                let mut buf = match ctx.accept()? {
-                    Some(b) => b,
-                    None => return Ok(()),
-                };
-                buf.clear();
-                while buf.remaining() > 0 {
-                    if !carry.is_empty() {
-                        let n = buf.append(&carry);
-                        carry.drain(..n);
-                        continue;
-                    }
-                    if dones == nodes {
-                        break;
-                    }
-                    let msg = comm_recv.recv(None, TAG_GROUPBY).map_err(SortError::from)?;
-                    match msg.payload.first() {
-                        Some(&MSG_DONE) => dones += 1,
-                        Some(&MSG_DATA) => {
-                            let data = &msg.payload[1..];
-                            let n = buf.append(data);
-                            carry.extend_from_slice(&data[n..]);
-                        }
-                        _ => return Err(SortError::Corrupt("empty group-by message".into()).into()),
-                    }
-                }
-                if buf.is_empty() {
-                    ctx.discard(buf)?;
-                } else {
-                    ctx.convey(buf)?;
-                }
-                if dones == nodes && carry.is_empty() {
-                    ctx.stop(pid)?;
-                    return Ok(());
-                }
-            }
-        }) as Box<dyn Stage>,
-    );
+    // The exchange is dsort pass 1's: chunks out in pooled payloads, partial
+    // counts packed densely into the receive pipeline's buffers; the merge
+    // stage folds them into the node's table.
+    let send = prog.add_stage("send", send_stage(comm.clone(), TAG_GROUPBY));
+    let receive = prog.add_stage("receive", receive_stage(comm.clone(), TAG_GROUPBY));
 
     let table = Arc::new(Mutex::new(HashMap::<u64, u64>::new()));
     let t2 = Arc::clone(&table);

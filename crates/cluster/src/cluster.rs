@@ -16,7 +16,7 @@ use fg_core::TraceSink;
 
 use crate::comm::Communicator;
 use crate::cost::NetCfg;
-use crate::fabric::{Fabric, NodeTraffic};
+use crate::fabric::{Fabric, NodeTraffic, PayloadStats};
 use crate::{ClusterError, CommError};
 
 /// Cluster-wide configuration.
@@ -117,6 +117,10 @@ pub struct ClusterRun<R> {
     pub results: Vec<R>,
     /// Per-node traffic counters, indexed by rank.
     pub traffic: Vec<NodeTraffic>,
+    /// Per-node payload pools as the run left them, indexed by rank:
+    /// `high_water` never exceeds `population`, and `outstanding` is zero
+    /// unless a payload leaked.
+    pub payloads: Vec<PayloadStats>,
     /// Snapshot of the communication metrics (`comm/…` names), when the
     /// run was launched with [`Cluster::run_with_metrics`] or
     /// [`Cluster::run_observed`]; empty otherwise.  For observed runs this
@@ -283,6 +287,7 @@ impl Cluster {
             return Err(e);
         }
         let traffic = (0..cfg.nodes).map(|n| fabric.traffic(n)).collect();
+        let payloads = (0..cfg.nodes).map(|n| fabric.payload_stats(n)).collect();
         let (metrics, node_metrics) = match launch {
             Launch::Plain => (MetricsSnapshot::default(), Vec::new()),
             Launch::Shared(reg) => (reg.snapshot(), Vec::new()),
@@ -300,6 +305,7 @@ impl Cluster {
         Ok(ClusterRun {
             results: results.into_iter().map(|r| r.expect("no error")).collect(),
             traffic,
+            payloads,
             metrics,
             node_metrics,
         })

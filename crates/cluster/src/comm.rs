@@ -5,6 +5,8 @@
 //! [`Communicator`] reproduces the subset dsort and csort need:
 //!
 //! * tagged point-to-point `send`/`recv` with `ANY_SOURCE` receives,
+//! * `payload`: an empty message buffer from the node's fixed population,
+//!   which doubles as the sender's flow-control credit (see `fabric.rs`),
 //! * `sendrecv_replace`,
 //! * `alltoallv` (the generalized all-to-all of the even columnsort steps),
 //! * `broadcast`, `gather`, `allgather`, `barrier`, and u64 reductions.
@@ -23,7 +25,7 @@ use fg_core::metrics::{Counter, Histogram, MetricsRegistry};
 use fg_core::trace::COMM_PIPELINE;
 use fg_core::{SpanRing, TraceCtx, TraceKind, TraceSink};
 
-use crate::fabric::{Fabric, NodeTraffic};
+use crate::fabric::{Fabric, NodeTraffic, Payload, PayloadStats};
 use crate::CommError;
 
 /// Tags are user-chosen for point-to-point messages; collectives reserve
@@ -60,8 +62,9 @@ pub struct Communicator {
 /// Names: per-peer byte/message counters `comm/bytes/{src}->{dst}` and
 /// `comm/msgs/{src}->{dst}` (which include collective-internal traffic, so
 /// their totals match the fabric's byte accounting), plus **per-rank**
-/// latency histograms `comm/{send,recv_wait}_ns/r{rank}` for user
-/// point-to-point calls and `comm/{barrier,broadcast,allgather,alltoallv}_ns/r{rank}`
+/// latency histograms `comm/{send,recv_wait,payload_wait}_ns/r{rank}` for user
+/// point-to-point calls (`payload_wait` holds only the calls that blocked for
+/// a credit) and `comm/{barrier,broadcast,allgather,alltoallv}_ns/r{rank}`
 /// for collectives.  Labelling by rank keeps each histogram's `count` equal
 /// to the number of operations *that rank* performed — merging N per-node
 /// registries is lossless, and a cluster-wide view sums the per-rank rows
@@ -71,6 +74,7 @@ struct CommMetrics {
     msgs_to: Vec<Arc<Counter>>,
     send_ns: Arc<Histogram>,
     recv_wait_ns: Arc<Histogram>,
+    payload_wait_ns: Arc<Histogram>,
     barrier_ns: Arc<Histogram>,
     broadcast_ns: Arc<Histogram>,
     allgather_ns: Arc<Histogram>,
@@ -88,6 +92,7 @@ impl CommMetrics {
                 .collect(),
             send_ns: registry.histogram(&format!("comm/send_ns/r{rank}")),
             recv_wait_ns: registry.histogram(&format!("comm/recv_wait_ns/r{rank}")),
+            payload_wait_ns: registry.histogram(&format!("comm/payload_wait_ns/r{rank}")),
             barrier_ns: registry.histogram(&format!("comm/barrier_ns/r{rank}")),
             broadcast_ns: registry.histogram(&format!("comm/broadcast_ns/r{rank}")),
             allgather_ns: registry.histogram(&format!("comm/allgather_ns/r{rank}")),
@@ -106,15 +111,16 @@ struct CommTrace {
 
 /// A received message: its payload, the rank that sent it, and the trace
 /// context it carried.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct Message {
     /// Sender's rank.
     pub src: usize,
     /// The trace context the sender attached ([`TraceCtx::NONE`] on
     /// untraced runs).
     pub ctx: TraceCtx,
-    /// The payload bytes.
-    pub payload: Vec<u8>,
+    /// The payload bytes.  Dropping them returns a pooled payload's credit
+    /// to its sender.
+    pub payload: Payload,
 }
 
 impl Communicator {
@@ -163,7 +169,7 @@ impl Communicator {
         dst: usize,
         tag: u64,
         ctx: TraceCtx,
-        payload: Vec<u8>,
+        payload: Payload,
     ) -> Result<(), CommError> {
         // Self-sends never cross the interconnect; keep the counters in
         // agreement with the fabric's traffic accounting, which also
@@ -226,6 +232,16 @@ impl Communicator {
         self.fabric.traffic(node)
     }
 
+    /// Declare this node failed, as [`Cluster::run`](crate::Cluster::run)
+    /// does when a node function returns an error: from now on every `recv`
+    /// and every `payload` on every node fails with
+    /// [`CommError::Poisoned`] instead of blocking.  For a thread that is
+    /// going down while its peers may be waiting on it and the node function
+    /// cannot return until they stop waiting.
+    pub fn poison(&self) {
+        self.fabric.poison();
+    }
+
     fn check_tag(tag: u64) -> Result<(), CommError> {
         if tag > MAX_USER_TAG {
             Err(CommError::BadTag(tag))
@@ -234,9 +250,27 @@ impl Communicator {
         }
     }
 
-    /// Send `payload` to `dst` with a user `tag`.  Buffered: completes
-    /// without waiting for the receiver (after charging the network cost).
-    pub fn send(&self, dst: usize, tag: u64, payload: Vec<u8>) -> Result<(), CommError> {
+    /// An empty payload from this node's fixed population, to fill and
+    /// [`send`](Communicator::send).  Blocks while the whole population is
+    /// in flight — receivers return a payload by dropping it — and fails with
+    /// [`CommError::Poisoned`] instead once a node has died.
+    pub fn payload(&self) -> Result<Payload, CommError> {
+        let (payload, blocked) = self.fabric.payload(self.rank)?;
+        if let Some(m) = self.metrics.as_ref().filter(|_| !blocked.is_zero()) {
+            m.payload_wait_ns.record_duration(blocked);
+        }
+        Ok(payload)
+    }
+
+    /// This node's payload pool: population, buffers in flight, high water.
+    pub fn payload_stats(&self) -> PayloadStats {
+        self.fabric.payload_stats(self.rank)
+    }
+
+    /// Send `payload` — a pooled [`Payload`] or a plain `Vec<u8>` — to `dst`
+    /// with a user `tag`.  Buffered: completes without waiting for the
+    /// receiver (after charging the network cost).
+    pub fn send(&self, dst: usize, tag: u64, payload: impl Into<Payload>) -> Result<(), CommError> {
         self.send_traced(dst, tag, payload, 0)
     }
 
@@ -248,7 +282,7 @@ impl Communicator {
         &self,
         dst: usize,
         tag: u64,
-        payload: Vec<u8>,
+        payload: impl Into<Payload>,
         trace_id: u64,
     ) -> Result<(), CommError> {
         Self::check_tag(tag)?;
@@ -267,7 +301,7 @@ impl Communicator {
             None => (TraceCtx::NONE, None),
         };
         let timer = self.metrics.as_ref().map(|_| Instant::now());
-        self.send_raw(dst, tag, ctx, payload)?;
+        self.send_raw(dst, tag, ctx, payload.into())?;
         if let (Some(m), Some(t0)) = (&self.metrics, timer) {
             m.send_ns.record_duration(t0.elapsed());
         }
@@ -331,9 +365,9 @@ impl Communicator {
             },
             None => TraceCtx::NONE,
         };
-        self.send_raw(dst, tag, ctx, payload)?;
+        self.send_raw(dst, tag, ctx, payload.into())?;
         let env = self.fabric.recv(self.rank, Some(src), tag)?;
-        Ok(env.payload)
+        Ok(env.payload.into_vec())
     }
 
     /// Reserve the next collective tag; the sequence half is also the
@@ -351,7 +385,7 @@ impl Communicator {
             trace_id: 0,
             seq: tag & !COLLECTIVE_BIT,
         };
-        self.send_raw(dst, tag, ctx, payload)
+        self.send_raw(dst, tag, ctx, payload.into())
     }
 
     /// Synchronize all nodes.
@@ -400,7 +434,11 @@ impl Communicator {
             }
             Ok(data.to_vec())
         } else {
-            Ok(self.fabric.recv(self.rank, Some(root), tag)?.payload)
+            Ok(self
+                .fabric
+                .recv(self.rank, Some(root), tag)?
+                .payload
+                .into_vec())
         }
     }
 
@@ -413,7 +451,7 @@ impl Communicator {
             parts[root] = data;
             for _ in 0..self.nodes() - 1 {
                 let env = self.fabric.recv(root, None, tag)?;
-                parts[env.src] = env.payload;
+                parts[env.src] = env.payload.into_vec();
             }
             Ok(Some(parts))
         } else {
@@ -469,7 +507,7 @@ impl Communicator {
                 received[self.rank] = mine;
                 for _ in 0..self.nodes() - 1 {
                     let env = self.fabric.recv(self.rank, None, tag)?;
-                    received[env.src] = env.payload;
+                    received[env.src] = env.payload.into_vec();
                 }
                 Ok(received)
             },

@@ -1,21 +1,180 @@
 //! The message fabric connecting the simulated nodes: one mailbox per node,
-//! tag- and source-matched receives, poisoning on node failure.
+//! tag- and source-matched receives, a fixed population of payload buffers
+//! per node, poisoning on node failure.
 //!
-//! Mailboxes are unbounded (buffered sends complete without waiting for the
-//! receiver, like eager-mode MPI).  Real MPI switches to rendezvous flow
-//! control for large messages; at simulation scale the sorts bound in-flight
-//! data by their pipeline pools, so the simplification is safe, but extreme
-//! artificial skew can grow a receiver's inbox up to the in-flight dataset.
+//! **A payload is a credit.**  Each node owns [`payloads_per_node`] message
+//! buffers.  A sender that streams data takes an empty one from its node's
+//! pool ([`Fabric::payload`]), fills it and sends it; the buffer travels in
+//! the envelope, and when the receiver drops the [`Payload`] it goes back to
+//! the *sender's* pool, capacity intact.  A sender whose whole population is
+//! in flight blocks until a receiver returns one, so the point-to-point data
+//! a node has outstanding — in mailboxes and in receivers' hands — never
+//! exceeds `payloads_per_node × largest message`, however skewed the
+//! receivers are, and after the first lap no send allocates.  Returning the
+//! credit is `Drop`'s job, so no error path can leak one; poisoning wakes
+//! every sender blocked on a credit.
+//!
+//! What stays unbounded by admission, and why that is safe: a plain `Vec<u8>`
+//! handed to `send` is a *foreign* payload — delivered eagerly (like
+//! eager-mode MPI), freed by the receiver, never adopted into a pool.
+//! Collectives, `DONE` markers and csort's column exchange use it.  Their
+//! volume is bounded by protocol instead: a collective puts O(nodes) messages
+//! in flight and the next one cannot start before it completes, a `DONE`
+//! marker is one byte per peer per pass, and csort sends one message per
+//! pipeline round and receives one before the next.  End-of-stream markers
+//! must also never wait for a credit, or a sender could not finish while its
+//! receiver waits for the marker.
 
 use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use fg_core::TraceCtx;
 use parking_lot::{Condvar, Mutex};
 
 use crate::cost::NetCfg;
 use crate::CommError;
+
+/// Payload buffers each node owns: three per peer — one the receiver is
+/// consuming, one queued behind it, one being filled — so that sender and
+/// receiver overlap instead of handing a single buffer back and forth.
+/// (Measured on `dsort-os-skew`: two per peer cost 4% in wall and CPU time
+/// against unbounded mailboxes, three and four per peer cost nothing.)
+/// Derived from the cluster size and nothing else — the fabric has no
+/// tuning knob.
+pub(crate) fn payloads_per_node(nodes: usize) -> usize {
+    3 * nodes
+}
+
+/// One node's payload buffers that are not in flight, and how many are.
+struct PoolState {
+    idle: Vec<Vec<u8>>,
+    outstanding: usize,
+    high_water: usize,
+    /// Senders blocked in [`Fabric::payload`]: a return wakes one only when
+    /// there is one, since a condvar notification is a system call whether
+    /// or not anyone listens, and most returns find nobody waiting.
+    waiting: usize,
+}
+
+/// One node's population of payload buffers.
+pub(crate) struct PayloadPool {
+    population: usize,
+    state: Mutex<PoolState>,
+    returned: Condvar,
+}
+
+impl PayloadPool {
+    fn new(population: usize) -> Arc<Self> {
+        Arc::new(PayloadPool {
+            population,
+            state: Mutex::new(PoolState {
+                // Full-size, so that `give_back` (called from `Drop`) never
+                // allocates.
+                idle: Vec::with_capacity(population),
+                outstanding: 0,
+                high_water: 0,
+                waiting: 0,
+            }),
+            returned: Condvar::new(),
+        })
+    }
+
+    /// Take back a buffer a receiver has finished with.
+    fn give_back(&self, mut bytes: Vec<u8>) {
+        bytes.clear();
+        let mut st = self.state.lock();
+        st.idle.push(bytes);
+        st.outstanding -= 1;
+        let wake = st.waiting > 0;
+        drop(st);
+        if wake {
+            self.returned.notify_one();
+        }
+    }
+
+    fn stats(&self) -> PayloadStats {
+        let st = self.state.lock();
+        PayloadStats {
+            population: self.population,
+            outstanding: st.outstanding,
+            idle: st.idle.len(),
+            high_water: st.high_water,
+            waiting: st.waiting,
+        }
+    }
+}
+
+/// Snapshot of one node's payload pool.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PayloadStats {
+    /// Buffers the node owns; the most it can ever have in flight.
+    pub population: usize,
+    /// Buffers currently in flight (taken and not yet dropped).
+    pub outstanding: usize,
+    /// Buffers waiting in the pool.  Buffers are created on first demand,
+    /// so `idle + outstanding` can be below `population`.
+    pub idle: usize,
+    /// Most buffers that were ever in flight at once.
+    pub high_water: usize,
+    /// Senders blocked right now waiting for a buffer to come back.
+    pub waiting: usize,
+}
+
+/// The bytes of a message.
+///
+/// Reads like the `Vec<u8>` it wraps.  One obtained from
+/// [`Communicator::payload`](crate::Communicator::payload) is a credit of
+/// its sender's pool and returns there, emptied, when dropped — on whichever
+/// node and thread that happens.  One converted from a `Vec<u8>` is foreign
+/// and is simply freed.
+pub struct Payload {
+    bytes: Vec<u8>,
+    home: Option<Arc<PayloadPool>>,
+}
+
+impl Payload {
+    /// The bytes as an owned `Vec`.  A pooled payload's credit returns to
+    /// its pool at once; the buffer itself leaves with the caller.
+    pub fn into_vec(mut self) -> Vec<u8> {
+        std::mem::take(&mut self.bytes)
+    }
+}
+
+impl From<Vec<u8>> for Payload {
+    fn from(bytes: Vec<u8>) -> Self {
+        Payload { bytes, home: None }
+    }
+}
+
+impl Deref for Payload {
+    type Target = Vec<u8>;
+    fn deref(&self) -> &Vec<u8> {
+        &self.bytes
+    }
+}
+
+impl DerefMut for Payload {
+    fn deref_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.bytes
+    }
+}
+
+impl Drop for Payload {
+    fn drop(&mut self) {
+        if let Some(pool) = self.home.take() {
+            pool.give_back(std::mem::take(&mut self.bytes));
+        }
+    }
+}
+
+impl std::fmt::Debug for Payload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.bytes.fmt(f)
+    }
+}
 
 /// A message in flight.  The [`TraceCtx`] rides the envelope so the
 /// receiver can attribute the message to the sender's trace — a network
@@ -26,7 +185,7 @@ pub(crate) struct Envelope {
     pub(crate) src: usize,
     pub(crate) tag: u64,
     pub(crate) ctx: TraceCtx,
-    pub(crate) payload: Vec<u8>,
+    pub(crate) payload: Payload,
 }
 
 struct Mailbox {
@@ -61,6 +220,7 @@ pub struct NodeTraffic {
 
 pub(crate) struct Fabric {
     mailboxes: Vec<Mailbox>,
+    pools: Vec<Arc<PayloadPool>>,
     pub(crate) counters: Vec<TrafficCounters>,
     pub(crate) net: NetCfg,
     poisoned: AtomicBool,
@@ -70,6 +230,9 @@ impl Fabric {
     pub(crate) fn new(nodes: usize, net: NetCfg) -> Arc<Self> {
         Arc::new(Fabric {
             mailboxes: (0..nodes).map(|_| Mailbox::new()).collect(),
+            pools: (0..nodes)
+                .map(|_| PayloadPool::new(payloads_per_node(nodes)))
+                .collect(),
             counters: (0..nodes).map(|_| TrafficCounters::default()).collect(),
             net,
             poisoned: AtomicBool::new(false),
@@ -80,17 +243,61 @@ impl Fabric {
         self.mailboxes.len()
     }
 
-    /// Mark the fabric broken (a node died) and wake every receiver.
+    /// Mark the fabric broken (a node died) and wake every receiver and
+    /// every sender waiting for a payload.
     pub(crate) fn poison(&self) {
         self.poisoned.store(true, Ordering::SeqCst);
         for mb in &self.mailboxes {
             let _guard = mb.inbox.lock();
             mb.arrived.notify_all();
         }
+        for pool in &self.pools {
+            let _guard = pool.state.lock();
+            pool.returned.notify_all();
+        }
     }
 
     pub(crate) fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::SeqCst)
+    }
+
+    /// An empty payload from `node`'s pool, and how long the caller was
+    /// blocked for it.  Blocks while the node's whole population is in
+    /// flight; fails instead of blocking once the fabric is poisoned.
+    pub(crate) fn payload(&self, node: usize) -> Result<(Payload, Duration), CommError> {
+        let pool = &self.pools[node];
+        let mut st = pool.state.lock();
+        let mut blocked_since = None;
+        let bytes = loop {
+            if self.is_poisoned() {
+                return Err(CommError::Poisoned);
+            }
+            if let Some(bytes) = st.idle.pop() {
+                break bytes;
+            }
+            if st.outstanding < pool.population {
+                break Vec::new();
+            }
+            blocked_since.get_or_insert_with(Instant::now);
+            st.waiting += 1;
+            pool.returned.wait(&mut st);
+            st.waiting -= 1;
+        };
+        st.outstanding += 1;
+        st.high_water = st.high_water.max(st.outstanding);
+        drop(st);
+        let payload = Payload {
+            bytes,
+            home: Some(Arc::clone(pool)),
+        };
+        Ok((
+            payload,
+            blocked_since.map_or(Duration::ZERO, |t| t.elapsed()),
+        ))
+    }
+
+    pub(crate) fn payload_stats(&self, node: usize) -> PayloadStats {
+        self.pools[node].stats()
     }
 
     /// Deliver a message from `src` to `dst`, charging the network cost to
@@ -101,7 +308,7 @@ impl Fabric {
         dst: usize,
         tag: u64,
         ctx: TraceCtx,
-        payload: Vec<u8>,
+        payload: Payload,
     ) -> Result<(), CommError> {
         if dst >= self.mailboxes.len() {
             return Err(CommError::BadRank(dst));
@@ -174,9 +381,10 @@ mod tests {
     #[test]
     fn point_to_point_delivery() {
         let f = Fabric::new(2, NetCfg::zero());
-        f.send(0, 1, 7, TraceCtx::NONE, vec![1, 2, 3]).unwrap();
+        f.send(0, 1, 7, TraceCtx::NONE, vec![1, 2, 3].into())
+            .unwrap();
         let e = f.recv(1, Some(0), 7).unwrap();
-        assert_eq!(e.payload, vec![1, 2, 3]);
+        assert_eq!(*e.payload, vec![1, 2, 3]);
         assert_eq!(e.src, 0);
     }
 
@@ -188,24 +396,24 @@ mod tests {
             trace_id: 77,
             seq: 3,
         };
-        f.send(0, 1, 7, ctx, vec![1]).unwrap();
+        f.send(0, 1, 7, ctx, vec![1].into()).unwrap();
         assert_eq!(f.recv(1, Some(0), 7).unwrap().ctx, ctx);
     }
 
     #[test]
     fn tag_matching_skips_other_tags() {
         let f = Fabric::new(2, NetCfg::zero());
-        f.send(0, 1, 1, TraceCtx::NONE, vec![1]).unwrap();
-        f.send(0, 1, 2, TraceCtx::NONE, vec![2]).unwrap();
-        assert_eq!(f.recv(1, Some(0), 2).unwrap().payload, vec![2]);
-        assert_eq!(f.recv(1, Some(0), 1).unwrap().payload, vec![1]);
+        f.send(0, 1, 1, TraceCtx::NONE, vec![1].into()).unwrap();
+        f.send(0, 1, 2, TraceCtx::NONE, vec![2].into()).unwrap();
+        assert_eq!(*f.recv(1, Some(0), 2).unwrap().payload, vec![2]);
+        assert_eq!(*f.recv(1, Some(0), 1).unwrap().payload, vec![1]);
     }
 
     #[test]
     fn any_source_matches_first_arrival() {
         let f = Fabric::new(3, NetCfg::zero());
-        f.send(2, 0, 9, TraceCtx::NONE, vec![2]).unwrap();
-        f.send(1, 0, 9, TraceCtx::NONE, vec![1]).unwrap();
+        f.send(2, 0, 9, TraceCtx::NONE, vec![2].into()).unwrap();
+        f.send(1, 0, 9, TraceCtx::NONE, vec![1].into()).unwrap();
         let e = f.recv(0, None, 9).unwrap();
         assert_eq!(e.src, 2, "FIFO across sources for ANY_SOURCE");
     }
@@ -214,10 +422,10 @@ mod tests {
     fn same_src_tag_is_fifo() {
         let f = Fabric::new(2, NetCfg::zero());
         for i in 0..10u8 {
-            f.send(0, 1, 5, TraceCtx::NONE, vec![i]).unwrap();
+            f.send(0, 1, 5, TraceCtx::NONE, vec![i].into()).unwrap();
         }
         for i in 0..10u8 {
-            assert_eq!(f.recv(1, Some(0), 5).unwrap().payload, vec![i]);
+            assert_eq!(*f.recv(1, Some(0), 5).unwrap().payload, vec![i]);
         }
     }
 
@@ -225,9 +433,9 @@ mod tests {
     fn recv_blocks_until_send() {
         let f = Fabric::new(2, NetCfg::zero());
         let f2 = Arc::clone(&f);
-        let h = thread::spawn(move || f2.recv(1, Some(0), 3).unwrap().payload);
+        let h = thread::spawn(move || f2.recv(1, Some(0), 3).unwrap().payload.into_vec());
         thread::sleep(Duration::from_millis(10));
-        f.send(0, 1, 3, TraceCtx::NONE, vec![9]).unwrap();
+        f.send(0, 1, 3, TraceCtx::NONE, vec![9].into()).unwrap();
         assert_eq!(h.join().unwrap(), vec![9]);
     }
 
@@ -240,7 +448,7 @@ mod tests {
         f.poison();
         assert_eq!(h.join().unwrap().unwrap_err(), CommError::Poisoned);
         assert_eq!(
-            f.send(0, 1, 0, TraceCtx::NONE, vec![]).unwrap_err(),
+            f.send(0, 1, 0, TraceCtx::NONE, vec![].into()).unwrap_err(),
             CommError::Poisoned
         );
     }
@@ -249,7 +457,7 @@ mod tests {
     fn bad_rank_rejected() {
         let f = Fabric::new(2, NetCfg::zero());
         assert_eq!(
-            f.send(0, 5, 0, TraceCtx::NONE, vec![]).unwrap_err(),
+            f.send(0, 5, 0, TraceCtx::NONE, vec![].into()).unwrap_err(),
             CommError::BadRank(5)
         );
     }
@@ -257,8 +465,9 @@ mod tests {
     #[test]
     fn traffic_counters_accumulate() {
         let f = Fabric::new(2, NetCfg::zero());
-        f.send(0, 1, 0, TraceCtx::NONE, vec![0; 100]).unwrap();
-        f.send(0, 1, 0, TraceCtx::NONE, vec![0; 50]).unwrap();
+        f.send(0, 1, 0, TraceCtx::NONE, vec![0; 100].into())
+            .unwrap();
+        f.send(0, 1, 0, TraceCtx::NONE, vec![0; 50].into()).unwrap();
         let t = f.traffic(0);
         assert_eq!(t.bytes_sent, 150);
         assert_eq!(t.msgs_sent, 2);
@@ -272,11 +481,11 @@ mod tests {
         let f = Fabric::new(2, NetCfg::zero());
         let fa = Arc::clone(&f);
         let fb = Arc::clone(&f);
-        let ha = thread::spawn(move || fa.recv(1, None, 100).unwrap().payload);
-        let hb = thread::spawn(move || fb.recv(1, None, 200).unwrap().payload);
+        let ha = thread::spawn(move || fa.recv(1, None, 100).unwrap().payload.into_vec());
+        let hb = thread::spawn(move || fb.recv(1, None, 200).unwrap().payload.into_vec());
         thread::sleep(Duration::from_millis(5));
-        f.send(0, 1, 200, TraceCtx::NONE, vec![2]).unwrap();
-        f.send(0, 1, 100, TraceCtx::NONE, vec![1]).unwrap();
+        f.send(0, 1, 200, TraceCtx::NONE, vec![2].into()).unwrap();
+        f.send(0, 1, 100, TraceCtx::NONE, vec![1].into()).unwrap();
         assert_eq!(ha.join().unwrap(), vec![1]);
         assert_eq!(hb.join().unwrap(), vec![2]);
     }

@@ -40,7 +40,7 @@ mod fabric;
 pub use cluster::{Cluster, ClusterCfg, ClusterObs, ClusterRun, NodeCtx};
 pub use comm::{Communicator, Message, MAX_USER_TAG};
 pub use cost::NetCfg;
-pub use fabric::NodeTraffic;
+pub use fabric::{NodeTraffic, Payload, PayloadStats};
 
 use std::fmt;
 

@@ -56,15 +56,17 @@ impl Cadence {
 
     /// Run `tick` every `interval` on the calling thread until
     /// [`Cadence::stop`]; a stop during the wait returns without a final
-    /// tick.
+    /// tick.  The flag is tested before every wait as well as after it: a
+    /// `stop` that lands before this thread first reaches the wait has
+    /// already sent its only notification, and waiting first would sit out
+    /// a whole interval on it.
     pub(crate) fn run(&self, interval: Duration, mut tick: impl FnMut()) {
         let mut stop = self.stop.lock();
-        loop {
+        while !*stop {
             self.cv.wait_for(&mut stop, interval);
-            if *stop {
-                return;
+            if !*stop {
+                tick();
             }
-            tick();
         }
     }
 
@@ -519,6 +521,27 @@ mod tests {
                 .unwrap()
                 > 5
         );
+    }
+
+    /// The lost wake-up, forced: `stop` has come and gone before `run`
+    /// starts, so no notification will ever arrive.  `run` must return at
+    /// once without a tick; a helper thread turns a regression into a failure
+    /// within 5 s where it used to be an hour's hang.
+    #[test]
+    fn cadence_stop_before_run_is_not_lost() {
+        let cadence = Arc::new(Cadence::new());
+        cadence.stop();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let c = Arc::clone(&cadence);
+        std::thread::spawn(move || {
+            let mut ticks = 0;
+            c.run(Duration::from_secs(3600), || ticks += 1);
+            let _ = tx.send(ticks);
+        });
+        let ticks = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("run waited out its interval on a stop it had already been sent");
+        assert_eq!(ticks, 0);
     }
 
     #[test]

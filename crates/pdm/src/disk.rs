@@ -77,6 +77,11 @@ pub trait Disk: Send + Sync {
     fn flush(&self) -> Result<(), PdmError> {
         Ok(())
     }
+    /// Hint that `name` will grow to about `bytes` in total, so a backend
+    /// that pays for growing a file piecemeal can make room once.  Never
+    /// fails and never changes an existing file's contents or length (it may
+    /// create `name`, empty); backends with nothing to gain ignore it.
+    fn reserve(&self, _name: &str, _bytes: u64) {}
     /// The live read-ahead actuator behind this disk, if it has one.
     ///
     /// Plain backends have no tunable depth and return `None`; the
@@ -572,6 +577,13 @@ impl Disk for SimDisk {
 
     fn fail_after_ops(&self, ops: u64) {
         SimDisk::fail_after_ops(self, ops)
+    }
+
+    fn reserve(&self, name: &str, bytes: u64) {
+        let file = self.file_or_create(name);
+        let mut data = file.lock();
+        let more = (bytes as usize).saturating_sub(data.len());
+        data.reserve_exact(more);
     }
 }
 

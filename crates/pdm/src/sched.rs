@@ -605,6 +605,10 @@ impl Disk for IoScheduler {
         self.shared.inner.fail_after_ops(ops)
     }
 
+    fn reserve(&self, name: &str, bytes: u64) {
+        self.shared.inner.reserve(name, bytes)
+    }
+
     fn flush(&self) -> Result<(), PdmError> {
         let sh = &self.shared;
         let first_error = {

@@ -85,18 +85,30 @@ impl Striping {
         offset: u64,
         len: usize,
     ) -> Vec<(usize, u64, std::ops::Range<usize>)> {
+        self.split_range_iter(offset, len).collect()
+    }
+
+    /// [`Striping::split_range`] piece by piece, without the `Vec`: for
+    /// stages that split a buffer every round.
+    pub fn split_range_iter(
+        &self,
+        offset: u64,
+        len: usize,
+    ) -> impl Iterator<Item = (usize, u64, std::ops::Range<usize>)> + '_ {
         let b = self.block_bytes as u64;
-        let mut out = Vec::new();
         let mut pos = 0usize;
-        while pos < len {
+        std::iter::from_fn(move || {
+            if pos >= len {
+                return None;
+            }
             let goff = offset + pos as u64;
             let within = (goff % b) as usize;
             let chunk = (self.block_bytes - within).min(len - pos);
             let (node, local) = self.locate_byte(goff);
-            out.push((node, local, pos..pos + chunk));
+            let piece = (node, local, pos..pos + chunk);
             pos += chunk;
-        }
-        out
+            Some(piece)
+        })
     }
 
     /// Reconstruct the global byte stream of a striped file of `total`

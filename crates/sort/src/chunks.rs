@@ -14,6 +14,8 @@
 //! `a` = destination column, `b` = destination row; or `a` = global byte
 //! offset, `b` unused).
 
+use fg_core::Buffer;
+
 use crate::SortError;
 
 /// One placed run of bytes.
@@ -30,17 +32,110 @@ pub struct Chunk<'a> {
 /// Bytes of overhead per chunk.
 pub const CHUNK_HEADER_BYTES: usize = 24;
 
+/// The header of a chunk of `len` data bytes.
+fn chunk_header(a: u64, b: u64, len: usize) -> [u8; CHUNK_HEADER_BYTES] {
+    let mut header = [0u8; CHUNK_HEADER_BYTES];
+    header[..8].copy_from_slice(&a.to_le_bytes());
+    header[8..16].copy_from_slice(&b.to_le_bytes());
+    header[16..].copy_from_slice(&(len as u64).to_le_bytes());
+    header
+}
+
 /// Append a chunk to `out`.
 pub fn push_chunk(out: &mut Vec<u8>, a: u64, b: u64, data: &[u8]) {
-    out.extend_from_slice(&a.to_le_bytes());
-    out.extend_from_slice(&b.to_le_bytes());
-    out.extend_from_slice(&(data.len() as u64).to_le_bytes());
+    out.extend_from_slice(&chunk_header(a, b, data.len()));
     out.extend_from_slice(data);
+}
+
+/// Append a chunk to a pipeline buffer, straight from `data`.
+///
+/// # Panics
+/// Panics if the buffer has less than [`chunk_size`]`(data.len())` left.
+pub fn append_chunk(buf: &mut Buffer, a: u64, b: u64, data: &[u8]) {
+    assert!(
+        chunk_size(data.len()) <= buf.remaining(),
+        "chunk of {} data bytes does not fit in the {} bytes left",
+        data.len(),
+        buf.remaining()
+    );
+    buf.append(&chunk_header(a, b, data.len()));
+    buf.append(data);
 }
 
 /// Size a chunk of `len` data bytes occupies.
 pub fn chunk_size(len: usize) -> usize {
     CHUNK_HEADER_BYTES + len
+}
+
+/// Partition-and-pack: group a block's fixed-size records by destination
+/// and write them out as `(a = destination, b = 0, records)` chunks in
+/// destination order, skipping destinations that get nothing — the stream a
+/// loop of [`push_chunk`] over per-destination `Vec`s would build, without
+/// the `Vec`s.  One counting pass, a prefix sum that places each chunk, one
+/// scatter pass; each record is copied once, into its final position.
+///
+/// The scratch (a destination per record, a cursor per destination) lives
+/// here and is reused, so a warmed-up call allocates nothing.
+pub struct Scatter {
+    dest: Vec<u32>,
+    /// Per destination: its record count, then its write position in `out`.
+    cursor: Vec<usize>,
+}
+
+impl Scatter {
+    /// Scratch for partitioning among `parts` destinations.
+    pub fn new(parts: usize) -> Self {
+        Scatter {
+            dest: Vec::new(),
+            cursor: vec![0; parts],
+        }
+    }
+
+    /// The most bytes [`Scatter::scatter`] writes for `record_bytes` bytes
+    /// of records: every destination's header plus the records.
+    pub fn max_len(&self, record_bytes: usize) -> usize {
+        self.cursor.len() * CHUNK_HEADER_BYTES + record_bytes
+    }
+
+    /// Pack the `rb`-byte records of `records` into `out`, record `i` going
+    /// to destination `dest_of(i, record)`; returns the bytes written.
+    /// Records keep their input order within a destination.
+    ///
+    /// # Panics
+    /// Panics if a destination is out of range or `out` is shorter than
+    /// [`Scatter::max_len`]`(records.len())` requires.
+    pub fn scatter(
+        &mut self,
+        records: &[u8],
+        rb: usize,
+        out: &mut [u8],
+        mut dest_of: impl FnMut(usize, &[u8]) -> usize,
+    ) -> usize {
+        self.dest.clear();
+        self.cursor.fill(0);
+        for (i, rec) in records.chunks_exact(rb).enumerate() {
+            let d = dest_of(i, rec);
+            self.cursor[d] += 1;
+            self.dest.push(d as u32);
+        }
+        let mut len = 0;
+        for (d, cursor) in self.cursor.iter_mut().enumerate() {
+            let bytes = *cursor * rb;
+            if bytes == 0 {
+                continue;
+            }
+            let data = len + CHUNK_HEADER_BYTES;
+            out[len..data].copy_from_slice(&chunk_header(d as u64, 0, bytes));
+            *cursor = data;
+            len = data + bytes;
+        }
+        for (rec, &d) in records.chunks_exact(rb).zip(&self.dest) {
+            let at = &mut self.cursor[d as usize];
+            out[*at..*at + rb].copy_from_slice(rec);
+            *at += rb;
+        }
+        len
+    }
 }
 
 /// Iterate over the chunks of a payload.

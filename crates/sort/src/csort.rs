@@ -159,36 +159,37 @@ pub(crate) fn pass_pipeline(
 /// report (and the CI smoke job) assert the hot loop is alloc-free
 /// without exempting the by-design warmup growth.
 pub(crate) fn add_sort_stage(prog: &mut Program, cfg: &SortConfig) -> fg_core::StageId {
-    let fmt = cfg.record;
-    let metrics = cfg.metrics.clone();
-    let make = move || {
-        let mut scratch = match &metrics {
-            Some(reg) => crate::kernels::SortScratch::with_registry(reg),
-            None => crate::kernels::SortScratch::new(),
-        };
-        let mut warmed = false;
-        map_stage(
-            move |buf: &mut fg_core::Buffer, _ctx: &mut fg_core::StageCtx| {
-                if !warmed {
-                    warmed = true;
-                    if fg_core::alloc::installed() {
-                        let warmup = fg_core::register_tag("sort/warmup");
-                        return fg_core::with_tag(warmup, || {
-                            fmt.sort_bytes_with(buf.filled_mut(), &mut scratch);
-                            Ok(())
-                        });
-                    }
-                }
-                fmt.sort_bytes_with(buf.filled_mut(), &mut scratch);
-                Ok(())
-            },
-        )
-    };
     if cfg.farm_capacity() > 1 {
-        prog.workers("sort", cfg.farm_capacity(), move |_i| make())
+        let cfg = cfg.clone();
+        prog.workers("sort", cfg.farm_capacity(), move |_i| sort_stage(&cfg))
     } else {
-        prog.add_stage("sort", make())
+        prog.add_stage("sort", sort_stage(cfg))
     }
+}
+
+/// One sort stage (or farm replica) with its own kernel scratch and the
+/// `sort/warmup` split described at [`add_sort_stage`]; dsort's pass-1
+/// sort stages are built from it too.
+pub(crate) fn sort_stage(cfg: &SortConfig) -> Box<dyn fg_core::Stage> {
+    let fmt = cfg.record;
+    let mut scratch = cfg.sort_scratch();
+    let mut warmed = false;
+    map_stage(
+        move |buf: &mut fg_core::Buffer, _ctx: &mut fg_core::StageCtx| {
+            if !warmed {
+                warmed = true;
+                if fg_core::alloc::installed() {
+                    let warmup = fg_core::register_tag("sort/warmup");
+                    return fg_core::with_tag(warmup, || {
+                        fmt.sort_bytes_with(buf.filled_mut(), &mut scratch);
+                        Ok(())
+                    });
+                }
+            }
+            fmt.sort_bytes_with(buf.filled_mut(), &mut scratch);
+            Ok(())
+        },
+    )
 }
 
 /// Passes 1 and 2: `read → sort → communicate → permute → write` over a
@@ -412,6 +413,7 @@ fn pass3(
                     .recv(Some(m.owner(c - 1)), c as u64)
                     .map_err(SortError::from)?
                     .payload
+                    .into_vec()
             } else {
                 Vec::new()
             };

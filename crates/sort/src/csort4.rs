@@ -171,6 +171,7 @@ fn pass3_shift(
                     .recv(Some(m.owner(c - 1)), c as u64)
                     .map_err(SortError::from)?
                     .payload
+                    .into_vec()
             } else {
                 Vec::new()
             };

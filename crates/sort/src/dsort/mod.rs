@@ -17,7 +17,7 @@ pub mod sampling;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fg_cluster::{Cluster, ClusterCfg, ClusterError, ClusterObs};
+use fg_cluster::{Cluster, ClusterCfg, ClusterError, ClusterObs, PayloadStats};
 use fg_core::cluster_report::{ClusterReport, RankReport};
 use fg_core::metrics::{MetricsRegistry, MetricsSnapshot};
 use fg_pdm::{DiskRef, DiskStats};
@@ -44,6 +44,9 @@ pub struct DsortReport {
     pub disk_stats: Vec<DiskStats>,
     /// Per-node bytes sent over the interconnect.
     pub bytes_sent: Vec<u64>,
+    /// Per-node payload pools as the run left them: how many message
+    /// buffers each node owns and the most it ever had in flight.
+    pub payloads: Vec<PayloadStats>,
     /// Node 0's FG reports for both passes (with spans when
     /// `SortConfig::trace` was set) — render with
     /// [`fg_core::Report::render_gantt`].
@@ -247,6 +250,7 @@ pub fn run_dsort_with(
         pass2_threads: node0.threads.clone(),
         disk_stats: disks.iter().map(|d| d.stats()).collect(),
         bytes_sent: run.traffic.iter().map(|t| t.bytes_sent).collect(),
+        payloads: run.payloads,
         node0_reports: run.results[0].reports.clone(),
         metrics: run.metrics,
         cluster,

@@ -6,28 +6,29 @@
 //!
 //! * the **send pipeline** `read → permute → send` streams the node's local
 //!   input: the permute stage groups each block's records by destination
-//!   partition (splitters compared against *extended* keys, out of place
-//!   via the auxiliary buffer), and the send stage doles the groups out to
-//!   their target nodes;
+//!   partition (splitters compared against *extended* keys; one scatter into
+//!   the stage's auxiliary buffer and one copy back), and the send stage
+//!   doles the groups out to their target nodes in payloads from the
+//!   fabric's fixed population, blocking when all of them are in flight;
 //! * the **receive pipeline** `receive → sort → write` assembles incoming
-//!   records into run-sized buffers, sorts each (by the original,
-//!   non-extended keys), and appends it to the node's run file — one sorted
-//!   run per buffer.
+//!   records into run-sized buffers straight from the received payloads,
+//!   sorts each (by the original, non-extended keys), and appends it to the
+//!   node's run file — one sorted run per buffer.
 //!
 //! The pipelines progress at independent rates; only messages connect them.
 //! The receive pipeline's length is data-dependent, so it runs
-//! `UntilStopped`: after a `DONE` marker from every sender and an empty
-//! carry, the receive stage conveys the final partial run and stops the
-//! pipeline.
+//! `UntilStopped`: after a `DONE` marker from every sender and with no
+//! partly consumed message left, the receive stage conveys the final partial
+//! run and stops the pipeline.
 
 use std::sync::Arc;
 
-use fg_cluster::Communicator;
+use fg_cluster::{Communicator, Message};
 use fg_core::{map_stage, PipelineCfg, Program, Rounds, Stage, StageCtx};
 use fg_pdm::DiskRef;
 use parking_lot::Mutex;
 
-use crate::chunks::{self, CHUNK_HEADER_BYTES};
+use crate::chunks::{self, Scatter, CHUNK_HEADER_BYTES};
 use crate::config::SortConfig;
 use crate::input::INPUT_FILE;
 use crate::record::{partition_of, ExtKey};
@@ -70,6 +71,11 @@ pub fn pass1(
     let nblocks = input_bytes.div_ceil(cfg.block_bytes) as u64;
     let send_buf = cfg.block_bytes + nodes * CHUNK_HEADER_BYTES + 64;
 
+    // The runs file ends as this node's partition.  Splitters from an
+    // oversample keep a partition within a fifth of the mean, so a third of
+    // slack spares an in-memory disk every regrowth of the file.
+    disk.reserve(RUNS_FILE, cfg.bytes_per_node() + cfg.bytes_per_node() / 3);
+
     let mut prog = Program::new(format!("dsort-p1-n{rank}"));
     cfg.instrument(&mut prog);
 
@@ -89,134 +95,12 @@ pub fn pass1(
         }),
     );
 
-    let fmt = cfg.record;
-    let splits = splitters.to_vec();
-    let records_per_block = cfg.records_per_block();
-    let permute = prog.add_stage(
-        "permute",
-        map_stage(move |buf, _ctx| {
-            // Destination partition of each record, via extended keys.
-            let n = fmt.count(buf.filled());
-            let base_seq = buf.round() * records_per_block as u64;
-            let mut dest = vec![0usize; n];
-            let mut counts = vec![0usize; nodes];
-            for (i, rec) in fmt.records(buf.filled()).enumerate() {
-                let e = ExtKey {
-                    key: fmt.key(rec),
-                    node: rank as u32,
-                    seq: base_seq + i as u64,
-                };
-                let d = partition_of(&splits, e);
-                dest[i] = d;
-                counts[d] += 1;
-            }
-            // Group records by destination, out of place (the auxiliary-
-            // buffer pattern), and rewrite the buffer as (dest, records)
-            // chunks.
-            let mut groups: Vec<Vec<u8>> =
-                counts.iter().map(|&c| Vec::with_capacity(c * rb)).collect();
-            for (i, rec) in fmt.records(buf.filled()).enumerate() {
-                groups[dest[i]].extend_from_slice(rec);
-            }
-            let mut packed = Vec::with_capacity(buf.len() + nodes * CHUNK_HEADER_BYTES);
-            for (d, group) in groups.iter().enumerate() {
-                if !group.is_empty() {
-                    chunks::push_chunk(&mut packed, d as u64, 0, group);
-                }
-            }
-            buf.copy_from(&packed);
-            Ok(())
-        }),
-    );
-
-    let comm_send = comm.clone();
-    let send = prog.add_stage(
-        "send",
-        Box::new(move |ctx: &mut StageCtx| {
-            while let Some(buf) = ctx.accept()? {
-                // Propagate the buffer's trace id with each chunk so the
-                // receiving rank's comm-recv span joins this buffer's flow
-                // in the merged Chrome export.
-                let trace_id = buf.trace_id();
-                for chunk in chunks::iter_chunks(buf.filled()) {
-                    let chunk = chunk?;
-                    let mut payload = Vec::with_capacity(1 + chunk.data.len());
-                    payload.push(MSG_DATA);
-                    payload.extend_from_slice(chunk.data);
-                    comm_send
-                        .send_traced(chunk.a as usize, TAG_PASS1, payload, trace_id)
-                        .map_err(SortError::from)?;
-                }
-                ctx.convey(buf)?;
-            }
-            // All local input distributed: tell every node.
-            for dst in 0..nodes {
-                comm_send
-                    .send(dst, TAG_PASS1, vec![MSG_DONE])
-                    .map_err(SortError::from)?;
-            }
-            Ok(())
-        }) as Box<dyn Stage>,
-    );
+    let permute = prog.add_stage("permute", permute_stage(cfg, rank, splitters.to_vec()));
+    let send = prog.add_stage("send", send_stage(comm.clone(), TAG_PASS1));
 
     // ---- receive pipeline ----
-    let received_records = Arc::new(Mutex::new(0u64));
-    let comm_recv = comm.clone();
-    let rr = Arc::clone(&received_records);
-    let receive = prog.add_stage(
-        "receive",
-        Box::new(move |ctx: &mut StageCtx| {
-            let pid = ctx.pipelines().next().expect("receive pipeline");
-            let mut carry: Vec<u8> = Vec::new();
-            let mut dones = 0usize;
-            loop {
-                let mut buf = match ctx.accept()? {
-                    Some(b) => b,
-                    None => return Ok(()),
-                };
-                buf.clear();
-                while buf.remaining() > 0 {
-                    if !carry.is_empty() {
-                        let n = buf.append(&carry);
-                        carry.drain(..n);
-                        continue;
-                    }
-                    if dones == nodes {
-                        break;
-                    }
-                    let msg = comm_recv.recv(None, TAG_PASS1).map_err(SortError::from)?;
-                    match msg.payload.first() {
-                        Some(&MSG_DONE) => dones += 1,
-                        Some(&MSG_DATA) => {
-                            let data = &msg.payload[1..];
-                            let n = buf.append(data);
-                            carry.extend_from_slice(&data[n..]);
-                        }
-                        _ => return Err(SortError::Corrupt("empty pass-1 message".into()).into()),
-                    }
-                }
-                if buf.is_empty() {
-                    ctx.discard(buf)?;
-                } else {
-                    *rr.lock() += (buf.len() / rb) as u64;
-                    ctx.convey(buf)?;
-                }
-                if dones == nodes && carry.is_empty() {
-                    ctx.stop(pid)?;
-                    return Ok(());
-                }
-            }
-        }) as Box<dyn Stage>,
-    );
-
-    let fmt2 = cfg.record;
-    let sort = prog.add_stage("sort", {
-        let mut scratch = cfg.sort_scratch();
-        map_stage(move |buf, _ctx| {
-            fmt2.sort_bytes_with(buf.filled_mut(), &mut scratch);
-            Ok(())
-        })
-    });
+    let receive = prog.add_stage("receive", receive_stage(comm.clone(), TAG_PASS1));
+    let sort = prog.add_stage("sort", crate::csort::sort_stage(cfg));
 
     let run_lens = Arc::new(Mutex::new(Vec::<u64>::new()));
     let rl = Arc::clone(&run_lens);
@@ -245,11 +129,143 @@ pub fn pass1(
     // any write-behind queue; surface deferred errors here.
     disk.flush().map_err(SortError::from)?;
 
-    let out = Pass1Out {
-        run_lens: run_lens.lock().clone(),
-        received_records: *received_records.lock(),
+    // Every record received went into exactly one run.
+    let run_lens = run_lens.lock().clone();
+    let received_records = run_lens.iter().sum::<u64>() / rb as u64;
+    Ok(Pass1Out {
+        run_lens,
+        received_records,
         threads: report.threads_spawned,
         report,
-    };
-    Ok(out)
+    })
+}
+
+/// The permute stage of a send pipeline: rewrite each block as
+/// `(destination, records)` chunks, a record's destination being the
+/// partition of its extended key among `splitters`.
+pub(crate) fn permute_stage(
+    cfg: &SortConfig,
+    rank: usize,
+    splitters: Vec<ExtKey>,
+) -> Box<dyn Stage> {
+    let fmt = cfg.record;
+    let records_per_block = cfg.records_per_block() as u64;
+    let mut scatter = Scatter::new(cfg.nodes);
+    map_stage(move |buf, ctx| {
+        let base_seq = buf.round() * records_per_block;
+        let aux = ctx.aux(scatter.max_len(buf.len()));
+        let len = scatter.scatter(buf.filled(), fmt.record_bytes, aux, |i, rec| {
+            let e = ExtKey {
+                key: fmt.key(rec),
+                node: rank as u32,
+                seq: base_seq + i as u64,
+            };
+            partition_of(&splitters, e)
+        });
+        buf.copy_from(&aux[..len]);
+        Ok(())
+    })
+}
+
+/// A stage that talks to the fabric.  If `body` ends in an error — its own
+/// or the cancellation of its program after another stage failed — the stage
+/// poisons the fabric on its way out.  The node is lost either way, and its
+/// node function cannot say so while the program's other fabric stage, or a
+/// peer's, is still blocked on a message or a credit this stage owed it.
+pub fn fabric_stage(
+    comm: Communicator,
+    mut body: impl FnMut(&Communicator, &mut StageCtx) -> fg_core::Result<()> + Send + 'static,
+) -> Box<dyn Stage> {
+    Box::new(move |ctx: &mut StageCtx| {
+        let result = body(&comm, ctx);
+        if result.is_err() {
+            comm.poison();
+        }
+        result
+    })
+}
+
+/// The send stage of a send pipeline whose buffers hold `(destination,
+/// bytes)` chunks: each chunk travels to its destination as one `DATA`
+/// message under `tag`, in a payload from the fabric's fixed population —
+/// so the stage blocks, and allocates nothing, while all of this node's
+/// payloads are in flight.  After the last buffer every node gets a `DONE`
+/// marker, a plain message that needs no credit.
+pub fn send_stage(comm: Communicator, tag: u64) -> Box<dyn Stage> {
+    fabric_stage(comm, move |comm, ctx| {
+        while let Some(buf) = ctx.accept()? {
+            // Propagate the buffer's trace id with each chunk so the
+            // receiving rank's comm-recv span joins this buffer's flow
+            // in the merged Chrome export.
+            let trace_id = buf.trace_id();
+            for chunk in chunks::iter_chunks(buf.filled()) {
+                let chunk = chunk?;
+                let mut payload = comm.payload().map_err(SortError::from)?;
+                // No message outgrows the buffer it is cut from: sizing every
+                // payload for that once means none is ever reallocated.
+                payload.reserve_exact(buf.capacity());
+                payload.push(MSG_DATA);
+                payload.extend_from_slice(chunk.data);
+                comm.send_traced(chunk.a as usize, tag, payload, trace_id)
+                    .map_err(SortError::from)?;
+            }
+            ctx.convey(buf)?;
+        }
+        // All local input distributed: tell every node.
+        for dst in 0..comm.nodes() {
+            comm.send(dst, tag, vec![MSG_DONE])
+                .map_err(SortError::from)?;
+        }
+        Ok(())
+    })
+}
+
+/// The receive stage of a receive pipeline: packs the bytes of arriving
+/// `DATA` messages densely into the pipeline's buffers until every node's
+/// `DONE` marker has arrived, then conveys the last partial buffer and
+/// stops the pipeline.  A message that straddles two buffers is kept, with
+/// the offset reached, while the next buffer is fetched; dropping a message
+/// once it is consumed hands its payload back to the sender.
+pub fn receive_stage(comm: Communicator, tag: u64) -> Box<dyn Stage> {
+    fabric_stage(comm, move |comm, ctx| {
+        let pid = ctx.pipelines().next().expect("receive pipeline");
+        let nodes = comm.nodes();
+        // A message and how many of its bytes are consumed.
+        let mut partial: Option<(Message, usize)> = None;
+        let mut dones = 0usize;
+        loop {
+            let mut buf = match ctx.accept()? {
+                Some(b) => b,
+                None => return Ok(()),
+            };
+            buf.clear();
+            while buf.remaining() > 0 {
+                if let Some((msg, at)) = partial.take() {
+                    let at = at + buf.append(&msg.payload[at..]);
+                    if at < msg.payload.len() {
+                        partial = Some((msg, at));
+                    }
+                    continue;
+                }
+                if dones == nodes {
+                    break;
+                }
+                let msg = comm.recv(None, tag).map_err(SortError::from)?;
+                match msg.payload.first() {
+                    Some(&MSG_DONE) => dones += 1,
+                    Some(&MSG_DATA) => partial = Some((msg, 1)),
+                    _ => return Err(SortError::Corrupt("empty data message".into()).into()),
+                }
+            }
+            if buf.is_empty() {
+                ctx.discard(buf)?;
+            } else {
+                ctx.convey(buf)?;
+            }
+            if dones == nodes && partial.is_none() {
+                ctx.stop(pid)?;
+                return Ok(());
+            }
+        }
+    })
 }

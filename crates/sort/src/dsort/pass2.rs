@@ -21,13 +21,13 @@
 
 use std::sync::Arc;
 
-use fg_cluster::Communicator;
+use fg_cluster::{Communicator, Message};
 use fg_core::{map_stage, Buffer, PipelineCfg, Program, Rounds, Stage, StageCtx};
 use fg_pdm::{DiskRef, Striping};
 
 use crate::chunks::{self, CHUNK_HEADER_BYTES};
 use crate::config::SortConfig;
-use crate::dsort::pass1::RUNS_FILE;
+use crate::dsort::pass1::{fabric_stage, RUNS_FILE};
 use crate::merge::LoserTree;
 use crate::verify::OUTPUT_FILE;
 use crate::SortError;
@@ -216,15 +216,16 @@ pub fn pass2(
     );
 
     // ---- horizontal send stage ----
-    let comm_send = comm.clone();
     let send = prog.add_stage(
         "send",
-        Box::new(move |ctx: &mut StageCtx| {
+        fabric_stage(comm.clone(), move |comm_send, ctx| {
             while let Some(buf) = ctx.accept()? {
                 let goff = buf.meta * rb as u64;
                 let data = buf.filled();
-                for (dest, _local, range) in striping.split_range(goff, data.len()) {
-                    let mut payload = Vec::with_capacity(9 + range.len());
+                for (dest, _local, range) in striping.split_range_iter(goff, data.len()) {
+                    let mut payload = comm_send.payload().map_err(SortError::from)?;
+                    // No stripe piece outgrows the buffer it is cut from.
+                    payload.reserve_exact(9 + buf.capacity());
                     payload.push(MSG_DATA);
                     payload.extend_from_slice(&(goff + range.start as u64).to_le_bytes());
                     payload.extend_from_slice(&data[range]);
@@ -240,17 +241,17 @@ pub fn pass2(
                     .map_err(SortError::from)?;
             }
             Ok(())
-        }) as Box<dyn Stage>,
+        }),
     );
 
     // ---- receive pipeline ----
-    let comm_recv = comm.clone();
     let receive = prog.add_stage(
         "receive",
-        Box::new(move |ctx: &mut StageCtx| {
+        fabric_stage(comm.clone(), move |comm_recv, ctx| {
             let pid = ctx.pipelines().next().expect("receive pipeline");
             let mut dones = 0usize;
-            let mut pending: Option<(u64, Vec<u8>)> = None;
+            // A stripe piece that did not fit in the last buffer.
+            let mut pending: Option<Message> = None;
             loop {
                 let mut buf = match ctx.accept()? {
                     Some(b) => b,
@@ -258,15 +259,15 @@ pub fn pass2(
                 };
                 buf.clear();
                 loop {
-                    if let Some((goff, data)) = pending.take() {
+                    if let Some(msg) = pending.take() {
+                        let data = &msg.payload[9..];
                         if chunks::chunk_size(data.len()) > buf.remaining() {
-                            pending = Some((goff, data));
+                            pending = Some(msg);
                             break; // convey this buffer, chunk goes in next
                         }
-                        let mut packed = Vec::with_capacity(chunks::chunk_size(data.len()));
-                        chunks::push_chunk(&mut packed, goff, 0, &data);
-                        let n = buf.append(&packed);
-                        debug_assert_eq!(n, packed.len());
+                        let goff =
+                            u64::from_le_bytes(msg.payload[1..9].try_into().expect("8 bytes"));
+                        chunks::append_chunk(&mut buf, goff, 0, data);
                         continue;
                     }
                     if dones == nodes {
@@ -281,9 +282,7 @@ pub fn pass2(
                                     SortError::Corrupt("short pass-2 data message".into()).into()
                                 );
                             }
-                            let goff =
-                                u64::from_le_bytes(msg.payload[1..9].try_into().expect("8 bytes"));
-                            pending = Some((goff, msg.payload[9..].to_vec()));
+                            pending = Some(msg);
                         }
                         _ => return Err(SortError::Corrupt("empty pass-2 message".into()).into()),
                     }
@@ -298,7 +297,7 @@ pub fn pass2(
                     return Ok(());
                 }
             }
-        }) as Box<dyn Stage>,
+        }),
     );
 
     let write_disk = Arc::clone(disk);

@@ -32,10 +32,10 @@ use parking_lot::Mutex;
 
 use crate::chunks::{self, CHUNK_HEADER_BYTES};
 use crate::config::SortConfig;
-use crate::dsort::sampling;
+use crate::dsort::{pass1, sampling};
 use crate::input::INPUT_FILE;
 use crate::merge::LoserTree;
-use crate::record::{partition_of, ExtKey};
+use crate::record::ExtKey;
 use crate::verify::OUTPUT_FILE;
 use crate::SortError;
 
@@ -167,31 +167,9 @@ fn pass1_linear(
         }),
     );
 
-    let fmt = cfg.record;
-    let splits = splitters.to_vec();
-    let records_per_block = cfg.records_per_block();
     let permute = prog.add_stage(
         "permute",
-        map_stage(move |buf, ctx| {
-            let base_seq = buf.round() * records_per_block as u64;
-            let n = fmt.count(buf.filled());
-            let mut groups: Vec<Vec<u8>> = vec![Vec::new(); nodes];
-            for (i, rec) in fmt.records(buf.filled()).enumerate() {
-                let e = ExtKey {
-                    key: fmt.key(rec),
-                    node: rank as u32,
-                    seq: base_seq + i as u64,
-                };
-                groups[partition_of(&splits, e)].extend_from_slice(rec);
-            }
-            let mut packed = Vec::with_capacity(buf.len() + nodes * CHUNK_HEADER_BYTES);
-            for (d, g) in groups.iter().enumerate() {
-                chunks::push_chunk(&mut packed, d as u64, 0, g);
-            }
-            let _ = (ctx, n);
-            buf.copy_from(&packed);
-            Ok(())
-        }),
+        pass1::permute_stage(cfg, rank, splitters.to_vec()),
     );
 
     // exchange: blocking alltoallv per round — send rate chained to receive
@@ -215,19 +193,10 @@ fn pass1_linear(
         }),
     );
 
-    let fmt2 = cfg.record;
-    let sort = prog.add_stage("sort", {
-        let mut scratch = cfg.sort_scratch();
-        map_stage(move |buf, _ctx| {
-            fmt2.sort_bytes_with(buf.filled_mut(), &mut scratch);
-            Ok(())
-        })
-    });
+    let sort = prog.add_stage("sort", crate::csort::sort_stage(cfg));
 
     let run_lens = Arc::new(Mutex::new(Vec::<u64>::new()));
     let rl = Arc::clone(&run_lens);
-    let received_total = Arc::new(Mutex::new(0u64));
-    let rt = Arc::clone(&received_total);
     let write_disk = Arc::clone(disk);
     let write = prog.add_stage(
         "write",
@@ -237,7 +206,6 @@ fn pass1_linear(
                     .append(RUNS_FILE, buf.filled())
                     .map_err(SortError::from)?;
                 rl.lock().push(buf.len() as u64);
-                *rt.lock() += (buf.len() / rb) as u64;
             }
             Ok(())
         }),
@@ -251,9 +219,10 @@ fn pass1_linear(
     // Write barrier: pass 2 reads the run file this pass appended.
     disk.flush().map_err(SortError::from)?;
 
+    // Every record received went into exactly one run.
     let lens = run_lens.lock().clone();
-    let total = *received_total.lock();
-    Ok((lens, total))
+    let received = lens.iter().sum::<u64>() / rb as u64;
+    Ok((lens, received))
 }
 
 /// Pass 2 on one node: inline synchronous merge, lockstep striping.

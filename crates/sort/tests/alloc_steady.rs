@@ -66,3 +66,50 @@ fn warmed_kernel_sort_is_alloc_free_in_steady_state() {
     assert_steady_state(RecordFormat::REC16);
     assert_steady_state(RecordFormat::REC64);
 }
+
+/// Bytes allocated so far under the stage tag `name`.
+fn tag_bytes(name: &str) -> u64 {
+    fg_core::alloc::counts(fg_core::register_tag(name)).bytes
+}
+
+/// One verified dsort of `records_per_node` records on four nodes; returns
+/// what the `permute`, `send` and `receive` stages of both passes allocated.
+fn dsort_stage_allocations(records_per_node: usize) -> [u64; 3] {
+    use fg_sort::verify::{verify_output, Strictness};
+    const TAGS: [&str; 3] = ["permute", "send", "receive"];
+    let mut cfg = fg_sort::config::SortConfig::test_default(4, records_per_node);
+    cfg.block_bytes = 4 << 10;
+    cfg.run_bytes = 16 << 10;
+    cfg.vertical_buf_bytes = 2 << 10;
+    let disks = fg_sort::input::provision(&cfg);
+    let before = TAGS.map(tag_bytes);
+    fg_sort::dsort::run_dsort(&cfg, &disks).expect("dsort run");
+    let after = TAGS.map(tag_bytes);
+    verify_output(&cfg, &disks, Strictness::Fingerprint).expect("dsort output");
+    std::array::from_fn(|i| after[i] - before[i])
+}
+
+/// dsort's data path circulates a fixed set of buffers: what its permute,
+/// send and receive stages allocate is set-up (auxiliary buffer, scatter
+/// scratch, the payload population, mailbox slots), so it stays under 1 MiB
+/// and does not follow the input when the input grows eightfold.
+#[test]
+fn dsort_data_path_allocations_do_not_grow_with_the_input() {
+    let _ = vec![0u8; 16];
+    assert!(fg_core::alloc::installed());
+    let small = dsort_stage_allocations(16 << 10); // 256 KiB a node
+    let large = dsort_stage_allocations(128 << 10); // 2 MiB a node
+    for (tag, (small, large)) in ["permute", "send", "receive"]
+        .into_iter()
+        .zip(small.into_iter().zip(large))
+    {
+        assert!(large < 1 << 20, "{tag}: {large} B allocated");
+        // 7 MiB more input; a stage that allocated per round would need
+        // hundreds of KiB more.  The slack covers payloads and mailbox
+        // slots the smaller run happened not to need.
+        assert!(
+            large <= small + (64 << 10),
+            "{tag}: {small} B for 1 MiB of input, {large} B for 8 MiB"
+        );
+    }
+}

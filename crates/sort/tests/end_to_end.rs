@@ -44,6 +44,26 @@ fn dsort_all_equal_keys() {
     check_dsort(&cfg);
 }
 
+/// Every key equal: the extended keys send each node's whole input to one
+/// receiver, the hottest a receiver gets.  The sender's payloads in flight
+/// stay within its population, the sort finishes under the watchdog, and
+/// every credit is home at the end.
+#[test]
+fn dsort_with_one_hot_receiver_stays_within_the_payload_population() {
+    let mut cfg = SortConfig::test_default(4, 16384);
+    cfg.dist = KeyDist::AllEqual;
+    cfg.watchdog = Some(std::time::Duration::from_secs(60));
+    let disks = provision(&cfg);
+    let report = run_dsort(&cfg, &disks).expect("dsort run");
+    verify_output(&cfg, &disks, Strictness::Exact).expect("dsort output");
+    assert_eq!(report.payloads.len(), cfg.nodes);
+    for pool in &report.payloads {
+        assert_eq!(pool.population, 3 * cfg.nodes);
+        assert!((1..=pool.population).contains(&pool.high_water), "{pool:?}");
+        assert_eq!(pool.outstanding, 0, "a payload leaked: {pool:?}");
+    }
+}
+
 #[test]
 fn dsort_std_normal() {
     let mut cfg = SortConfig::test_default(4, 2048);

@@ -7,6 +7,7 @@ use fg_sort::csort::run_csort;
 use fg_sort::dsort::run_dsort;
 use fg_sort::dsort_linear::run_dsort_linear;
 use fg_sort::input::provision;
+use fg_sort::keygen::KeyDist;
 use fg_sort::SortError;
 
 #[test]
@@ -21,6 +22,36 @@ fn dsort_surfaces_disk_failure() {
         msg.contains("disk failed"),
         "error should carry the root cause: {msg}"
     );
+}
+
+/// A receiver whose disk dies stops returning payloads, so the nodes that
+/// send to it — itself included — run out of credits and block, and its node
+/// function cannot return while its own send stage is blocked.  The fabric
+/// stages of the dying program poison the fabric on their way out, which
+/// must wake every one of them: the run ends in the disk's error, not in a
+/// hang (the helper thread turns a hang into a failure).  The failure points
+/// cover both passes.
+#[test]
+fn dsort_disk_failure_wakes_senders_blocked_on_credits() {
+    // Every key equal: each sender's whole input goes to a single receiver,
+    // far more messages than it has credits.
+    let mut cfg = SortConfig::test_default(4, 16384);
+    cfg.dist = KeyDist::AllEqual;
+    cfg.watchdog = Some(std::time::Duration::from_secs(30));
+    for ops in [10, 40, 150, 400, 600] {
+        let disks = provision(&cfg);
+        disks[1].fail_after_ops(ops);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let cfg = cfg.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(run_dsort(&cfg, &disks).map(|_| ()));
+        });
+        let err = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("dsort hung after disk 1 failed at op {ops}"))
+            .expect_err("must fail");
+        assert!(err.to_string().contains("disk failed"), "op {ops}: {err}");
+    }
 }
 
 #[test]

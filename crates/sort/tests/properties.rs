@@ -351,4 +351,47 @@ proptest! {
         let batched = merge_runs(f, &run_refs);
         prop_assert_eq!(&batched, &oracle);
     }
+
+    /// The scatter writes the chunk stream a loop of `push_chunk` over
+    /// per-destination `Vec`s would: same bytes, destinations in order,
+    /// empty destinations skipped, records in input order within a chunk —
+    /// for full blocks, short last blocks and empty ones, on scratch that has
+    /// already served a different block.
+    #[test]
+    fn scatter_matches_push_chunk(
+        parts in 1usize..9,
+        wide in any::<bool>(),
+        dests in vec(any::<u8>(), 0..80),
+        warmup in vec(any::<u8>(), 0..40),
+    ) {
+        let f = if wide { RecordFormat::REC64 } else { RecordFormat::REC16 };
+        let rb = f.record_bytes;
+        let mut scatter = chunks::Scatter::new(parts);
+        let mut out = Vec::new();
+        let mut run = |dests: &[u8]| {
+            let keys: Vec<u64> = (0..dests.len() as u64).map(|i| i * 7919).collect();
+            let block = records_with_payloads(f, &keys);
+            out.clear();
+            out.resize(scatter.max_len(block.len()), 0xAA);
+            let len = scatter.scatter(&block, rb, &mut out, |i, rec| {
+                assert_eq!(f.key(rec), keys[i]);
+                dests[i] as usize % parts
+            });
+            (block, out[..len].to_vec())
+        };
+        run(&warmup);
+        let (block, packed) = run(&dests);
+
+        let mut groups = vec![Vec::new(); parts];
+        for (rec, &d) in f.records(&block).zip(&dests) {
+            groups[d as usize % parts].extend_from_slice(rec);
+        }
+        let mut expect = Vec::new();
+        for (d, group) in groups.iter().enumerate() {
+            if !group.is_empty() {
+                chunks::push_chunk(&mut expect, d as u64, 0, group);
+            }
+        }
+        prop_assert_eq!(packed, expect);
+    }
 }
