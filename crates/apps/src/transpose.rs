@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use fg_cluster::{Cluster, ClusterCfg, ClusterError, Communicator, NetCfg};
 use fg_core::{map_stage, PipelineCfg, Program, Rounds};
 use fg_pdm::{DiskCfg, SimDisk, Striping};
-use fg_sort::chunks::{self, CHUNK_HEADER_BYTES};
+use fg_sort::chunks::{self, Exchange, CHUNK_HEADER_BYTES};
 use fg_sort::SortError;
 
 /// Per-node input file: the node's row bands, concatenated in round order.
@@ -261,30 +261,16 @@ fn transpose_pass(
     // exchange: split each run along stripe boundaries and route the
     // pieces to their owners (balanced alltoallv per round).
     let comm2 = comm.clone();
-    let exchange = prog.add_stage(
-        "exchange",
+    let exchange = prog.add_stage("exchange", {
+        let mut stripes = Exchange::new(nodes);
         map_stage(move |buf, _ctx| {
-            let mut parts: Vec<Vec<u8>> = vec![Vec::new(); nodes];
             for chunk in chunks::iter_chunks(buf.filled()) {
                 let chunk = chunk?;
-                for (dest, _local, range) in striping.split_range(chunk.a, chunk.data.len()) {
-                    chunks::push_chunk(
-                        &mut parts[dest],
-                        chunk.a + range.start as u64,
-                        0,
-                        &chunk.data[range],
-                    );
-                }
+                stripes.gather_stripes(&striping, chunk.a, chunk.data);
             }
-            let received = comm2.alltoallv(parts).map_err(SortError::from)?;
-            buf.clear();
-            for part in received {
-                let n = buf.append(&part);
-                debug_assert_eq!(n, part.len(), "transpose exchange overflow");
-            }
-            Ok(())
-        }),
-    );
+            Ok(stripes.trade(&comm2, buf)?)
+        })
+    });
 
     let write_disk = Arc::clone(disk);
     let striping_w = Striping::new(nodes, cfg.block_bytes);

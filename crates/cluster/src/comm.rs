@@ -483,7 +483,9 @@ impl Communicator {
 
     /// MPI_Alltoallv: send `parts[i]` to node `i` (including `parts[rank]`
     /// to self, delivered locally for free); returns the parts received,
-    /// indexed by sender rank.
+    /// indexed by sender rank.  The `Vec`s are traded, not copied: a caller
+    /// that clears what it received and fills it again as the next call's
+    /// `parts` allocates nothing once the capacities have settled.
     pub fn alltoallv(&self, mut parts: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>, CommError> {
         if parts.len() != self.nodes() {
             return Err(CommError::BadShape(format!(
@@ -497,19 +499,19 @@ impl Communicator {
             |m| &m.alltoallv_ns,
             move || {
                 let tag = self.next_coll_tag();
-                let mine = std::mem::take(&mut parts[self.rank]);
                 for (dst, part) in parts.iter_mut().enumerate() {
                     if dst != self.rank {
                         self.coll_send(dst, tag, std::mem::take(part))?;
                     }
                 }
-                let mut received: Vec<Vec<u8>> = vec![Vec::new(); self.nodes()];
-                received[self.rank] = mine;
+                // `parts` now holds this node's own part and an empty slot
+                // per peer, which is the shape of the result: every `Vec`
+                // that arrives, capacity included, goes to the caller.
                 for _ in 0..self.nodes() - 1 {
                     let env = self.fabric.recv(self.rank, None, tag)?;
-                    received[env.src] = env.payload.into_vec();
+                    parts[env.src] = env.payload.into_vec();
                 }
-                Ok(received)
+                Ok(parts)
             },
         )
     }

@@ -17,13 +17,13 @@
 //! What stays unbounded by admission, and why that is safe: a plain `Vec<u8>`
 //! handed to `send` is a *foreign* payload — delivered eagerly (like
 //! eager-mode MPI), freed by the receiver, never adopted into a pool.
-//! Collectives, `DONE` markers and csort's column exchange use it.  Their
-//! volume is bounded by protocol instead: a collective puts O(nodes) messages
-//! in flight and the next one cannot start before it completes, a `DONE`
-//! marker is one byte per peer per pass, and csort sends one message per
-//! pipeline round and receives one before the next.  End-of-stream markers
-//! must also never wait for a credit, or a sender could not finish while its
-//! receiver waits for the marker.
+//! Collectives and `DONE` markers use it.  Their volume is bounded by
+//! protocol instead: a collective puts O(nodes) messages in flight and the
+//! next one cannot start before it completes (`alltoallv` hands the `Vec`s
+//! that arrive to its caller, which trades them back as the next call's
+//! parts), and a `DONE` marker is one byte per peer per pass.  End-of-stream
+//! markers must also never wait for a credit, or a sender could not finish
+//! while its receiver waits for the marker.
 
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};

@@ -341,6 +341,14 @@ impl SimDisk {
         self.fail.check()
     }
 
+    /// Hold the disk arm: until the guard drops, every operation with a
+    /// non-zero cost stops where it would be "in flight".  Lets a test
+    /// decide when a backend call made by another thread completes.
+    #[cfg(test)]
+    pub(crate) fn hold_arm(&self) -> parking_lot::MutexGuard<'_, ()> {
+        self.arm.lock()
+    }
+
     /// The disk's cost model.
     pub fn cfg(&self) -> DiskCfg {
         self.cfg

@@ -43,7 +43,7 @@ mod striping;
 
 pub use disk::{Disk, DiskCfg, DiskRef, DiskStats, SimDisk};
 pub use os_disk::OsDisk;
-pub use sched::{IoScheduler, MAX_IO_DEPTH};
+pub use sched::{IoScheduler, MAX_IO_DEPTH, STAGING_CAP_BYTES};
 pub use scratch::ScratchDir;
 pub use striping::Striping;
 

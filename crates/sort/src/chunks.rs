@@ -14,7 +14,9 @@
 //! `a` = destination column, `b` = destination row; or `a` = global byte
 //! offset, `b` unused).
 
+use fg_cluster::Communicator;
 use fg_core::Buffer;
+use fg_pdm::Striping;
 
 use crate::SortError;
 
@@ -45,6 +47,13 @@ fn chunk_header(a: u64, b: u64, len: usize) -> [u8; CHUNK_HEADER_BYTES] {
 pub fn push_chunk(out: &mut Vec<u8>, a: u64, b: u64, data: &[u8]) {
     out.extend_from_slice(&chunk_header(a, b, data.len()));
     out.extend_from_slice(data);
+}
+
+/// Append the header of a chunk whose `len` data bytes the caller appends
+/// next — for data gathered piecewise, which would otherwise be assembled
+/// in a `Vec` of its own first.
+pub fn push_chunk_header(out: &mut Vec<u8>, a: u64, b: u64, len: usize) {
+    out.extend_from_slice(&chunk_header(a, b, len));
 }
 
 /// Append a chunk to a pipeline buffer, straight from `data`.
@@ -138,6 +147,104 @@ impl Scatter {
     }
 }
 
+/// The per-destination parts of a per-round `alltoallv`, kept across
+/// rounds.
+///
+/// A stage fills [`part`](Exchange::part)`(dest)` for every destination and
+/// calls [`trade`](Exchange::trade): the parts go out, what arrives replaces
+/// the pipeline buffer's contents, and the `Vec`s that arrived — emptied,
+/// capacity kept — are the next round's parts.  In a balanced exchange every
+/// part a node receives is as large as the one it sent, so the capacities it
+/// gets back are the capacities it needs and nothing allocates after round
+/// 0; in an unbalanced one a traded `Vec` regrows now and then, and is still
+/// never rebuilt per round.
+pub struct Exchange {
+    parts: Vec<Vec<u8>>,
+}
+
+impl Exchange {
+    /// Empty parts for an exchange among `nodes` nodes.
+    pub fn new(nodes: usize) -> Self {
+        Exchange {
+            parts: vec![Vec::new(); nodes],
+        }
+    }
+
+    /// The part bound for node `dest`, to append to.
+    pub fn part(&mut self, dest: usize) -> &mut Vec<u8> {
+        &mut self.parts[dest]
+    }
+
+    /// Split `data`, which belongs at global byte offset `goff` of a striped
+    /// file, along stripe-block boundaries into `(global offset, piece)`
+    /// chunks for the pieces' owners.
+    pub fn gather_stripes(&mut self, striping: &Striping, goff: u64, data: &[u8]) {
+        // A node owns at most every `nodes`-th block the range touches.  On
+        // an empty part this reserves exactly that; a part filled by many
+        // small calls grows by doubling as usual.
+        let block = striping.block_bytes;
+        let blocks_each = (data.len() / block + 2).div_ceil(self.parts.len());
+        for part in &mut self.parts {
+            part.reserve(blocks_each * chunk_size(block));
+        }
+        for (dest, _local, range) in striping.split_range_iter(goff, data.len()) {
+            push_chunk(self.part(dest), goff + range.start as u64, 0, &data[range]);
+        }
+    }
+
+    /// Run the `alltoallv`: send every part, replace `buf`'s contents with
+    /// what arrived (in rank order), and keep the arrived `Vec`s as the next
+    /// round's parts.  After an error the exchange is not usable again.
+    pub fn trade(&mut self, comm: &Communicator, buf: &mut Buffer) -> Result<(), SortError> {
+        let mut received = comm.alltoallv(std::mem::take(&mut self.parts))?;
+        buf.clear();
+        for part in &mut received {
+            if buf.append(part) != part.len() {
+                return Err(SortError::Corrupt(format!(
+                    "exchange: received more than the {} bytes a pipeline buffer holds",
+                    buf.capacity()
+                )));
+            }
+            part.clear();
+        }
+        self.parts = received;
+        Ok(())
+    }
+}
+
+/// The chunk that starts at `off` of `bytes`: its placement words and where
+/// its data lies.
+fn chunk_at(bytes: &[u8], off: usize) -> Result<(u64, u64, std::ops::Range<usize>), SortError> {
+    let bad = |what: &str| SortError::Corrupt(format!("chunk stream: {what} at offset {off}"));
+    let start = off + CHUNK_HEADER_BYTES;
+    let header = bytes
+        .get(off..start)
+        .ok_or_else(|| bad("truncated header"))?;
+    let word = |i: usize| u64::from_le_bytes(header[i * 8..][..8].try_into().expect("8 bytes"));
+    let end = usize::try_from(word(2))
+        .ok()
+        .and_then(|len| start.checked_add(len))
+        .filter(|&end| end <= bytes.len())
+        .ok_or_else(|| bad("truncated data"))?;
+    Ok((word(0), word(1), start..end))
+}
+
+/// Rewrite every chunk's first placement word in place: `a` becomes
+/// `relocate(a)`.  For a write stage that receives chunks placed by global
+/// offset and needs them by local offset, without copying them out.
+pub fn relocate_chunks(
+    payload: &mut [u8],
+    mut relocate: impl FnMut(u64) -> u64,
+) -> Result<(), SortError> {
+    let mut off = 0;
+    while off < payload.len() {
+        let (a, _b, data) = chunk_at(payload, off)?;
+        payload[off..off + 8].copy_from_slice(&relocate(a).to_le_bytes());
+        off = data.end;
+    }
+    Ok(())
+}
+
 /// Iterate over the chunks of a payload.
 pub fn iter_chunks(bytes: &[u8]) -> ChunkIter<'_> {
     ChunkIter { bytes, off: 0 }
@@ -156,38 +263,20 @@ impl<'a> Iterator for ChunkIter<'a> {
         if self.off == self.bytes.len() {
             return None;
         }
-        let bad = |what: &str| {
-            Some(Err(SortError::Corrupt(format!(
-                "chunk stream: {what} at offset {}",
-                self.bytes.len()
-            ))))
-        };
-        if self.off + CHUNK_HEADER_BYTES > self.bytes.len() {
-            self.off = self.bytes.len();
-            return bad("truncated header");
-        }
-        let word = |i: usize| {
-            u64::from_le_bytes(
-                self.bytes[self.off + i * 8..self.off + (i + 1) * 8]
-                    .try_into()
-                    .expect("8 bytes"),
-            )
-        };
-        let (a, b, len) = (word(0), word(1), word(2) as usize);
-        let start = self.off + CHUNK_HEADER_BYTES;
-        let end = match start.checked_add(len) {
-            Some(e) if e <= self.bytes.len() => e,
-            _ => {
-                self.off = self.bytes.len();
-                return bad("truncated data");
+        Some(match chunk_at(self.bytes, self.off) {
+            Ok((a, b, data)) => {
+                self.off = data.end;
+                Ok(Chunk {
+                    a,
+                    b,
+                    data: &self.bytes[data],
+                })
             }
-        };
-        self.off = end;
-        Some(Ok(Chunk {
-            a,
-            b,
-            data: &self.bytes[start..end],
-        }))
+            Err(e) => {
+                self.off = self.bytes.len();
+                Err(e)
+            }
+        })
     }
 }
 
@@ -258,6 +347,9 @@ pub fn for_each_coalesced_write<E: From<SortError>>(
             emit(off, &payload[runs[i].1.clone()])?;
         } else {
             scratch.clear();
+            // To the group's size exactly: groups come in a few sizes, and
+            // doubling up to the largest would hold twice what it needs.
+            scratch.reserve_exact((end_off - off) as usize);
             for (_, range) in &runs[i..j] {
                 scratch.extend_from_slice(&payload[range.clone()]);
             }

@@ -34,7 +34,7 @@ use fg_cluster::{Cluster, ClusterCfg, ClusterError, Communicator};
 use fg_core::{map_stage, PipelineCfg, Program, Rounds};
 use fg_pdm::{DiskRef, DiskStats, Striping};
 
-use crate::chunks::{self, CHUNK_HEADER_BYTES};
+use crate::chunks::{self, Exchange, CHUNK_HEADER_BYTES};
 use crate::config::{Matrix, SortConfig};
 use crate::input::INPUT_FILE;
 use crate::verify::OUTPUT_FILE;
@@ -192,6 +192,68 @@ pub(crate) fn sort_stage(cfg: &SortConfig) -> Box<dyn fg_core::Stage> {
     )
 }
 
+/// The write stage of a striping pass on node `rank`: the buffer holds
+/// chunks placed by global byte offset in the striped output; their headers
+/// are rewritten to local offsets in place and the pieces written, adjacent
+/// ones coalesced, to [`OUTPUT_FILE`].
+pub(crate) fn striped_write_stage(
+    disk: &DiskRef,
+    striping: Striping,
+    rank: usize,
+) -> Box<dyn fg_core::Stage> {
+    let disk = Arc::clone(disk);
+    let mut runs = Vec::new();
+    let mut scratch = Vec::new();
+    map_stage(move |buf, _ctx| {
+        chunks::relocate_chunks(buf.filled_mut(), |goff| {
+            let (dest, local) = striping.locate_byte(goff);
+            debug_assert_eq!(dest, rank, "stripe piece landed on wrong node");
+            local
+        })?;
+        chunks::for_each_coalesced_write(buf.filled(), &mut runs, &mut scratch, |off, data| {
+            disk.write_at(OUTPUT_FILE, off, data)
+                .map_err(SortError::from)?;
+            Ok(())
+        })
+    })
+}
+
+/// The even columnsort step after pass `pass_no`'s sort, as chunks for the
+/// owners of the destination columns: sorted column `c` (`data`, records of
+/// `rb` bytes) contributes `r/s` records to every column `d`, appended to
+/// `exchange`'s part for `d`'s owner behind a `(d, c)` chunk header.  Pass 1
+/// transposes (record `i` goes to column `i mod s`), pass 2 untransposes
+/// (record `i` goes to column `i div (r/s)`).
+pub fn route_column(
+    pass_no: u8,
+    m: Matrix,
+    c: usize,
+    rb: usize,
+    data: &[u8],
+    exchange: &mut Exchange,
+) {
+    let chunk_records = m.r / m.s;
+    let part_bytes = m.cols_per_node() * chunks::chunk_size(chunk_records * rb);
+    for node in 0..m.nodes {
+        exchange.part(node).reserve_exact(part_bytes);
+    }
+    for d in 0..m.s {
+        let part = exchange.part(m.owner(d));
+        chunks::push_chunk_header(part, d as u64, c as u64, chunk_records * rb);
+        match pass_no {
+            1 => {
+                for i in (d..m.r).step_by(m.s) {
+                    part.extend_from_slice(&data[i * rb..(i + 1) * rb]);
+                }
+            }
+            _ => {
+                let start = d * chunk_records * rb;
+                part.extend_from_slice(&data[start..start + chunk_records * rb]);
+            }
+        }
+    }
+}
+
 /// Passes 1 and 2: `read → sort → communicate → permute → write` over a
 /// single linear pipeline of `s/P` rounds.  Shared with the four-pass
 /// variant ([`crate::csort4`]), whose first two passes are identical.
@@ -241,45 +303,14 @@ pub(crate) fn pass12(
     let nodes = m.nodes;
     let (r, s) = (m.r, m.s);
     let chunk_records = r / s;
-    let communicate = prog.add_stage(
-        "communicate",
+    let communicate = prog.add_stage("communicate", {
+        let mut exchange = Exchange::new(nodes);
         map_stage(move |buf, _ctx| {
-            let t = buf.round() as usize;
-            let c = m.col_of_round(q, t); // my column this round
-            let mut parts: Vec<Vec<u8>> = vec![Vec::new(); nodes];
-            {
-                let data = buf.filled();
-                for d in 0..s {
-                    // Records of sorted column c destined for column d.
-                    let dest_node = m.owner(d);
-                    let mut run = Vec::with_capacity(chunk_records * rb);
-                    match pass_no {
-                        1 => {
-                            // transpose: record i -> column i mod s
-                            let mut i = d;
-                            while i < r {
-                                run.extend_from_slice(&data[i * rb..(i + 1) * rb]);
-                                i += s;
-                            }
-                        }
-                        _ => {
-                            // untranspose: record i -> column i div (r/s)
-                            let start = d * chunk_records;
-                            run.extend_from_slice(&data[start * rb..(start + chunk_records) * rb]);
-                        }
-                    }
-                    chunks::push_chunk(&mut parts[dest_node], d as u64, c as u64, &run);
-                }
-            }
-            let received = comm2.alltoallv(parts).map_err(SortError::from)?;
-            buf.clear();
-            for part in received {
-                let copied = buf.append(&part);
-                debug_assert_eq!(copied, part.len(), "communicate buffer overflow");
-            }
-            Ok(())
-        }),
-    );
+            let c = m.col_of_round(q, buf.round() as usize); // my column this round
+            route_column(pass_no, m, c, rb, buf.filled(), &mut exchange);
+            Ok(exchange.trade(&comm2, buf)?)
+        })
+    });
 
     // permute: translate (dest column, source column) headers into file
     // offsets.  Column d's region of the output file is
@@ -396,39 +427,38 @@ fn pass3(
     let comm3 = comm.clone();
     let exchange = prog.add_stage(
         "exchange",
-        map_stage(move |buf, ctx| {
+        map_stage(move |buf, _ctx| {
             let t = buf.round() as usize;
             let c = m.col_of_round(q, t);
             let last = c == s - 1;
-            {
-                let data = buf.filled();
-                if !last {
-                    comm3
-                        .send(m.owner(c + 1), (c + 1) as u64, data[half..].to_vec())
-                        .map_err(SortError::from)?;
-                }
-            }
-            let received: Vec<u8> = if c > 0 {
+            if !last {
+                // A pooled payload: after the first rounds it is a buffer
+                // this node has sent before, at its full capacity.
+                let mut larger = comm3.payload().map_err(SortError::from)?;
+                larger.extend_from_slice(&buf.filled()[half..]);
                 comm3
-                    .recv(Some(m.owner(c - 1)), c as u64)
-                    .map_err(SortError::from)?
-                    .payload
-                    .into_vec()
-            } else {
-                Vec::new()
-            };
-            // Assemble [received][smaller half][(last only) larger half].
-            let aux = ctx.aux(buf.capacity());
-            let mut len = 0usize;
-            aux[..received.len()].copy_from_slice(&received);
-            len += received.len();
-            aux[len..len + half].copy_from_slice(&buf.filled()[..half]);
-            len += half;
-            if last {
-                aux[len..len + half].copy_from_slice(&buf.filled()[half..]);
-                len += half;
+                    .send(m.owner(c + 1), (c + 1) as u64, larger)
+                    .map_err(SortError::from)?;
             }
-            buf.copy_from(&aux[..len]);
+            // Read in place; dropping the message hands its payload back to
+            // the sender's pool.
+            let msg = match c {
+                0 => None,
+                _ => Some(
+                    comm3
+                        .recv(Some(m.owner(c - 1)), c as u64)
+                        .map_err(SortError::from)?,
+                ),
+            };
+            let received: &[u8] = msg.as_ref().map_or(&[], |msg| &msg.payload);
+            // Assemble [received][smaller half][(last only) larger half] in
+            // place: what stays of the column moves up behind the received
+            // half (the larger half has been sent, or stays as well).
+            let keep = if last { cbytes } else { half };
+            let space = buf.space_mut();
+            space.copy_within(..keep, received.len());
+            space[..received.len()].copy_from_slice(received);
+            buf.set_filled(received.len() + keep);
             Ok(())
         }),
     );
@@ -456,56 +486,19 @@ fn pass3(
     // exchange (balanced alltoallv).  The last column also carries w(s).
     let comm4 = comm.clone();
     let striping = Striping::new(nodes, cfg.block_bytes);
-    let stripe = prog.add_stage(
-        "stripe",
+    let stripe = prog.add_stage("stripe", {
+        let mut stripes = Exchange::new(nodes);
         map_stage(move |buf, _ctx| {
             let t = buf.round() as usize;
             let c = m.col_of_round(q, t);
             let start_rank = if c == 0 { 0 } else { c * r - r / 2 };
-            let mut parts: Vec<Vec<u8>> = vec![Vec::new(); nodes];
-            {
-                let data = buf.filled();
-                let goff = start_rank as u64 * rb as u64;
-                for (dest, local, range) in striping.split_range(goff, data.len()) {
-                    let _ = local;
-                    let gchunk = goff + range.start as u64;
-                    chunks::push_chunk(&mut parts[dest], gchunk, 0, &data[range]);
-                }
-            }
-            let received = comm4.alltoallv(parts).map_err(SortError::from)?;
-            buf.clear();
-            for part in received {
-                let copied = buf.append(&part);
-                debug_assert_eq!(copied, part.len(), "stripe buffer overflow");
-            }
-            Ok(())
-        }),
-    );
-
-    let write_disk = Arc::clone(disk);
-    let striping_w = Striping::new(nodes, cfg.block_bytes);
-    let write = prog.add_stage("write", {
-        // Rewrite global stripe offsets as local ones in place (headers
-        // only), then coalesce straight out of the buffer.
-        let mut relocated: Vec<u8> = Vec::new();
-        let mut runs = Vec::new();
-        let mut scratch = Vec::new();
-        map_stage(move |buf, _ctx| {
-            relocated.clear();
-            for chunk in chunks::iter_chunks(buf.filled()) {
-                let chunk = chunk?;
-                let (dest, local) = striping_w.locate_byte(chunk.a);
-                debug_assert_eq!(dest, q, "stripe chunk landed on wrong node");
-                chunks::push_chunk(&mut relocated, local, 0, chunk.data);
-            }
-            chunks::for_each_coalesced_write(&relocated, &mut runs, &mut scratch, |off, data| {
-                write_disk
-                    .write_at(OUTPUT_FILE, off, data)
-                    .map_err(SortError::from)?;
-                Ok(())
-            })
+            let goff = start_rank as u64 * rb as u64;
+            stripes.gather_stripes(&striping, goff, buf.filled());
+            Ok(stripes.trade(&comm4, buf)?)
         })
     });
+
+    let write = prog.add_stage("write", striped_write_stage(disk, striping, q));
 
     prog.add_pipeline(
         pass_pipeline(cfg, "pass3", buf_bytes, rounds),

@@ -28,10 +28,11 @@ use fg_cluster::{Cluster, ClusterCfg, ClusterError, Communicator};
 use fg_core::{map_stage, PipelineCfg, Program, Rounds};
 use fg_pdm::{DiskRef, DiskStats, Striping};
 
-use crate::chunks::{self, CHUNK_HEADER_BYTES};
+use crate::chunks::{Exchange, CHUNK_HEADER_BYTES};
 use crate::config::{Matrix, SortConfig};
-use crate::csort::{add_sort_stage, effective_buffers, merge_two_sorted, pass12, M2_FILE};
-use crate::verify::OUTPUT_FILE;
+use crate::csort::{
+    add_sort_stage, effective_buffers, merge_two_sorted, pass12, striped_write_stage, M2_FILE,
+};
 use crate::SortError;
 
 /// Intermediate file after pass 3: the shifted matrix.  Shifted column `c`
@@ -330,52 +331,18 @@ fn pass4_unshift(
     // [c*r - r/2, c*r + r/2) (clamped at both ends).
     let comm4 = comm.clone();
     let striping = Striping::new(nodes, cfg.block_bytes);
-    let stripe = prog.add_stage(
-        "stripe",
+    let stripe = prog.add_stage("stripe", {
+        let mut stripes = Exchange::new(nodes);
         map_stage(move |buf, _ctx| {
             let (c, _len, _off) = col_of(buf.round() as usize);
             let start_rank = if c == 0 { 0 } else { c * r - r / 2 };
-            let mut parts: Vec<Vec<u8>> = vec![Vec::new(); nodes];
-            {
-                let data = buf.filled();
-                let goff = start_rank as u64 * rb as u64;
-                for (dest, _local, range) in striping.split_range(goff, data.len()) {
-                    let gchunk = goff + range.start as u64;
-                    chunks::push_chunk(&mut parts[dest], gchunk, 0, &data[range]);
-                }
-            }
-            let received = comm4.alltoallv(parts).map_err(SortError::from)?;
-            buf.clear();
-            for part in received {
-                let copied = buf.append(&part);
-                debug_assert_eq!(copied, part.len(), "pass-4 stripe overflow");
-            }
-            Ok(())
-        }),
-    );
-
-    let write_disk = Arc::clone(disk);
-    let striping_w = Striping::new(nodes, cfg.block_bytes);
-    let write = prog.add_stage("write", {
-        let mut relocated: Vec<u8> = Vec::new();
-        let mut runs = Vec::new();
-        let mut scratch = Vec::new();
-        map_stage(move |buf, _ctx| {
-            relocated.clear();
-            for chunk in chunks::iter_chunks(buf.filled()) {
-                let chunk = chunk?;
-                let (dest, local) = striping_w.locate_byte(chunk.a);
-                debug_assert_eq!(dest, q);
-                chunks::push_chunk(&mut relocated, local, 0, chunk.data);
-            }
-            chunks::for_each_coalesced_write(&relocated, &mut runs, &mut scratch, |off, data| {
-                write_disk
-                    .write_at(OUTPUT_FILE, off, data)
-                    .map_err(SortError::from)?;
-                Ok(())
-            })
+            let goff = start_rank as u64 * rb as u64;
+            stripes.gather_stripes(&striping, goff, buf.filled());
+            Ok(stripes.trade(&comm4, buf)?)
         })
     });
+
+    let write = prog.add_stage("write", striped_write_stage(disk, striping, q));
 
     prog.add_pipeline(
         PipelineCfg::new("pass4", effective_buffers(cfg), buf_bytes).rounds(Rounds::Count(rounds)),

@@ -29,7 +29,6 @@ use crate::chunks::{self, CHUNK_HEADER_BYTES};
 use crate::config::SortConfig;
 use crate::dsort::pass1::{fabric_stage, RUNS_FILE};
 use crate::merge::LoserTree;
-use crate::verify::OUTPUT_FILE;
 use crate::SortError;
 
 /// Message tag for pass-2 traffic.
@@ -300,28 +299,10 @@ pub fn pass2(
         }),
     );
 
-    let write_disk = Arc::clone(disk);
-    let striping_w = Striping::new(nodes, cfg.block_bytes);
-    let write = prog.add_stage("write", {
-        let mut relocated: Vec<u8> = Vec::new();
-        let mut runs = Vec::new();
-        let mut scratch = Vec::new();
-        map_stage(move |buf, _ctx| {
-            relocated.clear();
-            for chunk in chunks::iter_chunks(buf.filled()) {
-                let chunk = chunk?;
-                let (dest, local) = striping_w.locate_byte(chunk.a);
-                debug_assert_eq!(dest, rank, "stripe piece landed on wrong node");
-                chunks::push_chunk(&mut relocated, local, 0, chunk.data);
-            }
-            chunks::for_each_coalesced_write(&relocated, &mut runs, &mut scratch, |off, data| {
-                write_disk
-                    .write_at(OUTPUT_FILE, off, data)
-                    .map_err(SortError::from)?;
-                Ok(())
-            })
-        })
-    });
+    let write = prog.add_stage(
+        "write",
+        crate::csort::striped_write_stage(disk, Striping::new(nodes, cfg.block_bytes), rank),
+    );
 
     // ---- pipelines ----
     for (j, &len) in run_lens.iter().enumerate() {

@@ -30,13 +30,12 @@ use fg_core::{map_stage, PipelineCfg, Program, Rounds};
 use fg_pdm::{DiskRef, Striping};
 use parking_lot::Mutex;
 
-use crate::chunks::{self, CHUNK_HEADER_BYTES};
+use crate::chunks::{self, Exchange, CHUNK_HEADER_BYTES};
 use crate::config::SortConfig;
 use crate::dsort::{pass1, sampling};
 use crate::input::INPUT_FILE;
 use crate::merge::LoserTree;
 use crate::record::ExtKey;
-use crate::verify::OUTPUT_FILE;
 use crate::SortError;
 
 /// Runs file for the linear variant.
@@ -175,23 +174,16 @@ fn pass1_linear(
     // exchange: blocking alltoallv per round — send rate chained to receive
     // rate, all nodes in lockstep.
     let comm2 = comm.clone();
-    let exchange = prog.add_stage(
-        "exchange",
+    let exchange = prog.add_stage("exchange", {
+        let mut parts = Exchange::new(nodes);
         map_stage(move |buf, _ctx| {
-            let mut parts: Vec<Vec<u8>> = vec![Vec::new(); nodes];
             for chunk in chunks::iter_chunks(buf.filled()) {
                 let chunk = chunk?;
-                parts[chunk.a as usize] = chunk.data.to_vec();
+                parts.part(chunk.a as usize).extend_from_slice(chunk.data);
             }
-            let received = comm2.alltoallv(parts).map_err(SortError::from)?;
-            buf.clear();
-            for part in received {
-                let n = buf.append(&part);
-                debug_assert_eq!(n, part.len(), "linear pass-1 buffer overflow");
-            }
-            Ok(())
-        }),
-    );
+            Ok(parts.trade(&comm2, buf)?)
+        })
+    });
 
     let sort = prog.add_stage("sort", crate::csort::sort_stage(cfg));
 
@@ -339,54 +331,19 @@ fn pass2_linear(
     // exchange: per-round alltoallv of stripe pieces (padded rounds send
     // nothing but still participate).
     let comm2 = comm.clone();
-    let exchange = prog.add_stage(
-        "exchange",
+    let exchange = prog.add_stage("exchange", {
+        let mut stripes = Exchange::new(nodes);
         map_stage(move |buf, _ctx| {
             let goff = buf.meta * rb as u64;
-            let mut parts: Vec<Vec<u8>> = vec![Vec::new(); nodes];
-            {
-                let data = buf.filled();
-                for (dest, _local, range) in striping.split_range(goff, data.len()) {
-                    chunks::push_chunk(
-                        &mut parts[dest],
-                        goff + range.start as u64,
-                        0,
-                        &data[range],
-                    );
-                }
-            }
-            let received = comm2.alltoallv(parts).map_err(SortError::from)?;
-            buf.clear();
-            for part in received {
-                let n = buf.append(&part);
-                debug_assert_eq!(n, part.len(), "linear pass-2 buffer overflow");
-            }
-            Ok(())
-        }),
-    );
-
-    let write_disk = Arc::clone(disk);
-    let striping_w = Striping::new(nodes, block);
-    let write = prog.add_stage("write", {
-        let mut relocated: Vec<u8> = Vec::new();
-        let mut runs = Vec::new();
-        let mut scratch = Vec::new();
-        map_stage(move |buf, _ctx| {
-            relocated.clear();
-            for chunk in chunks::iter_chunks(buf.filled()) {
-                let chunk = chunk?;
-                let (dest, local) = striping_w.locate_byte(chunk.a);
-                debug_assert_eq!(dest, rank);
-                chunks::push_chunk(&mut relocated, local, 0, chunk.data);
-            }
-            chunks::for_each_coalesced_write(&relocated, &mut runs, &mut scratch, |off, data| {
-                write_disk
-                    .write_at(OUTPUT_FILE, off, data)
-                    .map_err(SortError::from)?;
-                Ok(())
-            })
+            stripes.gather_stripes(&striping, goff, buf.filled());
+            Ok(stripes.trade(&comm2, buf)?)
         })
     });
+
+    let write = prog.add_stage(
+        "write",
+        crate::csort::striped_write_stage(disk, striping, rank),
+    );
 
     prog.add_pipeline(
         PipelineCfg::new("pass2", cfg.pipeline_buffers, buf_bytes).rounds(Rounds::Count(rounds)),

@@ -67,6 +67,10 @@ fn warmed_kernel_sort_is_alloc_free_in_steady_state() {
     assert_steady_state(RecordFormat::REC64);
 }
 
+/// The tag counters are process-wide and the sorts share stage names, so the
+/// tests that read them take turns.
+static TAG_COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Bytes allocated so far under the stage tag `name`.
 fn tag_bytes(name: &str) -> u64 {
     fg_core::alloc::counts(fg_core::register_tag(name)).bytes
@@ -95,6 +99,7 @@ fn dsort_stage_allocations(records_per_node: usize) -> [u64; 3] {
 /// and does not follow the input when the input grows eightfold.
 #[test]
 fn dsort_data_path_allocations_do_not_grow_with_the_input() {
+    let _turn = TAG_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let _ = vec![0u8; 16];
     assert!(fg_core::alloc::installed());
     let small = dsort_stage_allocations(16 << 10); // 256 KiB a node
@@ -111,5 +116,71 @@ fn dsort_data_path_allocations_do_not_grow_with_the_input() {
             large <= small + (64 << 10),
             "{tag}: {small} B for 1 MiB of input, {large} B for 8 MiB"
         );
+    }
+}
+
+/// The stages of csort's data path and the scheduler's I/O thread.
+const CSORT_TAGS: [&str; 6] = ["communicate", "stripe", "exchange", "read", "write", "io"];
+
+/// One verified csort of `records_per_node` 16-byte records on four nodes,
+/// on real files behind the I/O scheduler at depth 4; returns what each of
+/// [`CSORT_TAGS`] allocated.
+fn csort_os_stage_allocations(records_per_node: usize) -> [u64; 6] {
+    use fg_sort::verify::{verify_output, Strictness};
+    let scratch = fg_pdm::ScratchDir::new("alloc-steady").expect("scratch directory");
+    let mut cfg = fg_sort::config::SortConfig::test_default(4, records_per_node);
+    cfg.block_bytes = 4 << 10;
+    cfg.backend = fg_sort::config::DiskBackend::Os {
+        dir: scratch.path().to_path_buf(),
+    };
+    cfg.io_depth = 4;
+    let disks = fg_sort::input::provision(&cfg);
+    let before = CSORT_TAGS.map(tag_bytes);
+    fg_sort::csort::run_csort(&cfg, &disks).expect("csort run");
+    let after = CSORT_TAGS.map(tag_bytes);
+    verify_output(&cfg, &disks, Strictness::Fingerprint).expect("csort output");
+    std::array::from_fn(|i| after[i] - before[i])
+}
+
+/// csort's exchange stages trade their `Vec`s and the scheduler circulates
+/// its staging and block buffers, so what they allocate is their working
+/// set — a few columns — and not a function of how many rounds there are.
+/// The two inputs have the same column (8192 records, 128 KiB) and 8 and 16
+/// rounds a pass: a stage that allocated per round would need 4 MiB more for
+/// the larger one (`write` 12 MiB more, over three passes).
+#[test]
+fn csort_os_allocations_do_not_grow_with_the_input() {
+    let _turn = TAG_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let _ = vec![0u8; 16];
+    assert!(fg_core::alloc::installed());
+    const COLUMN: u64 = 128 << 10;
+    for records_per_node in [64 << 10, 128 << 10] {
+        let m = fg_sort::config::Matrix::choose(4 * records_per_node, 4).expect("geometry");
+        assert_eq!(
+            m.r as u64 * 16,
+            COLUMN,
+            "the inputs must share a column size"
+        );
+    }
+    let small = csort_os_stage_allocations(64 << 10); // 4 MiB
+    let large = csort_os_stage_allocations(128 << 10); // 8 MiB
+                                                       // What may differ between two runs of any size: how far the I/O thread
+                                                       // fell behind (the staging buffers grow to at most their cap, two a
+                                                       // node), whether a read overtook the prefetcher (one more block a node),
+                                                       // how many half-column payloads pass 3 had in flight.
+    let slack = |tag: &str| match tag {
+        "write" => 4 * 2 * fg_pdm::STAGING_CAP_BYTES as u64,
+        "io" => 4 * COLUMN + (64 << 10),
+        "exchange" => 4 * 3 * COLUMN / 2,
+        _ => 64 << 10,
+    };
+    for (tag, (small, large)) in CSORT_TAGS.into_iter().zip(small.into_iter().zip(large)) {
+        assert!(
+            large <= small + slack(tag),
+            "{tag}: {small} B for 4 MiB of input, {large} B for 8 MiB"
+        );
+        // And the working set is a few columns a node: less than the 8 MiB of
+        // input, of which every byte is read and written three times.
+        assert!(large < 8 << 20, "{tag}: {large} B allocated");
     }
 }

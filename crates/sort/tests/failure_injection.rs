@@ -2,7 +2,8 @@
 //! error from the whole stack — FG program torn down, cluster poisoned,
 //! the run function returning `Err` instead of hanging or panicking.
 
-use fg_sort::config::SortConfig;
+use fg_pdm::ScratchDir;
+use fg_sort::config::{DiskBackend, SortConfig};
 use fg_sort::csort::run_csort;
 use fg_sort::dsort::run_dsort;
 use fg_sort::dsort_linear::run_dsort_linear;
@@ -10,18 +11,50 @@ use fg_sort::input::provision;
 use fg_sort::keygen::KeyDist;
 use fg_sort::SortError;
 
+/// Run `case` on the in-memory disks bare, and on both backends behind an
+/// I/O scheduler of depth 4 — where a dead disk fails reads at once but
+/// write-behind reports it only at the pass-end flush, and writers may be
+/// parked on a full staging buffer when it dies.
+fn on_every_backend(cfg: &SortConfig, case: impl Fn(&str, &SortConfig)) {
+    case("sim", cfg);
+    let mut scheduled = cfg.clone();
+    scheduled.io_depth = 4;
+    case("sim behind the scheduler", &scheduled);
+    let scratch = ScratchDir::new("failure-injection").expect("scratch directory");
+    scheduled.backend = DiskBackend::Os {
+        dir: scratch.path().to_path_buf(),
+    };
+    case("os behind the scheduler", &scheduled);
+}
+
+/// Run `sort` on a helper thread, so that a hang fails the test instead of
+/// stalling it; returns the error the run must end in.
+fn failure_of(
+    what: String,
+    sort: impl FnOnce() -> Result<(), SortError> + Send + 'static,
+) -> SortError {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(sort());
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(60))
+        .unwrap_or_else(|_| panic!("{what}: the run hung"))
+        .expect_err("a run on a dead disk must fail")
+}
+
 #[test]
 fn dsort_surfaces_disk_failure() {
-    let cfg = SortConfig::test_default(4, 2048);
-    let disks = provision(&cfg);
-    // Node 2's disk dies after a handful of operations (mid pass 1).
-    disks[2].fail_after_ops(10);
-    let err = run_dsort(&cfg, &disks).expect_err("must fail");
-    let msg = err.to_string();
-    assert!(
-        msg.contains("disk failed"),
-        "error should carry the root cause: {msg}"
-    );
+    on_every_backend(&SortConfig::test_default(4, 2048), |backend, cfg| {
+        let disks = provision(cfg);
+        // Node 2's disk dies after a handful of operations (mid pass 1).
+        disks[2].fail_after_ops(10);
+        let err = run_dsort(cfg, &disks).expect_err("must fail");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("disk failed"),
+            "{backend}: error should carry the root cause: {msg}"
+        );
+    });
 }
 
 /// A receiver whose disk dies stops returning payloads, so the nodes that
@@ -29,8 +62,7 @@ fn dsort_surfaces_disk_failure() {
 /// function cannot return while its own send stage is blocked.  The fabric
 /// stages of the dying program poison the fabric on their way out, which
 /// must wake every one of them: the run ends in the disk's error, not in a
-/// hang (the helper thread turns a hang into a failure).  The failure points
-/// cover both passes.
+/// hang.  The failure points cover both passes.
 #[test]
 fn dsort_disk_failure_wakes_senders_blocked_on_credits() {
     // Every key equal: each sender's whole input goes to a single receiver,
@@ -38,29 +70,42 @@ fn dsort_disk_failure_wakes_senders_blocked_on_credits() {
     let mut cfg = SortConfig::test_default(4, 16384);
     cfg.dist = KeyDist::AllEqual;
     cfg.watchdog = Some(std::time::Duration::from_secs(30));
-    for ops in [10, 40, 150, 400, 600] {
-        let disks = provision(&cfg);
-        disks[1].fail_after_ops(ops);
-        let (tx, rx) = std::sync::mpsc::channel();
-        let cfg = cfg.clone();
-        std::thread::spawn(move || {
-            let _ = tx.send(run_dsort(&cfg, &disks).map(|_| ()));
-        });
-        let err = rx
-            .recv_timeout(std::time::Duration::from_secs(60))
-            .unwrap_or_else(|_| panic!("dsort hung after disk 1 failed at op {ops}"))
-            .expect_err("must fail");
-        assert!(err.to_string().contains("disk failed"), "op {ops}: {err}");
-    }
+    on_every_backend(&cfg, |backend, cfg| {
+        for ops in [10, 40, 150, 400, 600] {
+            let disks = provision(cfg);
+            disks[1].fail_after_ops(ops);
+            let cfg = cfg.clone();
+            let err = failure_of(
+                format!("{backend}: dsort, disk 1 dead at op {ops}"),
+                move || run_dsort(&cfg, &disks).map(|_| ()),
+            );
+            assert!(
+                err.to_string().contains("disk failed"),
+                "{backend}, op {ops}: {err}"
+            );
+        }
+    });
 }
 
 #[test]
 fn csort_surfaces_disk_failure() {
-    let cfg = SortConfig::test_default(4, 4096);
-    let disks = provision(&cfg);
-    disks[0].fail_after_ops(3);
-    let err = run_csort(&cfg, &disks).expect_err("must fail");
-    assert!(err.to_string().contains("disk failed"), "{err}");
+    on_every_backend(&SortConfig::test_default(4, 4096), |backend, cfg| {
+        // Early (pass 1's first reads) and late (deferred writes of a later
+        // pass).
+        for ops in [3, 25, 45] {
+            let disks = provision(cfg);
+            disks[0].fail_after_ops(ops);
+            let cfg = cfg.clone();
+            let err = failure_of(
+                format!("{backend}: csort, disk 0 dead at op {ops}"),
+                move || run_csort(&cfg, &disks).map(|_| ()),
+            );
+            assert!(
+                err.to_string().contains("disk failed"),
+                "{backend}, op {ops}: {err}"
+            );
+        }
+    });
 }
 
 #[test]

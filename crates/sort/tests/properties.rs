@@ -3,8 +3,10 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use fg_sort::chunks;
+use fg_pdm::Striping;
+use fg_sort::chunks::{self, Exchange};
 use fg_sort::columnsort::{boundary_merge, columnsort, sort_columns, transpose, untranspose};
+use fg_sort::config::Matrix;
 use fg_sort::kernels::{sort_records_using, Kernel, SortScratch};
 use fg_sort::merge::{merge_runs, LoserTree};
 use fg_sort::record::{partition_of, ExtKey, RecordFormat};
@@ -393,5 +395,91 @@ proptest! {
             }
         }
         prop_assert_eq!(packed, expect);
+    }
+    /// The exchange helper's column routing gathers, per destination node,
+    /// the byte stream the stages used to build with a `run` `Vec` and a
+    /// `push_chunk` per destination column — for pass 1 (transpose) and
+    /// pass 2 (untranspose), on parts that have served an earlier round.
+    #[test]
+    fn route_column_matches_push_chunk_per_destination(
+        nodes in 1usize..5,
+        cols_per_node in 1usize..4,
+        chunk_records in 1usize..5,
+        wide in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let f = if wide { RecordFormat::REC64 } else { RecordFormat::REC16 };
+        let rb = f.record_bytes;
+        let s = nodes * cols_per_node;
+        let m = Matrix { r: s * chunk_records, s, nodes };
+        let mut exchange = Exchange::new(nodes);
+        for (round, pass_no) in [(0usize, 1u8), (1, 2), (2, 1)] {
+            let c = round * nodes; // any column; the routing reads only its records
+            let keys: Vec<u64> = (0..m.r as u64).map(|i| i.wrapping_mul(seed | 1) ^ round as u64).collect();
+            let data = records_with_payloads(f, &keys);
+
+            let mut expect = vec![Vec::new(); nodes];
+            for d in 0..s {
+                let mut run = Vec::new();
+                for i in 0..m.r {
+                    let dest_col = if pass_no == 1 { i % s } else { i / chunk_records };
+                    if dest_col == d {
+                        run.extend_from_slice(&data[i * rb..(i + 1) * rb]);
+                    }
+                }
+                chunks::push_chunk(&mut expect[m.owner(d)], d as u64, c as u64, &run);
+            }
+
+            fg_sort::csort::route_column(pass_no, m, c, rb, &data, &mut exchange);
+            for (node, want) in expect.iter().enumerate() {
+                prop_assert_eq!(&*exchange.part(node), want, "pass {} part {}", pass_no, node);
+                // What `trade` does to a part it keeps for the next round.
+                exchange.part(node).clear();
+            }
+        }
+    }
+
+    /// Likewise for striping: `gather_stripes` ≡ `split_range` plus a
+    /// `push_chunk` per piece, at any alignment of range and block.
+    #[test]
+    fn gather_stripes_matches_push_chunk_per_piece(
+        nodes in 1usize..6,
+        block in 1usize..40,
+        ranges in vec((0u64..500, 0usize..300), 1..4),
+    ) {
+        let striping = Striping::new(nodes, block);
+        let mut exchange = Exchange::new(nodes);
+        for (goff, len) in ranges {
+            let data: Vec<u8> = (0..len).map(|i| (i as u64 + goff) as u8).collect();
+            let mut expect = vec![Vec::new(); nodes];
+            for (dest, _local, range) in striping.split_range(goff, len) {
+                chunks::push_chunk(&mut expect[dest], goff + range.start as u64, 0, &data[range]);
+            }
+            exchange.gather_stripes(&striping, goff, &data);
+            for (node, want) in expect.iter().enumerate() {
+                prop_assert_eq!(&*exchange.part(node), want, "part {}", node);
+                exchange.part(node).clear();
+            }
+        }
+    }
+
+    /// Rewriting placement words in place leaves the stream `push_chunk`
+    /// would have built with the new words, and rejects a truncated one.
+    #[test]
+    fn relocate_chunks_matches_rebuilding_the_stream(
+        placed in vec((any::<u64>(), vec(any::<u8>(), 0..20)), 0..8),
+        add in any::<u64>(),
+    ) {
+        let (mut stream, mut expect) = (Vec::new(), Vec::new());
+        for (a, data) in &placed {
+            chunks::push_chunk(&mut stream, *a, 7, data);
+            chunks::push_chunk(&mut expect, a.wrapping_add(add), 7, data);
+        }
+        let mut cut = stream.clone();
+        chunks::relocate_chunks(&mut stream, |a| a.wrapping_add(add)).unwrap();
+        prop_assert_eq!(stream, expect);
+        if cut.pop().is_some() {
+            prop_assert!(chunks::relocate_chunks(&mut cut, |a| a).is_err());
+        }
     }
 }
