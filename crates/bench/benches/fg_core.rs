@@ -7,8 +7,8 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use fg_core::{
-    map_stage, run_linear, CountingObserver, MetricsRegistry, Observer, PipelineCfg, Program,
-    Rounds, Sampler, SamplerCfg, TelemetryServer, TraceSink,
+    map_stage, run_linear, MetricsRegistry, PipelineCfg, Program, Rounds, Sampler, SamplerCfg,
+    TelemetryServer, TraceSink,
 };
 use fg_sort::merge::LoserTree;
 use fg_sort::record::RecordFormat;
@@ -35,65 +35,14 @@ fn bench_pipeline_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// The observability layer's acceptance gate: the same no-op pipeline with
-/// no observer installed vs a [`CountingObserver`] seeing every event.  The
-/// no-observer case must stay within noise of the plain hot path (the hook
-/// sites are a never-taken `Option` branch).
-fn bench_observer_overhead(c: &mut Criterion) {
-    let mut group = c.benchmark_group("core_observer");
-    group.sample_size(10);
-    let build = || {
-        let mut prog = Program::new("bench");
-        let a = prog.add_stage("a", map_stage(|_, _| Ok(())));
-        let b = prog.add_stage("b", map_stage(|_, _| Ok(())));
-        let c = prog.add_stage("c", map_stage(|_, _| Ok(())));
-        prog.add_pipeline(
-            PipelineCfg::new("p", 4, 4096).rounds(Rounds::Count(1000)),
-            &[a, b, c],
-        )
-        .unwrap();
-        prog
-    };
-    group.bench_function("no_observer_1000rounds", |b| {
-        b.iter(|| build().run().expect("pipeline"))
-    });
-    group.bench_function("counting_observer_1000rounds", |b| {
-        b.iter(|| {
-            let mut prog = build();
-            prog.set_observer(Arc::new(CountingObserver::new()) as Arc<dyn Observer>);
-            prog.run().expect("pipeline")
-        })
-    });
-    // Live-telemetry overhead: the same pipeline with queue-depth gauges
-    // publishing into a registry, and then with a background sampler plus
-    // an idle HTTP endpoint on top.  The acceptance bar is <2% over the
-    // no_observer baseline.
-    group.bench_function("metrics_registry_1000rounds", |b| {
-        b.iter(|| {
-            let mut prog = build();
-            prog.set_metrics(Arc::new(MetricsRegistry::new()));
-            prog.run().expect("pipeline")
-        })
-    });
-    group.bench_function("telemetry_sampled_1000rounds", |b| {
-        let registry = Arc::new(MetricsRegistry::new());
-        let _server =
-            TelemetryServer::bind("127.0.0.1:0", Arc::clone(&registry)).expect("bind telemetry");
-        let _sampler = Sampler::start(Arc::clone(&registry), SamplerCfg::default());
-        b.iter(|| {
-            let mut prog = build();
-            prog.set_metrics(Arc::clone(&registry));
-            prog.run().expect("pipeline")
-        })
-    });
-    group.finish();
-}
-
 /// The flight recorder's acceptance gate: the same no-op pipeline with no
 /// [`TraceSink`](fg_core::TraceSink) installed vs every transition writing
 /// a span record into the per-thread ring.  The no-sink case must stay
 /// within noise of the plain hot path (<3% on queue throughput) — the hook
-/// is a never-taken `Option` branch, exactly like the observer's.
+/// is a never-taken `Option` branch.  The live-telemetry cases ride in the
+/// same group against the same baseline: queue-depth gauges and stage
+/// counters publishing into a registry, then a background sampler plus an
+/// idle HTTP endpoint on top (bar: <2% over `no_sink`).
 fn bench_trace_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("core_trace");
     group.sample_size(10);
@@ -116,6 +65,24 @@ fn bench_trace_overhead(c: &mut Criterion) {
         b.iter(|| {
             let mut prog = build();
             prog.set_trace_sink(TraceSink::new());
+            prog.run().expect("pipeline")
+        })
+    });
+    group.bench_function("metrics_registry_1000rounds", |b| {
+        b.iter(|| {
+            let mut prog = build();
+            prog.set_metrics(Arc::new(MetricsRegistry::new()));
+            prog.run().expect("pipeline")
+        })
+    });
+    group.bench_function("telemetry_sampled_1000rounds", |b| {
+        let registry = Arc::new(MetricsRegistry::new());
+        let _server =
+            TelemetryServer::bind("127.0.0.1:0", Arc::clone(&registry)).expect("bind telemetry");
+        let _sampler = Sampler::start(Arc::clone(&registry), SamplerCfg::default());
+        b.iter(|| {
+            let mut prog = build();
+            prog.set_metrics(Arc::clone(&registry));
             prog.run().expect("pipeline")
         })
     });
@@ -168,7 +135,6 @@ fn bench_sort_bytes(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_pipeline_overhead,
-    bench_observer_overhead,
     bench_trace_overhead,
     bench_loser_tree,
     bench_sort_bytes

@@ -156,7 +156,7 @@ pub fn run_fig8_cell_observed_with(
     registry: &Arc<MetricsRegistry>,
 ) -> Result<Fig8Cell, SortError> {
     let mut cfg = scale.config(record, dist);
-    cfg.trace = true;
+    cfg.trace_sink = Some(fg_core::TraceSink::new());
     let registry = Arc::clone(registry);
     let dsort = {
         let disks = provision_with_metrics(&cfg, &registry);

@@ -302,6 +302,8 @@ mod tests {
     fn log(thread: &str, spans: Vec<SpanRec>) -> ThreadLog {
         ThreadLog {
             thread: thread.to_string(),
+            group: None,
+            recorded: spans.len() as u64,
             spans,
         }
     }

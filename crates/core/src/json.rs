@@ -6,22 +6,16 @@
 //! Chrome trace events) is small enough that a hand-rolled tree + recursive
 //! descent parser is simpler than a code-generation dependency anyway.
 //!
-//! Two exports matter:
-//!
-//! * [`Report::to_json`] / [`Report::from_json`] — lossless round-trip of a
-//!   run report for archiving and offline comparison (`experiments
-//!   --json-out`);
-//! * [`Report::to_chrome_trace`] — the Chrome trace-event format, loadable
-//!   in `chrome://tracing` or <https://ui.perfetto.dev>: one track (tid) per
-//!   stage thread, with `busy` / `starved` / `backpressured` slices derived
-//!   from the blocked-interval spans recorded under
-//!   [`Program::enable_tracing`](crate::Program::enable_tracing).
+//! [`Report::to_json`] / [`Report::from_json`] round-trip a run report
+//! losslessly for archiving and offline comparison (`experiments
+//! --json-out`); a run's span log rides along as `trace[]` when the program
+//! ran with [`Program::enable_tracing`](crate::Program::enable_tracing).
 
 use std::fmt;
 use std::time::Duration;
 
 use crate::metrics::{GaugeSnapshot, HistogramSnapshot, MetricsSnapshot};
-use crate::stats::{QueueDepth, Report, Span, SpanKind, StageStats};
+use crate::stats::{QueueDepth, Report, StageStats};
 
 /// A JSON value.  Object members keep insertion order (the writer emits them
 /// as given; the parser preserves document order).
@@ -418,33 +412,6 @@ pub(crate) fn obj(members: Vec<(&str, Json)>) -> Json {
     Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
 
-fn span_to_json(s: &Span) -> Json {
-    obj(vec![
-        (
-            "kind",
-            Json::from(match s.kind {
-                SpanKind::Accept => "accept",
-                SpanKind::Convey => "convey",
-            }),
-        ),
-        ("start_ns", Json::from(s.start_ns)),
-        ("end_ns", Json::from(s.end_ns)),
-    ])
-}
-
-fn span_from_json(j: &Json) -> Result<Span, String> {
-    let kind = match j.get("kind").and_then(Json::as_str) {
-        Some("accept") => SpanKind::Accept,
-        Some("convey") => SpanKind::Convey,
-        other => return Err(format!("bad span kind {other:?}")),
-    };
-    Ok(Span {
-        kind,
-        start_ns: field_u64(j, "start_ns")?,
-        end_ns: field_u64(j, "end_ns")?,
-    })
-}
-
 fn field_u64(j: &Json, key: &str) -> Result<u64, String> {
     j.get(key)
         .and_then(Json::as_u64)
@@ -473,10 +440,6 @@ fn stage_to_json(s: &StageStats) -> Json {
         ("parked_ns", Json::from(s.parked.as_nanos() as u64)),
         ("buffers_in", Json::from(s.buffers_in)),
         ("buffers_out", Json::from(s.buffers_out)),
-        (
-            "spans",
-            Json::Arr(s.spans.iter().map(span_to_json).collect()),
-        ),
     ];
     // Written only for pinned stages, so unpinned artifacts are unchanged.
     if let Some(core) = s.core {
@@ -486,13 +449,6 @@ fn stage_to_json(s: &StageStats) -> Json {
 }
 
 fn stage_from_json(j: &Json) -> Result<StageStats, String> {
-    let spans = j
-        .get("spans")
-        .and_then(Json::as_arr)
-        .unwrap_or(&[])
-        .iter()
-        .map(span_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
     Ok(StageStats {
         name: field_str(j, "name")?,
         // Absent for unpinned runs and in artifacts written before pinning.
@@ -504,7 +460,6 @@ fn stage_from_json(j: &Json) -> Result<StageStats, String> {
         parked: Duration::from_nanos(j.get("parked_ns").and_then(Json::as_u64).unwrap_or(0)),
         buffers_in: field_u64(j, "buffers_in")?,
         buffers_out: field_u64(j, "buffers_out")?,
-        spans,
     })
 }
 
@@ -625,7 +580,7 @@ impl Report {
     /// The report as a [`Json`] value — use this to embed a report inside a
     /// larger document; [`Report::to_json`] is this rendered to text.
     pub fn to_json_value(&self) -> Json {
-        let mut doc = obj(vec![
+        let mut members = vec![
             ("wall_ns", Json::from(self.wall.as_nanos() as u64)),
             ("threads_spawned", Json::from(self.threads_spawned)),
             (
@@ -669,18 +624,20 @@ impl Report {
                 ),
             ),
             ("metrics", metrics_to_json(&self.metrics)),
-        ]);
+        ];
+        // The optional members are written only by runs that have them.
         if let Some(log) = &self.controller {
-            if let Json::Obj(members) = &mut doc {
-                members.push(("controller".into(), log.to_json_value()));
-            }
+            members.push(("controller", log.to_json_value()));
         }
         if let Some(resources) = &self.resources {
-            if let Json::Obj(members) = &mut doc {
-                members.push(("resources".into(), resources.to_json_value()));
-            }
+            members.push(("resources", resources.to_json_value()));
         }
-        doc
+        if !self.trace.is_empty() {
+            members.push(("trace_start_ns", Json::from(self.trace_start_ns)));
+            let logs = self.trace.iter().map(|l| l.to_json()).collect();
+            members.push(("trace", Json::Arr(logs)));
+        }
+        obj(members)
     }
 
     /// Parse a report previously produced by [`Report::to_json`].
@@ -753,6 +710,17 @@ impl Report {
             Some(r) => Some(crate::profile::ResourceReport::from_json_value(r)?),
             None => None,
         };
+        // Absent for runs without `enable_tracing`.
+        let trace = j
+            .get("trace")
+            .and_then(Json::as_arr)
+            .unwrap_or(&[])
+            .iter()
+            .map(|l| {
+                crate::trace::ThreadLog::from_json(l)
+                    .ok_or_else(|| "malformed trace log".to_string())
+            })
+            .collect::<Result<Vec<_>, String>>()?;
         Ok(Report {
             wall: Duration::from_nanos(field_u64(&j, "wall_ns")?),
             threads_spawned: field_u64(&j, "threads_spawned")? as usize,
@@ -762,73 +730,9 @@ impl Report {
             metrics,
             controller,
             resources,
+            trace,
+            trace_start_ns: j.get("trace_start_ns").and_then(Json::as_u64).unwrap_or(0),
         })
-    }
-
-    /// Export the run as a Chrome trace-event JSON array, loadable in
-    /// `chrome://tracing` or <https://ui.perfetto.dev>.
-    ///
-    /// Each stage thread becomes one track (`tid`), named via an `"M"`
-    /// metadata event.  The stage's timeline is tiled with non-overlapping
-    /// `"X"` (complete) slices: `starved` for waits inside accept,
-    /// `backpressured` for waits inside convey, and `busy` for the gaps in
-    /// between.  Timestamps are microseconds since program start.  Stages
-    /// recorded without spans (tracing disabled, sources/sinks) get a single
-    /// `untraced` slice spanning their wall time.
-    pub fn to_chrome_trace(&self) -> String {
-        const PID: u64 = 1;
-        let us = |ns: u64| Json::Num(ns as f64 / 1_000.0);
-        let mut events = Vec::new();
-        for (tid, s) in self.stages.iter().enumerate() {
-            let tid = tid as u64 + 1;
-            events.push(obj(vec![
-                ("ph", Json::from("M")),
-                ("name", Json::from("thread_name")),
-                ("pid", Json::from(PID)),
-                ("tid", Json::from(tid)),
-                ("args", obj(vec![("name", Json::from(s.name.as_str()))])),
-            ]));
-            let slice = |name: &str, start_ns: u64, end_ns: u64| {
-                obj(vec![
-                    ("ph", Json::from("X")),
-                    ("name", Json::from(name)),
-                    ("cat", Json::from("stage")),
-                    ("pid", Json::from(PID)),
-                    ("tid", Json::from(tid)),
-                    ("ts", us(start_ns)),
-                    ("dur", us(end_ns.saturating_sub(start_ns))),
-                ])
-            };
-            let wall_ns = s.wall.as_nanos() as u64;
-            if s.spans.is_empty() {
-                if wall_ns > 0 {
-                    events.push(slice("untraced", 0, wall_ns));
-                }
-                continue;
-            }
-            let mut spans = s.spans.clone();
-            spans.sort_by_key(|sp| sp.start_ns);
-            let mut cursor = 0u64;
-            for sp in &spans {
-                let start = sp.start_ns.max(cursor);
-                let end = sp.end_ns.max(start);
-                if start > cursor {
-                    events.push(slice("busy", cursor, start));
-                }
-                if end > start {
-                    let name = match sp.kind {
-                        SpanKind::Accept => "starved",
-                        SpanKind::Convey => "backpressured",
-                    };
-                    events.push(slice(name, start, end));
-                }
-                cursor = end;
-            }
-            if wall_ns > cursor {
-                events.push(slice("busy", cursor, wall_ns));
-            }
-        }
-        Json::Arr(events).to_string()
     }
 }
 

@@ -67,7 +67,6 @@ pub mod degrade;
 mod error;
 mod json;
 pub mod metrics;
-mod observe;
 pub mod profile;
 mod program;
 #[doc(hidden)]
@@ -100,14 +99,13 @@ pub use json::Json;
 pub use metrics::{
     Counter, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
-pub use observe::{CountingObserver, MetricsObserver, Observer};
 pub use profile::{
     register_current_thread, AllocResources, LedgerSnapshot, MemoryLedger, ProfilerCfg,
     ResourceProfiler, ResourceReport, StageLedger, StageResidency, ThreadResources,
 };
 pub use program::{run_linear, PipelineCfg, Program};
 pub use stage::{map_stage, reorder_stage, MapStage, Rounds, Stage, StageCtx};
-pub use stats::{PipelineShape, QueueDepth, Report, Span, SpanKind, StageStats};
+pub use stats::{PipelineShape, QueueDepth, Report, StageStats};
 pub use telemetry::{Sampler, SamplerCfg, TelemetryServer, TimestampedSnapshot};
 pub use trace::{
     Postmortem, SpanRec, SpanRing, ThreadLog, ThreadState, TraceCtx, TraceKind, TraceSink,

@@ -268,6 +268,13 @@ impl StageLedger {
         self.bytes.fetch_sub(bytes as i64, Relaxed);
     }
 
+    /// Take back a retiring thread's net charge of `(buffers, bytes)`
+    /// (negative when it credited buffers it never accepted).
+    pub(crate) fn settle(&self, buffers: i64, bytes: i64) {
+        self.buffers.fetch_sub(buffers, Relaxed);
+        self.bytes.fetch_sub(bytes, Relaxed);
+    }
+
     /// `(buffers, bytes)` currently resident in this stage (clamped at 0).
     pub fn resident(&self) -> (u64, u64) {
         (
@@ -291,6 +298,7 @@ pub struct MemoryLedger {
     budget_bytes: AtomicU64,
     total_bytes: AtomicU64,
     peak_bytes: AtomicU64,
+    buffers: AtomicU64,
     total_buffers: AtomicU64,
     stages: Mutex<BTreeMap<String, Arc<StageLedger>>>,
 }
@@ -299,7 +307,7 @@ impl std::fmt::Debug for MemoryLedger {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoryLedger")
             .field("budget_bytes", &self.budget())
-            .field("total_bytes", &self.total_bytes())
+            .field("outstanding", &self.outstanding())
             .finish_non_exhaustive()
     }
 }
@@ -341,14 +349,17 @@ impl MemoryLedger {
 
     /// Charge one pool buffer of `bytes` capacity (a source created it).
     pub fn charge_pool(&self, bytes: u64) {
-        self.total_buffers.fetch_add(1, Relaxed);
+        let buffers = self.buffers.fetch_add(1, Relaxed) + 1;
+        self.total_buffers.fetch_max(buffers, Relaxed);
         let now = self.total_bytes.fetch_add(bytes, Relaxed) + bytes;
         self.peak_bytes.fetch_max(now, Relaxed);
     }
 
-    /// Credit one pool buffer of `bytes` capacity (retired on shrink).
+    /// Credit one pool buffer of `bytes` capacity: the source retired it,
+    /// on a controller shrink or when the source itself exits (pool
+    /// buffers cannot outlive their program).  The high-water marks stay.
     pub fn credit_pool(&self, bytes: u64) {
-        self.total_buffers
+        self.buffers
             .fetch_update(Relaxed, Relaxed, |v| Some(v.saturating_sub(1)))
             .ok();
         self.total_bytes
@@ -356,15 +367,16 @@ impl MemoryLedger {
             .ok();
     }
 
-    /// Pool bytes currently outstanding.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes.load(Relaxed)
+    /// `(buffers, bytes)` of pool charged and not yet credited — zero once
+    /// every program sharing the ledger has finished.
+    pub fn outstanding(&self) -> (u64, u64) {
+        (self.buffers.load(Relaxed), self.total_bytes.load(Relaxed))
     }
 
     /// True when the pool total exceeds a nonzero budget.
     pub fn over_budget(&self) -> bool {
         let budget = self.budget();
-        budget > 0 && self.total_bytes() > budget
+        budget > 0 && self.outstanding().1 > budget
     }
 
     /// Point-in-time copy of the whole ledger.
@@ -410,7 +422,7 @@ pub struct LedgerSnapshot {
     pub total_bytes: u64,
     /// High-water mark of `total_bytes`.
     pub peak_bytes: u64,
-    /// Pool buffers currently outstanding.
+    /// High-water mark of pool buffers outstanding at once.
     pub total_buffers: u64,
     /// Per-stage residency rows, sorted by stage name.
     pub stages: Vec<StageResidency>,
@@ -889,10 +901,10 @@ impl ResourceReport {
                 String::new()
             };
             out.push_str(&format!(
-                "ledger: {} buffers, {:.1} MiB outstanding (peak {:.1} MiB){budget}\n",
-                ledger.total_buffers,
+                "ledger: {:.1} MiB outstanding (peak {:.1} MiB in {} buffers){budget}\n",
                 mb(ledger.total_bytes),
-                mb(ledger.peak_bytes)
+                mb(ledger.peak_bytes),
+                ledger.total_buffers
             ));
             for s in &ledger.stages {
                 out.push_str(&format!(
@@ -1143,7 +1155,8 @@ mod tests {
         merge.release(4096);
         let snap = ledger.snapshot();
         assert_eq!(snap.budget_bytes, 1024);
-        assert_eq!(snap.total_buffers, 1);
+        assert_eq!(ledger.outstanding(), (1, 600));
+        assert_eq!(snap.total_buffers, 2, "a high-water mark, like peak_bytes");
         assert_eq!(snap.peak_bytes, 1200);
         let row = |n: &str| snap.stages.iter().find(|s| s.stage == n).unwrap();
         assert_eq!((row("sort").buffers, row("sort").bytes), (1, 4096));

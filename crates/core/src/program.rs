@@ -108,8 +108,7 @@ pub struct Program {
     name: String,
     stages: Vec<StageSlot>,
     pipelines: Vec<PipeSpec>,
-    trace: bool,
-    observer: Option<Arc<dyn crate::observe::Observer>>,
+    trace_in_report: bool,
     metrics: Option<Arc<crate::metrics::MetricsRegistry>>,
     trace_sink: Option<Arc<crate::trace::TraceSink>>,
     trace_group: Option<u32>,
@@ -127,8 +126,7 @@ impl Program {
             name: name.into(),
             stages: Vec::new(),
             pipelines: Vec::new(),
-            trace: false,
-            observer: None,
+            trace_in_report: false,
             metrics: None,
             trace_sink: None,
             trace_group: None,
@@ -152,20 +150,18 @@ impl Program {
         self.pin = Some(mode);
     }
 
-    /// Record every stage's blocked intervals so the finished
-    /// [`Report`](crate::Report) can render a Gantt chart
-    /// ([`Report::render_gantt`](crate::Report::render_gantt)).  Off by
-    /// default (tracing allocates per blocked interval).
+    /// Put this run's span log into the finished
+    /// [`Report`](crate::Report): the runtime copies the flight-recorder
+    /// rings of the threads it spawned into `Report::trace`, which
+    /// [`Report::render_gantt`](crate::Report::render_gantt),
+    /// [`Report::to_chrome_trace`](crate::Report::to_chrome_trace) and the
+    /// report JSON read.  The rings are the ones a shared
+    /// [`TraceSink`](crate::trace::TraceSink) or the watchdog use (with
+    /// neither, the runtime makes a private sink for the run) and keep each
+    /// thread's newest
+    /// [`DEFAULT_RING_CAPACITY`](crate::trace::DEFAULT_RING_CAPACITY) spans.
     pub fn enable_tracing(&mut self) {
-        self.trace = true;
-    }
-
-    /// Install an [`Observer`](crate::observe::Observer) receiving a
-    /// callback at every runtime event (stage start/exit, buffer
-    /// accept/convey, source rounds, sink recycles).  Without an observer
-    /// the hook sites cost a single never-taken branch.
-    pub fn set_observer(&mut self, observer: Arc<dyn crate::observe::Observer>) {
-        self.observer = Some(observer);
+        self.trace_in_report = true;
     }
 
     /// Attach a [`MetricsRegistry`](crate::metrics::MetricsRegistry):
@@ -174,8 +170,8 @@ impl Program {
     /// embedded in the final [`Report`](crate::Report) (rendered by
     /// [`Report::render_dashboard`](crate::Report::render_dashboard) and
     /// exported by [`Report::to_json`](crate::Report::to_json)).  Other
-    /// layers (communicators, disks) and observers may record into the
-    /// same registry to land in the same report.
+    /// layers (communicators, disks) may record into the same registry to
+    /// land in the same report.
     pub fn set_metrics(&mut self, metrics: Arc<crate::metrics::MetricsRegistry>) {
         self.metrics = Some(metrics);
     }
@@ -196,8 +192,7 @@ impl Program {
     /// thread (stages, replicas, sources, sinks) gets a flight-recorder
     /// ring and records a causal span per transition, and every injected
     /// buffer carries a fresh trace id.  Without a sink the hook sites
-    /// cost a single never-taken branch (like
-    /// [`Program::set_observer`]).  The sink outlives the run: collect
+    /// cost a single never-taken branch.  The sink outlives the run: collect
     /// the log afterwards with
     /// [`TraceSink::collect`](crate::trace::TraceSink::collect) or export
     /// it with
@@ -747,8 +742,7 @@ impl Program {
             tasks,
             sources,
             sinks,
-            trace: self.trace,
-            observer: self.observer.clone(),
+            trace_in_report: self.trace_in_report,
             metrics: self.metrics.clone(),
             trace_sink: self.trace_sink.clone(),
             trace_group: self.trace_group,

@@ -38,27 +38,16 @@ use crate::metrics::{Counter, Gauge};
 /// Iterations a blocked push/pop spins before parking on a condvar.  Zero
 /// on a single-core host: there the peer stage cannot make progress while
 /// we spin, so the spin phase only burns the time slice the peer needs.
-///
-/// The `FG_SPIN` environment variable overrides the heuristic (bench runs
-/// sweep spin budgets without recompiling); it is read once and cached.
+/// Computed once (`available_parallelism` reads cgroup files) and cached.
 fn spin_limit() -> usize {
+    // usize::MAX is the "not yet computed" sentinel.
     static LIMIT: AtomicUsize = AtomicUsize::new(usize::MAX);
     let cached = LIMIT.load(Ordering::Relaxed);
     if cached != usize::MAX {
         return cached;
     }
-    let limit = match std::env::var("FG_SPIN").ok().and_then(|v| v.parse().ok()) {
-        // usize::MAX is the "not yet computed" sentinel; clamp under it.
-        Some(n) => std::cmp::min(n, usize::MAX - 1),
-        None => {
-            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-            if cores > 1 {
-                256
-            } else {
-                0
-            }
-        }
-    };
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let limit = if cores > 1 { 256 } else { 0 };
     LIMIT.store(limit, Ordering::Relaxed);
     limit
 }

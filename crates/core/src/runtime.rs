@@ -10,13 +10,12 @@ use parking_lot::{Condvar, Mutex};
 use crate::buffer::{Buffer, PipelineId};
 use crate::error::{FgError, Result};
 use crate::metrics::MetricsRegistry;
-use crate::observe::Observer;
 use crate::queue::{Item, Queue};
 use crate::stage::{Port, Registry, ReplicaGroup, Rounds, Stage, StageCtx, StopFlag};
 use crate::stats::{Report, StageStats};
 use crate::trace::{
-    guess_culprit, Postmortem, SpanRing, ThreadPostmortem, ThreadState, TraceKind, TraceSink,
-    WatchdogAction, WatchdogCfg,
+    enter, guess_culprit, Postmortem, SpanRing, ThreadPostmortem, ThreadState, TraceKind,
+    TraceSink, WatchdogAction, WatchdogCfg,
 };
 
 /// One pipeline served by a source set.
@@ -66,8 +65,9 @@ pub(crate) struct Plan {
     pub(crate) tasks: Vec<StageTask>,
     pub(crate) sources: Vec<SourceSet>,
     pub(crate) sinks: Vec<SinkSet>,
-    pub(crate) trace: bool,
-    pub(crate) observer: Option<Arc<dyn Observer>>,
+    /// Copy this run's span log into [`Report::trace`]
+    /// ([`Program::enable_tracing`](crate::Program::enable_tracing)).
+    pub(crate) trace_in_report: bool,
     pub(crate) metrics: Option<Arc<MetricsRegistry>>,
     pub(crate) trace_sink: Option<Arc<TraceSink>>,
     pub(crate) trace_group: Option<u32>,
@@ -115,14 +115,36 @@ fn pin_self(core: Option<usize>) -> Option<usize> {
     core.filter(|&c| crate::affinity::pin_current_thread(c))
 }
 
+/// Spawn one pipeline thread under `name`: registered with the resource
+/// profiler for its lifetime, and leaving a final CPU sample behind at exit
+/// — short-lived threads can exit between profiler ticks and would
+/// otherwise vanish from the per-stage attribution.
+fn spawn_thread(
+    name: String,
+    metrics: Option<Arc<MetricsRegistry>>,
+    body: impl FnOnce() -> StageStats + Send + 'static,
+) -> Result<std::thread::JoinHandle<StageStats>> {
+    let profile_name = name.clone();
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || {
+            let _reg = crate::profile::register_current_thread(profile_name.clone());
+            let stats = body();
+            if let Some(m) = &metrics {
+                crate::profile::publish_exit_sample(&profile_name, m);
+            }
+            stats
+        })
+        .map_err(|e| FgError::Config(format!("failed to spawn pipeline thread: {e}")))
+}
+
 pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
     let Plan {
         registry,
         tasks,
         sources,
         sinks,
-        trace,
-        observer,
+        trace_in_report,
         metrics,
         trace_sink,
         trace_group,
@@ -137,22 +159,28 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
     } = plan;
     let mut placement = CorePlacement::new(pin);
 
-    // The watchdog needs the flight recorder's activity clock, so it
-    // implies an (internal, never-exported) sink when none was installed.
-    let trace_sink = match (trace_sink, &watchdog) {
-        (None, Some(_)) => Some(TraceSink::new()),
-        (sink, _) => sink,
-    };
+    // One rule for when a sink exists: the caller shared one, or a reader
+    // of the rings is armed — the watchdog (their activity clock) or the
+    // report (their span log) — and the runtime makes a private one.
+    let trace_sink =
+        trace_sink.or_else(|| (watchdog.is_some() || trace_in_report).then(TraceSink::new));
     if let Some(sink) = &trace_sink {
         sink.touch();
     }
-    let ring_for = |task: &str| {
+    // The rings this program registered, kept when the report is to carry
+    // them: a shared sink also holds other programs' threads.
+    let mut rings: Vec<Arc<SpanRing>> = Vec::new();
+    let mut ring_for = |task: &str| {
         trace_sink.as_ref().map(|s| {
             let name = format!("{program_name}/{task}");
-            match trace_group {
+            let ring = match trace_group {
                 Some(g) => s.register_thread_in_group(name, g),
                 None => s.register_thread(name),
+            };
+            if trace_in_report {
+                rings.push(Arc::clone(&ring));
             }
+            ring
         })
     };
 
@@ -161,87 +189,39 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
 
     for task in tasks {
         let registry = Arc::clone(&registry);
-        let observer = observer.clone();
-        let metrics = metrics.clone();
+        let stage_metrics = metrics.clone();
         let ring = ring_for(&task.name);
-        let name = task.name.clone();
-        let thread_name = format!("{program_name}/{name}");
-        let profile_name = thread_name.clone();
         // Replicas (`sort#0`, `sort#1`, …) share one ledger row: the
         // question the ledger answers is "how much does *sort* hold".
         let stage_ledger = ledger
             .as_ref()
-            .map(|l| l.stage(crate::profile::replica_base(&name)));
-        let epoch = if trace { Some(start) } else { None };
+            .map(|l| l.stage(crate::profile::replica_base(&task.name)));
         let core = placement.assign();
-        let handle = std::thread::Builder::new()
-            .name(thread_name)
-            .spawn(move || {
-                let _reg = crate::profile::register_current_thread(profile_name.clone());
-                let exit_metrics = metrics.clone();
-                let stats = run_stage_thread(
-                    task,
-                    registry,
-                    epoch,
-                    observer,
-                    metrics,
-                    ring,
-                    core,
-                    stage_ledger,
-                );
-                // Leave a final CPU sample behind: short-lived threads can
-                // exit between profiler ticks and would otherwise vanish
-                // from the per-stage attribution.
-                if let Some(m) = &exit_metrics {
-                    crate::profile::publish_exit_sample(&profile_name, m);
-                }
-                stats
-            })
-            .map_err(|e| FgError::Config(format!("failed to spawn stage thread: {e}")))?;
-        handles.push(handle);
+        handles.push(spawn_thread(
+            format!("{program_name}/{}", task.name),
+            metrics.clone(),
+            move || run_stage_thread(task, registry, stage_metrics, ring, core, stage_ledger),
+        )?);
     }
     for src in sources {
-        let registry = Arc::clone(&registry);
-        let observer = observer.clone();
         let ring = ring_for(&src.label);
         let sink_ids = trace_sink.clone();
-        let thread_name = format!("{program_name}/{}", src.label);
-        let profile_name = thread_name.clone();
         let pool_ledger = ledger.clone();
-        let exit_metrics = metrics.clone();
         let core = placement.assign();
-        let handle = std::thread::Builder::new()
-            .name(thread_name)
-            .spawn(move || {
-                let _reg = crate::profile::register_current_thread(profile_name.clone());
-                let stats = run_source(src, registry, observer, ring, sink_ids, core, pool_ledger);
-                if let Some(m) = &exit_metrics {
-                    crate::profile::publish_exit_sample(&profile_name, m);
-                }
-                stats
-            })
-            .map_err(|e| FgError::Config(format!("failed to spawn source thread: {e}")))?;
-        handles.push(handle);
+        handles.push(spawn_thread(
+            format!("{program_name}/{}", src.label),
+            metrics.clone(),
+            move || run_source(src, ring, sink_ids, core, pool_ledger),
+        )?);
     }
     for sink in sinks {
-        let observer = observer.clone();
         let ring = ring_for(&sink.label);
-        let thread_name = format!("{program_name}/{}", sink.label);
-        let profile_name = thread_name.clone();
-        let exit_metrics = metrics.clone();
         let core = placement.assign();
-        let handle = std::thread::Builder::new()
-            .name(thread_name)
-            .spawn(move || {
-                let _reg = crate::profile::register_current_thread(profile_name.clone());
-                let stats = run_sink(sink, observer, ring, core);
-                if let Some(m) = &exit_metrics {
-                    crate::profile::publish_exit_sample(&profile_name, m);
-                }
-                stats
-            })
-            .map_err(|e| FgError::Config(format!("failed to spawn sink thread: {e}")))?;
-        handles.push(handle);
+        handles.push(spawn_thread(
+            format!("{program_name}/{}", sink.label),
+            metrics.clone(),
+            move || run_sink(sink, ring, core),
+        )?);
     }
 
     // Close the observability loop: the controller samples the metrics
@@ -324,15 +304,15 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
         // published into the metrics gauges during the run.  Entry points
         // that ran one (fgsort --profile) fill this in.
         resources: None,
+        // The threads have joined, so each ring holds its thread's final log.
+        trace: rings.iter().map(|r| r.log()).collect(),
+        trace_start_ns: rings.first().map_or(0, |r| r.ns_of(start)),
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_stage_thread(
     task: StageTask,
     registry: Arc<Registry>,
-    trace_epoch: Option<Instant>,
-    observer: Option<Arc<dyn Observer>>,
     metrics: Option<Arc<MetricsRegistry>>,
     ring: Option<Arc<SpanRing>>,
     core: Option<usize>,
@@ -364,21 +344,13 @@ fn run_stage_thread(
     if let Some(group) = replica_group {
         ctx.set_replica_group(group, replica_index);
     }
-    if let Some(epoch) = trace_epoch {
-        ctx.set_trace_epoch(epoch);
-    }
     // Live counters let a controller (and `/metrics` scrapes) see the
     // stage's time attribution as it evolves, not only at thread exit.
     if let Some(m) = &metrics {
         ctx.set_live_metrics(m, start);
     }
-    if let Some(obs) = &observer {
-        ctx.set_observer(Arc::clone(obs));
-        obs.on_stage_start(&name);
-    }
     if let Some(r) = ring {
-        r.set_state(ThreadState::Busy);
-        ctx.set_ring(r);
+        ctx.set_ring(r, start);
     }
 
     let outcome = catch_unwind(AssertUnwindSafe(|| stage.run(&mut ctx)));
@@ -402,28 +374,14 @@ fn run_stage_thread(
         }
     }
     ctx.finish();
-    if let Some(r) = ctx.ring() {
-        r.set_state(ThreadState::Done);
-    }
-    // Converge the live per-task counters (`core/stage_busy_ns/name#i`, …)
-    // on the exact end-of-run totals; the deltas were published
-    // incrementally after every accept/convey.
-    ctx.publish_live();
+    let end = Instant::now();
+    ctx.retire(end);
 
     let stats = StageStats {
-        name,
         core,
-        wall: start.elapsed(),
-        blocked_accept: ctx.stats.blocked_accept,
-        blocked_convey: ctx.stats.blocked_convey,
-        parked: ctx.stats.parked,
-        buffers_in: ctx.stats.buffers_in,
-        buffers_out: ctx.stats.buffers_out,
-        spans: std::mem::take(&mut ctx.stats.spans),
+        wall: end - start,
+        ..std::mem::take(&mut ctx.stats)
     };
-    if let Some(obs) = &observer {
-        obs.on_stage_exit(&stats.name, &stats);
-    }
     if let Some(m) = &metrics {
         m.counter(&format!("core/stage_buffers/{}", stats.name))
             .add(stats.buffers_in);
@@ -433,8 +391,6 @@ fn run_stage_thread(
 
 fn run_source(
     set: SourceSet,
-    registry: Arc<Registry>,
-    observer: Option<Arc<dyn Observer>>,
     ring: Option<Arc<SpanRing>>,
     trace_sink: Option<Arc<TraceSink>>,
     core: Option<usize>,
@@ -450,16 +406,23 @@ fn run_source(
     let index_of = |p: PipelineId| set.pipes.iter().position(|sp| sp.pipeline == p);
     let mut emitted = vec![0u64; set.pipes.len()];
     let mut done = vec![false; set.pipes.len()];
+    // Pool buffers this source has charged to the ledger and not yet
+    // credited, per pipeline.  The source is where pool buffers are born
+    // and retired, so it returns whatever is left when it exits: no pool
+    // buffer outlives its program.
+    let mut charged = vec![0u64; set.pipes.len()];
+    let charge = |i: usize, charged: &mut [u64]| {
+        if let Some(l) = &ledger {
+            l.charge_pool(set.pipes[i].buffer_size as u64);
+            charged[i] += 1;
+        }
+    };
 
-    // Seed each pipeline's pool; the source is where pool buffers are
-    // born and retired, so it is where the ledger's process-wide total is
-    // charged and credited.
+    // Seed each pipeline's pool.
     let mut pending: VecDeque<Buffer> = VecDeque::new();
-    for sp in &set.pipes {
+    for (i, sp) in set.pipes.iter().enumerate() {
         for _ in 0..sp.buffers {
-            if let Some(l) = &ledger {
-                l.charge_pool(sp.buffer_size as u64);
-            }
+            charge(i, &mut charged);
             pending.push_back(Buffer::new(sp.buffer_size, sp.pipeline));
         }
     }
@@ -487,9 +450,7 @@ fn run_source(
             }
             if let Some(pool) = &sp.pool {
                 while pool.try_grow() {
-                    if let Some(l) = &ledger {
-                        l.charge_pool(sp.buffer_size as u64);
-                    }
+                    charge(i, &mut charged);
                     pending.push_back(Buffer::new(sp.buffer_size, sp.pipeline));
                 }
             }
@@ -500,16 +461,12 @@ fn run_source(
         let mut buf = match pending.pop_front() {
             Some(b) => b,
             None => {
-                if let Some(r) = &ring {
-                    r.set_state(ThreadState::BlockedAccept);
-                }
                 let t0 = Instant::now();
+                enter(&ring, ThreadState::BlockedAccept, t0);
                 let popped = set.recycle.pop();
                 let t1 = Instant::now();
                 stats.blocked_accept += t1 - t0;
-                if let Some(r) = &ring {
-                    r.set_state(ThreadState::Busy);
-                }
+                enter(&ring, ThreadState::Busy, t1);
                 match popped {
                     Ok(Item::Buf(b)) => {
                         recycle_wait = Some((t0, t1));
@@ -535,7 +492,8 @@ fn run_source(
         // ever leave the pool, so in-flight data is untouched.
         if set.pipes[i].pool.as_ref().is_some_and(|p| p.try_shrink()) {
             if let Some(l) = &ledger {
-                l.credit_pool(buf.capacity() as u64);
+                l.credit_pool(set.pipes[i].buffer_size as u64);
+                charged[i] -= 1;
             }
             continue;
         }
@@ -557,17 +515,12 @@ fn run_source(
             buf.set_trace_id(s.next_trace_id());
         }
         let (round, tid, pid) = (buf.round(), buf.trace_id(), buf.pipeline().0);
-        if let Some(obs) = &observer {
-            obs.on_round_begin(&set.label, set.pipes[i].pipeline, emitted[i]);
-        }
         emitted[i] += 1;
-        if let Some(r) = &ring {
-            if let Some((w0, w1)) = recycle_wait.take() {
-                r.record(TraceKind::Accept, pid, round, tid, r.ns_of(w0), r.ns_of(w1));
-            }
-            r.set_state(ThreadState::BlockedConvey);
+        if let (Some(r), Some((w0, w1))) = (&ring, recycle_wait) {
+            r.record(TraceKind::Accept, pid, round, tid, r.ns_of(w0), r.ns_of(w1));
         }
         let t0 = Instant::now();
+        enter(&ring, ThreadState::BlockedConvey, t0);
         let pushed = set.pipes[i].first.push(Item::Buf(buf));
         let t1 = Instant::now();
         stats.blocked_convey += t1 - t0;
@@ -583,12 +536,9 @@ fn run_source(
                 r.ns_of(t0),
                 r.ns_of(t1),
             );
-            r.set_state(ThreadState::Busy);
         }
+        enter(&ring, ThreadState::Busy, t1);
         stats.buffers_out += 1;
-        if let Some(obs) = &observer {
-            obs.on_source_emit(&set.label, set.pipes[i].pipeline, emitted[i] - 1);
-        }
         // Emit the caboose eagerly right after the final round so consumers
         // (e.g. a merge stage) learn about the end of this stream promptly.
         if let Rounds::Count(n) = set.pipes[i].rounds {
@@ -597,21 +547,20 @@ fn run_source(
             }
         }
     }
-    let _ = registry;
-    if let Some(r) = &ring {
-        r.set_state(ThreadState::Done);
+    if let Some(l) = &ledger {
+        for (sp, &n) in set.pipes.iter().zip(&charged) {
+            for _ in 0..n {
+                l.credit_pool(sp.buffer_size as u64);
+            }
+        }
     }
-
-    stats.wall = start.elapsed();
+    let end = Instant::now();
+    enter(&ring, ThreadState::Done, end);
+    stats.wall = end - start;
     stats
 }
 
-fn run_sink(
-    set: SinkSet,
-    observer: Option<Arc<dyn Observer>>,
-    ring: Option<Arc<SpanRing>>,
-    core: Option<usize>,
-) -> StageStats {
+fn run_sink(set: SinkSet, ring: Option<Arc<SpanRing>>, core: Option<usize>) -> StageStats {
     let start = Instant::now();
     let mut stats = StageStats {
         name: set.label.clone(),
@@ -620,27 +569,28 @@ fn run_sink(
     };
     let mut remaining = set.members;
     while remaining > 0 {
-        if let Some(r) = &ring {
-            r.set_state(ThreadState::BlockedAccept);
-        }
         let t0 = Instant::now();
+        enter(&ring, ThreadState::BlockedAccept, t0);
         let popped = set.queue.pop();
         let t1 = Instant::now();
         stats.blocked_accept += t1 - t0;
-        if let Some(r) = &ring {
-            r.set_state(ThreadState::Busy);
-        }
+        enter(&ring, ThreadState::Busy, t1);
         match popped {
             Ok(Item::Buf(b)) => {
                 stats.buffers_in += 1;
-                if let Some(obs) = &observer {
-                    obs.on_sink_recycle(&set.label, b.pipeline(), b.round());
-                }
                 let (pid, round, tid) = (b.pipeline().0, b.round(), b.trace_id());
                 // The source may already have retired; dropping is fine then.
                 let _ = set.recycle.push(Item::Buf(b));
                 if let Some(r) = &ring {
-                    r.record(TraceKind::Recycle, pid, round, tid, r.ns_of(t1), r.now_ns());
+                    let t2 = Instant::now();
+                    r.record(
+                        TraceKind::Recycle,
+                        pid,
+                        round,
+                        tid,
+                        r.ns_of(t1),
+                        r.ns_of(t2),
+                    );
                 }
             }
             Ok(Item::Caboose(p)) => {
@@ -653,10 +603,9 @@ fn run_sink(
             Err(_) => break,
         }
     }
-    if let Some(r) = &ring {
-        r.set_state(ThreadState::Done);
-    }
-    stats.wall = start.elapsed();
+    let end = Instant::now();
+    enter(&ring, ThreadState::Done, end);
+    stats.wall = end - start;
     stats
 }
 
@@ -739,5 +688,53 @@ fn run_watchdog(
             });
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::controller::PoolControl;
+    use crate::profile::MemoryLedger;
+
+    /// `PoolControl` has no public handle (only a controller steers it), so
+    /// the resize case of the ledger's "ends at zero" rule is driven here.
+    #[test]
+    fn a_pool_that_grew_then_shrank_leaves_the_ledger_at_zero() {
+        let first = Queue::new("p[0]", 8);
+        let recycle = Queue::new("recycle/g0", 8);
+        let pool = PoolControl::new("p", "recycle/g0", 2, 1, 4);
+        pool.set_target(4);
+        let ledger = Arc::new(MemoryLedger::new());
+        let set = SourceSet {
+            label: "p/source".into(),
+            pipes: vec![SourcePipe {
+                pipeline: PipelineId(0),
+                first: Arc::clone(&first),
+                rounds: Rounds::Count(200),
+                stop: StopFlag::new(),
+                buffers: 2,
+                buffer_size: 64,
+                pool: Some(Arc::clone(&pool)),
+            }],
+            recycle: Arc::clone(&recycle),
+        };
+        let source = {
+            let ledger = Arc::clone(&ledger);
+            std::thread::spawn(move || run_source(set, None, None, None, Some(ledger)))
+        };
+        // Stand in for the pipeline: hand every buffer straight back, and
+        // halfway through steer the pool down to one buffer.
+        while let Item::Buf(b) = first.pop().expect("first queue stays open") {
+            if b.round() == 100 {
+                pool.set_target(1);
+            }
+            recycle.push(Item::Buf(b)).expect("recycle open");
+        }
+        assert_eq!(source.join().expect("source thread").buffers_out, 200);
+        assert_eq!(pool.size(), 1, "three buffers were retired on the way");
+        assert_eq!(ledger.outstanding(), (0, 0));
+        let snap = ledger.snapshot();
+        assert_eq!((snap.total_buffers, snap.peak_bytes), (4, 4 * 64));
     }
 }

@@ -21,11 +21,12 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::buffer::{Buffer, PipelineId};
 use crate::error::{FgError, Result};
 use crate::queue::{Item, Queue};
+use crate::trace::{enter, ThreadState, TraceKind};
 
 /// How many rounds a pipeline's source runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -496,18 +497,6 @@ impl Port {
     }
 }
 
-#[derive(Default)]
-pub(crate) struct CtxStats {
-    pub(crate) blocked_accept: Duration,
-    pub(crate) blocked_convey: Duration,
-    /// Time spent parked at a farm's admission gate (replica index above
-    /// the live width) — idle capacity, not busy and not starved.
-    pub(crate) parked: Duration,
-    pub(crate) buffers_in: u64,
-    pub(crate) buffers_out: u64,
-    pub(crate) spans: Vec<crate::stats::Span>,
-}
-
 /// Live per-stage counters, published incrementally (after every accept
 /// and convey) so a mid-run sampler sees the stage's busy/starved profile
 /// as it evolves, not only at thread exit.  Deltas are tracked against
@@ -524,9 +513,6 @@ pub(crate) struct LiveStageMetrics {
     pub_backp: u64,
 }
 
-/// Cap on recorded spans per stage so tracing cannot grow unbounded.
-const MAX_SPANS: usize = 100_000;
-
 /// The handle through which a stage interacts with its pipelines.
 pub struct StageCtx {
     name: String,
@@ -542,14 +528,8 @@ pub struct StageCtx {
     /// Incrementally-published stage counters; `None` (the default) when
     /// no metrics registry is attached.
     live: Option<LiveStageMetrics>,
-    /// Program start time when tracing is enabled; blocked intervals are
-    /// recorded relative to it.
-    trace_epoch: Option<Instant>,
-    /// Event hooks; `None` (the default) costs one never-taken branch per
-    /// accept/convey.
-    observer: Option<Arc<dyn crate::observe::Observer>>,
-    /// Flight-recorder ring for causal spans; `None` (the default) costs
-    /// one never-taken branch per transition, same as `observer`.
+    /// Flight-recorder ring, the one span record; `None` (the default)
+    /// costs one never-taken branch per transition.
     ring: Option<Arc<crate::trace::SpanRing>>,
     /// End of this thread's last queue operation (ns since the trace-sink
     /// epoch); the gap to the next convey is attributed as a `Work` span.
@@ -558,11 +538,17 @@ pub struct StageCtx {
     /// [`MemoryLedger`](crate::profile::MemoryLedger); `None` (the
     /// default) costs one never-taken branch per accept/convey.
     ledger: Option<Arc<crate::profile::StageLedger>>,
+    /// Net `(buffers, bytes)` this thread has charged to `ledger` and not
+    /// yet credited; taken back at thread exit so a stage that errors out
+    /// holding a buffer leaves no residency behind.
+    ledger_held: (i64, i64),
     aux: Vec<u8>,
     /// Reusable scratch for [`StageCtx::accept_many`] batches.
     batch: Vec<Item>,
     registry: Arc<Registry>,
-    pub(crate) stats: CtxStats,
+    /// This thread's row of the report; the runtime fills in `core` and
+    /// `wall` when the thread exits.
+    pub(crate) stats: crate::stats::StageStats,
 }
 
 impl StageCtx {
@@ -573,21 +559,23 @@ impl StageCtx {
         registry: Arc<Registry>,
     ) -> Self {
         StageCtx {
+            stats: crate::stats::StageStats {
+                name: name.clone(),
+                ..Default::default()
+            },
             name,
             ports,
             shared_input,
             replica_group: None,
             replica_index: 0,
             live: None,
-            trace_epoch: None,
-            observer: None,
             ring: None,
             last_qop_end_ns: 0,
             ledger: None,
+            ledger_held: (0, 0),
             aux: Vec::new(),
             batch: Vec::new(),
             registry,
-            stats: CtxStats::default(),
         }
     }
 
@@ -603,16 +591,20 @@ impl StageCtx {
     }
 
     /// Charge an accepted buffer's capacity to this stage's ledger row.
-    fn ledger_acquire(&self, bytes: usize) {
+    fn ledger_acquire(&mut self, bytes: usize) {
         if let Some(l) = &self.ledger {
             l.acquire(bytes);
+            self.ledger_held.0 += 1;
+            self.ledger_held.1 += bytes as i64;
         }
     }
 
     /// Credit a conveyed/discarded buffer's capacity back.
-    fn ledger_release(&self, bytes: usize) {
+    fn ledger_release(&mut self, bytes: usize) {
         if let Some(l) = &self.ledger {
             l.release(bytes);
+            self.ledger_held.0 -= 1;
+            self.ledger_held.1 -= bytes as i64;
         }
     }
 
@@ -639,15 +631,16 @@ impl StageCtx {
         });
     }
 
-    /// Publish the delta between current totals and what was already
-    /// published.  Cheap (a few relaxed atomic adds); called after every
-    /// accept and convey, and once more by the runtime at thread exit so
-    /// the counters converge on the exact end-of-run totals.
-    pub(crate) fn publish_live(&mut self) {
+    /// Publish the delta between the totals as of `now` and what was
+    /// already published.  Cheap (a few relaxed atomic adds, no clock
+    /// read: `now` is the instant the caller took when its queue operation
+    /// returned); called after every accept and convey, and once more at
+    /// thread exit so the counters converge on the exact end-of-run totals.
+    fn publish_live(&mut self, now: Instant) {
         let Some(l) = &mut self.live else {
             return;
         };
-        let wall = l.started.elapsed().as_nanos() as u64;
+        let wall = (now - l.started).as_nanos() as u64;
         let acc = self.stats.blocked_accept.as_nanos() as u64;
         let conv = self.stats.blocked_convey.as_nanos() as u64;
         let parked = self.stats.parked.as_nanos() as u64;
@@ -683,39 +676,60 @@ impl StageCtx {
             if self.replica_index >= group.active() {
                 let t0 = Instant::now();
                 let res = group.await_admission(self.replica_index);
-                self.stats.parked += t0.elapsed();
-                self.publish_live();
+                let t1 = Instant::now();
+                self.stats.parked += t1 - t0;
+                self.publish_live(t1);
                 res?;
             }
         }
         Ok(())
     }
 
-    pub(crate) fn set_trace_epoch(&mut self, epoch: Instant) {
-        self.trace_epoch = Some(epoch);
-    }
-
-    pub(crate) fn set_observer(&mut self, observer: Arc<dyn crate::observe::Observer>) {
-        self.observer = Some(observer);
-    }
-
-    pub(crate) fn set_ring(&mut self, ring: Arc<crate::trace::SpanRing>) {
+    /// Attach this thread's ring; it has been busy since `since`.
+    pub(crate) fn set_ring(&mut self, ring: Arc<crate::trace::SpanRing>, since: Instant) {
         self.ring = Some(ring);
+        enter(&self.ring, ThreadState::Busy, since);
     }
 
-    pub(crate) fn ring(&self) -> Option<&Arc<crate::trace::SpanRing>> {
-        self.ring.as_ref()
+    /// The thread is done as of `at`: say so on the ring, and converge the
+    /// live counters on the exact end-of-run totals.
+    pub(crate) fn retire(&mut self, at: Instant) {
+        enter(&self.ring, ThreadState::Done, at);
+        self.publish_live(at);
     }
 
-    fn record_span(&mut self, kind: crate::stats::SpanKind, t0: Instant, t1: Instant) {
-        if let Some(epoch) = self.trace_epoch {
-            if self.stats.spans.len() < MAX_SPANS {
-                self.stats.spans.push(crate::stats::Span {
-                    kind,
-                    start_ns: t0.duration_since(epoch).as_nanos() as u64,
-                    end_ns: t1.duration_since(epoch).as_nanos() as u64,
-                });
-            }
+    /// The one timing of an input wait, `t0..t1` around the pop, handed to
+    /// every reader: the `StageStats` accumulator and the live counters.
+    /// The ring record follows in [`StageCtx::trace_accept`] once the
+    /// popped item says which buffer (or caboose) the wait was for.
+    fn waited_accept(&mut self, t0: Instant, t1: Instant) {
+        self.stats.blocked_accept += t1 - t0;
+        self.publish_live(t1);
+    }
+
+    /// Flight-record the wait `t0..t1` as the accept of `(pipeline, round,
+    /// tid)` — all zero rounds/ids for a caboose, which is still progress
+    /// for the watchdog's clock — and flip this thread back to busy.
+    fn trace_accept(
+        &mut self,
+        pipeline: PipelineId,
+        round: u64,
+        tid: u64,
+        t0: Instant,
+        t1: Instant,
+    ) {
+        if let Some(ring) = &self.ring {
+            let end = ring.ns_of(t1);
+            ring.record(
+                TraceKind::Accept,
+                pipeline.0,
+                round,
+                tid,
+                ring.ns_of(t0),
+                end,
+            );
+            ring.set_state(ThreadState::Busy, end);
+            self.last_qop_end_ns = end;
         }
     }
 
@@ -756,15 +770,20 @@ impl StageCtx {
             })
     }
 
-    /// Accept the next buffer; only valid for a stage that belongs to
-    /// exactly one pipeline.  Returns `Ok(None)` once at end of stream.
-    pub fn accept(&mut self) -> Result<Option<Buffer>> {
+    /// Direct accepts are for stages with their own input queues.
+    fn not_virtual(&self) -> Result<()> {
         if self.shared_input.is_some() {
             return Err(FgError::Usage(format!(
                 "stage `{}` is virtual; use accept_any()",
                 self.name
             )));
         }
+        Ok(())
+    }
+
+    /// `accept`/`accept_many` name no pipeline, so there must be just one.
+    fn sole_port(&self) -> Result<()> {
+        self.not_virtual()?;
         if self.ports.len() != 1 {
             return Err(FgError::Usage(format!(
                 "stage `{}` belongs to {} pipelines; use accept_from()",
@@ -772,6 +791,23 @@ impl StageCtx {
                 self.ports.len()
             )));
         }
+        Ok(())
+    }
+
+    /// Port `idx`'s own input queue.
+    fn input_of(&self, idx: usize) -> Result<Arc<Queue>> {
+        self.ports[idx].input.clone().ok_or_else(|| {
+            FgError::Usage(format!(
+                "stage `{}` has no direct input queue for {}",
+                self.name, self.ports[idx].pipeline
+            ))
+        })
+    }
+
+    /// Accept the next buffer; only valid for a stage that belongs to
+    /// exactly one pipeline.  Returns `Ok(None)` once at end of stream.
+    pub fn accept(&mut self) -> Result<Option<Buffer>> {
+        self.sole_port()?;
         self.pop_port(0)
     }
 
@@ -781,19 +817,7 @@ impl StageCtx {
     /// arrived; `Ok(0)` means end of stream.  Blocks until at least one
     /// buffer is available (or the stream ends), like [`StageCtx::accept`].
     pub fn accept_many(&mut self, max: usize, out: &mut Vec<Buffer>) -> Result<usize> {
-        if self.shared_input.is_some() {
-            return Err(FgError::Usage(format!(
-                "stage `{}` is virtual; use accept_any()",
-                self.name
-            )));
-        }
-        if self.ports.len() != 1 {
-            return Err(FgError::Usage(format!(
-                "stage `{}` belongs to {} pipelines; use accept_from()",
-                self.name,
-                self.ports.len()
-            )));
-        }
+        self.sole_port()?;
         if max == 0 {
             return Err(FgError::Usage(format!(
                 "stage `{}` called accept_many with a zero batch size",
@@ -806,32 +830,17 @@ impl StageCtx {
                 return Ok(0);
             }
             self.await_admission()?;
-            let input = match &self.ports[0].input {
-                Some(q) => Arc::clone(q),
-                None => {
-                    return Err(FgError::Usage(format!(
-                        "stage `{}` has no direct input queue for {}",
-                        self.name, self.ports[0].pipeline
-                    )))
-                }
-            };
+            let input = self.input_of(0)?;
             let mut items = std::mem::take(&mut self.batch);
             debug_assert!(items.is_empty());
-            if let Some(ring) = &self.ring {
-                ring.set_state(crate::trace::ThreadState::BlockedAccept);
-            }
             let t0 = Instant::now();
+            enter(&self.ring, ThreadState::BlockedAccept, t0);
             let res = input.pop_many(max, &mut items);
             let t1 = Instant::now();
-            self.stats.blocked_accept += t1 - t0;
-            self.publish_live();
-            self.record_span(crate::stats::SpanKind::Accept, t0, t1);
+            self.waited_accept(t0, t1);
             if res.is_err() {
                 self.batch = items;
                 return Err(FgError::Cancelled);
-            }
-            if let Some(ring) = &self.ring {
-                ring.set_state(crate::trace::ThreadState::Busy);
             }
             let mut got = 0;
             let mut caboose = None;
@@ -840,16 +849,9 @@ impl StageCtx {
                     Item::Buf(b) => {
                         self.stats.buffers_in += 1;
                         self.ledger_acquire(b.capacity());
-                        if let Some(obs) = &self.observer {
-                            obs.on_accept(
-                                &self.name,
-                                b.pipeline(),
-                                b.round(),
-                                input.name(),
-                                t1 - t0,
-                            );
-                        }
-                        self.trace_accept(&b, t0, t1);
+                        // One record per buffer of the batch, all over the
+                        // same wait.
+                        self.trace_accept(b.pipeline(), b.round(), b.trace_id(), t0, t1);
                         out.push(b);
                         got += 1;
                     }
@@ -866,16 +868,7 @@ impl StageCtx {
                     // caboose so the stage can still convey them.
                     self.ports[0].deferred_caboose = true;
                 } else {
-                    if let Some(ring) = &self.ring {
-                        ring.record(
-                            crate::trace::TraceKind::Accept,
-                            p.0,
-                            0,
-                            0,
-                            ring.ns_of(t0),
-                            ring.ns_of(t1),
-                        );
-                    }
+                    self.trace_accept(p, 0, 0, t0, t1);
                     self.observe_caboose(0, p)?;
                 }
             }
@@ -891,12 +884,7 @@ impl StageCtx {
     /// intersecting pipelines).  Returns `Ok(None)` once that pipeline's
     /// stream has ended.
     pub fn accept_from(&mut self, pipeline: PipelineId) -> Result<Option<Buffer>> {
-        if self.shared_input.is_some() {
-            return Err(FgError::Usage(format!(
-                "stage `{}` is virtual; use accept_any()",
-                self.name
-            )));
-        }
+        self.not_virtual()?;
         let idx = self.port_index(pipeline)?;
         self.pop_port(idx)
     }
@@ -918,37 +906,20 @@ impl StageCtx {
             if self.ports.iter().all(|p| p.eos) {
                 return Ok(None);
             }
-            if let Some(ring) = &self.ring {
-                ring.set_state(crate::trace::ThreadState::BlockedAccept);
-            }
             let t0 = Instant::now();
+            enter(&self.ring, ThreadState::BlockedAccept, t0);
             let popped = shared.pop();
             let t1 = Instant::now();
-            self.stats.blocked_accept += t1 - t0;
-            self.publish_live();
-            self.record_span(crate::stats::SpanKind::Accept, t0, t1);
+            self.waited_accept(t0, t1);
             match popped {
                 Ok(Item::Buf(b)) => {
                     self.stats.buffers_in += 1;
                     self.ledger_acquire(b.capacity());
-                    if let Some(obs) = &self.observer {
-                        obs.on_accept(&self.name, b.pipeline(), b.round(), shared.name(), t1 - t0);
-                    }
-                    self.trace_accept(&b, t0, t1);
+                    self.trace_accept(b.pipeline(), b.round(), b.trace_id(), t0, t1);
                     return Ok(Some(b));
                 }
                 Ok(Item::Caboose(p)) => {
-                    if let Some(ring) = &self.ring {
-                        ring.set_state(crate::trace::ThreadState::Busy);
-                        ring.record(
-                            crate::trace::TraceKind::Accept,
-                            p.0,
-                            0,
-                            0,
-                            ring.ns_of(t0),
-                            ring.ns_of(t1),
-                        );
-                    }
+                    self.trace_accept(p, 0, 0, t0, t1);
                     self.mark_eos_and_forward(p)?;
                     // Keep waiting: other member pipelines may still flow.
                 }
@@ -985,74 +956,27 @@ impl StageCtx {
             return Ok(None);
         }
         self.await_admission()?;
-        let input = match &self.ports[idx].input {
-            Some(q) => Arc::clone(q),
-            None => {
-                return Err(FgError::Usage(format!(
-                    "stage `{}` has no direct input queue for {}",
-                    self.name, self.ports[idx].pipeline
-                )))
-            }
-        };
-        if let Some(ring) = &self.ring {
-            ring.set_state(crate::trace::ThreadState::BlockedAccept);
-        }
+        let input = self.input_of(idx)?;
         let t0 = Instant::now();
+        enter(&self.ring, ThreadState::BlockedAccept, t0);
         let popped = input.pop();
         let t1 = Instant::now();
-        self.stats.blocked_accept += t1 - t0;
-        self.publish_live();
-        self.record_span(crate::stats::SpanKind::Accept, t0, t1);
+        self.waited_accept(t0, t1);
         match popped {
             Ok(Item::Buf(b)) => {
                 self.stats.buffers_in += 1;
                 self.ledger_acquire(b.capacity());
-                if let Some(obs) = &self.observer {
-                    obs.on_accept(&self.name, b.pipeline(), b.round(), input.name(), t1 - t0);
-                }
-                self.trace_accept(&b, t0, t1);
+                self.trace_accept(b.pipeline(), b.round(), b.trace_id(), t0, t1);
                 Ok(Some(b))
             }
             Ok(Item::Caboose(p)) => {
                 debug_assert_eq!(p, self.ports[idx].pipeline);
-                if let Some(ring) = &self.ring {
-                    // A caboose is still progress for the watchdog's clock.
-                    ring.set_state(crate::trace::ThreadState::Busy);
-                    ring.record(
-                        crate::trace::TraceKind::Accept,
-                        p.0,
-                        0,
-                        0,
-                        ring.ns_of(t0),
-                        ring.ns_of(t1),
-                    );
-                }
+                self.trace_accept(p, 0, 0, t0, t1);
                 self.observe_caboose(idx, p)?;
                 Ok(None)
             }
             Err(_) => Err(FgError::Cancelled),
         }
-    }
-
-    /// Flight-record an accepted buffer and flip this thread back to busy.
-    fn trace_accept(&mut self, b: &Buffer, t0: Instant, t1: Instant) {
-        let end = match &self.ring {
-            Some(ring) => {
-                ring.set_state(crate::trace::ThreadState::Busy);
-                let end = ring.ns_of(t1);
-                ring.record(
-                    crate::trace::TraceKind::Accept,
-                    b.pipeline().0,
-                    b.round(),
-                    b.trace_id(),
-                    ring.ns_of(t0),
-                    end,
-                );
-                end
-            }
-            None => return,
-        };
-        self.last_qop_end_ns = end;
     }
 
     /// Handle a caboose popped from port `idx`: in a replica group, only
@@ -1100,7 +1024,7 @@ impl StageCtx {
             let now = ring.ns_of(t0);
             if self.last_qop_end_ns > 0 && now > self.last_qop_end_ns {
                 ring.record(
-                    crate::trace::TraceKind::Work,
+                    TraceKind::Work,
                     pipeline.0,
                     round,
                     tid,
@@ -1108,28 +1032,21 @@ impl StageCtx {
                     now,
                 );
             }
-            if ordered {
-                ring.set_state(crate::trace::ThreadState::TurnWait);
-            }
         }
         // In an ordered farm, wait until every earlier round has been
         // emitted so downstream stages see rounds in order.  The wait
         // counts as blocked-convey time: the replica is done computing and
         // is stalled on downstream ordering.
-        if let Some(group) = self.replica_group.clone() {
-            if group.is_ordered() {
+        let mut t_push = t0;
+        if ordered {
+            enter(&self.ring, ThreadState::TurnWait, t0);
+            if let Some(group) = self.replica_group.clone() {
                 group.await_turn(&self.name, pipeline, round)?;
             }
-        }
-        let t_push = if self.ring.is_some() && ordered {
-            Instant::now()
-        } else {
-            t0
-        };
-        if let Some(ring) = &self.ring {
-            if ordered {
+            if let Some(ring) = &self.ring {
+                t_push = Instant::now();
                 ring.record(
-                    crate::trace::TraceKind::TurnWait,
+                    TraceKind::TurnWait,
                     pipeline.0,
                     round,
                     tid,
@@ -1137,8 +1054,8 @@ impl StageCtx {
                     ring.ns_of(t_push),
                 );
             }
-            ring.set_state(crate::trace::ThreadState::BlockedConvey);
         }
+        enter(&self.ring, ThreadState::BlockedConvey, t_push);
         let res = self.ports[idx].output.push(Item::Buf(buf));
         if res.is_ok() {
             if let Some(group) = &self.replica_group {
@@ -1147,56 +1064,26 @@ impl StageCtx {
         }
         let t1 = Instant::now();
         self.stats.blocked_convey += t1 - t0;
-        self.publish_live();
-        self.record_span(crate::stats::SpanKind::Convey, t0, t1);
-        if res.is_ok() {
-            self.trace_convey(pipeline, round, tid, t_push, t1);
+        self.publish_live(t1);
+        if res.is_err() {
+            return Err(FgError::Cancelled);
         }
-        match res {
-            Ok(()) => {
-                self.stats.buffers_out += 1;
-                self.record_round();
-                if let Some(obs) = &self.observer {
-                    obs.on_convey(
-                        &self.name,
-                        pipeline,
-                        round,
-                        self.ports[idx].output.name(),
-                        t1 - t0,
-                    );
-                }
-                Ok(())
-            }
-            Err(_) => Err(FgError::Cancelled),
+        self.stats.buffers_out += 1;
+        self.record_round();
+        if let Some(ring) = &self.ring {
+            let end = ring.ns_of(t1);
+            ring.record(
+                TraceKind::Convey,
+                pipeline.0,
+                round,
+                tid,
+                ring.ns_of(t_push),
+                end,
+            );
+            ring.set_state(ThreadState::Busy, end);
+            self.last_qop_end_ns = end;
         }
-    }
-
-    /// Flight-record a completed convey and flip this thread back to busy.
-    fn trace_convey(
-        &mut self,
-        pipeline: PipelineId,
-        round: u64,
-        tid: u64,
-        t0: Instant,
-        t1: Instant,
-    ) {
-        let end = match &self.ring {
-            Some(ring) => {
-                let end = ring.ns_of(t1);
-                ring.record(
-                    crate::trace::TraceKind::Convey,
-                    pipeline.0,
-                    round,
-                    tid,
-                    ring.ns_of(t0),
-                    end,
-                );
-                ring.set_state(crate::trace::ThreadState::Busy);
-                end
-            }
-            None => return,
-        };
-        self.last_qop_end_ns = end;
+        Ok(())
     }
 
     /// Return a buffer straight to its pipeline's buffer pool without
@@ -1222,15 +1109,16 @@ impl StageCtx {
         if let Some(group) = &self.replica_group {
             group.finish_turn(pipeline, round);
         }
+        let t1 = Instant::now();
         self.record_round();
         if let Some(ring) = &self.ring {
             ring.record(
-                crate::trace::TraceKind::Recycle,
+                TraceKind::Recycle,
                 pipeline.0,
                 round,
                 tid,
                 ring.ns_of(t0),
-                ring.now_ns(),
+                ring.ns_of(t1),
             );
         }
         Ok(())
@@ -1321,6 +1209,13 @@ impl StageCtx {
                     .output
                     .try_push(Item::Caboose(self.ports[idx].pipeline));
             }
+        }
+        // Whatever this thread still holds (a buffer dropped on an error
+        // path) or over-credited (buffers drained above that it never
+        // accepted) leaves the ledger with the thread.
+        if let Some(l) = &self.ledger {
+            let (buffers, bytes) = std::mem::take(&mut self.ledger_held);
+            l.settle(buffers, bytes);
         }
     }
 }

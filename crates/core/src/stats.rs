@@ -13,28 +13,7 @@
 use std::time::Duration;
 
 use crate::metrics::MetricsSnapshot;
-
-/// What a traced stage was doing during a [`Span`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanKind {
-    /// Blocked waiting to accept a buffer (starved).
-    Accept,
-    /// Blocked waiting to convey a buffer (backpressured).
-    Convey,
-}
-
-/// One blocked interval of a traced stage, in nanoseconds since the
-/// program's start.  The gaps between blocked spans are the stage's busy
-/// time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Span {
-    /// What the stage was waiting on.
-    pub kind: SpanKind,
-    /// Nanoseconds since program start when the wait began.
-    pub start_ns: u64,
-    /// Nanoseconds since program start when the wait ended.
-    pub end_ns: u64,
-}
+use crate::trace::{ThreadLog, TraceKind};
 
 /// Timing record for one stage (or one source/sink) of a finished program.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -60,9 +39,6 @@ pub struct StageStats {
     pub buffers_in: u64,
     /// Buffers this stage conveyed.
     pub buffers_out: u64,
-    /// Blocked intervals, present when the program ran with
-    /// [`Program::enable_tracing`](crate::Program::enable_tracing).
-    pub spans: Vec<Span>,
 }
 
 impl StageStats {
@@ -148,6 +124,17 @@ pub struct Report {
     /// counters, buffer ledger), when the run sampled one — see
     /// [`ResourceReport`](crate::profile::ResourceReport).
     pub resources: Option<crate::profile::ResourceReport>,
+    /// The run's span log — the flight-recorder ring of every thread the
+    /// program spawned, in [`stages`](Report::stages) order (then the
+    /// controller's, if one ran) — when the program ran with
+    /// [`Program::enable_tracing`](crate::Program::enable_tracing); empty
+    /// otherwise.  Each thread keeps its newest spans
+    /// ([`ThreadLog::dropped`] says how many older ones the ring
+    /// overwrote).
+    pub trace: Vec<ThreadLog>,
+    /// When the program started, in the ns-since-sink-epoch clock the
+    /// spans of [`trace`](Report::trace) use.
+    pub trace_start_ns: u64,
 }
 
 impl Report {
@@ -160,8 +147,7 @@ impl Report {
     /// replicated stage into one aggregate: wall is the slowest replica's
     /// wall (replicas run concurrently), blocked times and buffer counts
     /// are summed.  Returns `None` when no replica row matches, and the
-    /// replica count alongside the aggregate otherwise.  Spans are not
-    /// merged (per-replica spans stay on the individual rows).
+    /// replica count alongside the aggregate otherwise.
     pub fn stage_rollup(&self, base: &str) -> Option<(StageStats, usize)> {
         let prefix = format!("{base}#");
         let mut agg: Option<StageStats> = None;
@@ -228,25 +214,45 @@ impl Report {
         }
     }
 
-    /// Render a text Gantt chart of the traced stages: one row per stage,
-    /// `width` time buckets across the program's wall time, with `#` for
-    /// busy, `.` for starved (waiting to accept), and `o` for
-    /// backpressured (waiting to convey).  Stages without spans (tracing
-    /// disabled, or sources/sinks) are drawn from their aggregate numbers
-    /// as a single proportion bar prefixed with `~`.
-    ///
-    /// Requires the program to have run with
-    /// [`Program::enable_tracing`](crate::Program::enable_tracing) for
-    /// per-interval resolution.
+    /// Render a text Gantt chart: one row per thread, `width` time buckets
+    /// across the program's wall time, with `#` for busy, `.` for starved
+    /// (waiting to accept) and `o` for backpressured (waiting to convey,
+    /// or for an ordered farm's emission turn), bucketed from the run's
+    /// span log ([`Report::trace`]).  A thread whose ring overwrote its
+    /// oldest spans draws the columns before the oldest one it kept as
+    /// `?`, and the header counts the spans dropped.  A thread with no
+    /// waits on record (the program ran without
+    /// [`Program::enable_tracing`](crate::Program::enable_tracing), or the
+    /// thread is a sink) is drawn from its aggregate numbers as a single
+    /// proportion bar prefixed with `~`.
     pub fn render_gantt(&self, width: usize) -> String {
         let width = width.max(10);
         let wall_ns = self.wall.as_nanos() as u64;
+        // Bucket math in u128: ns * width overflows u64 for runs past ~3
+        // hours at width 100.  An instant exactly at wall_ns maps to bucket
+        // `width`, which must clamp into the last bucket.
+        let bucket = |ns: u64| {
+            let rel = ns.saturating_sub(self.trace_start_ns).min(wall_ns);
+            let b = (u128::from(rel) * width as u128 / u128::from(wall_ns.max(1))) as usize;
+            b.min(width - 1)
+        };
+        let glyph = |kind| match kind {
+            TraceKind::Accept => Some(b'.'),
+            TraceKind::Convey | TraceKind::TurnWait | TraceKind::SourceInject => Some(b'o'),
+            _ => None,
+        };
+        let dropped: u64 = self.trace.iter().map(ThreadLog::dropped).sum();
         let mut out = String::new();
         out.push_str(&format!(
             "gantt over {:.3}s, {} buckets ('#' busy, '.' starved, 'o' backpressured)\n",
             self.wall.as_secs_f64(),
             width
         ));
+        if dropped > 0 {
+            out.push_str(&format!(
+                "{dropped} oldest spans dropped by full rings ('?' before a thread's oldest kept span)\n"
+            ));
+        }
         let name_w = self
             .stages
             .iter()
@@ -260,38 +266,38 @@ impl Report {
             // starting at the same column: `~` flags an approximate
             // (untraced, proportion-drawn) row, space an exact one.
             let marker;
-            if s.spans.is_empty() {
-                marker = '~';
-                // No trace: render aggregate proportions, left-to-right.
-                let total = s.wall.as_secs_f64().max(1e-12);
-                let acc = ((s.blocked_accept.as_secs_f64() / total) * width as f64) as usize;
-                let conv = ((s.blocked_convey.as_secs_f64() / total) * width as f64) as usize;
-                for slot in row.iter_mut().take(acc.min(width)) {
-                    *slot = b'.';
+            // A log with no buffer wait in it cannot draw a row: the run
+            // kept none, or this is a sink, which records what it recycles
+            // rather than what it waited for.
+            let log = self.trace.iter().find(|l| l.task() == s.name).filter(|l| {
+                l.spans
+                    .iter()
+                    .any(|r| r.trace_id != 0 && glyph(r.kind).is_some())
+            });
+            match log {
+                None => {
+                    marker = '~';
+                    // No log: render aggregate proportions, left-to-right.
+                    let total = s.wall.as_secs_f64().max(1e-12);
+                    let acc = ((s.blocked_accept.as_secs_f64() / total) * width as f64) as usize;
+                    let conv = ((s.blocked_convey.as_secs_f64() / total) * width as f64) as usize;
+                    for slot in row.iter_mut().take(acc.min(width)) {
+                        *slot = b'.';
+                    }
+                    for slot in row.iter_mut().skip(width.saturating_sub(conv.min(width))) {
+                        *slot = b'o';
+                    }
                 }
-                for slot in row.iter_mut().skip(width.saturating_sub(conv.min(width))) {
-                    *slot = b'o';
-                }
-            } else {
-                marker = ' ';
-                if wall_ns > 0 {
-                    for span in &s.spans {
-                        // Bucket math in u128: start_ns * width overflows
-                        // u64 for runs past ~3 hours at width 100.  A span
-                        // ending exactly at wall_ns maps to bucket `width`,
-                        // which must clamp into the last bucket.
-                        let a = ((u128::from(span.start_ns.min(wall_ns)) * width as u128)
-                            / u128::from(wall_ns)) as usize;
-                        let b = ((u128::from(span.end_ns.min(wall_ns)) * width as u128)
-                            / u128::from(wall_ns)) as usize;
-                        let (a, b) = (a.min(width - 1), b.min(width - 1));
-                        let ch = match span.kind {
-                            SpanKind::Accept => b'.',
-                            SpanKind::Convey => b'o',
-                        };
-                        for slot in row.iter_mut().take(b + 1).skip(a) {
-                            *slot = ch;
+                Some(log) => {
+                    marker = ' ';
+                    for span in &log.spans {
+                        if let Some(ch) = glyph(span.kind) {
+                            row[bucket(span.start_ns)..=bucket(span.end_ns)].fill(ch);
                         }
+                    }
+                    if log.dropped() > 0 {
+                        let oldest = log.spans.iter().map(|s| s.start_ns).min().unwrap_or(0);
+                        row[..bucket(oldest)].fill(b'?');
                     }
                 }
             }
@@ -302,6 +308,18 @@ impl Report {
             ));
         }
         out
+    }
+
+    /// Export the run's span log ([`Report::trace`]) as a Chrome
+    /// trace-event JSON document, loadable in `chrome://tracing` or
+    /// <https://ui.perfetto.dev>: one track per thread, a slice per span,
+    /// and flow arrows following each buffer from stage to stage — the
+    /// same document [`TraceSink::to_chrome_trace`](crate::TraceSink::to_chrome_trace)
+    /// writes, restricted to this program's threads.  Empty of slices
+    /// unless the program ran with
+    /// [`Program::enable_tracing`](crate::Program::enable_tracing).
+    pub fn to_chrome_trace(&self) -> String {
+        crate::trace::chrome_trace(&self.trace)
     }
 
     /// Render the report as an aligned text table: one row per stage with
@@ -609,6 +627,26 @@ mod render_tests {
         assert_eq!(text.lines().count(), 2);
     }
 
+    fn log(task: &str, recorded: u64, spans: &[(TraceKind, u64, u64)]) -> ThreadLog {
+        ThreadLog {
+            thread: format!("prog/{task}"),
+            group: None,
+            recorded,
+            spans: spans
+                .iter()
+                .map(|&(kind, start_ns, end_ns)| crate::trace::SpanRec {
+                    kind,
+                    pipeline: 0,
+                    round: 0,
+                    trace_id: 1,
+                    start_ns,
+                    end_ns,
+                })
+                .collect(),
+        }
+    }
+
+    /// A 1000 ns program that started 5000 ns into its sink's epoch.
     fn gantt_report() -> Report {
         Report {
             wall: Duration::from_nanos(1_000),
@@ -618,11 +656,6 @@ mod render_tests {
                     wall: Duration::from_nanos(1_000),
                     buffers_in: 1,
                     buffers_out: 1,
-                    spans: vec![Span {
-                        kind: SpanKind::Accept,
-                        start_ns: 900,
-                        end_ns: 1_000, // ends exactly at wall
-                    }],
                     ..StageStats::default()
                 },
                 StageStats {
@@ -635,6 +668,9 @@ mod render_tests {
                 },
             ],
             threads_spawned: 2,
+            // The accept ends exactly at wall.
+            trace: vec![log("traced", 1, &[(TraceKind::Accept, 5_900, 6_000)])],
+            trace_start_ns: 5_000,
             ..Report::default()
         }
     }
@@ -646,6 +682,7 @@ mod render_tests {
         // The 900..1000ns accept span must fill exactly the last bucket and
         // not be lost to an out-of-range index.
         assert!(traced.ends_with("#########."), "row was {traced:?}");
+        assert!(!text.contains("dropped"), "nothing was dropped:\n{text}");
     }
 
     #[test]
@@ -676,19 +713,22 @@ mod render_tests {
         // 4 hours in ns * width 100 overflows u64; the u128 bucket math
         // must keep the row correct.
         let four_hours_ns = 4 * 3600 * 1_000_000_000u64;
+        // Every kind drawn `o`, back to back over the second half.
+        let (h, e) = (four_hours_ns / 2, four_hours_ns / 8);
+        let waits = [
+            (TraceKind::Convey, h, h + e),
+            (TraceKind::TurnWait, h + e, h + 2 * e),
+            (TraceKind::SourceInject, h + 2 * e, four_hours_ns),
+        ];
         let report = Report {
             wall: Duration::from_nanos(four_hours_ns),
             stages: vec![StageStats {
                 name: "s".into(),
                 wall: Duration::from_nanos(four_hours_ns),
-                spans: vec![Span {
-                    kind: SpanKind::Convey,
-                    start_ns: four_hours_ns / 2,
-                    end_ns: four_hours_ns,
-                }],
                 ..StageStats::default()
             }],
             threads_spawned: 1,
+            trace: vec![log("s", 3, &waits)],
             ..Report::default()
         };
         let text = report.render_gantt(100);

@@ -15,8 +15,16 @@
 //! The ring is bounded (overwrite-oldest), allocation-free on the hot path,
 //! and entirely absent when no [`TraceSink`] is installed: stages hold an
 //! `Option<Arc<SpanRing>>` that is `None`, so the untraced cost is one
-//! never-taken branch per transition (the same zero-cost idiom as
-//! [`Observer`](crate::Observer)).
+//! never-taken branch per transition.
+//!
+//! The ring is the *one* span record: the runtime times each queue
+//! operation once and hands the same two instants to the `StageStats`
+//! accumulators, the live `core/stage_*` counters, the ring record and the
+//! thread state.  [`Program::enable_tracing`](crate::Program::enable_tracing)
+//! copies a run's rings into [`Report::trace`](crate::Report), which is
+//! what the Gantt chart and [`Report::to_chrome_trace`](crate::Report)
+//! read.  Retention is the newest [`DEFAULT_RING_CAPACITY`] spans per
+//! thread (or [`TraceSink::with_ring_capacity`]).
 //!
 //! From the collected span log, [`crate::critical_path`] reconstructs
 //! per-round buffer timelines, and [`TraceSink::to_chrome_trace`] exports
@@ -39,7 +47,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::json::Json;
+use crate::json::{obj, Json};
 
 /// Sentinel `pipeline` value for spans not tied to any pipeline (the I/O
 /// scheduler's prefetch spans).
@@ -293,17 +301,7 @@ pub enum ThreadState {
 }
 
 impl ThreadState {
-    fn as_u64(self) -> u64 {
-        match self {
-            ThreadState::Starting => 0,
-            ThreadState::Busy => 1,
-            ThreadState::BlockedAccept => 2,
-            ThreadState::BlockedConvey => 3,
-            ThreadState::TurnWait => 4,
-            ThreadState::Done => 5,
-        }
-    }
-
+    /// Inverse of `state as u64` (the variants' declaration order).
     fn from_u64(v: u64) -> ThreadState {
         match v {
             1 => ThreadState::Busy,
@@ -380,7 +378,7 @@ impl SpanRing {
             cursor: AtomicU64::new(0),
             intakes: AtomicU64::new(0),
             emits: AtomicU64::new(0),
-            state: AtomicU64::new(ThreadState::Starting.as_u64()),
+            state: AtomicU64::new(ThreadState::Starting as u64),
             state_since_ns: AtomicU64::new(0),
             last_activity_ns: last,
         }
@@ -389,11 +387,6 @@ impl SpanRing {
     /// Name of the thread this ring records (`program/task`).
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Track group (cluster rank) this thread was registered under, if any.
-    pub fn group(&self) -> Option<u32> {
-        self.group
     }
 
     /// Nanoseconds since the owning sink's epoch.
@@ -428,18 +421,25 @@ impl SpanRing {
             start_ns,
             end_ns,
         };
-        if kind.is_intake() {
-            self.intakes.fetch_add(1, Ordering::Relaxed);
-        } else if kind.is_emit() {
-            self.emits.fetch_add(1, Ordering::Relaxed);
+        // `trace_id == 0` is a transition that moved no buffer (a pop that
+        // returned a caboose): progress, but neither an intake nor an emit.
+        if trace_id != 0 {
+            if kind.is_intake() {
+                self.intakes.fetch_add(1, Ordering::Relaxed);
+            } else if kind.is_emit() {
+                self.emits.fetch_add(1, Ordering::Relaxed);
+            }
         }
         self.last_activity_ns.fetch_max(end_ns, Ordering::Relaxed);
     }
 
-    /// Advertise what this thread is currently doing (for post-mortems).
-    pub fn set_state(&self, state: ThreadState) {
-        self.state.store(state.as_u64(), Ordering::Relaxed);
-        self.state_since_ns.store(self.now_ns(), Ordering::Relaxed);
+    /// Advertise what this thread has been doing since `at_ns` (sink-epoch
+    /// ns, see [`SpanRing::ns_of`]) for post-mortems.  The caller passes the
+    /// timestamp it already took around its queue operation; this reads no
+    /// clock.
+    pub fn set_state(&self, state: ThreadState, at_ns: u64) {
+        self.state.store(state as u64, Ordering::Relaxed);
+        self.state_since_ns.store(at_ns, Ordering::Relaxed);
     }
 
     /// Current advertised state and how long the thread has been in it.
@@ -489,6 +489,20 @@ impl SpanRing {
         }
         out
     }
+
+    /// This thread's collected log: the live records plus how many were
+    /// ever written, so a reader can tell how many the ring dropped.
+    pub fn log(&self) -> ThreadLog {
+        // Read the count first: a writer racing the copy can only make
+        // `spans` newer than `recorded`, never claim drops that didn't happen.
+        let recorded = self.recorded();
+        ThreadLog {
+            thread: self.name.clone(),
+            group: self.group,
+            recorded,
+            spans: self.snapshot(),
+        }
+    }
 }
 
 impl fmt::Debug for SpanRing {
@@ -501,12 +515,26 @@ impl fmt::Debug for SpanRing {
     }
 }
 
+/// Advertise on `ring`, when there is one, that its thread has been in
+/// `state` since `at` — an instant the caller already took around its queue
+/// operation.
+pub(crate) fn enter(ring: &Option<Arc<SpanRing>>, state: ThreadState, at: Instant) {
+    if let Some(ring) = ring {
+        ring.set_state(state, ring.ns_of(at));
+    }
+}
+
 /// The collected span log of one thread.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThreadLog {
     /// Thread name (`program/task`).
     pub thread: String,
-    /// Live records, oldest first.
+    /// Track group (cluster rank) the thread was registered under, if any.
+    pub group: Option<u32>,
+    /// Records the thread ever wrote; `recorded - spans.len()` were
+    /// overwritten by newer ones (the ring keeps the newest).
+    pub recorded: u64,
+    /// Retained records, oldest first.
     pub spans: Vec<SpanRec>,
 }
 
@@ -518,27 +546,38 @@ impl ThreadLog {
             .map_or(self.thread.as_str(), |(_, t)| t)
     }
 
-    /// JSON object for this log.
+    /// Records the ring overwrote before this log was collected.
+    pub fn dropped(&self) -> u64 {
+        self.recorded.saturating_sub(self.spans.len() as u64)
+    }
+
+    /// JSON object for this log (`group` only when the thread has one).
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("thread".into(), Json::Str(self.thread.clone())),
-            (
-                "spans".into(),
-                Json::Arr(self.spans.iter().map(SpanRec::to_json).collect()),
-            ),
-        ])
+        let mut members = vec![("thread".into(), Json::Str(self.thread.clone()))];
+        if let Some(g) = self.group {
+            members.push(("group".into(), Json::Num(g as f64)));
+        }
+        members.push(("recorded".into(), Json::Num(self.recorded as f64)));
+        members.push((
+            "spans".into(),
+            Json::Arr(self.spans.iter().map(SpanRec::to_json).collect()),
+        ));
+        Json::Obj(members)
     }
 
     /// Parse a log written by [`ThreadLog::to_json`].
     pub fn from_json(v: &Json) -> Option<ThreadLog> {
+        let spans = v
+            .get("spans")?
+            .as_arr()?
+            .iter()
+            .map(SpanRec::from_json)
+            .collect::<Option<Vec<_>>>()?;
         Some(ThreadLog {
             thread: v.get("thread")?.as_str()?.to_string(),
-            spans: v
-                .get("spans")?
-                .as_arr()?
-                .iter()
-                .map(SpanRec::from_json)
-                .collect::<Option<Vec<_>>>()?,
+            group: v.get("group").and_then(Json::as_u64).map(|g| g as u32),
+            recorded: v.get("recorded")?.as_u64()?,
+            spans,
         })
     }
 }
@@ -631,132 +670,125 @@ impl TraceSink {
 
     /// Collect every thread's live records, oldest first per thread.
     pub fn collect(&self) -> Vec<ThreadLog> {
-        self.rings
-            .lock()
-            .iter()
-            .map(|r| ThreadLog {
-                thread: r.name().to_string(),
-                spans: r.snapshot(),
-            })
-            .collect()
+        self.rings.lock().iter().map(|r| r.log()).collect()
     }
 
-    /// Export the collected spans as a Chrome trace-event JSON document:
-    /// one track per traced thread with a slice per span, plus *flow
-    /// events* stitching each trace id's spans together across tracks —
-    /// Perfetto draws an arrow following the buffer from stage to stage.
-    ///
-    /// Rings registered with [`TraceSink::register_thread_in_group`] render
-    /// under a per-group *process* track (`pid = group + 2`, named
-    /// `node{group}`), so a cluster run shows one track group per rank and
-    /// the flow arrows cross rank boundaries; ungrouped rings keep the flat
-    /// single-process layout (`pid = 1`).
+    /// Export every registered thread's spans as a Chrome trace-event JSON
+    /// document (load it in <https://ui.perfetto.dev>).
     pub fn to_chrome_trace(&self) -> String {
-        let rings = self.rings.lock().clone();
-        let mut events: Vec<Json> = Vec::new();
-        let us = |ns: u64| Json::Num(ns as f64 / 1_000.0);
-        let pid_of = |group: Option<u32>| group.map_or(1u64, |g| g as u64 + 2);
-        // Name each grouped process track once.
-        let mut named_pids: Vec<u64> = Vec::new();
-        // (pid, tid, span) of every traced-buffer span, for flow stitching.
-        let mut flows: Vec<(u64, u64, SpanRec)> = Vec::new();
-        for (i, ring) in rings.iter().enumerate() {
-            let tid = i as u64 + 1;
-            let pid = pid_of(ring.group());
-            if let Some(g) = ring.group() {
-                if !named_pids.contains(&pid) {
-                    named_pids.push(pid);
-                    events.push(Json::Obj(vec![
-                        ("name".into(), Json::Str("process_name".into())),
-                        ("ph".into(), Json::Str("M".into())),
-                        ("pid".into(), Json::Num(pid as f64)),
-                        (
-                            "args".into(),
-                            Json::Obj(vec![("name".into(), Json::Str(format!("node{g}")))]),
-                        ),
-                    ]));
-                }
-            }
-            events.push(Json::Obj(vec![
-                ("name".into(), Json::Str("thread_name".into())),
-                ("ph".into(), Json::Str("M".into())),
-                ("pid".into(), Json::Num(pid as f64)),
-                ("tid".into(), Json::Num(tid as f64)),
-                (
-                    "args".into(),
-                    Json::Obj(vec![("name".into(), Json::Str(ring.name().to_string()))]),
-                ),
-            ]));
-            for s in ring.snapshot() {
-                events.push(Json::Obj(vec![
-                    ("name".into(), Json::Str(s.kind.label().into())),
-                    ("cat".into(), Json::Str("span".into())),
-                    ("ph".into(), Json::Str("X".into())),
-                    ("pid".into(), Json::Num(pid as f64)),
-                    ("tid".into(), Json::Num(tid as f64)),
-                    ("ts".into(), us(s.start_ns)),
-                    ("dur".into(), us(s.dur_ns().max(1))),
-                    (
-                        "args".into(),
-                        Json::Obj(vec![
-                            ("pipeline".into(), Json::Num(s.pipeline as f64)),
-                            ("round".into(), Json::Num(s.round as f64)),
-                            ("trace_id".into(), Json::Num(s.trace_id as f64)),
-                        ]),
-                    ),
-                ]));
-                if s.trace_id != 0 {
-                    flows.push((pid, tid, s));
-                }
-            }
-        }
-        // Flow events: for each trace id, one start ("s") at the earliest
-        // span, steps ("t") in between, and a finish ("f", binding to the
-        // enclosing slice) at the last.  `ts` sits just inside each span's
-        // slice so the viewer can attach the arrow.
-        flows.sort_by_key(|(_, _, s)| (s.trace_id, s.start_ns, s.end_ns));
-        let mut i = 0;
-        while i < flows.len() {
-            let id = flows[i].2.trace_id;
-            let mut j = i;
-            while j < flows.len() && flows[j].2.trace_id == id {
-                j += 1;
-            }
-            if j - i >= 2 {
-                for (k, (pid, tid, s)) in flows[i..j].iter().enumerate() {
-                    let ph = if i + k == i {
-                        "s"
-                    } else if i + k == j - 1 {
-                        "f"
-                    } else {
-                        "t"
-                    };
-                    // The id is a hex *string*: collective trace ids set
-                    // bit 62, beyond f64's exact-integer range, and a
-                    // numeric id would collapse distinct collectives.
-                    let mut ev = vec![
-                        ("name".into(), Json::Str("buffer".into())),
-                        ("cat".into(), Json::Str("flow".into())),
-                        ("ph".into(), Json::Str(ph.into())),
-                        ("id".into(), Json::Str(format!("{id:x}"))),
-                        ("pid".into(), Json::Num(*pid as f64)),
-                        ("tid".into(), Json::Num(*tid as f64)),
-                        ("ts".into(), us(s.start_ns)),
-                    ];
-                    if ph == "f" {
-                        ev.push(("bp".into(), Json::Str("e".into())));
-                    }
-                    events.push(Json::Obj(ev));
-                }
-            }
-            i = j;
-        }
-        Json::Obj(vec![
-            ("traceEvents".into(), Json::Arr(events)),
-            ("displayTimeUnit".into(), Json::Str("ms".into())),
-        ])
-        .to_string()
+        chrome_trace(&self.collect())
     }
+}
+
+/// The workspace's one Chrome-trace writer
+/// ([`TraceSink::to_chrome_trace`] and
+/// [`Report::to_chrome_trace`](crate::Report::to_chrome_trace) both call
+/// it): one track per
+/// thread with a slice per span, plus *flow events* stitching each trace
+/// id's spans together across tracks — Perfetto draws an arrow following
+/// the buffer from stage to stage.
+///
+/// Threads registered with [`TraceSink::register_thread_in_group`] render
+/// under a per-group *process* track (`pid = group + 2`, named
+/// `node{group}`), so a cluster run shows one track group per rank and
+/// the flow arrows cross rank boundaries; ungrouped threads keep the flat
+/// single-process layout (`pid = 1`).
+pub(crate) fn chrome_trace(logs: &[ThreadLog]) -> String {
+    let mut events: Vec<Json> = Vec::new();
+    let us = |ns: u64| Json::Num(ns as f64 / 1_000.0);
+    let pid_of = |group: Option<u32>| group.map_or(1u64, |g| g as u64 + 2);
+    // Name each grouped process track once.
+    let mut named_pids: Vec<u64> = Vec::new();
+    // (pid, tid, span) of every traced-buffer span, for flow stitching.
+    let mut flows: Vec<(u64, u64, SpanRec)> = Vec::new();
+    for (i, log) in logs.iter().enumerate() {
+        let tid = i as u64 + 1;
+        let pid = pid_of(log.group);
+        if let Some(g) = log.group {
+            if !named_pids.contains(&pid) {
+                named_pids.push(pid);
+                events.push(obj(vec![
+                    ("name", Json::from("process_name")),
+                    ("ph", Json::from("M")),
+                    ("pid", Json::from(pid)),
+                    ("args", obj(vec![("name", Json::from(format!("node{g}")))])),
+                ]));
+            }
+        }
+        events.push(obj(vec![
+            ("name", Json::from("thread_name")),
+            ("ph", Json::from("M")),
+            ("pid", Json::from(pid)),
+            ("tid", Json::from(tid)),
+            ("args", obj(vec![("name", Json::from(log.thread.as_str()))])),
+        ]));
+        for &s in &log.spans {
+            let args = obj(vec![
+                ("pipeline", Json::from(u64::from(s.pipeline))),
+                ("round", Json::from(s.round)),
+                ("trace_id", Json::from(s.trace_id)),
+            ]);
+            events.push(obj(vec![
+                ("name", Json::from(s.kind.label())),
+                ("cat", Json::from("span")),
+                ("ph", Json::from("X")),
+                ("pid", Json::from(pid)),
+                ("tid", Json::from(tid)),
+                ("ts", us(s.start_ns)),
+                ("dur", us(s.dur_ns().max(1))),
+                ("args", args),
+            ]));
+            if s.trace_id != 0 {
+                flows.push((pid, tid, s));
+            }
+        }
+    }
+    // Flow events: for each trace id, one start ("s") at the earliest
+    // span, steps ("t") in between, and a finish ("f", binding to the
+    // enclosing slice) at the last.  `ts` sits just inside each span's
+    // slice so the viewer can attach the arrow.
+    flows.sort_by_key(|(_, _, s)| (s.trace_id, s.start_ns, s.end_ns));
+    let mut i = 0;
+    while i < flows.len() {
+        let id = flows[i].2.trace_id;
+        let mut j = i;
+        while j < flows.len() && flows[j].2.trace_id == id {
+            j += 1;
+        }
+        if j - i >= 2 {
+            for (k, (pid, tid, s)) in flows[i..j].iter().enumerate() {
+                let ph = if i + k == i {
+                    "s"
+                } else if i + k == j - 1 {
+                    "f"
+                } else {
+                    "t"
+                };
+                // The id is a hex *string*: collective trace ids set
+                // bit 62, beyond f64's exact-integer range, and a
+                // numeric id would collapse distinct collectives.
+                let mut ev = vec![
+                    ("name", Json::from("buffer")),
+                    ("cat", Json::from("flow")),
+                    ("ph", Json::from(ph)),
+                    ("id", Json::from(format!("{id:x}"))),
+                    ("pid", Json::from(*pid)),
+                    ("tid", Json::from(*tid)),
+                    ("ts", us(s.start_ns)),
+                ];
+                if ph == "f" {
+                    ev.push(("bp", Json::from("e")));
+                }
+                events.push(obj(ev));
+            }
+        }
+        i = j;
+    }
+    obj(vec![
+        ("traceEvents", Json::Arr(events)),
+        ("displayTimeUnit", Json::from("ms")),
+    ])
+    .to_string()
 }
 
 impl fmt::Debug for TraceSink {
@@ -882,80 +914,49 @@ pub struct Postmortem {
 impl Postmortem {
     /// JSON artifact for this post-mortem.
     pub fn to_json(&self) -> Json {
-        let mut doc = Json::Obj(vec![
-            ("program".into(), Json::Str(self.program.clone())),
-            (
-                "stalled_for_ms".into(),
-                Json::Num(self.stalled_for.as_secs_f64() * 1_000.0),
-            ),
-            (
-                "culprit".into(),
-                match &self.culprit {
-                    Some(c) => Json::Str(c.clone()),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "threads".into(),
-                Json::Arr(
-                    self.threads
-                        .iter()
-                        .map(|t| {
-                            Json::Obj(vec![
-                                ("thread".into(), Json::Str(t.thread.clone())),
-                                ("state".into(), Json::Str(t.state.label().into())),
-                                (
-                                    "in_state_for_ms".into(),
-                                    Json::Num(t.in_state_for.as_secs_f64() * 1_000.0),
-                                ),
-                                ("intakes".into(), Json::Num(t.intakes as f64)),
-                                ("emits".into(), Json::Num(t.emits as f64)),
-                                (
-                                    "last_spans".into(),
-                                    Json::Arr(t.last_spans.iter().map(SpanRec::to_json).collect()),
-                                ),
-                            ])
-                        })
-                        .collect(),
+        let ms = |d: Duration| Json::from(d.as_secs_f64() * 1_000.0);
+        let threads = self.threads.iter().map(|t| {
+            obj(vec![
+                ("thread", Json::from(t.thread.as_str())),
+                ("state", Json::from(t.state.label())),
+                ("in_state_for_ms", ms(t.in_state_for)),
+                ("intakes", Json::from(t.intakes)),
+                ("emits", Json::from(t.emits)),
+                (
+                    "last_spans",
+                    Json::Arr(t.last_spans.iter().map(SpanRec::to_json).collect()),
                 ),
-            ),
+            ])
+        });
+        let queues = self.queues.iter().map(|q| {
+            obj(vec![
+                ("queue", Json::from(q.queue.as_str())),
+                ("depth", Json::from(q.depth)),
+                ("capacity", Json::from(q.capacity)),
+            ])
+        });
+        let turnstiles = self.turnstiles.iter().map(|t| {
+            obj(vec![
+                ("group", Json::from(t.group.as_str())),
+                ("pipeline", Json::from(u64::from(t.pipeline))),
+                ("next_round", Json::from(t.next_round)),
+            ])
+        });
+        let mut members = vec![
+            ("program", Json::from(self.program.as_str())),
+            ("stalled_for_ms", ms(self.stalled_for)),
             (
-                "queues".into(),
-                Json::Arr(
-                    self.queues
-                        .iter()
-                        .map(|q| {
-                            Json::Obj(vec![
-                                ("queue".into(), Json::Str(q.queue.clone())),
-                                ("depth".into(), Json::Num(q.depth as f64)),
-                                ("capacity".into(), Json::Num(q.capacity as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                "culprit",
+                self.culprit.as_deref().map_or(Json::Null, Json::from),
             ),
-            (
-                "turnstiles".into(),
-                Json::Arr(
-                    self.turnstiles
-                        .iter()
-                        .map(|t| {
-                            Json::Obj(vec![
-                                ("group".into(), Json::Str(t.group.clone())),
-                                ("pipeline".into(), Json::Num(t.pipeline as f64)),
-                                ("next_round".into(), Json::Num(t.next_round as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
+            ("threads", Json::Arr(threads.collect())),
+            ("queues", Json::Arr(queues.collect())),
+            ("turnstiles", Json::Arr(turnstiles.collect())),
+        ];
         if let Some(resources) = &self.resources {
-            if let Json::Obj(members) = &mut doc {
-                members.push(("resources".into(), resources.to_json_value()));
-            }
+            members.push(("resources", resources.to_json_value()));
         }
-        doc
+        obj(members)
     }
 
     /// Human-readable report (what the watchdog prints to stderr).
@@ -1090,13 +1091,13 @@ mod tests {
         let sink = TraceSink::with_ring_capacity(4);
         let ring = sink.register_thread("p/s");
         for i in 0..10u64 {
-            ring.record(TraceKind::Convey, 0, i, 0, i, i + 1);
+            ring.record(TraceKind::Convey, 0, i, i + 1, i, i + 1);
         }
-        let snap = ring.snapshot();
-        assert_eq!(snap.len(), 4);
-        let rounds: Vec<u64> = snap.iter().map(|s| s.round).collect();
+        let log = ring.log();
+        assert_eq!(log.spans.len(), 4);
+        let rounds: Vec<u64> = log.spans.iter().map(|s| s.round).collect();
         assert_eq!(rounds, vec![6, 7, 8, 9]);
-        assert_eq!(ring.recorded(), 10);
+        assert_eq!((log.recorded, log.dropped()), (10, 6));
         assert_eq!(ring.emits(), 10);
     }
 
@@ -1130,12 +1131,16 @@ mod tests {
             start_ns: 1000,
             end_ns: 2500,
         };
-        let log = ThreadLog {
-            thread: "prog/worker#1".into(),
-            spans: vec![s],
-        };
-        let parsed = ThreadLog::from_json(&Json::parse(&log.to_json().to_string()).unwrap());
-        assert_eq!(parsed, Some(log));
+        for group in [None, Some(2)] {
+            let log = ThreadLog {
+                thread: "prog/worker#1".into(),
+                group,
+                recorded: 9,
+                spans: vec![s],
+            };
+            let parsed = ThreadLog::from_json(&Json::parse(&log.to_json().to_string()).unwrap());
+            assert_eq!(parsed, Some(log));
+        }
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! End-to-end tests of the observability layer: observer hooks, the metrics
-//! registry, queue-depth reporting, and the JSON / Chrome-trace exports.
+//! End-to-end tests of the observability layer on its one span record: the
+//! span log's event coverage, the metrics registry, queue-depth reporting,
+//! and the JSON / Chrome-trace exports.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use fg_core::{
-    map_stage, CountingObserver, Json, MetricsObserver, MetricsRegistry, PipelineCfg, Program,
-    Report, Rounds,
+    map_stage, Json, MetricsRegistry, PipelineCfg, Program, Report, Rounds, TraceKind, TraceSink,
 };
 
 const ROUNDS: u64 = 25;
@@ -33,23 +32,44 @@ fn two_stage_program() -> Program {
     prog
 }
 
+/// Records of `kind` that moved a buffer (a caboose pop has no trace id).
+fn moved(report: &Report, kind: TraceKind) -> u64 {
+    report
+        .trace
+        .iter()
+        .flat_map(|l| &l.spans)
+        .filter(|s| s.kind == kind && s.trace_id != 0)
+        .count() as u64
+}
+
 #[test]
-fn counting_observer_sees_every_event() {
-    let obs = Arc::new(CountingObserver::new());
+fn the_span_log_sees_every_event() {
     let mut prog = two_stage_program();
-    prog.set_observer(Arc::clone(&obs) as Arc<dyn fg_core::Observer>);
+    prog.enable_tracing();
     let report = prog.run().unwrap();
 
-    assert_eq!(obs.stage_starts(), 2);
-    assert_eq!(obs.stage_exits(), 2);
-    // Each of the two stages accepts and conveys every round's buffer.
-    assert_eq!(obs.accepts(), 2 * ROUNDS);
-    assert_eq!(obs.conveys(), 2 * ROUNDS);
-    assert_eq!(obs.round_begins(), ROUNDS);
-    assert_eq!(obs.source_emits(), ROUNDS);
-    assert_eq!(obs.sink_recycles(), ROUNDS);
+    // One log per thread the program spawned, none of them wrapped.
+    assert_eq!(report.trace.len(), 4);
+    assert!(report.trace.iter().all(|l| l.dropped() == 0));
+    // Each of the two stages conveys every round's buffer, the source
+    // injects it once and the sink recycles it once.
+    assert_eq!(moved(&report, TraceKind::Convey), 2 * ROUNDS);
+    assert_eq!(moved(&report, TraceKind::SourceInject), ROUNDS);
+    assert_eq!(moved(&report, TraceKind::Recycle), ROUNDS);
+    // Accepts: both stages every round, plus the source's waits on the
+    // recycle queue once its 3 seed buffers are out.
+    assert_eq!(moved(&report, TraceKind::Accept), 2 * ROUNDS + (ROUNDS - 3));
+    // Every journey got its own trace id.
+    let ids: std::collections::BTreeSet<u64> = report
+        .trace
+        .iter()
+        .flat_map(|l| &l.spans)
+        .filter(|s| s.kind == TraceKind::SourceInject)
+        .map(|s| s.trace_id)
+        .collect();
+    assert_eq!(ids.len() as u64, ROUNDS);
 
-    // The observer agrees with the report's own accounting.
+    // The log agrees with the report's own accounting.
     assert_eq!(report.stage("fill").unwrap().buffers_in, ROUNDS);
     assert_eq!(report.stage("check").unwrap().buffers_out, ROUNDS);
 }
@@ -59,15 +79,14 @@ fn metrics_registry_collects_core_metrics_and_queue_depths() {
     let registry = Arc::new(MetricsRegistry::new());
     let mut prog = two_stage_program();
     prog.set_metrics(Arc::clone(&registry));
-    prog.set_observer(Arc::new(MetricsObserver::new(&registry)));
     let report = prog.run().unwrap();
 
-    assert_eq!(report.metrics.counter("core/accepts"), Some(2 * ROUNDS));
-    assert_eq!(report.metrics.counter("core/conveys"), Some(2 * ROUNDS));
-    assert_eq!(report.metrics.counter("core/rounds"), Some(ROUNDS));
-    assert_eq!(report.metrics.counter("core/recycles"), Some(ROUNDS));
-    let waits = report.metrics.histogram("core/accept_wait_ns").unwrap();
-    assert_eq!(waits.count, 2 * ROUNDS);
+    for stage in ["fill", "check"] {
+        let counter = |prefix: &str| report.metrics.counter(&format!("core/{prefix}/{stage}"));
+        assert_eq!(counter("stage_rounds"), Some(ROUNDS));
+        assert_eq!(counter("stage_buffers"), Some(ROUNDS));
+        assert!(counter("stage_busy_ns").is_some());
+    }
 
     // Every wired queue reports depth statistics and a live gauge.
     assert!(!report.queues.is_empty());
@@ -85,102 +104,96 @@ fn metrics_registry_collects_core_metrics_and_queue_depths() {
     let dash = report.render_dashboard();
     assert!(dash.contains("== queues =="));
     assert!(dash.contains("== metrics: core =="));
-    assert!(dash.contains("core/accepts = 50"));
+    assert!(dash.contains("core/stage_rounds/fill = 25"));
 }
 
 #[test]
-fn no_observer_run_reports_empty_metrics() {
+fn uninstrumented_run_reports_empty_metrics() {
     let report = two_stage_program().run().unwrap();
     assert!(report.metrics.is_empty());
+    assert!(report.trace.is_empty());
     // Queue high-water marks are tracked unconditionally (they live inside
     // the queue's existing lock), so they appear even without a registry.
     assert!(!report.queues.is_empty());
 }
 
 #[test]
-fn report_json_round_trips() {
+fn report_json_round_trips_with_its_span_log() {
     let registry = Arc::new(MetricsRegistry::new());
     let mut prog = two_stage_program();
     prog.enable_tracing();
     prog.set_metrics(Arc::clone(&registry));
-    prog.set_observer(Arc::new(MetricsObserver::new(&registry)));
     let report = prog.run().unwrap();
 
     let text = report.to_json();
+    let doc = Json::parse(&text).unwrap();
+    assert_eq!(doc.get("trace").and_then(Json::as_arr).unwrap().len(), 4);
+    assert!(doc.get("stages").and_then(Json::as_arr).unwrap()[0]
+        .get("spans")
+        .is_none());
     let parsed = Report::from_json(&text).expect("report JSON parses");
     assert_eq!(parsed, report);
+    // An untraced report writes no trace members at all.
+    let plain = two_stage_program().run().unwrap().to_json();
+    assert!(!plain.contains("\"trace"), "{plain}");
 }
 
 #[test]
-fn chrome_trace_is_valid_and_slices_do_not_overlap() {
+fn chrome_trace_has_a_track_per_thread_and_a_flow_per_round() {
     let mut prog = two_stage_program();
     prog.enable_tracing();
     let report = prog.run().unwrap();
 
     let trace = report.to_chrome_trace();
     let json = Json::parse(&trace).expect("chrome trace parses as JSON");
-    let events = json.as_arr().expect("trace is a JSON array");
-    assert!(!events.is_empty());
+    let events = json.get("traceEvents").and_then(Json::as_arr).unwrap();
+    let phase = |e: &Json| e.get("ph").and_then(Json::as_str).unwrap().to_owned();
 
-    // One thread-name metadata event per stage thread (stages + source +
-    // sink), each with a distinct tid.
-    let mut tids = Vec::new();
-    for e in events {
-        let ph = e.get("ph").and_then(Json::as_str).unwrap();
-        match ph {
-            "M" => {
-                assert_eq!(e.get("name").and_then(Json::as_str), Some("thread_name"));
-                tids.push(e.get("tid").and_then(Json::as_u64).unwrap());
-            }
-            "X" => {
-                let name = e.get("name").and_then(Json::as_str).unwrap();
-                assert!(
-                    matches!(name, "busy" | "starved" | "backpressured" | "untraced"),
-                    "unexpected slice {name:?}"
-                );
-                assert!(e.get("ts").and_then(Json::as_f64).is_some());
-                assert!(e.get("dur").and_then(Json::as_f64).unwrap() >= 0.0);
-                assert!(e.get("tid").and_then(Json::as_u64).is_some());
-            }
-            other => panic!("unexpected event phase {other:?}"),
-        }
-    }
-    assert_eq!(tids.len(), report.stages.len());
-    let mut sorted = tids.clone();
-    sorted.sort_unstable();
-    sorted.dedup();
-    assert_eq!(sorted.len(), tids.len(), "tids must be distinct");
+    // One thread-name metadata event per thread (stages + source + sink),
+    // in the report's order, each with a tid of its own.
+    let tracks: Vec<&Json> = events.iter().filter(|e| phase(e) == "M").collect();
+    let names: Vec<&str> = tracks
+        .iter()
+        .map(|e| {
+            e.get("args")
+                .unwrap()
+                .get("name")
+                .unwrap()
+                .as_str()
+                .unwrap()
+        })
+        .collect();
+    assert_eq!(
+        names,
+        ["obs/fill", "obs/check", "obs/p/source", "obs/p/sink"]
+    );
+    let tid = |e: &Json| e.get("tid").and_then(Json::as_u64).unwrap();
+    let tids: std::collections::BTreeSet<u64> = tracks.iter().map(|e| tid(e)).collect();
+    assert_eq!(tids.len(), tracks.len(), "tids must be distinct");
 
-    // Per tid, slices tile the timeline without overlapping.
-    for tid in tids {
-        let mut slices: Vec<(f64, f64)> = events
-            .iter()
-            .filter(|e| {
-                e.get("ph").and_then(Json::as_str) == Some("X")
-                    && e.get("tid").and_then(Json::as_u64) == Some(tid)
-            })
-            .map(|e| {
-                (
-                    e.get("ts").and_then(Json::as_f64).unwrap(),
-                    e.get("dur").and_then(Json::as_f64).unwrap(),
-                )
-            })
-            .collect();
-        slices.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        for w in slices.windows(2) {
-            let (ts0, dur0) = w[0];
-            let (ts1, _) = w[1];
-            assert!(
-                ts0 + dur0 <= ts1 + 1e-9,
-                "overlapping slices on tid {tid}: {w:?}"
-            );
-        }
+    // One slice per span, on a known track.
+    let slices: Vec<&Json> = events.iter().filter(|e| phase(e) == "X").collect();
+    let spans: usize = report.trace.iter().map(|l| l.spans.len()).sum();
+    assert_eq!(slices.len(), spans);
+    for e in &slices {
+        assert!(tids.contains(&tid(e)));
+        assert!(e.get("dur").and_then(Json::as_f64).unwrap() > 0.0);
     }
+    // Each round's journey is stitched by one flow.
+    let flow_starts = events.iter().filter(|e| phase(e) == "s").count() as u64;
+    assert_eq!(flow_starts, ROUNDS);
+    // The sink's own export is the same document when it holds one program.
+    let sink = TraceSink::new();
+    let mut prog = two_stage_program();
+    prog.set_trace_sink(Arc::clone(&sink));
+    prog.enable_tracing();
+    let report = prog.run().unwrap();
+    assert_eq!(report.to_chrome_trace(), sink.to_chrome_trace());
 }
 
 #[test]
-fn observer_survives_stage_errors() {
-    let obs = Arc::new(CountingObserver::new());
+fn a_stage_error_leaves_a_consistent_log() {
+    let sink = TraceSink::new();
     let mut prog = Program::new("err");
     let boom = prog.add_stage(
         "boom",
@@ -197,38 +210,31 @@ fn observer_survives_stage_errors() {
     );
     let cfg = PipelineCfg::new("p", 2, 8).rounds(Rounds::Count(100));
     prog.add_pipeline(cfg, &[boom]).unwrap();
-    prog.set_observer(Arc::clone(&obs) as Arc<dyn fg_core::Observer>);
+    prog.set_trace_sink(Arc::clone(&sink));
     assert!(prog.run().is_err());
-    // Even on the error path every started stage reports an exit.
-    assert_eq!(obs.stage_starts(), obs.stage_exits());
-    assert_eq!(obs.stage_starts(), 1);
-}
 
-#[test]
-fn accept_wait_histogram_records_plausible_latencies() {
-    let registry = Arc::new(MetricsRegistry::new());
-    let mut prog = Program::new("lat");
-    let slow = prog.add_stage(
-        "slow",
-        map_stage(|_buf, _ctx| {
-            std::thread::sleep(Duration::from_millis(1));
-            Ok(())
-        }),
-    );
-    let fast = prog.add_stage("fast", map_stage(|_buf, _ctx| Ok(())));
-    let cfg = PipelineCfg::new("p", 2, 8).rounds(Rounds::Count(10));
-    prog.add_pipeline(cfg, &[slow, fast]).unwrap();
-    prog.set_metrics(Arc::clone(&registry));
-    prog.set_observer(Arc::new(MetricsObserver::new(&registry)));
-    prog.run().unwrap();
-
-    // `fast` starves behind `slow`, so some accept waits near 1ms must be
-    // visible in the histogram's upper range.
-    let h = registry.histogram("core/accept_wait_ns").snapshot();
-    assert_eq!(h.count, 20);
-    assert!(
-        h.max >= 100_000,
-        "expected some waits >= 0.1ms, max was {}ns",
-        h.max
-    );
+    // No report on the error path, but the shared sink kept every thread's
+    // log, and the failing stage's is exact up to the buffer it died on.
+    let logs = sink.collect();
+    let threads: Vec<&str> = logs.iter().map(|l| l.thread.as_str()).collect();
+    assert_eq!(threads, ["err/boom", "err/p/source", "err/p/sink"]);
+    let count = |kind| {
+        logs[0]
+            .spans
+            .iter()
+            .filter(|s| s.kind == kind && s.trace_id != 0)
+            .count()
+    };
+    assert_eq!(count(TraceKind::Accept), 4, "rounds 0..=3 arrived");
+    assert_eq!(count(TraceKind::Convey), 3, "round 3 never left");
+    for log in &logs {
+        for pair in log.spans.windows(2) {
+            assert!(pair[0].start_ns <= pair[0].end_ns);
+            assert!(
+                pair[0].end_ns <= pair[1].end_ns,
+                "{}: records out of order: {pair:?}",
+                log.thread
+            );
+        }
+    }
 }

@@ -58,3 +58,66 @@ fn profiler_sees_stage_threads_during_a_run() {
     // The ledger saw the pool's buffers.
     assert!(resources.ledger.expect("ledger rows").total_buffers > 0);
 }
+
+/// Pool buffers cannot outlive their program, so once `run` returns the
+/// ledger's totals and every per-stage row are back at zero — while the
+/// high-water marks still say what the run held.
+fn assert_ledger_settled(ledger: &fg_core::MemoryLedger, buffers: u64, buffer_bytes: u64) {
+    assert_eq!(ledger.outstanding(), (0, 0));
+    let snap = ledger.snapshot();
+    assert_eq!(snap.total_bytes, 0);
+    assert!(
+        snap.stages.iter().all(|s| (s.buffers, s.bytes) == (0, 0)),
+        "a stage row kept residency: {:?}",
+        snap.stages
+    );
+    assert_eq!(snap.total_buffers, buffers);
+    assert_eq!(snap.peak_bytes, buffers * buffer_bytes);
+}
+
+#[test]
+fn ledger_reconciles_to_zero_after_a_clean_run() {
+    let ledger = Arc::new(fg_core::MemoryLedger::new());
+    for _ in 0..2 {
+        let mut prog = Program::new("ledger-clean");
+        prog.set_memory_ledger(Arc::clone(&ledger));
+        let a = prog.add_stage("a", map_stage(|_buf, _ctx| Ok(())));
+        let b = prog.workers("b", 2, |_| map_stage(|_buf, _ctx| Ok(())));
+        prog.add_pipeline(
+            PipelineCfg::new("p", 3, 1024).rounds(Rounds::Count(50)),
+            &[a, b],
+        )
+        .unwrap();
+        prog.run().unwrap();
+        // The second program through the same ledger does not stack on a
+        // phantom residue of the first.
+        assert_ledger_settled(&ledger, 3, 1024);
+    }
+}
+
+#[test]
+fn ledger_reconciles_to_zero_after_a_stage_fails_holding_a_buffer() {
+    let ledger = Arc::new(fg_core::MemoryLedger::new());
+    let mut prog = Program::new("ledger-err");
+    prog.set_memory_ledger(Arc::clone(&ledger));
+    let pass = prog.add_stage("pass", map_stage(|_buf, _ctx| Ok(())));
+    let boom = prog.add_stage(
+        "boom",
+        map_stage(|buf, _ctx| {
+            if buf.round() == 3 {
+                return Err(fg_core::FgError::Stage {
+                    stage: "boom".into(),
+                    message: "synthetic".into(),
+                });
+            }
+            Ok(())
+        }),
+    );
+    prog.add_pipeline(
+        PipelineCfg::new("p", 4, 512).rounds(Rounds::Count(100)),
+        &[pass, boom],
+    )
+    .unwrap();
+    assert!(prog.run().is_err());
+    assert_ledger_settled(&ledger, 4, 512);
+}

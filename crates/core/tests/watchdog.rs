@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use fg_core::{
     critical_path, map_stage, Buffer, FgError, Json, PipelineCfg, Program, Result, Rounds, Stage,
-    StageCtx, TraceKind, TraceSink, WatchdogCfg,
+    StageCtx, ThreadState, TraceKind, TraceSink, WatchdogCfg,
 };
 
 /// Accepts buffers and never lets go — wedges any bounded-pool pipeline.
@@ -220,4 +220,23 @@ proptest! {
             prop_assert_eq!(rec.end_ns, i * 10 + 5);
         }
     }
+}
+
+#[test]
+fn a_caboose_record_is_not_an_intake() {
+    let sink = TraceSink::with_ring_capacity(4);
+    let ring = sink.register_thread("p/s");
+    ring.record(TraceKind::Accept, 0, 0, 0, 10, 20);
+    assert_eq!((ring.intakes(), ring.emits(), ring.recorded()), (0, 0, 1));
+}
+
+#[test]
+fn set_state_keeps_the_callers_timestamp() {
+    let sink = TraceSink::with_ring_capacity(4);
+    let ring = sink.register_thread("p/s");
+    std::thread::sleep(Duration::from_millis(5));
+    ring.set_state(ThreadState::BlockedAccept, 0);
+    let (state, for_) = ring.state();
+    assert_eq!(state, ThreadState::BlockedAccept);
+    assert!(for_ >= Duration::from_millis(5), "in state for {for_:?}");
 }

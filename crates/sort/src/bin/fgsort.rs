@@ -308,7 +308,6 @@ fn build_config(opts: &Options) -> Result<SortConfig, String> {
         (None, true) => Some(fg_core::PinMode::RoundRobin),
         (None, false) => None,
     };
-    cfg.trace = opts.trace.is_some();
     if opts.trace.is_some() {
         cfg.trace_sink = Some(fg_core::TraceSink::new());
     }
@@ -652,7 +651,6 @@ mod tests {
     fn trace_and_watchdog_flags_build_instrumentation() {
         let o = parse_args(&args("--free --trace t.json --watchdog-secs 30")).unwrap();
         let cfg = build_config(&o).unwrap();
-        assert!(cfg.trace, "Gantt span recording rides along with --trace");
         assert!(cfg.trace_sink.is_some());
         assert_eq!(cfg.watchdog, Some(Duration::from_secs(30)));
         // Neither flag: no sink allocated, no watchdog armed.

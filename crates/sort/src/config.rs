@@ -63,10 +63,6 @@ pub struct SortConfig {
     /// Oversampling factor for splitter selection: each node contributes
     /// `oversample` sample keys per partition.
     pub oversample: usize,
-    /// Record per-stage blocked intervals so reports can render Gantt
-    /// charts (`fgsort --trace`).  Currently honored by dsort's two passes
-    /// (which return their FG reports); the other programs ignore it.
-    pub trace: bool,
     /// Worker replicas for the CPU-bound sort stages (`fgsort --workers`).
     /// 1 keeps every stage singular; above 1, csort and csort4 farm their
     /// in-core sort stages with `Program::workers`, whose ordered emission
@@ -84,6 +80,9 @@ pub struct SortConfig {
     /// runs flight-records per-buffer spans into this sink, and every
     /// scheduled disk logs its prefetch hits/misses (export with
     /// [`TraceSink::to_chrome_trace`](fg_core::TraceSink::to_chrome_trace)).
+    /// Each program's own share of the log also lands in its
+    /// [`Report`](fg_core::Report), so the reports dsort returns render
+    /// Gantt charts.
     pub trace_sink: Option<Arc<fg_core::TraceSink>>,
     /// Stall-watchdog timeout (`fgsort --watchdog-secs N`): armed on every
     /// FG program the sort runs; a program making no progress for this
@@ -138,7 +137,6 @@ impl SortConfig {
             vertical_buffers: 2,
             pipeline_buffers: 3,
             oversample: 8,
-            trace: false,
             workers: 1,
             backend: DiskBackend::Sim,
             io_depth: 0,
@@ -173,16 +171,15 @@ impl SortConfig {
         }
     }
 
-    /// Apply this config's observability settings to an FG program: span
-    /// recording for Gantt charts (`trace`), the causal-trace sink
-    /// (`trace_sink`), and the stall watchdog (`watchdog`).  Every sort
-    /// program calls this right after `Program::new`.
+    /// Apply this config's observability settings to an FG program: the
+    /// causal-trace sink (`trace_sink`, whose spans each program's report
+    /// then carries for its Gantt chart), and the stall watchdog
+    /// (`watchdog`).  Every sort program calls this right after
+    /// `Program::new`.
     pub fn instrument(&self, prog: &mut fg_core::Program) {
-        if self.trace {
-            prog.enable_tracing();
-        }
         if let Some(sink) = &self.trace_sink {
             prog.set_trace_sink(Arc::clone(sink));
+            prog.enable_tracing();
         }
         if let Some(timeout) = self.watchdog {
             prog.with_watchdog(timeout);

@@ -11,9 +11,9 @@
 //!   aggregation).
 //!
 //! The observability layer's entry points are re-exported at the top
-//! level: install an [`Observer`] (or the bundled [`MetricsObserver`])
-//! and a [`MetricsRegistry`] on a program, then export its
-//! [`Report`](core::Report) as JSON, a terminal dashboard, or a Chrome
+//! level: attach a [`MetricsRegistry`] to a program and call
+//! [`Program::enable_tracing`](core::Program::enable_tracing), then export
+//! its [`Report`](core::Report) as JSON, a terminal dashboard, or a Chrome
 //! trace.
 
 pub use fg_apps as apps;
@@ -22,6 +22,4 @@ pub use fg_core as core;
 pub use fg_pdm as pdm;
 pub use fg_sort as sort;
 
-pub use fg_core::{
-    CountingObserver, Json, MetricsObserver, MetricsRegistry, MetricsSnapshot, Observer,
-};
+pub use fg_core::{Json, MetricsRegistry, MetricsSnapshot};
