@@ -40,7 +40,9 @@ fn bench_virtual_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("a2_virtual");
     group.sample_size(10);
     let mut cfg = cfg_small(KeyDist::Uniform);
-    cfg.run_bytes = cfg.block_bytes; // many small runs -> many verticals
+    // Little merge memory -> runs at the floor of one block -> many verticals.
+    cfg.run_bytes = cfg.block_bytes;
+    cfg.vertical_buf_bytes = 1 << 10;
     for (name, virtual_reads) in [("virtual", true), ("plain", false)] {
         group.bench_function(name, |b| {
             b.iter(|| {

@@ -95,13 +95,13 @@ fn bench_loser_tree(c: &mut Criterion) {
         group.bench_function(format!("loser_tree_k{k}_pop100k"), |b| {
             b.iter(|| {
                 let mut lanes: Vec<u64> = (0..k as u64).collect();
-                let mut tree = LoserTree::new(lanes.iter().map(|&v| Some((v, 0))).collect());
+                let mut tree = LoserTree::new(lanes.iter().map(|&v| Some(v)));
                 let mut out = 0u64;
                 for _ in 0..100_000 {
-                    let (lane, (key, _)) = tree.winner().expect("non-empty");
+                    let (lane, key) = tree.winner().expect("non-empty");
                     out = out.wrapping_add(key);
                     lanes[lane] += k as u64;
-                    tree.replace(lane, Some((lanes[lane], 0)));
+                    tree.replace(lane, Some(lanes[lane]));
                 }
                 out
             })

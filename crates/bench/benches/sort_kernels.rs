@@ -8,8 +8,9 @@
 //! full local grid.  Numbers are recorded in EXPERIMENTS.md.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use fg_bench::kernel_bench::{presorted_lanes, scalar_merge};
 use fg_sort::kernels::{sort_records_using, Kernel, SortScratch};
-use fg_sort::merge::{merge_runs, LoserTree};
+use fg_sort::merge::merge_runs;
 use fg_sort::record::RecordFormat;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -115,55 +116,13 @@ fn bench_sort_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Presorted-run lanes: lane `i` holds the contiguous key range
-/// `[i·m, (i+1)·m)`, the batched merge's best case (and the shape dsort's
-/// splitter-partitioned runs approach).
-fn make_lanes(fmt: RecordFormat, k: usize, per_lane: usize) -> Vec<Vec<u8>> {
-    (0..k)
-        .map(|i| {
-            let keys: Vec<u64> = (0..per_lane as u64)
-                .map(|j| (i * per_lane) as u64 + j)
-                .collect();
-            let rb = fmt.record_bytes;
-            let mut bytes = vec![0u8; keys.len() * rb];
-            for (j, &key) in keys.iter().enumerate() {
-                fmt.set_key(&mut bytes[j * rb..(j + 1) * rb], key);
-            }
-            bytes
-        })
-        .collect()
-}
-
-/// The pre-kernel scalar merge: one winner/replace per record.
-fn scalar_merge(fmt: RecordFormat, runs: &[&[u8]]) -> Vec<u8> {
-    let rb = fmt.record_bytes;
-    let mut offsets = vec![0usize; runs.len()];
-    let head = |run: &[u8], off: usize| -> Option<(u64, u64)> {
-        (off < run.len()).then(|| (fmt.key(&run[off..off + rb]), 0))
-    };
-    let mut tree = LoserTree::new(
-        runs.iter()
-            .zip(&offsets)
-            .map(|(r, &o)| head(r, o))
-            .collect(),
-    );
-    let mut out = Vec::with_capacity(runs.iter().map(|r| r.len()).sum());
-    while let Some((lane, _)) = tree.winner() {
-        let off = offsets[lane];
-        out.extend_from_slice(&runs[lane][off..off + rb]);
-        offsets[lane] += rb;
-        tree.replace(lane, head(runs[lane], offsets[lane]));
-    }
-    out
-}
-
 fn bench_merge(c: &mut Criterion) {
     let fmt = RecordFormat::REC16;
     let mut group = c.benchmark_group("merge_kernels");
     group.sample_size(10);
     const TOTAL: usize = 256 << 10; // records across all lanes
     for k in [4usize, 64, 256] {
-        let lanes = make_lanes(fmt, k, TOTAL / k);
+        let lanes = presorted_lanes(fmt, k, TOTAL / k);
         let refs: Vec<&[u8]> = lanes.iter().map(|l| l.as_slice()).collect();
         group.bench_function(format!("presorted/k{k}/batched"), |b| {
             b.iter(|| black_box(merge_runs(fmt, &refs)).len())

@@ -614,12 +614,13 @@ fn main() {
     }
     if run_all || cmd == "ablation-virtual" {
         println!("\n=== A2: virtual stages keep thread counts flat ===");
-        let run_kib = if quick {
-            vec![64, 16]
+        // Vertical buffer bytes: the merge memory that buys run length.
+        let vertical = if quick {
+            vec![8 << 10, 1 << 10]
         } else {
-            vec![256, 64, 16]
+            vec![16 << 10, 4 << 10, 1 << 10]
         };
-        let rows = run_virtual_ablation(scale, &run_kib).expect("ablation-virtual");
+        let rows = run_virtual_ablation(scale, &vertical).expect("ablation-virtual");
         println!(
             "{:>12} {:>14} {:>12} {:>11} {:>10}",
             "runs/node", "thr(virtual)", "thr(plain)", "t(virt) s", "t(plain) s"
@@ -907,16 +908,39 @@ fn main() {
             res.comparison.as_secs_f64(),
             res.sort_speedup(),
         );
-        for cell in &res.merge {
-            println!(
-                "merge k={:3} x {:6} records/lane: scalar {:.3}s   batched {:.3}s   speedup {:.2}x",
-                cell.k,
-                cell.per_lane,
-                cell.scalar.as_secs_f64(),
-                cell.batched.as_secs_f64(),
-                cell.speedup(),
-            );
+        let shapes = [
+            ("presorted", &res.merge),
+            ("interleaved", &res.merge_interleaved),
+        ];
+        for (shape, cells) in shapes {
+            for cell in cells {
+                println!(
+                    "merge {shape:<11} k={:3} x {:6} records/lane: scalar {:.3}s   batched {:.3}s   speedup {:.2}x",
+                    cell.k,
+                    cell.per_lane,
+                    cell.scalar.as_secs_f64(),
+                    cell.batched.as_secs_f64(),
+                    cell.speedup(),
+                );
+            }
         }
+        let cells_json = |cells: &[fg_bench::kernel_bench::MergeCell]| {
+            Json::Arr(
+                cells
+                    .iter()
+                    .map(|cell| {
+                        jobj(vec![
+                            ("k", Json::from(cell.k)),
+                            ("per_lane", Json::from(cell.per_lane)),
+                            ("scalar_s", jsecs(cell.scalar)),
+                            ("batched_s", jsecs(cell.batched)),
+                            ("speedup", Json::Num(cell.speedup())),
+                            ("identical", Json::Bool(cell.identical)),
+                        ])
+                    })
+                    .collect(),
+            )
+        };
         sink.write(
             "kernel-bench",
             jobj(vec![
@@ -924,23 +948,8 @@ fn main() {
                 ("radix_s", jsecs(res.radix)),
                 ("comparison_s", jsecs(res.comparison)),
                 ("sort_speedup", Json::Num(res.sort_speedup())),
-                (
-                    "merge",
-                    Json::Arr(
-                        res.merge
-                            .iter()
-                            .map(|cell| {
-                                jobj(vec![
-                                    ("k", Json::from(cell.k)),
-                                    ("per_lane", Json::from(cell.per_lane)),
-                                    ("scalar_s", jsecs(cell.scalar)),
-                                    ("batched_s", jsecs(cell.batched)),
-                                    ("speedup", Json::Num(cell.speedup())),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
+                ("merge", cells_json(&res.merge)),
+                ("merge_interleaved", cells_json(&res.merge_interleaved)),
             ]),
         );
     }

@@ -1,5 +1,7 @@
 //! Kernel smoke benchmark: the radix sort kernel vs the comparison
-//! baseline, and the batched merge vs the scalar loser tree.
+//! baseline, and the batched merge vs the scalar loser tree — on presorted
+//! lanes, where batching wins outright, and on interleaved ones, where it
+//! cannot and must cost nothing.
 //!
 //! The criterion bench (`benches/sort_kernels.rs`) is the full local grid;
 //! this module is the CI-sized cut — one best-of-N timing per cell — whose
@@ -16,7 +18,7 @@ use fg_sort::record::RecordFormat;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One merge cell: `k` presorted lanes merged both ways.
+/// One merge cell: `k` sorted lanes merged both ways.
 #[derive(Debug)]
 pub struct MergeCell {
     /// Number of input lanes.
@@ -27,6 +29,8 @@ pub struct MergeCell {
     pub scalar: Duration,
     /// Batched `MergeRun` merge (best-of-N).
     pub batched: Duration,
+    /// Whether the two merges produced the same bytes.
+    pub identical: bool,
 }
 
 impl MergeCell {
@@ -45,8 +49,14 @@ pub struct KernelBenchResult {
     pub radix: Duration,
     /// Comparison kernel wall time (best-of-N).
     pub comparison: Duration,
-    /// Merge cells at increasing fan-in.
+    /// Merge cells at increasing fan-in over presorted lanes: the batch
+    /// path's best case.
     pub merge: Vec<MergeCell>,
+    /// Merge cells over interleaved lanes (every lane uniform over the whole
+    /// key range, the shape `dsort` merges on uniform input): every batch is
+    /// one record, so these time the tree's per-record cost and whatever
+    /// the `BatchPolicy` gate adds to it.
+    pub merge_interleaved: Vec<MergeCell>,
 }
 
 impl KernelBenchResult {
@@ -81,7 +91,7 @@ fn uniform_records(fmt: RecordFormat, n: usize, seed: u64) -> Vec<u8> {
 /// Presorted lanes: lane `i` holds the contiguous key range
 /// `[i·m, (i+1)·m)` — the batched merge's best case and the shape dsort's
 /// splitter-partitioned runs approach.
-fn presorted_lanes(fmt: RecordFormat, k: usize, per_lane: usize) -> Vec<Vec<u8>> {
+pub fn presorted_lanes(fmt: RecordFormat, k: usize, per_lane: usize) -> Vec<Vec<u8>> {
     let rb = fmt.record_bytes;
     (0..k)
         .map(|i| {
@@ -94,19 +104,25 @@ fn presorted_lanes(fmt: RecordFormat, k: usize, per_lane: usize) -> Vec<Vec<u8>>
         .collect()
 }
 
+/// Interleaved lanes: each lane is a sorted sample of uniform random keys,
+/// so consecutive records of the merged output almost never share a lane.
+fn interleaved_lanes(fmt: RecordFormat, k: usize, per_lane: usize) -> Vec<Vec<u8>> {
+    let mut scratch = SortScratch::new();
+    (0..k)
+        .map(|i| {
+            let mut bytes = uniform_records(fmt, per_lane, 0xBEEF + i as u64);
+            sort_records_using(fmt, &mut bytes, &mut scratch, Kernel::Auto);
+            bytes
+        })
+        .collect()
+}
+
 /// The pre-kernel scalar merge: one winner/replace per record.
-fn scalar_merge(fmt: RecordFormat, runs: &[&[u8]]) -> Vec<u8> {
+pub fn scalar_merge(fmt: RecordFormat, runs: &[&[u8]]) -> Vec<u8> {
     let rb = fmt.record_bytes;
     let mut offsets = vec![0usize; runs.len()];
-    let head = |run: &[u8], off: usize| -> Option<(u64, u64)> {
-        (off < run.len()).then(|| (fmt.key(&run[off..off + rb]), 0))
-    };
-    let mut tree = LoserTree::new(
-        runs.iter()
-            .zip(&offsets)
-            .map(|(r, &o)| head(r, o))
-            .collect(),
-    );
+    let head = |run: &[u8], off: usize| (off < run.len()).then(|| fmt.key(&run[off..off + rb]));
+    let mut tree = LoserTree::new(runs.iter().map(|r| head(r, 0)));
     let mut out = Vec::with_capacity(runs.iter().map(|r| r.len()).sum());
     while let Some((lane, _)) = tree.winner() {
         let off = offsets[lane];
@@ -145,21 +161,23 @@ pub fn run_kernel_bench(quick: bool) -> KernelBenchResult {
     let radix = timed_sort(Kernel::Radix);
     let comparison = timed_sort(Kernel::Comparison);
 
+    let merge_cell = |lanes: Vec<Vec<u8>>| {
+        let refs: Vec<&[u8]> = lanes.iter().map(|l| l.as_slice()).collect();
+        MergeCell {
+            k: lanes.len(),
+            per_lane: fmt.count(&lanes[0]),
+            batched: best_of(reps, || merge_runs(fmt, &refs).len()),
+            scalar: best_of(reps, || scalar_merge(fmt, &refs).len()),
+            identical: merge_runs(fmt, &refs) == scalar_merge(fmt, &refs),
+        }
+    };
     let merge = [4usize, 64, 256]
         .into_iter()
-        .map(|k| {
-            let per_lane = merge_total / k;
-            let lanes = presorted_lanes(fmt, k, per_lane);
-            let refs: Vec<&[u8]> = lanes.iter().map(|l| l.as_slice()).collect();
-            let batched = best_of(reps, || merge_runs(fmt, &refs).len());
-            let scalar = best_of(reps, || scalar_merge(fmt, &refs).len());
-            MergeCell {
-                k,
-                per_lane,
-                scalar,
-                batched,
-            }
-        })
+        .map(|k| merge_cell(presorted_lanes(fmt, k, merge_total / k)))
+        .collect();
+    let merge_interleaved = [16usize, 256]
+        .into_iter()
+        .map(|k| merge_cell(interleaved_lanes(fmt, k, merge_total / k)))
         .collect();
 
     KernelBenchResult {
@@ -167,6 +185,7 @@ pub fn run_kernel_bench(quick: bool) -> KernelBenchResult {
         radix,
         comparison,
         merge,
+        merge_interleaved,
     }
 }
 
@@ -178,11 +197,12 @@ mod tests {
     fn quick_run_produces_sane_cells() {
         // Tiny shapes: correctness of the harness, not performance.
         let fmt = RecordFormat::REC16;
-        let lanes = presorted_lanes(fmt, 4, 8);
-        let refs: Vec<&[u8]> = lanes.iter().map(|l| l.as_slice()).collect();
-        let a = scalar_merge(fmt, &refs);
-        let b = merge_runs(fmt, &refs);
-        assert_eq!(a, b, "scalar and batched merges must agree");
-        assert!(fmt.is_sorted(&a));
+        for lanes in [presorted_lanes(fmt, 4, 8), interleaved_lanes(fmt, 4, 8)] {
+            let refs: Vec<&[u8]> = lanes.iter().map(|l| l.as_slice()).collect();
+            let a = scalar_merge(fmt, &refs);
+            let b = merge_runs(fmt, &refs);
+            assert_eq!(a, b, "scalar and batched merges must agree");
+            assert!(fmt.is_sorted(&a));
+        }
     }
 }

@@ -397,16 +397,18 @@ pub struct VirtualAblationRow {
     pub time_plain: Duration,
 }
 
-/// Run the virtual-stage ablation: shrink the run size so the number of
-/// vertical pipelines grows.
+/// Run the virtual-stage ablation: shrink the vertical buffers so the number
+/// of vertical pipelines grows — less merge memory buys shorter runs
+/// ([`fg_sort::dsort::plan`]), down to the floor of one block a run.
 pub fn run_virtual_ablation(
     scale: Scale,
-    run_kib: &[usize],
+    vertical_buf_bytes: &[usize],
 ) -> Result<Vec<VirtualAblationRow>, SortError> {
     let mut rows = Vec::new();
-    for &kib in run_kib {
+    for &bytes in vertical_buf_bytes {
         let mut cfg = scale.config(RecordFormat::REC16, KeyDist::Uniform);
-        cfg.run_bytes = (kib << 10).max(cfg.block_bytes);
+        cfg.run_bytes = cfg.block_bytes;
+        cfg.vertical_buf_bytes = bytes;
         let (t_virtual, th_virtual, runs) = {
             let disks = provision(&cfg);
             let r = run_dsort_with(

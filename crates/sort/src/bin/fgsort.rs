@@ -15,7 +15,9 @@
 //!                              | shifted:K | hotkey:P | zipf:N  (default uniform)
 //!   --seed N                   input RNG seed            (default 51966)
 //!   --block-kib N              block/stripe size         (default 16)
-//!   --run-kib N                dsort run size            (default 64)
+//!   --run-kib N                floor on dsort's run size; the runs are as
+//!                              long as the node's pool budget allows
+//!                                                        (default 64)
 //!   --workers N                replicas for the CPU-bound sort stages
 //!                              (csort/csort4)             (default 1)
 //!   --pin                      pin every pipeline thread to a core,
@@ -73,7 +75,7 @@ use fg_core::{diagnose, MetricsRegistry, Sampler, TelemetryServer};
 use fg_sort::config::{DiskBackend, SortConfig};
 use fg_sort::csort::run_csort;
 use fg_sort::csort4::run_csort4;
-use fg_sort::dsort::{run_dsort_with, DsortOptions};
+use fg_sort::dsort::{plan, run_dsort_with, DsortOptions};
 use fg_sort::dsort_linear::run_dsort_linear;
 use fg_sort::input::{try_provision, try_provision_with_metrics};
 use fg_sort::keygen::KeyDist;
@@ -460,6 +462,15 @@ fn main() -> ExitCode {
         }
     };
     let mut diagnosable: Option<fg_core::Report> = None;
+    if opts.program == "dsort" {
+        let run_len = plan::run_len(&cfg);
+        println!(
+            "plan: {} KiB runs, ~{} a node, pool budget {:.1} MiB a node",
+            run_len >> 10,
+            cfg.bytes_per_node().div_ceil(run_len as u64),
+            plan::pool_budget(&cfg) as f64 / (1 << 20) as f64,
+        );
+    }
     let outcome: Result<(), String> = match opts.program.as_str() {
         "dsort" => run_dsort_with(
             &cfg,
@@ -476,6 +487,7 @@ fn main() -> ExitCode {
             print_phase("pass 2", r.pass2);
             print_phase("total", r.total());
             println!("  partitions: {:?}", r.partition_records);
+            println!("  runs merged: {:?}", r.runs_per_node);
             if let Some((p1, p2)) = &r.node0_reports {
                 if opts.trace.is_some() {
                     println!("\nnode 0, pass 1:\n{}", p1.render_gantt(64));

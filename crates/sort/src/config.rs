@@ -50,10 +50,15 @@ pub struct SortConfig {
     /// batches, and output striping.  Must be a multiple of the record
     /// size.
     pub block_bytes: usize,
-    /// dsort pass-1 run size in bytes (one sorted run per receive-pipeline
-    /// buffer).  Must be a multiple of the record size.
+    /// Floor on dsort's pass-1 run size in bytes.  Pass 1 writes one sorted
+    /// run per receive-pipeline buffer and sizes those buffers from the
+    /// node's pool budget ([`dsort::plan`](crate::dsort::plan)): longer than
+    /// this when the budget allows, never shorter.  Must be a multiple of
+    /// the record size.
     pub run_bytes: usize,
-    /// dsort pass-2 vertical-pipeline buffer size in bytes.
+    /// dsort pass-2 vertical-pipeline buffer size in bytes.  With
+    /// `vertical_buffers` this is the merge memory a run costs, so it also
+    /// decides how long pass 1 makes the runs.
     pub vertical_buf_bytes: usize,
     /// dsort pass-2 buffers per vertical pipeline (the read-ahead depth on
     /// each sorted run).

@@ -6,12 +6,14 @@
 //! 1. **Sampling** (preprocessing): select `P−1` splitters by oversampling
 //!    with extended keys ([`sampling`]).
 //! 2. **Pass 1**: partition and distribute — disjoint send/receive FG
-//!    pipelines ([`pass1`]); each node ends with sorted runs on disk.
+//!    pipelines ([`pass1`]); each node ends with sorted runs on disk, as
+//!    long as its pool budget allows ([`plan`]).
 //! 3. **Pass 2**: merge runs (intersecting pipelines, virtual read stages),
 //!    load-balance, and stripe the output ([`pass2`]).
 
 pub mod pass1;
 pub mod pass2;
+pub mod plan;
 pub mod sampling;
 
 use std::sync::Arc;
@@ -38,6 +40,9 @@ pub struct DsortReport {
     pub partition_records: Vec<u64>,
     /// Sorted runs each node merged in pass 2.
     pub runs_per_node: Vec<u64>,
+    /// Bytes in each of those runs but a node's last
+    /// ([`plan::run_len`]).
+    pub run_len: usize,
     /// OS threads each node's pass-2 FG program spawned (A2's data).
     pub pass2_threads: Vec<u64>,
     /// Per-node disk stats accumulated over the whole run.
@@ -48,7 +53,7 @@ pub struct DsortReport {
     /// buffers each node owns and the most it ever had in flight.
     pub payloads: Vec<PayloadStats>,
     /// Node 0's FG reports for both passes (with spans when
-    /// `SortConfig::trace` was set) — render with
+    /// `SortConfig::trace_sink` was set) — render with
     /// [`fg_core::Report::render_gantt`].
     pub node0_reports: Option<(fg_core::Report, fg_core::Report)>,
     /// Snapshot of the metrics registry passed via
@@ -122,6 +127,7 @@ pub fn run_dsort_with(
         )));
     }
     let cfg = cfg.clone();
+    let run_len = plan::run_len(&cfg);
     let disks_arc: Vec<DiskRef> = disks.to_vec();
 
     #[derive(Debug)]
@@ -169,7 +175,8 @@ pub fn run_dsort_with(
         // Pass 1: partition and distribute.
         comm.barrier()?;
         let t1 = Instant::now();
-        let p1 = pass1::pass1(&cfg, rank, &comm, &disk, &splitters).map_err(ClusterError::from)?;
+        let p1 = pass1::pass1(&cfg, rank, &comm, &disk, &splitters, run_len)
+            .map_err(ClusterError::from)?;
         comm.barrier()?;
         let pass1_ns = comm.allreduce_max(t1.elapsed().as_nanos() as u64)?;
 
@@ -247,6 +254,7 @@ pub fn run_dsort_with(
         pass2: node0.times[2],
         partition_records: node0.partitions.clone(),
         runs_per_node: node0.runs.clone(),
+        run_len,
         pass2_threads: node0.threads.clone(),
         disk_stats: disks.iter().map(|d| d.stats()).collect(),
         bytes_sent: run.traffic.iter().map(|t| t.bytes_sent).collect(),

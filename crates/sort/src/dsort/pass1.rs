@@ -13,7 +13,8 @@
 //! * the **receive pipeline** `receive → sort → write` assembles incoming
 //!   records into run-sized buffers straight from the received payloads,
 //!   sorts each (by the original, non-extended keys), and appends it to the
-//!   node's run file — one sorted run per buffer.
+//!   node's run file — one sorted run per buffer, the buffers as long as
+//!   the node's pool budget allows ([`plan`](super::plan)).
 //!
 //! The pipelines progress at independent rates; only messages connect them.
 //! The receive pipeline's length is data-dependent, so it runs
@@ -57,13 +58,15 @@ pub struct Pass1Out {
     pub report: fg_core::Report,
 }
 
-/// Run pass 1 on node `rank`.
+/// Run pass 1 on node `rank`, writing sorted runs of `run_len` bytes (the
+/// node's last one may be shorter).
 pub fn pass1(
     cfg: &SortConfig,
     rank: usize,
     comm: &Communicator,
     disk: &DiskRef,
     splitters: &[ExtKey],
+    run_len: usize,
 ) -> Result<Pass1Out, SortError> {
     let nodes = cfg.nodes;
     let rb = cfg.record.record_bytes;
@@ -121,7 +124,7 @@ pub fn pass1(
         &[read, permute, send],
     )?;
     prog.add_pipeline(
-        PipelineCfg::new("recv", cfg.pipeline_buffers, cfg.run_bytes).rounds(Rounds::UntilStopped),
+        PipelineCfg::new("recv", cfg.pipeline_buffers, run_len).rounds(Rounds::UntilStopped),
         &[receive, sort, write],
     )?;
     let report = prog.run()?;

@@ -52,7 +52,7 @@ pub struct Pass2Out {
 
 /// Run pass 2 on node `rank`.  `run_lens` are this node's sorted run
 /// lengths from pass 1; `rank_offset` is the global rank of this node's
-/// first merged record; `total_records` the cluster-wide record count.
+/// first merged record.
 pub fn pass2(
     cfg: &SortConfig,
     rank: usize,
@@ -148,16 +148,13 @@ pub fn pass2(
                 let h = next_head(ctx, v)?;
                 heads.push(h);
             }
-            let mut tree = if k > 0 {
-                Some(LoserTree::new(
+            let mut tree = (k > 0).then(|| {
+                LoserTree::new(
                     heads
                         .iter()
-                        .map(|h| h.as_ref().map(|(b, off)| (fmt.key(&b.filled()[*off..]), 0)))
-                        .collect(),
-                ))
-            } else {
-                None
-            };
+                        .map(|h| h.as_ref().map(|(b, off)| fmt.key(&b.filled()[*off..]))),
+                )
+            });
 
             let mut out = ctx
                 .accept_from(horizontal)?
@@ -192,7 +189,7 @@ pub fn pass2(
                 }
                 let next_key = heads[lane]
                     .as_ref()
-                    .map(|(b, o)| (fmt.key(&b.filled()[*o..]), 0));
+                    .map(|(b, o)| fmt.key(&b.filled()[*o..]));
                 tree.as_mut().expect("tree exists").replace(lane, next_key);
 
                 if out.remaining() == 0 {

@@ -296,7 +296,7 @@ fn pass2_linear(
             if tree.is_none() && k > 0 {
                 let mut heads = Vec::with_capacity(k);
                 for j in 0..k {
-                    heads.push(refill(j, &mut caches, &mut cache_pos)?.map(|key| (key, 0)));
+                    heads.push(refill(j, &mut caches, &mut cache_pos)?);
                 }
                 tree = Some(LoserTree::new(heads));
             }
@@ -320,7 +320,7 @@ fn pass2_linear(
                 buf.append(&avail[..n * rb]);
                 cache_pos[lane] += n * rb;
                 produced += n as u64;
-                let next = refill(lane, &mut caches, &mut cache_pos)?.map(|key| (key, 0));
+                let next = refill(lane, &mut caches, &mut cache_pos)?;
                 tree.as_mut().expect("tree").replace(lane, next);
             }
             let _ = offsets.len();

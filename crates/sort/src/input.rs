@@ -19,7 +19,7 @@ use fg_pdm::{DiskRef, IoScheduler, OsDisk, SimDisk};
 
 use crate::config::{DiskBackend, SortConfig};
 use crate::keygen::KeyGen;
-use crate::record::RecordFormat;
+use crate::record::{RecordFormat, KEY_BYTES};
 use crate::SortError;
 
 /// Name of the per-node input file.
@@ -30,15 +30,16 @@ pub fn generate_node_input(cfg: &SortConfig, rank: usize) -> Vec<u8> {
     let rb = cfg.record.record_bytes;
     let mut gen = KeyGen::new(cfg.dist, cfg.seed, rank, cfg.nodes);
     let mut out = vec![0u8; cfg.records_per_node * rb];
-    for i in 0..cfg.records_per_node {
-        let rec = &mut out[i * rb..(i + 1) * rb];
-        cfg.record.set_key(rec, gen.next_key());
-        // Origin identity in the payload (fits: record_bytes >= 16 for all
-        // experiment formats; smaller formats get a truncated identity).
-        let ident = ((rank as u64) << 48) | i as u64;
-        let id_bytes = ident.to_le_bytes();
-        let n = (rb - 8).min(8);
-        rec[8..8 + n].copy_from_slice(&id_bytes[..n]);
+    for (i, rec) in out.chunks_exact_mut(rb).enumerate() {
+        let (key, payload) = rec.split_at_mut(KEY_BYTES);
+        key.copy_from_slice(&gen.next_key().to_le_bytes());
+        // Origin identity in the payload: whole, as one fixed-size store, in
+        // every experiment format (record_bytes >= 16); truncated below that.
+        let ident = (((rank as u64) << 48) | i as u64).to_le_bytes();
+        match payload.first_chunk_mut() {
+            Some(whole) => *whole = ident,
+            None => payload.copy_from_slice(&ident[..payload.len()]),
+        }
     }
     out
 }

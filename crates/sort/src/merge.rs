@@ -1,16 +1,61 @@
 //! K-way merging: the loser tree driving dsort's merge stage.
 //!
-//! Pass 2 of dsort merges up to hundreds of sorted runs (§V).  The merge
-//! stage "repeatedly chooses the smallest value not yet chosen from any of
-//! the buffers" — a tournament among the run heads.  A *loser tree* does
-//! each choose-and-refill in `O(log k)` comparisons.
+//! Pass 2 of dsort merges a node's sorted runs (§V).  The merge stage
+//! "repeatedly chooses the smallest value not yet chosen from any of the
+//! buffers" — a tournament among the run heads.  A *loser tree* does each
+//! choose-and-refill in `O(log k)` comparisons.
 //!
-//! The tree operates on `(key, tiebreak)` pairs; lanes with equal pairs win
-//! in lane order, so a merge is fully deterministic.  Lane exhaustion is
-//! `None`, which loses against everything.
+//! Every lane's head is one packed, totally ordered entry `(exhausted, key,
+//! lane)`: smaller keys win, equal keys win in lane order — so a merge is
+//! fully deterministic — and an exhausted lane loses to every live one,
+//! whatever its key.  A tournament is then a compare-and-select on two
+//! integers, with no branch for the outcome to mispredict.
 
-/// A merge key: the record's sort key plus a caller-chosen tiebreak.
-pub type MergeKey = (u64, u64);
+use std::hint::select_unpredictable;
+
+use crate::record::RecordFormat;
+
+/// One lane's head as the tournament sees it: `exhausted` in bit 96, the key
+/// in bits 32..96, the lane in bits 0..32.  Lanes differ, so no two entries
+/// of a tree are equal.
+type Entry = u128;
+
+const LANE_BITS: u32 = 32;
+const EXHAUSTED: Entry = 1 << (LANE_BITS + 64);
+
+fn entry(head: Option<u64>, lane: usize) -> Entry {
+    let lane = lane as Entry;
+    match head {
+        Some(key) => (key as Entry) << LANE_BITS | lane,
+        None => EXHAUSTED | lane,
+    }
+}
+
+fn lane_of(e: Entry) -> usize {
+    (e & ((1 << LANE_BITS) - 1)) as usize
+}
+
+/// `(min, max)` of two entries, by compare-and-select: each 64-bit word is a
+/// select the compiler is told not to predict, which it emits as a
+/// conditional move.  Left to itself it compiles `Ord::min`/`max` on a
+/// `u128` — and a mask built from `a < b`, and a `u128`-wide select — into a
+/// jump on the comparison: the branch the packing is there to avoid, and
+/// half of what a merge step costs on interleaved runs (EXPERIMENTS D3).
+#[inline(always)]
+fn ordered(a: Entry, b: Entry) -> (Entry, Entry) {
+    let (a_hi, a_lo, b_hi, b_lo) = ((a >> 64) as u64, a as u64, (b >> 64) as u64, b as u64);
+    let a_wins = (a_hi < b_hi) | ((a_hi == b_hi) & (a_lo < b_lo));
+    let pick = |yes: u64, no: u64| select_unpredictable(a_wins, yes, no) as Entry;
+    (
+        pick(a_hi, b_hi) << 64 | pick(a_lo, b_lo),
+        pick(b_hi, a_hi) << 64 | pick(b_lo, a_lo),
+    )
+}
+
+/// The lane and key of a live entry, `None` for an exhausted one.
+fn live(e: Entry) -> Option<(usize, u64)> {
+    (e < EXHAUSTED).then(|| (lane_of(e), (e >> LANE_BITS) as u64))
+}
 
 /// A loser tree over `k` lanes.
 ///
@@ -21,85 +66,83 @@ pub type MergeKey = (u64, u64);
 #[derive(Debug)]
 pub struct LoserTree {
     k: usize,
-    /// `losers[0]` is the overall winner; `losers[1..k]` hold the loser of
-    /// each internal tournament node.
-    losers: Vec<usize>,
-    keys: Vec<Option<MergeKey>>,
+    /// `nodes[0]` is the overall winner's entry; `nodes[1..k]` hold the
+    /// entry that lost each internal tournament.  Lane `l`'s leaf is the
+    /// implicit position `k + l`, whose parent is `(k + l) / 2`.
+    nodes: Vec<Entry>,
 }
 
 impl LoserTree {
+    /// The most lanes a tree can hold: what an entry's lane field can
+    /// number.
+    pub const MAX_LANES: usize = 1 << LANE_BITS;
+
     /// Build a tree over the given initial lane heads.
-    pub fn new(heads: Vec<Option<MergeKey>>) -> Self {
+    ///
+    /// # Panics
+    /// If there is no lane, or more than [`LoserTree::MAX_LANES`].
+    pub fn new<I>(heads: I) -> Self
+    where
+        I: IntoIterator<Item = Option<u64>>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let heads = heads.into_iter();
         let k = heads.len();
         assert!(k > 0, "loser tree needs at least one lane");
+        assert!(
+            k <= Self::MAX_LANES,
+            "loser tree holds at most {} lanes, got {k}",
+            Self::MAX_LANES
+        );
+        let leaves: Vec<Entry> = heads
+            .enumerate()
+            .map(|(lane, head)| entry(head, lane))
+            .collect();
         let mut tree = LoserTree {
             k,
-            losers: vec![usize::MAX; k],
-            keys: heads,
+            nodes: vec![0; k],
         };
-        let winner = tree.build(1);
-        tree.losers[0] = winner;
+        tree.nodes[0] = tree.build(1, &leaves);
         tree
     }
 
     /// Recursively play the tournament below `node`, recording losers;
-    /// returns the winning lane.
-    fn build(&mut self, node: usize) -> usize {
+    /// returns the winning entry.
+    fn build(&mut self, node: usize, leaves: &[Entry]) -> Entry {
         if node >= self.k {
-            return node - self.k;
+            return leaves[node - self.k];
         }
-        let left = self.build(2 * node);
-        let right = self.build(2 * node + 1);
-        let (winner, loser) = if self.beats(left, right) {
-            (left, right)
-        } else {
-            (right, left)
-        };
-        self.losers[node] = loser;
+        let left = self.build(2 * node, leaves);
+        let right = self.build(2 * node + 1, leaves);
+        let (winner, loser) = ordered(left, right);
+        self.nodes[node] = loser;
         winner
-    }
-
-    /// Whether lane `a`'s head beats lane `b`'s (smaller key wins; `None`
-    /// loses to everything; lane index breaks full ties).
-    fn beats(&self, a: usize, b: usize) -> bool {
-        match (self.keys[a], self.keys[b]) {
-            (Some(ka), Some(kb)) => (ka, a) < (kb, b),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => a < b,
-        }
     }
 
     /// The lane holding the smallest head and that head's key, or `None`
     /// once every lane is exhausted.
-    pub fn winner(&self) -> Option<(usize, MergeKey)> {
-        let lane = self.losers[0];
-        self.keys[lane].map(|k| (lane, k))
+    #[inline]
+    pub fn winner(&self) -> Option<(usize, u64)> {
+        live(self.nodes[0])
     }
 
     /// Replace the current winner's head (the caller consumed it) with the
     /// lane's next key — `None` when the lane is exhausted — and replay the
     /// tournament path from that leaf.
-    pub fn replace(&mut self, lane: usize, next: Option<MergeKey>) {
+    #[inline]
+    pub fn replace(&mut self, lane: usize, next: Option<u64>) {
         debug_assert_eq!(
-            lane, self.losers[0],
+            lane,
+            lane_of(self.nodes[0]),
             "replace must be called on the current winner"
         );
-        self.keys[lane] = next;
-        if self.k == 1 {
-            return;
-        }
-        let mut winner = lane;
+        let mut winner = entry(next, lane);
         let mut node = (self.k + lane) / 2;
         while node >= 1 {
-            let contender = self.losers[node];
-            if self.beats(contender, winner) {
-                self.losers[node] = winner;
-                winner = contender;
-            }
+            (winner, self.nodes[node]) = ordered(winner, self.nodes[node]);
             node /= 2;
         }
-        self.losers[0] = winner;
+        self.nodes[0] = winner;
     }
 
     /// Number of lanes.
@@ -110,47 +153,38 @@ impl LoserTree {
     /// The lane that would win if the current winner's lane were exhausted
     /// — the best live contender along the winner's tournament path — and
     /// its key.  `None` when every other lane is exhausted.  `O(log k)`.
-    pub fn runner_up(&self) -> Option<(usize, MergeKey)> {
-        if self.k == 1 {
-            return None;
-        }
-        let winner = self.losers[0];
-        let mut best: Option<usize> = None;
-        let mut node = (self.k + winner) / 2;
+    pub fn runner_up(&self) -> Option<(usize, u64)> {
+        let mut best = EXHAUSTED;
+        let mut node = (self.k + lane_of(self.nodes[0])) / 2;
         while node >= 1 {
-            let contender = self.losers[node];
-            if self.keys[contender].is_some() && best.is_none_or(|b| self.beats(contender, b)) {
-                best = Some(contender);
-            }
+            best = best.min(self.nodes[node]);
             node /= 2;
         }
-        best.map(|b| (b, self.keys[b].expect("live contender has a key")))
+        live(best)
     }
 
     /// The `MergeRun` fast path: how many leading records of `lane_data` —
-    /// the current winner's buffered, sorted records, merged with tiebreak
-    /// 0 — can be emitted in one batch before the tree must be consulted
-    /// again, i.e. every record that still beats the runner-up.  At least 1
-    /// (the head itself is the winner), at most the records in `lane_data`.
-    /// The caller copies the whole range with one `copy_from_slice`, then
-    /// calls [`LoserTree::replace`] once.
-    pub fn merge_run(&self, fmt: crate::record::RecordFormat, lane_data: &[u8]) -> usize {
-        let lane = self.losers[0];
+    /// the current winner's buffered, sorted records — can be emitted in
+    /// one batch before the tree must be consulted again, i.e. every record
+    /// that still beats the runner-up.  At least 1 (the head itself is the
+    /// winner), at most the records in `lane_data`.  The caller copies the
+    /// whole range with one `copy_from_slice`, then calls
+    /// [`LoserTree::replace`] once.
+    pub fn merge_run(&self, fmt: RecordFormat, lane_data: &[u8]) -> usize {
         let n = lane_data.len() / fmt.record_bytes;
         debug_assert!(n >= 1, "winner lane must have buffered records");
         debug_assert_eq!(
-            self.keys[lane],
-            Some((fmt.key(lane_data), 0)),
-            "lane_data must start at the winner's head (tiebreak 0)"
+            self.winner().map(|(_, key)| key),
+            Some(fmt.key(lane_data)),
+            "lane_data must start at the winner's head"
         );
-        let Some((r_lane, (r_key, r_tie))) = self.runner_up() else {
+        let Some((r_lane, r_key)) = self.runner_up() else {
             return n; // every other lane exhausted: drain this one
         };
-        // A record with key `k` (tiebreak 0) beats the runner-up when
-        // (k, 0, lane) < (r_key, r_tie, r_lane); with `k` non-decreasing
-        // along the run this reduces to a single key bound, strict or not
-        // depending on how the (tiebreak, lane) comparison falls.
-        let len = if (0u64, lane) < (r_tie, r_lane) {
+        // A record with key `k` beats the runner-up when (k, lane) <
+        // (r_key, r_lane); with `k` non-decreasing along the run this is a
+        // single key bound, strict or not by how the lanes compare.
+        let len = if lane_of(self.nodes[0]) < r_lane {
             crate::kernels::run_len(fmt, lane_data, |k| k <= r_key)
         } else {
             crate::kernels::run_len(fmt, lane_data, |k| k < r_key)
@@ -204,12 +238,7 @@ impl BatchPolicy {
 
     /// [`LoserTree::merge_run`] behind the backoff gate: the batch length
     /// (in records) to emit from the current winner's `lane_data`.
-    pub fn merge_run(
-        &mut self,
-        tree: &LoserTree,
-        fmt: crate::record::RecordFormat,
-        lane_data: &[u8],
-    ) -> usize {
+    pub fn merge_run(&mut self, tree: &LoserTree, fmt: RecordFormat, lane_data: &[u8]) -> usize {
         if self.skip > 0 {
             self.skip -= 1;
             return 1;
@@ -227,25 +256,14 @@ impl BatchPolicy {
 
 /// Merge fully-materialized sorted runs of records (test and ablation
 /// helper; the FG merge stage streams through buffers instead).
-pub fn merge_runs(format: crate::record::RecordFormat, runs: &[&[u8]]) -> Vec<u8> {
+pub fn merge_runs(format: RecordFormat, runs: &[&[u8]]) -> Vec<u8> {
     if runs.is_empty() {
         return Vec::new();
     }
     let rb = format.record_bytes;
     let mut offsets = vec![0usize; runs.len()];
-    let head = |run: &[u8], off: usize| -> Option<MergeKey> {
-        if off < run.len() {
-            Some((format.key(&run[off..off + rb]), 0))
-        } else {
-            None
-        }
-    };
-    let mut tree = LoserTree::new(
-        runs.iter()
-            .zip(&offsets)
-            .map(|(run, &off)| head(run, off))
-            .collect(),
-    );
+    let head = |run: &[u8], off: usize| (off < run.len()).then(|| format.key(&run[off..off + rb]));
+    let mut tree = LoserTree::new(runs.iter().map(|run| head(run, 0)));
     let total: usize = runs.iter().map(|r| r.len()).sum();
     let mut out = Vec::with_capacity(total);
     let mut policy = BatchPolicy::new();
@@ -264,20 +282,13 @@ pub fn merge_runs(format: crate::record::RecordFormat, runs: &[&[u8]]) -> Vec<u8
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::RecordFormat;
 
     fn drain(lanes: Vec<Vec<u64>>) -> Vec<u64> {
         let mut cursors = vec![0usize; lanes.len()];
-        let head = |lane: &Vec<u64>, c: usize| lane.get(c).map(|&k| (k, 0));
-        let mut tree = LoserTree::new(
-            lanes
-                .iter()
-                .zip(&cursors)
-                .map(|(l, &c)| head(l, c))
-                .collect(),
-        );
+        let head = |lane: &Vec<u64>, c: usize| lane.get(c).copied();
+        let mut tree = LoserTree::new(lanes.iter().map(|l| head(l, 0)));
         let mut out = Vec::new();
-        while let Some((lane, (key, _))) = tree.winner() {
+        while let Some((lane, key)) = tree.winner() {
             out.push(key);
             cursors[lane] += 1;
             tree.replace(lane, head(&lanes[lane], cursors[lane]));
@@ -349,17 +360,17 @@ mod tests {
 
     #[test]
     fn runner_up_tracks_second_best() {
-        let mut tree = LoserTree::new(vec![Some((3, 0)), Some((1, 0)), Some((2, 0))]);
-        assert_eq!(tree.winner(), Some((1, (1, 0))));
-        assert_eq!(tree.runner_up(), Some((2, (2, 0))));
-        tree.replace(1, Some((9, 0)));
-        assert_eq!(tree.winner(), Some((2, (2, 0))));
-        assert_eq!(tree.runner_up(), Some((0, (3, 0))));
+        let mut tree = LoserTree::new([Some(3), Some(1), Some(2)]);
+        assert_eq!(tree.winner(), Some((1, 1)));
+        assert_eq!(tree.runner_up(), Some((2, 2)));
+        tree.replace(1, Some(9));
+        assert_eq!(tree.winner(), Some((2, 2)));
+        assert_eq!(tree.runner_up(), Some((0, 3)));
         tree.replace(2, None);
         tree.replace(0, None);
-        assert_eq!(tree.winner(), Some((1, (9, 0))));
+        assert_eq!(tree.winner(), Some((1, 9)));
         assert_eq!(tree.runner_up(), None);
-        assert_eq!(LoserTree::new(vec![Some((5, 0))]).runner_up(), None);
+        assert_eq!(LoserTree::new([Some(5)]).runner_up(), None);
     }
 
     #[test]
@@ -375,16 +386,16 @@ mod tests {
         // Lane 0 holds 1,2,3,7; lane 1 holds 4: the batch is the 3 records
         // strictly below the runner-up's key.
         let lane0 = mk(&[1, 2, 3, 7]);
-        let tree = LoserTree::new(vec![Some((1, 0)), Some((4, 0))]);
+        let tree = LoserTree::new([Some(1), Some(4)]);
         assert_eq!(tree.merge_run(f, &lane0), 3);
         // Equal keys: the lower lane index wins ties, so lane 0 may emit
         // through the tie; a higher-lane winner must stop before it.
         let lane = mk(&[4, 4, 5]);
-        let tree = LoserTree::new(vec![Some((4, 0)), Some((4, 0))]);
-        assert_eq!(tree.winner(), Some((0, (4, 0))));
+        let tree = LoserTree::new([Some(4), Some(4)]);
+        assert_eq!(tree.winner(), Some((0, 4)));
         assert_eq!(tree.merge_run(f, &lane), 2);
-        let tree = LoserTree::new(vec![None, Some((4, 0))]);
-        assert_eq!(tree.winner(), Some((1, (4, 0))));
+        let tree = LoserTree::new([None, Some(4)]);
+        assert_eq!(tree.winner(), Some((1, 4)));
         assert_eq!(tree.merge_run(f, &lane), 3); // lane 0 exhausted: drain
     }
 
@@ -401,9 +412,9 @@ mod tests {
         // Fully interleaved: the winner's next key loses to the
         // runner-up, so every probe yields a batch of 1.
         let lane = mk(&[4, 10, 10]);
-        let tree = LoserTree::new(vec![Some((5, 0)), Some((4, 0))]);
+        let tree = LoserTree::new([Some(5), Some(4)]);
         let mut policy = BatchPolicy::new();
-        assert_eq!(tree.winner(), Some((1, (4, 0))));
+        assert_eq!(tree.winner(), Some((1, 4)));
         // First call probes (batch 1), then serves MIN_BACKOFF scalar
         // steps, probes again, serves 2x, and so on.
         let mut probes = 0;
@@ -423,7 +434,7 @@ mod tests {
         );
         // A successful batch resets the backoff.
         let runny = mk(&[1, 2, 3]);
-        let tree = LoserTree::new(vec![Some((1, 0)), Some((9, 0))]);
+        let tree = LoserTree::new([Some(1), Some(9)]);
         let mut policy = BatchPolicy::new();
         assert_eq!(policy.merge_run(&tree, f, &runny), 3);
         assert_eq!(policy.backoff, BatchPolicy::MIN_BACKOFF);

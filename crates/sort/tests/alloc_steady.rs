@@ -76,15 +76,21 @@ fn tag_bytes(name: &str) -> u64 {
     fg_core::alloc::counts(fg_core::register_tag(name)).bytes
 }
 
+/// The four-node dsort the allocation rows are read from.
+fn dsort_cfg(records_per_node: usize) -> fg_sort::config::SortConfig {
+    let mut cfg = fg_sort::config::SortConfig::test_default(4, records_per_node);
+    cfg.block_bytes = 4 << 10;
+    cfg.run_bytes = 16 << 10;
+    cfg.vertical_buf_bytes = 2 << 10;
+    cfg
+}
+
 /// One verified dsort of `records_per_node` records on four nodes; returns
 /// what the `permute`, `send` and `receive` stages of both passes allocated.
 fn dsort_stage_allocations(records_per_node: usize) -> [u64; 3] {
     use fg_sort::verify::{verify_output, Strictness};
     const TAGS: [&str; 3] = ["permute", "send", "receive"];
-    let mut cfg = fg_sort::config::SortConfig::test_default(4, records_per_node);
-    cfg.block_bytes = 4 << 10;
-    cfg.run_bytes = 16 << 10;
-    cfg.vertical_buf_bytes = 2 << 10;
+    let cfg = dsort_cfg(records_per_node);
     let disks = fg_sort::input::provision(&cfg);
     let before = TAGS.map(tag_bytes);
     fg_sort::dsort::run_dsort(&cfg, &disks).expect("dsort run");
@@ -96,12 +102,17 @@ fn dsort_stage_allocations(records_per_node: usize) -> [u64; 3] {
 /// dsort's data path circulates a fixed set of buffers: what its permute,
 /// send and receive stages allocate is set-up (auxiliary buffer, scatter
 /// scratch, the payload population, mailbox slots), so it stays under 1 MiB
-/// and does not follow the input when the input grows eightfold.
+/// and does not follow the input when the input grows eightfold — nor the
+/// run length, which the plan grows eightfold with it: the receive stage
+/// fills whatever buffers its pipeline's source made.
 #[test]
 fn dsort_data_path_allocations_do_not_grow_with_the_input() {
+    use fg_sort::dsort::plan::run_len;
     let _turn = TAG_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let _ = vec![0u8; 16];
     assert!(fg_core::alloc::installed());
+    assert_eq!(run_len(&dsort_cfg(16 << 10)), 16 << 10);
+    assert_eq!(run_len(&dsort_cfg(128 << 10)), 128 << 10);
     let small = dsort_stage_allocations(16 << 10); // 256 KiB a node
     let large = dsort_stage_allocations(128 << 10); // 2 MiB a node
     for (tag, (small, large)) in ["permute", "send", "receive"]

@@ -118,6 +118,80 @@ fn dsort_without_virtual_reads_matches() {
     assert!(threads > runs, "expected per-run threads, got {report:?}");
 }
 
+/// The geometry `benchmark/` and `fgsort` run by default, on an eighth of
+/// the benchmark's 48 MiB.
+fn benchmark_geometry_scaled(record: fg_sort::record::RecordFormat, dist: KeyDist) -> SortConfig {
+    let mut cfg = SortConfig::test_default(4, (6 << 20) / 4 / record.record_bytes);
+    cfg.record = record;
+    cfg.dist = dist;
+    cfg.block_bytes = 16 << 10;
+    cfg.run_bytes = 64 << 10;
+    cfg.vertical_buf_bytes = 8 << 10;
+    cfg
+}
+
+/// What the pools of a dsort whose pass 1 writes `run_len`-byte runs hold at
+/// the larger pass, summed over the nodes as a shared ledger sees them.
+fn pool_bytes(cfg: &SortConfig, run_len: usize, partition_records: &[u64]) -> u64 {
+    use fg_sort::chunks::CHUNK_HEADER_BYTES;
+    let buffers = cfg.pipeline_buffers as u64;
+    let send_buf = (cfg.block_bytes + cfg.nodes * CHUNK_HEADER_BYTES + 64) as u64;
+    let recv_buf = (2 * cfg.block_bytes + 2 * CHUNK_HEADER_BYTES + 64) as u64;
+    let pass1 = cfg.nodes as u64 * buffers * (send_buf + run_len as u64);
+    let pass2: u64 = partition_records
+        .iter()
+        .map(|records| {
+            let runs = (records * cfg.record.record_bytes as u64).div_ceil(run_len as u64);
+            runs * (cfg.vertical_buffers * cfg.vertical_buf_bytes) as u64
+                + buffers * (cfg.block_bytes as u64 + recv_buf)
+        })
+        .sum();
+    pass1.max(pass2)
+}
+
+/// Planning spends the merge's memory on the runs, it does not add to it:
+/// with a ledger attached, a planned dsort's pools peak no higher than the
+/// same config's would with `run_bytes` runs, on both backends; and at the
+/// benchmark's geometry no node merges more than 24 runs.
+#[test]
+fn planned_dsort_holds_no_more_pool_than_run_bytes_runs_would() {
+    use fg_sort::dsort::plan;
+    use fg_sort::record::RecordFormat;
+    let scratch = fg_pdm::ScratchDir::new("planned-pools").expect("scratch directory");
+    let shapes = [
+        (RecordFormat::REC16, KeyDist::Uniform, false),
+        (RecordFormat::REC64, KeyDist::Poisson, true),
+    ];
+    for (record, dist, os) in shapes {
+        let mut cfg = benchmark_geometry_scaled(record, dist);
+        if os {
+            cfg.backend = fg_sort::config::DiskBackend::Os {
+                dir: scratch.path().join("disks"),
+            };
+            cfg.io_depth = 4;
+        }
+        let ledger = Arc::new(fg_core::MemoryLedger::new());
+        cfg.ledger = Some(Arc::clone(&ledger));
+        let disks = fg_sort::input::try_provision(&cfg).expect("provision");
+        let report = run_dsort(&cfg, &disks).expect("dsort run");
+        verify_output(&cfg, &disks, Strictness::Fingerprint).expect("dsort output");
+
+        assert_eq!(report.run_len, plan::run_len(&cfg));
+        assert!(report.run_len > cfg.run_bytes, "{report:?}");
+        assert!(report.runs_per_node.iter().all(|&k| k <= 24), "{report:?}");
+
+        let peak = ledger.snapshot().peak_bytes;
+        let planned = pool_bytes(&cfg, report.run_len, &report.partition_records);
+        let unplanned = pool_bytes(&cfg, cfg.run_bytes, &report.partition_records);
+        assert!(peak <= planned, "ledger peak {peak} B, pools {planned} B");
+        assert!(
+            planned <= unplanned,
+            "{planned} B planned, {unplanned} B not"
+        );
+        assert_eq!(ledger.outstanding(), (0, 0));
+    }
+}
+
 #[test]
 fn dsort_with_metrics_collects_comm_and_disk_metrics() {
     let cfg = SortConfig::test_default(3, 1536);

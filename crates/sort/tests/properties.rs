@@ -89,12 +89,10 @@ proptest! {
         expect.sort_unstable();
 
         let mut cursors = vec![0usize; lanes.len()];
-        let head = |lane: &Vec<u64>, c: usize| lane.get(c).map(|&k| (k, 0));
-        let mut tree = LoserTree::new(
-            lanes.iter().zip(&cursors).map(|(l, &c)| head(l, c)).collect(),
-        );
+        let head = |lane: &Vec<u64>, c: usize| lane.get(c).copied();
+        let mut tree = LoserTree::new(lanes.iter().map(|l| head(l, 0)));
         let mut got = Vec::new();
-        while let Some((lane, (key, _))) = tree.winner() {
+        while let Some((lane, key)) = tree.winner() {
             got.push(key);
             cursors[lane] += 1;
             tree.replace(lane, head(&lanes[lane], cursors[lane]));
@@ -310,48 +308,86 @@ proptest! {
         }
     }
 
-    /// Batched (galloping) merge output equals a scalar one-record-at-a-
-    /// time LoserTree oracle under random lane contents and exhaustion
-    /// patterns — byte-identical, so equal keys resolve to the same lane.
+    /// The tree against a reference that concatenates the lanes and sorts by
+    /// `(key, lane, position)`: the batched `merge_runs` and a scalar
+    /// one-record-a-step loop both reproduce it byte for byte; at every step
+    /// the winner and the runner-up are the two smallest live heads, and
+    /// `merge_run` offers no record that loses to the runner-up.  Lane
+    /// counts cover one lane, odd shapes and more lanes than records; keys
+    /// cover heavy duplication, 0 and `u64::MAX` — a live `u64::MAX` head
+    /// must still beat the lanes exhausted around it.
     #[test]
-    fn batched_merge_matches_scalar_oracle(lanes in vec(vec(0u64..40, 0..50), 1..8)) {
-        let f = RecordFormat::REC16;
-        let rb = f.record_bytes;
-        let runs: Vec<Vec<u8>> = lanes
-            .iter()
-            .enumerate()
-            .map(|(lane, keys)| {
-                let mut keys = keys.clone();
-                keys.sort_unstable();
-                let mut bytes = records_with_payloads(f, &keys);
-                // Stamp the lane so cross-lane ties are distinguishable.
-                for rec in bytes.chunks_exact_mut(rb) {
-                    rec[10] = lane as u8;
+    fn tree_matches_stable_sort_reference(
+        k_pick in 0usize..6,
+        lanes in vec(
+            vec(prop_oneof![Just(0u64), Just(u64::MAX), 0u64..4, any::<u64>()], 0..6),
+            193,
+        ),
+        all_equal in 0u8..4,
+    ) {
+        let k = [1usize, 2, 3, 7, 64, 193][k_pick];
+        for f in [RecordFormat::REC16, RecordFormat::REC64] {
+            let rb = f.record_bytes;
+            let runs: Vec<Vec<u8>> = lanes[..k]
+                .iter()
+                .enumerate()
+                .map(|(lane, keys)| {
+                    let mut keys = keys.clone();
+                    if all_equal == 0 {
+                        keys.fill(7);
+                    }
+                    keys.sort_unstable();
+                    let mut bytes = records_with_payloads(f, &keys);
+                    // Stamp the lane so cross-lane ties are distinguishable.
+                    for rec in bytes.chunks_exact_mut(rb) {
+                        rec[10] = lane as u8;
+                    }
+                    bytes
+                })
+                .collect();
+            let run_refs: Vec<&[u8]> = runs.iter().map(|r| r.as_slice()).collect();
+
+            let mut tagged: Vec<(u64, usize, usize)> = Vec::new();
+            for (lane, run) in runs.iter().enumerate() {
+                tagged.extend(f.records(run).enumerate().map(|(pos, r)| (f.key(r), lane, pos)));
+            }
+            tagged.sort_unstable();
+            let reference: Vec<u8> = tagged
+                .iter()
+                .flat_map(|&(_, lane, pos)| f.record(&runs[lane], pos).iter().copied())
+                .collect();
+
+            prop_assert_eq!(&merge_runs(f, &run_refs), &reference);
+
+            let mut offsets = vec![0usize; k];
+            let head = |run: &[u8], off: usize| (off < run.len()).then(|| f.key(&run[off..]));
+            let mut tree = LoserTree::new(runs.iter().map(|r| head(r, 0)));
+            let mut scalar = Vec::new();
+            loop {
+                let mut live: Vec<(u64, usize)> = (0..k)
+                    .filter_map(|lane| head(&runs[lane], offsets[lane]).map(|key| (key, lane)))
+                    .collect();
+                live.sort_unstable();
+                let by_lane = |&(key, lane): &(u64, usize)| (lane, key);
+                prop_assert_eq!(tree.winner(), live.first().map(by_lane));
+                let Some((lane, _)) = tree.winner() else { break };
+                prop_assert_eq!(tree.runner_up(), live.get(1).map(by_lane));
+
+                let rest = &runs[lane][offsets[lane]..];
+                let batch = tree.merge_run(f, rest);
+                prop_assert!((1..=rest.len() / rb).contains(&batch));
+                if let Some(&runner_up) = live.get(1) {
+                    for rec in f.records(&rest[..batch * rb]) {
+                        prop_assert!((f.key(rec), lane) < runner_up);
+                    }
                 }
-                bytes
-            })
-            .collect();
-        let run_refs: Vec<&[u8]> = runs.iter().map(|r| r.as_slice()).collect();
 
-        // Scalar oracle: one winner/replace per record.
-        let mut offsets = vec![0usize; runs.len()];
-        let head = |run: &[u8], off: usize| -> Option<(u64, u64)> {
-            (off < run.len()).then(|| (f.key(&run[off..off + rb]), 0))
-        };
-        let mut tree = LoserTree::new(
-            runs.iter().zip(&offsets).map(|(r, &o)| head(r, o)).collect(),
-        );
-        let mut oracle = Vec::new();
-        while let Some((lane, _)) = tree.winner() {
-            let off = offsets[lane];
-            oracle.extend_from_slice(&runs[lane][off..off + rb]);
-            offsets[lane] += rb;
-            tree.replace(lane, head(&runs[lane], offsets[lane]));
+                scalar.extend_from_slice(&rest[..rb]);
+                offsets[lane] += rb;
+                tree.replace(lane, head(&runs[lane], offsets[lane]));
+            }
+            prop_assert_eq!(&scalar, &reference);
         }
-
-        // merge_runs takes the batched MergeRun path.
-        let batched = merge_runs(f, &run_refs);
-        prop_assert_eq!(&batched, &oracle);
     }
 
     /// The scatter writes the chunk stream a loop of `push_chunk` over
@@ -482,4 +518,13 @@ proptest! {
             prop_assert!(chunks::relocate_chunks(&mut cut, |a| a).is_err());
         }
     }
+}
+
+/// An entry's lane field numbers `MAX_LANES` lanes; one more must be refused
+/// by name, not wrapped into lane 0.  (The heads are an iterator, so asking
+/// allocates nothing.)
+#[test]
+#[should_panic(expected = "at most")]
+fn loser_tree_rejects_more_lanes_than_an_entry_can_number() {
+    LoserTree::new((0..LoserTree::MAX_LANES + 1).map(|_| None));
 }
