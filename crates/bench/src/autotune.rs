@@ -5,8 +5,8 @@
 //! compute-heavy work stage (a fixed sleep per round, so farm width `w`
 //! caps throughput at `w / W`) behind a latency-bearing
 //! [`SimDisk`](fg_pdm::SimDisk) read through an
-//! [`IoScheduler`](fg_pdm::IoScheduler).  Two arms run the identical
-//! program:
+//! [`IoScheduler`](fg_pdm::IoScheduler).  [`run_convergence`] runs the
+//! identical program as two arms, one after the other:
 //!
 //! * **hand-tuned**: the farm fully active and the scheduler at a warm
 //!   read-ahead depth, open loop — the configuration an operator who
@@ -83,10 +83,51 @@ pub struct AutotuneResult {
     pub log: Option<ControllerLog>,
 }
 
+/// Both arms of one convergence run.
+#[derive(Debug, Clone)]
+pub struct Convergence {
+    /// The open-loop reference: every worker admitted, warm read-ahead.
+    pub hand_tuned: AutotuneResult,
+    /// Started at one worker and depth 1, with the controller attached.
+    pub autotuned: AutotuneResult,
+}
+
+/// Run the hand-tuned arm of `shape` and then the autotuned one.
+pub fn run_convergence(shape: AutotuneShape) -> Result<Convergence, SortError> {
+    Ok(Convergence {
+        hand_tuned: run_arm(shape, shape.width, shape.tuned_depth, false)?,
+        autotuned: run_arm(shape, 1, 1, true)?,
+    })
+}
+
+/// Sleep-paced stages jitter on shared hosts, hence the slack; a controller
+/// that stops one worker short lands at 1.33 or worse (measured: 1.00–1.02).
+const STEADY_STATE_SLACK: f64 = 1.6;
+/// What [`check`] holds CT1 to.
+pub const CLAIM: &str = "autotuned steady state <= 1.6 x hand-tuned, final workers == width";
+
+/// CT1's claim: where the closed loop lands matches where the hand-tuned
+/// arm starts.
+pub fn check(c: &Convergence, width: usize) -> Result<(), String> {
+    let auto = c.autotuned.steady_state.as_secs_f64();
+    let hand = c.hand_tuned.steady_state.as_secs_f64();
+    if auto > STEADY_STATE_SLACK * hand {
+        let ratio = auto / hand;
+        return Err(format!(
+            "steady state {auto:.3}s autotuned vs {hand:.3}s hand-tuned = {ratio:.2}x"
+        ));
+    }
+    let workers = c.autotuned.final_workers;
+    if workers != width as u64 {
+        return Err(format!("final workers {workers} of {width}"));
+    }
+    Ok(())
+}
+
 /// Run one arm.  `start_workers`/`start_depth` set the initial operating
 /// point; `autotune` attaches the controller (which then owns the farm
 /// width, pool size, and read-ahead depth for the rest of the run).
-pub fn run_arm(
+fn run_arm(
     shape: AutotuneShape,
     start_workers: usize,
     start_depth: usize,
@@ -223,5 +264,34 @@ mod tests {
         };
         let r = run_arm(shape, 1, 1, true).unwrap();
         assert!(r.log.is_some(), "closed loop must return its audit log");
+    }
+
+    #[test]
+    fn check_rejects_an_arm_that_did_not_converge() {
+        let arm = |steady_ms, final_workers| AutotuneResult {
+            total: Duration::from_millis(steady_ms),
+            steady_state: Duration::from_millis(steady_ms),
+            rounds: 300,
+            final_workers,
+            final_depth: 4,
+            log: None,
+        };
+        let run = |auto_ms, final_workers| Convergence {
+            hand_tuned: arm(340, 4),
+            autotuned: arm(auto_ms, final_workers),
+        };
+        assert_eq!(check(&run(350, 4), 4), Ok(()));
+        crate::tests::rejects(check(&run(680, 4), 4), &["0.680s autotuned", "2.00x"]);
+        crate::tests::rejects(check(&run(350, 3), 4), &["final workers 3 of 4"]);
+    }
+
+    #[test]
+    fn started_wrong_the_closed_loop_lands_where_the_hand_tuned_arm_starts() {
+        let shape = AutotuneShape::new(true);
+        crate::tests::best_of_three(|| {
+            let run = run_convergence(shape).unwrap();
+            assert!(run.hand_tuned.log.is_none() && run.autotuned.log.is_some());
+            check(&run, shape.width)
+        });
     }
 }

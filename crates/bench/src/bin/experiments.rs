@@ -1,361 +1,256 @@
-//! Regenerate every table and figure of the paper's evaluation.
+//! Regenerate every table and figure of the paper's evaluation, and check
+//! the shape of each.
 //!
 //! ```text
 //! cargo run -p fg-bench --release --bin experiments -- all
-//! cargo run -p fg-bench --release --bin experiments -- fig8a [--quick]
+//! cargo run -p fg-bench --release --bin experiments -- fig8a --quick
 //! cargo run -p fg-bench --release --bin experiments -- all --json-out out/
 //! ```
 //!
-//! Subcommands (see DESIGN.md's experiment index):
-//! `fig8a`, `fig8b`, `ratio-table` (T1), `splitter-balance` (T2),
-//! `io-volume` (T3), `unbalanced` (T4), `unbalanced-comm` (the observed
-//! skewed scatter of Figure 4: per-rank telemetry folded into a cluster
-//! report whose diagnosis must name rank 0 as the hot receiver),
-//! `ablation-linear` (A1),
-//! `ablation-virtual` (A2), `ablation-overlap` (A3), `buffer-sweep` (A4),
-//! `ablation-passes` (A5), `ablation-readahead` (A6), `workers-scaling`
-//! (csort's farmed sort stages across replica counts; `--workers N` runs a
-//! single count, e.g. for gating a farmed run against a serial baseline),
-//! `io-overlap` (the out-of-core acceptance run: the I/O scheduler vs
-//! synchronous `OsDisk` syscalls on real files), `autotune-convergence`
-//! (the closed-loop controller started mis-configured must converge to the
-//! hand-tuned operating point; `--hand-tuned` runs the open-loop reference
-//! arm instead, e.g. to record a gate baseline), `kernel-bench` (the sort
-//! and merge kernels: radix vs comparison, batched vs scalar merge —
-//! best-of-N timings sized for the CI smoke gate), `queue-bench` (the
-//! lock-free MPMC ring vs the mutex deque under the contended farm and
-//! recycle traffic shapes; CI gates lock-free ≥1.2× at 4×4 on runners
-//! with 4+ cores), `resource-profile` (R1: the resource profiler's own
-//! overhead — a base csort arm vs one carrying registry + ledger +
-//! profiler, best-of-N, with the profiled arm's full resource report in
-//! the artifact; CI gates overhead < 2%), `all`.
+//! One optional cell name ([`CELLS`]; default `all`; DESIGN.md's experiment
+//! index says what each regenerates) and three flags: `--quick` (4 nodes,
+//! smoke sizes), `--json-out DIR` (one JSON artifact per cell, overwriting
+//! what is there) and `--telemetry ADDR` (serve the fig8 runs' registry
+//! live).  Anything else is refused with exit code 2.  With `--json-out` or
+//! `--telemetry` the fig8 runs are observed: dsort runs with span tracing
+//! and a metrics registry attached, and each cell's artifact embeds node 0's
+//! full per-pass FG reports.
 //!
-//! `--bench-out <file>` additionally flattens every produced artifact's
-//! `_s` timing leaves into one normalized benchmark JSON (flat
-//! `<artifact>.<path>` keys, seconds as values) — the repo's committed
-//! `BENCH_fgsort.json` is generated this way.
-//!
-//! `--json-out <dir>` writes one machine-readable JSON artifact per
-//! experiment into `<dir>`.  Re-running into the same directory overwrites
-//! by default; `--json-out-suffix <tag>` names artifacts
-//! `<name>-<tag>.json` instead (pass `time` for a timestamp) so successive
-//! runs coexist.  The fig8 runs are then observed: dsort runs
-//! with span tracing and a metrics registry attached, and each cell's
-//! artifact embeds node 0's full per-pass FG reports (stage stats, queue
-//! depths, and the run's comm and disk metrics).
+//! **The one rule: no seconds are compared across invocations.**  A cell
+//! that makes a claim runs all of its arms in this process and a `check`
+//! function beside its runner in `fg_bench` tests a ratio or an ordering
+//! between them.  Each prints one `check: <cell>: <claim> ... ok` or
+//! `... FAILED (<observed>)` line, and any failure makes the exit code 1.
+//! Seconds, CPU and bytes commit over commit are `benchmark/`'s job.
 
-use std::cell::RefCell;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use fg_bench::gate::{compare, GateCfg, Regression};
+use fg_bench::{autotune, io_overlap, kernel_bench, overlap, resource_profile, unbalanced_comm};
 use fg_bench::{
-    run_buffer_sweep, run_fig8_panel, run_fig8_panel_observed_with, run_io_volume,
-    run_linear_ablation, run_splitter_balance, run_unbalanced, run_virtual_ablation, Fig8Cell,
-    Scale,
+    check_csort_flat, check_csort_passes, check_io_volume, check_linear_ablation, check_ratio_band,
+    check_unbalanced, check_virtual_ablation, Scale, CSORT_FLAT_CLAIM, IO_VOLUME_CLAIM,
+    LINEAR_CLAIM, PASSES_CLAIM, RATIO_BAND_CLAIM, UNBALANCED_CLAIM, VIRTUAL_CLAIM,
 };
 use fg_core::{Json, MetricsRegistry, Sampler, TelemetryServer};
 use fg_pdm::DiskCfg;
 use fg_sort::record::RecordFormat;
+use Val::{Count, Doc, Flag, KiB, MiB, Num, Ratio, Secs, Text};
 
-fn secs(d: Duration) -> String {
-    format!("{:7.3}", d.as_secs_f64())
+/// Every cell name the command line accepts.
+const CELLS: &str = "all fig8a fig8b ratio-table splitter-balance io-volume unbalanced \
+     unbalanced-comm ablation-linear ablation-virtual ablation-overlap ablation-passes \
+     ablation-readahead buffer-sweep workers-scaling io-overlap autotune-convergence \
+     kernel-bench resource-profile";
+
+#[derive(Default)]
+struct Args {
+    cell: Option<String>,
+    quick: bool,
+    json_out: Option<PathBuf>,
+    telemetry: Option<String>,
 }
 
-fn jobj(members: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        members
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().ok_or(format!("{arg} needs an argument"));
+        match arg.as_str() {
+            "--quick" => parsed.quick = true,
+            "--json-out" => parsed.json_out = Some(PathBuf::from(value()?)),
+            "--telemetry" => parsed.telemetry = Some(value()?),
+            // The deleted seconds gate, and the two-invocation comparisons
+            // it was used for: an old script fails with a reason.
+            "--baseline" | "--bench-out" => {
+                return Err(format!(
+                    "{arg} was removed: experiments compares no seconds across invocations; \
+                     seconds, CPU and bytes commit over commit are benchmark/'s \
+                     (benchmark/README.md)"
+                ))
+            }
+            "--gate-tolerance" | "--json-out-suffix" | "--hand-tuned" | "--workers" => {
+                return Err(format!(
+                    "{arg} was removed: every cell runs all of its arms in one invocation"
+                ))
+            }
+            flag if flag.starts_with("--") => return Err(format!("unknown flag {arg}")),
+            name if !CELLS.split(' ').any(|c| c == name) => {
+                return Err(format!("unknown cell {arg}"))
+            }
+            _ if parsed.cell.is_some() => return Err(format!("a second cell, {arg}")),
+            _ => parsed.cell = Some(arg),
+        }
+    }
+    Ok(parsed)
 }
 
-fn jsecs(d: Duration) -> Json {
-    Json::Num(d.as_secs_f64())
+/// How one value prints in a cell's table and what it is in its artifact.
+enum Val {
+    Text(String),
+    Count(u64),
+    Secs(Duration),
+    Num(f64),
+    /// A ratio of two arms, printed `1.50x`.
+    Ratio(f64),
+    /// Bytes, printed in KiB.
+    KiB(u64),
+    /// Bytes, printed in MiB.
+    MiB(u64),
+    Flag(bool),
+    /// A report the artifact embeds whole; never printed.
+    Doc(Json),
 }
 
-/// Where `--json-out` artifacts go and where `--baseline` artifacts come
-/// from; every produced artifact funnels through [`ArtifactSink::write`],
-/// which (when gating) also diffs it against the saved baseline.
-struct ArtifactSink {
-    dir: Option<PathBuf>,
-    /// Appended to artifact file stems as `<name>-<suffix>.json`, so
-    /// repeat runs into one directory don't silently clobber each other.
-    suffix: Option<String>,
-    baseline: Option<PathBuf>,
-    gate: GateCfg,
-    regressions: RefCell<Vec<Regression>>,
-    compared: RefCell<usize>,
-    /// With `--bench-out <file>`, every produced artifact's `_s` timing
-    /// leaves are also flattened into one normalized benchmark file
-    /// (written by [`ArtifactSink::finish_bench`]).
-    bench_out: Option<PathBuf>,
-    bench_rows: RefCell<Vec<(String, f64)>>,
-}
-
-impl ArtifactSink {
-    fn active(&self) -> bool {
-        self.dir.is_some() || self.baseline.is_some()
+impl Val {
+    fn print(&self) -> String {
+        match self {
+            Text(s) => s.clone(),
+            Count(n) => n.to_string(),
+            Secs(d) => format!("{:.4}", d.as_secs_f64()),
+            Num(x) => format!("{x:.3}"),
+            Ratio(x) => format!("{x:.2}x"),
+            KiB(b) => (b >> 10).to_string(),
+            MiB(b) => format!("{:.2}", *b as f64 / (1u64 << 20) as f64),
+            Flag(b) => b.to_string(),
+            Doc(_) => String::new(),
+        }
     }
 
+    fn json(self) -> Json {
+        match self {
+            Text(s) => Json::from(s),
+            Count(n) | KiB(n) | MiB(n) => Json::from(n),
+            Secs(d) => Json::Num(d.as_secs_f64()),
+            Num(x) | Ratio(x) => Json::Num(x),
+            Flag(b) => Json::Bool(b),
+            Doc(doc) => doc,
+        }
+    }
+}
+
+/// One column of one row, declared once for both outputs: the table's
+/// header (`""`: not printed), the artifact's key (`""`: not written;
+/// `outer.inner`: a member of the nested object `outer`, which consecutive
+/// columns fill), and the value.
+type Col = (&'static str, &'static str, Val);
+
+fn print_table(rows: &[Vec<Col>]) {
+    let Some(first) = rows.first() else { return };
+    fn shown(row: &[Col]) -> impl Iterator<Item = &Col> {
+        row.iter().filter(|c| !c.0.is_empty())
+    }
+    let mut lines: Vec<Vec<String>> = vec![shown(first).map(|c| c.0.to_string()).collect()];
+    lines.extend(
+        rows.iter()
+            .map(|row| shown(row).map(|c| c.2.print()).collect()),
+    );
+    let width = |at: usize| lines.iter().map(|l| l[at].len()).max().unwrap_or(0);
+    let widths: Vec<usize> = (0..lines[0].len()).map(width).collect();
+    for line in &lines {
+        let cells = line.iter().zip(&widths);
+        let padded: Vec<String> = cells.map(|(c, &w)| format!("{c:>w$}")).collect();
+        println!("{}", padded.join("  "));
+    }
+}
+
+fn object(row: Vec<Col>) -> Json {
+    let mut members: Vec<(String, Json)> = Vec::new();
+    for (_, key, val) in row.into_iter().filter(|c| !c.1.is_empty()) {
+        let Some((outer, inner)) = key.split_once('.') else {
+            members.push((key.to_string(), val.json()));
+            continue;
+        };
+        if members.last().is_none_or(|(k, _)| k != outer) {
+            members.push((outer.to_string(), Json::Obj(Vec::new())));
+        }
+        if let Some((_, Json::Obj(nested))) = members.last_mut() {
+            nested.push((inner.to_string(), val.json()));
+        }
+    }
+    Json::Obj(members)
+}
+
+/// Where a run's artifacts go, and how many of its checks failed.
+struct Run {
+    json_out: Option<PathBuf>,
+    failed: usize,
+}
+
+impl Run {
     fn write(&self, name: &str, value: Json) {
-        if let Some(dir) = &self.dir {
-            let stem = match &self.suffix {
-                Some(s) => format!("{name}-{s}"),
-                None => name.to_string(),
-            };
-            let path = dir.join(format!("{stem}.json"));
-            let clobbered = path.exists();
-            if let Err(e) = std::fs::write(&path, value.to_string()) {
-                eprintln!("error: failed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            println!("wrote {}", path.display());
-            // Warnings go to stderr: stdout may be piped into a JSON
-            // consumer and must carry only the advertised output.
-            if clobbered {
-                eprintln!(
-                    "warning: {} overwrote a previous run; use --json-out-suffix to keep both",
-                    path.display()
-                );
-            }
-        }
-        if let Some(base) = self.baseline_path(name) {
-            self.gate_against(name, &base, &value);
-        }
-        if self.bench_out.is_some() {
-            self.bench_rows
-                .borrow_mut()
-                .extend(fg_bench::gate::flatten_timings(name, &value));
-        }
-    }
-
-    /// Write the flat `--bench-out` benchmark file: one JSON object whose
-    /// keys are `<artifact>.<path>` and whose values are seconds.
-    fn finish_bench(&self) {
-        let Some(path) = &self.bench_out else { return };
-        let rows = self.bench_rows.borrow();
-        let doc = Json::Obj(
-            rows.iter()
-                .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                .collect(),
-        );
-        if let Err(e) = std::fs::write(path, doc.to_string()) {
+        let Some(dir) = &self.json_out else { return };
+        let path = dir.join(format!("{name}.json"));
+        if let Err(e) = std::fs::write(&path, value.to_string()) {
             eprintln!("error: failed to write {}: {e}", path.display());
             std::process::exit(1);
         }
-        println!("bench: wrote {} ({} timings)", path.display(), rows.len());
+        println!("wrote {}", path.display());
     }
 
-    /// Resolve the baseline artifact for `name`: `<dir>/<name>.json` when
-    /// `--baseline` names a directory, or the file itself when it names a
-    /// single artifact whose stem matches.
-    fn baseline_path(&self, name: &str) -> Option<PathBuf> {
-        let base = self.baseline.as_ref()?;
-        if base.is_dir() {
-            Some(base.join(format!("{name}.json")))
-        } else if base.file_stem().is_some_and(|s| s == name) {
-            Some(base.clone())
-        } else {
-            None
-        }
+    /// A cell of many rows: a table, and an array of objects.
+    fn table(&self, name: &str, rows: Vec<Vec<Col>>) {
+        print_table(&rows);
+        self.write(name, Json::Arr(rows.into_iter().map(object).collect()));
     }
 
-    fn gate_against(&self, name: &str, path: &PathBuf, current: &Json) {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(_) => {
-                eprintln!("gate: no baseline for {name} ({}), skipped", path.display());
-                return;
+    /// A cell of one row: a table of one line, and an object.
+    fn one(&self, name: &str, row: Vec<Col>) {
+        print_table(std::slice::from_ref(&row));
+        self.write(name, object(row));
+    }
+
+    fn check(&mut self, cell: &str, claim: &str, result: Result<(), String>) {
+        match result {
+            Ok(()) => println!("check: {cell}: {claim} ... ok"),
+            Err(observed) => {
+                println!("check: {cell}: {claim} ... FAILED ({observed})");
+                self.failed += 1;
             }
-        };
-        let baseline = match Json::parse(&text) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("error: baseline {} is not valid JSON: {e}", path.display());
-                std::process::exit(1);
-            }
-        };
-        let regs = compare(name, &baseline, current, &self.gate);
-        *self.compared.borrow_mut() += 1;
-        for r in &regs {
-            println!("gate: REGRESSION {r}");
-        }
-        if regs.is_empty() {
-            println!("gate: {name} ok");
-        }
-        self.regressions.borrow_mut().extend(regs);
-    }
-
-    /// Print the gate verdict; `Err` means at least one regression (or no
-    /// artifact was ever compared, which would make a green gate vacuous).
-    fn finish_gate(&self) -> Result<(), ()> {
-        if self.baseline.is_none() {
-            return Ok(());
-        }
-        let regs = self.regressions.borrow();
-        let compared = *self.compared.borrow();
-        if compared == 0 {
-            eprintln!("gate: FAIL — no artifact matched the baseline");
-            return Err(());
-        }
-        if regs.is_empty() {
-            println!(
-                "gate: PASS — {compared} artifact(s) within {:.0}% + {:.0}ms of baseline",
-                100.0 * self.gate.rel_tolerance,
-                1000.0 * self.gate.abs_floor_s
-            );
-            Ok(())
-        } else {
-            eprintln!("gate: FAIL — {} regression(s)", regs.len());
-            Err(())
         }
     }
 }
 
-fn fig8_to_json(panel: &[Fig8Cell]) -> Json {
-    Json::Arr(
-        panel
-            .iter()
-            .map(|cell| {
-                let mut m = vec![
-                    ("dist", Json::from(cell.dist.label())),
-                    (
-                        "dsort",
-                        jobj(vec![
-                            ("sampling_s", jsecs(cell.dsort.sampling)),
-                            ("pass1_s", jsecs(cell.dsort.pass1)),
-                            ("pass2_s", jsecs(cell.dsort.pass2)),
-                            ("total_s", jsecs(cell.dsort.total())),
-                        ]),
-                    ),
-                    (
-                        "csort",
-                        jobj(vec![
-                            ("pass1_s", jsecs(cell.csort.pass[0])),
-                            ("pass2_s", jsecs(cell.csort.pass[1])),
-                            ("pass3_s", jsecs(cell.csort.pass[2])),
-                            ("total_s", jsecs(cell.csort.total)),
-                        ]),
-                    ),
-                    ("ratio", Json::Num(cell.ratio())),
-                ];
-                if let Some(obs) = &cell.observed {
-                    m.push(("pass1_report", obs.pass1.to_json_value()));
-                    m.push(("pass2_report", obs.pass2.to_json_value()));
-                }
-                jobj(m)
-            })
-            .collect(),
-    )
-}
-
-fn print_fig8(panel: &[Fig8Cell], title: &str) {
-    println!("\n=== {title} ===");
-    println!(
-        "{:<12} | {:>7} {:>7} {:>7} {:>7} | {:>7} {:>7} {:>7} {:>7} | {:>7}",
-        "distribution", "d.samp", "d.p1", "d.p2", "dsort", "c.p1", "c.p2", "c.p3", "csort", "d/c %"
-    );
-    println!("{}", "-".repeat(100));
-    for cell in panel {
-        let d = &cell.dsort;
-        let c = &cell.csort;
-        println!(
-            "{:<12} | {} {} {} {} | {} {} {} {} | {:6.2}%",
-            cell.dist.label(),
-            secs(d.sampling),
-            secs(d.pass1),
-            secs(d.pass2),
-            secs(d.total()),
-            secs(c.pass[0]),
-            secs(c.pass[1]),
-            secs(c.pass[2]),
-            secs(c.total),
-            100.0 * cell.ratio(),
-        );
+fn fig8_cols(cell: &fg_bench::Fig8Cell) -> Vec<Col> {
+    let (d, c) = (cell.dsort, cell.csort);
+    let mut row = vec![
+        ("distribution", "dist", Text(cell.dist.label())),
+        ("d.samp", "dsort.sampling_s", Secs(d[0])),
+        ("d.p1", "dsort.pass1_s", Secs(d[1])),
+        ("d.p2", "dsort.pass2_s", Secs(d[2])),
+        ("dsort", "dsort.total_s", Secs(cell.dsort_total())),
+        ("c.p1", "csort.pass1_s", Secs(c[0])),
+        ("c.p2", "csort.pass2_s", Secs(c[1])),
+        ("c.p3", "csort.pass3_s", Secs(c[2])),
+        ("csort", "csort.total_s", Secs(cell.csort_total())),
+        ("d/c", "ratio", Num(cell.ratio())),
+    ];
+    if let Some((pass1, pass2)) = &cell.observed {
+        row.push(("", "pass1_report", Doc(pass1.to_json_value())));
+        row.push(("", "pass2_report", Doc(pass2.to_json_value())));
     }
-}
-
-/// Remove `--flag <value>` from `args`, returning the value.
-fn take_value_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    if i + 1 >= args.len() {
-        eprintln!("{flag} needs an argument");
-        std::process::exit(2);
-    }
-    let v = args.remove(i + 1);
-    args.remove(i);
-    Some(v)
+    row
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json_out = take_value_flag(&mut args, "--json-out").map(PathBuf::from);
-    // `--json-out-suffix time` expands to the unix timestamp, giving each
-    // run a distinct artifact set without inventing a name.
-    let json_out_suffix = take_value_flag(&mut args, "--json-out-suffix").map(|s| {
-        if s == "time" {
-            let now = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0);
-            format!("{now}")
-        } else {
-            s
-        }
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|problem| {
+        eprintln!("error: {problem}");
+        eprintln!("usage: experiments [CELL] [--quick] [--json-out DIR] [--telemetry ADDR]");
+        eprintln!("cells: {CELLS}");
+        std::process::exit(2);
     });
-    let baseline = take_value_flag(&mut args, "--baseline").map(PathBuf::from);
-    let bench_out = take_value_flag(&mut args, "--bench-out").map(PathBuf::from);
-    let gate_tolerance = take_value_flag(&mut args, "--gate-tolerance").map(|v| {
-        v.parse::<f64>().unwrap_or_else(|_| {
-            eprintln!("--gate-tolerance needs a fraction, e.g. 0.30");
-            std::process::exit(2);
-        })
-    });
-    let telemetry_addr = take_value_flag(&mut args, "--telemetry");
-    let workers_flag = take_value_flag(&mut args, "--workers").map(|v| {
-        v.parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                eprintln!("--workers needs a positive integer");
-                std::process::exit(2);
-            })
-    });
-    if let Some(dir) = &json_out {
+    if let Some(dir) = &args.json_out {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("error: failed to create {}: {e}", dir.display());
             std::process::exit(1);
         }
     }
-    if let Some(base) = &baseline {
-        if !base.exists() {
-            eprintln!("error: baseline {} does not exist", base.display());
-            std::process::exit(2);
-        }
-    }
-    let mut gate = GateCfg::default();
-    if let Some(tol) = gate_tolerance {
-        gate.rel_tolerance = tol;
-    }
-    let sink = ArtifactSink {
-        dir: json_out,
-        suffix: json_out_suffix,
-        baseline,
-        gate,
-        regressions: RefCell::new(Vec::new()),
-        compared: RefCell::new(0),
-        bench_out,
-        bench_rows: RefCell::new(Vec::new()),
-    };
 
     // With --telemetry, the fig8 dsort runs publish into this registry and
     // a background sampler + HTTP endpoint expose it live (GET /metrics,
     // GET /report).
     let registry = Arc::new(MetricsRegistry::new());
-    let telemetry = telemetry_addr.map(|addr| {
+    let telemetry = args.telemetry.map(|addr| {
         let server = TelemetryServer::bind(&addr, Arc::clone(&registry)).unwrap_or_else(|e| {
             eprintln!("error: failed to bind telemetry server on {addr}: {e}");
             std::process::exit(1);
@@ -367,12 +262,14 @@ fn main() {
         let sampler = Sampler::start(Arc::clone(&registry), Default::default());
         (server, sampler)
     });
-    let quick = args.iter().any(|a| a == "--quick");
-    let cmd = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
+    // Observed fig8 runs (tracing + metrics) are what put full FG reports
+    // in the artifacts and live numbers on the endpoint.
+    let observe = (args.json_out.is_some() || telemetry.is_some()).then_some(&registry);
+    let mut run = Run {
+        json_out: args.json_out,
+        failed: 0,
+    };
+    let quick = args.quick;
     let scale = if quick {
         Scale::quick()
     } else {
@@ -384,235 +281,120 @@ fn main() {
         scale.bytes_per_node >> 10,
         if quick { " (quick)" } else { "" }
     );
+    let only = args.cell.as_deref().unwrap_or("all");
+    let wants = |cell: &str| only == "all" || only == cell;
+    let text = |s: &str| Text(s.to_string());
 
-    let run_all = cmd == "all";
-    let mut fig8a: Option<Vec<Fig8Cell>> = None;
-    let mut fig8b: Option<Vec<Fig8Cell>> = None;
-
-    // With --json-out or --baseline, fig8 runs are observed (tracing +
-    // metrics) so artifacts carry full FG reports and gate runs match the
-    // baseline's instrumentation overhead; --telemetry additionally makes
-    // the shared registry live on the HTTP endpoint.
-    let observe = sink.active() || telemetry.is_some();
-    let panel_for = |record| {
-        if observe {
-            run_fig8_panel_observed_with(scale, record, &registry)
-        } else {
-            run_fig8_panel(scale, record)
+    let mut fig8 = Vec::new();
+    for (name, record, width, panel) in [
+        ("fig8a", RecordFormat::REC16, "16-byte", "a"),
+        ("fig8b", RecordFormat::REC64, "64-byte", "b"),
+    ] {
+        if wants(name) || only == "ratio-table" {
+            let cells = fg_bench::run_fig8_panel(scale, record, observe).expect(name);
+            println!("\n=== Figure 8({panel}): {width} records, total & per-pass times (s) ===");
+            run.table(name, cells.iter().map(fig8_cols).collect());
+            run.check(name, RATIO_BAND_CLAIM, check_ratio_band(&cells));
+            run.check(name, CSORT_FLAT_CLAIM, check_csort_flat(&cells));
+            fig8.push((width, cells));
         }
-    };
-    if run_all || cmd == "fig8a" || cmd == "ratio-table" {
-        let panel = panel_for(RecordFormat::REC16).expect("fig8a");
-        print_fig8(
-            &panel,
-            "Figure 8(a): 16-byte records, total & per-pass times (s)",
-        );
-        sink.write("fig8a", fig8_to_json(&panel));
-        fig8a = Some(panel);
     }
-    if run_all || cmd == "fig8b" || cmd == "ratio-table" {
-        let panel = panel_for(RecordFormat::REC64).expect("fig8b");
-        print_fig8(
-            &panel,
-            "Figure 8(b): 64-byte records, total & per-pass times (s)",
-        );
-        sink.write("fig8b", fig8_to_json(&panel));
-        fig8b = Some(panel);
-    }
-    if run_all || cmd == "ratio-table" {
+    if wants("ratio-table") {
         println!("\n=== T1: dsort/csort total-time ratios (paper: 74.26%-85.06%) ===");
-        let mut lo = f64::MAX;
-        let mut hi = f64::MIN;
-        let mut ratio_rows = Vec::new();
-        for (name, panel) in [("16-byte", &fig8a), ("64-byte", &fig8b)] {
-            if let Some(panel) = panel {
-                for cell in panel {
-                    let r = 100.0 * cell.ratio();
-                    lo = lo.min(r);
-                    hi = hi.max(r);
-                    println!("{name:<8} {:<12} {r:6.2}%", cell.dist.label());
-                    ratio_rows.push(jobj(vec![
-                        ("record", Json::from(name)),
-                        ("dist", Json::from(cell.dist.label())),
-                        ("ratio_percent", Json::Num(r)),
-                    ]));
-                }
-            }
-        }
-        if lo <= hi {
-            println!("range: {lo:.2}% - {hi:.2}%");
-        }
-        sink.write("ratio-table", Json::Arr(ratio_rows));
+        let rows = fig8.iter().flat_map(|(width, cells)| {
+            cells.iter().map(|cell| -> Vec<Col> {
+                vec![
+                    ("record", "record", text(width)),
+                    ("distribution", "dist", Text(cell.dist.label())),
+                    ("d/c %", "ratio_percent", Num(100.0 * cell.ratio())),
+                ]
+            })
+        });
+        run.table("ratio-table", rows.collect());
+        let cells = fig8.iter().flat_map(|(_, cells)| cells);
+        run.check("ratio-table", RATIO_BAND_CLAIM, check_ratio_band(cells));
     }
-    if run_all || cmd == "splitter-balance" {
+    if wants("splitter-balance") {
         println!("\n=== T2: splitter balance, max partition / average (paper: <= 1.10) ===");
         let oversamples = if quick { vec![4, 32] } else { vec![4, 16, 64] };
-        let rows = run_splitter_balance(scale, &oversamples).expect("splitter-balance");
-        println!(
-            "{:<12} {:>10} {:>12}",
-            "distribution", "oversample", "max/avg"
-        );
-        for row in &rows {
-            println!(
-                "{:<12} {:>10} {:>11.3}x",
-                row.dist.label(),
-                row.oversample,
-                row.max_over_avg
-            );
-        }
-        sink.write(
-            "splitter-balance",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        jobj(vec![
-                            ("dist", Json::from(r.dist.label())),
-                            ("oversample", Json::from(r.oversample)),
-                            ("max_over_avg", Json::Num(r.max_over_avg)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        );
+        let rows = fg_bench::run_splitter_balance(scale, &oversamples).expect("splitter-balance");
+        let cols = |r: &fg_bench::BalanceRow| -> Vec<Col> {
+            vec![
+                ("distribution", "dist", Text(r.dist.label())),
+                ("oversample", "oversample", Count(r.oversample as u64)),
+                ("max/avg", "max_over_avg", Num(r.max_over_avg)),
+            ]
+        };
+        run.table("splitter-balance", rows.iter().map(cols).collect());
+        println!("no check: splitter-balance: the paper's 10% is ROADMAP item 2's open bullet");
     }
-    if run_all || cmd == "io-volume" {
+    if wants("io-volume") {
         println!("\n=== T3: data volume (paper: csort does ~50% more disk I/O) ===");
-        let rows = run_io_volume(scale).expect("io-volume");
-        println!(
-            "{:<8} {:>12} {:>12} {:>12}",
-            "program", "read MiB", "write MiB", "net MiB"
-        );
-        let mib = |b: u64| b as f64 / (1 << 20) as f64;
-        for r in &rows {
-            println!(
-                "{:<8} {:>12.2} {:>12.2} {:>12.2}",
-                r.program,
-                mib(r.bytes_read),
-                mib(r.bytes_written),
-                mib(r.net_bytes)
-            );
-        }
-        if rows.len() == 2 {
-            let dio = (rows[0].bytes_read + rows[0].bytes_written) as f64;
-            let cio = (rows[1].bytes_read + rows[1].bytes_written) as f64;
-            println!(
-                "csort/dsort disk-I/O ratio: {:.2}x (paper: ~1.5x)",
-                cio / dio
-            );
-        }
-        sink.write(
-            "io-volume",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        jobj(vec![
-                            ("program", Json::from(r.program)),
-                            ("bytes_read", Json::from(r.bytes_read)),
-                            ("bytes_written", Json::from(r.bytes_written)),
-                            ("net_bytes", Json::from(r.net_bytes)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        );
+        let rows = fg_bench::run_io_volume(scale).expect("io-volume");
+        let cols = |r: &fg_bench::IoVolumeRow| -> Vec<Col> {
+            vec![
+                ("program", "program", text(r.program)),
+                ("read MiB", "bytes_read", MiB(r.bytes_read)),
+                ("write MiB", "bytes_written", MiB(r.bytes_written)),
+                ("net MiB", "net_bytes", MiB(r.net_bytes)),
+            ]
+        };
+        run.table("io-volume", rows.iter().map(cols).collect());
+        run.check("io-volume", IO_VOLUME_CLAIM, check_io_volume(&rows));
     }
-    if run_all || cmd == "unbalanced" {
+    // T4 and A1 are the same table: one input, dsort against another program.
+    let pair_rows = |rows: &[fg_bench::PairRow], other: [&'static str; 2], ratio| {
+        let cols = |r: &fg_bench::PairRow| -> Vec<Col> {
+            vec![
+                ("input", "input", text(&r.label)),
+                ("dsort s", "dsort_s", Secs(r.dsort)),
+                (other[0], other[1], Secs(r.other)),
+                (ratio, "", Ratio(r.speedup())),
+            ]
+        };
+        rows.iter().map(cols).collect::<Vec<_>>()
+    };
+    if wants("unbalanced") {
         println!("\n=== T4: adversarial unbalanced-communication inputs ===");
-        let rows = run_unbalanced(scale).expect("unbalanced");
-        println!(
-            "{:<12} {:>9} {:>9} {:>8}",
-            "input", "dsort s", "csort s", "d/c %"
-        );
-        for r in &rows {
-            println!(
-                "{:<12} {:>9.3} {:>9.3} {:>7.2}%",
-                r.label,
-                r.dsort.total().as_secs_f64(),
-                r.csort.total.as_secs_f64(),
-                100.0 * r.dsort.total().as_secs_f64() / r.csort.total.as_secs_f64()
-            );
-        }
-        sink.write(
-            "unbalanced",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        jobj(vec![
-                            ("input", Json::from(r.label.as_str())),
-                            ("dsort_s", jsecs(r.dsort.total())),
-                            ("csort_s", jsecs(r.csort.total)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        );
+        let rows = fg_bench::run_unbalanced(scale).expect("unbalanced");
+        let table = pair_rows(&rows, ["csort s", "csort_s"], "csort/dsort");
+        run.table("unbalanced", table);
+        run.check("unbalanced", UNBALANCED_CLAIM, check_unbalanced(&rows));
     }
-    if run_all || cmd == "unbalanced-comm" {
+    if wants("unbalanced-comm") {
         println!("\n=== Cluster observability: skewed scatter (70% of traffic to rank 0) ===");
         let (nodes, blocks) = if quick { (4, 16) } else { (4, 32) };
-        let res = fg_bench::unbalanced_comm::run_unbalanced_comm(nodes, blocks, None)
-            .expect("unbalanced-comm");
-        println!("blocks received per node (sent {blocks} each):");
-        for (rank, b) in res.received.iter().enumerate() {
-            println!(
-                "  node {rank}: {b:>3} blocks  {}",
-                "#".repeat(*b as usize / 2)
-            );
-        }
-        println!("\n{}", res.report.render());
+        let res =
+            unbalanced_comm::run_unbalanced_comm(nodes, blocks, None).expect("unbalanced-comm");
+        let received = &res.received;
+        println!("blocks received per node (sent {blocks} each): {received:?}\n");
+        println!("{}", res.report.render());
         println!("{}", res.diagnosis.render());
-        // `hot_rank` is the machine-checked acceptance criterion: the
-        // comm-aware diagnosis must name rank 0 from telemetry alone.
-        sink.write(
+        let received = received.iter().map(|&b| Json::from(b)).collect();
+        let hot_rank = res.diagnosis.hot_rank.map(Json::from).unwrap_or(Json::Null);
+        run.one(
             "unbalanced-comm",
-            jobj(vec![
-                ("nodes", Json::from(nodes)),
-                ("blocks_per_node", Json::from(blocks)),
-                (
-                    "received",
-                    Json::Arr(res.received.iter().map(|&b| Json::from(b)).collect()),
-                ),
-                (
-                    "hot_rank",
-                    res.diagnosis.hot_rank.map(Json::from).unwrap_or(Json::Null),
-                ),
-                ("cluster", res.report.to_json_value()),
-                ("diagnosis", res.diagnosis.to_json_value()),
-            ]),
+            vec![
+                ("", "nodes", Count(nodes as u64)),
+                ("", "blocks_per_node", Count(blocks)),
+                ("", "received", Doc(Json::Arr(received))),
+                ("", "hot_rank", Doc(hot_rank)),
+                ("", "cluster", Doc(res.report.to_json_value())),
+                ("", "diagnosis", Doc(res.diagnosis.to_json_value())),
+            ],
         );
+        let result = unbalanced_comm::check(&res);
+        run.check("unbalanced-comm", unbalanced_comm::CLAIM, result);
     }
-    if run_all || cmd == "ablation-linear" {
+    if wants("ablation-linear") {
         println!("\n=== A1: dsort (multiple pipelines) vs dsort-linear (single pipelines) ===");
-        let rows = run_linear_ablation(scale).expect("ablation-linear");
-        println!(
-            "{:<12} {:>9} {:>9} {:>9}",
-            "input", "dsort s", "linear s", "speedup"
-        );
-        for r in &rows {
-            println!(
-                "{:<12} {:>9.3} {:>9.3} {:>8.2}x",
-                r.label,
-                r.dsort.total().as_secs_f64(),
-                r.linear.total().as_secs_f64(),
-                r.linear.total().as_secs_f64() / r.dsort.total().as_secs_f64()
-            );
-        }
-        sink.write(
-            "ablation-linear",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        jobj(vec![
-                            ("input", Json::from(r.label.as_str())),
-                            ("dsort_s", jsecs(r.dsort.total())),
-                            ("linear_s", jsecs(r.linear.total())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        );
+        let rows = fg_bench::run_linear_ablation(scale).expect("ablation-linear");
+        let table = pair_rows(&rows, ["linear s", "linear_s"], "linear/dsort");
+        run.table("ablation-linear", table);
+        let result = check_linear_ablation(&rows, scale.nodes);
+        run.check("ablation-linear", LINEAR_CLAIM, result);
     }
-    if run_all || cmd == "ablation-virtual" {
+    if wants("ablation-virtual") {
         println!("\n=== A2: virtual stages keep thread counts flat ===");
         // Vertical buffer bytes: the merge memory that buys run length.
         let vertical = if quick {
@@ -620,271 +402,154 @@ fn main() {
         } else {
             vec![16 << 10, 4 << 10, 1 << 10]
         };
-        let rows = run_virtual_ablation(scale, &vertical).expect("ablation-virtual");
-        println!(
-            "{:>12} {:>14} {:>12} {:>11} {:>10}",
-            "runs/node", "thr(virtual)", "thr(plain)", "t(virt) s", "t(plain) s"
-        );
-        for r in &rows {
-            println!(
-                "{:>12} {:>14} {:>12} {:>11.3} {:>10.3}",
-                r.runs_per_node,
-                r.threads_virtual,
-                r.threads_plain,
-                r.time_virtual.as_secs_f64(),
-                r.time_plain.as_secs_f64()
-            );
-        }
-        sink.write(
-            "ablation-virtual",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        jobj(vec![
-                            ("runs_per_node", Json::from(r.runs_per_node)),
-                            ("threads_virtual", Json::from(r.threads_virtual)),
-                            ("threads_plain", Json::from(r.threads_plain)),
-                            ("time_virtual_s", jsecs(r.time_virtual)),
-                            ("time_plain_s", jsecs(r.time_plain)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        );
+        let rows = fg_bench::run_virtual_ablation(scale, &vertical).expect("ablation-virtual");
+        let cols = |r: &fg_bench::VirtualAblationRow| -> Vec<Col> {
+            vec![
+                ("runs/node", "runs_per_node", Count(r.runs_per_node)),
+                ("thr(virtual)", "threads_virtual", Count(r.threads_virtual)),
+                ("thr(plain)", "threads_plain", Count(r.threads_plain)),
+                ("t(virtual) s", "time_virtual_s", Secs(r.time_virtual)),
+                ("t(plain) s", "time_plain_s", Secs(r.time_plain)),
+            ]
+        };
+        run.table("ablation-virtual", rows.iter().map(cols).collect());
+        let result = check_virtual_ablation(&rows);
+        run.check("ablation-virtual", VIRTUAL_CLAIM, result);
     }
-    if run_all || cmd == "ablation-overlap" {
+    if wants("ablation-overlap") {
         println!("\n=== A3: pipeline overlap vs serial execution (single node) ===");
         let disk = DiskCfg::new(Duration::from_micros(500), 200.0 * 1024.0 * 1024.0);
         let (blocks, passes) = if quick { (64, 12) } else { (256, 12) };
-        let res = fg_bench::overlap::run_overlap(blocks, 64 << 10, disk, passes)
-            .expect("ablation-overlap");
-        println!(
-            "blocks: {}   pipelined: {:.3}s   serial: {:.3}s   speedup: {:.2}x",
-            res.blocks,
-            res.pipelined.as_secs_f64(),
-            res.serial.as_secs_f64(),
-            res.speedup()
-        );
-        sink.write(
+        let res = overlap::run_overlap(blocks, 64 << 10, disk, passes).expect("ablation-overlap");
+        run.one(
             "ablation-overlap",
-            jobj(vec![
-                ("blocks", Json::from(res.blocks)),
-                ("pipelined_s", jsecs(res.pipelined)),
-                ("serial_s", jsecs(res.serial)),
-                ("speedup", Json::Num(res.speedup())),
-            ]),
+            vec![
+                ("blocks", "blocks", Count(res.blocks as u64)),
+                ("pipelined s", "pipelined_s", Secs(res.pipelined)),
+                ("serial s", "serial_s", Secs(res.serial)),
+                ("speedup", "speedup", Ratio(res.speedup())),
+            ],
         );
+        run.check("ablation-overlap", overlap::CLAIM, overlap::check(&res));
     }
-    if run_all || cmd == "ablation-passes" {
+    if wants("ablation-passes") {
         println!("\n=== A5: three-pass vs four-pass columnsort (the coalescing win) ===");
         let row = fg_bench::run_csort_pass_ablation(scale).expect("ablation-passes");
-        println!(
-            "csort3: {:.3}s   csort4: {:.3}s   time ratio {:.2}x   I/O ratio {:.2}x (expected ~1.33x)",
-            row.csort3_total.as_secs_f64(),
-            row.csort4_total.as_secs_f64(),
-            row.ratio,
-            row.io_ratio
-        );
-        sink.write(
+        run.one(
             "ablation-passes",
-            jobj(vec![
-                ("csort3_s", jsecs(row.csort3_total)),
-                ("csort4_s", jsecs(row.csort4_total)),
-                ("time_ratio", Json::Num(row.ratio)),
-                ("io_ratio", Json::Num(row.io_ratio)),
-            ]),
+            vec![
+                ("csort3 s", "csort3_s", Secs(row.csort3_total)),
+                ("csort4 s", "csort4_s", Secs(row.csort4_total)),
+                ("time ratio", "time_ratio", Ratio(row.ratio)),
+                ("I/O ratio", "io_ratio", Ratio(row.io_ratio)),
+            ],
         );
+        run.check("ablation-passes", PASSES_CLAIM, check_csort_passes(&row));
     }
-    if run_all || cmd == "ablation-readahead" {
+    if wants("ablation-readahead") {
         println!("\n=== A6: read-ahead depth on dsort's pass-2 run pipelines ===");
         let depths = if quick { vec![1, 2] } else { vec![1, 2, 4, 8] };
         let rows = fg_bench::run_readahead_ablation(scale, &depths).expect("ablation-readahead");
-        println!("{:>6} {:>10} {:>9}", "depth", "pass2 s", "total s");
-        for r in &rows {
-            println!(
-                "{:>6} {:>10.3} {:>9.3}",
-                r.depth,
-                r.pass2.as_secs_f64(),
-                r.total.as_secs_f64()
-            );
-        }
-        sink.write(
-            "ablation-readahead",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        jobj(vec![
-                            ("depth", Json::from(r.depth)),
-                            ("pass2_s", jsecs(r.pass2)),
-                            ("total_s", jsecs(r.total)),
-                        ])
-                    })
-                    .collect(),
-            ),
+        let cols = |r: &fg_bench::ReadAheadRow| -> Vec<Col> {
+            vec![
+                ("depth", "depth", Count(r.depth as u64)),
+                ("pass2 s", "pass2_s", Secs(r.pass2)),
+                ("total s", "total_s", Secs(r.total)),
+            ]
+        };
+        run.table("ablation-readahead", rows.iter().map(cols).collect());
+        println!(
+            "no check: ablation-readahead: a recorded negative result (one disk arm paces pass 2)"
         );
     }
-    if run_all || cmd == "buffer-sweep" {
+    if wants("buffer-sweep") {
         println!("\n=== A4: buffer-size sweep ===");
         let sizes = if quick {
             vec![16, 64]
         } else {
             vec![16, 32, 64, 128, 256]
         };
-        let rows = run_buffer_sweep(scale, &sizes).expect("buffer-sweep");
-        println!("{:>10} {:>9} {:>9}", "block KiB", "dsort s", "csort s");
-        for r in &rows {
-            println!(
-                "{:>10} {:>9.3} {:>9.3}",
-                r.block_bytes >> 10,
-                r.dsort_total.as_secs_f64(),
-                r.csort_total.as_secs_f64()
-            );
-        }
-        sink.write(
-            "buffer-sweep",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        jobj(vec![
-                            ("block_bytes", Json::from(r.block_bytes)),
-                            ("dsort_s", jsecs(r.dsort_total)),
-                            ("csort_s", jsecs(r.csort_total)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        );
-    }
-    if run_all || cmd == "workers-scaling" {
-        println!("\n=== Workers scaling: csort's farmed sort stages (zero-cost I/O) ===");
-        let counts: Vec<usize> = match workers_flag {
-            Some(n) => vec![n],
-            None if quick => vec![1, 2],
-            None => vec![1, 2, 4],
+        let rows = fg_bench::run_buffer_sweep(scale, &sizes).expect("buffer-sweep");
+        let cols = |r: &fg_bench::BufferSweepRow| -> Vec<Col> {
+            vec![
+                ("block KiB", "block_bytes", KiB(r.block_bytes as u64)),
+                ("dsort s", "dsort_s", Secs(r.dsort_total)),
+                ("csort s", "csort_s", Secs(r.csort_total)),
+            ]
         };
+        run.table("buffer-sweep", rows.iter().map(cols).collect());
+        println!("no check: buffer-sweep: a recorded negative result (flat across block sizes)");
+    }
+    if wants("workers-scaling") {
+        println!("\n=== Workers scaling: csort's farmed sort stages (zero-cost I/O) ===");
+        let counts = if quick { vec![1, 2] } else { vec![1, 2, 4] };
         let (nodes, bytes) = if quick { (2, 256 << 10) } else { (2, 4 << 20) };
         println!(
             "{nodes} nodes x {} KiB/node, workers {counts:?}",
             bytes >> 10
         );
         let rows = fg_bench::run_workers_scaling(nodes, bytes, &counts).expect("workers-scaling");
+        let serial = rows[0].total.as_secs_f64();
+        let cols = |r: &fg_bench::WorkersScalingRow| -> Vec<Col> {
+            vec![
+                ("workers", "workers", Count(r.workers as u64)),
+                ("pass1 s", "pass1_s", Secs(r.pass[0])),
+                ("pass2 s", "pass2_s", Secs(r.pass[1])),
+                ("pass3 s", "pass3_s", Secs(r.pass[2])),
+                ("total s", "total_s", Secs(r.total)),
+                ("speedup", "", Ratio(serial / r.total.as_secs_f64())),
+            ]
+        };
+        run.table("workers-scaling", rows.iter().map(cols).collect());
         println!(
-            "{:>8} {:>9} {:>9} {:>9} {:>9} {:>9}",
-            "workers", "pass1 s", "pass2 s", "pass3 s", "total s", "speedup"
-        );
-        let serial = rows.first().map(|r| r.total);
-        for r in &rows {
-            let speedup = serial
-                .map(|s| s.as_secs_f64() / r.total.as_secs_f64())
-                .unwrap_or(1.0);
-            println!(
-                "{:>8} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>8.2}x",
-                r.workers,
-                r.pass[0].as_secs_f64(),
-                r.pass[1].as_secs_f64(),
-                r.pass[2].as_secs_f64(),
-                r.total.as_secs_f64(),
-                speedup
-            );
-        }
-        sink.write(
-            "workers-scaling",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        jobj(vec![
-                            ("workers", Json::from(r.workers)),
-                            ("pass1_s", jsecs(r.pass[0])),
-                            ("pass2_s", jsecs(r.pass[1])),
-                            ("pass3_s", jsecs(r.pass[2])),
-                            ("total_s", jsecs(r.total)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            "no check: workers-scaling: a recorded negative result (a farm needs spare cores)"
         );
     }
-    if run_all || cmd == "io-overlap" {
+    if wants("io-overlap") {
         println!("\n=== Out-of-core: I/O scheduler vs synchronous OsDisk (real files) ===");
         let (blocks, block_bytes, depth) = if quick {
             (64, 64 << 10, 4)
         } else {
             (512, 256 << 10, 4)
         };
-        let res =
-            fg_bench::io_overlap::run_io_overlap(blocks, block_bytes, depth).expect("io-overlap");
-        println!(
-            "{} blocks x {} KiB, depth {}: sync {:.3}s   overlapped {:.3}s   speedup {:.2}x   \
-             prefetch {:.0}% hit ({} hits, {} misses)",
-            res.blocks,
-            res.block_bytes >> 10,
-            res.io_depth,
-            res.sync.as_secs_f64(),
-            res.overlapped.as_secs_f64(),
-            res.speedup(),
-            100.0 * res.hit_rate(),
-            res.prefetch_hits,
-            res.prefetch_misses,
-        );
-        sink.write(
+        let res = io_overlap::run_io_overlap(blocks, block_bytes, depth).expect("io-overlap");
+        run.one(
             "io-overlap",
-            jobj(vec![
-                ("blocks", Json::from(res.blocks)),
-                ("block_bytes", Json::from(res.block_bytes)),
-                ("io_depth", Json::from(res.io_depth)),
-                ("compute_passes", Json::from(res.compute_passes)),
-                ("sync_s", jsecs(res.sync)),
-                ("overlapped_s", jsecs(res.overlapped)),
-                ("speedup", Json::Num(res.speedup())),
-                ("prefetch_hits", Json::from(res.prefetch_hits)),
-                ("prefetch_misses", Json::from(res.prefetch_misses)),
-            ]),
+            vec![
+                ("blocks", "blocks", Count(res.blocks as u64)),
+                ("block KiB", "block_bytes", KiB(res.block_bytes as u64)),
+                ("depth", "io_depth", Count(res.io_depth as u64)),
+                ("passes", "compute_passes", Count(res.compute_passes as u64)),
+                ("sync s", "sync_s", Secs(res.sync)),
+                ("overlapped s", "overlapped_s", Secs(res.overlapped)),
+                ("speedup", "speedup", Ratio(res.speedup())),
+                ("prefetch hits", "prefetch_hits", Count(res.prefetch_hits)),
+                ("misses", "prefetch_misses", Count(res.prefetch_misses)),
+            ],
         );
+        run.check("io-overlap", io_overlap::CLAIM, io_overlap::check(&res));
     }
-    if run_all || cmd == "autotune-convergence" {
-        let hand_tuned = args.iter().any(|a| a == "--hand-tuned");
+    if wants("autotune-convergence") {
         println!("\n=== Autotune: closed-loop controller vs hand-tuned operating point ===");
-        let shape = fg_bench::autotune::AutotuneShape::new(quick);
-        let res = if hand_tuned {
-            fg_bench::autotune::run_arm(shape, shape.width, shape.tuned_depth, false)
-        } else {
-            fg_bench::autotune::run_arm(shape, 1, 1, true)
-        }
-        .expect("autotune-convergence");
-        let mode = if hand_tuned {
-            "hand-tuned"
-        } else {
-            "autotuned"
-        };
-        println!(
-            "{} rounds ({mode}): total {:.3}s   steady-state {:.3}s   \
-             final {} workers, read-ahead depth {}",
-            res.rounds,
-            res.total.as_secs_f64(),
-            res.steady_state.as_secs_f64(),
-            res.final_workers,
-            res.final_depth,
-        );
-        // `steady_state_s` is the shared gated key: the autotuned arm's
-        // landing point vs the hand-tuned arm's whole run.  The wall times
-        // keep arm-specific names so the convergence tax is visible in the
-        // artifact without tripping the gate.
-        let mut members = vec![
-            ("mode", Json::from(mode)),
-            ("rounds", Json::from(res.rounds)),
-            ("steady_state_s", jsecs(res.steady_state)),
-            ("final_workers", Json::from(res.final_workers)),
-            ("final_io_depth", Json::from(res.final_depth)),
+        let shape = autotune::AutotuneShape::new(quick);
+        let res = autotune::run_convergence(shape).expect("autotune-convergence");
+        let (hand, auto) = (&res.hand_tuned, &res.autotuned);
+        // `steady_state_s` is where the autotuned arm lands; its total
+        // carries the convergence tax, which is not the claim.
+        let mut row: Vec<Col> = vec![
+            ("rounds", "rounds", Count(auto.rounds)),
+            ("hand total s", "hand_total_s", Secs(hand.total)),
             (
-                if hand_tuned {
-                    "hand_total_s"
-                } else {
-                    "autotuned_total_s"
-                },
-                jsecs(res.total),
+                "hand steady s",
+                "hand_steady_state_s",
+                Secs(hand.steady_state),
             ),
+            ("auto total s", "autotuned_total_s", Secs(auto.total)),
+            ("auto steady s", "steady_state_s", Secs(auto.steady_state)),
+            ("workers", "final_workers", Count(auto.final_workers)),
+            ("depth", "final_io_depth", Count(auto.final_depth as u64)),
         ];
-        if let Some(log) = &res.log {
+        if let Some(log) = &auto.log {
             println!(
                 "controller: {} ticks, {} actuations, {} decisions audited",
                 log.ticks,
@@ -894,149 +559,73 @@ fn main() {
             for d in &log.decisions {
                 println!("  [{}] {} => {}", d.seq, d.verdict, d.action);
             }
-            members.push(("controller", log.to_json_value()));
+            row.push(("", "controller", Doc(log.to_json_value())));
         }
-        sink.write("autotune-convergence", jobj(members));
+        run.one("autotune-convergence", row);
+        let result = autotune::check(&res, shape.width);
+        run.check("autotune-convergence", autotune::CLAIM, result);
     }
-    if run_all || cmd == "kernel-bench" {
+    if wants("kernel-bench") {
         println!("\n=== Sort/merge kernels: radix vs comparison, batched vs scalar merge ===");
-        let res = fg_bench::kernel_bench::run_kernel_bench(quick);
-        println!(
-            "sort {} records (uniform REC16): radix {:.3}s   comparison {:.3}s   speedup {:.2}x",
-            res.records,
-            res.radix.as_secs_f64(),
-            res.comparison.as_secs_f64(),
-            res.sort_speedup(),
-        );
-        let shapes = [
-            ("presorted", &res.merge),
-            ("interleaved", &res.merge_interleaved),
+        let res = kernel_bench::run_kernel_bench(quick);
+        let merge_rows = |lanes: &str, cells: &[kernel_bench::MergeCell]| {
+            let cols = |c: &kernel_bench::MergeCell| -> Vec<Col> {
+                vec![
+                    ("lanes", "", text(lanes)),
+                    ("k", "k", Count(c.k as u64)),
+                    ("records/lane", "per_lane", Count(c.per_lane as u64)),
+                    ("scalar s", "scalar_s", Secs(c.scalar)),
+                    ("batched s", "batched_s", Secs(c.batched)),
+                    ("speedup", "speedup", Ratio(c.speedup())),
+                    ("identical", "identical", Flag(c.identical)),
+                ]
+            };
+            cells.iter().map(cols).collect::<Vec<_>>()
+        };
+        let mut row: Vec<Col> = vec![
+            ("records", "records", Count(res.records as u64)),
+            ("radix s", "radix_s", Secs(res.radix)),
+            ("comparison s", "comparison_s", Secs(res.comparison)),
+            ("speedup", "sort_speedup", Ratio(res.sort_speedup())),
         ];
-        for (shape, cells) in shapes {
-            for cell in cells {
-                println!(
-                    "merge {shape:<11} k={:3} x {:6} records/lane: scalar {:.3}s   batched {:.3}s   speedup {:.2}x",
-                    cell.k,
-                    cell.per_lane,
-                    cell.scalar.as_secs_f64(),
-                    cell.batched.as_secs_f64(),
-                    cell.speedup(),
-                );
-            }
+        print_table(std::slice::from_ref(&row));
+        for (key, lanes, cells) in [
+            ("merge", "presorted", &res.merge),
+            ("merge_interleaved", "interleaved", &res.merge_interleaved),
+        ] {
+            let rows = merge_rows(lanes, cells);
+            print_table(&rows);
+            row.push((
+                "",
+                key,
+                Doc(Json::Arr(rows.into_iter().map(object).collect())),
+            ));
         }
-        let cells_json = |cells: &[fg_bench::kernel_bench::MergeCell]| {
-            Json::Arr(
-                cells
-                    .iter()
-                    .map(|cell| {
-                        jobj(vec![
-                            ("k", Json::from(cell.k)),
-                            ("per_lane", Json::from(cell.per_lane)),
-                            ("scalar_s", jsecs(cell.scalar)),
-                            ("batched_s", jsecs(cell.batched)),
-                            ("speedup", Json::Num(cell.speedup())),
-                            ("identical", Json::Bool(cell.identical)),
-                        ])
-                    })
-                    .collect(),
-            )
-        };
-        sink.write(
+        run.write("kernel-bench", object(row));
+        run.check(
             "kernel-bench",
-            jobj(vec![
-                ("records", Json::from(res.records)),
-                ("radix_s", jsecs(res.radix)),
-                ("comparison_s", jsecs(res.comparison)),
-                ("sort_speedup", Json::Num(res.sort_speedup())),
-                ("merge", cells_json(&res.merge)),
-                ("merge_interleaved", cells_json(&res.merge_interleaved)),
-            ]),
+            kernel_bench::CLAIM,
+            kernel_bench::check(&res),
         );
     }
-    if run_all || cmd == "queue-bench" {
-        println!("\n=== Queue flavors: lock-free MPMC ring vs mutex deque ===");
-        let res = fg_bench::queue_bench::run_queue_bench(quick);
-        for c in &res.contended {
-            println!(
-                "contended {}p x {}c, {:6} items: mutex {:8.3} ms   lockfree {:8.3} ms   speedup {:.2}x",
-                c.producers,
-                c.consumers,
-                c.items,
-                c.mutex.as_secs_f64() * 1e3,
-                c.lock_free.as_secs_f64() * 1e3,
-                c.speedup(),
-            );
-        }
-        let c = &res.recycle;
-        println!(
-            "recycle   {}p x {}c, {:6} items: mutex {:8.3} ms   lockfree {:8.3} ms   speedup {:.2}x",
-            c.producers,
-            c.consumers,
-            c.items,
-            c.mutex.as_secs_f64() * 1e3,
-            c.lock_free.as_secs_f64() * 1e3,
-            c.speedup(),
-        );
-        if !res.gate_eligible() {
-            println!(
-                "note: {}-core host: the 4x4 cell's 8 threads mostly take turns \
-                 on the scheduler, so the lock-free speedup is not gateable here",
-                res.cores
-            );
-        }
-        let cell_json = |c: &fg_bench::queue_bench::QueueCell| {
-            jobj(vec![
-                ("producers", Json::from(c.producers)),
-                ("consumers", Json::from(c.consumers)),
-                ("items", Json::from(c.items)),
-                ("mutex_s", jsecs(c.mutex)),
-                ("lockfree_s", jsecs(c.lock_free)),
-                ("speedup", Json::Num(c.speedup())),
-            ])
-        };
-        sink.write(
-            "queue-bench",
-            jobj(vec![
-                ("cores", Json::from(res.cores)),
-                ("gate_eligible", Json::Bool(res.gate_eligible())),
-                (
-                    "gated_speedup",
-                    Json::Num(res.gated_speedup().unwrap_or(0.0)),
-                ),
-                (
-                    "contended",
-                    Json::Arr(res.contended.iter().map(cell_json).collect()),
-                ),
-                ("recycle", cell_json(&res.recycle)),
-            ]),
-        );
-    }
-    if run_all || cmd == "resource-profile" {
+    if wants("resource-profile") {
         println!("\n=== R1: resource profiler overhead (base vs profiled, best-of-N) ===");
-        let res =
-            fg_bench::resource_profile::run_resource_profile(quick).expect("resource-profile");
-        println!(
-            "{} nodes x {} KiB/node, best of {}: base {:.3}s   profiled {:.3}s   overhead {:+.2}%",
-            res.nodes,
-            res.bytes_per_node >> 10,
-            res.reps,
-            res.base.as_secs_f64(),
-            res.profiled.as_secs_f64(),
-            100.0 * res.overhead_frac(),
-        );
+        let res = resource_profile::run_resource_profile(quick).expect("resource-profile");
         println!("{}", res.resources.render());
-        sink.write(
+        run.one(
             "resource-profile",
-            jobj(vec![
-                ("nodes", Json::from(res.nodes)),
-                ("bytes_per_node", Json::from(res.bytes_per_node)),
-                ("reps", Json::from(res.reps)),
-                ("base_s", jsecs(res.base)),
-                ("profiled_s", jsecs(res.profiled)),
-                ("overhead_frac", Json::Num(res.overhead_frac())),
-                ("resources", res.resources.to_json_value()),
-            ]),
+            vec![
+                ("nodes", "nodes", Count(res.nodes as u64)),
+                ("KiB/node", "bytes_per_node", KiB(res.bytes_per_node as u64)),
+                ("best of", "reps", Count(res.reps as u64)),
+                ("base s", "base_s", Secs(res.base)),
+                ("profiled s", "profiled_s", Secs(res.profiled)),
+                ("overhead", "overhead_frac", Num(res.overhead_frac())),
+                ("", "resources", Doc(res.resources.to_json_value())),
+            ],
         );
+        let result = resource_profile::check(&res);
+        run.check("resource-profile", resource_profile::CLAIM, result);
     }
     if let Some((server, sampler)) = telemetry {
         let series = sampler.stop();
@@ -1046,10 +635,9 @@ fn main() {
             server.local_addr()
         );
     }
-    sink.finish_bench();
-    let gate_ok = sink.finish_gate().is_ok();
-    println!("\ndone.");
-    if !gate_ok {
+    if run.failed > 0 {
+        eprintln!("\n{} check(s) FAILED", run.failed);
         std::process::exit(1);
     }
+    println!("\ndone.");
 }

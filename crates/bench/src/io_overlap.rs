@@ -14,7 +14,7 @@
 //! write): each completed write has reached the device, and each write
 //! therefore pays device latency during which the CPU is idle.  That is
 //! the latency a scheduler can genuinely hide — page-cache writes are pure
-//! memcpy, so on a single-core host the worker thread would only steal
+//! memcpy, so with no core to spare the worker thread would only steal
 //! cycles from compute and "overlap" nothing.  Compute per block is
 //! calibrated to the *measured* per-block durable I/O cost of this
 //! machine's filesystem, so the experiment reports an overlap win rather
@@ -57,15 +57,15 @@ impl IoOverlapResult {
     pub fn speedup(&self) -> f64 {
         self.sync.as_secs_f64() / self.overlapped.as_secs_f64()
     }
+}
 
-    /// Fraction of scheduled-arm reads served from prefetch.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.prefetch_hits + self.prefetch_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.prefetch_hits as f64 / total as f64
-    }
+/// What [`check`] holds IO1 to ([`run_io_overlap`] has already refused
+/// arms whose output files differ).
+pub const CLAIM: &str = "overlapped < sync on byte-identical output";
+
+/// IO1's claim: the scheduler hides device latency the bare loop waits out.
+pub fn check(res: &IoOverlapResult) -> Result<(), String> {
+    crate::faster(("overlapped", res.overlapped), ("sync", res.sync))
 }
 
 /// The identical loop body both arms run: stream `in` block by block,
@@ -179,5 +179,21 @@ mod tests {
         assert!(res.overlapped > Duration::ZERO);
         assert_eq!(res.prefetch_hits + res.prefetch_misses, 12);
         assert!(res.compute_passes >= 1);
+    }
+
+    #[test]
+    fn check_rejects_a_scheduler_that_hides_nothing() {
+        let res = |overlapped_ms| IoOverlapResult {
+            sync: Duration::from_millis(29),
+            overlapped: Duration::from_millis(overlapped_ms),
+            blocks: 64,
+            block_bytes: 64 << 10,
+            io_depth: 4,
+            compute_passes: 1,
+            prefetch_hits: 0,
+            prefetch_misses: 64,
+        };
+        assert_eq!(check(&res(18)), Ok(()));
+        crate::tests::rejects(check(&res(31)), &["overlapped 0.031s", "sync 0.029s"]);
     }
 }

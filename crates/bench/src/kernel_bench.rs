@@ -1,14 +1,11 @@
-//! Kernel smoke benchmark: the radix sort kernel vs the comparison
-//! baseline, and the batched merge vs the scalar loser tree — on presorted
-//! lanes, where batching wins outright, and on interleaved ones, where it
-//! cannot and must cost nothing.
-//!
-//! The criterion bench (`benches/sort_kernels.rs`) is the full local grid;
-//! this module is the CI-sized cut — one best-of-N timing per cell — whose
-//! artifact the perf gate consumes (`kernel-bench` experiments
-//! subcommand).  Best-of-N rather than a mean: on noisy shared hosts the
-//! minimum is the least-contended observation of the same deterministic
-//! work, so it gates with far less jitter.
+//! Kernel orderings: the radix sort kernel vs the comparison baseline, and
+//! the batched merge vs the scalar loser tree — on presorted lanes, where
+//! batching wins outright, and on interleaved ones, where it cannot and must
+//! cost nothing.  Each arm of a cell is one best-of-N timing, and [`check`]
+//! compares arms within the run; what a kernel costs per record, commit over
+//! commit, is `benchmark/`'s `kernels.*` and `merge.*` rows.  Best-of-N
+//! rather than a mean: on noisy shared hosts the minimum is the
+//! least-contended observation of the same deterministic work.
 
 use std::time::{Duration, Instant};
 
@@ -60,9 +57,44 @@ pub struct KernelBenchResult {
 }
 
 impl KernelBenchResult {
-    /// Comparison time over radix time — the gated sort speedup.
+    /// Comparison time over radix time.
     pub fn sort_speedup(&self) -> f64 {
         self.comparison.as_secs_f64() / self.radix.as_secs_f64()
+    }
+}
+
+/// The radix margin only exists out of cache (EXPERIMENTS K1), so it is
+/// asked of a run at the full 4 M records, not of the quick cut.
+const RADIX_MARGIN: (usize, f64) = (4 << 20, 1.2);
+/// Where every batch is one record, batching may cost this much and no more.
+const INTERLEAVED_TAX: f64 = 1.10;
+/// What [`check`] holds K1 to.
+pub const CLAIM: &str = "radix >= 1.2 x comparison at 4 M records; batched < scalar at \
+     presorted k = 256; batched <= 1.10 x scalar interleaved; identical bytes";
+
+/// K1's claims, each an ordering between two arms of one run.
+pub fn check(res: &KernelBenchResult) -> Result<(), String> {
+    let (speedup, records) = (res.sort_speedup(), res.records);
+    if records >= RADIX_MARGIN.0 && speedup < RADIX_MARGIN.1 {
+        return Err(format!(
+            "radix {speedup:.2}x comparison at {records} records"
+        ));
+    }
+    let tax = |c: &MergeCell| c.batched.as_secs_f64() / c.scalar.as_secs_f64();
+    match res.merge.iter().find(|c| c.k == 256).map(tax) {
+        None => return Err("no presorted k = 256 cell".into()),
+        Some(t) if t >= 1.0 => return Err(format!("presorted k = 256: batched/scalar = {t:.3}")),
+        Some(_) => {}
+    }
+    for (k, t) in res.merge_interleaved.iter().map(|c| (c.k, tax(c))) {
+        if t > INTERLEAVED_TAX {
+            return Err(format!("interleaved k = {k}: batched/scalar = {t:.3}"));
+        }
+    }
+    let mut cells = res.merge.iter().chain(&res.merge_interleaved);
+    match cells.find(|c| !c.identical) {
+        Some(c) => Err(format!("k = {}: batched and scalar bytes differ", c.k)),
+        None => Ok(()),
     }
 }
 
@@ -91,7 +123,7 @@ fn uniform_records(fmt: RecordFormat, n: usize, seed: u64) -> Vec<u8> {
 /// Presorted lanes: lane `i` holds the contiguous key range
 /// `[i·m, (i+1)·m)` — the batched merge's best case and the shape dsort's
 /// splitter-partitioned runs approach.
-pub fn presorted_lanes(fmt: RecordFormat, k: usize, per_lane: usize) -> Vec<Vec<u8>> {
+fn presorted_lanes(fmt: RecordFormat, k: usize, per_lane: usize) -> Vec<Vec<u8>> {
     let rb = fmt.record_bytes;
     (0..k)
         .map(|i| {
@@ -118,7 +150,7 @@ fn interleaved_lanes(fmt: RecordFormat, k: usize, per_lane: usize) -> Vec<Vec<u8
 }
 
 /// The pre-kernel scalar merge: one winner/replace per record.
-pub fn scalar_merge(fmt: RecordFormat, runs: &[&[u8]]) -> Vec<u8> {
+fn scalar_merge(fmt: RecordFormat, runs: &[&[u8]]) -> Vec<u8> {
     let rb = fmt.record_bytes;
     let mut offsets = vec![0usize; runs.len()];
     let head = |run: &[u8], off: usize| (off < run.len()).then(|| fmt.key(&run[off..off + rb]));
@@ -204,5 +236,41 @@ mod tests {
             assert_eq!(a, b, "scalar and batched merges must agree");
             assert!(fmt.is_sorted(&a));
         }
+    }
+
+    #[test]
+    fn check_rejects_each_broken_ordering() {
+        let ms = |x: f64| Duration::from_secs_f64(x / 1e3);
+        let cell = |k, scalar, batched| MergeCell {
+            k,
+            per_lane: 1024,
+            scalar: ms(scalar),
+            batched: ms(batched),
+            identical: true,
+        };
+        let good = || KernelBenchResult {
+            records: 4 << 20,
+            radix: ms(200.0),
+            comparison: ms(300.0),
+            merge: vec![cell(4, 5.0, 0.4), cell(256, 9.0, 0.5)],
+            merge_interleaved: vec![cell(16, 4.0, 4.2)],
+        };
+        let broken = |edit: fn(&mut KernelBenchResult)| {
+            let mut res = good();
+            edit(&mut res);
+            check(&res)
+        };
+        assert_eq!(check(&good()), Ok(()));
+        let slow_radix = broken(|r| r.radix = Duration::from_millis(375));
+        crate::tests::rejects(slow_radix, &["radix 0.80x"]);
+        // ... which is a fault at 4 M records, not at the quick cut.
+        let quick = broken(|r| (r.radix, r.records) = (Duration::from_millis(375), 512 << 10));
+        assert_eq!(quick, Ok(()));
+        let presorted = broken(|r| r.merge[1].batched = r.merge[1].scalar.mul_f64(1.1));
+        crate::tests::rejects(presorted, &["presorted k = 256", "1.100"]);
+        let taxed = broken(|r| r.merge_interleaved[0].batched = Duration::from_micros(4800));
+        crate::tests::rejects(taxed, &["interleaved k = 16", "1.200"]);
+        let differ = broken(|r| r.merge_interleaved[0].identical = false);
+        crate::tests::rejects(differ, &["k = 16", "differ"]);
     }
 }

@@ -36,6 +36,14 @@ impl OverlapResult {
     }
 }
 
+/// What [`check`] holds A3 to.
+pub const CLAIM: &str = "pipelined < serial";
+
+/// A3's claim: the same operations finish sooner as an FG pipeline.
+pub fn check(res: &OverlapResult) -> Result<(), String> {
+    crate::faster(("pipelined", res.pipelined), ("serial", res.serial))
+}
+
 /// Busy-compute on a block for roughly `per_byte_ns` nanoseconds per byte
 /// (checksum loop — real CPU work, not a sleep, so it genuinely competes
 /// for the core the way a sort stage does).
@@ -61,7 +69,7 @@ pub(crate) fn compute(data: &mut [u8], passes: usize) -> u64 {
 /// under `--release`; a fixed pass count makes compute dwarf I/O in one
 /// profile and vanish in the other, and the overlap win only shows when
 /// the two are comparable.
-pub fn calibrate_passes(block_bytes: usize, target: Duration) -> usize {
+pub(crate) fn calibrate_passes(block_bytes: usize, target: Duration) -> usize {
     let mut probe = vec![0x5Au8; block_bytes];
     let mut per_pass = Duration::MAX;
     for _ in 0..3 {
@@ -165,6 +173,17 @@ mod tests {
             "expected pipeline overlap to win: {best:?} (speedup {:.2})",
             best.speedup()
         );
+    }
+
+    #[test]
+    fn check_rejects_a_pipeline_that_hides_nothing() {
+        let res = |pipelined_ms| OverlapResult {
+            pipelined: Duration::from_millis(pipelined_ms),
+            serial: Duration::from_millis(150),
+            blocks: 40,
+        };
+        assert_eq!(check(&res(125)), Ok(()));
+        crate::tests::rejects(check(&res(200)), &["pipelined 0.200s", "serial 0.150s"]);
     }
 
     #[test]

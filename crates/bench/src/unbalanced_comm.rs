@@ -1,6 +1,6 @@
 //! The unbalanced-communication experiment, observed (Figure 4 + §IV).
 //!
-//! Promotes `examples/unbalanced_comm.rs` into a gateable experiment.  Each
+//! Promotes `examples/unbalanced_comm.rs` into a checked experiment.  Each
 //! node of a simulated cluster runs two disjoint FG pipelines — a *send*
 //! pipeline scattering locally generated blocks to data-dependent
 //! destinations and a *receive* pipeline collecting whatever arrives — with
@@ -35,7 +35,7 @@ pub struct UnbalancedCommResult {
     pub received: Vec<u64>,
     /// Per-node telemetry merged across the cluster.
     pub report: ClusterReport,
-    /// The comm-aware verdict over `report`; its `hot_rank` is the gate.
+    /// The comm-aware verdict over `report`; [`check`] reads its `hot_rank`.
     pub diagnosis: ClusterDiagnosis,
 }
 
@@ -191,6 +191,22 @@ pub fn run_unbalanced_comm(
     })
 }
 
+/// What [`check`] holds the skewed scatter to.
+pub const CLAIM: &str = "diagnosis names rank 0, which received most of the blocks";
+
+/// The observability claim: from telemetry alone, the diagnosis names the
+/// hot receiver this program was built to have.
+pub fn check(res: &UnbalancedCommResult) -> Result<(), String> {
+    if res.diagnosis.hot_rank != Some(0) {
+        return Err(format!("hot_rank = {:?}", res.diagnosis.hot_rank));
+    }
+    let total: u64 = res.received.iter().sum();
+    if res.received[0] * 2 <= total {
+        return Err(format!("rank 0 received {} of {total}", res.received[0]));
+    }
+    Ok(())
+}
+
 fn to_fg(e: CommError) -> FgError {
     FgError::Stage {
         stage: "comm".into(),
@@ -207,17 +223,7 @@ mod tests {
         let res = run_unbalanced_comm(4, 32, None).expect("run");
         let total: u64 = res.received.iter().sum();
         assert_eq!(total, 4 * 32, "every block must arrive somewhere");
-        assert!(
-            res.received[0] > total / 2,
-            "rank 0 should receive the bulk of the traffic: {:?}",
-            res.received
-        );
-        assert_eq!(
-            res.diagnosis.hot_rank,
-            Some(0),
-            "diagnosis must name rank 0: {}",
-            res.diagnosis.render()
-        );
+        assert_eq!(check(&res), Ok(()), "{}", res.diagnosis.render());
         assert!(
             res.diagnosis
                 .recommendations
@@ -226,6 +232,28 @@ mod tests {
             "expected a skew recommendation: {:?}",
             res.diagnosis.recommendations
         );
+    }
+
+    #[test]
+    fn check_rejects_a_diagnosis_that_names_another_rank() {
+        let res = |hot_rank, received| UnbalancedCommResult {
+            received,
+            report: ClusterReport::new(4),
+            diagnosis: ClusterDiagnosis {
+                ranks: Vec::new(),
+                straggler: None,
+                hot_rank,
+                recommendations: Vec::new(),
+            },
+        };
+        use crate::tests::rejects;
+        assert_eq!(check(&res(Some(0), vec![44, 8, 6, 6])), Ok(()));
+        rejects(
+            check(&res(Some(2), vec![44, 8, 6, 6])),
+            &["hot_rank = Some(2)"],
+        );
+        rejects(check(&res(None, vec![44, 8, 6, 6])), &["hot_rank = None"]);
+        rejects(check(&res(Some(0), vec![16, 16, 16, 16])), &["16 of 64"]);
     }
 
     #[test]

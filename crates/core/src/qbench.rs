@@ -1,11 +1,11 @@
 //! Benchmark-only access to the internal bounded queue.
 //!
 //! [`Queue`](crate::queue) is deliberately crate-private: programs interact
-//! with queues only through [`StageCtx`](crate::StageCtx).  The
-//! `queue_throughput` benchmark in `crates/bench`, however, needs to drive
-//! the MPMC and SPSC flavors directly to measure the fast path in
-//! isolation.  This module exposes the minimum surface for that; it is
-//! hidden from docs and carries no stability promise.
+//! with queues only through [`StageCtx`](crate::StageCtx).  The `queue.*`
+//! unit loops of `benchmark/src/units.rs` and the flavor tests in
+//! `crates/core/tests/queue_flavors.rs`, however, need to drive the MPMC
+//! and SPSC flavors directly, in isolation.  This module exposes the minimum
+//! surface for that; it is hidden from docs and carries no stability promise.
 
 use std::sync::Arc;
 
