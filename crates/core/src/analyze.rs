@@ -106,7 +106,7 @@ impl PrefetchFinding {
 /// A queue-level finding from the depth-gauge time series.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueueFinding {
-    /// Queue name as wired (`p[1]`, `recycle/g0`, …).
+    /// Queue name as wired (`p[1]`, `recycle/p`, …).
     pub name: String,
     /// The queue's capacity.
     pub capacity: usize,
@@ -124,7 +124,7 @@ pub struct QueueFinding {
 /// not retries).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ContentionFinding {
-    /// Queue name as wired (`csort/in`, `recycle/g0`, …).
+    /// Queue name as wired (`csort/in`, `recycle/p`, …).
     pub name: String,
     /// Failed position CASes on the lock-free ring.
     pub cas_retries: u64,
@@ -251,12 +251,11 @@ pub(crate) const ALLOC_CHURN_PER_SEC: f64 = 1_000.0;
 /// where the plan assumed dedicated cores.
 pub(crate) const OVERSUBSCRIBED_SWITCH_RATE: f64 = 500.0;
 
-/// The runtime's implicit source/sink threads: real stages for timing
-/// purposes, but not candidates for "the limiting stage" (their work is
-/// the framework's, not the program's).
-fn is_source_or_sink(name: &str) -> bool {
-    name.ends_with("/source") || name.ends_with("/sink")
-}
+/// Name prefix of a buffer pool's queue (`recycle/<pipeline>`, or
+/// `recycle/<stage>` for the pool shared by the pipelines that start at a
+/// virtual stage): the first stage's input, which the last stage conveys
+/// into.  Running dry means every buffer is in flight.
+pub const POOL_QUEUE_PREFIX: &str = "recycle/";
 
 /// Metric-name prefix of the live per-stage busy counter (nanoseconds).
 pub const STAGE_BUSY_PREFIX: &str = "core/stage_busy_ns/";
@@ -341,7 +340,6 @@ fn stage_diagnoses(rows: &[Row]) -> Vec<StageDiagnosis> {
 /// divided by the worker count, not the sum itself.
 fn limiting_stage(rows: &[Row]) -> Option<String> {
     rows.iter()
-        .filter(|r| !is_source_or_sink(&r.name))
         .max_by_key(|r| r.busy / r.workers.max(1) as u32)
         .filter(|r| r.busy > Duration::ZERO)
         .map(|r| r.name.clone())
@@ -475,9 +473,6 @@ pub fn diagnose(report: &Report, series: &[TimestampedSnapshot]) -> Diagnosis {
         }
     }
     for d in &stages {
-        if is_source_or_sink(&d.name) {
-            continue;
-        }
         if Some(&d.name) == limiting.as_ref() {
             continue;
         }
@@ -517,7 +512,7 @@ pub fn diagnose(report: &Report, series: &[TimestampedSnapshot]) -> Diagnosis {
                 q.full_frac * 100.0
             ));
         }
-        if q.empty_frac > PINNED_FRAC && q.name.starts_with("recycle/") {
+        if q.empty_frac > PINNED_FRAC && q.name.starts_with(POOL_QUEUE_PREFIX) {
             recommendations.push(format!(
                 "recycle queue `{}` was empty in {:.0}% of samples — every buffer was \
                  in flight; the pool may be under-provisioned (add buffers to the \
@@ -653,7 +648,7 @@ pub fn diagnose_with_trace(
             ns as f64 / cp.total_ns as f64 * 100.0
         };
         // Only worth a line when one stage really owns the path.
-        if pct > DOMINANT_FRAC * 100.0 && !is_source_or_sink(stage) {
+        if pct > DOMINANT_FRAC * 100.0 {
             d.recommendations.push(format!(
                 "stage `{stage}` carries {pct:.0}% of the end-to-end critical path \
                  across the traced rounds — per-round evidence agreeing with (or \
@@ -1425,10 +1420,8 @@ mod tests {
                 stage("fast-up", 100, 5, 80),   // backpressured by the slow stage
                 stage("slow", 100, 5, 5),       // the bottleneck
                 stage("fast-down", 100, 80, 5), // starved behind it
-                stage("p/source", 100, 0, 95),
-                stage("p/sink", 100, 95, 0),
             ],
-            threads_spawned: 5,
+            threads_spawned: 3,
             ..Report::default()
         }
     }
@@ -1669,17 +1662,6 @@ mod tests {
     }
 
     #[test]
-    fn sources_and_sinks_never_limit() {
-        let r = Report {
-            wall: Duration::from_millis(100),
-            stages: vec![stage("p/source", 100, 0, 0), stage("p/sink", 100, 0, 0)],
-            threads_spawned: 2,
-            ..Report::default()
-        };
-        assert_eq!(diagnose(&r, &[]).limiting, None);
-    }
-
-    #[test]
     fn empty_report_is_inert() {
         let d = diagnose(&Report::default(), &[]);
         assert!(d.stages.is_empty());
@@ -1788,7 +1770,7 @@ mod tests {
         use crate::stats::QueueDepth;
         let mut r = report();
         r.queues = vec![QueueDepth {
-            name: "recycle/g0".into(),
+            name: "recycle/p".into(),
             capacity: 4,
             max_depth: 4,
             spsc: false,
@@ -1796,7 +1778,7 @@ mod tests {
         }];
         let point = |depth: u64, ms: u64| {
             let reg = crate::metrics::MetricsRegistry::new();
-            reg.gauge("core/queue_depth/recycle/g0").set(depth);
+            reg.gauge("core/queue_depth/recycle/p").set(depth);
             TimestampedSnapshot {
                 elapsed: Duration::from_millis(ms),
                 snapshot: reg.snapshot(),
@@ -1807,7 +1789,7 @@ mod tests {
         assert!(d
             .recommendations
             .iter()
-            .any(|r| r.contains("recycle/g0") && r.contains("under-provisioned")));
+            .any(|r| r.contains("recycle/p") && r.contains("under-provisioned")));
     }
 
     fn report_with_contention(retries: u64, items: u64) -> Report {
@@ -1956,9 +1938,9 @@ mod tests {
             let reg = crate::metrics::MetricsRegistry::new();
             reg.counter(&format!("{STAGE_BUSY_PREFIX}s"))
                 .add(ms * 500_000);
-            reg.gauge(&format!("{QUEUE_CAPACITY_PREFIX}recycle/g0"))
+            reg.gauge(&format!("{QUEUE_CAPACITY_PREFIX}recycle/p"))
                 .set(4);
-            reg.gauge(&format!("{QUEUE_DEPTH_PREFIX}recycle/g0"))
+            reg.gauge(&format!("{QUEUE_DEPTH_PREFIX}recycle/p"))
                 .set(depth);
             reg.counter("disk/d0/prefetch_hit").add(hits);
             reg.counter("disk/d0/prefetch_miss").add(misses);
@@ -1974,7 +1956,7 @@ mod tests {
         ];
         let d = diagnose_window(&w).unwrap();
         let q = &d.queue_findings[0];
-        assert_eq!((q.name.as_str(), q.capacity), ("recycle/g0", 4));
+        assert_eq!((q.name.as_str(), q.capacity), ("recycle/p", 4));
         assert!((q.empty_frac - 2.0 / 3.0).abs() < 1e-9);
         assert!((q.full_frac - 1.0 / 3.0).abs() < 1e-9);
         // Only the window's deltas count: 0 hits, 40 misses.

@@ -2,8 +2,8 @@
 //!
 //! A buffer corresponds to one *block* of data for a high-latency transfer
 //! (a disk block, a communication block).  Buffers are allocated once, in a
-//! small fixed pool per pipeline, and recycled from the sink back to the
-//! source, so total buffer memory stays bounded regardless of how many
+//! small fixed pool per pipeline, and recycled from the last stage back to
+//! the first, so total buffer memory stays bounded regardless of how many
 //! *rounds* a computation runs.
 //!
 //! Every buffer is **tied to the pipeline it was allocated for** (the paper,
@@ -60,7 +60,7 @@ pub struct Buffer {
     round: u64,
     trace_id: u64,
     /// Free-form metadata a stage may attach for downstream stages (e.g. a
-    /// column index, a run number).  Reset to zero when the source recycles
+    /// column index, a run number).  Reset to zero when the pool recycles
     /// the buffer into a new round.
     pub meta: u64,
 }
@@ -83,7 +83,8 @@ impl Buffer {
         self.pipeline
     }
 
-    /// The round in which the source injected this buffer (0-based).
+    /// The buffer's round (0-based), numbered as the pipeline's first
+    /// stage accepted it.
     pub fn round(&self) -> u64 {
         self.round
     }
@@ -95,8 +96,8 @@ impl Buffer {
         self.trace_id = 0;
     }
 
-    /// Causal-trace id of this buffer's current round, assigned by the
-    /// source when a [`TraceSink`](crate::trace::TraceSink) is installed.
+    /// Causal-trace id of this buffer's current round, assigned as the round
+    /// starts when a [`TraceSink`](crate::trace::TraceSink) is installed.
     /// Zero when the run is untraced.  Flight-recorder spans referring to
     /// this buffer carry the same id, which is how
     /// [`critical_path`](crate::critical_path) and the Chrome-trace flow

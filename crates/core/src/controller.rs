@@ -20,9 +20,9 @@
 //! actuators themselves:
 //!
 //! * **round boundaries only** — a farm width change parks replicas at the
-//!   admission gate *between* rounds (never mid-buffer), pool growth
-//!   injects fresh buffers at the source's recycle loop, and depth changes
-//!   only affect read-ahead issued for subsequent reads;
+//!   admission gate *between* rounds (never mid-buffer), a pool is resized
+//!   by its first stage as a buffer comes home, and depth changes only
+//!   affect read-ahead issued for subsequent reads;
 //! * **hysteresis** — a proposal must repeat for `confirm` consecutive
 //!   decision ticks before it is applied, and after every actuation the
 //!   controller holds off for `cooldown` ticks so the measured effect is
@@ -66,12 +66,12 @@ pub trait DepthActuator: Send + Sync {
 
 /// Live handle on one pipeline's buffer pool.
 ///
-/// The pool itself is the recycle loop: buffers circulate source → stages
-/// → sink → recycle queue → source.  Growing the pool means the source
-/// injects a fresh buffer instead of waiting on the recycle queue;
-/// shrinking means it drops a recycled buffer instead of reusing it.  Both
-/// happen at the source's round boundary, so the pool resizes without ever
-/// touching a buffer a stage holds.
+/// The pool is the queue that closes the pipeline's loop: the last stage
+/// conveys into it and the first stage accepts from it.  As a buffer comes
+/// home, the first stage's accept grows the pool by pushing fresh buffers
+/// in beside it, or shrinks it by dropping that buffer instead of starting
+/// its next round — at a round boundary either way, so the pool resizes
+/// without ever touching a buffer a stage holds.
 #[derive(Debug)]
 pub struct PoolControl {
     pipeline: String,
@@ -107,8 +107,8 @@ impl PoolControl {
         &self.pipeline
     }
 
-    /// Name of the pipeline's recycle queue (`recycle/g0`, …), which is
-    /// what the windowed diagnosis observes running dry.
+    /// Name of the pool's queue (`recycle/<pipeline>`, …), which is what
+    /// the windowed diagnosis observes running dry.
     pub fn recycle_name(&self) -> &str {
         &self.recycle_name
     }
@@ -129,15 +129,15 @@ impl PoolControl {
     }
 
     /// Steer toward `n` buffers, clamped to the declared `min..=max`;
-    /// returns the clamped target.  The source converges on it over its
-    /// next few round boundaries.
+    /// returns the clamped target.  The pool converges on it over the next
+    /// few round boundaries.
     pub fn set_target(&self, n: usize) -> usize {
         let n = n.clamp(self.min, self.max);
         self.target.store(n, Ordering::SeqCst);
         n
     }
 
-    /// Source-side: claim permission to inject one fresh buffer.
+    /// Claim permission to add one fresh buffer.
     pub(crate) fn try_grow(&self) -> bool {
         self.size
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |s| {
@@ -146,7 +146,7 @@ impl PoolControl {
             .is_ok()
     }
 
-    /// Source-side: claim permission to drop one recycled buffer.
+    /// Claim permission to drop one buffer that has come home.
     pub(crate) fn try_shrink(&self) -> bool {
         self.size
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |s| {
@@ -756,13 +756,13 @@ mod tests {
 
     #[test]
     fn pool_control_clamps_and_converges() {
-        let pool = PoolControl::new("p", "recycle/g0", 3, 1, 6);
+        let pool = PoolControl::new("p", "recycle/p", 3, 1, 6);
         assert_eq!(pool.target(), 3);
         assert_eq!(pool.size(), 3);
         // Clamped to the declared ceiling / floor.
         assert_eq!(pool.set_target(99), 6);
         assert_eq!(pool.set_target(0), 1);
-        // Source-side convergence: shrink three times, then refuse.
+        // Convergence: shrink twice, then refuse.
         assert!(pool.try_shrink());
         assert!(pool.try_shrink());
         assert_eq!(pool.size(), 1);

@@ -11,16 +11,17 @@
 //!
 //! * each stage runs in its own thread, with bounded buffer queues between
 //!   consecutive stages;
-//! * an implicit **source** injects buffers (one per *round*) and an
-//!   implicit **sink** recycles them, so a fixed pool of buffers services an
-//!   arbitrarily long computation;
+//! * every pipeline is a loop — the last stage conveys each buffer into the
+//!   pool the first stage accepts from, one *round* at a time (FG's
+//!   implicit **source** and **sink**, played by those two stages) — so a
+//!   fixed pool of buffers services an arbitrarily long computation;
 //! * **disjoint pipelines** on a node support unbalanced communication
 //!   (send and receive pipelines progress at independent rates);
 //! * **intersecting pipelines** share a *common stage* (e.g. a k-way merge)
 //!   that accepts from an explicitly named predecessor pipeline;
 //! * **virtual stages** let k identical stages in separate pipelines share a
-//!   single thread and input queue — and their pipelines' sources and sinks
-//!   collapse too — so hundreds of pipelines don't need hundreds of threads.
+//!   single thread and input queue, so hundreds of pipelines don't need
+//!   hundreds of threads.
 //!
 //! ## Quick start
 //!

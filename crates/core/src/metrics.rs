@@ -366,7 +366,7 @@ impl MetricsSnapshot {
     /// (version 0.0.4), the payload a `GET /metrics` scrape expects.
     ///
     /// Metric names are `/`-separated paths internally
-    /// (`core/queue_depth/p[0]`); Prometheus names admit only
+    /// (`core/queue_depth/p[1]`); Prometheus names admit only
     /// `[a-zA-Z0-9_:]`, so every name is prefixed with `fg_` and each run
     /// of disallowed characters collapses to a single `_` (see METRICS.md
     /// for the authoritative mapping).  Counters export as-is, gauges

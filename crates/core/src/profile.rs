@@ -288,8 +288,8 @@ impl StageLedger {
 /// pool buffers (and bytes), and the pool total against an optional
 /// budget.  Attach one to a [`Program`](crate::Program) with
 /// [`Program::set_memory_ledger`](crate::Program::set_memory_ledger);
-/// sources charge the pool as they create/retire buffers, and every stage
-/// charges/credits its own row as buffers flow through.  This is the
+/// each pool is charged as its buffers are created and retired, and every
+/// stage charges/credits its own row as buffers flow through.  This is the
 /// accounting primitive a daemon's admission control builds on: admit a
 /// program only when `budget - total` covers its pool.
 #[derive(Default)]
@@ -347,7 +347,7 @@ impl MemoryLedger {
         }))
     }
 
-    /// Charge one pool buffer of `bytes` capacity (a source created it).
+    /// Charge one pool buffer of `bytes` capacity: it was just created.
     pub fn charge_pool(&self, bytes: u64) {
         let buffers = self.buffers.fetch_add(1, Relaxed) + 1;
         self.total_buffers.fetch_max(buffers, Relaxed);
@@ -355,8 +355,8 @@ impl MemoryLedger {
         self.peak_bytes.fetch_max(now, Relaxed);
     }
 
-    /// Credit one pool buffer of `bytes` capacity: the source retired it,
-    /// on a controller shrink or when the source itself exits (pool
+    /// Credit one pool buffer of `bytes` capacity: it was retired, on a
+    /// controller shrink or as its pipeline or program ended (pool
     /// buffers cannot outlive their program).  The high-water marks stay.
     pub fn credit_pool(&self, bytes: u64) {
         self.buffers
@@ -938,7 +938,7 @@ fn publish_thread_row(t: &ThreadResources, registry: &MetricsRegistry) {
 }
 
 /// Publish the calling thread's **final** CPU numbers into `registry`.
-/// The runtime calls this as each stage/source/sink thread exits: a
+/// The runtime calls this as each stage thread exits: a
 /// thread that lived shorter than the profiler cadence (or ran with no
 /// profiler attached at all) still leaves its CPU attribution behind,
 /// which is what keeps per-stage rows present for fast runs.  Costs two

@@ -6,15 +6,17 @@
 //! [`Program::add_pipeline`] giving each its chain of stages, then call
 //! [`Program::run`], which:
 //!
-//! * adds a **source** and a **sink** to every pipeline and a bounded queue
-//!   between each pair of consecutive stages,
-//! * allocates each pipeline's buffer pool and recycles buffers
-//!   sink → source so memory stays fixed (§II),
+//! * puts a bounded queue between each pair of consecutive stages and
+//!   closes every pipeline into a loop: its buffer pool is a queue that is
+//!   the first stage's input and the last stage's output, so buffers
+//!   recycle and memory stays fixed (§II).  The paper's **source** and
+//!   **sink** are roles the first and last stage play on their own
+//!   threads, not threads of their own,
 //! * treats a stage appearing in several pipelines as the **common stage**
 //!   of intersecting pipelines (§IV),
-//! * collapses stages declared *virtual* — and, automatically, the sources
-//!   and sinks of their pipelines — onto single shared threads and a single
-//!   shared input queue (§IV, Figure 5(b)),
+//! * collapses stages declared *virtual* onto a single shared thread and a
+//!   single shared input queue (§IV, Figure 5(b)) — the common pool of the
+//!   pipelines that start there,
 //! * spawns one thread per (non-virtualized) stage, runs the program to
 //!   completion, and returns a timing [`Report`].
 
@@ -22,11 +24,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::affinity::PinMode;
+use crate::analyze::POOL_QUEUE_PREFIX;
 use crate::buffer::{PipelineId, StageId};
 use crate::error::{FgError, Result};
 use crate::queue::{FlavorKind, Queue, QueueMetrics};
 use crate::runtime;
-use crate::stage::{Port, Registry, ReplicaGroup, Rounds, Stage, StopFlag};
+use crate::stage::{Pool, Port, Registry, ReplicaGroup, Rounds, Stage};
 use crate::stats::Report;
 
 /// Configuration of one pipeline: its buffer pool and round policy.
@@ -63,7 +66,7 @@ impl PipelineCfg {
         self
     }
 
-    /// Set how many rounds the source runs (default: until stopped).
+    /// Set how many rounds the pipeline runs (default: until stopped).
     pub fn rounds(mut self, rounds: Rounds) -> Self {
         self.rounds = rounds;
         self
@@ -138,8 +141,8 @@ impl Program {
         }
     }
 
-    /// Pin every runtime thread (stages, replicas, sources, sinks) to a
-    /// core chosen by `mode` at spawn.  Placement is recorded per thread
+    /// Pin every runtime thread (stages and replicas) to a core chosen by
+    /// `mode` at spawn.  Placement is recorded per thread
     /// in the [`Report`](crate::Report)
     /// ([`StageStats::core`](crate::StageStats)).  On hosts where
     /// affinity cannot be changed (non-Linux, no `taskset`) threads run
@@ -176,8 +179,8 @@ impl Program {
         self.metrics = Some(metrics);
     }
 
-    /// Attach a [`MemoryLedger`](crate::profile::MemoryLedger): sources
-    /// charge the pool as they create (and retire) buffers, and every
+    /// Attach a [`MemoryLedger`](crate::profile::MemoryLedger): each pool
+    /// is charged as its buffers are created (and retired), and every
     /// stage charges/credits its per-stage residency row as buffers flow
     /// through — so at any instant the ledger says which stage holds how
     /// much of the pool, against the ledger's budget.  Share one ledger
@@ -189,9 +192,9 @@ impl Program {
     }
 
     /// Install a [`TraceSink`](crate::trace::TraceSink): every runtime
-    /// thread (stages, replicas, sources, sinks) gets a flight-recorder
-    /// ring and records a causal span per transition, and every injected
-    /// buffer carries a fresh trace id.  Without a sink the hook sites
+    /// thread (stages and replicas) gets a flight-recorder ring and records
+    /// a causal span per transition, and every buffer carries a fresh trace
+    /// id from the start of each round.  Without a sink the hook sites
     /// cost a single never-taken branch.  The sink outlives the run: collect
     /// the log afterwards with
     /// [`TraceSink::collect`](crate::trace::TraceSink::collect) or export
@@ -256,8 +259,8 @@ impl Program {
     }
 
     /// Declare a *virtual* stage: if placed in k pipelines, FG creates one
-    /// thread and one shared input queue instead of k of each, and shares
-    /// the sources and sinks of those pipelines too.
+    /// thread and one shared input queue instead of k of each; pipelines
+    /// that start at it pool their buffers in that queue.
     pub fn add_virtual_stage(&mut self, name: impl Into<String>, stage: Box<dyn Stage>) -> StageId {
         self.push_stage(name.into(), stage, true)
     }
@@ -336,7 +339,8 @@ impl Program {
         id
     }
 
-    /// Declare a pipeline running `chain` (source and sink are implicit).
+    /// Declare a pipeline running `chain`; its buffers recycle from the last
+    /// stage to the first.
     pub fn add_pipeline(&mut self, cfg: PipelineCfg, chain: &[StageId]) -> Result<PipelineId> {
         if chain.is_empty() {
             return Err(FgError::Config(format!(
@@ -395,13 +399,16 @@ impl Program {
         runtime::execute(self.name, plan)
     }
 
+    /// The pipelines whose chain holds stage `sid`, in declaration order.
+    fn members(&self, sid: usize) -> impl Iterator<Item = &PipeSpec> {
+        self.pipelines
+            .iter()
+            .filter(move |p| p.chain.contains(&StageId(sid as u32)))
+    }
+
     fn validate(&self) -> Result<()> {
-        for (i, slot) in self.stages.iter().enumerate() {
-            let used = self
-                .pipelines
-                .iter()
-                .any(|p| p.chain.contains(&StageId(i as u32)));
-            if !used {
+        for (sid, slot) in self.stages.iter().enumerate() {
+            if self.members(sid).next().is_none() {
                 return Err(FgError::Config(format!(
                     "stage `{}` is not part of any pipeline",
                     slot.name
@@ -411,91 +418,33 @@ impl Program {
         if self.pipelines.is_empty() {
             return Err(FgError::Config("program has no pipelines".into()));
         }
-        for (i, slot) in self.stages.iter().enumerate() {
-            if slot.stages.len() > 1 {
-                let memberships = self
-                    .pipelines
-                    .iter()
-                    .filter(|p| p.chain.contains(&StageId(i as u32)))
-                    .count();
-                if memberships != 1 {
-                    return Err(FgError::Config(format!(
-                        "replicated stage `{}` must belong to exactly one                          pipeline (found {memberships})",
-                        slot.name
-                    )));
-                }
+        for (sid, slot) in self.stages.iter().enumerate() {
+            let memberships = self.members(sid).count();
+            if slot.stages.len() > 1 && memberships != 1 {
+                return Err(FgError::Config(format!(
+                    "replicated stage `{}` must belong to exactly one \
+                     pipeline (found {memberships})",
+                    slot.name
+                )));
             }
-        }
-        // Pipelines sharing a virtual stage form a virtual group; their
-        // round counts must be known (the shared source retires lanes by
-        // count, not by stop()).
-        let groups = self.virtual_groups();
-        for (gi, members) in groups.iter().enumerate() {
-            if members.len() > 1 {
-                for &p in members {
-                    if !matches!(self.pipelines[p].rounds, Rounds::Count(_)) {
-                        return Err(FgError::Config(format!(
-                            "pipeline `{}` is in virtual group {gi} and must \
-                             use Rounds::Count",
-                            self.pipelines[p].name
-                        )));
-                    }
+            // Pipelines that share a virtual stage declare their round
+            // counts, as the paper's virtual pipelines do.
+            if slot.is_virtual && memberships > 1 {
+                let open = |p: &&PipeSpec| p.rounds == Rounds::UntilStopped;
+                if let Some(p) = self.members(sid).find(open) {
+                    return Err(FgError::Config(format!(
+                        "pipeline `{}` shares virtual stage `{}` and must use Rounds::Count",
+                        p.name, slot.name
+                    )));
                 }
             }
         }
         Ok(())
     }
 
-    /// Partition pipelines: pipelines sharing any virtual stage land in the
-    /// same group (union-find).  Returns disjoint member lists covering all
-    /// pipelines (singletons for ungrouped ones), in pipeline order.
-    fn virtual_groups(&self) -> Vec<Vec<usize>> {
-        let n = self.pipelines.len();
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut Vec<usize>, x: usize) -> usize {
-            if parent[x] != x {
-                let r = find(parent, parent[x]);
-                parent[x] = r;
-            }
-            parent[x]
-        }
-        for (sid, slot) in self.stages.iter().enumerate() {
-            if !slot.is_virtual {
-                continue;
-            }
-            let members: Vec<usize> = self
-                .pipelines
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.chain.contains(&StageId(sid as u32)))
-                .map(|(i, _)| i)
-                .collect();
-            for w in members.windows(2) {
-                let (a, b) = (find(&mut parent, w[0]), find(&mut parent, w[1]));
-                if a != b {
-                    parent[a] = b;
-                }
-            }
-        }
-        let mut by_root: HashMap<usize, Vec<usize>> = HashMap::new();
-        for i in 0..n {
-            let r = find(&mut parent, i);
-            by_root.entry(r).or_default().push(i);
-        }
-        let mut groups: Vec<Vec<usize>> = by_root.into_values().collect();
-        groups.sort_by_key(|g| g[0]);
-        groups
-    }
-
-    /// Build every queue, port, source set, and sink set.
-    fn wire(&mut self) -> Result<runtime::Plan> {
+    /// Build every queue, pool, and port.
+    pub(crate) fn wire(&mut self) -> Result<runtime::Plan> {
         let registry = Registry::new();
-        let groups = self.virtual_groups();
-        let group_of: HashMap<usize, usize> = groups
-            .iter()
-            .enumerate()
-            .flat_map(|(gi, ms)| ms.iter().map(move |&m| (m, gi)))
-            .collect();
 
         // Build a queue, register it for shutdown, and — when a metrics
         // registry is attached — wire up its depth gauge, contention
@@ -524,185 +473,115 @@ impl Program {
             q
         };
 
-        // Per-group shared recycle and sink queues: always MPMC (every
-        // stage of the group discards into the recycle queue, and several
-        // last stages may feed one sink).
-        // Queue capacities admit the pool *ceiling*, not just the starting
-        // pool, so a controller can grow a pool without deadlocking a
-        // too-small queue.
-        let mut recycle_q: Vec<Arc<Queue>> = Vec::new();
-        let mut sink_q: Vec<Arc<Queue>> = Vec::new();
-        for (gi, members) in groups.iter().enumerate() {
-            let cap: usize = members
-                .iter()
-                .map(|&m| self.pipelines[m].pool_ceiling() + 1)
-                .sum();
-            recycle_q.push(reg(format!("recycle/g{gi}"), cap, FlavorKind::LockFree));
-            sink_q.push(reg(format!("sink/g{gi}"), cap, FlavorKind::LockFree));
-        }
+        // Every queue a pipeline's buffers pass through admits that
+        // pipeline's whole pool — at its *ceiling*, so a controller can grow
+        // the pool without wedging a too-small queue — plus its caboose.
+        let slots = |pipe: &PipeSpec| pipe.pool_ceiling() + 1;
 
-        // Stop flags per pipeline, attached to their (possibly shared)
-        // recycle queue.
-        let stops: Vec<Arc<StopFlag>> = (0..self.pipelines.len())
-            .map(|p| {
-                let f = StopFlag::new();
-                f.attach_recycle(Arc::clone(&recycle_q[group_of[&p]]));
-                f
-            })
-            .collect();
-
-        // Shared input queues for virtual stages.
+        // Shared input queues for virtual stages: fed by many pipelines'
+        // upstreams, never SPSC.  One that heads pipelines is their common
+        // pool and is named as one.
         let mut shared_in: HashMap<usize, Arc<Queue>> = HashMap::new();
         for (sid, slot) in self.stages.iter().enumerate() {
             if slot.is_virtual {
-                let members: Vec<usize> = self
-                    .pipelines
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.chain.contains(&StageId(sid as u32)))
-                    .map(|(i, _)| i)
-                    .collect();
-                let cap: usize = members
-                    .iter()
-                    .map(|&m| self.pipelines[m].pool_ceiling() + 1)
-                    .sum();
-                // Shared (virtual) inputs are fed by many pipelines'
-                // upstreams: never SPSC.  Floor at 2: the lock-free ring
-                // needs at least two slots (`Queue::flavored` would fall
-                // back to the mutex flavor for a capacity-1 request).
+                let prefix = if self.members(sid).any(|p| p.chain[0].index() == sid) {
+                    POOL_QUEUE_PREFIX
+                } else {
+                    "in/"
+                };
                 shared_in.insert(
                     sid,
                     reg(
-                        format!("in/{}", slot.name),
-                        cap.max(2),
+                        format!("{prefix}{}", slot.name),
+                        self.members(sid).map(slots).sum(),
                         FlavorKind::LockFree,
                     ),
                 );
             }
         }
 
-        // Queues along each pipeline.  into_q[p][i] feeds stage i of
-        // pipeline p; out of the last stage is the pipeline's sink queue.
-        // A per-stage queue is specialized to the SPSC ring when exactly
-        // one thread pushes and one pops: the consumer stage has a single
-        // replica (replicas also *push* — they hand the caboose around
-        // their own input queue), and the producer — the group's source
-        // thread for position 0, the upstream stage otherwise — has a
-        // single replica too.  Virtual stages are excluded on both sides
-        // by construction (their shared queue is built above).
+        // Queues along each pipeline: into_q[p][i] feeds stage i of
+        // pipeline p, and into_q[p][0] — the first stage's input — is the
+        // pipeline's pool, which the last stage conveys into and any stage
+        // may discard into: always the lock-free MPMC ring.  A queue
+        // between two stages is specialized to the SPSC ring when exactly
+        // one thread pushes and one pops: both stages have a single replica
+        // (replicas also *push* into their own input — they hand the
+        // caboose around it).  Virtual stages are excluded on both sides by
+        // construction (their shared queue is built above).
         let mut into_q: Vec<Vec<Arc<Queue>>> = Vec::new();
-        for (pi, pipe) in self.pipelines.iter().enumerate() {
+        for pipe in &self.pipelines {
             let mut qs = Vec::with_capacity(pipe.chain.len());
             for (pos, sid) in pipe.chain.iter().enumerate() {
+                let single = |sid: &StageId| self.stages[sid.index()].stages.len() == 1;
                 let q = if self.stages[sid.index()].is_virtual {
                     Arc::clone(&shared_in[&sid.index()])
+                } else if pos == 0 {
+                    reg(
+                        format!("{POOL_QUEUE_PREFIX}{}", pipe.name),
+                        slots(pipe),
+                        FlavorKind::LockFree,
+                    )
                 } else {
-                    let consumer_single = self.stages[sid.index()].stages.len() == 1;
-                    let producer_single = match pos {
-                        0 => true, // one source thread per group
-                        _ => self.stages[pipe.chain[pos - 1].index()].stages.len() == 1,
-                    };
-                    // Proven-exclusive links get the SPSC ring; the rest —
-                    // farm inputs/outputs, whose replicas both pop and
-                    // push (caboose handoff) — get the lock-free MPMC ring.
-                    let kind = if consumer_single && producer_single {
+                    let kind = if single(sid) && single(&pipe.chain[pos - 1]) {
                         FlavorKind::Spsc
                     } else {
                         FlavorKind::LockFree
                     };
-                    reg(
-                        format!("{}[{}]", pipe.name, pos),
-                        pipe.pool_ceiling() + 1,
-                        kind,
-                    )
+                    reg(format!("{}[{}]", pipe.name, pos), slots(pipe), kind)
                 };
                 qs.push(q);
             }
             into_q.push(qs);
-            let _ = pi;
         }
 
-        // Ports for every stage, in pipeline declaration order.
-        let mut ports: Vec<Vec<Port>> = (0..self.stages.len()).map(|_| Vec::new()).collect();
-        for (pi, pipe) in self.pipelines.iter().enumerate() {
-            let gi = group_of[&pi];
-            for (pos, sid) in pipe.chain.iter().enumerate() {
-                let is_virtual = self.stages[sid.index()].is_virtual;
-                let output = if pos + 1 < pipe.chain.len() {
-                    Arc::clone(&into_q[pi][pos + 1])
-                } else {
-                    Arc::clone(&sink_q[gi])
-                };
-                ports[sid.index()].push(Port {
-                    pipeline: PipelineId(pi as u32),
-                    input: if is_virtual {
-                        None
-                    } else {
-                        Some(Arc::clone(&into_q[pi][pos]))
-                    },
-                    output,
-                    recycle: Arc::clone(&recycle_q[gi]),
-                    rounds: pipe.rounds,
-                    stop: Arc::clone(&stops[pi]),
-                    eos: false,
-                    forwarded: false,
-                    deferred_caboose: false,
-                });
-            }
-        }
-
-        // Live buffer-pool handles, one per pipeline, only when a
-        // controller will drive them (otherwise pools stay at their
-        // declared size and the handles would be dead weight).
-        let pools: Vec<Option<Arc<crate::controller::PoolControl>>> = self
+        // One pool per pipeline, with a live size handle only when a
+        // controller will drive it (otherwise pools stay at their declared
+        // size and the handles would be dead weight).
+        let pools: Vec<Arc<Pool>> = self
             .pipelines
             .iter()
             .enumerate()
             .map(|(pi, pipe)| {
-                self.controller.as_ref().map(|_| {
+                let queue = Arc::clone(&into_q[pi][0]);
+                let control = self.controller.as_ref().map(|_| {
                     crate::controller::PoolControl::new(
                         pipe.name.clone(),
-                        format!("recycle/g{}", group_of[&pi]),
+                        queue.name(),
                         pipe.buffers,
                         1,
                         pipe.pool_ceiling(),
                     )
-                })
+                });
+                Pool::new(
+                    PipelineId(pi as u32),
+                    queue,
+                    pipe.rounds,
+                    pipe.buffers,
+                    pipe.buffer_size,
+                    control,
+                    self.ledger.clone(),
+                )
             })
             .collect();
 
-        // Source and sink sets: one each per group.
-        let mut sources = Vec::new();
-        let mut sinks = Vec::new();
-        for (gi, members) in groups.iter().enumerate() {
-            let pipes = members
-                .iter()
-                .map(|&m| runtime::SourcePipe {
-                    pipeline: PipelineId(m as u32),
-                    first: Arc::clone(&into_q[m][0]),
-                    rounds: self.pipelines[m].rounds,
-                    stop: Arc::clone(&stops[m]),
-                    buffers: self.pipelines[m].buffers,
-                    buffer_size: self.pipelines[m].buffer_size,
-                    pool: pools[m].clone(),
-                })
-                .collect();
-            let label = if members.len() == 1 {
-                self.pipelines[members[0]].name.clone()
-            } else {
-                format!("group{gi}")
-            };
-            sources.push(runtime::SourceSet {
-                label: format!("{label}/source"),
-                pipes,
-                recycle: Arc::clone(&recycle_q[gi]),
-            });
-            sinks.push(runtime::SinkSet {
-                label: format!("{label}/sink"),
-                queue: Arc::clone(&sink_q[gi]),
-                recycle: Arc::clone(&recycle_q[gi]),
-                members: members.len(),
-            });
+        // Ports for every stage, in pipeline declaration order.
+        let mut ports: Vec<Vec<Port>> = (0..self.stages.len()).map(|_| Vec::new()).collect();
+        for (pi, pipe) in self.pipelines.iter().enumerate() {
+            for (pos, sid) in pipe.chain.iter().enumerate() {
+                let is_virtual = self.stages[sid.index()].is_virtual;
+                // The last stage's output closes the loop.
+                let next = (pos + 1) % pipe.chain.len();
+                ports[sid.index()].push(Port {
+                    pipeline: PipelineId(pi as u32),
+                    input: (!is_virtual).then(|| Arc::clone(&into_q[pi][pos])),
+                    output: Arc::clone(&into_q[pi][next]),
+                    pool: Arc::clone(&pools[pi]),
+                    first: pos == 0,
+                    eos: false,
+                    forwarded: false,
+                });
+            }
         }
 
         // Stage tasks (one per replica; ordinary stages have one replica).
@@ -740,15 +619,13 @@ impl Program {
         Ok(runtime::Plan {
             registry,
             tasks,
-            sources,
-            sinks,
+            pools,
             trace_in_report: self.trace_in_report,
             metrics: self.metrics.clone(),
             trace_sink: self.trace_sink.clone(),
             trace_group: self.trace_group,
             watchdog: self.watchdog.clone(),
             controller: self.controller.clone(),
-            pools: pools.into_iter().flatten().collect(),
             farms,
             depth_actuators: self.depth_actuators.clone(),
             pin: self.pin.clone(),

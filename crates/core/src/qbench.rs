@@ -54,7 +54,7 @@ impl BenchQueue {
     }
 
     /// A queue using the lock-free MPMC ring flavor (the planner's default
-    /// for farm inputs and recycle/sink queues).
+    /// for farm inputs and buffer pools).
     pub fn mpmc_lock_free(capacity: usize) -> Self {
         BenchQueue {
             q: Queue::lock_free("bench/lockfree", capacity),

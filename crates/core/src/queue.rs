@@ -8,11 +8,11 @@
 //!
 //! Queues are multi-producer multi-consumer because *virtual* stages share a
 //! single queue among many pipelines, and several stages may discard buffers
-//! into the same recycle queue.  Three flavors share one API: a
+//! into the same buffer pool.  Three flavors share one API: a
 //! mutex-guarded deque (the conservative baseline and property-test
 //! oracle), a bounded lock-free MPMC ring with per-slot sequence numbers
-//! (Vyukov-style; the planner's default for farm inputs, recycle and sink
-//! queues, and virtual shared inputs), and — when the planner can prove a
+//! (Vyukov-style; the planner's default for farm inputs, buffer pools,
+//! and virtual shared inputs), and — when the planner can prove a
 //! queue has exactly one producer and one consumer thread (a plain
 //! stage-to-stage link with no replication on either side) — a lock-free
 //! SPSC ring.

@@ -1,52 +1,19 @@
-//! Thread spawning, source/sink loops, and program execution.
+//! Thread spawning and program execution.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::buffer::{Buffer, PipelineId};
 use crate::error::{FgError, Result};
 use crate::metrics::MetricsRegistry;
-use crate::queue::{Item, Queue};
-use crate::stage::{Port, Registry, ReplicaGroup, Rounds, Stage, StageCtx, StopFlag};
+use crate::queue::Queue;
+use crate::stage::{Pool, Port, Registry, ReplicaGroup, Stage, StageCtx};
 use crate::stats::{Report, StageStats};
 use crate::trace::{
-    enter, guess_culprit, Postmortem, SpanRing, ThreadPostmortem, ThreadState, TraceKind,
-    TraceSink, WatchdogAction, WatchdogCfg,
+    guess_culprit, Postmortem, SpanRing, ThreadPostmortem, TraceSink, WatchdogAction, WatchdogCfg,
 };
-
-/// One pipeline served by a source set.
-pub(crate) struct SourcePipe {
-    pub(crate) pipeline: PipelineId,
-    pub(crate) first: Arc<Queue>,
-    pub(crate) rounds: Rounds,
-    pub(crate) stop: Arc<StopFlag>,
-    pub(crate) buffers: usize,
-    pub(crate) buffer_size: usize,
-    /// Live pool handle when a controller may resize this pipeline's
-    /// buffer pool; the source grows/shrinks at its round boundary.
-    pub(crate) pool: Option<Arc<crate::controller::PoolControl>>,
-}
-
-/// A source thread: injects rounds for one pipeline, or for all pipelines
-/// of a virtual group (the automatically-virtualized source of §IV).
-pub(crate) struct SourceSet {
-    pub(crate) label: String,
-    pub(crate) pipes: Vec<SourcePipe>,
-    pub(crate) recycle: Arc<Queue>,
-}
-
-/// A sink thread: recycles buffers back to the source(s) and retires after
-/// seeing every member pipeline's caboose.
-pub(crate) struct SinkSet {
-    pub(crate) label: String,
-    pub(crate) queue: Arc<Queue>,
-    pub(crate) recycle: Arc<Queue>,
-    pub(crate) members: usize,
-}
 
 /// A stage ready to run on its own thread.
 pub(crate) struct StageTask {
@@ -63,8 +30,8 @@ pub(crate) struct StageTask {
 pub(crate) struct Plan {
     pub(crate) registry: Arc<Registry>,
     pub(crate) tasks: Vec<StageTask>,
-    pub(crate) sources: Vec<SourceSet>,
-    pub(crate) sinks: Vec<SinkSet>,
+    /// Every pipeline's buffer pool, in declaration order.
+    pub(crate) pools: Vec<Arc<Pool>>,
     /// Copy this run's span log into [`Report::trace`]
     /// ([`Program::enable_tracing`](crate::Program::enable_tracing)).
     pub(crate) trace_in_report: bool,
@@ -73,7 +40,6 @@ pub(crate) struct Plan {
     pub(crate) trace_group: Option<u32>,
     pub(crate) watchdog: Option<WatchdogCfg>,
     pub(crate) controller: Option<crate::controller::ControllerCfg>,
-    pub(crate) pools: Vec<Arc<crate::controller::PoolControl>>,
     pub(crate) farms: Vec<Arc<ReplicaGroup>>,
     pub(crate) depth_actuators: Vec<Arc<dyn crate::controller::DepthActuator>>,
     pub(crate) pipelines: Vec<crate::stats::PipelineShape>,
@@ -82,9 +48,7 @@ pub(crate) struct Plan {
 }
 
 /// Round-robin core assigner over the plan's pin map.  Threads draw cores
-/// in spawn order — stage/replica threads first, then sources, then sinks
-/// — so the stage threads claim the distinct cores before the (mostly
-/// blocked) source/sink threads wrap around the list.
+/// in spawn order: stages in declaration order, a farm's replicas together.
 struct CorePlacement {
     cores: Vec<usize>,
     next: usize,
@@ -142,15 +106,13 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
     let Plan {
         registry,
         tasks,
-        sources,
-        sinks,
+        pools,
         trace_in_report,
         metrics,
         trace_sink,
         trace_group,
         watchdog,
         controller,
-        pools,
         farms,
         depth_actuators,
         pipelines,
@@ -185,6 +147,11 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
     };
 
     let start = Instant::now();
+    // The pools fill before any stage thread exists: each first stage
+    // starts on a full input queue.
+    for pool in &pools {
+        pool.seed();
+    }
     let mut handles = Vec::new();
 
     for task in tasks {
@@ -203,26 +170,6 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
             move || run_stage_thread(task, registry, stage_metrics, ring, core, stage_ledger),
         )?);
     }
-    for src in sources {
-        let ring = ring_for(&src.label);
-        let sink_ids = trace_sink.clone();
-        let pool_ledger = ledger.clone();
-        let core = placement.assign();
-        handles.push(spawn_thread(
-            format!("{program_name}/{}", src.label),
-            metrics.clone(),
-            move || run_source(src, ring, sink_ids, core, pool_ledger),
-        )?);
-    }
-    for sink in sinks {
-        let ring = ring_for(&sink.label);
-        let core = placement.assign();
-        handles.push(spawn_thread(
-            format!("{program_name}/{}", sink.label),
-            metrics.clone(),
-            move || run_sink(sink, ring, core),
-        )?);
-    }
 
     // Close the observability loop: the controller samples the metrics
     // registry and actuates farm widths, buffer pools, and I/O depths
@@ -234,7 +181,7 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
             cfg.clone(),
             crate::controller::Actuators {
                 farms,
-                pools,
+                pools: pools.iter().filter_map(|p| p.control.clone()).collect(),
                 depths: depth_actuators,
             },
             ring_for("controller"),
@@ -284,6 +231,9 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
         let _ = handle.join();
     }
     let controller_log = controller.map(|c| c.stop());
+    for pool in &pools {
+        pool.settle();
+    }
 
     if let Some(err) = registry.take_error() {
         return Err(err);
@@ -389,226 +339,6 @@ fn run_stage_thread(
     stats
 }
 
-fn run_source(
-    set: SourceSet,
-    ring: Option<Arc<SpanRing>>,
-    trace_sink: Option<Arc<TraceSink>>,
-    core: Option<usize>,
-    ledger: Option<Arc<crate::profile::MemoryLedger>>,
-) -> StageStats {
-    let start = Instant::now();
-    let mut stats = StageStats {
-        name: set.label.clone(),
-        core: pin_self(core),
-        ..StageStats::default()
-    };
-
-    let index_of = |p: PipelineId| set.pipes.iter().position(|sp| sp.pipeline == p);
-    let mut emitted = vec![0u64; set.pipes.len()];
-    let mut done = vec![false; set.pipes.len()];
-    // Pool buffers this source has charged to the ledger and not yet
-    // credited, per pipeline.  The source is where pool buffers are born
-    // and retired, so it returns whatever is left when it exits: no pool
-    // buffer outlives its program.
-    let mut charged = vec![0u64; set.pipes.len()];
-    let charge = |i: usize, charged: &mut [u64]| {
-        if let Some(l) = &ledger {
-            l.charge_pool(set.pipes[i].buffer_size as u64);
-            charged[i] += 1;
-        }
-    };
-
-    // Seed each pipeline's pool.
-    let mut pending: VecDeque<Buffer> = VecDeque::new();
-    for (i, sp) in set.pipes.iter().enumerate() {
-        for _ in 0..sp.buffers {
-            charge(i, &mut charged);
-            pending.push_back(Buffer::new(sp.buffer_size, sp.pipeline));
-        }
-    }
-
-    // Emit the caboose for pipeline i; ignores failure during teardown.
-    let emit_caboose = |i: usize, done: &mut Vec<bool>| {
-        if !done[i] {
-            done[i] = true;
-            let _ = set.pipes[i]
-                .first
-                .push(Item::Caboose(set.pipes[i].pipeline));
-        }
-    };
-
-    'outer: loop {
-        if done.iter().all(|&d| d) {
-            break;
-        }
-        // Controller-requested pool growth: inject fresh buffers at round
-        // boundaries. Queues are sized for the pool ceiling, so the extra
-        // buffers can never wedge a full queue.
-        for (i, sp) in set.pipes.iter().enumerate() {
-            if done[i] {
-                continue;
-            }
-            if let Some(pool) = &sp.pool {
-                while pool.try_grow() {
-                    charge(i, &mut charged);
-                    pending.push_back(Buffer::new(sp.buffer_size, sp.pipeline));
-                }
-            }
-        }
-        // Wait for a free buffer, remembered so the wait can be recorded
-        // against the round the buffer ends up carrying.
-        let mut recycle_wait: Option<(Instant, Instant)> = None;
-        let mut buf = match pending.pop_front() {
-            Some(b) => b,
-            None => {
-                let t0 = Instant::now();
-                enter(&ring, ThreadState::BlockedAccept, t0);
-                let popped = set.recycle.pop();
-                let t1 = Instant::now();
-                stats.blocked_accept += t1 - t0;
-                enter(&ring, ThreadState::Busy, t1);
-                match popped {
-                    Ok(Item::Buf(b)) => {
-                        recycle_wait = Some((t0, t1));
-                        b
-                    }
-                    Ok(Item::Caboose(_)) => continue, // never produced; defensive
-                    Err(_) => {
-                        // Recycle closed: a stop() or program cancellation.
-                        for i in 0..set.pipes.len() {
-                            emit_caboose(i, &mut done);
-                        }
-                        break 'outer;
-                    }
-                }
-            }
-        };
-        let i = match index_of(buf.pipeline()) {
-            Some(i) => i,
-            None => continue, // foreign buffer: impossible, but don't wedge
-        };
-        // Controller-requested pool shrink: retire this recycled buffer
-        // instead of re-injecting it. Only whole buffers at a round boundary
-        // ever leave the pool, so in-flight data is untouched.
-        if set.pipes[i].pool.as_ref().is_some_and(|p| p.try_shrink()) {
-            if let Some(l) = &ledger {
-                l.credit_pool(set.pipes[i].buffer_size as u64);
-                charged[i] -= 1;
-            }
-            continue;
-        }
-        if done[i] {
-            continue; // pipeline retired; release the buffer
-        }
-        if set.pipes[i].stop.is_stopped() {
-            emit_caboose(i, &mut done);
-            continue;
-        }
-        if let Rounds::Count(n) = set.pipes[i].rounds {
-            if emitted[i] >= n {
-                emit_caboose(i, &mut done);
-                continue;
-            }
-        }
-        buf.begin_round(emitted[i]);
-        if let Some(s) = &trace_sink {
-            buf.set_trace_id(s.next_trace_id());
-        }
-        let (round, tid, pid) = (buf.round(), buf.trace_id(), buf.pipeline().0);
-        emitted[i] += 1;
-        if let (Some(r), Some((w0, w1))) = (&ring, recycle_wait) {
-            r.record(TraceKind::Accept, pid, round, tid, r.ns_of(w0), r.ns_of(w1));
-        }
-        let t0 = Instant::now();
-        enter(&ring, ThreadState::BlockedConvey, t0);
-        let pushed = set.pipes[i].first.push(Item::Buf(buf));
-        let t1 = Instant::now();
-        stats.blocked_convey += t1 - t0;
-        if pushed.is_err() {
-            break; // cancelled
-        }
-        if let Some(r) = &ring {
-            r.record(
-                TraceKind::SourceInject,
-                pid,
-                round,
-                tid,
-                r.ns_of(t0),
-                r.ns_of(t1),
-            );
-        }
-        enter(&ring, ThreadState::Busy, t1);
-        stats.buffers_out += 1;
-        // Emit the caboose eagerly right after the final round so consumers
-        // (e.g. a merge stage) learn about the end of this stream promptly.
-        if let Rounds::Count(n) = set.pipes[i].rounds {
-            if emitted[i] == n {
-                emit_caboose(i, &mut done);
-            }
-        }
-    }
-    if let Some(l) = &ledger {
-        for (sp, &n) in set.pipes.iter().zip(&charged) {
-            for _ in 0..n {
-                l.credit_pool(sp.buffer_size as u64);
-            }
-        }
-    }
-    let end = Instant::now();
-    enter(&ring, ThreadState::Done, end);
-    stats.wall = end - start;
-    stats
-}
-
-fn run_sink(set: SinkSet, ring: Option<Arc<SpanRing>>, core: Option<usize>) -> StageStats {
-    let start = Instant::now();
-    let mut stats = StageStats {
-        name: set.label.clone(),
-        core: pin_self(core),
-        ..StageStats::default()
-    };
-    let mut remaining = set.members;
-    while remaining > 0 {
-        let t0 = Instant::now();
-        enter(&ring, ThreadState::BlockedAccept, t0);
-        let popped = set.queue.pop();
-        let t1 = Instant::now();
-        stats.blocked_accept += t1 - t0;
-        enter(&ring, ThreadState::Busy, t1);
-        match popped {
-            Ok(Item::Buf(b)) => {
-                stats.buffers_in += 1;
-                let (pid, round, tid) = (b.pipeline().0, b.round(), b.trace_id());
-                // The source may already have retired; dropping is fine then.
-                let _ = set.recycle.push(Item::Buf(b));
-                if let Some(r) = &ring {
-                    let t2 = Instant::now();
-                    r.record(
-                        TraceKind::Recycle,
-                        pid,
-                        round,
-                        tid,
-                        r.ns_of(t1),
-                        r.ns_of(t2),
-                    );
-                }
-            }
-            Ok(Item::Caboose(p)) => {
-                remaining -= 1;
-                if let Some(r) = &ring {
-                    // Caboose progress still feeds the watchdog's clock.
-                    r.record(TraceKind::Accept, p.0, 0, 0, r.ns_of(t0), r.ns_of(t1));
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    let end = Instant::now();
-    enter(&ring, ThreadState::Done, end);
-    stats.wall = end - start;
-    stats
-}
-
 /// Watchdog loop: poll the sink's idle clock; on a stall, assemble and
 /// report a [`Postmortem`], then abort or keep waiting per the config.
 fn run_watchdog(
@@ -693,45 +423,50 @@ fn run_watchdog(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
-    use crate::controller::PoolControl;
+    use crate::controller::{ControllerCfg, PoolControl};
     use crate::profile::MemoryLedger;
+    use crate::{map_stage, PipelineCfg, Program};
 
     /// `PoolControl` has no public handle (only a controller steers it), so
-    /// the resize case of the ledger's "ends at zero" rule is driven here.
+    /// the resize case of the ledger's "ends at zero" rule is driven here,
+    /// on the plan of a program whose one stage steers its own pool.
     #[test]
     fn a_pool_that_grew_then_shrank_leaves_the_ledger_at_zero() {
-        let first = Queue::new("p[0]", 8);
-        let recycle = Queue::new("recycle/g0", 8);
-        let pool = PoolControl::new("p", "recycle/g0", 2, 1, 4);
-        pool.set_target(4);
+        let handle: Arc<OnceLock<Arc<PoolControl>>> = Arc::default();
         let ledger = Arc::new(MemoryLedger::new());
-        let set = SourceSet {
-            label: "p/source".into(),
-            pipes: vec![SourcePipe {
-                pipeline: PipelineId(0),
-                first: Arc::clone(&first),
-                rounds: Rounds::Count(200),
-                stop: StopFlag::new(),
-                buffers: 2,
-                buffer_size: 64,
-                pool: Some(Arc::clone(&pool)),
-            }],
-            recycle: Arc::clone(&recycle),
-        };
-        let source = {
-            let ledger = Arc::clone(&ledger);
-            std::thread::spawn(move || run_source(set, None, None, None, Some(ledger)))
-        };
-        // Stand in for the pipeline: hand every buffer straight back, and
-        // halfway through steer the pool down to one buffer.
-        while let Item::Buf(b) = first.pop().expect("first queue stays open") {
-            if b.round() == 100 {
-                pool.set_target(1);
-            }
-            recycle.push(Item::Buf(b)).expect("recycle open");
-        }
-        assert_eq!(source.join().expect("source thread").buffers_out, 200);
+        let mut prog = Program::new("resize");
+        // No metrics registry, so no controller thread: only the handles.
+        prog.set_controller(ControllerCfg::default());
+        prog.set_memory_ledger(Arc::clone(&ledger));
+        let steer = Arc::clone(&handle);
+        let s = prog.add_stage(
+            "s",
+            map_stage(move |buf, _| {
+                let pool = steer.get().expect("set before the program runs");
+                match buf.round() {
+                    0 => {
+                        pool.set_target(4);
+                    }
+                    100 => {
+                        pool.set_target(1);
+                    }
+                    _ => {}
+                }
+                Ok(())
+            }),
+        );
+        prog.add_pipeline(PipelineCfg::new("p", 2, 64).max_buffers(4).count(200), &[s])
+            .unwrap();
+        let plan = prog.wire().unwrap();
+        let pool = plan.pools[0].control.clone().expect("a controller is set");
+        assert_eq!((pool.size(), pool.recycle_name()), (2, "recycle/p"));
+        handle.set(Arc::clone(&pool)).unwrap();
+
+        let report = execute("resize".into(), plan).unwrap();
+        assert_eq!(report.stage("s").unwrap().buffers_out, 200);
         assert_eq!(pool.size(), 1, "three buffers were retired on the way");
         assert_eq!(ledger.outstanding(), (0, 0));
         let snap = ledger.snapshot();

@@ -19,23 +19,26 @@
 //!   stages share one thread and one input queue, and buffers from any of
 //!   the member pipelines arrive interleaved (§IV, Figure 5(b)).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::buffer::{Buffer, PipelineId};
+use crate::controller::PoolControl;
 use crate::error::{FgError, Result};
+use crate::profile::MemoryLedger;
 use crate::queue::{Item, Queue};
 use crate::trace::{enter, ThreadState, TraceKind};
 
-/// How many rounds a pipeline's source runs.
+/// How many rounds a pipeline runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rounds {
-    /// The source injects exactly this many buffers, then the caboose.
+    /// The first stage accepts exactly this many buffers — rounds `0..n`,
+    /// in order — then the stream ends.
     Count(u64),
-    /// The source keeps injecting recycled buffers until some stage calls
-    /// [`StageCtx::stop`] for this pipeline (used when the stream length is
-    /// known only dynamically, e.g. a receive pipeline).
+    /// The first stage keeps accepting recycled buffers until some stage
+    /// calls [`StageCtx::stop`] for this pipeline (used when the stream
+    /// length is known only dynamically, e.g. a receive pipeline).
     UntilStopped,
 }
 
@@ -43,9 +46,9 @@ pub enum Rounds {
 ///
 /// `run` is called exactly once, on the stage's own thread.  It should loop
 /// accepting buffers until the stream ends (accept returns `Ok(None)`), then
-/// return.  Returning early is allowed: the runtime stops `UntilStopped`
-/// pipelines the stage belongs to, drains its inputs, and propagates the
-/// caboose downstream.
+/// return.  Returning early is allowed: the runtime ends the pipelines the
+/// stage is the first stage of, stops the `UntilStopped` ones it belongs to,
+/// drains its inputs, and propagates the caboose downstream.
 pub trait Stage: Send {
     /// Execute the stage to completion.
     fn run(&mut self, ctx: &mut StageCtx) -> Result<()>;
@@ -236,35 +239,156 @@ impl Registry {
     }
 }
 
-/// Per-pipeline stop flag shared between stages and the pipeline's source.
-pub(crate) struct StopFlag {
+/// One pipeline's buffer pool and round counter.
+///
+/// The paper's FG gives every pipeline a *source* thread that injects one
+/// buffer a round and a *sink* thread that recycles it.  Here both are
+/// roles: the pool is a queue that *is* the first stage's input, the last
+/// stage's `convey` and every stage's `discard` push into it, and the
+/// first stage's accept starts a popped buffer's next round inline
+/// ([`Pool::begin_round`]) — no thread exists only to forward a pointer.
+pub(crate) struct Pool {
+    pipeline: PipelineId,
+    /// The pool: the first stage's input queue (shared with the other
+    /// pipelines that start at the same virtual stage).
+    pub(crate) queue: Arc<Queue>,
+    pub(crate) rounds: Rounds,
+    buffers: usize,
+    buffer_size: usize,
+    /// Rounds started so far; shared because a farm's replicas all draw
+    /// round numbers from it.
+    started: AtomicU64,
     stopped: AtomicBool,
-    /// The recycle queue the source blocks on; closed on stop so the source
-    /// wakes up promptly.
-    recycle: parking_lot::Mutex<Option<Arc<Queue>>>,
+    /// Set by whoever makes the pipeline's one caboose.
+    ended: AtomicBool,
+    /// Live size handle, present when a controller may resize the pool.
+    pub(crate) control: Option<Arc<PoolControl>>,
+    ledger: Option<Arc<MemoryLedger>>,
+    /// Buffers charged to `ledger` and not yet credited.
+    charged: AtomicU64,
 }
 
-impl StopFlag {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(StopFlag {
+impl Pool {
+    pub(crate) fn new(
+        pipeline: PipelineId,
+        queue: Arc<Queue>,
+        rounds: Rounds,
+        buffers: usize,
+        buffer_size: usize,
+        control: Option<Arc<PoolControl>>,
+        ledger: Option<Arc<MemoryLedger>>,
+    ) -> Arc<Self> {
+        Arc::new(Pool {
+            pipeline,
+            queue,
+            rounds,
+            buffers,
+            buffer_size,
+            started: AtomicU64::new(0),
             stopped: AtomicBool::new(false),
-            recycle: parking_lot::Mutex::new(None),
+            ended: AtomicBool::new(false),
+            control,
+            ledger,
+            charged: AtomicU64::new(0),
         })
     }
 
-    pub(crate) fn attach_recycle(&self, q: Arc<Queue>) {
-        *self.recycle.lock() = Some(q);
-    }
-
-    pub(crate) fn stop(&self) {
-        self.stopped.store(true, Ordering::SeqCst);
-        if let Some(q) = self.recycle.lock().as_ref() {
-            q.close();
+    /// Allocate the pool into its queue, before any stage thread runs.  A
+    /// pipeline of zero rounds gets its caboose instead of buffers.
+    pub(crate) fn seed(&self) {
+        if self.rounds == Rounds::Count(0) {
+            self.stop();
+            return;
+        }
+        for _ in 0..self.buffers {
+            self.grow();
         }
     }
 
-    pub(crate) fn is_stopped(&self) -> bool {
-        self.stopped.load(Ordering::SeqCst)
+    /// Add one fresh buffer.  The queue admits the pool's ceiling, so the
+    /// push cannot block; it fails only once the program is torn down.
+    fn grow(&self) {
+        if let Some(l) = &self.ledger {
+            l.charge_pool(self.buffer_size as u64);
+            self.charged.fetch_add(1, Ordering::SeqCst);
+        }
+        let _ = self
+            .queue
+            .push(Item::Buf(Buffer::new(self.buffer_size, self.pipeline)));
+    }
+
+    /// Take `buf` out of circulation: its pipeline has ended or its pool
+    /// is shrinking.
+    fn release(&self, buf: Buffer) {
+        drop(buf);
+        if let Some(l) = &self.ledger {
+            l.credit_pool(self.buffer_size as u64);
+            self.charged.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Credit whatever the pool still has charged: no pool buffer outlives
+    /// its program.  Called once every stage thread has joined.
+    pub(crate) fn settle(&self) {
+        if let Some(l) = &self.ledger {
+            for _ in 0..self.charged.swap(0, Ordering::SeqCst) {
+                l.credit_pool(self.buffer_size as u64);
+            }
+        }
+    }
+
+    /// What the source did with a buffer that came home: apply a pending
+    /// pool resize, then either start the buffer's next round — `Some`,
+    /// with `true` when the caller now owes the pipeline's caboose because
+    /// this was the last round — or retire it (`None`: the pool is
+    /// shrinking, or the pipeline has stopped or run out of rounds).
+    fn begin_round(&self, mut buf: Buffer) -> Option<(Buffer, bool)> {
+        if let Some(control) = &self.control {
+            if control.try_shrink() {
+                self.release(buf);
+                return None;
+            }
+            while control.try_grow() {
+                self.grow();
+            }
+        }
+        if self.stopped.load(Ordering::SeqCst) {
+            self.release(buf);
+            return None;
+        }
+        let round = self.started.fetch_add(1, Ordering::SeqCst);
+        let last = match self.rounds {
+            Rounds::Count(n) if round >= n => {
+                self.release(buf);
+                return None;
+            }
+            Rounds::Count(n) => round + 1 == n && self.end(),
+            Rounds::UntilStopped => false,
+        };
+        buf.begin_round(round);
+        Some((buf, last))
+    }
+
+    /// Claim the making of the pipeline's one caboose; true for the first
+    /// caller only.
+    fn end(&self) -> bool {
+        !self.ended.swap(true, Ordering::SeqCst)
+    }
+
+    /// Start no more rounds (buffers that come home are retired); true
+    /// when the caller now owes the pipeline's caboose.
+    fn retire(&self) -> bool {
+        self.stopped.store(true, Ordering::SeqCst);
+        self.end()
+    }
+
+    /// End the stream from outside the first stage: the caboose goes into
+    /// the pool, where it wakes a first stage parked on an empty one.  The
+    /// queue has a slot for it beyond the pool's ceiling.
+    pub(crate) fn stop(&self) {
+        if self.retire() {
+            let _ = self.queue.push(Item::Caboose(self.pipeline));
+        }
     }
 }
 
@@ -466,17 +590,15 @@ pub(crate) struct Port {
     pub(crate) pipeline: PipelineId,
     /// Input queue; `None` for virtual stages, which use the shared input.
     pub(crate) input: Option<Arc<Queue>>,
+    /// The next stage's input; the pool's queue for the pipeline's last
+    /// stage, which is all the sink ever was.
     pub(crate) output: Arc<Queue>,
-    pub(crate) recycle: Arc<Queue>,
-    pub(crate) rounds: Rounds,
-    pub(crate) stop: Arc<StopFlag>,
+    pub(crate) pool: Arc<Pool>,
+    /// This stage heads the pipeline: its input is the pool, and its accept
+    /// plays the source ([`Pool::begin_round`]).
+    pub(crate) first: bool,
     pub(crate) eos: bool,
     pub(crate) forwarded: bool,
-    /// A caboose popped by `accept_many` in the same batch as preceding
-    /// buffers.  Observing it immediately would mark end-of-stream before
-    /// the stage conveys those buffers, so it is held here and observed on
-    /// the next accept (or during `finish`).
-    pub(crate) deferred_caboose: bool,
 }
 
 impl Port {
@@ -487,13 +609,17 @@ impl Port {
             pipeline: self.pipeline,
             input: self.input.clone(),
             output: Arc::clone(&self.output),
-            recycle: Arc::clone(&self.recycle),
-            rounds: self.rounds,
-            stop: Arc::clone(&self.stop),
+            pool: Arc::clone(&self.pool),
+            first: self.first,
             eos: false,
             forwarded: false,
-            deferred_caboose: false,
         }
+    }
+
+    /// The pipeline's last stage conveys into the pool; nothing there
+    /// waits for a caboose.
+    fn is_last(&self) -> bool {
+        Arc::ptr_eq(&self.output, &self.pool.queue)
     }
 }
 
@@ -545,6 +671,14 @@ pub struct StageCtx {
     aux: Vec<u8>,
     /// Reusable scratch for [`StageCtx::accept_many`] batches.
     batch: Vec<Item>,
+    /// Ports whose caboose this thread holds and must observe before it
+    /// next waits on an input: the stage was handed a buffer first and has
+    /// to get the chance to convey it.  Either this thread started the
+    /// pipeline's last round ([`Pool::begin_round`]), or `accept_many`
+    /// popped the caboose in the same batch as preceding buffers.
+    owed: Vec<usize>,
+    /// Ports not yet at end of stream.
+    open: usize,
     registry: Arc<Registry>,
     /// This thread's row of the report; the runtime fills in `core` and
     /// `wall` when the thread exits.
@@ -564,6 +698,7 @@ impl StageCtx {
                 ..Default::default()
             },
             name,
+            open: ports.len(),
             ports,
             shared_input,
             replica_group: None,
@@ -575,6 +710,7 @@ impl StageCtx {
             ledger_held: (0, 0),
             aux: Vec::new(),
             batch: Vec::new(),
+            owed: Vec::new(),
             registry,
         }
     }
@@ -758,11 +894,12 @@ impl StageCtx {
         self.registry.is_cancelled()
     }
 
+    /// Ports are wired in pipeline declaration order, so the lookup is a
+    /// binary search however many lanes a virtual or common stage serves.
     fn port_index(&self, pipeline: PipelineId) -> Result<usize> {
         self.ports
-            .iter()
-            .position(|p| p.pipeline == pipeline)
-            .ok_or_else(|| {
+            .binary_search_by_key(&pipeline, |p| p.pipeline)
+            .map_err(|_| {
                 FgError::Usage(format!(
                     "stage `{}` does not belong to {pipeline}",
                     self.name
@@ -825,7 +962,7 @@ impl StageCtx {
             )));
         }
         loop {
-            self.take_deferred_caboose(0)?;
+            self.pay_cabooses()?;
             if self.ports[0].eos {
                 return Ok(0);
             }
@@ -842,41 +979,28 @@ impl StageCtx {
                 self.batch = items;
                 return Err(FgError::Cancelled);
             }
-            let mut got = 0;
-            let mut caboose = None;
+            let before = out.len();
             for item in items.drain(..) {
                 match item {
-                    Item::Buf(b) => {
-                        self.stats.buffers_in += 1;
-                        self.ledger_acquire(b.capacity());
-                        // One record per buffer of the batch, all over the
-                        // same wait.
-                        self.trace_accept(b.pipeline(), b.round(), b.trace_id(), t0, t1);
-                        out.push(b);
-                        got += 1;
-                    }
+                    // One record per buffer of the batch, all over the
+                    // same wait.
+                    Item::Buf(b) => out.extend(self.admit(0, b, t0, t1)),
                     // The queue ends a batch at a caboose, so it can only
                     // be the final item.
-                    Item::Caboose(p) => caboose = Some(p),
+                    Item::Caboose(p) => {
+                        debug_assert_eq!(p, self.ports[0].pipeline);
+                        self.trace_accept(p, 0, 0, t0, t1);
+                        self.owed.push(0);
+                    }
                 }
             }
             self.batch = items;
-            if let Some(p) = caboose {
-                debug_assert_eq!(p, self.ports[0].pipeline);
-                if got > 0 {
-                    // Buffers precede the caboose in this batch; hold the
-                    // caboose so the stage can still convey them.
-                    self.ports[0].deferred_caboose = true;
-                } else {
-                    self.trace_accept(p, 0, 0, t0, t1);
-                    self.observe_caboose(0, p)?;
-                }
-            }
+            let got = out.len() - before;
             if got > 0 {
                 return Ok(got);
             }
-            // Caboose-only batch: the port is now at end of stream, so the
-            // next loop iteration returns Ok(0).
+            // Nothing to hand over (a lone caboose, or buffers the pool
+            // retired): the next iteration observes what is owed.
         }
     }
 
@@ -903,7 +1027,8 @@ impl StageCtx {
             }
         };
         loop {
-            if self.ports.iter().all(|p| p.eos) {
+            self.pay_cabooses()?;
+            if self.open == 0 {
                 return Ok(None);
             }
             let t0 = Instant::now();
@@ -913,10 +1038,10 @@ impl StageCtx {
             self.waited_accept(t0, t1);
             match popped {
                 Ok(Item::Buf(b)) => {
-                    self.stats.buffers_in += 1;
-                    self.ledger_acquire(b.capacity());
-                    self.trace_accept(b.pipeline(), b.round(), b.trace_id(), t0, t1);
-                    return Ok(Some(b));
+                    let idx = self.port_index(b.pipeline())?;
+                    if let Some(b) = self.admit(idx, b, t0, t1) {
+                        return Ok(Some(b));
+                    }
                 }
                 Ok(Item::Caboose(p)) => {
                     self.trace_accept(p, 0, 0, t0, t1);
@@ -939,43 +1064,73 @@ impl StageCtx {
         }
     }
 
-    /// Observe a caboose held back by a mixed `accept_many` batch, now
-    /// that the stage has had the chance to convey the batch's buffers.
-    fn take_deferred_caboose(&mut self, idx: usize) -> Result<()> {
-        if self.ports[idx].deferred_caboose {
-            self.ports[idx].deferred_caboose = false;
+    /// Observe every caboose this thread holds ([`StageCtx::owed`]), now
+    /// that the stage has had the chance to convey the buffers before it.
+    /// Runs ahead of every wait on an input: a stage downstream may be
+    /// waiting for this very caboose while it holds the buffers this
+    /// thread is about to wait for.
+    fn pay_cabooses(&mut self) -> Result<()> {
+        while let Some(idx) = self.owed.pop() {
             let p = self.ports[idx].pipeline;
             self.observe_caboose(idx, p)?;
         }
         Ok(())
     }
 
-    fn pop_port(&mut self, idx: usize) -> Result<Option<Buffer>> {
-        self.take_deferred_caboose(idx)?;
-        if self.ports[idx].eos {
-            return Ok(None);
+    /// Take the buffer popped over the wait `t0..t1` into this stage.  The
+    /// pipeline's first stage plays the source here, on its own thread: the
+    /// buffer has come home to the pool, and either starts its next round
+    /// under a fresh trace id or is retired (`None`).
+    fn admit(&mut self, idx: usize, mut b: Buffer, t0: Instant, t1: Instant) -> Option<Buffer> {
+        if self.ports[idx].first {
+            let pipeline = b.pipeline();
+            let Some((started, last)) = self.ports[idx].pool.begin_round(b) else {
+                // Still a wait this thread sat through: on the record, like
+                // a caboose's.
+                self.trace_accept(pipeline, 0, 0, t0, t1);
+                return None;
+            };
+            b = started;
+            if let Some(ring) = &self.ring {
+                b.set_trace_id(ring.next_trace_id());
+            }
+            if last {
+                self.owed.push(idx);
+            }
         }
-        self.await_admission()?;
-        let input = self.input_of(idx)?;
-        let t0 = Instant::now();
-        enter(&self.ring, ThreadState::BlockedAccept, t0);
-        let popped = input.pop();
-        let t1 = Instant::now();
-        self.waited_accept(t0, t1);
-        match popped {
-            Ok(Item::Buf(b)) => {
-                self.stats.buffers_in += 1;
-                self.ledger_acquire(b.capacity());
-                self.trace_accept(b.pipeline(), b.round(), b.trace_id(), t0, t1);
-                Ok(Some(b))
+        self.stats.buffers_in += 1;
+        self.ledger_acquire(b.capacity());
+        self.trace_accept(b.pipeline(), b.round(), b.trace_id(), t0, t1);
+        Some(b)
+    }
+
+    fn pop_port(&mut self, idx: usize) -> Result<Option<Buffer>> {
+        loop {
+            self.pay_cabooses()?;
+            if self.ports[idx].eos {
+                return Ok(None);
             }
-            Ok(Item::Caboose(p)) => {
-                debug_assert_eq!(p, self.ports[idx].pipeline);
-                self.trace_accept(p, 0, 0, t0, t1);
-                self.observe_caboose(idx, p)?;
-                Ok(None)
+            self.await_admission()?;
+            let input = self.input_of(idx)?;
+            let t0 = Instant::now();
+            enter(&self.ring, ThreadState::BlockedAccept, t0);
+            let popped = input.pop();
+            let t1 = Instant::now();
+            self.waited_accept(t0, t1);
+            match popped {
+                Ok(Item::Buf(b)) => {
+                    if let Some(b) = self.admit(idx, b, t0, t1) {
+                        return Ok(Some(b));
+                    }
+                }
+                Ok(Item::Caboose(p)) => {
+                    debug_assert_eq!(p, self.ports[idx].pipeline);
+                    self.trace_accept(p, 0, 0, t0, t1);
+                    self.observe_caboose(idx, p)?;
+                    return Ok(None);
+                }
+                Err(_) => return Err(FgError::Cancelled),
             }
-            Err(_) => Err(FgError::Cancelled),
         }
     }
 
@@ -985,7 +1140,7 @@ impl StageCtx {
     fn observe_caboose(&mut self, idx: usize, p: PipelineId) -> Result<()> {
         if let Some(group) = self.replica_group.clone() {
             if !group.observe_caboose(p) {
-                self.ports[idx].eos = true;
+                self.end_port(idx);
                 self.ports[idx].forwarded = true;
                 if let Some(input) = self.ports[idx].input.clone() {
                     let _ = input.push(Item::Caboose(p));
@@ -1088,8 +1243,8 @@ impl StageCtx {
 
     /// Return a buffer straight to its pipeline's buffer pool without
     /// passing it downstream (e.g. a spent input buffer the stage consumed
-    /// wholesale).  Equivalent to conveying it to the pipeline's sink when
-    /// this stage is the last stage of that pipeline.
+    /// wholesale).  Equivalent to conveying it when this stage is the last
+    /// stage of that pipeline.
     pub fn discard(&mut self, buf: Buffer) -> Result<()> {
         let idx = self.port_index(buf.pipeline())?;
         // An ordered farm must still take (and release) the round's
@@ -1103,9 +1258,9 @@ impl StageCtx {
             }
         }
         let t0 = Instant::now();
-        // Ignore a closed recycle queue: the pipeline is stopping and the
-        // buffer's memory is simply released.
-        let _ = self.ports[idx].recycle.push(Item::Buf(buf));
+        // A closed pool means the program is being torn down: the buffer's
+        // memory is simply released.
+        let _ = self.ports[idx].pool.queue.push(Item::Buf(buf));
         if let Some(group) = &self.replica_group {
             group.finish_turn(pipeline, round);
         }
@@ -1124,11 +1279,12 @@ impl StageCtx {
         Ok(())
     }
 
-    /// Stop an [`Rounds::UntilStopped`] pipeline: its source emits the
-    /// caboose and retires.  Idempotent.
+    /// Stop an [`Rounds::UntilStopped`] pipeline: its first stage starts
+    /// no more rounds and sees end of stream at its current or next accept.
+    /// Idempotent.
     pub fn stop(&mut self, pipeline: PipelineId) -> Result<()> {
         let idx = self.port_index(pipeline)?;
-        self.ports[idx].stop.stop();
+        self.ports[idx].pool.stop();
         Ok(())
     }
 
@@ -1141,15 +1297,23 @@ impl StageCtx {
         &mut self.aux[..len]
     }
 
+    /// Port `idx` is at end of stream.
+    fn end_port(&mut self, idx: usize) {
+        if !std::mem::replace(&mut self.ports[idx].eos, true) {
+            self.open -= 1;
+        }
+    }
+
     fn mark_eos_and_forward(&mut self, pipeline: PipelineId) -> Result<()> {
         let idx = self.port_index(pipeline)?;
-        self.ports[idx].eos = true;
+        self.end_port(idx);
         if !self.ports[idx].forwarded {
             self.ports[idx].forwarded = true;
-            if self.ports[idx]
-                .output
-                .push(Item::Caboose(pipeline))
-                .is_err()
+            if !self.ports[idx].is_last()
+                && self.ports[idx]
+                    .output
+                    .push(Item::Caboose(pipeline))
+                    .is_err()
                 && !self.registry.is_cancelled()
             {
                 return Err(FgError::Cancelled);
@@ -1158,21 +1322,46 @@ impl StageCtx {
         Ok(())
     }
 
-    /// Post-run cleanup executed by the runtime: stop `UntilStopped`
-    /// pipelines, drain unconsumed inputs (recycling their buffers), and
-    /// guarantee exactly one caboose went downstream per pipeline.
+    /// A buffer drained by [`StageCtx::finish`] goes back to its pool — or
+    /// out of circulation when this stage *is* the head of the pool, which
+    /// it has retired: draining a pool into itself would never end.
+    fn drain_buffer(&self, idx: usize, buf: Buffer) {
+        let port = &self.ports[idx];
+        if port.first {
+            port.pool.release(buf);
+        } else {
+            let _ = port.pool.queue.push(Item::Buf(buf));
+        }
+    }
+
+    /// Post-run cleanup executed by the runtime: end the pipelines this
+    /// stage heads and stop the `UntilStopped` ones it is part of, drain
+    /// unconsumed inputs (recycling their buffers), and guarantee exactly
+    /// one caboose went downstream per pipeline.
     pub(crate) fn finish(&mut self) {
         for idx in 0..self.ports.len() {
-            if matches!(self.ports[idx].rounds, Rounds::UntilStopped) {
-                self.ports[idx].stop.stop();
+            let port = &self.ports[idx];
+            if port.eos {
+                continue;
+            }
+            if port.first {
+                // Returned early from a stream only it can end.
+                if port.pool.retire() {
+                    self.owed.push(idx);
+                }
+            } else if port.pool.rounds == Rounds::UntilStopped {
+                port.pool.stop();
             }
         }
+        let _ = self.pay_cabooses();
         // Drain the shared input (virtual stage) until every lane ends.
         if let Some(shared) = self.shared_input.clone() {
-            while self.ports.iter().any(|p| !p.eos) {
+            while self.open > 0 {
                 match shared.pop() {
                     Ok(Item::Buf(b)) => {
-                        let _ = self.discard(b);
+                        if let Ok(idx) = self.port_index(b.pipeline()) {
+                            self.drain_buffer(idx, b);
+                        }
                     }
                     Ok(Item::Caboose(p)) => {
                         let _ = self.mark_eos_and_forward(p);
@@ -1183,16 +1372,13 @@ impl StageCtx {
         }
         // Drain per-pipeline inputs.
         for idx in 0..self.ports.len() {
-            let _ = self.take_deferred_caboose(idx);
             while !self.ports[idx].eos {
                 let input = match &self.ports[idx].input {
                     Some(q) => Arc::clone(q),
                     None => break,
                 };
                 match input.pop() {
-                    Ok(Item::Buf(b)) => {
-                        let _ = self.ports[idx].recycle.push(Item::Buf(b));
-                    }
+                    Ok(Item::Buf(b)) => self.drain_buffer(idx, b),
                     Ok(Item::Caboose(p)) => {
                         let _ = self.observe_caboose(idx, p);
                     }
@@ -1202,17 +1388,13 @@ impl StageCtx {
         }
         // Last resort (queues closed mid-drain): make sure a caboose was at
         // least attempted downstream for every pipeline.
-        for idx in 0..self.ports.len() {
-            if !self.ports[idx].forwarded {
-                self.ports[idx].forwarded = true;
-                let _ = self.ports[idx]
-                    .output
-                    .try_push(Item::Caboose(self.ports[idx].pipeline));
+        for port in &mut self.ports {
+            if !std::mem::replace(&mut port.forwarded, true) && !port.is_last() {
+                let _ = port.output.try_push(Item::Caboose(port.pipeline));
             }
         }
         // Whatever this thread still holds (a buffer dropped on an error
-        // path) or over-credited (buffers drained above that it never
-        // accepted) leaves the ledger with the thread.
+        // path) leaves the ledger with the thread.
         if let Some(l) = &self.ledger {
             let (buffers, bytes) = std::mem::take(&mut self.ledger_held);
             l.settle(buffers, bytes);

@@ -15,7 +15,7 @@ use std::time::Duration;
 use crate::metrics::MetricsSnapshot;
 use crate::trace::{ThreadLog, TraceKind};
 
-/// Timing record for one stage (or one source/sink) of a finished program.
+/// Timing record for one stage thread of a finished program.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageStats {
     /// Stage name as given at construction.
@@ -65,7 +65,7 @@ impl StageStats {
 /// Lifetime depth statistics of one queue of a finished program.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueueDepth {
-    /// Queue name as assigned during wiring (e.g. `p[1]`, `recycle/g0`).
+    /// Queue name as assigned during wiring (e.g. `p[1]`, `recycle/p`).
     pub name: String,
     /// Maximum number of items the queue could hold.
     pub capacity: usize,
@@ -88,7 +88,7 @@ pub struct QueueDepth {
 pub struct PipelineShape {
     /// Pipeline name as declared.
     pub name: String,
-    /// Stage names in chain order (excludes the implicit source and sink).
+    /// Stage names in chain order.
     pub stages: Vec<String>,
 }
 
@@ -97,12 +97,12 @@ pub struct PipelineShape {
 pub struct Report {
     /// Wall-clock duration of the whole program (all pipelines).
     pub wall: Duration,
-    /// One entry per stage thread, in declaration order, followed by the
-    /// source and sink threads.
+    /// One entry per stage thread (a farm has one per replica), in
+    /// declaration order.
     pub stages: Vec<StageStats>,
-    /// Number of OS threads the program created (stages + sources + sinks).
-    /// Virtual stages and virtual pipelines reduce this count; experiment A2
-    /// measures exactly this field.
+    /// Number of OS threads the program created: one per stage replica.
+    /// Virtual stages reduce this count; experiment A2 measures exactly
+    /// this field.
     pub threads_spawned: usize,
     /// Depth statistics of every queue the program wired, in creation
     /// order.
@@ -223,8 +223,8 @@ impl Report {
     /// `?`, and the header counts the spans dropped.  A thread with no
     /// waits on record (the program ran without
     /// [`Program::enable_tracing`](crate::Program::enable_tracing), or the
-    /// thread is a sink) is drawn from its aggregate numbers as a single
-    /// proportion bar prefixed with `~`.
+    /// thread moved no buffer) is drawn from its aggregate numbers as a
+    /// single proportion bar prefixed with `~`.
     pub fn render_gantt(&self, width: usize) -> String {
         let width = width.max(10);
         let wall_ns = self.wall.as_nanos() as u64;
@@ -238,7 +238,7 @@ impl Report {
         };
         let glyph = |kind| match kind {
             TraceKind::Accept => Some(b'.'),
-            TraceKind::Convey | TraceKind::TurnWait | TraceKind::SourceInject => Some(b'o'),
+            TraceKind::Convey | TraceKind::TurnWait => Some(b'o'),
             _ => None,
         };
         let dropped: u64 = self.trace.iter().map(ThreadLog::dropped).sum();
@@ -266,9 +266,7 @@ impl Report {
             // starting at the same column: `~` flags an approximate
             // (untraced, proportion-drawn) row, space an exact one.
             let marker;
-            // A log with no buffer wait in it cannot draw a row: the run
-            // kept none, or this is a sink, which records what it recycles
-            // rather than what it waited for.
+            // A log with no buffer wait in it cannot draw a row.
             let log = self.trace.iter().find(|l| l.task() == s.name).filter(|l| {
                 l.spans
                     .iter()
@@ -714,11 +712,10 @@ mod render_tests {
         // must keep the row correct.
         let four_hours_ns = 4 * 3600 * 1_000_000_000u64;
         // Every kind drawn `o`, back to back over the second half.
-        let (h, e) = (four_hours_ns / 2, four_hours_ns / 8);
+        let (h, e) = (four_hours_ns / 2, four_hours_ns / 4);
         let waits = [
             (TraceKind::Convey, h, h + e),
-            (TraceKind::TurnWait, h + e, h + 2 * e),
-            (TraceKind::SourceInject, h + 2 * e, four_hours_ns),
+            (TraceKind::TurnWait, h + e, four_hours_ns),
         ];
         let report = Report {
             wall: Duration::from_nanos(four_hours_ns),
@@ -728,7 +725,7 @@ mod render_tests {
                 ..StageStats::default()
             }],
             threads_spawned: 1,
-            trace: vec![log("s", 3, &waits)],
+            trace: vec![log("s", 2, &waits)],
             ..Report::default()
         };
         let text = report.render_gantt(100);

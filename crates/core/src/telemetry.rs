@@ -566,7 +566,7 @@ mod tests {
     fn timestamped_snapshot_json_round_trip() {
         let registry = MetricsRegistry::new();
         registry.counter("core/rounds").add(7);
-        registry.gauge("core/queue_depth/p[0]").set(3);
+        registry.gauge("core/queue_depth/p[1]").set(3);
         registry.histogram("disk/d0/read_ns").record(1000);
         let point = TimestampedSnapshot {
             elapsed: Duration::from_millis(250),

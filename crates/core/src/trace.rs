@@ -126,11 +126,9 @@ impl TraceCtx {
 /// What a [`SpanRec`] measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceKind {
-    /// The source injected a buffer for a new round (waiting for a free
-    /// buffer from the recycle queue is part of the preceding gap, not of
-    /// this span; the span covers the push into the first stage's queue).
-    SourceInject,
-    /// A stage waited on and popped its input queue.
+    /// A stage waited on and popped its input queue.  At a pipeline's
+    /// first stage the input is the buffer pool and the pop starts the
+    /// buffer's round: this is the first span to carry the round's trace id.
     Accept,
     /// A stage's own computation between accepting a buffer and starting to
     /// convey it.
@@ -138,7 +136,7 @@ pub enum TraceKind {
     /// A stage pushed a buffer into its output queue (includes time blocked
     /// on a full queue).
     Convey,
-    /// The sink returned a buffer to its pipeline's recycle queue.
+    /// A stage discarded a buffer straight back to its pipeline's pool.
     Recycle,
     /// An ordered farm replica waited at the turnstile for its round's turn
     /// to emit.
@@ -173,7 +171,6 @@ impl TraceKind {
     /// Short stable label (used in Chrome traces and JSON).
     pub fn label(self) -> &'static str {
         match self {
-            TraceKind::SourceInject => "inject",
             TraceKind::Accept => "accept",
             TraceKind::Work => "work",
             TraceKind::Convey => "convey",
@@ -193,7 +190,6 @@ impl TraceKind {
 
     fn from_label(s: &str) -> Option<Self> {
         Some(match s {
-            "inject" => TraceKind::SourceInject,
             "accept" => TraceKind::Accept,
             "work" => TraceKind::Work,
             "convey" => TraceKind::Convey,
@@ -214,12 +210,13 @@ impl TraceKind {
 
     /// True for span kinds that consume a buffer from upstream.
     fn is_intake(self) -> bool {
-        matches!(self, TraceKind::Accept | TraceKind::Recycle)
+        matches!(self, TraceKind::Accept)
     }
 
-    /// True for span kinds that hand a buffer downstream.
+    /// True for span kinds that hand a buffer on: downstream, or back to
+    /// its pool.
     fn is_emit(self) -> bool {
-        matches!(self, TraceKind::Convey | TraceKind::SourceInject)
+        matches!(self, TraceKind::Convey | TraceKind::Recycle)
     }
 }
 
@@ -288,9 +285,10 @@ impl SpanRec {
 pub enum ThreadState {
     /// Not yet past its first transition.
     Starting,
-    /// Executing stage code (or the source generating a round).
+    /// Executing stage code.
     Busy,
-    /// Blocked popping an input (or recycle) queue.
+    /// Blocked popping an input queue (the buffer pool, for a pipeline's
+    /// first stage).
     BlockedAccept,
     /// Blocked pushing an output queue.
     BlockedConvey,
@@ -349,14 +347,16 @@ pub struct SpanRing {
     slots: Box<[Mutex<SpanRec>]>,
     /// Total records ever written; `cursor % slots.len()` is the next slot.
     cursor: AtomicU64,
-    /// Buffers taken in (accept/recycle spans recorded).
+    /// Buffers taken in (accept spans recorded).
     intakes: AtomicU64,
-    /// Buffers handed on (convey/inject spans recorded).
+    /// Buffers handed on (convey/recycle spans recorded).
     emits: AtomicU64,
     state: AtomicU64,
     state_since_ns: AtomicU64,
     /// Shared with the owning sink: bumped on every record, pipeline-wide.
     last_activity_ns: Arc<AtomicU64>,
+    /// Shared with the owning sink: the next buffer trace id.
+    next_trace_id: Arc<AtomicU64>,
 }
 
 impl SpanRing {
@@ -366,6 +366,7 @@ impl SpanRing {
         epoch: Instant,
         capacity: usize,
         last: Arc<AtomicU64>,
+        next_trace_id: Arc<AtomicU64>,
     ) -> SpanRing {
         let slots: Vec<Mutex<SpanRec>> = (0..capacity.max(1))
             .map(|_| Mutex::new(SpanRec::EMPTY))
@@ -381,7 +382,14 @@ impl SpanRing {
             state: AtomicU64::new(ThreadState::Starting as u64),
             state_since_ns: AtomicU64::new(0),
             last_activity_ns: last,
+            next_trace_id,
         }
+    }
+
+    /// A fresh non-zero trace id, unique across the owning sink, for a
+    /// buffer starting a round on this thread.
+    pub(crate) fn next_trace_id(&self) -> u64 {
+        self.next_trace_id.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Name of the thread this ring records (`program/task`).
@@ -450,12 +458,12 @@ impl SpanRing {
         (st, Duration::from_nanos(for_ns))
     }
 
-    /// Buffers this thread took in (accepts + recycles recorded).
+    /// Buffers this thread took in (accepts recorded).
     pub fn intakes(&self) -> u64 {
         self.intakes.load(Ordering::Relaxed)
     }
 
-    /// Buffers this thread handed on (conveys + injects recorded).
+    /// Buffers this thread handed on (conveys + recycles recorded).
     pub fn emits(&self) -> u64 {
         self.emits.load(Ordering::Relaxed)
     }
@@ -596,7 +604,7 @@ pub struct TraceSink {
     ring_capacity: usize,
     rings: Mutex<Vec<Arc<SpanRing>>>,
     last_activity_ns: Arc<AtomicU64>,
-    next_trace_id: AtomicU64,
+    next_trace_id: Arc<AtomicU64>,
 }
 
 impl TraceSink {
@@ -612,7 +620,7 @@ impl TraceSink {
             ring_capacity: capacity.max(1),
             rings: Mutex::new(Vec::new()),
             last_activity_ns: Arc::new(AtomicU64::new(0)),
-            next_trace_id: AtomicU64::new(1),
+            next_trace_id: Arc::new(AtomicU64::new(1)),
         })
     }
 
@@ -635,12 +643,13 @@ impl TraceSink {
             self.epoch,
             self.ring_capacity,
             Arc::clone(&self.last_activity_ns),
+            Arc::clone(&self.next_trace_id),
         ));
         self.rings.lock().push(Arc::clone(&ring));
         ring
     }
 
-    /// A fresh non-zero trace id for a buffer about to be injected.
+    /// A fresh non-zero trace id for a buffer about to start a round.
     pub fn next_trace_id(&self) -> u64 {
         self.next_trace_id.fetch_add(1, Ordering::Relaxed)
     }
@@ -743,11 +752,15 @@ pub(crate) fn chrome_trace(logs: &[ThreadLog]) -> String {
             }
         }
     }
-    // Flow events: for each trace id, one start ("s") at the earliest
-    // span, steps ("t") in between, and a finish ("f", binding to the
-    // enclosing slice) at the last.  `ts` sits just inside each span's
-    // slice so the viewer can attach the arrow.
-    flows.sort_by_key(|(_, _, s)| (s.trace_id, s.start_ns, s.end_ns));
+    // Flow events: for each trace id, one start ("s") at the first span,
+    // steps ("t") in between, and a finish ("f", binding to the enclosing
+    // slice) at the last.  Spans are taken in the order they *end*: a
+    // stage's accept opens before the buffer it waits for has even started
+    // its round, but closes when the buffer arrives — so a round's flow
+    // starts at the first stage's accept, which takes the buffer from the
+    // pool.  `ts` sits inside each span's slice, no earlier than the arrow
+    // before it, so the viewer can attach the arrow.
+    flows.sort_by_key(|(_, _, s)| (s.trace_id, s.end_ns, s.start_ns));
     let mut i = 0;
     while i < flows.len() {
         let id = flows[i].2.trace_id;
@@ -755,8 +768,10 @@ pub(crate) fn chrome_trace(logs: &[ThreadLog]) -> String {
         while j < flows.len() && flows[j].2.trace_id == id {
             j += 1;
         }
+        let mut at = 0;
         if j - i >= 2 {
             for (k, (pid, tid, s)) in flows[i..j].iter().enumerate() {
+                at = s.start_ns.max(at);
                 let ph = if i + k == i {
                     "s"
                 } else if i + k == j - 1 {
@@ -774,7 +789,7 @@ pub(crate) fn chrome_trace(logs: &[ThreadLog]) -> String {
                     ("id", Json::from(format!("{id:x}"))),
                     ("pid", Json::from(*pid)),
                     ("tid", Json::from(*tid)),
-                    ("ts", us(s.start_ns)),
+                    ("ts", us(at)),
                 ];
                 if ph == "f" {
                     ev.push(("bp", Json::from("e")));
@@ -1025,13 +1040,15 @@ impl Postmortem {
 /// Best-guess culprit among a post-mortem's threads.
 ///
 /// A stage that took in more buffers than it handed on is hoarding them —
-/// with a bounded pool, a hoarder starves the source and wedges everyone
+/// with a bounded pool, a hoarder drains the pool and wedges everyone
 /// else, so the largest positive intake/emit imbalance wins.  When no
 /// thread is imbalanced (e.g. a genuinely slow stage), fall back to the
-/// thread longest in a blocked state, preferring stage threads over the
-/// implicit source/sink (whose blocking is a symptom, not a cause).
+/// thread longest in its state, preferring one that is not waiting to
+/// accept: a blocked accept — a first stage parked on its empty pool most
+/// of all — is a symptom of whoever holds the buffers, not a cause.
 pub fn guess_culprit(threads: &[ThreadPostmortem]) -> Option<String> {
-    let active = |t: &&ThreadPostmortem| t.state != ThreadState::Done;
+    let active =
+        |t: &&ThreadPostmortem| !matches!(t.state, ThreadState::Starting | ThreadState::Done);
     let hoarder = threads
         .iter()
         .filter(active)
@@ -1040,27 +1057,15 @@ pub fn guess_culprit(threads: &[ThreadPostmortem]) -> Option<String> {
     if let Some(t) = hoarder {
         return Some(t.thread.clone());
     }
-    let is_plumbing =
-        |t: &&ThreadPostmortem| t.thread.ends_with("/source") || t.thread.ends_with("/sink");
-    let blocked = |t: &&ThreadPostmortem| {
-        matches!(
-            t.state,
-            ThreadState::BlockedAccept | ThreadState::BlockedConvey | ThreadState::TurnWait
-        ) || t.state == ThreadState::Busy
+    let longest = |waiting: bool| {
+        threads
+            .iter()
+            .filter(active)
+            .filter(|t| (t.state == ThreadState::BlockedAccept) == waiting)
+            .max_by_key(|t| t.in_state_for)
     };
-    threads
-        .iter()
-        .filter(active)
-        .filter(blocked)
-        .filter(|t| !is_plumbing(t))
-        .max_by_key(|t| t.in_state_for)
-        .or_else(|| {
-            threads
-                .iter()
-                .filter(active)
-                .filter(blocked)
-                .max_by_key(|t| t.in_state_for)
-        })
+    longest(false)
+        .or_else(|| longest(true))
         .map(|t| t.thread.clone())
 }
 
@@ -1287,19 +1292,26 @@ mod tests {
             last_spans: Vec::new(),
         };
         let threads = vec![
-            t("p/source", ThreadState::BlockedAccept, 60, 0, 3),
+            t("p/first", ThreadState::BlockedAccept, 60, 3, 3),
             t("p/hoard", ThreadState::BlockedAccept, 50, 3, 0),
             t("p/down", ThreadState::BlockedAccept, 55, 0, 0),
         ];
         assert_eq!(guess_culprit(&threads).as_deref(), Some("p/hoard"));
-        // Without an imbalance, the longest-blocked stage thread wins and
-        // the implicit source is skipped despite blocking longest.
+        // Without an imbalance, the thread longest at something other than
+        // waiting to accept wins: the first stage, parked on its empty pool
+        // for longer, is skipped, and so is the starved stage downstream.
         let threads = vec![
-            t("p/source", ThreadState::BlockedAccept, 60, 3, 3),
+            t("p/first", ThreadState::BlockedAccept, 60, 3, 3),
             t("p/slow", ThreadState::Busy, 40, 3, 3),
-            t("p/sink", ThreadState::BlockedAccept, 59, 3, 3),
+            t("p/down", ThreadState::BlockedAccept, 59, 3, 3),
         ];
         assert_eq!(guess_culprit(&threads).as_deref(), Some("p/slow"));
+        // Everyone waiting to accept: the longest wait is all there is.
+        let threads = vec![
+            t("p/first", ThreadState::BlockedAccept, 60, 3, 3),
+            t("p/down", ThreadState::BlockedAccept, 59, 3, 3),
+        ];
+        assert_eq!(guess_culprit(&threads).as_deref(), Some("p/first"));
     }
 
     #[test]
@@ -1316,7 +1328,7 @@ mod tests {
                 last_spans: vec![SpanRec::EMPTY],
             }],
             queues: vec![QueuePostmortem {
-                queue: "p[0]".into(),
+                queue: "p[1]".into(),
                 depth: 2,
                 capacity: 2,
             }],

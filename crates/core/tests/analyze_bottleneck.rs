@@ -1,7 +1,8 @@
 //! End-to-end bottleneck analysis: inject a deliberately slow middle
 //! stage into a three-stage pipeline and check that `diagnose` names it
 //! as limiting, attributes backpressure upstream and starvation
-//! downstream, and recommends splitting or replicating it.
+//! downstream, and recommends splitting or replicating it; and run a
+//! pipeline on a one-buffer pool and check that the pool is what it blames.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -63,8 +64,19 @@ fn injected_slow_middle_stage_is_diagnosed() {
             .unwrap_or_else(|| panic!("no diagnosis for stage {name}"))
     };
     assert_eq!(stage("slow").verdict, StageVerdict::Busy);
-    // The stage feeding the bottleneck spends its time blocked conveying.
-    assert_eq!(stage("up").verdict, StageVerdict::Backpressured);
+    // The first stage spends its time waiting to accept — parked on its
+    // pool, whose buffers the bottleneck has yet to send home — and that
+    // wait, upstream of the limiting stage, is backpressure by another name.
+    let up = stage("up");
+    assert!(up.starved_frac > 0.5, "diagnosis:\n{}", d.render());
+    assert_eq!(up.verdict, StageVerdict::Backpressured);
+    assert!(
+        d.recommendations
+            .iter()
+            .any(|r| r.contains("`up` is upstream of the limiting stage")),
+        "diagnosis:\n{}",
+        d.render()
+    );
     // The stage downstream of the bottleneck waits on accepts.
     assert_eq!(stage("down").verdict, StageVerdict::Starved);
 
@@ -75,4 +87,52 @@ fn injected_slow_middle_stage_is_diagnosed() {
     );
     // The rendered report names the limiting stage for human readers.
     assert!(d.render().contains("limiting stage: `slow`"));
+}
+
+#[test]
+fn a_one_buffer_pool_is_diagnosed_as_under_provisioned() {
+    // Three stages of equal cost and one buffer between them: two of the
+    // three are always idle, and the pool's queue is empty whenever the
+    // buffer is in anyone's hands.
+    let registry = Arc::new(MetricsRegistry::new());
+    let mut prog = Program::new("one-buffer");
+    prog.set_metrics(Arc::clone(&registry));
+    let chain: Vec<_> = ["a", "b", "c"]
+        .into_iter()
+        .map(|name| {
+            prog.add_stage(
+                name,
+                map_stage(|_, _| {
+                    std::thread::sleep(Duration::from_millis(1));
+                    Ok(())
+                }),
+            )
+        })
+        .collect();
+    prog.add_pipeline(PipelineCfg::new("p", 1, 64).count(40), &chain)
+        .unwrap();
+
+    let sampler = Sampler::start(
+        Arc::clone(&registry),
+        SamplerCfg {
+            interval: Duration::from_millis(1),
+            capacity: 4096,
+        },
+    );
+    let report = prog.run().unwrap();
+    let d = diagnose(&report, &sampler.stop());
+
+    let pool = d
+        .queue_findings
+        .iter()
+        .find(|q| q.name == "recycle/p")
+        .unwrap_or_else(|| panic!("no finding for the pool:\n{}", d.render()));
+    assert!(pool.empty_frac > 0.75, "{pool:?}");
+    assert!(
+        d.recommendations
+            .iter()
+            .any(|r| r.contains("`recycle/p`") && r.contains("under-provisioned")),
+        "diagnosis:\n{}",
+        d.render()
+    );
 }

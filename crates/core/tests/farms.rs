@@ -38,8 +38,8 @@ fn workers_emit_rounds_in_order_without_reorder_stage() {
     .unwrap();
     let report = prog.run().unwrap();
     assert_eq!(seen.lock().unwrap().clone(), (0..100).collect::<Vec<u64>>());
-    // 4 worker threads + check + source + sink.
-    assert_eq!(report.threads_spawned, 7);
+    // 4 worker threads + check.
+    assert_eq!(report.threads_spawned, 5);
     // Per-replica rows roll up under the base name.
     let (rolled, n) = report.stage_rollup("work").unwrap();
     assert_eq!(n, 4);
@@ -141,9 +141,9 @@ fn worker_error_cancels_farm_promptly() {
 
 #[test]
 fn stop_tears_down_farm_and_spsc_spinners_promptly() {
-    // A downstream stage stops the pipeline mid-stream: the source emits
-    // the caboose, the farm's poison-pill handoff retires every worker, and
-    // SPSC pushers/poppers spinning on queues observe the close.
+    // A downstream stage stops the pipeline mid-stream: the caboose goes
+    // into the pool the farm accepts from, the farm's poison-pill handoff
+    // retires every worker, and the stage behind it sees the stream end.
     let t0 = Instant::now();
     struct StopAt(u64);
     impl Stage for StopAt {
@@ -224,17 +224,19 @@ fn accept_many_sees_every_buffer_in_order() {
 
 #[test]
 fn spsc_detection_specializes_plain_chains_only() {
-    // One program exercising all three consumer kinds: a plain chain (SPSC
-    // eligible), a farm (its input is shared by replicas re-pushing the
-    // caboose), and a virtual stage shared by two pipelines (many
-    // producers).  Only the plain chain's queues may specialize.
+    // One program exercising every consumer kind: a plain stage-to-stage
+    // link (SPSC eligible), a farm (its input is shared by replicas
+    // re-pushing the caboose), a virtual stage shared by two pipelines
+    // (many producers), and the pools (the last stage conveys into one, any
+    // stage may discard into it).  Only the plain link may specialize.
     let mut prog = Program::new("flavors");
     let a = prog.add_stage("a", map_stage(|_, _| Ok(())));
     let farm = prog.workers("farm", 2, |_| map_stage(|_, _| Ok(())));
     let b = prog.add_stage("b", map_stage(|_, _| Ok(())));
+    let c = prog.add_stage("c", map_stage(|_, _| Ok(())));
     prog.add_pipeline(
         PipelineCfg::new("p", 3, 16).rounds(Rounds::Count(10)),
-        &[a, farm, b],
+        &[a, farm, b, c],
     )
     .unwrap();
     let v = prog.add_virtual_stage("v", map_stage(|_, _| Ok(())));
@@ -252,21 +254,20 @@ fn spsc_detection_specializes_plain_chains_only() {
         assert_eq!(q.spsc, q.flavor == "spsc", "spsc bool disagrees with label");
         q.flavor.clone()
     };
-    // source -> a: single producer (source thread), single consumer.
-    assert_eq!(flavor("p[0]"), "spsc");
     // a -> farm: the farm's replicas also push (caboose handoff): MPMC,
     // on the lock-free ring.
     assert_eq!(flavor("p[1]"), "lockfree");
     // farm -> b: two replica producers: MPMC.
     assert_eq!(flavor("p[2]"), "lockfree");
-    // Shared virtual input: fed by two pipelines' sources: MPMC.
-    assert_eq!(flavor("in/v"), "lockfree");
-    // Recycle and sink queues collect from many threads: MPMC, lock-free.
-    assert!(report
-        .queues
-        .iter()
-        .filter(|q| q.name.starts_with("recycle/") || q.name.starts_with("sink/"))
-        .all(|q| !q.spsc && q.flavor == "lockfree"));
+    // b -> c: one producer thread, one consumer thread.
+    assert_eq!(flavor("p[3]"), "spsc");
+    // The pools — `a`'s input, and the virtual stage's shared input, which
+    // is the common pool of the two pipelines that start there — collect
+    // from many threads: MPMC, lock-free.
+    assert_eq!(flavor("recycle/p"), "lockfree");
+    assert_eq!(flavor("recycle/v"), "lockfree");
+    // And that is every queue: no position-0 link, no sink queue.
+    assert_eq!(report.queues.len(), 5);
 }
 
 proptest! {

@@ -15,7 +15,7 @@ use fg_core::{Json, Report, SpanRec, ThreadLog, TraceKind};
 fn thread_log() -> impl Strategy<Value = ThreadLog> {
     use proptest::collection::vec;
     use TraceKind::*;
-    const KINDS: [TraceKind; 6] = [SourceInject, Accept, Work, Convey, TurnWait, Alltoallv];
+    const KINDS: [TraceKind; 6] = [Accept, Work, Convey, Recycle, TurnWait, Alltoallv];
     let span = vec(0u64..1 << 53, 6).prop_map(|f| SpanRec {
         kind: KINDS[f[0] as usize % KINDS.len()],
         pipeline: f[1] as u32,

@@ -53,13 +53,14 @@ fn three_stage_pipeline_processes_all_rounds() {
     assert_eq!(produce.buffers_out, rounds);
     let consume = report.stage("consume").unwrap();
     assert_eq!(consume.buffers_in, rounds);
-    // 3 stages + source + sink
-    assert_eq!(report.threads_spawned, 5);
+    // One thread a stage.
+    assert_eq!(report.threads_spawned, 3);
 }
 
 #[test]
 fn rounds_exceed_buffer_pool() {
-    // 2 buffers service 500 rounds via sink-to-source recycling.
+    // 2 buffers service 500 rounds: the last stage conveys into the pool
+    // the first accepts from.
     let count = Arc::new(AtomicU64::new(0));
     let c2 = Arc::clone(&count);
     run_linear(

@@ -41,8 +41,8 @@ fn disjoint_pipelines_progress_independently() {
 
     assert_eq!(fast_done.load(Ordering::Relaxed), 200);
     assert_eq!(slow_done.load(Ordering::Relaxed), 50);
-    // 2 stages + 2 sources + 2 sinks
-    assert_eq!(report.threads_spawned, 6);
+    // One thread a stage.
+    assert_eq!(report.threads_spawned, 2);
 }
 
 /// k sorted runs of u64s -> one sorted stream, via intersecting pipelines.
@@ -276,11 +276,10 @@ fn virtual_reads_same_result_fewer_threads() {
     assert_eq!(got_nonvirtual, expect);
     assert_eq!(got_virtual, expect);
 
-    // Non-virtual: k read stages + k sources + k sinks + merge/collect +
-    // horizontal source/sink.  Virtual: 1 read + 1 shared source + 1 shared
-    // sink + merge/collect + horizontal source/sink.
-    assert_eq!(rep_nonvirtual.threads_spawned, 3 * k + 4);
-    assert_eq!(rep_virtual.threads_spawned, 7);
+    // Non-virtual: k read stages + merge + collect.  Virtual: 1 read +
+    // merge + collect.
+    assert_eq!(rep_nonvirtual.threads_spawned, k + 2);
+    assert_eq!(rep_virtual.threads_spawned, 3);
 }
 
 #[test]

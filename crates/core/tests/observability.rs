@@ -48,25 +48,25 @@ fn the_span_log_sees_every_event() {
     prog.enable_tracing();
     let report = prog.run().unwrap();
 
-    // One log per thread the program spawned, none of them wrapped.
-    assert_eq!(report.trace.len(), 4);
+    // One log per thread the program spawned — its two stages — and
+    // neither wrapped.
+    assert_eq!(report.trace.len(), 2);
     assert!(report.trace.iter().all(|l| l.dropped() == 0));
-    // Each of the two stages conveys every round's buffer, the source
-    // injects it once and the sink recycles it once.
+    // Each of the two stages accepts and conveys every round's buffer;
+    // `check`'s convey is what returns it to the pool, so nothing is left
+    // for a recycle span to say.
     assert_eq!(moved(&report, TraceKind::Convey), 2 * ROUNDS);
-    assert_eq!(moved(&report, TraceKind::SourceInject), ROUNDS);
-    assert_eq!(moved(&report, TraceKind::Recycle), ROUNDS);
-    // Accepts: both stages every round, plus the source's waits on the
-    // recycle queue once its 3 seed buffers are out.
-    assert_eq!(moved(&report, TraceKind::Accept), 2 * ROUNDS + (ROUNDS - 3));
-    // Every journey got its own trace id.
-    let ids: std::collections::BTreeSet<u64> = report
-        .trace
+    assert_eq!(moved(&report, TraceKind::Accept), 2 * ROUNDS);
+    assert_eq!(moved(&report, TraceKind::Recycle), 0);
+    // Every journey got its own trace id, and starts at `fill`'s accept:
+    // the one start-of-round span a round has.
+    let ids: std::collections::BTreeSet<u64> = report.trace[0]
+        .spans
         .iter()
-        .flat_map(|l| &l.spans)
-        .filter(|s| s.kind == TraceKind::SourceInject)
+        .filter(|s| s.kind == TraceKind::Accept && s.trace_id != 0)
         .map(|s| s.trace_id)
         .collect();
+    assert_eq!(report.trace[0].task(), "fill");
     assert_eq!(ids.len() as u64, ROUNDS);
 
     // The log agrees with the report's own accounting.
@@ -127,7 +127,7 @@ fn report_json_round_trips_with_its_span_log() {
 
     let text = report.to_json();
     let doc = Json::parse(&text).unwrap();
-    assert_eq!(doc.get("trace").and_then(Json::as_arr).unwrap().len(), 4);
+    assert_eq!(doc.get("trace").and_then(Json::as_arr).unwrap().len(), 2);
     assert!(doc.get("stages").and_then(Json::as_arr).unwrap()[0]
         .get("spans")
         .is_none());
@@ -149,8 +149,8 @@ fn chrome_trace_has_a_track_per_thread_and_a_flow_per_round() {
     let events = json.get("traceEvents").and_then(Json::as_arr).unwrap();
     let phase = |e: &Json| e.get("ph").and_then(Json::as_str).unwrap().to_owned();
 
-    // One thread-name metadata event per thread (stages + source + sink),
-    // in the report's order, each with a tid of its own.
+    // One thread-name metadata event per stage thread, in the report's
+    // order, each with a tid of its own.
     let tracks: Vec<&Json> = events.iter().filter(|e| phase(e) == "M").collect();
     let names: Vec<&str> = tracks
         .iter()
@@ -163,10 +163,7 @@ fn chrome_trace_has_a_track_per_thread_and_a_flow_per_round() {
                 .unwrap()
         })
         .collect();
-    assert_eq!(
-        names,
-        ["obs/fill", "obs/check", "obs/p/source", "obs/p/sink"]
-    );
+    assert_eq!(names, ["obs/fill", "obs/check"]);
     let tid = |e: &Json| e.get("tid").and_then(Json::as_u64).unwrap();
     let tids: std::collections::BTreeSet<u64> = tracks.iter().map(|e| tid(e)).collect();
     assert_eq!(tids.len(), tracks.len(), "tids must be distinct");
@@ -179,9 +176,11 @@ fn chrome_trace_has_a_track_per_thread_and_a_flow_per_round() {
         assert!(tids.contains(&tid(e)));
         assert!(e.get("dur").and_then(Json::as_f64).unwrap() > 0.0);
     }
-    // Each round's journey is stitched by one flow.
-    let flow_starts = events.iter().filter(|e| phase(e) == "s").count() as u64;
-    assert_eq!(flow_starts, ROUNDS);
+    // Each round's journey is stitched by one flow, and the flow starts
+    // where the round does: on the first stage's track.
+    let flow_starts: Vec<&Json> = events.iter().filter(|e| phase(e) == "s").collect();
+    assert_eq!(flow_starts.len() as u64, ROUNDS);
+    assert!(flow_starts.iter().all(|e| tid(e) == tid(tracks[0])));
     // The sink's own export is the same document when it holds one program.
     let sink = TraceSink::new();
     let mut prog = two_stage_program();
@@ -217,7 +216,7 @@ fn a_stage_error_leaves_a_consistent_log() {
     // log, and the failing stage's is exact up to the buffer it died on.
     let logs = sink.collect();
     let threads: Vec<&str> = logs.iter().map(|l| l.thread.as_str()).collect();
-    assert_eq!(threads, ["err/boom", "err/p/source", "err/p/sink"]);
+    assert_eq!(threads, ["err/boom"]);
     let count = |kind| {
         logs[0]
             .spans

@@ -105,7 +105,7 @@ fn assert_valid_prometheus(body: &str) {
 fn populated_registry() -> Arc<MetricsRegistry> {
     let reg = Arc::new(MetricsRegistry::new());
     reg.counter("core/accepts").add(42);
-    reg.gauge("core/queue_depth/p[0]").set(3);
+    reg.gauge("core/queue_depth/p[1]").set(3);
     let h = reg.histogram("disk/d0/read_ns");
     for v in [100, 1_000, 10_000, 100_000] {
         h.record(v);
@@ -128,7 +128,7 @@ fn metrics_endpoint_serves_valid_prometheus_text() {
         Some(body.len())
     );
     assert!(body.contains("fg_core_accepts 42"), "body:\n{body}");
-    assert!(body.contains("fg_core_queue_depth_p_0"), "body:\n{body}");
+    assert!(body.contains("fg_core_queue_depth_p_1"), "body:\n{body}");
     assert_valid_prometheus(&body);
 }
 

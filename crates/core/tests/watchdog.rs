@@ -77,6 +77,36 @@ fn watchdog_fires_on_wedged_pipeline_and_names_culprit() {
 }
 
 #[test]
+fn a_wedged_middle_stage_is_the_culprit_not_the_first_stage_parked_on_its_pool() {
+    // `wedge` takes a buffer and sits on it until the program is torn down.
+    // `first` runs the pool dry and parks on it — the longest wait on
+    // record, and a symptom: the post-mortem must name `wedge`.
+    let mut prog = Program::new("wedged-mid");
+    let first = prog.add_stage("first", map_stage(|_, _| Ok(())));
+    let wedge = prog.add_stage(
+        "wedge",
+        Box::new(|ctx: &mut StageCtx| {
+            let _held = ctx.accept()?.expect("a first buffer");
+            while !ctx.is_cancelled() {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Ok(())
+        }),
+    );
+    let last = prog.add_stage("last", map_stage(|_, _| Ok(())));
+    prog.add_pipeline(
+        PipelineCfg::new("p", 2, 16).count(100),
+        &[first, wedge, last],
+    )
+    .unwrap();
+    prog.with_watchdog(Duration::from_secs(1));
+    match prog.run() {
+        Err(FgError::Stalled { culprit }) => assert_eq!(culprit, "wedged-mid/wedge"),
+        other => panic!("expected FgError::Stalled, got {other:?}"),
+    }
+}
+
+#[test]
 fn watchdog_spares_a_slow_but_progressing_pipeline() {
     // Each round takes ~20 ms, far longer than a "fast" pipeline but far
     // shorter than the 500 ms watchdog window: spans keep arriving, the

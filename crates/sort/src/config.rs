@@ -117,7 +117,7 @@ pub struct SortConfig {
     /// pass's report.  `None` leaves placement to the OS scheduler.
     pub pin: Option<fg_core::PinMode>,
     /// Memory ledger shared by every FG program the sort runs (`fgsort
-    /// --profile` / `--mem-budget`): sources charge pool buffers to it as
+    /// --profile` / `--mem-budget`): pool buffers are charged to it as
     /// they are created and each stage's residency is tracked as buffers
     /// flow through, making `GET /resources` and the end-of-run resource
     /// report answer "which stage holds the memory".  `None` skips the

@@ -158,7 +158,7 @@ pub fn pass2(
 
             let mut out = ctx
                 .accept_from(horizontal)?
-                .expect("horizontal source supplies empty buffers");
+                .expect("horizontal pool supplies empty buffers");
             out.clear();
             let mut produced = 0u64; // records emitted so far
             out.meta = rank_offset; // global rank of this buffer's first record
@@ -196,7 +196,7 @@ pub fn pass2(
                     ctx.convey(out)?;
                     out = ctx
                         .accept_from(horizontal)?
-                        .expect("horizontal source stopped early");
+                        .expect("horizontal pipeline stopped early");
                     out.clear();
                     out.meta = rank_offset + produced;
                 }

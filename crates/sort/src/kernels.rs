@@ -20,8 +20,8 @@
 //!   pass 4.
 //!
 //! All scratch memory lives in a [`SortScratch`] that callers thread
-//! through their rounds, so steady-state sorting allocates nothing (the
-//! bench asserts this via [`SortScratch::capacity_fingerprint`]).
+//! through their rounds, so steady-state sorting allocates nothing
+//! (`tests/alloc_steady.rs` asserts this under the tracking allocator).
 
 use std::sync::Arc;
 

@@ -104,7 +104,7 @@ fn dsort_stage_allocations(records_per_node: usize) -> [u64; 3] {
 /// scratch, the payload population, mailbox slots), so it stays under 1 MiB
 /// and does not follow the input when the input grows eightfold — nor the
 /// run length, which the plan grows eightfold with it: the receive stage
-/// fills whatever buffers its pipeline's source made.
+/// fills whatever buffers its pipeline's pool holds.
 #[test]
 fn dsort_data_path_allocations_do_not_grow_with_the_input() {
     use fg_sort::dsort::plan::run_len;

@@ -111,8 +111,8 @@ fn dsort_without_virtual_reads_matches() {
     )
     .expect("dsort run");
     verify_output(&cfg, &disks, Strictness::Exact).expect("output");
-    // Non-virtual pass 2 spawns at least 3 threads per run pipeline
-    // (stage + source + sink); virtual keeps it flat.
+    // Non-virtual pass 2 spawns a read thread per run pipeline, beside
+    // its four other stages; virtual keeps it flat.
     let runs: u64 = report.runs_per_node.iter().sum();
     let threads: u64 = report.pass2_threads.iter().sum();
     assert!(threads > runs, "expected per-run threads, got {report:?}");

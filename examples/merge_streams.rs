@@ -3,9 +3,9 @@
 //!
 //! The shape of Figure 5: k vertical pipelines (one per input stream) feed
 //! a common merge stage that emits into a single horizontal pipeline.  The
-//! vertical `fetch` stages are *virtual* — FG runs all k of them (plus
-//! their sources and sinks) on three shared threads, so the program scales
-//! to hundreds of streams without hundreds of threads.
+//! vertical `fetch` stages are *virtual* — FG runs all k of them on one
+//! shared thread, over one queue that pools all k streams' buffers, so the
+//! program scales to hundreds of streams without hundreds of threads.
 //!
 //! ```text
 //! cargo run --release --example merge_streams
@@ -173,9 +173,9 @@ fn main() {
     );
     println!("globally ordered: {ordered}");
     println!(
-        "threads spawned: {} (vs {} if every stream had its own fetch/source/sink threads)",
+        "threads spawned: {} (vs {} if every stream had its own fetch thread)",
         report.threads_spawned,
-        3 * STREAMS + 4,
+        STREAMS + 2,
     );
     assert!(ordered);
     assert_eq!(total_events, STREAMS * EVENTS_PER_STREAM);

@@ -1,7 +1,7 @@
 //! Quickstart: a single linear FG pipeline hiding disk latency.
 //!
-//! Builds the pipeline of Figure 2 — `read → process → write` with an
-//! implicit source and sink — over a simulated disk whose operations cost
+//! Builds the pipeline of Figure 2 — `read → process → write`, its buffers
+//! recycling from `write` back to `read` — over a simulated disk whose operations cost
 //! real wall-clock time, then shows how much latency the pipeline hid
 //! compared with running the same operations serially.
 //!
