@@ -4,15 +4,16 @@
 //!
 //! FG's premise is that a pipeline runs as fast as its slowest stage while
 //! everything else overlaps (§II); the tuning loop the paper implies —
-//! find the limiting stage, then widen a queue, split the stage, or grow a
-//! buffer pool — is manual.  [`diagnose`] automates the diagnosis half:
+//! find the limiting stage, then split it, farm it out, or grow a buffer
+//! pool — is manual.  [`diagnose`] automates the diagnosis half:
 //!
 //! * each stage's wall time splits into **busy** / **starved** (blocked in
-//!   accept) / **backpressured** (blocked in convey) fractions, with the
-//!   dominant one as its [`StageVerdict`] — refined by topology: a starved
-//!   stage *upstream* of the limiting stage is reported as backpressured,
-//!   because its missing buffers are the ones the bottleneck has yet to
-//!   push around the recycle loop;
+//!   accept) / **backpressured** (blocked in convey: an ordered farm's
+//!   worker waiting its emission turn — the push itself never waits)
+//!   fractions, with the dominant one as its [`StageVerdict`] — refined by
+//!   topology: a starved stage *upstream* of the limiting stage is reported
+//!   as backpressured, because its missing buffers are the ones the
+//!   bottleneck has yet to push around the recycle loop;
 //! * the stage with the most busy time is the **limiting stage**: its busy
 //!   time lower-bounds the program's wall time no matter how the other
 //!   stages are tuned;
@@ -20,10 +21,10 @@
 //!   time ([`Report::overlap_efficiency`]) — near 1.0 means the pipeline
 //!   already hides every other stage behind the bottleneck;
 //! * queue-depth gauge series from a
-//!   [`Sampler`](crate::telemetry::Sampler) show which queues sat pinned
-//!   at capacity (a backpressure boundary) and which buffer pools ran dry
-//!   (an under-provisioned pipeline), findings a single end-of-run
-//!   high-water mark cannot distinguish from a momentary spike.
+//!   [`Sampler`](crate::telemetry::Sampler) show which buffer pools ran
+//!   dry (an under-provisioned pipeline), a finding a single end-of-run
+//!   high-water mark cannot distinguish from a momentary dip.  (No queue
+//!   can be sampled full: each admits its pipelines' whole pools.)
 
 use std::time::Duration;
 
@@ -37,9 +38,13 @@ pub enum StageVerdict {
     Busy,
     /// Mostly blocked waiting to accept: its upstream cannot keep up.
     Starved,
-    /// Mostly blocked by the stages after it — waiting to convey into a
-    /// full queue, or (upstream of the limiting stage) waiting to accept a
-    /// buffer the bottleneck has yet to release back into the recycle loop.
+    /// Mostly held up by other work on its pipeline rather than by a lack
+    /// of input.  Either an ordered farm's workers waiting, inside
+    /// `convey`, for a slower earlier round to be emitted (the only wait
+    /// `convey` has: queues admit whole pools, so the push itself never
+    /// blocks), or — upstream of the limiting stage — a stage waiting to
+    /// accept a buffer the bottleneck has yet to release back into the
+    /// recycle loop.
     Backpressured,
 }
 
@@ -110,15 +115,14 @@ pub struct QueueFinding {
     pub name: String,
     /// The queue's capacity.
     pub capacity: usize,
-    /// Fraction of telemetry samples with the queue at capacity.
-    pub full_frac: f64,
     /// Fraction of telemetry samples with the queue empty.
     pub empty_frac: f64,
 }
 
 /// Contention profile of one queue, folded from the
-/// `core/queue_cas_retries/*`, `core/queue_*_parks/*`, and
-/// `core/queue_items/*` counters the queue layer publishes.  Separates
+/// `core/queue_cas_retries/*`, `core/queue_pop_parks/*`,
+/// `core/queue_wakes/*` and `core/queue_items/*` counters the queue layer
+/// publishes.  Separates
 /// "the queue itself is the fight" (CAS retries on the lock-free ring,
 /// park storms) from "a stage is slow" (which shows up as depth pinning,
 /// not retries).
@@ -128,11 +132,9 @@ pub struct ContentionFinding {
     pub name: String,
     /// Failed position CASes on the lock-free ring.
     pub cas_retries: u64,
-    /// Producer condvar waits.
-    pub push_parks: u64,
     /// Consumer condvar waits.
     pub pop_parks: u64,
-    /// Slow-path notifications issued for advertised sleepers.
+    /// Pushes that found a consumer parked and took the slow path to wake it.
     pub wakes: u64,
     /// Successful pushes — the per-item denominator.
     pub items: u64,
@@ -192,7 +194,8 @@ pub struct Diagnosis {
     /// [`Report::overlap_efficiency`]: the limiting stage's busy time over
     /// wall — 1.0 means the run was exactly as fast as its bottleneck.
     pub overlap_efficiency: f64,
-    /// Queues that spent most of the sampled run pinned full or empty.
+    /// How often each queue was sampled empty (a pool's: every buffer was
+    /// in flight).
     pub queue_findings: Vec<QueueFinding>,
     /// Queues whose producers/consumers collided hard enough to matter
     /// (CAS-retry rate above [`CONTENTION_WARN`] with meaningful traffic),
@@ -215,8 +218,8 @@ pub struct Diagnosis {
 /// is worth a recommendation.
 pub(crate) const DOMINANT_FRAC: f64 = 0.5;
 
-/// A queue pinned full/empty in more than this fraction of samples marks a
-/// backpressure boundary / dry pool.
+/// A pool's queue empty in more than this fraction of samples marks a dry
+/// pool.
 pub(crate) const PINNED_FRAC: f64 = 0.5;
 
 /// Below this overlap efficiency the pipeline is leaving the bottleneck
@@ -268,17 +271,17 @@ pub const STAGE_ROUNDS_PREFIX: &str = "core/stage_rounds/";
 /// Metric-name prefix of the per-queue depth gauges.
 pub const QUEUE_DEPTH_PREFIX: &str = "core/queue_depth/";
 /// Metric-name prefix of the per-queue capacity gauges (set once at wire
-/// time so windowed diagnosis can tell "full" without a [`Report`]).
+/// time; windowed diagnosis, which has no [`Report`], enumerates the
+/// queues from them).
 pub const QUEUE_CAPACITY_PREFIX: &str = "core/queue_capacity/";
 /// Metric-name prefix of the per-queue failed-CAS counters (lock-free
 /// flavor only; each count is one producer/consumer collision on the
 /// ring's position words).
 pub const QUEUE_CAS_RETRY_PREFIX: &str = "core/queue_cas_retries/";
-/// Metric-name prefix of the per-queue producer condvar-wait counters.
-pub const QUEUE_PUSH_PARK_PREFIX: &str = "core/queue_push_parks/";
 /// Metric-name prefix of the per-queue consumer condvar-wait counters.
 pub const QUEUE_POP_PARK_PREFIX: &str = "core/queue_pop_parks/";
-/// Metric-name prefix of the per-queue slow-path wake counters.
+/// Metric-name prefix of the per-queue slow-path wake counters (pushes
+/// that found a consumer parked).
 pub const QUEUE_WAKE_PREFIX: &str = "core/queue_wakes/";
 /// Metric-name prefix of the per-queue successful-push counters — the
 /// denominator that turns CAS retries into a per-item collision rate.
@@ -346,12 +349,12 @@ fn limiting_stage(rows: &[Row]) -> Option<String> {
 }
 
 /// Attribute each stage's wall time, name the limiting stage, and read
-/// backpressure boundaries out of the queue-depth time series.
+/// dry pools out of the queue-depth time series.
 ///
 /// `series` may be empty (no sampler attached): stage attribution and the
 /// limiting stage still work from the report alone; only the queue
 /// findings need the time series (the report's high-water marks cannot
-/// tell "pinned at capacity" from "touched capacity once").
+/// tell "ran dry" from "dipped to empty once").
 pub fn diagnose(report: &Report, series: &[TimestampedSnapshot]) -> Diagnosis {
     // Fold per-replica rows (`base#i`) into one farm row per base.  The
     // base must itself be a stage named in the report's pipeline topology,
@@ -478,9 +481,10 @@ pub fn diagnose(report: &Report, series: &[TimestampedSnapshot]) -> Diagnosis {
         }
         if d.backpressured_frac > DOMINANT_FRAC {
             recommendations.push(format!(
-                "stage `{}` is backpressured {:.0}% of its wall time — its downstream \
-                 cannot keep up; widen the downstream queue or speed up (split) the \
-                 stage after it",
+                "stage `{}` is backpressured {:.0}% of its wall time — blocked in \
+                 convey, where the only wait is an ordered farm's emission turn (the \
+                 push itself never waits): its workers are waiting behind a slower \
+                 earlier round; even out the per-round work or run fewer workers",
                 d.name,
                 d.backpressured_frac * 100.0
             ));
@@ -503,15 +507,6 @@ pub fn diagnose(report: &Report, series: &[TimestampedSnapshot]) -> Diagnosis {
         }
     }
     for q in &queue_findings {
-        if q.full_frac > PINNED_FRAC {
-            recommendations.push(format!(
-                "queue `{}` sat at capacity ({}) in {:.0}% of samples — a backpressure \
-                 boundary; its consumer is the local bottleneck",
-                q.name,
-                q.capacity,
-                q.full_frac * 100.0
-            ));
-        }
         if q.empty_frac > PINNED_FRAC && q.name.starts_with(POOL_QUEUE_PREFIX) {
             recommendations.push(format!(
                 "recycle queue `{}` was empty in {:.0}% of samples — every buffer was \
@@ -526,13 +521,12 @@ pub fn diagnose(report: &Report, series: &[TimestampedSnapshot]) -> Diagnosis {
         let pinned = report.stages.iter().any(|s| s.core.is_some());
         recommendations.push(format!(
             "queue `{}` is contended, not its stages busy: {} CAS retries over {} \
-             pushes (~{:.1} per item), {} producer and {} consumer parks — the \
-             threads are fighting over the queue itself{}",
+             pushes (~{:.1} per item), {} consumer parks — the threads are \
+             fighting over the queue itself{}",
             c.name,
             c.cas_retries,
             c.items,
             c.retries_per_item(),
-            c.push_parks,
             c.pop_parks,
             if pinned {
                 "; the run was already pinned, so reduce the number of threads \
@@ -674,8 +668,8 @@ pub struct WindowDiagnosis {
     /// The limiting stage within the window, by the same busy-per-worker
     /// rule as [`diagnose`].
     pub limiting: Option<String>,
-    /// Queues pinned full/empty across the window's samples (capacities
-    /// read from the `core/queue_capacity/*` gauges).
+    /// How often each queue was sampled empty across the window (queues
+    /// and capacities read from the `core/queue_capacity/*` gauges).
     pub queue_findings: Vec<QueueFinding>,
     /// Read-ahead effectiveness over the window (hit/miss deltas).
     pub prefetch: Option<PrefetchFinding>,
@@ -772,40 +766,15 @@ pub fn diagnose_window(window: &[TimestampedSnapshot]) -> Option<WindowDiagnosis
     let stages = stage_diagnoses(&rows);
     let limiting = limiting_stage(&rows);
 
-    // Queue findings across the window, capacities from the wire-time
-    // capacity gauges.
+    // Queue findings across the window, queues and capacities from the
+    // wire-time capacity gauges.
     let queue_findings: Vec<QueueFinding> = last
         .snapshot
         .gauges
         .iter()
         .filter_map(|(name, cap)| {
             let qname = name.strip_prefix(QUEUE_CAPACITY_PREFIX)?;
-            let capacity = cap.value as usize;
-            if capacity == 0 {
-                return None;
-            }
-            let depth_name = format!("{QUEUE_DEPTH_PREFIX}{qname}");
-            let mut samples = 0u64;
-            let mut full = 0u64;
-            let mut empty = 0u64;
-            for point in window {
-                let Some(g) = point.snapshot.gauge(&depth_name) else {
-                    continue;
-                };
-                samples += 1;
-                if g.value as usize >= capacity {
-                    full += 1;
-                }
-                if g.value == 0 {
-                    empty += 1;
-                }
-            }
-            (samples > 0).then(|| QueueFinding {
-                name: qname.to_string(),
-                capacity,
-                full_frac: full as f64 / samples as f64,
-                empty_frac: empty as f64 / samples as f64,
-            })
+            queue_finding(qname, cap.value as usize, window)
         })
         .collect();
 
@@ -897,7 +866,6 @@ fn contention_findings(report: &Report) -> Vec<ContentionFinding> {
             let f = ContentionFinding {
                 name: q.name.clone(),
                 cas_retries: counter(QUEUE_CAS_RETRY_PREFIX, &q.name),
-                push_parks: counter(QUEUE_PUSH_PARK_PREFIX, &q.name),
                 pop_parks: counter(QUEUE_POP_PARK_PREFIX, &q.name),
                 wakes: counter(QUEUE_WAKE_PREFIX, &q.name),
                 items: counter(QUEUE_ITEMS_PREFIX, &q.name),
@@ -914,40 +882,33 @@ fn contention_findings(report: &Report) -> Vec<ContentionFinding> {
     findings
 }
 
-/// Fold the `core/queue_depth/<name>` gauge series into per-queue
-/// full/empty fractions, matched against the report's queue capacities.
+/// Fold queue `name`'s `core/queue_depth/<name>` gauge across `series`:
+/// how often was it sampled empty?  `None` for a queue never sampled.
+fn queue_finding(
+    name: &str,
+    capacity: usize,
+    series: &[TimestampedSnapshot],
+) -> Option<QueueFinding> {
+    let gauge_name = format!("{QUEUE_DEPTH_PREFIX}{name}");
+    let depths = series
+        .iter()
+        .filter_map(|point| point.snapshot.gauge(&gauge_name));
+    let (samples, empty) = depths.fold((0u64, 0u64), |(n, empty), g| {
+        (n + 1, empty + u64::from(g.value == 0))
+    });
+    (capacity > 0 && samples > 0).then(|| QueueFinding {
+        name: name.to_string(),
+        capacity,
+        empty_frac: empty as f64 / samples as f64,
+    })
+}
+
+/// [`queue_finding`] for every queue of the report.
 fn queue_findings(report: &Report, series: &[TimestampedSnapshot]) -> Vec<QueueFinding> {
-    if series.is_empty() {
-        return Vec::new();
-    }
     report
         .queues
         .iter()
-        .filter(|q| q.capacity > 0)
-        .filter_map(|q| {
-            let gauge_name = format!("core/queue_depth/{}", q.name);
-            let mut samples = 0u64;
-            let mut full = 0u64;
-            let mut empty = 0u64;
-            for point in series {
-                let Some(g) = point.snapshot.gauge(&gauge_name) else {
-                    continue;
-                };
-                samples += 1;
-                if g.value as usize >= q.capacity {
-                    full += 1;
-                }
-                if g.value == 0 {
-                    empty += 1;
-                }
-            }
-            (samples > 0).then(|| QueueFinding {
-                name: q.name.clone(),
-                capacity: q.capacity,
-                full_frac: full as f64 / samples as f64,
-                empty_frac: empty as f64 / samples as f64,
-            })
-        })
+        .filter_map(|q| queue_finding(&q.name, q.capacity, series))
         .collect()
 }
 
@@ -1031,7 +992,7 @@ fn resource_findings(report: &Report) -> Vec<ResourceFinding> {
 
 impl Diagnosis {
     /// Render the diagnosis as text: a stage-attribution table, the
-    /// limiting stage and overlap numbers, pinned queues, and the
+    /// limiting stage and overlap numbers, queues that ran dry, and the
     /// recommendation list.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -1082,12 +1043,11 @@ impl Diagnosis {
             ));
         }
         for q in &self.queue_findings {
-            if q.full_frac > PINNED_FRAC || q.empty_frac > PINNED_FRAC {
+            if q.empty_frac > PINNED_FRAC {
                 out.push_str(&format!(
-                    "queue {:<12} cap {:>3}  full {:>3.0}%  empty {:>3.0}% of samples\n",
+                    "queue {:<12} cap {:>3}  empty {:>3.0}% of samples\n",
                     q.name,
                     q.capacity,
-                    q.full_frac * 100.0,
                     q.empty_frac * 100.0
                 ));
             }
@@ -1095,12 +1055,11 @@ impl Diagnosis {
         for c in &self.contention {
             out.push_str(&format!(
                 "queue {:<12} contended: {:.1} CAS retries/item ({} over {} pushes), \
-                 parks {}+{}\n",
+                 {} consumer parks\n",
                 c.name,
                 c.retries_per_item(),
                 c.cas_retries,
                 c.items,
-                c.push_parks,
                 c.pop_parks
             ));
         }
@@ -1417,7 +1376,7 @@ mod tests {
         Report {
             wall: Duration::from_millis(100),
             stages: vec![
-                stage("fast-up", 100, 5, 80),   // backpressured by the slow stage
+                stage("fast-up", 100, 5, 80),   // backpressured: waiting to emit
                 stage("slow", 100, 5, 5),       // the bottleneck
                 stage("fast-down", 100, 80, 5), // starved behind it
             ],
@@ -1673,51 +1632,44 @@ mod tests {
     #[test]
     fn queue_series_distinguishes_pinned_from_spike() {
         use crate::stats::QueueDepth;
+        let pool = |name: &str| QueueDepth {
+            name: name.into(),
+            capacity: 3,
+            max_depth: 2,
+            spsc: false,
+            flavor: "lockfree".into(),
+        };
         let mut r = report();
-        r.queues = vec![
-            QueueDepth {
-                name: "p[1]".into(),
-                capacity: 3,
-                max_depth: 3,
-                spsc: false,
-                flavor: "mutex".into(),
-            },
-            QueueDepth {
-                name: "p[2]".into(),
-                capacity: 3,
-                max_depth: 3,
-                spsc: false,
-                flavor: "mutex".into(),
-            },
-        ];
-        // p[1] pinned at capacity in every sample; p[2] touched it once.
-        let point = |d1: u64, d2: u64, ms: u64| {
+        r.queues = vec![pool("recycle/dry"), pool("recycle/dip"), pool("p[1]")];
+        // `dry` is empty in every sample, `dip` touched empty once, and the
+        // link `p[1]` is always empty — which is what a link should be.
+        let point = |dry: u64, dip: u64, ms: u64| {
             let reg = crate::metrics::MetricsRegistry::new();
-            reg.gauge("core/queue_depth/p[1]").set(d1);
-            reg.gauge("core/queue_depth/p[2]").set(d2);
+            reg.gauge("core/queue_depth/recycle/dry").set(dry);
+            reg.gauge("core/queue_depth/recycle/dip").set(dip);
+            reg.gauge("core/queue_depth/p[1]").set(0);
             TimestampedSnapshot {
                 elapsed: Duration::from_millis(ms),
                 snapshot: reg.snapshot(),
             }
         };
         let series = vec![
-            point(3, 3, 0),
-            point(3, 0, 1),
-            point(3, 1, 2),
-            point(3, 0, 3),
+            point(0, 2, 0),
+            point(0, 0, 1),
+            point(0, 1, 2),
+            point(0, 2, 3),
         ];
         let d = diagnose(&r, &series);
         let f = |n: &str| d.queue_findings.iter().find(|q| q.name == n).unwrap();
-        assert_eq!(f("p[1]").full_frac, 1.0);
-        assert_eq!(f("p[2]").full_frac, 0.25);
-        assert!(d
-            .recommendations
-            .iter()
-            .any(|r| r.contains("`p[1]`") && r.contains("capacity")));
-        assert!(!d
-            .recommendations
-            .iter()
-            .any(|r| r.contains("`p[2]`") && r.contains("capacity")));
+        assert_eq!(f("recycle/dry").empty_frac, 1.0);
+        assert_eq!(f("recycle/dip").empty_frac, 0.25);
+        assert_eq!(f("p[1]").empty_frac, 1.0);
+        let advised = |q: &str| d.recommendations.iter().any(|r| r.contains(q));
+        assert!(advised("`recycle/dry`"));
+        assert!(!advised("`recycle/dip`"), "a dip is not a dry pool");
+        assert!(!advised("`p[1]`"), "only a pool can be under-provisioned");
+        let text = d.render();
+        assert!(text.contains("empty 100% of samples") && !text.contains("full"));
         // Without a time series there is nothing to distinguish: no
         // findings at all, rather than findings from high-water marks.
         assert!(diagnose(&r, &[]).queue_findings.is_empty());
@@ -1797,7 +1749,6 @@ mod tests {
         let reg = crate::metrics::MetricsRegistry::new();
         reg.counter("core/queue_cas_retries/in/sort").add(retries);
         reg.counter("core/queue_items/in/sort").add(items);
-        reg.counter("core/queue_push_parks/in/sort").add(7);
         reg.counter("core/queue_pop_parks/in/sort").add(3);
         reg.counter("core/queue_wakes/in/sort").add(10);
         let mut r = report();
@@ -1819,8 +1770,8 @@ mod tests {
         let c = &d.contention[0];
         assert_eq!(c.name, "in/sort");
         assert_eq!(
-            (c.cas_retries, c.items, c.push_parks, c.pop_parks),
-            (900, 1000, 7, 3)
+            (c.cas_retries, c.items, c.pop_parks, c.wakes),
+            (900, 1000, 3, 10)
         );
         assert!((c.retries_per_item() - 0.9).abs() < 1e-9);
         // Unpinned run: the fix on offer is pinning, and the verdict names
@@ -1958,7 +1909,6 @@ mod tests {
         let q = &d.queue_findings[0];
         assert_eq!((q.name.as_str(), q.capacity), ("recycle/p", 4));
         assert!((q.empty_frac - 2.0 / 3.0).abs() < 1e-9);
-        assert!((q.full_frac - 1.0 / 3.0).abs() < 1e-9);
         // Only the window's deltas count: 0 hits, 40 misses.
         let p = d.prefetch.unwrap();
         assert_eq!((p.hits, p.misses), (0, 40));

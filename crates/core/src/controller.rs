@@ -28,8 +28,7 @@
 //!   controller holds off for `cooldown` ticks so the measured effect is
 //!   attributable;
 //! * **min/max clamps** — farms move within `1..=declared replicas`, pools
-//!   within their declared `min..=max`, depth within
-//!   `1..=`[`ControllerCfg::max_io_depth`].
+//!   within their declared `min..=max`, depth within `1..=MAX_IO_DEPTH`.
 //!
 //! Every decision is itself first-class observability: it lands in a
 //! bounded audit log ([`ControllerLog`], exported in the JSON report),
@@ -194,19 +193,12 @@ pub struct ControllerCfg {
     pub sample_interval: Duration,
     /// Interval between decision ticks.
     pub decide_interval: Duration,
-    /// Sliding-window length, in samples, fed to
-    /// [`diagnose_window`](crate::analyze::diagnose_window).
-    pub window: usize,
     /// A proposal must repeat for this many consecutive ticks before it is
     /// applied (hysteresis against verdict flicker).
     pub confirm: usize,
     /// Decision ticks to hold off after an actuation, so its measured
     /// effect is attributable before the next change.
     pub cooldown: usize,
-    /// Ceiling for the I/O read-ahead depth actuator.
-    pub max_io_depth: usize,
-    /// Maximum retained decisions in the audit log (oldest evicted first).
-    pub log_capacity: usize,
     /// Override every farm's starting width (clamped to each farm's
     /// declared replica count).  `None` starts farms at full width.
     pub initial_workers: Option<usize>,
@@ -219,11 +211,8 @@ impl Default for ControllerCfg {
         ControllerCfg {
             sample_interval: Duration::from_millis(10),
             decide_interval: Duration::from_millis(50),
-            window: 8,
             confirm: 2,
             cooldown: 2,
-            max_io_depth: 16,
-            log_capacity: 256,
             initial_workers: None,
             status: Arc::new(ControlStatus::default()),
         }
@@ -300,8 +289,8 @@ impl Decision {
 /// `"controller"` member of the JSON report.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ControllerLog {
-    /// Audited decisions, oldest first (bounded by
-    /// [`ControllerCfg::log_capacity`]).
+    /// Audited decisions, oldest first (the newest 256; older ones are
+    /// evicted).
     pub decisions: Vec<Decision>,
     /// Decision ticks taken.
     pub ticks: u64,
@@ -429,7 +418,7 @@ fn decide_loop(
             interval: cfg.sample_interval,
             // Retain enough history that a late-read window is never
             // starved by eviction between decision ticks.
-            capacity: cfg.window.max(2) * 4,
+            capacity: WINDOW * 4,
         },
     );
     let started = std::time::Instant::now();
@@ -457,7 +446,7 @@ fn decide_loop(
         shared.log.lock().ticks += 1;
 
         let series = sampler.series();
-        let window_start = series.len().saturating_sub(cfg.window.max(2));
+        let window_start = series.len().saturating_sub(WINDOW);
         let diag = diagnose_window(&series[window_start..]);
         publish_gauges(&registry, &actuators);
         let Some(diag) = diag else {
@@ -476,7 +465,7 @@ fn decide_loop(
             }
         }
 
-        let proposal = propose(&diag, &actuators, &cfg);
+        let proposal = propose(&diag, &actuators);
         if proposal == last_proposal && proposal.is_some() {
             streak += 1;
         } else {
@@ -489,7 +478,7 @@ fn decide_loop(
         } else if let Some(action) = proposal {
             if streak >= cfg.confirm.max(1) {
                 let t0 = std::time::Instant::now();
-                let description = apply(&action, &actuators, &cfg);
+                let description = apply(&action, &actuators);
                 seq += 1;
                 actuations.inc();
                 if let Some(ring) = &ring {
@@ -515,9 +504,8 @@ fn decide_loop(
                     let mut log = shared.log.lock();
                     log.actuations += 1;
                     log.decisions.push(decision);
-                    let cap = cfg.log_capacity.max(1);
-                    if log.decisions.len() > cap {
-                        let excess = log.decisions.len() - cap;
+                    if log.decisions.len() > LOG_CAPACITY {
+                        let excess = log.decisions.len() - LOG_CAPACITY;
                         log.decisions.drain(..excess);
                     }
                 }
@@ -533,10 +521,17 @@ fn decide_loop(
     sampler.stop();
 }
 
+/// Sliding-window length, in samples, fed to [`diagnose_window`].
+const WINDOW: usize = 8;
+/// Ceiling for the I/O read-ahead depth actuator.
+const MAX_IO_DEPTH: usize = 16;
+/// Decisions the audit log retains (oldest evicted first).
+const LOG_CAPACITY: usize = 256;
+
 /// Map the windowed verdict onto at most one actuation, in priority
 /// order: widen the limiting farm, deepen starving read-ahead, grow a dry
 /// buffer pool, then narrow an idle farm.
-fn propose(diag: &WindowDiagnosis, actuators: &Actuators, cfg: &ControllerCfg) -> Option<Action> {
+fn propose(diag: &WindowDiagnosis, actuators: &Actuators) -> Option<Action> {
     // (1) The limiting stage is a farm running below its declared width:
     // more workers attack the bottleneck directly.
     if let Some(lim) = &diag.limiting {
@@ -563,7 +558,7 @@ fn propose(diag: &WindowDiagnosis, actuators: &Actuators, cfg: &ControllerCfg) -
                 .depths
                 .iter()
                 .enumerate()
-                .find(|(_, d)| d.io_depth() < cfg.max_io_depth)
+                .find(|(_, d)| d.io_depth() < MAX_IO_DEPTH)
             {
                 return Some(Action::RaiseDepth(i));
             }
@@ -597,7 +592,7 @@ fn propose(diag: &WindowDiagnosis, actuators: &Actuators, cfg: &ControllerCfg) -
 }
 
 /// Apply one action and return its audit-log description.
-fn apply(action: &Action, actuators: &Actuators, cfg: &ControllerCfg) -> String {
+fn apply(action: &Action, actuators: &Actuators) -> String {
     match *action {
         Action::GrowFarm(i) => {
             let farm = &actuators.farms[i];
@@ -614,7 +609,7 @@ fn apply(action: &Action, actuators: &Actuators, cfg: &ControllerCfg) -> String 
         Action::RaiseDepth(i) => {
             let d = &actuators.depths[i];
             let before = d.io_depth();
-            let after = d.set_io_depth((before * 2).min(cfg.max_io_depth.max(1)));
+            let after = d.set_io_depth((before * 2).min(MAX_IO_DEPTH));
             format!("raise io depth `{}` {before} -> {after}", d.label())
         }
         Action::GrowPool(i) => {

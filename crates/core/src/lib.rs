@@ -110,5 +110,5 @@ pub use stats::{PipelineShape, QueueDepth, Report, StageStats};
 pub use telemetry::{Sampler, SamplerCfg, TelemetryServer, TimestampedSnapshot};
 pub use trace::{
     Postmortem, SpanRec, SpanRing, ThreadLog, ThreadState, TraceCtx, TraceKind, TraceSink,
-    WatchdogAction, WatchdogCfg,
+    WatchdogCfg,
 };

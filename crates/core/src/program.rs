@@ -216,8 +216,7 @@ impl Program {
     /// `cfg.timeout`, a [`Postmortem`](crate::trace::Postmortem) is
     /// rendered to stderr (and optionally a JSON artifact), then the
     /// program is aborted with
-    /// [`FgError::Stalled`](crate::FgError::Stalled) — or left running,
-    /// per [`WatchdogAction`](crate::trace::WatchdogAction).  Implies an
+    /// [`FgError::Stalled`](crate::FgError::Stalled).  Implies an
     /// internal trace sink when none is installed.
     pub fn set_watchdog(&mut self, cfg: crate::trace::WatchdogCfg) {
         self.watchdog = Some(cfg);
@@ -448,8 +447,7 @@ impl Program {
 
         // Build a queue, register it for shutdown, and — when a metrics
         // registry is attached — wire up its depth gauge, contention
-        // counters, and capacity (so windowed diagnosis can tell "full"
-        // without a Report).  `FlavorKind::Spsc` may only be passed for
+        // counters, and capacity.  `FlavorKind::Spsc` may only be passed for
         // stage-to-stage links the planner has proven exclusive; every
         // other queue takes the lock-free MPMC ring (the mutex flavor
         // survives as the property-test oracle and `Queue::new` default).
@@ -463,7 +461,6 @@ impl Program {
             let qmetrics = metrics.as_ref().map(|m| QueueMetrics {
                 cas_retries: m
                     .counter(&format!("{}{name}", crate::analyze::QUEUE_CAS_RETRY_PREFIX)),
-                push_parks: m.counter(&format!("{}{name}", crate::analyze::QUEUE_PUSH_PARK_PREFIX)),
                 pop_parks: m.counter(&format!("{}{name}", crate::analyze::QUEUE_POP_PARK_PREFIX)),
                 wakes: m.counter(&format!("{}{name}", crate::analyze::QUEUE_WAKE_PREFIX)),
                 items: m.counter(&format!("{}{name}", crate::analyze::QUEUE_ITEMS_PREFIX)),
@@ -473,9 +470,15 @@ impl Program {
             q
         };
 
-        // Every queue a pipeline's buffers pass through admits that
-        // pipeline's whole pool — at its *ceiling*, so a controller can grow
-        // the pool without wedging a too-small queue — plus its caboose.
+        // Back-pressure is the pool, and this is where that is enforced:
+        // every queue admits the whole pools of the pipelines that pass
+        // through it — at their *ceilings*, so a controller can grow a pool
+        // — plus one caboose each (a virtual stage's shared queue: the sum
+        // over its member pipelines).  `Buffer::new` is crate-private, so
+        // a pipeline's own pool and caboose are all that can ever sit in
+        // its queues: no push can find one full, `Queue::push` never
+        // waits, and a `Full` it does return is a bug surfaced as
+        // `FgError::Usage`, not a producer put to sleep.
         let slots = |pipe: &PipeSpec| pipe.pool_ceiling() + 1;
 
         // Shared input queues for virtual stages: fed by many pipelines'
@@ -579,7 +582,6 @@ impl Program {
                     pool: Arc::clone(&pools[pi]),
                     first: pos == 0,
                     eos: false,
-                    forwarded: false,
                 });
             }
         }

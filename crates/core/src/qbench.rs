@@ -19,32 +19,6 @@ pub struct BenchQueue {
     q: Arc<Queue>,
 }
 
-/// Reusable scratch for [`BenchQueue::pop_many`], so the benchmark's batched
-/// consumer allocates once, like `StageCtx::accept_many` does.
-#[derive(Default)]
-pub struct Batch(Vec<Item>);
-
-impl Batch {
-    /// Number of items received by the last `pop_many`.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True when the last `pop_many` returned nothing.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Drain the batch, handing each buffer to `f`.
-    pub fn drain_buffers(&mut self, mut f: impl FnMut(Buffer)) {
-        for item in self.0.drain(..) {
-            if let Item::Buf(b) = item {
-                f(b);
-            }
-        }
-    }
-}
-
 impl BenchQueue {
     /// A queue using the general mutex-guarded MPMC flavor.
     pub fn mpmc(capacity: usize) -> Self {
@@ -65,7 +39,7 @@ impl BenchQueue {
     /// caller promises at most one pushing and one popping thread.
     pub fn spsc(capacity: usize) -> Self {
         BenchQueue {
-            q: Queue::spsc_with_gauge("bench/spsc", capacity, None),
+            q: Queue::spsc("bench/spsc", capacity),
         }
     }
 
@@ -74,7 +48,9 @@ impl BenchQueue {
         Buffer::new(bytes, PipelineId(0))
     }
 
-    /// Blocking push; false once the queue is closed.
+    /// Push without waiting; false when the queue is closed or full (the
+    /// buffer is dropped then — bench/property harnesses track counts, not
+    /// identities, on the failure path).
     pub fn push(&self, buf: Buffer) -> bool {
         self.q.push(Item::Buf(buf)).is_ok()
     }
@@ -87,20 +63,6 @@ impl BenchQueue {
         }
     }
 
-    /// Blocking batched pop of up to `max` items into `batch`; false once
-    /// the queue is closed and drained.
-    pub fn pop_many(&self, max: usize, batch: &mut Batch) -> bool {
-        batch.0.clear();
-        self.q.pop_many(max, &mut batch.0).is_ok()
-    }
-
-    /// Non-blocking push; false when the queue is full or closed (the
-    /// buffer is dropped then — bench/property harnesses track counts, not
-    /// identities, on the failure path).
-    pub fn try_push(&self, buf: Buffer) -> bool {
-        self.q.try_push(Item::Buf(buf)).is_ok()
-    }
-
     /// Implementation label: `"mutex"`, `"lockfree"`, or `"spsc"`.
     pub fn flavor(&self) -> &'static str {
         self.q.flavor_label()
@@ -111,7 +73,7 @@ impl BenchQueue {
         self.q.cas_retries()
     }
 
-    /// Close the queue, waking blocked producers and consumers.
+    /// Close the queue, waking blocked consumers.
     pub fn close(&self) {
         self.q.close();
     }

@@ -1,10 +1,17 @@
-//! Bounded blocking queues of buffers.
+//! Bounded queues of buffers: consumers block, producers never do.
 //!
 //! FG places a queue between every pair of consecutive pipeline stages.  A
 //! stage *conveys* a buffer by pushing into its downstream queue and
 //! *accepts* by popping from its upstream queue; an empty upstream queue
 //! blocks the accepting stage's thread, which is exactly how FG yields the
 //! CPU to other stages while a high-latency operation is pending elsewhere.
+//!
+//! Back-pressure is the *pool*, not the queue: a pipeline circulates a
+//! fixed set of buffers, and the planner sizes every queue to admit the
+//! whole pools (and cabooses) of the pipelines that pass through it.  So a
+//! push either lands or fails at once — [`PushError::Closed`] during
+//! teardown, [`PushError::Full`] when that wiring invariant is broken —
+//! and only consumers ever wait.
 //!
 //! Queues are multi-producer multi-consumer because *virtual* stages share a
 //! single queue among many pipelines, and several stages may discard buffers
@@ -17,14 +24,14 @@
 //! stage-to-stage link with no replication on either side) — a lock-free
 //! SPSC ring.
 //!
-//! Waiting is *spin-then-park*: a blocked thread first spins a few hundred
-//! iterations (the common case when the peer stage is about to act) and only
-//! then takes the slow path of parking on a condvar.
+//! A pop waits *spin-then-park*: it first spins a few hundred iterations
+//! (the common case when the peer stage is about to act) and only then
+//! takes the slow path of parking on a condvar.
 //!
-//! A queue can be *closed*; closing wakes every blocked thread — parked or
-//! spinning.  Pushes to a closed queue fail immediately, pops drain whatever
-//! is left and then fail.  The runtime closes all queues of a program when a
-//! stage fails, which unblocks every thread for shutdown.
+//! A queue can be *closed*; closing wakes every blocked consumer — parked
+//! or spinning.  Pushes to a closed queue fail immediately, pops drain
+//! whatever is left and then fail.  The runtime closes all queues of a
+//! program when a stage fails, which unblocks every thread for shutdown.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -35,9 +42,9 @@ use parking_lot::{Condvar, Mutex};
 use crate::buffer::{Buffer, PipelineId};
 use crate::metrics::{Counter, Gauge};
 
-/// Iterations a blocked push/pop spins before parking on a condvar.  Zero
-/// on a single-core host: there the peer stage cannot make progress while
-/// we spin, so the spin phase only burns the time slice the peer needs.
+/// Iterations a blocked pop spins before parking on a condvar.  Zero on a
+/// single-core host: there the peer stage cannot make progress while we
+/// spin, so the spin phase only burns the time slice the peer needs.
 /// Computed once (`available_parallelism` reads cgroup files) and cached.
 fn spin_limit() -> usize {
     // usize::MAX is the "not yet computed" sentinel.
@@ -63,9 +70,20 @@ pub(crate) enum Item {
     Caboose(PipelineId),
 }
 
-/// Error returned by queue operations once the queue is closed.
+/// Error returned by a pop once the queue is closed and drained.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Closed;
+
+/// Why a push failed; the item comes back with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PushError {
+    /// The queue is closed: the program is being torn down.
+    Closed,
+    /// The queue holds `capacity` items.  No queue the planner builds can
+    /// get here (see `Program::wire`), so this is an invariant violation
+    /// to report, not a state to wait out.
+    Full,
+}
 
 struct Inner {
     items: VecDeque<Item>,
@@ -136,85 +154,60 @@ pub(crate) enum FlavorKind {
     Spsc,
 }
 
-/// Registry-backed contention counters for one queue, present only when
-/// the program runs with a metrics registry attached.  The queue also
-/// keeps always-on local atomics (see [`Queue::cas_retries`]) so tests and
-/// post-mortems can read contention without a registry.
+/// One queue's contention counters — the only set it keeps.  The planner
+/// hands in the registry's `core/queue_*/<queue>` counters when the
+/// program runs with a metrics registry; otherwise they are private to the
+/// queue, so tests and post-mortems can still read them
+/// ([`Queue::cas_retries`]).
+#[derive(Default)]
 pub(crate) struct QueueMetrics {
     /// `core/queue_cas_retries/<queue>`: failed position CASes (lock-free
     /// flavor only; a proxy for producer/consumer collision rate).
     pub(crate) cas_retries: Arc<Counter>,
-    /// `core/queue_push_parks/<queue>`: producer condvar waits.
-    pub(crate) push_parks: Arc<Counter>,
     /// `core/queue_pop_parks/<queue>`: consumer condvar waits.
     pub(crate) pop_parks: Arc<Counter>,
-    /// `core/queue_wakes/<queue>`: slow-path notifications issued because a
-    /// peer had advertised itself parked (non-mutex flavors).
+    /// `core/queue_wakes/<queue>`: slow-path notifications a push issued
+    /// because a consumer had advertised itself parked (ring flavors).
     pub(crate) wakes: Arc<Counter>,
     /// `core/queue_items/<queue>`: successful pushes — the denominator
     /// that turns raw CAS-retry counts into a per-item collision rate.
     pub(crate) items: Arc<Counter>,
 }
 
-/// Always-on local contention counters (relaxed atomics; negligible cost).
-#[derive(Default)]
-struct ContentionStats {
-    cas_retries: AtomicU64,
-    push_parks: AtomicU64,
-    pop_parks: AtomicU64,
-    wakes: AtomicU64,
-    items: AtomicU64,
-}
-
-/// A bounded blocking queue of [`Item`]s.
+/// A bounded queue of [`Item`]s with a blocking consumer side.
 pub(crate) struct Queue {
     flavor: Flavor,
-    /// Authoritative closed flag for the SPSC flavor; a racy hint for the
-    /// MPMC spin phase (MPMC keeps the authoritative flag under its lock).
+    /// Authoritative closed flag for the ring flavors; a racy hint for the
+    /// mutex flavor's spin phase (it keeps the authoritative flag under
+    /// its lock).
     closed: AtomicBool,
-    /// Approximate current depth, maintained so blocked threads can spin on
-    /// it without taking the lock.
+    /// Approximate current depth, maintained so blocked consumers can spin
+    /// on it without taking the lock.
     depth_hint: AtomicUsize,
     /// High-water mark of the queue's depth over its lifetime.
     max_depth: AtomicUsize,
-    /// Parking lot for the SPSC flavor's slow path.  (The MPMC flavor parks
-    /// on its own inner mutex instead.)
+    /// Parking lot for the ring flavors' slow path.  (The mutex flavor
+    /// parks on its own inner mutex instead.)
     park: Mutex<()>,
-    /// Number of consumers parked (or about to park) on `not_empty`; the
+    /// Number of consumers parked (or about to park) on `not_empty`; a
     /// producer only takes `park` to notify when this is non-zero.
     pop_sleepers: AtomicUsize,
-    /// Number of producers parked (or about to park) on `not_full`.
-    push_sleepers: AtomicUsize,
     not_empty: Condvar,
-    not_full: Condvar,
     capacity: usize,
     name: String,
-    /// Depth gauge sampled once per push/pop/batch, present only when the
+    /// Depth gauge sampled once per push/pop, present only when the
     /// program runs with a metrics registry attached.
     gauge: Option<Arc<Gauge>>,
-    /// Always-on local contention counters.
-    contention: ContentionStats,
-    /// Registry mirrors of the contention counters (when attached).
-    metrics: Option<QueueMetrics>,
+    metrics: QueueMetrics,
 }
 
 impl Queue {
-    /// Create an MPMC queue holding at most `capacity` items.
+    /// Create a mutex-flavor MPMC queue holding at most `capacity` items.
     pub(crate) fn new(name: impl Into<String>, capacity: usize) -> Arc<Self> {
-        Self::with_gauge(name, capacity, None)
+        Self::flavored(name, capacity, FlavorKind::Mutex, None, None)
     }
 
-    /// Create an MPMC queue that additionally samples its depth into `gauge`.
-    pub(crate) fn with_gauge(
-        name: impl Into<String>,
-        capacity: usize,
-        gauge: Option<Arc<Gauge>>,
-    ) -> Arc<Self> {
-        Self::flavored(name, capacity, FlavorKind::Mutex, gauge, None)
-    }
-
-    /// Create a lock-free MPMC queue (bench/test convenience).
-    #[allow(dead_code)] // exercised via qbench and unit tests
+    /// Create a lock-free MPMC queue.
     pub(crate) fn lock_free(name: impl Into<String>, capacity: usize) -> Arc<Self> {
         Self::flavored(name, capacity, FlavorKind::LockFree, None, None)
     }
@@ -222,16 +215,13 @@ impl Queue {
     /// Create an SPSC queue.  The caller promises that at most one thread
     /// ever pushes and at most one thread ever pops (`close` may still be
     /// called from anywhere).
-    pub(crate) fn spsc_with_gauge(
-        name: impl Into<String>,
-        capacity: usize,
-        gauge: Option<Arc<Gauge>>,
-    ) -> Arc<Self> {
-        Self::flavored(name, capacity, FlavorKind::Spsc, gauge, None)
+    pub(crate) fn spsc(name: impl Into<String>, capacity: usize) -> Arc<Self> {
+        Self::flavored(name, capacity, FlavorKind::Spsc, None, None)
     }
 
     /// Create a queue of the given flavor with optional depth gauge and
-    /// contention counters.  The planner's one construction point.
+    /// registry-backed contention counters.  The planner's one
+    /// construction point.
     pub(crate) fn flavored(
         name: impl Into<String>,
         capacity: usize,
@@ -280,14 +270,11 @@ impl Queue {
             max_depth: AtomicUsize::new(0),
             park: Mutex::new(()),
             pop_sleepers: AtomicUsize::new(0),
-            push_sleepers: AtomicUsize::new(0),
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
             capacity,
             name: name.into(),
             gauge,
-            contention: ContentionStats::default(),
-            metrics,
+            metrics: metrics.unwrap_or_default(),
         })
     }
 
@@ -318,51 +305,13 @@ impl Queue {
     /// Failed position CASes over the queue's lifetime (lock-free flavor;
     /// always zero for the others).
     pub(crate) fn cas_retries(&self) -> u64 {
-        self.contention.cas_retries.load(Ordering::Relaxed)
+        self.metrics.cas_retries.get()
     }
 
-    /// Producer and consumer condvar waits over the queue's lifetime.
+    /// Consumer condvar waits over the queue's lifetime.
     #[cfg(test)]
-    pub(crate) fn parks(&self) -> (u64, u64) {
-        (
-            self.contention.push_parks.load(Ordering::Relaxed),
-            self.contention.pop_parks.load(Ordering::Relaxed),
-        )
-    }
-
-    fn note_cas_retries(&self, n: u64) {
-        self.contention.cas_retries.fetch_add(n, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.cas_retries.add(n);
-        }
-    }
-
-    fn note_push_park(&self) {
-        self.contention.push_parks.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.push_parks.inc();
-        }
-    }
-
-    fn note_pop_park(&self) {
-        self.contention.pop_parks.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.pop_parks.inc();
-        }
-    }
-
-    fn note_wake(&self) {
-        self.contention.wakes.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.wakes.inc();
-        }
-    }
-
-    fn note_item(&self) {
-        self.contention.items.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.items.inc();
-        }
+    pub(crate) fn parks(&self) -> u64 {
+        self.metrics.pop_parks.get()
     }
 
     /// High-water mark of the queue's depth over its lifetime.
@@ -387,88 +336,29 @@ impl Queue {
         }
     }
 
-    /// Blocking push.  Fails (returning the item) once the queue is closed.
-    pub(crate) fn push(&self, item: Item) -> Result<(), (Item, Closed)> {
+    /// Push without waiting.  Fails — handing the item back — once the
+    /// queue is closed, or when it is full.
+    pub(crate) fn push(&self, item: Item) -> Result<(), (Item, PushError)> {
         match &self.flavor {
             Flavor::Mpmc(lock) => {
-                // Spin while the queue looks full: the consumer usually
-                // frees a slot within a few hundred iterations.
-                if self.depth_hint.load(Ordering::Relaxed) >= self.capacity {
-                    for _ in 0..spin_limit() {
-                        if self.depth_hint.load(Ordering::Relaxed) < self.capacity
-                            || self.closed.load(Ordering::Relaxed)
-                        {
-                            break;
-                        }
-                        std::hint::spin_loop();
-                    }
-                }
                 let mut inner = lock.lock();
-                while inner.items.len() >= self.capacity && !inner.closed {
-                    self.note_push_park();
-                    self.not_full.wait(&mut inner);
-                }
                 if inner.closed {
-                    return Err((item, Closed));
+                    return Err((item, PushError::Closed));
+                }
+                if inner.items.len() >= self.capacity {
+                    return Err((item, PushError::Full));
                 }
                 inner.items.push_back(item);
                 let depth = inner.items.len();
                 self.record_depth(depth);
                 drop(inner);
                 self.sample_depth(depth);
-                self.note_item();
+                self.metrics.items.inc();
                 self.not_empty.notify_one();
                 Ok(())
             }
             Flavor::LockFree(ring) => self.lf_push(ring, item),
             Flavor::Spsc(ring) => self.spsc_push(ring, item),
-        }
-    }
-
-    /// Non-blocking push used by shutdown paths; drops nothing silently —
-    /// the item comes back on failure.
-    pub(crate) fn try_push(&self, item: Item) -> Result<(), (Item, Closed)> {
-        match &self.flavor {
-            Flavor::Mpmc(lock) => {
-                let mut inner = lock.lock();
-                if inner.closed || inner.items.len() >= self.capacity {
-                    return Err((item, Closed));
-                }
-                inner.items.push_back(item);
-                let depth = inner.items.len();
-                self.record_depth(depth);
-                drop(inner);
-                self.sample_depth(depth);
-                self.note_item();
-                self.not_empty.notify_one();
-                Ok(())
-            }
-            Flavor::LockFree(ring) => {
-                if self.closed.load(Ordering::SeqCst) {
-                    return Err((item, Closed));
-                }
-                match self.lf_try_push(ring, item) {
-                    Ok(()) => {
-                        self.note_item();
-                        self.after_lf_push(ring);
-                        Ok(())
-                    }
-                    Err(item) => Err((item, Closed)),
-                }
-            }
-            Flavor::Spsc(ring) => {
-                if self.closed.load(Ordering::SeqCst) {
-                    return Err((item, Closed));
-                }
-                match self.spsc_try_push(ring, item) {
-                    Ok(()) => {
-                        self.note_item();
-                        self.after_spsc_push(ring);
-                        Ok(())
-                    }
-                    Err(item) => Err((item, Closed)),
-                }
-            }
         }
     }
 
@@ -484,13 +374,12 @@ impl Queue {
                         self.depth_hint.store(depth, Ordering::Relaxed);
                         drop(inner);
                         self.sample_depth(depth);
-                        self.not_full.notify_one();
                         return Ok(item);
                     }
                     if inner.closed {
                         return Err(Closed);
                     }
-                    self.note_pop_park();
+                    self.metrics.pop_parks.inc();
                     self.not_empty.wait(&mut inner);
                 }
             }
@@ -499,105 +388,17 @@ impl Queue {
         }
     }
 
-    /// Blocking batched pop: wait for at least one item, then drain up to
-    /// `max` items into `out` under a single lock acquisition, sampling the
-    /// depth gauge once for the whole batch.  A caboose terminates the
-    /// batch (it is included) so callers never see items from beyond an
-    /// end-of-stream marker.  Returns the number of items appended.
-    pub(crate) fn pop_many(&self, max: usize, out: &mut Vec<Item>) -> Result<usize, Closed> {
-        assert!(max > 0, "pop_many needs a positive batch size");
-        match &self.flavor {
-            Flavor::Mpmc(lock) => {
-                self.mpmc_spin_until_nonempty();
-                let mut inner = lock.lock();
-                loop {
-                    if !inner.items.is_empty() {
-                        let mut n = 0;
-                        while n < max {
-                            match inner.items.pop_front() {
-                                Some(item) => {
-                                    let stop = matches!(item, Item::Caboose(_));
-                                    out.push(item);
-                                    n += 1;
-                                    if stop {
-                                        break;
-                                    }
-                                }
-                                None => break,
-                            }
-                        }
-                        let depth = inner.items.len();
-                        self.depth_hint.store(depth, Ordering::Relaxed);
-                        drop(inner);
-                        self.sample_depth(depth);
-                        if n > 1 {
-                            self.not_full.notify_all();
-                        } else {
-                            self.not_full.notify_one();
-                        }
-                        return Ok(n);
-                    }
-                    if inner.closed {
-                        return Err(Closed);
-                    }
-                    self.note_pop_park();
-                    self.not_empty.wait(&mut inner);
-                }
-            }
-            Flavor::LockFree(ring) => {
-                let first = self.lf_pop_raw(ring)?;
-                let mut stop = matches!(first, Item::Caboose(_));
-                out.push(first);
-                let mut n = 1;
-                while n < max && !stop {
-                    match self.lf_try_pop(ring) {
-                        Some(item) => {
-                            stop = matches!(item, Item::Caboose(_));
-                            out.push(item);
-                            n += 1;
-                        }
-                        None => break,
-                    }
-                }
-                self.after_lf_pop(ring);
-                Ok(n)
-            }
-            Flavor::Spsc(ring) => {
-                let first = self.spsc_pop_raw(ring)?;
-                let mut stop = matches!(first, Item::Caboose(_));
-                out.push(first);
-                let mut n = 1;
-                while n < max && !stop {
-                    match self.spsc_try_pop(ring) {
-                        Some(item) => {
-                            stop = matches!(item, Item::Caboose(_));
-                            out.push(item);
-                            n += 1;
-                        }
-                        None => break,
-                    }
-                }
-                self.after_spsc_pop(ring);
-                Ok(n)
-            }
-        }
-    }
-
-    /// Close the queue and wake all waiters.  Idempotent.
+    /// Close the queue and wake every waiting consumer.  Idempotent.
     pub(crate) fn close(&self) {
         self.closed.store(true, Ordering::SeqCst);
         if let Flavor::Mpmc(lock) = &self.flavor {
-            let mut inner = lock.lock();
-            inner.closed = true;
-            drop(inner);
+            lock.lock().closed = true;
             self.not_empty.notify_all();
-            self.not_full.notify_all();
         } else {
-            // Take the parking lock so a consumer/producer that re-checked
-            // just before waiting cannot miss this wakeup.
+            // Take the parking lock so a consumer that re-checked just
+            // before waiting cannot miss this wakeup.
             let _guard = self.park.lock();
             self.not_empty.notify_all();
-            self.not_full.notify_all();
         }
     }
 
@@ -632,6 +433,49 @@ impl Queue {
         }
     }
 
+    // --- Parking (ring flavors) --------------------------------------------
+    //
+    // Only consumers park.  The slow path is a one-sided Dekker-style
+    // handshake over sequentially consistent accesses: a consumer publishes
+    // its intent (`pop_sleepers`), then re-checks "empty and open" under
+    // the park lock; a producer makes the queue non-empty, then checks
+    // `pop_sleepers` and notifies under the same lock.  At least one side
+    // always observes the other, so no wakeup is lost.  That single total
+    // order — ring indices, sleeper count, closed flag — is why every ring
+    // access is `SeqCst`.
+
+    /// Park until `empty()` stops holding or the queue closes.
+    fn park_while(&self, empty: impl Fn() -> bool) {
+        self.pop_sleepers.fetch_add(1, Ordering::SeqCst);
+        {
+            let mut guard = self.park.lock();
+            while empty() && !self.closed.load(Ordering::SeqCst) {
+                self.metrics.pop_parks.inc();
+                self.not_empty.wait(&mut guard);
+            }
+        }
+        self.pop_sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// A ring push left `depth` items behind it: the bookkeeping, and the
+    /// producer's half of the handshake now that its item is visible.
+    fn after_push(&self, depth: usize) {
+        self.record_depth(depth);
+        self.sample_depth(depth);
+        self.metrics.items.inc();
+        if self.pop_sleepers.load(Ordering::SeqCst) > 0 {
+            self.metrics.wakes.inc();
+            let _guard = self.park.lock();
+            self.not_empty.notify_all();
+        }
+    }
+
+    /// A ring pop left `depth` items behind it.
+    fn after_pop(&self, depth: usize) {
+        self.depth_hint.store(depth, Ordering::Relaxed);
+        self.sample_depth(depth);
+    }
+
     // --- Lock-free MPMC flavor internals ---------------------------------
     //
     // Vyukov's bounded MPMC algorithm: a producer claims position `p` by
@@ -642,18 +486,17 @@ impl Queue {
     // for the next lap by storing `p + cap`.  The algorithm requires
     // `cap >= 2` — enforced in [`Queue::flavored`], which builds the
     // mutex flavor instead for capacity-1 requests — so the sequence
-    // values of consecutive laps never collide.  Every access uses `SeqCst`:
-    // the park slow path reuses the SPSC flavor's Dekker-style sleeper
-    // handshake, which needs a single total order between the ring
-    // indices, the sleeper counters, and the closed flag.
+    // values of consecutive laps never collide.
 
-    /// Attempt the lock-free push; returns the item back when the ring is
-    /// full.  Failed position CASes are counted as contention.
-    fn lf_try_push(&self, ring: &LfRing, item: Item) -> Result<(), Item> {
+    fn lf_push(&self, ring: &LfRing, item: Item) -> Result<(), (Item, PushError)> {
+        if self.closed.load(Ordering::SeqCst) {
+            return Err((item, PushError::Closed));
+        }
         let cap = self.capacity as u64;
         let mut retries = 0u64;
+        let mut busy = 0usize;
         let mut pos = ring.tail.load(Ordering::SeqCst);
-        let result = loop {
+        let claimed = loop {
             let slot = &ring.slots[(pos % cap) as usize];
             let seq = slot.seq.load(Ordering::SeqCst);
             if seq == pos {
@@ -674,24 +517,42 @@ impl Queue {
                         pos = cur;
                     }
                 }
-            } else if seq < pos {
-                // The consumer lap hasn't released this slot yet: full.
-                break Err(item);
             } else {
-                // Another producer claimed `pos` first; chase the tail.
+                if seq < pos {
+                    // The slot is not free for this lap — which is not
+                    // yet "the queue is full".  Only the indices say that
+                    // (`pos` was read before `head`, and `head` only
+                    // grows, so the difference never overstates the depth).
+                    if pos.saturating_sub(ring.head.load(Ordering::SeqCst)) >= cap {
+                        break Err(item);
+                    }
+                    // Slot busy: a consumer has won its `head` CAS on the
+                    // last lap's item and not yet stored the slot's
+                    // next-lap sequence.  Its store is a few instructions
+                    // away, so spin (giving up the core now and then, in
+                    // case it was descheduled in between) — never park.
+                    busy += 1;
+                    if busy.is_multiple_of(spin_limit().max(1)) {
+                        std::thread::yield_now();
+                    } else {
+                        std::hint::spin_loop();
+                    }
+                }
+                // That, or another producer claimed `pos` first: chase the
+                // tail.
                 pos = ring.tail.load(Ordering::SeqCst);
             }
         };
         if retries > 0 {
-            self.note_cas_retries(retries);
+            self.metrics.cas_retries.add(retries);
         }
-        match result {
+        match claimed {
             Ok(pos) => {
                 let head = ring.head.load(Ordering::SeqCst);
-                self.record_depth((pos + 1).saturating_sub(head) as usize);
+                self.after_push((pos + 1).saturating_sub(head) as usize);
                 Ok(())
             }
-            Err(item) => Err(item),
+            Err(item) => Err((item, PushError::Full)),
         }
     }
 
@@ -734,92 +595,22 @@ impl Queue {
             }
         };
         if retries > 0 {
-            self.note_cas_retries(retries);
+            self.metrics.cas_retries.add(retries);
         }
         result.map(|(item, pos)| {
             let tail = ring.tail.load(Ordering::SeqCst);
-            self.depth_hint
-                .store(tail.saturating_sub(pos + 1) as usize, Ordering::Relaxed);
+            self.after_pop(tail.saturating_sub(pos + 1) as usize);
             item
         })
-    }
-
-    fn lf_full(&self, ring: &LfRing) -> bool {
-        let tail = ring.tail.load(Ordering::SeqCst);
-        let head = ring.head.load(Ordering::SeqCst);
-        tail.saturating_sub(head) as usize >= self.capacity
     }
 
     fn lf_empty(&self, ring: &LfRing) -> bool {
         ring.tail.load(Ordering::SeqCst) <= ring.head.load(Ordering::SeqCst)
     }
 
-    /// Post-push bookkeeping: sample the gauge and wake parked consumers.
-    fn after_lf_push(&self, ring: &LfRing) {
-        let depth = ring
-            .tail
-            .load(Ordering::SeqCst)
-            .saturating_sub(ring.head.load(Ordering::SeqCst));
-        self.sample_depth(depth as usize);
-        if self.pop_sleepers.load(Ordering::SeqCst) > 0 {
-            self.note_wake();
-            let _guard = self.park.lock();
-            self.not_empty.notify_all();
-        }
-    }
-
-    /// Post-pop bookkeeping: sample the gauge and wake parked producers.
-    fn after_lf_pop(&self, ring: &LfRing) {
-        let depth = ring
-            .tail
-            .load(Ordering::SeqCst)
-            .saturating_sub(ring.head.load(Ordering::SeqCst));
-        self.sample_depth(depth as usize);
-        if self.push_sleepers.load(Ordering::SeqCst) > 0 {
-            self.note_wake();
-            let _guard = self.park.lock();
-            self.not_full.notify_all();
-        }
-    }
-
-    fn lf_push(&self, ring: &LfRing, mut item: Item) -> Result<(), (Item, Closed)> {
-        // As in `spsc_push`: the attempt lives in the spin loop, so even
-        // with a zero spin limit each pass tries (then parks) at least once.
-        let attempts = spin_limit().max(1);
-        loop {
-            for _ in 0..attempts {
-                if self.closed.load(Ordering::SeqCst) {
-                    return Err((item, Closed));
-                }
-                match self.lf_try_push(ring, item) {
-                    Ok(()) => {
-                        self.note_item();
-                        self.after_lf_push(ring);
-                        return Ok(());
-                    }
-                    Err(back) => item = back,
-                }
-                std::hint::spin_loop();
-            }
-            // Park until a consumer frees a slot or the queue closes.  The
-            // predicate uses the ring indices, so a pop that is mid-claim
-            // (head advanced, slot not yet released) reads as "not full"
-            // and sends us back to the attempt loop rather than to sleep.
-            self.push_sleepers.fetch_add(1, Ordering::SeqCst);
-            {
-                let mut guard = self.park.lock();
-                while self.lf_full(ring) && !self.closed.load(Ordering::SeqCst) {
-                    self.note_push_park();
-                    self.not_full.wait(&mut guard);
-                }
-            }
-            self.push_sleepers.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Blocking single pop on the lock-free ring, without the gauge/wake
-    /// epilogue (batched pops amortize those via [`Queue::after_lf_pop`]).
-    fn lf_pop_raw(&self, ring: &LfRing) -> Result<Item, Closed> {
+    fn lf_pop(&self, ring: &LfRing) -> Result<Item, Closed> {
+        // The attempt lives in the spin loop, so even with a zero spin
+        // limit each pass tries (then parks) at least once.
         let attempts = spin_limit().max(1);
         loop {
             for _ in 0..attempts {
@@ -844,102 +635,33 @@ impl Queue {
                 }
                 std::hint::spin_loop();
             }
-            // Park until a producer publishes or the queue closes.
-            self.pop_sleepers.fetch_add(1, Ordering::SeqCst);
-            {
-                let mut guard = self.park.lock();
-                while self.lf_empty(ring) && !self.closed.load(Ordering::SeqCst) {
-                    self.note_pop_park();
-                    self.not_empty.wait(&mut guard);
-                }
-            }
-            self.pop_sleepers.fetch_sub(1, Ordering::SeqCst);
+            self.park_while(|| self.lf_empty(ring));
         }
-    }
-
-    fn lf_pop(&self, ring: &LfRing) -> Result<Item, Closed> {
-        let item = self.lf_pop_raw(ring)?;
-        self.after_lf_pop(ring);
-        Ok(item)
     }
 
     // --- SPSC flavor internals -------------------------------------------
     //
     // Producer and consumer coordinate through `head`/`tail` alone; the
-    // parking slow path uses the sleeper counters with sequentially
-    // consistent ordering (a Dekker-style handshake): a waiter publishes
-    // its intent (sleeper count), then re-checks the condition under the
-    // park lock; the peer makes the condition true, then checks the
-    // sleeper count and notifies under the same lock.  At least one side
-    // always observes the other, so no wakeup is lost.
+    // consumer's slow path is the parking handshake above.
 
-    /// Attempt the ring push; returns the item back when the ring is full.
-    fn spsc_try_push(&self, ring: &Ring, item: Item) -> Result<(), Item> {
+    fn spsc_push(&self, ring: &Ring, item: Item) -> Result<(), (Item, PushError)> {
+        if self.closed.load(Ordering::SeqCst) {
+            return Err((item, PushError::Closed));
+        }
         let tail = ring.tail.load(Ordering::SeqCst);
         let head = ring.head.load(Ordering::SeqCst);
         if (tail - head) as usize >= self.capacity {
-            return Err(item);
+            return Err((item, PushError::Full));
         }
         let slot = &ring.slots[(tail % self.capacity as u64) as usize];
         let prev = slot.lock().replace(item);
         debug_assert!(prev.is_none(), "spsc slot overwritten");
         ring.tail.store(tail + 1, Ordering::SeqCst);
-        let depth = (tail + 1 - head) as usize;
-        self.record_depth(depth);
+        self.after_push((tail + 1 - head) as usize);
         Ok(())
     }
 
-    /// Post-push bookkeeping: sample the gauge and wake a parked consumer.
-    fn after_spsc_push(&self, ring: &Ring) {
-        let depth = ring.tail.load(Ordering::SeqCst) - ring.head.load(Ordering::SeqCst);
-        self.sample_depth(depth as usize);
-        if self.pop_sleepers.load(Ordering::SeqCst) > 0 {
-            self.note_wake();
-            let _guard = self.park.lock();
-            self.not_empty.notify_all();
-        }
-    }
-
-    fn spsc_push(&self, ring: &Ring, mut item: Item) -> Result<(), (Item, Closed)> {
-        // The push attempt itself lives in the spin loop, so even with a
-        // zero spin limit each pass must try (then park) at least once.
-        let attempts = spin_limit().max(1);
-        loop {
-            for _ in 0..attempts {
-                if self.closed.load(Ordering::SeqCst) {
-                    return Err((item, Closed));
-                }
-                match self.spsc_try_push(ring, item) {
-                    Ok(()) => {
-                        self.note_item();
-                        self.after_spsc_push(ring);
-                        return Ok(());
-                    }
-                    Err(back) => item = back,
-                }
-                std::hint::spin_loop();
-            }
-            // Park until the consumer frees a slot or the queue closes.
-            self.push_sleepers.fetch_add(1, Ordering::SeqCst);
-            {
-                let mut guard = self.park.lock();
-                while self.spsc_full(ring) && !self.closed.load(Ordering::SeqCst) {
-                    self.note_push_park();
-                    self.not_full.wait(&mut guard);
-                }
-            }
-            self.push_sleepers.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    fn spsc_full(&self, ring: &Ring) -> bool {
-        let tail = ring.tail.load(Ordering::SeqCst);
-        let head = ring.head.load(Ordering::SeqCst);
-        (tail - head) as usize >= self.capacity
-    }
-
-    /// Attempt the ring pop; pure ring operation with no gauge or wakeups
-    /// (batched pops amortize those via [`Queue::after_spsc_pop`]).
+    /// Attempt the ring pop; `None` when the ring is empty.
     fn spsc_try_pop(&self, ring: &Ring) -> Option<Item> {
         let head = ring.head.load(Ordering::SeqCst);
         let tail = ring.tail.load(Ordering::SeqCst);
@@ -949,25 +671,16 @@ impl Queue {
         let slot = &ring.slots[(head % self.capacity as u64) as usize];
         let item = slot.lock().take().expect("spsc slot unexpectedly empty");
         ring.head.store(head + 1, Ordering::SeqCst);
-        self.depth_hint
-            .store((tail - head - 1) as usize, Ordering::Relaxed);
+        self.after_pop((tail - head - 1) as usize);
         Some(item)
     }
 
-    /// Post-pop bookkeeping: sample the gauge and wake a parked producer.
-    fn after_spsc_pop(&self, ring: &Ring) {
-        let depth = ring.tail.load(Ordering::SeqCst) - ring.head.load(Ordering::SeqCst);
-        self.sample_depth(depth as usize);
-        if self.push_sleepers.load(Ordering::SeqCst) > 0 {
-            self.note_wake();
-            let _guard = self.park.lock();
-            self.not_full.notify_all();
-        }
+    fn spsc_empty(&self, ring: &Ring) -> bool {
+        ring.head.load(Ordering::SeqCst) == ring.tail.load(Ordering::SeqCst)
     }
 
-    /// Blocking single pop on the ring, without the gauge/wake epilogue.
-    fn spsc_pop_raw(&self, ring: &Ring) -> Result<Item, Closed> {
-        // As in `spsc_push`: at least one pop attempt per pass.
+    fn spsc_pop(&self, ring: &Ring) -> Result<Item, Closed> {
+        // As in `lf_pop`: at least one pop attempt per pass.
         let attempts = spin_limit().max(1);
         loop {
             for _ in 0..attempts {
@@ -980,27 +693,8 @@ impl Queue {
                 }
                 std::hint::spin_loop();
             }
-            // Park until the producer pushes or the queue closes.
-            self.pop_sleepers.fetch_add(1, Ordering::SeqCst);
-            {
-                let mut guard = self.park.lock();
-                while self.spsc_empty(ring) && !self.closed.load(Ordering::SeqCst) {
-                    self.note_pop_park();
-                    self.not_empty.wait(&mut guard);
-                }
-            }
-            self.pop_sleepers.fetch_sub(1, Ordering::SeqCst);
+            self.park_while(|| self.spsc_empty(ring));
         }
-    }
-
-    fn spsc_empty(&self, ring: &Ring) -> bool {
-        ring.head.load(Ordering::SeqCst) == ring.tail.load(Ordering::SeqCst)
-    }
-
-    fn spsc_pop(&self, ring: &Ring) -> Result<Item, Closed> {
-        let item = self.spsc_pop_raw(ring)?;
-        self.after_spsc_pop(ring);
-        Ok(item)
     }
 }
 
@@ -1023,21 +717,89 @@ mod tests {
         }
     }
 
+    type Make = fn(usize) -> Arc<Queue>;
+
+    const FLAVORS: [Make; 3] = [
+        |cap| Queue::new("mpmc", cap),
+        |cap| Queue::lock_free("lf", cap),
+        |cap| Queue::spsc("spsc", cap),
+    ];
+
     /// Run a closure against all three queue flavors.
     fn for_both(f: impl Fn(Arc<Queue>)) {
-        f(Queue::new("mpmc", 4));
-        f(Queue::lock_free("lf", 4));
-        f(Queue::spsc_with_gauge("spsc", 4, None));
+        FLAVORS.iter().for_each(|make| f(make(4)));
     }
 
+    /// Capacity 1: a lock-free request builds the mutex fallback (the ring
+    /// needs two slots), included so the fallback honors the same contract.
     fn both_cap1(f: impl Fn(Arc<Queue>)) {
-        f(Queue::new("mpmc", 1));
-        // A cap-1 lock-free request builds the mutex fallback (the ring
-        // needs two slots); included so the fallback honors the same
-        // blocking contract.  Ring-flavor blocking is covered at cap >= 2
-        // below and in tests/queue_flavors.rs.
-        f(Queue::lock_free("lf", 1));
-        f(Queue::spsc_with_gauge("spsc", 1, None));
+        FLAVORS.iter().for_each(|make| f(make(1)));
+    }
+
+    /// Closes its queues when the thread holding it unwinds, so a failed
+    /// assertion in one thread ends the other threads' waits: a regression
+    /// is a failed test, not a hung one.
+    struct CloseOnPanic<'a>(&'a [&'a Queue]);
+
+    impl Drop for CloseOnPanic<'_> {
+        fn drop(&mut self) {
+            if thread::panicking() {
+                self.0.iter().for_each(|q| q.close());
+            }
+        }
+    }
+
+    fn pop_buf(q: &Queue) -> Option<Buffer> {
+        match q.pop() {
+            Ok(Item::Buf(b)) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// FG's regime, and what `benchmark/src/units.rs::queue_ring` times: a
+    /// fixed population of `cap` buffers circulates through two queues of
+    /// `cap` slots — `pairs` threads forward each buffer (counting the trip
+    /// in its tag), `pairs` threads return it — for `trips` trips, and no
+    /// push may fail.  Returns each buffer's trip count, by buffer id.
+    fn circulate(make: Make, cap: usize, pairs: usize, trips: u64) -> Vec<u64> {
+        let (forward, back) = (make(cap), make(cap));
+        for id in 0..cap as u64 {
+            back.push(buf_item(0, id << 32)).unwrap();
+        }
+        let both = [&*forward, &*back];
+        thread::scope(|s| {
+            let forwarders: Vec<_> = (0..pairs)
+                .map(|_| {
+                    s.spawn(|| {
+                        let _guard = CloseOnPanic(&both);
+                        for _ in 0..trips / pairs as u64 {
+                            let Some(mut b) = pop_buf(&back) else { return };
+                            b.meta += 1;
+                            forward.push(Item::Buf(b)).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            for _ in 0..pairs {
+                s.spawn(|| {
+                    let _guard = CloseOnPanic(&both);
+                    while let Ok(item) = forward.pop() {
+                        back.push(item).unwrap();
+                    }
+                });
+            }
+            for h in forwarders {
+                let _ = h.join();
+            }
+            forward.close();
+        });
+        // Everything came home: the population is intact, each buffer once.
+        assert_eq!((forward.len(), back.len()), (0, cap));
+        let mut tags: Vec<u64> = (0..cap).map(|_| tag_of(&back.pop().unwrap())).collect();
+        tags.sort_unstable();
+        let ids: Vec<u64> = tags.iter().map(|t| t >> 32).collect();
+        assert_eq!(ids, (0..cap as u64).collect::<Vec<_>>());
+        tags.iter().map(|t| t & 0xffff_ffff).collect()
     }
 
     #[test]
@@ -1053,17 +815,32 @@ mod tests {
     }
 
     #[test]
-    fn push_blocks_until_pop() {
-        both_cap1(|q| {
-            q.push(buf_item(0, 0)).unwrap();
-            let q2 = Arc::clone(&q);
-            let h = thread::spawn(move || q2.push(buf_item(0, 1)).is_ok());
-            thread::sleep(Duration::from_millis(20));
-            assert_eq!(q.len(), 1, "second push must still be blocked");
-            assert_eq!(tag_of(&q.pop().unwrap()), 0);
-            assert!(h.join().unwrap());
-            assert_eq!(tag_of(&q.pop().unwrap()), 1);
-        });
+    fn push_respects_capacity_and_close() {
+        // Full is an answer, not a wait: the push returns at once (this
+        // test has no second thread to unblock it) and hands the item back.
+        let full = |q: Arc<Queue>| {
+            for i in 0..q.capacity() as u64 {
+                q.push(buf_item(0, i)).unwrap();
+            }
+            let (back, why) = q.push(buf_item(0, 99)).unwrap_err();
+            assert_eq!((tag_of(&back), why), (99, PushError::Full), "{}", q.name());
+            assert_eq!(q.len(), q.capacity());
+            // A pop makes room again, lap after lap.
+            for i in 0..3 * q.capacity() as u64 {
+                assert_eq!(tag_of(&q.pop().unwrap()), i);
+                q.push(buf_item(0, q.capacity() as u64 + i)).unwrap();
+                assert_eq!(q.push(buf_item(0, 99)).unwrap_err().1, PushError::Full);
+            }
+        };
+        both_cap1(full);
+        for_both(full);
+        let closed = |q: Arc<Queue>| {
+            q.close();
+            let (back, why) = q.push(buf_item(0, 7)).unwrap_err();
+            assert_eq!((tag_of(&back), why), (7, PushError::Closed));
+        };
+        both_cap1(closed);
+        for_both(closed);
     }
 
     #[test]
@@ -1089,18 +866,6 @@ mod tests {
     }
 
     #[test]
-    fn close_wakes_pushers() {
-        both_cap1(|q| {
-            q.push(buf_item(0, 0)).unwrap();
-            let q2 = Arc::clone(&q);
-            let h = thread::spawn(move || q2.push(buf_item(0, 1)).is_err());
-            thread::sleep(Duration::from_millis(20));
-            q.close();
-            assert!(h.join().unwrap());
-        });
-    }
-
-    #[test]
     fn close_drains_then_fails() {
         for_both(|q| {
             q.push(buf_item(0, 1)).unwrap();
@@ -1110,18 +875,6 @@ mod tests {
             assert_eq!(tag_of(&q.pop().unwrap()), 2);
             assert!(q.pop().is_err());
             assert!(q.push(buf_item(0, 3)).is_err());
-        });
-    }
-
-    #[test]
-    fn try_push_respects_capacity_and_close() {
-        both_cap1(|q| {
-            assert!(q.try_push(buf_item(0, 0)).is_ok());
-            assert!(q.try_push(buf_item(0, 1)).is_err());
-        });
-        both_cap1(|q| {
-            q.close();
-            assert!(q.try_push(buf_item(0, 0)).is_err());
         });
     }
 
@@ -1141,101 +894,16 @@ mod tests {
 
     #[test]
     fn gauge_samples_depth_on_push_and_pop() {
-        let g = Arc::new(crate::metrics::Gauge::new());
-        let q = Queue::with_gauge("t", 4, Some(Arc::clone(&g)));
-        q.push(buf_item(0, 0)).unwrap();
-        q.push(buf_item(0, 1)).unwrap();
-        assert_eq!(g.get(), 2);
-        q.pop().unwrap();
-        assert_eq!(g.get(), 1);
-        assert_eq!(g.peak(), 2);
-    }
-
-    #[test]
-    fn gauge_samples_once_per_batched_pop() {
-        let g = Arc::new(crate::metrics::Gauge::new());
-        let q = Queue::spsc_with_gauge("t", 8, Some(Arc::clone(&g)));
-        for i in 0..6 {
-            q.push(buf_item(0, i)).unwrap();
-        }
-        let mut out = Vec::new();
-        assert_eq!(q.pop_many(4, &mut out).unwrap(), 4);
-        // One sample for the whole batch: the gauge holds the post-batch
-        // depth, never the intermediate 5/4/3.
-        assert_eq!(g.get(), 2);
-        assert_eq!(out.len(), 4);
-        assert_eq!(q.max_depth(), 6);
-    }
-
-    #[test]
-    fn pop_many_drains_fifo_and_stops_at_caboose() {
-        for_both(|q| {
-            q.push(buf_item(1, 10)).unwrap();
-            q.push(buf_item(1, 11)).unwrap();
-            q.push(Item::Caboose(PipelineId(1))).unwrap();
-            let mut out = Vec::new();
-            let n = q.pop_many(8, &mut out).unwrap();
-            // The caboose ends the batch even though `max` wasn't reached.
-            assert_eq!(n, 3);
-            assert_eq!(tag_of(&out[0]), 10);
-            assert_eq!(tag_of(&out[1]), 11);
-            assert!(matches!(out[2], Item::Caboose(PipelineId(1))));
-        });
-    }
-
-    #[test]
-    fn pop_many_respects_max() {
-        for_both(|q| {
-            for i in 0..4 {
-                q.push(buf_item(0, i)).unwrap();
-            }
-            let mut out = Vec::new();
-            assert_eq!(q.pop_many(3, &mut out).unwrap(), 3);
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.pop_many(3, &mut out).unwrap(), 1);
-            assert_eq!(out.len(), 4);
-        });
-    }
-
-    #[test]
-    fn pop_many_blocks_then_returns_batch() {
-        for_both(|q| {
-            let q2 = Arc::clone(&q);
-            let h = thread::spawn(move || {
-                let mut out = Vec::new();
-                let n = q2.pop_many(8, &mut out).unwrap();
-                (n, out.iter().map(tag_of).collect::<Vec<_>>())
-            });
-            thread::sleep(Duration::from_millis(20));
-            q.push(buf_item(0, 7)).unwrap();
-            let (n, tags) = h.join().unwrap();
-            assert!(n >= 1);
-            assert_eq!(tags[0], 7);
-        });
-    }
-
-    #[test]
-    fn pop_many_wakes_blocked_pushers() {
-        both_cap1(|q| {
+        for kind in [FlavorKind::Mutex, FlavorKind::LockFree, FlavorKind::Spsc] {
+            let g = Arc::new(crate::metrics::Gauge::new());
+            let q = Queue::flavored("t", 4, kind, Some(Arc::clone(&g)), None);
             q.push(buf_item(0, 0)).unwrap();
-            let q2 = Arc::clone(&q);
-            let h = thread::spawn(move || q2.push(buf_item(0, 1)).is_ok());
-            thread::sleep(Duration::from_millis(20));
-            let mut out = Vec::new();
-            assert_eq!(q.pop_many(4, &mut out).unwrap(), 1);
-            assert!(h.join().unwrap());
-        });
-    }
-
-    #[test]
-    fn pop_many_fails_after_close_and_drain() {
-        for_both(|q| {
             q.push(buf_item(0, 1)).unwrap();
-            q.close();
-            let mut out = Vec::new();
-            assert_eq!(q.pop_many(4, &mut out).unwrap(), 1);
-            assert!(q.pop_many(4, &mut out).is_err());
-        });
+            assert_eq!(g.get(), 2);
+            q.pop().unwrap();
+            assert_eq!(g.get(), 1);
+            assert_eq!(g.peak(), 2);
+        }
     }
 
     #[test]
@@ -1255,14 +923,14 @@ mod tests {
     fn spsc_flavor_is_reported() {
         assert!(!Queue::new("m", 2).is_spsc());
         assert!(!Queue::lock_free("l", 2).is_spsc());
-        assert!(Queue::spsc_with_gauge("s", 2, None).is_spsc());
+        assert!(Queue::spsc("s", 2).is_spsc());
     }
 
     #[test]
     fn flavor_labels_are_stable() {
         assert_eq!(Queue::new("m", 2).flavor_label(), "mutex");
         assert_eq!(Queue::lock_free("l", 2).flavor_label(), "lockfree");
-        assert_eq!(Queue::spsc_with_gauge("s", 2, None).flavor_label(), "spsc");
+        assert_eq!(Queue::spsc("s", 2).flavor_label(), "spsc");
     }
 
     #[test]
@@ -1282,67 +950,68 @@ mod tests {
 
     #[test]
     fn lock_free_stress_preserves_item_count() {
-        let q = Queue::lock_free("l", 8);
-        let producers: Vec<_> = (0..4)
-            .map(|p| {
-                let q = Arc::clone(&q);
-                thread::spawn(move || {
-                    for i in 0..100 {
-                        q.push(buf_item(0, (p * 100 + i) as u64)).unwrap();
-                    }
-                })
-            })
-            .collect();
-        let consumers: Vec<_> = (0..4)
-            .map(|_| {
-                let q = Arc::clone(&q);
-                thread::spawn(move || {
-                    let mut got = Vec::new();
-                    for _ in 0..100 {
-                        got.push(tag_of(&q.pop().unwrap()));
-                    }
-                    got
-                })
-            })
-            .collect();
-        for p in producers {
-            p.join().unwrap();
-        }
-        let mut all: Vec<u64> = consumers
-            .into_iter()
-            .flat_map(|c| c.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        let expect: Vec<u64> = (0..400).collect();
-        assert_eq!(all, expect);
+        // 4 + 4 threads over a population of 8: every slot is contended.
+        let trips = circulate(|cap| Queue::lock_free("l", cap), 8, 4, 4_000);
+        assert_eq!(trips.iter().sum::<u64>(), 4_000);
+    }
+
+    #[test]
+    fn mpmc_stress_preserves_item_count() {
+        let trips = circulate(|cap| Queue::new("m", cap), 8, 4, 4_000);
+        assert_eq!(trips.iter().sum::<u64>(), 4_000);
+    }
+
+    #[test]
+    fn a_busy_slot_is_not_a_full_queue() {
+        // The benchmark's `queue.lockfree_c2_hop_ns` loop, four times as
+        // long: with two consumers, a producer can lap a slot whose
+        // consumer has claimed it (head CAS won) and not yet released it.
+        // The ring then holds fewer than `capacity` items, and a push that
+        // answered `Full` there would fail `circulate`.
+        let trips = circulate(|cap| Queue::lock_free("l", cap), 8, 2, 200_000);
+        assert_eq!(trips.iter().sum::<u64>(), 200_000);
     }
 
     #[test]
     fn lock_free_preserves_per_producer_fifo() {
-        // Tags carry (producer, seq); a single consumer must see each
-        // producer's items in increasing seq order even though the
-        // interleaving across producers is arbitrary.
-        let q = Queue::lock_free("l", 4);
-        let producers: Vec<_> = (0..3u64)
-            .map(|p| {
-                let q = Arc::clone(&q);
-                thread::spawn(move || {
-                    for i in 0..500u64 {
-                        q.push(buf_item(0, (p << 32) | i)).unwrap();
-                    }
-                })
-            })
+        // A virtual stage's shared input: three pipelines, each a producer
+        // cycling its own pool of two through the one queue (wired, as the
+        // planner does, to the sum of `pool + 1`).  Tags carry (producer,
+        // seq); the single consumer must see each producer's items in
+        // increasing seq order even though the interleaving across
+        // producers is arbitrary.
+        const POOL: u64 = 2;
+        const PER_PRODUCER: u64 = 500;
+        let shared = Queue::lock_free("in/v", 3 * (POOL as usize + 1));
+        let pools: Vec<_> = (0..3)
+            .map(|p| Queue::lock_free(format!("recycle/{p}"), POOL as usize + 1))
             .collect();
-        let mut next = [0u64; 3];
-        for _ in 0..1500 {
-            let tag = tag_of(&q.pop().unwrap());
-            let (p, i) = ((tag >> 32) as usize, tag & 0xffff_ffff);
-            assert_eq!(i, next[p], "producer {p} items reordered");
-            next[p] += 1;
-        }
-        for p in producers {
-            p.join().unwrap();
-        }
+        let all: Vec<&Queue> = pools.iter().chain([&shared]).map(|q| &**q).collect();
+        thread::scope(|s| {
+            for (p, pool) in pools.iter().enumerate() {
+                for _ in 0..POOL {
+                    pool.push(buf_item(p as u32, 0)).unwrap();
+                }
+                let (shared, all) = (&shared, &all);
+                s.spawn(move || {
+                    let _guard = CloseOnPanic(all);
+                    for i in 0..PER_PRODUCER {
+                        let Some(mut b) = pop_buf(pool) else { return };
+                        b.meta = i;
+                        shared.push(Item::Buf(b)).unwrap();
+                    }
+                });
+            }
+            let _guard = CloseOnPanic(&all);
+            let mut next = [0u64; 3];
+            for _ in 0..3 * PER_PRODUCER {
+                let b = pop_buf(&shared).expect("a producer failed");
+                let p = b.pipeline().0 as usize;
+                assert_eq!(b.meta, next[p], "producer {p} items reordered");
+                next[p] += 1;
+                pools[p].push(Item::Buf(b)).unwrap();
+            }
+        });
     }
 
     #[test]
@@ -1366,28 +1035,26 @@ mod tests {
     fn park_counters_record_blocked_waits() {
         // On a host where the spin budget never expires this would be
         // flaky, so only assert the counters move when a wait certainly
-        // parked: a full queue with the peer delayed past any spin phase.
-        // (Cap 2, the ring's minimum — a cap-1 request would build the
-        // mutex fallback and bypass the lock-free park path under test.)
+        // parked: an empty queue with the producer delayed past any spin
+        // phase.  (Cap 2, the ring's minimum — a cap-1 request would build
+        // the mutex fallback and bypass the lock-free park path under test.)
         let q = Queue::lock_free("l", 2);
-        q.push(buf_item(0, 0)).unwrap();
-        q.push(buf_item(0, 1)).unwrap();
         let q2 = Arc::clone(&q);
-        let h = thread::spawn(move || q2.push(buf_item(0, 2)).is_ok());
-        // Wait until the producer has actually parked: the queue stays
-        // full until we pop, so the park counter must eventually move.
+        let h = thread::spawn(move || tag_of(&q2.pop().unwrap()));
+        // Wait until the consumer has actually parked: the queue stays
+        // empty until we push, so the park counter must eventually move.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while q.parks().0 == 0 {
+        while q.parks() == 0 {
             assert!(
                 std::time::Instant::now() < deadline,
-                "producer never parked"
+                "consumer never parked"
             );
             thread::sleep(Duration::from_millis(1));
         }
-        q.pop().unwrap();
-        assert!(h.join().unwrap());
-        let (push_parks, _) = q.parks();
-        assert!(push_parks > 0, "blocked push should count a park");
+        q.push(buf_item(0, 5)).unwrap();
+        assert_eq!(h.join().unwrap(), 5);
+        assert_eq!(q.metrics.wakes.get(), 1, "the push saw the sleeper");
+        assert_eq!(q.metrics.items.get(), 1);
         assert_eq!(
             q.cas_retries(),
             0,
@@ -1397,76 +1064,29 @@ mod tests {
 
     #[test]
     fn spsc_stress_preserves_order_across_wraparound() {
-        let q = Queue::spsc_with_gauge("s", 3, None);
-        let q2 = Arc::clone(&q);
+        // Three buffers round two three-slot rings 10 000 times: thousands
+        // of laps, and the consumer sees the producer's order throughout.
+        let (fwd, back) = (Queue::spsc("f", 3), Queue::spsc("b", 3));
+        for _ in 0..3 {
+            back.push(buf_item(0, 0)).unwrap();
+        }
         const N: u64 = 10_000;
-        let producer = thread::spawn(move || {
+        let both = [&*fwd, &*back];
+        thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = CloseOnPanic(&both);
+                for i in 0..N {
+                    let Some(mut b) = pop_buf(&back) else { return };
+                    b.meta = i;
+                    fwd.push(Item::Buf(b)).unwrap();
+                }
+            });
+            let _guard = CloseOnPanic(&both);
             for i in 0..N {
-                q2.push(buf_item(0, i)).unwrap();
+                let item = fwd.pop().expect("the producer failed");
+                assert_eq!(tag_of(&item), i);
+                back.push(item).unwrap();
             }
         });
-        for i in 0..N {
-            assert_eq!(tag_of(&q.pop().unwrap()), i);
-        }
-        producer.join().unwrap();
-    }
-
-    #[test]
-    fn spsc_batched_consumer_sees_every_item_in_order() {
-        let q = Queue::spsc_with_gauge("s", 4, None);
-        let q2 = Arc::clone(&q);
-        const N: u64 = 10_000;
-        let producer = thread::spawn(move || {
-            for i in 0..N {
-                q2.push(buf_item(0, i)).unwrap();
-            }
-            q2.close();
-        });
-        let mut seen = Vec::new();
-        let mut out = Vec::new();
-        while let Ok(n) = q.pop_many(8, &mut out) {
-            assert!(n > 0);
-            seen.extend(out.drain(..).map(|i| tag_of(&i)));
-        }
-        producer.join().unwrap();
-        let expect: Vec<u64> = (0..N).collect();
-        assert_eq!(seen, expect);
-    }
-
-    #[test]
-    fn mpmc_stress_preserves_item_count() {
-        let q = Queue::new("t", 8);
-        let producers: Vec<_> = (0..4)
-            .map(|p| {
-                let q = Arc::clone(&q);
-                thread::spawn(move || {
-                    for i in 0..100 {
-                        q.push(buf_item(0, (p * 100 + i) as u64)).unwrap();
-                    }
-                })
-            })
-            .collect();
-        let consumers: Vec<_> = (0..4)
-            .map(|_| {
-                let q = Arc::clone(&q);
-                thread::spawn(move || {
-                    let mut got = Vec::new();
-                    for _ in 0..100 {
-                        got.push(tag_of(&q.pop().unwrap()));
-                    }
-                    got
-                })
-            })
-            .collect();
-        for p in producers {
-            p.join().unwrap();
-        }
-        let mut all: Vec<u64> = consumers
-            .into_iter()
-            .flat_map(|c| c.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        let expect: Vec<u64> = (0..400).collect();
-        assert_eq!(all, expect);
     }
 }

@@ -11,9 +11,7 @@ use crate::metrics::MetricsRegistry;
 use crate::queue::Queue;
 use crate::stage::{Pool, Port, Registry, ReplicaGroup, Stage, StageCtx};
 use crate::stats::{Report, StageStats};
-use crate::trace::{
-    guess_culprit, Postmortem, SpanRing, ThreadPostmortem, TraceSink, WatchdogAction, WatchdogCfg,
-};
+use crate::trace::{guess_culprit, Postmortem, SpanRing, ThreadPostmortem, TraceSink, WatchdogCfg};
 
 /// A stage ready to run on its own thread.
 pub(crate) struct StageTask {
@@ -148,9 +146,10 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
 
     let start = Instant::now();
     // The pools fill before any stage thread exists: each first stage
-    // starts on a full input queue.
-    for pool in &pools {
-        pool.seed();
+    // starts on a full input queue.  (A pool its queue cannot admit is the
+    // program's error; the stage threads then start on closed queues.)
+    if let Err(e) = pools.iter().try_for_each(|pool| pool.seed()) {
+        registry.cancel(e);
     }
     let mut handles = Vec::new();
 
@@ -340,7 +339,7 @@ fn run_stage_thread(
 }
 
 /// Watchdog loop: poll the sink's idle clock; on a stall, assemble and
-/// report a [`Postmortem`], then abort or keep waiting per the config.
+/// report a [`Postmortem`], then abort the program.
 fn run_watchdog(
     cfg: WatchdogCfg,
     sink: Arc<TraceSink>,
@@ -350,8 +349,7 @@ fn run_watchdog(
     ledger: Option<Arc<crate::profile::MemoryLedger>>,
 ) {
     let poll = (cfg.timeout / 4).clamp(Duration::from_millis(1), Duration::from_millis(100));
-    let mut reported = false;
-    loop {
+    let idle = loop {
         {
             let mut stopped = gate.0.lock();
             if *stopped {
@@ -363,62 +361,54 @@ fn run_watchdog(
             }
         }
         let idle = sink.idle();
-        if idle < cfg.timeout {
-            reported = false; // activity resumed; re-arm
-            continue;
+        if idle >= cfg.timeout {
+            break idle;
         }
-        if reported {
-            continue; // KeepWaiting mode: one report per stall episode
-        }
-        reported = true;
-        let threads: Vec<ThreadPostmortem> = sink
-            .rings()
-            .iter()
-            .map(|r| {
-                let (state, in_state_for) = r.state();
-                let spans = r.snapshot();
-                let keep = spans.len().saturating_sub(cfg.last_spans);
-                ThreadPostmortem {
-                    thread: r.name().to_string(),
-                    state,
-                    in_state_for,
-                    intakes: r.intakes(),
-                    emits: r.emits(),
-                    last_spans: spans[keep..].to_vec(),
-                }
-            })
-            .collect();
-        let culprit = guess_culprit(&threads);
-        let pm = Postmortem {
-            program: program.clone(),
-            stalled_for: idle,
-            threads,
-            queues: registry.live_queue_depths(),
-            turnstiles: registry.turnstiles(),
-            culprit: culprit.clone(),
-            // Stalled threads are still alive, so the snapshot carries
-            // their CPU rows: a wedged run's post-mortem says who was
-            // spinning and what memory looked like at the moment of death.
-            resources: Some(crate::profile::ResourceReport::sample_now(
-                ledger.as_deref(),
-            )),
-        };
-        eprint!("{}", pm.render());
-        if let Some(path) = &cfg.artifact {
-            if let Err(e) = std::fs::write(path, pm.to_json().to_string()) {
-                eprintln!(
-                    "fg watchdog: failed to write post-mortem artifact {}: {e}",
-                    path.display()
-                );
+    };
+    let threads: Vec<ThreadPostmortem> = sink
+        .rings()
+        .iter()
+        .map(|r| {
+            let (state, in_state_for) = r.state();
+            let spans = r.snapshot();
+            let keep = spans.len().saturating_sub(cfg.last_spans);
+            ThreadPostmortem {
+                thread: r.name().to_string(),
+                state,
+                in_state_for,
+                intakes: r.intakes(),
+                emits: r.emits(),
+                last_spans: spans[keep..].to_vec(),
             }
-        }
-        if cfg.action == WatchdogAction::Abort {
-            registry.cancel(FgError::Stalled {
-                culprit: culprit.unwrap_or_else(|| "unknown".into()),
-            });
-            return;
+        })
+        .collect();
+    let culprit = guess_culprit(&threads);
+    let pm = Postmortem {
+        program,
+        stalled_for: idle,
+        threads,
+        queues: registry.live_queue_depths(),
+        turnstiles: registry.turnstiles(),
+        culprit: culprit.clone(),
+        // Stalled threads are still alive, so the snapshot carries their
+        // CPU rows: a wedged run's post-mortem says who was spinning and
+        // what memory looked like at the moment of death.
+        resources: Some(crate::profile::ResourceReport::sample_now(
+            ledger.as_deref(),
+        )),
+    };
+    eprint!("{}", pm.render());
+    if let Some(path) = &cfg.artifact {
+        if let Err(e) = std::fs::write(path, pm.to_json().to_string()) {
+            eprintln!(
+                "fg watchdog: failed to write post-mortem artifact {}: {e}",
+                path.display()
+            );
         }
     }
+    registry.cancel(FgError::Stalled {
+        culprit: culprit.unwrap_or_else(|| "unknown".into()),
+    });
 }
 
 #[cfg(test)]
@@ -426,8 +416,10 @@ mod tests {
     use std::sync::OnceLock;
 
     use super::*;
+    use crate::buffer::Buffer;
     use crate::controller::{ControllerCfg, PoolControl};
     use crate::profile::MemoryLedger;
+    use crate::queue::Item;
     use crate::{map_stage, PipelineCfg, Program};
 
     /// `PoolControl` has no public handle (only a controller steers it), so
@@ -471,5 +463,117 @@ mod tests {
         assert_eq!(ledger.outstanding(), (0, 0));
         let snap = ledger.snapshot();
         assert_eq!((snap.total_buffers, snap.peak_bytes), (4, 4 * 64));
+    }
+    /// Passes `pass` buffers on, then sits out the run without popping its
+    /// input again — the held consumer — until the program is torn down.
+    fn held_after(pass: usize) -> Box<dyn Stage> {
+        Box::new(move |ctx: &mut StageCtx| {
+            for _ in 0..pass {
+                let buf = ctx.accept()?.expect("a buffer to pass on");
+                ctx.convey(buf)?;
+            }
+            while !ctx.is_cancelled() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Ok(())
+        })
+    }
+
+    type Victim = Arc<OnceLock<Arc<Queue>>>;
+
+    /// Accepts a buffer, pushes the victim queue past its slots — which
+    /// only a unit test can do: `Buffer::new` is crate-private, so a stage
+    /// has no buffers but its pools' — and then does `op` with the buffer.
+    fn overfills(victim: &Victim, op: fn(&mut StageCtx, Buffer) -> Result<()>) -> Box<dyn Stage> {
+        let victim = Arc::clone(victim);
+        Box::new(move |ctx: &mut StageCtx| {
+            let buf = ctx.accept()?.expect("a buffer to push");
+            let q = victim.get().expect("set before the program runs");
+            while q.push(Item::Buf(Buffer::new(8, buf.pipeline()))).is_ok() {}
+            op(ctx, buf)
+        })
+    }
+
+    /// Run `prog` with the queue `pick` finds in its plan as the victim,
+    /// under a 2 s watchdog: a push that waited (or landed) would end the
+    /// test as `Stalled`, not hang it.  The program must end with a usage
+    /// error that names the queue and the pipeline.
+    fn assert_full_is_the_programs_error(
+        mut prog: Program,
+        victim: &Victim,
+        pick: fn(&Plan) -> Arc<Queue>,
+        (name, flavor): (&str, &str),
+    ) {
+        prog.with_watchdog(Duration::from_secs(2));
+        let plan = prog.wire().unwrap();
+        let q = pick(&plan);
+        assert_eq!(
+            (q.name(), q.flavor_label(), q.capacity()),
+            (name, flavor, 3)
+        );
+        victim.set(q).ok().expect("one victim a program");
+        let err = execute("overfill".into(), plan).unwrap_err();
+        assert!(
+            matches!(&err, FgError::Usage(m)
+                if m.contains(&format!("queue `{name}` is full (3 slots)"))
+                    && m.contains("pipeline#0")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_full_pool_queue_fails_the_convey_discard_or_stop_into_it() {
+        let ops: [fn(&mut StageCtx, Buffer) -> Result<()>; 3] = [
+            |ctx, buf| ctx.convey(buf),
+            |ctx, buf| ctx.discard(buf),
+            |ctx, buf| ctx.stop(buf.pipeline()),
+        ];
+        for op in ops {
+            let victim = Victim::default();
+            let mut prog = Program::new("pool");
+            let head = prog.add_stage("head", held_after(1));
+            let tail = prog.add_stage("tail", overfills(&victim, op));
+            prog.add_pipeline(PipelineCfg::new("p", 2, 8), &[head, tail])
+                .unwrap();
+            assert_full_is_the_programs_error(
+                prog,
+                &victim,
+                |plan| Arc::clone(&plan.pools[0].queue),
+                ("recycle/p", "lockfree"),
+            );
+        }
+    }
+
+    #[test]
+    fn a_full_spsc_link_fails_the_convey_into_it() {
+        let victim = Victim::default();
+        let mut prog = Program::new("link");
+        let a = prog.add_stage("a", overfills(&victim, |ctx, buf| ctx.convey(buf)));
+        let b = prog.add_stage("b", held_after(0));
+        prog.add_pipeline(PipelineCfg::new("p", 2, 8), &[a, b])
+            .unwrap();
+        assert_full_is_the_programs_error(
+            prog,
+            &victim,
+            |plan| Arc::clone(&plan.tasks[0].ports[0].output),
+            ("p[1]", "spsc"),
+        );
+    }
+
+    #[test]
+    fn a_full_farm_input_fails_the_convey_into_it() {
+        let victim = Victim::default();
+        let mut prog = Program::new("farm");
+        let a = prog.add_stage("a", overfills(&victim, |ctx, buf| ctx.convey(buf)));
+        let farm = prog.workers("farm", 2, |_| held_after(0));
+        let c = prog.add_stage("c", map_stage(|_, _| Ok(())));
+        prog.add_pipeline(PipelineCfg::new("p", 2, 8), &[a, farm, c])
+            .unwrap();
+        assert_full_is_the_programs_error(
+            prog,
+            &victim,
+            |plan| Arc::clone(&plan.tasks[0].ports[0].output),
+            ("p[1]", "lockfree"),
+        );
     }
 }

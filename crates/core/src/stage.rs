@@ -27,7 +27,7 @@ use crate::buffer::{Buffer, PipelineId};
 use crate::controller::PoolControl;
 use crate::error::{FgError, Result};
 use crate::profile::MemoryLedger;
-use crate::queue::{Item, Queue};
+use crate::queue::{Item, PushError, Queue};
 use crate::trace::{enter, ThreadState, TraceKind};
 
 /// How many rounds a pipeline runs.
@@ -239,6 +239,32 @@ impl Registry {
     }
 }
 
+/// Put `item` into a queue the planner built — the one way anything enters
+/// one.  `Ok(false)` means the queue is closed: the program is being torn
+/// down, and whoever held the item has nothing left to do with it.  A full
+/// queue is not back-pressure (the pool is; see `Program::wire`) but a
+/// broken plan, and is the program's error wherever it surfaces.
+fn send(queue: &Queue, item: Item) -> Result<bool> {
+    match queue.push(item) {
+        Ok(()) => Ok(true),
+        Err((_, PushError::Closed)) => Ok(false),
+        Err((item, PushError::Full)) => {
+            let (what, pipeline) = match &item {
+                Item::Buf(b) => ("a buffer", b.pipeline()),
+                Item::Caboose(p) => ("the caboose", *p),
+            };
+            Err(FgError::Usage(format!(
+                "queue `{}` is full ({} slots) and cannot take {what} of {pipeline}: \
+                 every queue is wired to admit its pipelines' whole pools and \
+                 their cabooses, so something outside those pools was pushed \
+                 into it",
+                queue.name(),
+                queue.capacity()
+            )))
+        }
+    }
+}
+
 /// One pipeline's buffer pool and round counter.
 ///
 /// The paper's FG gives every pipeline a *source* thread that injects one
@@ -295,26 +321,22 @@ impl Pool {
 
     /// Allocate the pool into its queue, before any stage thread runs.  A
     /// pipeline of zero rounds gets its caboose instead of buffers.
-    pub(crate) fn seed(&self) {
+    pub(crate) fn seed(&self) -> Result<()> {
         if self.rounds == Rounds::Count(0) {
-            self.stop();
-            return;
+            return self.stop();
         }
-        for _ in 0..self.buffers {
-            self.grow();
-        }
+        (0..self.buffers).try_for_each(|_| self.grow())
     }
 
-    /// Add one fresh buffer.  The queue admits the pool's ceiling, so the
-    /// push cannot block; it fails only once the program is torn down.
-    fn grow(&self) {
+    /// Add one fresh buffer.  The queue admits the pool's ceiling; once
+    /// the program is torn down the buffer is simply dropped.
+    fn grow(&self) -> Result<()> {
         if let Some(l) = &self.ledger {
             l.charge_pool(self.buffer_size as u64);
             self.charged.fetch_add(1, Ordering::SeqCst);
         }
-        let _ = self
-            .queue
-            .push(Item::Buf(Buffer::new(self.buffer_size, self.pipeline)));
+        let fresh = Buffer::new(self.buffer_size, self.pipeline);
+        send(&self.queue, Item::Buf(fresh)).map(drop)
     }
 
     /// Take `buf` out of circulation: its pipeline has ended or its pool
@@ -342,31 +364,31 @@ impl Pool {
     /// with `true` when the caller now owes the pipeline's caboose because
     /// this was the last round — or retire it (`None`: the pool is
     /// shrinking, or the pipeline has stopped or run out of rounds).
-    fn begin_round(&self, mut buf: Buffer) -> Option<(Buffer, bool)> {
+    fn begin_round(&self, mut buf: Buffer) -> Result<Option<(Buffer, bool)>> {
         if let Some(control) = &self.control {
             if control.try_shrink() {
                 self.release(buf);
-                return None;
+                return Ok(None);
             }
             while control.try_grow() {
-                self.grow();
+                self.grow()?;
             }
         }
         if self.stopped.load(Ordering::SeqCst) {
             self.release(buf);
-            return None;
+            return Ok(None);
         }
         let round = self.started.fetch_add(1, Ordering::SeqCst);
         let last = match self.rounds {
             Rounds::Count(n) if round >= n => {
                 self.release(buf);
-                return None;
+                return Ok(None);
             }
             Rounds::Count(n) => round + 1 == n && self.end(),
             Rounds::UntilStopped => false,
         };
         buf.begin_round(round);
-        Some((buf, last))
+        Ok(Some((buf, last)))
     }
 
     /// Claim the making of the pipeline's one caboose; true for the first
@@ -385,10 +407,11 @@ impl Pool {
     /// End the stream from outside the first stage: the caboose goes into
     /// the pool, where it wakes a first stage parked on an empty one.  The
     /// queue has a slot for it beyond the pool's ceiling.
-    pub(crate) fn stop(&self) {
+    pub(crate) fn stop(&self) -> Result<()> {
         if self.retire() {
-            let _ = self.queue.push(Item::Caboose(self.pipeline));
+            send(&self.queue, Item::Caboose(self.pipeline))?;
         }
+        Ok(())
     }
 }
 
@@ -597,8 +620,9 @@ pub(crate) struct Port {
     /// This stage heads the pipeline: its input is the pool, and its accept
     /// plays the source ([`Pool::begin_round`]).
     pub(crate) first: bool,
+    /// This thread has observed the pipeline's caboose (and, where that
+    /// fell to it, sent it on).
     pub(crate) eos: bool,
-    pub(crate) forwarded: bool,
 }
 
 impl Port {
@@ -612,7 +636,6 @@ impl Port {
             pool: Arc::clone(&self.pool),
             first: self.first,
             eos: false,
-            forwarded: false,
         }
     }
 
@@ -669,13 +692,10 @@ pub struct StageCtx {
     /// holding a buffer leaves no residency behind.
     ledger_held: (i64, i64),
     aux: Vec<u8>,
-    /// Reusable scratch for [`StageCtx::accept_many`] batches.
-    batch: Vec<Item>,
-    /// Ports whose caboose this thread holds and must observe before it
-    /// next waits on an input: the stage was handed a buffer first and has
-    /// to get the chance to convey it.  Either this thread started the
-    /// pipeline's last round ([`Pool::begin_round`]), or `accept_many`
-    /// popped the caboose in the same batch as preceding buffers.
+    /// Ports whose caboose this thread makes and must observe before it
+    /// next waits on an input: it started the pipeline's last round
+    /// ([`Pool::begin_round`]), so the stage was handed a buffer first and
+    /// has to get the chance to convey it.
     owed: Vec<usize>,
     /// Ports not yet at end of stream.
     open: usize,
@@ -709,7 +729,6 @@ impl StageCtx {
             ledger: None,
             ledger_held: (0, 0),
             aux: Vec::new(),
-            batch: Vec::new(),
             owed: Vec::new(),
             registry,
         }
@@ -918,7 +937,7 @@ impl StageCtx {
         Ok(())
     }
 
-    /// `accept`/`accept_many` name no pipeline, so there must be just one.
+    /// `accept` names no pipeline, so there must be just one.
     fn sole_port(&self) -> Result<()> {
         self.not_virtual()?;
         if self.ports.len() != 1 {
@@ -946,62 +965,6 @@ impl StageCtx {
     pub fn accept(&mut self) -> Result<Option<Buffer>> {
         self.sole_port()?;
         self.pop_port(0)
-    }
-
-    /// Accept up to `max` buffers in one batch, amortizing queue-lock
-    /// acquisitions; only valid for a stage that belongs to exactly one
-    /// pipeline.  Appends the buffers to `out` and returns how many
-    /// arrived; `Ok(0)` means end of stream.  Blocks until at least one
-    /// buffer is available (or the stream ends), like [`StageCtx::accept`].
-    pub fn accept_many(&mut self, max: usize, out: &mut Vec<Buffer>) -> Result<usize> {
-        self.sole_port()?;
-        if max == 0 {
-            return Err(FgError::Usage(format!(
-                "stage `{}` called accept_many with a zero batch size",
-                self.name
-            )));
-        }
-        loop {
-            self.pay_cabooses()?;
-            if self.ports[0].eos {
-                return Ok(0);
-            }
-            self.await_admission()?;
-            let input = self.input_of(0)?;
-            let mut items = std::mem::take(&mut self.batch);
-            debug_assert!(items.is_empty());
-            let t0 = Instant::now();
-            enter(&self.ring, ThreadState::BlockedAccept, t0);
-            let res = input.pop_many(max, &mut items);
-            let t1 = Instant::now();
-            self.waited_accept(t0, t1);
-            if res.is_err() {
-                self.batch = items;
-                return Err(FgError::Cancelled);
-            }
-            let before = out.len();
-            for item in items.drain(..) {
-                match item {
-                    // One record per buffer of the batch, all over the
-                    // same wait.
-                    Item::Buf(b) => out.extend(self.admit(0, b, t0, t1)),
-                    // The queue ends a batch at a caboose, so it can only
-                    // be the final item.
-                    Item::Caboose(p) => {
-                        debug_assert_eq!(p, self.ports[0].pipeline);
-                        self.trace_accept(p, 0, 0, t0, t1);
-                        self.owed.push(0);
-                    }
-                }
-            }
-            self.batch = items;
-            let got = out.len() - before;
-            if got > 0 {
-                return Ok(got);
-            }
-            // Nothing to hand over (a lone caboose, or buffers the pool
-            // retired): the next iteration observes what is owed.
-        }
     }
 
     /// Accept the next buffer from a specific pipeline (common stage of
@@ -1039,7 +1002,7 @@ impl StageCtx {
             match popped {
                 Ok(Item::Buf(b)) => {
                     let idx = self.port_index(b.pipeline())?;
-                    if let Some(b) = self.admit(idx, b, t0, t1) {
+                    if let Some(b) = self.admit(idx, b, t0, t1)? {
                         return Ok(Some(b));
                     }
                 }
@@ -1081,14 +1044,20 @@ impl StageCtx {
     /// pipeline's first stage plays the source here, on its own thread: the
     /// buffer has come home to the pool, and either starts its next round
     /// under a fresh trace id or is retired (`None`).
-    fn admit(&mut self, idx: usize, mut b: Buffer, t0: Instant, t1: Instant) -> Option<Buffer> {
+    fn admit(
+        &mut self,
+        idx: usize,
+        mut b: Buffer,
+        t0: Instant,
+        t1: Instant,
+    ) -> Result<Option<Buffer>> {
         if self.ports[idx].first {
             let pipeline = b.pipeline();
-            let Some((started, last)) = self.ports[idx].pool.begin_round(b) else {
+            let Some((started, last)) = self.ports[idx].pool.begin_round(b)? else {
                 // Still a wait this thread sat through: on the record, like
                 // a caboose's.
                 self.trace_accept(pipeline, 0, 0, t0, t1);
-                return None;
+                return Ok(None);
             };
             b = started;
             if let Some(ring) = &self.ring {
@@ -1101,7 +1070,7 @@ impl StageCtx {
         self.stats.buffers_in += 1;
         self.ledger_acquire(b.capacity());
         self.trace_accept(b.pipeline(), b.round(), b.trace_id(), t0, t1);
-        Some(b)
+        Ok(Some(b))
     }
 
     fn pop_port(&mut self, idx: usize) -> Result<Option<Buffer>> {
@@ -1119,7 +1088,7 @@ impl StageCtx {
             self.waited_accept(t0, t1);
             match popped {
                 Ok(Item::Buf(b)) => {
-                    if let Some(b) = self.admit(idx, b, t0, t1) {
+                    if let Some(b) = self.admit(idx, b, t0, t1)? {
                         return Ok(Some(b));
                     }
                 }
@@ -1141,9 +1110,8 @@ impl StageCtx {
         if let Some(group) = self.replica_group.clone() {
             if !group.observe_caboose(p) {
                 self.end_port(idx);
-                self.ports[idx].forwarded = true;
-                if let Some(input) = self.ports[idx].input.clone() {
-                    let _ = input.push(Item::Caboose(p));
+                if let Some(input) = &self.ports[idx].input {
+                    send(input, Item::Caboose(p))?;
                 }
                 return Ok(());
             }
@@ -1189,9 +1157,10 @@ impl StageCtx {
             }
         }
         // In an ordered farm, wait until every earlier round has been
-        // emitted so downstream stages see rounds in order.  The wait
-        // counts as blocked-convey time: the replica is done computing and
-        // is stalled on downstream ordering.
+        // emitted so downstream stages see rounds in order.  The wait is
+        // all but a few nanoseconds of blocked-convey time (the push itself
+        // never waits): the replica is done computing and is stalled behind
+        // a slower earlier round.
         let mut t_push = t0;
         if ordered {
             enter(&self.ring, ThreadState::TurnWait, t0);
@@ -1211,8 +1180,8 @@ impl StageCtx {
             }
         }
         enter(&self.ring, ThreadState::BlockedConvey, t_push);
-        let res = self.ports[idx].output.push(Item::Buf(buf));
-        if res.is_ok() {
+        let sent = send(&self.ports[idx].output, Item::Buf(buf));
+        if matches!(sent, Ok(true)) {
             if let Some(group) = &self.replica_group {
                 group.finish_turn(pipeline, round);
             }
@@ -1220,7 +1189,7 @@ impl StageCtx {
         let t1 = Instant::now();
         self.stats.blocked_convey += t1 - t0;
         self.publish_live(t1);
-        if res.is_err() {
+        if !sent? {
             return Err(FgError::Cancelled);
         }
         self.stats.buffers_out += 1;
@@ -1260,7 +1229,7 @@ impl StageCtx {
         let t0 = Instant::now();
         // A closed pool means the program is being torn down: the buffer's
         // memory is simply released.
-        let _ = self.ports[idx].pool.queue.push(Item::Buf(buf));
+        send(&self.ports[idx].pool.queue, Item::Buf(buf))?;
         if let Some(group) = &self.replica_group {
             group.finish_turn(pipeline, round);
         }
@@ -1284,8 +1253,7 @@ impl StageCtx {
     /// Idempotent.
     pub fn stop(&mut self, pipeline: PipelineId) -> Result<()> {
         let idx = self.port_index(pipeline)?;
-        self.ports[idx].pool.stop();
-        Ok(())
+        self.ports[idx].pool.stop()
     }
 
     /// A scratch buffer of at least `len` bytes, reused across calls (FG's
@@ -1297,27 +1265,19 @@ impl StageCtx {
         &mut self.aux[..len]
     }
 
-    /// Port `idx` is at end of stream.
-    fn end_port(&mut self, idx: usize) {
-        if !std::mem::replace(&mut self.ports[idx].eos, true) {
+    /// Port `idx` is at end of stream; false if it already was.
+    fn end_port(&mut self, idx: usize) -> bool {
+        let ended = !std::mem::replace(&mut self.ports[idx].eos, true);
+        if ended {
             self.open -= 1;
         }
+        ended
     }
 
     fn mark_eos_and_forward(&mut self, pipeline: PipelineId) -> Result<()> {
         let idx = self.port_index(pipeline)?;
-        self.end_port(idx);
-        if !self.ports[idx].forwarded {
-            self.ports[idx].forwarded = true;
-            if !self.ports[idx].is_last()
-                && self.ports[idx]
-                    .output
-                    .push(Item::Caboose(pipeline))
-                    .is_err()
-                && !self.registry.is_cancelled()
-            {
-                return Err(FgError::Cancelled);
-            }
+        if self.end_port(idx) && !self.ports[idx].is_last() {
+            send(&self.ports[idx].output, Item::Caboose(pipeline))?;
         }
         Ok(())
     }
@@ -1325,13 +1285,14 @@ impl StageCtx {
     /// A buffer drained by [`StageCtx::finish`] goes back to its pool — or
     /// out of circulation when this stage *is* the head of the pool, which
     /// it has retired: draining a pool into itself would never end.
-    fn drain_buffer(&self, idx: usize, buf: Buffer) {
+    fn drain_buffer(&self, idx: usize, buf: Buffer) -> Result<()> {
         let port = &self.ports[idx];
         if port.first {
             port.pool.release(buf);
         } else {
-            let _ = port.pool.queue.push(Item::Buf(buf));
+            send(&port.pool.queue, Item::Buf(buf))?;
         }
+        Ok(())
     }
 
     /// Post-run cleanup executed by the runtime: end the pipelines this
@@ -1339,6 +1300,20 @@ impl StageCtx {
     /// unconsumed inputs (recycling their buffers), and guarantee exactly
     /// one caboose went downstream per pipeline.
     pub(crate) fn finish(&mut self) {
+        // Queues closing under the wind-down end it (`pop` fails); a full
+        // one is the program's error like anywhere else.
+        if let Err(e) = self.wind_down() {
+            self.registry.cancel(e);
+        }
+        // Whatever this thread still holds (a buffer dropped on an error
+        // path) leaves the ledger with the thread.
+        if let Some(l) = &self.ledger {
+            let (buffers, bytes) = std::mem::take(&mut self.ledger_held);
+            l.settle(buffers, bytes);
+        }
+    }
+
+    fn wind_down(&mut self) -> Result<()> {
         for idx in 0..self.ports.len() {
             let port = &self.ports[idx];
             if port.eos {
@@ -1350,22 +1325,20 @@ impl StageCtx {
                     self.owed.push(idx);
                 }
             } else if port.pool.rounds == Rounds::UntilStopped {
-                port.pool.stop();
+                port.pool.stop()?;
             }
         }
-        let _ = self.pay_cabooses();
+        self.pay_cabooses()?;
         // Drain the shared input (virtual stage) until every lane ends.
         if let Some(shared) = self.shared_input.clone() {
             while self.open > 0 {
                 match shared.pop() {
                     Ok(Item::Buf(b)) => {
                         if let Ok(idx) = self.port_index(b.pipeline()) {
-                            self.drain_buffer(idx, b);
+                            self.drain_buffer(idx, b)?;
                         }
                     }
-                    Ok(Item::Caboose(p)) => {
-                        let _ = self.mark_eos_and_forward(p);
-                    }
+                    Ok(Item::Caboose(p)) => self.mark_eos_and_forward(p)?,
                     Err(_) => break,
                 }
             }
@@ -1378,26 +1351,12 @@ impl StageCtx {
                     None => break,
                 };
                 match input.pop() {
-                    Ok(Item::Buf(b)) => self.drain_buffer(idx, b),
-                    Ok(Item::Caboose(p)) => {
-                        let _ = self.observe_caboose(idx, p);
-                    }
+                    Ok(Item::Buf(b)) => self.drain_buffer(idx, b)?,
+                    Ok(Item::Caboose(p)) => self.observe_caboose(idx, p)?,
                     Err(_) => break,
                 }
             }
         }
-        // Last resort (queues closed mid-drain): make sure a caboose was at
-        // least attempted downstream for every pipeline.
-        for port in &mut self.ports {
-            if !std::mem::replace(&mut port.forwarded, true) && !port.is_last() {
-                let _ = port.output.try_push(Item::Caboose(port.pipeline));
-            }
-        }
-        // Whatever this thread still holds (a buffer dropped on an error
-        // path) leaves the ledger with the thread.
-        if let Some(l) = &self.ledger {
-            let (buffers, bytes) = std::mem::take(&mut self.ledger_held);
-            l.settle(buffers, bytes);
-        }
+        Ok(())
     }
 }

@@ -6,7 +6,8 @@
 //! an external profiler), the runtime records, for every stage:
 //!
 //! * time spent blocked waiting to **accept** a buffer (starved),
-//! * time spent blocked waiting to **convey** a buffer (backpressured),
+//! * time spent inside **convey** (an ordered farm's emission-turn wait,
+//!   plus the push — which never waits),
 //! * the remaining wall time, which is the stage's own **busy** time, and
 //! * how many buffers it processed.
 
@@ -29,7 +30,9 @@ pub struct StageStats {
     pub wall: Duration,
     /// Time blocked inside `accept`/`accept_from`/`accept_any`.
     pub blocked_accept: Duration,
-    /// Time blocked inside `convey` (downstream queue full).
+    /// Time inside `convey`: an ordered farm worker's wait for its
+    /// emission turn, plus the push itself (a few nanoseconds — a push
+    /// never waits, the queues admit whole pools).
     pub blocked_convey: Duration,
     /// Time a farm replica spent parked at the admission gate while the
     /// controller held the farm below its declared width.  Idle capacity:
@@ -69,9 +72,9 @@ pub struct QueueDepth {
     pub name: String,
     /// Maximum number of items the queue could hold.
     pub capacity: usize,
-    /// High-water mark of the queue's depth.  A queue pinned at capacity
-    /// marks a backpressure boundary; one pinned near zero marks a starved
-    /// consumer.
+    /// High-water mark of the queue's depth: the most items that ever
+    /// waited in it at once.  (`capacity` admits the pipeline's whole pool
+    /// and its caboose, so reaching it stalls no one.)
     pub max_depth: usize,
     /// Whether the planner specialized this queue to the single-producer
     /// single-consumer ring.

@@ -36,8 +36,9 @@
 //! recorded pipeline-wide for a configurable timeout, it assembles a
 //! [`Postmortem`] — per-thread state with the last N spans, live queue
 //! depths, farm turnstile positions, and a best-guess culprit — renders it
-//! to stderr and optionally a JSON artifact, then aborts the program (or
-//! keeps waiting, per [`WatchdogAction`]).
+//! to stderr and optionally a JSON artifact, then aborts the program:
+//! queues close, stages unblock, and [`Program::run`](crate::Program::run)
+//! returns [`FgError::Stalled`](crate::FgError::Stalled) naming the culprit.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -133,8 +134,8 @@ pub enum TraceKind {
     /// A stage's own computation between accepting a buffer and starting to
     /// convey it.
     Work,
-    /// A stage pushed a buffer into its output queue (includes time blocked
-    /// on a full queue).
+    /// A stage pushed a buffer into its output queue (momentary: a push
+    /// never waits).
     Convey,
     /// A stage discarded a buffer straight back to its pipeline's pool.
     Recycle,
@@ -290,7 +291,8 @@ pub enum ThreadState {
     /// Blocked popping an input queue (the buffer pool, for a pipeline's
     /// first stage).
     BlockedAccept,
-    /// Blocked pushing an output queue.
+    /// Pushing an output queue — momentary, since a push never waits, so
+    /// a thread stalled here points at the queue itself.
     BlockedConvey,
     /// Blocked at an ordered farm's emission turnstile.
     TurnWait,
@@ -815,25 +817,12 @@ impl fmt::Debug for TraceSink {
     }
 }
 
-/// What the watchdog does once it has reported a stall.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WatchdogAction {
-    /// Cancel the program: queues close, stages unblock, and
-    /// [`Program::run`](crate::Program::run) returns
-    /// [`FgError::Stalled`](crate::FgError::Stalled) naming the culprit.
-    Abort,
-    /// Report (once per stall episode) but let the program keep waiting.
-    KeepWaiting,
-}
-
 /// Watchdog configuration: fire when no span is recorded pipeline-wide for
 /// `timeout`.
 #[derive(Debug, Clone)]
 pub struct WatchdogCfg {
     /// Pipeline-wide idle time that counts as a stall.
     pub timeout: Duration,
-    /// What to do after reporting.
-    pub action: WatchdogAction,
     /// Where to write the post-mortem JSON artifact (stderr always gets the
     /// rendered report).
     pub artifact: Option<PathBuf>,
@@ -846,16 +835,9 @@ impl WatchdogCfg {
     pub fn new(timeout: Duration) -> WatchdogCfg {
         WatchdogCfg {
             timeout,
-            action: WatchdogAction::Abort,
             artifact: None,
             last_spans: 16,
         }
-    }
-
-    /// Set the action taken after reporting.
-    pub fn action(mut self, action: WatchdogAction) -> WatchdogCfg {
-        self.action = action;
-        self
     }
 
     /// Write the post-mortem JSON to `path` in addition to stderr.

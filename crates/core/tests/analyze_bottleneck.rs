@@ -1,8 +1,10 @@
 //! End-to-end bottleneck analysis: inject a deliberately slow middle
 //! stage into a three-stage pipeline and check that `diagnose` names it
 //! as limiting, attributes backpressure upstream and starvation
-//! downstream, and recommends splitting or replicating it; and run a
-//! pipeline on a one-buffer pool and check that the pool is what it blames.
+//! downstream, and recommends splitting or replicating it; run a pipeline
+//! on a one-buffer pool and check that the pool is what it blames; and hold
+//! an ordered farm's first round back and check that the time its other
+//! workers spend in `convey` is blamed on the emission turn, not on a queue.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -26,8 +28,8 @@ fn injected_slow_middle_stage_is_diagnosed() {
         }),
     );
     let down = prog.add_stage("down", map_stage(|_, _| Ok(())));
-    // Few buffers so the slow stage's input queue pins at capacity while
-    // the downstream queue runs dry.
+    // Few buffers, so they pile up ahead of the slow stage while the pool
+    // and the downstream queue run dry.
     prog.add_pipeline(
         PipelineCfg::new("p", 3, 64).rounds(Rounds::Count(50)),
         &[up, slow, down],
@@ -135,4 +137,56 @@ fn a_one_buffer_pool_is_diagnosed_as_under_provisioned() {
         "diagnosis:\n{}",
         d.render()
     );
+}
+
+#[test]
+fn a_farm_waiting_its_emission_turn_is_diagnosed_as_that() {
+    // Three workers take rounds 0, 1 and 2 at once; round 0 sleeps 30 ms,
+    // so the other two sit in `convey` waiting their turn for about that
+    // long each.  `out` is slow enough to be the limiting stage (the
+    // analyzer gives that one different advice).
+    const HELD: Duration = Duration::from_millis(30);
+    let mut prog = Program::new("turn");
+    let farm = prog.workers("farm", 3, |_| {
+        map_stage(|buf, _| {
+            if buf.round() == 0 {
+                std::thread::sleep(HELD);
+            }
+            Ok(())
+        })
+    });
+    let out = prog.add_stage(
+        "out",
+        map_stage(|_, _| {
+            std::thread::sleep(Duration::from_millis(10));
+            Ok(())
+        }),
+    );
+    prog.add_pipeline(PipelineCfg::new("p", 3, 64).count(3), &[farm, out])
+        .unwrap();
+    let report = prog.run().unwrap();
+
+    let (row, workers) = report.stage_rollup("farm").unwrap();
+    assert_eq!(workers, 3);
+    assert!(
+        row.blocked_convey > 2 * HELD * 3 / 4 && row.blocked_convey < 2 * HELD * 2,
+        "two workers waited about {HELD:?} each: {:?}",
+        row.blocked_convey
+    );
+    let d = diagnose(&report, &[]);
+    assert_eq!(d.limiting.as_deref(), Some("out"), "{}", d.render());
+    let farm = d.stages.iter().find(|s| s.name == "farm").unwrap();
+    assert_eq!(farm.verdict, StageVerdict::Backpressured, "{}", d.render());
+    assert!(farm.backpressured_frac > 0.5, "{}", d.render());
+    let advice: Vec<_> = d
+        .recommendations
+        .iter()
+        .filter(|r| r.contains("`farm`"))
+        .collect();
+    assert!(
+        matches!(advice[..], [r] if r.contains("emission turn") && !r.contains("queue")),
+        "the advice names the turn and no queue:\n{}",
+        d.render()
+    );
+    assert!(d.queue_findings.is_empty() && d.contention.is_empty());
 }

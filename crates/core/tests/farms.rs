@@ -177,52 +177,6 @@ fn stop_tears_down_farm_and_spsc_spinners_promptly() {
 }
 
 #[test]
-fn accept_many_sees_every_buffer_in_order() {
-    // A batched consumer downstream of a farm: pop_many hands it runs of
-    // buffers without re-locking per item, still in round order.
-    let seen = Arc::new(Mutex::new(Vec::<u64>::new()));
-    let batches = Arc::new(AtomicU64::new(0));
-    struct Batched {
-        seen: Arc<Mutex<Vec<u64>>>,
-        batches: Arc<AtomicU64>,
-    }
-    impl Stage for Batched {
-        fn run(&mut self, ctx: &mut StageCtx) -> fg_core::Result<()> {
-            let mut out = Vec::new();
-            loop {
-                let n = ctx.accept_many(8, &mut out)?;
-                if n == 0 {
-                    return Ok(());
-                }
-                self.batches.fetch_add(1, Ordering::Relaxed);
-                for buf in out.drain(..) {
-                    self.seen.lock().unwrap().push(buf.round());
-                    ctx.convey(buf)?;
-                }
-            }
-        }
-    }
-    let mut prog = Program::new("batch");
-    let work = prog.workers("work", 2, |_| map_stage(|_, _| Ok(())));
-    let sink = prog.add_stage(
-        "collect",
-        Box::new(Batched {
-            seen: Arc::clone(&seen),
-            batches: Arc::clone(&batches),
-        }),
-    );
-    prog.add_pipeline(
-        PipelineCfg::new("p", 6, 16).rounds(Rounds::Count(120)),
-        &[work, sink],
-    )
-    .unwrap();
-    prog.run().unwrap();
-    assert_eq!(seen.lock().unwrap().clone(), (0..120).collect::<Vec<u64>>());
-    // Batching actually batched: far fewer accepts than buffers.
-    assert!(batches.load(Ordering::Relaxed) < 120);
-}
-
-#[test]
 fn spsc_detection_specializes_plain_chains_only() {
     // One program exercising every consumer kind: a plain stage-to-stage
     // link (SPSC eligible), a farm (its input is shared by replicas

@@ -1,8 +1,8 @@
 //! The edges of "the first stage is the source": ending a stream whose
 //! first stage is parked on an empty pool, the caboose of a short lane in a
 //! shared pool, a farm drawing round numbers from a pool smaller than
-//! itself, batched accepts across the last round.  Every program runs under
-//! a 2 s watchdog, so a regression is a failed test, not a stuck job.  (The
+//! itself.  Every program runs under a 2 s watchdog, so a regression is a
+//! failed test, not a stuck job.  (The
 //! remaining edge, a pool resized mid-run with the ledger ending at zero,
 //! needs the crate-private `PoolControl` handle and lives beside the
 //! runtime: `runtime::tests::a_pool_that_grew_then_shrank_leaves_the_ledger_at_zero`.)
@@ -208,48 +208,6 @@ fn an_ordered_farm_of_four_heads_a_pool_of_two() {
     assert_eq!(*seen.lock().unwrap(), (0..50).collect::<Vec<u64>>());
     let (farm, workers) = report.stage_rollup("farm").unwrap();
     assert_eq!((workers, farm.buffers_in, farm.buffers_out), (4, 50, 50));
-}
-
-#[test]
-fn batched_accepts_at_the_head_stop_at_the_last_round() {
-    // 13 rounds through batches of up to 8 from a pool of 16: the batch
-    // that starts round 12 hands over nothing past it, however many more
-    // buffers it popped.
-    let batches = Arc::new(Mutex::new(Vec::<usize>::new()));
-    let seen = Arc::new(Mutex::new(Vec::<u64>::new()));
-    let mut prog = watched("batched-head");
-    let b2 = Arc::clone(&batches);
-    let first = prog.add_stage(
-        "first",
-        Box::new(move |ctx: &mut StageCtx| {
-            let mut batch = Vec::new();
-            loop {
-                let n = ctx.accept_many(8, &mut batch)?;
-                if n == 0 {
-                    return Ok(());
-                }
-                b2.lock().unwrap().push(n);
-                for buf in batch.drain(..) {
-                    ctx.convey(buf)?;
-                }
-            }
-        }),
-    );
-    let s2 = Arc::clone(&seen);
-    let last = prog.add_stage(
-        "last",
-        map_stage(move |buf, _| {
-            s2.lock().unwrap().push(buf.round());
-            Ok(())
-        }),
-    );
-    prog.add_pipeline(PipelineCfg::new("p", 16, 16).count(13), &[first, last])
-        .unwrap();
-    prog.run().unwrap();
-    assert_eq!(*seen.lock().unwrap(), (0..13).collect::<Vec<u64>>());
-    let batches = batches.lock().unwrap();
-    assert_eq!(batches[0], 8, "the pool was full: {batches:?}");
-    assert_eq!(batches.iter().sum::<usize>(), 13, "{batches:?}");
 }
 
 proptest! {

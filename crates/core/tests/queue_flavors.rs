@@ -1,24 +1,35 @@
 //! Property tests pitting the lock-free MPMC ring against the mutex-deque
 //! oracle (the `Queue::new` default), via the benchmark-only [`BenchQueue`]
 //! surface: same items in, same items out — no loss, no duplication, FIFO
-//! per producer — plus the blocking contract around `close()` that every
-//! flavor must honor (drain after close, then fail; close wakes everyone).
+//! per producer — plus the contract around `close()` that every flavor must
+//! honor (drain after close, then fail; close wakes every waiting consumer).
+//!
+//! The traffic is FG's: every producer owns a small pool of buffers that
+//! circulates — out through the shared queue under test, home through the
+//! producer's own return queue — and each queue admits the pools that pass
+//! through it, so no push may ever fail.  (A queue never waits on a
+//! producer; what bounds the buffers in flight is the pool.)
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::thread;
 
 use proptest::prelude::*;
 
-use fg_core::qbench::{Batch, BenchQueue};
+use fg_core::qbench::BenchQueue;
+
+type Make = fn(usize) -> BenchQueue;
 
 /// Tag a buffer with `(producer, seq)` so consumers can check identity and
 /// per-producer order after the fact.
-fn tagged(producer: u64, seq: u64) -> fg_core::Buffer {
-    let mut b = BenchQueue::buffer(16);
+fn tag(b: &mut fg_core::Buffer, producer: u64, seq: u64) {
     b.space_mut()[..8].copy_from_slice(&producer.to_le_bytes());
     b.space_mut()[8..16].copy_from_slice(&seq.to_le_bytes());
     b.set_filled(16);
+}
+
+fn tagged(producer: u64, seq: u64) -> fg_core::Buffer {
+    let mut b = BenchQueue::buffer(16);
+    tag(&mut b, producer, seq);
     b
 }
 
@@ -30,41 +41,75 @@ fn tag_of(b: &fg_core::Buffer) -> (u64, u64) {
     )
 }
 
-/// Drive `producers` threads pushing `per_producer` tagged buffers each and
-/// `consumers` threads draining until close; returns every tag each
-/// consumer saw, in its observation order.
+/// Closes its queues when the thread holding it unwinds, so a failed
+/// assertion in one thread ends the others' waits instead of hanging the
+/// test binary.
+struct CloseOnPanic<'a>(&'a [BenchQueue]);
+
+impl Drop for CloseOnPanic<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.0.iter().for_each(BenchQueue::close);
+        }
+    }
+}
+
+/// `producers` threads each cycle their own pool of `pool` buffers through
+/// one shared queue `per_producer` times, tagging each trip; `consumers`
+/// threads drain the shared queue until close and send every buffer home.
+/// Returns every tag each consumer saw, in its observation order.
 fn run_flavor(
-    q: BenchQueue,
+    make: Make,
     producers: u64,
     per_producer: u64,
     consumers: usize,
+    pool: usize,
 ) -> Vec<Vec<(u64, u64)>> {
-    let q = Arc::new(q);
-    let mut handles = Vec::new();
+    // all[0] is the shared queue, all[1 + p] producer p's way home.
+    let mut all = vec![make(producers as usize * pool)];
     for p in 0..producers {
-        let q = Arc::clone(&q);
-        handles.push(thread::spawn(move || {
-            for i in 0..per_producer {
-                assert!(q.push(tagged(p, i)), "queue closed under the producer");
-            }
-        }));
+        let home = make(pool);
+        for _ in 0..pool {
+            assert!(home.push(tagged(p, 0)));
+        }
+        all.push(home);
     }
-    let mut consumers_h = Vec::new();
-    for _ in 0..consumers {
-        let q = Arc::clone(&q);
-        consumers_h.push(thread::spawn(move || {
-            let mut seen = Vec::new();
-            while let Some(b) = q.pop() {
-                seen.push(tag_of(&b));
-            }
-            seen
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    q.close();
-    consumers_h.into_iter().map(|h| h.join().unwrap()).collect()
+    let all = &all;
+    thread::scope(|s| {
+        let producers_h: Vec<_> = (0..producers)
+            .map(|p| {
+                s.spawn(move || {
+                    let _guard = CloseOnPanic(all);
+                    for i in 0..per_producer {
+                        let Some(mut b) = all[1 + p as usize].pop() else {
+                            return;
+                        };
+                        tag(&mut b, p, i);
+                        assert!(all[0].push(b), "the shared queue refused a pool buffer");
+                    }
+                })
+            })
+            .collect();
+        let consumers_h: Vec<_> = (0..consumers)
+            .map(|_| {
+                s.spawn(move || {
+                    let _guard = CloseOnPanic(all);
+                    let mut seen = Vec::new();
+                    while let Some(b) = all[0].pop() {
+                        let (p, i) = tag_of(&b);
+                        seen.push((p, i));
+                        assert!(all[1 + p as usize].push(b), "a buffer could not go home");
+                    }
+                    seen
+                })
+            })
+            .collect();
+        for h in producers_h {
+            h.join().unwrap();
+        }
+        all[0].close();
+        consumers_h.into_iter().map(|h| h.join().unwrap()).collect()
+    })
 }
 
 /// Flatten, then assert the exact multiset `{(p, 0..per_producer)}` came
@@ -93,23 +138,25 @@ fn assert_per_producer_fifo(seen: &[Vec<(u64, u64)>]) {
     }
 }
 
+const MPMC: [Make; 2] = [BenchQueue::mpmc, BenchQueue::mpmc_lock_free];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The lock-free ring and the mutex oracle deliver the identical
-    /// multiset of items under arbitrary producer/consumer/capacity mixes.
-    /// (Capacity 1 is included deliberately: the Vyukov ring needs two
-    /// slots, so a cap-1 lock-free request builds the mutex fallback —
-    /// which must honor the same contract.)
+    /// multiset of items under arbitrary producer/consumer/pool mixes.
+    /// (A one-producer pool of one is included deliberately: the Vyukov
+    /// ring needs two slots, so a cap-1 lock-free request builds the mutex
+    /// fallback — which must honor the same contract.)
     #[test]
     fn lock_free_matches_mutex_oracle(
         producers in 1u64..5,
         consumers in 1usize..5,
         per_producer in 1u64..60,
-        capacity in 1usize..9,
+        pool in 1usize..4,
     ) {
-        for q in [BenchQueue::mpmc(capacity), BenchQueue::mpmc_lock_free(capacity)] {
-            let seen = run_flavor(q, producers, per_producer, consumers);
+        for make in MPMC {
+            let seen = run_flavor(make, producers, per_producer, consumers, pool);
             assert_exact_multiset(&seen, producers, per_producer);
         }
     }
@@ -123,10 +170,10 @@ proptest! {
         producers in 1u64..4,
         consumers in 1usize..4,
         per_producer in 1u64..80,
-        capacity in 1usize..6,
+        pool in 1usize..4,
     ) {
-        for q in [BenchQueue::mpmc(capacity), BenchQueue::mpmc_lock_free(capacity)] {
-            let seen = run_flavor(q, producers, per_producer, consumers);
+        for make in MPMC {
+            let seen = run_flavor(make, producers, per_producer, consumers, pool);
             assert_per_producer_fifo(&seen);
         }
     }
@@ -144,7 +191,7 @@ proptest! {
             BenchQueue::spsc(capacity),
         ] {
             for i in 0..prefill {
-                assert!(q.try_push(tagged(0, i)));
+                assert!(q.push(tagged(0, i)));
             }
             q.close();
             assert!(!q.push(tagged(0, 999)), "push must fail after close");
@@ -157,43 +204,36 @@ proptest! {
     }
 }
 
-/// Close must wake every blocked thread — producers stuck on a full queue
-/// and consumers stuck on an empty one — whether they are still spinning
-/// or already parked.  A missed wake here hangs the whole test binary, so
-/// the join is the assertion.
+/// Only consumers ever block — a push onto a full queue is refused on the
+/// spot — and close must wake every one of them, whether it is still
+/// spinning or already parked.  A missed wake (or a push that waits) hangs
+/// the whole test binary, so the join is the assertion.
 #[test]
 fn close_wakes_all_blocked_threads_in_both_mpmc_flavors() {
-    for make in [
-        BenchQueue::mpmc as fn(usize) -> BenchQueue,
-        BenchQueue::mpmc_lock_free as fn(usize) -> BenchQueue,
-    ] {
+    for make in MPMC {
         // Capacity 2, not 1: a cap-1 lock-free request falls back to the
         // mutex flavor, which would leave the ring's wake paths untested.
-        let full = Arc::new(make(2));
-        while full.try_push(tagged(0, 0)) {}
-        let empty = Arc::new(make(2));
-        let mut handles = Vec::new();
-        for p in 0..3u64 {
-            let q = Arc::clone(&full);
-            handles.push(thread::spawn(move || {
-                // Blocks: the queue is full and nobody pops.
-                q.push(tagged(p, 1))
-            }));
-        }
-        for _ in 0..3 {
-            let q = Arc::clone(&empty);
-            handles.push(thread::spawn(move || {
+        let full = make(2);
+        assert!(full.push(tagged(0, 0)) && full.push(tagged(0, 1)));
+        let empty = make(2);
+        thread::scope(|s| {
+            for p in 0..3u64 {
+                let full = &full;
+                // Returns at once: the queue is full, and nobody pops.
+                s.spawn(move || assert!(!full.push(tagged(p, 2))));
+            }
+            let poppers: Vec<_> = (0..3)
                 // Blocks: the queue is empty and nobody pushes.
-                q.pop().is_none()
-            }));
-        }
-        // Let some threads reach the parked slow path while others spin.
-        thread::sleep(std::time::Duration::from_millis(20));
-        full.close();
-        empty.close();
-        for h in handles {
-            h.join().unwrap();
-        }
+                .map(|_| s.spawn(|| empty.pop().is_none()))
+                .collect();
+            // Let some threads reach the parked slow path while others spin.
+            thread::sleep(std::time::Duration::from_millis(20));
+            empty.close();
+            for h in poppers {
+                assert!(h.join().unwrap());
+            }
+        });
+        assert_eq!(full.pop().map(|b| tag_of(&b)), Some((0, 0)));
     }
 }
 
@@ -207,31 +247,32 @@ fn capacity_one_lock_free_falls_back_to_mutex() {
     assert_eq!(BenchQueue::mpmc_lock_free(2).flavor(), "lockfree");
 }
 
-/// The SPSC ring is untouched by the MPMC work: a 1-producer/1-consumer
-/// ping-pong through the new builder surface still delivers every item in
-/// order, batched pops included.
+/// The SPSC ring is untouched by the MPMC work: four buffers ping-ponged
+/// between one producer and one consumer through the builder surface come
+/// out in order, lap after lap.
 #[test]
 fn spsc_flavor_unaffected() {
-    let q = Arc::new(BenchQueue::spsc(4));
-    assert_eq!(q.flavor(), "spsc");
-    let producer = {
-        let q = Arc::clone(&q);
-        thread::spawn(move || {
-            for i in 0..500u64 {
-                assert!(q.push(tagged(0, i)));
-            }
-            q.close();
-        })
-    };
-    let mut batch = Batch::default();
-    let mut next = 0u64;
-    while q.pop_many(8, &mut batch) {
-        batch.drain_buffers(|b| {
-            assert_eq!(tag_of(&b), (0, next));
-            next += 1;
-        });
+    let rings = [BenchQueue::spsc(4), BenchQueue::spsc(4)];
+    let [out, home] = &rings;
+    assert_eq!(out.flavor(), "spsc");
+    for _ in 0..4 {
+        assert!(home.push(tagged(0, 0)));
     }
-    producer.join().unwrap();
-    assert_eq!(next, 500);
-    assert_eq!(q.cas_retries(), 0, "spsc path never CASes");
+    thread::scope(|s| {
+        s.spawn(|| {
+            let _guard = CloseOnPanic(&rings);
+            for i in 0..500u64 {
+                let Some(mut b) = home.pop() else { return };
+                tag(&mut b, 0, i);
+                assert!(out.push(b));
+            }
+        });
+        let _guard = CloseOnPanic(&rings);
+        for i in 0..500u64 {
+            let b = out.pop().expect("the producer failed");
+            assert_eq!(tag_of(&b), (0, i));
+            assert!(home.push(b));
+        }
+    });
+    assert_eq!(out.cas_retries(), 0, "spsc path never CASes");
 }

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fg_core::{
-    map_stage, MetricsRegistry, PipelineCfg, Program, Report, Rounds, Stage, StageCtx, StageStats,
-    ThreadLog, TraceKind, TraceSink,
+    map_stage, MetricsRegistry, PipelineCfg, Program, Report, Rounds, StageStats, ThreadLog,
+    TraceKind, TraceSink,
 };
 
 const ROUNDS: u64 = 20;
@@ -41,16 +41,12 @@ fn log_of<'a>(report: &'a Report, task: &str) -> &'a ThreadLog {
         .unwrap_or_else(|| panic!("no span log for `{task}`"))
 }
 
-/// Total length of the *distinct* `(start, end)` waits of the given kinds:
-/// `accept_many` writes one record per buffer of a batch over one wait.
+/// Total length of the waits of the given kinds: one record a wait.
 fn waited_ns(log: &ThreadLog, kinds: &[TraceKind]) -> u64 {
     log.spans
         .iter()
         .filter(|s| kinds.contains(&s.kind))
-        .map(|s| (s.start_ns, s.end_ns))
-        .collect::<BTreeSet<_>>()
-        .iter()
-        .map(|(start, end)| end - start)
+        .map(|s| s.end_ns - s.start_ns)
         .sum()
 }
 
@@ -178,52 +174,6 @@ fn ordered_farm_turn_waits_are_part_of_blocked_convey() {
             .count() as u64;
     }
     assert_eq!(turn_waits, ROUNDS, "one turnstile pass per round");
-}
-
-/// Accepts in batches of up to 4 and conveys each buffer.
-struct Batcher;
-
-impl Stage for Batcher {
-    fn run(&mut self, ctx: &mut StageCtx) -> fg_core::Result<()> {
-        let mut batch = Vec::new();
-        while ctx.accept_many(4, &mut batch)? > 0 {
-            // Let the next batch build up behind this one.
-            std::thread::sleep(Duration::from_millis(1));
-            for buf in batch.drain(..) {
-                ctx.convey(buf)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-#[test]
-fn a_batched_accept_is_one_wait_with_a_record_per_buffer() {
-    let mut prog = Program::new("batched");
-    prog.enable_tracing();
-    let first = prog.add_stage("first", map_stage(|_, _| Ok(())));
-    let batch = prog.add_stage("batch", Box::new(Batcher));
-    prog.add_pipeline(
-        PipelineCfg::new("p", 8, 16).rounds(Rounds::Count(40)),
-        &[first, batch],
-    )
-    .unwrap();
-    let report = prog.run().unwrap();
-    let s = report.stage("batch").unwrap();
-    assert_eq!((s.buffers_in, s.buffers_out), (40, 40));
-    assert_log_matches_stats(&report, s);
-    let log = log_of(&report, "batch");
-    let waits: BTreeSet<_> = log
-        .spans
-        .iter()
-        .filter(|r| r.kind == TraceKind::Accept)
-        .map(|r| (r.start_ns, r.end_ns))
-        .collect();
-    assert!(
-        waits.len() < 40,
-        "some batch should have held several buffers: {} waits",
-        waits.len()
-    );
 }
 
 /// A one-stage program whose stage notes the largest trace id it saw: a
