@@ -23,15 +23,14 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use fg_cluster::{Cluster, ClusterCfg, ClusterError, Communicator};
-use fg_core::{map_stage, PipelineCfg, Program, Rounds};
+use fg_core::{map_stage, PipelineCfg, Rounds};
 use fg_pdm::DiskRef;
 use fg_sort::chunks::{Scatter, CHUNK_HEADER_BYTES};
 use fg_sort::config::SortConfig;
-use fg_sort::dsort::pass1::{receive_stage, send_stage};
-use fg_sort::input::INPUT_FILE;
+use fg_sort::driver::{self, Node};
+use fg_sort::stages;
 use fg_sort::SortError;
 use parking_lot::Mutex;
 
@@ -51,6 +50,8 @@ pub struct GroupByReport {
     pub distinct_per_node: Vec<u64>,
     /// Total records aggregated (must equal the input record count).
     pub total_records: u64,
+    /// Node 0's FG report for the pass.
+    pub node0_reports: Vec<fg_core::Report>,
 }
 
 /// Which node owns a key.
@@ -63,74 +64,30 @@ pub fn owner_of(key: u64, nodes: usize) -> usize {
 /// (each holding fg-sort's `input` file per `cfg`); leaves each node's
 /// sorted `(key, count)` table in [`COUNTS_FILE`] on its disk.
 pub fn run_groupby(cfg: &SortConfig, disks: &[DiskRef]) -> Result<GroupByReport, SortError> {
-    cfg.validate()?;
-    if disks.len() != cfg.nodes {
-        return Err(SortError::Config(format!(
-            "need {} disks, got {}",
-            cfg.nodes,
-            disks.len()
-        )));
-    }
-    let cfg = cfg.clone();
-    let disks_arc: Vec<DiskRef> = disks.to_vec();
-
-    let run = Cluster::run(
-        ClusterCfg {
-            nodes: cfg.nodes,
-            net: cfg.net,
-        },
-        move |node| -> Result<(Duration, u64, u64), ClusterError> {
-            let rank = node.rank();
-            let comm = node.comm().clone();
-            let disk = Arc::clone(&disks_arc[rank]);
-            comm.barrier()?;
-            let t0 = Instant::now();
-            let (distinct, records) =
-                groupby_pass(&cfg, rank, &comm, &disk).map_err(ClusterError::from)?;
-            comm.barrier()?;
-            let nanos = comm.allreduce_max(t0.elapsed().as_nanos() as u64)?;
-            let total = comm.allreduce_sum(records)?;
-            Ok((Duration::from_nanos(nanos), distinct, total))
-        },
-    )
-    .map_err(|e| SortError::Comm(e.to_string()))?;
-
+    let mut run = driver::launch(cfg, disks, |node| {
+        let (distinct, records) = node.phase("pass", groupby_pass)?;
+        Ok((distinct, node.comm.allreduce_sum(records)?))
+    })?;
     Ok(GroupByReport {
-        pass: run.results[0].0,
-        distinct_per_node: run.results.iter().map(|r| r.1).collect(),
-        total_records: run.results[0].2,
+        pass: run.phases[0].1,
+        distinct_per_node: run.ranks.iter().map(|r| r.out.0).collect(),
+        total_records: run.ranks[0].out.1,
+        node0_reports: run.take_node0_reports(),
     })
 }
 
-/// The single pass on one node.
-fn groupby_pass(
-    cfg: &SortConfig,
-    rank: usize,
-    comm: &Communicator,
-    disk: &DiskRef,
-) -> Result<(u64, u64), SortError> {
+/// The single pass on one node; returns its distinct keys and the records
+/// they count.
+fn groupby_pass(node: &mut Node) -> Result<(u64, u64), SortError> {
+    let cfg = &node.cfg;
     let nodes = cfg.nodes;
-    let input_bytes = cfg.bytes_per_node() as usize;
-    let nblocks = input_bytes.div_ceil(cfg.block_bytes) as u64;
+    let nblocks = cfg.bytes_per_node().div_ceil(cfg.block_bytes as u64);
     const PAIR: usize = 16; // (u64 key, u64 count)
 
-    let mut prog = Program::new(format!("groupby-n{rank}"));
+    let mut prog = node.program("groupby");
 
     // ---- send pipeline ----
-    let read_disk = Arc::clone(disk);
-    let block_bytes = cfg.block_bytes;
-    let read = prog.add_stage(
-        "read",
-        map_stage(move |buf, _ctx| {
-            let off = buf.round() * block_bytes as u64;
-            let want = block_bytes.min(input_bytes - off as usize);
-            read_disk
-                .read_at(INPUT_FILE, off, &mut buf.space_mut()[..want])
-                .map_err(SortError::from)?;
-            buf.set_filled(want);
-            Ok(())
-        }),
-    );
+    let read = prog.add_stage("read", stages::read_input_stage(&node.disk, cfg));
 
     // Combiner: fold the block's records into (key, count) pairs —
     // duplicates within a block collapse here — and pack the pairs by
@@ -166,8 +123,14 @@ fn groupby_pass(
     // The exchange is dsort pass 1's: chunks out in pooled payloads, partial
     // counts packed densely into the receive pipeline's buffers; the merge
     // stage folds them into the node's table.
-    let send = prog.add_stage("send", send_stage(comm.clone(), TAG_GROUPBY));
-    let receive = prog.add_stage("receive", receive_stage(comm.clone(), TAG_GROUPBY));
+    let send = prog.add_stage(
+        "send",
+        stages::send_stage(node.comm.clone(), TAG_GROUPBY, stages::cut_chunks),
+    );
+    let receive = prog.add_stage(
+        "receive",
+        stages::receive_stage(node.comm.clone(), TAG_GROUPBY, stages::land_bytes),
+    );
 
     let table = Arc::new(Mutex::new(HashMap::<u64, u64>::new()));
     let t2 = Arc::clone(&table);
@@ -201,7 +164,7 @@ fn groupby_pass(
         PipelineCfg::new("recv", cfg.pipeline_buffers, recv_buf).rounds(Rounds::UntilStopped),
         &[receive, merge],
     )?;
-    prog.run()?;
+    node.run(prog)?;
 
     // Spill the table, sorted by key.
     let table = Arc::try_unwrap(table)
@@ -216,9 +179,9 @@ fn groupby_pass(
         bytes.extend_from_slice(&count.to_le_bytes());
         records += count;
     }
-    disk.write_at(COUNTS_FILE, 0, &bytes)?;
+    node.disk.write_at(COUNTS_FILE, 0, &bytes)?;
     // Write barrier: the counts table is read back after the run.
-    disk.flush()?;
+    node.disk.flush()?;
     Ok((pairs.len() as u64, records))
 }
 

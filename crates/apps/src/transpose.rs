@@ -20,12 +20,13 @@
 //!   cluster's disks in PDM order.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use fg_cluster::{Cluster, ClusterCfg, ClusterError, Communicator, NetCfg};
 use fg_core::{map_stage, PipelineCfg, Program, Rounds};
-use fg_pdm::{DiskCfg, SimDisk, Striping};
+use fg_pdm::{DiskCfg, DiskRef, SimDisk, Striping};
 use fg_sort::chunks::{self, Exchange, CHUNK_HEADER_BYTES};
+use fg_sort::stages;
 use fg_sort::SortError;
 
 /// Per-node input file: the node's row bands, concatenated in round order.
@@ -169,15 +170,9 @@ pub fn run_transpose(
             net: cfg.net,
         },
         move |node| -> Result<Duration, ClusterError> {
-            let rank = node.rank();
-            let comm = node.comm().clone();
-            let disk = Arc::clone(&disks_arc[rank]);
-            comm.barrier()?;
-            let t0 = Instant::now();
-            transpose_pass(&cfg, rank, &comm, &disk).map_err(ClusterError::from)?;
-            comm.barrier()?;
-            let nanos = comm.allreduce_max(t0.elapsed().as_nanos() as u64)?;
-            Ok(Duration::from_nanos(nanos))
+            let disk: DiskRef = disks_arc[node.rank()].clone();
+            let pass = || transpose_pass(&cfg, node.rank(), node.comm(), &disk);
+            Ok(node.comm().timed(pass)?.1)
         },
     )
     .map_err(|e| SortError::Comm(e.to_string()))?;
@@ -193,7 +188,7 @@ fn transpose_pass(
     cfg: &TransposeConfig,
     rank: usize,
     comm: &Communicator,
-    disk: &Arc<SimDisk>,
+    disk: &DiskRef,
 ) -> Result<(), SortError> {
     let (nodes, eb) = (cfg.nodes, cfg.elem_bytes);
     let (rows, cols, tr) = (cfg.rows, cfg.cols, cfg.tile_rows);
@@ -211,17 +206,9 @@ fn transpose_pass(
 
     let mut prog = Program::new(format!("transpose-n{rank}"));
 
-    let read_disk = Arc::clone(disk);
     let read = prog.add_stage(
         "read",
-        map_stage(move |buf, _ctx| {
-            let off = buf.round() * band_bytes as u64;
-            read_disk
-                .read_at(TIN_FILE, off, &mut buf.space_mut()[..band_bytes])
-                .map_err(SortError::from)?;
-            buf.set_filled(band_bytes);
-            Ok(())
-        }),
+        stages::read_stage(disk, TIN_FILE, move |t| (t * band_bytes as u64, band_bytes)),
     );
 
     // tilt: tile transpose — column j of the band becomes a contiguous
@@ -241,9 +228,8 @@ fn transpose_pass(
                 for j in 0..cols {
                     // Header for output row j's run.
                     let goff = ((j * rows + row0) * eb) as u64;
-                    aux[off..off + 8].copy_from_slice(&goff.to_le_bytes());
-                    aux[off + 8..off + 16].copy_from_slice(&0u64.to_le_bytes());
-                    aux[off + 16..off + 24].copy_from_slice(&((tr * eb) as u64).to_le_bytes());
+                    let header = chunks::chunk_header(goff, 0, tr * eb);
+                    aux[off..off + CHUNK_HEADER_BYTES].copy_from_slice(&header);
                     off += CHUNK_HEADER_BYTES;
                     for i in 0..tr {
                         let src = (i * cols + j) * eb;
@@ -252,8 +238,7 @@ fn transpose_pass(
                     }
                 }
             }
-            let packed = aux[..off].to_vec();
-            buf.copy_from(&packed);
+            buf.copy_from(&aux[..off]);
             Ok(())
         }),
     );
@@ -272,25 +257,9 @@ fn transpose_pass(
         })
     });
 
-    let write_disk = Arc::clone(disk);
-    let striping_w = Striping::new(nodes, cfg.block_bytes);
     let write = prog.add_stage(
         "write",
-        map_stage(move |buf, _ctx| {
-            let mut runs = Vec::new();
-            for chunk in chunks::iter_chunks(buf.filled()) {
-                let chunk = chunk?;
-                let (dest, local) = striping_w.locate_byte(chunk.a);
-                debug_assert_eq!(dest, rank, "stripe piece on wrong node");
-                runs.push((local, chunk.data.to_vec()));
-            }
-            for (off, data) in chunks::coalesce_writes(runs) {
-                write_disk
-                    .write_at(TOUT_FILE, off, &data)
-                    .map_err(SortError::from)?;
-            }
-            Ok(())
-        }),
+        stages::write_stage(disk, TOUT_FILE, Some((striping, rank))),
     );
 
     prog.add_pipeline(

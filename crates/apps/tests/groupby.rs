@@ -109,3 +109,137 @@ fn groupby_zipf_skew() {
     cfg.dist = KeyDist::Zipf { n: 200 };
     check_groupby(&cfg);
 }
+
+/// A group-by publishes into the registry its config hands it, like every
+/// program the driver runs: each send-pipeline stage counts one round a
+/// block, on every node.
+#[test]
+fn groupby_publishes_stage_rounds_into_the_configs_registry() {
+    let mut cfg = SortConfig::test_default(2, 4096);
+    let registry = std::sync::Arc::new(fg_core::MetricsRegistry::new());
+    cfg.metrics = Some(std::sync::Arc::clone(&registry));
+    let ledger = std::sync::Arc::new(fg_core::MemoryLedger::new());
+    cfg.ledger = Some(std::sync::Arc::clone(&ledger));
+    let disks = provision(&cfg);
+    let report = run_groupby(&cfg, &disks).expect("groupby run");
+
+    let blocks = cfg.nodes as u64 * cfg.bytes_per_node().div_ceil(cfg.block_bytes as u64);
+    let metrics = registry.snapshot();
+    for stage in ["read", "aggregate", "send"] {
+        let name = format!("core/stage_rounds/{stage}");
+        assert_eq!(metrics.counter(&name), Some(blocks), "{name}");
+    }
+    assert_eq!(ledger.outstanding(), (0, 0));
+    assert!(ledger.snapshot().peak_bytes > 0);
+    assert_eq!(report.node0_reports.len(), 1, "one FG report a pass");
+}
+
+/// A disk whose third `read_at` takes a second.
+struct StallingDisk {
+    inner: fg_pdm::DiskRef,
+    reads: std::sync::atomic::AtomicU32,
+}
+
+impl fg_pdm::Disk for StallingDisk {
+    fn read_at(&self, name: &str, offset: u64, out: &mut [u8]) -> Result<(), fg_pdm::PdmError> {
+        if self
+            .reads
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+            == 2
+        {
+            std::thread::sleep(std::time::Duration::from_secs(1));
+        }
+        self.inner.read_at(name, offset, out)
+    }
+    fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<(), fg_pdm::PdmError> {
+        self.inner.write_at(name, offset, data)
+    }
+    fn append(&self, name: &str, data: &[u8]) -> Result<u64, fg_pdm::PdmError> {
+        self.inner.append(name, data)
+    }
+    fn read_up_to(&self, name: &str, at: u64, len: usize) -> Result<Vec<u8>, fg_pdm::PdmError> {
+        self.inner.read_up_to(name, at, len)
+    }
+    fn load(&self, name: &str, bytes: Vec<u8>) {
+        self.inner.load(name, bytes)
+    }
+    fn snapshot(&self, name: &str) -> Option<Vec<u8>> {
+        self.inner.snapshot(name)
+    }
+    fn len(&self, name: &str) -> Option<u64> {
+        self.inner.len(name)
+    }
+    fn exists(&self, name: &str) -> bool {
+        self.inner.exists(name)
+    }
+    fn delete(&self, name: &str) -> bool {
+        self.inner.delete(name)
+    }
+    fn list(&self) -> Vec<String> {
+        self.inner.list()
+    }
+    fn stats(&self) -> fg_pdm::DiskStats {
+        self.inner.stats()
+    }
+    fn reset_stats(&self) {
+        self.inner.reset_stats()
+    }
+    fn fail_after_ops(&self, ops: u64) {
+        self.inner.fail_after_ops(ops)
+    }
+}
+
+/// A group-by runs under the watchdog its config arms: a read that stalls
+/// for five timeouts ends the run in `FgError::Stalled`, not in a late
+/// success.  (Which thread the error names is the post-mortem's guess: the
+/// stalled `read` and the `receive` stage parked in the fabric both sit busy
+/// on one buffer, and the heuristic cannot tell a disk from a network.)
+#[test]
+fn groupby_stalled_read_trips_the_configs_watchdog() {
+    let mut cfg = SortConfig::test_default(1, 4096);
+    cfg.watchdog = Some(std::time::Duration::from_millis(200));
+    let disks: Vec<fg_pdm::DiskRef> = provision(&cfg)
+        .into_iter()
+        .map(|inner| {
+            let reads = std::sync::atomic::AtomicU32::new(0);
+            std::sync::Arc::new(StallingDisk { inner, reads }) as fg_pdm::DiskRef
+        })
+        .collect();
+    let err = run_groupby(&cfg, &disks).expect_err("the stalled read must end the run");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("stalled program (culprit: groupby-n0/"),
+        "{msg}"
+    );
+}
+
+/// A disk that dies mid-pass ends every rank's group-by with the disk's
+/// error.  The run is on a helper thread, so that a hang fails the test
+/// instead of stalling it.
+#[test]
+fn groupby_surfaces_disk_failure() {
+    let cfg = SortConfig::test_default(4, 4096);
+    for ops in [2, 20, 60] {
+        let disks = provision(&cfg);
+        disks[1].fail_after_ops(ops);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let cfg = cfg.clone();
+        std::thread::spawn(move || tx.send(run_groupby(&cfg, &disks).map(|_| ())));
+        let err = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("disk 1 dead at op {ops}: the run hung"))
+            .expect_err("a run on a dead disk must fail");
+        assert!(err.to_string().contains("disk failed"), "op {ops}: {err}");
+    }
+}
+
+#[test]
+fn groupby_refuses_a_wrong_disk_count_before_launch() {
+    let cfg = SortConfig::test_default(4, 1024);
+    let disks = provision(&cfg);
+    let err = run_groupby(&cfg, &disks[..3]).expect_err("three disks for four nodes");
+    assert_eq!(
+        err,
+        fg_sort::SortError::Config("need 4 disks, got 3".into())
+    );
+}

@@ -19,7 +19,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use fg_core::metrics::{Counter, Histogram, MetricsRegistry};
 use fg_core::trace::COMM_PIPELINE;
@@ -524,6 +524,22 @@ impl Communicator {
     /// Max of a u64 across all nodes (everyone gets the result).
     pub fn allreduce_max(&self, x: u64) -> Result<u64, CommError> {
         Ok(self.allgather_u64(x)?.into_iter().max().unwrap_or(0))
+    }
+
+    /// Time `f` as one phase of a cluster program: every node enters behind
+    /// a barrier, the clock stops behind a second one, and every node gets
+    /// `f`'s result with the slowest node's wall time.  A collective — every
+    /// node calls it, in the same order as its other collectives.
+    pub fn timed<T, E: From<CommError>>(
+        &self,
+        f: impl FnOnce() -> Result<T, E>,
+    ) -> Result<(T, Duration), E> {
+        self.barrier()?;
+        let start = Instant::now();
+        let out = f()?;
+        self.barrier()?;
+        let nanos = self.allreduce_max(start.elapsed().as_nanos() as u64)?;
+        Ok((out, Duration::from_nanos(nanos)))
     }
 
     /// Allgather a single u64 per node; result indexed by rank.

@@ -6,66 +6,7 @@
 //!     --program dsort --nodes 8 --kib-per-node 256 --dist poisson
 //! ```
 //!
-//! Flags (all optional):
-//!   --program  dsort | csort | csort4 | dsort-linear   (default dsort)
-//!   --nodes N                  cluster size              (default 8)
-//!   --kib-per-node N           input size per node       (default 256)
-//!   --record-bytes 16|64       record format             (default 16)
-//!   --dist NAME                uniform | all-equal | std-normal | poisson
-//!                              | shifted:K | hotkey:P | zipf:N  (default uniform)
-//!   --seed N                   input RNG seed            (default 51966)
-//!   --block-kib N              block/stripe size         (default 16)
-//!   --run-kib N                floor on dsort's run size; the runs are as
-//!                              long as the node's pool budget allows
-//!                                                        (default 64)
-//!   --workers N                replicas for the CPU-bound sort stages
-//!                              (csort/csort4)             (default 1)
-//!   --pin                      pin every pipeline thread to a core,
-//!                              round-robin over all online cores
-//!   --pin-cores LIST           pin round-robin over an explicit
-//!                              comma-separated core list (e.g. 0,2,4,6)
-//!   --backend sim|os           storage backend: simulated in-memory disks
-//!                              or real files               (default sim)
-//!   --dir PATH                 root directory for --backend os (one
-//!                              d{rank} subdirectory per node; default
-//!                              fg-disks under the system temp dir)
-//!   --io-depth N               per-disk I/O scheduler read-ahead depth;
-//!                              0 = bare synchronous backend (default 0)
-//!   --free                     zero-cost disks & network (default: paper-
-//!                              shaped cost model)
-//!   --no-verify                skip output verification
-//!   --trace OUT                flight-record per-buffer causal spans in
-//!                              every pipeline and write a Chrome trace
-//!                              (Perfetto / chrome://tracing) to OUT; also
-//!                              prints node-0 per-pass Gantt charts (dsort)
-//!   --watchdog-secs N          abort with a post-mortem report if any
-//!                              pipeline makes no progress for N seconds
-//!   --telemetry ADDR           serve live GET /metrics (Prometheus),
-//!                              GET /report, GET /control, and GET /healthz
-//!                              on ADDR (e.g. 127.0.0.1:9100) while the
-//!                              sort runs; afterwards print the bottleneck
-//!                              diagnosis (dsort)
-//!   --cluster OUT              run with full per-node observability
-//!                              (dsort only): every rank gets its own
-//!                              metrics registry, the merged ClusterReport
-//!                              JSON is written to OUT, and the per-rank
-//!                              rollup plus straggler/skew diagnosis is
-//!                              printed after the run
-//!   --autotune                 attach the closed-loop controller to every
-//!                              pipeline: grows/shrinks the sort worker
-//!                              farms, resizes buffer pools, and retunes
-//!                              I/O read-ahead depth live; the decision
-//!                              audit log is printed after the run
-//!                              (csort/csort4)
-//!   --profile OUT              sample per-thread CPU / process RSS /
-//!                              per-stage allocation counters while the
-//!                              sort runs, print the resource report, and
-//!                              write it (JSON, `resources` member) to OUT;
-//!                              with --telemetry the same data is live on
-//!                              GET /resources
-//!   --mem-budget MIB           memory budget for the buffer-pool ledger;
-//!                              the diagnosis reports a memory-bound
-//!                              finding when peak usage approaches it
+//! `fgsort --help` prints the flags ([`USAGE`]).
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -75,7 +16,7 @@ use fg_core::{diagnose, MetricsRegistry, Sampler, TelemetryServer};
 use fg_sort::config::{DiskBackend, SortConfig};
 use fg_sort::csort::run_csort;
 use fg_sort::csort4::run_csort4;
-use fg_sort::dsort::{plan, run_dsort_with, DsortOptions};
+use fg_sort::dsort::{plan, run_dsort_with, DsortOptions, DsortReport};
 use fg_sort::dsort_linear::run_dsort_linear;
 use fg_sort::input::{try_provision, try_provision_with_metrics};
 use fg_sort::keygen::KeyDist;
@@ -89,9 +30,104 @@ use fg_sort::verify::{verify_output, Strictness};
 #[global_allocator]
 static FG_ALLOC: fg_core::FgAlloc = fg_core::FgAlloc;
 
+/// What `--help` and a bad command line print.
+const USAGE: &str = "\
+usage: fgsort [flags]   (all optional)
+  --program  dsort | csort | csort4 | dsort-linear   (default dsort)
+  --nodes N                  cluster size              (default 8)
+  --kib-per-node N           input size per node       (default 256)
+  --record-bytes 16|64       record format             (default 16)
+  --dist NAME                uniform | all-equal | std-normal | poisson
+                             | shifted:K | hotkey:P | zipf:N  (default uniform)
+  --seed N                   input RNG seed            (default 51966)
+  --block-kib N              block/stripe size         (default 16)
+  --run-kib N                floor on dsort's run size; the runs are as
+                             long as the node's pool budget allows
+                                                       (default 64)
+  --workers N                replicas for the CPU-bound sort stages
+                             (csort/csort4)             (default 1)
+  --pin                      pin every pipeline thread to a core,
+                             round-robin over all online cores
+  --pin-cores LIST           pin round-robin over an explicit
+                             comma-separated core list (e.g. 0,2,4,6)
+  --backend sim|os           storage backend: simulated in-memory disks
+                             or real files               (default sim)
+  --dir PATH                 root directory for --backend os (one
+                             d{rank} subdirectory per node; default
+                             fg-disks under the system temp dir)
+  --io-depth N               per-disk I/O scheduler read-ahead depth;
+                             0 = bare synchronous backend (default 0)
+  --free                     zero-cost disks & network (default: paper-
+                             shaped cost model)
+  --no-verify                skip output verification
+  --trace OUT                flight-record per-buffer causal spans in
+                             every pipeline and write a Chrome trace
+                             (Perfetto / chrome://tracing) to OUT; also
+                             prints node-0 per-pass Gantt charts (dsort)
+  --watchdog-secs N          abort with a post-mortem report if any
+                             pipeline makes no progress for N seconds
+  --telemetry ADDR           serve live GET /metrics (Prometheus),
+                             GET /report, GET /control, and GET /healthz
+                             on ADDR (e.g. 127.0.0.1:9100) while the
+                             sort runs; afterwards print the bottleneck
+                             diagnosis of each of node 0's passes
+  --cluster OUT              run with full per-node observability
+                             (dsort only): every rank gets its own
+                             metrics registry, the merged ClusterReport
+                             JSON is written to OUT, and the per-rank
+                             rollup plus straggler/skew diagnosis is
+                             printed after the run
+  --autotune                 attach the closed-loop controller to every
+                             pipeline: grows/shrinks the sort worker
+                             farms, resizes buffer pools, and retunes
+                             I/O read-ahead depth live; the decision
+                             audit log is printed after the run
+                             (csort/csort4)
+  --profile OUT              sample per-thread CPU / process RSS /
+                             per-stage allocation counters while the
+                             sort runs, print the resource report, and
+                             write it (JSON, `resources` member) to OUT;
+                             with --telemetry the same data is live on
+                             GET /resources
+  --mem-budget MIB           memory budget for the buffer-pool ledger;
+                             the diagnosis reports a memory-bound
+                             finding when peak usage approaches it";
+
+/// The program to run, parsed at the CLI boundary.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Sort {
+    Dsort,
+    Csort,
+    Csort4,
+    DsortLinear,
+}
+
+impl Sort {
+    const ALL: [(&'static str, Sort); 4] = [
+        ("dsort", Sort::Dsort),
+        ("csort", Sort::Csort),
+        ("csort4", Sort::Csort4),
+        ("dsort-linear", Sort::DsortLinear),
+    ];
+
+    fn parse(name: &str) -> Result<Sort, String> {
+        let known = Sort::ALL.iter().find(|(n, _)| *n == name);
+        known
+            .map(|(_, sort)| *sort)
+            .ok_or_else(|| format!("unknown program `{name}`"))
+    }
+
+    fn name(self) -> &'static str {
+        Sort::ALL
+            .iter()
+            .find(|(_, s)| *s == self)
+            .map_or("", |p| p.0)
+    }
+}
+
 #[derive(Debug, PartialEq)]
 struct Options {
-    program: String,
+    program: Sort,
     nodes: usize,
     kib_per_node: usize,
     record_bytes: usize,
@@ -119,7 +155,7 @@ struct Options {
 impl Default for Options {
     fn default() -> Self {
         Options {
-            program: "dsort".into(),
+            program: Sort::Dsort,
             nodes: 8,
             kib_per_node: 256,
             record_bytes: 16,
@@ -171,6 +207,14 @@ fn parse_dist(s: &str) -> Result<KeyDist, String> {
     }
 }
 
+/// The value of flag `name` as a number.
+fn number<T: std::str::FromStr>(name: &str, value: Result<&String, String>) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value?.parse().map_err(|e| format!("{name}: {e}"))
+}
+
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options::default();
     let mut it = args.iter();
@@ -179,43 +223,15 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             it.next().ok_or_else(|| format!("{name} needs a value"))
         };
         match arg.as_str() {
-            "--program" => opts.program = value("--program")?.clone(),
-            "--nodes" => {
-                opts.nodes = value("--nodes")?
-                    .parse()
-                    .map_err(|e| format!("--nodes: {e}"))?
-            }
-            "--kib-per-node" => {
-                opts.kib_per_node = value("--kib-per-node")?
-                    .parse()
-                    .map_err(|e| format!("--kib-per-node: {e}"))?
-            }
-            "--record-bytes" => {
-                opts.record_bytes = value("--record-bytes")?
-                    .parse()
-                    .map_err(|e| format!("--record-bytes: {e}"))?
-            }
+            "--program" => opts.program = Sort::parse(value("--program")?)?,
+            "--nodes" => opts.nodes = number(arg, value(arg))?,
+            "--kib-per-node" => opts.kib_per_node = number(arg, value(arg))?,
+            "--record-bytes" => opts.record_bytes = number(arg, value(arg))?,
             "--dist" => opts.dist = parse_dist(value("--dist")?)?,
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--block-kib" => {
-                opts.block_kib = value("--block-kib")?
-                    .parse()
-                    .map_err(|e| format!("--block-kib: {e}"))?
-            }
-            "--run-kib" => {
-                opts.run_kib = value("--run-kib")?
-                    .parse()
-                    .map_err(|e| format!("--run-kib: {e}"))?
-            }
-            "--workers" => {
-                opts.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
+            "--seed" => opts.seed = number(arg, value(arg))?,
+            "--block-kib" => opts.block_kib = number(arg, value(arg))?,
+            "--run-kib" => opts.run_kib = number(arg, value(arg))?,
+            "--workers" => opts.workers = number(arg, value(arg))?,
             "--pin" => opts.pin = true,
             "--pin-cores" => {
                 let list = value("--pin-cores")?
@@ -230,29 +246,17 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--backend" => opts.backend = value("--backend")?.clone(),
             "--dir" => opts.dir = Some(value("--dir")?.clone()),
-            "--io-depth" => {
-                opts.io_depth = value("--io-depth")?
-                    .parse()
-                    .map_err(|e| format!("--io-depth: {e}"))?
-            }
+            "--io-depth" => opts.io_depth = number(arg, value(arg))?,
             "--free" => opts.free = true,
             "--no-verify" => opts.verify = false,
             "--trace" => opts.trace = Some(value("--trace")?.clone()),
-            "--watchdog-secs" => {
-                opts.watchdog_secs = Some(
-                    value("--watchdog-secs")?
-                        .parse()
-                        .map_err(|e| format!("--watchdog-secs: {e}"))?,
-                )
-            }
+            "--watchdog-secs" => opts.watchdog_secs = Some(number(arg, value(arg))?),
             "--telemetry" => opts.telemetry = Some(value("--telemetry")?.clone()),
             "--autotune" => opts.autotune = true,
             "--cluster" => opts.cluster = Some(value("--cluster")?.clone()),
             "--profile" => opts.profile = Some(value("--profile")?.clone()),
             "--mem-budget" => {
-                let mib: u64 = value("--mem-budget")?
-                    .parse()
-                    .map_err(|e| format!("--mem-budget: {e}"))?;
+                let mib: u64 = number(arg, value(arg))?;
                 if mib == 0 {
                     return Err("--mem-budget must be positive".into());
                 }
@@ -261,12 +265,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--help" | "-h" => return Err("help".into()),
             other => return Err(format!("unknown flag `{other}`")),
         }
-    }
-    if !matches!(
-        opts.program.as_str(),
-        "dsort" | "csort" | "csort4" | "dsort-linear"
-    ) {
-        return Err(format!("unknown program `{}`", opts.program));
     }
     if !matches!(opts.backend.as_str(), "sim" | "os") {
         return Err(format!(
@@ -277,8 +275,12 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if opts.dir.is_some() && opts.backend != "os" {
         return Err("--dir only applies to --backend os".into());
     }
-    if opts.cluster.is_some() && opts.program != "dsort" {
+    if opts.cluster.is_some() && opts.program != Sort::Dsort {
         return Err("--cluster is only wired for --program dsort".into());
+    }
+    // Only columnsort's passes attach the controller.
+    if opts.autotune && !matches!(opts.program, Sort::Csort | Sort::Csort4) {
+        return Err("--autotune is only wired for --program csort and csort4".into());
     }
     if opts.io_depth > fg_pdm::MAX_IO_DEPTH {
         return Err(format!(
@@ -344,8 +346,56 @@ fn build_config(opts: &Options) -> Result<SortConfig, String> {
     Ok(cfg)
 }
 
-fn print_phase(name: &str, d: Duration) {
-    println!("  {name:<10} {:>9.1} ms", d.as_secs_f64() * 1e3);
+/// A run's `(phase, max-across-nodes wall time)` list, in run order.
+type Phases = Vec<(&'static str, Duration)>;
+
+/// One line a phase, and the total: the shape every program prints from.
+fn print_phases(phases: &Phases) {
+    let total = ("total", phases.iter().map(|p| p.1).sum());
+    for (name, time) in phases.iter().chain([&total]) {
+        println!("  {name:<10} {:>9.1} ms", time.as_secs_f64() * 1e3);
+    }
+}
+
+/// Node 0's FG reports with the phase each belongs to (a phase without an
+/// FG program — sampling — comes before the passes).
+fn passes<'a>(
+    phases: &'a Phases,
+    reports: &'a [fg_core::Report],
+) -> impl Iterator<Item = (&'static str, &'a fg_core::Report)> {
+    let first = phases.len() - reports.len();
+    phases[first..].iter().map(|p| p.0).zip(reports)
+}
+
+/// What only dsort has to say; returns node 0's reports, its communicator's
+/// metrics beside its stages' when the run had a registry for them.
+fn print_dsort(opts: &Options, r: &mut DsortReport) -> Result<Vec<fg_core::Report>, String> {
+    println!("  partitions: {:?}", r.partition_records);
+    println!("  runs merged: {:?}", r.runs_per_node);
+    let mut reports = r
+        .node0_reports
+        .take()
+        .map_or(vec![], |(p1, p2)| vec![p1, p2]);
+    if opts.trace.is_some() {
+        for (pass, report) in passes(&r.phases, &reports) {
+            println!("\nnode 0, {pass}:\n{}", report.render_gantt(64));
+        }
+    }
+    if let (Some(path), Some(cluster)) = (&opts.cluster, &r.cluster) {
+        let diagnosis = fg_core::diagnose_cluster(cluster);
+        println!("\n{}", cluster.render());
+        println!("{}", diagnosis.render());
+        let doc = fg_core::Json::Obj(vec![
+            ("cluster".into(), cluster.to_json_value()),
+            ("diagnosis".into(), diagnosis.to_json_value()),
+        ]);
+        std::fs::write(path, doc.to_string()).map_err(|e| format!("writing {path}: {e}"))?;
+        println!("cluster report: wrote {path}");
+    }
+    for report in &mut reports {
+        report.metrics.merge(&r.metrics);
+    }
+    Ok(reports)
 }
 
 fn main() -> ExitCode {
@@ -356,25 +406,7 @@ fn main() -> ExitCode {
             if e != "help" {
                 eprintln!("error: {e}\n");
             }
-            eprintln!("usage: fgsort [--program dsort|csort|csort4|dsort-linear]");
-            eprintln!("              [--nodes N] [--kib-per-node N] [--record-bytes 16|64]");
-            eprintln!("              [--dist uniform|all-equal|std-normal|poisson|shifted:K|hotkey:P|zipf:N]");
-            eprintln!(
-                "              [--seed N] [--block-kib N] [--run-kib N] [--free] [--no-verify]"
-            );
-            eprintln!("              [--workers N]   (replicas for the CPU-bound sort stages; csort/csort4)");
-            eprintln!("              [--pin | --pin-cores LIST]   (pin pipeline threads to cores, round-robin)");
-            eprintln!("              [--backend sim|os] [--dir PATH]   (real-file disks under PATH/d{{rank}})");
-            eprintln!(
-                "              [--io-depth N]   (read-ahead + write-behind scheduler; 0 = off)"
-            );
-            eprintln!("              [--trace OUT]   (write a Chrome/Perfetto trace of every pipeline to OUT)");
-            eprintln!("              [--watchdog-secs N]   (post-mortem + abort after N s without progress)");
-            eprintln!("              [--telemetry ADDR]   (live /metrics + /report + /control + /healthz HTTP endpoint)");
-            eprintln!("              [--autotune]   (closed-loop controller: live farm/pool/io-depth retuning)");
-            eprintln!("              [--cluster OUT]   (dsort: per-rank registries; write merged ClusterReport JSON + diagnosis to OUT)");
-            eprintln!("              [--profile OUT]   (per-thread CPU + RSS + per-stage alloc report; JSON to OUT)");
-            eprintln!("              [--mem-budget MIB]   (buffer-pool memory budget for the ledger / diagnosis)");
+            eprintln!("{USAGE}");
             return if e == "help" {
                 ExitCode::SUCCESS
             } else {
@@ -393,7 +425,7 @@ fn main() -> ExitCode {
 
     println!(
         "{}: {} records x {} B on {} nodes ({} KiB total), {} keys{}",
-        opts.program,
+        opts.program.name(),
         cfg.total_records(),
         cfg.record.record_bytes,
         cfg.nodes,
@@ -403,8 +435,9 @@ fn main() -> ExitCode {
     );
 
     // With --telemetry, all programs get metrics-instrumented disks and a
-    // live HTTP endpoint; dsort additionally publishes its queue and comm
-    // metrics and prints a bottleneck diagnosis after the run.
+    // live HTTP endpoint, publish their queue and stage metrics and print a
+    // bottleneck diagnosis of each pass after the run; dsort additionally
+    // publishes its comm metrics.
     let registry = Arc::new(MetricsRegistry::new());
     if opts.telemetry.is_some() || cfg.autotune.is_some() || opts.profile.is_some() {
         cfg.metrics = Some(Arc::clone(&registry));
@@ -461,8 +494,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut diagnosable: Option<fg_core::Report> = None;
-    if opts.program == "dsort" {
+    if opts.program == Sort::Dsort {
         let run_len = plan::run_len(&cfg);
         println!(
             "plan: {} KiB runs, ~{} a node, pool budget {:.1} MiB a node",
@@ -471,76 +503,42 @@ fn main() -> ExitCode {
             plan::pool_budget(&cfg) as f64 / (1 << 20) as f64,
         );
     }
-    let outcome: Result<(), String> = match opts.program.as_str() {
-        "dsort" => run_dsort_with(
-            &cfg,
-            &disks,
-            DsortOptions {
+    // Every program's run as its phase list, printed from one shape, and
+    // node 0's FG reports, one a pass.
+    let outcome = match opts.program {
+        Sort::Dsort => {
+            let dsort = DsortOptions {
                 metrics: telemetry.is_some().then(|| Arc::clone(&registry)),
                 observe: opts.cluster.is_some(),
                 ..DsortOptions::default()
-            },
-        )
-        .and_then(|r| {
-            print_phase("sampling", r.sampling);
-            print_phase("pass 1", r.pass1);
-            print_phase("pass 2", r.pass2);
-            print_phase("total", r.total());
-            println!("  partitions: {:?}", r.partition_records);
-            println!("  runs merged: {:?}", r.runs_per_node);
-            if let Some((p1, p2)) = &r.node0_reports {
-                if opts.trace.is_some() {
-                    println!("\nnode 0, pass 1:\n{}", p1.render_gantt(64));
-                    println!("node 0, pass 2:\n{}", p2.render_gantt(64));
-                }
-            }
-            if let (Some(path), Some(cluster)) = (&opts.cluster, &r.cluster) {
-                let diagnosis = fg_core::diagnose_cluster(cluster);
-                println!("\n{}", cluster.render());
-                println!("{}", diagnosis.render());
-                let doc = fg_core::Json::Obj(vec![
-                    ("cluster".into(), cluster.to_json_value()),
-                    ("diagnosis".into(), diagnosis.to_json_value()),
-                ]);
-                std::fs::write(path, doc.to_string())
-                    .map_err(|e| fg_sort::SortError::Config(format!("writing {path}: {e}")))?;
-                println!("cluster report: wrote {path}");
-            }
-            if telemetry.is_some() {
-                diagnosable = r.node0_reports.map(|(_, mut pass2)| {
-                    pass2.metrics.merge(&r.metrics);
-                    pass2
-                });
-            }
-            Ok(())
-        })
-        .map_err(|e| e.to_string()),
-        "csort" => run_csort(&cfg, &disks)
+            };
+            run_dsort_with(&cfg, &disks, dsort)
+                .map_err(|e| e.to_string())
+                .and_then(|mut r| {
+                    print_phases(&r.phases);
+                    let reports = print_dsort(&opts, &mut r)?;
+                    Ok((r.phases, reports))
+                })
+        }
+        Sort::Csort => run_csort(&cfg, &disks)
             .map(|r| {
-                for (i, p) in r.pass.iter().enumerate() {
-                    print_phase(&format!("pass {}", i + 1), *p);
-                }
-                print_phase("total", r.total);
+                print_phases(&r.phases);
                 println!("  matrix: r = {}, s = {}", r.matrix.r, r.matrix.s);
+                (r.phases, r.node0_reports)
             })
             .map_err(|e| e.to_string()),
-        "csort4" => run_csort4(&cfg, &disks)
+        Sort::Csort4 => run_csort4(&cfg, &disks)
             .map(|r| {
-                for (i, p) in r.pass.iter().enumerate() {
-                    print_phase(&format!("pass {}", i + 1), *p);
-                }
-                print_phase("total", r.total);
+                print_phases(&r.phases);
+                (r.phases, r.node0_reports)
             })
             .map_err(|e| e.to_string()),
-        "dsort-linear" => run_dsort_linear(&cfg, &disks)
+        Sort::DsortLinear => run_dsort_linear(&cfg, &disks)
             .map(|r| {
-                print_phase("sampling", r.sampling);
-                print_phase("pass 1", r.pass1);
-                print_phase("pass 2", r.pass2);
-                print_phase("total", r.total());
+                print_phases(&r.phases);
+                (r.phases, r.node0_reports)
             })
             .map_err(|e| e.to_string()),
-        _ => unreachable!("validated"),
     };
     let run_wall = run_start.elapsed();
     // Write the causal trace even when the run failed: a watchdog abort is
@@ -551,10 +549,13 @@ fn main() -> ExitCode {
             Err(e) => eprintln!("error: writing trace {path}: {e}"),
         }
     }
-    if let Err(e) = outcome {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
+    let (phases, mut reports) = match outcome {
+        Ok(ran) => ran,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     if opts.verify {
         match verify_output(&cfg, &disks, Strictness::Fingerprint) {
@@ -579,12 +580,12 @@ fn main() -> ExitCode {
         // The end-of-run report carries the final attribution too, so its
         // JSON has a `resources` member and the diagnosis below reads the
         // post-stop sample instead of re-deriving one from mid-run gauges.
-        if let Some(report) = diagnosable.as_mut() {
+        if let Some(report) = reports.last_mut() {
             report.resources = Some(resources.clone());
         }
         if let Some(path) = &opts.profile {
             let doc = fg_core::Json::Obj(vec![
-                ("program".into(), fg_core::Json::Str(opts.program.clone())),
+                ("program".into(), fg_core::Json::from(opts.program.name())),
                 ("wall_s".into(), fg_core::Json::Num(run_wall.as_secs_f64())),
                 ("resources".into(), resources.to_json_value()),
             ]);
@@ -609,14 +610,16 @@ fn main() -> ExitCode {
             series.len(),
             server.local_addr()
         );
-        if let Some(report) = diagnosable {
-            // With a flight recorder attached the diagnosis cites concrete
-            // rounds off the reconstructed critical path.
-            let d = match &cfg.trace_sink {
-                Some(sink) => fg_core::diagnose_with_trace(&report, &series, &sink.collect()),
-                None => diagnose(&report, &series),
+        // The bottleneck diagnosis of each of node 0's passes.  With a flight
+        // recorder attached it cites concrete rounds off the reconstructed
+        // critical path.
+        let logs = cfg.trace_sink.as_ref().map(|sink| sink.collect());
+        for (pass, report) in passes(&phases, &reports) {
+            let d = match &logs {
+                Some(logs) => fg_core::diagnose_with_trace(report, &series, logs),
+                None => diagnose(report, &series),
             };
-            println!("\n{}", d.render());
+            println!("\nnode 0, {pass}:\n{}", d.render());
         }
     }
     ExitCode::SUCCESS
@@ -644,7 +647,7 @@ mod tests {
              --trace out.json --watchdog-secs 60",
         ))
         .unwrap();
-        assert_eq!(o.program, "csort");
+        assert_eq!(o.program, Sort::Csort);
         assert_eq!(o.nodes, 4);
         assert_eq!(o.kib_per_node, 128);
         assert_eq!(o.record_bytes, 64);
@@ -790,7 +793,7 @@ mod tests {
 
     #[test]
     fn autotune_flag_builds_a_controller_config() {
-        let o = parse_args(&args("--autotune --workers 2 --free")).unwrap();
+        let o = parse_args(&args("--program csort --autotune --workers 2 --free")).unwrap();
         assert!(o.autotune);
         let cfg = build_config(&o).unwrap();
         let ac = cfg.autotune.as_ref().expect("controller config");

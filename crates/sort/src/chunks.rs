@@ -35,7 +35,7 @@ pub struct Chunk<'a> {
 pub const CHUNK_HEADER_BYTES: usize = 24;
 
 /// The header of a chunk of `len` data bytes.
-fn chunk_header(a: u64, b: u64, len: usize) -> [u8; CHUNK_HEADER_BYTES] {
+pub fn chunk_header(a: u64, b: u64, len: usize) -> [u8; CHUNK_HEADER_BYTES] {
     let mut header = [0u8; CHUNK_HEADER_BYTES];
     header[..8].copy_from_slice(&a.to_le_bytes());
     header[8..16].copy_from_slice(&b.to_le_bytes());
@@ -285,39 +285,20 @@ pub fn parse_chunks(bytes: &[u8]) -> Result<Vec<Chunk<'_>>, SortError> {
     iter_chunks(bytes).collect()
 }
 
-/// Coalesce positioned writes: given `(offset, data)` runs, sort by offset
-/// and merge runs that are adjacent in the file, so a write stage issues
-/// one large disk operation instead of many small ones (positioned-write
-/// batching, as any real implementation's write stage would do).
+/// Coalesce positioned writes for write stages on the hot path: walk the
+/// chunk-framed `payload` (with `a` = file offset), sort the runs by offset,
+/// merge those adjacent in the file, and hand each maximal positioned write
+/// to `emit` — one large disk operation instead of many small ones, as any
+/// real implementation's write stage would issue.  A run with no adjacent
+/// neighbor is emitted straight out of `payload` without copying; only
+/// genuinely mergeable groups are gathered into `scratch`.  `runs` and
+/// `scratch` are caller-owned and reused across rounds, so a warmed-up round
+/// allocates nothing.
 ///
-/// Overlapping runs are *not* merged; they are issued as separate writes
-/// in **offset order** (not input order), so callers must not rely on any
-/// particular overlap outcome.  The sorts never produce overlapping writes.
-pub fn coalesce_writes(mut runs: Vec<(u64, Vec<u8>)>) -> Vec<(u64, Vec<u8>)> {
-    runs.retain(|(_, d)| !d.is_empty());
-    runs.sort_by_key(|(off, _)| *off);
-    let mut out: Vec<(u64, Vec<u8>)> = Vec::with_capacity(runs.len());
-    for (off, data) in runs {
-        match out.last_mut() {
-            Some((last_off, last_data)) if *last_off + last_data.len() as u64 == off => {
-                last_data.extend_from_slice(&data);
-            }
-            _ => out.push((off, data)),
-        }
-    }
-    out
-}
-
-/// Allocation-free variant of [`coalesce_writes`] for write stages on the
-/// hot path: walk the chunk-framed `payload` (with `a` = file offset),
-/// coalesce offset-adjacent runs, and hand each maximal positioned write to
-/// `emit`.  A run with no adjacent neighbor is emitted straight out of
-/// `payload` without copying; only genuinely mergeable groups are gathered
-/// into `scratch`.  `runs` and `scratch` are caller-owned and reused across
-/// rounds, so a warmed-up round allocates nothing.
-///
-/// Overlap semantics match [`coalesce_writes`]: overlapping runs are issued
-/// separately in offset order.
+/// Empty runs are dropped.  Overlapping runs are *not* merged; they are
+/// issued as separate writes in **offset order** (not input order), so
+/// callers must not rely on any particular overlap outcome.  The sorts never
+/// produce overlapping writes.
 pub fn for_each_coalesced_write<E: From<SortError>>(
     payload: &[u8],
     runs: &mut Vec<(u64, std::ops::Range<usize>)>,
@@ -409,36 +390,41 @@ mod tests {
 mod coalesce_tests {
     use super::*;
 
+    /// The writes `for_each_coalesced_write` emits for `runs`, framed in the
+    /// order given.
+    fn coalesce(runs: &[(u64, &[u8])]) -> Vec<(u64, Vec<u8>)> {
+        let mut payload = Vec::new();
+        for (off, data) in runs {
+            push_chunk(&mut payload, *off, 0, data);
+        }
+        collect_writes(&payload)
+    }
+
     #[test]
     fn merges_adjacent_runs() {
-        let runs = vec![(10u64, vec![3, 4]), (0u64, vec![0, 1]), (2u64, vec![2])];
-        let out = coalesce_writes(runs);
+        let out = coalesce(&[(10, &[3, 4]), (0, &[0, 1]), (2, &[2])]);
         assert_eq!(out, vec![(0, vec![0, 1, 2]), (10, vec![3, 4])]);
     }
 
     #[test]
     fn keeps_gaps_separate() {
-        let out = coalesce_writes(vec![(0, vec![1]), (2, vec![2])]);
-        assert_eq!(out.len(), 2);
+        assert_eq!(coalesce(&[(0, &[1]), (2, &[2])]).len(), 2);
     }
 
     #[test]
     fn drops_empty_runs() {
-        let out = coalesce_writes(vec![(0, vec![]), (5, vec![9])]);
-        assert_eq!(out, vec![(5, vec![9])]);
+        assert_eq!(coalesce(&[(0, &[]), (5, &[9])]), vec![(5, vec![9])]);
     }
 
     #[test]
     fn overlapping_runs_stay_separate() {
-        let out = coalesce_writes(vec![(0, vec![1, 1]), (1, vec![2])]);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].0, 0);
-        assert_eq!(out[1].0, 1);
+        let out = coalesce(&[(1, &[2]), (0, &[1, 1])]);
+        assert_eq!(out, vec![(0, vec![1, 1]), (1, vec![2])]);
     }
 
     #[test]
     fn empty_input() {
-        assert!(coalesce_writes(vec![]).is_empty());
+        assert!(coalesce(&[]).is_empty());
     }
 
     fn collect_writes(payload: &[u8]) -> Vec<(u64, Vec<u8>)> {
@@ -455,15 +441,10 @@ mod coalesce_tests {
 
     #[test]
     fn streaming_variant_matches_batch_semantics() {
-        let mut payload = Vec::new();
-        push_chunk(&mut payload, 10, 0, &[3, 4]);
-        push_chunk(&mut payload, 0, 0, &[0, 1]);
-        push_chunk(&mut payload, 2, 0, &[2]);
-        push_chunk(&mut payload, 20, 0, &[]);
-        assert_eq!(
-            collect_writes(&payload),
-            vec![(0, vec![0, 1, 2]), (10, vec![3, 4])]
-        );
+        // Chunk headers between the runs: merged groups are gathered, a
+        // lone run is emitted in place, an empty one not at all.
+        let out = coalesce(&[(10, &[3, 4]), (0, &[0, 1]), (2, &[2]), (20, &[])]);
+        assert_eq!(out, vec![(0, vec![0, 1, 2]), (10, vec![3, 4])]);
     }
 
     #[test]

@@ -106,10 +106,10 @@ pub struct SortConfig {
     /// metrics here, making them scrapeable while the sort runs and
     /// giving the controller its observation stream.
     pub metrics: Option<Arc<fg_core::MetricsRegistry>>,
-    /// Chrome-trace track group for this node's FG programs: cluster sorts
-    /// set it to the node's rank (per node, after cloning the config into
-    /// the node function) so every program's spans land in that node's
-    /// track group of the merged export.
+    /// Chrome-trace track group for this node's FG programs: the driver sets
+    /// it to the node's rank (per node, after cloning the config into the
+    /// node function) so every program's spans land in that node's track
+    /// group of the merged export.
     pub trace_group: Option<u32>,
     /// Core pinning for every FG program the sort runs (`fgsort --pin` /
     /// `--pin-cores`): threads are placed round-robin over all cores or an
@@ -178,9 +178,9 @@ impl SortConfig {
 
     /// Apply this config's observability settings to an FG program: the
     /// causal-trace sink (`trace_sink`, whose spans each program's report
-    /// then carries for its Gantt chart), and the stall watchdog
-    /// (`watchdog`).  Every sort program calls this right after
-    /// `Program::new`.
+    /// then carries for its Gantt chart), the stall watchdog (`watchdog`),
+    /// registry, track group, pinning and ledger.  Called from the one place
+    /// that makes a sort's programs, [`Node::program`](crate::driver::Node::program).
     pub fn instrument(&self, prog: &mut fg_core::Program) {
         if let Some(sink) = &self.trace_sink {
             prog.set_trace_sink(Arc::clone(sink));
@@ -200,29 +200,6 @@ impl SortConfig {
         }
         if let Some(ledger) = &self.ledger {
             prog.set_memory_ledger(Arc::clone(ledger));
-        }
-    }
-
-    /// [`instrument`](SortConfig::instrument) plus the closed-loop
-    /// controller: registers each scheduled disk's read-ahead depth as a
-    /// live actuator and attaches the controller when `autotune` is set.
-    /// Programs that declare worker farms should size them with
-    /// [`farm_capacity`](SortConfig::farm_capacity) so the controller has
-    /// headroom to grow into.
-    pub fn instrument_with_disks(&self, prog: &mut fg_core::Program, disks: &[fg_pdm::DiskRef]) {
-        self.instrument(prog);
-        if let Some(cfg) = &self.autotune {
-            // The controller observes through the program's registry; give
-            // the program a private one if the run didn't share any.
-            if self.metrics.is_none() {
-                prog.set_metrics(Arc::new(fg_core::MetricsRegistry::new()));
-            }
-            for disk in disks {
-                if let Some(actuator) = Arc::clone(disk).depth_actuator() {
-                    prog.add_depth_actuator(actuator);
-                }
-            }
-            prog.set_controller(cfg.clone());
         }
     }
 

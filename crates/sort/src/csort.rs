@@ -27,16 +27,16 @@
 //!   sorted sequence at known global ranks — is exchanged once more
 //!   (balanced `alltoallv`) to land, striped, on the cluster's disks.
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use fg_cluster::{Cluster, ClusterCfg, ClusterError, Communicator};
-use fg_core::{map_stage, PipelineCfg, Program, Rounds};
+use fg_core::{map_stage, PipelineCfg, Rounds};
 use fg_pdm::{DiskRef, DiskStats, Striping};
 
 use crate::chunks::{self, Exchange, CHUNK_HEADER_BYTES};
 use crate::config::{Matrix, SortConfig};
+use crate::driver::{self, Node};
 use crate::input::INPUT_FILE;
+use crate::stages;
 use crate::verify::OUTPUT_FILE;
 use crate::SortError;
 
@@ -45,11 +45,11 @@ pub const M1_FILE: &str = "csort_m1";
 /// Intermediate file after pass 2.
 pub const M2_FILE: &str = "csort_m2";
 
-/// Timings and counters from one csort run.
+/// Timings and counters from one columnsort run of `N` passes.
 #[derive(Debug, Clone)]
-pub struct CsortReport {
+pub struct ColumnsortReport<const N: usize> {
     /// Max-across-nodes wall time of each pass.
-    pub pass: [Duration; 3],
+    pub pass: [Duration; N],
     /// Total wall time (sum of passes).
     pub total: Duration,
     /// Per-node disk stats accumulated over the whole run.
@@ -58,87 +58,60 @@ pub struct CsortReport {
     pub bytes_sent: Vec<u64>,
     /// The matrix geometry used.
     pub matrix: Matrix,
+    /// `(phase, max-across-nodes wall time)` in run order: `pass` by name.
+    pub phases: Vec<(&'static str, Duration)>,
+    /// Node 0's FG report for each pass.
+    pub node0_reports: Vec<fg_core::Report>,
 }
+
+/// Timings and counters from one csort run.
+pub type CsortReport = ColumnsortReport<3>;
 
 /// Run csort on the provisioned `disks` (one per node, each holding
 /// `input`); leaves striped output in `output` on every disk.
 pub fn run_csort(cfg: &SortConfig, disks: &[DiskRef]) -> Result<CsortReport, SortError> {
-    cfg.validate()?;
-    if disks.len() != cfg.nodes {
-        return Err(SortError::Config(format!(
-            "need {} disks, got {}",
-            cfg.nodes,
-            disks.len()
-        )));
-    }
-    let matrix = Matrix::choose(cfg.total_records(), cfg.nodes)?;
-    let cfg = cfg.clone();
-    let disks_arc: Vec<DiskRef> = disks.to_vec();
-
-    let run = Cluster::run(
-        ClusterCfg {
-            nodes: cfg.nodes,
-            net: cfg.net,
-        },
-        move |node| -> Result<[Duration; 3], ClusterError> {
-            let q = node.rank();
-            let comm = node.comm().clone();
-            let disk = Arc::clone(&disks_arc[q]);
-            // Group each node's pipeline spans under its own track in the
-            // merged Chrome export.
-            let mut cfg = cfg.clone();
-            cfg.trace_group = Some(q as u32);
-            let mut times = [Duration::ZERO; 3];
-            for (pass_idx, pass_no) in [1u8, 2, 3].into_iter().enumerate() {
-                comm.barrier()?;
-                let t0 = Instant::now();
-                match pass_no {
-                    1 => pass12(1, &cfg, matrix, q, &comm, &disk).map_err(ClusterError::from)?,
-                    2 => pass12(2, &cfg, matrix, q, &comm, &disk).map_err(ClusterError::from)?,
-                    _ => pass3(&cfg, matrix, q, &comm, &disk).map_err(ClusterError::from)?,
-                }
-                comm.barrier()?;
-                let nanos = comm.allreduce_max(t0.elapsed().as_nanos() as u64)?;
-                times[pass_idx] = Duration::from_nanos(nanos);
-            }
-            Ok(times)
-        },
-    )
-    .map_err(|e| SortError::Comm(e.to_string()))?;
-
-    let times = run.results[0];
-    Ok(CsortReport {
-        pass: times,
-        total: times.iter().sum(),
-        disk_stats: disks.iter().map(|d| d.stats()).collect(),
-        bytes_sent: run.traffic.iter().map(|t| t.bytes_sent).collect(),
-        matrix,
+    run_columnsort(cfg, disks, |node, m| {
+        node.phase("pass 1", |node| pass12(1, node, m))?;
+        node.phase("pass 2", |node| pass12(2, node, m))?;
+        node.phase("pass 3", |node| pass3(node, m))
     })
 }
 
-/// Bytes of one full column of records.
-fn col_bytes(cfg: &SortConfig, m: Matrix) -> usize {
-    m.r * cfg.record.record_bytes
+/// Run the `N` phases of `passes` on every node, over the geometry the
+/// config's size admits.
+pub(crate) fn run_columnsort<const N: usize>(
+    cfg: &SortConfig,
+    disks: &[DiskRef],
+    passes: impl Fn(&mut Node, Matrix) -> Result<(), SortError> + Send + Sync + 'static,
+) -> Result<ColumnsortReport<N>, SortError> {
+    cfg.validate()?; // `Matrix::choose` divides by the node count
+    let matrix = Matrix::choose(cfg.total_records(), cfg.nodes)?;
+    let mut run = driver::launch(cfg, disks, move |node| passes(node, matrix))?;
+    let pass = run.times();
+    Ok(ColumnsortReport {
+        pass,
+        total: pass.iter().sum(),
+        matrix,
+        node0_reports: run.take_node0_reports(),
+        phases: run.phases,
+        disk_stats: run.disk_stats,
+        bytes_sent: run.bytes_sent,
+    })
 }
 
-/// Buffer-pool size for a (possibly farmed) pipeline: each sort worker
-/// holds a buffer in flight, so the pool must exceed the worker count or
-/// replication just starves the pool.  Sized to the *declared* farm width
-/// ([`SortConfig::farm_capacity`]) so a controller growing the farm never
-/// outruns the pool.
-pub(crate) fn effective_buffers(cfg: &SortConfig) -> usize {
-    cfg.pipeline_buffers.max(cfg.farm_capacity() + 2)
-}
-
-/// The pass pipeline's configuration: `effective_buffers` in the pool,
-/// with headroom for controller-driven pool growth when autotuning.
+/// The configuration of a pass's (possibly farmed) pipeline.  Each sort
+/// worker holds a buffer in flight, so the pool must exceed the worker count
+/// or replication just starves the pool; it is sized to the *declared* farm
+/// width ([`SortConfig::farm_capacity`]) so a controller growing the farm
+/// never outruns the pool, with headroom for controller-driven pool growth
+/// when autotuning.
 pub(crate) fn pass_pipeline(
     cfg: &SortConfig,
     name: &str,
     buf_bytes: usize,
     rounds: u64,
 ) -> PipelineCfg {
-    let buffers = effective_buffers(cfg);
+    let buffers = cfg.pipeline_buffers.max(cfg.farm_capacity() + 2);
     let mut pc = PipelineCfg::new(name, buffers, buf_bytes).rounds(Rounds::Count(rounds));
     if cfg.autotune.is_some() {
         pc = pc.max_buffers(buffers * 2);
@@ -146,76 +119,14 @@ pub(crate) fn pass_pipeline(
     pc
 }
 
-/// Add the in-core sort stage, farmed across `cfg.workers` replicas when
-/// asked.  Each replica owns its kernel scratch ([`crate::kernels`]), so
-/// steady-state rounds allocate nothing; `Program::workers`' ordered
-/// emission keeps the lockstep communication stages downstream correct.
-///
-/// When the tracking allocator is installed
-/// ([`fg_core::FgAlloc`]), each replica's **first** sort call — the one
-/// that grows its scratch to the working size — is attributed to the
-/// `sort/warmup` tag, so the steady-state `sort` tag counting every later
-/// round stays at zero allocations.  That split is what lets the resource
-/// report (and the CI smoke job) assert the hot loop is alloc-free
-/// without exempting the by-design warmup growth.
-pub(crate) fn add_sort_stage(prog: &mut Program, cfg: &SortConfig) -> fg_core::StageId {
-    if cfg.farm_capacity() > 1 {
-        let cfg = cfg.clone();
-        prog.workers("sort", cfg.farm_capacity(), move |_i| sort_stage(&cfg))
-    } else {
-        prog.add_stage("sort", sort_stage(cfg))
-    }
-}
-
-/// One sort stage (or farm replica) with its own kernel scratch and the
-/// `sort/warmup` split described at [`add_sort_stage`]; dsort's pass-1
-/// sort stages are built from it too.
-pub(crate) fn sort_stage(cfg: &SortConfig) -> Box<dyn fg_core::Stage> {
-    let fmt = cfg.record;
-    let mut scratch = cfg.sort_scratch();
-    let mut warmed = false;
-    map_stage(
-        move |buf: &mut fg_core::Buffer, _ctx: &mut fg_core::StageCtx| {
-            if !warmed {
-                warmed = true;
-                if fg_core::alloc::installed() {
-                    let warmup = fg_core::register_tag("sort/warmup");
-                    return fg_core::with_tag(warmup, || {
-                        fmt.sort_bytes_with(buf.filled_mut(), &mut scratch);
-                        Ok(())
-                    });
-                }
-            }
-            fmt.sort_bytes_with(buf.filled_mut(), &mut scratch);
-            Ok(())
-        },
-    )
-}
-
-/// The write stage of a striping pass on node `rank`: the buffer holds
-/// chunks placed by global byte offset in the striped output; their headers
-/// are rewritten to local offsets in place and the pieces written, adjacent
-/// ones coalesced, to [`OUTPUT_FILE`].
-pub(crate) fn striped_write_stage(
-    disk: &DiskRef,
-    striping: Striping,
-    rank: usize,
-) -> Box<dyn fg_core::Stage> {
-    let disk = Arc::clone(disk);
-    let mut runs = Vec::new();
-    let mut scratch = Vec::new();
-    map_stage(move |buf, _ctx| {
-        chunks::relocate_chunks(buf.filled_mut(), |goff| {
-            let (dest, local) = striping.locate_byte(goff);
-            debug_assert_eq!(dest, rank, "stripe piece landed on wrong node");
-            local
-        })?;
-        chunks::for_each_coalesced_write(buf.filled(), &mut runs, &mut scratch, |off, data| {
-            disk.write_at(OUTPUT_FILE, off, data)
-                .map_err(SortError::from)?;
-            Ok(())
-        })
-    })
+/// Bytes of a pass-3 buffer: a merged window (`r` records), plus the extra
+/// half window `w(s)` on the last column, plus what striping adds — the
+/// stripe exchange is balanced only on average, so a node can receive up to
+/// a block of slack from each sender, each piece behind a chunk header.
+pub(crate) fn window_buf_bytes(cfg: &SortConfig, m: Matrix) -> usize {
+    let window_cap = (m.r + m.r / 2) * cfg.record.record_bytes;
+    let max_chunks = window_cap / cfg.block_bytes + 2 * m.nodes + 4;
+    window_cap + m.nodes * cfg.block_bytes + max_chunks * CHUNK_HEADER_BYTES + 64
 }
 
 /// The even columnsort step after pass `pass_no`'s sort, as chunks for the
@@ -257,58 +168,38 @@ pub fn route_column(
 /// Passes 1 and 2: `read → sort → communicate → permute → write` over a
 /// single linear pipeline of `s/P` rounds.  Shared with the four-pass
 /// variant ([`crate::csort4`]), whose first two passes are identical.
-pub(crate) fn pass12(
-    pass_no: u8,
-    cfg: &SortConfig,
-    m: Matrix,
-    q: usize,
-    comm: &Communicator,
-    disk: &DiskRef,
-) -> Result<(), SortError> {
+pub(crate) fn pass12(pass_no: u8, node: &mut Node, m: Matrix) -> Result<(), SortError> {
+    let cfg = &node.cfg;
+    let q = node.rank;
     let rb = cfg.record.record_bytes;
-    let cbytes = col_bytes(cfg, m);
+    let cbytes = m.r * rb;
     // Per round a node receives r records in at most s chunks.
     let buf_bytes = cbytes + m.s * CHUNK_HEADER_BYTES + 64;
-    let rounds = m.cols_per_node() as u64;
-    let (in_file, out_file) = match pass_no {
-        1 => (INPUT_FILE, M1_FILE),
-        _ => (M1_FILE, M2_FILE),
+    let (name, in_file, out_file) = match pass_no {
+        1 => ("csort-p1", INPUT_FILE, M1_FILE),
+        _ => ("csort-p2", M1_FILE, M2_FILE),
     };
-
-    let mut prog = Program::new(format!("csort-p{pass_no}-n{q}"));
-    cfg.instrument_with_disks(&mut prog, std::slice::from_ref(disk));
+    let mut prog = node.tuned_program(name);
 
     // read: local chunk t of the input file is column t*P + q.
-    let read_disk = Arc::clone(disk);
-    let in_name = in_file.to_string();
     let read = prog.add_stage(
         "read",
-        map_stage(move |buf, _ctx| {
-            let t = buf.round();
-            read_disk
-                .read_at(&in_name, t * cbytes as u64, &mut buf.space_mut()[..cbytes])
-                .map_err(SortError::from)?;
-            buf.set_filled(cbytes);
-            Ok(())
-        }),
+        stages::read_stage(&node.disk, in_file, move |t| (t * cbytes as u64, cbytes)),
     );
 
     // sort: odd columnsort step (1 or 3), farmed when cfg.workers > 1.
-    let sort = add_sort_stage(&mut prog, cfg);
+    let sort = prog.workers("sort", cfg.farm_capacity(), |_| stages::sort_stage(cfg));
 
     // communicate: balanced alltoallv; the same buffer is conveyed (§I:
     // "with balanced communication ... we can convey to the successor the
     // same buffer that the stage accepted").
-    let comm2 = comm.clone();
-    let nodes = m.nodes;
-    let (r, s) = (m.r, m.s);
-    let chunk_records = r / s;
+    let comm = node.comm.clone();
     let communicate = prog.add_stage("communicate", {
-        let mut exchange = Exchange::new(nodes);
+        let mut exchange = Exchange::new(m.nodes);
         map_stage(move |buf, _ctx| {
             let c = m.col_of_round(q, buf.round() as usize); // my column this round
             route_column(pass_no, m, c, rb, buf.filled(), &mut exchange);
-            Ok(exchange.trade(&comm2, buf)?)
+            Ok(exchange.trade(&comm, buf)?)
         })
     });
 
@@ -319,20 +210,20 @@ pub(crate) fn pass12(
     let permute = prog.add_stage("permute", {
         // Persistent scratch: the repacked payload and the bytes already
         // appended to each destination region this round.  Each sender
-        // contributed chunk_records records; they stack in sender order
-        // (source column / P order is irrelevant: the next pass re-sorts).
+        // contributed r/s records; they stack in sender order (source
+        // column / P order is irrelevant: the next pass re-sorts).
         let mut packed: Vec<u8> = Vec::new();
         let mut appended: Vec<(usize, usize)> = Vec::new(); // (base, bytes)
+        let per_round_per_col = m.nodes * (m.r / m.s); // records
         map_stage(move |buf, _ctx| {
             let t = buf.round() as usize;
-            let per_round_per_col = nodes * chunk_records; // records
             packed.clear();
             appended.clear();
             for chunk in chunks::iter_chunks(buf.filled()) {
                 let chunk = chunk?;
                 let d = chunk.a as usize;
                 debug_assert_eq!(m.owner(d), q, "chunk routed to wrong node");
-                let base = (m.local_index(d) * r + t * per_round_per_col) * rb;
+                let base = (m.local_index(d) * m.r + t * per_round_per_col) * rb;
                 let within = match appended.iter_mut().find(|(b, _)| *b == base) {
                     Some((_, w)) => w,
                     None => {
@@ -349,164 +240,68 @@ pub(crate) fn pass12(
         })
     });
 
-    // write: issue the positioned writes, coalesced without copying each
-    // chunk out of the buffer first.
-    let write_disk = Arc::clone(disk);
-    let out_name = out_file.to_string();
-    let write = prog.add_stage("write", {
-        let mut runs = Vec::new();
-        let mut scratch = Vec::new();
-        map_stage(move |buf, _ctx| {
-            chunks::for_each_coalesced_write(buf.filled(), &mut runs, &mut scratch, |off, data| {
-                write_disk
-                    .write_at(&out_name, off, data)
-                    .map_err(SortError::from)?;
-                Ok(())
-            })
-        })
-    });
+    let write = prog.add_stage("write", stages::write_stage(&node.disk, out_file, None));
 
+    let rounds = m.cols_per_node() as u64;
     prog.add_pipeline(
         pass_pipeline(cfg, "pass", buf_bytes, rounds),
         &[read, sort, communicate, permute, write],
     )?;
-    prog.run()?;
-    // Write barrier: the next pass reads this pass's output, so any
-    // write-behind must land (and surface its deferred errors) here.
-    disk.flush().map_err(SortError::from)?;
+    node.run(prog)?;
     Ok(())
 }
 
 /// Pass 3: steps 5–8 coalesced —
 /// `read → sort → exchange-halves → merge → stripe → write`.
-fn pass3(
-    cfg: &SortConfig,
-    m: Matrix,
-    q: usize,
-    comm: &Communicator,
-    disk: &DiskRef,
-) -> Result<(), SortError> {
+fn pass3(node: &mut Node, m: Matrix) -> Result<(), SortError> {
+    let cfg = &node.cfg;
+    let q = node.rank;
     let rb = cfg.record.record_bytes;
-    let cbytes = col_bytes(cfg, m);
-    let half = m.r / 2 * rb;
-    let rounds = m.cols_per_node() as u64;
-    // A buffer holds a merged window (r records), plus the extra half
-    // window w(s) on the last column, plus chunk headers for striping.
-    let window_cap = cbytes + half;
-    // The stripe exchange is balanced only on average; a node can receive
-    // up to a block of slack from each sender, so size for it.
-    let max_chunks = window_cap / cfg.block_bytes + 2 * m.nodes + 4;
-    let buf_bytes = window_cap + m.nodes * cfg.block_bytes + max_chunks * CHUNK_HEADER_BYTES + 64;
-    let (r, s, nodes) = (m.r, m.s, m.nodes);
+    let cbytes = m.r * rb;
+    let mut prog = node.tuned_program("csort-p3");
 
-    let mut prog = Program::new(format!("csort-p3-n{q}"));
-    cfg.instrument_with_disks(&mut prog, std::slice::from_ref(disk));
-
-    let read_disk = Arc::clone(disk);
     let read = prog.add_stage(
         "read",
-        map_stage(move |buf, _ctx| {
-            let t = buf.round();
-            read_disk
-                .read_at(M2_FILE, t * cbytes as u64, &mut buf.space_mut()[..cbytes])
-                .map_err(SortError::from)?;
-            buf.set_filled(cbytes);
-            Ok(())
-        }),
+        stages::read_stage(&node.disk, M2_FILE, move |t| (t * cbytes as u64, cbytes)),
     );
-
     // sort: step 5, farmed when cfg.workers > 1; replicas own their scratch.
-    let fmt = cfg.record;
-    let sort = add_sort_stage(&mut prog, cfg);
-
-    // exchange-halves: after the step-5 sort, send my column's larger half
-    // to the owner of column c+1 and receive the larger half of column c-1;
-    // the buffer leaves holding the *merge input* for window w(c):
-    // [received larger half of c-1][my smaller half], plus — only for the
-    // last column — my own larger half retained for window w(s).
-    let comm3 = comm.clone();
+    let sort = prog.workers("sort", cfg.farm_capacity(), |_| stages::sort_stage(cfg));
     let exchange = prog.add_stage(
         "exchange",
-        map_stage(move |buf, _ctx| {
-            let t = buf.round() as usize;
-            let c = m.col_of_round(q, t);
-            let last = c == s - 1;
-            if !last {
-                // A pooled payload: after the first rounds it is a buffer
-                // this node has sent before, at its full capacity.
-                let mut larger = comm3.payload().map_err(SortError::from)?;
-                larger.extend_from_slice(&buf.filled()[half..]);
-                comm3
-                    .send(m.owner(c + 1), (c + 1) as u64, larger)
-                    .map_err(SortError::from)?;
-            }
-            // Read in place; dropping the message hands its payload back to
-            // the sender's pool.
-            let msg = match c {
-                0 => None,
-                _ => Some(
-                    comm3
-                        .recv(Some(m.owner(c - 1)), c as u64)
-                        .map_err(SortError::from)?,
-                ),
-            };
-            let received: &[u8] = msg.as_ref().map_or(&[], |msg| &msg.payload);
-            // Assemble [received][smaller half][(last only) larger half] in
-            // place: what stays of the column moves up behind the received
-            // half (the larger half has been sent, or stays as well).
-            let keep = if last { cbytes } else { half };
-            let space = buf.space_mut();
-            space.copy_within(..keep, received.len());
-            space[..received.len()].copy_from_slice(received);
-            buf.set_filled(received.len() + keep);
-            Ok(())
-        }),
+        stages::exchange_halves_stage(&node.comm, m, q, rb),
     );
+    let merge = prog.add_stage("merge", stages::merge_halves_stage(cfg.record, m, q));
+    let (stripe, write) = stripe_and_write(&mut prog, node, m);
 
-    // merge: step 7 — merge the two sorted halves of window w(c) (the
-    // trailing extra half for w(s) is already sorted and stays in place).
-    let merge = prog.add_stage(
-        "merge",
-        map_stage(move |buf, ctx| {
-            let t = buf.round() as usize;
-            let c = m.col_of_round(q, t);
-            let window = if c > 0 { 2 * half } else { half };
-            debug_assert!(buf.len() >= window);
-            if c > 0 {
-                let aux = ctx.aux(window);
-                merge_two_sorted(fmt, &buf.filled()[..window], half, aux);
-                buf.filled_mut()[..window].copy_from_slice(&aux[..window]);
-            }
-            Ok(())
-        }),
-    );
-
-    // stripe: window w(c) covers global ranks [c·r − r/2, c·r + r/2)
-    // (clamped); split it across the cluster's disks in PDM order and
-    // exchange (balanced alltoallv).  The last column also carries w(s).
-    let comm4 = comm.clone();
-    let striping = Striping::new(nodes, cfg.block_bytes);
-    let stripe = prog.add_stage("stripe", {
-        let mut stripes = Exchange::new(nodes);
-        map_stage(move |buf, _ctx| {
-            let t = buf.round() as usize;
-            let c = m.col_of_round(q, t);
-            let start_rank = if c == 0 { 0 } else { c * r - r / 2 };
-            let goff = start_rank as u64 * rb as u64;
-            stripes.gather_stripes(&striping, goff, buf.filled());
-            Ok(stripes.trade(&comm4, buf)?)
-        })
-    });
-
-    let write = prog.add_stage("write", striped_write_stage(disk, striping, q));
-
+    let rounds = m.cols_per_node() as u64;
     prog.add_pipeline(
-        pass_pipeline(cfg, "pass3", buf_bytes, rounds),
+        pass_pipeline(cfg, "pass3", window_buf_bytes(cfg, m), rounds),
         &[read, sort, exchange, merge, stripe, write],
     )?;
-    prog.run()?;
-    disk.flush().map_err(SortError::from)?;
+    node.run(prog)?;
     Ok(())
+}
+
+/// Step 8 and the output, as the stages `stripe` and `write`: the merged
+/// window `w(c)` covers global ranks `[c·r − r/2, c·r + r/2)` (clamped;
+/// the last column also carries `w(s)`); split it across the cluster's disks
+/// in PDM order, exchange (balanced `alltoallv`) and write what arrives.
+pub(crate) fn stripe_and_write(
+    prog: &mut fg_core::Program,
+    node: &Node,
+    m: Matrix,
+) -> (fg_core::StageId, fg_core::StageId) {
+    let (q, rb) = (node.rank, node.cfg.record.record_bytes);
+    let striping = Striping::new(m.nodes, node.cfg.block_bytes);
+    let stripe = stages::stripe_stage(&node.comm, striping, move |buf| {
+        let c = m.col_of_round(q, buf.round() as usize);
+        (c * m.r).saturating_sub(m.r / 2) as u64 * rb as u64
+    });
+    let write = stages::write_stage(&node.disk, OUTPUT_FILE, Some((striping, q)));
+    (
+        prog.add_stage("stripe", stripe),
+        prog.add_stage("write", write),
+    )
 }
 
 /// Merge `data` (two sorted runs: `[0, split_bytes)` and

@@ -17,14 +17,15 @@ pub mod plan;
 pub mod sampling;
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use fg_cluster::{Cluster, ClusterCfg, ClusterError, ClusterObs, PayloadStats};
+use fg_cluster::PayloadStats;
 use fg_core::cluster_report::{ClusterReport, RankReport};
 use fg_core::metrics::{MetricsRegistry, MetricsSnapshot};
 use fg_pdm::{DiskRef, DiskStats};
 
 use crate::config::SortConfig;
+use crate::driver;
 use crate::SortError;
 
 /// Timings and counters from one dsort run.
@@ -67,6 +68,9 @@ pub struct DsortReport {
     /// [`DsortOptions::observe`]; feed it to
     /// [`fg_core::diagnose_cluster`] for straggler/skew analysis.
     pub cluster: Option<ClusterReport>,
+    /// `(phase, max-across-nodes wall time)` in run order: `sampling`,
+    /// `pass1` and `pass2` by name.
+    pub phases: Vec<(&'static str, Duration)>,
 }
 
 impl DsortReport {
@@ -118,149 +122,58 @@ pub fn run_dsort_with(
     disks: &[DiskRef],
     opts: DsortOptions,
 ) -> Result<DsortReport, SortError> {
-    cfg.validate()?;
-    if disks.len() != cfg.nodes {
-        return Err(SortError::Config(format!(
-            "need {} disks, got {}",
-            cfg.nodes,
-            disks.len()
-        )));
-    }
-    let cfg = cfg.clone();
-    let run_len = plan::run_len(&cfg);
-    let disks_arc: Vec<DiskRef> = disks.to_vec();
-
-    #[derive(Debug)]
-    struct NodeOut {
-        times: [Duration; 3],
-        wall: Duration,
-        partitions: Vec<u64>,
-        runs: Vec<u64>,
-        threads: Vec<u64>,
-        reports: Option<(fg_core::Report, fg_core::Report)>,
-    }
-
-    let cluster_cfg = ClusterCfg {
-        nodes: cfg.nodes,
-        net: cfg.net,
-    };
-    let registry = opts.metrics.clone();
     let virtual_reads = opts.virtual_reads;
-    let observed = opts.observe;
-    let trace_sink = cfg.trace_sink.clone();
-    let node_fn = move |node: fg_cluster::NodeCtx| -> Result<NodeOut, ClusterError> {
-        let rank = node.rank();
-        let comm = node.comm().clone();
-        let disk = Arc::clone(&disks_arc[rank]);
-        let wall_start = Instant::now();
-        // Observed runs give each rank its own registry and track group:
-        // the rank's FG programs record next to its communicator.
-        let cfg = if observed {
-            let mut cfg = cfg.clone();
-            cfg.metrics = node.registry().cloned();
-            cfg.trace_group = Some(rank as u32);
-            cfg
-        } else {
-            cfg.clone()
-        };
+    let run = driver::launch_observed(cfg, disks, opts.metrics, opts.observe, move |node| {
+        let splitters = node.phase("sampling", |node| sampling::select_splitters(node))?;
+        let run_len = plan::run_len(&node.cfg);
+        let p1 = node.phase("pass 1", |node| pass1::pass1(node, &splitters, run_len))?;
+        // Pass 2: merge, load-balance, stripe.  The exchange of partition
+        // sizes (needed for global rank offsets) is part of the pass.
+        let (partitions, threads) = node.phase("pass 2", |node| {
+            let partitions = node.comm.allgather_u64(p1.received_records)?;
+            let rank_offset: u64 = partitions[..node.rank].iter().sum(); // records
+            let threads = pass2::pass2(node, &p1.run_lens, rank_offset, virtual_reads)?;
+            Ok((partitions, threads))
+        })?;
+        let runs = node.comm.allgather_u64(p1.run_lens.len() as u64)?;
+        let threads = node.comm.allgather_u64(threads as u64)?;
+        Ok((partitions, runs, threads))
+    })?;
 
-        // Phase 0: sampling.
-        comm.barrier()?;
-        let t0 = Instant::now();
-        let splitters =
-            sampling::select_splitters(&cfg, rank, &comm, &disk).map_err(ClusterError::from)?;
-        comm.barrier()?;
-        let sampling_ns = comm.allreduce_max(t0.elapsed().as_nanos() as u64)?;
-
-        // Pass 1: partition and distribute.
-        comm.barrier()?;
-        let t1 = Instant::now();
-        let p1 = pass1::pass1(&cfg, rank, &comm, &disk, &splitters, run_len)
-            .map_err(ClusterError::from)?;
-        comm.barrier()?;
-        let pass1_ns = comm.allreduce_max(t1.elapsed().as_nanos() as u64)?;
-
-        // Pass 2: merge, load-balance, stripe.  The exchange of
-        // partition sizes (needed for global rank offsets) is part of
-        // the pass.
-        comm.barrier()?;
-        let t2 = Instant::now();
-        let partitions = comm.allgather_u64(p1.received_records)?;
-        let rank_offset: u64 = partitions[..rank].iter().sum(); // records
-        let p2 = pass2::pass2(
-            &cfg,
-            rank,
-            &comm,
-            &disk,
-            &p1.run_lens,
-            rank_offset,
-            virtual_reads,
-        )
-        .map_err(ClusterError::from)?;
-        comm.barrier()?;
-        let pass2_ns = comm.allreduce_max(t2.elapsed().as_nanos() as u64)?;
-
-        let runs = comm.allgather_u64(p1.run_lens.len() as u64)?;
-        let threads = comm.allgather_u64(p2.threads as u64)?;
-
-        Ok(NodeOut {
-            times: [
-                Duration::from_nanos(sampling_ns),
-                Duration::from_nanos(pass1_ns),
-                Duration::from_nanos(pass2_ns),
-            ],
-            wall: wall_start.elapsed(),
-            partitions,
-            runs,
-            threads,
-            reports: (rank == 0 || observed).then(|| (p1.report.clone(), p2.report.clone())),
-        })
+    let [sampling, pass1, pass2] = run.times();
+    let node0 = &run.ranks[0];
+    let (partition_records, runs_per_node, pass2_threads) = node0.out.clone();
+    let node0_reports = match &node0.reports[..] {
+        [p1, p2] => Some((p1.clone(), p2.clone())),
+        _ => None,
     };
-    let run = if observed {
-        let mut obs = ClusterObs::per_node(cluster_cfg.nodes);
-        if let Some(sink) = &trace_sink {
-            obs = obs.with_trace(Arc::clone(sink));
-        }
-        Cluster::run_observed(cluster_cfg, obs, node_fn)
-    } else {
-        match registry {
-            Some(reg) => Cluster::run_with_metrics(cluster_cfg, reg, node_fn),
-            None => Cluster::run(cluster_cfg, node_fn),
-        }
-    }
-    .map_err(|e| SortError::Comm(e.to_string()))?;
-
-    let cluster = observed.then(|| {
-        let mut cr = ClusterReport::new(cluster_cfg.nodes);
-        for (rank, out) in run.results.iter().enumerate() {
-            let reports = out
-                .reports
-                .as_ref()
-                .map(|(p1, p2)| vec![p1.clone(), p2.clone()])
-                .unwrap_or_default();
+    // Every rank's reports, wall time and registry, merged.
+    let cluster = opts.observe.then(|| {
+        let mut cr = ClusterReport::new(cfg.nodes);
+        for (rank, (out, metrics)) in run.ranks.into_iter().zip(run.node_metrics).enumerate() {
             cr.push(RankReport {
                 rank,
                 wall: out.wall,
-                reports,
-                metrics: run.node_metrics.get(rank).cloned().unwrap_or_default(),
+                reports: out.reports,
+                metrics,
             });
         }
         cr
     });
-    let node0 = &run.results[0];
     Ok(DsortReport {
-        sampling: node0.times[0],
-        pass1: node0.times[1],
-        pass2: node0.times[2],
-        partition_records: node0.partitions.clone(),
-        runs_per_node: node0.runs.clone(),
-        run_len,
-        pass2_threads: node0.threads.clone(),
-        disk_stats: disks.iter().map(|d| d.stats()).collect(),
-        bytes_sent: run.traffic.iter().map(|t| t.bytes_sent).collect(),
+        sampling,
+        pass1,
+        pass2,
+        partition_records,
+        runs_per_node,
+        run_len: plan::run_len(cfg),
+        pass2_threads,
+        disk_stats: run.disk_stats,
+        bytes_sent: run.bytes_sent,
         payloads: run.payloads,
-        node0_reports: run.results[0].reports.clone(),
+        node0_reports,
         metrics: run.metrics,
         cluster,
+        phases: run.phases,
     })
 }

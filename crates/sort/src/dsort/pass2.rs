@@ -21,65 +21,44 @@
 
 use std::sync::Arc;
 
-use fg_cluster::{Communicator, Message};
-use fg_core::{map_stage, Buffer, PipelineCfg, Program, Rounds, Stage, StageCtx};
-use fg_pdm::{DiskRef, Striping};
+use fg_core::{map_stage, Buffer, FgError, PipelineCfg, Rounds, Stage, StageCtx};
+use fg_pdm::Striping;
 
 use crate::chunks::{self, CHUNK_HEADER_BYTES};
-use crate::config::SortConfig;
-use crate::dsort::pass1::{fabric_stage, RUNS_FILE};
+use crate::driver::Node;
+use crate::dsort::pass1::{run_offsets, RUNS_FILE};
 use crate::merge::LoserTree;
+use crate::stages;
+use crate::verify::OUTPUT_FILE;
 use crate::SortError;
 
-/// Message tag for pass-2 traffic.
+/// Message tag for pass-2 traffic: a stripe piece travels behind its 8-byte
+/// global offset.
 pub const TAG_PASS2: u64 = 0x0D50_0002;
-/// First payload byte: a stripe piece follows (8-byte global offset, data).
-pub const MSG_DATA: u8 = 0;
-/// First payload byte: the sender has finished pass 2.
-pub const MSG_DONE: u8 = 1;
 
-/// Outcome of pass 2 on one node.
-#[derive(Debug, Clone)]
-pub struct Pass2Out {
-    /// OS threads the pass's FG program spawned (experiment A2 measures
-    /// how virtual stages keep this flat as the run count grows).
-    pub threads: usize,
-    /// Number of vertical (run) pipelines merged.
-    pub runs_merged: usize,
-    /// The FG report of this node's pass-2 program.
-    pub report: fg_core::Report,
-}
-
-/// Run pass 2 on node `rank`.  `run_lens` are this node's sorted run
-/// lengths from pass 1; `rank_offset` is the global rank of this node's
-/// first merged record.
+/// Run pass 2 on `node`; returns the OS threads its FG program spawned
+/// (experiment A2 measures how virtual stages keep this flat as the run
+/// count grows).  `run_lens` are this node's sorted run lengths from pass
+/// 1; `rank_offset` is the global rank of this node's first merged record.
 pub fn pass2(
-    cfg: &SortConfig,
-    rank: usize,
-    comm: &Communicator,
-    disk: &DiskRef,
+    node: &mut Node,
     run_lens: &[u64],
     rank_offset: u64,
     use_virtual_reads: bool,
-) -> Result<Pass2Out, SortError> {
-    let nodes = cfg.nodes;
+) -> Result<usize, SortError> {
+    let cfg = &node.cfg;
+    let disk = &node.disk;
     let rb = cfg.record.record_bytes;
     let k = run_lens.len();
     let vert_buf = cfg.vertical_buf_bytes;
-    let striping = Striping::new(nodes, cfg.block_bytes);
+    let striping = Striping::new(cfg.nodes, cfg.block_bytes);
 
-    let mut prog = Program::new(format!("dsort-p2-n{rank}"));
-    cfg.instrument(&mut prog);
+    let mut prog = node.program("dsort-p2");
 
     // ---- vertical read stage(s) ----
     // Run j occupies bytes [run_off[j], run_off[j] + run_lens[j]) of the
     // runs file; the read stage streams it in vertical-buffer chunks.
-    let mut run_off = Vec::with_capacity(k);
-    let mut acc = 0u64;
-    for &l in run_lens {
-        run_off.push(acc);
-        acc += l;
-    }
+    let run_off = run_offsets(run_lens);
 
     let make_reader = |lane_fixed: Option<usize>| {
         let disk = Arc::clone(disk);
@@ -156,9 +135,9 @@ pub fn pass2(
                 )
             });
 
-            let mut out = ctx
-                .accept_from(horizontal)?
-                .expect("horizontal pool supplies empty buffers");
+            // `None` here is a stage error upstream tearing the program down.
+            let stopped = || FgError::Usage("merge: horizontal pipeline stopped early".into());
+            let mut out = ctx.accept_from(horizontal)?.ok_or_else(stopped)?;
             out.clear();
             let mut produced = 0u64; // records emitted so far
             out.meta = rank_offset; // global rank of this buffer's first record
@@ -194,9 +173,7 @@ pub fn pass2(
 
                 if out.remaining() == 0 {
                     ctx.convey(out)?;
-                    out = ctx
-                        .accept_from(horizontal)?
-                        .expect("horizontal pipeline stopped early");
+                    out = ctx.accept_from(horizontal)?.ok_or_else(stopped)?;
                     out.clear();
                     out.meta = rank_offset + produced;
                 }
@@ -214,91 +191,37 @@ pub fn pass2(
     // ---- horizontal send stage ----
     let send = prog.add_stage(
         "send",
-        fabric_stage(comm.clone(), move |comm_send, ctx| {
-            while let Some(buf) = ctx.accept()? {
-                let goff = buf.meta * rb as u64;
-                let data = buf.filled();
-                for (dest, _local, range) in striping.split_range_iter(goff, data.len()) {
-                    let mut payload = comm_send.payload().map_err(SortError::from)?;
-                    // No stripe piece outgrows the buffer it is cut from.
-                    payload.reserve_exact(9 + buf.capacity());
-                    payload.push(MSG_DATA);
-                    payload.extend_from_slice(&(goff + range.start as u64).to_le_bytes());
-                    payload.extend_from_slice(&data[range]);
-                    comm_send
-                        .send(dest, TAG_PASS2, payload)
-                        .map_err(SortError::from)?;
-                }
-                ctx.convey(buf)?;
-            }
-            for dst in 0..nodes {
-                comm_send
-                    .send(dst, TAG_PASS2, vec![MSG_DONE])
-                    .map_err(SortError::from)?;
+        stages::send_stage(node.comm.clone(), TAG_PASS2, move |buf, emit| {
+            let goff = buf.meta * rb as u64;
+            let data = buf.filled();
+            for (dest, _local, range) in striping.split_range_iter(goff, data.len()) {
+                let piece_off = (goff + range.start as u64).to_le_bytes();
+                emit(dest, &piece_off, &data[range])?;
             }
             Ok(())
         }),
     );
 
     // ---- receive pipeline ----
+    // A stripe piece lands whole, as a `(global offset, piece)` chunk, or
+    // waits for the next buffer.
     let receive = prog.add_stage(
         "receive",
-        fabric_stage(comm.clone(), move |comm_recv, ctx| {
-            let pid = ctx.pipelines().next().expect("receive pipeline");
-            let mut dones = 0usize;
-            // A stripe piece that did not fit in the last buffer.
-            let mut pending: Option<Message> = None;
-            loop {
-                let mut buf = match ctx.accept()? {
-                    Some(b) => b,
-                    None => return Ok(()),
-                };
-                buf.clear();
-                loop {
-                    if let Some(msg) = pending.take() {
-                        let data = &msg.payload[9..];
-                        if chunks::chunk_size(data.len()) > buf.remaining() {
-                            pending = Some(msg);
-                            break; // convey this buffer, chunk goes in next
-                        }
-                        let goff =
-                            u64::from_le_bytes(msg.payload[1..9].try_into().expect("8 bytes"));
-                        chunks::append_chunk(&mut buf, goff, 0, data);
-                        continue;
-                    }
-                    if dones == nodes {
-                        break;
-                    }
-                    let msg = comm_recv.recv(None, TAG_PASS2).map_err(SortError::from)?;
-                    match msg.payload.first() {
-                        Some(&MSG_DONE) => dones += 1,
-                        Some(&MSG_DATA) => {
-                            if msg.payload.len() < 9 {
-                                return Err(
-                                    SortError::Corrupt("short pass-2 data message".into()).into()
-                                );
-                            }
-                            pending = Some(msg);
-                        }
-                        _ => return Err(SortError::Corrupt("empty pass-2 message".into()).into()),
-                    }
-                }
-                if buf.is_empty() {
-                    ctx.discard(buf)?;
-                } else {
-                    ctx.convey(buf)?;
-                }
-                if dones == nodes && pending.is_none() {
-                    ctx.stop(pid)?;
-                    return Ok(());
-                }
+        stages::receive_stage(node.comm.clone(), TAG_PASS2, |buf, payload, at| {
+            let Some((goff, data)) = payload[1..].split_first_chunk::<8>() else {
+                return Err(SortError::Corrupt("short pass-2 data message".into()).into());
+            };
+            if chunks::chunk_size(data.len()) > buf.remaining() {
+                return Ok(at);
             }
+            chunks::append_chunk(buf, u64::from_le_bytes(*goff), 0, data);
+            Ok(payload.len())
         }),
     );
 
     let write = prog.add_stage(
         "write",
-        crate::csort::striped_write_stage(disk, Striping::new(nodes, cfg.block_bytes), rank),
+        stages::write_stage(disk, OUTPUT_FILE, Some((striping, node.rank))),
     );
 
     // ---- pipelines ----
@@ -325,13 +248,5 @@ pub fn pass2(
         PipelineCfg::new("recv", cfg.pipeline_buffers, recv_buf).rounds(Rounds::UntilStopped),
         &[receive, write],
     )?;
-    let report = prog.run()?;
-    // Write barrier: verification reads the striped output after the run.
-    disk.flush().map_err(SortError::from)?;
-
-    Ok(Pass2Out {
-        threads: report.threads_spawned,
-        runs_merged: k,
-        report,
-    })
+    Ok(node.run(prog)?.threads_spawned)
 }

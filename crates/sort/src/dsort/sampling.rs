@@ -8,23 +8,17 @@
 //! input partitions evenly — the paper reports all partition sizes within
 //! 10% of the average, which experiment T2 reproduces.
 
-use fg_cluster::Communicator;
-use fg_pdm::DiskRef;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::config::SortConfig;
+use crate::driver::Node;
 use crate::input::INPUT_FILE;
 use crate::record::ExtKey;
 use crate::SortError;
 
 /// Sample local records and agree on `P−1` splitters cluster-wide.
-pub fn select_splitters(
-    cfg: &SortConfig,
-    rank: usize,
-    comm: &Communicator,
-    disk: &DiskRef,
-) -> Result<Vec<ExtKey>, SortError> {
+pub fn select_splitters(node: &Node) -> Result<Vec<ExtKey>, SortError> {
+    let (cfg, rank, comm, disk) = (&node.cfg, node.rank, &node.comm, &node.disk);
     let nodes = cfg.nodes;
     let rb = cfg.record.record_bytes;
     let samples_here = (cfg.oversample * nodes).min(cfg.records_per_node);

@@ -23,19 +23,20 @@
 //! padding, carry, and lockstep logic.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use fg_cluster::{Cluster, ClusterCfg, ClusterError, Communicator};
-use fg_core::{map_stage, PipelineCfg, Program, Rounds};
+use fg_core::{map_stage, PipelineCfg, Rounds};
 use fg_pdm::{DiskRef, Striping};
-use parking_lot::Mutex;
 
 use crate::chunks::{self, Exchange, CHUNK_HEADER_BYTES};
 use crate::config::SortConfig;
-use crate::dsort::{pass1, sampling};
-use crate::input::INPUT_FILE;
+use crate::driver::{self, Node};
+use crate::dsort::pass1::run_offsets;
+use crate::dsort::sampling;
 use crate::merge::LoserTree;
 use crate::record::ExtKey;
+use crate::stages;
+use crate::verify::OUTPUT_FILE;
 use crate::SortError;
 
 /// Runs file for the linear variant.
@@ -50,6 +51,11 @@ pub struct DsortLinearReport {
     pub pass1: Duration,
     /// Max-across-nodes wall time of pass 2.
     pub pass2: Duration,
+    /// `(phase, max-across-nodes wall time)` in run order: the three above
+    /// by name.
+    pub phases: Vec<(&'static str, Duration)>,
+    /// Node 0's FG report for each pass.
+    pub node0_reports: Vec<fg_core::Report>,
 }
 
 impl DsortLinearReport {
@@ -64,116 +70,45 @@ pub fn run_dsort_linear(
     cfg: &SortConfig,
     disks: &[DiskRef],
 ) -> Result<DsortLinearReport, SortError> {
-    cfg.validate()?;
-    if disks.len() != cfg.nodes {
-        return Err(SortError::Config(format!(
-            "need {} disks, got {}",
-            cfg.nodes,
-            disks.len()
-        )));
-    }
-    let cfg = cfg.clone();
-    let disks_arc: Vec<DiskRef> = disks.to_vec();
-
-    let run = Cluster::run(
-        ClusterCfg {
-            nodes: cfg.nodes,
-            net: cfg.net,
-        },
-        move |node| -> Result<[Duration; 3], ClusterError> {
-            let rank = node.rank();
-            let comm = node.comm().clone();
-            let disk = Arc::clone(&disks_arc[rank]);
-
-            comm.barrier()?;
-            let t0 = Instant::now();
-            let splitters =
-                sampling::select_splitters(&cfg, rank, &comm, &disk).map_err(ClusterError::from)?;
-            comm.barrier()?;
-            let sampling_ns = comm.allreduce_max(t0.elapsed().as_nanos() as u64)?;
-
-            comm.barrier()?;
-            let t1 = Instant::now();
-            let (run_lens, received) =
-                pass1_linear(&cfg, rank, &comm, &disk, &splitters).map_err(ClusterError::from)?;
-            comm.barrier()?;
-            let pass1_ns = comm.allreduce_max(t1.elapsed().as_nanos() as u64)?;
-
-            comm.barrier()?;
-            let t2 = Instant::now();
-            let partitions = comm.allgather_u64(received)?;
-            let rank_offset: u64 = partitions[..rank].iter().sum();
-            pass2_linear(
-                &cfg,
-                rank,
-                &comm,
-                &disk,
-                &run_lens,
-                rank_offset,
-                &partitions,
-            )
-            .map_err(ClusterError::from)?;
-            comm.barrier()?;
-            let pass2_ns = comm.allreduce_max(t2.elapsed().as_nanos() as u64)?;
-
-            Ok([
-                Duration::from_nanos(sampling_ns),
-                Duration::from_nanos(pass1_ns),
-                Duration::from_nanos(pass2_ns),
-            ])
-        },
-    )
-    .map_err(|e| SortError::Comm(e.to_string()))?;
-
-    let t = run.results[0];
+    let mut run = driver::launch(cfg, disks, |node| {
+        let splitters = node.phase("sampling", |node| sampling::select_splitters(node))?;
+        let run_lens = node.phase("pass 1", |node| pass1_linear(node, &splitters))?;
+        node.phase("pass 2", |node| {
+            // Every record received went into exactly one run.
+            let received = run_lens.iter().sum::<u64>() / node.cfg.record.record_bytes as u64;
+            let partitions = node.comm.allgather_u64(received)?;
+            pass2_linear(node, &run_lens, &partitions)
+        })
+    })?;
+    let [sampling, pass1, pass2] = run.times();
     Ok(DsortLinearReport {
-        sampling: t[0],
-        pass1: t[1],
-        pass2: t[2],
+        sampling,
+        pass1,
+        pass2,
+        node0_reports: run.take_node0_reports(),
+        phases: run.phases,
     })
 }
 
-/// Pass 1 on one node: synchronous distribution, one run per round.
-fn pass1_linear(
-    cfg: &SortConfig,
-    rank: usize,
-    comm: &Communicator,
-    disk: &DiskRef,
-    splitters: &[ExtKey],
-) -> Result<(Vec<u64>, u64), SortError> {
+/// Pass 1 on one node: synchronous distribution, one run per round;
+/// returns the runs' byte lengths.
+fn pass1_linear(node: &mut Node, splitters: &[ExtKey]) -> Result<Vec<u64>, SortError> {
+    let cfg = &node.cfg;
     let nodes = cfg.nodes;
-    let rb = cfg.record.record_bytes;
-    let input_bytes = cfg.bytes_per_node() as usize;
-    let nblocks = input_bytes.div_ceil(cfg.block_bytes) as u64;
+    let nblocks = cfg.bytes_per_node().div_ceil(cfg.block_bytes as u64);
     // Worst case a node receives everything every round.
     let buf_bytes = nodes * cfg.block_bytes + nodes * CHUNK_HEADER_BYTES + 64;
 
-    let mut prog = Program::new(format!("dsortlin-p1-n{rank}"));
-    cfg.instrument(&mut prog);
-
-    let read_disk = Arc::clone(disk);
-    let block_bytes = cfg.block_bytes;
-    let read = prog.add_stage(
-        "read",
-        map_stage(move |buf, _ctx| {
-            let off = buf.round() * block_bytes as u64;
-            let want = block_bytes.min(input_bytes - off as usize);
-            read_disk
-                .read_at(INPUT_FILE, off, &mut buf.space_mut()[..want])
-                .map_err(SortError::from)?;
-            buf.set_filled(want);
-            Ok(())
-        }),
-    );
-
+    let mut prog = node.program("dsortlin-p1");
+    let read = prog.add_stage("read", stages::read_input_stage(&node.disk, cfg));
     let permute = prog.add_stage(
         "permute",
-        pass1::permute_stage(cfg, rank, splitters.to_vec()),
+        stages::permute_stage(cfg, node.rank, splitters.to_vec()),
     );
 
     // exchange: blocking alltoallv per round — send rate chained to receive
     // rate, all nodes in lockstep.
-    let comm2 = comm.clone();
+    let comm = node.comm.clone();
     let exchange = prog.add_stage("exchange", {
         let mut parts = Exchange::new(nodes);
         map_stage(move |buf, _ctx| {
@@ -181,82 +116,45 @@ fn pass1_linear(
                 let chunk = chunk?;
                 parts.part(chunk.a as usize).extend_from_slice(chunk.data);
             }
-            Ok(parts.trade(&comm2, buf)?)
+            Ok(parts.trade(&comm, buf)?)
         })
     });
 
-    let sort = prog.add_stage("sort", crate::csort::sort_stage(cfg));
-
-    let run_lens = Arc::new(Mutex::new(Vec::<u64>::new()));
-    let rl = Arc::clone(&run_lens);
-    let write_disk = Arc::clone(disk);
-    let write = prog.add_stage(
-        "write",
-        map_stage(move |buf, _ctx| {
-            if !buf.is_empty() {
-                write_disk
-                    .append(RUNS_FILE, buf.filled())
-                    .map_err(SortError::from)?;
-                rl.lock().push(buf.len() as u64);
-            }
-            Ok(())
-        }),
-    );
+    let sort = prog.add_stage("sort", stages::sort_stage(cfg));
+    let (write, run_lens) = stages::append_runs_stage(&node.disk, RUNS_FILE);
+    let write = prog.add_stage("write", write);
 
     prog.add_pipeline(
         PipelineCfg::new("pass1", cfg.pipeline_buffers, buf_bytes).rounds(Rounds::Count(nblocks)),
         &[read, permute, exchange, sort, write],
     )?;
-    prog.run()?;
-    // Write barrier: pass 2 reads the run file this pass appended.
-    disk.flush().map_err(SortError::from)?;
-
-    // Every record received went into exactly one run.
-    let lens = run_lens.lock().clone();
-    let received = lens.iter().sum::<u64>() / rb as u64;
-    Ok((lens, received))
+    node.run(prog)?;
+    let run_lens = std::mem::take(&mut *run_lens.lock());
+    Ok(run_lens)
 }
 
 /// Pass 2 on one node: inline synchronous merge, lockstep striping.
-#[allow(clippy::too_many_arguments)]
-fn pass2_linear(
-    cfg: &SortConfig,
-    rank: usize,
-    comm: &Communicator,
-    disk: &DiskRef,
-    run_lens: &[u64],
-    rank_offset: u64,
-    partitions: &[u64],
-) -> Result<(), SortError> {
+fn pass2_linear(node: &mut Node, run_lens: &[u64], partitions: &[u64]) -> Result<(), SortError> {
+    let cfg = &node.cfg;
     let nodes = cfg.nodes;
     let rb = cfg.record.record_bytes;
     let block = cfg.block_bytes;
+    let rank_offset: u64 = partitions[..node.rank].iter().sum();
     // Lockstep round count: enough rounds for the largest partition.
     let max_records = partitions.iter().copied().max().unwrap_or(0);
     let rounds = (max_records * rb as u64).div_ceil(block as u64).max(1);
     let striping = Striping::new(nodes, block);
     let buf_bytes = nodes * block + nodes * 4 * CHUNK_HEADER_BYTES + 64;
 
-    let mut prog = Program::new(format!("dsortlin-p2-n{rank}"));
-    cfg.instrument(&mut prog);
+    let mut prog = node.program("dsortlin-p2");
 
     // merge-read: synchronous inline k-way merge, one output block per
     // round (possibly empty padding rounds at the end).
-    let merge_disk = Arc::clone(disk);
+    let merge_disk = Arc::clone(&node.disk);
     let fmt = cfg.record;
     let run_lens_v = run_lens.to_vec();
     let mergeread = prog.add_stage("mergeread", {
-        let offsets: Vec<u64> = {
-            let mut acc = 0u64;
-            run_lens_v
-                .iter()
-                .map(|&l| {
-                    let o = acc;
-                    acc += l;
-                    o
-                })
-                .collect()
-        };
+        let offsets = run_offsets(&run_lens_v);
         let mut consumed: Vec<u64> = vec![0; run_lens_v.len()];
         // Head record cache per run (read one record at a time:
         // deliberately unbuffered — this is the no-read-ahead ablation,
@@ -323,33 +221,25 @@ fn pass2_linear(
                 let next = refill(lane, &mut caches, &mut cache_pos)?;
                 tree.as_mut().expect("tree").replace(lane, next);
             }
-            let _ = offsets.len();
             Ok(())
         })
     });
 
     // exchange: per-round alltoallv of stripe pieces (padded rounds send
     // nothing but still participate).
-    let comm2 = comm.clone();
-    let exchange = prog.add_stage("exchange", {
-        let mut stripes = Exchange::new(nodes);
-        map_stage(move |buf, _ctx| {
-            let goff = buf.meta * rb as u64;
-            stripes.gather_stripes(&striping, goff, buf.filled());
-            Ok(stripes.trade(&comm2, buf)?)
-        })
-    });
-
+    let exchange = prog.add_stage(
+        "exchange",
+        stages::stripe_stage(&node.comm, striping, move |buf| buf.meta * rb as u64),
+    );
     let write = prog.add_stage(
         "write",
-        crate::csort::striped_write_stage(disk, striping, rank),
+        stages::write_stage(&node.disk, OUTPUT_FILE, Some((striping, node.rank))),
     );
 
     prog.add_pipeline(
         PipelineCfg::new("pass2", cfg.pipeline_buffers, buf_bytes).rounds(Rounds::Count(rounds)),
         &[mergeread, exchange, write],
     )?;
-    prog.run()?;
-    disk.flush().map_err(SortError::from)?;
+    node.run(prog)?;
     Ok(())
 }

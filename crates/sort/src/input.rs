@@ -133,14 +133,12 @@ fn try_provision_with(
 /// The globally sorted expectation: all nodes' input records sorted stably
 /// by key (ground truth for small verification runs).
 pub fn expected_sorted(cfg: &SortConfig) -> Vec<u8> {
-    let rb = cfg.record.record_bytes;
     let mut all = Vec::with_capacity(cfg.total_bytes() as usize);
     for rank in 0..cfg.nodes {
         all.extend_from_slice(&generate_node_input(cfg, rank));
     }
     let mut scratch = crate::kernels::SortScratch::new();
     cfg.record.sort_bytes_with(&mut all, &mut scratch);
-    let _ = rb;
     all
 }
 

@@ -16,8 +16,10 @@
 //!   to data values, all communication balanced, one **single linear
 //!   pipeline** per node per pass.
 //!
-//! Plus [`dsort_linear`], the ablation the paper's conclusion calls for:
-//! dsort restricted to single linear pipelines.
+//! Plus [`dsort_linear`], the ablation the paper's conclusion calls for —
+//! dsort restricted to single linear pipelines — and [`csort4`], columnsort
+//! without its coalesced last pass.  Every program is a list of phases over
+//! the one cluster [`driver`], and every pass a list of [`stages`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -27,6 +29,7 @@ pub mod columnsort;
 pub mod config;
 pub mod csort;
 pub mod csort4;
+pub mod driver;
 pub mod dsort;
 pub mod dsort_linear;
 pub mod input;
@@ -34,6 +37,7 @@ pub mod kernels;
 pub mod keygen;
 pub mod merge;
 pub mod record;
+pub mod stages;
 pub mod verify;
 
 pub use config::{DiskBackend, Matrix, SortConfig};

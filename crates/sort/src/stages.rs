@@ -1,0 +1,376 @@
+//! The stage library: one constructor for every stage more than one program
+//! runs.
+//!
+//! A pass is a list of these — plus the stages only it has — added to the
+//! `Program` its [`Node`](crate::driver::Node) made, under whatever stage
+//! names the pass chooses (csort4 calls the exchange of halves `shift` and
+//! the merge of halves `sort`).  Each constructor returns a boxed
+//! [`Stage`]; what a stage keeps across rounds (exchange parts, scatter
+//! scratch, coalescing scratch) lives in its closure, so a warmed-up round
+//! allocates nothing.  A second copy of one of these bodies is a bug: a
+//! fix made to one copy does not reach the other.
+
+use std::sync::Arc;
+
+use fg_cluster::{Communicator, Message};
+use fg_core::{map_stage, Buffer, Stage, StageCtx};
+use fg_pdm::{DiskRef, Striping};
+use parking_lot::Mutex;
+
+use crate::chunks::{self, Exchange, Scatter};
+use crate::config::{Matrix, SortConfig};
+use crate::record::{partition_of, ExtKey, RecordFormat};
+use crate::SortError;
+
+/// First payload byte of a [`send_stage`] message: data follows.
+const MSG_DATA: u8 = 0;
+/// First payload byte of a [`send_stage`] message: the sender has finished.
+const MSG_DONE: u8 = 1;
+
+/// A read stage: round `t` fills its buffer with the `len` bytes at `offset`
+/// of `file`, where `(offset, len)` is `span(t)`.
+pub fn read_stage(
+    disk: &DiskRef,
+    file: &'static str,
+    mut span: impl FnMut(u64) -> (u64, usize) + Send + 'static,
+) -> Box<dyn Stage> {
+    let disk = Arc::clone(disk);
+    map_stage(move |buf, _ctx| {
+        let (offset, len) = span(buf.round());
+        disk.read_at(file, offset, &mut buf.space_mut()[..len])
+            .map_err(SortError::from)?;
+        buf.set_filled(len);
+        Ok(())
+    })
+}
+
+/// A [`read_stage`] that streams the node's share of the input, a block a
+/// round, the last one short.
+pub fn read_input_stage(disk: &DiskRef, cfg: &SortConfig) -> Box<dyn Stage> {
+    let (block, total) = (cfg.block_bytes, cfg.bytes_per_node() as usize);
+    read_stage(disk, crate::input::INPUT_FILE, move |t| {
+        let offset = t * block as u64;
+        (offset, block.min(total - offset as usize))
+    })
+}
+
+/// One in-core sort stage (or farm replica) with its own kernel scratch
+/// ([`crate::kernels`]), so steady-state rounds allocate nothing.  csort and
+/// csort4 farm it across [`SortConfig::farm_capacity`] replicas with
+/// `Program::workers`, whose ordered emission keeps the lockstep
+/// communication stages downstream correct (one worker is an ordinary
+/// stage).
+///
+/// When the tracking allocator is installed ([`fg_core::FgAlloc`]), the
+/// **first** sort call — the one that grows the scratch to the working size
+/// — is attributed to the `sort/warmup` tag, so the steady-state `sort` tag
+/// counting every later round stays at zero allocations.  That split is
+/// what lets the resource report (and the CI smoke job) assert the hot loop
+/// is alloc-free without exempting the by-design warmup growth.
+pub fn sort_stage(cfg: &SortConfig) -> Box<dyn Stage> {
+    let fmt = cfg.record;
+    let mut scratch = cfg.sort_scratch();
+    let mut warmed = false;
+    map_stage(move |buf: &mut Buffer, _ctx: &mut StageCtx| {
+        if !warmed {
+            warmed = true;
+            if fg_core::alloc::installed() {
+                let warmup = fg_core::register_tag("sort/warmup");
+                return fg_core::with_tag(warmup, || {
+                    fmt.sort_bytes_with(buf.filled_mut(), &mut scratch);
+                    Ok(())
+                });
+            }
+        }
+        fmt.sort_bytes_with(buf.filled_mut(), &mut scratch);
+        Ok(())
+    })
+}
+
+/// The permute stage of a distribution pass: rewrite each block as
+/// `(destination, records)` chunks, a record's destination being the
+/// partition of its extended key among `splitters`.
+pub fn permute_stage(cfg: &SortConfig, rank: usize, splitters: Vec<ExtKey>) -> Box<dyn Stage> {
+    let fmt = cfg.record;
+    let records_per_block = cfg.records_per_block() as u64;
+    let mut scatter = Scatter::new(cfg.nodes);
+    map_stage(move |buf, ctx| {
+        let base_seq = buf.round() * records_per_block;
+        let aux = ctx.aux(scatter.max_len(buf.len()));
+        let len = scatter.scatter(buf.filled(), fmt.record_bytes, aux, |i, rec| {
+            let e = ExtKey {
+                key: fmt.key(rec),
+                node: rank as u32,
+                seq: base_seq + i as u64,
+            };
+            partition_of(&splitters, e)
+        });
+        buf.copy_from(&aux[..len]);
+        Ok(())
+    })
+}
+
+/// Columnsort's exchange of halves (steps 5–6) on node `q`: the buffer
+/// arrives holding sorted column `c` of `rb`-byte records.  Its larger half
+/// goes to the owner of column `c+1` in a pooled payload — after the first
+/// rounds a buffer this node has sent before, at its full capacity — and the
+/// larger half of column `c−1` arrives, so the buffer leaves holding the
+/// merge input of boundary window `w(c)`: `[received larger half of
+/// c−1][my smaller half]`, plus — only for the last column — my own larger
+/// half, which is window `w(s)`.
+pub fn exchange_halves_stage(
+    comm: &Communicator,
+    m: Matrix,
+    q: usize,
+    rb: usize,
+) -> Box<dyn Stage> {
+    let comm = comm.clone();
+    let (cbytes, half) = (m.r * rb, m.r / 2 * rb);
+    map_stage(move |buf, _ctx| {
+        let c = m.col_of_round(q, buf.round() as usize);
+        let last = c == m.s - 1;
+        if !last {
+            let mut larger = comm.payload().map_err(SortError::from)?;
+            larger.extend_from_slice(&buf.filled()[half..]);
+            comm.send(m.owner(c + 1), (c + 1) as u64, larger)
+                .map_err(SortError::from)?;
+        }
+        // Read in place; dropping the message hands its payload back to
+        // the sender's pool.
+        let msg = match c {
+            0 => None,
+            _ => Some(
+                comm.recv(Some(m.owner(c - 1)), c as u64)
+                    .map_err(SortError::from)?,
+            ),
+        };
+        let received: &[u8] = msg.as_ref().map_or(&[], |msg| &msg.payload);
+        // What stays of the column moves up behind the received half (the
+        // larger half has been sent, or stays as well).
+        let keep = if last { cbytes } else { half };
+        let space = buf.space_mut();
+        space.copy_within(..keep, received.len());
+        space[..received.len()].copy_from_slice(received);
+        buf.set_filled(received.len() + keep);
+        Ok(())
+    })
+}
+
+/// Columnsort's step 7 on what [`exchange_halves_stage`] left: merge the
+/// two sorted halves of window `w(c)` with the galloping two-run kernel
+/// (`csort::merge_two_sorted`) — boundary windows are nearly
+/// sorted, so the merge collapses to a few bulk copies.  Column 0's window
+/// is one half, and the last column's trailing `w(s)` is sorted already;
+/// both stay in place.
+pub fn merge_halves_stage(fmt: RecordFormat, m: Matrix, q: usize) -> Box<dyn Stage> {
+    let window = m.r * fmt.record_bytes;
+    map_stage(move |buf, ctx| {
+        if m.col_of_round(q, buf.round() as usize) > 0 {
+            debug_assert!(buf.len() >= window);
+            let aux = ctx.aux(window);
+            crate::csort::merge_two_sorted(fmt, &buf.filled()[..window], window / 2, aux);
+            buf.filled_mut()[..window].copy_from_slice(&aux[..window]);
+        }
+        Ok(())
+    })
+}
+
+/// A striping exchange: the buffer's bytes belong at global byte offset
+/// `goff(buf)` of a file striped by `striping`.  Cut them along
+/// stripe-block boundaries, trade the pieces with their owners (one
+/// `alltoallv` a round, so every node runs the same number of rounds), and
+/// leave in the buffer the `(global offset, piece)` chunks that arrived.
+pub fn stripe_stage(
+    comm: &Communicator,
+    striping: Striping,
+    mut goff: impl FnMut(&Buffer) -> u64 + Send + 'static,
+) -> Box<dyn Stage> {
+    let comm = comm.clone();
+    let mut stripes = Exchange::new(striping.nodes);
+    map_stage(move |buf, _ctx| {
+        stripes.gather_stripes(&striping, goff(buf), buf.filled());
+        Ok(stripes.trade(&comm, buf)?)
+    })
+}
+
+/// A write stage for a buffer of `(offset, data)` chunks: issue the
+/// positioned writes to `file`, adjacent ones coalesced, without copying
+/// each chunk out of the buffer first.  In a striping pass the chunks
+/// arrive placed by global byte offset in a striped file: given that
+/// `striping` and this node's rank, their headers are first rewritten to
+/// local offsets in place.
+pub fn write_stage(
+    disk: &DiskRef,
+    file: &'static str,
+    striping: Option<(Striping, usize)>,
+) -> Box<dyn Stage> {
+    let disk = Arc::clone(disk);
+    let mut runs = Vec::new();
+    let mut scratch = Vec::new();
+    map_stage(move |buf, _ctx| {
+        if let Some((striping, rank)) = striping {
+            chunks::relocate_chunks(buf.filled_mut(), |goff| {
+                let (dest, local) = striping.locate_byte(goff);
+                debug_assert_eq!(dest, rank, "stripe piece landed on wrong node");
+                local
+            })?;
+        }
+        chunks::for_each_coalesced_write(buf.filled(), &mut runs, &mut scratch, |off, data| {
+            disk.write_at(file, off, data).map_err(SortError::from)?;
+            Ok(())
+        })
+    })
+}
+
+/// A write stage that appends every non-empty buffer to `file` as one
+/// sorted run; the second value collects the runs' byte lengths, in file
+/// order, for the pass to take once its program has run.
+pub fn append_runs_stage(
+    disk: &DiskRef,
+    file: &'static str,
+) -> (Box<dyn Stage>, Arc<Mutex<Vec<u64>>>) {
+    let disk = Arc::clone(disk);
+    let run_lens = Arc::new(Mutex::new(Vec::new()));
+    let lens = Arc::clone(&run_lens);
+    let stage = map_stage(move |buf, _ctx| {
+        if !buf.is_empty() {
+            disk.append(file, buf.filled()).map_err(SortError::from)?;
+            lens.lock().push(buf.len() as u64);
+        }
+        Ok(())
+    });
+    (stage, run_lens)
+}
+
+/// A stage that talks to the fabric.  If `body` ends in an error — its own
+/// or the cancellation of its program after another stage failed — the stage
+/// poisons the fabric on its way out.  The node is lost either way, and its
+/// node function cannot say so while the program's other fabric stage, or a
+/// peer's, is still blocked on a message or a credit this stage owed it.
+pub fn fabric_stage(
+    comm: Communicator,
+    mut body: impl FnMut(&Communicator, &mut StageCtx) -> fg_core::Result<()> + Send + 'static,
+) -> Box<dyn Stage> {
+    Box::new(move |ctx: &mut StageCtx| {
+        let result = body(&comm, ctx);
+        if result.is_err() {
+            comm.poison();
+        }
+        result
+    })
+}
+
+/// How a [`send_stage`] hands one message to the fabric: `(destination,
+/// head, data)` travels as `[MSG_DATA][head][data]`.
+pub type Emit<'a> = dyn FnMut(usize, &[u8], &[u8]) -> fg_core::Result<()> + 'a;
+
+/// The send stage of an unbalanced exchange: `cut` cuts every buffer into
+/// messages and `emit`s each, which sends it as one `DATA` message under
+/// `tag` in a payload from the fabric's fixed population — so the stage
+/// blocks, and allocates nothing, while all of this node's payloads are in
+/// flight.  Each message carries its buffer's trace id, so the receiving
+/// rank's comm-recv span joins the buffer's flow in the merged Chrome
+/// export.  After the last buffer every node gets a `DONE` marker, a plain
+/// message that needs no credit.
+pub fn send_stage(
+    comm: Communicator,
+    tag: u64,
+    mut cut: impl FnMut(&Buffer, &mut Emit) -> fg_core::Result<()> + Send + 'static,
+) -> Box<dyn Stage> {
+    fabric_stage(comm, move |comm, ctx| {
+        while let Some(buf) = ctx.accept()? {
+            let trace_id = buf.trace_id();
+            cut(&buf, &mut |dest, head, data| {
+                let mut payload = comm.payload().map_err(SortError::from)?;
+                // No message's data outgrows the buffer it is cut from:
+                // sizing every payload for that once means none is ever
+                // reallocated.
+                payload.reserve_exact(1 + head.len() + buf.capacity());
+                payload.push(MSG_DATA);
+                payload.extend_from_slice(head);
+                payload.extend_from_slice(data);
+                comm.send_traced(dest, tag, payload, trace_id)
+                    .map_err(SortError::from)?;
+                Ok(())
+            })?;
+            ctx.convey(buf)?;
+        }
+        for dst in 0..comm.nodes() {
+            comm.send(dst, tag, vec![MSG_DONE])
+                .map_err(SortError::from)?;
+        }
+        Ok(())
+    })
+}
+
+/// The [`send_stage`] cut for buffers of `(destination, bytes)` chunks:
+/// each chunk's bytes travel to its destination as one message.
+pub fn cut_chunks(buf: &Buffer, emit: &mut Emit) -> fg_core::Result<()> {
+    for chunk in chunks::iter_chunks(buf.filled()) {
+        let chunk = chunk?;
+        emit(chunk.a as usize, &[], chunk.data)?;
+    }
+    Ok(())
+}
+
+/// The receive stage of an unbalanced exchange: takes `DATA` messages under
+/// `tag` until every node's `DONE` marker has arrived, then conveys the last
+/// partial buffer and stops its pipeline.  `land(buf, payload, at)` moves
+/// message bytes from `payload[at..]` into `buf` and returns how far it got
+/// (`at` starts at 1, behind the kind byte): short of the payload's length
+/// means the buffer is full, so it is conveyed and the message — kept, with
+/// the offset reached — continues in the next one.  Dropping a message once
+/// it is consumed hands its payload back to the sender.
+pub fn receive_stage(
+    comm: Communicator,
+    tag: u64,
+    mut land: impl FnMut(&mut Buffer, &[u8], usize) -> fg_core::Result<usize> + Send + 'static,
+) -> Box<dyn Stage> {
+    fabric_stage(comm, move |comm, ctx| {
+        let pid = ctx.pipelines().next().expect("receive pipeline");
+        let nodes = comm.nodes();
+        let mut partial: Option<(Message, usize)> = None;
+        let mut dones = 0usize;
+        loop {
+            let mut buf = match ctx.accept()? {
+                Some(b) => b,
+                None => return Ok(()),
+            };
+            buf.clear();
+            while buf.remaining() > 0 {
+                if let Some((msg, at)) = partial.take() {
+                    let at = land(&mut buf, &msg.payload, at)?;
+                    if at < msg.payload.len() {
+                        partial = Some((msg, at));
+                        break;
+                    }
+                    continue;
+                }
+                if dones == nodes {
+                    break;
+                }
+                let msg = comm.recv(None, tag).map_err(SortError::from)?;
+                match msg.payload.first() {
+                    Some(&MSG_DONE) => dones += 1,
+                    Some(&MSG_DATA) => partial = Some((msg, 1)),
+                    _ => return Err(SortError::Corrupt("empty data message".into()).into()),
+                }
+            }
+            if buf.is_empty() {
+                ctx.discard(buf)?;
+            } else {
+                ctx.convey(buf)?;
+            }
+            if dones == nodes && partial.is_none() {
+                ctx.stop(pid)?;
+                return Ok(());
+            }
+        }
+    })
+}
+
+/// The [`receive_stage`] landing that packs message bytes densely: a
+/// message that straddles two buffers is split between them.
+pub fn land_bytes(buf: &mut Buffer, payload: &[u8], at: usize) -> fg_core::Result<usize> {
+    Ok(at + buf.append(&payload[at..]))
+}

@@ -137,6 +137,17 @@ const CSORT_TAGS: [&str; 6] = ["communicate", "stripe", "exchange", "read", "wri
 /// on real files behind the I/O scheduler at depth 4; returns what each of
 /// [`CSORT_TAGS`] allocated.
 fn csort_os_stage_allocations(records_per_node: usize) -> [u64; 6] {
+    columnsort_os_stage_allocations(CSORT_TAGS, records_per_node, |cfg, disks| {
+        fg_sort::csort::run_csort(cfg, disks).expect("csort run");
+    })
+}
+
+/// [`csort_os_stage_allocations`] for any of the columnsorts and any tags.
+fn columnsort_os_stage_allocations<const N: usize>(
+    tags: [&str; N],
+    records_per_node: usize,
+    sort: impl Fn(&fg_sort::config::SortConfig, &[fg_pdm::DiskRef]),
+) -> [u64; N] {
     use fg_sort::verify::{verify_output, Strictness};
     let scratch = fg_pdm::ScratchDir::new("alloc-steady").expect("scratch directory");
     let mut cfg = fg_sort::config::SortConfig::test_default(4, records_per_node);
@@ -146,10 +157,10 @@ fn csort_os_stage_allocations(records_per_node: usize) -> [u64; 6] {
     };
     cfg.io_depth = 4;
     let disks = fg_sort::input::provision(&cfg);
-    let before = CSORT_TAGS.map(tag_bytes);
-    fg_sort::csort::run_csort(&cfg, &disks).expect("csort run");
-    let after = CSORT_TAGS.map(tag_bytes);
-    verify_output(&cfg, &disks, Strictness::Fingerprint).expect("csort output");
+    let before = tags.map(tag_bytes);
+    sort(&cfg, &disks);
+    let after = tags.map(tag_bytes);
+    verify_output(&cfg, &disks, Strictness::Fingerprint).expect("columnsort output");
     std::array::from_fn(|i| after[i] - before[i])
 }
 
@@ -194,4 +205,29 @@ fn csort_os_allocations_do_not_grow_with_the_input() {
         // input, of which every byte is read and written three times.
         assert!(large < 8 << 20, "{tag}: {large} B allocated");
     }
+}
+
+/// csort4's exchange of halves (`shift`, its pass 3) is csort's: pooled
+/// payloads out, the received half read in place.  Twice the rounds at the
+/// same column allocate no more than a few half-column payloads more (how
+/// many were in flight at once differs from run to run; the slack is
+/// csort's for `exchange`) — a stage that built a `Vec` of half a column
+/// every round would need 2 MiB more.
+#[test]
+fn csort4_exchange_allocations_do_not_grow_with_the_input() {
+    let _turn = TAG_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let _ = vec![0u8; 16];
+    assert!(fg_core::alloc::installed());
+    const COLUMN: u64 = 128 << 10;
+    let shift = |records_per_node| {
+        let [bytes] = columnsort_os_stage_allocations(["shift"], records_per_node, |cfg, disks| {
+            fg_sort::csort4::run_csort4(cfg, disks).expect("csort4 run");
+        });
+        bytes
+    };
+    let (small, large) = (shift(64 << 10), shift(128 << 10)); // 4 MiB, 8 MiB
+    assert!(
+        large <= small + 4 * 3 * COLUMN / 2,
+        "shift: {small} B for 4 MiB of input, {large} B for 8 MiB"
+    );
 }

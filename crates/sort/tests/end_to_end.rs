@@ -476,3 +476,44 @@ mod csort4_tests {
         );
     }
 }
+
+/// Every program runs instrumented and reports, because the driver is the
+/// only way to make one: with a registry and a ledger in the config, each
+/// returns one FG report a pass for node 0, every stage of every pass has
+/// published its rounds, and every pool went back to the ledger.
+#[test]
+fn every_program_is_instrumented_and_reports() {
+    use fg_sort::csort4::run_csort4;
+    type Reports = Vec<fg_core::Report>;
+    type Sort = fn(&SortConfig, &[fg_pdm::DiskRef]) -> Reports;
+    let sorts: [(&str, usize, Sort); 4] = [
+        ("csort", 3, |c, d| run_csort(c, d).unwrap().node0_reports),
+        ("csort4", 4, |c, d| run_csort4(c, d).unwrap().node0_reports),
+        ("dsort", 2, |c, d| {
+            let (p1, p2) = run_dsort(c, d).unwrap().node0_reports.unwrap();
+            vec![p1, p2]
+        }),
+        ("dsort-linear", 2, |c, d| {
+            run_dsort_linear(c, d).unwrap().node0_reports
+        }),
+    ];
+    for (name, passes, sort) in sorts {
+        let mut cfg = SortConfig::test_default(4, 4096);
+        let registry = Arc::new(MetricsRegistry::new());
+        let ledger = Arc::new(fg_core::MemoryLedger::new());
+        cfg.metrics = Some(Arc::clone(&registry));
+        cfg.ledger = Some(Arc::clone(&ledger));
+        let disks = provision(&cfg);
+        let reports = sort(&cfg, &disks);
+        verify_output(&cfg, &disks, Strictness::Exact).expect(name);
+
+        assert_eq!(reports.len(), passes, "{name}: one report a pass");
+        let metrics = registry.snapshot();
+        for stage in reports.iter().flat_map(|r| &r.stages) {
+            let rounds = metrics.counter(&format!("core/stage_rounds/{}", stage.name));
+            assert!(rounds > Some(0), "{name}: stage `{}`", stage.name);
+        }
+        assert_eq!(ledger.outstanding(), (0, 0), "{name}");
+        assert!(ledger.snapshot().peak_bytes > 0, "{name}");
+    }
+}

@@ -5,6 +5,8 @@
 use fg_pdm::ScratchDir;
 use fg_sort::config::{DiskBackend, SortConfig};
 use fg_sort::csort::run_csort;
+use fg_sort::csort4::run_csort4;
+use fg_sort::driver;
 use fg_sort::dsort::run_dsort;
 use fg_sort::dsort_linear::run_dsort_linear;
 use fg_sort::input::provision;
@@ -106,6 +108,122 @@ fn csort_surfaces_disk_failure() {
             );
         }
     });
+}
+
+/// csort4 under the driver: a disk that dies in any of the four passes ends
+/// every rank's run with the disk's error.  The failure points are eighths
+/// of the operations a healthy run performs on that disk.
+#[test]
+fn csort4_surfaces_disk_failure_in_every_pass() {
+    on_every_backend(&SortConfig::test_default(4, 4096), |backend, cfg| {
+        let healthy = provision(cfg);
+        let stats = run_csort4(cfg, &healthy).expect("healthy run").disk_stats;
+        let total = stats[2].read_ops + stats[2].write_ops;
+        for eighths in [1, 3, 5, 7] {
+            let disks = provision(cfg);
+            disks[2].fail_after_ops(total * eighths / 8);
+            let cfg = cfg.clone();
+            let err = failure_of(
+                format!("{backend}: csort4, disk 2 dead {eighths}/8 through"),
+                move || run_csort4(&cfg, &disks).map(|_| ()),
+            );
+            assert!(
+                err.to_string().contains("disk failed"),
+                "{backend}, {eighths}/8: {err}"
+            );
+        }
+    });
+}
+
+/// The driver's own contract, on a program of three sleeping phases: they
+/// run in declaration order on every rank, a phase's time is its slowest
+/// rank's, and `Communicator::timed` hands every rank the same maximum.
+#[test]
+fn driver_runs_phases_in_order_and_times_them_alike_on_every_rank() {
+    use std::time::Duration;
+    const PHASES: [&str; 3] = ["first", "second", "third"];
+    let cfg = SortConfig::test_default(4, 1024);
+    let disks = provision(&cfg);
+    let nap = |rank: usize| std::thread::sleep(Duration::from_millis(5 * rank as u64));
+    let run = driver::launch(&cfg, &disks, move |node| {
+        let mut order = Vec::new();
+        for name in PHASES {
+            node.phase(name, |node| {
+                nap(node.rank);
+                order.push(name);
+                Ok(())
+            })?;
+        }
+        let timed = node.comm.timed(|| {
+            nap(node.rank);
+            Ok::<_, SortError>(())
+        })?;
+        Ok((order, timed.1))
+    })
+    .expect("three phases of sleep");
+    assert_eq!(run.phases.iter().map(|p| p.0).collect::<Vec<_>>(), PHASES);
+    let slowest = Duration::from_millis(5 * 3);
+    assert!(
+        run.phases.iter().all(|p| p.1 >= slowest),
+        "{:?}",
+        run.phases
+    );
+    let max = run.ranks[0].out.1;
+    assert!(max >= slowest, "{max:?}");
+    for rank in &run.ranks {
+        assert_eq!(rank.out, (PHASES.to_vec(), max));
+        assert!(rank.reports.is_empty(), "no FG program ran");
+    }
+}
+
+/// A rank that fails in its second phase ends every rank's run with its
+/// error — the others are in that phase's closing barrier — never a hang.
+#[test]
+fn driver_failure_in_a_later_phase_ends_every_rank() {
+    let cfg = SortConfig::test_default(4, 1024);
+    let disks = provision(&cfg);
+    let err = failure_of("rank 2 fails its second phase".into(), move || {
+        driver::launch(&cfg, &disks, |node| {
+            node.phase("first", |_| Ok(()))?;
+            node.phase("second", |node| match node.rank {
+                2 => Err(SortError::Corrupt("rank 2 gives up".into())),
+                _ => Ok(()),
+            })?;
+            node.phase("third", |_| Ok(()))
+        })
+        .map(|_| ())
+    });
+    assert!(err.to_string().contains("rank 2 gives up"), "{err}");
+}
+
+/// A wrong disk count and an invalid config are refused by the driver
+/// itself — a `Config` error, where anything a node reports arrives as
+/// `Comm` — before any thread exists, whichever program asks.
+#[test]
+fn every_program_refuses_bad_disks_and_configs_before_launch() {
+    use fg_pdm::DiskRef;
+    type Sort = fn(&SortConfig, &[DiskRef]) -> Result<(), SortError>;
+    let sorts: [(&str, Sort); 4] = [
+        ("csort", |c, d| run_csort(c, d).map(|_| ())),
+        ("csort4", |c, d| run_csort4(c, d).map(|_| ())),
+        ("dsort", |c, d| run_dsort(c, d).map(|_| ())),
+        ("dsort-linear", |c, d| run_dsort_linear(c, d).map(|_| ())),
+    ];
+    let cfg = SortConfig::test_default(4, 4096);
+    let disks = provision(&cfg);
+    let mut lazy = cfg.clone();
+    lazy.workers = 0;
+    let mut nobody = cfg.clone();
+    nobody.nodes = 0;
+    for (name, sort) in sorts {
+        let refused = |cfg: &SortConfig, disks: &[DiskRef]| match sort(cfg, disks) {
+            Err(SortError::Config(message)) => message,
+            other => panic!("{name}: expected a configuration error, got {other:?}"),
+        };
+        assert_eq!(refused(&cfg, &disks[..3]), "need 4 disks, got 3", "{name}");
+        assert_eq!(refused(&lazy, &disks), "workers must be positive", "{name}");
+        assert_eq!(refused(&nobody, &[]), "need at least one node", "{name}");
+    }
 }
 
 #[test]

@@ -165,7 +165,21 @@ proptest! {
         prop_assume!(!overlapping);
 
         let direct = apply(&sorted);
-        let coalesced = chunks::coalesce_writes(runs);
+        let mut payload = Vec::new();
+        for (off, data) in &runs {
+            chunks::push_chunk(&mut payload, *off, 0, data);
+        }
+        let mut coalesced: Vec<(u64, Vec<u8>)> = Vec::new();
+        chunks::for_each_coalesced_write::<fg_sort::SortError>(
+            &payload,
+            &mut Vec::new(),
+            &mut Vec::new(),
+            |off, data| {
+                coalesced.push((off, data.to_vec()));
+                Ok(())
+            },
+        )
+        .unwrap();
         let via_coalesce = apply(&coalesced);
         prop_assert_eq!(direct, via_coalesce);
         // And coalescing never produces adjacent mergeable runs.
