@@ -9,9 +9,9 @@
 //! * the **send pipeline** `read → aggregate → send` streams the node's
 //!   local input; the aggregate stage pre-combines duplicate keys *within
 //!   each block* (a combiner, shrinking traffic for skewed inputs) and the
-//!   send stage routes each partial count to the key's owner
-//!   (`hash(key) mod P`) — unbalanced communication, hence disjoint
-//!   pipelines;
+//!   send stage, dsort pass 1's, routes each partial count to the key's
+//!   owner (`hash(key) mod P`) in messages it fills across blocks —
+//!   unbalanced communication, hence disjoint pipelines;
 //! * the **receive pipeline** `receive → merge` folds incoming partial
 //!   counts into the node's in-memory table (bounded by the number of
 //!   *distinct* keys it owns, not by the dataset size);
@@ -27,7 +27,6 @@ use std::time::Duration;
 
 use fg_core::{map_stage, PipelineCfg, Rounds};
 use fg_pdm::DiskRef;
-use fg_sort::chunks::{Scatter, CHUNK_HEADER_BYTES};
 use fg_sort::config::SortConfig;
 use fg_sort::driver::{self, Node};
 use fg_sort::stages;
@@ -36,6 +35,9 @@ use parking_lot::Mutex;
 
 /// Message tag for group-by traffic.
 const TAG_GROUPBY: u64 = 0x6B0B_0001;
+
+/// Bytes of a `(u64 key, u64 count)` pair.
+const PAIR: usize = 16;
 
 /// Name of the per-node output file: `(key, count)` pairs sorted by key,
 /// 16 bytes each, holding the counts of the keys this node owns.
@@ -82,55 +84,40 @@ fn groupby_pass(node: &mut Node) -> Result<(u64, u64), SortError> {
     let cfg = &node.cfg;
     let nodes = cfg.nodes;
     let nblocks = cfg.bytes_per_node().div_ceil(cfg.block_bytes as u64);
-    const PAIR: usize = 16; // (u64 key, u64 count)
 
     let mut prog = node.program("groupby");
 
     // ---- send pipeline ----
     let read = prog.add_stage("read", stages::read_input_stage(&node.disk, cfg));
 
-    // Combiner: fold the block's records into (key, count) pairs —
-    // duplicates within a block collapse here — and pack the pairs by
-    // owning node.  The table, the pair list and the scatter's scratch are
-    // the stage's own and are reused every round.
+    // Combiner: fold the block's records into (key, count) pairs, left in
+    // the buffer.  The table is the stage's own, reused every round.
     let fmt = cfg.record;
     let aggregate = prog.add_stage("aggregate", {
         let mut partial: HashMap<u64, u64> = HashMap::new();
-        let mut pairs: Vec<u8> = Vec::new();
-        let mut scatter = Scatter::new(nodes);
         map_stage(move |buf, _ctx| {
             partial.clear();
             for rec in fmt.records(buf.filled()) {
                 *partial.entry(fmt.key(rec)).or_insert(0) += 1;
             }
-            pairs.clear();
+            debug_assert!(partial.len() * PAIR <= buf.capacity());
+            buf.clear();
             for (key, count) in &partial {
-                pairs.extend_from_slice(&key.to_le_bytes());
-                pairs.extend_from_slice(&count.to_le_bytes());
+                buf.append(&key.to_le_bytes());
+                buf.append(&count.to_le_bytes());
             }
-            debug_assert!(
-                scatter.max_len(pairs.len()) <= buf.capacity(),
-                "combiner output too large"
-            );
-            let len = scatter.scatter(&pairs, PAIR, buf.space_mut(), |_, pair| {
-                owner_of(fmt.key(pair), nodes)
-            });
-            buf.set_filled(len);
             Ok(())
         })
     });
 
-    // The exchange is dsort pass 1's: chunks out in pooled payloads, partial
-    // counts packed densely into the receive pipeline's buffers; the merge
-    // stage folds them into the node's table.
-    let send = prog.add_stage(
-        "send",
-        stages::send_stage(node.comm.clone(), TAG_GROUPBY, stages::cut_chunks),
-    );
-    let receive = prog.add_stage(
-        "receive",
-        stages::receive_stage(node.comm.clone(), TAG_GROUPBY, stages::land_bytes),
-    );
+    // The exchange is dsort pass 1's; the merge stage folds what arrives
+    // into the node's table.
+    let cap = stages::payload_bytes(cfg);
+    let dest_of = move |_round, _i, pair: &[u8]| owner_of(fmt.key(pair), nodes);
+    let send = stages::scatter_send_stage(&node.comm, TAG_GROUPBY, PAIR, cap, dest_of);
+    let send = prog.add_stage("send", send);
+    let receive = stages::receive_stage(node.comm.clone(), TAG_GROUPBY, stages::land_bytes);
+    let receive = prog.add_stage("receive", receive);
 
     let table = Arc::new(Mutex::new(HashMap::<u64, u64>::new()));
     let t2 = Arc::clone(&table);
@@ -138,24 +125,19 @@ fn groupby_pass(node: &mut Node) -> Result<(u64, u64), SortError> {
         "merge",
         map_stage(move |buf, _ctx| {
             let mut table = t2.lock();
-            for pair in buf.filled().chunks_exact(PAIR) {
-                let key = u64::from_le_bytes(pair[..8].try_into().expect("8"));
-                let count = u64::from_le_bytes(pair[8..].try_into().expect("8"));
+            for (key, count) in pairs_of(buf.filled()) {
                 *table.entry(key).or_insert(0) += count;
             }
             Ok(())
         }),
     );
 
-    // Pipelines: one buffer must fit a block's worth of combined pairs plus
-    // headers (a block of r records can produce at most r distinct keys).
-    // The send buffer first holds a raw input block (read stage), then the
-    // combined pairs + chunk headers (aggregate stage): size for both.
-    let send_buf =
-        cfg.block_bytes.max(cfg.records_per_block() * PAIR) + cfg.nodes * CHUNK_HEADER_BYTES + 64;
+    // The send buffer holds a raw input block, then its combined pairs (at
+    // most one a record): size for both.
+    let send_buf = cfg.block_bytes.max(cfg.records_per_block() * PAIR);
     // The receive buffer must be a whole number of pairs, or a pair would
     // split across buffers and the merge stage would parse garbage.
-    let recv_buf = send_buf.max(cfg.block_bytes).next_multiple_of(PAIR);
+    let recv_buf = send_buf.next_multiple_of(PAIR);
     prog.add_pipeline(
         PipelineCfg::new("send", cfg.pipeline_buffers, send_buf).rounds(Rounds::Count(nblocks)),
         &[read, aggregate, send],
@@ -185,18 +167,17 @@ fn groupby_pass(node: &mut Node) -> Result<(u64, u64), SortError> {
     Ok((pairs.len() as u64, records))
 }
 
+/// The `(key, count)` pairs packed in `bytes`, 16 bytes each.
+fn pairs_of(bytes: &[u8]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8 bytes"));
+    bytes
+        .chunks_exact(PAIR)
+        .map(move |p| (word(&p[..8]), word(&p[8..])))
+}
+
 /// Read back a node's `(key, count)` table (verification helper).
 pub fn read_counts(disk: &DiskRef) -> Vec<(u64, u64)> {
-    let bytes = disk.snapshot(COUNTS_FILE).unwrap_or_default();
-    bytes
-        .chunks_exact(16)
-        .map(|p| {
-            (
-                u64::from_le_bytes(p[..8].try_into().expect("8")),
-                u64::from_le_bytes(p[8..].try_into().expect("8")),
-            )
-        })
-        .collect()
+    pairs_of(&disk.snapshot(COUNTS_FILE).unwrap_or_default()).collect()
 }
 
 #[cfg(test)]

@@ -233,6 +233,65 @@ fn groupby_surfaces_disk_failure() {
     }
 }
 
+/// The node everybody sends to dies while its peers hold credits half-full.
+/// With one key in the whole input each block combines to a single pair, so
+/// no payload ever fills: every node keeps one open for the key's owner from
+/// its first block to the end of its stream.  With uniform keys payloads are
+/// open, queued and in flight to every node.  The owner's disk dies early,
+/// midway and late in its pass — bare, and behind the I/O scheduler on both
+/// backends — and every rank ends in the disk's error, never a hang.
+#[test]
+fn groupby_owner_death_finds_senders_holding_payloads_half_full() {
+    use fg_sort::config::DiskBackend;
+    for dist in [KeyDist::AllEqual, KeyDist::Uniform] {
+        let mut cfg = SortConfig::test_default(4, 4096);
+        cfg.dist = dist;
+        cfg.watchdog = Some(std::time::Duration::from_secs(30));
+        let key = cfg.record.key(&generate_node_input(&cfg, 0));
+        let owner = owner_of(key, cfg.nodes);
+        let scratch = fg_pdm::ScratchDir::new("groupby-failure").expect("scratch directory");
+        let dir = scratch.path().to_path_buf();
+        let mut scheduled = cfg.clone();
+        scheduled.io_depth = 4;
+        let mut on_files = scheduled.clone();
+        on_files.backend = DiskBackend::Os { dir: dir.clone() };
+        for (backend, cfg) in [
+            ("sim", &cfg),
+            ("sim behind the scheduler", &scheduled),
+            ("os behind the scheduler", &on_files),
+        ] {
+            for ops in [2, 20, 60] {
+                let disks = provision(cfg);
+                disks[owner].fail_after_ops(ops);
+                let (tx, rx) = std::sync::mpsc::channel();
+                let cfg = cfg.clone();
+                std::thread::spawn(move || tx.send(run_groupby(&cfg, &disks).map(|_| ())));
+                let what = format!("{backend}, {dist:?}, disk {owner} dead at op {ops}");
+                let err = rx
+                    .recv_timeout(std::time::Duration::from_secs(60))
+                    .unwrap_or_else(|_| panic!("{what}: the run hung"))
+                    .expect_err("a run on a dead disk must fail");
+                assert!(err.to_string().contains("disk failed"), "{what}: {err}");
+            }
+        }
+        drop(scratch);
+        assert!(!dir.exists(), "{} was not scrubbed", dir.display());
+    }
+}
+
+/// The smallest shapes the exchange has: a block of one record — a payload
+/// then holds one pair, so every pair is a message of its own — on one node,
+/// which sends only to itself, and on three.
+#[test]
+fn groupby_one_record_blocks() {
+    for nodes in [1, 3] {
+        let mut cfg = SortConfig::test_default(nodes, 96);
+        cfg.block_bytes = cfg.record.record_bytes;
+        cfg.dist = KeyDist::Poisson;
+        check_groupby(&cfg);
+    }
+}
+
 #[test]
 fn groupby_refuses_a_wrong_disk_count_before_launch() {
     let cfg = SortConfig::test_default(4, 1024);

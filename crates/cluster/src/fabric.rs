@@ -38,12 +38,13 @@ use crate::cost::NetCfg;
 use crate::CommError;
 
 /// Payload buffers each node owns: three per peer — one the receiver is
-/// consuming, one queued behind it, one being filled — so that sender and
-/// receiver overlap instead of handing a single buffer back and forth.
-/// (Measured on `dsort-os-skew`: two per peer cost 4% in wall and CPU time
-/// against unbounded mailboxes, three and four per peer cost nothing.)
-/// Derived from the cluster size and nothing else — the fabric has no
-/// tuning knob.
+/// consuming, one queued behind it, one being filled (a combining sender
+/// holds that one open per destination for as long as it takes to fill) — so
+/// that sender and receiver overlap instead of handing a single buffer back
+/// and forth.  (Measured on `dsort-os-skew` and `dsort-sim`: two per peer
+/// cost 2–3% in wall time against a population that never binds, three and
+/// four per peer cost nothing; DESIGN.md §5d.)  Derived from the cluster
+/// size and nothing else — the fabric has no tuning knob.
 pub(crate) fn payloads_per_node(nodes: usize) -> usize {
     3 * nodes
 }
@@ -188,18 +189,21 @@ pub(crate) struct Envelope {
     pub(crate) payload: Payload,
 }
 
-struct Mailbox {
-    inbox: Mutex<VecDeque<Envelope>>,
-    arrived: Condvar,
+/// One node's undelivered messages, and how many receivers are parked for
+/// one.
+#[derive(Default)]
+struct Inbox {
+    queue: VecDeque<Envelope>,
+    /// Receivers blocked in [`Fabric::recv`]: a send notifies only when
+    /// there is one, as a payload's return does ([`PoolState::waiting`]) —
+    /// most sends find the receiver busy with an earlier message.
+    waiting: usize,
 }
 
-impl Mailbox {
-    fn new() -> Self {
-        Mailbox {
-            inbox: Mutex::new(VecDeque::new()),
-            arrived: Condvar::new(),
-        }
-    }
+#[derive(Default)]
+struct Mailbox {
+    inbox: Mutex<Inbox>,
+    arrived: Condvar,
 }
 
 /// Per-node traffic counters.
@@ -229,7 +233,7 @@ pub(crate) struct Fabric {
 impl Fabric {
     pub(crate) fn new(nodes: usize, net: NetCfg) -> Arc<Self> {
         Arc::new(Fabric {
-            mailboxes: (0..nodes).map(|_| Mailbox::new()).collect(),
+            mailboxes: (0..nodes).map(|_| Mailbox::default()).collect(),
             pools: (0..nodes)
                 .map(|_| PayloadPool::new(payloads_per_node(nodes)))
                 .collect(),
@@ -328,14 +332,19 @@ impl Fabric {
         }
         let mb = &self.mailboxes[dst];
         let mut inbox = mb.inbox.lock();
-        inbox.push_back(Envelope {
+        inbox.queue.push_back(Envelope {
             src,
             tag,
             ctx,
             payload,
         });
+        let wake = inbox.waiting > 0;
         drop(inbox);
-        mb.arrived.notify_all();
+        if wake {
+            // All of them: receivers parked on different tags share the
+            // condvar, and only they know which of them this message is for.
+            mb.arrived.notify_all();
+        }
         Ok(())
     }
 
@@ -352,15 +361,18 @@ impl Fabric {
         let mut inbox = mb.inbox.lock();
         loop {
             if let Some(pos) = inbox
+                .queue
                 .iter()
                 .position(|e| e.tag == tag && src.map(|s| s == e.src).unwrap_or(true))
             {
-                return Ok(inbox.remove(pos).expect("position was valid"));
+                return Ok(inbox.queue.remove(pos).expect("position was valid"));
             }
             if self.is_poisoned() {
                 return Err(CommError::Poisoned);
             }
+            inbox.waiting += 1;
             mb.arrived.wait(&mut inbox);
+            inbox.waiting -= 1;
         }
     }
 

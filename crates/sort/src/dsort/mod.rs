@@ -126,16 +126,17 @@ pub fn run_dsort_with(
     let run = driver::launch_observed(cfg, disks, opts.metrics, opts.observe, move |node| {
         let splitters = node.phase("sampling", |node| sampling::select_splitters(node))?;
         let run_len = plan::run_len(&node.cfg);
-        let p1 = node.phase("pass 1", |node| pass1::pass1(node, &splitters, run_len))?;
+        let run_lens = node.phase("pass 1", |node| pass1::pass1(node, &splitters, run_len))?;
         // Pass 2: merge, load-balance, stripe.  The exchange of partition
         // sizes (needed for global rank offsets) is part of the pass.
         let (partitions, threads) = node.phase("pass 2", |node| {
-            let partitions = node.comm.allgather_u64(p1.received_records)?;
+            let received = run_lens.iter().sum::<u64>() / node.cfg.record.record_bytes as u64;
+            let partitions = node.comm.allgather_u64(received)?;
             let rank_offset: u64 = partitions[..node.rank].iter().sum(); // records
-            let threads = pass2::pass2(node, &p1.run_lens, rank_offset, virtual_reads)?;
+            let threads = pass2::pass2(node, &run_lens, rank_offset, virtual_reads)?;
             Ok((partitions, threads))
         })?;
-        let runs = node.comm.allgather_u64(p1.run_lens.len() as u64)?;
+        let runs = node.comm.allgather_u64(run_lens.len() as u64)?;
         let threads = node.comm.allgather_u64(threads as u64)?;
         Ok((partitions, runs, threads))
     })?;

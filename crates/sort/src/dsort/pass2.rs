@@ -1,23 +1,20 @@
 //! dsort pass 2: merging, load-balancing, and striping (§V, Figure 7).
 //!
-//! Each node merges its sorted runs into one sorted stream and the streams
-//! are re-striped across the cluster.  The pipeline structure combines both
-//! FG extensions:
+//! Each node merges its sorted runs into one stream and the streams are
+//! re-striped across the cluster, with both FG extensions at work:
 //!
-//! * **k intersecting vertical pipelines** — one per sorted run — feed the
-//!   common **merge stage**.  Their `read` stages are **virtual**: FG runs
-//!   all of them (and their sources and sinks) on three shared threads, no
-//!   matter how many runs pass 1 produced (§IV, Figure 5(b)).  Vertical
-//!   buffers are small; the single horizontal pipeline's buffers are large
-//!   (§IV: "buffers in the vertical pipelines might be relatively small ...
-//!   the horizontal pipeline's can be much larger").
-//! * The merge stage fills horizontal buffers with globally-ranked output
-//!   (this node's merged stream covers ranks `[offset, offset + n)` where
-//!   `offset` comes from an exchange of partition sizes) and a **send
-//!   stage** splits each buffer along PDM stripe boundaries and doles the
-//!   pieces out — unbalanced communication again, so a **disjoint receive
-//!   pipeline** (`receive → write`) accepts whatever stripe pieces arrive
-//!   and writes them to the local stripe file.
+//! * **k intersecting vertical pipelines**, one a sorted run, feed the common
+//!   **merge stage**.  Their `read` stages are **virtual** — one thread,
+//!   however many runs pass 1 produced (§IV, Figure 5(b)) — and their
+//!   buffers small, the horizontal pipeline's large.
+//! * The merge stage fills horizontal buffers with globally ranked output
+//!   (ranks `[offset, offset + n)`, `offset` from an exchange of partition
+//!   sizes) and ends each on a PDM stripe boundary: the first is cut short
+//!   where `offset` falls inside a stripe block, every later one is a whole
+//!   block.  The **send stage** sends each to its block's owner as one
+//!   message behind its global offset — unbalanced communication again, so a
+//!   **disjoint receive pipeline** (`receive → write`) takes whatever pieces
+//!   arrive and writes them to the local stripe file.
 
 use std::sync::Arc;
 
@@ -51,7 +48,9 @@ pub fn pass2(
     let rb = cfg.record.record_bytes;
     let k = run_lens.len();
     let vert_buf = cfg.vertical_buf_bytes;
-    let striping = Striping::new(cfg.nodes, cfg.block_bytes);
+    let block = cfg.block_bytes;
+    let payload_bytes = stages::payload_bytes(cfg);
+    let striping = Striping::new(cfg.nodes, block);
 
     let mut prog = node.program("dsort-p2");
 
@@ -104,10 +103,10 @@ pub fn pass2(
     let merge = prog.add_stage(
         "merge",
         Box::new(move |ctx: &mut StageCtx| {
-            let pids: Vec<_> = ctx.pipelines().collect();
-            let (verticals, horizontal) = pids.split_at(pids.len() - 1);
-            let verticals = verticals.to_vec();
-            let horizontal = horizontal[0];
+            // `None` here is a stage error upstream tearing the program down.
+            let stopped = || FgError::Usage("merge: horizontal pipeline stopped early".into());
+            let mut verticals: Vec<_> = ctx.pipelines().collect();
+            let horizontal = verticals.pop().ok_or_else(stopped)?;
             let k = verticals.len();
 
             // Current head buffer + byte offset per vertical.
@@ -124,41 +123,44 @@ pub fn pass2(
                 }
             };
             for &v in &verticals {
-                let h = next_head(ctx, v)?;
-                heads.push(h);
+                heads.push(next_head(ctx, v)?);
             }
-            let mut tree = (k > 0).then(|| {
-                LoserTree::new(
-                    heads
-                        .iter()
-                        .map(|h| h.as_ref().map(|(b, off)| fmt.key(&b.filled()[*off..]))),
-                )
-            });
+            let head_key = |head: &Option<(Buffer, usize)>| {
+                let (buf, off) = head.as_ref()?;
+                Some(fmt.key(&buf.filled()[*off..]))
+            };
+            // A node that received nothing merges one exhausted lane.
+            let mut keys: Vec<_> = heads.iter().map(head_key).collect();
+            keys.resize(k.max(1), None);
+            let mut tree = LoserTree::new(keys);
 
-            // `None` here is a stage error upstream tearing the program down.
-            let stopped = || FgError::Usage("merge: horizontal pipeline stopped early".into());
             let mut out = ctx.accept_from(horizontal)?.ok_or_else(stopped)?;
             out.clear();
-            let mut produced = 0u64; // records emitted so far
-            out.meta = rank_offset; // global rank of this buffer's first record
+            // A buffer starts at global byte offset `goff` and ends `room` bytes
+            // on, at the output's next stripe boundary: one message, one write.
+            let mut goff = rank_offset * rb as u64;
+            let mut room = block - (goff % block as u64) as usize;
+            out.meta = goff;
 
             let mut policy = crate::merge::BatchPolicy::new();
-            while let Some((lane, _)) = tree.as_ref().and_then(|t| t.winner()) {
-                let (buf, off) = heads[lane].take().expect("winner lane has a head");
+            while let Some((lane, _)) = tree.winner() {
+                let (buf, off) = heads[lane]
+                    .take()
+                    .ok_or_else(|| FgError::Usage("merge: the winning run has no buffer".into()))?;
                 // MergeRun fast path: emit every buffered record of this
                 // lane that still beats the tree's runner-up in one copy,
-                // capped by the output buffer's space, instead of one
+                // capped by the room left in the stripe block, instead of one
                 // record (and one tree replay) at a time.  The policy
                 // backs off to scalar steps while the runs interleave too
                 // finely to batch.
                 let avail = &buf.filled()[off..];
-                let run = policy.merge_run(tree.as_ref().expect("tree exists"), fmt, avail);
-                let n = run.min(out.remaining() / rb).max(1);
+                let run = policy.merge_run(&tree, fmt, avail);
+                let n = run.min(room / rb).max(1);
                 out.append(&avail[..n * rb]);
                 if let Some(h) = &batch_hist {
                     h.record(n as u64);
                 }
-                produced += n as u64;
+                room -= n * rb;
                 let noff = off + n * rb;
                 if noff < buf.len() {
                     heads[lane] = Some((buf, noff));
@@ -166,16 +168,14 @@ pub fn pass2(
                     ctx.discard(buf)?;
                     heads[lane] = next_head(ctx, verticals[lane])?;
                 }
-                let next_key = heads[lane]
-                    .as_ref()
-                    .map(|(b, o)| fmt.key(&b.filled()[*o..]));
-                tree.as_mut().expect("tree exists").replace(lane, next_key);
+                tree.replace(lane, head_key(&heads[lane]));
 
-                if out.remaining() == 0 {
+                if room == 0 {
+                    (goff, room) = (goff + out.len() as u64, block);
                     ctx.convey(out)?;
                     out = ctx.accept_from(horizontal)?.ok_or_else(stopped)?;
                     out.clear();
-                    out.meta = rank_offset + produced;
+                    out.meta = goff;
                 }
             }
             if out.is_empty() {
@@ -189,16 +189,25 @@ pub fn pass2(
     );
 
     // ---- horizontal send stage ----
+    // A buffer is one stripe piece: it goes whole to the block's owner behind
+    // its global offset, in a pooled payload, with its trace id.
     let send = prog.add_stage(
         "send",
-        stages::send_stage(node.comm.clone(), TAG_PASS2, move |buf, emit| {
-            let goff = buf.meta * rb as u64;
-            let data = buf.filled();
-            for (dest, _local, range) in striping.split_range_iter(goff, data.len()) {
-                let piece_off = (goff + range.start as u64).to_le_bytes();
-                emit(dest, &piece_off, &data[range])?;
+        stages::fabric_stage(node.comm.clone(), move |comm, ctx| {
+            while let Some(buf) = ctx.accept()? {
+                let goff = buf.meta;
+                debug_assert!(goff as usize % block + buf.len() <= block);
+                let mut payload = comm.payload().map_err(SortError::from)?;
+                payload.reserve_exact(payload_bytes);
+                payload.push(stages::MSG_DATA);
+                payload.extend_from_slice(&goff.to_le_bytes());
+                payload.extend_from_slice(buf.filled());
+                let (owner, _) = striping.locate_byte(goff);
+                comm.send_traced(owner, TAG_PASS2, payload, buf.trace_id())
+                    .map_err(SortError::from)?;
+                ctx.convey(buf)?;
             }
-            Ok(())
+            stages::send_done(comm, TAG_PASS2)
         }),
     );
 

@@ -9,10 +9,15 @@
 //! scratch, coalescing scratch) lives in its closure, so a warmed-up round
 //! allocates nothing.  A second copy of one of these bodies is a bug: a
 //! fix made to one copy does not reach the other.
+//!
+//! An unbalanced exchange is a [`receive_stage`] on a pipeline of its own
+//! and a sender: [`scatter_send_stage`] (dsort pass 1, group-by), or a
+//! pass's own (dsort pass 2, whose buffers are one node's already) over
+//! [`fabric_stage`] and [`send_done`].
 
 use std::sync::Arc;
 
-use fg_cluster::{Communicator, Message};
+use fg_cluster::{Communicator, Message, Payload};
 use fg_core::{map_stage, Buffer, Stage, StageCtx};
 use fg_pdm::{DiskRef, Striping};
 use parking_lot::Mutex;
@@ -22,10 +27,17 @@ use crate::config::{Matrix, SortConfig};
 use crate::record::{partition_of, ExtKey, RecordFormat};
 use crate::SortError;
 
-/// First payload byte of a [`send_stage`] message: data follows.
-const MSG_DATA: u8 = 0;
-/// First payload byte of a [`send_stage`] message: the sender has finished.
-const MSG_DONE: u8 = 1;
+/// First payload byte of an exchange message: data follows.
+pub const MSG_DATA: u8 = 0;
+/// First payload byte of an exchange message: the sender has finished.
+pub const MSG_DONE: u8 = 1;
+
+/// What every pooled payload is sized for, once: a block of data behind the
+/// longest header (pass 2's kind byte and 8-byte offset).  Payloads outlive a
+/// pass, so one size for every pass means none is ever reallocated.
+pub fn payload_bytes(cfg: &SortConfig) -> usize {
+    1 + 8 + cfg.block_bytes
+}
 
 /// A read stage: round `t` fills its buffer with the `len` bytes at `offset`
 /// of `file`, where `(offset, len)` is `span(t)`.
@@ -87,24 +99,35 @@ pub fn sort_stage(cfg: &SortConfig) -> Box<dyn Stage> {
     })
 }
 
-/// The permute stage of a distribution pass: rewrite each block as
-/// `(destination, records)` chunks, a record's destination being the
-/// partition of its extended key among `splitters`.
-pub fn permute_stage(cfg: &SortConfig, rank: usize, splitters: Vec<ExtKey>) -> Box<dyn Stage> {
+/// Where a distribution pass sends record `i` of input block `round` on
+/// node `rank`: the partition of its extended key among `splitters`.
+pub fn partitioner(
+    cfg: &SortConfig,
+    rank: usize,
+    splitters: Vec<ExtKey>,
+) -> impl FnMut(u64, usize, &[u8]) -> usize + Send + 'static {
     let fmt = cfg.record;
     let records_per_block = cfg.records_per_block() as u64;
+    move |round, i, rec| {
+        let e = ExtKey {
+            key: fmt.key(rec),
+            node: rank as u32,
+            seq: round * records_per_block + i as u64,
+        };
+        partition_of(&splitters, e)
+    }
+}
+
+/// dsort-linear's permute stage: rewrite each block as `(destination,
+/// records)` chunks for the `alltoallv` that follows.
+pub fn permute_stage(cfg: &SortConfig, rank: usize, splitters: Vec<ExtKey>) -> Box<dyn Stage> {
+    let rb = cfg.record.record_bytes;
+    let mut dest_of = partitioner(cfg, rank, splitters);
     let mut scatter = Scatter::new(cfg.nodes);
     map_stage(move |buf, ctx| {
-        let base_seq = buf.round() * records_per_block;
+        let round = buf.round();
         let aux = ctx.aux(scatter.max_len(buf.len()));
-        let len = scatter.scatter(buf.filled(), fmt.record_bytes, aux, |i, rec| {
-            let e = ExtKey {
-                key: fmt.key(rec),
-                node: rank as u32,
-                seq: base_seq + i as u64,
-            };
-            partition_of(&splitters, e)
-        });
+        let len = scatter.scatter(buf.filled(), rb, aux, |i, rec| dest_of(round, i, rec));
         buf.copy_from(&aux[..len]);
         Ok(())
     })
@@ -260,57 +283,66 @@ pub fn fabric_stage(
     })
 }
 
-/// How a [`send_stage`] hands one message to the fabric: `(destination,
-/// head, data)` travels as `[MSG_DATA][head][data]`.
-pub type Emit<'a> = dyn FnMut(usize, &[u8], &[u8]) -> fg_core::Result<()> + 'a;
-
-/// The send stage of an unbalanced exchange: `cut` cuts every buffer into
-/// messages and `emit`s each, which sends it as one `DATA` message under
-/// `tag` in a payload from the fabric's fixed population — so the stage
-/// blocks, and allocates nothing, while all of this node's payloads are in
-/// flight.  Each message carries its buffer's trace id, so the receiving
-/// rank's comm-recv span joins the buffer's flow in the merged Chrome
-/// export.  After the last buffer every node gets a `DONE` marker, a plain
-/// message that needs no credit.
-pub fn send_stage(
-    comm: Communicator,
-    tag: u64,
-    mut cut: impl FnMut(&Buffer, &mut Emit) -> fg_core::Result<()> + Send + 'static,
-) -> Box<dyn Stage> {
-    fabric_stage(comm, move |comm, ctx| {
-        while let Some(buf) = ctx.accept()? {
-            let trace_id = buf.trace_id();
-            cut(&buf, &mut |dest, head, data| {
-                let mut payload = comm.payload().map_err(SortError::from)?;
-                // No message's data outgrows the buffer it is cut from:
-                // sizing every payload for that once means none is ever
-                // reallocated.
-                payload.reserve_exact(1 + head.len() + buf.capacity());
-                payload.push(MSG_DATA);
-                payload.extend_from_slice(head);
-                payload.extend_from_slice(data);
-                comm.send_traced(dest, tag, payload, trace_id)
-                    .map_err(SortError::from)?;
-                Ok(())
-            })?;
-            ctx.convey(buf)?;
-        }
-        for dst in 0..comm.nodes() {
-            comm.send(dst, tag, vec![MSG_DONE])
-                .map_err(SortError::from)?;
-        }
-        Ok(())
-    })
-}
-
-/// The [`send_stage`] cut for buffers of `(destination, bytes)` chunks:
-/// each chunk's bytes travel to its destination as one message.
-pub fn cut_chunks(buf: &Buffer, emit: &mut Emit) -> fg_core::Result<()> {
-    for chunk in chunks::iter_chunks(buf.filled()) {
-        let chunk = chunk?;
-        emit(chunk.a as usize, &[], chunk.data)?;
+/// A `DONE` marker to every node, behind this node's data: a plain message,
+/// so it needs no credit, and the fabric is FIFO per source and tag, which
+/// is what lets a receiver count markers.
+pub fn send_done(comm: &Communicator, tag: u64) -> fg_core::Result<()> {
+    for dst in 0..comm.nodes() {
+        comm.send(dst, tag, vec![MSG_DONE])
+            .map_err(SortError::from)?;
     }
     Ok(())
+}
+
+/// The send stage of an unbalanced exchange of `rb`-byte records: record `i`
+/// of round `t`'s buffer goes to node `dest_of(t, i, record)`, copied once,
+/// into the payload open for that node — one of the fabric's fixed
+/// population, taken when the node's first record turns up and sized once for
+/// `cap` bytes — which leaves under `tag` when the next record would not fit,
+/// with the trace id of the round that filled it.  So every message but a
+/// node's last is full and the message count follows the bytes, not rounds ×
+/// nodes; the stage holds at most a payload a node, and blocks, allocating
+/// nothing, while the rest are in flight.  At end of stream the part-filled
+/// payloads go, then the markers; on an error they drop with the stage,
+/// which returns their credits.
+pub fn scatter_send_stage(
+    comm: &Communicator,
+    tag: u64,
+    rb: usize,
+    cap: usize,
+    mut dest_of: impl FnMut(u64, usize, &[u8]) -> usize + Send + 'static,
+) -> Box<dyn Stage> {
+    fabric_stage(comm.clone(), move |comm, ctx| {
+        let mut open: Vec<Option<Payload>> = (0..comm.nodes()).map(|_| None).collect();
+        while let Some(buf) = ctx.accept()? {
+            let (round, trace_id) = (buf.round(), buf.trace_id());
+            for (i, rec) in buf.filled().chunks_exact(rb).enumerate() {
+                let dest = dest_of(round, i, rec);
+                let slot = &mut open[dest];
+                let payload = match slot {
+                    Some(payload) => payload,
+                    None => {
+                        let mut payload = comm.payload().map_err(SortError::from)?;
+                        payload.reserve_exact(cap);
+                        payload.push(MSG_DATA);
+                        slot.insert(payload)
+                    }
+                };
+                payload.extend_from_slice(rec);
+                if let Some(full) = slot.take_if(|payload| payload.len() + rb > cap) {
+                    comm.send_traced(dest, tag, full, trace_id)
+                        .map_err(SortError::from)?;
+                }
+            }
+            ctx.convey(buf)?;
+        }
+        for (dest, slot) in open.iter_mut().enumerate() {
+            if let Some(rest) = slot.take() {
+                comm.send(dest, tag, rest).map_err(SortError::from)?;
+            }
+        }
+        send_done(comm, tag)
+    })
 }
 
 /// The receive stage of an unbalanced exchange: takes `DATA` messages under
@@ -327,7 +359,6 @@ pub fn receive_stage(
     mut land: impl FnMut(&mut Buffer, &[u8], usize) -> fg_core::Result<usize> + Send + 'static,
 ) -> Box<dyn Stage> {
     fabric_stage(comm, move |comm, ctx| {
-        let pid = ctx.pipelines().next().expect("receive pipeline");
         let nodes = comm.nodes();
         let mut partial: Option<(Message, usize)> = None;
         let mut dones = 0usize;
@@ -336,6 +367,7 @@ pub fn receive_stage(
                 Some(b) => b,
                 None => return Ok(()),
             };
+            let pipeline = buf.pipeline();
             buf.clear();
             while buf.remaining() > 0 {
                 if let Some((msg, at)) = partial.take() {
@@ -362,7 +394,7 @@ pub fn receive_stage(
                 ctx.convey(buf)?;
             }
             if dones == nodes && partial.is_none() {
-                ctx.stop(pid)?;
+                ctx.stop(pipeline)?;
                 return Ok(());
             }
         }

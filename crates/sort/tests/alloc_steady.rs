@@ -85,26 +85,29 @@ fn dsort_cfg(records_per_node: usize) -> fg_sort::config::SortConfig {
     cfg
 }
 
+/// The fabric stages of both dsort passes.
+const DSORT_TAGS: [&str; 2] = ["send", "receive"];
+
 /// One verified dsort of `records_per_node` records on four nodes; returns
-/// what the `permute`, `send` and `receive` stages of both passes allocated.
-fn dsort_stage_allocations(records_per_node: usize) -> [u64; 3] {
+/// what each of [`DSORT_TAGS`] allocated over both passes.
+fn dsort_stage_allocations(records_per_node: usize) -> [u64; 2] {
     use fg_sort::verify::{verify_output, Strictness};
-    const TAGS: [&str; 3] = ["permute", "send", "receive"];
     let cfg = dsort_cfg(records_per_node);
     let disks = fg_sort::input::provision(&cfg);
-    let before = TAGS.map(tag_bytes);
+    let before = DSORT_TAGS.map(tag_bytes);
     fg_sort::dsort::run_dsort(&cfg, &disks).expect("dsort run");
-    let after = TAGS.map(tag_bytes);
+    let after = DSORT_TAGS.map(tag_bytes);
     verify_output(&cfg, &disks, Strictness::Fingerprint).expect("dsort output");
     std::array::from_fn(|i| after[i] - before[i])
 }
 
-/// dsort's data path circulates a fixed set of buffers: what its permute,
-/// send and receive stages allocate is set-up (auxiliary buffer, scatter
-/// scratch, the payload population, mailbox slots), so it stays under 1 MiB
-/// and does not follow the input when the input grows eightfold — nor the
-/// run length, which the plan grows eightfold with it: the receive stage
-/// fills whatever buffers its pipeline's pool holds.
+/// dsort's data path circulates a fixed set of buffers: what its send and
+/// receive stages allocate is set-up (the destination scratch, the payload
+/// population — sized once, for the longer of the two passes' headers, so
+/// pass 2 reallocates none of pass 1's — and mailbox slots), so it stays
+/// under 1 MiB and does not follow the input when the input grows eightfold —
+/// nor the run length, which the plan grows eightfold with it: the receive
+/// stage fills whatever buffers its pipeline's pool holds.
 #[test]
 fn dsort_data_path_allocations_do_not_grow_with_the_input() {
     use fg_sort::dsort::plan::run_len;
@@ -115,10 +118,7 @@ fn dsort_data_path_allocations_do_not_grow_with_the_input() {
     assert_eq!(run_len(&dsort_cfg(128 << 10)), 128 << 10);
     let small = dsort_stage_allocations(16 << 10); // 256 KiB a node
     let large = dsort_stage_allocations(128 << 10); // 2 MiB a node
-    for (tag, (small, large)) in ["permute", "send", "receive"]
-        .into_iter()
-        .zip(small.into_iter().zip(large))
-    {
+    for (tag, (small, large)) in DSORT_TAGS.into_iter().zip(small.into_iter().zip(large)) {
         assert!(large < 1 << 20, "{tag}: {large} B allocated");
         // 7 MiB more input; a stage that allocated per round would need
         // hundreds of KiB more.  The slack covers payloads and mailbox

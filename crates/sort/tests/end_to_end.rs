@@ -83,6 +83,19 @@ fn dsort_single_node() {
     check_dsort(&SortConfig::test_default(1, 2048));
 }
 
+/// The smallest shapes pass 1's exchange has: a block of one record — a
+/// payload then holds one record, so every record is a message of its own
+/// and every merged buffer a stripe block of one — on one node, which sends
+/// only to itself, and on three.
+#[test]
+fn dsort_one_record_blocks() {
+    for nodes in [1, 3] {
+        let mut cfg = SortConfig::test_default(nodes, 200);
+        cfg.block_bytes = cfg.record.record_bytes;
+        check_dsort(&cfg);
+    }
+}
+
 #[test]
 fn dsort_two_nodes_shifted_adversarial() {
     let mut cfg = SortConfig::test_default(2, 2048);
@@ -516,4 +529,100 @@ fn every_program_is_instrumented_and_reports() {
         assert_eq!(ledger.outstanding(), (0, 0), "{name}");
         assert!(ledger.snapshot().peak_bytes > 0, "{name}");
     }
+}
+
+/// What one node of [`dsort_traffic`] sent, by `comm/msgs/*` and
+/// `comm/bytes/*` (which leave out what a node sends itself).
+struct PassTraffic {
+    /// Pass 1's data messages and their bytes.
+    pass1: (u64, u64),
+    /// Pass 2's data messages.
+    pass2_msgs: u64,
+    /// Bytes of the node's merged stream.
+    merged_bytes: u64,
+}
+
+/// dsort's phases run by hand over the driver, so that a node can read its
+/// own traffic counters on either side of each pass: a pass is its program
+/// and a flush, no collective, and its `DONE` markers — one byte to every
+/// peer — are taken off.
+fn dsort_traffic(cfg: &SortConfig) -> Vec<PassTraffic> {
+    use fg_sort::dsort::{pass1, pass2, plan, sampling};
+    let registry = Arc::new(MetricsRegistry::new());
+    let disks = provision(cfg);
+    let counters = Arc::clone(&registry);
+    let run = fg_sort::driver::launch_observed(cfg, &disks, Some(registry), false, move |node| {
+        let (rank, peers) = (node.rank, node.cfg.nodes as u64 - 1);
+        let sent = |what: &str| -> u64 {
+            let to = |dst| {
+                counters
+                    .counter(&format!("comm/{what}/{rank}->{dst}"))
+                    .get()
+            };
+            (0..=peers).map(to).sum()
+        };
+        let splitters = sampling::select_splitters(node)?;
+        let before = (sent("msgs"), sent("bytes"));
+        let run_lens = pass1::pass1(node, &splitters, plan::run_len(&node.cfg))?;
+        let mid = (sent("msgs"), sent("bytes"));
+        let merged_bytes = run_lens.iter().sum::<u64>();
+        let records = merged_bytes / node.cfg.record.record_bytes as u64;
+        let partitions = node.comm.allgather_u64(records)?;
+        let rank_offset = partitions[..rank].iter().sum();
+        let before2 = sent("msgs");
+        pass2::pass2(node, &run_lens, rank_offset, true)?;
+        let pass1_msgs = mid.0 - before.0 - peers;
+        Ok(PassTraffic {
+            // Less the markers' one byte each and every data message's kind byte.
+            pass1: (pass1_msgs, mid.1 - before.1 - peers - pass1_msgs),
+            pass2_msgs: sent("msgs") - before2 - peers,
+            merged_bytes,
+        })
+    })
+    .expect("dsort phases");
+    verify_output(cfg, &disks, Strictness::Exact).expect("dsort output");
+    run.ranks.into_iter().map(|rank| rank.out).collect()
+}
+
+/// Messages follow bytes, not rounds × nodes.  Pass 1 fills a payload per
+/// destination across blocks, so all but a destination's last message carry a
+/// block of records: a node sends at most `⌈B/block⌉ + P` of them for `B`
+/// bytes of input, and the mean message is as long on eight nodes as on four
+/// (it was a block ÷ nodes).  Pass 2 ends every merged buffer on a stripe
+/// boundary, so a node sends one message a stripe block its stream touches:
+/// at most `⌈n/block⌉ + 1` for `n` bytes (a buffer that straddled a boundary
+/// cost two).
+#[test]
+fn dsort_messages_follow_bytes_not_rounds_times_nodes() {
+    let mean_pass1_message = |nodes: usize| {
+        let cfg = SortConfig::test_default(nodes, 16384);
+        let block = cfg.block_bytes as u64;
+        let traffic = dsort_traffic(&cfg);
+        for (rank, node) in traffic.iter().enumerate() {
+            let bound = cfg.bytes_per_node().div_ceil(block) + nodes as u64;
+            assert!(
+                node.pass1.0 <= bound,
+                "{nodes} nodes, rank {rank}: {} pass-1 messages, bound {bound}",
+                node.pass1.0
+            );
+            let bound = node.merged_bytes.div_ceil(block) + 1;
+            assert!(
+                node.pass2_msgs <= bound,
+                "{nodes} nodes, rank {rank}: {} pass-2 messages, bound {bound}",
+                node.pass2_msgs
+            );
+        }
+        let (msgs, bytes) = traffic.iter().fold((0, 0), |sum, node| {
+            (sum.0 + node.pass1.0, sum.1 + node.pass1.1)
+        });
+        bytes as f64 / msgs as f64
+    };
+    let (four, eight) = (mean_pass1_message(4), mean_pass1_message(8));
+    // Not exactly as long: a node's last message to each peer is part full,
+    // and there are seven peers instead of three.
+    assert!(
+        eight >= 0.9 * four,
+        "mean pass-1 message: {four:.0} B on 4 nodes, {eight:.0} B on 8"
+    );
+    assert!(four >= 0.9 * 1024.0, "mean pass-1 message: {four:.0} B");
 }

@@ -2,11 +2,15 @@
 //! error from the whole stack — FG program torn down, cluster poisoned,
 //! the run function returning `Err` instead of hanging or panicking.
 
-use fg_pdm::ScratchDir;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
+
+use fg_pdm::{Disk, DiskRef, DiskStats, PdmError, ScratchDir};
 use fg_sort::config::{DiskBackend, SortConfig};
 use fg_sort::csort::run_csort;
 use fg_sort::csort4::run_csort4;
 use fg_sort::driver;
+use fg_sort::dsort::pass1::RUNS_FILE;
 use fg_sort::dsort::run_dsort;
 use fg_sort::dsort_linear::run_dsort_linear;
 use fg_sort::input::provision;
@@ -23,10 +27,12 @@ fn on_every_backend(cfg: &SortConfig, case: impl Fn(&str, &SortConfig)) {
     scheduled.io_depth = 4;
     case("sim behind the scheduler", &scheduled);
     let scratch = ScratchDir::new("failure-injection").expect("scratch directory");
-    scheduled.backend = DiskBackend::Os {
-        dir: scratch.path().to_path_buf(),
-    };
+    let dir = scratch.path().to_path_buf();
+    scheduled.backend = DiskBackend::Os { dir: dir.clone() };
     case("os behind the scheduler", &scheduled);
+    // Whatever the runs left behind goes with the directory.
+    drop(scratch);
+    assert!(!dir.exists(), "{} was not scrubbed", dir.display());
 }
 
 /// Run `sort` on a helper thread, so that a hang fails the test instead of
@@ -87,6 +93,100 @@ fn dsort_disk_failure_wakes_senders_blocked_on_credits() {
             );
         }
     });
+}
+
+/// A disk that dies — `fail_after_ops(0)` on the disk it wraps — as the
+/// `appends`-th append to dsort's runs file arrives: the failure is in the
+/// receive pipeline's `write` stage, whatever the node's reads are doing.
+struct DiesAtAppend {
+    inner: DiskRef,
+    appends: AtomicU32,
+}
+
+impl Disk for DiesAtAppend {
+    fn append(&self, name: &str, data: &[u8]) -> Result<u64, PdmError> {
+        if name == RUNS_FILE && self.appends.fetch_sub(1, Ordering::Relaxed) == 1 {
+            self.inner.fail_after_ops(0);
+        }
+        self.inner.append(name, data)
+    }
+    fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<(), PdmError> {
+        self.inner.write_at(name, offset, data)
+    }
+    fn read_at(&self, name: &str, offset: u64, out: &mut [u8]) -> Result<(), PdmError> {
+        self.inner.read_at(name, offset, out)
+    }
+    fn read_up_to(&self, name: &str, at: u64, len: usize) -> Result<Vec<u8>, PdmError> {
+        self.inner.read_up_to(name, at, len)
+    }
+    fn load(&self, name: &str, bytes: Vec<u8>) {
+        self.inner.load(name, bytes)
+    }
+    fn snapshot(&self, name: &str) -> Option<Vec<u8>> {
+        self.inner.snapshot(name)
+    }
+    fn len(&self, name: &str) -> Option<u64> {
+        self.inner.len(name)
+    }
+    fn exists(&self, name: &str) -> bool {
+        self.inner.exists(name)
+    }
+    fn delete(&self, name: &str) -> bool {
+        self.inner.delete(name)
+    }
+    fn list(&self) -> Vec<String> {
+        self.inner.list()
+    }
+    fn stats(&self) -> DiskStats {
+        self.inner.stats()
+    }
+    fn reset_stats(&self) {
+        self.inner.reset_stats()
+    }
+    fn fail_after_ops(&self, ops: u64) {
+        self.inner.fail_after_ops(ops)
+    }
+    fn flush(&self) -> Result<(), PdmError> {
+        self.inner.flush()
+    }
+    fn reserve(&self, name: &str, bytes: u64) {
+        self.inner.reserve(name, bytes)
+    }
+}
+
+/// The *receiving* side dies while senders hold credits half-full.  Pass 1's
+/// send stage keeps a payload open for every destination and has more in
+/// flight; node 1's disk dies at an append of its runs file, early, midway
+/// and late in the pass (a node writes 32 runs), so its receive pipeline
+/// stops taking messages with its peers' payloads open, queued and being
+/// filled.  With shifted keys node 0's whole input is bound for node 1; with
+/// uniform keys every node holds a payload open for it.  Every rank ends in
+/// the disk's error, never a hang.
+#[test]
+fn dsort_receiver_death_finds_senders_holding_payloads_half_full() {
+    for dist in [KeyDist::Shifted { shift: 1 }, KeyDist::Uniform] {
+        let mut cfg = SortConfig::test_default(4, 16384);
+        cfg.dist = dist;
+        cfg.watchdog = Some(std::time::Duration::from_secs(30));
+        on_every_backend(&cfg, |backend, cfg| {
+            for appends in [1, 8, 24] {
+                let mut disks = provision(cfg);
+                disks[1] = Arc::new(DiesAtAppend {
+                    inner: Arc::clone(&disks[1]),
+                    appends: AtomicU32::new(appends),
+                });
+                let cfg = cfg.clone();
+                let err = failure_of(
+                    format!("{backend}: dsort, {dist:?}, disk 1 dead at append {appends}"),
+                    move || run_dsort(&cfg, &disks).map(|_| ()),
+                );
+                assert!(
+                    err.to_string().contains("disk failed"),
+                    "{backend}, {dist:?}, append {appends}: {err}"
+                );
+            }
+        });
+    }
 }
 
 #[test]
@@ -201,7 +301,6 @@ fn driver_failure_in_a_later_phase_ends_every_rank() {
 /// `Comm` — before any thread exists, whichever program asks.
 #[test]
 fn every_program_refuses_bad_disks_and_configs_before_launch() {
-    use fg_pdm::DiskRef;
     type Sort = fn(&SortConfig, &[DiskRef]) -> Result<(), SortError>;
     let sorts: [(&str, Sort); 4] = [
         ("csort", |c, d| run_csort(c, d).map(|_| ())),

@@ -542,3 +542,123 @@ proptest! {
 fn loser_tree_rejects_more_lanes_than_an_entry_can_number() {
     LoserTree::new((0..LoserTree::MAX_LANES + 1).map(|_| None));
 }
+
+/// One node's side of [`scatter_send_matches_scatter_round_by_round`]: stream
+/// the node's input through `read → send` while a second thread takes every
+/// message as it arrives, until each node's `DONE`.  Returns the data
+/// messages as `(source, bytes behind the kind byte)`, in arrival order.
+fn scatter_and_collect(
+    node: &mut fg_sort::driver::Node,
+    tag: u64,
+    splitters: &[ExtKey],
+) -> Result<Vec<(usize, Vec<u8>)>, fg_sort::SortError> {
+    use fg_core::{PipelineCfg, Rounds};
+    use fg_sort::stages;
+    let cfg = node.cfg.clone();
+    let comm = node.comm.clone();
+    std::thread::scope(|scope| {
+        let receiver = scope.spawn(move || {
+            let (mut data, mut dones) = (Vec::new(), 0);
+            while dones < comm.nodes() {
+                let msg = comm.recv(None, tag)?;
+                match msg.payload[0] {
+                    stages::MSG_DONE => dones += 1,
+                    _ => data.push((msg.src, msg.payload[1..].to_vec())),
+                }
+            }
+            Ok(data)
+        });
+        let mut prog = node.program("scatter");
+        let read = prog.add_stage("read", stages::read_input_stage(&node.disk, &cfg));
+        let send = prog.add_stage(
+            "send",
+            stages::scatter_send_stage(
+                &node.comm,
+                tag,
+                cfg.record.record_bytes,
+                stages::payload_bytes(&cfg),
+                stages::partitioner(&cfg, node.rank, splitters.to_vec()),
+            ),
+        );
+        let blocks = cfg.bytes_per_node().div_ceil(cfg.block_bytes as u64);
+        prog.add_pipeline(
+            PipelineCfg::new("send", 2, cfg.block_bytes).rounds(Rounds::Count(blocks)),
+            &[read, send],
+        )?;
+        node.run(prog)?;
+        receiver.join().expect("receiver thread")
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The fused send stage against its oracle.  Over a whole stream, what
+    /// each destination receives from a source is the concatenation, block by
+    /// block, of the chunk `Scatter::scatter` packs for that destination —
+    /// the source's records for it, in input order — in messages of which
+    /// all but the last are full and none outgrows the payload's capacity.
+    #[test]
+    fn scatter_send_matches_scatter_round_by_round(
+        nodes in 1usize..=8,
+        wide in any::<bool>(),
+        block_records in 1usize..=64,
+        records_per_node in 1usize..300,
+        dist in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        use fg_sort::config::SortConfig;
+        use fg_sort::keygen::KeyDist;
+        use fg_sort::{driver, input, stages};
+        const TAG: u64 = 0x5CA7;
+        let mut cfg = SortConfig::test_default(nodes, records_per_node);
+        cfg.record = if wide { RecordFormat::REC64 } else { RecordFormat::REC16 };
+        // Uniform keys, one key, about five distinct keys.
+        cfg.dist = [KeyDist::Uniform, KeyDist::AllEqual, KeyDist::Poisson][dist];
+        cfg.seed = seed;
+        cfg.block_bytes = block_records * cfg.record.record_bytes;
+        cfg.run_bytes = cfg.block_bytes.max(64 * cfg.record.record_bytes);
+        cfg.watchdog = Some(std::time::Duration::from_secs(30));
+        let (rb, cap) = (cfg.record.record_bytes, stages::payload_bytes(&cfg));
+
+        let disks = input::provision(&cfg);
+        let run = driver::launch(&cfg, &disks, |node| {
+            let splitters = fg_sort::dsort::sampling::select_splitters(node)?;
+            let inbox = scatter_and_collect(node, TAG, &splitters)?;
+            Ok((splitters, inbox))
+        })
+        .expect("scatter run");
+
+        let splitters = &run.ranks[0].out.0;
+        let mut scatter = chunks::Scatter::new(nodes);
+        let mut packed = vec![0u8; scatter.max_len(cfg.block_bytes)];
+        for src in 0..nodes {
+            let mut expect = vec![Vec::new(); nodes];
+            let mut dest_of = stages::partitioner(&cfg, src, splitters.clone());
+            let local = input::generate_node_input(&cfg, src);
+            for (round, block) in local.chunks(cfg.block_bytes).enumerate() {
+                let len = scatter.scatter(block, rb, &mut packed, |i, rec| {
+                    dest_of(round as u64, i, rec)
+                });
+                for chunk in chunks::iter_chunks(&packed[..len]) {
+                    let chunk = chunk.expect("well-formed chunk");
+                    expect[chunk.a as usize].extend_from_slice(chunk.data);
+                }
+            }
+            for (dest, expect) in expect.iter().enumerate() {
+                let inbox = &run.ranks[dest].out.1;
+                let from_src = inbox.iter().filter(|m| m.0 == src);
+                let msgs: Vec<&[u8]> = from_src.map(|m| &m.1[..]).collect();
+                prop_assert_eq!(&msgs.concat(), expect, "{} -> {}", src, dest);
+                for (i, msg) in msgs.iter().enumerate() {
+                    prop_assert!(!msg.is_empty() && msg.len() < cap);
+                    let full = 1 + msg.len() + rb > cap;
+                    prop_assert!(
+                        full || i + 1 == msgs.len(),
+                        "{} -> {}: message {} of {} is part full", src, dest, i, msgs.len()
+                    );
+                }
+            }
+        }
+    }
+}
