@@ -568,45 +568,42 @@ fn main() {
     if wants("kernel-bench") {
         println!("\n=== Sort/merge kernels: radix vs comparison, batched vs scalar merge ===");
         let res = kernel_bench::run_kernel_bench(quick);
-        let merge_rows = |lanes: &str, cells: &[kernel_bench::MergeCell]| {
-            let cols = |c: &kernel_bench::MergeCell| -> Vec<Col> {
-                vec![
-                    ("lanes", "", text(lanes)),
-                    ("k", "k", Count(c.k as u64)),
-                    ("records/lane", "per_lane", Count(c.per_lane as u64)),
-                    ("scalar s", "scalar_s", Secs(c.scalar)),
-                    ("batched s", "batched_s", Secs(c.batched)),
-                    ("speedup", "speedup", Ratio(c.speedup())),
-                    ("identical", "identical", Flag(c.identical)),
-                ]
-            };
-            cells.iter().map(cols).collect::<Vec<_>>()
+        let times = kernel_bench::speedup;
+        let merge_cols = |lanes: &str, c: &kernel_bench::MergeCell| -> Vec<Col> {
+            vec![
+                ("lanes", "", text(lanes)),
+                ("k", "k", Count(c.k as u64)),
+                ("records/lane", "per_lane", Count(c.per_lane as u64)),
+                ("scalar s", "scalar_s", Secs(c.scalar)),
+                ("batched s", "batched_s", Secs(c.batched)),
+                ("speedup", "speedup", Ratio(times(c.scalar, c.batched))),
+                ("identical", "identical", Flag(c.identical)),
+            ]
         };
-        let mut row: Vec<Col> = vec![
-            ("records", "records", Count(res.records as u64)),
-            ("radix s", "radix_s", Secs(res.radix)),
-            ("comparison s", "comparison_s", Secs(res.comparison)),
-            ("speedup", "sort_speedup", Ratio(res.sort_speedup())),
-        ];
-        print_table(std::slice::from_ref(&row));
+        let sort_cols = |c: &kernel_bench::SortCell| -> Vec<Col> {
+            vec![
+                ("records", "records", Count(c.records as u64)),
+                ("radix s", "radix_s", Secs(c.radix)),
+                ("comparison s", "comparison_s", Secs(c.comparison)),
+                ("speedup", "speedup", Ratio(times(c.comparison, c.radix))),
+            ]
+        };
+        let table = |rows: Vec<Vec<Col>>| {
+            print_table(&rows);
+            Doc(Json::Arr(rows.into_iter().map(object).collect()))
+        };
+        let sorts = table(res.sorts.iter().map(sort_cols).collect());
+        let mut row: Vec<Col> = vec![("", "sorts", sorts)];
         for (key, lanes, cells) in [
             ("merge", "presorted", &res.merge),
             ("merge_interleaved", "interleaved", &res.merge_interleaved),
         ] {
-            let rows = merge_rows(lanes, cells);
-            print_table(&rows);
-            row.push((
-                "",
-                key,
-                Doc(Json::Arr(rows.into_iter().map(object).collect())),
-            ));
+            let rows = cells.iter().map(|c| merge_cols(lanes, c)).collect();
+            row.push(("", key, table(rows)));
         }
         run.write("kernel-bench", object(row));
-        run.check(
-            "kernel-bench",
-            kernel_bench::CLAIM,
-            kernel_bench::check(&res),
-        );
+        let held = kernel_bench::check(&res);
+        run.check("kernel-bench", kernel_bench::CLAIM, held);
     }
     if wants("resource-profile") {
         println!("\n=== R1: resource profiler overhead (base vs profiled, best-of-N) ===");

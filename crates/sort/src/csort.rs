@@ -152,16 +152,35 @@ pub fn route_column(
         let part = exchange.part(m.owner(d));
         chunks::push_chunk_header(part, d as u64, c as u64, chunk_records * rb);
         match pass_no {
-            1 => {
-                for i in (d..m.r).step_by(m.s) {
-                    part.extend_from_slice(&data[i * rb..(i + 1) * rb]);
+            // One `extend_from_slice` a record is a call and a capacity
+            // check a record; the paper's two widths size the chunk once
+            // and copy fixed-size records.
+            1 => match rb {
+                16 => gather_strided::<16>(data, part, d, m.s),
+                64 => gather_strided::<64>(data, part, d, m.s),
+                _ => {
+                    for i in (d..m.r).step_by(m.s) {
+                        part.extend_from_slice(&data[i * rb..(i + 1) * rb]);
+                    }
                 }
-            }
+            },
             _ => {
                 let start = d * chunk_records * rb;
                 part.extend_from_slice(&data[start..start + chunk_records * rb]);
             }
         }
+    }
+}
+
+/// Append records `d`, `d + s`, `d + 2s`, … of `data` to `part` as
+/// fixed-size copies (straight-line vector moves, as `kernels::gather`'s).
+fn gather_strided<const RB: usize>(data: &[u8], part: &mut Vec<u8>, d: usize, s: usize) {
+    let recs = data.chunks_exact(RB).skip(d).step_by(s);
+    let at = part.len();
+    part.resize(at + recs.len() * RB, 0);
+    for (out, rec) in part[at..].chunks_exact_mut(RB).zip(recs) {
+        let rec: &[u8; RB] = rec.try_into().expect("record bounds");
+        out.copy_from_slice(rec);
     }
 }
 

@@ -5,12 +5,19 @@
 //! — exactly the per-element overhead the streaming literature warns about.
 //! This module concentrates those inner loops:
 //!
-//! * a cache-aware **radix sort** — one MSD scatter on the highest live
-//!   key digit, then in-cache LSD passes per bucket — with adaptive digit
-//!   skipping and a comparison fallback for small batches
-//!   ([`sort_records`]).  16-byte records are sorted whole as
-//!   `(key, payload)` register pairs; wider formats sort
-//!   `(key, original index)` permutation pairs and gather;
+//! * a **radix sort that stops when the order is decided**
+//!   ([`sort_records`]).  One read of the keys finds the bits in which any
+//!   two differ; a *level* orders a span of `n` items by the `log2 n + 3`
+//!   bits just below the highest of them (one scan fills two histograms,
+//!   then two stable counting scatters, low digit first); a *tidy-up* scan
+//!   then finds the groups of equal prefix that still hold a descent and
+//!   finishes each — by insertion when it is small, by the same level on
+//!   the bits its own keys differ in otherwise.  A group with no descent is
+//!   never looked at again, so uniform keys are done after one level
+//!   whatever the key's width.  16-byte records are sorted whole as
+//!   `(key, payload)` register pairs, read straight out of the record
+//!   bytes; wider formats sort `(key, original index)` permutation pairs
+//!   and gather;
 //! * **specialized gather loops** for the 16- and 64-byte record formats
 //!   that apply the sorted permutation with fixed-size copies the compiler
 //!   can vectorize;
@@ -29,29 +36,16 @@ use fg_core::metrics::{Counter, MetricsRegistry};
 
 use crate::record::RecordFormat;
 
-/// Below this many records the comparison sort wins: the radix kernel pays
-/// a fixed histogram scan plus up to eight scatter passes, which only
-/// amortizes once batches reach a few hundred records.
-pub const RADIX_MIN_RECORDS: usize = 256;
-
-/// Key digits (bytes) an LSD pass can sort by.
-const DIGITS: usize = 8;
-/// Buckets per digit.
-const RADIX: usize = 256;
-/// Inputs up to this many bytes sort with flat LSD passes (every scatter
-/// stays cache-resident); larger inputs take the MSD-then-in-cache-LSD
-/// hybrid, whose single full-array scatter is the only pass that pays
-/// memory latency.
-const FLAT_LSD_MAX_BYTES: usize = 4 << 20;
-
 /// Which sort kernel to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// Radix at or above [`RADIX_MIN_RECORDS`] records, comparison below.
+    /// What the programs run: the radix kernel at every size (it is ahead of
+    /// the comparison sort from 16 records up and within 0.2 µs a call below
+    /// — EXPERIMENTS.md K1 — so no threshold selects between them).
     Auto,
-    /// Force the LSD radix kernel (benches and tests).
+    /// The radix kernel by name (benches and tests).
     Radix,
-    /// Force the comparison kernel — the pre-kernel `sort_bytes` behavior.
+    /// The comparison kernel: the byte-identity oracle and K1's other arm.
     Comparison,
 }
 
@@ -60,7 +54,6 @@ pub enum Kernel {
 struct KernelCounters {
     radix_sorts: Arc<Counter>,
     comparison_sorts: Arc<Counter>,
-    passes_skipped: Arc<Counter>,
 }
 
 /// Reusable scratch for the sort kernels.
@@ -83,7 +76,9 @@ pub struct SortScratch {
     /// Ping-pong target for the whole-record radix passes.
     recs_tmp: Vec<(u64, u64)>,
     /// Auxiliary record bytes the permutation gathers into.
-    pub(crate) aux: Vec<u8>,
+    aux: Vec<u8>,
+    /// A level's two digit histograms; every level below reuses them.
+    hist: Vec<usize>,
     counters: Option<KernelCounters>,
 }
 
@@ -99,7 +94,6 @@ impl SortScratch {
             counters: Some(KernelCounters {
                 radix_sorts: registry.counter("kernel/radix_sorts"),
                 comparison_sorts: registry.counter("kernel/comparison_sorts"),
-                passes_skipped: registry.counter("kernel/radix_passes_skipped"),
             }),
             ..Self::default()
         }
@@ -139,347 +133,292 @@ pub fn sort_records_using(
     if n <= 1 {
         return;
     }
-    assert!(n - 1 <= u32::MAX as usize, "record index must fit in u32");
-    let use_radix = match kernel {
-        Kernel::Radix => true,
-        Kernel::Comparison => false,
-        Kernel::Auto => n >= RADIX_MIN_RECORDS,
-    };
-    if use_radix {
-        // The key histograms are built while the items are, fusing what
-        // would be a second full scan into the (memory-bound) build loop.
-        let mut counts = [[0u32; RADIX]; DIGITS];
-        if fmt.record_bytes == 16 {
-            // A 16-byte record is one `(key, payload)` register pair:
-            // radix-sort the records themselves (radix is stable, so the
-            // payload rides along in original order) and skip the
-            // permutation gather — its scattered reads cost as much as a
-            // whole radix pass on permutation-hostile hosts.
-            scratch.recs.clear();
-            scratch.recs.extend(bytes.chunks_exact(16).map(|r| {
-                let key = fmt.key(r);
-                count_digits(key, &mut counts);
-                let payload = u64::from_le_bytes(r[8..16].try_into().expect("payload"));
-                (key, payload)
-            }));
-            radix_sort_items(
-                &mut scratch.recs,
-                &mut scratch.recs_tmp,
-                &counts,
-                scratch.counters.as_ref(),
-            );
-            for (r, &(key, payload)) in bytes.chunks_exact_mut(16).zip(scratch.recs.iter()) {
-                fmt.set_key(r, key);
-                r[8..16].copy_from_slice(&payload.to_le_bytes());
-            }
-        } else {
-            scratch.pairs.clear();
-            scratch
-                .pairs
-                .extend(fmt.records(bytes).enumerate().map(|(i, r)| {
-                    let key = fmt.key(r);
-                    count_digits(key, &mut counts);
-                    (key, i as u32)
-                }));
-            radix_sort_items(
-                &mut scratch.pairs,
-                &mut scratch.pairs_tmp,
-                &counts,
-                scratch.counters.as_ref(),
-            );
-            apply_permutation(fmt, bytes, scratch);
-        }
-        if let Some(c) = &scratch.counters {
-            c.radix_sorts.inc();
-        }
-    } else {
+    if kernel == Kernel::Comparison {
         scratch.pairs.clear();
-        scratch.pairs.extend(
-            fmt.records(bytes)
-                .enumerate()
-                .map(|(i, r)| (fmt.key(r), i as u32)),
-        );
+        scratch.pairs.extend(index_pairs(fmt, bytes));
         // Stable by construction: the original index breaks ties.
         scratch.pairs.sort_unstable();
         if let Some(c) = &scratch.counters {
             c.comparison_sorts.inc();
         }
+        return apply_permutation(fmt, bytes, scratch);
+    }
+    if fmt.record_bytes == 16 {
+        radix_sort_rec16(bytes, scratch)
+    } else {
+        radix_sort_wide(fmt, bytes, scratch)
+    }
+    if let Some(c) = &scratch.counters {
+        c.radix_sorts.inc();
+    }
+}
+
+/// `(key, original index)` for every record of `bytes`.
+fn index_pairs(fmt: RecordFormat, bytes: &[u8]) -> impl Iterator<Item = (u64, u32)> + '_ {
+    let n = fmt.count(bytes);
+    assert!(n - 1 <= u32::MAX as usize, "record index must fit in u32");
+    fmt.records(bytes)
+        .enumerate()
+        .map(move |(i, r)| (fmt.key(r), i as u32))
+}
+
+/// A 16-byte record is one `(key, payload)` register pair: the records
+/// themselves are sorted (every step is stable, so the payload rides along
+/// in input order) and there is no permutation to gather through.  The top
+/// level's first scatter reads them straight out of `bytes`.
+fn radix_sort_rec16(bytes: &mut [u8], scratch: &mut SortScratch) {
+    let diff = key_diff(rec16_items(bytes).map(|it| it.0));
+    if diff == 0 {
+        // All keys equal: the input order is the stable order, and no
+        // scratch array has been touched.
+        return;
+    }
+    let n = bytes.len() / 16;
+    scratch.recs.resize(n, (0, 0));
+    scratch.recs_tmp.resize(n, (0, 0));
+    let (a, b) = (&mut scratch.recs[..], &mut scratch.recs_tmp[..]);
+    let level = Level::of(diff, n);
+    let hist = level.hist(&mut scratch.hist);
+    level.first_scatter(rec16_items(bytes), a, hist);
+    let (cur, other) = if level.hi_bits > 0 {
+        level.second_scatter(a, b, hist);
+        (b, a)
+    } else {
+        (a, b)
+    };
+    tidy(cur, other, level.shift, hist);
+    for (r, &(key, payload)) in bytes.chunks_exact_mut(16).zip(cur.iter()) {
+        r[..8].copy_from_slice(&key.to_le_bytes());
+        r[8..].copy_from_slice(&payload.to_le_bytes());
+    }
+}
+
+/// The records of `bytes` as `(key, payload)` items.
+fn rec16_items(bytes: &[u8]) -> impl Iterator<Item = Item<u64>> + Clone + '_ {
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
+    bytes
+        .chunks_exact(16)
+        .map(move |r| (word(&r[..8]), word(&r[8..])))
+}
+
+/// Other widths sort `(key, original index)` pairs and gather once.
+fn radix_sort_wide(fmt: RecordFormat, bytes: &mut [u8], scratch: &mut SortScratch) {
+    let (first, mut diff) = (fmt.key(bytes), 0);
+    scratch.pairs.clear();
+    let pairs = index_pairs(fmt, bytes).inspect(|&(key, _)| diff |= key ^ first);
+    scratch.pairs.extend(pairs);
+    if diff != 0 {
+        let n = scratch.pairs.len();
+        scratch.pairs_tmp.resize(n, (0, 0));
+        let hist = Level::of(diff, n).hist(&mut scratch.hist);
+        sort_span(&mut scratch.pairs, &mut scratch.pairs_tmp, diff, hist);
         apply_permutation(fmt, bytes, scratch);
     }
 }
 
-/// Bump all eight per-digit histograms for one key.
-#[inline]
-fn count_digits(key: u64, counts: &mut [[u32; RADIX]; DIGITS]) {
-    let mut x = key;
-    for row in counts.iter_mut() {
-        row[(x & 0xFF) as usize] += 1;
-        x >>= 8;
-    }
+/// An item the levels move: `(key, payload)` or `(key, original index)`.
+type Item<P> = (u64, P);
+
+/// A level orders a span of `n` items by `ilog2(n)` + this many key bits:
+/// enough that uniform keys leave one item in eight sharing a group, which
+/// is where a wider digit's scatter starts to cost more than the descents
+/// it saves the tidy-up (EXPERIMENTS.md K1).
+const LEVEL_SLACK_BITS: u32 = 3;
+/// The fewest bits a level takes (or all that differ, if fewer), so that no
+/// input is more than eight levels deep; up to this many are one digit and
+/// one scatter, more are split evenly over two.
+const ONE_DIGIT_BITS: u32 = 8;
+/// The widest digit: 4 096 write streams, and two 32 KiB histograms.
+const DIGIT_MAX_BITS: u32 = 12;
+/// Groups of at most this many items are finished by insertion: a level's
+/// fixed cost (two histograms cleared and summed) is that of inserting
+/// about this many.
+const INSERTION_MAX: usize = 24;
+
+/// The bits in which any two of `keys` differ: the OR of every key XOR
+/// the first.
+fn key_diff(mut keys: impl Iterator<Item = u64>) -> u64 {
+    let first = keys.next().unwrap_or(0);
+    keys.fold(0, |diff, k| diff | (k ^ first))
 }
 
-/// A fixed-size element the radix passes can scatter: the `(key, index)`
-/// permutation pair or the `(key, payload)` whole 16-byte record.
-trait RadixItem: Copy + Default {
-    /// Bucket sizes below this use [`RadixItem::stable_sort_small`]
-    /// instead of per-bucket LSD passes: tiny buckets don't amortize the
-    /// histogram scans.
-    const SMALL_MAX: usize;
-
-    /// The sort key.
-    fn key(self) -> u64;
-
-    /// Sort a small bucket from `src` into `dst` (equal-length scratch
-    /// slices) in **stable-by-key** order without allocating.  Each impl
-    /// must reproduce exactly the order the radix passes would produce.
-    fn stable_sort_small(src: &mut [Self], dst: &mut [Self]);
+/// The key bits one level sorts by: `lo_bits` from `shift` up and
+/// `hi_bits` (0 when one scatter does) above those, ending at the span's
+/// highest differing bit.
+#[derive(Clone, Copy)]
+struct Level {
+    shift: u32,
+    lo_bits: u32,
+    hi_bits: u32,
 }
 
-impl RadixItem for (u64, u32) {
-    const SMALL_MAX: usize = 256;
-
-    fn key(self) -> u64 {
-        self.0
-    }
-
-    fn stable_sort_small(src: &mut [Self], dst: &mut [Self]) {
-        // The original index breaks ties, so the unstable tuple sort is
-        // the stable-by-key order.
-        src.sort_unstable();
-        dst.copy_from_slice(src);
-    }
-}
-
-impl RadixItem for (u64, u64) {
-    // The merge fallback is n·log n, so it can carry buckets well past
-    // where a quadratic fallback would: per-bucket LSD only pays off once
-    // its fixed histogram cost amortizes over a few thousand records.
-    const SMALL_MAX: usize = 2048;
-
-    fn key(self) -> u64 {
-        self.0
-    }
-
-    fn stable_sort_small(src: &mut [Self], dst: &mut [Self]) {
-        // The second field is record payload, not a tiebreaker: equal keys
-        // must keep their input order, so sort by key alone with a stable
-        // bottom-up merge ping-ponging between the two scratch slices.
-        let n = src.len();
-        const BASE: usize = 16;
-        let mut start = 0;
-        while start < n {
-            let end = (start + BASE).min(n);
-            // Stable insertion sort of the base span (shift only while
-            // strictly greater).
-            let span = &mut src[start..end];
-            for i in 1..span.len() {
-                let mut j = i;
-                while j > 0 && span[j - 1].0 > span[j].0 {
-                    span.swap(j - 1, j);
-                    j -= 1;
-                }
-            }
-            start = end;
-        }
-        let mut width = BASE;
-        let mut in_src = true;
-        while width < n {
-            let (from, to): (&[Self], &mut [Self]) = if in_src {
-                (&*src, &mut *dst)
-            } else {
-                (&*dst, &mut *src)
-            };
-            merge_width_pass(from, to, width);
-            in_src = !in_src;
-            width *= 2;
-        }
-        if in_src {
-            dst.copy_from_slice(src);
-        }
-    }
-}
-
-/// One bottom-up merge round: merge each adjacent pair of sorted
-/// `width`-item spans of `from` into `to`, stably (left span wins ties).
-fn merge_width_pass<T: RadixItem>(from: &[T], to: &mut [T], width: usize) {
-    let n = from.len();
-    let mut base = 0;
-    while base < n {
-        let mid = (base + width).min(n);
-        let end = (base + 2 * width).min(n);
-        let (mut i, mut j, mut o) = (base, mid, base);
-        while i < mid && j < end {
-            if from[i].key() <= from[j].key() {
-                to[o] = from[i];
-                i += 1;
-            } else {
-                to[o] = from[j];
-                j += 1;
-            }
-            o += 1;
-        }
-        to[o..o + (mid - i)].copy_from_slice(&from[i..mid]);
-        let o = o + (mid - i);
-        to[o..o + (end - j)].copy_from_slice(&from[j..end]);
-        base = end;
-    }
-}
-
-/// Radix sort of `items` by key.  Stable: every scatter is a counting
-/// sort that preserves scan order, and the small-bucket fallback is
-/// required to reproduce the stable-by-key order — so the result is
-/// byte-identical to the comparison kernel.
-///
-/// The pass structure is cache-aware.  Inputs that fit in cache
-/// ([`FLAT_LSD_MAX_BYTES`]) take the classic flat LSD sweep — one stable
-/// counting-sort scatter per live digit, ping-ponging between the two
-/// buffers — because in-cache scatters are cheap.  Beyond that a flat
-/// sweep streams the whole array through DRAM once per digit, and on
-/// scattered-write-hostile hosts each pass costs nearly as much as the
-/// entire comparison sort.  So for large inputs:
-///
-/// 1. the caller supplies all eight byte histograms (built while the
-///    items were, fused into that scan); digits where every key shares the
-///    byte are **degenerate** (the pass would be the identity) and are
-///    skipped (counted in `kernel/radix_passes_skipped`);
-/// 2. a single **MSD scatter** on the most-significant live digit
-///    partitions the pairs into up to 256 contiguous buckets — the only
-///    pass that touches the full array;
-/// 3. each bucket (n/256 pairs in expectation, cache-resident for the
-///    multi-megarecord rounds the sorts feed) is finished **in cache**:
-///    LSD counting-sort passes over the remaining live digits, ping-ponging
-///    between the two scratch buffers' bucket slices, with a stable
-///    fallback for small buckets.
-fn radix_sort_items<T: RadixItem>(
-    items: &mut Vec<T>,
-    tmp: &mut Vec<T>,
-    counts: &[[u32; RADIX]; DIGITS],
-    counters: Option<&KernelCounters>,
-) {
-    let n = items.len();
-    let mut live = [0usize; DIGITS];
-    let mut live_n = 0usize;
-    for (digit, row) in counts.iter().enumerate() {
-        if !row.iter().any(|&c| c as usize == n) {
-            live[live_n] = digit;
-            live_n += 1;
-        }
-    }
-    if live_n < DIGITS {
-        if let Some(c) = counters {
-            c.passes_skipped.add((DIGITS - live_n) as u64);
-        }
-    }
-    if live_n == 0 {
-        // All keys equal: the original (stable) order is already sorted.
-        return;
-    }
-    tmp.clear();
-    tmp.resize(n, T::default());
-
-    // Cache-resident inputs take a flat LSD sweep: every scatter lands in
-    // cache, where it beats both the comparison sort and the MSD hybrid's
-    // per-bucket bookkeeping.
-    if n * std::mem::size_of::<T>() <= FLAT_LSD_MAX_BYTES {
-        for &digit in &live[..live_n] {
-            let mut pos = [0u32; RADIX];
-            let mut sum = 0u32;
-            for (p, &c) in pos.iter_mut().zip(counts[digit].iter()) {
-                *p = sum;
-                sum += c;
-            }
-            let shift = 8 * digit;
-            for &item in items.iter() {
-                let b = ((item.key() >> shift) & 0xFF) as usize;
-                tmp[pos[b] as usize] = item;
-                pos[b] += 1;
-            }
-            std::mem::swap(items, tmp);
-        }
-        return;
-    }
-
-    // MSD scatter on the most-significant live digit.  Digits above it are
-    // constant across all keys, so this partitions by the true high-order
-    // key bits; scan order keeps it stable.
-    let msd = live[live_n - 1];
-    let mut pos = [0u32; RADIX];
-    let mut sum = 0u32;
-    for (p, &c) in pos.iter_mut().zip(counts[msd].iter()) {
-        *p = sum;
-        sum += c;
-    }
-    let shift = 8 * msd;
-    for &item in items.iter() {
-        let b = ((item.key() >> shift) & 0xFF) as usize;
-        tmp[pos[b] as usize] = item;
-        pos[b] += 1;
-    }
-    // `pos[b]` is now the end of bucket `b`.
-
-    // Finish each bucket in cache over the remaining live digits.
-    let low_digits = &live[..live_n - 1];
-    let mut lo = 0usize;
-    for &end in pos.iter() {
-        let hi = end as usize;
-        sort_bucket(&mut tmp[lo..hi], &mut items[lo..hi], low_digits);
-        lo = hi;
-    }
-}
-
-/// Sort one MSD bucket from `src` into `dst` (equal slices of the two
-/// scratch buffers) by the given low digits, stably.  LSD counting-sort
-/// passes ping-pong between the two slices; digits degenerate *within this
-/// bucket* are skipped, and small buckets fall back to the item's stable
-/// small sort.
-fn sort_bucket<T: RadixItem>(src: &mut [T], dst: &mut [T], low_digits: &[usize]) {
-    let len = src.len();
-    if len <= 1 || low_digits.is_empty() {
-        // No live digits below the MSD means every key in this bucket is
-        // equal: the scan order is already the stable order.
-        dst.copy_from_slice(src);
-        return;
-    }
-    if len < T::SMALL_MAX {
-        T::stable_sort_small(src, dst);
-        return;
-    }
-    // Per-bucket histograms for the live low digits in one scan.
-    let mut rows = [[0u32; RADIX]; DIGITS];
-    for item in src.iter() {
-        let key = item.key();
-        for &digit in low_digits {
-            rows[digit][((key >> (8 * digit)) & 0xFF) as usize] += 1;
-        }
-    }
-    let mut cur_in_src = true;
-    for &digit in low_digits {
-        let row = &rows[digit];
-        if row.iter().any(|&c| c as usize == len) {
-            continue; // degenerate within this bucket
-        }
-        let mut pos = [0u32; RADIX];
-        let mut sum = 0u32;
-        for (p, &c) in pos.iter_mut().zip(row.iter()) {
-            *p = sum;
-            sum += c;
-        }
-        let shift = 8 * digit;
-        let (from, to): (&[T], &mut [T]) = if cur_in_src {
-            (&*src, &mut *dst)
+impl Level {
+    /// The level for a span of `n > 1` items whose keys differ in `diff`.
+    fn of(diff: u64, n: usize) -> Level {
+        let live = 64 - diff.leading_zeros();
+        let wanted = (n.ilog2() + LEVEL_SLACK_BITS).clamp(ONE_DIGIT_BITS, 2 * DIGIT_MAX_BITS);
+        let bits = live.min(wanted);
+        let lo_bits = if bits <= ONE_DIGIT_BITS {
+            bits
         } else {
-            (&*dst, &mut *src)
+            bits.div_ceil(2)
         };
-        for &item in from.iter() {
-            let b = ((item.key() >> shift) & 0xFF) as usize;
-            to[pos[b] as usize] = item;
-            pos[b] += 1;
+        Level {
+            shift: live - bits,
+            lo_bits,
+            hi_bits: bits - lo_bits,
         }
-        cur_in_src = !cur_in_src;
     }
-    if cur_in_src {
-        dst.copy_from_slice(src);
+
+    #[inline]
+    fn lo_digit(self, key: u64) -> usize {
+        ((key >> self.shift) & ((1 << self.lo_bits) - 1)) as usize
     }
+
+    #[inline]
+    fn hi_digit(self, key: u64) -> usize {
+        ((key >> (self.shift + self.lo_bits)) & ((1 << self.hi_bits) - 1)) as usize
+    }
+
+    /// `hist`, grown to hold this level's two histograms — and so those of
+    /// every level below it, which takes no more bits (its span is shorter)
+    /// and has no wider a digit unless it has just the one.
+    fn hist(self, hist: &mut Vec<usize>) -> &mut [usize] {
+        let widest = self.lo_bits.max(ONE_DIGIT_BITS);
+        hist.resize(hist.len().max(2 << widest), 0);
+        hist
+    }
+
+    /// The first half of the level over the span `src` yields: one scan
+    /// fills the level's histograms (low digit's at the front of `hist`,
+    /// high digit's behind it), then the items are scattered to `dst` by
+    /// the low digit.  The high digit's start positions stay in `hist` for
+    /// [`Level::second_scatter`].
+    #[inline]
+    fn first_scatter<P: Copy>(
+        self,
+        src: impl Iterator<Item = Item<P>> + Clone,
+        dst: &mut [Item<P>],
+        hist: &mut [usize],
+    ) {
+        let (lo, hi) = hist.split_at_mut(1 << self.lo_bits);
+        lo.fill(0);
+        if self.hi_bits > 0 {
+            let hi = &mut hi[..1 << self.hi_bits];
+            hi.fill(0);
+            for (key, _) in src.clone() {
+                lo[self.lo_digit(key)] += 1;
+                hi[self.hi_digit(key)] += 1;
+            }
+            starts(hi);
+        } else {
+            for (key, _) in src.clone() {
+                lo[self.lo_digit(key)] += 1;
+            }
+        }
+        starts(lo);
+        scatter(src, dst, lo, |k| self.lo_digit(k));
+    }
+
+    /// The second half: `src`, in low-digit order, to `dst` by the high
+    /// digit.
+    #[inline]
+    fn second_scatter<P: Copy>(self, src: &[Item<P>], dst: &mut [Item<P>], hist: &mut [usize]) {
+        let hi = &mut hist[1 << self.lo_bits..];
+        scatter(src.iter().copied(), dst, hi, |k| self.hi_digit(k));
+    }
+}
+
+/// Turn bucket counts into bucket start positions.
+fn starts(hist: &mut [usize]) {
+    let mut sum = 0;
+    for h in hist.iter_mut() {
+        sum += std::mem::replace(h, sum);
+    }
+}
+
+/// One stable counting scatter: `src`'s items to `dst`, each to the next
+/// free slot of its digit's bucket (`pos` holds the start positions).
+#[inline]
+fn scatter<P: Copy>(
+    src: impl Iterator<Item = Item<P>>,
+    dst: &mut [Item<P>],
+    pos: &mut [usize],
+    digit: impl Fn(u64) -> usize,
+) {
+    for item in src {
+        let p = &mut pos[digit(item.0)];
+        dst[*p] = item;
+        *p += 1;
+    }
+}
+
+/// Sort `cur` (whose keys differ in the bits of `diff`, not 0) stably by
+/// key, with the equally long `other` as scratch: one level, then
+/// [`tidy`].  Returns the item moves made, for the test of the work bound.
+fn sort_span<P: Copy>(
+    cur: &mut [Item<P>],
+    other: &mut [Item<P>],
+    diff: u64,
+    hist: &mut [usize],
+) -> u64 {
+    let level = Level::of(diff, cur.len());
+    level.first_scatter(cur.iter().copied(), other, hist);
+    if level.hi_bits > 0 {
+        level.second_scatter(other, cur, hist);
+    } else {
+        cur.copy_from_slice(other);
+    }
+    2 * cur.len() as u64 + tidy(cur, other, level.shift, hist)
+}
+
+/// After a level at `shift`, keys ascend across groups of equal
+/// `key >> shift`, so a descent can only sit inside a group: find each
+/// group that holds one and finish it — by stable insertion when it is
+/// small, by [`sort_span`] on the bits its keys still differ in (all below
+/// `shift`) otherwise.  A group with no descent is never looked at again.
+fn tidy<P: Copy>(
+    cur: &mut [Item<P>],
+    other: &mut [Item<P>],
+    shift: u32,
+    hist: &mut [usize],
+) -> u64 {
+    let n = cur.len();
+    let mut moves = 0;
+    let mut i = 1;
+    while i < n {
+        if cur[i - 1].0 <= cur[i].0 {
+            i += 1;
+            continue;
+        }
+        let prefix = cur[i].0 >> shift;
+        let mut lo = i - 1;
+        while lo > 0 && cur[lo - 1].0 >> shift == prefix {
+            lo -= 1;
+        }
+        let mut hi = i + 1;
+        while hi < n && cur[hi].0 >> shift == prefix {
+            hi += 1;
+        }
+        let group = &mut cur[lo..hi];
+        if group.len() <= INSERTION_MAX {
+            // Shifts only past strictly greater keys: stable.
+            for j in 1..group.len() {
+                let item = group[j];
+                let mut k = j;
+                while k > 0 && group[k - 1].0 > item.0 {
+                    group[k] = group[k - 1];
+                    k -= 1;
+                }
+                group[k] = item;
+            }
+        } else {
+            let diff = key_diff(group.iter().map(|it| it.0));
+            moves += sort_span(group, &mut other[lo..hi], diff, hist);
+        }
+        i = hi + 1;
+    }
+    moves
 }
 
 /// Apply the sorted permutation: gather records into `scratch.aux` in
@@ -617,32 +556,76 @@ mod tests {
 
     #[test]
     fn degenerate_digits_are_skipped() {
-        let reg = MetricsRegistry::new();
-        let mut scratch = SortScratch::with_registry(&reg);
-        // Keys below 256: digits 1..8 are all-zero and must be skipped.
-        let keys: Vec<u64> = (0..600).map(|i| (599 - i) % 250).collect();
+        // Keys below 256 under a shared high byte: the one level is one
+        // scatter on the eight bits that differ and leaves nothing to tidy.
+        let keys: Vec<u64> = (0..600).map(|i| (0xAB << 56) | ((599 - i) % 250)).collect();
+        let level = Level::of(key_diff(keys.iter().copied()), keys.len());
+        assert_eq!((level.shift, level.lo_bits, level.hi_bits), (0, 8, 0));
         let mut bytes = make_records(F, &keys);
-        sort_records_using(F, &mut bytes, &mut scratch, Kernel::Radix);
+        sort_records_using(F, &mut bytes, &mut SortScratch::new(), Kernel::Radix);
         assert!(F.is_sorted(&bytes));
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("kernel/radix_sorts"), Some(1));
-        assert_eq!(snap.counter("kernel/radix_passes_skipped"), Some(7));
     }
 
     #[test]
-    fn auto_threshold_picks_kernels() {
+    fn auto_is_the_radix_kernel_at_every_size() {
         let reg = MetricsRegistry::new();
         let mut scratch = SortScratch::with_registry(&reg);
-        let small: Vec<u64> = (0..(RADIX_MIN_RECORDS as u64 - 1)).rev().collect();
-        let big: Vec<u64> = (0..(RADIX_MIN_RECORDS as u64)).rev().collect();
-        let mut b1 = make_records(F, &small);
-        let mut b2 = make_records(F, &big);
-        sort_records(F, &mut b1, &mut scratch);
-        sort_records(F, &mut b2, &mut scratch);
-        assert!(F.is_sorted(&b1) && F.is_sorted(&b2));
+        for n in [2u64, 25, 3000] {
+            let mut bytes = make_records(F, &(0..n).rev().collect::<Vec<_>>());
+            sort_records(F, &mut bytes, &mut scratch);
+            assert!(F.is_sorted(&bytes));
+        }
+        sort_records_using(
+            F,
+            &mut make_records(F, &[2, 1]),
+            &mut scratch,
+            Kernel::Comparison,
+        );
         let snap = reg.snapshot();
+        assert_eq!(snap.counter("kernel/radix_sorts"), Some(3));
         assert_eq!(snap.counter("kernel/comparison_sorts"), Some(1));
-        assert_eq!(snap.counter("kernel/radix_sorts"), Some(1));
+    }
+
+    /// Every level below a group consumes at least eight of the bits that
+    /// group's keys differ in (or all that are left), so no input takes more
+    /// than eight levels of two moves an item.  The input that takes all
+    /// eight: one record each of `1 << 63`, `1 << 55`, …, `1 << 15` spread
+    /// through 28 each of `1 << 7` and 0, interleaved — short enough that a
+    /// level is eight bits wide, and each level splits off its one largest
+    /// key and leaves the rest, always more than the insertion threshold,
+    /// as one group for the next.
+    #[test]
+    fn work_is_bounded_by_eight_levels() {
+        let n = 7 + 2 * (INSERTION_MAX + 4);
+        assert!(n.ilog2() + LEVEL_SLACK_BITS <= ONE_DIGIT_BITS);
+        let key = |i: usize| match (i % 8, i / 8) {
+            (0, j @ 0..=6) => 1u64 << (63 - 8 * j),
+            (_, _) => ((i % 2) as u64) << 7,
+        };
+        let mut items: Vec<Item<u32>> = (0..n).map(|i| (key(i), i as u32)).collect();
+        let mut want = items.clone();
+        want.sort_unstable();
+        let diff = key_diff(items.iter().map(|it| it.0));
+        let mut hist = Vec::new();
+        let hist = Level::of(diff, n).hist(&mut hist);
+        let moves = sort_span(&mut items, &mut vec![(0, 0); n], diff, hist);
+        assert_eq!(items, want);
+        // Level l of the eight moves the n - l items still together, twice.
+        assert_eq!(moves, 2 * (n - 7..=n).sum::<usize>() as u64);
+        assert!(moves <= 2 * 8 * n as u64, "{moves} moves of {n} items");
+    }
+
+    #[test]
+    fn equal_keys_touch_no_ping_pong_array() {
+        let mut scratch = SortScratch::new();
+        for fmt in [RecordFormat::REC16, RecordFormat::REC64] {
+            let mut bytes = make_records(fmt, &[9; 5000]);
+            let want = bytes.clone();
+            sort_records_using(fmt, &mut bytes, &mut scratch, Kernel::Radix);
+            assert_eq!(bytes, want);
+        }
+        let (_, pairs_tmp, recs, recs_tmp, _) = scratch.capacity_fingerprint();
+        assert_eq!((pairs_tmp, recs, recs_tmp), (0, 0, 0));
     }
 
     #[test]

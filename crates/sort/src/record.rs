@@ -73,25 +73,10 @@ impl RecordFormat {
         &bytes[i * self.record_bytes..(i + 1) * self.record_bytes]
     }
 
-    /// Stable sort of the records in `bytes` by key, out of place through
-    /// `aux` (FG's auxiliary-buffer pattern: the permutation need not be
-    /// performed in place).
-    ///
-    /// Convenience wrapper over [`RecordFormat::sort_bytes_with`] that
-    /// reuses only the caller's record scratch; hot loops thread a full
-    /// [`crate::kernels::SortScratch`] instead so the permutation pairs are
-    /// reused across rounds too.
-    pub fn sort_bytes(&self, bytes: &mut [u8], aux: &mut Vec<u8>) {
-        let mut scratch = crate::kernels::SortScratch::new();
-        std::mem::swap(&mut scratch.aux, aux);
-        self.sort_bytes_with(bytes, &mut scratch);
-        std::mem::swap(&mut scratch.aux, aux);
-    }
-
     /// Stable sort of the records in `bytes` by key through the kernel
-    /// scratch: LSD radix with digit skipping for large batches, a
-    /// comparison sort below [`crate::kernels::RADIX_MIN_RECORDS`], and no
-    /// allocation once the scratch is warm.
+    /// scratch ([`crate::kernels::sort_records`]: a radix sort on the key
+    /// bits that separate the records, byte-identical to a stable comparison
+    /// sort); no allocation once the scratch is warm.
     pub fn sort_bytes_with(&self, bytes: &mut [u8], scratch: &mut crate::kernels::SortScratch) {
         crate::kernels::sort_records(*self, bytes, scratch);
     }
@@ -230,8 +215,7 @@ mod tests {
     #[test]
     fn sort_bytes_sorts_and_is_stable() {
         let mut bytes = make_records(&[5, 3, 5, 1]);
-        let mut aux = Vec::new();
-        F.sort_bytes(&mut bytes, &mut aux);
+        F.sort_bytes_with(&mut bytes, &mut crate::kernels::SortScratch::new());
         let keys: Vec<u64> = F.records(&bytes).map(|r| F.key(r)).collect();
         assert_eq!(keys, vec![1, 3, 5, 5]);
         // The two key-5 records keep original order (payload 0 before 2).

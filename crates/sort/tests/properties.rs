@@ -19,6 +19,7 @@ fn records_with_payloads(f: RecordFormat, keys: &[u64]) -> Vec<u8> {
         f.set_key(&mut bytes[i * rb..(i + 1) * rb], k);
         bytes[i * rb + 8] = i as u8;
         bytes[i * rb + 9] = (i >> 8) as u8;
+        bytes[i * rb + 10] = (i >> 16) as u8;
     }
     bytes
 }
@@ -280,7 +281,7 @@ proptest! {
         }
     }
 
-    /// sort_bytes sorts and preserves the record multiset.
+    /// sort_bytes_with sorts and preserves the record multiset.
     #[test]
     fn sort_bytes_sorts_any_records(keys in vec(any::<u64>(), 0..100)) {
         let f = RecordFormat::REC16;
@@ -290,35 +291,59 @@ proptest! {
             bytes[i * 16 + 12] = i as u8; // payload identity
         }
         let before = f.multiset_fingerprint(&bytes);
-        let mut aux = Vec::new();
-        f.sort_bytes(&mut bytes, &mut aux);
+        f.sort_bytes_with(&mut bytes, &mut SortScratch::new());
         prop_assert!(f.is_sorted(&bytes));
         prop_assert_eq!(f.multiset_fingerprint(&bytes), before);
     }
 
-    /// The radix kernel is byte-identical to the stable comparison kernel
-    /// — including duplicate-key stability via the index tiebreak — on
-    /// both record formats.  Narrow key ranges force duplicates and
-    /// degenerate (skippable) high digits.
+    /// The radix kernel is byte-identical to the stable comparison kernel —
+    /// payload order of equal keys included — on both record formats, over
+    /// what its levels can get wrong: sizes either side of the insertion
+    /// threshold (24), of the first two-digit level (64) and of a power of
+    /// two, where a level gains a bit, and far past all three; keys a level
+    /// cannot separate (a few high-bit values over many low-bit ones: four
+    /// levels deep at the largest size), keys that differ in one bit at
+    /// either end of the key, two values, one value, sorted and reversed
+    /// input, and 0 mixed with `u64::MAX`.
     #[test]
     fn radix_kernel_is_byte_identical_to_comparison(
-        keys in vec(0u64..32, 0..400),
-        wide in any::<bool>(),
+        shape in 0usize..11,
+        size_pick in 0usize..20,
+        seed in any::<u64>(),
     ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const SIZES: [usize; 15] =
+            [0, 1, 2, 3, 24, 25, 26, 63, 64, 2_047, 2_048, 2_049, 9_000, 30_000, 70_000];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = SIZES.get(size_pick).copied().unwrap_or_else(|| rng.random_range(0..400));
+        let (a, b): (u64, u64) = (rng.random(), rng.random());
+        let keys: Vec<u64> = (0..n as u64)
+            .map(|i| match shape {
+                0 => rng.random_range(0..32),
+                1 => rng.random_range(0..32u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                2 => rng.random(),
+                3 => {
+                    let bit = |rng: &mut StdRng, at: u32| rng.random_range(0..2u64) << at;
+                    bit(&mut rng, 63) | bit(&mut rng, 40) | bit(&mut rng, 20)
+                        | rng.random_range(0..1u64 << 12)
+                }
+                4 => a ^ rng.random_range(0..2u64),
+                5 => a ^ (rng.random_range(0..2u64) << 63),
+                6 => if rng.random() { a } else { b },
+                7 => a,
+                8 => i * 3,
+                9 => u64::MAX - i / 2,
+                _ => if rng.random() { 0 } else { u64::MAX },
+            })
+            .collect();
+        let mut scratch = SortScratch::new();
         for f in [RecordFormat::REC16, RecordFormat::REC64] {
-            let keys: Vec<u64> = if wide {
-                // Spread across all eight digits too.
-                keys.iter().map(|&k| k.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect()
-            } else {
-                keys.clone()
-            };
             let pristine = records_with_payloads(f, &keys);
             let mut via_radix = pristine.clone();
             let mut via_cmp = pristine;
-            let mut scratch = SortScratch::new();
             sort_records_using(f, &mut via_radix, &mut scratch, Kernel::Radix);
             sort_records_using(f, &mut via_cmp, &mut scratch, Kernel::Comparison);
-            prop_assert_eq!(&via_radix, &via_cmp);
+            prop_assert!(via_radix == via_cmp, "shape {shape}, {n} records, {f:?}");
         }
     }
 
@@ -449,16 +474,18 @@ proptest! {
     /// The exchange helper's column routing gathers, per destination node,
     /// the byte stream the stages used to build with a `run` `Vec` and a
     /// `push_chunk` per destination column — for pass 1 (transpose) and
-    /// pass 2 (untranspose), on parts that have served an earlier round.
+    /// pass 2 (untranspose), on parts that have served an earlier round, for
+    /// 16-, 64- and 24-byte records.
     #[test]
     fn route_column_matches_push_chunk_per_destination(
         nodes in 1usize..5,
         cols_per_node in 1usize..4,
         chunk_records in 1usize..5,
-        wide in any::<bool>(),
+        width in 0usize..3,
         seed in any::<u64>(),
     ) {
-        let f = if wide { RecordFormat::REC64 } else { RecordFormat::REC16 };
+        // The two fixed-size gathers and the generic loop.
+        let f = RecordFormat::new([16, 64, 24][width]).unwrap();
         let rb = f.record_bytes;
         let s = nodes * cols_per_node;
         let m = Matrix { r: s * chunk_records, s, nodes };
