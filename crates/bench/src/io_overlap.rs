@@ -69,8 +69,8 @@ pub fn check(res: &IoOverlapResult) -> Result<(), String> {
 }
 
 /// The identical loop body both arms run: stream `in` block by block,
-/// checksum it, write it to `out`, and flush at the end (the pass-end
-/// barrier that also surfaces any deferred write-behind error).
+/// checksum it, write it to `out`, and flush at the end (the durability
+/// point, which also surfaces any deferred write-behind error).
 fn stream_loop(
     disk: &dyn Disk,
     blocks: usize,

@@ -36,10 +36,16 @@ use crate::PdmError;
 ///   provisioning/verification hooks — they move bytes without charging
 ///   costs or touching the I/O counters, and they keep working after an
 ///   injected failure;
-/// * [`flush`](Disk::flush) is a write barrier: when it returns, every
-///   previously accepted write has reached the backend, and the first
-///   error of any *deferred* write is returned here (backends without
-///   deferred writes return `Ok(())`).
+/// * [`land`](Disk::land) is a write barrier: when it returns, every
+///   previously accepted write has reached the backend, so any later read
+///   sees it, and the first error of any *deferred* write is returned here.
+///   It promises no durability.
+/// * [`flush`](Disk::flush) is the same barrier and a durability point: it
+///   also forces what has landed down to the device (`sync_data` on
+///   [`OsDisk`](crate::OsDisk)); backends with nothing to force return
+///   `Ok(())`.
+///
+/// A pass ends at `land` and a run at `flush`.
 pub trait Disk: Send + Sync {
     /// Write `data` at byte `offset` of `name`, creating and growing the
     /// file (zero-filled) as needed.
@@ -76,6 +82,14 @@ pub trait Disk: Send + Sync {
     /// backend, surfacing the first deferred-write error.
     fn flush(&self) -> Result<(), PdmError> {
         Ok(())
+    }
+    /// The barrier of [`flush`](Disk::flush) without its durability: every
+    /// accepted write has reached the backend and the first deferred-write
+    /// error surfaces, but nothing is forced to the device.  The default is
+    /// `flush` itself, so a wrapper that does not forward `land` gets the
+    /// stronger barrier, never a weaker one.
+    fn land(&self) -> Result<(), PdmError> {
+        self.flush()
     }
     /// Hint that `name` will grow to about `bytes` in total, so a backend
     /// that pays for growing a file piecemeal can make room once.  Never

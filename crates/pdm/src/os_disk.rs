@@ -13,6 +13,12 @@
 //! EOF leave a hole that reads back zero-filled (the file grows sparse),
 //! `read_at` past EOF is [`PdmError::OutOfRange`], `load`/`snapshot` are
 //! cost-free provisioning hooks.
+//!
+//! [`land`](Disk::land) is free: a returned `pwrite` is in the page cache,
+//! which serves every later read.  [`flush`](Disk::flush) is the durability
+//! point, a `sync_data` of every file this handle has open — so a file
+//! deleted before the run's one `flush` is never forced to the device, and
+//! the kernel may drop its dirty pages unwritten.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -134,7 +140,7 @@ impl OsDisk {
             Ok(md) if md.is_file() => {}
             _ => return Ok(None),
         }
-        self.open_entry(name)
+        self.open_entry(name, false)
     }
 
     /// The cached entry for `name`, creating the backing file if needed.
@@ -143,21 +149,28 @@ impl OsDisk {
             return Ok(Arc::clone(e));
         }
         check_name(name)?;
-        Ok(self.open_entry(name)?.expect("created"))
+        Ok(self.open_entry(name, true)?.expect("created"))
     }
 
-    fn open_entry(&self, name: &str) -> Result<Option<Arc<Entry>>, PdmError> {
+    /// Open `name` under the map's lock, creating it only when asked: a
+    /// reader racing a [`delete`](Disk::delete) finds no file, and never
+    /// brings an empty one back.
+    fn open_entry(&self, name: &str, create: bool) -> Result<Option<Arc<Entry>>, PdmError> {
         let mut files = self.files.write();
         if let Some(e) = files.get(name) {
             return Ok(Some(Arc::clone(e)));
         }
-        let file = OpenOptions::new()
+        let opened = OpenOptions::new()
             .read(true)
             .write(true)
-            .create(true)
+            .create(create)
             .truncate(false)
-            .open(self.path_of(name))
-            .map_err(|e| io_err("open", name, e))?;
+            .open(self.path_of(name));
+        let file = match opened {
+            Ok(file) => file,
+            Err(e) if !create && e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(io_err("open", name, e)),
+        };
         let len = file.metadata().map_err(|e| io_err("stat", name, e))?.len();
         let entry = Arc::new(Entry {
             file,
@@ -325,7 +338,10 @@ impl Disk for OsDisk {
     }
 
     fn delete(&self, name: &str) -> bool {
-        let cached = self.files.write().remove(name).is_some();
+        // The map stays locked until the file is gone, so no reader can
+        // open it in between.
+        let mut files = self.files.write();
+        let cached = files.remove(name).is_some();
         let removed = fs::remove_file(self.path_of(name)).is_ok();
         cached || removed
     }
@@ -350,6 +366,12 @@ impl Disk for OsDisk {
 
     fn fail_after_ops(&self, ops: u64) {
         OsDisk::fail_after_ops(self, ops)
+    }
+
+    /// A `pwrite` that returned is in the kernel, where every later read
+    /// sees it: there is nothing to wait for.
+    fn land(&self) -> Result<(), PdmError> {
+        Ok(())
     }
 
     /// Durability barrier: force completed writes down to the device.

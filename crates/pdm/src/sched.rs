@@ -21,7 +21,8 @@
 //!   accepts one write of any size, so a single larger write raises the
 //!   bound to its own size for as long as it is held).  The first failed
 //!   deferred write is remembered and surfaces at the next
-//!   [`flush`](Disk::flush) — the pass-end barrier every pipeline runs.
+//!   [`land`](Disk::land) — the pass-end barrier every pipeline runs — or
+//!   [`flush`](Disk::flush), which is `land` plus the backend's own `flush`.
 //! * **Read-ahead** — every `read_at` predicts the next sequential reads
 //!   (`offset + k·len` for `k = 1..=depth`) and queues them for the I/O
 //!   thread, which reads each into a recycled block buffer while the stage
@@ -187,7 +188,7 @@ struct State {
     fetched: HashMap<Key, Vec<u8>>,
     /// Block buffers between uses.
     spare: Vec<Vec<u8>>,
-    /// First deferred-write error; surfaced at `flush`.
+    /// First deferred-write error; surfaced at `land` or `flush`.
     first_error: Option<PdmError>,
     shutdown: bool,
 }
@@ -311,6 +312,16 @@ impl Shared {
             self.idle_cv.wait(&mut st);
         }
         st
+    }
+
+    /// The barrier `land` and `flush` share: wait until every staged write
+    /// has reached the backend, then hand over (and clear) the first error
+    /// any of them met.
+    fn drain(&self) -> Result<(), PdmError> {
+        match self.wait_all_drained().first_error.take() {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
     }
 
     /// `name` is about to be replaced or removed behind the scheduler's
@@ -770,12 +781,14 @@ impl Disk for IoScheduler {
         self.shared.inner.reserve(name, bytes)
     }
 
+    fn land(&self) -> Result<(), PdmError> {
+        self.shared.drain()?;
+        self.shared.inner.land()
+    }
+
     fn flush(&self) -> Result<(), PdmError> {
-        let first_error = self.shared.wait_all_drained().first_error.take();
-        match first_error {
-            Some(e) => Err(e),
-            None => self.shared.inner.flush(),
-        }
+        self.shared.drain()?;
+        self.shared.inner.flush()
     }
 }
 
@@ -958,11 +971,91 @@ mod tests {
 
     #[test]
     fn read_after_write_sees_data_without_flush() {
-        let (_inner, s) = sched(2);
+        let (inner, s) = sched(2);
         s.write_at("f", 0, &[1, 2, 3, 4]).unwrap();
         let mut out = [0u8; 4];
         s.read_at("f", 0, &mut out).unwrap();
         assert_eq!(out, [1, 2, 3, 4]);
+        // After `land` the backend itself holds what was written.
+        s.write_at("f", 4, &[5]).unwrap();
+        s.land().unwrap();
+        assert_eq!(inner.snapshot("f").unwrap(), [1, 2, 3, 4, 5]);
+    }
+
+    /// A backend that counts the barriers asked of it.
+    struct Barriers {
+        inner: Arc<SimDisk>,
+        lands: AtomicUsize,
+        flushes: AtomicUsize,
+    }
+
+    impl Disk for Barriers {
+        fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<(), PdmError> {
+            self.inner.write_at(name, offset, data)
+        }
+        fn append(&self, name: &str, data: &[u8]) -> Result<u64, PdmError> {
+            self.inner.append(name, data)
+        }
+        fn read_at(&self, name: &str, offset: u64, out: &mut [u8]) -> Result<(), PdmError> {
+            self.inner.read_at(name, offset, out)
+        }
+        fn read_up_to(&self, name: &str, offset: u64, len: usize) -> Result<Vec<u8>, PdmError> {
+            self.inner.read_up_to(name, offset, len)
+        }
+        fn load(&self, name: &str, bytes: Vec<u8>) {
+            self.inner.load(name, bytes)
+        }
+        fn snapshot(&self, name: &str) -> Option<Vec<u8>> {
+            self.inner.snapshot(name)
+        }
+        fn len(&self, name: &str) -> Option<u64> {
+            self.inner.len(name)
+        }
+        fn exists(&self, name: &str) -> bool {
+            self.inner.exists(name)
+        }
+        fn delete(&self, name: &str) -> bool {
+            self.inner.delete(name)
+        }
+        fn list(&self) -> Vec<String> {
+            self.inner.list()
+        }
+        fn stats(&self) -> DiskStats {
+            self.inner.stats()
+        }
+        fn reset_stats(&self) {
+            self.inner.reset_stats()
+        }
+        fn fail_after_ops(&self, ops: u64) {
+            self.inner.fail_after_ops(ops)
+        }
+        fn land(&self) -> Result<(), PdmError> {
+            self.lands.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        }
+        fn flush(&self) -> Result<(), PdmError> {
+            self.flushes.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        }
+    }
+
+    /// `land` asks its backend to land, never to flush, so a pass end costs
+    /// the backend no durability; `flush` asks for the durability point.
+    #[test]
+    fn land_forwards_land_and_flush_forwards_flush() {
+        let backend = Arc::new(Barriers {
+            inner: SimDisk::new(DiskCfg::zero()),
+            lands: AtomicUsize::new(0),
+            flushes: AtomicUsize::new(0),
+        });
+        let s = IoScheduler::new(backend.clone() as DiskRef, 1).unwrap();
+        s.write_at("f", 0, &[1]).unwrap();
+        s.land().unwrap();
+        assert_eq!(backend.inner.snapshot("f").unwrap(), [1]);
+        let count = |n: &AtomicUsize| n.load(Ordering::Relaxed);
+        assert_eq!((count(&backend.lands), count(&backend.flushes)), (1, 0));
+        s.flush().unwrap();
+        assert_eq!((count(&backend.lands), count(&backend.flushes)), (1, 1));
     }
 
     #[test]
@@ -1036,13 +1129,17 @@ mod tests {
 
     #[test]
     fn deferred_write_error_surfaces_at_flush() {
-        let (inner, s) = sched(1);
-        inner.fail_after_ops(0);
-        // Accepted immediately; the failure is the backend's to report.
-        s.write_at("f", 0, &[1]).unwrap();
-        assert_eq!(s.flush(), Err(PdmError::DiskFailed));
-        // The error is consumed: the next pass starts clean.
-        assert_eq!(s.flush(), Ok(()));
+        type Barrier = fn(&IoScheduler) -> Result<(), PdmError>;
+        let barriers: [Barrier; 2] = [|s| s.land(), |s| s.flush()];
+        for barrier in barriers {
+            let (inner, s) = sched(1);
+            inner.fail_after_ops(0);
+            // Accepted immediately; the failure is the backend's to report.
+            s.write_at("f", 0, &[1]).unwrap();
+            assert_eq!(barrier(&s), Err(PdmError::DiskFailed));
+            // The error is consumed: the next pass starts clean.
+            assert_eq!(barrier(&s), Ok(()));
+        }
     }
 
     #[test]

@@ -55,6 +55,7 @@ enum Op {
         file: bool,
         data: Vec<u8>,
     },
+    Land,
     Flush,
 }
 
@@ -89,6 +90,7 @@ fn op() -> impl Strategy<Value = Op> {
         file().prop_map(|file| Op::Len { file }),
         file().prop_map(|file| Op::Delete { file }),
         (file(), vec(any::<u8>(), 0..96)).prop_map(|(file, data)| Op::Load { file, data }),
+        Just(Op::Land),
         Just(Op::Flush),
     ]
 }
@@ -133,6 +135,7 @@ fn apply(disk: &dyn Disk, op: &Op, cursors: &mut [u64; 2]) -> Outcome {
             disk.load(name(*file), data.clone());
             Outcome::Unit(Ok(()))
         }
+        Op::Land => Outcome::Unit(disk.land()),
         Op::Flush => Outcome::Unit(disk.flush()),
     }
 }
@@ -184,7 +187,7 @@ proptest! {
 
     /// Model-based: whatever the sequence — adjacent, overlapping and
     /// out-of-order writes, appends, reads that hit, miss or fail, `len`,
-    /// `delete`, `load`, `flush` — the scheduler returns what a bare
+    /// `delete`, `load`, `land`, `flush` — the scheduler returns what a bare
     /// `SimDisk` returns at every step and leaves the same files.
     #[test]
     fn scheduler_over_simdisk_matches_a_bare_simdisk(

@@ -357,14 +357,14 @@ fn print_phases(phases: &Phases) {
     }
 }
 
-/// Node 0's FG reports with the phase each belongs to (a phase without an
-/// FG program — sampling — comes before the passes).
+/// Node 0's FG reports with the phase each belongs to: the passes, one FG
+/// program each, by name (`sampling` and `sync` run none).
 fn passes<'a>(
     phases: &'a Phases,
     reports: &'a [fg_core::Report],
 ) -> impl Iterator<Item = (&'static str, &'a fg_core::Report)> {
-    let first = phases.len() - reports.len();
-    phases[first..].iter().map(|p| p.0).zip(reports)
+    let passes = phases.iter().map(|p| p.0).filter(|n| n.starts_with("pass"));
+    passes.zip(reports)
 }
 
 /// What only dsort has to say; returns node 0's reports, its communicator's

@@ -50,7 +50,7 @@ pub const M2_FILE: &str = "csort_m2";
 pub struct ColumnsortReport<const N: usize> {
     /// Max-across-nodes wall time of each pass.
     pub pass: [Duration; N],
-    /// Total wall time (sum of passes).
+    /// Total wall time (sum of every phase, `sync` included).
     pub total: Duration,
     /// Per-node disk stats accumulated over the whole run.
     pub disk_stats: Vec<DiskStats>,
@@ -58,7 +58,8 @@ pub struct ColumnsortReport<const N: usize> {
     pub bytes_sent: Vec<u64>,
     /// The matrix geometry used.
     pub matrix: Matrix,
-    /// `(phase, max-across-nodes wall time)` in run order: `pass` by name.
+    /// `(phase, max-across-nodes wall time)` in run order: `pass` by name,
+    /// then `sync`.
     pub phases: Vec<(&'static str, Duration)>,
     /// Node 0's FG report for each pass.
     pub node0_reports: Vec<fg_core::Report>,
@@ -87,10 +88,9 @@ pub(crate) fn run_columnsort<const N: usize>(
     cfg.validate()?; // `Matrix::choose` divides by the node count
     let matrix = Matrix::choose(cfg.total_records(), cfg.nodes)?;
     let mut run = driver::launch(cfg, disks, move |node| passes(node, matrix))?;
-    let pass = run.times();
     Ok(ColumnsortReport {
-        pass,
-        total: pass.iter().sum(),
+        pass: run.times(),
+        total: run.phases.iter().map(|p| p.1).sum(),
         matrix,
         node0_reports: run.take_node0_reports(),
         phases: run.phases,
@@ -267,6 +267,9 @@ pub(crate) fn pass12(pass_no: u8, node: &mut Node, m: Matrix) -> Result<(), Sort
         &[read, sort, communicate, permute, write],
     )?;
     node.run(prog)?;
+    if pass_no == 2 {
+        node.disk.delete(M1_FILE); // its last reader
+    }
     Ok(())
 }
 
@@ -298,6 +301,7 @@ fn pass3(node: &mut Node, m: Matrix) -> Result<(), SortError> {
         &[read, sort, exchange, merge, stripe, write],
     )?;
     node.run(prog)?;
+    node.disk.delete(M2_FILE); // its last reader
     Ok(())
 }
 

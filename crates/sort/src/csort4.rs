@@ -99,6 +99,7 @@ fn pass3_shift(node: &mut Node, m: Matrix) -> Result<(), SortError> {
         &[read, sort, shift, write],
     )?;
     node.run(prog)?;
+    node.disk.delete(M2_FILE); // its last reader
     Ok(())
 }
 
@@ -125,5 +126,6 @@ fn pass4_unshift(node: &mut Node, m: Matrix) -> Result<(), SortError> {
         &[read, sort, stripe, write],
     )?;
     node.run(prog)?;
+    node.disk.delete(M3_FILE); // its last reader
     Ok(())
 }

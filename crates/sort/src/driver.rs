@@ -5,8 +5,12 @@
 //! config, communicator and disk, and the only way to make
 //! ([`Node::program`]), run ([`Node::run`]) and time ([`Node::phase`]) an FG
 //! program.  A program is then a list of phases over one `Node`, and every
-//! program is instrumented, flushed, timed and reported the same way because
+//! program is instrumented, landed, timed and reported the same way because
 //! there is no second way to do any of it.
+//! A pass ends when its writes have landed ([`Node::run`]); a run ends
+//! durable, each rank's disk flushed once in a last phase named `sync`; and
+//! a scratch file is deleted by the pass that reads it last, so it is never
+//! made durable at all.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -67,13 +71,13 @@ impl Node {
         prog
     }
 
-    /// Run `prog`, then flush the disk: the next phase — or the caller —
-    /// reads what this one wrote, so any write-behind must land, and surface
-    /// its deferred errors, here.  The report joins the ones the run
-    /// returns; the pass may read it first.
+    /// Run `prog`, then land the disk's writes: the next phase reads what
+    /// this one wrote, so any write-behind must land, and surface its
+    /// deferred errors, here.  The report joins the ones the run returns;
+    /// the pass may read it first.
     pub fn run(&mut self, prog: Program) -> Result<&Report, SortError> {
         let report = prog.run()?;
-        self.disk.flush()?;
+        self.disk.land()?;
         self.reports.push(report);
         Ok(self.reports.last().expect("just pushed"))
     }
@@ -100,14 +104,14 @@ pub struct RankOut<T> {
     pub out: T,
     /// The report of every FG program the rank ran, in order.
     pub reports: Vec<Report>,
-    /// The node function's wall time.
+    /// The rank's wall time, its `sync` included.
     pub wall: Duration,
 }
 
 /// A finished run.
 #[derive(Debug)]
 pub struct Run<T> {
-    /// `(phase, wall time of its slowest rank)`, in the order the phases ran.
+    /// `(phase, wall time of its slowest rank)`, in run order; `sync` last.
     pub phases: Vec<(&'static str, Duration)>,
     /// Per rank: result, FG reports, wall time.
     pub ranks: Vec<RankOut<T>>,
@@ -189,6 +193,7 @@ pub fn launch_observed<T: Send + 'static>(
             reports: Vec::new(),
         };
         let out = node_fn(&mut node)?;
+        node.phase("sync", |node| Ok(node.disk.flush()?))?;
         let rank_out = RankOut {
             out,
             reports: node.reports,

@@ -69,14 +69,14 @@ pub struct DsortReport {
     /// [`fg_core::diagnose_cluster`] for straggler/skew analysis.
     pub cluster: Option<ClusterReport>,
     /// `(phase, max-across-nodes wall time)` in run order: `sampling`,
-    /// `pass1` and `pass2` by name.
+    /// `pass1` and `pass2` by name, then `sync`.
     pub phases: Vec<(&'static str, Duration)>,
 }
 
 impl DsortReport {
-    /// Total wall time (sampling + both passes).
+    /// Total wall time: every phase, `sync` included.
     pub fn total(&self) -> Duration {
-        self.sampling + self.pass1 + self.pass2
+        self.phases.iter().map(|p| p.1).sum()
     }
 }
 

@@ -257,5 +257,7 @@ pub fn pass2(
         PipelineCfg::new("recv", cfg.pipeline_buffers, recv_buf).rounds(Rounds::UntilStopped),
         &[receive, write],
     )?;
-    Ok(node.run(prog)?.threads_spawned)
+    let threads = node.run(prog)?.threads_spawned;
+    node.disk.delete(RUNS_FILE); // its last reader
+    Ok(threads)
 }

@@ -52,16 +52,16 @@ pub struct DsortLinearReport {
     /// Max-across-nodes wall time of pass 2.
     pub pass2: Duration,
     /// `(phase, max-across-nodes wall time)` in run order: the three above
-    /// by name.
+    /// by name, then `sync`.
     pub phases: Vec<(&'static str, Duration)>,
     /// Node 0's FG report for each pass.
     pub node0_reports: Vec<fg_core::Report>,
 }
 
 impl DsortLinearReport {
-    /// Total wall time.
+    /// Total wall time: every phase, `sync` included.
     pub fn total(&self) -> Duration {
-        self.sampling + self.pass1 + self.pass2
+        self.phases.iter().map(|p| p.1).sum()
     }
 }
 
@@ -241,5 +241,6 @@ fn pass2_linear(node: &mut Node, run_lens: &[u64], partitions: &[u64]) -> Result
         &[mergeread, exchange, write],
     )?;
     node.run(prog)?;
+    node.disk.delete(RUNS_FILE); // its last reader
     Ok(())
 }

@@ -89,16 +89,20 @@ fn dsort_cfg(records_per_node: usize) -> fg_sort::config::SortConfig {
 const DSORT_TAGS: [&str; 2] = ["send", "receive"];
 
 /// One verified dsort of `records_per_node` records on four nodes; returns
-/// what each of [`DSORT_TAGS`] allocated over both passes.
-fn dsort_stage_allocations(records_per_node: usize) -> [u64; 2] {
+/// what each of [`DSORT_TAGS`] allocated over both passes, and the bytes of
+/// every payload the fabric can hold (each node's population, at the size
+/// every payload is made).
+fn dsort_stage_allocations(records_per_node: usize) -> ([u64; 2], u64) {
     use fg_sort::verify::{verify_output, Strictness};
     let cfg = dsort_cfg(records_per_node);
     let disks = fg_sort::input::provision(&cfg);
     let before = DSORT_TAGS.map(tag_bytes);
-    fg_sort::dsort::run_dsort(&cfg, &disks).expect("dsort run");
+    let report = fg_sort::dsort::run_dsort(&cfg, &disks).expect("dsort run");
     let after = DSORT_TAGS.map(tag_bytes);
     verify_output(&cfg, &disks, Strictness::Fingerprint).expect("dsort output");
-    std::array::from_fn(|i| after[i] - before[i])
+    let payloads: usize = report.payloads.iter().map(|p| p.population).sum();
+    let fabric = (payloads * fg_sort::stages::payload_bytes(&cfg)) as u64;
+    (std::array::from_fn(|i| after[i] - before[i]), fabric)
 }
 
 /// dsort's data path circulates a fixed set of buffers: what its send and
@@ -116,16 +120,19 @@ fn dsort_data_path_allocations_do_not_grow_with_the_input() {
     assert!(fg_core::alloc::installed());
     assert_eq!(run_len(&dsort_cfg(16 << 10)), 16 << 10);
     assert_eq!(run_len(&dsort_cfg(128 << 10)), 128 << 10);
-    let small = dsort_stage_allocations(16 << 10); // 256 KiB a node
-    let large = dsort_stage_allocations(128 << 10); // 2 MiB a node
+    let (small, _) = dsort_stage_allocations(16 << 10); // 256 KiB a node
+    let (large, fabric) = dsort_stage_allocations(128 << 10); // 2 MiB a node
     for (tag, (small, large)) in DSORT_TAGS.into_iter().zip(small.into_iter().zip(large)) {
         assert!(large < 1 << 20, "{tag}: {large} B allocated");
         // 7 MiB more input; a stage that allocated per round would need
-        // hundreds of KiB more.  The slack covers payloads and mailbox
-        // slots the smaller run happened not to need.
+        // hundreds of KiB more.  The payloads are made on first demand, so
+        // how many of them a run draws depends on load, not on input: `send`
+        // is held to all the fabric can hold.  The slack covers mailbox
+        // slots and markers.
+        let bound = if tag == "send" { fabric } else { small } + (64 << 10);
         assert!(
-            large <= small + (64 << 10),
-            "{tag}: {small} B for 1 MiB of input, {large} B for 8 MiB"
+            small.max(large) <= bound,
+            "{tag}: {small} B for 1 MiB of input, {large} B for 8 MiB, bound {bound} B"
         );
     }
 }

@@ -34,7 +34,7 @@ fn phases(text: &str) -> Vec<&str> {
 
 #[test]
 fn every_program_prints_its_phases_and_a_total_from_one_shape() {
-    let two = ["sampling", "pass 1", "pass 2", "total"];
+    let two = ["sampling", "pass 1", "pass 2", "sync", "total"];
     assert_eq!(phases(&sorted("dsort-linear", "")), two);
     let dsort = sorted("dsort", "");
     assert_eq!(phases(&dsort), two);
@@ -43,11 +43,14 @@ fn every_program_prints_its_phases_and_a_total_from_one_shape() {
         "{dsort}"
     );
     let csort = sorted("csort", "");
-    assert_eq!(phases(&csort), ["pass 1", "pass 2", "pass 3", "total"]);
+    assert_eq!(
+        phases(&csort),
+        ["pass 1", "pass 2", "pass 3", "sync", "total"]
+    );
     assert!(csort.contains("matrix: r = "), "{csort}");
     assert_eq!(
         phases(&sorted("csort4", "")),
-        ["pass 1", "pass 2", "pass 3", "pass 4", "total"]
+        ["pass 1", "pass 2", "pass 3", "pass 4", "sync", "total"]
     );
 }
 

@@ -544,7 +544,7 @@ struct PassTraffic {
 
 /// dsort's phases run by hand over the driver, so that a node can read its
 /// own traffic counters on either side of each pass: a pass is its program
-/// and a flush, no collective, and its `DONE` markers — one byte to every
+/// and a `land`, no collective, and its `DONE` markers — one byte to every
 /// peer — are taken off.
 fn dsort_traffic(cfg: &SortConfig) -> Vec<PassTraffic> {
     use fg_sort::dsort::{pass1, pass2, plan, sampling};

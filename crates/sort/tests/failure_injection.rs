@@ -19,7 +19,7 @@ use fg_sort::SortError;
 
 /// Run `case` on the in-memory disks bare, and on both backends behind an
 /// I/O scheduler of depth 4 — where a dead disk fails reads at once but
-/// write-behind reports it only at the pass-end flush, and writers may be
+/// write-behind reports it only at the pass-end `land`, and writers may be
 /// parked on a full staging buffer when it dies.
 fn on_every_backend(cfg: &SortConfig, case: impl Fn(&str, &SortConfig)) {
     case("sim", cfg);
@@ -236,8 +236,9 @@ fn csort4_surfaces_disk_failure_in_every_pass() {
 }
 
 /// The driver's own contract, on a program of three sleeping phases: they
-/// run in declaration order on every rank, a phase's time is its slowest
-/// rank's, and `Communicator::timed` hands every rank the same maximum.
+/// run in declaration order on every rank, the driver's `sync` after them, a
+/// phase's time is its slowest rank's, and `Communicator::timed` hands every
+/// rank the same maximum.
 #[test]
 fn driver_runs_phases_in_order_and_times_them_alike_on_every_rank() {
     use std::time::Duration;
@@ -261,10 +262,11 @@ fn driver_runs_phases_in_order_and_times_them_alike_on_every_rank() {
         Ok((order, timed.1))
     })
     .expect("three phases of sleep");
-    assert_eq!(run.phases.iter().map(|p| p.0).collect::<Vec<_>>(), PHASES);
+    let names: Vec<_> = run.phases.iter().map(|p| p.0).collect();
+    assert_eq!(names, [&PHASES[..], &["sync"]].concat());
     let slowest = Duration::from_millis(5 * 3);
     assert!(
-        run.phases.iter().all(|p| p.1 >= slowest),
+        run.phases[..PHASES.len()].iter().all(|p| p.1 >= slowest),
         "{:?}",
         run.phases
     );
