@@ -2,7 +2,7 @@
 //! `land`, a run at one `flush` a node after its last pass, and a scratch
 //! file is gone once its last reader has run.  A counting wrapper between
 //! each program and its disks sees every barrier, on in-memory disks and on
-//! real files behind the I/O scheduler.
+//! real files.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -149,8 +149,7 @@ fn programs() -> [(&'static str, Run, usize, &'static str); 5] {
     ]
 }
 
-/// `case` on bare in-memory disks, then on real files behind a scheduler of
-/// depth 4.
+/// `case` on in-memory disks, then on real files.
 fn on_sim_and_os(case: impl Fn(&str, &SortConfig)) {
     let mut cfg = SortConfig::test_default(4, 4096);
     cfg.watchdog = Some(Duration::from_secs(30));
@@ -159,8 +158,7 @@ fn on_sim_and_os(case: impl Fn(&str, &SortConfig)) {
     cfg.backend = DiskBackend::Os {
         dir: scratch.path().to_path_buf(),
     };
-    cfg.io_depth = 4;
-    case("os --io-depth 4", &cfg);
+    case("os", &cfg);
 }
 
 /// Run `program` on a helper thread over every node's disk wrapped, node 1's

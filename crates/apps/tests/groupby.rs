@@ -134,6 +134,35 @@ fn groupby_publishes_stage_rounds_into_the_configs_registry() {
     assert_eq!(report.node0_reports.len(), 1, "one FG report a pass");
 }
 
+/// A group-by reads and writes its disks directly, whatever `io_depth`
+/// says: on real files with a registry, the disks publish their own
+/// counters and no I/O scheduler's `disk/*/prefetch_*` counters or
+/// `disk/*/writeback_queue_depth` gauge.
+#[test]
+fn groupby_runs_on_the_bare_backend() {
+    let scratch = fg_pdm::ScratchDir::new("groupby-bare").expect("scratch directory");
+    let mut cfg = SortConfig::test_default(4, 4096);
+    cfg.backend = fg_sort::config::DiskBackend::Os {
+        dir: scratch.path().to_path_buf(),
+    };
+    cfg.io_depth = 4;
+    let registry = std::sync::Arc::new(fg_core::MetricsRegistry::new());
+    cfg.metrics = Some(std::sync::Arc::clone(&registry));
+    let disks = fg_sort::input::provision_with_metrics(&cfg, &registry);
+    run_groupby(&cfg, &disks).expect("groupby run");
+
+    let metrics = registry.snapshot();
+    assert!(metrics.counter("disk/d0/bytes_read") > Some(0));
+    let counters = metrics.counters.iter().map(|c| &c.0);
+    let gauges = metrics.gauges.iter().map(|g| &g.0);
+    let found: Vec<_> = counters
+        .filter(|n| n.contains("/prefetch_"))
+        .chain(gauges.filter(|n| n.ends_with("/writeback_queue_depth")))
+        .filter(|n| n.starts_with("disk/"))
+        .collect();
+    assert!(found.is_empty(), "{found:?}");
+}
+
 /// A disk whose third `read_at` takes a second.
 struct StallingDisk {
     inner: fg_pdm::DiskRef,
@@ -238,8 +267,8 @@ fn groupby_surfaces_disk_failure() {
 /// no payload ever fills: every node keeps one open for the key's owner from
 /// its first block to the end of its stream.  With uniform keys payloads are
 /// open, queued and in flight to every node.  The owner's disk dies early,
-/// midway and late in its pass — bare, and behind the I/O scheduler on both
-/// backends — and every rank ends in the disk's error, never a hang.
+/// midway and late in its pass, on in-memory disks and on real files, and
+/// every rank ends in the disk's error, never a hang.
 #[test]
 fn groupby_owner_death_finds_senders_holding_payloads_half_full() {
     use fg_sort::config::DiskBackend;
@@ -251,15 +280,9 @@ fn groupby_owner_death_finds_senders_holding_payloads_half_full() {
         let owner = owner_of(key, cfg.nodes);
         let scratch = fg_pdm::ScratchDir::new("groupby-failure").expect("scratch directory");
         let dir = scratch.path().to_path_buf();
-        let mut scheduled = cfg.clone();
-        scheduled.io_depth = 4;
-        let mut on_files = scheduled.clone();
+        let mut on_files = cfg.clone();
         on_files.backend = DiskBackend::Os { dir: dir.clone() };
-        for (backend, cfg) in [
-            ("sim", &cfg),
-            ("sim behind the scheduler", &scheduled),
-            ("os behind the scheduler", &on_files),
-        ] {
+        for (backend, cfg) in [("sim", &cfg), ("os", &on_files)] {
             for ops in [2, 20, 60] {
                 let disks = provision(cfg);
                 disks[owner].fail_after_ops(ops);

@@ -6,9 +6,9 @@
 //! through an [`IoScheduler`] (read-ahead prefetches the next blocks while
 //! the caller computes; write-behind queues the output and coalesces
 //! adjacent blocks into larger backend writes).  The loop body is
-//! *identical* in both arms — the scheduler alone earns the overlap, which
-//! is exactly the claim the `--io-depth` flag makes for the sort
-//! pipelines.
+//! *identical* in both arms — the scheduler alone earns the overlap.  The
+//! sort programs do not use one: their read stages' pools are their
+//! read-ahead (DESIGN.md §6).
 //!
 //! Both arms run the *durable* [`OsDisk`] mode (`sync_data` after every
 //! write): each completed write has reached the device, and each write

@@ -220,7 +220,7 @@ pub(crate) const DOMINANT_FRAC: f64 = 0.5;
 
 /// A pool's queue empty in more than this fraction of samples marks a dry
 /// pool.
-pub(crate) const PINNED_FRAC: f64 = 0.5;
+pub const PINNED_FRAC: f64 = 0.5;
 
 /// Below this overlap efficiency the pipeline is leaving the bottleneck
 /// idle — time is going somewhere other than the limiting stage.
@@ -542,8 +542,8 @@ pub fn diagnose(report: &Report, series: &[TimestampedSnapshot]) -> Diagnosis {
             recommendations.push(format!(
                 "disk read-ahead hit rate is {:.0}% ({} of {} reads went cold to the \
                  backend): the prefetcher is not staying ahead of the read stream — \
-                 raise the I/O scheduler depth (`--io-depth`) or check that reads are \
-                 sequential within each file",
+                 raise the I/O scheduler depth (`IoScheduler::set_depth`) or check \
+                 that reads are sequential within each file",
                 p.hit_rate() * 100.0,
                 p.misses,
                 p.hits + p.misses
@@ -1697,7 +1697,7 @@ mod tests {
         assert!(d
             .recommendations
             .iter()
-            .any(|r| r.contains("read-ahead hit rate") && r.contains("--io-depth")));
+            .any(|r| r.contains("read-ahead hit rate") && r.contains("set_depth")));
         assert!(d.render().contains("disk read-ahead: 15% hit rate"));
     }
 
@@ -1706,7 +1706,7 @@ mod tests {
         let d = diagnose(&report_with_prefetch(&[(9, 1), (10, 0)]), &[]);
         let p = d.prefetch.expect("prefetch counters present");
         assert!(p.hit_rate() > 0.9);
-        assert!(!d.recommendations.iter().any(|r| r.contains("--io-depth")));
+        assert!(!d.recommendations.iter().any(|r| r.contains("set_depth")));
         assert!(d.render().contains("disk read-ahead: 95% hit rate"));
     }
 

@@ -341,7 +341,7 @@ mod tests {
             "p/read",
             vec![
                 span(TraceKind::Accept, 0, 0, 0, 0, 10),
-                span(TraceKind::PrefetchMiss, IO_PIPELINE, 3, 5, 0, 10),
+                span(TraceKind::Actuate, IO_PIPELINE, 3, 5, 0, 10),
             ],
         )];
         assert!(critical_path(&logs).rounds.is_empty());

@@ -8,7 +8,7 @@
 //! * every buffer carries a **trace id** (assigned by the source when it
 //!   injects a round), and
 //! * every stage transition — source-inject, accept, work, convey, recycle,
-//!   farm turnstile wait, I/O-scheduler prefetch hit/miss — appends a
+//!   farm turnstile wait, controller actuation — appends a
 //!   fixed-size [`SpanRec`] into a per-thread **flight recorder ring**
 //!   ([`SpanRing`]).
 //!
@@ -50,8 +50,8 @@ use parking_lot::Mutex;
 
 use crate::json::{obj, Json};
 
-/// Sentinel `pipeline` value for spans not tied to any pipeline (the I/O
-/// scheduler's prefetch spans).
+/// Sentinel `pipeline` value for spans not tied to any pipeline (the
+/// controller's actuations).
 pub const IO_PIPELINE: u32 = u32::MAX;
 
 /// Sentinel `pipeline` value for cluster-communication spans (p2p sends and
@@ -142,10 +142,6 @@ pub enum TraceKind {
     /// An ordered farm replica waited at the turnstile for its round's turn
     /// to emit.
     TurnWait,
-    /// The I/O scheduler served a read from its prefetch cache.
-    PrefetchHit,
-    /// The I/O scheduler had to issue a blocking read (prefetch miss).
-    PrefetchMiss,
     /// The live controller applied an actuation (grew a farm, resized a
     /// buffer pool, retuned an I/O depth).  Not tied to any buffer; the
     /// `round` field carries the decision sequence number.
@@ -177,8 +173,6 @@ impl TraceKind {
             TraceKind::Convey => "convey",
             TraceKind::Recycle => "recycle",
             TraceKind::TurnWait => "turn-wait",
-            TraceKind::PrefetchHit => "prefetch-hit",
-            TraceKind::PrefetchMiss => "prefetch-miss",
             TraceKind::Actuate => "actuate",
             TraceKind::CommSend => "comm-send",
             TraceKind::CommRecv => "comm-recv",
@@ -196,8 +190,6 @@ impl TraceKind {
             "convey" => TraceKind::Convey,
             "recycle" => TraceKind::Recycle,
             "turn-wait" => TraceKind::TurnWait,
-            "prefetch-hit" => TraceKind::PrefetchHit,
-            "prefetch-miss" => TraceKind::PrefetchMiss,
             "actuate" => TraceKind::Actuate,
             "comm-send" => TraceKind::CommSend,
             "comm-recv" => TraceKind::CommRecv,
@@ -228,7 +220,7 @@ impl TraceKind {
 pub struct SpanRec {
     /// What happened.
     pub kind: TraceKind,
-    /// Pipeline the buffer belongs to ([`IO_PIPELINE`] for scheduler spans).
+    /// Pipeline the buffer belongs to ([`IO_PIPELINE`] for actuations).
     pub pipeline: u32,
     /// Round of the buffer involved.
     pub round: u64,
@@ -1225,11 +1217,11 @@ mod tests {
         let sink = TraceSink::with_ring_capacity(16);
         let r0 = sink.register_thread_in_group("node0/send", 0);
         let r1 = sink.register_thread_in_group("node1/recv", 1);
-        let ungrouped = sink.register_thread("io/disk0");
+        let ungrouped = sink.register_thread("controller");
         // Buffer 9 crosses from rank 0 to rank 1.
         r0.record(TraceKind::CommSend, COMM_PIPELINE, 0, 9, 100, 200);
         r1.record(TraceKind::CommRecv, COMM_PIPELINE, 0, 9, 250, 300);
-        ungrouped.record(TraceKind::PrefetchHit, IO_PIPELINE, 0, 0, 10, 20);
+        ungrouped.record(TraceKind::Actuate, IO_PIPELINE, 0, 0, 10, 20);
         let doc = Json::parse(&sink.to_chrome_trace()).unwrap();
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let proc_names: Vec<(u64, &str)> = events
@@ -1258,7 +1250,7 @@ mod tests {
         // Ungrouped ring stays on the flat pid 1.
         let io_slice = events
             .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some("prefetch-hit"))
+            .find(|e| e.get("name").and_then(Json::as_str) == Some("actuate"))
             .unwrap();
         assert_eq!(io_slice.get("pid").and_then(Json::as_u64), Some(1));
     }

@@ -129,7 +129,9 @@ fn a_one_buffer_pool_is_diagnosed_as_under_provisioned() {
         .iter()
         .find(|q| q.name == "recycle/p")
         .unwrap_or_else(|| panic!("no finding for the pool:\n{}", d.render()));
-    assert!(pool.empty_frac > 0.75, "{pool:?}");
+    // The verdict's own bar: a sampler that races the three hand-offs can
+    // read the queue empty in only about three samples of four.
+    assert!(pool.empty_frac > fg_core::analyze::PINNED_FRAC, "{pool:?}");
     assert!(
         d.recommendations
             .iter()

@@ -24,9 +24,10 @@ use crate::PdmError;
 /// The operations every disk backend provides.
 ///
 /// Pipelines hold disks as [`DiskRef`] (`Arc<dyn Disk>`) so the same sort
-/// and application code runs against the in-memory [`SimDisk`] cost model,
-/// a real-file [`OsDisk`](crate::OsDisk), or either one wrapped in the
-/// overlapping [`IoScheduler`](crate::IoScheduler).
+/// and application code runs against the in-memory [`SimDisk`] cost model
+/// or a real-file [`OsDisk`](crate::OsDisk).  The overlapping
+/// [`IoScheduler`](crate::IoScheduler) is a `Disk` too, built explicitly by
+/// code that measures it; no program is handed one.
 ///
 /// Semantics all backends share:
 ///
@@ -96,14 +97,6 @@ pub trait Disk: Send + Sync {
     /// fails and never changes an existing file's contents or length (it may
     /// create `name`, empty); backends with nothing to gain ignore it.
     fn reserve(&self, _name: &str, _bytes: u64) {}
-    /// The live read-ahead actuator behind this disk, if it has one.
-    ///
-    /// Plain backends have no tunable depth and return `None`; the
-    /// [`IoScheduler`](crate::IoScheduler) wrapper returns itself so a
-    /// closed-loop controller can retune its read-ahead at run time.
-    fn depth_actuator(self: Arc<Self>) -> Option<Arc<dyn fg_core::controller::DepthActuator>> {
-        None
-    }
 }
 
 /// Shared handle to a disk backend, as the pipelines hold it.

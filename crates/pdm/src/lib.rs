@@ -12,11 +12,12 @@
 //!   model and *serialize on the disk arm*, so unbalanced I/O shows up in
 //!   measured pass times just as it does on hardware;
 //! * [`OsDisk`] — a disk backed by real files under a root directory,
-//!   served with positioned kernel I/O;
-//! * [`IoScheduler`] — a wrapper over either backend adding read-ahead
-//!   prefetching and coalescing write-behind on a dedicated I/O thread,
-//!   with a [`flush`](Disk::flush) barrier that surfaces deferred-write
-//!   errors at pass end;
+//!   served with positioned kernel I/O.  Every program runs on one of
+//!   these two, bare: a read stage's buffer pool is its read-ahead and a
+//!   write stage its write-behind;
+//! * [`IoScheduler`] — a library wrapper over either backend adding
+//!   read-ahead prefetching and coalescing write-behind on a dedicated I/O
+//!   thread, which code that measures it builds explicitly;
 //! * [`Striping`] — PDM striping arithmetic (global ↔ per-node coordinates)
 //!   and a verification helper that reassembles the global stream.
 //!

@@ -50,11 +50,15 @@
 //! `disk/{label}/writeback_queue_depth` gauge (write calls staged and not
 //! yet landed) and the `disk/{label}/writeback_wait_ns` histogram (one
 //! sample per write call that blocked on a full staging buffer).
+//!
+//! No program is handed a scheduler: a read stage's buffer pool already is
+//! its read-ahead, and a write stage its write-behind (DESIGN.md §6).  Code
+//! that measures the scheduler builds one explicitly.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -269,10 +273,6 @@ struct Shared {
     /// Wakes writers parked on a full staging buffer.
     space_cv: Condvar,
     metrics: Option<SchedMetrics>,
-    /// Flight-recorder ring for prefetch hit/miss spans (see
-    /// [`IoScheduler::attach_trace`]); unset on untraced runs, where a
-    /// read pays one atomic load for it.
-    ring: OnceLock<Arc<fg_core::SpanRing>>,
     /// Bound on stored prefetches; surplus results are dropped.
     fetched_cap: usize,
 }
@@ -448,7 +448,6 @@ impl IoScheduler {
             idle_cv: Condvar::new(),
             space_cv: Condvar::new(),
             metrics,
-            ring: OnceLock::new(),
             // Sized for the ceiling, not the starting depth, so a live
             // depth raise never outgrows the store.
             fetched_cap: 8 * MAX_IO_DEPTH + 32,
@@ -498,18 +497,6 @@ impl IoScheduler {
     /// metrics).
     pub fn label(&self) -> &str {
         &self.label
-    }
-
-    /// Register this scheduler with a flight recorder: every `read_at`
-    /// logs a `prefetch-hit` or `prefetch-miss` span (on the
-    /// [`IO_PIPELINE`](fg_core::trace::IO_PIPELINE) sentinel track, round
-    /// = block index) into a ring named `io/{label}`, so traces show
-    /// which reads went cold to the backend and when.  Set once: a
-    /// scheduler that already records keeps its first ring.
-    pub fn attach_trace(&self, sink: &fg_core::TraceSink, label: &str) {
-        self.shared
-            .ring
-            .get_or_init(|| sink.register_thread(format!("io/{label}")));
     }
 
     /// After a read of (`name`, `offset`, `len`): hand back the block
@@ -645,10 +632,6 @@ fn worker_loop(sh: &Shared) {
 }
 
 impl Disk for IoScheduler {
-    fn depth_actuator(self: Arc<Self>) -> Option<Arc<dyn fg_core::controller::DepthActuator>> {
-        Some(self)
-    }
-
     fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<(), PdmError> {
         self.shared.stage_write(name, Some(offset), data);
         Ok(())
@@ -660,8 +643,6 @@ impl Disk for IoScheduler {
 
     fn read_at(&self, name: &str, offset: u64, out: &mut [u8]) -> Result<(), PdmError> {
         let sh = &self.shared;
-        let ring = sh.ring.get();
-        let t0 = ring.map(|_| Instant::now());
         let mut served = None;
         {
             let (mut st, id) = sh.wait_file_drained(name);
@@ -707,22 +688,6 @@ impl Disk for IoScheduler {
             }
             res
         };
-        if let (Some(r), Some(t0)) = (ring, t0) {
-            let kind = if hit {
-                fg_core::TraceKind::PrefetchHit
-            } else {
-                fg_core::TraceKind::PrefetchMiss
-            };
-            let block = offset / out.len().max(1) as u64;
-            r.record(
-                kind,
-                fg_core::trace::IO_PIPELINE,
-                block,
-                0,
-                r.ns_of(t0),
-                r.now_ns(),
-            );
-        }
         // A failed read schedules nothing, but a block it took out of the
         // store still goes back.
         let len = if read.is_ok() { out.len() } else { 0 };

@@ -55,8 +55,6 @@ usage: fgsort [flags]   (all optional)
   --dir PATH                 root directory for --backend os (one
                              d{rank} subdirectory per node; default
                              fg-disks under the system temp dir)
-  --io-depth N               per-disk I/O scheduler read-ahead depth;
-                             0 = bare synchronous backend (default 0)
   --free                     zero-cost disks & network (default: paper-
                              shaped cost model)
   --no-verify                skip output verification
@@ -79,10 +77,9 @@ usage: fgsort [flags]   (all optional)
                              printed after the run
   --autotune                 attach the closed-loop controller to every
                              pipeline: grows/shrinks the sort worker
-                             farms, resizes buffer pools, and retunes
-                             I/O read-ahead depth live; the decision
-                             audit log is printed after the run
-                             (csort/csort4)
+                             farms and resizes buffer pools live; the
+                             decision audit log is printed after the
+                             run (csort/csort4)
   --profile OUT              sample per-thread CPU / process RSS /
                              per-stage allocation counters while the
                              sort runs, print the resource report, and
@@ -140,7 +137,6 @@ struct Options {
     pin_cores: Option<Vec<usize>>,
     backend: String,
     dir: Option<String>,
-    io_depth: usize,
     free: bool,
     verify: bool,
     trace: Option<String>,
@@ -168,7 +164,6 @@ impl Default for Options {
             pin_cores: None,
             backend: "sim".into(),
             dir: None,
-            io_depth: 0,
             free: false,
             verify: true,
             trace: None,
@@ -246,7 +241,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--backend" => opts.backend = value("--backend")?.clone(),
             "--dir" => opts.dir = Some(value("--dir")?.clone()),
-            "--io-depth" => opts.io_depth = number(arg, value(arg))?,
             "--free" => opts.free = true,
             "--no-verify" => opts.verify = false,
             "--trace" => opts.trace = Some(value("--trace")?.clone()),
@@ -281,13 +275,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     // Only columnsort's passes attach the controller.
     if opts.autotune && !matches!(opts.program, Sort::Csort | Sort::Csort4) {
         return Err("--autotune is only wired for --program csort and csort4".into());
-    }
-    if opts.io_depth > fg_pdm::MAX_IO_DEPTH {
-        return Err(format!(
-            "--io-depth {} is out of range (use 0 to disable the scheduler, or 1..={})",
-            opts.io_depth,
-            fg_pdm::MAX_IO_DEPTH
-        ));
     }
     Ok(opts)
 }
@@ -326,7 +313,6 @@ fn build_config(opts: &Options) -> Result<SortConfig, String> {
         };
         cfg.backend = DiskBackend::Os { dir };
     }
-    cfg.io_depth = opts.io_depth;
     if opts.autotune {
         cfg.autotune = Some(fg_core::ControllerCfg {
             // Start from the declared worker count; the controller grows or
@@ -481,7 +467,7 @@ fn main() -> ExitCode {
     let run_start = std::time::Instant::now();
 
     // Metrics-instrumented disks whenever a shared registry exists (live
-    // telemetry or the autotune controller, which watches prefetch rates).
+    // telemetry, the autotune controller or the profiler).
     let provisioned = if cfg.metrics.is_some() {
         try_provision_with_metrics(&cfg, &registry)
     } else {
@@ -743,10 +729,9 @@ mod tests {
 
     #[test]
     fn backend_flags() {
-        let o = parse_args(&args("--backend os --dir /tmp/fg --io-depth 4")).unwrap();
+        let o = parse_args(&args("--backend os --dir /tmp/fg")).unwrap();
         assert_eq!(o.backend, "os");
         assert_eq!(o.dir.as_deref(), Some("/tmp/fg"));
-        assert_eq!(o.io_depth, 4);
         let cfg = build_config(&o).unwrap();
         assert_eq!(
             cfg.backend,
@@ -754,7 +739,6 @@ mod tests {
                 dir: std::path::PathBuf::from("/tmp/fg")
             }
         );
-        assert_eq!(cfg.io_depth, 4);
     }
 
     #[test]
@@ -774,21 +758,9 @@ mod tests {
         assert!(parse_args(&args("--backend floppy")).is_err());
         assert!(parse_args(&args("--dir /tmp/fg")).is_err()); // sim + --dir
         assert!(parse_args(&args("--backend sim --dir /tmp/fg")).is_err());
-        assert!(parse_args(&args("--io-depth banana")).is_err());
-    }
-
-    #[test]
-    fn io_depth_out_of_range_is_a_friendly_parse_error() {
-        // Depth 0 is valid: it means "no scheduler", not a crash.
-        let o = parse_args(&args("--io-depth 0 --free")).unwrap();
-        assert_eq!(o.io_depth, 0);
-        build_config(&o).unwrap();
-        // Beyond the scheduler's maximum is rejected at parse time with a
-        // message naming the flag and the valid range.
-        let err =
-            parse_args(&args(&format!("--io-depth {}", fg_pdm::MAX_IO_DEPTH + 1))).unwrap_err();
-        assert!(err.contains("--io-depth"), "{err}");
-        assert!(err.contains(&fg_pdm::MAX_IO_DEPTH.to_string()), "{err}");
+        // Programs run on the bare backend: there is no read-ahead depth
+        // to set.
+        assert!(parse_args(&args("--io-depth 4")).is_err());
     }
 
     #[test]

@@ -75,15 +75,13 @@ pub struct SortConfig {
     pub workers: usize,
     /// Storage backend for the per-node disks (`fgsort --backend`).
     pub backend: DiskBackend,
-    /// Read-ahead depth of the per-disk I/O scheduler (`fgsort
-    /// --io-depth`): 0 runs the backend bare (every read and write
-    /// synchronous); `n ≥ 1` wraps each disk in an
-    /// [`IoScheduler`](fg_pdm::IoScheduler) prefetching `n` blocks ahead
-    /// per read stream, with coalescing write-behind.
+    /// Read by nothing in the library: every program runs on the bare
+    /// backend, whose read stages' pools are its read-ahead (DESIGN.md §6).
+    /// It stays only because `benchmark/` sets and reads it; ROADMAP item 1,
+    /// which re-baselines the benchmark, deletes it.
     pub io_depth: usize,
     /// Causal-trace sink (`fgsort --trace OUT`): every FG program the sort
-    /// runs flight-records per-buffer spans into this sink, and every
-    /// scheduled disk logs its prefetch hits/misses (export with
+    /// runs flight-records per-buffer spans into this sink (export with
     /// [`TraceSink::to_chrome_trace`](fg_core::TraceSink::to_chrome_trace)).
     /// Each program's own share of the log also lands in its
     /// [`Report`](fg_core::Report), so the reports dsort returns render
@@ -96,8 +94,8 @@ pub struct SortConfig {
     pub watchdog: Option<Duration>,
     /// Closed-loop controller configuration (`fgsort --autotune`): when
     /// set, every FG program the sort runs samples its own telemetry and
-    /// live-retunes worker-farm widths, buffer-pool sizes, and I/O
-    /// read-ahead depth; the decision audit log lands in each pass's
+    /// live-retunes worker-farm widths and buffer-pool sizes; the decision
+    /// audit log lands in each pass's
     /// [`Report`](fg_core::Report).  `None` runs open-loop with the
     /// configured geometry.
     pub autotune: Option<fg_core::ControllerCfg>,

@@ -51,10 +51,9 @@ impl Node {
     }
 
     /// [`Node::program`] plus, when the config sets `autotune`, the
-    /// closed-loop controller, with a scheduled disk's read-ahead depth as a
-    /// live actuator.  A program that declares worker farms sizes them with
-    /// [`SortConfig::farm_capacity`] so the controller has headroom to grow
-    /// into.
+    /// closed-loop controller.  A program that declares worker farms sizes
+    /// them with [`SortConfig::farm_capacity`] so the controller has
+    /// headroom to grow into.
     pub fn tuned_program(&self, name: &str) -> Program {
         let mut prog = self.program(name);
         if let Some(controller) = &self.cfg.autotune {
@@ -62,9 +61,6 @@ impl Node {
             // the program a private one if the run didn't share any.
             if self.cfg.metrics.is_none() {
                 prog.set_metrics(Arc::new(MetricsRegistry::new()));
-            }
-            if let Some(actuator) = Arc::clone(&self.disk).depth_actuator() {
-                prog.add_depth_actuator(actuator);
             }
             prog.set_controller(controller.clone());
         }

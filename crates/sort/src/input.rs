@@ -10,12 +10,12 @@
 //! The backend each disk is built on comes from
 //! [`SortConfig::backend`](crate::config::DiskBackend): in-memory
 //! [`SimDisk`]s under the configured cost model, or real-file
-//! [`OsDisk`](fg_pdm::OsDisk)s under `dir/d{rank}`.  With
-//! `SortConfig::io_depth > 0` every disk is additionally wrapped in an
-//! [`IoScheduler`](fg_pdm::IoScheduler) for read-ahead and write-behind.
+//! [`OsDisk`](fg_pdm::OsDisk)s under `dir/d{rank}`.  A program gets the
+//! bare backend: its read stages' buffer pools are its read-ahead and its
+//! write stages its write-behind (DESIGN.md §6).
 
 use fg_core::metrics::MetricsRegistry;
-use fg_pdm::{DiskRef, IoScheduler, OsDisk, SimDisk};
+use fg_pdm::{DiskRef, OsDisk, SimDisk};
 
 use crate::config::{DiskBackend, SortConfig};
 use crate::keygen::KeyGen;
@@ -76,9 +76,7 @@ pub fn provision(cfg: &SortConfig) -> Vec<DiskRef> {
 }
 
 /// [`provision`], with each disk recording I/O latency histograms and byte
-/// counters into `registry` under `disk/d{rank}/…` names (plus prefetch
-/// hit/miss counters and the write-behind queue gauge when
-/// `cfg.io_depth > 0`).
+/// counters into `registry` under `disk/d{rank}/…` names.
 pub fn provision_with_metrics(cfg: &SortConfig, registry: &MetricsRegistry) -> Vec<DiskRef> {
     try_provision_with(cfg, Some(registry)).expect("provision disks")
 }
@@ -102,28 +100,13 @@ fn try_provision_with(
 ) -> Result<Vec<DiskRef>, SortError> {
     (0..cfg.nodes)
         .map(|rank| {
-            let base = backend_disk(cfg, rank, registry)?;
+            let disk = backend_disk(cfg, rank, registry)?;
             // A reused OsDisk root may hold files from an earlier run;
             // start every experiment from an empty disk (delete is
             // cost-free on all backends).
-            for name in base.list() {
-                base.delete(&name);
+            for name in disk.list() {
+                disk.delete(&name);
             }
-            let disk: DiskRef = if cfg.io_depth > 0 {
-                let sched = match registry {
-                    Some(reg) => {
-                        IoScheduler::with_metrics(base, cfg.io_depth, reg, &format!("d{rank}"))
-                    }
-                    None => IoScheduler::new(base, cfg.io_depth),
-                }
-                .map_err(|e| SortError::Config(e.to_string()))?;
-                if let Some(sink) = &cfg.trace_sink {
-                    sched.attach_trace(sink, &format!("d{rank}"));
-                }
-                sched
-            } else {
-                base
-            };
             disk.load(INPUT_FILE, generate_node_input(cfg, rank));
             Ok(disk)
         })

@@ -137,13 +137,12 @@ fn dsort_data_path_allocations_do_not_grow_with_the_input() {
     }
 }
 
-/// The stages of csort's data path and the scheduler's I/O thread.
-const CSORT_TAGS: [&str; 6] = ["communicate", "stripe", "exchange", "read", "write", "io"];
+/// The stages of csort's data path.
+const CSORT_TAGS: [&str; 5] = ["communicate", "stripe", "exchange", "read", "write"];
 
 /// One verified csort of `records_per_node` 16-byte records on four nodes,
-/// on real files behind the I/O scheduler at depth 4; returns what each of
-/// [`CSORT_TAGS`] allocated.
-fn csort_os_stage_allocations(records_per_node: usize) -> [u64; 6] {
+/// on real files; returns what each of [`CSORT_TAGS`] allocated.
+fn csort_os_stage_allocations(records_per_node: usize) -> [u64; 5] {
     columnsort_os_stage_allocations(CSORT_TAGS, records_per_node, |cfg, disks| {
         fg_sort::csort::run_csort(cfg, disks).expect("csort run");
     })
@@ -162,7 +161,6 @@ fn columnsort_os_stage_allocations<const N: usize>(
     cfg.backend = fg_sort::config::DiskBackend::Os {
         dir: scratch.path().to_path_buf(),
     };
-    cfg.io_depth = 4;
     let disks = fg_sort::input::provision(&cfg);
     let before = tags.map(tag_bytes);
     sort(&cfg, &disks);
@@ -171,9 +169,9 @@ fn columnsort_os_stage_allocations<const N: usize>(
     std::array::from_fn(|i| after[i] - before[i])
 }
 
-/// csort's exchange stages trade their `Vec`s and the scheduler circulates
-/// its staging and block buffers, so what they allocate is their working
-/// set — a few columns — and not a function of how many rounds there are.
+/// csort's exchange stages trade their `Vec`s and its read and write stages
+/// fill and drain pool buffers, so what they allocate is their working set —
+/// a few columns — and not a function of how many rounds there are.
 /// The two inputs have the same column (8192 records, 128 KiB) and 8 and 16
 /// rounds a pass: a stage that allocated per round would need 4 MiB more for
 /// the larger one (`write` 12 MiB more, over three passes).
@@ -193,13 +191,10 @@ fn csort_os_allocations_do_not_grow_with_the_input() {
     }
     let small = csort_os_stage_allocations(64 << 10); // 4 MiB
     let large = csort_os_stage_allocations(128 << 10); // 8 MiB
-                                                       // What may differ between two runs of any size: how far the I/O thread
-                                                       // fell behind (the staging buffers grow to at most their cap, two a
-                                                       // node), whether a read overtook the prefetcher (one more block a node),
-                                                       // how many half-column payloads pass 3 had in flight.
+
+    // What may differ between two runs of any size: how many half-column
+    // payloads pass 3 had in flight.
     let slack = |tag: &str| match tag {
-        "write" => 4 * 2 * fg_pdm::STAGING_CAP_BYTES as u64,
-        "io" => 4 * COLUMN + (64 << 10),
         "exchange" => 4 * 3 * COLUMN / 2,
         _ => 64 << 10,
     };

@@ -1,7 +1,7 @@
 //! Cross-backend end-to-end runs: the same seed must produce byte-identical
-//! sorted output whether the disks are in-memory [`SimDisk`]s, real-file
-//! `OsDisk`s, or scheduler-wrapped `OsDisk`s (`io_depth > 0`).  The disk
-//! backend is an execution substrate, never part of the algorithm.
+//! sorted output whether the disks are in-memory [`SimDisk`]s or real-file
+//! `OsDisk`s.  The disk backend is an execution substrate, never part of
+//! the algorithm.
 
 use fg_pdm::{ScratchDir, Striping};
 use fg_sort::config::{DiskBackend, SortConfig};
@@ -24,12 +24,11 @@ fn sorted_output(
         .expect("assemble output")
 }
 
-fn os_cfg(base: &SortConfig, scratch: &ScratchDir, tag: &str, io_depth: usize) -> SortConfig {
+fn os_cfg(base: &SortConfig, scratch: &ScratchDir) -> SortConfig {
     let mut cfg = base.clone();
     cfg.backend = DiskBackend::Os {
-        dir: scratch.path().join(tag),
+        dir: scratch.path().to_path_buf(),
     };
-    cfg.io_depth = io_depth;
     cfg
 }
 
@@ -41,10 +40,8 @@ fn dsort_output_identical_across_backends() {
     let run = |cfg: &SortConfig, disks: &[fg_pdm::DiskRef]| run_dsort(cfg, disks).map(|_| ());
 
     let sim = sorted_output(&base, run);
-    let os = sorted_output(&os_cfg(&base, &scratch, "bare", 0), run);
-    let scheduled = sorted_output(&os_cfg(&base, &scratch, "sched", 3), run);
+    let os = sorted_output(&os_cfg(&base, &scratch), run);
     assert_eq!(sim, os, "sim and os backends diverged");
-    assert_eq!(sim, scheduled, "scheduler changed dsort's output");
 }
 
 #[test]
@@ -54,10 +51,8 @@ fn csort_output_identical_across_backends() {
 
     let run = |cfg: &SortConfig, disks: &[fg_pdm::DiskRef]| run_csort(cfg, disks).map(|_| ());
     let sim = sorted_output(&base, run);
-    let os = sorted_output(&os_cfg(&base, &scratch, "bare", 0), run);
-    let scheduled = sorted_output(&os_cfg(&base, &scratch, "sched", 2), run);
+    let os = sorted_output(&os_cfg(&base, &scratch), run);
     assert_eq!(sim, os, "sim and os backends diverged");
-    assert_eq!(sim, scheduled, "scheduler changed csort's output");
 }
 
 #[test]
@@ -65,7 +60,7 @@ fn os_backend_reuses_dirty_directory() {
     // Provisioning must scrub stale files left by an earlier run in the
     // same --dir before loading fresh input.
     let scratch = ScratchDir::new("backends-reuse").unwrap();
-    let cfg = os_cfg(&SortConfig::test_default(2, 512), &scratch, "d", 2);
+    let cfg = os_cfg(&SortConfig::test_default(2, 512), &scratch);
     for _ in 0..2 {
         let disks = try_provision(&cfg).expect("provision");
         run_dsort(&cfg, &disks).expect("dsort run");

@@ -181,7 +181,6 @@ fn planned_dsort_holds_no_more_pool_than_run_bytes_runs_would() {
             cfg.backend = fg_sort::config::DiskBackend::Os {
                 dir: scratch.path().join("disks"),
             };
-            cfg.io_depth = 4;
         }
         let ledger = Arc::new(fg_core::MemoryLedger::new());
         cfg.ledger = Some(Arc::clone(&ledger));
@@ -529,6 +528,50 @@ fn every_program_is_instrumented_and_reports() {
         assert_eq!(ledger.outstanding(), (0, 0), "{name}");
         assert!(ledger.snapshot().peak_bytes > 0, "{name}");
     }
+}
+
+/// Every program reads and writes its disks directly, whatever `io_depth`
+/// says: on real files with a registry, the disks publish their own
+/// `disk/d{rank}/…` counters and no I/O scheduler's read-ahead counters or
+/// write-behind gauge.
+#[test]
+fn every_program_runs_on_the_bare_backend() {
+    use fg_sort::csort4::run_csort4;
+    type Sort = fn(&SortConfig, &[fg_pdm::DiskRef]);
+    let sorts: [(&str, Sort); 4] = [
+        ("csort", |c, d| drop(run_csort(c, d).unwrap())),
+        ("csort4", |c, d| drop(run_csort4(c, d).unwrap())),
+        ("dsort", |c, d| drop(run_dsort(c, d).unwrap())),
+        ("dsort-linear", |c, d| drop(run_dsort_linear(c, d).unwrap())),
+    ];
+    let scratch = fg_pdm::ScratchDir::new("bare-backend").expect("scratch directory");
+    for (name, sort) in sorts {
+        let mut cfg = SortConfig::test_default(4, 4096);
+        cfg.backend = fg_sort::config::DiskBackend::Os {
+            dir: scratch.path().to_path_buf(),
+        };
+        cfg.io_depth = 4;
+        let registry = Arc::new(MetricsRegistry::new());
+        cfg.metrics = Some(Arc::clone(&registry));
+        let disks = provision_with_metrics(&cfg, &registry);
+        sort(&cfg, &disks);
+        verify_output(&cfg, &disks, Strictness::Exact).expect(name);
+        let metrics = registry.snapshot();
+        assert!(metrics.counter("disk/d0/bytes_read") > Some(0), "{name}");
+        let found = scheduler_metrics(&metrics);
+        assert!(found.is_empty(), "{name}: {found:?}");
+    }
+}
+
+/// What an `IoScheduler` publishes: `disk/*/prefetch_*` counters and
+/// `disk/*/writeback_queue_depth` gauges.
+fn scheduler_metrics(m: &fg_core::MetricsSnapshot) -> Vec<&str> {
+    let counters = m.counters.iter().map(|c| &c.0);
+    let gauges = m.gauges.iter().map(|g| &g.0);
+    let prefetch = counters.filter(|n| n.contains("/prefetch_"));
+    let queues = gauges.filter(|n| n.ends_with("/writeback_queue_depth"));
+    let names = prefetch.chain(queues).map(String::as_str);
+    names.filter(|n| n.starts_with("disk/")).collect()
 }
 
 /// What one node of [`dsort_traffic`] sent, by `comm/msgs/*` and

@@ -17,19 +17,15 @@ use fg_sort::input::provision;
 use fg_sort::keygen::KeyDist;
 use fg_sort::SortError;
 
-/// Run `case` on the in-memory disks bare, and on both backends behind an
-/// I/O scheduler of depth 4 — where a dead disk fails reads at once but
-/// write-behind reports it only at the pass-end `land`, and writers may be
-/// parked on a full staging buffer when it dies.
+/// Run `case` on the in-memory disks and on real files, each as every
+/// program gets it: bare.
 fn on_every_backend(cfg: &SortConfig, case: impl Fn(&str, &SortConfig)) {
     case("sim", cfg);
-    let mut scheduled = cfg.clone();
-    scheduled.io_depth = 4;
-    case("sim behind the scheduler", &scheduled);
     let scratch = ScratchDir::new("failure-injection").expect("scratch directory");
     let dir = scratch.path().to_path_buf();
-    scheduled.backend = DiskBackend::Os { dir: dir.clone() };
-    case("os behind the scheduler", &scheduled);
+    let mut on_files = cfg.clone();
+    on_files.backend = DiskBackend::Os { dir: dir.clone() };
+    case("os", &on_files);
     // Whatever the runs left behind goes with the directory.
     drop(scratch);
     assert!(!dir.exists(), "{} was not scrubbed", dir.display());
@@ -192,8 +188,7 @@ fn dsort_receiver_death_finds_senders_holding_payloads_half_full() {
 #[test]
 fn csort_surfaces_disk_failure() {
     on_every_backend(&SortConfig::test_default(4, 4096), |backend, cfg| {
-        // Early (pass 1's first reads) and late (deferred writes of a later
-        // pass).
+        // Early (pass 1's first reads) and late (a later pass's writes).
         for ops in [3, 25, 45] {
             let disks = provision(cfg);
             disks[0].fail_after_ops(ops);
