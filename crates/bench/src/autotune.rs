@@ -4,18 +4,17 @@
 //! One node streams `read → work(farm) → consume` with a deliberately
 //! compute-heavy work stage (a fixed sleep per round, so farm width `w`
 //! caps throughput at `w / W`) behind a latency-bearing
-//! [`SimDisk`](fg_pdm::SimDisk) read through an
-//! [`IoScheduler`](fg_pdm::IoScheduler).  [`run_convergence`] runs the
+//! [`SimDisk`](fg_pdm::SimDisk) that the read stage reads directly: the
+//! pipeline's pool is its read-ahead.  [`run_convergence`] runs the
 //! identical program as two arms, one after the other:
 //!
-//! * **hand-tuned**: the farm fully active and the scheduler at a warm
-//!   read-ahead depth, open loop — the configuration an operator who
-//!   profiled the pipeline would write down;
-//! * **autotuned**: started wrong (one active worker, read-ahead depth 1)
-//!   with the [`Controller`](fg_core::Controller) attached.  The
-//!   controller must diagnose the starving farm and the cold prefetcher
-//!   from the live telemetry windows and actuate its way to the hand-tuned
-//!   operating point while the pipeline runs.
+//! * **hand-tuned**: the farm fully active, open loop — the configuration
+//!   an operator who profiled the pipeline would write down;
+//! * **autotuned**: started wrong (one active worker) with the
+//!   [`Controller`](fg_core::Controller) attached.  The controller must
+//!   diagnose the starving farm from the live telemetry windows and
+//!   actuate its way to the hand-tuned operating point while the pipeline
+//!   runs.
 //!
 //! The comparison metric is **steady-state wall time**: the whole run
 //! replayed at the throughput of its last quarter.  The autotuned arm pays
@@ -31,7 +30,7 @@ use std::time::{Duration, Instant};
 use fg_core::{
     map_stage, ControllerCfg, ControllerLog, MetricsRegistry, PipelineCfg, Program, Rounds,
 };
-use fg_pdm::{DiskCfg, DiskRef, IoScheduler, SimDisk};
+use fg_pdm::{DiskCfg, SimDisk};
 use fg_sort::SortError;
 
 /// Shape of one convergence arm.
@@ -47,8 +46,6 @@ pub struct AutotuneShape {
     pub work_per_round: Duration,
     /// Declared farm width (the hand-tuned worker count).
     pub width: usize,
-    /// Hand-tuned read-ahead depth.
-    pub tuned_depth: usize,
 }
 
 impl AutotuneShape {
@@ -61,7 +58,6 @@ impl AutotuneShape {
             disk_latency: Duration::from_millis(1),
             work_per_round: Duration::from_millis(4),
             width: 4,
-            tuned_depth: 4,
         }
     }
 }
@@ -77,8 +73,6 @@ pub struct AutotuneResult {
     pub rounds: u64,
     /// Farm workers active at the end.
     pub final_workers: u64,
-    /// Scheduler read-ahead depth at the end.
-    pub final_depth: usize,
     /// The controller's decision audit log (autotuned arm only).
     pub log: Option<ControllerLog>,
 }
@@ -86,17 +80,17 @@ pub struct AutotuneResult {
 /// Both arms of one convergence run.
 #[derive(Debug, Clone)]
 pub struct Convergence {
-    /// The open-loop reference: every worker admitted, warm read-ahead.
+    /// The open-loop reference: every worker admitted.
     pub hand_tuned: AutotuneResult,
-    /// Started at one worker and depth 1, with the controller attached.
+    /// Started at one worker, with the controller attached.
     pub autotuned: AutotuneResult,
 }
 
 /// Run the hand-tuned arm of `shape` and then the autotuned one.
 pub fn run_convergence(shape: AutotuneShape) -> Result<Convergence, SortError> {
     Ok(Convergence {
-        hand_tuned: run_arm(shape, shape.width, shape.tuned_depth, false)?,
-        autotuned: run_arm(shape, 1, 1, true)?,
+        hand_tuned: run_arm(shape, shape.width, false)?,
+        autotuned: run_arm(shape, 1, true)?,
     })
 }
 
@@ -124,28 +118,24 @@ pub fn check(c: &Convergence, width: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Run one arm.  `start_workers`/`start_depth` set the initial operating
-/// point; `autotune` attaches the controller (which then owns the farm
-/// width, pool size, and read-ahead depth for the rest of the run).
+/// Run one arm.  `start_workers` sets the initial farm width; `autotune`
+/// attaches the controller (which then owns the farm width and pool size
+/// for the rest of the run).
 fn run_arm(
     shape: AutotuneShape,
     start_workers: usize,
-    start_depth: usize,
     autotune: bool,
 ) -> Result<AutotuneResult, SortError> {
     let registry = Arc::new(MetricsRegistry::new());
-    let backend = SimDisk::new(DiskCfg::new(shape.disk_latency, f64::INFINITY));
-    backend.load(
+    let disk = SimDisk::new(DiskCfg::new(shape.disk_latency, f64::INFINITY));
+    disk.load(
         "in",
         vec![0xA5u8; shape.block_bytes * shape.rounds as usize],
     );
-    let sched = IoScheduler::with_metrics(backend, start_depth, &registry, "d0")
-        .map_err(|e| SortError::Config(e.to_string()))?;
 
     let mut prog = Program::new("autotune-convergence");
     prog.set_metrics(Arc::clone(&registry));
     if autotune {
-        prog.add_depth_actuator(sched.clone());
         prog.set_controller(ControllerCfg {
             sample_interval: Duration::from_millis(5),
             decide_interval: Duration::from_millis(25),
@@ -154,14 +144,12 @@ fn run_arm(
         });
     }
 
-    let read_disk: DiskRef = sched.clone();
     let block = shape.block_bytes;
     let read = prog.add_stage(
         "read",
         map_stage(move |buf, _ctx| {
             let r = buf.round();
-            read_disk
-                .read_at("in", r * block as u64, &mut buf.space_mut()[..block])
+            disk.read_at("in", r * block as u64, &mut buf.space_mut()[..block])
                 .map_err(SortError::from)?;
             buf.set_filled(block);
             Ok(())
@@ -214,7 +202,6 @@ fn run_arm(
         steady_state,
         rounds: shape.rounds,
         final_workers,
-        final_depth: sched.depth(),
         log: report.controller,
     })
 }
@@ -247,11 +234,10 @@ mod tests {
             disk_latency: Duration::from_micros(100),
             ..AutotuneShape::new(true)
         };
-        let r = run_arm(shape, shape.width, shape.tuned_depth, false).unwrap();
+        let r = run_arm(shape, shape.width, false).unwrap();
         assert_eq!(r.rounds, 40);
         assert!(r.log.is_none(), "open loop records no controller log");
         assert!(r.steady_state > Duration::ZERO);
-        assert_eq!(r.final_depth, shape.tuned_depth);
     }
 
     #[test]
@@ -262,7 +248,7 @@ mod tests {
             disk_latency: Duration::from_micros(100),
             ..AutotuneShape::new(true)
         };
-        let r = run_arm(shape, 1, 1, true).unwrap();
+        let r = run_arm(shape, 1, true).unwrap();
         assert!(r.log.is_some(), "closed loop must return its audit log");
     }
 
@@ -273,7 +259,6 @@ mod tests {
             steady_state: Duration::from_millis(steady_ms),
             rounds: 300,
             final_workers,
-            final_depth: 4,
             log: None,
         };
         let run = |auto_ms, final_workers| Convergence {

@@ -506,25 +506,25 @@ fn main() {
         );
     }
     if wants("io-overlap") {
-        println!("\n=== Out-of-core: I/O scheduler vs synchronous OsDisk (real files) ===");
-        let (blocks, block_bytes, depth) = if quick {
-            (64, 64 << 10, 4)
+        println!(
+            "\n=== Out-of-core: a {}-buffer FG pipeline vs synchronous OsDisk (real files) ===",
+            fg_bench::overlap::POOL_BUFFERS
+        );
+        let (blocks, block_bytes) = if quick {
+            (256, 64 << 10)
         } else {
-            (512, 256 << 10, 4)
+            (512, 256 << 10)
         };
-        let res = io_overlap::run_io_overlap(blocks, block_bytes, depth).expect("io-overlap");
+        let res = io_overlap::run_io_overlap(blocks, block_bytes).expect("io-overlap");
         run.one(
             "io-overlap",
             vec![
                 ("blocks", "blocks", Count(res.blocks as u64)),
                 ("block KiB", "block_bytes", KiB(res.block_bytes as u64)),
-                ("depth", "io_depth", Count(res.io_depth as u64)),
                 ("passes", "compute_passes", Count(res.compute_passes as u64)),
                 ("sync s", "sync_s", Secs(res.sync)),
                 ("overlapped s", "overlapped_s", Secs(res.overlapped)),
                 ("speedup", "speedup", Ratio(res.speedup())),
-                ("prefetch hits", "prefetch_hits", Count(res.prefetch_hits)),
-                ("misses", "prefetch_misses", Count(res.prefetch_misses)),
             ],
         );
         run.check("io-overlap", io_overlap::CLAIM, io_overlap::check(&res));
@@ -547,7 +547,6 @@ fn main() {
             ("auto total s", "autotuned_total_s", Secs(auto.total)),
             ("auto steady s", "steady_state_s", Secs(auto.steady_state)),
             ("workers", "final_workers", Count(auto.final_workers)),
-            ("depth", "final_io_depth", Count(auto.final_depth as u64)),
         ];
         if let Some(log) = &auto.log {
             println!(

@@ -511,9 +511,10 @@ pub fn run_buffer_sweep(
 }
 
 /// A6: read-ahead depth — buffers per vertical pipeline in dsort pass 2.
-/// With depth 1 the merge stage waits on every run read (no prefetch);
-/// deeper pools overlap run reads with merging, the dynamic analogue of
-/// the prefetchability the paper credits csort with (§I).
+/// With depth 1 the merge stage waits on every run read (nothing is read
+/// ahead); deeper pools overlap run reads with merging, the dynamic
+/// analogue of the regular, read-ahead-friendly I/O the paper credits
+/// csort with (§I).
 #[derive(Debug)]
 pub struct ReadAheadRow {
     /// Buffers per vertical pipeline.

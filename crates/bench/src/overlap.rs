@@ -1,11 +1,12 @@
 //! A3: the overlap ablation — FG's core claim in isolation.
 //!
 //! A single node runs `read → compute → write` over a file of blocks, with
-//! a real disk cost model.  Executed as an FG pipeline, the three stages
-//! overlap: while one buffer's read sleeps on the (serialized) disk arm,
-//! another buffer computes.  Executed serially — the same operations, one
-//! buffer, one thread — nothing overlaps.  The ratio is the latency FG
-//! hides.
+//! a simulated disk cost model (IO1, [`io_overlap`](crate::io_overlap),
+//! runs the same two arms on real files).  Executed as an FG pipeline, the
+//! three stages overlap: while one buffer's read sleeps on the (serialized)
+//! disk arm, another buffer computes.  Executed serially — the same
+//! operations, one buffer, one thread — nothing overlaps.  The ratio is the
+//! latency FG hides.
 //!
 //! Note the disk arm serializes read and write *service* times, so the
 //! pipeline cannot beat `max(total disk time, total compute time)`; the
@@ -15,8 +16,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fg_core::{map_stage, PipelineCfg, Program, Rounds};
-use fg_pdm::{DiskCfg, SimDisk};
+use fg_pdm::{Disk, DiskCfg, DiskRef, SimDisk};
 use fg_sort::SortError;
+
+/// Buffers in the pipelined arm's pool: its read-ahead and write-behind.
+pub const POOL_BUFFERS: usize = 4;
 
 /// Result of the overlap ablation.
 #[derive(Debug, Clone, Copy)]
@@ -80,6 +84,72 @@ pub(crate) fn calibrate_passes(block_bytes: usize, target: Duration) -> usize {
     (target.as_nanos() / per_pass.as_nanos().max(1)).clamp(1, 10_000) as usize
 }
 
+/// The pipelined arm: `in` → `out` on `disk`, block by block, as an FG
+/// `read → compute → write` pipeline over [`POOL_BUFFERS`] buffers, then
+/// `flush` (the durability point).  Returns the wall time of the run and
+/// the flush.
+pub(crate) fn pipelined_arm(
+    disk: &DiskRef,
+    blocks: usize,
+    block_bytes: usize,
+    passes: usize,
+) -> Result<Duration, SortError> {
+    let mut prog = Program::new("overlap");
+    let rd = Arc::clone(disk);
+    let read = prog.add_stage(
+        "read",
+        map_stage(move |buf, _| {
+            rd.read_at("in", buf.round() * block_bytes as u64, buf.space_mut())
+                .map_err(SortError::from)?;
+            buf.fill_to_capacity();
+            Ok(())
+        }),
+    );
+    let comp = prog.add_stage(
+        "compute",
+        map_stage(move |buf, _| {
+            compute(buf.filled_mut(), passes);
+            Ok(())
+        }),
+    );
+    let wd = Arc::clone(disk);
+    let write = prog.add_stage(
+        "write",
+        map_stage(move |buf, _| {
+            wd.write_at("out", buf.round() * block_bytes as u64, buf.filled())
+                .map_err(SortError::from)?;
+            Ok(())
+        }),
+    );
+    prog.add_pipeline(
+        PipelineCfg::new("p", POOL_BUFFERS, block_bytes).rounds(Rounds::Count(blocks as u64)),
+        &[read, comp, write],
+    )?;
+    let t0 = Instant::now();
+    prog.run()?;
+    disk.flush()?;
+    Ok(t0.elapsed())
+}
+
+/// The serial arm: the same calls on one thread, one block at a time,
+/// then `flush`.
+pub(crate) fn serial_arm(
+    disk: &dyn Disk,
+    blocks: usize,
+    block_bytes: usize,
+    passes: usize,
+) -> Result<Duration, SortError> {
+    let mut buf = vec![0u8; block_bytes];
+    let t0 = Instant::now();
+    for b in 0..blocks {
+        disk.read_at("in", (b * block_bytes) as u64, &mut buf)?;
+        compute(&mut buf, passes);
+        disk.write_at("out", (b * block_bytes) as u64, &buf)?;
+    }
+    disk.flush()?;
+    Ok(t0.elapsed())
+}
+
 /// Run the ablation: `blocks` blocks of `block_bytes`, disk cost `disk`,
 /// `compute_passes` checksum passes per block.
 pub fn run_overlap(
@@ -88,64 +158,14 @@ pub fn run_overlap(
     disk: DiskCfg,
     compute_passes: usize,
 ) -> Result<OverlapResult, SortError> {
-    // --- pipelined ---
-    let d = SimDisk::new(disk);
-    d.load("in", vec![0xAB; blocks * block_bytes]);
-    let pipelined = {
-        let mut prog = Program::new("overlap");
-        let rd = Arc::clone(&d);
-        let read = prog.add_stage(
-            "read",
-            map_stage(move |buf, _| {
-                rd.read_at("in", buf.round() * block_bytes as u64, buf.space_mut())
-                    .map_err(SortError::from)?;
-                buf.fill_to_capacity();
-                Ok(())
-            }),
-        );
-        let comp = prog.add_stage(
-            "compute",
-            map_stage(move |buf, _| {
-                compute(buf.filled_mut(), compute_passes);
-                Ok(())
-            }),
-        );
-        let wd = Arc::clone(&d);
-        let write = prog.add_stage(
-            "write",
-            map_stage(move |buf, _| {
-                wd.write_at("out", buf.round() * block_bytes as u64, buf.filled())
-                    .map_err(SortError::from)?;
-                Ok(())
-            }),
-        );
-        prog.add_pipeline(
-            PipelineCfg::new("p", 4, block_bytes).rounds(Rounds::Count(blocks as u64)),
-            &[read, comp, write],
-        )
-        .map_err(SortError::from)?;
-        let t0 = Instant::now();
-        prog.run().map_err(SortError::from)?;
-        t0.elapsed()
+    let arm_disk = || -> DiskRef {
+        let d = SimDisk::new(disk);
+        d.load("in", vec![0xAB; blocks * block_bytes]);
+        d
     };
-
-    // --- serial ---
-    let d2 = SimDisk::new(disk);
-    d2.load("in", vec![0xAB; blocks * block_bytes]);
-    let serial = {
-        let mut buf = vec![0u8; block_bytes];
-        let t0 = Instant::now();
-        for b in 0..blocks {
-            d2.read_at("in", (b * block_bytes) as u64, &mut buf)?;
-            compute(&mut buf, compute_passes);
-            d2.write_at("out", (b * block_bytes) as u64, &buf)?;
-        }
-        t0.elapsed()
-    };
-
     Ok(OverlapResult {
-        pipelined,
-        serial,
+        pipelined: pipelined_arm(&arm_disk(), blocks, block_bytes, compute_passes)?,
+        serial: serial_arm(&*arm_disk(), blocks, block_bytes, compute_passes)?,
         blocks,
     })
 }

@@ -84,30 +84,6 @@ pub struct StageDiagnosis {
     pub workers: usize,
 }
 
-/// Aggregate read-ahead effectiveness across every scheduled disk, folded
-/// from the `disk/*/prefetch_hit` and `disk/*/prefetch_miss` counters in
-/// the report's metrics snapshot.  Absent when no disk ran behind an I/O
-/// scheduler (no such counters, or no reads at all).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefetchFinding {
-    /// Reads served from a completed prefetch.
-    pub hits: u64,
-    /// Reads that went to the backend synchronously.
-    pub misses: u64,
-}
-
-impl PrefetchFinding {
-    /// Fraction of reads served from the prefetcher.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A queue-level finding from the depth-gauge time series.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueueFinding {
@@ -201,8 +177,6 @@ pub struct Diagnosis {
     /// (CAS-retry rate above [`CONTENTION_WARN`] with meaningful traffic),
     /// sorted by retry rate descending.
     pub contention: Vec<ContentionFinding>,
-    /// Read-ahead effectiveness, when any disk ran behind an I/O scheduler.
-    pub prefetch: Option<PrefetchFinding>,
     /// Per-round critical-path reconstruction, when flight-recorder logs
     /// were supplied (see [`diagnose_with_trace`]).
     pub critical_path: Option<crate::critical_path::CriticalPath>,
@@ -225,10 +199,6 @@ pub const PINNED_FRAC: f64 = 0.5;
 /// Below this overlap efficiency the pipeline is leaving the bottleneck
 /// idle — time is going somewhere other than the limiting stage.
 const EFFICIENCY_WARN: f64 = 0.6;
-
-/// Below this prefetch hit rate the I/O scheduler's read-ahead is not
-/// keeping up with the read stream — most reads go cold to the backend.
-pub(crate) const PREFETCH_WARN: f64 = 0.5;
 
 /// A lock-free queue averaging more failed CASes than this per pushed item
 /// is contended: producers/consumers are fighting over the ring's position
@@ -338,14 +308,15 @@ fn stage_diagnoses(rows: &[Row]) -> Vec<StageDiagnosis> {
         .collect()
 }
 
-/// Name the limiting stage among attribution rows.  A farm's workers
-/// overlap with each other, so its bound on wall time is the summed busy
-/// divided by the worker count, not the sum itself.
-fn limiting_stage(rows: &[Row]) -> Option<String> {
+/// The index of the limiting stage's row.  A farm's workers overlap with
+/// each other, so its bound on wall time is the summed busy divided by the
+/// worker count, not the sum itself.
+fn limiting_stage(rows: &[Row]) -> Option<usize> {
     rows.iter()
-        .max_by_key(|r| r.busy / r.workers.max(1) as u32)
-        .filter(|r| r.busy > Duration::ZERO)
-        .map(|r| r.name.clone())
+        .enumerate()
+        .max_by_key(|(_, r)| r.busy / r.workers.max(1) as u32)
+        .filter(|(_, r)| r.busy > Duration::ZERO)
+        .map(|(i, _)| i)
 }
 
 /// Attribute each stage's wall time, name the limiting stage, and read
@@ -415,7 +386,8 @@ pub fn diagnose(report: &Report, series: &[TimestampedSnapshot]) -> Diagnosis {
     }
 
     let mut stages: Vec<StageDiagnosis> = stage_diagnoses(&rows);
-    let limiting = limiting_stage(&rows);
+    let lim = limiting_stage(&rows);
+    let limiting = lim.map(|i| rows[i].name.clone());
 
     // A starved stage upstream of the limiting stage in the same chain is
     // effectively backpressured: FG provisions every queue above the buffer
@@ -440,15 +412,11 @@ pub fn diagnose(report: &Report, series: &[TimestampedSnapshot]) -> Diagnosis {
 
     let queue_findings = queue_findings(report, series);
     let contention = contention_findings(report);
-    let prefetch = prefetch_finding(report);
     let resources = resource_findings(report);
 
     let mut recommendations = Vec::new();
-    if let Some(name) = &limiting {
-        let d = stages
-            .iter()
-            .find(|d| &d.name == name)
-            .expect("limiting stage is in stages");
+    if let Some(d) = lim.map(|i| &stages[i]) {
+        let name = &d.name;
         // Where the limiting stage physically ran, when the run was pinned
         // — lets the reader connect "this stage bounds the run" with the
         // core layout they asked for.
@@ -537,19 +505,6 @@ pub fn diagnose(report: &Report, series: &[TimestampedSnapshot]) -> Diagnosis {
             }
         ));
     }
-    if let Some(p) = &prefetch {
-        if p.hit_rate() < PREFETCH_WARN {
-            recommendations.push(format!(
-                "disk read-ahead hit rate is {:.0}% ({} of {} reads went cold to the \
-                 backend): the prefetcher is not staying ahead of the read stream — \
-                 raise the I/O scheduler depth (`IoScheduler::set_depth`) or check \
-                 that reads are sequential within each file",
-                p.hit_rate() * 100.0,
-                p.misses,
-                p.hits + p.misses
-            ));
-        }
-    }
     for f in &resources {
         match f.kind {
             ResourceFindingKind::MemoryBound => recommendations.push(format!(
@@ -592,7 +547,6 @@ pub fn diagnose(report: &Report, series: &[TimestampedSnapshot]) -> Diagnosis {
         overlap_efficiency,
         queue_findings,
         contention,
-        prefetch,
         critical_path: None,
         resources,
         recommendations,
@@ -671,8 +625,6 @@ pub struct WindowDiagnosis {
     /// How often each queue was sampled empty across the window (queues
     /// and capacities read from the `core/queue_capacity/*` gauges).
     pub queue_findings: Vec<QueueFinding>,
-    /// Read-ahead effectiveness over the window (hit/miss deltas).
-    pub prefetch: Option<PrefetchFinding>,
     /// Buffers per second through the fastest stage in the window — the
     /// controller's "is it going faster now?" yardstick.
     pub throughput: f64,
@@ -683,8 +635,8 @@ pub struct WindowDiagnosis {
 /// The verdict half of [`diagnose`], run on a **sliding window** of
 /// [`TimestampedSnapshot`]s mid-run: stage attribution and the limiting
 /// stage come from deltas of the live `core/stage_*` counters between the
-/// window's first and last samples, queue findings from the depth gauges
-/// across the window, and prefetch effectiveness from hit/miss deltas.
+/// window's first and last samples, and queue findings from the depth
+/// gauges across the window.
 ///
 /// Returns `None` when the window holds fewer than two samples or spans
 /// zero time.  Replica rows (`base#i`) are folded by name; because the
@@ -764,7 +716,7 @@ pub fn diagnose_window(window: &[TimestampedSnapshot]) -> Option<WindowDiagnosis
     }
 
     let stages = stage_diagnoses(&rows);
-    let limiting = limiting_stage(&rows);
+    let limiting = limiting_stage(&rows).map(|i| rows[i].name.clone());
 
     // Queue findings across the window, queues and capacities from the
     // wire-time capacity gauges.
@@ -778,24 +730,6 @@ pub fn diagnose_window(window: &[TimestampedSnapshot]) -> Option<WindowDiagnosis
         })
         .collect();
 
-    // Prefetch hit/miss deltas across every scheduled disk.
-    let mut hits = 0u64;
-    let mut misses = 0u64;
-    let mut seen = false;
-    for (name, _) in &last.snapshot.counters {
-        if !name.starts_with("disk/") {
-            continue;
-        }
-        if name.ends_with("/prefetch_hit") {
-            hits += delta(name);
-            seen = true;
-        } else if name.ends_with("/prefetch_miss") {
-            misses += delta(name);
-            seen = true;
-        }
-    }
-    let prefetch = (seen && hits + misses > 0).then_some(PrefetchFinding { hits, misses });
-
     let throughput = stage_rounds
         .iter()
         .map(|(_, r)| *r as f64 / span.as_secs_f64())
@@ -806,7 +740,6 @@ pub fn diagnose_window(window: &[TimestampedSnapshot]) -> Option<WindowDiagnosis
         stages,
         limiting,
         queue_findings,
-        prefetch,
         throughput,
         stage_rounds,
     })
@@ -826,27 +759,6 @@ impl WindowDiagnosis {
             .map(|(_, r)| *r)
             .unwrap_or(0)
     }
-}
-
-/// Fold the per-disk `disk/*/prefetch_hit` / `disk/*/prefetch_miss`
-/// counters into one cluster-wide [`PrefetchFinding`].
-fn prefetch_finding(report: &Report) -> Option<PrefetchFinding> {
-    let mut hits = 0u64;
-    let mut misses = 0u64;
-    let mut seen = false;
-    for (name, v) in &report.metrics.counters {
-        if !name.starts_with("disk/") {
-            continue;
-        }
-        if name.ends_with("/prefetch_hit") {
-            hits += v;
-            seen = true;
-        } else if name.ends_with("/prefetch_miss") {
-            misses += v;
-            seen = true;
-        }
-    }
-    (seen && hits + misses > 0).then_some(PrefetchFinding { hits, misses })
 }
 
 /// Fold the per-queue contention counters into [`ContentionFinding`]s for
@@ -1034,14 +946,6 @@ impl Diagnosis {
             )),
             None => out.push_str("no stage did measurable work\n"),
         }
-        if let Some(p) = &self.prefetch {
-            out.push_str(&format!(
-                "disk read-ahead: {:.0}% hit rate ({} hits, {} misses)\n",
-                p.hit_rate() * 100.0,
-                p.hits,
-                p.misses
-            ));
-        }
         for q in &self.queue_findings {
             if q.empty_frac > PINNED_FRAC {
                 out.push_str(&format!(
@@ -1168,10 +1072,9 @@ pub fn diagnose_cluster(report: &crate::cluster_report::ClusterReport) -> Cluste
     let straggler = argmax_over_mean(
         ranks.iter().map(|r| r.wall.as_nanos() as f64),
         STRAGGLER_RATIO,
-    )
-    .map(|i| ranks[i].rank);
-    if let Some(rank) = straggler {
-        let v = ranks.iter().find(|r| r.rank == rank).unwrap();
+    );
+    if let Some(v) = straggler.map(|i| &ranks[i]) {
+        let rank = v.rank;
         let mean = ranks.iter().map(|r| r.wall.as_secs_f64()).sum::<f64>() / ranks.len() as f64;
         recommendations.push(format!(
             "rank {rank} is a straggler: its wall time ({:.3}s) is {:.1}x the cluster \
@@ -1182,10 +1085,9 @@ pub fn diagnose_cluster(report: &crate::cluster_report::ClusterReport) -> Cluste
     }
 
     // Exchange skew: one rank receiving an outsized share of the bytes.
-    let hot_rank = argmax_over_mean(ranks.iter().map(|r| r.bytes_recv as f64), SKEW_RATIO)
-        .map(|i| ranks[i].rank);
-    if let Some(rank) = hot_rank {
-        let v = ranks.iter().find(|r| r.rank == rank).unwrap();
+    let hot_rank = argmax_over_mean(ranks.iter().map(|r| r.bytes_recv as f64), SKEW_RATIO);
+    if let Some(v) = hot_rank.map(|i| &ranks[i]) {
+        let rank = v.rank;
         let mean = ranks.iter().map(|r| r.bytes_recv as f64).sum::<f64>() / ranks.len() as f64;
         recommendations.push(format!(
             "the exchange is skewed: rank {rank} receives {} — {:.1}x the mean — so its \
@@ -1198,14 +1100,10 @@ pub fn diagnose_cluster(report: &crate::cluster_report::ClusterReport) -> Cluste
     }
 
     // Comm- vs compute-bound attribution.
-    let comm_bound: Vec<usize> = ranks
-        .iter()
-        .filter(|r| r.comm_bound)
-        .map(|r| r.rank)
-        .collect();
+    let comm_bound: Vec<&RankVerdict> = ranks.iter().filter(|r| r.comm_bound).collect();
     if !comm_bound.is_empty() && comm_bound.len() < ranks.len() {
-        for &rank in &comm_bound {
-            let v = ranks.iter().find(|r| r.rank == rank).unwrap();
+        for v in &comm_bound {
+            let rank = v.rank;
             let wait_frac = if v.comm_ns > 0 {
                 v.recv_wait_ns as f64 / v.comm_ns as f64
             } else {
@@ -1244,9 +1142,9 @@ pub fn diagnose_cluster(report: &crate::cluster_report::ClusterReport) -> Cluste
     }
 
     ClusterDiagnosis {
+        straggler: straggler.map(|i| ranks[i].rank),
+        hot_rank: hot_rank.map(|i| ranks[i].rank),
         ranks,
-        straggler,
-        hot_rank,
         recommendations,
     }
 }
@@ -1675,48 +1573,6 @@ mod tests {
         assert!(diagnose(&r, &[]).queue_findings.is_empty());
     }
 
-    /// A report whose metrics carry prefetch counters for two disks.
-    fn report_with_prefetch(hits: &[(u64, u64)]) -> Report {
-        let reg = crate::metrics::MetricsRegistry::new();
-        for (i, (h, m)) in hits.iter().enumerate() {
-            reg.counter(&format!("disk/d{i}/prefetch_hit")).add(*h);
-            reg.counter(&format!("disk/d{i}/prefetch_miss")).add(*m);
-        }
-        let mut r = report();
-        r.metrics = reg.snapshot();
-        r
-    }
-
-    #[test]
-    fn cold_prefetch_recommends_raising_io_depth() {
-        let d = diagnose(&report_with_prefetch(&[(1, 9), (2, 8)]), &[]);
-        let p = d.prefetch.expect("prefetch counters present");
-        assert_eq!(p.hits, 3);
-        assert_eq!(p.misses, 17);
-        assert!((p.hit_rate() - 0.15).abs() < 1e-9);
-        assert!(d
-            .recommendations
-            .iter()
-            .any(|r| r.contains("read-ahead hit rate") && r.contains("set_depth")));
-        assert!(d.render().contains("disk read-ahead: 15% hit rate"));
-    }
-
-    #[test]
-    fn warm_prefetch_reported_without_recommendation() {
-        let d = diagnose(&report_with_prefetch(&[(9, 1), (10, 0)]), &[]);
-        let p = d.prefetch.expect("prefetch counters present");
-        assert!(p.hit_rate() > 0.9);
-        assert!(!d.recommendations.iter().any(|r| r.contains("set_depth")));
-        assert!(d.render().contains("disk read-ahead: 95% hit rate"));
-    }
-
-    #[test]
-    fn no_scheduler_means_no_prefetch_finding() {
-        let d = diagnose(&report(), &[]);
-        assert_eq!(d.prefetch, None);
-        assert!(!d.render().contains("read-ahead"));
-    }
-
     #[test]
     fn dry_recycle_pool_flagged() {
         use crate::stats::QueueDepth;
@@ -1884,8 +1740,8 @@ mod tests {
     }
 
     #[test]
-    fn window_reads_queue_capacity_gauges_and_prefetch_deltas() {
-        let point = |ms: u64, depth: u64, hits: u64, misses: u64| {
+    fn window_reads_queue_capacity_gauges() {
+        let point = |ms: u64, depth: u64| {
             let reg = crate::metrics::MetricsRegistry::new();
             reg.counter(&format!("{STAGE_BUSY_PREFIX}s"))
                 .add(ms * 500_000);
@@ -1893,26 +1749,16 @@ mod tests {
                 .set(4);
             reg.gauge(&format!("{QUEUE_DEPTH_PREFIX}recycle/p"))
                 .set(depth);
-            reg.counter("disk/d0/prefetch_hit").add(hits);
-            reg.counter("disk/d0/prefetch_miss").add(misses);
             TimestampedSnapshot {
                 elapsed: Duration::from_millis(ms),
                 snapshot: reg.snapshot(),
             }
         };
-        let w = vec![
-            point(0, 0, 10, 10),
-            point(50, 0, 10, 30),
-            point(100, 4, 10, 50),
-        ];
+        let w = vec![point(0, 0), point(50, 0), point(100, 4)];
         let d = diagnose_window(&w).unwrap();
         let q = &d.queue_findings[0];
         assert_eq!((q.name.as_str(), q.capacity), ("recycle/p", 4));
         assert!((q.empty_frac - 2.0 / 3.0).abs() < 1e-9);
-        // Only the window's deltas count: 0 hits, 40 misses.
-        let p = d.prefetch.unwrap();
-        assert_eq!((p.hits, p.misses), (0, 40));
-        assert!(p.hit_rate() < PREFETCH_WARN);
     }
 
     /// Build a rank report with given wall time and received-byte counters

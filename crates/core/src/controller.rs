@@ -4,31 +4,32 @@
 //! FG's thesis is that the framework — not the programmer — should own
 //! overlap and buffer management.  The post-run analyzer
 //! ([`diagnose`](crate::analyze::diagnose)) can already *name* the limiting
-//! stage and *recommend* `workers(n)` or a deeper I/O read-ahead, but only
-//! after the run ends.  This module closes the loop while the program is
-//! still running:
+//! stage and *recommend* `workers(n)` or more buffers, but only after the
+//! run ends.  This module closes the loop while the program is still
+//! running:
 //!
 //! 1. an internal [`Sampler`] snapshots the metrics registry every few
 //!    milliseconds;
 //! 2. a decide thread runs [`diagnose_window`] over a sliding window of
 //!    those snapshots;
-//! 3. a small policy maps the windowed verdict onto three actuators —
-//!    farm width ([`ReplicaGroup::set_active`]), pipeline buffer-pool size
-//!    ([`PoolControl`]), and I/O read-ahead depth ([`DepthActuator`]).
+//! 3. a small policy maps the windowed verdict onto two actuators — farm
+//!    width ([`ReplicaGroup::set_active`]) and pipeline buffer-pool size
+//!    ([`PoolControl`]).  A pool is also its pipeline's read-ahead (a read
+//!    stage fills the next buffer while the rest work on the last), so
+//!    there is no I/O depth to tune beside it.
 //!
 //! Actuation safety comes from three rules, all enforced here or in the
 //! actuators themselves:
 //!
 //! * **round boundaries only** — a farm width change parks replicas at the
-//!   admission gate *between* rounds (never mid-buffer), a pool is resized
-//!   by its first stage as a buffer comes home, and depth changes only
-//!   affect read-ahead issued for subsequent reads;
+//!   admission gate *between* rounds (never mid-buffer), and a pool is
+//!   resized by its first stage as a buffer comes home;
 //! * **hysteresis** — a proposal must repeat for `confirm` consecutive
 //!   decision ticks before it is applied, and after every actuation the
 //!   controller holds off for `cooldown` ticks so the measured effect is
 //!   attributable;
 //! * **min/max clamps** — farms move within `1..=declared replicas`, pools
-//!   within their declared `min..=max`, depth within `1..=MAX_IO_DEPTH`.
+//!   within their declared `min..=max`.
 //!
 //! Every decision is itself first-class observability: it lands in a
 //! bounded audit log ([`ControllerLog`], exported in the JSON report),
@@ -44,24 +45,12 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::analyze::{diagnose_window, StageVerdict, WindowDiagnosis, PINNED_FRAC, PREFETCH_WARN};
+use crate::analyze::{diagnose_window, StageVerdict, WindowDiagnosis, PINNED_FRAC};
 use crate::json::{obj, Json};
 use crate::metrics::MetricsRegistry;
 use crate::stage::ReplicaGroup;
 use crate::telemetry::{Sampler, SamplerCfg};
 use crate::trace::{SpanRing, TraceKind, IO_PIPELINE};
-
-/// A resizable read-ahead depth the controller can actuate — implemented
-/// by `fg_pdm::IoScheduler`, and by anything else that prefetches.
-pub trait DepthActuator: Send + Sync {
-    /// Metrics label identifying this actuator (`"io"`, `"d3"`, …).
-    fn label(&self) -> String;
-    /// The current read-ahead depth.
-    fn io_depth(&self) -> usize;
-    /// Request a new depth; returns the depth actually applied after the
-    /// implementation's own clamping.
-    fn set_io_depth(&self, depth: usize) -> usize;
-}
 
 /// Live handle on one pipeline's buffer pool.
 ///
@@ -332,7 +321,6 @@ impl ControllerLog {
 pub(crate) struct Actuators {
     pub(crate) farms: Vec<Arc<ReplicaGroup>>,
     pub(crate) pools: Vec<Arc<PoolControl>>,
-    pub(crate) depths: Vec<Arc<dyn DepthActuator>>,
 }
 
 /// What the policy wants to do next tick, compared across ticks for
@@ -341,7 +329,6 @@ pub(crate) struct Actuators {
 enum Action {
     GrowFarm(usize),
     ShrinkFarm(usize),
-    RaiseDepth(usize),
     GrowPool(usize),
 }
 
@@ -523,14 +510,12 @@ fn decide_loop(
 
 /// Sliding-window length, in samples, fed to [`diagnose_window`].
 const WINDOW: usize = 8;
-/// Ceiling for the I/O read-ahead depth actuator.
-const MAX_IO_DEPTH: usize = 16;
 /// Decisions the audit log retains (oldest evicted first).
 const LOG_CAPACITY: usize = 256;
 
 /// Map the windowed verdict onto at most one actuation, in priority
-/// order: widen the limiting farm, deepen starving read-ahead, grow a dry
-/// buffer pool, then narrow an idle farm.
+/// order: widen the limiting farm, grow a dry buffer pool, then narrow an
+/// idle farm.
 fn propose(diag: &WindowDiagnosis, actuators: &Actuators) -> Option<Action> {
     // (1) The limiting stage is a farm running below its declared width:
     // more workers attack the bottleneck directly.
@@ -551,20 +536,7 @@ fn propose(diag: &WindowDiagnosis, actuators: &Actuators) -> Option<Action> {
             }
         }
     }
-    // (2) Reads are going cold to the backend: deepen the read-ahead.
-    if let Some(p) = diag.prefetch {
-        if p.hits + p.misses >= 8 && p.hit_rate() < PREFETCH_WARN {
-            if let Some((i, _)) = actuators
-                .depths
-                .iter()
-                .enumerate()
-                .find(|(_, d)| d.io_depth() < MAX_IO_DEPTH)
-            {
-                return Some(Action::RaiseDepth(i));
-            }
-        }
-    }
-    // (3) A recycle pool runs dry while the pipeline still has headroom:
+    // (2) A recycle pool runs dry while the pipeline still has headroom:
     // more buffers in flight smooth the overlap.
     for (i, pool) in actuators.pools.iter().enumerate() {
         let dry = diag
@@ -576,7 +548,7 @@ fn propose(diag: &WindowDiagnosis, actuators: &Actuators) -> Option<Action> {
             return Some(Action::GrowPool(i));
         }
     }
-    // (4) A farm is mostly starved: its upstream cannot feed the current
+    // (3) A farm is mostly starved: its upstream cannot feed the current
     // width, so shed a worker (never below one).
     for (i, farm) in actuators.farms.iter().enumerate() {
         let starved = diag
@@ -605,12 +577,6 @@ fn apply(action: &Action, actuators: &Actuators) -> String {
             let before = farm.active();
             let after = farm.set_active(before.saturating_sub(1));
             format!("shrink farm `{}` {before} -> {after}", farm.name())
-        }
-        Action::RaiseDepth(i) => {
-            let d = &actuators.depths[i];
-            let before = d.io_depth();
-            let after = d.set_io_depth((before * 2).min(MAX_IO_DEPTH));
-            format!("raise io depth `{}` {before} -> {after}", d.label())
         }
         Action::GrowPool(i) => {
             let pool = &actuators.pools[i];
@@ -654,11 +620,6 @@ fn publish_gauges(registry: &MetricsRegistry, actuators: &Actuators) {
         registry
             .gauge(&format!("controller/pool_target/{}", pool.pipeline()))
             .set(pool.target() as u64);
-    }
-    for d in &actuators.depths {
-        registry
-            .gauge(&format!("controller/io_depth/{}", d.label()))
-            .set(d.io_depth() as u64);
     }
 }
 
@@ -722,21 +683,6 @@ fn publish_status(
             ),
         ),
         (
-            "io",
-            Json::Arr(
-                actuators
-                    .depths
-                    .iter()
-                    .map(|d| {
-                        obj(vec![
-                            ("label", Json::from(d.label())),
-                            ("depth", Json::from(d.io_depth())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
             "recent_decisions",
             Json::Arr(recent.map(|d| d.to_json_value()).collect()),
         ),
@@ -790,7 +736,7 @@ mod tests {
                     at: Duration::from_millis(400),
                     window: Duration::from_millis(80),
                     verdict: "limiting `read` busy 88% (workers 1)".into(),
-                    action: "raise io depth `io` 1 -> 2".into(),
+                    action: "grow pool `p` 4 -> 5".into(),
                     throughput_before: 180.25,
                     throughput_after: None,
                 },
@@ -801,18 +747,23 @@ mod tests {
         assert_eq!(back, log);
     }
 
-    #[test]
-    fn controller_grows_a_busy_underwidth_farm() {
-        let registry = Arc::new(MetricsRegistry::new());
-        let farm = ReplicaGroup::new("work", 4, true);
-        farm.set_active(1);
-        let cfg = ControllerCfg {
+    /// Sample every millisecond, decide every five, act on first sight.
+    fn eager() -> ControllerCfg {
+        ControllerCfg {
             sample_interval: Duration::from_millis(1),
             decide_interval: Duration::from_millis(5),
             confirm: 1,
             cooldown: 0,
             ..ControllerCfg::default()
-        };
+        }
+    }
+
+    #[test]
+    fn controller_grows_a_busy_underwidth_farm() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let farm = ReplicaGroup::new("work", 4, true);
+        farm.set_active(1);
+        let cfg = eager();
         let status = Arc::clone(&cfg.status);
         // Drive the live counters by hand: replica 0 is flat-out busy.
         let busy = registry.counter("core/stage_busy_ns/work#0");
@@ -858,51 +809,66 @@ mod tests {
     }
 
     #[test]
-    fn controller_deepens_cold_read_ahead() {
-        struct FakeDepth(AtomicUsize);
-        impl DepthActuator for FakeDepth {
-            fn label(&self) -> String {
-                "io".into()
-            }
-            fn io_depth(&self) -> usize {
-                self.0.load(Ordering::SeqCst)
-            }
-            fn set_io_depth(&self, depth: usize) -> usize {
-                self.0.store(depth, Ordering::SeqCst);
-                depth
-            }
-        }
+    fn controller_grows_a_dry_recycle_pool() {
         let registry = Arc::new(MetricsRegistry::new());
-        let depth = Arc::new(FakeDepth(AtomicUsize::new(1)));
-        let cfg = ControllerCfg {
-            sample_interval: Duration::from_millis(1),
-            decide_interval: Duration::from_millis(5),
-            confirm: 1,
-            cooldown: 0,
-            ..ControllerCfg::default()
-        };
-        let misses = registry.counter("disk/0/prefetch_miss");
-        let busy = registry.counter("core/stage_busy_ns/read");
+        let pool = PoolControl::new("p", "recycle/p", 2, 1, 4);
+        // Set the pool's queue gauges by hand: wired, and sampled empty in
+        // every window — every buffer is in flight.
+        registry.gauge("core/queue_capacity/recycle/p").set(5);
+        registry.gauge("core/queue_depth/recycle/p").set(0);
         let controller = Controller::start(
             Arc::clone(&registry),
-            cfg,
+            eager(),
             Actuators {
-                depths: vec![Arc::clone(&depth) as Arc<dyn DepthActuator>],
+                pools: vec![Arc::clone(&pool)],
                 ..Actuators::default()
             },
             None,
         );
         let t0 = std::time::Instant::now();
-        while depth.io_depth() < 2 && t0.elapsed() < Duration::from_secs(5) {
-            misses.add(8);
-            busy.add(1_000_000);
+        while pool.target() < 3 && t0.elapsed() < Duration::from_secs(5) {
             std::thread::sleep(Duration::from_millis(1));
         }
         let log = controller.stop();
-        assert!(depth.io_depth() >= 2, "depth never raised: {log:?}");
-        assert!(log
-            .decisions
-            .iter()
-            .any(|d| d.action.contains("raise io depth")));
+        assert_eq!(log.decisions[0].action, "grow pool `p` 2 -> 3", "{log:?}");
+        // The gauge was published at 2 before the first actuation.
+        let target = registry.snapshot().gauge("controller/pool_target/p");
+        assert!(target.is_some_and(|g| g.value >= 3), "{target:?}");
+    }
+
+    /// METRICS.md's `controller/` rows are exactly the names a running
+    /// controller publishes, so the catalogue cannot drift from the code.
+    #[test]
+    fn metrics_md_lists_exactly_the_controller_metrics() {
+        use std::collections::BTreeSet;
+        let documented: BTreeSet<&str> = include_str!("../../../METRICS.md")
+            .lines()
+            .filter_map(|l| l.strip_prefix("| `controller/")?.split('`').next())
+            .collect();
+        let registry = Arc::new(MetricsRegistry::new());
+        let farms = vec![ReplicaGroup::new("<farm>", 2, true)];
+        let pools = vec![PoolControl::new(
+            "<pipeline>",
+            "recycle/<pipeline>",
+            1,
+            1,
+            2,
+        )];
+        let actuators = Actuators { farms, pools };
+        let controller = Controller::start(Arc::clone(&registry), eager(), actuators, None);
+        let ticks = registry.counter("controller/ticks");
+        let t0 = std::time::Instant::now();
+        while ticks.get() == 0 && t0.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        controller.stop();
+        let snap = registry.snapshot();
+        let names = snap.counters.iter().map(|(n, _)| n);
+        let names = names.chain(snap.gauges.iter().map(|(n, _)| n));
+        let names = names.chain(snap.histograms.iter().map(|(n, _)| n));
+        let published: BTreeSet<&str> = names
+            .filter_map(|n| n.strip_prefix("controller/"))
+            .collect();
+        assert_eq!(published, documented);
     }
 }

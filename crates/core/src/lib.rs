@@ -92,7 +92,7 @@ pub use analyze::{
 pub use buffer::{Buffer, PipelineId, StageId};
 pub use cluster_report::{ClusterReport, CollectiveStat, RankReport};
 pub use controller::{
-    ControlStatus, Controller, ControllerCfg, ControllerLog, Decision, DepthActuator, PoolControl,
+    ControlStatus, Controller, ControllerCfg, ControllerLog, Decision, PoolControl,
 };
 pub use critical_path::{critical_path, CriticalPath, PathSegment, RoundPath};
 pub use error::{FgError, Result};

@@ -117,7 +117,6 @@ pub struct Program {
     trace_group: Option<u32>,
     watchdog: Option<crate::trace::WatchdogCfg>,
     controller: Option<crate::controller::ControllerCfg>,
-    depth_actuators: Vec<Arc<dyn crate::controller::DepthActuator>>,
     pin: Option<PinMode>,
     ledger: Option<Arc<crate::profile::MemoryLedger>>,
 }
@@ -135,7 +134,6 @@ impl Program {
             trace_group: None,
             watchdog: None,
             controller: None,
-            depth_actuators: Vec::new(),
             pin: None,
             ledger: None,
         }
@@ -230,20 +228,14 @@ impl Program {
     /// Attach a closed-loop controller
     /// ([`Controller`](crate::controller::Controller)): during the run it
     /// samples the metrics registry, diagnoses a sliding window, and
-    /// actuates farm widths, buffer pools, and registered I/O depths.
+    /// actuates farm widths and buffer pools (a read stage's pool is its
+    /// read-ahead, so pool size is also I/O depth).
     /// Requires [`Program::set_metrics`]; without a registry the
     /// controller is silently skipped (it would have nothing to observe).
     /// The decision audit log lands in
     /// [`Report::controller`](crate::Report).
     pub fn set_controller(&mut self, cfg: crate::controller::ControllerCfg) {
         self.controller = Some(cfg);
-    }
-
-    /// Register a resizable read-ahead depth (e.g. an I/O scheduler) for
-    /// the controller to actuate.  No-op unless
-    /// [`Program::set_controller`] is also called.
-    pub fn add_depth_actuator(&mut self, actuator: Arc<dyn crate::controller::DepthActuator>) {
-        self.depth_actuators.push(actuator);
     }
 
     /// Program name (used in thread names and diagnostics).
@@ -629,7 +621,6 @@ impl Program {
             watchdog: self.watchdog.clone(),
             controller: self.controller.clone(),
             farms,
-            depth_actuators: self.depth_actuators.clone(),
             pin: self.pin.clone(),
             ledger: self.ledger.clone(),
             pipelines: self

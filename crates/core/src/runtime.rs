@@ -39,7 +39,6 @@ pub(crate) struct Plan {
     pub(crate) watchdog: Option<WatchdogCfg>,
     pub(crate) controller: Option<crate::controller::ControllerCfg>,
     pub(crate) farms: Vec<Arc<ReplicaGroup>>,
-    pub(crate) depth_actuators: Vec<Arc<dyn crate::controller::DepthActuator>>,
     pub(crate) pipelines: Vec<crate::stats::PipelineShape>,
     pub(crate) pin: Option<crate::affinity::PinMode>,
     pub(crate) ledger: Option<Arc<crate::profile::MemoryLedger>>,
@@ -112,7 +111,6 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
         watchdog,
         controller,
         farms,
-        depth_actuators,
         pipelines,
         pin,
         ledger,
@@ -171,9 +169,9 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
     }
 
     // Close the observability loop: the controller samples the metrics
-    // registry and actuates farm widths, buffer pools, and I/O depths
-    // while the stage threads run.  Without a registry it has nothing to
-    // observe, so it is skipped.
+    // registry and actuates farm widths and buffer pools while the stage
+    // threads run.  Without a registry it has nothing to observe, so it is
+    // skipped.
     let controller = match (&controller, &metrics) {
         (Some(cfg), Some(m)) => Some(crate::controller::Controller::start(
             Arc::clone(m),
@@ -181,7 +179,6 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
             crate::controller::Actuators {
                 farms,
                 pools: pools.iter().filter_map(|p| p.control.clone()).collect(),
-                depths: depth_actuators,
             },
             ring_for("controller"),
         )),

@@ -16,8 +16,9 @@
 //!   these two, bare: a read stage's buffer pool is its read-ahead and a
 //!   write stage its write-behind;
 //! * [`IoScheduler`] — a library wrapper over either backend adding
-//!   read-ahead prefetching and coalescing write-behind on a dedicated I/O
-//!   thread, which code that measures it builds explicitly;
+//!   read-ahead of a depth fixed at construction and coalescing
+//!   write-behind on a dedicated I/O thread.  Only the benchmark's unit
+//!   rows build one, to price it;
 //! * [`Striping`] — PDM striping arithmetic (global ↔ per-node coordinates)
 //!   and a verification helper that reassembles the global stream.
 //!

@@ -80,7 +80,7 @@ impl OsDisk {
     /// `sync_data`, so a completed write has reached the device rather
     /// than the page cache.  This is the write-through durability mode —
     /// each write pays real device latency, which is exactly the latency
-    /// an [`IoScheduler`](crate::IoScheduler)'s write-behind queue hides.
+    /// a write stage hides behind the rest of its pipeline.
     pub fn durable(root: impl Into<PathBuf>) -> Result<Arc<Self>, PdmError> {
         Self::build(root.into(), None, true)
     }

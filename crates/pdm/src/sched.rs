@@ -57,7 +57,6 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -368,9 +367,7 @@ impl Shared {
     }
 }
 
-/// The largest read-ahead depth a scheduler will accept, from
-/// construction or a later [`IoScheduler::set_depth`].  Bounds the
-/// prefetch store so a runaway controller cannot buffer a whole file.
+/// The largest read-ahead depth a scheduler accepts at construction.
 pub const MAX_IO_DEPTH: usize = 64;
 
 /// A [`Disk`] wrapper that overlaps its backend's I/O with the caller:
@@ -379,12 +376,9 @@ pub const MAX_IO_DEPTH: usize = 64;
 /// contract and the memory bound.
 pub struct IoScheduler {
     shared: Arc<Shared>,
-    /// How many sequential blocks ahead of each read stream to prefetch.
-    /// Atomic so a live controller can retune it mid-run
-    /// ([`set_depth`](IoScheduler::set_depth)).
-    depth: AtomicUsize,
-    /// Disk label for decisions and metrics (`d0`, …; `io` when unnamed).
-    label: String,
+    /// How many sequential blocks ahead of each read stream to prefetch,
+    /// fixed at construction.
+    depth: usize,
     worker: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -448,8 +442,10 @@ impl IoScheduler {
             idle_cv: Condvar::new(),
             space_cv: Condvar::new(),
             metrics,
-            // Sized for the ceiling, not the starting depth, so a live
-            // depth raise never outgrows the store.
+            // A stored block leaves only when it is read or invalidated,
+            // so predictions nobody reads (a stream abandoned before its
+            // end, a reader that jumps ahead) would pile up without bound;
+            // past the cap a finished prefetch is dropped instead.
             fetched_cap: 8 * MAX_IO_DEPTH + 32,
         });
         let worker_shared = Arc::clone(&shared);
@@ -468,8 +464,7 @@ impl IoScheduler {
             .expect("spawn io scheduler thread");
         Ok(Arc::new(IoScheduler {
             shared,
-            depth: AtomicUsize::new(depth),
-            label: label.to_string(),
+            depth,
             worker: Mutex::new(Some(worker)),
         }))
     }
@@ -477,26 +472,6 @@ impl IoScheduler {
     /// The wrapped backend.
     pub fn inner(&self) -> &DiskRef {
         &self.shared.inner
-    }
-
-    /// Current read-ahead depth.
-    pub fn depth(&self) -> usize {
-        self.depth.load(Ordering::Relaxed)
-    }
-
-    /// Retune the read-ahead depth mid-run, clamped to
-    /// `1..=`[`MAX_IO_DEPTH`].  Takes effect on the next read; already
-    /// queued prefetches are unaffected.  Returns the applied depth.
-    pub fn set_depth(&self, depth: usize) -> usize {
-        let d = depth.clamp(1, MAX_IO_DEPTH);
-        self.depth.store(d, Ordering::Relaxed);
-        d
-    }
-
-    /// The scheduler's disk label (`d0`, …; `io` when constructed without
-    /// metrics).
-    pub fn label(&self) -> &str {
-        &self.label
     }
 
     /// After a read of (`name`, `offset`, `len`): hand back the block
@@ -512,7 +487,7 @@ impl IoScheduler {
         let id = st.intern(name);
         let flen = sh.logical_len(&mut st, id);
         let mut notify = false;
-        for k in 1..=self.depth() {
+        for k in 1..=self.depth {
             let off = offset + (k * len) as u64;
             // Only whole blocks: a short tail read would mismatch the
             // consumer's exact-length request anyway.
@@ -757,20 +732,6 @@ impl Disk for IoScheduler {
     }
 }
 
-impl fg_core::controller::DepthActuator for IoScheduler {
-    fn label(&self) -> String {
-        self.label.clone()
-    }
-
-    fn io_depth(&self) -> usize {
-        self.depth()
-    }
-
-    fn set_io_depth(&self, depth: usize) -> usize {
-        self.set_depth(depth)
-    }
-}
-
 impl Drop for IoScheduler {
     fn drop(&mut self) {
         {
@@ -788,6 +749,7 @@ impl Drop for IoScheduler {
 mod tests {
     use super::*;
     use crate::{DiskCfg, SimDisk};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
     fn sched(depth: usize) -> (Arc<SimDisk>, Arc<IoScheduler>) {
@@ -852,40 +814,6 @@ mod tests {
                 Ok(_) => panic!("expected Config error for depth {bad}, got Ok"),
             }
         }
-    }
-
-    #[test]
-    fn depth_is_retunable_and_clamped() {
-        let (_inner, s) = sched(2);
-        assert_eq!(s.depth(), 2);
-        assert_eq!(s.set_depth(8), 8);
-        assert_eq!(s.depth(), 8);
-        assert_eq!(s.set_depth(0), 1);
-        assert_eq!(s.set_depth(usize::MAX), MAX_IO_DEPTH);
-    }
-
-    #[test]
-    fn raised_depth_prefetches_further_ahead() {
-        use fg_core::controller::DepthActuator;
-        let reg = MetricsRegistry::new();
-        let inner = SimDisk::new(DiskCfg::zero());
-        let s = IoScheduler::with_metrics(inner as DiskRef, 1, &reg, "d7").unwrap();
-        assert_eq!(DepthActuator::label(&*s), "d7");
-        s.load("f", vec![0u8; 1024]);
-        let mut buf = [0u8; 64];
-        s.read_at("f", 0, &mut buf).unwrap();
-        s.set_io_depth(4);
-        assert_eq!(s.io_depth(), 4);
-        // The retuned depth applies to the very next read's predictions.
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        s.read_at("f", 64, &mut buf).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        for block in 2..6u64 {
-            s.read_at("f", block * 64, &mut buf).unwrap();
-        }
-        let snap = reg.snapshot();
-        let hits = snap.counter("disk/d7/prefetch_hit").unwrap_or(0);
-        assert!(hits >= 4, "hits={hits}");
     }
 
     #[test]
