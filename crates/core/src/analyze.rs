@@ -25,10 +25,18 @@
 //!   dry (an under-provisioned pipeline), a finding a single end-of-run
 //!   high-water mark cannot distinguish from a momentary dip.  (No queue
 //!   can be sampled full: each admits its pipelines' whole pools.)
+//! * a report that carries its span log ([`Report::trace`]) adds findings
+//!   off the reconstructed critical path that cite concrete rounds.
+//!
+//! [`diagnose`] is the one diagnoser of a pipeline run.  A live sliding
+//! window of telemetry is judged by it too: [`window_report`] turns the
+//! window into the [`Report`] of its span, so a finished run is simply its
+//! last window.
 
 use std::time::Duration;
 
-use crate::stats::Report;
+use crate::program::replica_base;
+use crate::stats::{QueueDepth, Report, StageStats};
 use crate::telemetry::TimestampedSnapshot;
 
 /// A stage's dominant state over the run.
@@ -177,8 +185,8 @@ pub struct Diagnosis {
     /// (CAS-retry rate above [`CONTENTION_WARN`] with meaningful traffic),
     /// sorted by retry rate descending.
     pub contention: Vec<ContentionFinding>,
-    /// Per-round critical-path reconstruction, when flight-recorder logs
-    /// were supplied (see [`diagnose_with_trace`]).
+    /// Per-round critical-path reconstruction, when the report's span log
+    /// ([`Report::trace`]) holds traced rounds.
     pub critical_path: Option<crate::critical_path::CriticalPath>,
     /// Resource-level findings (memory-bound, allocation churn, core
     /// oversubscription), when the run carried a
@@ -241,8 +249,7 @@ pub const STAGE_ROUNDS_PREFIX: &str = "core/stage_rounds/";
 /// Metric-name prefix of the per-queue depth gauges.
 pub const QUEUE_DEPTH_PREFIX: &str = "core/queue_depth/";
 /// Metric-name prefix of the per-queue capacity gauges (set once at wire
-/// time; windowed diagnosis, which has no [`Report`], enumerates the
-/// queues from them).
+/// time; [`window_report`] reads a window's queues from them).
 pub const QUEUE_CAPACITY_PREFIX: &str = "core/queue_capacity/";
 /// Metric-name prefix of the per-queue failed-CAS counters (lock-free
 /// flavor only; each count is one producer/consumer collision on the
@@ -257,11 +264,11 @@ pub const QUEUE_WAKE_PREFIX: &str = "core/queue_wakes/";
 /// denominator that turns CAS retries into a per-item collision rate.
 pub const QUEUE_ITEMS_PREFIX: &str = "core/queue_items/";
 
-/// One stage's time attribution over some span (a whole run or a sliding
-/// window), before fractions and verdicts are derived.  The shared input
-/// to the verdict logic used by both [`diagnose`] and [`diagnose_window`].
-struct Row {
-    name: String,
+/// One stage's time attribution (a farm's replicas folded), before
+/// fractions and verdicts are derived.
+#[derive(Default)]
+struct Row<'a> {
+    name: &'a str,
     wall: Duration,
     busy: Duration,
     starved: Duration,
@@ -272,8 +279,7 @@ struct Row {
     workers: usize,
 }
 
-/// Derive per-stage fractions and verdicts from attribution rows — the
-/// verdict core shared by end-of-run and windowed diagnosis.
+/// Derive per-stage fractions and verdicts from attribution rows.
 fn stage_diagnoses(rows: &[Row]) -> Vec<StageDiagnosis> {
     rows.iter()
         .map(|r| {
@@ -296,7 +302,7 @@ fn stage_diagnoses(rows: &[Row]) -> Vec<StageDiagnosis> {
                 StageVerdict::Backpressured
             };
             StageDiagnosis {
-                name: r.name.clone(),
+                name: r.name.to_string(),
                 wall: r.wall,
                 busy_frac,
                 starved_frac,
@@ -327,67 +333,31 @@ fn limiting_stage(rows: &[Row]) -> Option<usize> {
 /// findings need the time series (the report's high-water marks cannot
 /// tell "ran dry" from "dipped to empty once").
 pub fn diagnose(report: &Report, series: &[TimestampedSnapshot]) -> Diagnosis {
-    // Fold per-replica rows (`base#i`) into one farm row per base.  The
-    // base must itself be a stage named in the report's pipeline topology,
-    // so a user-chosen stage name that happens to contain `#` is never
-    // misread as a replica of something else.
-    let topo: std::collections::HashSet<&str> = report
-        .pipelines
-        .iter()
-        .flat_map(|p| p.stages.iter().map(String::as_str))
-        .collect();
-    fn replica_base<'a>(name: &'a str, topo: &std::collections::HashSet<&str>) -> Option<&'a str> {
-        let (base, idx) = name.rsplit_once('#')?;
-        (!idx.is_empty() && idx.bytes().all(|b| b.is_ascii_digit()) && topo.contains(base))
-            .then_some(base)
-    }
-
+    // Fold a farm's replica rows (`base#i`) into one row, where its first
+    // replica's row stood.
     let mut rows: Vec<Row> = Vec::new();
-    let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
     for s in &report.stages {
-        match replica_base(&s.name, &topo) {
-            Some(base) => {
-                if !seen.insert(base.to_string()) {
-                    continue;
-                }
-                let mut row = Row {
-                    name: base.to_string(),
-                    wall: Duration::ZERO,
-                    busy: Duration::ZERO,
-                    starved: Duration::ZERO,
-                    backpressured: Duration::ZERO,
-                    denom: Duration::ZERO,
-                    workers: 0,
-                };
-                for r in report
-                    .stages
-                    .iter()
-                    .filter(|r| replica_base(&r.name, &topo) == Some(base))
-                {
-                    row.workers += 1;
-                    row.wall = row.wall.max(r.wall);
-                    row.busy += r.busy();
-                    row.starved += r.blocked_accept;
-                    row.backpressured += r.blocked_convey;
-                    row.denom += r.wall;
-                }
-                rows.push(row);
+        let farm = replica_base(&s.name);
+        let i = match rows.iter().position(|r| farm == Some(r.name)) {
+            Some(i) => i,
+            None => {
+                rows.push(Row::default());
+                rows.len() - 1
             }
-            None => rows.push(Row {
-                name: s.name.clone(),
-                wall: s.wall,
-                busy: s.busy(),
-                starved: s.blocked_accept,
-                backpressured: s.blocked_convey,
-                denom: s.wall,
-                workers: 1,
-            }),
-        }
+        };
+        let row = &mut rows[i];
+        row.name = farm.unwrap_or(&s.name);
+        row.workers += 1;
+        row.wall = row.wall.max(s.wall);
+        row.busy += s.busy();
+        row.starved += s.blocked_accept;
+        row.backpressured += s.blocked_convey;
+        row.denom += s.wall;
     }
 
     let mut stages: Vec<StageDiagnosis> = stage_diagnoses(&rows);
     let lim = limiting_stage(&rows);
-    let limiting = lim.map(|i| rows[i].name.clone());
+    let limiting = lim.map(|i| rows[i].name.to_string());
 
     // A starved stage upstream of the limiting stage in the same chain is
     // effectively backpressured: FG provisions every queue above the buffer
@@ -540,41 +510,14 @@ pub fn diagnose(report: &Report, series: &[TimestampedSnapshot]) -> Diagnosis {
         ));
     }
 
-    Diagnosis {
-        stages,
-        limiting,
-        overlap_factor: report.overlap_factor(),
-        overlap_efficiency,
-        queue_findings,
-        contention,
-        critical_path: None,
-        resources,
-        recommendations,
-    }
-}
-
-/// [`diagnose`], sharpened with flight-recorder span logs: reconstructs
-/// each traced buffer's round timeline
-/// ([`critical_path`](crate::critical_path::critical_path)) and adds
-/// findings that cite **concrete rounds** — the slowest buffer journey
-/// and the stage whose spans dominate it — instead of run-wide averages.
-///
-/// `logs` is what [`TraceSink::collect`](crate::trace::TraceSink::collect)
-/// returns after a run.  With no traced rounds in the logs, the result is
-/// identical to [`diagnose`].
-pub fn diagnose_with_trace(
-    report: &Report,
-    series: &[TimestampedSnapshot],
-    logs: &[crate::trace::ThreadLog],
-) -> Diagnosis {
-    let mut d = diagnose(report, series);
-    let cp = crate::critical_path::critical_path(logs);
-    if cp.rounds.is_empty() {
-        return d;
-    }
+    // The run's span log, when it carries one, rebuilds each traced
+    // buffer's round timeline: findings that cite concrete rounds — the
+    // slowest buffer journey and the stage whose spans own the path —
+    // instead of run-wide averages.
+    let cp = crate::critical_path::critical_path(&report.trace);
     if let Some(slow) = cp.slowest_round() {
         if let Some((stage, ns)) = slow.dominant() {
-            d.recommendations.push(format!(
+            recommendations.push(format!(
                 "critical path ({} traced rounds): the slowest buffer journey is \
                  pipeline#{} round {} at {:.3} ms, {:.3} ms of it in stage `{}` \
                  ({:.3} ms queued) — profile that round first",
@@ -589,176 +532,79 @@ pub fn diagnose_with_trace(
         }
     }
     if let Some(stage) = cp.dominant_stage() {
-        let ns = cp.stage_totals[0].1;
-        let pct = if cp.total_ns == 0 {
-            0.0
-        } else {
-            ns as f64 / cp.total_ns as f64 * 100.0
-        };
+        let pct = cp.stage_totals[0].1 as f64 / cp.total_ns.max(1) as f64 * 100.0;
         // Only worth a line when one stage really owns the path.
         if pct > DOMINANT_FRAC * 100.0 {
-            d.recommendations.push(format!(
+            recommendations.push(format!(
                 "stage `{stage}` carries {pct:.0}% of the end-to-end critical path \
                  across the traced rounds — per-round evidence agreeing with (or \
                  overriding) the busy-time averages above"
             ));
         }
     }
-    d.critical_path = Some(cp);
-    d
-}
 
-/// What [`diagnose_window`] concluded about a sliding window of telemetry
-/// samples taken *during* a run — the live counterpart of [`Diagnosis`],
-/// built from counter deltas instead of a finished [`Report`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowDiagnosis {
-    /// The window's span (last sample's elapsed minus the first's).
-    pub window: Duration,
-    /// Per-stage attribution over the window.  Farm rows are folded under
-    /// their base name; `workers` counts the replicas that showed any
-    /// activity in the window (the farm's *active* width).
-    pub stages: Vec<StageDiagnosis>,
-    /// The limiting stage within the window, by the same busy-per-worker
-    /// rule as [`diagnose`].
-    pub limiting: Option<String>,
-    /// How often each queue was sampled empty across the window (queues
-    /// and capacities read from the `core/queue_capacity/*` gauges).
-    pub queue_findings: Vec<QueueFinding>,
-    /// Buffers per second through the fastest stage in the window — the
-    /// controller's "is it going faster now?" yardstick.
-    pub throughput: f64,
-    /// Per-stage buffer counts over the window (farm rows folded).
-    pub stage_rounds: Vec<(String, u64)>,
-}
-
-/// The verdict half of [`diagnose`], run on a **sliding window** of
-/// [`TimestampedSnapshot`]s mid-run: stage attribution and the limiting
-/// stage come from deltas of the live `core/stage_*` counters between the
-/// window's first and last samples, and queue findings from the depth
-/// gauges across the window.
-///
-/// Returns `None` when the window holds fewer than two samples or spans
-/// zero time.  Replica rows (`base#i`) are folded by name; because the
-/// live counters carry no topology, the fold applies to any numeric `#`
-/// suffix shared by two or more stages (or idle farms parked to width 1).
-pub fn diagnose_window(window: &[TimestampedSnapshot]) -> Option<WindowDiagnosis> {
-    let first = window.first()?;
-    let last = window.last()?;
-    let span = last.elapsed.checked_sub(first.elapsed)?;
-    if span.is_zero() || window.len() < 2 {
-        return None;
-    }
-
-    let delta = |name: &str| -> u64 {
-        let a = first.snapshot.counter(name).unwrap_or(0);
-        let b = last.snapshot.counter(name).unwrap_or(0);
-        b.saturating_sub(a)
-    };
-
-    // Every stage that has published a busy counter by the window's end.
-    let names: Vec<String> = last
-        .snapshot
-        .counters
-        .iter()
-        .filter_map(|(n, _)| n.strip_prefix(STAGE_BUSY_PREFIX))
-        .map(str::to_string)
-        .collect();
-
-    // Fold `base#i` replicas.  Without a Report there is no topology to
-    // check the base against; fold any group of stages sharing a base with
-    // a numeric suffix (farms always name replicas this way).
-    fn base_of(name: &str) -> Option<&str> {
-        let (base, idx) = name.rsplit_once('#')?;
-        (!base.is_empty() && !idx.is_empty() && idx.bytes().all(|b| b.is_ascii_digit()))
-            .then_some(base)
-    }
-    let mut grouped: Vec<(String, Vec<&str>)> = Vec::new();
-    for n in &names {
-        let key = base_of(n).unwrap_or(n).to_string();
-        match grouped.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, members)) => members.push(n),
-            None => grouped.push((key, vec![n])),
-        }
-    }
-
-    let mut rows: Vec<Row> = Vec::new();
-    let mut stage_rounds: Vec<(String, u64)> = Vec::new();
-    for (key, members) in &grouped {
-        let mut busy = 0u64;
-        let mut starved = 0u64;
-        let mut backp = 0u64;
-        let mut rounds = 0u64;
-        let mut active = 0usize;
-        for m in members {
-            let b = delta(&format!("{STAGE_BUSY_PREFIX}{m}"));
-            let s = delta(&format!("{STAGE_STARVED_PREFIX}{m}"));
-            let c = delta(&format!("{STAGE_BACKPRESSURED_PREFIX}{m}"));
-            rounds += delta(&format!("{STAGE_ROUNDS_PREFIX}{m}"));
-            if b + s + c > 0 {
-                active += 1;
-            }
-            busy += b;
-            starved += s;
-            backp += c;
-        }
-        let workers = if members.len() > 1 { active.max(1) } else { 1 };
-        rows.push(Row {
-            name: key.clone(),
-            wall: span,
-            busy: Duration::from_nanos(busy),
-            starved: Duration::from_nanos(starved),
-            backpressured: Duration::from_nanos(backp),
-            denom: span * workers as u32,
-            workers,
-        });
-        stage_rounds.push((key.clone(), rounds));
-    }
-
-    let stages = stage_diagnoses(&rows);
-    let limiting = limiting_stage(&rows).map(|i| rows[i].name.clone());
-
-    // Queue findings across the window, queues and capacities from the
-    // wire-time capacity gauges.
-    let queue_findings: Vec<QueueFinding> = last
-        .snapshot
-        .gauges
-        .iter()
-        .filter_map(|(name, cap)| {
-            let qname = name.strip_prefix(QUEUE_CAPACITY_PREFIX)?;
-            queue_finding(qname, cap.value as usize, window)
-        })
-        .collect();
-
-    let throughput = stage_rounds
-        .iter()
-        .map(|(_, r)| *r as f64 / span.as_secs_f64())
-        .fold(0.0, f64::max);
-
-    Some(WindowDiagnosis {
-        window: span,
+    Diagnosis {
         stages,
         limiting,
+        overlap_factor: report.overlap_factor(),
+        overlap_efficiency,
         queue_findings,
-        throughput,
-        stage_rounds,
-    })
+        contention,
+        critical_path: (!cp.rounds.is_empty()).then_some(cp),
+        resources,
+        recommendations,
+    }
 }
 
-impl WindowDiagnosis {
-    /// The window row for `name`, if present.
-    pub fn stage(&self, name: &str) -> Option<&StageDiagnosis> {
-        self.stages.iter().find(|s| s.name == name)
+/// A sliding window of telemetry samples taken *during* a run, as the
+/// [`Report`] of the window's span — what the controller hands
+/// [`diagnose`].  Each stage replica that did anything in the window is a
+/// [`StageStats`] row of its live `core/stage_*` counter deltas, its wall
+/// the window's span and the rest of that span `parked`; the queues are
+/// the `core/queue_capacity/*` gauges.  The live counters carry no
+/// topology, so `pipelines` is empty.
+///
+/// `None` when the window holds fewer than two samples or spans no time.
+pub fn window_report(window: &[TimestampedSnapshot]) -> Option<Report> {
+    let (first, last) = (window.first()?, window.last()?);
+    let span = last.elapsed.checked_sub(first.elapsed)?;
+    if span.is_zero() {
+        return None;
     }
-
-    /// Buffers conveyed by stage `name` over the window.
-    pub fn rounds(&self, name: &str) -> u64 {
-        self.stage_rounds
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, r)| *r)
-            .unwrap_or(0)
-    }
+    let delta = |prefix: &str, task: &str| {
+        let name = format!("{prefix}{task}");
+        let at = |p: &TimestampedSnapshot| p.snapshot.counter(&name).unwrap_or(0);
+        at(last).saturating_sub(at(first))
+    };
+    let ns = |prefix: &str, task: &str| Duration::from_nanos(delta(prefix, task));
+    let stages = last.snapshot.counters.iter().filter_map(|(name, _)| {
+        let task = name.strip_prefix(STAGE_BUSY_PREFIX)?;
+        let blocked_accept = ns(STAGE_STARVED_PREFIX, task);
+        let blocked_convey = ns(STAGE_BACKPRESSURED_PREFIX, task);
+        let active = ns(STAGE_BUSY_PREFIX, task) + blocked_accept + blocked_convey;
+        (!active.is_zero()).then(|| StageStats {
+            name: task.to_string(),
+            wall: span,
+            blocked_accept,
+            blocked_convey,
+            parked: span.saturating_sub(active),
+            buffers_out: delta(STAGE_ROUNDS_PREFIX, task),
+            ..StageStats::default()
+        })
+    });
+    let queues = last.snapshot.gauges.iter().filter_map(|(name, capacity)| {
+        Some(QueueDepth {
+            name: name.strip_prefix(QUEUE_CAPACITY_PREFIX)?.to_string(),
+            capacity: capacity.value as usize,
+            ..QueueDepth::default()
+        })
+    });
+    Some(Report {
+        wall: span,
+        stages: stages.collect(),
+        queues: queues.collect(),
+        ..Report::default()
+    })
 }
 
 /// Fold the per-queue contention counters into [`ContentionFinding`]s for
@@ -794,34 +640,25 @@ fn contention_findings(report: &Report) -> Vec<ContentionFinding> {
     findings
 }
 
-/// Fold queue `name`'s `core/queue_depth/<name>` gauge across `series`:
-/// how often was it sampled empty?  `None` for a queue never sampled.
-fn queue_finding(
-    name: &str,
-    capacity: usize,
-    series: &[TimestampedSnapshot],
-) -> Option<QueueFinding> {
-    let gauge_name = format!("{QUEUE_DEPTH_PREFIX}{name}");
-    let depths = series
-        .iter()
-        .filter_map(|point| point.snapshot.gauge(&gauge_name));
-    let (samples, empty) = depths.fold((0u64, 0u64), |(n, empty), g| {
-        (n + 1, empty + u64::from(g.value == 0))
-    });
-    (capacity > 0 && samples > 0).then(|| QueueFinding {
-        name: name.to_string(),
-        capacity,
-        empty_frac: empty as f64 / samples as f64,
-    })
-}
-
-/// [`queue_finding`] for every queue of the report.
+/// Fold each of the report's queues' `core/queue_depth/<queue>` gauge
+/// across `series`: how often was it sampled empty?  A queue never sampled
+/// has no finding.
 fn queue_findings(report: &Report, series: &[TimestampedSnapshot]) -> Vec<QueueFinding> {
-    report
-        .queues
-        .iter()
-        .filter_map(|q| queue_finding(&q.name, q.capacity, series))
-        .collect()
+    let finding = |q: &QueueDepth| {
+        let gauge_name = format!("{QUEUE_DEPTH_PREFIX}{}", q.name);
+        let depths = series
+            .iter()
+            .filter_map(|point| point.snapshot.gauge(&gauge_name));
+        let (samples, empty) = depths.fold((0u64, 0u64), |(n, empty), g| {
+            (n + 1, empty + u64::from(g.value == 0))
+        });
+        (q.capacity > 0 && samples > 0).then(|| QueueFinding {
+            name: q.name.clone(),
+            capacity: q.capacity,
+            empty_frac: empty as f64 / samples as f64,
+        })
+    };
+    report.queues.iter().filter_map(finding).collect()
 }
 
 /// Resource-level findings from the run's [`ResourceReport`]: memory
@@ -1000,6 +837,10 @@ pub(crate) const SKEW_RATIO: f64 = 1.5;
 /// communicator operations is comm-bound.
 pub(crate) const COMM_BOUND_FRAC: f64 = 0.5;
 
+/// A comm-bound rank spending more than this fraction of its comm time in
+/// blocked receives is waiting on a peer, not moving its own traffic.
+pub(crate) const COMM_WAIT_FRAC: f64 = 0.5;
+
 /// One rank's attribution inside a [`ClusterDiagnosis`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankVerdict {
@@ -1109,7 +950,7 @@ pub fn diagnose_cluster(report: &crate::cluster_report::ClusterReport) -> Cluste
             } else {
                 0.0
             };
-            if wait_frac > 0.5 {
+            if wait_frac > COMM_WAIT_FRAC {
                 recommendations.push(format!(
                     "rank {rank} is comm-bound and mostly *waiting* ({:.0}% of its comm \
                      time is blocked receives): it is starved by a slow or overloaded \
@@ -1502,23 +1343,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_in_name_without_topology_match_is_not_a_replica() {
-        // No pipeline names a `map` stage, so `map#1` is just a stage with
-        // a `#` in its name: it stays its own row with workers == 1.
-        let r = Report {
-            wall: Duration::from_millis(100),
-            stages: vec![stage("map#1", 100, 5, 5)],
-            threads_spawned: 1,
-            ..Report::default()
-        };
-        let d = diagnose(&r, &[]);
-        assert_eq!(d.stages.len(), 1);
-        assert_eq!(d.stages[0].name, "map#1");
-        assert_eq!(d.stages[0].workers, 1);
-        assert_eq!(d.limiting.as_deref(), Some("map#1"));
-    }
-
-    #[test]
     fn empty_report_is_inert() {
         let d = diagnose(&Report::default(), &[]);
         assert!(d.stages.is_empty());
@@ -1684,12 +1508,23 @@ mod tests {
         }
     }
 
+    /// A window's report and its diagnosis, as the controller makes them.
+    fn as_window(w: &[TimestampedSnapshot]) -> (Report, Diagnosis) {
+        let r = window_report(w).expect("a window of two samples over some span");
+        let d = diagnose(&r, w);
+        (r, d)
+    }
+
+    fn row<'a>(d: &'a Diagnosis, name: &str) -> &'a StageDiagnosis {
+        d.stages.iter().find(|s| s.name == name).unwrap()
+    }
+
     #[test]
     fn window_needs_two_samples_and_nonzero_span() {
-        assert_eq!(diagnose_window(&[]), None);
+        assert_eq!(window_report(&[]), None);
         let p = window_point(5, &[("a", 1, 0, 0, 1)]);
-        assert_eq!(diagnose_window(std::slice::from_ref(&p)), None);
-        assert_eq!(diagnose_window(&[p.clone(), p]), None);
+        assert_eq!(window_report(std::slice::from_ref(&p)), None);
+        assert_eq!(window_report(&[p.clone(), p]), None);
     }
 
     #[test]
@@ -1698,14 +1533,14 @@ mod tests {
             window_point(0, &[("up", 10, 0, 0, 5), ("slow", 10, 0, 0, 5)]),
             window_point(100, &[("up", 20, 0, 80, 10), ("slow", 105, 5, 0, 10)]),
         ];
-        let d = diagnose_window(&w).unwrap();
-        assert_eq!(d.window, Duration::from_millis(100));
+        let (r, d) = as_window(&w);
+        assert_eq!(r.wall, Duration::from_millis(100));
         assert_eq!(d.limiting.as_deref(), Some("slow"));
-        assert_eq!(d.stage("slow").unwrap().verdict, StageVerdict::Busy);
-        assert_eq!(d.stage("up").unwrap().verdict, StageVerdict::Backpressured);
-        assert_eq!(d.rounds("slow"), 5);
+        assert_eq!(row(&d, "slow").verdict, StageVerdict::Busy);
+        assert_eq!(row(&d, "up").verdict, StageVerdict::Backpressured);
+        assert_eq!(r.stage("slow").unwrap().buffers_out, 5);
         // 5 buffers / 0.1 s.
-        assert!((d.throughput - 50.0).abs() < 1e-9);
+        assert!((crate::controller::throughput(&r) - 50.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1730,12 +1565,14 @@ mod tests {
                 ],
             ),
         ];
-        let d = diagnose_window(&w).unwrap();
-        let farm = d.stage("w").unwrap();
+        let (r, d) = as_window(&w);
+        let farm = row(&d, "w");
         assert_eq!(farm.workers, 2);
         // 170 ms busy over a 2-worker 100 ms window.
         assert!((farm.busy_frac - 0.85).abs() < 1e-9);
-        assert_eq!(d.rounds("w"), 8);
+        assert_eq!(r.stage_rollup("w").unwrap().0.buffers_out, 8);
+        // 8 buffers / 0.1 s through the farm's two workers together.
+        assert!((crate::controller::throughput(&r) - 80.0).abs() < 1e-9);
         assert_eq!(d.limiting.as_deref(), Some("w"));
     }
 
@@ -1755,7 +1592,7 @@ mod tests {
             }
         };
         let w = vec![point(0, 0), point(50, 0), point(100, 4)];
-        let d = diagnose_window(&w).unwrap();
+        let (_, d) = as_window(&w);
         let q = &d.queue_findings[0];
         assert_eq!((q.name.as_str(), q.capacity), ("recycle/p", 4));
         assert!((q.empty_frac - 2.0 / 3.0).abs() < 1e-9);

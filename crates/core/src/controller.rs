@@ -2,16 +2,16 @@
 //! actuation.
 //!
 //! FG's thesis is that the framework — not the programmer — should own
-//! overlap and buffer management.  The post-run analyzer
-//! ([`diagnose`](crate::analyze::diagnose)) can already *name* the limiting
-//! stage and *recommend* `workers(n)` or more buffers, but only after the
-//! run ends.  This module closes the loop while the program is still
-//! running:
+//! overlap and buffer management.  The analyzer ([`diagnose`]) can *name*
+//! the limiting stage and *recommend* `workers(n)` or more buffers, but a
+//! recommendation read after the run ends changes nothing.  This module
+//! closes the loop while the program is still running:
 //!
 //! 1. an internal [`Sampler`] snapshots the metrics registry every few
 //!    milliseconds;
-//! 2. a decide thread runs [`diagnose_window`] over a sliding window of
-//!    those snapshots;
+//! 2. a decide thread turns a sliding window of those snapshots into the
+//!    [`Report`] of its span ([`window_report`]) and runs the one
+//!    post-run diagnoser, [`diagnose`], on it;
 //! 3. a small policy maps the windowed verdict onto two actuators — farm
 //!    width ([`ReplicaGroup::set_active`]) and pipeline buffer-pool size
 //!    ([`PoolControl`]).  A pool is also its pipeline's read-ahead (a read
@@ -45,10 +45,12 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::analyze::{diagnose_window, StageVerdict, WindowDiagnosis, PINNED_FRAC};
+use crate::analyze::{diagnose, window_report, Diagnosis, StageVerdict, PINNED_FRAC};
 use crate::json::{obj, Json};
 use crate::metrics::MetricsRegistry;
+use crate::program::replica_base;
 use crate::stage::ReplicaGroup;
+use crate::stats::{Report, StageStats};
 use crate::telemetry::{Sampler, SamplerCfg};
 use crate::trace::{SpanRing, TraceKind, IO_PIPELINE};
 
@@ -433,13 +435,15 @@ fn decide_loop(
         shared.log.lock().ticks += 1;
 
         let series = sampler.series();
-        let window_start = series.len().saturating_sub(WINDOW);
-        let diag = diagnose_window(&series[window_start..]);
+        let window = &series[series.len().saturating_sub(WINDOW)..];
+        let report = window_report(window);
         publish_gauges(&registry, &actuators);
-        let Some(diag) = diag else {
+        let Some(report) = report else {
             publish_status(&cfg, &actuators, &shared, None);
             continue;
         };
+        let diag = diagnose(&report, window);
+        let throughput = throughput(&report);
 
         // Close out the previous actuation's effect once its cooldown has
         // elapsed, so "after" reflects the post-change steady state.
@@ -447,7 +451,7 @@ fn decide_loop(
             if let Some(p) = pending.take() {
                 let mut log = shared.log.lock();
                 if let Some(d) = log.decisions.iter_mut().find(|d| d.seq == p) {
-                    d.throughput_after = Some(diag.throughput);
+                    d.throughput_after = Some(throughput);
                 }
             }
         }
@@ -481,10 +485,10 @@ fn decide_loop(
                 let decision = Decision {
                     seq,
                     at: started.elapsed(),
-                    window: diag.window,
+                    window: report.wall,
                     verdict: describe_verdict(&diag),
                     action: description,
-                    throughput_before: diag.throughput,
+                    throughput_before: throughput,
                     throughput_after: None,
                 };
                 {
@@ -503,20 +507,32 @@ fn decide_loop(
                 publish_gauges(&registry, &actuators);
             }
         }
-        publish_status(&cfg, &actuators, &shared, Some(&diag));
+        publish_status(&cfg, &actuators, &shared, Some((&diag, throughput)));
     }
     sampler.stop();
 }
 
-/// Sliding-window length, in samples, fed to [`diagnose_window`].
+/// Sliding-window length, in samples, fed to [`window_report`].
 const WINDOW: usize = 8;
 /// Decisions the audit log retains (oldest evicted first).
 const LOG_CAPACITY: usize = 256;
 
+/// Buffers per second through the fastest stage of a window's report, a
+/// farm's replicas summed — the controller's "is it going faster now?"
+/// yardstick.
+pub(crate) fn throughput(window: &Report) -> f64 {
+    let rounds = |s: &StageStats| {
+        let farm = replica_base(&s.name).and_then(|farm| window.stage_rollup(farm));
+        farm.map_or(s.buffers_out, |(all, _)| all.buffers_out)
+    };
+    let most = window.stages.iter().map(rounds).max().unwrap_or(0);
+    most as f64 / window.wall.as_secs_f64()
+}
+
 /// Map the windowed verdict onto at most one actuation, in priority
 /// order: widen the limiting farm, grow a dry buffer pool, then narrow an
 /// idle farm.
-fn propose(diag: &WindowDiagnosis, actuators: &Actuators) -> Option<Action> {
+fn propose(diag: &Diagnosis, actuators: &Actuators) -> Option<Action> {
     // (1) The limiting stage is a farm running below its declared width:
     // more workers attack the bottleneck directly.
     if let Some(lim) = &diag.limiting {
@@ -588,7 +604,7 @@ fn apply(action: &Action, actuators: &Actuators) -> String {
 }
 
 /// One-line summary of the window behind a decision.
-fn describe_verdict(diag: &WindowDiagnosis) -> String {
+fn describe_verdict(diag: &Diagnosis) -> String {
     match &diag.limiting {
         Some(lim) => {
             let d = diag.stages.iter().find(|s| &s.name == lim);
@@ -627,7 +643,7 @@ fn publish_status(
     cfg: &ControllerCfg,
     actuators: &Actuators,
     shared: &Shared,
-    diag: Option<&WindowDiagnosis>,
+    window: Option<(&Diagnosis, f64)>,
 ) {
     let log = shared.log.lock();
     let recent = log.decisions.iter().rev().take(8).rev();
@@ -637,15 +653,15 @@ fn publish_status(
         ("actuations", Json::from(log.actuations)),
         (
             "limiting",
-            match diag.and_then(|d| d.limiting.clone()) {
+            match window.and_then(|(d, _)| d.limiting.clone()) {
                 Some(l) => Json::from(l),
                 None => Json::Null,
             },
         ),
         (
             "throughput",
-            match diag {
-                Some(d) => Json::from(d.throughput),
+            match window {
+                Some((_, t)) => Json::from(t),
                 None => Json::Null,
             },
         ),

@@ -19,8 +19,9 @@
 //! The result answers the question averages cannot: not "which stage was
 //! busiest over the run" but "which stage's spans sit on the longest
 //! buffer journeys, and in which concrete rounds".
-//! [`diagnose_with_trace`](crate::analyze::diagnose_with_trace) folds the
-//! answer into the bottleneck diagnosis so its verdicts cite rounds.
+//! [`diagnose`](crate::analyze::diagnose) folds the answer for a report's
+//! own span log ([`Report::trace`](crate::Report::trace)) into the
+//! bottleneck diagnosis, so its verdicts cite rounds of that run alone.
 //!
 //! Spans with `trace_id == 0` (caboose handling, untraced I/O) and spans
 //! on the [`IO_PIPELINE`] sentinel are not part of any buffer's journey

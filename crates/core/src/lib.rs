@@ -85,9 +85,8 @@ pub use alloc::{
     FgAlloc, TagCounts, TagId,
 };
 pub use analyze::{
-    diagnose, diagnose_cluster, diagnose_window, diagnose_with_trace, ClusterDiagnosis,
-    ContentionFinding, Diagnosis, QueueFinding, RankVerdict, ResourceFinding, ResourceFindingKind,
-    StageDiagnosis, StageVerdict, WindowDiagnosis,
+    diagnose, diagnose_cluster, ClusterDiagnosis, ContentionFinding, Diagnosis, QueueFinding,
+    RankVerdict, ResourceFinding, ResourceFindingKind, StageDiagnosis, StageVerdict,
 };
 pub use buffer::{Buffer, PipelineId, StageId};
 pub use cluster_report::{ClusterReport, CollectiveStat, RankReport};

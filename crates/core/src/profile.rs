@@ -1053,16 +1053,6 @@ impl Drop for ResourceProfiler {
     }
 }
 
-/// A replicated stage's base name: `sort#3` → `sort` (attribution folds
-/// replicas into one row, like
-/// [`Report::stage_rollup`](crate::Report::stage_rollup)).
-pub(crate) fn replica_base(name: &str) -> &str {
-    match name.rsplit_once('#') {
-        Some((base, idx)) if !idx.is_empty() && idx.chars().all(|c| c.is_ascii_digit()) => base,
-        _ => name,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1250,14 +1240,6 @@ mod tests {
         let rebuilt = ResourceReport::from_metrics(&registry.snapshot()).expect("gauges present");
         assert_eq!(rebuilt, report);
         assert!(ResourceReport::from_metrics(&MetricsSnapshot::default()).is_none());
-    }
-
-    #[test]
-    fn replica_base_folds_indices() {
-        assert_eq!(replica_base("sort#12"), "sort");
-        assert_eq!(replica_base("sort"), "sort");
-        assert_eq!(replica_base("a#b"), "a#b");
-        assert_eq!(replica_base("csort/sort#0"), "csort/sort");
     }
 
     #[test]

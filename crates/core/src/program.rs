@@ -399,6 +399,12 @@ impl Program {
 
     fn validate(&self) -> Result<()> {
         for (sid, slot) in self.stages.iter().enumerate() {
+            if replica_base(&slot.name).is_some() {
+                return Err(FgError::Config(format!(
+                    "stage `{}` is named like a replica: `<stage>#<i>` names worker i of a farm",
+                    slot.name
+                )));
+            }
             if self.members(sid).next().is_none() {
                 return Err(FgError::Config(format!(
                     "stage `{}` is not part of any pipeline",
@@ -596,6 +602,7 @@ impl Program {
             for (i, stage) in slot.stages.drain(..).enumerate() {
                 let task_ports = base_ports.iter().map(|p| p.clone_for_replica()).collect();
                 tasks.push(runtime::StageTask {
+                    // Parsed back by `replica_base`, below.
                     name: if replicas > 1 {
                         format!("{}#{i}", slot.name)
                     } else {
@@ -639,6 +646,16 @@ impl Program {
     }
 }
 
+/// The farm a task name belongs to: `sort#3` → `sort`, the name `wire`
+/// gives worker 3 of `sort`; `None` for any other name.  The one parser of
+/// that name (diagnosis, the report's rollup, ledger rows and alloc tags all
+/// fold replicas through it), and unambiguous because `validate` refuses a
+/// stage named this way.
+pub(crate) fn replica_base(name: &str) -> Option<&str> {
+    let (base, index) = name.rsplit_once('#')?;
+    (!index.is_empty() && index.bytes().all(|b| b.is_ascii_digit())).then_some(base)
+}
+
 /// Convenience: run a single linear pipeline of `stages` to completion.
 ///
 /// This is the shape of every program writable in FG's original release
@@ -655,4 +672,18 @@ pub fn run_linear(
         .collect();
     prog.add_pipeline(cfg, &ids)?;
     prog.run()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::replica_base;
+
+    #[test]
+    fn replica_base_folds_indices() {
+        assert_eq!(replica_base("sort#12"), Some("sort"));
+        assert_eq!(replica_base("sort"), None);
+        assert_eq!(replica_base("a#b"), None);
+        assert_eq!(replica_base("sort#"), None);
+        assert_eq!(replica_base("csort/sort#0"), Some("csort/sort"));
+    }
 }

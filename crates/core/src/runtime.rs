@@ -8,6 +8,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::error::{FgError, Result};
 use crate::metrics::MetricsRegistry;
+use crate::program::replica_base;
 use crate::queue::Queue;
 use crate::stage::{Pool, Port, Registry, ReplicaGroup, Stage, StageCtx};
 use crate::stats::{Report, StageStats};
@@ -157,9 +158,8 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
         let ring = ring_for(&task.name);
         // Replicas (`sort#0`, `sort#1`, …) share one ledger row: the
         // question the ledger answers is "how much does *sort* hold".
-        let stage_ledger = ledger
-            .as_ref()
-            .map(|l| l.stage(crate::profile::replica_base(&task.name)));
+        let base = replica_base(&task.name).unwrap_or(&task.name);
+        let stage_ledger = ledger.as_ref().map(|l| l.stage(base));
         let core = placement.assign();
         handles.push(spawn_thread(
             format!("{program_name}/{}", task.name),
@@ -278,9 +278,8 @@ fn run_stage_thread(
     // otherwise — tag slots are a bounded table, and untracked runs
     // shouldn't consume them.
     let _tag_scope = crate::alloc::installed().then(|| {
-        crate::alloc::thread_tag_scope(crate::alloc::register_tag(crate::profile::replica_base(
-            &name,
-        )))
+        let base = replica_base(&name).unwrap_or(&name);
+        crate::alloc::thread_tag_scope(crate::alloc::register_tag(base))
     });
     let start = Instant::now();
     let mut ctx = StageCtx::new(name.clone(), ports, shared_input, Arc::clone(&registry));

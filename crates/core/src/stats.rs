@@ -14,6 +14,7 @@
 use std::time::Duration;
 
 use crate::metrics::MetricsSnapshot;
+use crate::program::replica_base;
 use crate::trace::{ThreadLog, TraceKind};
 
 /// Timing record for one stage thread of a finished program.
@@ -152,14 +153,13 @@ impl Report {
     /// are summed.  Returns `None` when no replica row matches, and the
     /// replica count alongside the aggregate otherwise.
     pub fn stage_rollup(&self, base: &str) -> Option<(StageStats, usize)> {
-        let prefix = format!("{base}#");
         let mut agg: Option<StageStats> = None;
         let mut n = 0;
-        for s in self.stages.iter().filter(|s| {
-            s.name
-                .strip_prefix(&prefix)
-                .is_some_and(|rest| rest.chars().all(|c| c.is_ascii_digit()))
-        }) {
+        for s in self
+            .stages
+            .iter()
+            .filter(|s| replica_base(&s.name) == Some(base))
+        {
             n += 1;
             let a = agg.get_or_insert_with(|| StageStats {
                 name: base.to_string(),

@@ -10,7 +10,9 @@
 //!   bounded ring buffer of [`TimestampedSnapshot`]s, turning every
 //!   counter, gauge, and histogram into a time series that
 //!   [`analyze::diagnose`](crate::analyze::diagnose) can attribute
-//!   bottlenecks from;
+//!   bottlenecks from — after a run, beside its report, or mid-run, on a
+//!   window [`analyze::window_report`](crate::analyze::window_report) has
+//!   turned into the report of its span;
 //! * a [`TelemetryServer`] serves `GET /metrics` (Prometheus text format
 //!   0.0.4, via [`MetricsSnapshot::to_prometheus`]) and `GET /report` (the
 //!   live dashboard text) over a plain `std::net::TcpListener`, so a

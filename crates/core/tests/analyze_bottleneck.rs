@@ -5,14 +5,88 @@
 //! on a one-buffer pool and check that the pool is what it blames; and hold
 //! an ordered farm's first round back and check that the time its other
 //! workers spend in `convey` is blamed on the emission turn, not on a queue.
+//! Each of those runs, read afterwards as one telemetry window through the
+//! controller's conversion, must tell the story its report tells.  A traced
+//! run's diagnosis cites its rounds, a run over its memory budget is
+//! memory-bound, and METRICS.md's threshold table is the code's.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use fg_core::analyze::window_report;
 use fg_core::{
-    diagnose, map_stage, MetricsRegistry, PipelineCfg, Program, Rounds, Sampler, SamplerCfg,
-    StageVerdict,
+    diagnose, map_stage, Diagnosis, MemoryLedger, MetricsRegistry, PipelineCfg, ProfilerCfg,
+    Program, ResourceFindingKind, ResourceProfiler, Rounds, Sampler, SamplerCfg, StageVerdict,
+    TimestampedSnapshot,
 };
+
+/// A 1 ms sampler over `registry`, and the run's first sample: a snapshot
+/// taken before the run, at elapsed zero.
+fn watch(registry: &Arc<MetricsRegistry>) -> (Instant, TimestampedSnapshot, Sampler) {
+    let started = Instant::now();
+    let first = TimestampedSnapshot {
+        elapsed: Duration::ZERO,
+        snapshot: registry.snapshot(),
+    };
+    let sampler = Sampler::start(
+        Arc::clone(registry),
+        SamplerCfg {
+            interval: Duration::from_millis(1),
+            capacity: 4096,
+        },
+    );
+    (started, first, sampler)
+}
+
+/// The finished run read as one window — from the first sample through
+/// `series` to a post-run snapshot — through the conversion the controller
+/// uses, diagnosed, must name `d`'s limiting stage, fold the same rows with
+/// the same worker counts, and put every fraction within 0.1 of `d`'s.  A
+/// window row's wall is the window's span, so a thread that ended early
+/// (a farm whose rounds ran out) reads as idle for the rest of it: `d`'s
+/// fractions are taken on the same span before they are compared.
+fn assert_the_run_is_its_last_window(
+    d: &Diagnosis,
+    registry: &MetricsRegistry,
+    (started, first): (Instant, TimestampedSnapshot),
+    series: &[TimestampedSnapshot],
+) {
+    let mut window = vec![first];
+    window.extend_from_slice(series);
+    window.push(TimestampedSnapshot {
+        elapsed: started.elapsed(),
+        snapshot: registry.snapshot(),
+    });
+    let span = window.last().unwrap().elapsed;
+    let w = diagnose(
+        &window_report(&window).expect("the run spans time"),
+        &window,
+    );
+    let why = || format!("window:\n{}\nreport:\n{}", w.render(), d.render());
+    assert_eq!(w.limiting, d.limiting, "{}", why());
+    let rows = |d: &Diagnosis| {
+        let rows = d.stages.iter().map(|s| (s.name.clone(), s.workers));
+        rows.collect::<std::collections::BTreeSet<_>>()
+    };
+    assert_eq!(rows(&w), rows(d), "{}", why());
+    for r in &d.stages {
+        let s = w.stages.iter().find(|s| s.name == r.name).unwrap();
+        let on_span = r.wall.as_secs_f64() / span.as_secs_f64();
+        for (a, b) in [
+            (r.busy_frac, s.busy_frac),
+            (r.starved_frac, s.starved_frac),
+            (r.backpressured_frac, s.backpressured_frac),
+        ] {
+            assert!(
+                (a * on_span - b).abs() < 0.1,
+                "`{}` {a} vs {b}\n{}",
+                r.name,
+                why()
+            );
+        }
+    }
+}
 
 #[test]
 fn injected_slow_middle_stage_is_diagnosed() {
@@ -36,13 +110,7 @@ fn injected_slow_middle_stage_is_diagnosed() {
     )
     .unwrap();
 
-    let sampler = Sampler::start(
-        Arc::clone(&registry),
-        SamplerCfg {
-            interval: Duration::from_millis(1),
-            capacity: 4096,
-        },
-    );
+    let (started, first, sampler) = watch(&registry);
     let report = prog.run().unwrap();
     let series = sampler.stop();
     assert!(
@@ -89,6 +157,7 @@ fn injected_slow_middle_stage_is_diagnosed() {
     );
     // The rendered report names the limiting stage for human readers.
     assert!(d.render().contains("limiting stage: `slow`"));
+    assert_the_run_is_its_last_window(&d, &registry, (started, first), &series);
 }
 
 #[test]
@@ -114,15 +183,10 @@ fn a_one_buffer_pool_is_diagnosed_as_under_provisioned() {
     prog.add_pipeline(PipelineCfg::new("p", 1, 64).count(40), &chain)
         .unwrap();
 
-    let sampler = Sampler::start(
-        Arc::clone(&registry),
-        SamplerCfg {
-            interval: Duration::from_millis(1),
-            capacity: 4096,
-        },
-    );
+    let (started, first, sampler) = watch(&registry);
     let report = prog.run().unwrap();
-    let d = diagnose(&report, &sampler.stop());
+    let series = sampler.stop();
+    let d = diagnose(&report, &series);
 
     let pool = d
         .queue_findings
@@ -139,6 +203,7 @@ fn a_one_buffer_pool_is_diagnosed_as_under_provisioned() {
         "diagnosis:\n{}",
         d.render()
     );
+    assert_the_run_is_its_last_window(&d, &registry, (started, first), &series);
 }
 
 #[test]
@@ -148,7 +213,9 @@ fn a_farm_waiting_its_emission_turn_is_diagnosed_as_that() {
     // long each.  `out` is slow enough to be the limiting stage (the
     // analyzer gives that one different advice).
     const HELD: Duration = Duration::from_millis(30);
+    let registry = Arc::new(MetricsRegistry::new());
     let mut prog = Program::new("turn");
+    prog.set_metrics(Arc::clone(&registry));
     let farm = prog.workers("farm", 3, |_| {
         map_stage(|buf, _| {
             if buf.round() == 0 {
@@ -166,7 +233,9 @@ fn a_farm_waiting_its_emission_turn_is_diagnosed_as_that() {
     );
     prog.add_pipeline(PipelineCfg::new("p", 3, 64).count(3), &[farm, out])
         .unwrap();
+    let (started, first, sampler) = watch(&registry);
     let report = prog.run().unwrap();
+    let series = sampler.stop();
 
     let (row, workers) = report.stage_rollup("farm").unwrap();
     assert_eq!(workers, 3);
@@ -191,4 +260,111 @@ fn a_farm_waiting_its_emission_turn_is_diagnosed_as_that() {
         d.render()
     );
     assert!(d.queue_findings.is_empty() && d.contention.is_empty());
+    assert_the_run_is_its_last_window(&d, &registry, (started, first), &series);
+}
+
+#[test]
+fn a_traced_run_cites_its_slowest_round_and_the_stage_that_owns_the_path() {
+    // The slow stage heads the pipeline, so no buffer waits for it on the
+    // pool: its work is most of every round's journey.
+    let mut prog = Program::new("traced");
+    prog.enable_tracing();
+    let slow = prog.add_stage(
+        "slow",
+        map_stage(|_, _| {
+            std::thread::sleep(Duration::from_millis(3));
+            Ok(())
+        }),
+    );
+    let fast = prog.add_stage("fast", map_stage(|_, _| Ok(())));
+    prog.add_pipeline(PipelineCfg::new("p", 2, 64).count(10), &[slow, fast])
+        .unwrap();
+    let d = diagnose(&prog.run().unwrap(), &[]);
+
+    let cp = d
+        .critical_path
+        .as_ref()
+        .expect("the report carries its span log");
+    assert_eq!(cp.rounds.len(), 10, "{}", d.render());
+    let slowest = cp.slowest_round().unwrap();
+    let (stage, _) = slowest.dominant().unwrap();
+    let cites = format!(
+        "the slowest buffer journey is pipeline#{} round {} ",
+        slowest.pipeline, slowest.round
+    );
+    let in_stage = format!("of it in stage `{stage}`");
+    assert!(
+        d.recommendations
+            .iter()
+            .any(|r| r.contains(&cites) && r.contains(&in_stage)),
+        "{}",
+        d.render()
+    );
+    let owned: Option<f64> = d.recommendations.iter().find_map(|r| {
+        let pct = r.strip_prefix("stage `slow` carries ")?.split_once('%')?.0;
+        pct.parse().ok()
+    });
+    assert!(owned.is_some_and(|pct| pct > 50.0), "{}", d.render());
+}
+
+#[test]
+fn a_run_over_its_memory_budget_is_diagnosed_memory_bound() {
+    let run = |budget: u64| {
+        let registry = Arc::new(MetricsRegistry::new());
+        let ledger = Arc::new(MemoryLedger::with_budget(budget));
+        let profiler = ResourceProfiler::start_with(
+            Arc::clone(&registry),
+            ProfilerCfg {
+                interval: Duration::from_millis(5),
+            },
+            Some(Arc::clone(&ledger)),
+        );
+        let mut prog = Program::new("budget");
+        prog.set_memory_ledger(ledger);
+        let s = prog.add_stage("s", map_stage(|_, _| Ok(())));
+        prog.add_pipeline(PipelineCfg::new("p", 4, 64 << 10).count(20), &[s])
+            .unwrap();
+        let mut report = prog.run().unwrap();
+        report.resources = Some(profiler.stop());
+        diagnose(&report, &[])
+    };
+    let memory_bound = |d: &Diagnosis| -> Vec<String> {
+        let bound = d.resources.iter();
+        let bound = bound.filter(|f| f.kind == ResourceFindingKind::MemoryBound);
+        bound.map(|f| f.subject.clone()).collect()
+    };
+    // The pool alone is 4 × 64 KiB, twice the budget.
+    let d = run(128 << 10);
+    assert_eq!(memory_bound(&d), ["process"], "{}", d.render());
+    // A petabyte is far above anything this process holds.
+    let d = run(1 << 50);
+    assert!(memory_bound(&d).is_empty(), "{}", d.render());
+}
+
+/// METRICS.md's threshold table lists exactly the numeric constants of
+/// `analyze.rs`, by name and value, so the documented bars cannot drift
+/// from the ones the verdicts use.
+#[test]
+fn metrics_md_lists_exactly_the_verdict_thresholds() {
+    let value = |v: &str| -> f64 { v.replace('_', "").parse().expect("a number") };
+    let documented: BTreeMap<&str, f64> = include_str!("../../../METRICS.md")
+        .split("\n## Verdict thresholds\n")
+        .nth(1)
+        .and_then(|s| s.split("\n## ").next())
+        .expect("a `Verdict thresholds` section")
+        .lines()
+        .filter_map(|l| {
+            let mut cells = l.strip_prefix("| `")?.split(" | ");
+            Some((cells.next()?.strip_suffix('`')?, value(cells.next()?)))
+        })
+        .collect();
+    let declared: BTreeMap<&str, f64> = include_str!("../src/analyze.rs")
+        .lines()
+        .filter_map(|l| {
+            let (name, rest) = l.split_once("const ")?.1.split_once(": ")?;
+            let (ty, v) = rest.split_once(" = ")?;
+            (ty != "&str").then(|| (name, value(v.trim_end_matches(';'))))
+        })
+        .collect();
+    assert_eq!(documented, declared);
 }

@@ -328,6 +328,26 @@ fn unused_stage_rejected_at_run() {
     }
 }
 
+/// A stage named `map#1` would read as worker 1 of a farm `map` in the
+/// diagnosis, the ledger and the alloc tags alike: refused at the boundary.
+#[test]
+fn a_stage_named_like_a_replica_is_refused() {
+    let mut prog = Program::new("bad");
+    let s = prog.add_stage("map#1", map_stage(|_, _| Ok(())));
+    prog.add_pipeline(PipelineCfg::new("p", 1, 8).count(1), &[s])
+        .unwrap();
+    match prog.run().unwrap_err() {
+        FgError::Config(m) => assert!(m.contains("`map#1` is named like a replica"), "{m}"),
+        other => panic!("expected config error, got {other:?}"),
+    }
+    // A `#` not followed by an index is an ordinary name.
+    let mut prog = Program::new("ok");
+    let s = prog.add_stage("map#a", map_stage(|_, _| Ok(())));
+    prog.add_pipeline(PipelineCfg::new("p", 1, 8).count(1), &[s])
+        .unwrap();
+    assert_eq!(prog.run().unwrap().stage("map#a").unwrap().buffers_out, 1);
+}
+
 #[test]
 fn duplicate_stage_in_chain_rejected() {
     let mut prog = Program::new("bad");

@@ -597,15 +597,10 @@ fn main() -> ExitCode {
             server.local_addr()
         );
         // The bottleneck diagnosis of each of node 0's passes.  With a flight
-        // recorder attached it cites concrete rounds off the reconstructed
-        // critical path.
-        let logs = cfg.trace_sink.as_ref().map(|sink| sink.collect());
+        // recorder attached each pass's report carries its own span log, so
+        // the diagnosis cites that pass's rounds off its critical path.
         for (pass, report) in passes(&phases, &reports) {
-            let d = match &logs {
-                Some(logs) => fg_core::diagnose_with_trace(report, &series, logs),
-                None => diagnose(report, &series),
-            };
-            println!("\nnode 0, {pass}:\n{}", d.render());
+            println!("\nnode 0, {pass}:\n{}", diagnose(report, &series).render());
         }
     }
     ExitCode::SUCCESS

@@ -78,6 +78,57 @@ fn telemetry_diagnoses_every_pass_of_whichever_program_ran() {
     }
 }
 
+/// Each pass's diagnosis reads the span log of that pass's own report: its
+/// critical path counts node 0's rounds of that pass — the journeys on the
+/// `csort-p<N>-n0/*` threads of the run's Chrome trace — and no other
+/// pass's or node's.
+#[test]
+fn a_traced_pass_diagnosis_counts_only_that_pass_s_node_0_rounds() {
+    use std::collections::{HashMap, HashSet};
+
+    use fg_core::Json;
+
+    let path = std::env::temp_dir().join(format!("fgsort-cli-trace-{}.json", std::process::id()));
+    let flags = format!("--trace {} --telemetry 127.0.0.1:0", path.display());
+    let text = sorted("csort", &flags);
+    let trace = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let events = trace.get("traceEvents").and_then(Json::as_arr).unwrap();
+    let num = |e: &Json, key: &str| e.get(key).and_then(Json::as_u64).unwrap_or(0);
+    let mut threads: HashMap<(u64, u64), &str> = HashMap::new();
+    let mut journeys: HashMap<&str, HashSet<u64>> = HashMap::new();
+    for e in events {
+        let at = (num(e, "pid"), num(e, "tid"));
+        let args = e.get("args");
+        match e.get("ph").and_then(Json::as_str) {
+            Some("M") if e.get("name").and_then(Json::as_str) == Some("thread_name") => {
+                let name = args.and_then(|a| a.get("name")).and_then(Json::as_str);
+                threads.insert(at, name.unwrap());
+            }
+            Some("X") => {
+                let id = args.map_or(0, |a| num(a, "trace_id"));
+                let program = threads[&at].split('/').next().unwrap();
+                if id != 0 {
+                    journeys.entry(program).or_default().insert(id);
+                }
+            }
+            _ => {}
+        }
+    }
+    for pass in 1..=3 {
+        let section = text
+            .split(&format!("node 0, pass {pass}:\n"))
+            .nth(1)
+            .unwrap();
+        let section = section.split("node 0, pass ").next().unwrap();
+        let counted: usize = (section.lines())
+            .find_map(|l| l.split_once(" traced rounds, ")?.0.parse().ok())
+            .unwrap_or_else(|| panic!("pass {pass} has no critical path:\n{section}"));
+        let rounds = journeys[format!("csort-p{pass}-n0").as_str()].len();
+        assert_eq!(counted, rounds, "pass {pass}:\n{section}");
+    }
+}
+
 #[test]
 fn autotune_is_refused_where_no_controller_would_be_attached() {
     for program in ["dsort", "dsort-linear"] {
