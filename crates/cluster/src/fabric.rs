@@ -31,6 +31,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use fg_core::profile::yield_core;
 use fg_core::TraceCtx;
 use parking_lot::{Condvar, Mutex};
 
@@ -349,8 +350,10 @@ impl Fabric {
     }
 
     /// Receive at `me` the first message matching `(src, tag)`.
-    /// `src = None` accepts any source.  Blocks until a match arrives.
-    /// Matching is FIFO among messages from the same source and tag.
+    /// `src = None` accepts any source.  Blocks until a match arrives, by
+    /// fg-core's one wait rule: look, give the core away once
+    /// ([`yield_core`]), look again, then wait.  Matching is FIFO among
+    /// messages from the same source and tag.
     pub(crate) fn recv(
         &self,
         me: usize,
@@ -359,6 +362,7 @@ impl Fabric {
     ) -> Result<Envelope, CommError> {
         let mb = &self.mailboxes[me];
         let mut inbox = mb.inbox.lock();
+        let mut yielded = false;
         loop {
             if let Some(pos) = inbox
                 .queue
@@ -369,6 +373,13 @@ impl Fabric {
             }
             if self.is_poisoned() {
                 return Err(CommError::Poisoned);
+            }
+            if !yielded {
+                yielded = true;
+                drop(inbox);
+                yield_core();
+                inbox = mb.inbox.lock();
+                continue;
             }
             inbox.waiting += 1;
             mb.arrived.wait(&mut inbox);

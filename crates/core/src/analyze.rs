@@ -722,15 +722,16 @@ fn resource_findings(report: &Report) -> Vec<ResourceFinding> {
     }
     if wall > 0.0 {
         for t in &res.threads {
-            let rate = t.invol_switches as f64 / wall;
+            // A yield that switched threads is booked as involuntary too.
+            let preempted = t.invol_switches.saturating_sub(t.yields);
+            let rate = preempted as f64 / wall;
             if rate >= OVERSUBSCRIBED_SWITCH_RATE {
                 findings.push(ResourceFinding {
                     kind: ResourceFindingKind::Oversubscribed,
                     subject: t.name.clone(),
                     detail: format!(
-                        "thread `{}` was involuntarily switched out {} times \
-                         (~{:.0}/s)",
-                        t.name, t.invol_switches, rate
+                        "thread `{}` was preempted at least {} times (~{:.0}/s)",
+                        t.name, preempted, rate
                     ),
                 });
             }
@@ -1162,13 +1163,15 @@ mod tests {
                     stime_ns: 1_000_000,
                     vol_switches: 10,
                     invol_switches: 500, // 5000/s over the 100ms wall
+                    yields: 0,
                 },
                 ThreadResources {
                     name: "fast-up".into(),
                     utime_ns: 5_000_000,
                     stime_ns: 0,
                     vol_switches: 3,
-                    invol_switches: 1, // 10/s: fine
+                    invol_switches: 501,
+                    yields: 500, // 10/s once its own yields are taken out: fine
                 },
             ],
             alloc_tracking: true,

@@ -12,7 +12,8 @@
 //!   `/proc/self/task/<tid>/stat` + `status` and publishes
 //!   `resource/thread/<name>/{utime_ns,stime_ns,vol_switches,invol_switches}`
 //!   gauges, plus `resource/process/{rss_bytes,rss_peak_bytes}` from
-//!   `/proc/self/statm` and `VmHWM`;
+//!   `/proc/self/statm` and `VmHWM`; a thread's exit sample adds its
+//!   `yields` ([`yield_core`]);
 //! * the opt-in tracking allocator's per-stage counters
 //!   ([`alloc`](crate::alloc)) surface as
 //!   `resource/alloc/<stage>/{count,bytes,frees,freed_bytes}`;
@@ -34,6 +35,7 @@
 //! absent — allocator and ledger accounting (plain atomics) keep working
 //! everywhere.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
@@ -131,6 +133,25 @@ pub(crate) fn current_tid() -> Result<u64, String> {
         .ok_or_else(|| format!("unparseable /proc/thread-self target {link:?}"))
 }
 
+thread_local! {
+    static YIELDS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Give the calling thread's core away once, and count it: what a thread
+/// that found nothing to take does before it parks (DESIGN.md §5c).  The
+/// kernel books a yield that switches threads as an *involuntary* switch,
+/// so the thread's exit sample reports the count beside `invol_switches`
+/// and the oversubscription verdict takes it back out.
+pub fn yield_core() {
+    YIELDS.with(|y| y.set(y.get() + 1));
+    std::thread::yield_now();
+}
+
+/// How many times the calling thread has called [`yield_core`].
+pub fn thread_yields() -> u64 {
+    YIELDS.with(Cell::get)
+}
+
 // ---------------------------------------------------------------------------
 // /proc sampling
 // ---------------------------------------------------------------------------
@@ -214,6 +235,7 @@ impl ProcSource {
             stime_ns: stime_ticks * per_tick,
             vol_switches: parse_status_count(&status, "voluntary_ctxt_switches:").unwrap_or(0),
             invol_switches: parse_status_count(&status, "nonvoluntary_ctxt_switches:").unwrap_or(0),
+            yields: 0,
         })
     }
 }
@@ -443,9 +465,16 @@ pub struct ThreadResources {
     pub stime_ns: u64,
     /// Voluntary context switches (blocking waits).
     pub vol_switches: u64,
-    /// Involuntary context switches (preemptions — the oversubscription
-    /// signal [`diagnose`](crate::diagnose) watches).
+    /// Involuntary context switches: preemptions, and the [`yields`]
+    /// that handed the core to another thread.
+    ///
+    /// [`yields`]: ThreadResources::yields
     pub invol_switches: u64,
+    /// [`yield_core`] calls, known only to the thread's exit sample (zero
+    /// in a live one).  `invol_switches − yields` is a lower bound on
+    /// preemptions, the oversubscription signal
+    /// [`diagnose`](crate::diagnose) watches.
+    pub yields: u64,
 }
 
 /// One allocator tag's counters (see [`alloc`](crate::alloc)).
@@ -638,6 +667,7 @@ impl ResourceReport {
                         "stime_ns" => row.stime_ns = g.value,
                         "vol_switches" => row.vol_switches = g.value,
                         "invol_switches" => row.invol_switches = g.value,
+                        "yields" => row.yields = g.value,
                         _ => {}
                     }
                 }
@@ -705,6 +735,7 @@ impl ResourceReport {
                                 ("stime_ns", Json::from(t.stime_ns)),
                                 ("vol_switches", Json::from(t.vol_switches)),
                                 ("invol_switches", Json::from(t.invol_switches)),
+                                ("yields", Json::from(t.yields)),
                             ])
                         })
                         .collect(),
@@ -782,6 +813,7 @@ impl ResourceReport {
                     stime_ns: u(t, "stime_ns"),
                     vol_switches: u(t, "vol_switches"),
                     invol_switches: u(t, "invol_switches"),
+                    yields: u(t, "yields"),
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
@@ -861,17 +893,18 @@ impl ResourceReport {
                 .unwrap_or(6)
                 .max(6);
             out.push_str(&format!(
-                "{:<name_w$} {:>9} {:>9} {:>8} {:>8}\n",
-                "thread", "user ms", "sys ms", "vol cs", "invol cs"
+                "{:<name_w$} {:>9} {:>9} {:>8} {:>8} {:>8}\n",
+                "thread", "user ms", "sys ms", "vol cs", "invol cs", "yields"
             ));
             for t in &self.threads {
                 out.push_str(&format!(
-                    "{:<name_w$} {:>9.1} {:>9.1} {:>8} {:>8}\n",
+                    "{:<name_w$} {:>9.1} {:>9.1} {:>8} {:>8} {:>8}\n",
                     t.name,
                     t.utime_ns as f64 / 1e6,
                     t.stime_ns as f64 / 1e6,
                     t.vol_switches,
-                    t.invol_switches
+                    t.invol_switches,
+                    t.yields
                 ));
             }
         }
@@ -935,6 +968,11 @@ fn publish_thread_row(t: &ThreadResources, registry: &MetricsRegistry) {
     registry
         .gauge(&format!("{base}/invol_switches"))
         .set(t.invol_switches);
+    // Only the thread's own exit sample knows its yields: a live sample
+    // landing after it must not zero them.
+    if t.yields > 0 {
+        registry.gauge(&format!("{base}/yields")).set(t.yields);
+    }
 }
 
 /// Publish the calling thread's **final** CPU numbers into `registry`.
@@ -946,7 +984,8 @@ fn publish_thread_row(t: &ThreadResources, registry: &MetricsRegistry) {
 /// Linux.
 pub fn publish_exit_sample(name: &str, registry: &MetricsRegistry) {
     let Ok(tid) = current_tid() else { return };
-    if let Some(row) = ProcSource::system().thread_cpu(name, tid) {
+    if let Some(mut row) = ProcSource::system().thread_cpu(name, tid) {
+        row.yields = thread_yields();
         publish_thread_row(&row, registry);
     }
 }
@@ -1164,6 +1203,7 @@ mod tests {
                 stime_ns: 250_000_000,
                 vol_switches: 42,
                 invol_switches: 7,
+                yields: 5,
             }],
             alloc_tracking: true,
             alloc: vec![AllocResources {
@@ -1204,6 +1244,7 @@ mod tests {
                     stime_ns: 200,
                     vol_switches: 3,
                     invol_switches: 4,
+                    yields: 0,
                 },
                 ThreadResources {
                     name: "csort/sort#1".into(),
@@ -1211,6 +1252,7 @@ mod tests {
                     stime_ns: 600,
                     vol_switches: 7,
                     invol_switches: 8,
+                    yields: 6,
                 },
             ],
             alloc_tracking: true,

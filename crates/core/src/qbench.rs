@@ -73,6 +73,11 @@ impl BenchQueue {
         self.q.cas_retries()
     }
 
+    /// Consumer condvar waits so far.
+    pub fn pop_parks(&self) -> u64 {
+        self.q.parks()
+    }
+
     /// Close the queue, waking blocked consumers.
     pub fn close(&self) {
         self.q.close();

@@ -24,14 +24,17 @@
 //! stage-to-stage link with no replication on either side) — a lock-free
 //! SPSC ring.
 //!
-//! A pop waits *spin-then-park*: it first spins a few hundred iterations
-//! (the common case when the peer stage is about to act) and only then
-//! takes the slow path of parking on a condvar.
+//! A pop that finds nothing to take tries once, gives its core away once
+//! ([`yield_core`]), tries again, then parks on a condvar: the producer
+//! it waits for usually shares its core, so a spin would only burn the
+//! time slice the producer needs.
 //!
-//! A queue can be *closed*; closing wakes every blocked consumer — parked
-//! or spinning.  Pushes to a closed queue fail immediately, pops drain
-//! whatever is left and then fail.  The runtime closes all queues of a
-//! program when a stage fails, which unblocks every thread for shutdown.
+//! A queue can be *closed*; closing wakes every parked consumer.  Pushes
+//! to a closed queue fail immediately, pops drain whatever is left and
+//! then fail.  The runtime closes all queues of a program when a stage
+//! fails, which unblocks every thread for shutdown.
+//!
+//! [`yield_core`]: crate::profile::yield_core
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -41,23 +44,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::buffer::{Buffer, PipelineId};
 use crate::metrics::{Counter, Gauge};
-
-/// Iterations a blocked pop spins before parking on a condvar.  Zero on a
-/// single-core host: there the peer stage cannot make progress while we
-/// spin, so the spin phase only burns the time slice the peer needs.
-/// Computed once (`available_parallelism` reads cgroup files) and cached.
-fn spin_limit() -> usize {
-    // usize::MAX is the "not yet computed" sentinel.
-    static LIMIT: AtomicUsize = AtomicUsize::new(usize::MAX);
-    let cached = LIMIT.load(Ordering::Relaxed);
-    if cached != usize::MAX {
-        return cached;
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let limit = if cores > 1 { 256 } else { 0 };
-    LIMIT.store(limit, Ordering::Relaxed);
-    limit
-}
+use crate::profile::yield_core;
 
 /// What travels through a queue: a buffer, or the end-of-stream marker for
 /// one pipeline (FG's *caboose*).
@@ -83,11 +70,6 @@ pub(crate) enum PushError {
     /// get here (see `Program::wire`), so this is an invariant violation
     /// to report, not a state to wait out.
     Full,
-}
-
-struct Inner {
-    items: VecDeque<Item>,
-    closed: bool,
 }
 
 /// Single-producer single-consumer ring: one `Option<Item>` slot per
@@ -132,7 +114,7 @@ struct LfRing {
 enum Flavor {
     /// General case: a mutex-protected deque, usable from any number of
     /// producer and consumer threads.
-    Mpmc(Mutex<Inner>),
+    Mpmc(Mutex<VecDeque<Item>>),
     /// Lock-free fast path for the same MPMC contract: a bounded ring with
     /// per-slot sequence numbers, usable from any number of producer and
     /// consumer threads.
@@ -167,7 +149,7 @@ pub(crate) struct QueueMetrics {
     /// `core/queue_pop_parks/<queue>`: consumer condvar waits.
     pub(crate) pop_parks: Arc<Counter>,
     /// `core/queue_wakes/<queue>`: slow-path notifications a push issued
-    /// because a consumer had advertised itself parked (ring flavors).
+    /// because a consumer had advertised itself parked.
     pub(crate) wakes: Arc<Counter>,
     /// `core/queue_items/<queue>`: successful pushes — the denominator
     /// that turns raw CAS-retry counts into a per-item collision rate.
@@ -177,17 +159,10 @@ pub(crate) struct QueueMetrics {
 /// A bounded queue of [`Item`]s with a blocking consumer side.
 pub(crate) struct Queue {
     flavor: Flavor,
-    /// Authoritative closed flag for the ring flavors; a racy hint for the
-    /// mutex flavor's spin phase (it keeps the authoritative flag under
-    /// its lock).
     closed: AtomicBool,
-    /// Approximate current depth, maintained so blocked consumers can spin
-    /// on it without taking the lock.
-    depth_hint: AtomicUsize,
     /// High-water mark of the queue's depth over its lifetime.
     max_depth: AtomicUsize,
-    /// Parking lot for the ring flavors' slow path.  (The mutex flavor
-    /// parks on its own inner mutex instead.)
+    /// Parking lot for a consumer's slow path.
     park: Mutex<()>,
     /// Number of consumers parked (or about to park) on `not_empty`; a
     /// producer only takes `park` to notify when this is non-zero.
@@ -243,10 +218,7 @@ impl Queue {
             kind
         };
         let flavor = match kind {
-            FlavorKind::Mutex => Flavor::Mpmc(Mutex::new(Inner {
-                items: VecDeque::with_capacity(capacity),
-                closed: false,
-            })),
+            FlavorKind::Mutex => Flavor::Mpmc(Mutex::new(VecDeque::with_capacity(capacity))),
             FlavorKind::LockFree => Flavor::LockFree(LfRing {
                 slots: (0..capacity)
                     .map(|i| LfSlot {
@@ -266,7 +238,6 @@ impl Queue {
         Arc::new(Queue {
             flavor,
             closed: AtomicBool::new(false),
-            depth_hint: AtomicUsize::new(0),
             max_depth: AtomicUsize::new(0),
             park: Mutex::new(()),
             pop_sleepers: AtomicUsize::new(0),
@@ -309,7 +280,6 @@ impl Queue {
     }
 
     /// Consumer condvar waits over the queue's lifetime.
-    #[cfg(test)]
     pub(crate) fn parks(&self) -> u64 {
         self.metrics.pop_parks.get()
     }
@@ -319,15 +289,18 @@ impl Queue {
         self.max_depth.load(Ordering::Relaxed)
     }
 
-    /// Approximate current depth, readable from any thread without taking
-    /// the queue lock (watchdog post-mortems).
+    /// Items queued right now: `tail − head` on the rings, the deque's
+    /// length on the mutex flavor (whose lock is never held across a
+    /// wait).  Watchdog post-mortems read it from any thread.
     pub(crate) fn depth(&self) -> usize {
-        self.depth_hint.load(Ordering::Relaxed)
-    }
-
-    fn record_depth(&self, depth: usize) {
-        self.depth_hint.store(depth, Ordering::Relaxed);
-        self.max_depth.fetch_max(depth, Ordering::Relaxed);
+        match &self.flavor {
+            Flavor::Mpmc(lock) => lock.lock().len(),
+            Flavor::LockFree(LfRing { head, tail, .. }) | Flavor::Spsc(Ring { head, tail, .. }) => {
+                // `tail` first: `head` only grows, so this never overstates.
+                let tail = tail.load(Ordering::SeqCst);
+                tail.saturating_sub(head.load(Ordering::SeqCst)) as usize
+            }
+        }
     }
 
     fn sample_depth(&self, depth: usize) {
@@ -341,20 +314,17 @@ impl Queue {
     pub(crate) fn push(&self, item: Item) -> Result<(), (Item, PushError)> {
         match &self.flavor {
             Flavor::Mpmc(lock) => {
-                let mut inner = lock.lock();
-                if inner.closed {
+                let mut items = lock.lock();
+                if self.closed.load(Ordering::SeqCst) {
                     return Err((item, PushError::Closed));
                 }
-                if inner.items.len() >= self.capacity {
+                if items.len() >= self.capacity {
                     return Err((item, PushError::Full));
                 }
-                inner.items.push_back(item);
-                let depth = inner.items.len();
-                self.record_depth(depth);
-                drop(inner);
-                self.sample_depth(depth);
-                self.metrics.items.inc();
-                self.not_empty.notify_one();
+                items.push_back(item);
+                let depth = items.len();
+                drop(items);
+                self.after_push(depth);
                 Ok(())
             }
             Flavor::LockFree(ring) => self.lf_push(ring, item),
@@ -363,77 +333,57 @@ impl Queue {
     }
 
     /// Blocking pop.  After close, drains remaining items, then fails.
+    ///
+    /// The one wait rule: try, give the core away once, try again, then
+    /// park until a push or the close.
     pub(crate) fn pop(&self) -> Result<Item, Closed> {
+        let mut yielded = false;
+        loop {
+            if let Some(item) = self.try_pop() {
+                return Ok(item);
+            }
+            let depth = self.depth();
+            if depth == 0 && self.closed.load(Ordering::SeqCst) {
+                return Err(Closed);
+            }
+            if yielded && depth == 0 {
+                self.park();
+            } else {
+                // The first miss — or an item claimed and not yet
+                // published: a lock-free producer between its tail CAS
+                // and its publish, perhaps descheduled there.  Let it run
+                // (after a close too: its item must not be stranded).
+                yielded = true;
+                yield_core();
+            }
+        }
+    }
+
+    fn try_pop(&self) -> Option<Item> {
         match &self.flavor {
             Flavor::Mpmc(lock) => {
-                self.mpmc_spin_until_nonempty();
-                let mut inner = lock.lock();
-                loop {
-                    if let Some(item) = inner.items.pop_front() {
-                        let depth = inner.items.len();
-                        self.depth_hint.store(depth, Ordering::Relaxed);
-                        drop(inner);
-                        self.sample_depth(depth);
-                        return Ok(item);
-                    }
-                    if inner.closed {
-                        return Err(Closed);
-                    }
-                    self.metrics.pop_parks.inc();
-                    self.not_empty.wait(&mut inner);
-                }
+                let mut items = lock.lock();
+                let item = items.pop_front()?;
+                let depth = items.len();
+                drop(items);
+                self.sample_depth(depth);
+                Some(item)
             }
-            Flavor::LockFree(ring) => self.lf_pop(ring),
-            Flavor::Spsc(ring) => self.spsc_pop(ring),
+            Flavor::LockFree(ring) => self.lf_try_pop(ring),
+            Flavor::Spsc(ring) => self.spsc_try_pop(ring),
         }
     }
 
-    /// Close the queue and wake every waiting consumer.  Idempotent.
+    /// Close the queue and wake every parked consumer.  Idempotent.
     pub(crate) fn close(&self) {
         self.closed.store(true, Ordering::SeqCst);
-        if let Flavor::Mpmc(lock) = &self.flavor {
-            lock.lock().closed = true;
-            self.not_empty.notify_all();
-        } else {
-            // Take the parking lock so a consumer that re-checked just
-            // before waiting cannot miss this wakeup.
-            let _guard = self.park.lock();
-            self.not_empty.notify_all();
-        }
+        // Take the parking lock so a consumer that re-checked just before
+        // waiting cannot miss this wakeup.
+        let _guard = self.park.lock();
+        self.not_empty.notify_all();
     }
 
-    /// Number of items currently queued (for tests/diagnostics).
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        match &self.flavor {
-            Flavor::Mpmc(lock) => lock.lock().items.len(),
-            Flavor::LockFree(ring) => {
-                ring.tail
-                    .load(Ordering::SeqCst)
-                    .saturating_sub(ring.head.load(Ordering::SeqCst)) as usize
-            }
-            Flavor::Spsc(ring) => {
-                (ring.tail.load(Ordering::SeqCst) - ring.head.load(Ordering::SeqCst)) as usize
-            }
-        }
-    }
-
-    /// Bounded spin while the MPMC queue looks empty, so a consumer that is
-    /// about to be fed avoids the lock + park round trip.
-    fn mpmc_spin_until_nonempty(&self) {
-        if self.depth_hint.load(Ordering::Relaxed) == 0 {
-            for _ in 0..spin_limit() {
-                if self.depth_hint.load(Ordering::Relaxed) != 0
-                    || self.closed.load(Ordering::Relaxed)
-                {
-                    break;
-                }
-                std::hint::spin_loop();
-            }
-        }
-    }
-
-    // --- Parking (ring flavors) --------------------------------------------
+    // --- Parking ---------------------------------------------------------
     //
     // Only consumers park.  The slow path is a one-sided Dekker-style
     // handshake over sequentially consistent accesses: a consumer publishes
@@ -442,14 +392,14 @@ impl Queue {
     // `pop_sleepers` and notifies under the same lock.  At least one side
     // always observes the other, so no wakeup is lost.  That single total
     // order — ring indices, sleeper count, closed flag — is why every ring
-    // access is `SeqCst`.
+    // access is `SeqCst` (the mutex flavor's deque lock orders its own).
 
-    /// Park until `empty()` stops holding or the queue closes.
-    fn park_while(&self, empty: impl Fn() -> bool) {
+    /// Park until the queue is non-empty or closed.
+    fn park(&self) {
         self.pop_sleepers.fetch_add(1, Ordering::SeqCst);
         {
             let mut guard = self.park.lock();
-            while empty() && !self.closed.load(Ordering::SeqCst) {
+            while self.depth() == 0 && !self.closed.load(Ordering::SeqCst) {
                 self.metrics.pop_parks.inc();
                 self.not_empty.wait(&mut guard);
             }
@@ -457,10 +407,10 @@ impl Queue {
         self.pop_sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// A ring push left `depth` items behind it: the bookkeeping, and the
+    /// A push left `depth` items behind it: the bookkeeping, and the
     /// producer's half of the handshake now that its item is visible.
     fn after_push(&self, depth: usize) {
-        self.record_depth(depth);
+        self.max_depth.fetch_max(depth, Ordering::Relaxed);
         self.sample_depth(depth);
         self.metrics.items.inc();
         if self.pop_sleepers.load(Ordering::SeqCst) > 0 {
@@ -468,12 +418,6 @@ impl Queue {
             let _guard = self.park.lock();
             self.not_empty.notify_all();
         }
-    }
-
-    /// A ring pop left `depth` items behind it.
-    fn after_pop(&self, depth: usize) {
-        self.depth_hint.store(depth, Ordering::Relaxed);
-        self.sample_depth(depth);
     }
 
     // --- Lock-free MPMC flavor internals ---------------------------------
@@ -494,7 +438,6 @@ impl Queue {
         }
         let cap = self.capacity as u64;
         let mut retries = 0u64;
-        let mut busy = 0usize;
         let mut pos = ring.tail.load(Ordering::SeqCst);
         let claimed = loop {
             let slot = &ring.slots[(pos % cap) as usize];
@@ -529,14 +472,9 @@ impl Queue {
                     // Slot busy: a consumer has won its `head` CAS on the
                     // last lap's item and not yet stored the slot's
                     // next-lap sequence.  Its store is a few instructions
-                    // away, so spin (giving up the core now and then, in
-                    // case it was descheduled in between) — never park.
-                    busy += 1;
-                    if busy.is_multiple_of(spin_limit().max(1)) {
-                        std::thread::yield_now();
-                    } else {
-                        std::hint::spin_loop();
-                    }
+                    // away, so give it the core (it may have been
+                    // descheduled in between) — and never park.
+                    yield_core();
                 }
                 // That, or another producer claimed `pos` first: chase the
                 // tail.
@@ -599,44 +537,9 @@ impl Queue {
         }
         result.map(|(item, pos)| {
             let tail = ring.tail.load(Ordering::SeqCst);
-            self.after_pop(tail.saturating_sub(pos + 1) as usize);
+            self.sample_depth(tail.saturating_sub(pos + 1) as usize);
             item
         })
-    }
-
-    fn lf_empty(&self, ring: &LfRing) -> bool {
-        ring.tail.load(Ordering::SeqCst) <= ring.head.load(Ordering::SeqCst)
-    }
-
-    fn lf_pop(&self, ring: &LfRing) -> Result<Item, Closed> {
-        // The attempt lives in the spin loop, so even with a zero spin
-        // limit each pass tries (then parks) at least once.
-        let attempts = spin_limit().max(1);
-        loop {
-            for _ in 0..attempts {
-                if let Some(item) = self.lf_try_pop(ring) {
-                    return Ok(item);
-                }
-                if self.closed.load(Ordering::SeqCst) {
-                    // Drain after close: anything in the ring must still
-                    // come out.  `tail > head` with nothing poppable means
-                    // a producer won its tail CAS just before the close
-                    // and is mid-publish (seq store pending) — wait it
-                    // out rather than strand the item behind a `Closed`.
-                    loop {
-                        if let Some(item) = self.lf_try_pop(ring) {
-                            return Ok(item);
-                        }
-                        if self.lf_empty(ring) {
-                            return Err(Closed);
-                        }
-                        std::thread::yield_now();
-                    }
-                }
-                std::hint::spin_loop();
-            }
-            self.park_while(|| self.lf_empty(ring));
-        }
     }
 
     // --- SPSC flavor internals -------------------------------------------
@@ -671,30 +574,8 @@ impl Queue {
         let slot = &ring.slots[(head % self.capacity as u64) as usize];
         let item = slot.lock().take().expect("spsc slot unexpectedly empty");
         ring.head.store(head + 1, Ordering::SeqCst);
-        self.after_pop((tail - head - 1) as usize);
+        self.sample_depth((tail - head - 1) as usize);
         Some(item)
-    }
-
-    fn spsc_empty(&self, ring: &Ring) -> bool {
-        ring.head.load(Ordering::SeqCst) == ring.tail.load(Ordering::SeqCst)
-    }
-
-    fn spsc_pop(&self, ring: &Ring) -> Result<Item, Closed> {
-        // As in `lf_pop`: at least one pop attempt per pass.
-        let attempts = spin_limit().max(1);
-        loop {
-            for _ in 0..attempts {
-                if let Some(item) = self.spsc_try_pop(ring) {
-                    return Ok(item);
-                }
-                if self.closed.load(Ordering::SeqCst) {
-                    // Drain any item pushed before the close landed.
-                    return self.spsc_try_pop(ring).ok_or(Closed);
-                }
-                std::hint::spin_loop();
-            }
-            self.park_while(|| self.spsc_empty(ring));
-        }
     }
 }
 
@@ -794,7 +675,7 @@ mod tests {
             forward.close();
         });
         // Everything came home: the population is intact, each buffer once.
-        assert_eq!((forward.len(), back.len()), (0, cap));
+        assert_eq!((forward.depth(), back.depth()), (0, cap));
         let mut tags: Vec<u64> = (0..cap).map(|_| tag_of(&back.pop().unwrap())).collect();
         tags.sort_unstable();
         let ids: Vec<u64> = tags.iter().map(|t| t >> 32).collect();
@@ -824,7 +705,7 @@ mod tests {
             }
             let (back, why) = q.push(buf_item(0, 99)).unwrap_err();
             assert_eq!((tag_of(&back), why), (99, PushError::Full), "{}", q.name());
-            assert_eq!(q.len(), q.capacity());
+            assert_eq!(q.depth(), q.capacity());
             // A pop makes room again, lap after lap.
             for i in 0..3 * q.capacity() as u64 {
                 assert_eq!(tag_of(&q.pop().unwrap()), i);
@@ -945,7 +826,7 @@ mod tests {
             assert_eq!(tag_of(&q.pop().unwrap()), 2 * i);
             assert_eq!(tag_of(&q.pop().unwrap()), 2 * i + 1);
         }
-        assert_eq!(q.len(), 0);
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]
@@ -1033,11 +914,9 @@ mod tests {
 
     #[test]
     fn park_counters_record_blocked_waits() {
-        // On a host where the spin budget never expires this would be
-        // flaky, so only assert the counters move when a wait certainly
-        // parked: an empty queue with the producer delayed past any spin
-        // phase.  (Cap 2, the ring's minimum — a cap-1 request would build
-        // the mutex fallback and bypass the lock-free park path under test.)
+        // A push that finds a parked consumer counts one wake.  (Cap 2, the
+        // ring's minimum — a cap-1 request would build the mutex fallback
+        // and bypass the lock-free push path under test.)
         let q = Queue::lock_free("l", 2);
         let q2 = Arc::clone(&q);
         let h = thread::spawn(move || tag_of(&q2.pop().unwrap()));

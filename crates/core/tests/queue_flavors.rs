@@ -185,11 +185,7 @@ proptest! {
         prefill in 0u64..6,
         capacity in 6usize..10,
     ) {
-        for q in [
-            BenchQueue::mpmc(capacity),
-            BenchQueue::mpmc_lock_free(capacity),
-            BenchQueue::spsc(capacity),
-        ] {
+        for q in FLAVORS.map(|make| make(capacity)) {
             for i in 0..prefill {
                 assert!(q.push(tagged(0, i)));
             }
@@ -206,7 +202,7 @@ proptest! {
 
 /// Only consumers ever block — a push onto a full queue is refused on the
 /// spot — and close must wake every one of them, whether it is still
-/// spinning or already parked.  A missed wake (or a push that waits) hangs
+/// yielding or already parked.  A missed wake (or a push that waits) hangs
 /// the whole test binary, so the join is the assertion.
 #[test]
 fn close_wakes_all_blocked_threads_in_both_mpmc_flavors() {
@@ -226,7 +222,7 @@ fn close_wakes_all_blocked_threads_in_both_mpmc_flavors() {
                 // Blocks: the queue is empty and nobody pushes.
                 .map(|_| s.spawn(|| empty.pop().is_none()))
                 .collect();
-            // Let some threads reach the parked slow path while others spin.
+            // Let some threads reach the parked slow path while others yield.
             thread::sleep(std::time::Duration::from_millis(20));
             empty.close();
             for h in poppers {
@@ -234,6 +230,68 @@ fn close_wakes_all_blocked_threads_in_both_mpmc_flavors() {
             }
         });
         assert_eq!(full.pop().map(|b| tag_of(&b)), Some((0, 0)));
+    }
+}
+
+const FLAVORS: [Make; 3] = [
+    BenchQueue::mpmc,
+    BenchQueue::mpmc_lock_free,
+    BenchQueue::spsc,
+];
+
+/// Block until `q`'s consumer has parked `parks` times.
+fn await_parks(q: &BenchQueue, parks: u64) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while q.pop_parks() < parks {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{}: never parked",
+            q.flavor()
+        );
+        thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// The one wait rule, on every flavor: a pop on an empty, open queue
+/// tries, gives its core away once, tries again and parks — and a push
+/// 20 ms later hands it the item.
+#[test]
+fn an_empty_pop_yields_once_then_parks() {
+    for make in FLAVORS {
+        let q = make(2);
+        thread::scope(|s| {
+            let consumer = s.spawn(|| {
+                let b = q.pop().expect("the queue stays open");
+                (tag_of(&b), fg_core::profile::thread_yields())
+            });
+            await_parks(&q, 1);
+            thread::sleep(std::time::Duration::from_millis(20));
+            assert!(q.push(tagged(0, 7)));
+            assert_eq!(consumer.join().unwrap(), ((0, 7), 1), "{}", q.flavor());
+        });
+        assert_eq!(q.pop_parks(), 1, "{}", q.flavor());
+    }
+}
+
+/// A consumer parked on a queue that is then filled and closed drains it,
+/// and only then gets `Closed`.
+#[test]
+fn a_parked_consumer_drains_a_closed_queue_then_fails() {
+    for make in FLAVORS {
+        let q = make(2);
+        thread::scope(|s| {
+            let consumer = s.spawn(|| {
+                let mut seen = Vec::new();
+                while let Some(b) = q.pop() {
+                    seen.push(tag_of(&b));
+                }
+                seen
+            });
+            await_parks(&q, 1);
+            assert!(q.push(tagged(0, 0)) && q.push(tagged(0, 1)));
+            q.close();
+            assert_eq!(consumer.join().unwrap(), [(0, 0), (0, 1)], "{}", q.flavor());
+        });
     }
 }
 

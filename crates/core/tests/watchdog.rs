@@ -99,11 +99,30 @@ fn a_wedged_middle_stage_is_the_culprit_not_the_first_stage_parked_on_its_pool()
         &[first, wedge, last],
     )
     .unwrap();
-    prog.with_watchdog(Duration::from_secs(1));
+    let artifact = temp_artifact("wedged-mid");
+    prog.set_watchdog(
+        WatchdogCfg::new(Duration::from_secs(1)).artifact(artifact.to_str().unwrap()),
+    );
     match prog.run() {
         Err(FgError::Stalled { culprit }) => assert_eq!(culprit, "wedged-mid/wedge"),
         other => panic!("expected FgError::Stalled, got {other:?}"),
     }
+    // The post-mortem's queue depths: `wedge` holds one buffer and the other
+    // waits in its input, so the pool is dry and `last` has nothing.
+    let text = std::fs::read_to_string(&artifact).expect("post-mortem artifact written");
+    let _ = std::fs::remove_file(&artifact);
+    let pm = Json::parse(&text).expect("post-mortem parses as JSON");
+    let depths: Vec<(&str, u64)> = pm
+        .get("queues")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .map(|q| {
+            let name = q.get("queue").and_then(Json::as_str).unwrap();
+            (name, q.get("depth").and_then(Json::as_u64).unwrap())
+        })
+        .collect();
+    assert_eq!(depths, [("recycle/p", 0), ("p[1]", 1), ("p[2]", 0)]);
 }
 
 #[test]
