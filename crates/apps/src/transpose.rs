@@ -11,11 +11,12 @@
 //! * the input is banded: node `q` owns row bands of `tile_rows` rows in
 //!   round-robin order (band `b` on node `b mod P`), stored contiguously
 //!   in its local `tin` file;
-//! * per round, the pipeline runs `read → tilt → exchange → write`: read
-//!   one band, *tilt* it (in-memory tile transpose: column `j` of the band
-//!   becomes a contiguous run of the output row `j`), exchange the runs to
-//!   the owners of their striped-output locations (balanced `alltoallv`),
-//!   and write them — the same stripe-placement machinery the sorts use;
+//! * per round, the pipeline runs `read → exchange → write`: read one
+//!   band; the exchange *tilts* it (in-memory tile transpose: column `j` of
+//!   the band becomes a contiguous run of the output row `j`) run by run,
+//!   straight into the parts for the owners of their striped-output
+//!   locations (`alltoallv`), and what arrives is written — the same
+//!   stripe-placement machinery the sorts use;
 //! * the output is the `C × R` transpose, row-major, striped across the
 //!   cluster's disks in PDM order.
 
@@ -25,7 +26,7 @@ use std::time::Duration;
 use fg_cluster::{Cluster, ClusterCfg, ClusterError, Communicator, NetCfg};
 use fg_core::{map_stage, PipelineCfg, Program, Rounds};
 use fg_pdm::{DiskCfg, DiskRef, SimDisk, Striping};
-use fg_sort::chunks::{self, Exchange, CHUNK_HEADER_BYTES};
+use fg_sort::chunks::{Exchange, CHUNK_HEADER_BYTES};
 use fg_sort::stages;
 use fg_sort::SortError;
 
@@ -211,60 +212,33 @@ fn transpose_pass(
         stages::read_stage(disk, TIN_FILE, move |t| (t * band_bytes as u64, band_bytes)),
     );
 
-    // tilt: tile transpose — column j of the band becomes a contiguous
-    // run of output row j at global output offset (j*rows + row0) * eb —
-    // packed as (global offset, run) chunks, out of place via aux.
-    let tilt = prog.add_stage(
-        "tilt",
-        map_stage(move |buf, ctx| {
-            let t = buf.round() as usize;
-            let band = t * nodes + rank;
-            let row0 = band * tr;
-            let total = buf.capacity();
-            let aux = ctx.aux(total);
-            let mut off = 0usize;
-            {
-                let data = buf.filled();
-                for j in 0..cols {
-                    // Header for output row j's run.
-                    let goff = ((j * rows + row0) * eb) as u64;
-                    let header = chunks::chunk_header(goff, 0, tr * eb);
-                    aux[off..off + CHUNK_HEADER_BYTES].copy_from_slice(&header);
-                    off += CHUNK_HEADER_BYTES;
-                    for i in 0..tr {
-                        let src = (i * cols + j) * eb;
-                        aux[off..off + eb].copy_from_slice(&data[src..src + eb]);
-                        off += eb;
-                    }
-                }
-            }
-            buf.copy_from(&aux[..off]);
-            Ok(())
-        }),
-    );
-
-    // exchange: split each run along stripe boundaries and route the
-    // pieces to their owners (balanced alltoallv per round).
-    let comm2 = comm.clone();
+    // exchange: tile transpose — column j of the band becomes a contiguous
+    // run of output row j at global output offset (j*rows + row0) * eb, in
+    // aux — and each run straight into the parts for the owners of its
+    // stripe pieces, each piece behind its local offset there (an alltoallv
+    // per round); what arrives lands in file order.
+    let comm = comm.clone();
     let exchange = prog.add_stage("exchange", {
         let mut stripes = Exchange::new(nodes);
-        map_stage(move |buf, _ctx| {
-            for chunk in chunks::iter_chunks(buf.filled()) {
-                let chunk = chunk?;
-                stripes.gather_stripes(&striping, chunk.a, chunk.data);
+        map_stage(move |buf, ctx| {
+            let row0 = (buf.round() as usize * nodes + rank) * tr;
+            let run = &mut ctx.aux(tr * eb)[..tr * eb];
+            for j in 0..cols {
+                for (i, elem) in run.chunks_exact_mut(eb).enumerate() {
+                    let src = (i * cols + j) * eb;
+                    elem.copy_from_slice(&buf.filled()[src..src + eb]);
+                }
+                stripes.gather_stripes(&striping, ((j * rows + row0) * eb) as u64, run);
             }
-            Ok(stripes.trade(&comm2, buf)?)
+            Ok(stripes.trade_placed(&comm, buf)?)
         })
     });
 
-    let write = prog.add_stage(
-        "write",
-        stages::write_stage(disk, TOUT_FILE, Some((striping, rank))),
-    );
+    let write = prog.add_stage("write", stages::write_stage(disk, TOUT_FILE));
 
     prog.add_pipeline(
         PipelineCfg::new("pass", cfg.pipeline_buffers, buf_bytes).rounds(Rounds::Count(rounds)),
-        &[read, tilt, exchange, write],
+        &[read, exchange, write],
     )?;
     prog.run()?;
     Ok(())

@@ -1,18 +1,20 @@
 //! Self-describing chunked payloads.
 //!
 //! Communication stages move *placed* data: a run of record bytes plus
-//! where those bytes belong (a destination column and row, or a global
-//! offset in the striped output).  Rather than making every receiver
-//! re-derive placement arithmetic, senders prefix each run with a small
-//! header.  A payload is a sequence of chunks:
+//! where those bytes belong.  Rather than making every receiver re-derive
+//! placement arithmetic, senders prefix each run with a small header.  A
+//! payload is a sequence of chunks:
 //!
 //! ```text
 //! [a: u64 LE][b: u64 LE][len: u64 LE][data: len bytes]  ...repeated...
 //! ```
 //!
-//! The meaning of `a` and `b` is up to the protocol using the codec (e.g.
-//! `a` = destination column, `b` = destination row; or `a` = global byte
-//! offset, `b` unused).
+//! The meaning of `a` and `b` is up to the protocol using the codec.  Every
+//! chunk bound for a file carries, in `a`, its offset in the *receiver's*
+//! file, stamped by the sender (`b` unused), so an exchange lands what
+//! arrives already in file order ([`land_placed`]) and the write stage
+//! issues it as it is; dsort-linear's raw-record exchange uses `a` for the
+//! destination node.
 
 use fg_cluster::Communicator;
 use fg_core::Buffer;
@@ -160,6 +162,8 @@ impl Scatter {
 /// never rebuilt per round.
 pub struct Exchange {
     parts: Vec<Vec<u8>>,
+    /// [`land_placed`]'s scratch, kept across rounds.
+    runs: Vec<(u64, usize, std::ops::Range<usize>)>,
 }
 
 impl Exchange {
@@ -167,6 +171,7 @@ impl Exchange {
     pub fn new(nodes: usize) -> Self {
         Exchange {
             parts: vec![Vec::new(); nodes],
+            runs: Vec::new(),
         }
     }
 
@@ -176,8 +181,9 @@ impl Exchange {
     }
 
     /// Split `data`, which belongs at global byte offset `goff` of a striped
-    /// file, along stripe-block boundaries into `(global offset, piece)`
-    /// chunks for the pieces' owners.
+    /// file, along stripe-block boundaries into `(local offset, piece)`
+    /// chunks for the pieces' owners: each header carries the offset the
+    /// piece has in its owner's stripe file.
     pub fn gather_stripes(&mut self, striping: &Striping, goff: u64, data: &[u8]) {
         // A node owns at most every `nodes`-th block the range touches.  On
         // an empty part this reserves exactly that; a part filled by many
@@ -187,8 +193,8 @@ impl Exchange {
         for part in &mut self.parts {
             part.reserve(blocks_each * chunk_size(block));
         }
-        for (dest, _local, range) in striping.split_range_iter(goff, data.len()) {
-            push_chunk(self.part(dest), goff + range.start as u64, 0, &data[range]);
+        for (dest, local, range) in striping.split_range_iter(goff, data.len()) {
+            push_chunk(self.part(dest), local, 0, &data[range]);
         }
     }
 
@@ -200,16 +206,88 @@ impl Exchange {
         buf.clear();
         for part in &mut received {
             if buf.append(part) != part.len() {
-                return Err(SortError::Corrupt(format!(
-                    "exchange: received more than the {} bytes a pipeline buffer holds",
-                    buf.capacity()
-                )));
+                return Err(overfull(buf.capacity()));
             }
             part.clear();
         }
         self.parts = received;
         Ok(())
     }
+
+    /// [`trade`](Exchange::trade) for parts of `(file offset, data)` chunks
+    /// their senders placed: what arrives lands by [`land_placed`], so a
+    /// write stage issues each chunk as one write, straight out of `buf`.
+    pub fn trade_placed(&mut self, comm: &Communicator, buf: &mut Buffer) -> Result<(), SortError> {
+        let mut received = comm.alltoallv(std::mem::take(&mut self.parts))?;
+        let len = land_placed(&received, &mut self.runs, buf.space_mut())?;
+        buf.set_filled(len);
+        received.iter_mut().for_each(Vec::clear);
+        self.parts = received;
+        Ok(())
+    }
+}
+
+fn overfull(capacity: usize) -> SortError {
+    SortError::Corrupt(format!(
+        "exchange: received more than the {capacity} bytes a pipeline buffer holds"
+    ))
+}
+
+/// Land the `(file offset, data)` chunks of `parts` in `out` in offset
+/// order, each maximal run of file-adjacent chunks behind one header, and
+/// return the bytes written: one copy of each data byte, as an append of
+/// the parts makes, and nothing left to coalesce.  Empty chunks are
+/// dropped.  The receiver no longer derives placement, so it checks it: a
+/// chunk that overlaps the one before it in the file is
+/// [`SortError::Corrupt`], as is a landing that does not fit.  `runs` is
+/// the caller's scratch: `(offset, part, data range)` a chunk.
+pub fn land_placed(
+    parts: &[Vec<u8>],
+    runs: &mut Vec<(u64, usize, std::ops::Range<usize>)>,
+    out: &mut [u8],
+) -> Result<usize, SortError> {
+    runs.clear();
+    for (p, part) in parts.iter().enumerate() {
+        let mut off = 0;
+        while off < part.len() {
+            let (at, _b, data) = chunk_at(part, off)?;
+            off = data.end;
+            if !data.is_empty() {
+                runs.push((at, p, data));
+            }
+        }
+    }
+    runs.sort_unstable_by_key(|run| run.0);
+    let mut len = 0;
+    let mut i = 0;
+    while i < runs.len() {
+        let start = runs[i].0;
+        let mut end = start + runs[i].2.len() as u64;
+        let mut j = i + 1;
+        while j < runs.len() && runs[j].0 <= end {
+            if runs[j].0 < end {
+                return Err(SortError::Corrupt(format!(
+                    "placed chunk at {} overlaps the one ending at {end}",
+                    runs[j].0
+                )));
+            }
+            end += runs[j].2.len() as u64;
+            j += 1;
+        }
+        let group = (end - start) as usize;
+        let data = len + CHUNK_HEADER_BYTES;
+        if data + group > out.len() {
+            return Err(overfull(out.len()));
+        }
+        out[len..data].copy_from_slice(&chunk_header(start, 0, group));
+        len = data;
+        for (_, p, range) in &runs[i..j] {
+            out[len..len + range.len()].copy_from_slice(&parts[*p][range.clone()]);
+            len += range.len();
+        }
+        i = j;
+    }
+    Ok(len)
 }
 
 /// The chunk that starts at `off` of `bytes`: its placement words and where
@@ -227,22 +305,6 @@ fn chunk_at(bytes: &[u8], off: usize) -> Result<(u64, u64, std::ops::Range<usize
         .filter(|&end| end <= bytes.len())
         .ok_or_else(|| bad("truncated data"))?;
     Ok((word(0), word(1), start..end))
-}
-
-/// Rewrite every chunk's first placement word in place: `a` becomes
-/// `relocate(a)`.  For a write stage that receives chunks placed by global
-/// offset and needs them by local offset, without copying them out.
-pub fn relocate_chunks(
-    payload: &mut [u8],
-    mut relocate: impl FnMut(u64) -> u64,
-) -> Result<(), SortError> {
-    let mut off = 0;
-    while off < payload.len() {
-        let (a, _b, data) = chunk_at(payload, off)?;
-        payload[off..off + 8].copy_from_slice(&relocate(a).to_le_bytes());
-        off = data.end;
-    }
-    Ok(())
 }
 
 /// Iterate over the chunks of a payload.

@@ -7,14 +7,17 @@
 //! the only shape csort needs, because its communication is balanced and
 //! its I/O pattern oblivious:
 //!
-//! * **Pass 1** (steps 1–2): `read → sort → communicate → permute → write`.
-//!   After sorting, record `i` of column `c` belongs to column `i mod s` of
-//!   the transposed matrix; the communicate stage exchanges the records
-//!   with a balanced `alltoallv` (every node sends and receives exactly `r`
+//! * **Pass 1** (steps 1–2): `read → sort → communicate → write`.  After
+//!   sorting, record `i` of column `c` belongs to column `i mod s` of the
+//!   transposed matrix; the communicate stage exchanges the records with a
+//!   balanced `alltoallv` (every node sends and receives exactly `r`
 //!   records per round).  Because the *next* odd step re-sorts every
-//!   column, only column membership matters, so the permute/write stages
-//!   append each round's incoming records contiguously to the destination
-//!   column's region of the intermediate file.
+//!   column, only column membership matters, so each round's incoming
+//!   records stack contiguously, in sender order, in the destination
+//!   column's region of the intermediate file — at an offset the *sender*
+//!   stamps on each chunk ([`route_column`]), so what arrives lands in file
+//!   order and the write stage writes it as it is.  (The paper's pipeline
+//!   has a `permute` stage between the two; its arithmetic is the header.)
 //! * **Pass 2** (steps 3–4): identical shape; after sorting, record `i`
 //!   belongs to column `i div (r/s)` of the untransposed matrix.
 //! * **Pass 3** (steps 5–8, coalesced): `read → sort → exchange-halves →
@@ -130,15 +133,19 @@ pub(crate) fn window_buf_bytes(cfg: &SortConfig, m: Matrix) -> usize {
 }
 
 /// The even columnsort step after pass `pass_no`'s sort, as chunks for the
-/// owners of the destination columns: sorted column `c` (`data`, records of
-/// `rb` bytes) contributes `r/s` records to every column `d`, appended to
-/// `exchange`'s part for `d`'s owner behind a `(d, c)` chunk header.  Pass 1
+/// owners of the destination columns: node `q`'s sorted column of round
+/// `t` (`data`, records of `rb` bytes) contributes `r/s` records to every
+/// column `d`, appended to `exchange`'s part for `d`'s owner.  Pass 1
 /// transposes (record `i` goes to column `i mod s`), pass 2 untransposes
-/// (record `i` goes to column `i div (r/s)`).
+/// (record `i` goes to column `i div (r/s)`).  Each sender contributes one
+/// chunk a round to `d`'s region of its owner's file, so the chunks stack
+/// there in rank order and the header says where: byte `(local_index(d)·r
+/// + (t·P + q)·r/s)·rb`.
 pub fn route_column(
     pass_no: u8,
     m: Matrix,
-    c: usize,
+    q: usize,
+    t: usize,
     rb: usize,
     data: &[u8],
     exchange: &mut Exchange,
@@ -150,7 +157,8 @@ pub fn route_column(
     }
     for d in 0..m.s {
         let part = exchange.part(m.owner(d));
-        chunks::push_chunk_header(part, d as u64, c as u64, chunk_records * rb);
+        let at = m.local_index(d) * m.r + (t * m.nodes + q) * chunk_records;
+        chunks::push_chunk_header(part, (at * rb) as u64, 0, chunk_records * rb);
         match pass_no {
             // One `extend_from_slice` a record is a call and a capacity
             // check a record; the paper's two widths size the chunk once
@@ -184,9 +192,9 @@ fn gather_strided<const RB: usize>(data: &[u8], part: &mut Vec<u8>, d: usize, s:
     }
 }
 
-/// Passes 1 and 2: `read → sort → communicate → permute → write` over a
-/// single linear pipeline of `s/P` rounds.  Shared with the four-pass
-/// variant ([`crate::csort4`]), whose first two passes are identical.
+/// Passes 1 and 2: `read → sort → communicate → write` over a single
+/// linear pipeline of `s/P` rounds.  Shared with the four-pass variant
+/// ([`crate::csort4`]), whose first two passes are identical.
 pub(crate) fn pass12(pass_no: u8, node: &mut Node, m: Matrix) -> Result<(), SortError> {
     let cfg = &node.cfg;
     let q = node.rank;
@@ -211,60 +219,24 @@ pub(crate) fn pass12(pass_no: u8, node: &mut Node, m: Matrix) -> Result<(), Sort
 
     // communicate: balanced alltoallv; the same buffer is conveyed (§I:
     // "with balanced communication ... we can convey to the successor the
-    // same buffer that the stage accepted").
+    // same buffer that the stage accepted").  The senders place every
+    // chunk, so what lands is the round's writes, in file order.
     let comm = node.comm.clone();
     let communicate = prog.add_stage("communicate", {
         let mut exchange = Exchange::new(m.nodes);
         map_stage(move |buf, _ctx| {
-            let c = m.col_of_round(q, buf.round() as usize); // my column this round
-            route_column(pass_no, m, c, rb, buf.filled(), &mut exchange);
-            Ok(exchange.trade(&comm, buf)?)
-        })
-    });
-
-    // permute: translate (dest column, source column) headers into file
-    // offsets.  Column d's region of the output file is
-    // [local_index(d)*r, ...); round t's incoming records for d are
-    // appended at t * (P * r/s) records into that region.
-    let permute = prog.add_stage("permute", {
-        // Persistent scratch: the repacked payload and the bytes already
-        // appended to each destination region this round.  Each sender
-        // contributed r/s records; they stack in sender order (source
-        // column / P order is irrelevant: the next pass re-sorts).
-        let mut packed: Vec<u8> = Vec::new();
-        let mut appended: Vec<(usize, usize)> = Vec::new(); // (base, bytes)
-        let per_round_per_col = m.nodes * (m.r / m.s); // records
-        map_stage(move |buf, _ctx| {
             let t = buf.round() as usize;
-            packed.clear();
-            appended.clear();
-            for chunk in chunks::iter_chunks(buf.filled()) {
-                let chunk = chunk?;
-                let d = chunk.a as usize;
-                debug_assert_eq!(m.owner(d), q, "chunk routed to wrong node");
-                let base = (m.local_index(d) * m.r + t * per_round_per_col) * rb;
-                let within = match appended.iter_mut().find(|(b, _)| *b == base) {
-                    Some((_, w)) => w,
-                    None => {
-                        appended.push((base, 0));
-                        &mut appended.last_mut().expect("just pushed").1
-                    }
-                };
-                // Rewrite as a (file offset, data) chunk for the writer.
-                chunks::push_chunk(&mut packed, (base + *within) as u64, 0, chunk.data);
-                *within += chunk.data.len();
-            }
-            buf.copy_from(&packed);
-            Ok(())
+            route_column(pass_no, m, q, t, rb, buf.filled(), &mut exchange);
+            Ok(exchange.trade_placed(&comm, buf)?)
         })
     });
 
-    let write = prog.add_stage("write", stages::write_stage(&node.disk, out_file, None));
+    let write = prog.add_stage("write", stages::write_stage(&node.disk, out_file));
 
     let rounds = m.cols_per_node() as u64;
     prog.add_pipeline(
         pass_pipeline(cfg, "pass", buf_bytes, rounds),
-        &[read, sort, communicate, permute, write],
+        &[read, sort, communicate, write],
     )?;
     node.run(prog)?;
     if pass_no == 2 {
@@ -320,7 +292,7 @@ pub(crate) fn stripe_and_write(
         let c = m.col_of_round(q, buf.round() as usize);
         (c * m.r).saturating_sub(m.r / 2) as u64 * rb as u64
     });
-    let write = stages::write_stage(&node.disk, OUTPUT_FILE, Some((striping, q)));
+    let write = stages::write_stage(&node.disk, OUTPUT_FILE);
     (
         prog.add_stage("stripe", stripe),
         prog.add_stage("write", write),

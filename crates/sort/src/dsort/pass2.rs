@@ -12,9 +12,9 @@
 //!   sizes) and ends each on a PDM stripe boundary: the first is cut short
 //!   where `offset` falls inside a stripe block, every later one is a whole
 //!   block.  The **send stage** sends each to its block's owner as one
-//!   message behind its global offset — unbalanced communication again, so a
-//!   **disjoint receive pipeline** (`receive → write`) takes whatever pieces
-//!   arrive and writes them to the local stripe file.
+//!   message behind its offset in the owner's stripe file — unbalanced
+//!   communication again, so a **disjoint receive pipeline** (`receive →
+//!   write`) takes whatever pieces arrive and writes them where they say.
 
 use std::sync::Arc;
 
@@ -30,7 +30,7 @@ use crate::verify::OUTPUT_FILE;
 use crate::SortError;
 
 /// Message tag for pass-2 traffic: a stripe piece travels behind its 8-byte
-/// global offset.
+/// offset in its owner's stripe file.
 pub const TAG_PASS2: u64 = 0x0D50_0002;
 
 /// Run pass 2 on `node`; returns the OS threads its FG program spawned
@@ -190,19 +190,20 @@ pub fn pass2(
 
     // ---- horizontal send stage ----
     // A buffer is one stripe piece: it goes whole to the block's owner behind
-    // its global offset, in a pooled payload, with its trace id.
+    // its offset in the owner's stripe file, in a pooled payload, with its
+    // trace id.
     let send = prog.add_stage(
         "send",
         stages::fabric_stage(node.comm.clone(), move |comm, ctx| {
             while let Some(buf) = ctx.accept()? {
                 let goff = buf.meta;
                 debug_assert!(goff as usize % block + buf.len() <= block);
+                let (owner, local) = striping.locate_byte(goff);
                 let mut payload = comm.payload().map_err(SortError::from)?;
                 payload.reserve_exact(payload_bytes);
                 payload.push(stages::MSG_DATA);
-                payload.extend_from_slice(&goff.to_le_bytes());
+                payload.extend_from_slice(&local.to_le_bytes());
                 payload.extend_from_slice(buf.filled());
-                let (owner, _) = striping.locate_byte(goff);
                 comm.send_traced(owner, TAG_PASS2, payload, buf.trace_id())
                     .map_err(SortError::from)?;
                 ctx.convey(buf)?;
@@ -212,26 +213,23 @@ pub fn pass2(
     );
 
     // ---- receive pipeline ----
-    // A stripe piece lands whole, as a `(global offset, piece)` chunk, or
+    // A stripe piece lands whole, as a `(local offset, piece)` chunk, or
     // waits for the next buffer.
     let receive = prog.add_stage(
         "receive",
         stages::receive_stage(node.comm.clone(), TAG_PASS2, |buf, payload, at| {
-            let Some((goff, data)) = payload[1..].split_first_chunk::<8>() else {
+            let Some((local, data)) = payload[1..].split_first_chunk::<8>() else {
                 return Err(SortError::Corrupt("short pass-2 data message".into()).into());
             };
             if chunks::chunk_size(data.len()) > buf.remaining() {
                 return Ok(at);
             }
-            chunks::append_chunk(buf, u64::from_le_bytes(*goff), 0, data);
+            chunks::append_chunk(buf, u64::from_le_bytes(*local), 0, data);
             Ok(payload.len())
         }),
     );
 
-    let write = prog.add_stage(
-        "write",
-        stages::write_stage(disk, OUTPUT_FILE, Some((striping, node.rank))),
-    );
+    let write = prog.add_stage("write", stages::write_stage(disk, OUTPUT_FILE));
 
     // ---- pipelines ----
     for (j, &len) in run_lens.iter().enumerate() {

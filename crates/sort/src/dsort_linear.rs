@@ -231,10 +231,7 @@ fn pass2_linear(node: &mut Node, run_lens: &[u64], partitions: &[u64]) -> Result
         "exchange",
         stages::stripe_stage(&node.comm, striping, move |buf| buf.meta * rb as u64),
     );
-    let write = prog.add_stage(
-        "write",
-        stages::write_stage(&node.disk, OUTPUT_FILE, Some((striping, node.rank))),
-    );
+    let write = prog.add_stage("write", stages::write_stage(&node.disk, OUTPUT_FILE));
 
     prog.add_pipeline(
         PipelineCfg::new("pass2", cfg.pipeline_buffers, buf_bytes).rounds(Rounds::Count(rounds)),

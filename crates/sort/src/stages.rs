@@ -202,7 +202,8 @@ pub fn merge_halves_stage(fmt: RecordFormat, m: Matrix, q: usize) -> Box<dyn Sta
 /// `goff(buf)` of a file striped by `striping`.  Cut them along
 /// stripe-block boundaries, trade the pieces with their owners (one
 /// `alltoallv` a round, so every node runs the same number of rounds), and
-/// leave in the buffer the `(global offset, piece)` chunks that arrived.
+/// leave in the buffer the `(local offset, piece)` chunks that arrived,
+/// landed in file order (`Exchange::trade_placed`).
 pub fn stripe_stage(
     comm: &Communicator,
     striping: Striping,
@@ -212,32 +213,20 @@ pub fn stripe_stage(
     let mut stripes = Exchange::new(striping.nodes);
     map_stage(move |buf, _ctx| {
         stripes.gather_stripes(&striping, goff(buf), buf.filled());
-        Ok(stripes.trade(&comm, buf)?)
+        Ok(stripes.trade_placed(&comm, buf)?)
     })
 }
 
-/// A write stage for a buffer of `(offset, data)` chunks: issue the
+/// A write stage for a buffer of `(file offset, data)` chunks: issue the
 /// positioned writes to `file`, adjacent ones coalesced, without copying
-/// each chunk out of the buffer first.  In a striping pass the chunks
-/// arrive placed by global byte offset in a striped file: given that
-/// `striping` and this node's rank, their headers are first rewritten to
-/// local offsets in place.
-pub fn write_stage(
-    disk: &DiskRef,
-    file: &'static str,
-    striping: Option<(Striping, usize)>,
-) -> Box<dyn Stage> {
+/// each chunk out of the buffer first.  A buffer an exchange landed
+/// (`Exchange::trade_placed`) has no adjacent chunks left, so every write
+/// goes straight out of it.
+pub fn write_stage(disk: &DiskRef, file: &'static str) -> Box<dyn Stage> {
     let disk = Arc::clone(disk);
     let mut runs = Vec::new();
     let mut scratch = Vec::new();
     map_stage(move |buf, _ctx| {
-        if let Some((striping, rank)) = striping {
-            chunks::relocate_chunks(buf.filled_mut(), |goff| {
-                let (dest, local) = striping.locate_byte(goff);
-                debug_assert_eq!(dest, rank, "stripe piece landed on wrong node");
-                local
-            })?;
-        }
         chunks::for_each_coalesced_write(buf.filled(), &mut runs, &mut scratch, |off, data| {
             disk.write_at(file, off, data).map_err(SortError::from)?;
             Ok(())

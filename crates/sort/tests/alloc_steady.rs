@@ -175,6 +175,11 @@ fn columnsort_os_stage_allocations<const N: usize>(
 /// The two inputs have the same column (8192 records, 128 KiB) and 8 and 16
 /// rounds a pass: a stage that allocated per round would need 4 MiB more for
 /// the larger one (`write` 12 MiB more, over three passes).
+///
+/// The senders place every chunk and the exchanges land them in file order,
+/// file-adjacent ones merged, so the write stage has nothing to gather: it
+/// allocates no gather scratch — its only `Vec` is the list of a round's
+/// writes — and there is no `permute` stage to allocate a repacked column.
 #[test]
 fn csort_os_allocations_do_not_grow_with_the_input() {
     let _turn = TAG_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
@@ -207,6 +212,10 @@ fn csort_os_allocations_do_not_grow_with_the_input() {
         // input, of which every byte is read and written three times.
         assert!(large < 8 << 20, "{tag}: {large} B allocated");
     }
+    let [.., write] = large;
+    assert!(write <= 64 << 10, "write: {write} B allocated");
+    let tags = fg_core::alloc::snapshot();
+    assert!(tags.iter().all(|(tag, _)| tag != "permute"), "{tags:?}");
 }
 
 /// csort4's exchange of halves (`shift`, its pass 3) is csort's: pooled

@@ -669,3 +669,175 @@ fn dsort_messages_follow_bytes_not_rounds_times_nodes() {
     );
     assert!(four >= 0.9 * 1024.0, "mean pass-1 message: {four:.0} B");
 }
+
+/// A disk that keeps a copy of every file as it is deleted: a columnsort's
+/// intermediate files, which the pass that reads them last deletes.
+struct KeepsDeleted {
+    inner: fg_pdm::DiskRef,
+    kept: std::sync::Mutex<std::collections::HashMap<String, Vec<u8>>>,
+}
+
+impl KeepsDeleted {
+    fn kept(&self, name: &str) -> Vec<u8> {
+        let kept = self.kept.lock().unwrap();
+        kept.get(name)
+            .unwrap_or_else(|| panic!("{name} was never deleted"))
+            .clone()
+    }
+}
+
+impl fg_pdm::Disk for KeepsDeleted {
+    fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<(), fg_pdm::PdmError> {
+        self.inner.write_at(name, offset, data)
+    }
+    fn append(&self, name: &str, data: &[u8]) -> Result<u64, fg_pdm::PdmError> {
+        self.inner.append(name, data)
+    }
+    fn read_at(&self, name: &str, offset: u64, out: &mut [u8]) -> Result<(), fg_pdm::PdmError> {
+        self.inner.read_at(name, offset, out)
+    }
+    fn read_up_to(&self, name: &str, at: u64, len: usize) -> Result<Vec<u8>, fg_pdm::PdmError> {
+        self.inner.read_up_to(name, at, len)
+    }
+    fn load(&self, name: &str, bytes: Vec<u8>) {
+        self.inner.load(name, bytes)
+    }
+    fn snapshot(&self, name: &str) -> Option<Vec<u8>> {
+        self.inner.snapshot(name)
+    }
+    fn len(&self, name: &str) -> Option<u64> {
+        self.inner.len(name)
+    }
+    fn exists(&self, name: &str) -> bool {
+        self.inner.exists(name)
+    }
+    fn delete(&self, name: &str) -> bool {
+        if let Some(bytes) = self.inner.snapshot(name) {
+            self.kept.lock().unwrap().insert(name.to_string(), bytes);
+        }
+        self.inner.delete(name)
+    }
+    fn list(&self) -> Vec<String> {
+        self.inner.list()
+    }
+    fn stats(&self) -> fg_pdm::DiskStats {
+        self.inner.stats()
+    }
+    fn reset_stats(&self) {
+        self.inner.reset_stats()
+    }
+    fn fail_after_ops(&self, ops: u64) {
+        self.inner.fail_after_ops(ops)
+    }
+    fn flush(&self) -> Result<(), fg_pdm::PdmError> {
+        self.inner.flush()
+    }
+    fn land(&self) -> Result<(), fg_pdm::PdmError> {
+        self.inner.land()
+    }
+    fn reserve(&self, name: &str, bytes: u64) {
+        self.inner.reserve(name, bytes)
+    }
+}
+
+/// Each of `regions` — `(node, first record, positions)` — holds in that
+/// node's kept copy of `file`, from that record on, the multiset of keys
+/// the reference matrix has at `positions`.
+fn check_regions(
+    cfg: &SortConfig,
+    disks: &[Arc<KeepsDeleted>],
+    file: &str,
+    reference: &[u64],
+    regions: impl Iterator<Item = (usize, usize, std::ops::Range<usize>)>,
+) {
+    use fg_sort::input::keys_of;
+    let rb = cfg.record.record_bytes;
+    let files: Vec<Vec<u8>> = disks.iter().map(|d| d.kept(file)).collect();
+    for (q, at, positions) in regions {
+        let bytes = &files[q][at * rb..(at + positions.len()) * rb];
+        let mut got = keys_of(cfg.record, bytes);
+        let mut want = reference[positions.clone()].to_vec();
+        got.sort_unstable();
+        want.sort_unstable();
+        let differ = got.iter().zip(&want).filter(|(a, b)| a != b).count();
+        assert!(
+            got == want,
+            "{file} on node {q}, record {at}: {differ} keys not those of positions {positions:?}"
+        );
+    }
+}
+
+/// The intermediate files hold what columnsort says they hold, not only
+/// the output: after passes 1 and 2 each column region `[local_index(d) ·
+/// r, +r)` of node `d mod P`'s `csort_m1` and `csort_m2` holds the keys the
+/// in-memory reference puts in column `d` after steps 2 and 4, and csort4's
+/// `csort4_m3` holds, back to back in round order, the boundary windows
+/// after step 5 — for csort and csort4, on sim and on os.
+#[test]
+fn columnsort_intermediate_files_hold_the_reference_columns() {
+    use fg_sort::columnsort::{sort_columns, transpose, untranspose};
+    use fg_sort::config::Matrix;
+    use fg_sort::csort::{M1_FILE, M2_FILE};
+    use fg_sort::csort4::{run_csort4, M3_FILE};
+    type Sort = fn(&SortConfig, &[fg_pdm::DiskRef]);
+    let sorts: [(&str, Sort); 2] = [
+        ("csort", |c, d| drop(run_csort(c, d).unwrap())),
+        ("csort4", |c, d| drop(run_csort4(c, d).unwrap())),
+    ];
+    let scratch = fg_pdm::ScratchDir::new("layout").expect("scratch directory");
+    for os in [false, true] {
+        for (name, sort) in sorts {
+            // Uniform keys: distinct, so a record in the wrong column shows.
+            let mut cfg = SortConfig::test_default(4, 4096);
+            if os {
+                cfg.backend = fg_sort::config::DiskBackend::Os {
+                    dir: scratch.path().to_path_buf(),
+                };
+            }
+            let disks: Vec<Arc<KeepsDeleted>> = provision(&cfg)
+                .into_iter()
+                .map(|inner| {
+                    Arc::new(KeepsDeleted {
+                        inner,
+                        kept: Default::default(),
+                    })
+                })
+                .collect();
+            let refs: Vec<fg_pdm::DiskRef> = disks.iter().map(|d| d.clone() as _).collect();
+            sort(&cfg, &refs);
+
+            // Column c of the matrix is node c mod P's local chunk c div P.
+            let m = Matrix::choose(cfg.total_records(), cfg.nodes).unwrap();
+            let (r, s) = (m.r, m.s);
+            let mut matrix = vec![0u64; r * s];
+            for q in 0..cfg.nodes {
+                let input = fg_sort::input::generate_node_input(&cfg, q);
+                let keys = fg_sort::input::keys_of(cfg.record, &input);
+                for (t, column) in keys.chunks(r).enumerate() {
+                    let c = m.col_of_round(q, t);
+                    matrix[c * r..(c + 1) * r].copy_from_slice(column);
+                }
+            }
+            let columns = || (0..s).map(|d| (m.owner(d), m.local_index(d) * r, d * r..(d + 1) * r));
+            sort_columns(&mut matrix, r, s);
+            transpose(&mut matrix, r, s);
+            check_regions(&cfg, &disks, M1_FILE, &matrix, columns());
+            sort_columns(&mut matrix, r, s);
+            untranspose(&mut matrix, r, s);
+            check_regions(&cfg, &disks, M2_FILE, &matrix, columns());
+            if name == "csort4" {
+                sort_columns(&mut matrix, r, s);
+                let mut at = vec![0usize; cfg.nodes];
+                let windows = (0..s).map(|c| {
+                    let q = m.owner(c);
+                    let hi = if c == s - 1 { s * r } else { c * r + r / 2 };
+                    let lo = (c * r).saturating_sub(r / 2);
+                    at[q] += hi - lo;
+                    (q, at[q] - (hi - lo), lo..hi)
+                });
+                check_regions(&cfg, &disks, M3_FILE, &matrix, windows);
+            }
+            verify_output(&cfg, &refs, Strictness::Exact).expect(name);
+        }
+    }
+}

@@ -472,10 +472,10 @@ proptest! {
         prop_assert_eq!(packed, expect);
     }
     /// The exchange helper's column routing gathers, per destination node,
-    /// the byte stream the stages used to build with a `run` `Vec` and a
-    /// `push_chunk` per destination column — for pass 1 (transpose) and
-    /// pass 2 (untranspose), on parts that have served an earlier round, for
-    /// 16-, 64- and 24-byte records.
+    /// the byte stream a `run` `Vec` and a `push_chunk` per destination
+    /// column would build, each chunk behind its offset in the owner's file
+    /// — for pass 1 (transpose) and pass 2 (untranspose), on parts that have
+    /// served an earlier round, for 16-, 64- and 24-byte records.
     #[test]
     fn route_column_matches_push_chunk_per_destination(
         nodes in 1usize..5,
@@ -491,23 +491,17 @@ proptest! {
         let m = Matrix { r: s * chunk_records, s, nodes };
         let mut exchange = Exchange::new(nodes);
         for (round, pass_no) in [(0usize, 1u8), (1, 2), (2, 1)] {
-            let c = round * nodes; // any column; the routing reads only its records
-            let keys: Vec<u64> = (0..m.r as u64).map(|i| i.wrapping_mul(seed | 1) ^ round as u64).collect();
-            let data = records_with_payloads(f, &keys);
+            let (q, t) = (round % nodes, round % cols_per_node);
+            let data = column_of(f, m, seed ^ round as u64);
 
             let mut expect = vec![Vec::new(); nodes];
             for d in 0..s {
-                let mut run = Vec::new();
-                for i in 0..m.r {
-                    let dest_col = if pass_no == 1 { i % s } else { i / chunk_records };
-                    if dest_col == d {
-                        run.extend_from_slice(&data[i * rb..(i + 1) * rb]);
-                    }
-                }
-                chunks::push_chunk(&mut expect[m.owner(d)], d as u64, c as u64, &run);
+                let local = m.local_index(d) * m.r + (t * nodes + q) * chunk_records;
+                let run = records_for(f, m, pass_no, &data, d);
+                chunks::push_chunk(&mut expect[m.owner(d)], (local * rb) as u64, 0, &run);
             }
 
-            fg_sort::csort::route_column(pass_no, m, c, rb, &data, &mut exchange);
+            fg_sort::csort::route_column(pass_no, m, q, t, rb, &data, &mut exchange);
             for (node, want) in expect.iter().enumerate() {
                 prop_assert_eq!(&*exchange.part(node), want, "pass {} part {}", pass_no, node);
                 // What `trade` does to a part it keeps for the next round.
@@ -516,8 +510,72 @@ proptest! {
         }
     }
 
+    /// The senders' offsets tile the receivers' files: in one round of
+    /// passes 1–2, landing every sender's `route_column` part at its
+    /// receiver covers the round's slice of each local column region — `P ·
+    /// r/s` records from record `t · P · r/s` — once, and nothing else, and
+    /// puts every byte where the receiver-side placement (a stage between
+    /// the exchange and the write, before the senders stamped offsets) put
+    /// it: the `(column, source)` chunks that arrived, stacked per region in
+    /// arrival order.
+    #[test]
+    fn route_column_parts_land_where_the_receiver_used_to_place_them(
+        nodes in 1usize..5,
+        cols_per_node in 1usize..4,
+        chunk_records in 1usize..5,
+        round in 0usize..4,
+        width in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let f = RecordFormat::new([16, 64, 24][width]).unwrap();
+        let rb = f.record_bytes;
+        let s = nodes * cols_per_node;
+        let m = Matrix { r: s * chunk_records, s, nodes };
+        let t = round % cols_per_node;
+        let file_bytes = cols_per_node * m.r * rb;
+        let per_round = nodes * chunk_records * rb; // a region's slice a round
+        for pass_no in [1u8, 2] {
+            let columns: Vec<Vec<u8>> =
+                (0..nodes).map(|q| column_of(f, m, seed ^ (q * 31 + pass_no as usize) as u64)).collect();
+            let mut exchanges: Vec<Exchange> = (0..nodes).map(|_| Exchange::new(nodes)).collect();
+            for (q, exchange) in exchanges.iter_mut().enumerate() {
+                fg_sort::csort::route_column(pass_no, m, q, t, rb, &columns[q], exchange);
+            }
+            for p in 0..nodes {
+                let parts: Vec<Vec<u8>> = exchanges.iter_mut().map(|e| e.part(p).clone()).collect();
+                let landed = land(&parts).unwrap();
+                let (mut image, mut writes) = (vec![0u8; file_bytes], vec![0u8; file_bytes]);
+                for chunk in chunks::iter_chunks(&landed) {
+                    let chunk = chunk.unwrap();
+                    let at = chunk.a as usize;
+                    image[at..at + chunk.data.len()].copy_from_slice(chunk.data);
+                    writes[at..at + chunk.data.len()].iter_mut().for_each(|w| *w += 1);
+                }
+                for (i, &w) in writes.iter().enumerate() {
+                    let in_slice = (i % (m.r * rb)) / per_round == t;
+                    prop_assert_eq!(w, u8::from(in_slice), "byte {} of node {}'s file", i, p);
+                }
+
+                // The receiver-side placement, over the old `(d, c)` stream.
+                let mut reference = vec![0u8; file_bytes];
+                let mut appended = vec![0usize; cols_per_node];
+                for column in &columns {
+                    for d in (p..s).step_by(nodes) {
+                        let run = records_for(f, m, pass_no, column, d);
+                        let li = m.local_index(d);
+                        let at = li * m.r * rb + t * per_round + appended[li];
+                        reference[at..at + run.len()].copy_from_slice(&run);
+                        appended[li] += run.len();
+                    }
+                }
+                prop_assert_eq!(&image, &reference, "pass {} node {}", pass_no, p);
+            }
+        }
+    }
+
     /// Likewise for striping: `gather_stripes` ≡ `split_range` plus a
-    /// `push_chunk` per piece, at any alignment of range and block.
+    /// `push_chunk` per piece behind the piece's local offset, at any
+    /// alignment of range and block.
     #[test]
     fn gather_stripes_matches_push_chunk_per_piece(
         nodes in 1usize..6,
@@ -529,8 +587,8 @@ proptest! {
         for (goff, len) in ranges {
             let data: Vec<u8> = (0..len).map(|i| (i as u64 + goff) as u8).collect();
             let mut expect = vec![Vec::new(); nodes];
-            for (dest, _local, range) in striping.split_range(goff, len) {
-                chunks::push_chunk(&mut expect[dest], goff + range.start as u64, 0, &data[range]);
+            for (dest, local, range) in striping.split_range(goff, len) {
+                chunks::push_chunk(&mut expect[dest], local, 0, &data[range]);
             }
             exchange.gather_stripes(&striping, goff, &data);
             for (node, want) in expect.iter().enumerate() {
@@ -540,25 +598,124 @@ proptest! {
         }
     }
 
-    /// Rewriting placement words in place leaves the stream `push_chunk`
-    /// would have built with the new words, and rejects a truncated one.
+    /// The landing against the write stage's coalescing: for gap-separated
+    /// groups of file-adjacent chunks, some empty, dealt to the parts in any
+    /// order, the landed buffer written out issues the writes that
+    /// `for_each_coalesced_write` issues over the parts concatenated — one a
+    /// group — and leaves the gather scratch untouched, because nothing it
+    /// holds is adjacent to anything else.
     #[test]
-    fn relocate_chunks_matches_rebuilding_the_stream(
-        placed in vec((any::<u64>(), vec(any::<u8>(), 0..20)), 0..8),
-        add in any::<u64>(),
+    fn landing_is_coalescing_without_the_gather(
+        spec in vec((1u64..16, vec(0usize..12, 1..5)), 0..5),
+        parts in 1usize..5,
+        deal_seed in any::<u64>(),
     ) {
-        let (mut stream, mut expect) = (Vec::new(), Vec::new());
-        for (a, data) in &placed {
-            chunks::push_chunk(&mut stream, *a, 7, data);
-            chunks::push_chunk(&mut expect, a.wrapping_add(add), 7, data);
+        let mut frames: Vec<(u64, Vec<u8>)> = Vec::new();
+        let mut cursor = 0u64;
+        for (gap, frame_lens) in &spec {
+            cursor += gap;
+            for &len in frame_lens {
+                frames.push((cursor, (0..len).map(|i| (cursor + i as u64) as u8).collect()));
+                cursor += len as u64;
+            }
         }
-        let mut cut = stream.clone();
-        chunks::relocate_chunks(&mut stream, |a| a.wrapping_add(add)).unwrap();
-        prop_assert_eq!(stream, expect);
-        if cut.pop().is_some() {
-            prop_assert!(chunks::relocate_chunks(&mut cut, |a| a).is_err());
+        let mut rng = deal_seed | 1;
+        let mut dealt = vec![Vec::new(); parts];
+        for i in (0..frames.len()).rev() {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let (off, data) = frames.swap_remove((rng % (i as u64 + 1)) as usize);
+            chunks::push_chunk(&mut dealt[(rng >> 32) as usize % parts], off, 0, &data);
         }
+
+        let writes = |payload: &[u8], scratch: &mut Vec<u8>| {
+            let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
+            chunks::for_each_coalesced_write::<fg_sort::SortError>(
+                payload,
+                &mut Vec::new(),
+                scratch,
+                |off, data| {
+                    out.push((off, data.to_vec()));
+                    Ok(())
+                },
+            )
+            .unwrap();
+            out
+        };
+        let landed = land(&dealt).unwrap();
+        let mut scratch = Vec::new();
+        let got = writes(&landed, &mut scratch);
+        prop_assert_eq!(scratch.capacity(), 0, "the landing left a group to gather");
+        prop_assert_eq!(&got, &writes(&dealt.concat(), &mut Vec::new()));
+        prop_assert_eq!(chunks::parse_chunks(&landed).unwrap().len(), got.len());
     }
+}
+
+/// A column of `m.r` records of format `f` with distinct payloads.
+fn column_of(f: RecordFormat, m: Matrix, seed: u64) -> Vec<u8> {
+    let keys: Vec<u64> = (0..m.r as u64)
+        .map(|i| i.wrapping_mul(seed | 1) ^ seed)
+        .collect();
+    records_with_payloads(f, &keys)
+}
+
+/// The records of a sorted column that pass `pass_no`'s even step sends to
+/// column `d`, in column order: transpose for pass 1 (record `i` to column
+/// `i mod s`), untranspose for pass 2 (record `i` to column `i div (r/s)`).
+fn records_for(f: RecordFormat, m: Matrix, pass_no: u8, column: &[u8], d: usize) -> Vec<u8> {
+    let to = |i: usize| {
+        if pass_no == 1 {
+            i % m.s
+        } else {
+            i / (m.r / m.s)
+        }
+    };
+    let mine = f.records(column).enumerate().filter(|&(i, _)| to(i) == d);
+    mine.flat_map(|(_, rec)| rec.iter().copied()).collect()
+}
+
+/// `chunks::land_placed` into a buffer exactly large enough for the parts.
+fn land(parts: &[Vec<u8>]) -> Result<Vec<u8>, fg_sort::SortError> {
+    let mut out = vec![0u8; parts.iter().map(Vec::len).sum()];
+    let len = chunks::land_placed(parts, &mut Vec::new(), &mut out)?;
+    out.truncate(len);
+    Ok(out)
+}
+
+/// A receiver checks what it no longer derives: a chunk that overlaps the
+/// one before it in the file — at the same offset, or starting inside it,
+/// from the same sender or another — is refused as corrupt, and so is a
+/// landing larger than its buffer.
+#[test]
+fn land_placed_refuses_overlapping_chunks() {
+    let placed = |chunks_per_part: &[&[(u64, usize)]]| -> Vec<Vec<u8>> {
+        let part = |placed: &&[(u64, usize)]| {
+            let mut part = Vec::new();
+            for &(off, len) in placed.iter() {
+                chunks::push_chunk(&mut part, off, 0, &vec![7; len]);
+            }
+            part
+        };
+        chunks_per_part.iter().map(part).collect()
+    };
+    fn corrupt<T>(r: Result<T, fg_sort::SortError>) -> bool {
+        matches!(r, Err(fg_sort::SortError::Corrupt(_)))
+    }
+    assert!(corrupt(land(&placed(&[&[(0, 4), (0, 4)]]))));
+    assert!(corrupt(land(&placed(&[&[(0, 4)], &[(3, 4)]]))));
+    assert!(corrupt(land(&placed(&[&[(10, 2)], &[(8, 8)]]))));
+    assert!(corrupt(land(&placed(&[&[(0, 4), (4, 4)], &[(6, 1)]]))));
+    // Adjacent and gapped chunks land; an empty one overlaps nothing.
+    assert!(land(&placed(&[&[(0, 4), (9, 1)], &[(4, 4), (5, 0)]])).is_ok());
+    // One header is merged away, but the buffer is smaller still.
+    let parts = placed(&[&[(0, 4)], &[(4, 4)]]);
+    let mut out = vec![0u8; chunks::chunk_size(8) - 1];
+    assert!(corrupt(chunks::land_placed(
+        &parts,
+        &mut Vec::new(),
+        &mut out
+    )));
 }
 
 /// An entry's lane field numbers `MAX_LANES` lanes; one more must be refused

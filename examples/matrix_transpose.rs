@@ -1,7 +1,7 @@
 //! Out-of-core matrix transpose — the other classic PDM workload (§VIII).
 //!
 //! Transposes a matrix striped across a simulated cluster in one pass of
-//! `read → tilt → exchange → write` pipelines, then spot-checks the result.
+//! `read → exchange → write` pipelines, then spot-checks the result.
 //!
 //! ```text
 //! cargo run --release --example matrix_transpose
