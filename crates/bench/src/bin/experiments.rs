@@ -44,6 +44,10 @@ const CELLS: &str = "all fig8a fig8b ratio-table splitter-balance io-volume unba
      ablation-readahead buffer-sweep workers-scaling io-overlap autotune-convergence \
      kernel-bench resource-profile";
 
+const NO_GATE: &str = "experiments compares no seconds across invocations; seconds, CPU and \
+     bytes commit over commit are benchmark/'s (benchmark/README.md)";
+const ONE_RUN: &str = "every cell runs all of its arms in one invocation";
+
 #[derive(Default)]
 struct Args {
     cell: Option<String>,
@@ -62,17 +66,9 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
             "--telemetry" => parsed.telemetry = Some(value()?),
             // The deleted seconds gate, and the two-invocation comparisons
             // it was used for: an old script fails with a reason.
-            "--baseline" | "--bench-out" => {
-                return Err(format!(
-                    "{arg} was removed: experiments compares no seconds across invocations; \
-                     seconds, CPU and bytes commit over commit are benchmark/'s \
-                     (benchmark/README.md)"
-                ))
-            }
+            "--baseline" | "--bench-out" => return Err(format!("{arg} was removed: {NO_GATE}")),
             "--gate-tolerance" | "--json-out-suffix" | "--hand-tuned" | "--workers" => {
-                return Err(format!(
-                    "{arg} was removed: every cell runs all of its arms in one invocation"
-                ))
+                return Err(format!("{arg} was removed: {ONE_RUN}"))
             }
             flag if flag.starts_with("--") => return Err(format!("unknown flag {arg}")),
             name if !CELLS.split(' ').any(|c| c == name) => {
@@ -575,6 +571,7 @@ fn main() {
                 ("records/lane", "per_lane", Count(c.per_lane as u64)),
                 ("scalar s", "scalar_s", Secs(c.scalar)),
                 ("batched s", "batched_s", Secs(c.batched)),
+                ("staged s", "staged_s", Secs(c.staged)),
                 ("speedup", "speedup", Ratio(times(c.scalar, c.batched))),
                 ("identical", "identical", Flag(c.identical)),
             ]

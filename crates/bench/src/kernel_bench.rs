@@ -10,12 +10,12 @@
 use std::time::{Duration, Instant};
 
 use fg_sort::kernels::{sort_records_using, Kernel, SortScratch};
-use fg_sort::merge::{merge_runs, LoserTree};
+use fg_sort::merge::{merge_in_pieces, merge_runs, LoserTree};
 use fg_sort::record::RecordFormat;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One merge cell: `k` sorted lanes merged both ways.
+/// One merge cell: `k` sorted lanes merged three ways.
 #[derive(Debug)]
 pub struct MergeCell {
     /// Number of input lanes.
@@ -24,9 +24,11 @@ pub struct MergeCell {
     pub per_lane: usize,
     /// Scalar loser-tree merge, one winner/replace per record (best-of-N).
     pub scalar: Duration,
-    /// Batched `MergeRun` merge (best-of-N).
+    /// Batched `MergeRun` merge (best-of-N): `merge_runs`.
     pub batched: Duration,
-    /// Whether the two merges produced the same bytes.
+    /// The merge stage's loop, the lanes in 8 KiB buffers: `merge_in_pieces`.
+    pub staged: Duration,
+    /// Whether the three merges produced the same bytes.
     pub identical: bool,
 }
 
@@ -67,9 +69,12 @@ pub struct KernelBenchResult {
 const RADIX_MARGIN: f64 = 1.5;
 /// Where every batch is one record, batching may cost this much and no more.
 const INTERLEAVED_TAX: f64 = 1.10;
+/// What the merge stage's loop may cost over `merge_runs`, interleaved.
+const STAGE_TAX: f64 = 1.3;
 /// What [`check`] holds K1 to.
 pub const CLAIM: &str = "radix >= 1.5 x comparison at every size; batched < scalar at \
-     presorted k = 256; batched <= 1.10 x scalar interleaved; identical bytes";
+     presorted k = 256; interleaved, batched <= 1.10 x scalar and staged <= 1.3 x batched; \
+     identical bytes";
 
 /// K1's claims, each an ordering between two arms of one run.
 pub fn check(res: &KernelBenchResult) -> Result<(), String> {
@@ -84,9 +89,13 @@ pub fn check(res: &KernelBenchResult) -> Result<(), String> {
         Some(t) if t >= 1.0 => return Err(format!("presorted k = 256: batched/scalar = {t:.3}")),
         Some(_) => {}
     }
-    for (k, t) in res.merge_interleaved.iter().map(|c| (c.k, tax(c))) {
+    for c in &res.merge_interleaved {
+        let (k, t, staged) = (c.k, tax(c), speedup(c.staged, c.batched));
         if t > INTERLEAVED_TAX {
             return Err(format!("interleaved k = {k}: batched/scalar = {t:.3}"));
+        }
+        if staged > STAGE_TAX {
+            return Err(format!("interleaved k = {k}: staged/batched = {staged:.3}"));
         }
     }
     let mut cells = res.merge.iter().chain(&res.merge_interleaved);
@@ -96,25 +105,20 @@ pub fn check(res: &KernelBenchResult) -> Result<(), String> {
     }
 }
 
-fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..reps {
+pub(crate) fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
+    let mut timed = || {
         let t = Instant::now();
-        let r = f();
-        let dt = t.elapsed();
-        std::hint::black_box(r);
-        best = best.min(dt);
-    }
-    best
+        std::hint::black_box(f());
+        t.elapsed()
+    };
+    (0..reps).map(|_| timed()).min().unwrap_or(Duration::MAX)
 }
 
 fn uniform_records(fmt: RecordFormat, n: usize, seed: u64) -> Vec<u8> {
-    let rb = fmt.record_bytes;
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut bytes = vec![0u8; n * rb];
-    for rec in bytes.chunks_exact_mut(rb) {
-        fmt.set_key(rec, rng.random());
-    }
+    let mut bytes = vec![0u8; n * fmt.record_bytes];
+    let records = bytes.chunks_exact_mut(fmt.record_bytes);
+    records.for_each(|rec| fmt.set_key(rec, rng.random()));
     bytes
 }
 
@@ -155,8 +159,7 @@ fn scalar_merge(fmt: RecordFormat, runs: &[&[u8]]) -> Vec<u8> {
     let mut tree = LoserTree::new(runs.iter().map(|r| head(r, 0)));
     let mut out = Vec::with_capacity(runs.iter().map(|r| r.len()).sum());
     while let Some((lane, _)) = tree.winner() {
-        let off = offsets[lane];
-        out.extend_from_slice(&runs[lane][off..off + rb]);
+        out.extend_from_slice(&runs[lane][offsets[lane]..][..rb]);
         offsets[lane] += rb;
         tree.replace(lane, head(runs[lane], offsets[lane]));
     }
@@ -199,12 +202,15 @@ pub fn run_kernel_bench(quick: bool) -> KernelBenchResult {
 
     let merge_cell = |lanes: Vec<Vec<u8>>| {
         let refs: Vec<&[u8]> = lanes.iter().map(|l| l.as_slice()).collect();
+        let batched = || merge_runs(fmt, &refs);
+        let staged = || merge_in_pieces(fmt, &refs, 8 << 10);
         MergeCell {
             k: lanes.len(),
             per_lane: fmt.count(&lanes[0]),
-            batched: best_of(reps, || merge_runs(fmt, &refs).len()),
+            batched: best_of(reps, || batched().len()),
+            staged: best_of(reps, || staged().len()),
             scalar: best_of(reps, || scalar_merge(fmt, &refs).len()),
-            identical: merge_runs(fmt, &refs) == scalar_merge(fmt, &refs),
+            identical: batched() == scalar_merge(fmt, &refs) && staged() == batched(),
         }
     };
     let merge = [4usize, 64, 256]
@@ -234,8 +240,9 @@ mod tests {
         for lanes in [presorted_lanes(fmt, 4, 8), interleaved_lanes(fmt, 4, 8)] {
             let refs: Vec<&[u8]> = lanes.iter().map(|l| l.as_slice()).collect();
             let a = scalar_merge(fmt, &refs);
-            let b = merge_runs(fmt, &refs);
-            assert_eq!(a, b, "scalar and batched merges must agree");
+            for merged in [merge_runs(fmt, &refs), merge_in_pieces(fmt, &refs, 48)] {
+                assert_eq!(a, merged, "the three merges must agree");
+            }
             assert!(fmt.is_sorted(&a));
         }
     }
@@ -248,6 +255,7 @@ mod tests {
             per_lane: 1024,
             scalar: ms(scalar),
             batched: ms(batched),
+            staged: ms(batched * 1.2),
             identical: true,
         };
         let sort = |records, radix| SortCell {
@@ -273,6 +281,8 @@ mod tests {
         crate::tests::rejects(presorted, &["presorted k = 256", "1.100"]);
         let taxed = broken(|r| r.merge_interleaved[0].batched = Duration::from_micros(4800));
         crate::tests::rejects(taxed, &["interleaved k = 16", "1.200"]);
+        let staged = broken(|r| r.merge_interleaved[0].staged = Duration::from_micros(5600));
+        crate::tests::rejects(staged, &["interleaved k = 16", "staged/batched = 1.333"]);
         let differ = broken(|r| r.merge_interleaved[0].identical = false);
         crate::tests::rejects(differ, &["k = 16", "differ"]);
     }

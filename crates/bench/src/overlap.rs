@@ -75,12 +75,7 @@ pub(crate) fn compute(data: &mut [u8], passes: usize) -> u64 {
 /// the two are comparable.
 pub(crate) fn calibrate_passes(block_bytes: usize, target: Duration) -> usize {
     let mut probe = vec![0x5Au8; block_bytes];
-    let mut per_pass = Duration::MAX;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        compute(&mut probe, 1);
-        per_pass = per_pass.min(t0.elapsed());
-    }
+    let per_pass = crate::kernel_bench::best_of(3, || compute(&mut probe, 1));
     (target.as_nanos() / per_pass.as_nanos().max(1)).clamp(1, 10_000) as usize
 }
 

@@ -80,12 +80,10 @@ pub fn run_resource_profile(quick: bool) -> Result<ResourceProfileResult, SortEr
     };
     let cfg = SortConfig::test_default(nodes, bytes_per_node / RecordFormat::REC16.record_bytes);
 
-    let mut base = Duration::MAX;
-    for _ in 0..reps {
-        let disks = provision(&cfg);
-        let r = run_csort(&cfg, &disks)?;
-        base = base.min(r.total);
-    }
+    let base: Result<Vec<_>, SortError> = (0..reps)
+        .map(|_| Ok(run_csort(&cfg, &provision(&cfg))?.total))
+        .collect();
+    let base = base?.into_iter().min().unwrap_or(Duration::MAX);
 
     let mut profiled = Duration::MAX;
     let mut resources = ResourceReport::default();

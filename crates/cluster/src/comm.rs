@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use fg_core::metrics::{Counter, Histogram, MetricsRegistry};
 use fg_core::trace::COMM_PIPELINE;
-use fg_core::{SpanRing, TraceCtx, TraceKind, TraceSink};
+use fg_core::{Buffer, SpanRing, TraceCtx, TraceKind, TraceSink};
 
 use crate::fabric::{Fabric, NodeTraffic, Payload, PayloadStats};
 use crate::CommError;
@@ -255,6 +255,31 @@ impl Communicator {
     /// in flight — receivers return a payload by dropping it — and fails with
     /// [`CommError::Poisoned`] instead once a node has died.
     pub fn payload(&self) -> Result<Payload, CommError> {
+        let mut payload = self.pooled()?;
+        payload.clear();
+        Ok(payload)
+    }
+
+    /// Send `buf`'s filled bytes to `dst` under `tag`, with the buffer's
+    /// trace id, as one pooled message, without copying them: the buffer
+    /// trades its storage for an idle payload's ([`Buffer::exchange`]).  So
+    /// every payload of this node's population is the buffer's size; one made
+    /// on first demand is made so.  Blocks for the payload as
+    /// [`Communicator::payload`] does.
+    ///
+    /// # Panics
+    /// Panics if a payload of another size is idle in the pool.
+    pub fn send_buffer(&self, dst: usize, tag: u64, buf: &mut Buffer) -> Result<(), CommError> {
+        let mut payload = self.pooled()?;
+        if payload.capacity() == 0 {
+            payload.reserve_exact(buf.capacity());
+        }
+        buf.exchange(&mut payload);
+        self.send_traced(dst, tag, payload, buf.trace_id())
+    }
+
+    /// A payload from this node's population as its last receiver left it.
+    fn pooled(&self) -> Result<Payload, CommError> {
         let (payload, blocked) = self.fabric.payload(self.rank)?;
         if let Some(m) = self.metrics.as_ref().filter(|_| !blocked.is_zero()) {
             m.payload_wait_ns.record_duration(blocked);

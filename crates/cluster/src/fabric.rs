@@ -84,9 +84,12 @@ impl PayloadPool {
         })
     }
 
-    /// Take back a buffer a receiver has finished with.
-    fn give_back(&self, mut bytes: Vec<u8>) {
-        bytes.clear();
+    /// Take back a buffer a receiver has finished with.  Its length stays
+    /// as the receiver left it, so a buffer that trades storage with it
+    /// next ([`Communicator::send_buffer`](crate::Communicator::send_buffer))
+    /// finds it whole; [`Communicator::payload`](crate::Communicator::payload)
+    /// empties it.
+    fn give_back(&self, bytes: Vec<u8>) {
         let mut st = self.state.lock();
         st.idle.push(bytes);
         st.outstanding -= 1;
@@ -105,6 +108,10 @@ impl PayloadPool {
             idle: st.idle.len(),
             high_water: st.high_water,
             waiting: st.waiting,
+            idle_capacity: st.idle.iter().map(Vec::capacity).fold(None, |span, c| {
+                let (lo, hi) = span.unwrap_or((c, c));
+                Some((lo.min(c), hi.max(c)))
+            }),
         }
     }
 }
@@ -123,13 +130,16 @@ pub struct PayloadStats {
     pub high_water: usize,
     /// Senders blocked right now waiting for a buffer to come back.
     pub waiting: usize,
+    /// The smallest and largest capacity among the idle buffers, `None`
+    /// when there are none.
+    pub idle_capacity: Option<(usize, usize)>,
 }
 
 /// The bytes of a message.
 ///
 /// Reads like the `Vec<u8>` it wraps.  One obtained from
 /// [`Communicator::payload`](crate::Communicator::payload) is a credit of
-/// its sender's pool and returns there, emptied, when dropped — on whichever
+/// its sender's pool and returns there when dropped — on whichever
 /// node and thread that happens.  One converted from a `Vec<u8>` is foreign
 /// and is simply freed.
 pub struct Payload {
@@ -266,9 +276,10 @@ impl Fabric {
         self.poisoned.load(Ordering::SeqCst)
     }
 
-    /// An empty payload from `node`'s pool, and how long the caller was
-    /// blocked for it.  Blocks while the node's whole population is in
-    /// flight; fails instead of blocking once the fabric is poisoned.
+    /// A payload from `node`'s pool, its length as its last receiver left
+    /// it, and how long the caller was blocked for it.  Blocks while the
+    /// node's whole population is in flight; fails instead of blocking once
+    /// the fabric is poisoned.
     pub(crate) fn payload(&self, node: usize) -> Result<(Payload, Duration), CommError> {
         let pool = &self.pools[node];
         let mut st = pool.state.lock();

@@ -170,10 +170,19 @@ impl Buffer {
         &mut self.data
     }
 
-    /// Mutable view of the unfilled suffix.
-    pub fn spare_mut(&mut self) -> &mut [u8] {
-        let len = self.len;
-        &mut self.data[len..]
+    /// Trade storage with `bytes`, copying nothing: the vector leaves with
+    /// this buffer's storage and filled bytes, and the buffer holds the
+    /// vector's, filled to the vector's length (zeroed past it first).
+    ///
+    /// # Panics
+    /// Panics unless `bytes`'s capacity is the buffer's.
+    pub fn exchange(&mut self, bytes: &mut Vec<u8>) {
+        assert_eq!(bytes.capacity(), self.capacity(), "unequal storage");
+        let len = std::mem::replace(&mut self.len, bytes.len());
+        bytes.resize(bytes.capacity(), 0);
+        let theirs = std::mem::take(bytes).into_boxed_slice();
+        *bytes = std::mem::replace(&mut self.data, theirs).into_vec();
+        bytes.truncate(len);
     }
 
     /// Append as many bytes of `src` as fit; returns how many were copied.
@@ -190,14 +199,14 @@ impl Buffer {
     /// # Panics
     /// Panics if `src.len() > capacity`.
     pub fn copy_from(&mut self, src: &[u8]) {
-        assert!(
-            src.len() <= self.capacity(),
-            "copy_from of {} bytes exceeds capacity {}",
-            src.len(),
-            self.capacity()
-        );
+        self.set_filled(src.len());
         self.data[..src.len()].copy_from_slice(src);
-        self.len = src.len();
+    }
+}
+
+impl AsRef<[u8]> for Buffer {
+    fn as_ref(&self) -> &[u8] {
+        self.filled()
     }
 }
 
@@ -282,8 +291,20 @@ mod tests {
     fn spare_and_set_filled_produce_in_place() {
         let mut b = buf(4);
         b.append(&[1, 2]);
-        b.spare_mut()[0] = 3;
+        b.space_mut()[2] = 3;
         b.set_filled(3);
         assert_eq!(b.filled(), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn exchange_trades_storage_and_lengths() {
+        let mut b = buf(4);
+        b.append(&[1, 2]);
+        let (mut v, mine) = (Vec::with_capacity(4), b.filled().as_ptr());
+        v.push(9);
+        let theirs = v.as_ptr();
+        b.exchange(&mut v);
+        assert_eq!((b.filled(), b.filled().as_ptr()), (&[9][..], theirs));
+        assert_eq!((&v[..], v.capacity(), v.as_ptr()), (&[1, 2][..], 4, mine));
     }
 }

@@ -353,11 +353,6 @@ impl MemoryLedger {
         self.budget_bytes.load(Relaxed)
     }
 
-    /// Set or change the budget.
-    pub fn set_budget(&self, budget: u64) {
-        self.budget_bytes.store(budget, Relaxed);
-    }
-
     /// The residency row for `stage`, creating it on first use.
     pub fn stage(&self, stage: &str) -> Arc<StageLedger> {
         let mut stages = self.stages.lock().unwrap_or_else(|e| e.into_inner());

@@ -378,11 +378,6 @@ impl Program {
         Ok(id)
     }
 
-    /// Number of declared pipelines.
-    pub fn pipeline_count(&self) -> usize {
-        self.pipelines.len()
-    }
-
     /// Validate, wire, spawn, and run the program to completion.
     pub fn run(mut self) -> Result<Report> {
         self.validate()?;

@@ -300,32 +300,14 @@ impl TelemetryServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and start
     /// serving the registry.
     pub fn bind(addr: impl ToSocketAddrs, registry: Arc<MetricsRegistry>) -> std::io::Result<Self> {
-        Self::bind_with(addr, registry, None)
+        Self::bind_all(addr, registry, None, None, None, None)
     }
 
-    /// [`TelemetryServer::bind`] with a custom `GET /report` body.
-    pub fn bind_with(
-        addr: impl ToSocketAddrs,
-        registry: Arc<MetricsRegistry>,
-        report: Option<ReportFn>,
-    ) -> std::io::Result<Self> {
-        Self::bind_full(addr, registry, report, None)
-    }
-
-    /// [`TelemetryServer::bind_with`] plus a live controller status for
-    /// `GET /control`.  Pass the same [`ControlStatus`](crate::ControlStatus)
-    /// handle that the program's [`ControllerCfg`](crate::ControllerCfg)
-    /// carries and the endpoint tracks the controller in real time.
-    pub fn bind_full(
-        addr: impl ToSocketAddrs,
-        registry: Arc<MetricsRegistry>,
-        report: Option<ReportFn>,
-        control: Option<Arc<crate::controller::ControlStatus>>,
-    ) -> std::io::Result<Self> {
-        Self::bind_all(addr, registry, report, control, None, None)
-    }
-
-    /// [`TelemetryServer::bind_full`] plus a cluster-report source for
+    /// [`TelemetryServer::bind`] with a custom `GET /report` body, a live
+    /// controller status for `GET /control` (the
+    /// [`ControlStatus`](crate::ControlStatus) handle the program's
+    /// [`ControllerCfg`](crate::ControllerCfg) carries, so the endpoint tracks
+    /// the controller in real time), a cluster-report source for
     /// `GET /cluster` and a memory ledger for `GET /resources`.
     /// `cluster` should return the current
     /// [`ClusterReport`](crate::ClusterReport) serialized as JSON

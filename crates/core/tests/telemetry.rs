@@ -245,13 +245,10 @@ fn control_endpoint_reports_inactive_without_a_controller() {
 fn control_endpoint_serves_the_installed_status() {
     let reg = populated_registry();
     let status_handle = Arc::new(fg_core::ControlStatus::default());
-    let server = TelemetryServer::bind_full(
-        "127.0.0.1:0",
-        Arc::clone(&reg),
-        None,
-        Some(Arc::clone(&status_handle)),
-    )
-    .expect("bind");
+    let status = Some(Arc::clone(&status_handle));
+    let server =
+        TelemetryServer::bind_all("127.0.0.1:0", Arc::clone(&reg), None, status, None, None)
+            .expect("bind");
     // Before the controller publishes anything, the stub is served.
     let (_, _, body) = http_get(server.local_addr(), "/control");
     let j = fg_core::Json::parse(&body).expect("control body is JSON");

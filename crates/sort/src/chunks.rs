@@ -58,21 +58,6 @@ pub fn push_chunk_header(out: &mut Vec<u8>, a: u64, b: u64, len: usize) {
     out.extend_from_slice(&chunk_header(a, b, len));
 }
 
-/// Append a chunk to a pipeline buffer, straight from `data`.
-///
-/// # Panics
-/// Panics if the buffer has less than [`chunk_size`]`(data.len())` left.
-pub fn append_chunk(buf: &mut Buffer, a: u64, b: u64, data: &[u8]) {
-    assert!(
-        chunk_size(data.len()) <= buf.remaining(),
-        "chunk of {} data bytes does not fit in the {} bytes left",
-        data.len(),
-        buf.remaining()
-    );
-    buf.append(&chunk_header(a, b, data.len()));
-    buf.append(data);
-}
-
 /// Size a chunk of `len` data bytes occupies.
 pub fn chunk_size(len: usize) -> usize {
     CHUNK_HEADER_BYTES + len
@@ -347,58 +332,19 @@ pub fn parse_chunks(bytes: &[u8]) -> Result<Vec<Chunk<'_>>, SortError> {
     iter_chunks(bytes).collect()
 }
 
-/// Coalesce positioned writes for write stages on the hot path: walk the
-/// chunk-framed `payload` (with `a` = file offset), sort the runs by offset,
-/// merge those adjacent in the file, and hand each maximal positioned write
-/// to `emit` — one large disk operation instead of many small ones, as any
-/// real implementation's write stage would issue.  A run with no adjacent
-/// neighbor is emitted straight out of `payload` without copying; only
-/// genuinely mergeable groups are gathered into `scratch`.  `runs` and
-/// `scratch` are caller-owned and reused across rounds, so a warmed-up round
-/// allocates nothing.
-///
-/// Empty runs are dropped.  Overlapping runs are *not* merged; they are
-/// issued as separate writes in **offset order** (not input order), so
-/// callers must not rely on any particular overlap outcome.  The sorts never
-/// produce overlapping writes.
-pub fn for_each_coalesced_write<E: From<SortError>>(
+/// Hand each non-empty `(file offset, data)` chunk of `payload` to `emit`
+/// where it lies, in payload order: the write stage's loop.  What an
+/// exchange lands has its file-adjacent chunks under one header already
+/// ([`land_placed`]), so a chunk is one write and nothing is gathered.
+pub fn for_each_write<E: From<SortError>>(
     payload: &[u8],
-    runs: &mut Vec<(u64, std::ops::Range<usize>)>,
-    scratch: &mut Vec<u8>,
     mut emit: impl FnMut(u64, &[u8]) -> Result<(), E>,
 ) -> Result<(), E> {
-    runs.clear();
     for chunk in iter_chunks(payload) {
         let chunk = chunk.map_err(E::from)?;
-        if chunk.data.is_empty() {
-            continue;
+        if !chunk.data.is_empty() {
+            emit(chunk.a, chunk.data)?;
         }
-        let start = chunk.data.as_ptr() as usize - payload.as_ptr() as usize;
-        runs.push((chunk.a, start..start + chunk.data.len()));
-    }
-    runs.sort_unstable_by_key(|(off, _)| *off);
-    let mut i = 0;
-    while i < runs.len() {
-        let off = runs[i].0;
-        let mut end_off = off + runs[i].1.len() as u64;
-        let mut j = i + 1;
-        while j < runs.len() && runs[j].0 == end_off {
-            end_off += runs[j].1.len() as u64;
-            j += 1;
-        }
-        if j == i + 1 {
-            emit(off, &payload[runs[i].1.clone()])?;
-        } else {
-            scratch.clear();
-            // To the group's size exactly: groups come in a few sizes, and
-            // doubling up to the largest would hold twice what it needs.
-            scratch.reserve_exact((end_off - off) as usize);
-            for (_, range) in &runs[i..j] {
-                scratch.extend_from_slice(&payload[range.clone()]);
-            }
-            emit(off, scratch)?;
-        }
-        i = j;
     }
     Ok(())
 }
@@ -452,14 +398,29 @@ mod tests {
 mod coalesce_tests {
     use super::*;
 
-    /// The writes `for_each_coalesced_write` emits for `runs`, framed in the
-    /// order given.
+    /// The writes the write stage issues for `runs` once an exchange has
+    /// landed them: the landing is where file-adjacent runs coalesce.
     fn coalesce(runs: &[(u64, &[u8])]) -> Vec<(u64, Vec<u8>)> {
+        let mut landed = vec![0; runs.len() * CHUNK_HEADER_BYTES + 64];
+        let len = land_placed(&[framed(runs)], &mut Vec::new(), &mut landed).unwrap();
+        collect_writes(&landed[..len]).unwrap()
+    }
+
+    fn framed(runs: &[(u64, &[u8])]) -> Vec<u8> {
         let mut payload = Vec::new();
         for (off, data) in runs {
             push_chunk(&mut payload, *off, 0, data);
         }
-        collect_writes(&payload)
+        payload
+    }
+
+    fn collect_writes(payload: &[u8]) -> Result<Vec<(u64, Vec<u8>)>, SortError> {
+        let mut out = Vec::new();
+        for_each_write::<SortError>(payload, |off, data| {
+            out.push((off, data.to_vec()));
+            Ok(())
+        })?;
+        Ok(out)
     }
 
     #[test]
@@ -478,10 +439,12 @@ mod coalesce_tests {
         assert_eq!(coalesce(&[(0, &[]), (5, &[9])]), vec![(5, vec![9])]);
     }
 
+    /// A payload no exchange landed is written as it lies, chunk by chunk:
+    /// overlapping runs too (a landing refuses them).
     #[test]
     fn overlapping_runs_stay_separate() {
-        let out = coalesce(&[(1, &[2]), (0, &[1, 1])]);
-        assert_eq!(out, vec![(0, vec![1, 1]), (1, vec![2])]);
+        let out = collect_writes(&framed(&[(1, &[2]), (0, &[1, 1])])).unwrap();
+        assert_eq!(out, vec![(1, vec![2]), (0, vec![1, 1])]);
     }
 
     #[test]
@@ -489,58 +452,38 @@ mod coalesce_tests {
         assert!(coalesce(&[]).is_empty());
     }
 
-    fn collect_writes(payload: &[u8]) -> Vec<(u64, Vec<u8>)> {
-        let mut runs = Vec::new();
-        let mut scratch = Vec::new();
-        let mut out = Vec::new();
-        for_each_coalesced_write::<SortError>(payload, &mut runs, &mut scratch, |off, data| {
-            out.push((off, data.to_vec()));
-            Ok(())
-        })
-        .unwrap();
-        out
-    }
-
+    /// Writing chunks where they lie, straight from the payload, leaves the
+    /// file image the landed, coalesced writes leave.
     #[test]
     fn streaming_variant_matches_batch_semantics() {
-        // Chunk headers between the runs: merged groups are gathered, a
-        // lone run is emitted in place, an empty one not at all.
-        let out = coalesce(&[(10, &[3, 4]), (0, &[0, 1]), (2, &[2]), (20, &[])]);
-        assert_eq!(out, vec![(0, vec![0, 1, 2]), (10, vec![3, 4])]);
+        let runs: &[(u64, &[u8])] = &[(10, &[3, 4]), (0, &[0, 1]), (2, &[2]), (20, &[])];
+        let image = |writes: Vec<(u64, Vec<u8>)>| {
+            let mut file = [0u8; 12];
+            writes
+                .iter()
+                .for_each(|(off, d)| file[*off as usize..][..d.len()].copy_from_slice(d));
+            file
+        };
+        let streamed = collect_writes(&framed(runs)).unwrap();
+        assert_eq!(streamed.len(), 3, "one write a non-empty chunk");
+        assert_eq!(image(streamed), image(coalesce(runs)));
     }
 
+    /// A landing's scratch carries nothing from one round into the next.
     #[test]
     fn streaming_variant_reuses_scratch_across_rounds() {
-        let mut a = Vec::new();
-        push_chunk(&mut a, 0, 0, &[1]);
-        push_chunk(&mut a, 1, 0, &[2]);
-        let mut b = Vec::new();
-        push_chunk(&mut b, 7, 0, &[9]);
-        let mut runs = Vec::new();
-        let mut scratch = Vec::new();
+        let (mut scratch, mut landed) = (Vec::new(), [0u8; 128]);
         let mut out = Vec::new();
-        for payload in [&a, &b] {
-            for_each_coalesced_write::<SortError>(payload, &mut runs, &mut scratch, |off, data| {
-                out.push((off, data.to_vec()));
-                Ok(())
-            })
-            .unwrap();
+        for runs in [&[(0, &[1][..]), (1, &[2][..])][..], &[(7, &[9][..])][..]] {
+            let len = land_placed(&[framed(runs)], &mut scratch, &mut landed).unwrap();
+            out.extend(collect_writes(&landed[..len]).unwrap());
         }
         assert_eq!(out, vec![(0, vec![1, 2]), (7, vec![9])]);
     }
 
     #[test]
     fn streaming_variant_propagates_malformed_payload() {
-        let mut payload = Vec::new();
-        push_chunk(&mut payload, 0, 0, &[1, 2, 3]);
-        let mut runs = Vec::new();
-        let mut scratch = Vec::new();
-        let r = for_each_coalesced_write::<SortError>(
-            &payload[..payload.len() - 1],
-            &mut runs,
-            &mut scratch,
-            |_, _| Ok(()),
-        );
-        assert!(r.is_err());
+        let payload = framed(&[(0, &[1, 2, 3])]);
+        assert!(collect_writes(&payload[..payload.len() - 1]).is_err());
     }
 }

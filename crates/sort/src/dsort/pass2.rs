@@ -7,24 +7,26 @@
 //!   **merge stage**.  Their `read` stages are **virtual** — one thread,
 //!   however many runs pass 1 produced (§IV, Figure 5(b)) — and their
 //!   buffers small, the horizontal pipeline's large.
-//! * The merge stage fills horizontal buffers with globally ranked output
-//!   (ranks `[offset, offset + n)`, `offset` from an exchange of partition
-//!   sizes) and ends each on a PDM stripe boundary: the first is cut short
-//!   where `offset` falls inside a stripe block, every later one is a whole
-//!   block.  The **send stage** sends each to its block's owner as one
-//!   message behind its offset in the owner's stripe file — unbalanced
-//!   communication again, so a **disjoint receive pipeline** (`receive →
-//!   write`) takes whatever pieces arrive and writes them where they say.
+//! * The merge stage works its lanes in place ([`Merge`]) and fills
+//!   horizontal buffers with globally ranked output (ranks `[offset,
+//!   offset + n)`, `offset` from an exchange of partition sizes), each
+//!   ending on a PDM stripe boundary: the first is cut short where `offset`
+//!   falls inside a stripe block, every later one is a whole block.  A
+//!   horizontal buffer is laid out as its message, so the **send stage**
+//!   hands its storage to the block's owner, behind its offset in the
+//!   owner's stripe file, and a **disjoint receive pipeline** (`receive →
+//!   write`) takes each message whole as its buffer and writes it where it
+//!   says: between the merge and the write no byte is copied.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use fg_core::{map_stage, Buffer, FgError, PipelineCfg, Rounds, Stage, StageCtx};
 use fg_pdm::Striping;
 
-use crate::chunks::{self, CHUNK_HEADER_BYTES};
 use crate::driver::Node;
 use crate::dsort::pass1::{run_offsets, RUNS_FILE};
-use crate::merge::LoserTree;
+use crate::merge::Merge;
 use crate::stages;
 use crate::verify::OUTPUT_FILE;
 use crate::SortError;
@@ -96,7 +98,7 @@ pub fn pass2(
 
     // ---- merge stage (common to all verticals + the horizontal) ----
     let fmt = cfg.record;
-    let batch_hist = cfg
+    let batches = cfg
         .metrics
         .as_ref()
         .map(|r| r.histogram("kernel/merge_batch_records"));
@@ -105,106 +107,55 @@ pub fn pass2(
         Box::new(move |ctx: &mut StageCtx| {
             // `None` here is a stage error upstream tearing the program down.
             let stopped = || FgError::Usage("merge: horizontal pipeline stopped early".into());
-            let mut verticals: Vec<_> = ctx.pipelines().collect();
-            let horizontal = verticals.pop().ok_or_else(stopped)?;
-            let k = verticals.len();
-
-            // Current head buffer + byte offset per vertical.
-            let mut heads: Vec<Option<(Buffer, usize)>> = Vec::with_capacity(k);
-            let next_head = |ctx: &mut StageCtx,
-                             v: fg_core::PipelineId|
-             -> fg_core::Result<Option<(Buffer, usize)>> {
-                loop {
-                    match ctx.accept_from(v)? {
-                        None => return Ok(None),
-                        Some(b) if b.is_empty() => ctx.discard(b)?,
-                        Some(b) => return Ok(Some((b, 0))),
-                    }
-                }
+            let mut pipes: Vec<_> = ctx.pipelines().collect();
+            let merged = pipes.pop().ok_or_else(stopped)?;
+            // The verticals' buffers are the lanes: a spent one goes back
+            // to its read stage.
+            let ctx = RefCell::new(ctx);
+            let next = |lane, spent: Option<Buffer>| {
+                let mut ctx = ctx.borrow_mut();
+                spent.map_or(Ok(()), |buf| ctx.discard(buf))?;
+                ctx.accept_from(pipes[lane])
             };
-            for &v in &verticals {
-                heads.push(next_head(ctx, v)?);
-            }
-            let head_key = |head: &Option<(Buffer, usize)>| {
-                let (buf, off) = head.as_ref()?;
-                Some(fmt.key(&buf.filled()[*off..]))
-            };
-            // A node that received nothing merges one exhausted lane.
-            let mut keys: Vec<_> = heads.iter().map(head_key).collect();
-            keys.resize(k.max(1), None);
-            let mut tree = LoserTree::new(keys);
-
-            let mut out = ctx.accept_from(horizontal)?.ok_or_else(stopped)?;
-            out.clear();
-            // A buffer starts at global byte offset `goff` and ends `room` bytes
-            // on, at the output's next stripe boundary: one message, one write.
+            let mut merge = Merge::new(fmt, pipes.len(), next, batches.clone());
+            // A message's piece starts at global byte offset `goff` and ends
+            // at the output's next stripe boundary at the latest: one
+            // message, one write.
             let mut goff = rank_offset * rb as u64;
-            let mut room = block - (goff % block as u64) as usize;
-            out.meta = goff;
-
-            let mut policy = crate::merge::BatchPolicy::new();
-            while let Some((lane, _)) = tree.winner() {
-                let (buf, off) = heads[lane]
-                    .take()
-                    .ok_or_else(|| FgError::Usage("merge: the winning run has no buffer".into()))?;
-                // MergeRun fast path: emit every buffered record of this
-                // lane that still beats the tree's runner-up in one copy,
-                // capped by the room left in the stripe block, instead of one
-                // record (and one tree replay) at a time.  The policy
-                // backs off to scalar steps while the runs interleave too
-                // finely to batch.
-                let avail = &buf.filled()[off..];
-                let run = policy.merge_run(&tree, fmt, avail);
-                let n = run.min(room / rb).max(1);
-                out.append(&avail[..n * rb]);
-                if let Some(h) = &batch_hist {
-                    h.record(n as u64);
+            loop {
+                let mut out = ctx.borrow_mut().accept_from(merged)?.ok_or_else(stopped)?;
+                let room = block - (goff % block as u64) as usize;
+                let n = merge.fill(&mut out.space_mut()[MSG_HEADER..][..room])?;
+                out.set_filled(MSG_HEADER + n);
+                out.meta = goff;
+                goff += n as u64;
+                match n {
+                    0 => ctx.borrow_mut().discard(out)?,
+                    _ => ctx.borrow_mut().convey(out)?,
                 }
-                room -= n * rb;
-                let noff = off + n * rb;
-                if noff < buf.len() {
-                    heads[lane] = Some((buf, noff));
-                } else {
-                    ctx.discard(buf)?;
-                    heads[lane] = next_head(ctx, verticals[lane])?;
-                }
-                tree.replace(lane, head_key(&heads[lane]));
-
-                if room == 0 {
-                    (goff, room) = (goff + out.len() as u64, block);
-                    ctx.convey(out)?;
-                    out = ctx.accept_from(horizontal)?.ok_or_else(stopped)?;
-                    out.clear();
-                    out.meta = goff;
+                if n < room {
+                    break;
                 }
             }
-            if out.is_empty() {
-                ctx.discard(out)?;
-            } else {
-                ctx.convey(out)?;
-            }
-            ctx.stop(horizontal)?;
+            ctx.borrow_mut().stop(merged)?;
             Ok(())
         }) as Box<dyn Stage>,
     );
 
     // ---- horizontal send stage ----
-    // A buffer is one stripe piece: it goes whole to the block's owner behind
-    // its offset in the owner's stripe file, in a pooled payload, with its
-    // trace id.
+    // A buffer is one stripe piece behind its header: it goes whole to the
+    // block's owner as the message's own storage, with its trace id.
     let send = prog.add_stage(
         "send",
         stages::fabric_stage(node.comm.clone(), move |comm, ctx| {
-            while let Some(buf) = ctx.accept()? {
+            while let Some(mut buf) = ctx.accept()? {
                 let goff = buf.meta;
-                debug_assert!(goff as usize % block + buf.len() <= block);
+                debug_assert!(goff as usize % block + buf.len() - MSG_HEADER <= block);
                 let (owner, local) = striping.locate_byte(goff);
-                let mut payload = comm.payload().map_err(SortError::from)?;
-                payload.reserve_exact(payload_bytes);
-                payload.push(stages::MSG_DATA);
-                payload.extend_from_slice(&local.to_le_bytes());
-                payload.extend_from_slice(buf.filled());
-                comm.send_traced(owner, TAG_PASS2, payload, buf.trace_id())
+                let header = &mut buf.space_mut()[..MSG_HEADER];
+                header[0] = stages::MSG_DATA;
+                header[1..].copy_from_slice(&local.to_le_bytes());
+                comm.send_buffer(owner, TAG_PASS2, &mut buf)
                     .map_err(SortError::from)?;
                 ctx.convey(buf)?;
             }
@@ -213,23 +164,38 @@ pub fn pass2(
     );
 
     // ---- receive pipeline ----
-    // A stripe piece lands whole, as a `(local offset, piece)` chunk, or
-    // waits for the next buffer.
+    // A message lands whole: the buffer trades storage with it, and the
+    // storage the buffer had goes back, whole, to the sender's pool.
     let receive = prog.add_stage(
         "receive",
         stages::receive_stage(node.comm.clone(), TAG_PASS2, |buf, payload, at| {
-            let Some((local, data)) = payload[1..].split_first_chunk::<8>() else {
-                return Err(SortError::Corrupt("short pass-2 data message".into()).into());
-            };
-            if chunks::chunk_size(data.len()) > buf.remaining() {
+            if !buf.is_empty() {
                 return Ok(at);
             }
-            chunks::append_chunk(buf, u64::from_le_bytes(*local), 0, data);
+            if payload.capacity() != buf.capacity() {
+                return Err(SortError::Corrupt("pass-2 message of a foreign size".into()).into());
+            }
+            buf.fill_to_capacity();
+            buf.exchange(payload);
             Ok(payload.len())
         }),
     );
 
-    let write = prog.add_stage("write", stages::write_stage(disk, OUTPUT_FILE));
+    // A buffer is one message, so one positioned write.
+    let write_disk = Arc::clone(disk);
+    let write = prog.add_stage(
+        "write",
+        map_stage(move |buf, _ctx| {
+            let message = buf.filled().get(1..).and_then(<[u8]>::split_first_chunk);
+            let Some((local, piece)) = message else {
+                return Err(SortError::Corrupt("short pass-2 data message".into()).into());
+            };
+            write_disk
+                .write_at(OUTPUT_FILE, u64::from_le_bytes(*local), piece)
+                .map_err(SortError::from)?;
+            Ok(())
+        }),
+    );
 
     // ---- pipelines ----
     for (j, &len) in run_lens.iter().enumerate() {
@@ -245,17 +211,22 @@ pub fn pass2(
             &[stage, merge],
         )?;
     }
-    prog.add_pipeline(
-        PipelineCfg::new("merged", cfg.pipeline_buffers, cfg.block_bytes)
-            .rounds(Rounds::UntilStopped),
-        &[merge, send],
-    )?;
-    let recv_buf = 2 * cfg.block_bytes + 2 * CHUNK_HEADER_BYTES + 64;
-    prog.add_pipeline(
-        PipelineCfg::new("recv", cfg.pipeline_buffers, recv_buf).rounds(Rounds::UntilStopped),
-        &[receive, write],
-    )?;
+    // Both horizontal pipelines' buffers are laid out as messages.  A
+    // receive buffer is one message, so twice as many of them keep as many
+    // messages landed and not yet written as a buffer for two did.
+    let pools = [(1, "merged", [merge, send]), (2, "recv", [receive, write])];
+    for (times, name, chain) in pools {
+        prog.add_pipeline(
+            PipelineCfg::new(name, times * cfg.pipeline_buffers, payload_bytes)
+                .rounds(Rounds::UntilStopped),
+            &chain,
+        )?;
+    }
     let threads = node.run(prog)?.threads_spawned;
     node.disk.delete(RUNS_FILE); // its last reader
     Ok(threads)
 }
+
+/// A message's header: the kind byte and the piece's offset in its owner's
+/// stripe file.  [`stages::payload_bytes`] is this and a block.
+const MSG_HEADER: usize = 9;

@@ -33,7 +33,7 @@ use crate::config::SortConfig;
 use crate::driver::{self, Node};
 use crate::dsort::pass1::run_offsets;
 use crate::dsort::sampling;
-use crate::merge::LoserTree;
+use crate::merge::Merge;
 use crate::record::ExtKey;
 use crate::stages;
 use crate::verify::OUTPUT_FILE;
@@ -149,81 +149,37 @@ fn pass2_linear(node: &mut Node, run_lens: &[u64], partitions: &[u64]) -> Result
     let mut prog = node.program("dsortlin-p2");
 
     // merge-read: synchronous inline k-way merge, one output block per
-    // round (possibly empty padding rounds at the end).
-    let merge_disk = Arc::clone(&node.disk);
-    let fmt = cfg.record;
-    let run_lens_v = run_lens.to_vec();
-    let mergeread = prog.add_stage("mergeread", {
-        let offsets = run_offsets(&run_lens_v);
-        let mut consumed: Vec<u64> = vec![0; run_lens_v.len()];
-        // Head record cache per run (read one record at a time:
-        // deliberately unbuffered — this is the no-read-ahead ablation,
-        // but reading record-by-record would be absurd even for the
-        // baseline, so keep a one-block cache per run, refilled
-        // synchronously in the pipeline's only thread).
-        let mut caches: Vec<Vec<u8>> = vec![Vec::new(); run_lens_v.len()];
-        let mut cache_pos: Vec<usize> = vec![0; run_lens_v.len()];
-        let mut tree: Option<LoserTree> = None;
-        let mut batch_policy = crate::merge::BatchPolicy::new();
-        let mut produced = 0u64;
+    // round (possibly empty padding rounds at the end), over one block of
+    // each run at a time, read in the merge's own thread: deliberately
+    // unbuffered, this is the no-read-ahead ablation, but reading record by
+    // record would be absurd even for the baseline.
+    let disk = Arc::clone(&node.disk);
+    let offsets = run_offsets(run_lens).into_iter().zip(run_lens);
+    let mut unread: Vec<_> = offsets.map(|(at, n)| at..at + n).collect();
+    let next = move |j: usize, _spent| {
+        let span = &mut unread[j];
+        let want = (block as u64).min(span.end - span.start) as usize;
+        if want == 0 {
+            return Ok(None);
+        }
+        let data = disk.read_up_to(RUNS_FILE, span.start, want)?;
+        span.start += data.len() as u64;
+        Ok::<_, SortError>((!data.is_empty()).then_some(data))
+    };
+    let mut merge = Merge::new(cfg.record, run_lens.len(), next, None);
+    let mut produced = 0u64;
+    let mergeread = prog.add_stage(
+        "mergeread",
         map_stage(move |buf, _ctx| {
-            let k = run_lens_v.len();
-            // Synchronously refill a run's cache; returns head key or None.
-            let mut refill = |j: usize,
-                              caches: &mut Vec<Vec<u8>>,
-                              cache_pos: &mut Vec<usize>|
-             -> Result<Option<u64>, SortError> {
-                if cache_pos[j] < caches[j].len() {
-                    return Ok(Some(fmt.key(&caches[j][cache_pos[j]..])));
-                }
-                let remaining = run_lens_v[j] - consumed[j];
-                if remaining == 0 {
-                    return Ok(None);
-                }
-                let want = (block as u64).min(remaining) as usize;
-                let data = merge_disk.read_up_to(RUNS_FILE, offsets[j] + consumed[j], want)?;
-                consumed[j] += data.len() as u64;
-                caches[j] = data;
-                cache_pos[j] = 0;
-                if caches[j].is_empty() {
-                    Ok(None)
-                } else {
-                    Ok(Some(fmt.key(&caches[j][..])))
-                }
-            };
-            if tree.is_none() && k > 0 {
-                let mut heads = Vec::with_capacity(k);
-                for j in 0..k {
-                    heads.push(refill(j, &mut caches, &mut cache_pos)?);
-                }
-                tree = Some(LoserTree::new(heads));
-            }
-            buf.clear();
-            buf.meta = rank_offset + produced;
             // One stripe block of output per round (the buffer itself is
             // larger: it must also hold the round's *received* pieces).
-            while buf.len() < block {
-                let (lane, _) = match tree.as_ref().and_then(|t| t.winner()) {
-                    Some(w) => w,
-                    None => break,
-                };
-                // MergeRun fast path: batch every cached record of this
-                // lane that still beats the runner-up, capped to the
-                // block's remaining space.  The policy backs off to scalar
-                // steps while the runs interleave too finely to batch.
-                let pos = cache_pos[lane];
-                let avail = &caches[lane][pos..];
-                let run = batch_policy.merge_run(tree.as_ref().expect("tree"), fmt, avail);
-                let n = run.min((block - buf.len()) / rb).max(1);
-                buf.append(&avail[..n * rb]);
-                cache_pos[lane] += n * rb;
-                produced += n as u64;
-                let next = refill(lane, &mut caches, &mut cache_pos)?;
-                tree.as_mut().expect("tree").replace(lane, next);
-            }
+            let n = merge.fill(&mut buf.space_mut()[..block])?;
+            buf.set_filled(n);
+            buf.meta = rank_offset + produced;
+            produced += (n / rb) as u64;
             Ok(())
-        })
-    });
+        }),
+    );
 
     // exchange: per-round alltoallv of stripe pieces (padded rounds send
     // nothing but still participate).

@@ -11,7 +11,11 @@
 //! whatever its key.  A tournament is then a compare-and-select on two
 //! integers, with no branch for the outcome to mispredict.
 
+use std::convert::Infallible;
 use std::hint::select_unpredictable;
+use std::sync::Arc;
+
+use fg_core::metrics::Histogram;
 
 use crate::record::RecordFormat;
 
@@ -145,11 +149,6 @@ impl LoserTree {
         self.nodes[0] = winner;
     }
 
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.k
-    }
-
     /// The lane that would win if the current winner's lane were exhausted
     /// — the best live contender along the winner's tournament path — and
     /// its key.  `None` when every other lane is exhausted.  `O(log k)`.
@@ -208,17 +207,11 @@ impl LoserTree {
 /// vanishes — while a regime change to run-structured data is still
 /// noticed within `MAX_BACKOFF` records.
 #[derive(Debug)]
-pub struct BatchPolicy {
+struct BatchPolicy {
     /// Scalar steps remaining before the next probe.
     skip: u32,
     /// Scalar steps the *next* failed probe will cost.
     backoff: u32,
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl BatchPolicy {
@@ -254,28 +247,148 @@ impl BatchPolicy {
     }
 }
 
-/// Merge fully-materialized sorted runs of records (test and ablation
-/// helper; the FG merge stage streams through buffers instead).
+/// The one k-way merge loop: a loser tree over the lanes' head keys and the
+/// [`BatchPolicy`] in front of its `MergeRun` fast path.  dsort's merge
+/// stage, dsort-linear's merge-read and [`merge_runs`] all run it.
+///
+/// The lanes arrive as buffers of records: `next(lane, spent)` takes back
+/// lane `lane`'s spent head, if it has one, and brings its next buffer —
+/// `None` once the lane is exhausted.  Only `next` differs between the
+/// merges the programs and the benchmarks run: in memory, from a stage's
+/// vertical pipelines, from a disk.  A head stays where it is, with a cursor
+/// beside it, and is given back only once it is spent; the first call brings
+/// every lane to its first head.
+pub struct Merge<B, F> {
+    tree: LoserTree,
+    started: bool,
+    policy: BatchPolicy,
+    lanes: Lanes<B, F>,
+    /// Records a batch, when a registry wants them
+    /// (`kernel/merge_batch_records`).
+    batches: Option<Arc<Histogram>>,
+}
+
+/// Each lane's head buffer and how far into it the merge is.
+struct Lanes<B, F> {
+    fmt: RecordFormat,
+    heads: Vec<Option<(B, usize)>>,
+    next: F,
+}
+
+impl<B, E, F> Merge<B, F>
+where
+    B: AsRef<[u8]>,
+    F: FnMut(usize, Option<B>) -> Result<Option<B>, E>,
+{
+    /// A merge over `lanes` lanes brought by `next`.
+    pub fn new(fmt: RecordFormat, lanes: usize, next: F, batches: Option<Arc<Histogram>>) -> Self {
+        let heads = (0..lanes).map(|_| None).collect();
+        Merge {
+            tree: LoserTree::new([None]),
+            started: false,
+            policy: BatchPolicy::new(),
+            lanes: Lanes { fmt, heads, next },
+            batches,
+        }
+    }
+
+    /// Merge records into `out`, a whole number of records, in place until
+    /// it is full or every lane is exhausted; returns the bytes written.
+    pub fn fill(&mut self, out: &mut [u8]) -> Result<usize, E> {
+        let mut at = 0;
+        self.merge(out.len(), |batch| {
+            out[at..at + batch.len()].copy_from_slice(batch);
+            at += batch.len();
+        })
+    }
+
+    /// Merge up to `room` bytes of records, a whole number of them, handing
+    /// them to `put` in order; returns the bytes merged.  Each step hands
+    /// over every record of the winner's head that still beats the
+    /// runner-up, up to the room left, and replays the tree once.
+    pub fn merge(&mut self, room: usize, mut put: impl FnMut(&[u8])) -> Result<usize, E> {
+        if !self.started {
+            let lanes = &mut self.lanes;
+            let keys = (0..lanes.heads.len()).map(|lane| lanes.refill(lane, None));
+            let mut keys = keys.collect::<Result<Vec<_>, E>>()?;
+            // With no lane at all, it merges one exhausted lane.
+            keys.resize(keys.len().max(1), None);
+            (self.tree, self.started) = (LoserTree::new(keys), true);
+        }
+        let (fmt, rb) = (self.lanes.fmt, self.lanes.fmt.record_bytes);
+        debug_assert_eq!(room % rb, 0, "a merge hands over whole records");
+        let mut at = 0;
+        while at < room {
+            let Some((lane, _)) = self.tree.winner() else {
+                break;
+            };
+            let next = self.lanes.take(lane, |head| {
+                let n = (self.policy.merge_run(&self.tree, fmt, head) * rb).min(room - at);
+                if let Some(h) = &self.batches {
+                    h.record((n / rb) as u64);
+                }
+                put(&head[..n]);
+                at += n;
+                n
+            })?;
+            self.tree.replace(lane, next);
+        }
+        Ok(at)
+    }
+}
+
+impl<B, E, F> Lanes<B, F>
+where
+    B: AsRef<[u8]>,
+    F: FnMut(usize, Option<B>) -> Result<Option<B>, E>,
+{
+    /// Hand back `spent` and make lane `lane`'s next non-empty buffer its
+    /// head; returns the head's first key.
+    fn refill(&mut self, lane: usize, mut spent: Option<B>) -> Result<Option<u64>, E> {
+        loop {
+            match (self.next)(lane, spent.take())? {
+                None => return Ok(None),
+                Some(buf) if buf.as_ref().is_empty() => spent = Some(buf),
+                Some(buf) => {
+                    let key = self.fmt.key(buf.as_ref());
+                    self.heads[lane] = Some((buf, 0));
+                    return Ok(Some(key));
+                }
+            }
+        }
+    }
+
+    /// Hand live lane `lane`'s head — its unmerged records, never empty — to
+    /// `merge`, which returns how many of its leading bytes it merged; step
+    /// past them, refilling a spent head, and return the lane's next key,
+    /// `None` once the lane is exhausted.
+    fn take(&mut self, lane: usize, merge: impl FnOnce(&[u8]) -> usize) -> Result<Option<u64>, E> {
+        let (buf, off) = self.heads[lane].as_mut().expect("a live lane has a head");
+        let bytes = buf.as_ref();
+        *off += merge(&bytes[*off..]);
+        if *off < bytes.len() {
+            return Ok(Some(self.fmt.key(&bytes[*off..])));
+        }
+        let spent = self.heads[lane].take().map(|(buf, _)| buf);
+        self.refill(lane, spent)
+    }
+}
+
+/// Merge fully-materialized sorted runs of records: [`Merge::fill`] over
+/// lanes that each hold their whole run (tests, benchmarks, ablations).
 pub fn merge_runs(format: RecordFormat, runs: &[&[u8]]) -> Vec<u8> {
-    if runs.is_empty() {
-        return Vec::new();
-    }
-    let rb = format.record_bytes;
-    let mut offsets = vec![0usize; runs.len()];
-    let head = |run: &[u8], off: usize| (off < run.len()).then(|| format.key(&run[off..off + rb]));
-    let mut tree = LoserTree::new(runs.iter().map(|run| head(run, 0)));
-    let total: usize = runs.iter().map(|r| r.len()).sum();
+    merge_in_pieces(format, runs, usize::MAX)
+}
+
+/// [`merge_runs`] with each run arriving in `piece`-byte buffers, as a merge
+/// stage's vertical pipelines bring it.
+pub fn merge_in_pieces(format: RecordFormat, runs: &[&[u8]], piece: usize) -> Vec<u8> {
+    let mut pieces: Vec<_> = runs.iter().map(|run| run.chunks(piece)).collect();
+    let next = |lane: usize, _| Ok::<_, Infallible>(pieces[lane].next());
+    let total = runs.iter().map(|r| r.len()).sum();
     let mut out = Vec::with_capacity(total);
-    let mut policy = BatchPolicy::new();
-    while let Some((lane, _)) = tree.winner() {
-        let off = offsets[lane];
-        // MergeRun fast path: emit the whole batch that beats the
-        // runner-up with one copy, then replay the tree once.
-        let batch = policy.merge_run(&tree, format, &runs[lane][off..]) * rb;
-        out.extend_from_slice(&runs[lane][off..off + batch]);
-        offsets[lane] += batch;
-        tree.replace(lane, head(runs[lane], offsets[lane]));
-    }
+    let mut merge = Merge::new(format, runs.len(), next, None);
+    let Ok(_) = merge.merge(total, |batch| out.extend_from_slice(batch));
     out
 }
 

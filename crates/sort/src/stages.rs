@@ -6,7 +6,7 @@
 //! names the pass chooses (csort4 calls the exchange of halves `shift` and
 //! the merge of halves `sort`).  Each constructor returns a boxed
 //! [`Stage`]; what a stage keeps across rounds (exchange parts, scatter
-//! scratch, coalescing scratch) lives in its closure, so a warmed-up round
+//! scratch) lives in its closure, so a warmed-up round
 //! allocates nothing.  A second copy of one of these bodies is a bug: a
 //! fix made to one copy does not reach the other.
 //!
@@ -32,9 +32,9 @@ pub const MSG_DATA: u8 = 0;
 /// First payload byte of an exchange message: the sender has finished.
 pub const MSG_DONE: u8 = 1;
 
-/// What every pooled payload is sized for, once: a block of data behind the
-/// longest header (pass 2's kind byte and 8-byte offset).  Payloads outlive a
-/// pass, so one size for every pass means none is ever reallocated.
+/// What every pooled payload, and every pass-2 buffer it trades storage with,
+/// is sized for: a block behind the longest header (pass 2's kind byte and
+/// 8-byte offset).  Payloads outlive a pass, so none is ever reallocated.
 pub fn payload_bytes(cfg: &SortConfig) -> usize {
     1 + 8 + cfg.block_bytes
 }
@@ -217,17 +217,13 @@ pub fn stripe_stage(
     })
 }
 
-/// A write stage for a buffer of `(file offset, data)` chunks: issue the
-/// positioned writes to `file`, adjacent ones coalesced, without copying
-/// each chunk out of the buffer first.  A buffer an exchange landed
-/// (`Exchange::trade_placed`) has no adjacent chunks left, so every write
-/// goes straight out of it.
+/// A write stage for a buffer of `(file offset, data)` chunks: one
+/// positioned write to `file` a chunk, straight out of the buffer
+/// ([`chunks::for_each_write`]).
 pub fn write_stage(disk: &DiskRef, file: &'static str) -> Box<dyn Stage> {
     let disk = Arc::clone(disk);
-    let mut runs = Vec::new();
-    let mut scratch = Vec::new();
     map_stage(move |buf, _ctx| {
-        chunks::for_each_coalesced_write(buf.filled(), &mut runs, &mut scratch, |off, data| {
+        chunks::for_each_write(buf.filled(), |off, data| {
             disk.write_at(file, off, data).map_err(SortError::from)?;
             Ok(())
         })
@@ -340,12 +336,14 @@ pub fn scatter_send_stage(
 /// message bytes from `payload[at..]` into `buf` and returns how far it got
 /// (`at` starts at 1, behind the kind byte): short of the payload's length
 /// means the buffer is full, so it is conveyed and the message — kept, with
-/// the offset reached — continues in the next one.  Dropping a message once
-/// it is consumed hands its payload back to the sender.
+/// the offset reached — continues in the next one; a landing may instead
+/// trade storage with the payload, taking the message whole (dsort pass 2).
+/// Dropping a message once it is consumed hands its payload back to the
+/// sender.
 pub fn receive_stage(
     comm: Communicator,
     tag: u64,
-    mut land: impl FnMut(&mut Buffer, &[u8], usize) -> fg_core::Result<usize> + Send + 'static,
+    mut land: impl FnMut(&mut Buffer, &mut Payload, usize) -> fg_core::Result<usize> + Send + 'static,
 ) -> Box<dyn Stage> {
     fabric_stage(comm, move |comm, ctx| {
         let nodes = comm.nodes();
@@ -359,8 +357,8 @@ pub fn receive_stage(
             let pipeline = buf.pipeline();
             buf.clear();
             while buf.remaining() > 0 {
-                if let Some((msg, at)) = partial.take() {
-                    let at = land(&mut buf, &msg.payload, at)?;
+                if let Some((mut msg, at)) = partial.take() {
+                    let at = land(&mut buf, &mut msg.payload, at)?;
                     if at < msg.payload.len() {
                         partial = Some((msg, at));
                         break;
@@ -392,6 +390,6 @@ pub fn receive_stage(
 
 /// The [`receive_stage`] landing that packs message bytes densely: a
 /// message that straddles two buffers is split between them.
-pub fn land_bytes(buf: &mut Buffer, payload: &[u8], at: usize) -> fg_core::Result<usize> {
+pub fn land_bytes(buf: &mut Buffer, payload: &mut Payload, at: usize) -> fg_core::Result<usize> {
     Ok(at + buf.append(&payload[at..]))
 }

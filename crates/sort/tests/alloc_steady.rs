@@ -137,6 +137,61 @@ fn dsort_data_path_allocations_do_not_grow_with_the_input() {
     }
 }
 
+/// Pass 2 alone: what its `send` and `receive` stages allocate — read between
+/// barriers every node crosses, so no node is in another pass — and how
+/// many payloads it had to add to the populations pass 1 left.
+fn dsort_pass2_allocations(records_per_node: usize) -> ([u64; 2], u64) {
+    use fg_sort::dsort::{pass1, pass2, plan, sampling};
+    use fg_sort::verify::{verify_output, Strictness};
+    let cfg = dsort_cfg(records_per_node);
+    let disks = fg_sort::input::provision(&cfg);
+    let run = fg_sort::driver::launch(&cfg, &disks, |node| {
+        let made = |node: &fg_sort::driver::Node| {
+            let pool = node.comm.payload_stats();
+            (pool.idle + pool.outstanding) as u64
+        };
+        let splitters = sampling::select_splitters(node)?;
+        let run_lens = pass1::pass1(node, &splitters, plan::run_len(&node.cfg))?;
+        let records = run_lens.iter().sum::<u64>() / node.cfg.record.record_bytes as u64;
+        let partitions = node.comm.allgather_u64(records)?;
+        let before = (DSORT_TAGS.map(tag_bytes), made(node));
+        node.comm.allgather_u64(0)?;
+        let rank_offset = partitions[..node.rank].iter().sum();
+        pass2::pass2(node, &run_lens, rank_offset, true)?;
+        node.comm.allgather_u64(0)?;
+        let tags = std::array::from_fn(|i| tag_bytes(DSORT_TAGS[i]) - before.0[i]);
+        Ok((tags, made(node) - before.1))
+    })
+    .expect("dsort phases");
+    verify_output(&cfg, &disks, Strictness::Exact).expect("dsort output");
+    let added = run.ranks.iter().map(|rank| rank.out.1).sum();
+    (run.ranks[0].out.0, added)
+}
+
+/// A message is a buffer: pass 2's send stage hands its buffer's storage to
+/// the fabric and takes an idle payload's in return, and its receive stage
+/// takes a whole message as its buffer the same way.  Once the populations
+/// exist neither allocates, so at any input size `send` allocates only the
+/// payloads pass 2 added to the pools, and the DONE markers, and `receive`
+/// next to nothing.
+#[test]
+fn dsort_pass2_trades_storage_without_allocating() {
+    let _turn = TAG_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let _ = vec![0u8; 16];
+    assert!(fg_core::alloc::installed());
+    let payload = fg_sort::stages::payload_bytes(&dsort_cfg(16 << 10)) as u64;
+    for records_per_node in [16 << 10, 128 << 10] {
+        let ([send, receive], added) = dsort_pass2_allocations(records_per_node);
+        // Markers are a byte to each node; a mailbox may grow a few slots.
+        let slack = 16 << 10;
+        assert!(
+            send <= added * payload + slack,
+            "send: {send} B, {added} payloads added"
+        );
+        assert!(receive <= 1 << 10, "receive: {receive} B");
+    }
+}
+
 /// The stages of csort's data path.
 const CSORT_TAGS: [&str; 5] = ["communicate", "stripe", "exchange", "read", "write"];
 

@@ -64,6 +64,61 @@ fn dsort_with_one_hot_receiver_stays_within_the_payload_population() {
     }
 }
 
+/// The merge stage at its edges, each sorted on sim and compared byte for
+/// byte with a stable reference sort: one-record vertical buffers, runs
+/// of one vertical buffer each (a lane's buffer ends where its run does), a node
+/// that receives no records, a rank offset inside a stripe block, and
+/// all-equal keys, whose lanes tie.  After every run each node's payload
+/// credits are home, its population is what the fabric made it, and every
+/// idle payload is one message in size: a storage exchange never leaves a
+/// buffer of another size in a pool.
+#[test]
+fn dsort_merge_stage_edges_match_the_reference_and_return_every_credit() {
+    let edge = |nodes, records, edit: fn(&mut SortConfig)| {
+        let mut cfg = SortConfig::test_default(nodes, records);
+        edit(&mut cfg);
+        cfg
+    };
+    let cases = [
+        (
+            "one-record vertical buffers",
+            edge(3, 700, |c| c.vertical_buf_bytes = 16),
+        ),
+        (
+            "one buffer a run",
+            edge(4, 2048, |c| c.vertical_buf_bytes = 64 << 10),
+        ),
+        ("a node that receives nothing", edge(3, 2, |_| {})),
+        ("a rank offset inside a stripe block", edge(4, 1000, |_| {})),
+        (
+            "all-equal keys",
+            edge(4, 2048, |c| c.dist = KeyDist::AllEqual),
+        ),
+    ];
+    for (case, cfg) in cases {
+        let disks = provision(&cfg);
+        let report = run_dsort(&cfg, &disks).expect(case);
+        verify_output(&cfg, &disks, Strictness::Exact).expect(case);
+        let parts = &report.partition_records;
+        match case {
+            "one buffer a run" => assert!(report.run_len <= cfg.vertical_buf_bytes),
+            "a node that receives nothing" => assert!(parts.contains(&0), "{parts:?}"),
+            "a rank offset inside a stripe block" => {
+                assert_ne!(parts[0] % cfg.records_per_block() as u64, 0, "{parts:?}")
+            }
+            _ => {}
+        }
+        let message = fg_sort::stages::payload_bytes(&cfg);
+        for pool in &report.payloads {
+            let home = (pool.outstanding, pool.population) == (0, 3 * cfg.nodes);
+            let sizes = pool
+                .idle_capacity
+                .is_none_or(|span| span == (message, message));
+            assert!(home && sizes, "{case}: {pool:?}");
+        }
+    }
+}
+
 #[test]
 fn dsort_std_normal() {
     let mut cfg = SortConfig::test_default(4, 2048);
@@ -149,14 +204,15 @@ fn pool_bytes(cfg: &SortConfig, run_len: usize, partition_records: &[u64]) -> u6
     use fg_sort::chunks::CHUNK_HEADER_BYTES;
     let buffers = cfg.pipeline_buffers as u64;
     let send_buf = (cfg.block_bytes + cfg.nodes * CHUNK_HEADER_BYTES + 64) as u64;
-    let recv_buf = (2 * cfg.block_bytes + 2 * CHUNK_HEADER_BYTES + 64) as u64;
     let pass1 = cfg.nodes as u64 * buffers * (send_buf + run_len as u64);
+    // Pass 2's merged and receive buffers are messages, twice as many of
+    // the latter.
+    let message = fg_sort::stages::payload_bytes(cfg) as u64;
     let pass2: u64 = partition_records
         .iter()
         .map(|records| {
             let runs = (records * cfg.record.record_bytes as u64).div_ceil(run_len as u64);
-            runs * (cfg.vertical_buffers * cfg.vertical_buf_bytes) as u64
-                + buffers * (cfg.block_bytes as u64 + recv_buf)
+            runs * (cfg.vertical_buffers * cfg.vertical_buf_bytes) as u64 + 3 * buffers * message
         })
         .sum();
     pass1.max(pass2)

@@ -142,7 +142,9 @@ proptest! {
         }
     }
 
-    /// Coalesced writes reproduce the same file contents as direct writes.
+    /// The write stage reproduces the file image of direct writes, whether
+    /// it writes a payload's chunks where they lie or an exchange landed
+    /// them first — and a landing leaves no two writes mergeable.
     #[test]
     fn coalesce_preserves_file_image(
         runs in vec((0u64..200, vec(any::<u8>(), 1..20)), 0..12)
@@ -156,8 +158,8 @@ proptest! {
             }
             file
         };
-        // Skip overlapping inputs: coalescing guarantees order only for
-        // non-overlapping runs (which is what the sorts produce).
+        // Skip overlapping inputs: a landing refuses them, and the sorts
+        // never produce them.
         let mut sorted = runs.clone();
         sorted.sort_by_key(|(o, _)| *o);
         let overlapping = sorted
@@ -170,27 +172,16 @@ proptest! {
         for (off, data) in &runs {
             chunks::push_chunk(&mut payload, *off, 0, data);
         }
-        let mut coalesced: Vec<(u64, Vec<u8>)> = Vec::new();
-        chunks::for_each_coalesced_write::<fg_sort::SortError>(
-            &payload,
-            &mut Vec::new(),
-            &mut Vec::new(),
-            |off, data| {
-                coalesced.push((off, data.to_vec()));
-                Ok(())
-            },
-        )
-        .unwrap();
-        let via_coalesce = apply(&coalesced);
-        prop_assert_eq!(direct, via_coalesce);
-        // And coalescing never produces adjacent mergeable runs.
+        prop_assert_eq!(&direct, &apply(&writes(&payload)));
+        let coalesced = writes(&land(&[payload]).unwrap());
+        prop_assert_eq!(direct, apply(&coalesced));
         for w in coalesced.windows(2) {
             prop_assert!(w[0].0 + w[0].1.len() as u64 != w[1].0);
         }
     }
 
-    /// Any permutation of adjacent chunk frames coalesces back into the
-    /// maximal runs: one emitted write per gap-separated group, carrying
+    /// Any permutation of adjacent chunk frames lands as the maximal runs:
+    /// the write stage issues one write per gap-separated group, carrying
     /// the group's bytes in offset order, regardless of arrival order.
     #[test]
     fn permuted_adjacent_frames_coalesce_maximally(
@@ -226,19 +217,7 @@ proptest! {
         for (off, data) in &frames {
             chunks::push_chunk(&mut payload, *off, 0, data);
         }
-        let mut runs = Vec::new();
-        let mut scratch = Vec::new();
-        let mut got: Vec<(u64, Vec<u8>)> = Vec::new();
-        chunks::for_each_coalesced_write::<fg_sort::SortError>(
-            &payload,
-            &mut runs,
-            &mut scratch,
-            |off, data| {
-                got.push((off, data.to_vec()));
-                Ok(())
-            },
-        )
-        .unwrap();
+        let got = writes(&land(&[payload]).unwrap());
         prop_assert_eq!(&got, &expected);
         // Maximality: no emitted run is mergeable with its successor.
         for w in got.windows(2) {
@@ -598,12 +577,10 @@ proptest! {
         }
     }
 
-    /// The landing against the write stage's coalescing: for gap-separated
-    /// groups of file-adjacent chunks, some empty, dealt to the parts in any
-    /// order, the landed buffer written out issues the writes that
-    /// `for_each_coalesced_write` issues over the parts concatenated — one a
-    /// group — and leaves the gather scratch untouched, because nothing it
-    /// holds is adjacent to anything else.
+    /// Landing is the coalescing: for gap-separated groups of file-adjacent
+    /// chunks, some empty, dealt to the parts in any order, the landed
+    /// buffer holds one chunk a non-empty group, and the write stage issues
+    /// each as one write, where it lies — nothing is left to gather.
     #[test]
     fn landing_is_coalescing_without_the_gather(
         spec in vec((1u64..16, vec(0usize..12, 1..5)), 0..5),
@@ -611,12 +588,19 @@ proptest! {
         deal_seed in any::<u64>(),
     ) {
         let mut frames: Vec<(u64, Vec<u8>)> = Vec::new();
+        let mut groups: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut cursor = 0u64;
         for (gap, frame_lens) in &spec {
             cursor += gap;
+            let mut group = (cursor, Vec::new());
             for &len in frame_lens {
-                frames.push((cursor, (0..len).map(|i| (cursor + i as u64) as u8).collect()));
+                let bytes: Vec<u8> = (0..len).map(|i| (cursor + i as u64) as u8).collect();
+                group.1.extend_from_slice(&bytes);
+                frames.push((cursor, bytes));
                 cursor += len as u64;
+            }
+            if !group.1.is_empty() {
+                groups.push(group);
             }
         }
         let mut rng = deal_seed | 1;
@@ -629,27 +613,22 @@ proptest! {
             chunks::push_chunk(&mut dealt[(rng >> 32) as usize % parts], off, 0, &data);
         }
 
-        let writes = |payload: &[u8], scratch: &mut Vec<u8>| {
-            let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
-            chunks::for_each_coalesced_write::<fg_sort::SortError>(
-                payload,
-                &mut Vec::new(),
-                scratch,
-                |off, data| {
-                    out.push((off, data.to_vec()));
-                    Ok(())
-                },
-            )
-            .unwrap();
-            out
-        };
         let landed = land(&dealt).unwrap();
-        let mut scratch = Vec::new();
-        let got = writes(&landed, &mut scratch);
-        prop_assert_eq!(scratch.capacity(), 0, "the landing left a group to gather");
-        prop_assert_eq!(&got, &writes(&dealt.concat(), &mut Vec::new()));
-        prop_assert_eq!(chunks::parse_chunks(&landed).unwrap().len(), got.len());
+        prop_assert_eq!(&writes(&landed), &groups);
+        prop_assert_eq!(chunks::parse_chunks(&landed).unwrap().len(), groups.len());
     }
+}
+
+/// The positioned writes the write stage issues for a buffer of
+/// `(file offset, data)` chunks.
+fn writes(payload: &[u8]) -> Vec<(u64, Vec<u8>)> {
+    let mut out = Vec::new();
+    chunks::for_each_write::<fg_sort::SortError>(payload, |off, data| {
+        out.push((off, data.to_vec()));
+        Ok(())
+    })
+    .unwrap();
+    out
 }
 
 /// A column of `m.r` records of format `f` with distinct payloads.
