@@ -16,7 +16,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod autotune;
 pub mod io_overlap;
 pub mod kernel_bench;
 pub mod overlap;

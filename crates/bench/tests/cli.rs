@@ -40,10 +40,6 @@ fn the_removed_flags_are_refused_with_a_reason() {
     for flag in ["--gate-tolerance", "--json-out-suffix", "--workers"] {
         refused(&["io-volume", flag, "1"], "in one invocation");
     }
-    refused(
-        &["autotune-convergence", "--hand-tuned"],
-        "in one invocation",
-    );
 }
 
 #[test]

@@ -28,15 +28,12 @@
 //! * a report that carries its span log ([`Report::trace`]) adds findings
 //!   off the reconstructed critical path that cite concrete rounds.
 //!
-//! [`diagnose`] is the one diagnoser of a pipeline run.  A live sliding
-//! window of telemetry is judged by it too: [`window_report`] turns the
-//! window into the [`Report`] of its span, so a finished run is simply its
-//! last window.
+//! [`diagnose`] is the one diagnoser of a pipeline run.
 
 use std::time::Duration;
 
 use crate::program::replica_base;
-use crate::stats::{QueueDepth, Report, StageStats};
+use crate::stats::{QueueDepth, Report};
 use crate::telemetry::TimestampedSnapshot;
 
 /// A stage's dominant state over the run.
@@ -249,7 +246,7 @@ pub const STAGE_ROUNDS_PREFIX: &str = "core/stage_rounds/";
 /// Metric-name prefix of the per-queue depth gauges.
 pub const QUEUE_DEPTH_PREFIX: &str = "core/queue_depth/";
 /// Metric-name prefix of the per-queue capacity gauges (set once at wire
-/// time; [`window_report`] reads a window's queues from them).
+/// time).
 pub const QUEUE_CAPACITY_PREFIX: &str = "core/queue_capacity/";
 /// Metric-name prefix of the per-queue failed-CAS counters (lock-free
 /// flavor only; each count is one producer/consumer collision on the
@@ -554,57 +551,6 @@ pub fn diagnose(report: &Report, series: &[TimestampedSnapshot]) -> Diagnosis {
         resources,
         recommendations,
     }
-}
-
-/// A sliding window of telemetry samples taken *during* a run, as the
-/// [`Report`] of the window's span — what the controller hands
-/// [`diagnose`].  Each stage replica that did anything in the window is a
-/// [`StageStats`] row of its live `core/stage_*` counter deltas, its wall
-/// the window's span and the rest of that span `parked`; the queues are
-/// the `core/queue_capacity/*` gauges.  The live counters carry no
-/// topology, so `pipelines` is empty.
-///
-/// `None` when the window holds fewer than two samples or spans no time.
-pub fn window_report(window: &[TimestampedSnapshot]) -> Option<Report> {
-    let (first, last) = (window.first()?, window.last()?);
-    let span = last.elapsed.checked_sub(first.elapsed)?;
-    if span.is_zero() {
-        return None;
-    }
-    let delta = |prefix: &str, task: &str| {
-        let name = format!("{prefix}{task}");
-        let at = |p: &TimestampedSnapshot| p.snapshot.counter(&name).unwrap_or(0);
-        at(last).saturating_sub(at(first))
-    };
-    let ns = |prefix: &str, task: &str| Duration::from_nanos(delta(prefix, task));
-    let stages = last.snapshot.counters.iter().filter_map(|(name, _)| {
-        let task = name.strip_prefix(STAGE_BUSY_PREFIX)?;
-        let blocked_accept = ns(STAGE_STARVED_PREFIX, task);
-        let blocked_convey = ns(STAGE_BACKPRESSURED_PREFIX, task);
-        let active = ns(STAGE_BUSY_PREFIX, task) + blocked_accept + blocked_convey;
-        (!active.is_zero()).then(|| StageStats {
-            name: task.to_string(),
-            wall: span,
-            blocked_accept,
-            blocked_convey,
-            parked: span.saturating_sub(active),
-            buffers_out: delta(STAGE_ROUNDS_PREFIX, task),
-            ..StageStats::default()
-        })
-    });
-    let queues = last.snapshot.gauges.iter().filter_map(|(name, capacity)| {
-        Some(QueueDepth {
-            name: name.strip_prefix(QUEUE_CAPACITY_PREFIX)?.to_string(),
-            capacity: capacity.value as usize,
-            ..QueueDepth::default()
-        })
-    });
-    Some(Report {
-        wall: span,
-        stages: stages.collect(),
-        queues: queues.collect(),
-        ..Report::default()
-    })
 }
 
 /// Fold the per-queue contention counters into [`ContentionFinding`]s for
@@ -1489,116 +1435,6 @@ mod tests {
         assert!(diagnose(&report_with_contention(100, 1000), &[])
             .contention
             .is_empty());
-    }
-
-    /// Build a window sample: `(stage, busy_ms, starved_ms, backp_ms,
-    /// rounds)` rows as cumulative counters at `elapsed` ms.
-    fn window_point(ms: u64, rows: &[(&str, u64, u64, u64, u64)]) -> TimestampedSnapshot {
-        let reg = crate::metrics::MetricsRegistry::new();
-        for (name, busy, starved, backp, rounds) in rows {
-            reg.counter(&format!("{STAGE_BUSY_PREFIX}{name}"))
-                .add(busy * 1_000_000);
-            reg.counter(&format!("{STAGE_STARVED_PREFIX}{name}"))
-                .add(starved * 1_000_000);
-            reg.counter(&format!("{STAGE_BACKPRESSURED_PREFIX}{name}"))
-                .add(backp * 1_000_000);
-            reg.counter(&format!("{STAGE_ROUNDS_PREFIX}{name}"))
-                .add(*rounds);
-        }
-        TimestampedSnapshot {
-            elapsed: Duration::from_millis(ms),
-            snapshot: reg.snapshot(),
-        }
-    }
-
-    /// A window's report and its diagnosis, as the controller makes them.
-    fn as_window(w: &[TimestampedSnapshot]) -> (Report, Diagnosis) {
-        let r = window_report(w).expect("a window of two samples over some span");
-        let d = diagnose(&r, w);
-        (r, d)
-    }
-
-    fn row<'a>(d: &'a Diagnosis, name: &str) -> &'a StageDiagnosis {
-        d.stages.iter().find(|s| s.name == name).unwrap()
-    }
-
-    #[test]
-    fn window_needs_two_samples_and_nonzero_span() {
-        assert_eq!(window_report(&[]), None);
-        let p = window_point(5, &[("a", 1, 0, 0, 1)]);
-        assert_eq!(window_report(std::slice::from_ref(&p)), None);
-        assert_eq!(window_report(&[p.clone(), p]), None);
-    }
-
-    #[test]
-    fn window_names_limiting_stage_from_counter_deltas() {
-        let w = vec![
-            window_point(0, &[("up", 10, 0, 0, 5), ("slow", 10, 0, 0, 5)]),
-            window_point(100, &[("up", 20, 0, 80, 10), ("slow", 105, 5, 0, 10)]),
-        ];
-        let (r, d) = as_window(&w);
-        assert_eq!(r.wall, Duration::from_millis(100));
-        assert_eq!(d.limiting.as_deref(), Some("slow"));
-        assert_eq!(row(&d, "slow").verdict, StageVerdict::Busy);
-        assert_eq!(row(&d, "up").verdict, StageVerdict::Backpressured);
-        assert_eq!(r.stage("slow").unwrap().buffers_out, 5);
-        // 5 buffers / 0.1 s.
-        assert!((crate::controller::throughput(&r) - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn window_folds_replicas_and_counts_active_workers() {
-        // Farm `w` declared with three replicas; only two did anything in
-        // the window, so the farm reads as two workers wide.
-        let w = vec![
-            window_point(
-                0,
-                &[
-                    ("w#0", 0, 0, 0, 0),
-                    ("w#1", 0, 0, 0, 0),
-                    ("w#2", 0, 0, 0, 0),
-                ],
-            ),
-            window_point(
-                100,
-                &[
-                    ("w#0", 90, 10, 0, 4),
-                    ("w#1", 80, 20, 0, 4),
-                    ("w#2", 0, 0, 0, 0),
-                ],
-            ),
-        ];
-        let (r, d) = as_window(&w);
-        let farm = row(&d, "w");
-        assert_eq!(farm.workers, 2);
-        // 170 ms busy over a 2-worker 100 ms window.
-        assert!((farm.busy_frac - 0.85).abs() < 1e-9);
-        assert_eq!(r.stage_rollup("w").unwrap().0.buffers_out, 8);
-        // 8 buffers / 0.1 s through the farm's two workers together.
-        assert!((crate::controller::throughput(&r) - 80.0).abs() < 1e-9);
-        assert_eq!(d.limiting.as_deref(), Some("w"));
-    }
-
-    #[test]
-    fn window_reads_queue_capacity_gauges() {
-        let point = |ms: u64, depth: u64| {
-            let reg = crate::metrics::MetricsRegistry::new();
-            reg.counter(&format!("{STAGE_BUSY_PREFIX}s"))
-                .add(ms * 500_000);
-            reg.gauge(&format!("{QUEUE_CAPACITY_PREFIX}recycle/p"))
-                .set(4);
-            reg.gauge(&format!("{QUEUE_DEPTH_PREFIX}recycle/p"))
-                .set(depth);
-            TimestampedSnapshot {
-                elapsed: Duration::from_millis(ms),
-                snapshot: reg.snapshot(),
-            }
-        };
-        let w = vec![point(0, 0), point(50, 0), point(100, 4)];
-        let (_, d) = as_window(&w);
-        let q = &d.queue_findings[0];
-        assert_eq!((q.name.as_str(), q.capacity), ("recycle/p", 4));
-        assert!((q.empty_frac - 2.0 / 3.0).abs() < 1e-9);
     }
 
     /// Build a rank report with given wall time and received-byte counters

@@ -23,14 +23,13 @@
 //! own span log ([`Report::trace`](crate::Report::trace)) into the
 //! bottleneck diagnosis, so its verdicts cite rounds of that run alone.
 //!
-//! Spans with `trace_id == 0` (caboose handling, untraced I/O) and spans
-//! on the [`IO_PIPELINE`] sentinel are not part of any buffer's journey
-//! and are skipped.
+//! Spans with `trace_id == 0` (caboose handling, untraced I/O) are not
+//! part of any buffer's journey and are skipped.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::trace::{SpanRec, ThreadLog, TraceKind, IO_PIPELINE};
+use crate::trace::{SpanRec, ThreadLog, TraceKind};
 
 /// One span on a round's timeline, with its non-overlapped contribution
 /// to the round's end-to-end latency.
@@ -208,7 +207,7 @@ pub fn critical_path(logs: &[ThreadLog]) -> CriticalPath {
     let mut by_id: HashMap<u64, Vec<(usize, SpanRec)>> = HashMap::new();
     for (i, log) in logs.iter().enumerate() {
         for s in &log.spans {
-            if s.trace_id == 0 || s.pipeline == IO_PIPELINE {
+            if s.trace_id == 0 {
                 continue;
             }
             by_id.entry(s.trace_id).or_default().push((i, *s));
@@ -342,7 +341,7 @@ mod tests {
             "p/read",
             vec![
                 span(TraceKind::Accept, 0, 0, 0, 0, 10),
-                span(TraceKind::Actuate, IO_PIPELINE, 3, 5, 0, 10),
+                span(TraceKind::Recycle, 0, 1, 0, 10, 20),
             ],
         )];
         assert!(critical_path(&logs).rounds.is_empty());

@@ -437,7 +437,6 @@ fn stage_to_json(s: &StageStats) -> Json {
             "blocked_convey_ns",
             Json::from(s.blocked_convey.as_nanos() as u64),
         ),
-        ("parked_ns", Json::from(s.parked.as_nanos() as u64)),
         ("buffers_in", Json::from(s.buffers_in)),
         ("buffers_out", Json::from(s.buffers_out)),
     ];
@@ -456,8 +455,6 @@ fn stage_from_json(j: &Json) -> Result<StageStats, String> {
         wall: Duration::from_nanos(field_u64(j, "wall_ns")?),
         blocked_accept: Duration::from_nanos(field_u64(j, "blocked_accept_ns")?),
         blocked_convey: Duration::from_nanos(field_u64(j, "blocked_convey_ns")?),
-        // Absent in artifacts written before controller-driven farm resizing.
-        parked: Duration::from_nanos(j.get("parked_ns").and_then(Json::as_u64).unwrap_or(0)),
         buffers_in: field_u64(j, "buffers_in")?,
         buffers_out: field_u64(j, "buffers_out")?,
     })
@@ -626,9 +623,6 @@ impl Report {
             ("metrics", metrics_to_json(&self.metrics)),
         ];
         // The optional members are written only by runs that have them.
-        if let Some(log) = &self.controller {
-            members.push(("controller", log.to_json_value()));
-        }
         if let Some(resources) = &self.resources {
             members.push(("resources", resources.to_json_value()));
         }
@@ -700,11 +694,6 @@ impl Report {
             Some(m) => metrics_from_json(m)?,
             None => MetricsSnapshot::default(),
         };
-        // Absent for runs without an attached controller.
-        let controller = match j.get("controller") {
-            Some(c) => Some(crate::controller::ControllerLog::from_json_value(c)?),
-            None => None,
-        };
         // Absent for runs that did not sample resources.
         let resources = match j.get("resources") {
             Some(r) => Some(crate::profile::ResourceReport::from_json_value(r)?),
@@ -728,7 +717,6 @@ impl Report {
             queues,
             pipelines,
             metrics,
-            controller,
             resources,
             trace,
             trace_start_ns: j.get("trace_start_ns").and_then(Json::as_u64).unwrap_or(0),

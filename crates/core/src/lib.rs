@@ -62,7 +62,6 @@ pub mod alloc;
 pub mod analyze;
 mod buffer;
 pub mod cluster_report;
-pub mod controller;
 pub mod critical_path;
 pub mod degrade;
 mod error;
@@ -90,9 +89,6 @@ pub use analyze::{
 };
 pub use buffer::{Buffer, PipelineId, StageId};
 pub use cluster_report::{ClusterReport, CollectiveStat, RankReport};
-pub use controller::{
-    ControlStatus, Controller, ControllerCfg, ControllerLog, Decision, PoolControl,
-};
 pub use critical_path::{critical_path, CriticalPath, PathSegment, RoundPath};
 pub use error::{FgError, Result};
 pub use json::Json;

@@ -2,7 +2,7 @@
 //! allocation counters, and a buffer-pool residency ledger.
 //!
 //! The rest of the observability stack measures *pipeline* behavior —
-//! where stage time went, how deep queues ran, what the controller did.
+//! where stage time went, how deep queues ran, which round was slow.
 //! This module measures the *machine underneath it*:
 //!
 //! * every runtime thread registers its kernel TID at spawn
@@ -90,8 +90,8 @@ impl Drop for ThreadRegistration {
 
 /// Register the calling thread under `name` for per-thread CPU sampling.
 /// The runtime calls this for every thread it spawns (stages, replicas,
-/// sources, sinks, controller, watchdog, samplers); embedders running
-/// their own worker threads (e.g. the I/O scheduler) should too.  Where
+/// watchdog, samplers); embedders running their own worker threads (e.g.
+/// the I/O scheduler) should too.  Where
 /// `/proc/thread-self` is unavailable the registration is inert: the row
 /// exists but never gains CPU numbers.
 pub fn register_current_thread(name: impl Into<String>) -> ThreadRegistration {
@@ -372,9 +372,9 @@ impl MemoryLedger {
         self.peak_bytes.fetch_max(now, Relaxed);
     }
 
-    /// Credit one pool buffer of `bytes` capacity: it was retired, on a
-    /// controller shrink or as its pipeline or program ended (pool
-    /// buffers cannot outlive their program).  The high-water marks stay.
+    /// Credit one pool buffer of `bytes` capacity: it was retired as its
+    /// pipeline or program ended (pool buffers cannot outlive their
+    /// program).  The high-water marks stay.
     pub fn credit_pool(&self, bytes: u64) {
         self.buffers
             .fetch_update(Relaxed, Relaxed, |v| Some(v.saturating_sub(1)))

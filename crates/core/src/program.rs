@@ -39,7 +39,6 @@ pub struct PipelineCfg {
     pub(crate) buffers: usize,
     pub(crate) buffer_size: usize,
     pub(crate) rounds: Rounds,
-    pub(crate) max_buffers: Option<usize>,
 }
 
 impl PipelineCfg {
@@ -53,17 +52,7 @@ impl PipelineCfg {
             buffers,
             buffer_size,
             rounds: Rounds::UntilStopped,
-            max_buffers: None,
         }
-    }
-
-    /// Allow a controller to grow this pipeline's buffer pool up to `n`
-    /// buffers at runtime (queues are pre-sized to admit the ceiling).
-    /// Values below `buffers` are treated as `buffers`.  Without a
-    /// controller the pool stays at `buffers`.
-    pub fn max_buffers(mut self, n: usize) -> Self {
-        self.max_buffers = Some(n);
-        self
     }
 
     /// Set how many rounds the pipeline runs (default: until stopped).
@@ -95,15 +84,6 @@ pub(crate) struct PipeSpec {
     pub(crate) buffer_size: usize,
     pub(crate) rounds: Rounds,
     pub(crate) chain: Vec<StageId>,
-    pub(crate) max_buffers: Option<usize>,
-}
-
-impl PipeSpec {
-    /// Pool ceiling the queues must admit: the declared `max_buffers` when
-    /// at least `buffers`, else `buffers`.
-    fn pool_ceiling(&self) -> usize {
-        self.max_buffers.unwrap_or(self.buffers).max(self.buffers)
-    }
 }
 
 /// A declared FG program: pipelines of stages on one node.
@@ -116,7 +96,6 @@ pub struct Program {
     trace_sink: Option<Arc<crate::trace::TraceSink>>,
     trace_group: Option<u32>,
     watchdog: Option<crate::trace::WatchdogCfg>,
-    controller: Option<crate::controller::ControllerCfg>,
     pin: Option<PinMode>,
     ledger: Option<Arc<crate::profile::MemoryLedger>>,
 }
@@ -133,7 +112,6 @@ impl Program {
             trace_sink: None,
             trace_group: None,
             watchdog: None,
-            controller: None,
             pin: None,
             ledger: None,
         }
@@ -223,19 +201,6 @@ impl Program {
     /// Shorthand: arm an abort-on-stall watchdog with `timeout`.
     pub fn with_watchdog(&mut self, timeout: std::time::Duration) {
         self.set_watchdog(crate::trace::WatchdogCfg::new(timeout));
-    }
-
-    /// Attach a closed-loop controller
-    /// ([`Controller`](crate::controller::Controller)): during the run it
-    /// samples the metrics registry, diagnoses a sliding window, and
-    /// actuates farm widths and buffer pools (a read stage's pool is its
-    /// read-ahead, so pool size is also I/O depth).
-    /// Requires [`Program::set_metrics`]; without a registry the
-    /// controller is silently skipped (it would have nothing to observe).
-    /// The decision audit log lands in
-    /// [`Report::controller`](crate::Report).
-    pub fn set_controller(&mut self, cfg: crate::controller::ControllerCfg) {
-        self.controller = Some(cfg);
     }
 
     /// Program name (used in thread names and diagnostics).
@@ -373,7 +338,6 @@ impl Program {
             buffer_size: cfg.buffer_size,
             rounds: cfg.rounds,
             chain: chain.to_vec(),
-            max_buffers: cfg.max_buffers,
         });
         Ok(id)
     }
@@ -465,14 +429,13 @@ impl Program {
 
         // Back-pressure is the pool, and this is where that is enforced:
         // every queue admits the whole pools of the pipelines that pass
-        // through it — at their *ceilings*, so a controller can grow a pool
-        // — plus one caboose each (a virtual stage's shared queue: the sum
-        // over its member pipelines).  `Buffer::new` is crate-private, so
-        // a pipeline's own pool and caboose are all that can ever sit in
-        // its queues: no push can find one full, `Queue::push` never
-        // waits, and a `Full` it does return is a bug surfaced as
-        // `FgError::Usage`, not a producer put to sleep.
-        let slots = |pipe: &PipeSpec| pipe.pool_ceiling() + 1;
+        // through it, plus one caboose each (a virtual stage's shared
+        // queue: the sum over its member pipelines).  `Buffer::new` is
+        // crate-private, so a pipeline's own pool and caboose are all that
+        // can ever sit in its queues: no push can find one full,
+        // `Queue::push` never waits, and a `Full` it does return is a bug
+        // surfaced as `FgError::Usage`, not a producer put to sleep.
+        let slots = |pipe: &PipeSpec| pipe.buffers + 1;
 
         // Shared input queues for virtual stages: fed by many pipelines'
         // upstreams, never SPSC.  One that heads pipelines is their common
@@ -531,31 +494,18 @@ impl Program {
             into_q.push(qs);
         }
 
-        // One pool per pipeline, with a live size handle only when a
-        // controller will drive it (otherwise pools stay at their declared
-        // size and the handles would be dead weight).
+        // One pool per pipeline, of its declared size for the whole run.
         let pools: Vec<Arc<Pool>> = self
             .pipelines
             .iter()
             .enumerate()
             .map(|(pi, pipe)| {
-                let queue = Arc::clone(&into_q[pi][0]);
-                let control = self.controller.as_ref().map(|_| {
-                    crate::controller::PoolControl::new(
-                        pipe.name.clone(),
-                        queue.name(),
-                        pipe.buffers,
-                        1,
-                        pipe.pool_ceiling(),
-                    )
-                });
                 Pool::new(
                     PipelineId(pi as u32),
-                    queue,
+                    Arc::clone(&into_q[pi][0]),
                     pipe.rounds,
                     pipe.buffers,
                     pipe.buffer_size,
-                    control,
                     self.ledger.clone(),
                 )
             })
@@ -581,14 +531,12 @@ impl Program {
 
         // Stage tasks (one per replica; ordinary stages have one replica).
         let mut tasks = Vec::new();
-        let mut farms: Vec<Arc<ReplicaGroup>> = Vec::new();
         for (sid, slot) in self.stages.iter_mut().enumerate() {
             let shared_input = shared_in.get(&sid).map(Arc::clone);
             let replicas = slot.stages.len();
             let group = if replicas > 1 {
                 let g = ReplicaGroup::new(slot.name.clone(), replicas, slot.ordered);
                 registry.register_group(Arc::clone(&g));
-                farms.push(Arc::clone(&g));
                 Some(g)
             } else {
                 None
@@ -607,7 +555,6 @@ impl Program {
                     ports: task_ports,
                     shared_input: shared_input.clone(),
                     replica_group: group.clone(),
-                    replica_index: i,
                 });
             }
         }
@@ -621,8 +568,6 @@ impl Program {
             trace_sink: self.trace_sink.clone(),
             trace_group: self.trace_group,
             watchdog: self.watchdog.clone(),
-            controller: self.controller.clone(),
-            farms,
             pin: self.pin.clone(),
             ledger: self.ledger.clone(),
             pipelines: self

@@ -21,8 +21,6 @@ pub(crate) struct StageTask {
     pub(crate) ports: Vec<Port>,
     pub(crate) shared_input: Option<Arc<Queue>>,
     pub(crate) replica_group: Option<Arc<ReplicaGroup>>,
-    /// Index within the replica group (0 for ordinary stages).
-    pub(crate) replica_index: usize,
 }
 
 /// Everything `Program::wire` produced, ready to execute.
@@ -38,8 +36,6 @@ pub(crate) struct Plan {
     pub(crate) trace_sink: Option<Arc<TraceSink>>,
     pub(crate) trace_group: Option<u32>,
     pub(crate) watchdog: Option<WatchdogCfg>,
-    pub(crate) controller: Option<crate::controller::ControllerCfg>,
-    pub(crate) farms: Vec<Arc<ReplicaGroup>>,
     pub(crate) pipelines: Vec<crate::stats::PipelineShape>,
     pub(crate) pin: Option<crate::affinity::PinMode>,
     pub(crate) ledger: Option<Arc<crate::profile::MemoryLedger>>,
@@ -110,8 +106,6 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
         trace_sink,
         trace_group,
         watchdog,
-        controller,
-        farms,
         pipelines,
         pin,
         ledger,
@@ -168,23 +162,6 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
         )?);
     }
 
-    // Close the observability loop: the controller samples the metrics
-    // registry and actuates farm widths and buffer pools while the stage
-    // threads run.  Without a registry it has nothing to observe, so it is
-    // skipped.
-    let controller = match (&controller, &metrics) {
-        (Some(cfg), Some(m)) => Some(crate::controller::Controller::start(
-            Arc::clone(m),
-            cfg.clone(),
-            crate::controller::Actuators {
-                farms,
-                pools: pools.iter().filter_map(|p| p.control.clone()).collect(),
-            },
-            ring_for("controller"),
-        )),
-        _ => None,
-    };
-
     // The watchdog polls the sink's pipeline-wide activity clock and fires
     // a post-mortem if it goes quiet for the configured timeout.
     let watchdog_handle = watchdog.map(|cfg| {
@@ -226,7 +203,6 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
         gate.1.notify_all();
         let _ = handle.join();
     }
-    let controller_log = controller.map(|c| c.stop());
     for pool in &pools {
         pool.settle();
     }
@@ -244,7 +220,6 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
         queues: registry.queue_depths(),
         pipelines,
         metrics: metrics.map(|m| m.snapshot()).unwrap_or_default(),
-        controller: controller_log,
         // Per-thread CPU rows are gone once the threads have joined; the
         // meaningful final attribution is whatever a ResourceProfiler
         // published into the metrics gauges during the run.  Entry points
@@ -271,7 +246,6 @@ fn run_stage_thread(
         ports,
         shared_input,
         replica_group,
-        replica_index,
     } = task;
     // When the tracking allocator serves this process, heap traffic on
     // this thread is charged to the stage's base name.  Skipped entirely
@@ -287,9 +261,9 @@ fn run_stage_thread(
         ctx.set_ledger(l);
     }
     if let Some(group) = replica_group {
-        ctx.set_replica_group(group, replica_index);
+        ctx.set_replica_group(group);
     }
-    // Live counters let a controller (and `/metrics` scrapes) see the
+    // Live counters let `/metrics` scrapes (and a sampler) see the
     // stage's time attribution as it evolves, not only at thread exit.
     if let Some(m) = &metrics {
         ctx.set_live_metrics(m, start);
@@ -413,53 +387,9 @@ mod tests {
 
     use super::*;
     use crate::buffer::Buffer;
-    use crate::controller::{ControllerCfg, PoolControl};
-    use crate::profile::MemoryLedger;
     use crate::queue::Item;
     use crate::{map_stage, PipelineCfg, Program};
 
-    /// `PoolControl` has no public handle (only a controller steers it), so
-    /// the resize case of the ledger's "ends at zero" rule is driven here,
-    /// on the plan of a program whose one stage steers its own pool.
-    #[test]
-    fn a_pool_that_grew_then_shrank_leaves_the_ledger_at_zero() {
-        let handle: Arc<OnceLock<Arc<PoolControl>>> = Arc::default();
-        let ledger = Arc::new(MemoryLedger::new());
-        let mut prog = Program::new("resize");
-        // No metrics registry, so no controller thread: only the handles.
-        prog.set_controller(ControllerCfg::default());
-        prog.set_memory_ledger(Arc::clone(&ledger));
-        let steer = Arc::clone(&handle);
-        let s = prog.add_stage(
-            "s",
-            map_stage(move |buf, _| {
-                let pool = steer.get().expect("set before the program runs");
-                match buf.round() {
-                    0 => {
-                        pool.set_target(4);
-                    }
-                    100 => {
-                        pool.set_target(1);
-                    }
-                    _ => {}
-                }
-                Ok(())
-            }),
-        );
-        prog.add_pipeline(PipelineCfg::new("p", 2, 64).max_buffers(4).count(200), &[s])
-            .unwrap();
-        let plan = prog.wire().unwrap();
-        let pool = plan.pools[0].control.clone().expect("a controller is set");
-        assert_eq!((pool.size(), pool.recycle_name()), (2, "recycle/p"));
-        handle.set(Arc::clone(&pool)).unwrap();
-
-        let report = execute("resize".into(), plan).unwrap();
-        assert_eq!(report.stage("s").unwrap().buffers_out, 200);
-        assert_eq!(pool.size(), 1, "three buffers were retired on the way");
-        assert_eq!(ledger.outstanding(), (0, 0));
-        let snap = ledger.snapshot();
-        assert_eq!((snap.total_buffers, snap.peak_bytes), (4, 4 * 64));
-    }
     /// Passes `pass` buffers on, then sits out the run without popping its
     /// input again — the held consumer — until the program is torn down.
     fn held_after(pass: usize) -> Box<dyn Stage> {

@@ -19,12 +19,11 @@
 //!   stages share one thread and one input queue, and buffers from any of
 //!   the member pipelines arrive interleaved (§IV, Figure 5(b)).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::buffer::{Buffer, PipelineId};
-use crate::controller::PoolControl;
 use crate::error::{FgError, Result};
 use crate::profile::MemoryLedger;
 use crate::queue::{Item, PushError, Queue};
@@ -287,8 +286,6 @@ pub(crate) struct Pool {
     stopped: AtomicBool,
     /// Set by whoever makes the pipeline's one caboose.
     ended: AtomicBool,
-    /// Live size handle, present when a controller may resize the pool.
-    pub(crate) control: Option<Arc<PoolControl>>,
     ledger: Option<Arc<MemoryLedger>>,
     /// Buffers charged to `ledger` and not yet credited.
     charged: AtomicU64,
@@ -301,7 +298,6 @@ impl Pool {
         rounds: Rounds,
         buffers: usize,
         buffer_size: usize,
-        control: Option<Arc<PoolControl>>,
         ledger: Option<Arc<MemoryLedger>>,
     ) -> Arc<Self> {
         Arc::new(Pool {
@@ -313,7 +309,6 @@ impl Pool {
             started: AtomicU64::new(0),
             stopped: AtomicBool::new(false),
             ended: AtomicBool::new(false),
-            control,
             ledger,
             charged: AtomicU64::new(0),
         })
@@ -328,8 +323,8 @@ impl Pool {
         (0..self.buffers).try_for_each(|_| self.grow())
     }
 
-    /// Add one fresh buffer.  The queue admits the pool's ceiling; once
-    /// the program is torn down the buffer is simply dropped.
+    /// Add one fresh buffer.  The queue admits the whole pool; once the
+    /// program is torn down the buffer is simply dropped.
     fn grow(&self) -> Result<()> {
         if let Some(l) = &self.ledger {
             l.charge_pool(self.buffer_size as u64);
@@ -339,8 +334,7 @@ impl Pool {
         send(&self.queue, Item::Buf(fresh)).map(drop)
     }
 
-    /// Take `buf` out of circulation: its pipeline has ended or its pool
-    /// is shrinking.
+    /// Take `buf` out of circulation: its pipeline has ended.
     fn release(&self, buf: Buffer) {
         drop(buf);
         if let Some(l) = &self.ledger {
@@ -359,21 +353,11 @@ impl Pool {
         }
     }
 
-    /// What the source did with a buffer that came home: apply a pending
-    /// pool resize, then either start the buffer's next round — `Some`,
-    /// with `true` when the caller now owes the pipeline's caboose because
-    /// this was the last round — or retire it (`None`: the pool is
-    /// shrinking, or the pipeline has stopped or run out of rounds).
+    /// What the source did with a buffer that came home: either start the
+    /// buffer's next round — `Some`, with `true` when the caller now owes
+    /// the pipeline's caboose because this was the last round — or retire
+    /// it (`None`: the pipeline has stopped or run out of rounds).
     fn begin_round(&self, mut buf: Buffer) -> Result<Option<(Buffer, bool)>> {
-        if let Some(control) = &self.control {
-            if control.try_shrink() {
-                self.release(buf);
-                return Ok(None);
-            }
-            while control.try_grow() {
-                self.grow()?;
-            }
-        }
         if self.stopped.load(Ordering::SeqCst) {
             self.release(buf);
             return Ok(None);
@@ -406,7 +390,7 @@ impl Pool {
 
     /// End the stream from outside the first stage: the caboose goes into
     /// the pool, where it wakes a first stage parked on an empty one.  The
-    /// queue has a slot for it beyond the pool's ceiling.
+    /// queue has a slot for it beyond the pool.
     pub(crate) fn stop(&self) -> Result<()> {
         if self.retire() {
             send(&self.queue, Item::Caboose(self.pipeline))?;
@@ -433,7 +417,7 @@ pub(crate) struct ReplicaGroup {
     name: String,
     /// Per pipeline: how many replicas have not yet seen the caboose.
     remaining: parking_lot::Mutex<std::collections::HashMap<PipelineId, usize>>,
-    pub(crate) replicas: usize,
+    replicas: usize,
     /// Whether emission is round-ordered (worker farm) or free-for-all.
     ordered: bool,
     /// Per pipeline: the next round allowed to emit (ordered groups only).
@@ -441,17 +425,6 @@ pub(crate) struct ReplicaGroup {
     emit_turn: parking_lot::Condvar,
     /// Set on program teardown so emission waiters unblock.
     cancelled: AtomicBool,
-    /// How many replicas are currently *admitted* to pop input (the farm's
-    /// live width).  Replicas with index `>= active` park at the admission
-    /// gate between rounds, so a controller can grow or shrink the farm at
-    /// round boundaries without touching threads.
-    active: AtomicUsize,
-    /// Set once any replica observes a caboose: parked replicas must wake
-    /// and join the poison-pill relay so end-of-stream reaches all of them.
-    draining: AtomicBool,
-    /// Guards the admission gate's condvar.
-    admission: parking_lot::Mutex<()>,
-    admit: parking_lot::Condvar,
 }
 
 impl ReplicaGroup {
@@ -464,64 +437,7 @@ impl ReplicaGroup {
             next_round: parking_lot::Mutex::new(std::collections::HashMap::new()),
             emit_turn: parking_lot::Condvar::new(),
             cancelled: AtomicBool::new(false),
-            active: AtomicUsize::new(replicas),
-            draining: AtomicBool::new(false),
-            admission: parking_lot::Mutex::new(()),
-            admit: parking_lot::Condvar::new(),
         })
-    }
-
-    /// The declared replica count (the farm's maximum width).
-    pub(crate) fn replica_count(&self) -> usize {
-        self.replicas
-    }
-
-    /// How many replicas are currently admitted.
-    pub(crate) fn active(&self) -> usize {
-        self.active.load(Ordering::SeqCst)
-    }
-
-    /// Set the live width to `n` (clamped to `1..=replicas`), waking any
-    /// replica the new width admits.  Shrinking never interrupts a replica
-    /// mid-buffer: a demoted replica finishes (and emits) the round it
-    /// holds, then parks before its next accept — so width changes land
-    /// exactly at round boundaries.  Returns the applied width.
-    pub(crate) fn set_active(&self, n: usize) -> usize {
-        let n = n.clamp(1, self.replicas);
-        self.active.store(n, Ordering::SeqCst);
-        let _guard = self.admission.lock();
-        self.admit.notify_all();
-        n
-    }
-
-    /// Block replica `index` until it is admitted (its index is below the
-    /// live width), the group starts draining, or the program is torn down.
-    fn await_admission(&self, index: usize) -> Result<()> {
-        let admitted = |g: &Self| {
-            index < g.active()
-                || g.draining.load(Ordering::SeqCst)
-                || g.cancelled.load(Ordering::SeqCst)
-        };
-        if admitted(self) {
-            // Fast path: no lock when running at full width.
-        } else {
-            let mut guard = self.admission.lock();
-            while !admitted(self) {
-                self.admit.wait(&mut guard);
-            }
-        }
-        if self.cancelled.load(Ordering::SeqCst) {
-            return Err(FgError::Cancelled);
-        }
-        Ok(())
-    }
-
-    /// Wake parked replicas so they can relay the caboose.
-    fn begin_drain(&self) {
-        if !self.draining.swap(true, Ordering::SeqCst) {
-            let _guard = self.admission.lock();
-            self.admit.notify_all();
-        }
     }
 
     pub(crate) fn name(&self) -> &str {
@@ -548,9 +464,6 @@ impl ReplicaGroup {
     /// Record that one replica observed pipeline `p`'s caboose; returns
     /// true iff it was the last replica (which then owns forwarding).
     fn observe_caboose(&self, p: PipelineId) -> bool {
-        // End of stream: every replica — parked ones included — must see
-        // the caboose for the poison-pill relay to terminate.
-        self.begin_drain();
         let mut remaining = self.remaining.lock();
         let slot = remaining.entry(p).or_insert(self.replicas);
         *slot -= 1;
@@ -595,16 +508,12 @@ impl ReplicaGroup {
         self.emit_turn.notify_all();
     }
 
-    /// Wake every replica parked on the emission or admission gate
-    /// (program teardown).
+    /// Wake every replica waiting for its emission turn (program
+    /// teardown).
     pub(crate) fn cancel_wake(&self) {
         self.cancelled.store(true, Ordering::SeqCst);
-        {
-            let _guard = self.next_round.lock();
-            self.emit_turn.notify_all();
-        }
-        let _guard = self.admission.lock();
-        self.admit.notify_all();
+        let _guard = self.next_round.lock();
+        self.emit_turn.notify_all();
     }
 }
 
@@ -671,9 +580,6 @@ pub struct StageCtx {
     shared_input: Option<Arc<Queue>>,
     /// Present iff the stage is replicated: shared caboose bookkeeping.
     replica_group: Option<Arc<ReplicaGroup>>,
-    /// This replica's index within its group (0 for ordinary stages);
-    /// compared against the group's live width at the admission gate.
-    replica_index: usize,
     /// Incrementally-published stage counters; `None` (the default) when
     /// no metrics registry is attached.
     live: Option<LiveStageMetrics>,
@@ -722,7 +628,6 @@ impl StageCtx {
             ports,
             shared_input,
             replica_group: None,
-            replica_index: 0,
             live: None,
             ring: None,
             last_qop_end_ns: 0,
@@ -734,9 +639,8 @@ impl StageCtx {
         }
     }
 
-    pub(crate) fn set_replica_group(&mut self, group: Arc<ReplicaGroup>, index: usize) {
+    pub(crate) fn set_replica_group(&mut self, group: Arc<ReplicaGroup>) {
         self.replica_group = Some(group);
-        self.replica_index = index;
     }
 
     /// Attach this stage's residency row in the program's memory ledger;
@@ -798,8 +702,7 @@ impl StageCtx {
         let wall = (now - l.started).as_nanos() as u64;
         let acc = self.stats.blocked_accept.as_nanos() as u64;
         let conv = self.stats.blocked_convey.as_nanos() as u64;
-        let parked = self.stats.parked.as_nanos() as u64;
-        let busy = wall.saturating_sub(acc + conv + parked);
+        let busy = wall.saturating_sub(acc + conv);
         if busy > l.pub_busy {
             l.busy.add(busy - l.pub_busy);
             l.pub_busy = busy;
@@ -820,24 +723,6 @@ impl StageCtx {
         if let Some(l) = &self.live {
             l.rounds.inc();
         }
-    }
-
-    /// Park at the farm's admission gate when this replica's index is
-    /// above the live width.  Called before every input pop, so width
-    /// changes land exactly at round boundaries; parked time is `parked`
-    /// in the stats — neither busy nor starved.
-    fn await_admission(&mut self) -> Result<()> {
-        if let Some(group) = self.replica_group.clone() {
-            if self.replica_index >= group.active() {
-                let t0 = Instant::now();
-                let res = group.await_admission(self.replica_index);
-                let t1 = Instant::now();
-                self.stats.parked += t1 - t0;
-                self.publish_live(t1);
-                res?;
-            }
-        }
-        Ok(())
     }
 
     /// Attach this thread's ring; it has been busy since `since`.
@@ -1079,7 +964,6 @@ impl StageCtx {
             if self.ports[idx].eos {
                 return Ok(None);
             }
-            self.await_admission()?;
             let input = self.input_of(idx)?;
             let t0 = Instant::now();
             enter(&self.ring, ThreadState::BlockedAccept, t0);

@@ -35,10 +35,6 @@ pub struct StageStats {
     /// emission turn, plus the push itself (a few nanoseconds — a push
     /// never waits, the queues admit whole pools).
     pub blocked_convey: Duration,
-    /// Time a farm replica spent parked at the admission gate while the
-    /// controller held the farm below its declared width.  Idle capacity:
-    /// counted as neither busy nor starved.
-    pub parked: Duration,
     /// Buffers this stage accepted.
     pub buffers_in: u64,
     /// Buffers this stage conveyed.
@@ -51,7 +47,6 @@ impl StageStats {
         self.wall
             .saturating_sub(self.blocked_accept)
             .saturating_sub(self.blocked_convey)
-            .saturating_sub(self.parked)
     }
 
     /// Fraction of wall time spent busy, in `[0, 1]`; zero for a zero-wall
@@ -121,16 +116,13 @@ pub struct Report {
     /// other layers (communicators, simulated disks) may merge their own
     /// snapshots in before rendering or export.
     pub metrics: MetricsSnapshot,
-    /// The autotuning controller's decision audit log, when the program
-    /// ran with a [`Controller`](crate::controller::Controller) attached.
-    pub controller: Option<crate::controller::ControllerLog>,
     /// Final resource attribution (per-thread CPU, RSS, allocator
     /// counters, buffer ledger), when the run sampled one — see
     /// [`ResourceReport`](crate::profile::ResourceReport).
     pub resources: Option<crate::profile::ResourceReport>,
     /// The run's span log — the flight-recorder ring of every thread the
-    /// program spawned, in [`stages`](Report::stages) order (then the
-    /// controller's, if one ran) — when the program ran with
+    /// program spawned, in [`stages`](Report::stages) order — when the
+    /// program ran with
     /// [`Program::enable_tracing`](crate::Program::enable_tracing); empty
     /// otherwise.  Each thread keeps its newest spans
     /// ([`ThreadLog::dropped`] says how many older ones the ring

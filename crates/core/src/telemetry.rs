@@ -10,9 +10,7 @@
 //!   bounded ring buffer of [`TimestampedSnapshot`]s, turning every
 //!   counter, gauge, and histogram into a time series that
 //!   [`analyze::diagnose`](crate::analyze::diagnose) can attribute
-//!   bottlenecks from — after a run, beside its report, or mid-run, on a
-//!   window [`analyze::window_report`](crate::analyze::window_report) has
-//!   turned into the report of its span;
+//!   bottlenecks from, after a run, beside its report;
 //! * a [`TelemetryServer`] serves `GET /metrics` (Prometheus text format
 //!   0.0.4, via [`MetricsSnapshot::to_prometheus`]) and `GET /report` (the
 //!   live dashboard text) over a plain `std::net::TcpListener`, so a
@@ -271,10 +269,6 @@ pub type ReportFn = Arc<dyn Fn() -> String + Send + Sync>;
 /// * `GET /report` — human-readable live dashboard text (by default the
 ///   metrics sections of [`Report::render_dashboard`] over the current
 ///   snapshot);
-/// * `GET /control` — the closed-loop controller's live status as JSON
-///   (verdict, actuator positions, recent decisions; `{"active":false}`
-///   when no controller is attached — see
-///   [`ControlStatus`](crate::ControlStatus));
 /// * `GET /cluster` — the merged [`ClusterReport`](crate::ClusterReport)
 ///   as JSON, when a cluster source was installed with
 ///   [`TelemetryServer::bind_all`] (`404` otherwise);
@@ -300,15 +294,12 @@ impl TelemetryServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and start
     /// serving the registry.
     pub fn bind(addr: impl ToSocketAddrs, registry: Arc<MetricsRegistry>) -> std::io::Result<Self> {
-        Self::bind_all(addr, registry, None, None, None, None)
+        Self::bind_all(addr, registry, None, None, None)
     }
 
-    /// [`TelemetryServer::bind`] with a custom `GET /report` body, a live
-    /// controller status for `GET /control` (the
-    /// [`ControlStatus`](crate::ControlStatus) handle the program's
-    /// [`ControllerCfg`](crate::ControllerCfg) carries, so the endpoint tracks
-    /// the controller in real time), a cluster-report source for
-    /// `GET /cluster` and a memory ledger for `GET /resources`.
+    /// [`TelemetryServer::bind`] with a custom `GET /report` body, a
+    /// cluster-report source for `GET /cluster` and a memory ledger for
+    /// `GET /resources`.
     /// `cluster` should return the current
     /// [`ClusterReport`](crate::ClusterReport) serialized as JSON
     /// ([`ClusterReport::to_json`](crate::ClusterReport::to_json)); without
@@ -318,7 +309,6 @@ impl TelemetryServer {
         addr: impl ToSocketAddrs,
         registry: Arc<MetricsRegistry>,
         report: Option<ReportFn>,
-        control: Option<Arc<crate::controller::ControlStatus>>,
         cluster: Option<ReportFn>,
         ledger: Option<Arc<crate::profile::MemoryLedger>>,
     ) -> std::io::Result<Self> {
@@ -349,7 +339,6 @@ impl TelemetryServer {
                         &mut stream,
                         &registry,
                         &report,
-                        control.as_deref(),
                         cluster.as_ref(),
                         ledger.as_deref(),
                     );
@@ -385,7 +374,6 @@ fn serve_one(
     stream: &mut TcpStream,
     registry: &MetricsRegistry,
     report: &ReportFn,
-    control: Option<&crate::controller::ControlStatus>,
     cluster: Option<&ReportFn>,
     ledger: Option<&crate::profile::MemoryLedger>,
 ) {
@@ -422,14 +410,6 @@ fn serve_one(
             registry.counter("telemetry/scrapes").inc();
             ("200 OK", "text/plain; charset=utf-8", report())
         }
-        ("GET", "/control") => {
-            registry.counter("telemetry/scrapes").inc();
-            let body = match control {
-                Some(status) => status.get_json(),
-                None => "{\"active\":false}".to_string(),
-            };
-            ("200 OK", "application/json; charset=utf-8", body)
-        }
         ("GET", "/cluster") if cluster.is_some() => {
             registry.counter("telemetry/scrapes").inc();
             (
@@ -452,8 +432,7 @@ fn serve_one(
         ("GET", _) => (
             "404 Not Found",
             "text/plain; charset=utf-8",
-            "not found; routes: /metrics /report /control /cluster /resources /healthz\n"
-                .to_string(),
+            "not found; routes: /metrics /report /cluster /resources /healthz\n".to_string(),
         ),
         _ => (
             "405 Method Not Allowed",

@@ -8,8 +8,7 @@
 //! * every buffer carries a **trace id** (assigned by the source when it
 //!   injects a round), and
 //! * every stage transition — source-inject, accept, work, convey, recycle,
-//!   farm turnstile wait, controller actuation — appends a
-//!   fixed-size [`SpanRec`] into a per-thread **flight recorder ring**
+//!   farm turnstile wait — appends a fixed-size [`SpanRec`] into a per-thread **flight recorder ring**
 //!   ([`SpanRing`]).
 //!
 //! The ring is bounded (overwrite-oldest), allocation-free on the hot path,
@@ -49,10 +48,6 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use crate::json::{obj, Json};
-
-/// Sentinel `pipeline` value for spans not tied to any pipeline (the
-/// controller's actuations).
-pub const IO_PIPELINE: u32 = u32::MAX;
 
 /// Sentinel `pipeline` value for cluster-communication spans (p2p sends and
 /// receives, collectives) recorded by a `Communicator` rather than a
@@ -142,10 +137,6 @@ pub enum TraceKind {
     /// An ordered farm replica waited at the turnstile for its round's turn
     /// to emit.
     TurnWait,
-    /// The live controller applied an actuation (grew a farm, resized a
-    /// buffer pool, retuned an I/O depth).  Not tied to any buffer; the
-    /// `round` field carries the decision sequence number.
-    Actuate,
     /// A `Communicator` handed a tagged point-to-point message to the
     /// fabric.  `round` carries the sender's send sequence; `trace_id` the
     /// buffer's id when the caller propagated one.
@@ -173,7 +164,6 @@ impl TraceKind {
             TraceKind::Convey => "convey",
             TraceKind::Recycle => "recycle",
             TraceKind::TurnWait => "turn-wait",
-            TraceKind::Actuate => "actuate",
             TraceKind::CommSend => "comm-send",
             TraceKind::CommRecv => "comm-recv",
             TraceKind::Barrier => "barrier",
@@ -190,7 +180,6 @@ impl TraceKind {
             "convey" => TraceKind::Convey,
             "recycle" => TraceKind::Recycle,
             "turn-wait" => TraceKind::TurnWait,
-            "actuate" => TraceKind::Actuate,
             "comm-send" => TraceKind::CommSend,
             "comm-recv" => TraceKind::CommRecv,
             "barrier" => TraceKind::Barrier,
@@ -220,7 +209,7 @@ impl TraceKind {
 pub struct SpanRec {
     /// What happened.
     pub kind: TraceKind,
-    /// Pipeline the buffer belongs to ([`IO_PIPELINE`] for actuations).
+    /// Pipeline the buffer belongs to.
     pub pipeline: u32,
     /// Round of the buffer involved.
     pub round: u64,
@@ -1217,11 +1206,11 @@ mod tests {
         let sink = TraceSink::with_ring_capacity(16);
         let r0 = sink.register_thread_in_group("node0/send", 0);
         let r1 = sink.register_thread_in_group("node1/recv", 1);
-        let ungrouped = sink.register_thread("controller");
+        let ungrouped = sink.register_thread("p/work");
         // Buffer 9 crosses from rank 0 to rank 1.
         r0.record(TraceKind::CommSend, COMM_PIPELINE, 0, 9, 100, 200);
         r1.record(TraceKind::CommRecv, COMM_PIPELINE, 0, 9, 250, 300);
-        ungrouped.record(TraceKind::Actuate, IO_PIPELINE, 0, 0, 10, 20);
+        ungrouped.record(TraceKind::Work, 0, 0, 0, 10, 20);
         let doc = Json::parse(&sink.to_chrome_trace()).unwrap();
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let proc_names: Vec<(u64, &str)> = events
@@ -1248,11 +1237,11 @@ mod tests {
             .collect();
         assert_eq!(flow_pids, vec![2, 3]);
         // Ungrouped ring stays on the flat pid 1.
-        let io_slice = events
+        let work_slice = events
             .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some("actuate"))
+            .find(|e| e.get("name").and_then(Json::as_str) == Some("work"))
             .unwrap();
-        assert_eq!(io_slice.get("pid").and_then(Json::as_u64), Some(1));
+        assert_eq!(work_slice.get("pid").and_then(Json::as_u64), Some(1));
     }
 
     #[test]

@@ -5,87 +5,27 @@
 //! on a one-buffer pool and check that the pool is what it blames; and hold
 //! an ordered farm's first round back and check that the time its other
 //! workers spend in `convey` is blamed on the emission turn, not on a queue.
-//! Each of those runs, read afterwards as one telemetry window through the
-//! controller's conversion, must tell the story its report tells.  A traced
-//! run's diagnosis cites its rounds, a run over its memory budget is
+//! A traced run's diagnosis cites its rounds, a run over its memory budget is
 //! memory-bound, and METRICS.md's threshold table is the code's.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use fg_core::analyze::window_report;
 use fg_core::{
     diagnose, map_stage, Diagnosis, MemoryLedger, MetricsRegistry, PipelineCfg, ProfilerCfg,
     Program, ResourceFindingKind, ResourceProfiler, Rounds, Sampler, SamplerCfg, StageVerdict,
-    TimestampedSnapshot,
 };
 
-/// A 1 ms sampler over `registry`, and the run's first sample: a snapshot
-/// taken before the run, at elapsed zero.
-fn watch(registry: &Arc<MetricsRegistry>) -> (Instant, TimestampedSnapshot, Sampler) {
-    let started = Instant::now();
-    let first = TimestampedSnapshot {
-        elapsed: Duration::ZERO,
-        snapshot: registry.snapshot(),
-    };
-    let sampler = Sampler::start(
+/// A 1 ms sampler over `registry`.
+fn watch(registry: &Arc<MetricsRegistry>) -> Sampler {
+    Sampler::start(
         Arc::clone(registry),
         SamplerCfg {
             interval: Duration::from_millis(1),
             capacity: 4096,
         },
-    );
-    (started, first, sampler)
-}
-
-/// The finished run read as one window — from the first sample through
-/// `series` to a post-run snapshot — through the conversion the controller
-/// uses, diagnosed, must name `d`'s limiting stage, fold the same rows with
-/// the same worker counts, and put every fraction within 0.1 of `d`'s.  A
-/// window row's wall is the window's span, so a thread that ended early
-/// (a farm whose rounds ran out) reads as idle for the rest of it: `d`'s
-/// fractions are taken on the same span before they are compared.
-fn assert_the_run_is_its_last_window(
-    d: &Diagnosis,
-    registry: &MetricsRegistry,
-    (started, first): (Instant, TimestampedSnapshot),
-    series: &[TimestampedSnapshot],
-) {
-    let mut window = vec![first];
-    window.extend_from_slice(series);
-    window.push(TimestampedSnapshot {
-        elapsed: started.elapsed(),
-        snapshot: registry.snapshot(),
-    });
-    let span = window.last().unwrap().elapsed;
-    let w = diagnose(
-        &window_report(&window).expect("the run spans time"),
-        &window,
-    );
-    let why = || format!("window:\n{}\nreport:\n{}", w.render(), d.render());
-    assert_eq!(w.limiting, d.limiting, "{}", why());
-    let rows = |d: &Diagnosis| {
-        let rows = d.stages.iter().map(|s| (s.name.clone(), s.workers));
-        rows.collect::<std::collections::BTreeSet<_>>()
-    };
-    assert_eq!(rows(&w), rows(d), "{}", why());
-    for r in &d.stages {
-        let s = w.stages.iter().find(|s| s.name == r.name).unwrap();
-        let on_span = r.wall.as_secs_f64() / span.as_secs_f64();
-        for (a, b) in [
-            (r.busy_frac, s.busy_frac),
-            (r.starved_frac, s.starved_frac),
-            (r.backpressured_frac, s.backpressured_frac),
-        ] {
-            assert!(
-                (a * on_span - b).abs() < 0.1,
-                "`{}` {a} vs {b}\n{}",
-                r.name,
-                why()
-            );
-        }
-    }
+    )
 }
 
 #[test]
@@ -110,7 +50,7 @@ fn injected_slow_middle_stage_is_diagnosed() {
     )
     .unwrap();
 
-    let (started, first, sampler) = watch(&registry);
+    let sampler = watch(&registry);
     let report = prog.run().unwrap();
     let series = sampler.stop();
     assert!(
@@ -157,7 +97,6 @@ fn injected_slow_middle_stage_is_diagnosed() {
     );
     // The rendered report names the limiting stage for human readers.
     assert!(d.render().contains("limiting stage: `slow`"));
-    assert_the_run_is_its_last_window(&d, &registry, (started, first), &series);
 }
 
 #[test]
@@ -183,7 +122,7 @@ fn a_one_buffer_pool_is_diagnosed_as_under_provisioned() {
     prog.add_pipeline(PipelineCfg::new("p", 1, 64).count(40), &chain)
         .unwrap();
 
-    let (started, first, sampler) = watch(&registry);
+    let sampler = watch(&registry);
     let report = prog.run().unwrap();
     let series = sampler.stop();
     let d = diagnose(&report, &series);
@@ -203,7 +142,6 @@ fn a_one_buffer_pool_is_diagnosed_as_under_provisioned() {
         "diagnosis:\n{}",
         d.render()
     );
-    assert_the_run_is_its_last_window(&d, &registry, (started, first), &series);
 }
 
 #[test]
@@ -213,9 +151,7 @@ fn a_farm_waiting_its_emission_turn_is_diagnosed_as_that() {
     // long each.  `out` is slow enough to be the limiting stage (the
     // analyzer gives that one different advice).
     const HELD: Duration = Duration::from_millis(30);
-    let registry = Arc::new(MetricsRegistry::new());
     let mut prog = Program::new("turn");
-    prog.set_metrics(Arc::clone(&registry));
     let farm = prog.workers("farm", 3, |_| {
         map_stage(|buf, _| {
             if buf.round() == 0 {
@@ -233,9 +169,7 @@ fn a_farm_waiting_its_emission_turn_is_diagnosed_as_that() {
     );
     prog.add_pipeline(PipelineCfg::new("p", 3, 64).count(3), &[farm, out])
         .unwrap();
-    let (started, first, sampler) = watch(&registry);
     let report = prog.run().unwrap();
-    let series = sampler.stop();
 
     let (row, workers) = report.stage_rollup("farm").unwrap();
     assert_eq!(workers, 3);
@@ -260,7 +194,6 @@ fn a_farm_waiting_its_emission_turn_is_diagnosed_as_that() {
         d.render()
     );
     assert!(d.queue_findings.is_empty() && d.contention.is_empty());
-    assert_the_run_is_its_last_window(&d, &registry, (started, first), &series);
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Tests for ordered worker farms (`Program::workers`): downstream order
 //! without a reorder stage, batched accept, SPSC specialization of plain
-//! chain queues, and prompt teardown on error/stop.
+//! chain queues, prompt teardown on error/stop, and a farm wider than its
+//! round count ending at its declared width.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -222,6 +223,73 @@ fn spsc_detection_specializes_plain_chains_only() {
     assert_eq!(flavor("recycle/v"), "lockfree");
     // And that is every queue: no position-0 link, no sink queue.
     assert_eq!(report.queues.len(), 5);
+}
+
+/// A farm runs at its declared width, and nothing gates its replicas: one
+/// wider than its pipeline's round count ends once the caboose relay has
+/// reached the replicas that never took a round.  Ordered and unordered
+/// farms alike, at the head of the pipeline and in its middle.
+#[test]
+fn a_farm_wider_than_its_rounds_ends_at_its_declared_width() {
+    for ordered in [true, false] {
+        for head in [true, false] {
+            let seen = Arc::new(Mutex::new(Vec::<u64>::new()));
+            let mut prog = Program::new("wide");
+            prog.with_watchdog(Duration::from_secs(2));
+            let mut chain = Vec::new();
+            if !head {
+                chain.push(prog.add_stage("fill", map_stage(|_, _| Ok(()))));
+            }
+            let factory = |_| map_stage(|_, _| Ok(()));
+            chain.push(if ordered {
+                prog.workers("farm", 4, factory)
+            } else {
+                prog.add_replicated_stage("farm", 4, factory)
+            });
+            let s2 = Arc::clone(&seen);
+            chain.push(prog.add_stage(
+                "check",
+                map_stage(move |buf, _| {
+                    s2.lock().unwrap().push(buf.round());
+                    Ok(())
+                }),
+            ));
+            // An unordered farm keeps no order of its own: one buffer makes
+            // the pool serialize its rounds.
+            let buffers = if ordered { 6 } else { 1 };
+            prog.add_pipeline(PipelineCfg::new("p", buffers, 16).count(2), &chain)
+                .unwrap();
+            let report = prog
+                .run()
+                .unwrap_or_else(|e| panic!("{ordered} {head}: {e:?}"));
+            assert_eq!(*seen.lock().unwrap(), [0, 1], "{ordered} {head}");
+            let (rolled, replicas) = report.stage_rollup("farm").unwrap();
+            assert_eq!((rolled.buffers_in, replicas), (2, 4), "{ordered} {head}");
+        }
+    }
+}
+
+/// A replica that fails round 0 of a one-buffer pool ends the run in its
+/// own error, well inside the watchdog: the three replicas waiting on the
+/// empty pool are woken by the teardown, and none waits for a turn that
+/// round 0 will never give up.
+#[test]
+fn a_replica_failing_round_zero_of_a_one_buffer_pool_ends_in_its_error() {
+    let t0 = Instant::now();
+    let mut prog = Program::new("fail-first");
+    prog.with_watchdog(Duration::from_secs(2));
+    let work = prog.workers("work", 4, |_| {
+        map_stage(|buf, _| match buf.round() {
+            0 => Err(FgError::stage("work", "round 0 fails")),
+            _ => Ok(()),
+        })
+    });
+    let out = prog.add_stage("out", map_stage(|_, _| Ok(())));
+    prog.add_pipeline(PipelineCfg::new("p", 1, 16).count(8), &[work, out])
+        .unwrap();
+    let err = prog.run().unwrap_err();
+    assert!(matches!(err, FgError::Stage { .. }), "got {err:?}");
+    assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
 }
 
 proptest! {

@@ -138,6 +138,53 @@ fn report_json_round_trips_with_its_span_log() {
     assert!(!plain.contains("\"trace"), "{plain}");
 }
 
+/// A report written while a farm's width could change mid-run: a
+/// three-worker farm started at one worker and grown twice, by the last
+/// release that could do so.  It carries a decision log no report writes
+/// now and a `parked_ns` on every stage.
+const RESIZABLE_FARM_REPORT: &str =
+    include_str!("../../../tests/fixtures/report-resizable-farm.json");
+
+/// An old report still loads, and what it carries for a resizable farm is
+/// ignored.  A span log holding an `"actuate"` span, a kind no thread
+/// records any more, is refused with an error, not a panic.
+#[test]
+fn a_report_from_before_fixed_width_farms_still_loads() {
+    let report = Report::from_json(RESIZABLE_FARM_REPORT).expect("the old report loads");
+    assert_eq!(report.stage_rollup("work").unwrap().1, 3);
+    assert_eq!(report.stage("check").unwrap().buffers_out, 40);
+    let rewritten = report.to_json();
+    assert_eq!(Report::from_json(&rewritten), Ok(report));
+    assert!(RESIZABLE_FARM_REPORT.contains("\"parked_ns\":10393005"));
+    assert!(!rewritten.contains("parked_ns"), "{rewritten}");
+    let members = |text: &str| match Json::parse(text).unwrap() {
+        Json::Obj(members) => members,
+        other => panic!("a report is an object: {other}"),
+    };
+    let (old, new) = (members(RESIZABLE_FARM_REPORT), members(&rewritten));
+    let dropped: Vec<&Json> = (old.iter())
+        .filter(|(k, _)| !new.iter().any(|(n, _)| n == k))
+        .map(|(_, v)| v)
+        .collect();
+    assert!(
+        matches!(dropped[..], [log] if log.get("actuations").and_then(Json::as_u64) == Some(2)),
+        "only the decision log is dropped: {dropped:?}"
+    );
+
+    let mut traced = old;
+    traced.push(("trace_start_ns".into(), Json::from(0u64)));
+    traced.push((
+        "trace".into(),
+        Json::parse(
+            r#"[{"thread":"old/tuner","recorded":1,"spans":[{"kind":"actuate",
+            "pipeline":4294967295,"round":1,"trace_id":0,"start_ns":10,"end_ns":20}]}]"#,
+        )
+        .unwrap(),
+    ));
+    let err = Report::from_json(&Json::Obj(traced).to_string()).unwrap_err();
+    assert!(err.contains("trace"), "{err}");
+}
+
 #[test]
 fn chrome_trace_has_a_track_per_thread_and_a_flow_per_round() {
     let mut prog = two_stage_program();

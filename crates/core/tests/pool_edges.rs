@@ -2,10 +2,7 @@
 //! first stage is parked on an empty pool, the caboose of a short lane in a
 //! shared pool, a farm drawing round numbers from a pool smaller than
 //! itself.  Every program runs under a 2 s watchdog, so a regression is a
-//! failed test, not a stuck job.  (The
-//! remaining edge, a pool resized mid-run with the ledger ending at zero,
-//! needs the crate-private `PoolControl` handle and lives beside the
-//! runtime: `runtime::tests::a_pool_that_grew_then_shrank_leaves_the_ledger_at_zero`.)
+//! failed test, not a stuck job.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

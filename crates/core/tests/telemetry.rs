@@ -196,14 +196,7 @@ fn unknown_path_is_404_and_server_survives() {
     let (status, _, body) = http_get(server.local_addr(), "/nope");
     assert!(status.contains("404"), "status was {status}");
     // The 404 body tells the operator where to look instead.
-    for route in [
-        "/metrics",
-        "/report",
-        "/control",
-        "/cluster",
-        "/resources",
-        "/healthz",
-    ] {
+    for route in ["/metrics", "/report", "/cluster", "/resources", "/healthz"] {
         assert!(body.contains(route), "404 body missing {route}: {body}");
     }
     // The listener keeps serving after a 404.
@@ -221,40 +214,6 @@ fn healthz_answers_ok() {
     assert_eq!(
         headers.get("content-length").and_then(|v| v.parse().ok()),
         Some(body.len())
-    );
-}
-
-#[test]
-fn control_endpoint_reports_inactive_without_a_controller() {
-    let reg = populated_registry();
-    let server = TelemetryServer::bind("127.0.0.1:0", Arc::clone(&reg)).expect("bind");
-    let (status, headers, body) = http_get(server.local_addr(), "/control");
-    assert!(status.contains("200"), "status was {status}");
-    assert_eq!(
-        headers.get("content-type").map(String::as_str),
-        Some("application/json; charset=utf-8")
-    );
-    let j = fg_core::Json::parse(&body).expect("control body is JSON");
-    assert_eq!(
-        j.get("active").and_then(fg_core::Json::as_bool),
-        Some(false)
-    );
-}
-
-#[test]
-fn control_endpoint_serves_the_installed_status() {
-    let reg = populated_registry();
-    let status_handle = Arc::new(fg_core::ControlStatus::default());
-    let status = Some(Arc::clone(&status_handle));
-    let server =
-        TelemetryServer::bind_all("127.0.0.1:0", Arc::clone(&reg), None, status, None, None)
-            .expect("bind");
-    // Before the controller publishes anything, the stub is served.
-    let (_, _, body) = http_get(server.local_addr(), "/control");
-    let j = fg_core::Json::parse(&body).expect("control body is JSON");
-    assert_eq!(
-        j.get("active").and_then(fg_core::Json::as_bool),
-        Some(false)
     );
 }
 
@@ -283,7 +242,6 @@ fn cluster_endpoint_serves_the_installed_report() {
     let server = TelemetryServer::bind_all(
         "127.0.0.1:0",
         Arc::clone(&reg),
-        None,
         None,
         Some(Arc::new(move || body_src.clone())),
         None,
@@ -335,7 +293,6 @@ fn resources_endpoint_reports_the_installed_ledger() {
     let server = TelemetryServer::bind_all(
         "127.0.0.1:0",
         Arc::clone(&reg),
-        None,
         None,
         None,
         Some(Arc::clone(&ledger)),

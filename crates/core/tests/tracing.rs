@@ -76,7 +76,7 @@ fn assert_log_matches_stats(report: &Report, s: &StageStats) {
     assert_eq!(moved(TraceKind::Accept), s.buffers_in, "`{}` in", s.name);
     assert_eq!(moved(TraceKind::Convey), s.buffers_out, "`{}` out", s.name);
     assert_eq!(
-        s.busy() + s.blocked_accept + s.blocked_convey + s.parked,
+        s.busy() + s.blocked_accept + s.blocked_convey,
         s.wall,
         "`{}`: the parts must tile the wall",
         s.name

@@ -65,7 +65,7 @@ usage: fgsort [flags]   (all optional)
   --watchdog-secs N          abort with a post-mortem report if any
                              pipeline makes no progress for N seconds
   --telemetry ADDR           serve live GET /metrics (Prometheus),
-                             GET /report, GET /control, and GET /healthz
+                             GET /report, GET /resources and GET /healthz
                              on ADDR (e.g. 127.0.0.1:9100) while the
                              sort runs; afterwards print the bottleneck
                              diagnosis of each of node 0's passes
@@ -75,11 +75,6 @@ usage: fgsort [flags]   (all optional)
                              JSON is written to OUT, and the per-rank
                              rollup plus straggler/skew diagnosis is
                              printed after the run
-  --autotune                 attach the closed-loop controller to every
-                             pipeline: grows/shrinks the sort worker
-                             farms and resizes buffer pools live; the
-                             decision audit log is printed after the
-                             run (csort/csort4)
   --profile OUT              sample per-thread CPU / process RSS /
                              per-stage allocation counters while the
                              sort runs, print the resource report, and
@@ -142,7 +137,6 @@ struct Options {
     trace: Option<String>,
     watchdog_secs: Option<u64>,
     telemetry: Option<String>,
-    autotune: bool,
     cluster: Option<String>,
     profile: Option<String>,
     mem_budget_mib: Option<u64>,
@@ -169,7 +163,6 @@ impl Default for Options {
             trace: None,
             watchdog_secs: None,
             telemetry: None,
-            autotune: false,
             cluster: None,
             profile: None,
             mem_budget_mib: None,
@@ -246,7 +239,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--trace" => opts.trace = Some(value("--trace")?.clone()),
             "--watchdog-secs" => opts.watchdog_secs = Some(number(arg, value(arg))?),
             "--telemetry" => opts.telemetry = Some(value("--telemetry")?.clone()),
-            "--autotune" => opts.autotune = true,
             "--cluster" => opts.cluster = Some(value("--cluster")?.clone()),
             "--profile" => opts.profile = Some(value("--profile")?.clone()),
             "--mem-budget" => {
@@ -271,10 +263,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     }
     if opts.cluster.is_some() && opts.program != Sort::Dsort {
         return Err("--cluster is only wired for --program dsort".into());
-    }
-    // Only columnsort's passes attach the controller.
-    if opts.autotune && !matches!(opts.program, Sort::Csort | Sort::Csort4) {
-        return Err("--autotune is only wired for --program csort and csort4".into());
     }
     Ok(opts)
 }
@@ -312,14 +300,6 @@ fn build_config(opts: &Options) -> Result<SortConfig, String> {
             None => std::env::temp_dir().join("fg-disks"),
         };
         cfg.backend = DiskBackend::Os { dir };
-    }
-    if opts.autotune {
-        cfg.autotune = Some(fg_core::ControllerCfg {
-            // Start from the declared worker count; the controller grows or
-            // shrinks the farms from there.
-            initial_workers: Some(opts.workers),
-            ..fg_core::ControllerCfg::default()
-        });
     }
     // --profile wants residency attribution; --mem-budget wants the
     // budget check.  Either one attaches a ledger to every program.
@@ -425,23 +405,21 @@ fn main() -> ExitCode {
     // bottleneck diagnosis of each pass after the run; dsort additionally
     // publishes its comm metrics.
     let registry = Arc::new(MetricsRegistry::new());
-    if opts.telemetry.is_some() || cfg.autotune.is_some() || opts.profile.is_some() {
+    if opts.telemetry.is_some() || opts.profile.is_some() {
         cfg.metrics = Some(Arc::clone(&registry));
     }
-    let control = cfg.autotune.as_ref().map(|a| Arc::clone(&a.status));
     let telemetry = match &opts.telemetry {
         Some(addr) => {
             match TelemetryServer::bind_all(
                 addr.as_str(),
                 Arc::clone(&registry),
                 None,
-                control,
                 None,
                 cfg.ledger.clone(),
             ) {
                 Ok(server) => {
                     println!(
-                        "telemetry: serving /metrics, /report, /control, /resources, /healthz on http://{}",
+                        "telemetry: serving /metrics, /report, /resources, /healthz on http://{}",
                         server.local_addr()
                     );
                     let sampler = Sampler::start(Arc::clone(&registry), Default::default());
@@ -467,7 +445,7 @@ fn main() -> ExitCode {
     let run_start = std::time::Instant::now();
 
     // Metrics-instrumented disks whenever a shared registry exists (live
-    // telemetry, the autotune controller or the profiler).
+    // telemetry or the profiler).
     let provisioned = if cfg.metrics.is_some() {
         try_provision_with_metrics(&cfg, &registry)
     } else {
@@ -583,10 +561,6 @@ fn main() -> ExitCode {
                 }
             }
         }
-    }
-
-    if let Some(ac) = &cfg.autotune {
-        println!("autotune: {}", ac.status.get_json());
     }
 
     if let Some((server, sampler)) = telemetry {
@@ -756,21 +730,6 @@ mod tests {
         // Programs run on the bare backend: there is no read-ahead depth
         // to set.
         assert!(parse_args(&args("--io-depth 4")).is_err());
-    }
-
-    #[test]
-    fn autotune_flag_builds_a_controller_config() {
-        let o = parse_args(&args("--program csort --autotune --workers 2 --free")).unwrap();
-        assert!(o.autotune);
-        let cfg = build_config(&o).unwrap();
-        let ac = cfg.autotune.as_ref().expect("controller config");
-        assert_eq!(ac.initial_workers, Some(2));
-        // Farms declare headroom beyond the starting width.
-        assert!(cfg.farm_capacity() >= 4);
-        // Without the flag the config stays open-loop.
-        let cfg = build_config(&parse_args(&args("--free")).unwrap()).unwrap();
-        assert!(cfg.autotune.is_none());
-        assert_eq!(cfg.farm_capacity(), 1);
     }
 
     #[test]

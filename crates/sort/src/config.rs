@@ -92,17 +92,9 @@ pub struct SortConfig {
     /// long dumps a post-mortem and aborts with
     /// [`FgError::Stalled`](fg_core::FgError::Stalled).
     pub watchdog: Option<Duration>,
-    /// Closed-loop controller configuration (`fgsort --autotune`): when
-    /// set, every FG program the sort runs samples its own telemetry and
-    /// live-retunes worker-farm widths and buffer-pool sizes; the decision
-    /// audit log lands in each pass's
-    /// [`Report`](fg_core::Report).  `None` runs open-loop with the
-    /// configured geometry.
-    pub autotune: Option<fg_core::ControllerCfg>,
     /// Metrics registry shared across the run (`fgsort --telemetry` /
-    /// `--autotune`): every FG program publishes its queue and stage
-    /// metrics here, making them scrapeable while the sort runs and
-    /// giving the controller its observation stream.
+    /// `--profile`): every FG program publishes its queue and stage
+    /// metrics here, making them scrapeable while the sort runs.
     pub metrics: Option<Arc<fg_core::MetricsRegistry>>,
     /// Chrome-trace track group for this node's FG programs: the driver sets
     /// it to the node's rank (per node, after cloning the config into the
@@ -145,7 +137,6 @@ impl SortConfig {
             io_depth: 0,
             trace_sink: None,
             watchdog: None,
-            autotune: None,
             metrics: None,
             trace_group: None,
             pin: None,
@@ -208,17 +199,6 @@ impl SortConfig {
         match &self.metrics {
             Some(reg) => crate::kernels::SortScratch::with_registry(reg),
             None => crate::kernels::SortScratch::new(),
-        }
-    }
-
-    /// Declared width of the CPU-bound sort farms: the configured
-    /// `workers` open-loop, but at least 4 replicas under `autotune` so
-    /// the controller can grow a deliberately under-provisioned farm.
-    pub fn farm_capacity(&self) -> usize {
-        if self.autotune.is_some() {
-            self.workers.max(4)
-        } else {
-            self.workers
         }
     }
 

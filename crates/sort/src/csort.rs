@@ -104,22 +104,15 @@ pub(crate) fn run_columnsort<const N: usize>(
 
 /// The configuration of a pass's (possibly farmed) pipeline.  Each sort
 /// worker holds a buffer in flight, so the pool must exceed the worker count
-/// or replication just starves the pool; it is sized to the *declared* farm
-/// width ([`SortConfig::farm_capacity`]) so a controller growing the farm
-/// never outruns the pool, with headroom for controller-driven pool growth
-/// when autotuning.
+/// or replication just starves the pool.
 pub(crate) fn pass_pipeline(
     cfg: &SortConfig,
     name: &str,
     buf_bytes: usize,
     rounds: u64,
 ) -> PipelineCfg {
-    let buffers = cfg.pipeline_buffers.max(cfg.farm_capacity() + 2);
-    let mut pc = PipelineCfg::new(name, buffers, buf_bytes).rounds(Rounds::Count(rounds));
-    if cfg.autotune.is_some() {
-        pc = pc.max_buffers(buffers * 2);
-    }
-    pc
+    let buffers = cfg.pipeline_buffers.max(cfg.workers + 2);
+    PipelineCfg::new(name, buffers, buf_bytes).rounds(Rounds::Count(rounds))
 }
 
 /// Bytes of a pass-3 buffer: a merged window (`r` records), plus the extra
@@ -206,7 +199,7 @@ pub(crate) fn pass12(pass_no: u8, node: &mut Node, m: Matrix) -> Result<(), Sort
         1 => ("csort-p1", INPUT_FILE, M1_FILE),
         _ => ("csort-p2", M1_FILE, M2_FILE),
     };
-    let mut prog = node.tuned_program(name);
+    let mut prog = node.program(name);
 
     // read: local chunk t of the input file is column t*P + q.
     let read = prog.add_stage(
@@ -215,7 +208,7 @@ pub(crate) fn pass12(pass_no: u8, node: &mut Node, m: Matrix) -> Result<(), Sort
     );
 
     // sort: odd columnsort step (1 or 3), farmed when cfg.workers > 1.
-    let sort = prog.workers("sort", cfg.farm_capacity(), |_| stages::sort_stage(cfg));
+    let sort = prog.workers("sort", cfg.workers, |_| stages::sort_stage(cfg));
 
     // communicate: balanced alltoallv; the same buffer is conveyed (§I:
     // "with balanced communication ... we can convey to the successor the
@@ -252,14 +245,14 @@ fn pass3(node: &mut Node, m: Matrix) -> Result<(), SortError> {
     let q = node.rank;
     let rb = cfg.record.record_bytes;
     let cbytes = m.r * rb;
-    let mut prog = node.tuned_program("csort-p3");
+    let mut prog = node.program("csort-p3");
 
     let read = prog.add_stage(
         "read",
         stages::read_stage(&node.disk, M2_FILE, move |t| (t * cbytes as u64, cbytes)),
     );
     // sort: step 5, farmed when cfg.workers > 1; replicas own their scratch.
-    let sort = prog.workers("sort", cfg.farm_capacity(), |_| stages::sort_stage(cfg));
+    let sort = prog.workers("sort", cfg.workers, |_| stages::sort_stage(cfg));
     let exchange = prog.add_stage(
         "exchange",
         stages::exchange_halves_stage(&node.comm, m, q, rb),

@@ -72,14 +72,14 @@ fn pass3_shift(node: &mut Node, m: Matrix) -> Result<(), SortError> {
     let cfg = &node.cfg;
     let (q, rb) = (node.rank, cfg.record.record_bytes);
     let cbytes = m.r * rb;
-    let mut prog = node.tuned_program("csort4-p3");
+    let mut prog = node.program("csort4-p3");
 
     let read = prog.add_stage(
         "read",
         stages::read_stage(&node.disk, M2_FILE, move |t| (t * cbytes as u64, cbytes)),
     );
     // sort: step 5, farmed when cfg.workers > 1.
-    let sort = prog.workers("sort", cfg.farm_capacity(), |_| stages::sort_stage(cfg));
+    let sort = prog.workers("sort", cfg.workers, |_| stages::sort_stage(cfg));
     let shift = prog.add_stage("shift", stages::exchange_halves_stage(&node.comm, m, q, rb));
     let disk = Arc::clone(&node.disk);
     let write = prog.add_stage(
@@ -108,14 +108,14 @@ fn pass3_shift(node: &mut Node, m: Matrix) -> Result<(), SortError> {
 fn pass4_unshift(node: &mut Node, m: Matrix) -> Result<(), SortError> {
     let cfg = &node.cfg;
     let (q, rb) = (node.rank, cfg.record.record_bytes);
-    let mut prog = node.tuned_program("csort4-p4");
+    let mut prog = node.program("csort4-p4");
 
     let read = prog.add_stage(
         "read",
         stages::read_stage(&node.disk, M3_FILE, move |t| window(m, q, rb, t)),
     );
     // The merge is the pass's CPU-bound stage, so it farms like the sorts do.
-    let sort = prog.workers("sort", cfg.farm_capacity(), |_| {
+    let sort = prog.workers("sort", cfg.workers, |_| {
         stages::merge_halves_stage(cfg.record, m, q)
     });
     let (stripe, write) = stripe_and_write(&mut prog, node, m);

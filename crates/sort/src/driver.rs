@@ -50,23 +50,6 @@ impl Node {
         prog
     }
 
-    /// [`Node::program`] plus, when the config sets `autotune`, the
-    /// closed-loop controller.  A program that declares worker farms sizes
-    /// them with [`SortConfig::farm_capacity`] so the controller has
-    /// headroom to grow into.
-    pub fn tuned_program(&self, name: &str) -> Program {
-        let mut prog = self.program(name);
-        if let Some(controller) = &self.cfg.autotune {
-            // The controller observes through the program's registry; give
-            // the program a private one if the run didn't share any.
-            if self.cfg.metrics.is_none() {
-                prog.set_metrics(Arc::new(MetricsRegistry::new()));
-            }
-            prog.set_controller(controller.clone());
-        }
-        prog
-    }
-
     /// Run `prog`, then land the disk's writes: the next phase reads what
     /// this one wrote, so any write-behind must land, and surface its
     /// deferred errors, here.  The report joins the ones the run returns;

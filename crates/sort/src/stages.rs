@@ -68,7 +68,7 @@ pub fn read_input_stage(disk: &DiskRef, cfg: &SortConfig) -> Box<dyn Stage> {
 
 /// One in-core sort stage (or farm replica) with its own kernel scratch
 /// ([`crate::kernels`]), so steady-state rounds allocate nothing.  csort and
-/// csort4 farm it across [`SortConfig::farm_capacity`] replicas with
+/// csort4 farm it across [`SortConfig::workers`] replicas with
 /// `Program::workers`, whose ordered emission keeps the lockstep
 /// communication stages downstream correct (one worker is an ordinary
 /// stage).

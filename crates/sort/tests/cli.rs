@@ -129,13 +129,14 @@ fn a_traced_pass_diagnosis_counts_only_that_pass_s_node_0_rounds() {
     }
 }
 
+/// A farm's width and a pool's size are fixed when a program is built:
+/// the flag that once attached a live tuner is refused like any flag
+/// `fgsort` does not know, with the usage and a non-zero exit.
 #[test]
-fn autotune_is_refused_where_no_controller_would_be_attached() {
-    for program in ["dsort", "dsort-linear"] {
-        let out = fgsort(&format!("--program {program} --autotune"));
-        assert_eq!(out.status.code(), Some(1), "{program}");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("--autotune is only wired"), "{err}");
-    }
-    sorted("csort4", "--autotune");
+fn the_closed_loop_flag_is_an_unknown_flag() {
+    let out = fgsort("--program csort --autotune");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("error: unknown flag `--autotune`"), "{err}");
+    assert!(err.contains("usage: fgsort"), "{err}");
 }
