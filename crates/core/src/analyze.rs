@@ -32,8 +32,7 @@
 
 use std::time::Duration;
 
-use crate::program::replica_base;
-use crate::stats::{QueueDepth, Report};
+use crate::stats::{QueueDepth, Report, StageRollup};
 use crate::telemetry::TimestampedSnapshot;
 
 /// A stage's dominant state over the run.
@@ -261,26 +260,12 @@ pub const QUEUE_WAKE_PREFIX: &str = "core/queue_wakes/";
 /// denominator that turns CAS retries into a per-item collision rate.
 pub const QUEUE_ITEMS_PREFIX: &str = "core/queue_items/";
 
-/// One stage's time attribution (a farm's replicas folded), before
-/// fractions and verdicts are derived.
-#[derive(Default)]
-struct Row<'a> {
-    name: &'a str,
-    wall: Duration,
-    busy: Duration,
-    starved: Duration,
-    backpressured: Duration,
-    /// Denominator for the fractions: the summed replica wall for a
-    /// farm, the stage's own wall otherwise.
-    denom: Duration,
-    workers: usize,
-}
-
 /// Derive per-stage fractions and verdicts from attribution rows.
-fn stage_diagnoses(rows: &[Row]) -> Vec<StageDiagnosis> {
+fn stage_diagnoses(rows: &[StageRollup]) -> Vec<StageDiagnosis> {
     rows.iter()
         .map(|r| {
-            let denom = r.denom.as_secs_f64();
+            // A farm's fractions are of its summed replica wall.
+            let denom = r.thread_wall.as_secs_f64();
             let frac = |d: Duration| {
                 if denom == 0.0 {
                     0.0
@@ -288,8 +273,8 @@ fn stage_diagnoses(rows: &[Row]) -> Vec<StageDiagnosis> {
                     (d.as_secs_f64() / denom).clamp(0.0, 1.0)
                 }
             };
-            let starved_frac = frac(r.starved);
-            let backpressured_frac = frac(r.backpressured);
+            let starved_frac = frac(r.blocked_accept);
+            let backpressured_frac = frac(r.blocked_convey);
             let busy_frac = frac(r.busy);
             let verdict = if busy_frac >= starved_frac && busy_frac >= backpressured_frac {
                 StageVerdict::Busy
@@ -299,7 +284,7 @@ fn stage_diagnoses(rows: &[Row]) -> Vec<StageDiagnosis> {
                 StageVerdict::Backpressured
             };
             StageDiagnosis {
-                name: r.name.to_string(),
+                name: r.name.clone(),
                 wall: r.wall,
                 busy_frac,
                 starved_frac,
@@ -314,7 +299,7 @@ fn stage_diagnoses(rows: &[Row]) -> Vec<StageDiagnosis> {
 /// The index of the limiting stage's row.  A farm's workers overlap with
 /// each other, so its bound on wall time is the summed busy divided by the
 /// worker count, not the sum itself.
-fn limiting_stage(rows: &[Row]) -> Option<usize> {
+fn limiting_stage(rows: &[StageRollup]) -> Option<usize> {
     rows.iter()
         .enumerate()
         .max_by_key(|(_, r)| r.busy / r.workers.max(1) as u32)
@@ -330,31 +315,10 @@ fn limiting_stage(rows: &[Row]) -> Option<usize> {
 /// findings need the time series (the report's high-water marks cannot
 /// tell "ran dry" from "dipped to empty once").
 pub fn diagnose(report: &Report, series: &[TimestampedSnapshot]) -> Diagnosis {
-    // Fold a farm's replica rows (`base#i`) into one row, where its first
-    // replica's row stood.
-    let mut rows: Vec<Row> = Vec::new();
-    for s in &report.stages {
-        let farm = replica_base(&s.name);
-        let i = match rows.iter().position(|r| farm == Some(r.name)) {
-            Some(i) => i,
-            None => {
-                rows.push(Row::default());
-                rows.len() - 1
-            }
-        };
-        let row = &mut rows[i];
-        row.name = farm.unwrap_or(&s.name);
-        row.workers += 1;
-        row.wall = row.wall.max(s.wall);
-        row.busy += s.busy();
-        row.starved += s.blocked_accept;
-        row.backpressured += s.blocked_convey;
-        row.denom += s.wall;
-    }
-
+    let rows = report.stage_rollups();
     let mut stages: Vec<StageDiagnosis> = stage_diagnoses(&rows);
     let lim = limiting_stage(&rows);
-    let limiting = lim.map(|i| rows[i].name.to_string());
+    let limiting = lim.map(|i| rows[i].name.clone());
 
     // A starved stage upstream of the limiting stage in the same chain is
     // effectively backpressured: FG provisions every queue above the buffer

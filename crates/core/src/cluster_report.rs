@@ -77,33 +77,6 @@ impl RankReport {
             ("metrics", self.metrics.to_json_value()),
         ])
     }
-
-    /// Parse a rank report written by [`RankReport::to_json_value`].
-    pub fn from_json_value(j: &Json) -> Result<RankReport, String> {
-        let reports = j
-            .get("reports")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|r| Report::from_json(&r.to_string()))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(RankReport {
-            rank: j
-                .get("rank")
-                .and_then(Json::as_u64)
-                .ok_or("rank report needs a rank")? as usize,
-            wall: Duration::from_nanos(
-                j.get("wall_ns")
-                    .and_then(Json::as_u64)
-                    .ok_or("rank report needs wall_ns")?,
-            ),
-            reports,
-            metrics: match j.get("metrics") {
-                Some(m) => MetricsSnapshot::from_json_value(m)?,
-                None => MetricsSnapshot::default(),
-            },
-        })
-    }
 }
 
 /// The collective operations carrying per-rank latency histograms.
@@ -124,7 +97,7 @@ pub struct CollectiveStat {
 }
 
 /// Aggregated observability of one cluster run: every rank's report,
-/// mergeable, JSON round-trippable, and renderable.
+/// mergeable, writable as JSON, and renderable.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ClusterReport {
     /// Cluster size (ranks may be missing while reports are in flight).
@@ -235,24 +208,6 @@ impl ClusterReport {
                 Json::Arr(self.ranks.iter().map(RankReport::to_json_value).collect()),
             ),
         ])
-    }
-
-    /// Parse a report written by [`ClusterReport::to_json`].
-    pub fn from_json(text: &str) -> Result<ClusterReport, String> {
-        Self::from_json_value(&Json::parse(text)?)
-    }
-
-    /// Parse a report embedded in a larger document.
-    pub fn from_json_value(j: &Json) -> Result<ClusterReport, String> {
-        let mut out = ClusterReport::new(
-            j.get("nodes")
-                .and_then(Json::as_u64)
-                .ok_or("cluster report needs nodes")? as usize,
-        );
-        for r in j.get("ranks").and_then(Json::as_arr).unwrap_or(&[]) {
-            out.push(RankReport::from_json_value(r)?);
-        }
-        Ok(out)
     }
 
     /// Human-readable cluster rollup: per-rank summary table, per-peer
@@ -446,15 +401,6 @@ mod tests {
         assert_eq!(b.len(), 2);
         assert!(b.iter().all(|s| s.count == 1));
         assert!(cr.collective("alltoallv").is_empty());
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let mut cr = ClusterReport::new(3);
-        cr.push(rank_report(0, 5));
-        cr.push(rank_report(2, 7));
-        let parsed = ClusterReport::from_json(&cr.to_json()).unwrap();
-        assert_eq!(parsed, cr);
     }
 
     #[test]

@@ -6,16 +6,17 @@
 //! Chrome trace events) is small enough that a hand-rolled tree + recursive
 //! descent parser is simpler than a code-generation dependency anyway.
 //!
-//! [`Report::to_json`] / [`Report::from_json`] round-trip a run report
-//! losslessly for archiving and offline comparison (`experiments
-//! --json-out`); a run's span log rides along as `trace[]` when the program
-//! ran with [`Program::enable_tracing`](crate::Program::enable_tracing).
+//! [`Report::to_json`] writes a run report for archiving and offline
+//! comparison (`experiments --json-out`); a run's span log rides along as
+//! `trace[]` when the program ran with
+//! [`Program::enable_tracing`](crate::Program::enable_tracing).  Artifacts
+//! are write-only: nothing parses one back into a [`Report`], and
+//! `tests/artifact_goldens.rs` pins every writer's bytes.
 
 use std::fmt;
-use std::time::Duration;
 
-use crate::metrics::{GaugeSnapshot, HistogramSnapshot, MetricsSnapshot};
-use crate::stats::{QueueDepth, Report, StageStats};
+use crate::metrics::MetricsSnapshot;
+use crate::stats::{Report, StageStats};
 
 /// A JSON value.  Object members keep insertion order (the writer emits them
 /// as given; the parser preserves document order).
@@ -412,19 +413,6 @@ pub(crate) fn obj(members: Vec<(&str, Json)>) -> Json {
     Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
 
-fn field_u64(j: &Json, key: &str) -> Result<u64, String> {
-    j.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
-}
-
-fn field_str(j: &Json, key: &str) -> Result<String, String> {
-    j.get(key)
-        .and_then(Json::as_str)
-        .map(String::from)
-        .ok_or_else(|| format!("missing or non-string field {key:?}"))
-}
-
 fn stage_to_json(s: &StageStats) -> Json {
     let mut members = vec![
         ("name", Json::from(s.name.as_str())),
@@ -445,19 +433,6 @@ fn stage_to_json(s: &StageStats) -> Json {
         members.push(("core", Json::from(core as u64)));
     }
     obj(members)
-}
-
-fn stage_from_json(j: &Json) -> Result<StageStats, String> {
-    Ok(StageStats {
-        name: field_str(j, "name")?,
-        // Absent for unpinned runs and in artifacts written before pinning.
-        core: j.get("core").and_then(Json::as_u64).map(|c| c as usize),
-        wall: Duration::from_nanos(field_u64(j, "wall_ns")?),
-        blocked_accept: Duration::from_nanos(field_u64(j, "blocked_accept_ns")?),
-        blocked_convey: Duration::from_nanos(field_u64(j, "blocked_convey_ns")?),
-        buffers_in: field_u64(j, "buffers_in")?,
-        buffers_out: field_u64(j, "buffers_out")?,
-    })
 }
 
 fn metrics_to_json(m: &MetricsSnapshot) -> Json {
@@ -514,42 +489,6 @@ fn metrics_to_json(m: &MetricsSnapshot) -> Json {
     ])
 }
 
-fn metrics_from_json(j: &Json) -> Result<MetricsSnapshot, String> {
-    let mut m = MetricsSnapshot::default();
-    for (k, v) in j.get("counters").and_then(Json::as_obj).unwrap_or(&[]) {
-        let v = v.as_u64().ok_or_else(|| format!("bad counter {k:?}"))?;
-        m.counters.push((k.clone(), v));
-    }
-    for (k, v) in j.get("gauges").and_then(Json::as_obj).unwrap_or(&[]) {
-        m.gauges.push((
-            k.clone(),
-            GaugeSnapshot {
-                value: field_u64(v, "value")?,
-                peak: field_u64(v, "peak")?,
-            },
-        ));
-    }
-    for (k, v) in j.get("histograms").and_then(Json::as_obj).unwrap_or(&[]) {
-        m.histograms.push((
-            k.clone(),
-            HistogramSnapshot {
-                count: field_u64(v, "count")?,
-                sum: field_u64(v, "sum")?,
-                min: field_u64(v, "min")?,
-                max: field_u64(v, "max")?,
-                buckets: v
-                    .get("buckets")
-                    .and_then(Json::as_arr)
-                    .unwrap_or(&[])
-                    .iter()
-                    .map(|b| b.as_u64().ok_or_else(|| format!("bad bucket in {k:?}")))
-                    .collect::<Result<Vec<_>, _>>()?,
-            },
-        ));
-    }
-    Ok(m)
-}
-
 impl MetricsSnapshot {
     /// The snapshot as a [`Json`] value (counters, gauges with peaks, and
     /// full histogram buckets) — the `"metrics"` member of
@@ -558,18 +497,12 @@ impl MetricsSnapshot {
     pub fn to_json_value(&self) -> Json {
         metrics_to_json(self)
     }
-
-    /// Parse a snapshot written by [`MetricsSnapshot::to_json_value`].
-    pub fn from_json_value(j: &Json) -> Result<MetricsSnapshot, String> {
-        metrics_from_json(j)
-    }
 }
 
 impl Report {
-    /// Serialize the report as a self-contained JSON document.  The inverse
-    /// is [`Report::from_json`]; `from_json(to_json()) == self` for any
-    /// report whose integer fields fit in 53 bits (true for any run shorter
-    /// than ~104 days).
+    /// Serialize the report as a self-contained JSON document, for
+    /// archiving and offline comparison; integer fields are exact up to 53
+    /// bits (any run shorter than ~104 days).
     pub fn to_json(&self) -> String {
         self.to_json_value().to_string()
     }
@@ -632,95 +565,6 @@ impl Report {
             members.push(("trace", Json::Arr(logs)));
         }
         obj(members)
-    }
-
-    /// Parse a report previously produced by [`Report::to_json`].
-    pub fn from_json(text: &str) -> Result<Report, String> {
-        let j = Json::parse(text)?;
-        let stages = j
-            .get("stages")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(stage_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let queues = j
-            .get("queues")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|q| {
-                Ok(QueueDepth {
-                    name: field_str(q, "name")?,
-                    capacity: field_u64(q, "capacity")? as usize,
-                    max_depth: field_u64(q, "max_depth")? as usize,
-                    // Absent in artifacts written before the SPSC flavor.
-                    spsc: matches!(q.get("spsc"), Some(Json::Bool(true))),
-                    // Absent in artifacts written before the lock-free MPMC
-                    // flavor; derive from the spsc bool (MPMC then meant
-                    // the mutex deque).
-                    flavor: match q.get("flavor").and_then(Json::as_str) {
-                        Some(f) => f.to_string(),
-                        None if matches!(q.get("spsc"), Some(Json::Bool(true))) => "spsc".into(),
-                        None => "mutex".into(),
-                    },
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        // Absent in artifacts written before topology was recorded.
-        let pipelines = j
-            .get("pipelines")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|p| {
-                Ok(crate::stats::PipelineShape {
-                    name: field_str(p, "name")?,
-                    stages: p
-                        .get("stages")
-                        .and_then(Json::as_arr)
-                        .unwrap_or(&[])
-                        .iter()
-                        .map(|s| {
-                            s.as_str()
-                                .map(str::to_string)
-                                .ok_or_else(|| "pipeline stage name must be a string".to_string())
-                        })
-                        .collect::<Result<Vec<_>, String>>()?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let metrics = match j.get("metrics") {
-            Some(m) => metrics_from_json(m)?,
-            None => MetricsSnapshot::default(),
-        };
-        // Absent for runs that did not sample resources.
-        let resources = match j.get("resources") {
-            Some(r) => Some(crate::profile::ResourceReport::from_json_value(r)?),
-            None => None,
-        };
-        // Absent for runs without `enable_tracing`.
-        let trace = j
-            .get("trace")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|l| {
-                crate::trace::ThreadLog::from_json(l)
-                    .ok_or_else(|| "malformed trace log".to_string())
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(Report {
-            wall: Duration::from_nanos(field_u64(&j, "wall_ns")?),
-            threads_spawned: field_u64(&j, "threads_spawned")? as usize,
-            stages,
-            queues,
-            pipelines,
-            metrics,
-            resources,
-            trace,
-            trace_start_ns: j.get("trace_start_ns").and_then(Json::as_u64).unwrap_or(0),
-        })
     }
 }
 

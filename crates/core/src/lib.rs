@@ -101,7 +101,7 @@ pub use profile::{
 };
 pub use program::{run_linear, PipelineCfg, Program};
 pub use stage::{map_stage, reorder_stage, MapStage, Rounds, Stage, StageCtx};
-pub use stats::{PipelineShape, QueueDepth, Report, StageStats};
+pub use stats::{PipelineShape, QueueDepth, Report, StageRollup, StageStats};
 pub use telemetry::{Sampler, SamplerCfg, TelemetryServer, TimestampedSnapshot};
 pub use trace::{
     Postmortem, SpanRec, SpanRing, ThreadLog, ThreadState, TraceCtx, TraceKind, TraceSink,

@@ -712,8 +712,7 @@ impl ResourceReport {
         Some(report)
     }
 
-    /// The report as a JSON object; inverse of
-    /// [`ResourceReport::from_json_value`].
+    /// The report as a JSON object.
     pub fn to_json_value(&self) -> Json {
         let mut members = vec![
             ("rss_bytes", Json::from(self.rss_bytes)),
@@ -785,80 +784,6 @@ impl ResourceReport {
             ));
         }
         obj(members)
-    }
-
-    /// Parse a report written by [`ResourceReport::to_json_value`].
-    pub fn from_json_value(j: &Json) -> Result<ResourceReport, String> {
-        let u = |j: &Json, k: &str| j.get(k).and_then(Json::as_u64).unwrap_or(0);
-        let s = |j: &Json, k: &str| -> Result<String, String> {
-            j.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("resources: missing string member {k}"))
-        };
-        let threads = j
-            .get("threads")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|t| {
-                Ok(ThreadResources {
-                    name: s(t, "name")?,
-                    utime_ns: u(t, "utime_ns"),
-                    stime_ns: u(t, "stime_ns"),
-                    vol_switches: u(t, "vol_switches"),
-                    invol_switches: u(t, "invol_switches"),
-                    yields: u(t, "yields"),
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let alloc = j
-            .get("alloc")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|a| {
-                Ok(AllocResources {
-                    stage: s(a, "stage")?,
-                    allocs: u(a, "count"),
-                    frees: u(a, "frees"),
-                    bytes: u(a, "bytes"),
-                    freed_bytes: u(a, "freed_bytes"),
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let ledger = match j.get("ledger") {
-            Some(l) => Some(LedgerSnapshot {
-                budget_bytes: u(l, "budget_bytes"),
-                total_bytes: u(l, "total_bytes"),
-                peak_bytes: u(l, "peak_bytes"),
-                total_buffers: u(l, "total_buffers"),
-                stages: l
-                    .get("stages")
-                    .and_then(Json::as_arr)
-                    .unwrap_or(&[])
-                    .iter()
-                    .map(|r| {
-                        Ok(StageResidency {
-                            stage: s(r, "stage")?,
-                            buffers: u(r, "buffers"),
-                            bytes: u(r, "bytes"),
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?,
-            }),
-            None => None,
-        };
-        Ok(ResourceReport {
-            rss_bytes: u(j, "rss_bytes"),
-            rss_peak_bytes: u(j, "rss_peak_bytes"),
-            threads,
-            alloc_tracking: matches!(j.get("alloc_tracking"), Some(Json::Bool(true))),
-            alloc,
-            alloc_current_bytes: u(j, "alloc_current_bytes"),
-            alloc_peak_bytes: u(j, "alloc_peak_bytes"),
-            ledger,
-        })
     }
 
     /// Human-readable rendering — the `== resources ==` dashboard section.
@@ -1185,46 +1110,6 @@ mod tests {
         let row = |n: &str| snap.stages.iter().find(|s| s.stage == n).unwrap();
         assert_eq!((row("sort").buffers, row("sort").bytes), (1, 4096));
         assert_eq!((row("merge").buffers, row("merge").bytes), (0, 0));
-    }
-
-    #[test]
-    fn report_json_round_trip() {
-        let report = ResourceReport {
-            rss_bytes: 10 << 20,
-            rss_peak_bytes: 12 << 20,
-            threads: vec![ThreadResources {
-                name: "csort/sort#0".into(),
-                utime_ns: 1_500_000_000,
-                stime_ns: 250_000_000,
-                vol_switches: 42,
-                invol_switches: 7,
-                yields: 5,
-            }],
-            alloc_tracking: true,
-            alloc: vec![AllocResources {
-                stage: "sort/steady".into(),
-                allocs: 0,
-                frees: 3,
-                bytes: 0,
-                freed_bytes: 128,
-            }],
-            alloc_current_bytes: 1 << 20,
-            alloc_peak_bytes: 2 << 20,
-            ledger: Some(LedgerSnapshot {
-                budget_bytes: 64 << 20,
-                total_bytes: 8 << 20,
-                peak_bytes: 8 << 20,
-                total_buffers: 4,
-                stages: vec![StageResidency {
-                    stage: "sort".into(),
-                    buffers: 2,
-                    bytes: 4 << 20,
-                }],
-            }),
-        };
-        let text = report.to_json_value().to_string();
-        let parsed = ResourceReport::from_json_value(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(parsed, report);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::error::{FgError, Result};
 use crate::metrics::MetricsRegistry;
 use crate::program::replica_base;
 use crate::queue::Queue;
-use crate::stage::{Pool, Port, Registry, ReplicaGroup, Stage, StageCtx};
+use crate::stage::{Pool, Port, Registry, ReplicaGroup, Stage, StageCounters, StageCtx};
 use crate::stats::{Report, StageStats};
 use crate::trace::{guess_culprit, Postmortem, SpanRing, ThreadPostmortem, TraceSink, WatchdogCfg};
 
@@ -148,18 +148,17 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
 
     for task in tasks {
         let registry = Arc::clone(&registry);
-        let stage_metrics = metrics.clone();
+        let thread = format!("{program_name}/{}", task.name);
+        let counters = registry.stage_counters(thread.clone(), &task.name, metrics.as_deref());
         let ring = ring_for(&task.name);
         // Replicas (`sort#0`, `sort#1`, …) share one ledger row: the
         // question the ledger answers is "how much does *sort* hold".
         let base = replica_base(&task.name).unwrap_or(&task.name);
         let stage_ledger = ledger.as_ref().map(|l| l.stage(base));
         let core = placement.assign();
-        handles.push(spawn_thread(
-            format!("{program_name}/{}", task.name),
-            metrics.clone(),
-            move || run_stage_thread(task, registry, stage_metrics, ring, core, stage_ledger),
-        )?);
+        handles.push(spawn_thread(thread, metrics.clone(), move || {
+            run_stage_thread(task, registry, counters, ring, core, stage_ledger)
+        })?);
     }
 
     // The watchdog polls the sink's pipeline-wide activity clock and fires
@@ -234,7 +233,7 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
 fn run_stage_thread(
     task: StageTask,
     registry: Arc<Registry>,
-    metrics: Option<Arc<MetricsRegistry>>,
+    counters: Arc<StageCounters>,
     ring: Option<Arc<SpanRing>>,
     core: Option<usize>,
     stage_ledger: Option<Arc<crate::profile::StageLedger>>,
@@ -256,20 +255,22 @@ fn run_stage_thread(
         crate::alloc::thread_tag_scope(crate::alloc::register_tag(base))
     });
     let start = Instant::now();
-    let mut ctx = StageCtx::new(name.clone(), ports, shared_input, Arc::clone(&registry));
+    let mut ctx = StageCtx::new(
+        name.clone(),
+        ports,
+        shared_input,
+        Arc::clone(&registry),
+        Arc::clone(&counters),
+        start,
+    );
     if let Some(l) = stage_ledger {
         ctx.set_ledger(l);
     }
     if let Some(group) = replica_group {
         ctx.set_replica_group(group);
     }
-    // Live counters let `/metrics` scrapes (and a sampler) see the
-    // stage's time attribution as it evolves, not only at thread exit.
-    if let Some(m) = &metrics {
-        ctx.set_live_metrics(m, start);
-    }
     if let Some(r) = ring {
-        ctx.set_ring(r, start);
+        ctx.set_ring(r);
     }
 
     let outcome = catch_unwind(AssertUnwindSafe(|| stage.run(&mut ctx)));
@@ -296,16 +297,7 @@ fn run_stage_thread(
     let end = Instant::now();
     ctx.retire(end);
 
-    let stats = StageStats {
-        core,
-        wall: end - start,
-        ..std::mem::take(&mut ctx.stats)
-    };
-    if let Some(m) = &metrics {
-        m.counter(&format!("core/stage_buffers/{}", stats.name))
-            .add(stats.buffers_in);
-    }
-    stats
+    counters.stats(name, core, end - start)
 }
 
 /// Watchdog loop: poll the sink's idle clock; on a stall, assemble and
@@ -342,12 +334,13 @@ fn run_watchdog(
             let (state, in_state_for) = r.state();
             let spans = r.snapshot();
             let keep = spans.len().saturating_sub(cfg.last_spans);
+            let (intakes, emits) = registry.traffic(r.name());
             ThreadPostmortem {
                 thread: r.name().to_string(),
                 state,
                 in_state_for,
-                intakes: r.intakes(),
-                emits: r.emits(),
+                intakes,
+                emits,
                 last_spans: spans[keep..].to_vec(),
             }
         })

@@ -19,15 +19,20 @@
 //!   stages share one thread and one input queue, and buffers from any of
 //!   the member pipelines arrive interleaved (§IV, Figure 5(b)).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+use crate::analyze::{
+    STAGE_BACKPRESSURED_PREFIX, STAGE_BUSY_PREFIX, STAGE_ROUNDS_PREFIX, STAGE_STARVED_PREFIX,
+};
 use crate::buffer::{Buffer, PipelineId};
 use crate::error::{FgError, Result};
+use crate::metrics::{Counter, MetricsRegistry};
 use crate::profile::MemoryLedger;
 use crate::queue::{Item, PushError, Queue};
-use crate::trace::{enter, ThreadState, TraceKind};
+use crate::stats::StageStats;
+use crate::trace::{ThreadState, TraceKind};
 
 /// How many rounds a pipeline runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,6 +148,8 @@ pub(crate) struct Registry {
     /// Replica groups whose ordered-emission waiters must be woken on
     /// cancel (they park on the group's condvar, not on a queue).
     groups: parking_lot::Mutex<Vec<Arc<ReplicaGroup>>>,
+    /// Every stage thread's counters, by thread name (`program/task`).
+    stages: parking_lot::Mutex<Vec<(String, Arc<StageCounters>)>>,
     cancelled: AtomicBool,
     error: parking_lot::Mutex<Option<FgError>>,
 }
@@ -152,6 +159,7 @@ impl Registry {
         Arc::new(Registry {
             queues: parking_lot::Mutex::new(Vec::new()),
             groups: parking_lot::Mutex::new(Vec::new()),
+            stages: parking_lot::Mutex::new(Vec::new()),
             cancelled: AtomicBool::new(false),
             error: parking_lot::Mutex::new(None),
         })
@@ -163,6 +171,29 @@ impl Registry {
 
     pub(crate) fn register_group(&self, g: Arc<ReplicaGroup>) {
         self.groups.lock().push(g);
+    }
+
+    /// The counters of the stage thread `thread` (`program/task`), which
+    /// runs the stage `task`.
+    pub(crate) fn stage_counters(
+        &self,
+        thread: String,
+        task: &str,
+        metrics: Option<&MetricsRegistry>,
+    ) -> Arc<StageCounters> {
+        let counters = Arc::new(StageCounters::new(task, metrics));
+        self.stages.lock().push((thread, Arc::clone(&counters)));
+        counters
+    }
+
+    /// `(accepted, rounds)` of the stage thread named `thread`, for
+    /// watchdog post-mortems; zero for a thread of another program.
+    pub(crate) fn traffic(&self, thread: &str) -> (u64, u64) {
+        self.stages
+            .lock()
+            .iter()
+            .find(|(name, _)| name == thread)
+            .map_or((0, 0), |(_, c)| (c.accepted.get(), c.rounds.get()))
     }
 
     /// Record the root-cause error (first wins) and tear everything down.
@@ -555,20 +586,91 @@ impl Port {
     }
 }
 
-/// Live per-stage counters, published incrementally (after every accept
-/// and convey) so a mid-run sampler sees the stage's busy/starved profile
-/// as it evolves, not only at thread exit.  Deltas are tracked against
-/// already-published totals, so the final counter values equal the
-/// end-of-run totals exactly.
-pub(crate) struct LiveStageMetrics {
-    busy: Arc<crate::metrics::Counter>,
-    starved: Arc<crate::metrics::Counter>,
-    backpressured: Arc<crate::metrics::Counter>,
-    rounds: Arc<crate::metrics::Counter>,
-    started: Instant,
-    pub_busy: u64,
-    pub_starved: u64,
-    pub_backp: u64,
+/// One count a stage thread keeps ([`StageCounters`]): the thread's own
+/// total and, when the program has a metrics registry, the registry's
+/// counter of the stage's task name — which every thread of that name in
+/// the registry (another rank's, a later pass's) adds into as well.
+struct Tally {
+    own: AtomicU64,
+    registry: Option<Arc<Counter>>,
+}
+
+impl Tally {
+    /// Add `n`.  Only the owning stage thread writes, so its own total
+    /// needs no read-modify-write.
+    fn add(&self, n: u64) {
+        self.own
+            .store(self.own.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+        if let Some(c) = &self.registry {
+            c.add(n);
+        }
+    }
+
+    fn get(&self) -> u64 {
+        self.own.load(Ordering::Relaxed)
+    }
+}
+
+/// The one record of what a stage thread did, counted once per event and
+/// read by everything that reports on the thread: its [`StageStats`] row
+/// at exit, the registry's `core/stage_*` counters live, the watchdog's
+/// post-mortem and the thread's memory-ledger row.  Owned by the program's
+/// [`Registry`]; only the thread itself writes it, at every queue
+/// operation, so no two threads' blocks share a cache line.
+#[repr(align(128))]
+pub(crate) struct StageCounters {
+    /// Buffers accepted (`core/stage_buffers/<task>`).
+    accepted: Tally,
+    /// Buffers conveyed downstream.
+    conveyed: Tally,
+    /// Buffers that left the stage, conveyed or discarded
+    /// (`core/stage_rounds/<task>`).
+    rounds: Tally,
+    busy_ns: Tally,
+    blocked_accept_ns: Tally,
+    blocked_convey_ns: Tally,
+    /// Capacity of the buffers charged to the ledger and not yet credited.
+    held_bytes: AtomicI64,
+}
+
+impl StageCounters {
+    fn new(task: &str, metrics: Option<&MetricsRegistry>) -> StageCounters {
+        let tally = |prefix: Option<&str>| Tally {
+            own: AtomicU64::new(0),
+            registry: prefix
+                .zip(metrics)
+                .map(|(p, m)| m.counter(&format!("{p}{task}"))),
+        };
+        StageCounters {
+            accepted: tally(Some("core/stage_buffers/")),
+            conveyed: tally(None),
+            rounds: tally(Some(STAGE_ROUNDS_PREFIX)),
+            busy_ns: tally(Some(STAGE_BUSY_PREFIX)),
+            blocked_accept_ns: tally(Some(STAGE_STARVED_PREFIX)),
+            blocked_convey_ns: tally(Some(STAGE_BACKPRESSURED_PREFIX)),
+            held_bytes: AtomicI64::new(0),
+        }
+    }
+
+    /// The thread's row of the report: it ran for `wall`.
+    pub(crate) fn stats(&self, name: String, core: Option<usize>, wall: Duration) -> StageStats {
+        StageStats {
+            name,
+            core,
+            wall,
+            blocked_accept: Duration::from_nanos(self.blocked_accept_ns.get()),
+            blocked_convey: Duration::from_nanos(self.blocked_convey_ns.get()),
+            buffers_in: self.accepted.get(),
+            buffers_out: self.conveyed.get(),
+        }
+    }
+
+    fn hold(&self, bytes: i64) {
+        self.held_bytes.store(
+            self.held_bytes.load(Ordering::Relaxed) + bytes,
+            Ordering::Relaxed,
+        );
+    }
 }
 
 /// The handle through which a stage interacts with its pipelines.
@@ -580,23 +682,23 @@ pub struct StageCtx {
     shared_input: Option<Arc<Queue>>,
     /// Present iff the stage is replicated: shared caboose bookkeeping.
     replica_group: Option<Arc<ReplicaGroup>>,
-    /// Incrementally-published stage counters; `None` (the default) when
-    /// no metrics registry is attached.
-    live: Option<LiveStageMetrics>,
+    /// This thread's counters, the one record of what it did.
+    counters: Arc<StageCounters>,
     /// Flight-recorder ring, the one span record; `None` (the default)
     /// costs one never-taken branch per transition.
     ring: Option<Arc<crate::trace::SpanRing>>,
-    /// End of this thread's last queue operation (ns since the trace-sink
-    /// epoch); the gap to the next convey is attributed as a `Work` span.
-    last_qop_end_ns: u64,
+    /// The thread's start: the stage's clock reads nanoseconds since.
+    started: Instant,
+    /// The ring's clock at `started` (its records are in nanoseconds since
+    /// the sink's epoch).
+    ring_base: u64,
+    /// End of this thread's last queue operation (0, its start, before the
+    /// first): the gap to the next one is the stage's own work.
+    last_end: u64,
     /// Buffer-residency row in the program's
     /// [`MemoryLedger`](crate::profile::MemoryLedger); `None` (the
     /// default) costs one never-taken branch per accept/convey.
     ledger: Option<Arc<crate::profile::StageLedger>>,
-    /// Net `(buffers, bytes)` this thread has charged to `ledger` and not
-    /// yet credited; taken back at thread exit so a stage that errors out
-    /// holding a buffer leaves no residency behind.
-    ledger_held: (i64, i64),
     aux: Vec<u8>,
     /// Ports whose caboose this thread makes and must observe before it
     /// next waits on an input: it started the pipeline's last round
@@ -606,9 +708,6 @@ pub struct StageCtx {
     /// Ports not yet at end of stream.
     open: usize,
     registry: Arc<Registry>,
-    /// This thread's row of the report; the runtime fills in `core` and
-    /// `wall` when the thread exits.
-    pub(crate) stats: crate::stats::StageStats,
 }
 
 impl StageCtx {
@@ -617,22 +716,21 @@ impl StageCtx {
         ports: Vec<Port>,
         shared_input: Option<Arc<Queue>>,
         registry: Arc<Registry>,
+        counters: Arc<StageCounters>,
+        started: Instant,
     ) -> Self {
         StageCtx {
-            stats: crate::stats::StageStats {
-                name: name.clone(),
-                ..Default::default()
-            },
             name,
             open: ports.len(),
             ports,
             shared_input,
             replica_group: None,
-            live: None,
+            counters,
             ring: None,
-            last_qop_end_ns: 0,
+            started,
+            ring_base: 0,
+            last_end: 0,
             ledger: None,
-            ledger_held: (0, 0),
             aux: Vec::new(),
             owed: Vec::new(),
             registry,
@@ -650,127 +748,83 @@ impl StageCtx {
     }
 
     /// Charge an accepted buffer's capacity to this stage's ledger row.
-    fn ledger_acquire(&mut self, bytes: usize) {
+    fn ledger_acquire(&self, bytes: usize) {
         if let Some(l) = &self.ledger {
             l.acquire(bytes);
-            self.ledger_held.0 += 1;
-            self.ledger_held.1 += bytes as i64;
+            self.counters.hold(bytes as i64);
         }
     }
 
     /// Credit a conveyed/discarded buffer's capacity back.
-    fn ledger_release(&mut self, bytes: usize) {
+    fn ledger_release(&self, bytes: usize) {
         if let Some(l) = &self.ledger {
             l.release(bytes);
-            self.ledger_held.0 -= 1;
-            self.ledger_held.1 -= bytes as i64;
+            self.counters.hold(-(bytes as i64));
         }
     }
 
-    /// Attach incrementally-published stage counters (named under the
-    /// `core/stage_*` prefixes with this stage's task name).
-    pub(crate) fn set_live_metrics(
-        &mut self,
-        registry: &crate::metrics::MetricsRegistry,
-        started: Instant,
-    ) {
-        use crate::analyze::{
-            STAGE_BACKPRESSURED_PREFIX, STAGE_BUSY_PREFIX, STAGE_ROUNDS_PREFIX,
-            STAGE_STARVED_PREFIX,
-        };
-        self.live = Some(LiveStageMetrics {
-            busy: registry.counter(&format!("{STAGE_BUSY_PREFIX}{}", self.name)),
-            starved: registry.counter(&format!("{STAGE_STARVED_PREFIX}{}", self.name)),
-            backpressured: registry.counter(&format!("{STAGE_BACKPRESSURED_PREFIX}{}", self.name)),
-            rounds: registry.counter(&format!("{STAGE_ROUNDS_PREFIX}{}", self.name)),
-            started,
-            pub_busy: 0,
-            pub_starved: 0,
-            pub_backp: 0,
-        });
-    }
-
-    /// Publish the delta between the totals as of `now` and what was
-    /// already published.  Cheap (a few relaxed atomic adds, no clock
-    /// read: `now` is the instant the caller took when its queue operation
-    /// returned); called after every accept and convey, and once more at
-    /// thread exit so the counters converge on the exact end-of-run totals.
-    fn publish_live(&mut self, now: Instant) {
-        let Some(l) = &mut self.live else {
-            return;
-        };
-        let wall = (now - l.started).as_nanos() as u64;
-        let acc = self.stats.blocked_accept.as_nanos() as u64;
-        let conv = self.stats.blocked_convey.as_nanos() as u64;
-        let busy = wall.saturating_sub(acc + conv);
-        if busy > l.pub_busy {
-            l.busy.add(busy - l.pub_busy);
-            l.pub_busy = busy;
-        }
-        if acc > l.pub_starved {
-            l.starved.add(acc - l.pub_starved);
-            l.pub_starved = acc;
-        }
-        if conv > l.pub_backp {
-            l.backpressured.add(conv - l.pub_backp);
-            l.pub_backp = conv;
-        }
-    }
-
-    /// Count one completed round (a conveyed or discarded buffer) on the
-    /// live throughput counter.
-    fn record_round(&self) {
-        if let Some(l) = &self.live {
-            l.rounds.inc();
-        }
-    }
-
-    /// Attach this thread's ring; it has been busy since `since`.
-    pub(crate) fn set_ring(&mut self, ring: Arc<crate::trace::SpanRing>, since: Instant) {
+    /// Attach this thread's ring; it has been busy since it started.
+    pub(crate) fn set_ring(&mut self, ring: Arc<crate::trace::SpanRing>) {
+        self.ring_base = ring.ns_of(self.started);
         self.ring = Some(ring);
-        enter(&self.ring, ThreadState::Busy, since);
+        self.enter(ThreadState::Busy, 0);
     }
 
-    /// The thread is done as of `at`: say so on the ring, and converge the
-    /// live counters on the exact end-of-run totals.
+    /// The thread is done as of `at`: say so on the ring, and book the
+    /// work since its last queue operation.
     pub(crate) fn retire(&mut self, at: Instant) {
-        enter(&self.ring, ThreadState::Done, at);
-        self.publish_live(at);
+        let at = (at - self.started).as_nanos() as u64;
+        self.enter(ThreadState::Done, at);
+        self.counters.busy_ns.add(at - self.last_end);
     }
 
-    /// The one timing of an input wait, `t0..t1` around the pop, handed to
-    /// every reader: the `StageStats` accumulator and the live counters.
-    /// The ring record follows in [`StageCtx::trace_accept`] once the
-    /// popped item says which buffer (or caboose) the wait was for.
-    fn waited_accept(&mut self, t0: Instant, t1: Instant) {
-        self.stats.blocked_accept += t1 - t0;
-        self.publish_live(t1);
+    /// The stage's clock: nanoseconds since the thread started.  Each
+    /// instant of a queue operation is read once, and the counters and the
+    /// ring both take it from here.
+    fn clock(&self) -> u64 {
+        self.started.elapsed().as_nanos() as u64
+    }
+
+    /// Advertise on the ring, when there is one, that this thread has been
+    /// in `state` since `at` on the stage's clock.
+    fn enter(&self, state: ThreadState, at: u64) {
+        if let Some(ring) = &self.ring {
+            ring.set_state(state, self.ring_base + at);
+        }
+    }
+
+    /// Flight-record `kind` of `(pipeline, round, tid)` over `start..end`
+    /// on the stage's clock.
+    fn record(
+        &self,
+        kind: TraceKind,
+        pipeline: PipelineId,
+        round: u64,
+        tid: u64,
+        start: u64,
+        end: u64,
+    ) {
+        if let Some(ring) = &self.ring {
+            let base = self.ring_base;
+            ring.record(kind, pipeline.0, round, tid, base + start, base + end);
+        }
+    }
+
+    /// The one timing rule, applied at every queue operation `t0..t1`: the
+    /// gap since the last one was the stage's own work, and the operation
+    /// itself a wait, booked to `waited`.
+    fn book(&mut self, t0: u64, t1: u64, waited: impl Fn(&StageCounters) -> &Tally) {
+        self.counters.busy_ns.add(t0 - self.last_end);
+        waited(&self.counters).add(t1 - t0);
+        self.last_end = t1;
     }
 
     /// Flight-record the wait `t0..t1` as the accept of `(pipeline, round,
     /// tid)` — all zero rounds/ids for a caboose, which is still progress
     /// for the watchdog's clock — and flip this thread back to busy.
-    fn trace_accept(
-        &mut self,
-        pipeline: PipelineId,
-        round: u64,
-        tid: u64,
-        t0: Instant,
-        t1: Instant,
-    ) {
-        if let Some(ring) = &self.ring {
-            let end = ring.ns_of(t1);
-            ring.record(
-                TraceKind::Accept,
-                pipeline.0,
-                round,
-                tid,
-                ring.ns_of(t0),
-                end,
-            );
-            ring.set_state(ThreadState::Busy, end);
-            self.last_qop_end_ns = end;
-        }
+    fn trace_accept(&self, pipeline: PipelineId, round: u64, tid: u64, t0: u64, t1: u64) {
+        self.record(TraceKind::Accept, pipeline, round, tid, t0, t1);
+        self.enter(ThreadState::Busy, t1);
     }
 
     /// Name of this stage.
@@ -879,11 +933,11 @@ impl StageCtx {
             if self.open == 0 {
                 return Ok(None);
             }
-            let t0 = Instant::now();
-            enter(&self.ring, ThreadState::BlockedAccept, t0);
+            let t0 = self.clock();
+            self.enter(ThreadState::BlockedAccept, t0);
             let popped = shared.pop();
-            let t1 = Instant::now();
-            self.waited_accept(t0, t1);
+            let t1 = self.clock();
+            self.book(t0, t1, |c| &c.blocked_accept_ns);
             match popped {
                 Ok(Item::Buf(b)) => {
                     let idx = self.port_index(b.pipeline())?;
@@ -929,13 +983,7 @@ impl StageCtx {
     /// pipeline's first stage plays the source here, on its own thread: the
     /// buffer has come home to the pool, and either starts its next round
     /// under a fresh trace id or is retired (`None`).
-    fn admit(
-        &mut self,
-        idx: usize,
-        mut b: Buffer,
-        t0: Instant,
-        t1: Instant,
-    ) -> Result<Option<Buffer>> {
+    fn admit(&mut self, idx: usize, mut b: Buffer, t0: u64, t1: u64) -> Result<Option<Buffer>> {
         if self.ports[idx].first {
             let pipeline = b.pipeline();
             let Some((started, last)) = self.ports[idx].pool.begin_round(b)? else {
@@ -952,7 +1000,7 @@ impl StageCtx {
                 self.owed.push(idx);
             }
         }
-        self.stats.buffers_in += 1;
+        self.counters.accepted.add(1);
         self.ledger_acquire(b.capacity());
         self.trace_accept(b.pipeline(), b.round(), b.trace_id(), t0, t1);
         Ok(Some(b))
@@ -965,11 +1013,11 @@ impl StageCtx {
                 return Ok(None);
             }
             let input = self.input_of(idx)?;
-            let t0 = Instant::now();
-            enter(&self.ring, ThreadState::BlockedAccept, t0);
+            let t0 = self.clock();
+            self.enter(ThreadState::BlockedAccept, t0);
             let popped = input.pop();
-            let t1 = Instant::now();
-            self.waited_accept(t0, t1);
+            let t1 = self.clock();
+            self.book(t0, t1, |c| &c.blocked_accept_ns);
             match popped {
                 Ok(Item::Buf(b)) => {
                     if let Some(b) = self.admit(idx, b, t0, t1)? {
@@ -1017,80 +1065,10 @@ impl StageCtx {
                 buf.pipeline()
             )));
         }
-        let pipeline = buf.pipeline();
-        let round = buf.round();
-        let tid = buf.trace_id();
-        // Credit the ledger up front: the buffer leaves this stage whether
-        // the push lands or the program is cancelled underneath it.
-        self.ledger_release(buf.capacity());
-        let ordered = self.replica_group.as_ref().is_some_and(|g| g.is_ordered());
-        let t0 = Instant::now();
-        // The gap since this thread's last queue operation is the stage's
-        // own computation on this buffer: record it as a `Work` span.
-        if let Some(ring) = &self.ring {
-            let now = ring.ns_of(t0);
-            if self.last_qop_end_ns > 0 && now > self.last_qop_end_ns {
-                ring.record(
-                    TraceKind::Work,
-                    pipeline.0,
-                    round,
-                    tid,
-                    self.last_qop_end_ns,
-                    now,
-                );
-            }
-        }
-        // In an ordered farm, wait until every earlier round has been
-        // emitted so downstream stages see rounds in order.  The wait is
-        // all but a few nanoseconds of blocked-convey time (the push itself
-        // never waits): the replica is done computing and is stalled behind
-        // a slower earlier round.
-        let mut t_push = t0;
-        if ordered {
-            enter(&self.ring, ThreadState::TurnWait, t0);
-            if let Some(group) = self.replica_group.clone() {
-                group.await_turn(&self.name, pipeline, round)?;
-            }
-            if let Some(ring) = &self.ring {
-                t_push = Instant::now();
-                ring.record(
-                    TraceKind::TurnWait,
-                    pipeline.0,
-                    round,
-                    tid,
-                    ring.ns_of(t0),
-                    ring.ns_of(t_push),
-                );
-            }
-        }
-        enter(&self.ring, ThreadState::BlockedConvey, t_push);
-        let sent = send(&self.ports[idx].output, Item::Buf(buf));
-        if matches!(sent, Ok(true)) {
-            if let Some(group) = &self.replica_group {
-                group.finish_turn(pipeline, round);
-            }
-        }
-        let t1 = Instant::now();
-        self.stats.blocked_convey += t1 - t0;
-        self.publish_live(t1);
-        if !sent? {
+        if !self.emit(idx, buf, TraceKind::Convey)? {
             return Err(FgError::Cancelled);
         }
-        self.stats.buffers_out += 1;
-        self.record_round();
-        if let Some(ring) = &self.ring {
-            let end = ring.ns_of(t1);
-            ring.record(
-                TraceKind::Convey,
-                pipeline.0,
-                round,
-                tid,
-                ring.ns_of(t_push),
-                end,
-            );
-            ring.set_state(ThreadState::Busy, end);
-            self.last_qop_end_ns = end;
-        }
+        self.counters.conveyed.add(1);
         Ok(())
     }
 
@@ -1100,36 +1078,60 @@ impl StageCtx {
     /// stage of that pipeline.
     pub fn discard(&mut self, buf: Buffer) -> Result<()> {
         let idx = self.port_index(buf.pipeline())?;
-        // An ordered farm must still take (and release) the round's
-        // emission turn: a discarded round produces nothing downstream,
-        // but later rounds may only emit after it.
-        let (pipeline, round, tid) = (buf.pipeline(), buf.round(), buf.trace_id());
-        self.ledger_release(buf.capacity());
-        if let Some(group) = self.replica_group.clone() {
-            if group.is_ordered() {
-                group.await_turn(&self.name, pipeline, round)?;
-            }
-        }
-        let t0 = Instant::now();
         // A closed pool means the program is being torn down: the buffer's
         // memory is simply released.
-        send(&self.ports[idx].pool.queue, Item::Buf(buf))?;
-        if let Some(group) = &self.replica_group {
-            group.finish_turn(pipeline, round);
+        self.emit(idx, buf, TraceKind::Recycle).map(drop)
+    }
+
+    /// Hand `buf` on from port `idx`: downstream for a `Convey`, back to
+    /// its pool for a `Recycle`.  False when the queue was closed under it.
+    fn emit(&mut self, idx: usize, buf: Buffer, kind: TraceKind) -> Result<bool> {
+        let (pipeline, round, tid) = (buf.pipeline(), buf.round(), buf.trace_id());
+        // The buffer leaves this stage whether the push lands or the
+        // program is cancelled underneath it.
+        self.ledger_release(buf.capacity());
+        self.counters.rounds.add(1);
+        let t0 = self.clock();
+        // The gap since this thread's last queue operation is the stage's
+        // own computation on this buffer: record it as a `Work` span.
+        if t0 > self.last_end {
+            self.record(TraceKind::Work, pipeline, round, tid, self.last_end, t0);
         }
-        let t1 = Instant::now();
-        self.record_round();
-        if let Some(ring) = &self.ring {
-            ring.record(
-                TraceKind::Recycle,
-                pipeline.0,
-                round,
-                tid,
-                ring.ns_of(t0),
-                ring.ns_of(t1),
-            );
+        // In an ordered farm, wait until every earlier round has been
+        // emitted so downstream stages see rounds in order — a discarded
+        // round too: it produces nothing downstream, but later rounds may
+        // only emit after it.  The wait is all but a few nanoseconds of
+        // blocked-convey time (the push itself never waits): the replica is
+        // done computing and is stalled behind a slower earlier round.
+        let mut t_push = t0;
+        if let Some(group) = self.replica_group.as_deref().filter(|g| g.is_ordered()) {
+            self.enter(ThreadState::TurnWait, t0);
+            group.await_turn(&self.name, pipeline, round)?;
+            if self.ring.is_some() {
+                t_push = self.clock();
+                self.record(TraceKind::TurnWait, pipeline, round, tid, t0, t_push);
+            }
         }
-        Ok(())
+        self.enter(ThreadState::BlockedConvey, t_push);
+        let port = &self.ports[idx];
+        let queue = match kind {
+            TraceKind::Recycle => &port.pool.queue,
+            _ => &port.output,
+        };
+        let sent = send(queue, Item::Buf(buf));
+        if matches!(sent, Ok(true)) {
+            if let Some(group) = &self.replica_group {
+                group.finish_turn(pipeline, round);
+            }
+        }
+        let t1 = self.clock();
+        self.book(t0, t1, |c| &c.blocked_convey_ns);
+        let sent = sent?;
+        if sent {
+            self.record(kind, pipeline, round, tid, t_push, t1);
+            self.enter(ThreadState::Busy, t1);
+        }
+        Ok(sent)
     }
 
     /// Stop an [`Rounds::UntilStopped`] pipeline: its first stage starts
@@ -1192,8 +1194,9 @@ impl StageCtx {
         // Whatever this thread still holds (a buffer dropped on an error
         // path) leaves the ledger with the thread.
         if let Some(l) = &self.ledger {
-            let (buffers, bytes) = std::mem::take(&mut self.ledger_held);
-            l.settle(buffers, bytes);
+            let c = &self.counters;
+            let buffers = c.accepted.get() as i64 - c.rounds.get() as i64;
+            l.settle(buffers, c.held_bytes.load(Ordering::Relaxed));
         }
     }
 

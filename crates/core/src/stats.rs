@@ -61,6 +61,31 @@ impl StageStats {
     }
 }
 
+/// One stage of a finished program, a farm's replica rows folded into one
+/// ([`Report::stage_rollups`]).  Times and counts are summed over the
+/// folded threads, except `wall`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StageRollup {
+    /// The stage's name; a farm's base name.
+    pub name: String,
+    /// Threads folded: a farm's width, 1 for an ordinary stage.
+    pub workers: usize,
+    /// The slowest thread's wall time (a farm's replicas run concurrently).
+    pub wall: Duration,
+    /// Wall time summed over the threads.
+    pub thread_wall: Duration,
+    /// Busy time ([`StageStats::busy`]).
+    pub busy: Duration,
+    /// Time blocked in accept.
+    pub blocked_accept: Duration,
+    /// Time blocked in convey.
+    pub blocked_convey: Duration,
+    /// Buffers accepted.
+    pub buffers_in: u64,
+    /// Buffers conveyed.
+    pub buffers_out: u64,
+}
+
 /// Lifetime depth statistics of one queue of a finished program.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueueDepth {
@@ -139,31 +164,34 @@ impl Report {
         self.stages.iter().find(|s| s.name == name)
     }
 
-    /// Roll up the per-replica rows (`base#0`, `base#1`, …) of a
-    /// replicated stage into one aggregate: wall is the slowest replica's
-    /// wall (replicas run concurrently), blocked times and buffer counts
-    /// are summed.  Returns `None` when no replica row matches, and the
-    /// replica count alongside the aggregate otherwise.
-    pub fn stage_rollup(&self, base: &str) -> Option<(StageStats, usize)> {
-        let mut agg: Option<StageStats> = None;
-        let mut n = 0;
-        for s in self
-            .stages
-            .iter()
-            .filter(|s| replica_base(&s.name) == Some(base))
-        {
-            n += 1;
-            let a = agg.get_or_insert_with(|| StageStats {
-                name: base.to_string(),
-                ..StageStats::default()
-            });
-            a.wall = a.wall.max(s.wall);
-            a.blocked_accept += s.blocked_accept;
-            a.blocked_convey += s.blocked_convey;
-            a.buffers_in += s.buffers_in;
-            a.buffers_out += s.buffers_out;
+    /// Every stage's row with a farm's replica rows (`<name>#<i>`) folded
+    /// into one, where its first replica's row stood — the one fold of a
+    /// farm, which [`diagnose`](crate::analyze::diagnose) reads too.
+    pub fn stage_rollups(&self) -> Vec<StageRollup> {
+        let mut rows: Vec<StageRollup> = Vec::new();
+        for s in &self.stages {
+            let farm = replica_base(&s.name);
+            let i = match rows.iter().position(|r| farm == Some(r.name.as_str())) {
+                Some(i) => i,
+                None => {
+                    rows.push(StageRollup {
+                        name: farm.unwrap_or(&s.name).to_string(),
+                        ..StageRollup::default()
+                    });
+                    rows.len() - 1
+                }
+            };
+            let r = &mut rows[i];
+            r.workers += 1;
+            r.wall = r.wall.max(s.wall);
+            r.thread_wall += s.wall;
+            r.busy += s.busy();
+            r.blocked_accept += s.blocked_accept;
+            r.blocked_convey += s.blocked_convey;
+            r.buffers_in += s.buffers_in;
+            r.buffers_out += s.buffers_out;
         }
-        agg.map(|a| (a, n))
+        rows
     }
 
     /// Sum of busy time across all stages — a proxy for total work performed.

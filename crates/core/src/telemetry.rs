@@ -88,25 +88,12 @@ pub struct TimestampedSnapshot {
 }
 
 impl TimestampedSnapshot {
-    /// The snapshot as a JSON object (`{"elapsed_ns": …, "metrics": …}`);
-    /// inverse of [`TimestampedSnapshot::from_json_value`].
+    /// The snapshot as a JSON object (`{"elapsed_ns": …, "metrics": …}`).
     pub fn to_json_value(&self) -> Json {
         obj(vec![
             ("elapsed_ns", Json::from(self.elapsed.as_nanos() as u64)),
             ("metrics", self.snapshot.to_json_value()),
         ])
-    }
-
-    /// Parse a snapshot written by [`TimestampedSnapshot::to_json_value`].
-    pub fn from_json_value(j: &Json) -> Result<Self, String> {
-        Ok(TimestampedSnapshot {
-            elapsed: Duration::from_nanos(
-                j.get("elapsed_ns")
-                    .and_then(Json::as_u64)
-                    .ok_or("missing elapsed_ns")?,
-            ),
-            snapshot: MetricsSnapshot::from_json_value(j.get("metrics").ok_or("missing metrics")?)?,
-        })
     }
 }
 
@@ -244,15 +231,6 @@ impl Drop for Sampler {
 /// [`TimestampedSnapshot::to_json_value`] element per point).
 pub fn series_to_json(series: &[TimestampedSnapshot]) -> Json {
     Json::Arr(series.iter().map(|s| s.to_json_value()).collect())
-}
-
-/// Parse a series written by [`series_to_json`].
-pub fn series_from_json(j: &Json) -> Result<Vec<TimestampedSnapshot>, String> {
-    j.as_arr()
-        .ok_or("telemetry series must be an array")?
-        .iter()
-        .map(TimestampedSnapshot::from_json_value)
-        .collect()
 }
 
 /// Source of the `GET /report` body — entry points with richer context (a
@@ -523,21 +501,5 @@ mod tests {
             t.elapsed() < Duration::from_secs(5),
             "stop must not wait out the interval"
         );
-    }
-
-    #[test]
-    fn timestamped_snapshot_json_round_trip() {
-        let registry = MetricsRegistry::new();
-        registry.counter("core/rounds").add(7);
-        registry.gauge("core/queue_depth/p[1]").set(3);
-        registry.histogram("disk/d0/read_ns").record(1000);
-        let point = TimestampedSnapshot {
-            elapsed: Duration::from_millis(250),
-            snapshot: registry.snapshot(),
-        };
-        let series = vec![point.clone(), point];
-        let j = series_to_json(&series);
-        let parsed = series_from_json(&Json::parse(&j.to_string()).unwrap()).unwrap();
-        assert_eq!(parsed, series);
     }
 }

@@ -172,34 +172,6 @@ impl TraceKind {
             TraceKind::Alltoallv => "alltoallv",
         }
     }
-
-    fn from_label(s: &str) -> Option<Self> {
-        Some(match s {
-            "accept" => TraceKind::Accept,
-            "work" => TraceKind::Work,
-            "convey" => TraceKind::Convey,
-            "recycle" => TraceKind::Recycle,
-            "turn-wait" => TraceKind::TurnWait,
-            "comm-send" => TraceKind::CommSend,
-            "comm-recv" => TraceKind::CommRecv,
-            "barrier" => TraceKind::Barrier,
-            "broadcast" => TraceKind::Broadcast,
-            "allgather" => TraceKind::Allgather,
-            "alltoallv" => TraceKind::Alltoallv,
-            _ => return None,
-        })
-    }
-
-    /// True for span kinds that consume a buffer from upstream.
-    fn is_intake(self) -> bool {
-        matches!(self, TraceKind::Accept)
-    }
-
-    /// True for span kinds that hand a buffer on: downstream, or back to
-    /// its pool.
-    fn is_emit(self) -> bool {
-        matches!(self, TraceKind::Convey | TraceKind::Recycle)
-    }
 }
 
 /// One fixed-size flight-recorder record: `kind` happened to the buffer
@@ -247,18 +219,6 @@ impl SpanRec {
             ("start_ns".into(), Json::Num(self.start_ns as f64)),
             ("end_ns".into(), Json::Num(self.end_ns as f64)),
         ])
-    }
-
-    /// Parse a record written by [`SpanRec::to_json`].
-    pub fn from_json(v: &Json) -> Option<SpanRec> {
-        Some(SpanRec {
-            kind: TraceKind::from_label(v.get("kind")?.as_str()?)?,
-            pipeline: v.get("pipeline")?.as_u64()? as u32,
-            round: v.get("round")?.as_u64()?,
-            trace_id: v.get("trace_id")?.as_u64()?,
-            start_ns: v.get("start_ns")?.as_u64()?,
-            end_ns: v.get("end_ns")?.as_u64()?,
-        })
     }
 }
 
@@ -330,10 +290,6 @@ pub struct SpanRing {
     slots: Box<[Mutex<SpanRec>]>,
     /// Total records ever written; `cursor % slots.len()` is the next slot.
     cursor: AtomicU64,
-    /// Buffers taken in (accept spans recorded).
-    intakes: AtomicU64,
-    /// Buffers handed on (convey/recycle spans recorded).
-    emits: AtomicU64,
     state: AtomicU64,
     state_since_ns: AtomicU64,
     /// Shared with the owning sink: bumped on every record, pipeline-wide.
@@ -360,8 +316,6 @@ impl SpanRing {
             epoch,
             slots: slots.into_boxed_slice(),
             cursor: AtomicU64::new(0),
-            intakes: AtomicU64::new(0),
-            emits: AtomicU64::new(0),
             state: AtomicU64::new(ThreadState::Starting as u64),
             state_since_ns: AtomicU64::new(0),
             last_activity_ns: last,
@@ -412,15 +366,6 @@ impl SpanRing {
             start_ns,
             end_ns,
         };
-        // `trace_id == 0` is a transition that moved no buffer (a pop that
-        // returned a caboose): progress, but neither an intake nor an emit.
-        if trace_id != 0 {
-            if kind.is_intake() {
-                self.intakes.fetch_add(1, Ordering::Relaxed);
-            } else if kind.is_emit() {
-                self.emits.fetch_add(1, Ordering::Relaxed);
-            }
-        }
         self.last_activity_ns.fetch_max(end_ns, Ordering::Relaxed);
     }
 
@@ -439,16 +384,6 @@ impl SpanRing {
         let since = self.state_since_ns.load(Ordering::Relaxed);
         let for_ns = self.now_ns().saturating_sub(since);
         (st, Duration::from_nanos(for_ns))
-    }
-
-    /// Buffers this thread took in (accepts recorded).
-    pub fn intakes(&self) -> u64 {
-        self.intakes.load(Ordering::Relaxed)
-    }
-
-    /// Buffers this thread handed on (conveys + recycles recorded).
-    pub fn emits(&self) -> u64 {
-        self.emits.load(Ordering::Relaxed)
     }
 
     /// Records written over the ring's lifetime (may exceed capacity).
@@ -506,15 +441,6 @@ impl fmt::Debug for SpanRing {
     }
 }
 
-/// Advertise on `ring`, when there is one, that its thread has been in
-/// `state` since `at` — an instant the caller already took around its queue
-/// operation.
-pub(crate) fn enter(ring: &Option<Arc<SpanRing>>, state: ThreadState, at: Instant) {
-    if let Some(ring) = ring {
-        ring.set_state(state, ring.ns_of(at));
-    }
-}
-
 /// The collected span log of one thread.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThreadLog {
@@ -554,22 +480,6 @@ impl ThreadLog {
             Json::Arr(self.spans.iter().map(SpanRec::to_json).collect()),
         ));
         Json::Obj(members)
-    }
-
-    /// Parse a log written by [`ThreadLog::to_json`].
-    pub fn from_json(v: &Json) -> Option<ThreadLog> {
-        let spans = v
-            .get("spans")?
-            .as_arr()?
-            .iter()
-            .map(SpanRec::from_json)
-            .collect::<Option<Vec<_>>>()?;
-        Some(ThreadLog {
-            thread: v.get("thread")?.as_str()?.to_string(),
-            group: v.get("group").and_then(Json::as_u64).map(|g| g as u32),
-            recorded: v.get("recorded")?.as_u64()?,
-            spans,
-        })
     }
 }
 
@@ -1050,8 +960,6 @@ mod tests {
             assert_eq!(s.trace_id, i as u64 + 1);
         }
         assert_eq!(ring.recorded(), 5);
-        assert_eq!(ring.intakes(), 5);
-        assert_eq!(ring.emits(), 0);
     }
 
     #[test]
@@ -1066,7 +974,6 @@ mod tests {
         let rounds: Vec<u64> = log.spans.iter().map(|s| s.round).collect();
         assert_eq!(rounds, vec![6, 7, 8, 9]);
         assert_eq!((log.recorded, log.dropped()), (10, 6));
-        assert_eq!(ring.emits(), 10);
     }
 
     #[test]
@@ -1087,28 +994,6 @@ mod tests {
         let now = ring.now_ns();
         ring.record(TraceKind::Accept, 0, 0, 1, now, now);
         assert!(sink.idle() < idle_before);
-    }
-
-    #[test]
-    fn span_rec_json_round_trips() {
-        let s = SpanRec {
-            kind: TraceKind::TurnWait,
-            pipeline: 3,
-            round: 17,
-            trace_id: 42,
-            start_ns: 1000,
-            end_ns: 2500,
-        };
-        for group in [None, Some(2)] {
-            let log = ThreadLog {
-                thread: "prog/worker#1".into(),
-                group,
-                recorded: 9,
-                spans: vec![s],
-            };
-            let parsed = ThreadLog::from_json(&Json::parse(&log.to_json().to_string()).unwrap());
-            assert_eq!(parsed, Some(log));
-        }
     }
 
     #[test]
@@ -1185,20 +1070,6 @@ mod tests {
         assert_eq!(TraceCtx::decode(&bytes[..19]), None);
         assert!(TraceCtx::NONE.is_none());
         assert!(!ctx.is_none());
-    }
-
-    #[test]
-    fn comm_kind_labels_round_trip() {
-        for kind in [
-            TraceKind::CommSend,
-            TraceKind::CommRecv,
-            TraceKind::Barrier,
-            TraceKind::Broadcast,
-            TraceKind::Allgather,
-            TraceKind::Alltoallv,
-        ] {
-            assert_eq!(TraceKind::from_label(kind.label()), Some(kind));
-        }
     }
 
     #[test]

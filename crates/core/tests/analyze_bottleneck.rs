@@ -171,8 +171,12 @@ fn a_farm_waiting_its_emission_turn_is_diagnosed_as_that() {
         .unwrap();
     let report = prog.run().unwrap();
 
-    let (row, workers) = report.stage_rollup("farm").unwrap();
-    assert_eq!(workers, 3);
+    let row = report
+        .stage_rollups()
+        .into_iter()
+        .find(|r| r.name == "farm")
+        .unwrap();
+    assert_eq!(row.workers, 3);
     assert!(
         row.blocked_convey > 2 * HELD * 3 / 4 && row.blocked_convey < 2 * HELD * 2,
         "two workers waited about {HELD:?} each: {:?}",

@@ -111,14 +111,4 @@ proptest! {
         prop_assert_eq!(ranks.len(), ranks.iter().collect::<HashSet<_>>().len());
     }
 
-    /// JSON round-trip preserves the report exactly.
-    #[test]
-    fn cluster_report_json_round_trips(specs in disjoint_ranks()) {
-        let mut cr = ClusterReport::default();
-        for &(r, w, b) in &specs {
-            cr.push(rank_report(r, w, b));
-        }
-        let parsed = ClusterReport::from_json(&cr.to_json()).unwrap();
-        prop_assert_eq!(parsed, cr);
-    }
 }

@@ -9,7 +9,17 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use fg_core::{map_stage, FgError, PipelineCfg, Program, Rounds, Stage, StageCtx};
+use fg_core::{
+    map_stage, FgError, PipelineCfg, Program, Report, Rounds, Stage, StageCtx, StageRollup,
+};
+
+/// The folded row of the stage `name`.
+fn rollup(report: &Report, name: &str) -> StageRollup {
+    let rows = report.stage_rollups();
+    rows.into_iter()
+        .find(|r| r.name == name)
+        .expect("a row for the stage")
+}
 
 #[test]
 fn workers_emit_rounds_in_order_without_reorder_stage() {
@@ -42,9 +52,8 @@ fn workers_emit_rounds_in_order_without_reorder_stage() {
     // 4 worker threads + check.
     assert_eq!(report.threads_spawned, 5);
     // Per-replica rows roll up under the base name.
-    let (rolled, n) = report.stage_rollup("work").unwrap();
-    assert_eq!(n, 4);
-    assert_eq!(rolled.buffers_in, 100);
+    let rolled = rollup(&report, "work");
+    assert_eq!((rolled.workers, rolled.buffers_in), (4, 100));
 }
 
 #[test]
@@ -107,7 +116,7 @@ fn single_worker_farm_degenerates_to_plain_stage() {
     assert_eq!(count.load(Ordering::Relaxed), 17);
     // No replica suffix: it runs as an ordinary stage.
     assert!(report.stage("s").is_some());
-    assert!(report.stage_rollup("s").is_none());
+    assert_eq!(rollup(&report, "s").workers, 1);
 }
 
 #[test]
@@ -263,8 +272,12 @@ fn a_farm_wider_than_its_rounds_ends_at_its_declared_width() {
                 .run()
                 .unwrap_or_else(|e| panic!("{ordered} {head}: {e:?}"));
             assert_eq!(*seen.lock().unwrap(), [0, 1], "{ordered} {head}");
-            let (rolled, replicas) = report.stage_rollup("farm").unwrap();
-            assert_eq!((rolled.buffers_in, replicas), (2, 4), "{ordered} {head}");
+            let rolled = rollup(&report, "farm");
+            assert_eq!(
+                (rolled.buffers_in, rolled.workers),
+                (2, 4),
+                "{ordered} {head}"
+            );
         }
     }
 }
@@ -332,4 +345,38 @@ proptest! {
         let expect: Vec<u64> = (0..rounds).collect();
         prop_assert_eq!(seen.lock().unwrap().clone(), expect);
     }
+}
+
+/// An ordered farm's replica that discards a round first waits for its
+/// turn, exactly as one that conveys it: the wait is blocked-convey time,
+/// not the replica's own work.
+#[test]
+fn a_discarding_replica_books_its_turn_wait_as_blocked_convey() {
+    let mut prog = Program::new("discard-turn");
+    let farm = prog.workers("farm", 2, |_| {
+        Box::new(|ctx: &mut StageCtx| {
+            while let Some(buf) = ctx.accept()? {
+                if buf.round() == 0 {
+                    std::thread::sleep(Duration::from_millis(50));
+                    ctx.convey(buf)?;
+                } else {
+                    ctx.discard(buf)?;
+                }
+            }
+            Ok(())
+        }) as Box<dyn Stage>
+    });
+    let last = prog.add_stage("last", map_stage(|_, _| Ok(())));
+    prog.add_pipeline(PipelineCfg::new("p", 2, 16).count(2), &[farm, last])
+        .unwrap();
+    let report = prog.run().unwrap();
+    // Round 0's replica sleeps on it, so round 1 went to the other one.
+    let discarder = (report.stages.iter())
+        .find(|s| s.name.starts_with("farm#") && s.buffers_out == 0)
+        .expect("a replica that conveyed nothing");
+    assert_eq!(discarder.buffers_in, 1, "{discarder:?}");
+    assert!(
+        discarder.blocked_convey >= Duration::from_millis(20),
+        "{discarder:?}"
+    );
 }

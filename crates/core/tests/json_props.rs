@@ -2,35 +2,11 @@
 //! focused on the UTF-16 surrogate-pair path: astral-plane characters
 //! round-trip both as literal UTF-8 and as `\uXXXX\uXXXX` escape pairs,
 //! and lone or mismatched surrogate halves are rejected rather than
-//! combined into garbage scalars.  Plus the report's `trace[]` member: any
-//! span log round-trips through report JSON.
+//! combined into garbage scalars.
 
 use proptest::prelude::*;
 
-use fg_core::{Json, Report, SpanRec, ThreadLog, TraceKind};
-
-/// A thread's log — `group` a rank or absent, `recorded` at least the spans
-/// kept — whose every span has a kind some thread writes and six fields
-/// drawn from the integers JSON numbers carry exactly.
-fn thread_log() -> impl Strategy<Value = ThreadLog> {
-    use proptest::collection::vec;
-    use TraceKind::*;
-    const KINDS: [TraceKind; 6] = [Accept, Work, Convey, Recycle, TurnWait, Alltoallv];
-    let span = vec(0u64..1 << 53, 6).prop_map(|f| SpanRec {
-        kind: KINDS[f[0] as usize % KINDS.len()],
-        pipeline: f[1] as u32,
-        round: f[2],
-        trace_id: f[3],
-        start_ns: f[4],
-        end_ns: f[5],
-    });
-    (0u32..5, 0u64..10_000, vec(span, 0..6)).prop_map(|(group, dropped, spans)| ThreadLog {
-        thread: format!("prog/stage#{dropped}"),
-        group: group.checked_sub(1),
-        recorded: spans.len() as u64 + dropped,
-        spans,
-    })
-}
+use fg_core::Json;
 
 /// Astral-plane scalar values (U+10000..=U+10FFFF) — everything that
 /// needs a surrogate pair in UTF-16 and therefore exercises the two-escape
@@ -114,14 +90,4 @@ proptest! {
         prop_assert!(Json::parse(&doc).is_err(), "accepted {doc}");
     }
 
-    /// A report's span log survives the JSON round trip whatever it holds
-    /// — grouped and ungrouped threads, wrapped rings, any start.
-    #[test]
-    fn report_trace_round_trips(
-        trace in proptest::collection::vec(thread_log(), 1..5),
-        trace_start_ns in 0u64..1 << 53,
-    ) {
-        let report = Report { trace, trace_start_ns, ..Report::default() };
-        prop_assert_eq!(Report::from_json(&report.to_json()), Ok(report));
-    }
 }

@@ -5,7 +5,8 @@
 use std::sync::Arc;
 
 use fg_core::{
-    map_stage, Json, MetricsRegistry, PipelineCfg, Program, Report, Rounds, TraceKind, TraceSink,
+    map_stage, Json, MemoryLedger, MetricsRegistry, PipelineCfg, ProfilerCfg, Program, Report,
+    ResourceProfiler, Rounds, TraceKind, TraceSink,
 };
 
 const ROUNDS: u64 = 25;
@@ -107,6 +108,61 @@ fn metrics_registry_collects_core_metrics_and_queue_depths() {
     assert!(dash.contains("core/stage_rounds/fill = 25"));
 }
 
+/// Whether `name` is `pattern` with each `<…>` placeholder read as one or
+/// more characters (a task, queue, thread, tag or rank).
+fn fills(pattern: &str, name: &str) -> bool {
+    let Some((literal, rest)) = pattern.split_once('<') else {
+        return pattern == name;
+    };
+    let Some(name) = name.strip_prefix(literal) else {
+        return false;
+    };
+    let rest = rest.split_once('>').map_or("", |(_, r)| r);
+    (1..=name.len()).any(|i| name.is_char_boundary(i) && fills(rest, &name[i..]))
+}
+
+/// METRICS.md's name catalogue cannot drift from the code: a program run
+/// with every recorder attached — a registry, a ledger, tracing and a
+/// resource profiler — emits only names the catalogue lists.
+#[test]
+fn metrics_md_catalogues_every_name_a_run_emits() {
+    let catalogue: Vec<&str> = include_str!("../../../METRICS.md")
+        .split("\n## Name catalogue\n")
+        .nth(1)
+        .and_then(|s| s.split("\n## ").next())
+        .expect("a `Name catalogue` section")
+        .lines()
+        .filter_map(|l| Some(l.strip_prefix("| `")?.split_once('`')?.0))
+        .collect();
+    let registry = Arc::new(MetricsRegistry::new());
+    let ledger = Arc::new(MemoryLedger::with_budget(1 << 20));
+    let profiler = ResourceProfiler::start_with(
+        Arc::clone(&registry),
+        ProfilerCfg::default(),
+        Some(Arc::clone(&ledger)),
+    );
+    let mut prog = Program::new("catalogue");
+    prog.set_metrics(Arc::clone(&registry));
+    prog.set_memory_ledger(ledger);
+    prog.enable_tracing();
+    let fill = prog.add_stage("fill", map_stage(|_, _| Ok(())));
+    let work = prog.workers("work", 2, |_| map_stage(|_, _| Ok(())));
+    prog.add_pipeline(PipelineCfg::new("p", 3, 64).count(ROUNDS), &[fill, work])
+        .unwrap();
+    prog.run().unwrap();
+    profiler.stop();
+
+    let snap = registry.snapshot();
+    let names = (snap.counters.iter().map(|(n, _)| n))
+        .chain(snap.gauges.iter().map(|(n, _)| n))
+        .chain(snap.histograms.iter().map(|(n, _)| n));
+    let missing: Vec<&String> = names
+        .filter(|n| !catalogue.iter().any(|p| fills(p, n)))
+        .collect();
+    assert!(missing.is_empty(), "not in METRICS.md: {missing:?}");
+    assert!(snap.counter("core/stage_rounds/work#1").is_some());
+}
+
 #[test]
 fn uninstrumented_run_reports_empty_metrics() {
     let report = two_stage_program().run().unwrap();
@@ -115,74 +171,6 @@ fn uninstrumented_run_reports_empty_metrics() {
     // Queue high-water marks are tracked unconditionally (they live inside
     // the queue's existing lock), so they appear even without a registry.
     assert!(!report.queues.is_empty());
-}
-
-#[test]
-fn report_json_round_trips_with_its_span_log() {
-    let registry = Arc::new(MetricsRegistry::new());
-    let mut prog = two_stage_program();
-    prog.enable_tracing();
-    prog.set_metrics(Arc::clone(&registry));
-    let report = prog.run().unwrap();
-
-    let text = report.to_json();
-    let doc = Json::parse(&text).unwrap();
-    assert_eq!(doc.get("trace").and_then(Json::as_arr).unwrap().len(), 2);
-    assert!(doc.get("stages").and_then(Json::as_arr).unwrap()[0]
-        .get("spans")
-        .is_none());
-    let parsed = Report::from_json(&text).expect("report JSON parses");
-    assert_eq!(parsed, report);
-    // An untraced report writes no trace members at all.
-    let plain = two_stage_program().run().unwrap().to_json();
-    assert!(!plain.contains("\"trace"), "{plain}");
-}
-
-/// A report written while a farm's width could change mid-run: a
-/// three-worker farm started at one worker and grown twice, by the last
-/// release that could do so.  It carries a decision log no report writes
-/// now and a `parked_ns` on every stage.
-const RESIZABLE_FARM_REPORT: &str =
-    include_str!("../../../tests/fixtures/report-resizable-farm.json");
-
-/// An old report still loads, and what it carries for a resizable farm is
-/// ignored.  A span log holding an `"actuate"` span, a kind no thread
-/// records any more, is refused with an error, not a panic.
-#[test]
-fn a_report_from_before_fixed_width_farms_still_loads() {
-    let report = Report::from_json(RESIZABLE_FARM_REPORT).expect("the old report loads");
-    assert_eq!(report.stage_rollup("work").unwrap().1, 3);
-    assert_eq!(report.stage("check").unwrap().buffers_out, 40);
-    let rewritten = report.to_json();
-    assert_eq!(Report::from_json(&rewritten), Ok(report));
-    assert!(RESIZABLE_FARM_REPORT.contains("\"parked_ns\":10393005"));
-    assert!(!rewritten.contains("parked_ns"), "{rewritten}");
-    let members = |text: &str| match Json::parse(text).unwrap() {
-        Json::Obj(members) => members,
-        other => panic!("a report is an object: {other}"),
-    };
-    let (old, new) = (members(RESIZABLE_FARM_REPORT), members(&rewritten));
-    let dropped: Vec<&Json> = (old.iter())
-        .filter(|(k, _)| !new.iter().any(|(n, _)| n == k))
-        .map(|(_, v)| v)
-        .collect();
-    assert!(
-        matches!(dropped[..], [log] if log.get("actuations").and_then(Json::as_u64) == Some(2)),
-        "only the decision log is dropped: {dropped:?}"
-    );
-
-    let mut traced = old;
-    traced.push(("trace_start_ns".into(), Json::from(0u64)));
-    traced.push((
-        "trace".into(),
-        Json::parse(
-            r#"[{"thread":"old/tuner","recorded":1,"spans":[{"kind":"actuate",
-            "pipeline":4294967295,"round":1,"trace_id":0,"start_ns":10,"end_ns":20}]}]"#,
-        )
-        .unwrap(),
-    ));
-    let err = Report::from_json(&Json::Obj(traced).to_string()).unwrap_err();
-    assert!(err.contains("trace"), "{err}");
 }
 
 #[test]

@@ -203,8 +203,15 @@ fn an_ordered_farm_of_four_heads_a_pool_of_two() {
         .unwrap();
     let report = prog.run().unwrap();
     assert_eq!(*seen.lock().unwrap(), (0..50).collect::<Vec<u64>>());
-    let (farm, workers) = report.stage_rollup("farm").unwrap();
-    assert_eq!((workers, farm.buffers_in, farm.buffers_out), (4, 50, 50));
+    let farm = report
+        .stage_rollups()
+        .into_iter()
+        .find(|r| r.name == "farm")
+        .unwrap();
+    assert_eq!(
+        (farm.workers, farm.buffers_in, farm.buffers_out),
+        (4, 50, 50)
+    );
 }
 
 proptest! {

@@ -271,12 +271,25 @@ proptest! {
     }
 }
 
+/// A caboose's accept is on the ring — progress for the watchdog's clock
+/// — but is no intake: a stage that only ever saw the caboose took in
+/// nothing.
 #[test]
 fn a_caboose_record_is_not_an_intake() {
-    let sink = TraceSink::with_ring_capacity(4);
-    let ring = sink.register_thread("p/s");
-    ring.record(TraceKind::Accept, 0, 0, 0, 10, 20);
-    assert_eq!((ring.intakes(), ring.emits(), ring.recorded()), (0, 0, 1));
+    let mut prog = Program::new("p");
+    prog.enable_tracing();
+    let s = prog.add_stage("s", map_stage(|_, _| Ok(())));
+    prog.add_pipeline(PipelineCfg::new("p", 2, 16).count(0), &[s])
+        .unwrap();
+    let report = prog.run().unwrap();
+    let spans = &report.trace[0].spans;
+    assert!(
+        spans
+            .iter()
+            .any(|s| s.kind == TraceKind::Accept && s.trace_id == 0),
+        "{spans:?}"
+    );
+    assert_eq!(report.stage("s").unwrap().buffers_in, 0);
 }
 
 #[test]
