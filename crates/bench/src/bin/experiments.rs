@@ -322,7 +322,7 @@ fn main() {
             ]
         };
         run.table("splitter-balance", rows.iter().map(cols).collect());
-        println!("no check: splitter-balance: the paper's 10% is ROADMAP item 2's open bullet");
+        println!("no check: splitter-balance: the paper's 10% is ROADMAP item 3(a)");
     }
     if wants("io-volume") {
         println!("\n=== T3: data volume (paper: csort does ~50% more disk I/O) ===");

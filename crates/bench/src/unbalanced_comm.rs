@@ -228,7 +228,7 @@ mod tests {
             res.diagnosis
                 .recommendations
                 .iter()
-                .any(|r| r.contains("skew")),
+                .any(|r| r.text.contains("skew")),
             "expected a skew recommendation: {:?}",
             res.diagnosis.recommendations
         );
@@ -241,7 +241,6 @@ mod tests {
             report: ClusterReport::new(4),
             diagnosis: ClusterDiagnosis {
                 ranks: Vec::new(),
-                straggler: None,
                 hot_rank,
                 recommendations: Vec::new(),
             },

@@ -84,8 +84,8 @@ pub use alloc::{
     FgAlloc, TagCounts, TagId,
 };
 pub use analyze::{
-    diagnose, diagnose_cluster, ClusterDiagnosis, ContentionFinding, Diagnosis, QueueFinding,
-    RankVerdict, ResourceFinding, ResourceFindingKind, StageDiagnosis, StageVerdict,
+    diagnose, diagnose_cluster, ClusterDiagnosis, Diagnosis, Recommendation, StageDiagnosis,
+    StageVerdict, Verdict,
 };
 pub use buffer::{Buffer, PipelineId, StageId};
 pub use cluster_report::{ClusterReport, CollectiveStat, RankReport};

@@ -141,7 +141,7 @@ thread_local! {
 /// that found nothing to take does before it parks (DESIGN.md §5c).  The
 /// kernel books a yield that switches threads as an *involuntary* switch,
 /// so the thread's exit sample reports the count beside `invol_switches`
-/// and the oversubscription verdict takes it back out.
+/// for a reader to take back out.
 pub fn yield_core() {
     YIELDS.with(|y| y.set(y.get() + 1));
     std::thread::yield_now();
@@ -467,8 +467,7 @@ pub struct ThreadResources {
     pub invol_switches: u64,
     /// [`yield_core`] calls, known only to the thread's exit sample (zero
     /// in a live one).  `invol_switches − yields` is a lower bound on
-    /// preemptions, the oversubscription signal
-    /// [`diagnose`](crate::diagnose) watches.
+    /// preemptions.
     pub yields: u64,
 }
 

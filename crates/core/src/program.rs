@@ -27,7 +27,7 @@ use crate::affinity::PinMode;
 use crate::analyze::POOL_QUEUE_PREFIX;
 use crate::buffer::{PipelineId, StageId};
 use crate::error::{FgError, Result};
-use crate::queue::{FlavorKind, Queue, QueueMetrics};
+use crate::queue::{FlavorKind, Queue};
 use crate::runtime;
 use crate::stage::{Pool, Port, Registry, ReplicaGroup, Rounds, Stage};
 use crate::stats::Report;
@@ -122,9 +122,9 @@ impl Program {
     /// in the [`Report`](crate::Report)
     /// ([`StageStats::core`](crate::StageStats)).  On hosts where
     /// affinity cannot be changed (non-Linux, no `taskset`) threads run
-    /// unpinned and record no placement.  Off by default: the OS
-    /// scheduler usually wins until queue contention dominates — see
-    /// `diagnose`'s contention findings for when to turn this on.
+    /// unpinned and record no placement.  Off by default: no run on a
+    /// 2-core host has yet shown queue contention worth pinning against
+    /// (EXPERIMENTS.md D15).
     pub fn set_pinning(&mut self, mode: PinMode) {
         self.pin = Some(mode);
     }
@@ -403,11 +403,11 @@ impl Program {
         let registry = Registry::new();
 
         // Build a queue, register it for shutdown, and — when a metrics
-        // registry is attached — wire up its depth gauge, contention
-        // counters, and capacity.  `FlavorKind::Spsc` may only be passed for
-        // stage-to-stage links the planner has proven exclusive; every
-        // other queue takes the lock-free MPMC ring (the mutex flavor
-        // survives as the property-test oracle and `Queue::new` default).
+        // registry is attached — wire up its depth gauge and capacity.
+        // `FlavorKind::Spsc` may only be passed for stage-to-stage links the
+        // planner has proven exclusive; every other queue takes the
+        // lock-free MPMC ring (the mutex flavor survives as the
+        // property-test oracle and `Queue::new` default).
         let metrics = self.metrics.clone();
         let reg = |name: String, cap: usize, kind: FlavorKind| {
             let gauge = metrics.as_ref().map(|m| {
@@ -415,14 +415,7 @@ impl Program {
                     .set(cap as u64);
                 m.gauge(&format!("{}{name}", crate::analyze::QUEUE_DEPTH_PREFIX))
             });
-            let qmetrics = metrics.as_ref().map(|m| QueueMetrics {
-                cas_retries: m
-                    .counter(&format!("{}{name}", crate::analyze::QUEUE_CAS_RETRY_PREFIX)),
-                pop_parks: m.counter(&format!("{}{name}", crate::analyze::QUEUE_POP_PARK_PREFIX)),
-                wakes: m.counter(&format!("{}{name}", crate::analyze::QUEUE_WAKE_PREFIX)),
-                items: m.counter(&format!("{}{name}", crate::analyze::QUEUE_ITEMS_PREFIX)),
-            });
-            let q = Queue::flavored(name, cap, kind, gauge, qmetrics);
+            let q = Queue::flavored(name, cap, kind, gauge);
             registry.register(Arc::clone(&q));
             q
         };

@@ -136,24 +136,18 @@ pub(crate) enum FlavorKind {
     Spsc,
 }
 
-/// One queue's contention counters — the only set it keeps.  The planner
-/// hands in the registry's `core/queue_*/<queue>` counters when the
-/// program runs with a metrics registry; otherwise they are private to the
-/// queue, so tests and post-mortems can still read them
-/// ([`Queue::cas_retries`]).
+/// The counters a queue keeps for its own handshake tests and for
+/// `qbench`'s contention rows ([`Queue::cas_retries`]); private to the
+/// queue, never published.
 #[derive(Default)]
 pub(crate) struct QueueMetrics {
-    /// `core/queue_cas_retries/<queue>`: failed position CASes (lock-free
-    /// flavor only; a proxy for producer/consumer collision rate).
-    pub(crate) cas_retries: Arc<Counter>,
-    /// `core/queue_pop_parks/<queue>`: consumer condvar waits.
-    pub(crate) pop_parks: Arc<Counter>,
-    /// `core/queue_wakes/<queue>`: slow-path notifications a push issued
-    /// because a consumer had advertised itself parked.
-    pub(crate) wakes: Arc<Counter>,
-    /// `core/queue_items/<queue>`: successful pushes — the denominator
-    /// that turns raw CAS-retry counts into a per-item collision rate.
-    pub(crate) items: Arc<Counter>,
+    /// Failed position CASes (lock-free flavor only).
+    pub(crate) cas_retries: Counter,
+    /// Consumer condvar waits.
+    pub(crate) pop_parks: Counter,
+    /// Slow-path notifications a push issued because a consumer had
+    /// advertised itself parked.
+    pub(crate) wakes: Counter,
 }
 
 /// A bounded queue of [`Item`]s with a blocking consumer side.
@@ -179,30 +173,28 @@ pub(crate) struct Queue {
 impl Queue {
     /// Create a mutex-flavor MPMC queue holding at most `capacity` items.
     pub(crate) fn new(name: impl Into<String>, capacity: usize) -> Arc<Self> {
-        Self::flavored(name, capacity, FlavorKind::Mutex, None, None)
+        Self::flavored(name, capacity, FlavorKind::Mutex, None)
     }
 
     /// Create a lock-free MPMC queue.
     pub(crate) fn lock_free(name: impl Into<String>, capacity: usize) -> Arc<Self> {
-        Self::flavored(name, capacity, FlavorKind::LockFree, None, None)
+        Self::flavored(name, capacity, FlavorKind::LockFree, None)
     }
 
     /// Create an SPSC queue.  The caller promises that at most one thread
     /// ever pushes and at most one thread ever pops (`close` may still be
     /// called from anywhere).
     pub(crate) fn spsc(name: impl Into<String>, capacity: usize) -> Arc<Self> {
-        Self::flavored(name, capacity, FlavorKind::Spsc, None, None)
+        Self::flavored(name, capacity, FlavorKind::Spsc, None)
     }
 
-    /// Create a queue of the given flavor with optional depth gauge and
-    /// registry-backed contention counters.  The planner's one
-    /// construction point.
+    /// Create a queue of the given flavor with an optional depth gauge.
+    /// The planner's one construction point.
     pub(crate) fn flavored(
         name: impl Into<String>,
         capacity: usize,
         kind: FlavorKind,
         gauge: Option<Arc<Gauge>>,
-        metrics: Option<QueueMetrics>,
     ) -> Arc<Self> {
         assert!(capacity > 0, "queue capacity must be positive");
         // Vyukov's bounded MPMC algorithm requires capacity >= 2: at
@@ -245,7 +237,7 @@ impl Queue {
             capacity,
             name: name.into(),
             gauge,
-            metrics: metrics.unwrap_or_default(),
+            metrics: QueueMetrics::default(),
         })
     }
 
@@ -412,7 +404,6 @@ impl Queue {
     fn after_push(&self, depth: usize) {
         self.max_depth.fetch_max(depth, Ordering::Relaxed);
         self.sample_depth(depth);
-        self.metrics.items.inc();
         if self.pop_sleepers.load(Ordering::SeqCst) > 0 {
             self.metrics.wakes.inc();
             let _guard = self.park.lock();
@@ -777,7 +768,7 @@ mod tests {
     fn gauge_samples_depth_on_push_and_pop() {
         for kind in [FlavorKind::Mutex, FlavorKind::LockFree, FlavorKind::Spsc] {
             let g = Arc::new(crate::metrics::Gauge::new());
-            let q = Queue::flavored("t", 4, kind, Some(Arc::clone(&g)), None);
+            let q = Queue::flavored("t", 4, kind, Some(Arc::clone(&g)));
             q.push(buf_item(0, 0)).unwrap();
             q.push(buf_item(0, 1)).unwrap();
             assert_eq!(g.get(), 2);
@@ -933,7 +924,6 @@ mod tests {
         q.push(buf_item(0, 5)).unwrap();
         assert_eq!(h.join().unwrap(), 5);
         assert_eq!(q.metrics.wakes.get(), 1, "the push saw the sleeper");
-        assert_eq!(q.metrics.items.get(), 1);
         assert_eq!(
             q.cas_retries(),
             0,

@@ -226,8 +226,8 @@ impl Report {
     /// concurrently, efficiency says how close the run came to its
     /// bottleneck bound — 1.0 means wall time equals the limiting stage's
     /// busy time, i.e. every other stage hid completely behind it;
-    /// [`analyze::diagnose`](crate::analyze::diagnose) warns when this
-    /// drops low.
+    /// [`analyze::diagnose`](crate::analyze::diagnose) prints it on its
+    /// limiting-stage line.
     pub fn overlap_efficiency(&self) -> f64 {
         let wall = self.wall.as_secs_f64();
         if wall == 0.0 {

@@ -8,9 +8,8 @@
 //!
 //! * a [`Sampler`] thread snapshots the registry on a fixed interval into a
 //!   bounded ring buffer of [`TimestampedSnapshot`]s, turning every
-//!   counter, gauge, and histogram into a time series that
-//!   [`analyze::diagnose`](crate::analyze::diagnose) can attribute
-//!   bottlenecks from, after a run, beside its report;
+//!   counter, gauge, and histogram into a time series
+//!   ([`series_to_json`] writes it);
 //! * a [`TelemetryServer`] serves `GET /metrics` (Prometheus text format
 //!   0.0.4, via [`MetricsSnapshot::to_prometheus`]) and `GET /report` (the
 //!   live dashboard text) over a plain `std::net::TcpListener`, so a

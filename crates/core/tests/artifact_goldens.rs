@@ -293,6 +293,31 @@ fn cluster_report_json_matches_its_golden() {
 }
 
 #[test]
+fn cluster_diagnosis_json_matches_its_golden() {
+    let mut cr = ClusterReport::new(3);
+    for rank in 0..3 {
+        // Ranks 1 and 2 each send rank 0 ten times what rank 0 sends rank 1.
+        let registry = fg_core::MetricsRegistry::new();
+        let (to, bytes) = if rank == 0 {
+            (1, 1 << 10)
+        } else {
+            (0, 10 << 10)
+        };
+        registry
+            .counter(&format!("comm/bytes/{rank}->{to}"))
+            .add(bytes);
+        cr.push(RankReport {
+            rank,
+            wall: Duration::from_micros(20_000),
+            reports: vec![report(); rank + 1],
+            metrics: registry.snapshot(),
+        });
+    }
+    let json = fg_core::diagnose_cluster(&cr).to_json_value().to_string();
+    assert_golden("cluster_diagnosis.json", &json);
+}
+
+#[test]
 fn telemetry_series_matches_its_golden() {
     let series = [
         TimestampedSnapshot {

@@ -64,44 +64,34 @@ fn profiler_sees_stage_threads_during_a_run() {
 /// involuntary switch.  Pass-through stages on more threads than the host
 /// has cores, all pinned to one core so that a yield always finds a stage
 /// with work to switch to, yield thousands of times a run: each exit
-/// sample carries its `yields`, and the verdict takes them back out of
-/// `invol_switches`.  A stage is also preempted for real now and then (a
-/// wakeup that preempts its waker), so the verdict is judged on the best
-/// of five runs.
+/// sample carries its `yields`, so a reader can take them back out of
+/// `invol_switches`.
 #[cfg(target_os = "linux")]
 #[test]
-fn yields_beside_more_stages_than_cores_are_not_oversubscription() {
+fn exit_samples_carry_the_yields_of_more_stages_than_cores() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut findings = Vec::new();
-    let clean = (0..5).any(|_| {
-        let registry = Arc::new(MetricsRegistry::new());
-        let mut prog = Program::new("yields");
-        prog.set_metrics(Arc::clone(&registry));
-        prog.set_pinning(fg_core::PinMode::Cores(vec![0]));
-        let stages: Vec<_> = (0..cores + 2)
-            .map(|i| prog.add_stage(format!("s{i}"), map_stage(|_buf, _ctx| Ok(()))))
-            .collect();
-        prog.add_pipeline(
-            PipelineCfg::new("p", 4, 64).rounds(Rounds::Count(20_000)),
-            &stages,
-        )
-        .unwrap();
-        let report = prog.run().unwrap();
+    let registry = Arc::new(MetricsRegistry::new());
+    let mut prog = Program::new("yields");
+    prog.set_metrics(Arc::clone(&registry));
+    prog.set_pinning(fg_core::PinMode::Cores(vec![0]));
+    let stages: Vec<_> = (0..cores + 2)
+        .map(|i| prog.add_stage(format!("s{i}"), map_stage(|_buf, _ctx| Ok(()))))
+        .collect();
+    prog.add_pipeline(
+        PipelineCfg::new("p", 4, 64).rounds(Rounds::Count(20_000)),
+        &stages,
+    )
+    .unwrap();
+    prog.run().unwrap();
 
-        let resources = fg_core::ResourceReport::from_metrics(&registry.snapshot()).unwrap();
-        let rows: Vec<_> = resources
-            .threads
-            .iter()
-            .filter(|t| t.name.starts_with("yields/"))
-            .collect();
-        assert_eq!(rows.len(), cores + 2, "{:?}", resources.threads);
-        assert!(rows.iter().all(|t| t.yields > 0), "{rows:?}");
-        findings = fg_core::diagnose(&report, &[]).resources;
-        findings
-            .iter()
-            .all(|f| f.kind != fg_core::ResourceFindingKind::Oversubscribed)
-    });
-    assert!(clean, "{findings:?}");
+    let resources = fg_core::ResourceReport::from_metrics(&registry.snapshot()).unwrap();
+    let rows: Vec<_> = resources
+        .threads
+        .iter()
+        .filter(|t| t.name.starts_with("yields/"))
+        .collect();
+    assert_eq!(rows.len(), cores + 2, "{:?}", resources.threads);
+    assert!(rows.iter().all(|t| t.yields > 0), "{rows:?}");
 }
 
 /// Pool buffers cannot outlive their program, so once `run` returns the

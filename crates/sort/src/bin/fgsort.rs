@@ -12,7 +12,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use fg_core::{diagnose, MetricsRegistry, Sampler, TelemetryServer};
+use fg_core::{diagnose, MetricsRegistry, TelemetryServer};
 use fg_sort::config::{DiskBackend, SortConfig};
 use fg_sort::csort::run_csort;
 use fg_sort::csort4::run_csort4;
@@ -73,8 +73,8 @@ usage: fgsort [flags]   (all optional)
                              (dsort only): every rank gets its own
                              metrics registry, the merged ClusterReport
                              JSON is written to OUT, and the per-rank
-                             rollup plus straggler/skew diagnosis is
-                             printed after the run
+                             rollup, every rank's diagnosis and the
+                             skew verdict are printed after the run
   --profile OUT              sample per-thread CPU / process RSS /
                              per-stage allocation counters while the
                              sort runs, print the resource report, and
@@ -422,8 +422,7 @@ fn main() -> ExitCode {
                         "telemetry: serving /metrics, /report, /resources, /healthz on http://{}",
                         server.local_addr()
                     );
-                    let sampler = Sampler::start(Arc::clone(&registry), Default::default());
-                    Some((server, sampler))
+                    Some(server)
                 }
                 Err(e) => {
                     eprintln!("error: failed to bind telemetry server on {addr}: {e}");
@@ -563,18 +562,13 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some((server, sampler)) = telemetry {
-        let series = sampler.stop();
-        println!(
-            "telemetry: collected {} samples; endpoint on {} closing",
-            series.len(),
-            server.local_addr()
-        );
+    if let Some(server) = telemetry {
+        println!("telemetry: endpoint on {} closing", server.local_addr());
         // The bottleneck diagnosis of each of node 0's passes.  With a flight
         // recorder attached each pass's report carries its own span log, so
         // the diagnosis cites that pass's rounds off its critical path.
         for (pass, report) in passes(&phases, &reports) {
-            println!("\nnode 0, {pass}:\n{}", diagnose(report, &series).render());
+            println!("\nnode 0, {pass}:\n{}", diagnose(report).render());
         }
     }
     ExitCode::SUCCESS

@@ -66,7 +66,7 @@ pub struct DsortReport {
     /// The merged cluster report (every rank's FG reports, wall time, and
     /// registry snapshot) when the run was launched with
     /// [`DsortOptions::observe`]; feed it to
-    /// [`fg_core::diagnose_cluster`] for straggler/skew analysis.
+    /// [`fg_core::diagnose_cluster`] for each rank's diagnosis and exchange skew.
     pub cluster: Option<ClusterReport>,
     /// `(phase, max-across-nodes wall time)` in run order: `sampling`,
     /// `pass1` and `pass2` by name, then `sync`.

@@ -129,6 +129,37 @@ fn a_traced_pass_diagnosis_counts_only_that_pass_s_node_0_rounds() {
     }
 }
 
+/// CI's `resource-smoke` shape, diagnosed: the profile hangs the whole
+/// process's resource sample on node 0's last pass, whose diagnosis once
+/// divided every allocator tag's lifetime count — `untagged` and stages of
+/// other passes and nodes included — by that one pass's wall and flagged
+/// five "stages" as churning the heap.  No verdict reads the allocator
+/// now; only the memory budget is judged.
+#[test]
+fn a_profiled_os_run_is_not_diagnosed_as_churning_the_heap() {
+    let dir = std::env::temp_dir().join(format!("fgsort-cli-res-{}", std::process::id()));
+    let profile = dir.join("profile.json");
+    let text = sorted(
+        "csort",
+        &format!(
+            "--nodes 4 --kib-per-node 2048 --backend os --dir {} --profile {} \
+             --mem-budget 256 --telemetry 127.0.0.1:0",
+            dir.display(),
+            profile.display()
+        ),
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(text.matches("limiting stage: `").count(), 3, "{text}");
+    for churn in [
+        "alloc churn",
+        "alloc-churn",
+        "churning the heap",
+        "memory-bound",
+    ] {
+        assert!(!text.contains(churn), "{churn}:\n{text}");
+    }
+}
+
 /// A farm's width and a pool's size are fixed when a program is built:
 /// the flag that once attached a live tuner is refused like any flag
 /// `fgsort` does not know, with the usage and a non-zero exit.
