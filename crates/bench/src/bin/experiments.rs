@@ -33,7 +33,7 @@ use fg_bench::{
     LINEAR_CLAIM, PASSES_CLAIM, RATIO_BAND_CLAIM, UNBALANCED_CLAIM, VIRTUAL_CLAIM,
 };
 use fg_bench::{io_overlap, kernel_bench, overlap, resource_profile, unbalanced_comm};
-use fg_core::{Json, MetricsRegistry, Sampler, TelemetryServer};
+use fg_core::{Json, MetricsRegistry, TelemetryServer};
 use fg_pdm::DiskCfg;
 use fg_sort::record::RecordFormat;
 use Val::{Count, Doc, Flag, KiB, MiB, Num, Ratio, Secs, Text};
@@ -243,8 +243,7 @@ fn main() {
     }
 
     // With --telemetry, the fig8 dsort runs publish into this registry and
-    // a background sampler + HTTP endpoint expose it live (GET /metrics,
-    // GET /report).
+    // an HTTP endpoint exposes it live (GET /metrics, GET /report).
     let registry = Arc::new(MetricsRegistry::new());
     let telemetry = args.telemetry.map(|addr| {
         let server = TelemetryServer::bind(&addr, Arc::clone(&registry)).unwrap_or_else(|e| {
@@ -255,8 +254,7 @@ fn main() {
             "telemetry: serving /metrics and /report on http://{}",
             server.local_addr()
         );
-        let sampler = Sampler::start(Arc::clone(&registry), Default::default());
-        (server, sampler)
+        server
     });
     // Observed fig8 runs (tracing + metrics) are what put full FG reports
     // in the artifacts and live numbers on the endpoint.
@@ -567,7 +565,7 @@ fn main() {
         run.check("kernel-bench", kernel_bench::CLAIM, held);
     }
     if wants("resource-profile") {
-        println!("\n=== R1: resource profiler overhead (base vs profiled, best-of-N) ===");
+        println!("\n=== R1: resource accounting overhead (base vs profiled, best-of-N) ===");
         let res = resource_profile::run_resource_profile(quick).expect("resource-profile");
         println!("{}", res.resources.render());
         run.one(
@@ -585,13 +583,8 @@ fn main() {
         let result = resource_profile::check(&res);
         run.check("resource-profile", resource_profile::CLAIM, result);
     }
-    if let Some((server, sampler)) = telemetry {
-        let series = sampler.stop();
-        println!(
-            "telemetry: collected {} samples; endpoint on {} closing",
-            series.len(),
-            server.local_addr()
-        );
+    if let Some(server) = telemetry {
+        println!("telemetry: endpoint on {} closing", server.local_addr());
     }
     if run.failed > 0 {
         eprintln!("\n{} check(s) FAILED", run.failed);

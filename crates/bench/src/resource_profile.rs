@@ -1,30 +1,30 @@
-//! R1: the resource profiler's own cost.
+//! R1: the cost of resource accounting.
 //!
 //! Two arms of the same csort run on the simulated backend: a **base** arm
 //! with no instrumentation, and a **profiled** arm carrying the full
-//! resource stack — metrics registry, memory ledger, and a
-//! [`fg_core::ResourceProfiler`] at its default 100 ms cadence.  Each arm
-//! is best-of-N (the sampler cost is a floor effect, so min wall time is
-//! the honest comparison), and the profiled arm's final
-//! [`fg_core::ResourceReport`] rides along in the artifact, so [`check`]
-//! can require the attribution to be populated as well as cheap.
+//! resource stack — a metrics registry and a memory ledger, so that every
+//! program's report carries its [`fg_core::ResourceReport`].  Each arm is
+//! best-of-N (the accounting cost is a floor effect, so min wall time is
+//! the honest comparison), and the last pass report's resources from the
+//! profiled arm's best run ride along in the artifact, so [`check`] can
+//! require the attribution to be populated as well as cheap.
 //!
-//! The acceptance bound is `overhead_frac < 0.02`: the profiler reads two
-//! small `/proc` files per registered thread per tick, which at tens of
-//! threads and 10 Hz is microseconds of work per second of run.  (ROADMAP
-//! item 1 re-gates it on a run longer than this cell's few milliseconds.)
+//! The acceptance bound is `overhead_frac < 0.02`: each stage thread reads
+//! two small `/proc` files as it exits, and each program reads the process
+//! once at its end — microseconds of work a pass.  (ROADMAP item 1
+//! re-gates it on a run longer than this cell's few milliseconds.)
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use fg_core::{MemoryLedger, MetricsRegistry, ResourceProfiler, ResourceReport};
+use fg_core::{MemoryLedger, MetricsRegistry, ResourceReport};
 use fg_sort::config::SortConfig;
 use fg_sort::csort::run_csort;
 use fg_sort::input::provision;
 use fg_sort::record::RecordFormat;
 use fg_sort::SortError;
 
-/// Both arms of the profiler-overhead experiment.
+/// Both arms of the resource-accounting overhead experiment.
 #[derive(Debug)]
 pub struct ResourceProfileResult {
     /// Cluster nodes in each run.
@@ -35,15 +35,15 @@ pub struct ResourceProfileResult {
     pub reps: usize,
     /// Best wall time with no instrumentation attached.
     pub base: Duration,
-    /// Best wall time with registry + ledger + profiler attached.
+    /// Best wall time with a registry and a ledger attached.
     pub profiled: Duration,
-    /// The resource report captured by the profiled arm's best run.
+    /// The last pass report's resources from the profiled arm's best run.
     pub resources: ResourceReport,
 }
 
 impl ResourceProfileResult {
     /// Fractional slowdown of the profiled arm: `profiled/base - 1`.
-    /// Negative values (noise) mean the profiler cost is unmeasurable.
+    /// Negative values (noise) mean the accounting cost is unmeasurable.
     pub fn overhead_frac(&self) -> f64 {
         self.profiled.as_secs_f64() / self.base.as_secs_f64() - 1.0
     }
@@ -53,7 +53,7 @@ impl ResourceProfileResult {
 /// scheduler jitter from failing a run whose cost is trivially small.
 const OVERHEAD: (f64, Duration) = (0.02, Duration::from_millis(10));
 /// What [`check`] holds R1 to.
-pub const CLAIM: &str = "profiler overhead < 2% or < 10 ms, with per-thread rows";
+pub const CLAIM: &str = "resource accounting overhead < 2% or < 10 ms, with per-thread rows";
 
 /// R1's claim: watching a run costs next to nothing, and sees its threads.
 pub fn check(res: &ResourceProfileResult) -> Result<(), String> {
@@ -88,22 +88,15 @@ pub fn run_resource_profile(quick: bool) -> Result<ResourceProfileResult, SortEr
     let mut profiled = Duration::MAX;
     let mut resources = ResourceReport::default();
     for _ in 0..reps {
-        let registry = Arc::new(MetricsRegistry::new());
-        let ledger = Arc::new(MemoryLedger::new());
         let mut armed = cfg.clone();
-        armed.metrics = Some(Arc::clone(&registry));
-        armed.ledger = Some(Arc::clone(&ledger));
-        let profiler = ResourceProfiler::start_with(
-            Arc::clone(&registry),
-            Default::default(),
-            Some(Arc::clone(&ledger)),
-        );
-        let disks = provision(&armed);
-        let r = run_csort(&armed, &disks)?;
-        profiler.stop();
+        armed.metrics = Some(Arc::new(MetricsRegistry::new()));
+        armed.ledger = Some(Arc::new(MemoryLedger::new()));
+        let mut r = run_csort(&armed, &provision(&armed))?;
         if r.total < profiled {
             profiled = r.total;
-            resources = ResourceReport::from_metrics(&registry.snapshot()).unwrap_or_default();
+            resources = (r.node0_reports.pop())
+                .and_then(|last| last.resources)
+                .unwrap_or_default();
         }
     }
 

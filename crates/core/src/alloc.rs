@@ -28,7 +28,7 @@
 //! and hot loops can refine attribution with [`with_tag`] (e.g. the sort
 //! kernels split warmup-round allocations from steady-state rounds, which
 //! is what turns "zero-alloc steady state" into a CI-checkable
-//! `resource/alloc/<stage>/count == 0`).
+//! `count == 0` on the stage's row of a report's `resources.alloc`).
 //!
 //! This is the one module in `fg-core` that needs `unsafe`: implementing
 //! [`GlobalAlloc`] requires an `unsafe impl`.  The unsafe surface is
@@ -118,7 +118,7 @@ pub struct TagScope {
 
 /// Tag the calling thread until the returned guard drops.  The runtime
 /// installs one per stage thread at spawn, so everything a stage allocates
-/// lands on its own `resource/alloc/<stage>/…` series.
+/// lands on its own `alloc` row of a [`ResourceReport`](crate::ResourceReport).
 pub fn thread_tag_scope(tag: TagId) -> TagScope {
     TagScope {
         prev: set_thread_tag(tag),

@@ -92,13 +92,13 @@ pub struct StageDiagnosis {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Verdict {
     /// The stage whose busy time bounds the run: every run that does work
-    /// has one.
+    /// has one.  On a traced run whose critical path one stage carries
+    /// more than [`DOMINANT_FRAC`] of, the line also cites that stage and
+    /// the slowest round.
     Limiting,
     /// An ordered farm's workers spend most of their wall in `convey`,
     /// waiting their emission turn behind a slower earlier round.
     EmissionTurn,
-    /// One stage carries most of the traced rounds' critical path.
-    CriticalPath,
     /// Peak memory came within [`MEMORY_BOUND_FRAC`] of the ledger budget.
     MemoryBound,
     /// One rank received more than [`SKEW_RATIO`] times the mean bytes of
@@ -112,7 +112,6 @@ impl Verdict {
         match self {
             Verdict::Limiting => "limiting",
             Verdict::EmissionTurn => "emission-turn",
-            Verdict::CriticalPath => "critical-path",
             Verdict::MemoryBound => "memory-bound",
             Verdict::HotRank => "hot-rank",
         }
@@ -161,8 +160,9 @@ pub struct Diagnosis {
     pub recommendations: Vec<Recommendation>,
 }
 
-/// A stage blocked in `convey` for more than this fraction of its wall, or
-/// carrying more than this fraction of the critical path, gets a verdict.
+/// A farm blocked in `convey` for more than this fraction of its wall gets
+/// a verdict; a stage carrying more than this fraction of the critical
+/// path is cited on the limiting line.
 pub(crate) const DOMINANT_FRAC: f64 = 0.5;
 
 /// Peak memory above this fraction of a configured ledger budget means
@@ -270,6 +270,32 @@ pub fn diagnose(report: &Report) -> Diagnosis {
         }
     }
 
+    // The run's span log, when it carries one, rebuilds each traced
+    // buffer's round timeline: when one stage owns most of that path, the
+    // limiting line cites it and the slowest round — per-round evidence
+    // beside the run-wide averages.  It is no verdict of its own: on a
+    // traced run it fires where the limiting line does (EXPERIMENTS D16).
+    let cp = crate::critical_path::critical_path(&report.trace);
+    let slowest = cp.slowest_round().and_then(|r| Some((r, r.dominant()?)));
+    let mut path_note = String::new();
+    if let (Some(stage), Some((slow, (in_stage, ns)))) = (cp.dominant_stage(), slowest) {
+        let pct = cp.stage_totals[0].1 as f64 / cp.total_ns.max(1) as f64 * 100.0;
+        if pct > DOMINANT_FRAC * 100.0 {
+            path_note = format!(
+                "; stage `{stage}` carries {pct:.0}% of the end-to-end critical path \
+                 across {} traced rounds; the slowest buffer journey is pipeline#{} \
+                 round {} at {:.3} ms, {:.3} ms of it in stage `{in_stage}` ({:.3} ms \
+                 queued) — profile that round first",
+                cp.rounds.len(),
+                slow.pipeline,
+                slow.round,
+                slow.dur_ns() as f64 / 1e6,
+                ns as f64 / 1e6,
+                slow.queued_ns() as f64 / 1e6
+            );
+        }
+    }
+
     let mut recommendations = Vec::new();
     if let Some(d) = lim.map(|i| &stages[i]) {
         let name = &d.name;
@@ -298,7 +324,7 @@ pub fn diagnose(report: &Report) -> Diagnosis {
                 d.busy_frac * 100.0
             )
         };
-        recommendations.push(Recommendation::new(Verdict::Limiting, text));
+        recommendations.push(Recommendation::new(Verdict::Limiting, text + &path_note));
     }
     // The limiting stage's own waits are the limiting line's business, and
     // a lone stage has no emission turn to wait for: its convey is a push.
@@ -318,33 +344,6 @@ pub fn diagnose(report: &Report) -> Diagnosis {
     }
     recommendations.extend(memory_bound(report));
 
-    // The run's span log, when it carries one, rebuilds each traced
-    // buffer's round timeline: when one stage owns most of that path, the
-    // verdict cites it and the slowest round — per-round evidence instead
-    // of run-wide averages.
-    let cp = crate::critical_path::critical_path(&report.trace);
-    let slowest = cp.slowest_round().and_then(|r| Some((r, r.dominant()?)));
-    if let (Some(stage), Some((slow, (in_stage, ns)))) = (cp.dominant_stage(), slowest) {
-        let pct = cp.stage_totals[0].1 as f64 / cp.total_ns.max(1) as f64 * 100.0;
-        if pct > DOMINANT_FRAC * 100.0 {
-            recommendations.push(Recommendation::new(
-                Verdict::CriticalPath,
-                format!(
-                    "stage `{stage}` carries {pct:.0}% of the end-to-end critical path \
-                     across {} traced rounds; the slowest buffer journey is pipeline#{} \
-                     round {} at {:.3} ms, {:.3} ms of it in stage `{in_stage}` ({:.3} ms \
-                     queued) — profile that round first",
-                    cp.rounds.len(),
-                    slow.pipeline,
-                    slow.round,
-                    slow.dur_ns() as f64 / 1e6,
-                    ns as f64 / 1e6,
-                    slow.queued_ns() as f64 / 1e6
-                ),
-            ));
-        }
-    }
-
     Diagnosis {
         stages,
         limiting,
@@ -355,14 +354,12 @@ pub fn diagnose(report: &Report) -> Diagnosis {
     }
 }
 
-/// The memory-bound verdict, from the run's resource report (or the
-/// `resource/*` gauges of its metrics): peak memory against the ledger's
-/// budget.  Nothing when the run carried no budgeted ledger — the profiler
-/// is opt-in and degrades to silence.
+/// The memory-bound verdict, from the run's resource report: peak memory
+/// against the ledger's budget.  Nothing when the run carried no budgeted
+/// ledger.
 fn memory_bound(report: &Report) -> Option<Recommendation> {
-    let res = (report.resources.clone())
-        .or_else(|| crate::profile::ResourceReport::from_metrics(&report.metrics))?;
-    let ledger = res.ledger.filter(|l| l.budget_bytes > 0)?;
+    let res = report.resources.as_ref()?;
+    let ledger = res.ledger.as_ref().filter(|l| l.budget_bytes > 0)?;
     // Whichever peak is larger: process RSS (everything) or the ledger's
     // own accounting (pool buffers only).  RSS can be zero when /proc was
     // unreadable.

@@ -2,8 +2,8 @@
 //!
 //! Several optional capabilities of the runtime lean on facilities that
 //! may simply be absent — `taskset(1)` and `/proc/thread-self` for core
-//! pinning ([`affinity`](crate::affinity)), `/proc/self/task` for the
-//! resource profiler ([`profile`](crate::profile)).  The policy in every
+//! pinning ([`affinity`](crate::affinity)), `/proc/self/task` for
+//! resource accounting ([`profile`](crate::profile)).  The policy in every
 //! case is the same: the capability degrades to a recorded no-op and the
 //! *first* failure is reported to stderr, once per process — a fleet of
 //! stage threads failing identically must not flood the log.

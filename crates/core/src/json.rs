@@ -492,8 +492,7 @@ fn metrics_to_json(m: &MetricsSnapshot) -> Json {
 impl MetricsSnapshot {
     /// The snapshot as a [`Json`] value (counters, gauges with peaks, and
     /// full histogram buckets) — the `"metrics"` member of
-    /// [`Report::to_json_value`], also used standalone by the telemetry
-    /// series export ([`crate::telemetry::series_to_json`]).
+    /// [`Report::to_json_value`].
     pub fn to_json_value(&self) -> Json {
         metrics_to_json(self)
     }

@@ -96,13 +96,13 @@ pub use metrics::{
     Counter, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
 pub use profile::{
-    register_current_thread, AllocResources, LedgerSnapshot, MemoryLedger, ProfilerCfg,
-    ResourceProfiler, ResourceReport, StageLedger, StageResidency, ThreadResources,
+    register_current_thread, AllocResources, LedgerSnapshot, MemoryLedger, ResourceReport,
+    StageLedger, StageResidency, ThreadResources,
 };
 pub use program::{run_linear, PipelineCfg, Program};
 pub use stage::{map_stage, reorder_stage, MapStage, Rounds, Stage, StageCtx};
 pub use stats::{PipelineShape, QueueDepth, Report, StageRollup, StageStats};
-pub use telemetry::{Sampler, SamplerCfg, TelemetryServer, TimestampedSnapshot};
+pub use telemetry::TelemetryServer;
 pub use trace::{
     Postmortem, SpanRec, SpanRing, ThreadLog, ThreadState, TraceCtx, TraceKind, TraceSink,
     WatchdogCfg,

@@ -1,4 +1,4 @@
-//! Resource observability: per-thread CPU attribution, process memory,
+//! Resource accounting: per-thread CPU attribution, process memory,
 //! allocation counters, and a buffer-pool residency ledger.
 //!
 //! The rest of the observability stack measures *pipeline* behavior —
@@ -6,32 +6,30 @@
 //! This module measures the *machine underneath it*:
 //!
 //! * every runtime thread registers its kernel TID at spawn
-//!   ([`register_current_thread`]); a [`ResourceProfiler`] sampler thread
-//!   (same condvar cadence machinery as the telemetry
-//!   [`Sampler`](crate::telemetry::Sampler)) reads
-//!   `/proc/self/task/<tid>/stat` + `status` and publishes
-//!   `resource/thread/<name>/{utime_ns,stime_ns,vol_switches,invol_switches}`
-//!   gauges, plus `resource/process/{rss_bytes,rss_peak_bytes}` from
-//!   `/proc/self/statm` and `VmHWM`; a thread's exit sample adds its
-//!   `yields` ([`yield_core`]);
+//!   ([`register_current_thread`]); a stage thread of an observed program
+//!   reads its own `/proc/self/task/<tid>/stat` + `status` as it exits and
+//!   hands the row back with its stage statistics, adding its `yields`
+//!   ([`yield_core`]);
+//! * process RSS and peak RSS come from `/proc/self/statm` and `VmHWM`;
 //! * the opt-in tracking allocator's per-stage counters
-//!   ([`alloc`](crate::alloc)) surface as
-//!   `resource/alloc/<stage>/{count,bytes,frees,freed_bytes}`;
+//!   ([`alloc`](crate::alloc)) are read as they stand;
 //! * a [`MemoryLedger`] tracks buffer-pool residency — buffers and bytes
 //!   outstanding per stage, and the pool total against a configurable
-//!   budget — the accounting primitive admission control (ROADMAP item 2)
-//!   will consume.
+//!   budget.
 //!
-//! Everything funnels through one value type, [`ResourceReport`]: sampled
-//! live ([`ResourceReport::sample_now`]) by `GET /resources` and the
-//! watchdog post-mortem, published as registry gauges by the profiler
-//! tick, reconstructed from a snapshot ([`ResourceReport::from_metrics`])
-//! by the dashboard, and embedded as the report JSON's `resources`
-//! member.
+//! Everything funnels through one value type, [`ResourceReport`].  A
+//! program run with a metrics registry or a ledger attached returns one in
+//! [`Report::resources`](crate::Report::resources): its stage threads'
+//! exit rows plus one read of the process, allocator and ledger at the end
+//! of the run.  No thread samples on a cadence: RSS peak, the allocator
+//! counters and the ledger peak are high-water marks or running totals, so
+//! one read at the end says what every tick would have.  A live sample
+//! ([`ResourceReport::sample_now`]) serves `GET /resources`, the default
+//! `GET /report` and the watchdog post-mortem.
 //!
 //! Like core pinning ([`affinity`](crate::affinity)), all of this is
 //! Linux-`/proc` shaped and degrades gracefully elsewhere: the first
-//! failed sample warns once ([`WarnOnce`]) and CPU/RSS rows simply stay
+//! failed read warns once ([`WarnOnce`]) and CPU/RSS rows simply stay
 //! absent — allocator and ledger accounting (plain atomics) keep working
 //! everywhere.
 
@@ -40,21 +38,9 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use crate::degrade::WarnOnce;
 use crate::json::{obj, Json};
-use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-
-/// Prefix of per-thread CPU gauges (`resource/thread/<name>/utime_ns`, …).
-pub const RESOURCE_THREAD_PREFIX: &str = "resource/thread/";
-/// Prefix of process memory gauges (`resource/process/rss_bytes`, …).
-pub const RESOURCE_PROCESS_PREFIX: &str = "resource/process/";
-/// Prefix of allocator gauges (`resource/alloc/<stage>/count`, …).
-pub const RESOURCE_ALLOC_PREFIX: &str = "resource/alloc/";
-/// Prefix of ledger gauges (`resource/ledger/<stage>/bytes`, …).
-pub const RESOURCE_LEDGER_PREFIX: &str = "resource/ledger/";
 
 static PROC_WARN: WarnOnce = WarnOnce::new();
 
@@ -88,10 +74,10 @@ impl Drop for ThreadRegistration {
     }
 }
 
-/// Register the calling thread under `name` for per-thread CPU sampling.
-/// The runtime calls this for every thread it spawns (stages, replicas,
-/// watchdog, samplers); embedders running their own worker threads (e.g.
-/// the I/O scheduler) should too.  Where
+/// Register the calling thread under `name` for live per-thread CPU
+/// samples ([`ResourceReport::sample_now`]).  The runtime calls this for
+/// every thread it spawns (stages, replicas, watchdog); embedders running
+/// their own worker threads (e.g. the I/O scheduler) should too.  Where
 /// `/proc/thread-self` is unavailable the registration is inert: the row
 /// exists but never gains CPU numbers.
 pub fn register_current_thread(name: impl Into<String>) -> ThreadRegistration {
@@ -111,7 +97,7 @@ pub fn register_current_thread(name: impl Into<String>) -> ThreadRegistration {
 
 /// `(name, tid)` of every currently registered runtime thread, in
 /// registration order.  A tid of 0 means the TID could not be learned
-/// (non-Linux hosts); such rows are skipped by the sampler.
+/// (non-Linux hosts); live samples skip such rows.
 pub fn registered_threads() -> Vec<(String, u64)> {
     threads()
         .lock()
@@ -184,14 +170,14 @@ fn page_size() -> u64 {
 /// Where resource samples come from.  Production uses `/proc`; tests
 /// point the root at a directory that doesn't exist to exercise the
 /// degraded path deterministically.
-pub(crate) struct ProcSource {
+struct ProcSource {
     root: PathBuf,
     clk_tck: u64,
     page_size: u64,
 }
 
 impl ProcSource {
-    pub(crate) fn system() -> ProcSource {
+    fn system() -> ProcSource {
         ProcSource {
             root: PathBuf::from("/proc"),
             clk_tck: clk_tck(),
@@ -200,7 +186,7 @@ impl ProcSource {
     }
 
     #[cfg(test)]
-    pub(crate) fn with_root(root: impl Into<PathBuf>) -> ProcSource {
+    fn with_root(root: impl Into<PathBuf>) -> ProcSource {
         ProcSource {
             root: root.into(),
             clk_tck: 100,
@@ -517,10 +503,25 @@ impl ResourceReport {
     /// Where `/proc` is unavailable this degrades (with a single warning
     /// per process) to an allocator/ledger-only report.
     pub fn sample_now(ledger: Option<&MemoryLedger>) -> ResourceReport {
-        Self::collect(&ProcSource::system(), ledger)
+        Self::collect(&ProcSource::system(), ledger, None)
     }
 
-    pub(crate) fn collect(source: &ProcSource, ledger: Option<&MemoryLedger>) -> ResourceReport {
+    /// A finished run's resources: its stage threads' exit rows and one
+    /// read of the process, the allocator and `ledger`.
+    pub(crate) fn at_run_end(
+        ledger: Option<&MemoryLedger>,
+        exit_rows: Vec<ThreadResources>,
+    ) -> ResourceReport {
+        Self::collect(&ProcSource::system(), ledger, Some(exit_rows))
+    }
+
+    /// The thread rows are `exit_rows` when given, else every registered
+    /// thread's live row.
+    fn collect(
+        source: &ProcSource,
+        ledger: Option<&MemoryLedger>,
+        exit_rows: Option<Vec<ThreadResources>>,
+    ) -> ResourceReport {
         let mut report = ResourceReport {
             alloc_tracking: crate::alloc::installed(),
             ledger: ledger.map(MemoryLedger::snapshot),
@@ -542,21 +543,19 @@ impl ResourceReport {
             Some((rss, rss_peak)) => {
                 report.rss_bytes = rss;
                 report.rss_peak_bytes = rss_peak;
-                for (name, tid) in registered_threads() {
-                    if tid == 0 {
-                        continue;
-                    }
-                    // A thread may exit between registration cleanup and
-                    // this read; its row is simply absent from this sample.
-                    if let Some(row) = source.thread_cpu(&name, tid) {
-                        report.threads.push(row);
-                    }
-                }
+                // A thread may exit between registration cleanup and this
+                // read; its row is simply absent from a live sample.
+                report.threads = exit_rows.unwrap_or_else(|| {
+                    (registered_threads().into_iter())
+                        .filter(|&(_, tid)| tid != 0)
+                        .filter_map(|(name, tid)| source.thread_cpu(&name, tid))
+                        .collect()
+                });
             }
             None => {
                 PROC_WARN.warn(|| {
                     format!(
-                        "fg: resource profiler degraded, no CPU/RSS attribution \
+                        "fg: resource accounting degraded, no CPU/RSS attribution \
                          ({} unreadable)",
                         source.root.display()
                     )
@@ -566,6 +565,16 @@ impl ResourceReport {
         report
     }
 
+    /// The calling thread's final CPU row, with its [`yield_core`] count —
+    /// what a stage thread of an observed program hands back as it exits.
+    /// Two small `/proc` reads once per thread lifetime; `None` off Linux.
+    pub(crate) fn exit_sample(name: &str) -> Option<ThreadResources> {
+        let tid = current_tid().ok()?;
+        let mut row = ProcSource::system().thread_cpu(name, tid)?;
+        row.yields = thread_yields();
+        Some(row)
+    }
+
     /// True when the report carries no data at all (nothing sampled,
     /// nothing tracked).
     pub fn is_empty(&self) -> bool {
@@ -573,142 +582,6 @@ impl ResourceReport {
             && self.threads.is_empty()
             && self.alloc.is_empty()
             && self.ledger.is_none()
-    }
-
-    /// Publish every row as gauges under the `resource/` prefixes — the
-    /// profiler tick, feeding `/metrics` scrapes and snapshot merges.
-    pub fn publish(&self, registry: &MetricsRegistry) {
-        if self.rss_bytes > 0 {
-            registry
-                .gauge("resource/process/rss_bytes")
-                .set(self.rss_bytes);
-            registry
-                .gauge("resource/process/rss_peak_bytes")
-                .set(self.rss_peak_bytes);
-        }
-        for t in &self.threads {
-            publish_thread_row(t, registry);
-        }
-        if self.alloc_tracking {
-            registry.gauge("resource/alloc/tracking").set(1);
-            registry
-                .gauge("resource/alloc/current_bytes")
-                .set(self.alloc_current_bytes);
-            registry
-                .gauge("resource/alloc/peak_bytes")
-                .set(self.alloc_peak_bytes);
-            for a in &self.alloc {
-                let base = format!("{RESOURCE_ALLOC_PREFIX}{}", a.stage);
-                registry.gauge(&format!("{base}/count")).set(a.allocs);
-                registry.gauge(&format!("{base}/frees")).set(a.frees);
-                registry.gauge(&format!("{base}/bytes")).set(a.bytes);
-                registry
-                    .gauge(&format!("{base}/freed_bytes"))
-                    .set(a.freed_bytes);
-            }
-        }
-        if let Some(ledger) = &self.ledger {
-            registry
-                .gauge("resource/ledger/budget_bytes")
-                .set(ledger.budget_bytes);
-            registry
-                .gauge("resource/ledger/total_bytes")
-                .set(ledger.total_bytes);
-            registry
-                .gauge("resource/ledger/peak_bytes")
-                .set(ledger.peak_bytes);
-            registry
-                .gauge("resource/ledger/total_buffers")
-                .set(ledger.total_buffers);
-            for s in &ledger.stages {
-                let base = format!("{RESOURCE_LEDGER_PREFIX}{}", s.stage);
-                registry.gauge(&format!("{base}/buffers")).set(s.buffers);
-                registry.gauge(&format!("{base}/bytes")).set(s.bytes);
-            }
-        }
-    }
-
-    /// Reassemble a report from `resource/*` gauges in a snapshot — the
-    /// inverse of [`ResourceReport::publish`], used by the dashboard and
-    /// by [`diagnose`](crate::diagnose) when the report itself carries no
-    /// `resources` member.  Returns `None` when the snapshot has no
-    /// resource gauges at all.
-    pub fn from_metrics(m: &MetricsSnapshot) -> Option<ResourceReport> {
-        let gauge = |name: &str| m.gauge(name).map(|g| g.value);
-        let mut report = ResourceReport {
-            rss_bytes: gauge("resource/process/rss_bytes").unwrap_or(0),
-            rss_peak_bytes: gauge("resource/process/rss_peak_bytes").unwrap_or(0),
-            alloc_tracking: gauge("resource/alloc/tracking").unwrap_or(0) != 0,
-            alloc_current_bytes: gauge("resource/alloc/current_bytes").unwrap_or(0),
-            alloc_peak_bytes: gauge("resource/alloc/peak_bytes").unwrap_or(0),
-            ..ResourceReport::default()
-        };
-        // Group multi-suffix families by their row name.  Gauges are
-        // sorted, so rows come out deterministically ordered by name.
-        let mut threads: BTreeMap<String, ThreadResources> = BTreeMap::new();
-        let mut allocs: BTreeMap<String, AllocResources> = BTreeMap::new();
-        let mut ledger_stages: BTreeMap<String, StageResidency> = BTreeMap::new();
-        let mut saw_ledger = false;
-        let mut any = false;
-        for (name, g) in &m.gauges {
-            if let Some(rest) = name.strip_prefix(RESOURCE_THREAD_PREFIX) {
-                any = true;
-                if let Some((thread, field)) = rest.rsplit_once('/') {
-                    let row = threads.entry(thread.to_string()).or_default();
-                    row.name = thread.to_string();
-                    match field {
-                        "utime_ns" => row.utime_ns = g.value,
-                        "stime_ns" => row.stime_ns = g.value,
-                        "vol_switches" => row.vol_switches = g.value,
-                        "invol_switches" => row.invol_switches = g.value,
-                        "yields" => row.yields = g.value,
-                        _ => {}
-                    }
-                }
-            } else if let Some(rest) = name.strip_prefix(RESOURCE_ALLOC_PREFIX) {
-                any = true;
-                if let Some((stage, field)) = rest.rsplit_once('/') {
-                    let row = allocs.entry(stage.to_string()).or_default();
-                    row.stage = stage.to_string();
-                    match field {
-                        "count" => row.allocs = g.value,
-                        "frees" => row.frees = g.value,
-                        "bytes" => row.bytes = g.value,
-                        "freed_bytes" => row.freed_bytes = g.value,
-                        _ => {}
-                    }
-                }
-            } else if let Some(rest) = name.strip_prefix(RESOURCE_LEDGER_PREFIX) {
-                any = true;
-                saw_ledger = true;
-                if let Some((stage, field)) = rest.rsplit_once('/') {
-                    let row = ledger_stages.entry(stage.to_string()).or_default();
-                    row.stage = stage.to_string();
-                    match field {
-                        "buffers" => row.buffers = g.value,
-                        "bytes" => row.bytes = g.value,
-                        _ => {}
-                    }
-                }
-            } else if name.starts_with(RESOURCE_PROCESS_PREFIX) {
-                any = true;
-            }
-        }
-        if !any {
-            return None;
-        }
-        report.threads = threads.into_values().collect();
-        report.alloc = allocs.into_values().collect();
-        if saw_ledger {
-            report.ledger = Some(LedgerSnapshot {
-                budget_bytes: gauge("resource/ledger/budget_bytes").unwrap_or(0),
-                total_bytes: gauge("resource/ledger/total_bytes").unwrap_or(0),
-                peak_bytes: gauge("resource/ledger/peak_bytes").unwrap_or(0),
-                total_buffers: gauge("resource/ledger/total_buffers").unwrap_or(0),
-                stages: ledger_stages.into_values().collect(),
-            });
-        }
-        Some(report)
     }
 
     /// The report as a JSON object.
@@ -872,145 +745,6 @@ impl ResourceReport {
     }
 }
 
-// ---------------------------------------------------------------------------
-// ResourceProfiler
-// ---------------------------------------------------------------------------
-
-/// Publish one thread's CPU row as `resource/thread/<name>/*` gauges.
-fn publish_thread_row(t: &ThreadResources, registry: &MetricsRegistry) {
-    let base = format!("{RESOURCE_THREAD_PREFIX}{}", t.name);
-    registry.gauge(&format!("{base}/utime_ns")).set(t.utime_ns);
-    registry.gauge(&format!("{base}/stime_ns")).set(t.stime_ns);
-    registry
-        .gauge(&format!("{base}/vol_switches"))
-        .set(t.vol_switches);
-    registry
-        .gauge(&format!("{base}/invol_switches"))
-        .set(t.invol_switches);
-    // Only the thread's own exit sample knows its yields: a live sample
-    // landing after it must not zero them.
-    if t.yields > 0 {
-        registry.gauge(&format!("{base}/yields")).set(t.yields);
-    }
-}
-
-/// Publish the calling thread's **final** CPU numbers into `registry`.
-/// The runtime calls this as each stage thread exits: a
-/// thread that lived shorter than the profiler cadence (or ran with no
-/// profiler attached at all) still leaves its CPU attribution behind,
-/// which is what keeps per-stage rows present for fast runs.  Costs two
-/// small `/proc` reads once per thread lifetime; degrades to a no-op off
-/// Linux.
-pub fn publish_exit_sample(name: &str, registry: &MetricsRegistry) {
-    let Ok(tid) = current_tid() else { return };
-    if let Some(mut row) = ProcSource::system().thread_cpu(name, tid) {
-        row.yields = thread_yields();
-        publish_thread_row(&row, registry);
-    }
-}
-
-/// Sampling cadence of a [`ResourceProfiler`].
-#[derive(Debug, Clone, Copy)]
-pub struct ProfilerCfg {
-    /// Interval between samples.
-    pub interval: Duration,
-}
-
-impl Default for ProfilerCfg {
-    /// 100 ms cadence, matching
-    /// [`SamplerCfg`](crate::telemetry::SamplerCfg): one `/proc` sweep
-    /// (two small files per registered thread plus two per process) every
-    /// tenth of a second — bounded, workload-independent cost.
-    fn default() -> Self {
-        ProfilerCfg {
-            interval: Duration::from_millis(100),
-        }
-    }
-}
-
-/// A background thread that samples [`ResourceReport`]s on a fixed
-/// interval and publishes them as `resource/*` gauges — the live half of
-/// resource observability, feeding `/metrics`, `/resources`, the
-/// telemetry sampler's time series, and [`diagnose`](crate::diagnose).
-///
-/// ```
-/// use std::sync::Arc;
-/// use fg_core::{MetricsRegistry, profile::ResourceProfiler};
-///
-/// let registry = Arc::new(MetricsRegistry::new());
-/// let profiler = ResourceProfiler::start(Arc::clone(&registry));
-/// // … run pipelines …
-/// let final_report = profiler.stop();
-/// # let _ = final_report;
-/// ```
-pub struct ResourceProfiler {
-    cadence: Arc<crate::telemetry::Cadence>,
-    registry: Arc<MetricsRegistry>,
-    ledger: Option<Arc<MemoryLedger>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl ResourceProfiler {
-    /// Spawn the sampling thread with the default cadence and no ledger.
-    pub fn start(registry: Arc<MetricsRegistry>) -> ResourceProfiler {
-        Self::start_with(registry, ProfilerCfg::default(), None)
-    }
-
-    /// Spawn the sampling thread; `ledger` rows are included in every
-    /// sample when given.
-    pub fn start_with(
-        registry: Arc<MetricsRegistry>,
-        cfg: ProfilerCfg,
-        ledger: Option<Arc<MemoryLedger>>,
-    ) -> ResourceProfiler {
-        let cadence = Arc::new(crate::telemetry::Cadence::new());
-        let worker_cadence = Arc::clone(&cadence);
-        let worker_registry = Arc::clone(&registry);
-        let worker_ledger = ledger.clone();
-        let interval = cfg.interval.max(Duration::from_millis(1));
-        let handle = std::thread::Builder::new()
-            .name("fg-resource-profiler".into())
-            .spawn(move || {
-                let _reg = register_current_thread("profiler");
-                let source = ProcSource::system();
-                worker_cadence.run(interval, || {
-                    ResourceReport::collect(&source, worker_ledger.as_deref())
-                        .publish(&worker_registry);
-                });
-            })
-            .expect("spawn resource profiler");
-        ResourceProfiler {
-            cadence,
-            registry,
-            ledger,
-            handle: Some(handle),
-        }
-    }
-
-    /// Stop the sampling thread, take one final sample, publish it, and
-    /// return it — so end-of-run totals (not the last interval's) land in
-    /// the registry and the report.
-    pub fn stop(mut self) -> ResourceReport {
-        self.join();
-        let report = ResourceReport::sample_now(self.ledger.as_deref());
-        report.publish(&self.registry);
-        report
-    }
-
-    fn join(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.cadence.stop();
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for ResourceProfiler {
-    fn drop(&mut self) {
-        self.join();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1043,14 +777,9 @@ mod tests {
     fn unreadable_proc_degrades_to_inert_report() {
         let _reg = register_current_thread("degraded-test");
         let source = ProcSource::with_root("/nonexistent-fg-proc-root");
-        let report = ResourceReport::collect(&source, None);
+        let report = ResourceReport::collect(&source, None, None);
         assert_eq!(report.rss_bytes, 0);
         assert!(report.threads.is_empty());
-        // Publishing a degraded report must not invent process gauges.
-        let registry = MetricsRegistry::new();
-        report.publish(&registry);
-        let snap = registry.snapshot();
-        assert!(snap.gauge("resource/process/rss_bytes").is_none());
     }
 
     #[cfg(target_os = "linux")]
@@ -1109,58 +838,6 @@ mod tests {
         let row = |n: &str| snap.stages.iter().find(|s| s.stage == n).unwrap();
         assert_eq!((row("sort").buffers, row("sort").bytes), (1, 4096));
         assert_eq!((row("merge").buffers, row("merge").bytes), (0, 0));
-    }
-
-    #[test]
-    fn publish_and_from_metrics_round_trip() {
-        let report = ResourceReport {
-            rss_bytes: 10 << 20,
-            rss_peak_bytes: 12 << 20,
-            threads: vec![
-                ThreadResources {
-                    name: "csort/read".into(),
-                    utime_ns: 100,
-                    stime_ns: 200,
-                    vol_switches: 3,
-                    invol_switches: 4,
-                    yields: 0,
-                },
-                ThreadResources {
-                    name: "csort/sort#1".into(),
-                    utime_ns: 500,
-                    stime_ns: 600,
-                    vol_switches: 7,
-                    invol_switches: 8,
-                    yields: 6,
-                },
-            ],
-            alloc_tracking: true,
-            alloc: vec![AllocResources {
-                stage: "sort".into(),
-                allocs: 5,
-                frees: 5,
-                bytes: 4096,
-                freed_bytes: 4096,
-            }],
-            alloc_current_bytes: 77,
-            alloc_peak_bytes: 99,
-            ledger: Some(LedgerSnapshot {
-                budget_bytes: 0,
-                total_bytes: 1 << 20,
-                peak_bytes: 1 << 20,
-                total_buffers: 2,
-                stages: vec![StageResidency {
-                    stage: "read".into(),
-                    buffers: 1,
-                    bytes: 1 << 19,
-                }],
-            }),
-        };
-        let registry = MetricsRegistry::new();
-        report.publish(&registry);
-        let rebuilt = ResourceReport::from_metrics(&registry.snapshot()).expect("gauges present");
-        assert_eq!(rebuilt, report);
-        assert!(ResourceReport::from_metrics(&MetricsSnapshot::default()).is_none());
     }
 
     #[test]

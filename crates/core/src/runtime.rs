@@ -8,6 +8,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::error::{FgError, Result};
 use crate::metrics::MetricsRegistry;
+use crate::profile::{ResourceReport, ThreadResources};
 use crate::program::replica_base;
 use crate::queue::Queue;
 use crate::stage::{Pool, Port, Registry, ReplicaGroup, Stage, StageCounters, StageCtx};
@@ -73,25 +74,26 @@ fn pin_self(core: Option<usize>) -> Option<usize> {
     core.filter(|&c| crate::affinity::pin_current_thread(c))
 }
 
-/// Spawn one pipeline thread under `name`: registered with the resource
-/// profiler for its lifetime, and leaving a final CPU sample behind at exit
-/// — short-lived threads can exit between profiler ticks and would
-/// otherwise vanish from the per-stage attribution.
+/// What a stage thread hands back: its statistics and, when its program
+/// is observed, its exit sample.
+type ThreadOutcome = (StageStats, Option<ThreadResources>);
+
+/// Spawn one pipeline thread under `name`: registered for live resource
+/// samples for its lifetime, and, when `observed`, reading its own final
+/// CPU row as it exits.
 fn spawn_thread(
     name: String,
-    metrics: Option<Arc<MetricsRegistry>>,
+    observed: bool,
     body: impl FnOnce() -> StageStats + Send + 'static,
-) -> Result<std::thread::JoinHandle<StageStats>> {
+) -> Result<std::thread::JoinHandle<ThreadOutcome>> {
     let profile_name = name.clone();
     std::thread::Builder::new()
         .name(name)
         .spawn(move || {
             let _reg = crate::profile::register_current_thread(profile_name.clone());
             let stats = body();
-            if let Some(m) = &metrics {
-                crate::profile::publish_exit_sample(&profile_name, m);
-            }
-            stats
+            let row = observed.then(|| ResourceReport::exit_sample(&profile_name));
+            (stats, row.flatten())
         })
         .map_err(|e| FgError::Config(format!("failed to spawn pipeline thread: {e}")))
 }
@@ -111,6 +113,9 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
         ledger,
     } = plan;
     let mut placement = CorePlacement::new(pin);
+    // A program with a registry or a ledger attached reports its resources:
+    // each stage thread's exit row, then one read once they have joined.
+    let observed = metrics.is_some() || ledger.is_some();
 
     // One rule for when a sink exists: the caller shared one, or a reader
     // of the rings is armed — the watchdog (their activity clock) or the
@@ -156,7 +161,7 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
         let base = replica_base(&task.name).unwrap_or(&task.name);
         let stage_ledger = ledger.as_ref().map(|l| l.stage(base));
         let core = placement.assign();
-        handles.push(spawn_thread(thread, metrics.clone(), move || {
+        handles.push(spawn_thread(thread, observed, move || {
             run_stage_thread(task, registry, counters, ring, core, stage_ledger)
         })?);
     }
@@ -183,9 +188,13 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
 
     let threads_spawned = handles.len();
     let mut stages = Vec::with_capacity(threads_spawned);
+    let mut exit_rows = Vec::new();
     for handle in handles {
         match handle.join() {
-            Ok(stats) => stages.push(stats),
+            Ok((stats, row)) => {
+                stages.push(stats);
+                exit_rows.extend(row);
+            }
             Err(_) => {
                 // The wrapper catches panics; reaching here means the
                 // wrapper itself failed, which we still surface.
@@ -219,11 +228,7 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
         queues: registry.queue_depths(),
         pipelines,
         metrics: metrics.map(|m| m.snapshot()).unwrap_or_default(),
-        // Per-thread CPU rows are gone once the threads have joined; the
-        // meaningful final attribution is whatever a ResourceProfiler
-        // published into the metrics gauges during the run.  Entry points
-        // that ran one (fgsort --profile) fill this in.
-        resources: None,
+        resources: observed.then(|| ResourceReport::at_run_end(ledger.as_deref(), exit_rows)),
         // The threads have joined, so each ring holds its thread's final log.
         trace: rings.iter().map(|r| r.log()).collect(),
         trace_start_ns: rings.first().map_or(0, |r| r.ns_of(start)),
@@ -356,9 +361,7 @@ fn run_watchdog(
         // Stalled threads are still alive, so the snapshot carries their
         // CPU rows: a wedged run's post-mortem says who was spinning and
         // what memory looked like at the moment of death.
-        resources: Some(crate::profile::ResourceReport::sample_now(
-            ledger.as_deref(),
-        )),
+        resources: Some(ResourceReport::sample_now(ledger.as_deref())),
     };
     eprint!("{}", pm.render());
     if let Some(path) = &cfg.artifact {

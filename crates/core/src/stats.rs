@@ -141,9 +141,10 @@ pub struct Report {
     /// other layers (communicators, simulated disks) may merge their own
     /// snapshots in before rendering or export.
     pub metrics: MetricsSnapshot,
-    /// Final resource attribution (per-thread CPU, RSS, allocator
-    /// counters, buffer ledger), when the run sampled one — see
-    /// [`ResourceReport`](crate::profile::ResourceReport).
+    /// The run's resources (each stage thread's exit CPU row, then RSS,
+    /// allocator counters and the buffer ledger as they stood at the end),
+    /// when the program had a metrics registry or a memory ledger attached
+    /// — see [`ResourceReport`](crate::profile::ResourceReport).
     pub resources: Option<crate::profile::ResourceReport>,
     /// The run's span log — the flight-recorder ring of every thread the
     /// program spawned, in [`stages`](Report::stages) order — when the
@@ -430,14 +431,7 @@ impl Report {
                 ));
             }
         }
-        // The resource section: the report's own final snapshot when it
-        // has one, else whatever `resource/*` gauges a profiler published
-        // into the metrics snapshot.
-        let resources = self
-            .resources
-            .clone()
-            .or_else(|| crate::profile::ResourceReport::from_metrics(&self.metrics));
-        if let Some(resources) = resources.filter(|r| !r.is_empty()) {
+        if let Some(resources) = self.resources.as_ref().filter(|r| !r.is_empty()) {
             out.push_str("\n== resources ==\n");
             out.push_str(&resources.render());
         }

@@ -1,7 +1,7 @@
 //! Every artifact a run writes, pinned byte for byte.
 //!
 //! FG's artifacts are write-only: nothing in the workspace parses a report,
-//! a trace, a series or a post-mortem back into its Rust type.  What keeps
+//! a trace or a post-mortem back into its Rust type.  What keeps
 //! their schemas from drifting is this file: each writer renders a fixed,
 //! hand-made input, and the output must equal the checked-in golden under
 //! `tests/goldens/` exactly.  A golden changes only with a deliberate
@@ -14,7 +14,6 @@ use fg_core::metrics::{GaugeSnapshot, HistogramSnapshot, MetricsSnapshot};
 use fg_core::profile::{
     AllocResources, LedgerSnapshot, ResourceReport, StageResidency, ThreadResources,
 };
-use fg_core::telemetry::{series_to_json, TimestampedSnapshot};
 use fg_core::trace::{
     Postmortem, QueuePostmortem, SpanRec, ThreadLog, ThreadPostmortem, ThreadState, TraceKind,
     TurnstilePostmortem,
@@ -315,21 +314,6 @@ fn cluster_diagnosis_json_matches_its_golden() {
     }
     let json = fg_core::diagnose_cluster(&cr).to_json_value().to_string();
     assert_golden("cluster_diagnosis.json", &json);
-}
-
-#[test]
-fn telemetry_series_matches_its_golden() {
-    let series = [
-        TimestampedSnapshot {
-            elapsed: Duration::from_millis(50),
-            snapshot: MetricsSnapshot::default(),
-        },
-        TimestampedSnapshot {
-            elapsed: Duration::from_millis(100),
-            snapshot: metrics(),
-        },
-    ];
-    assert_golden("series.json", &series_to_json(&series).to_string());
 }
 
 #[test]

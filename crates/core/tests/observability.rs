@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use fg_core::{
-    map_stage, Json, MemoryLedger, MetricsRegistry, PipelineCfg, ProfilerCfg, Program, Report,
-    ResourceProfiler, Rounds, TraceKind, TraceSink,
+    map_stage, Json, MemoryLedger, MetricsRegistry, PipelineCfg, Program, Report, Rounds,
+    TraceKind, TraceSink,
 };
 
 const ROUNDS: u64 = 25;
@@ -122,8 +122,9 @@ fn fills(pattern: &str, name: &str) -> bool {
 }
 
 /// METRICS.md's name catalogue cannot drift from the code: a program run
-/// with every recorder attached — a registry, a ledger, tracing and a
-/// resource profiler — emits only names the catalogue lists.
+/// with every recorder attached — a registry, a ledger and tracing — emits
+/// only names the catalogue lists, and hands its resources back in its
+/// report, not as metrics.
 #[test]
 fn metrics_md_catalogues_every_name_a_run_emits() {
     let catalogue: Vec<&str> = include_str!("../../../METRICS.md")
@@ -136,11 +137,6 @@ fn metrics_md_catalogues_every_name_a_run_emits() {
         .collect();
     let registry = Arc::new(MetricsRegistry::new());
     let ledger = Arc::new(MemoryLedger::with_budget(1 << 20));
-    let profiler = ResourceProfiler::start_with(
-        Arc::clone(&registry),
-        ProfilerCfg::default(),
-        Some(Arc::clone(&ledger)),
-    );
     let mut prog = Program::new("catalogue");
     prog.set_metrics(Arc::clone(&registry));
     prog.set_memory_ledger(ledger);
@@ -149,8 +145,8 @@ fn metrics_md_catalogues_every_name_a_run_emits() {
     let work = prog.workers("work", 2, |_| map_stage(|_, _| Ok(())));
     prog.add_pipeline(PipelineCfg::new("p", 3, 64).count(ROUNDS), &[fill, work])
         .unwrap();
-    prog.run().unwrap();
-    profiler.stop();
+    let report = prog.run().unwrap();
+    assert!(report.resources.is_some_and(|r| r.ledger.is_some()));
 
     let snap = registry.snapshot();
     let names = (snap.counters.iter().map(|(n, _)| n))
@@ -167,6 +163,7 @@ fn metrics_md_catalogues_every_name_a_run_emits() {
 fn uninstrumented_run_reports_empty_metrics() {
     let report = two_stage_program().run().unwrap();
     assert!(report.metrics.is_empty());
+    assert!(report.resources.is_none());
     assert!(report.trace.is_empty());
     // Queue high-water marks are tracked unconditionally (they live inside
     // the queue's existing lock), so they appear even without a registry.

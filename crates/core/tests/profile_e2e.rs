@@ -1,60 +1,41 @@
-//! End-to-end resource profiler test: a real program with busy stages,
-//! sampled live by a fast-cadence profiler; the registry must end up with
-//! per-thread CPU rows for the stage threads.
+//! End-to-end resource accounting: a real program run with a metrics
+//! registry or a memory ledger attached returns its resources in its
+//! report — one CPU row per stage thread, from that thread's exit sample,
+//! and the process, allocator and ledger as they stood at the end.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use fg_core::{map_stage, MetricsRegistry, PipelineCfg, ProfilerCfg, Program, Rounds};
+use fg_core::{map_stage, MetricsRegistry, PipelineCfg, Program, Rounds};
 
 #[cfg(target_os = "linux")]
 #[test]
 fn profiler_sees_stage_threads_during_a_run() {
-    let registry = Arc::new(MetricsRegistry::new());
     let ledger = Arc::new(fg_core::MemoryLedger::new());
-    let profiler = fg_core::ResourceProfiler::start_with(
-        Arc::clone(&registry),
-        ProfilerCfg {
-            interval: Duration::from_millis(5),
-        },
-        Some(Arc::clone(&ledger)),
-    );
-
     let mut prog = Program::new("profile-e2e");
+    // A ledger alone, no registry: the report still carries its resources.
     prog.set_memory_ledger(Arc::clone(&ledger));
-    let spin = prog.add_stage(
-        "spin",
-        map_stage(|_buf, _ctx| {
-            // Busy + slow enough that several profiler ticks land mid-run.
-            std::thread::sleep(Duration::from_millis(10));
-            Ok(())
-        }),
-    );
+    let spin = prog.add_stage("spin", map_stage(|_buf, _ctx| Ok(())));
+    let farm = prog.workers("farm", 2, |_| map_stage(|_buf, _ctx| Ok(())));
     prog.add_pipeline(
         PipelineCfg::new("p", 2, 1024).rounds(Rounds::Count(10)),
-        &[spin],
+        &[spin, farm],
     )
     .unwrap();
-    prog.run().unwrap();
+    let report = prog.run().unwrap();
 
-    profiler.stop();
-    let snap = registry.snapshot();
-    let thread_gauges: Vec<&str> = snap
-        .gauges
-        .iter()
-        .map(|(n, _)| n.as_str())
-        .filter(|n| n.starts_with("resource/thread/"))
-        .collect();
-    assert!(
-        thread_gauges.iter().any(|n| n.contains("profile-e2e/spin")),
-        "no stage-thread rows; thread gauges: {thread_gauges:?}"
-    );
-    let resources = fg_core::ResourceReport::from_metrics(&snap).expect("resource gauges present");
+    let resources = report.resources.expect("a ledger attached: resources read");
     assert!(resources.rss_bytes > 0);
-    assert!(resources
-        .threads
-        .iter()
-        .any(|t| t.name.contains("profile-e2e/spin")));
+    assert!(resources.rss_peak_bytes >= resources.rss_bytes);
+    let names: Vec<&str> = resources.threads.iter().map(|t| t.name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "profile-e2e/spin",
+            "profile-e2e/farm#0",
+            "profile-e2e/farm#1"
+        ],
+        "one row a stage thread, in the report's stage order"
+    );
     // The ledger saw the pool's buffers.
     assert!(resources.ledger.expect("ledger rows").total_buffers > 0);
 }
@@ -70,9 +51,8 @@ fn profiler_sees_stage_threads_during_a_run() {
 #[test]
 fn exit_samples_carry_the_yields_of_more_stages_than_cores() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let registry = Arc::new(MetricsRegistry::new());
     let mut prog = Program::new("yields");
-    prog.set_metrics(Arc::clone(&registry));
+    prog.set_metrics(Arc::new(MetricsRegistry::new()));
     prog.set_pinning(fg_core::PinMode::Cores(vec![0]));
     let stages: Vec<_> = (0..cores + 2)
         .map(|i| prog.add_stage(format!("s{i}"), map_stage(|_buf, _ctx| Ok(()))))
@@ -82,15 +62,12 @@ fn exit_samples_carry_the_yields_of_more_stages_than_cores() {
         &stages,
     )
     .unwrap();
-    prog.run().unwrap();
+    let report = prog.run().unwrap();
 
-    let resources = fg_core::ResourceReport::from_metrics(&registry.snapshot()).unwrap();
-    let rows: Vec<_> = resources
-        .threads
-        .iter()
-        .filter(|t| t.name.starts_with("yields/"))
-        .collect();
-    assert_eq!(rows.len(), cores + 2, "{:?}", resources.threads);
+    let rows = report.resources.expect("a registry attached").threads;
+    let names: Vec<String> = rows.iter().map(|t| t.name.clone()).collect();
+    let expected: Vec<String> = (0..cores + 2).map(|i| format!("yields/s{i}")).collect();
+    assert_eq!(names, expected);
     assert!(rows.iter().all(|t| t.yields > 0), "{rows:?}");
 }
 

@@ -11,8 +11,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fg_core::{
-    diagnose, map_stage, Diagnosis, MemoryLedger, MetricsRegistry, PipelineCfg, ProfilerCfg,
-    Program, Recommendation, ResourceProfiler, Rounds, StageVerdict, Verdict,
+    diagnose, map_stage, Diagnosis, MemoryLedger, PipelineCfg, Program, Recommendation, Rounds,
+    StageVerdict, Verdict,
 };
 
 pub type Labels = BTreeSet<&'static str>;
@@ -133,7 +133,8 @@ fn held_emission_turn() -> Outcome {
 }
 
 /// Row 4: a traced run whose slow stage heads the pipeline, so no buffer
-/// waits for it on the pool: its work is most of every round's journey.
+/// waits for it on the pool: its work is most of every round's journey,
+/// and the limiting line cites the stage and the slowest round.
 fn traced_slow_head() -> Outcome {
     let mut prog = Program::new("traced");
     prog.enable_tracing();
@@ -160,12 +161,13 @@ fn traced_slow_head() -> Outcome {
         "the slowest buffer journey is pipeline#{} round {} ",
         slowest.pipeline, slowest.round
     );
-    let path = d
+    let line = d
         .recommendations
         .iter()
-        .find(|r| r.verdict == Verdict::CriticalPath);
+        .find(|r| r.verdict == Verdict::Limiting);
     assert!(
-        path.is_some_and(|r| r.text.starts_with("stage `slow` carries ")
+        line.is_some_and(|r| r.text.starts_with("stage `slow` is the limiting stage")
+            && r.text.contains("; stage `slow` carries ")
             && r.text.contains(&cites)
             && r.text.contains(&format!("of it in stage `{stage}`"))),
         "{text}"
@@ -177,23 +179,12 @@ fn traced_slow_head() -> Outcome {
 /// same program under a petabyte budget is not memory-bound.
 fn budget_below_the_pool() -> Outcome {
     let run = |budget: u64| {
-        let registry = Arc::new(MetricsRegistry::new());
-        let ledger = Arc::new(MemoryLedger::with_budget(budget));
-        let profiler = ResourceProfiler::start_with(
-            Arc::clone(&registry),
-            ProfilerCfg {
-                interval: Duration::from_millis(5),
-            },
-            Some(Arc::clone(&ledger)),
-        );
         let mut prog = Program::new("budget");
-        prog.set_memory_ledger(ledger);
+        prog.set_memory_ledger(Arc::new(MemoryLedger::with_budget(budget)));
         let s = prog.add_stage("s", map_stage(|_, _| Ok(())));
         prog.add_pipeline(PipelineCfg::new("p", 4, 64 << 10).count(20), &[s])
             .unwrap();
-        let mut report = prog.run().unwrap();
-        report.resources = Some(profiler.stop());
-        diagnose(&report)
+        diagnose(&prog.run().unwrap())
     };
     let roomy = run(1 << 50);
     assert!(
@@ -214,7 +205,7 @@ pub const HELD_EMISSION_TURN: Row = (
     &["emission-turn"],
     held_emission_turn,
 );
-pub const TRACED_SLOW_HEAD: Row = ("4 traced slow head", &["critical-path"], traced_slow_head);
+pub const TRACED_SLOW_HEAD: Row = ("4 traced slow head", &[], traced_slow_head);
 pub const BUDGET_BELOW_THE_POOL: Row = (
     "5 budget below the pool",
     &["memory-bound"],

@@ -141,9 +141,9 @@ fn zero_valued_gauges_keep_their_type_lines() {
     let reg = Arc::new(MetricsRegistry::new());
     reg.gauge("core/idle_gauge").set(0);
     reg.counter("core/idle_counter");
-    // The resource profiler's gauges follow the same discovery contract: a
-    // thread that never accumulated CPU (or an allocator tag that never
-    // fired) still announces its series on the first scrape.
+    // Per-row gauges follow the same discovery contract: a row that never
+    // moved (a thread with no CPU yet, an allocator tag that never fired)
+    // still announces its series on the first scrape.
     reg.gauge("resource/thread/sort/utime_ns").set(0);
     reg.gauge("resource/alloc/sort/count").set(0);
     let server = TelemetryServer::bind("127.0.0.1:0", Arc::clone(&reg)).expect("bind");
@@ -187,6 +187,14 @@ fn report_endpoint_renders_dashboard() {
     let (status, _, body) = http_get(server.local_addr(), "/report");
     assert!(status.contains("200"), "status was {status}");
     assert!(body.contains("core/accepts"), "body:\n{body}");
+    // The default body samples the process as it renders: the resources
+    // section needs no background sampler to fill it.
+    if cfg!(target_os = "linux") {
+        assert!(
+            body.contains("== resources ==\nprocess rss"),
+            "body:\n{body}"
+        );
+    }
 }
 
 #[test]

@@ -453,7 +453,7 @@ impl IoScheduler {
         let worker = std::thread::Builder::new()
             .name("fg-io-sched".into())
             .spawn(move || {
-                // Register with the resource profiler so read-ahead CPU
+                // Register for live resource samples so read-ahead CPU
                 // shows up as its own row, attributed to this scheduler,
                 // and tag the thread so what it allocates (block buffers,
                 // queue slots) shows up as the `io` row, not as `untagged`.

@@ -75,9 +75,9 @@ usage: fgsort [flags]   (all optional)
                              JSON is written to OUT, and the per-rank
                              rollup, every rank's diagnosis and the
                              skew verdict are printed after the run
-  --profile OUT              sample per-thread CPU / process RSS /
-                             per-stage allocation counters while the
-                             sort runs, print the resource report, and
+  --profile OUT              account node 0's stage threads' CPU,
+                             process RSS and per-stage allocation
+                             counters, print the resource report, and
                              write it (JSON, `resources` member) to OUT;
                              with --telemetry the same data is live on
                              GET /resources
@@ -432,19 +432,10 @@ fn main() -> ExitCode {
         }
         None => None,
     };
-    // The resource profiler samples per-thread CPU, process RSS, and the
-    // allocator/ledger counters into the registry on a fixed cadence.
-    let profiler = opts.profile.as_ref().map(|_| {
-        fg_core::ResourceProfiler::start_with(
-            Arc::clone(&registry),
-            fg_core::ProfilerCfg::default(),
-            cfg.ledger.clone(),
-        )
-    });
     let run_start = std::time::Instant::now();
 
     // Metrics-instrumented disks whenever a shared registry exists (live
-    // telemetry or the profiler).
+    // telemetry or --profile).
     let provisioned = if cfg.metrics.is_some() {
         try_provision_with_metrics(&cfg, &registry)
     } else {
@@ -512,7 +503,7 @@ fn main() -> ExitCode {
             Err(e) => eprintln!("error: writing trace {path}: {e}"),
         }
     }
-    let (phases, mut reports) = match outcome {
+    let (phases, reports) = match outcome {
         Ok(ran) => ran,
         Err(e) => {
             eprintln!("error: {e}");
@@ -532,32 +523,25 @@ fn main() -> ExitCode {
     let io: u64 = disks.iter().map(|d| d.stats().bytes_total()).sum();
     println!("disk I/O: {:.2} MiB total", io as f64 / (1 << 20) as f64);
 
-    if let Some(profiler) = profiler {
-        // stop() takes a final sample and publishes it; the registry then
-        // holds the union of everything sampled during the run, including
-        // rows for stage threads that have already exited.
-        profiler.stop();
-        let resources =
-            fg_core::ResourceReport::from_metrics(&registry.snapshot()).unwrap_or_default();
+    if let Some(path) = &opts.profile {
+        // Every pass report carries its stage threads' exit rows; the
+        // process, allocator and ledger are read once, now, and so is any
+        // runtime thread still alive.
+        let mut resources = fg_core::ResourceReport::sample_now(cfg.ledger.as_deref());
+        let exited = reports.iter().filter_map(|r| r.resources.as_ref());
+        let exited = exited.flat_map(|r| r.threads.clone());
+        resources.threads = exited.chain(resources.threads).collect();
         println!("\n== resources ==\n{}", resources.render());
-        // The end-of-run report carries the final attribution too, so its
-        // JSON has a `resources` member and the diagnosis below reads the
-        // post-stop sample instead of re-deriving one from mid-run gauges.
-        if let Some(report) = reports.last_mut() {
-            report.resources = Some(resources.clone());
-        }
-        if let Some(path) = &opts.profile {
-            let doc = fg_core::Json::Obj(vec![
-                ("program".into(), fg_core::Json::from(opts.program.name())),
-                ("wall_s".into(), fg_core::Json::Num(run_wall.as_secs_f64())),
-                ("resources".into(), resources.to_json_value()),
-            ]);
-            match std::fs::write(path, doc.to_string()) {
-                Ok(()) => println!("resource profile: wrote {path}"),
-                Err(e) => {
-                    eprintln!("error: writing resource profile {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
+        let doc = fg_core::Json::Obj(vec![
+            ("program".into(), fg_core::Json::from(opts.program.name())),
+            ("wall_s".into(), fg_core::Json::Num(run_wall.as_secs_f64())),
+            ("resources".into(), resources.to_json_value()),
+        ]);
+        match std::fs::write(path, doc.to_string()) {
+            Ok(()) => println!("resource profile: wrote {path}"),
+            Err(e) => {
+                eprintln!("error: writing resource profile {path}: {e}");
+                return ExitCode::FAILURE;
             }
         }
     }

@@ -160,6 +160,19 @@ fn a_profiled_os_run_is_not_diagnosed_as_churning_the_heap() {
     }
 }
 
+/// Every pass report carries its own resources, so a run over its memory
+/// budget is judged pass by pass, with or without `--profile`: each of
+/// csort's three passes outgrows a 1 MiB budget and is memory-bound.
+#[test]
+fn every_pass_of_a_run_over_its_memory_budget_is_diagnosed_memory_bound() {
+    let text = sorted(
+        "csort",
+        "--nodes 4 --kib-per-node 2048 --telemetry 127.0.0.1:0 --mem-budget 1",
+    );
+    assert_eq!(text.matches("limiting stage: `").count(), 3, "{text}");
+    assert_eq!(text.matches("[memory-bound]").count(), 3, "{text}");
+}
+
 /// A farm's width and a pool's size are fixed when a program is built:
 /// the flag that once attached a live tuner is refused like any flag
 /// `fgsort` does not know, with the usage and a non-zero exit.

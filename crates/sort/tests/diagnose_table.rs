@@ -20,7 +20,7 @@ use fg_cluster::{Cluster, ClusterCfg, ClusterObs, NetCfg};
 use fg_core::cluster_report::{ClusterReport, RankReport};
 use fg_core::{
     diagnose, diagnose_cluster, map_stage, Diagnosis, FgError, MemoryLedger, MetricsRegistry,
-    PipelineCfg, ProfilerCfg, Program, ResourceProfiler, ResourceReport, Rounds, Stage, StageCtx,
+    PipelineCfg, Program, Rounds, Stage, StageCtx, TraceSink,
 };
 use fg_pdm::{DiskCfg, SimDisk};
 use fg_sort::csort::run_csort;
@@ -45,9 +45,8 @@ fn spin(d: Duration) {
 
 /// Row 6: a stage that allocates a fresh `Vec` every round.
 fn allocates_every_round() -> Outcome {
-    let registry = Arc::new(MetricsRegistry::new());
     let mut prog = Program::new("churn");
-    prog.set_metrics(Arc::clone(&registry));
+    prog.set_metrics(Arc::new(MetricsRegistry::new()));
     let churn = prog.add_stage(
         "churn",
         map_stage(|buf, _| {
@@ -58,9 +57,7 @@ fn allocates_every_round() -> Outcome {
     );
     prog.add_pipeline(PipelineCfg::new("p", 4, 64).count(20_000), &[churn])
         .unwrap();
-    let profiler = ResourceProfiler::start(Arc::clone(&registry));
-    let mut report = prog.run().unwrap();
-    report.resources = Some(profiler.stop());
+    let report = prog.run().unwrap();
     let churned = report.resources.as_ref().unwrap().alloc.iter();
     assert!(
         churned
@@ -262,31 +259,27 @@ fn dsort_slow_net() -> Outcome {
 /// --kib-per-node 2048 --free --backend os --profile … --mem-budget 256
 /// --telemetry …` — diagnosed pass by pass as `fgsort` does it — and CI's
 /// `cluster-trace-smoke` dsort (`--nodes 4 --kib-per-node 64 --free
-/// --cluster …`).
-fn ci_smoke_shapes() -> Outcome {
+/// --cluster …`).  Row 13 runs both with a flight recorder, as `--trace`
+/// does, so that every pass report carries its span log.
+fn ci_smoke_shapes(traced: bool) -> Outcome {
     let dir = std::env::temp_dir().join(format!("fg-diagnose-table-{}", std::process::id()));
     let registry = Arc::new(MetricsRegistry::new());
     let mut cfg = fgsort_cfg(4, 2048);
     cfg.backend = DiskBackend::Os { dir: dir.clone() };
     cfg.metrics = Some(Arc::clone(&registry));
     cfg.ledger = Some(Arc::new(MemoryLedger::with_budget(256 << 20)));
-    let profiler = ResourceProfiler::start_with(
-        Arc::clone(&registry),
-        ProfilerCfg::default(),
-        cfg.ledger.clone(),
-    );
+    cfg.trace_sink = traced.then(TraceSink::new);
     let disks = fg_sort::input::provision_with_metrics(&cfg, &registry);
-    let mut reports = run_csort(&cfg, &disks).unwrap().node0_reports;
+    let reports = run_csort(&cfg, &disks).unwrap().node0_reports;
     drop(disks);
     std::fs::remove_dir_all(&dir).unwrap();
-    profiler.stop();
-    let resources = ResourceReport::from_metrics(&registry.snapshot());
-    reports.last_mut().unwrap().resources = resources;
+    assert!(reports.iter().all(|r| r.resources.is_some()));
     let passes: Vec<Diagnosis> = reports.iter().map(diagnose).collect();
     let mut raised = labels(passes.iter().flat_map(|d| &d.recommendations));
     let mut text: String = passes.iter().map(Diagnosis::render).collect();
 
-    let cfg = fgsort_cfg(4, 64);
+    let mut cfg = fgsort_cfg(4, 64);
+    cfg.trace_sink = traced.then(TraceSink::new);
     let (dsort, dsort_text) = observed_dsort(&cfg, &provision(&cfg));
     raised.extend(dsort);
     text.push_str(&dsort_text);
@@ -302,7 +295,8 @@ const ROWS: &[Row] = &[
     ("9b skewed scatter", &["hot-rank"], skewed_scatter),
     ("10 dsort, slow disk", &[], dsort_slow_disk),
     ("11 dsort, slow net", &[], dsort_slow_net),
-    ("12 CI smoke shapes", &[], ci_smoke_shapes),
+    ("12 CI smoke shapes", &[], || ci_smoke_shapes(false)),
+    ("13 CI smoke shapes, traced", &[], || ci_smoke_shapes(true)),
 ];
 
 #[test]
