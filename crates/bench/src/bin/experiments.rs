@@ -41,8 +41,7 @@ use Val::{Count, Doc, Flag, KiB, MiB, Num, Ratio, Secs, Text};
 /// Every cell name the command line accepts.
 const CELLS: &str = "all fig8a fig8b ratio-table splitter-balance io-volume unbalanced \
      unbalanced-comm ablation-linear ablation-virtual ablation-overlap ablation-passes \
-     ablation-readahead buffer-sweep workers-scaling io-overlap kernel-bench \
-     resource-profile";
+     io-overlap kernel-bench resource-profile";
 
 const NO_GATE: &str = "experiments compares no seconds across invocations; seconds, CPU and \
      bytes commit over commit are benchmark/'s (benchmark/README.md)";
@@ -439,65 +438,6 @@ fn main() {
             ],
         );
         run.check("ablation-passes", PASSES_CLAIM, check_csort_passes(&row));
-    }
-    if wants("ablation-readahead") {
-        println!("\n=== A6: read-ahead depth on dsort's pass-2 run pipelines ===");
-        let depths = if quick { vec![1, 2] } else { vec![1, 2, 4, 8] };
-        let rows = fg_bench::run_readahead_ablation(scale, &depths).expect("ablation-readahead");
-        let cols = |r: &fg_bench::ReadAheadRow| -> Vec<Col> {
-            vec![
-                ("depth", "depth", Count(r.depth as u64)),
-                ("pass2 s", "pass2_s", Secs(r.pass2)),
-                ("total s", "total_s", Secs(r.total)),
-            ]
-        };
-        run.table("ablation-readahead", rows.iter().map(cols).collect());
-        println!(
-            "no check: ablation-readahead: a recorded negative result (one disk arm paces pass 2)"
-        );
-    }
-    if wants("buffer-sweep") {
-        println!("\n=== A4: buffer-size sweep ===");
-        let sizes = if quick {
-            vec![16, 64]
-        } else {
-            vec![16, 32, 64, 128, 256]
-        };
-        let rows = fg_bench::run_buffer_sweep(scale, &sizes).expect("buffer-sweep");
-        let cols = |r: &fg_bench::BufferSweepRow| -> Vec<Col> {
-            vec![
-                ("block KiB", "block_bytes", KiB(r.block_bytes as u64)),
-                ("dsort s", "dsort_s", Secs(r.dsort_total)),
-                ("csort s", "csort_s", Secs(r.csort_total)),
-            ]
-        };
-        run.table("buffer-sweep", rows.iter().map(cols).collect());
-        println!("no check: buffer-sweep: a recorded negative result (flat across block sizes)");
-    }
-    if wants("workers-scaling") {
-        println!("\n=== Workers scaling: csort's farmed sort stages (zero-cost I/O) ===");
-        let counts = if quick { vec![1, 2] } else { vec![1, 2, 4] };
-        let (nodes, bytes) = if quick { (2, 256 << 10) } else { (2, 4 << 20) };
-        println!(
-            "{nodes} nodes x {} KiB/node, workers {counts:?}",
-            bytes >> 10
-        );
-        let rows = fg_bench::run_workers_scaling(nodes, bytes, &counts).expect("workers-scaling");
-        let serial = rows[0].total.as_secs_f64();
-        let cols = |r: &fg_bench::WorkersScalingRow| -> Vec<Col> {
-            vec![
-                ("workers", "workers", Count(r.workers as u64)),
-                ("pass1 s", "pass1_s", Secs(r.pass[0])),
-                ("pass2 s", "pass2_s", Secs(r.pass[1])),
-                ("pass3 s", "pass3_s", Secs(r.pass[2])),
-                ("total s", "total_s", Secs(r.total)),
-                ("speedup", "", Ratio(serial / r.total.as_secs_f64())),
-            ]
-        };
-        run.table("workers-scaling", rows.iter().map(cols).collect());
-        println!(
-            "no check: workers-scaling: a recorded negative result (a farm needs spare cores)"
-        );
     }
     if wants("io-overlap") {
         println!(

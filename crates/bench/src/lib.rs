@@ -478,71 +478,6 @@ pub fn check_virtual_ablation(rows: &[VirtualAblationRow]) -> Result<(), String>
     Ok(())
 }
 
-/// A4: buffer-size sweep — both sorts across block sizes (the paper:
-/// "results reported are for the best choices of buffer sizes").
-#[derive(Debug)]
-pub struct BufferSweepRow {
-    /// Block/buffer size in bytes.
-    pub block_bytes: usize,
-    /// dsort total.
-    pub dsort_total: Duration,
-    /// csort total.
-    pub csort_total: Duration,
-}
-
-/// Run the buffer-size sweep.
-pub fn run_buffer_sweep(
-    scale: Scale,
-    block_kib: &[usize],
-) -> Result<Vec<BufferSweepRow>, SortError> {
-    let mut rows = Vec::new();
-    for &kib in block_kib {
-        let mut cfg = scale.config(RecordFormat::REC16, KeyDist::Uniform);
-        cfg.block_bytes = kib << 10;
-        cfg.run_bytes = cfg.run_bytes.max(4 * cfg.block_bytes);
-        rows.push(BufferSweepRow {
-            block_bytes: cfg.block_bytes,
-            dsort_total: sorted(&cfg, provision(&cfg), run_dsort)?.total(),
-            csort_total: sorted(&cfg, provision(&cfg), run_csort)?.total,
-        });
-    }
-    Ok(rows)
-}
-
-/// A6: read-ahead depth — buffers per vertical pipeline in dsort pass 2.
-/// With depth 1 the merge stage waits on every run read (nothing is read
-/// ahead); deeper pools overlap run reads with merging, the dynamic
-/// analogue of the regular, read-ahead-friendly I/O the paper credits
-/// csort with (§I).
-#[derive(Debug)]
-pub struct ReadAheadRow {
-    /// Buffers per vertical pipeline.
-    pub depth: usize,
-    /// dsort pass-2 time.
-    pub pass2: Duration,
-    /// dsort total time.
-    pub total: Duration,
-}
-
-/// Run the read-ahead ablation.
-pub fn run_readahead_ablation(
-    scale: Scale,
-    depths: &[usize],
-) -> Result<Vec<ReadAheadRow>, SortError> {
-    let mut rows = Vec::new();
-    for &depth in depths {
-        let mut cfg = scale.config(RecordFormat::REC16, KeyDist::Uniform);
-        cfg.vertical_buffers = depth;
-        let r = sorted(&cfg, provision(&cfg), run_dsort)?;
-        rows.push(ReadAheadRow {
-            depth,
-            pass2: r.pass2,
-            total: r.total(),
-        });
-    }
-    Ok(rows)
-}
-
 /// A5: three-pass vs four-pass columnsort — the benefit of coalescing
 /// steps 5–8 into one pass (§III's key observation).
 #[derive(Debug)]
@@ -587,44 +522,6 @@ pub fn check_csort_passes(row: &CsortPassAblationRow) -> Result<(), String> {
         return Err(format!("csort4/csort3 time = {:.3}", row.ratio));
     }
     Ok(())
-}
-
-/// One workers-scaling row: csort with its in-core sort stages farmed
-/// across `workers` replicas (`Program::workers` via `SortConfig.workers`).
-#[derive(Debug)]
-pub struct WorkersScalingRow {
-    /// Sort-stage replica count.
-    pub workers: usize,
-    /// Max-across-nodes wall time of each csort pass.
-    pub pass: [Duration; 3],
-    /// Total wall time.
-    pub total: Duration,
-}
-
-/// Run csort once per entry of `workers` on zero-cost disks and network,
-/// so the in-core sort dominates wall time and the farm's effect is
-/// visible (the cost-model disks would hide it behind simulated I/O).
-/// Every output is verified.  The speedup of an n-worker row over the
-/// 1-worker row scales with physical cores; node count stays small so the
-/// node threads don't saturate the host by themselves.
-pub fn run_workers_scaling(
-    nodes: usize,
-    bytes_per_node: usize,
-    workers: &[usize],
-) -> Result<Vec<WorkersScalingRow>, SortError> {
-    let mut rows = Vec::new();
-    for &w in workers {
-        let mut cfg =
-            SortConfig::test_default(nodes, bytes_per_node / RecordFormat::REC16.record_bytes);
-        cfg.workers = w;
-        let r = sorted(&cfg, provision(&cfg), run_csort)?;
-        rows.push(WorkersScalingRow {
-            workers: w,
-            pass: r.pass,
-            total: r.total,
-        });
-    }
-    Ok(rows)
 }
 
 #[cfg(test)]

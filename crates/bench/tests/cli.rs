@@ -23,6 +23,10 @@ fn refused(args: &[&str], why: &str) {
 fn an_unknown_cell_is_refused() {
     refused(&["fig8z", "--quick"], "unknown cell fig8z");
     refused(&["queue-bench"], "unknown cell queue-bench");
+    // Retired cells that checked nothing (EXPERIMENTS A4, A6, A7).
+    for cell in ["buffer-sweep", "ablation-readahead", "workers-scaling"] {
+        refused(&[cell, "--quick"], &format!("unknown cell {cell}"));
+    }
     refused(&["fig8a", "fig8b"], "a second cell, fig8b");
 }
 

@@ -189,9 +189,7 @@ impl std::fmt::Debug for Payload {
 }
 
 /// A message in flight.  The [`TraceCtx`] rides the envelope so the
-/// receiver can attribute the message to the sender's trace — a network
-/// transport must carry [`TraceCtx::encode`]'s fixed-size header in each
-/// frame to preserve this.
+/// receiver can attribute the message to the sender's trace.
 #[derive(Debug)]
 pub(crate) struct Envelope {
     pub(crate) src: usize,

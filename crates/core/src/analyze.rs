@@ -299,17 +299,9 @@ pub fn diagnose(report: &Report) -> Diagnosis {
     let mut recommendations = Vec::new();
     if let Some(d) = lim.map(|i| &stages[i]) {
         let name = &d.name;
-        // Where the limiting stage physically ran, when the run was pinned
-        // — lets the reader connect "this stage bounds the run" with the
-        // core layout they asked for.
-        let placement = report
-            .stage(name)
-            .and_then(|s| s.core)
-            .map(|c| format!(" (pinned to core {c})"))
-            .unwrap_or_default();
         let text = if d.workers > 1 {
             format!(
-                "stage `{name}`{placement} is the limiting stage (busy {:.0}% across its {} workers): \
+                "stage `{name}` is the limiting stage (busy {:.0}% across its {} workers): \
                  raise its worker count (`workers({})`), split it into substages, or \
                  reduce its per-buffer work",
                 d.busy_frac * 100.0,
@@ -318,7 +310,7 @@ pub fn diagnose(report: &Report) -> Diagnosis {
             )
         } else {
             format!(
-                "stage `{name}`{placement} is the limiting stage (busy {:.0}% of its wall time): \
+                "stage `{name}` is the limiting stage (busy {:.0}% of its wall time): \
                  its busy time bounds the whole pipeline — farm it across replicas \
                  (`workers(n)`), split it into substages, or reduce its per-buffer work",
                 d.busy_frac * 100.0
@@ -553,7 +545,6 @@ mod tests {
             blocked_convey: Duration::from_millis(conv_ms),
             buffers_in: 1,
             buffers_out: 1,
-            ..StageStats::default()
         }
     }
 

@@ -1,17 +1,10 @@
-//! Cluster-wide telemetry aggregation: merging per-rank reports and
-//! registries into one [`ClusterReport`].
+//! Cluster-wide telemetry aggregation: per-rank reports and registries
+//! collected into one [`ClusterReport`].
 //!
-//! In the real-distributed shape (ROADMAP item 1) every node owns its own
-//! [`MetricsRegistry`] and ships a [`RankReport`] home at the end of a run
-//! (or over the telemetry server mid-run); the coordinator folds them with
-//! [`ClusterReport::merge`].  The simulated cluster produces the same
-//! structure from [`Cluster::run_observed`]'s per-rank snapshots, so the
-//! aggregation path is identical when the fabric goes over TCP.
-//!
-//! The merge is a per-rank union: a rank that appears in both sides is
-//! replaced by the right-hand side.  That makes merge **associative** and,
-//! for the normal case of disjoint rank sets, **permutation-invariant** —
-//! the coordinator may fold nodes' reports in any arrival order.
+//! The simulated cluster builds one from `Cluster::run_observed`'s
+//! per-rank snapshots, one [`RankReport`] a rank
+//! ([`ClusterReport::push`]): ranks stay sorted, and a rank pushed twice
+//! keeps its last report.
 
 use std::time::Duration;
 
@@ -127,17 +120,6 @@ impl ClusterReport {
     /// The report for `rank`, if present.
     pub fn rank(&self, rank: usize) -> Option<&RankReport> {
         self.ranks.iter().find(|r| r.rank == rank)
-    }
-
-    /// Fold `other` into `self`: per-rank union, with `other`'s entry
-    /// replacing on a duplicate rank.  Associative, and commutative for
-    /// disjoint rank sets — the order nodes' reports arrive in does not
-    /// matter.
-    pub fn merge(&mut self, other: &ClusterReport) {
-        self.nodes = self.nodes.max(other.nodes);
-        for r in &other.ranks {
-            self.push(r.clone());
-        }
     }
 
     /// Per-peer traffic matrix in bytes: `matrix[src][dst]` is what `src`

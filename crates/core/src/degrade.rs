@@ -1,12 +1,11 @@
 //! Warn-once graceful degradation.
 //!
-//! Several optional capabilities of the runtime lean on facilities that
-//! may simply be absent — `taskset(1)` and `/proc/thread-self` for core
-//! pinning ([`affinity`](crate::affinity)), `/proc/self/task` for
-//! resource accounting ([`profile`](crate::profile)).  The policy in every
-//! case is the same: the capability degrades to a recorded no-op and the
-//! *first* failure is reported to stderr, once per process — a fleet of
-//! stage threads failing identically must not flood the log.
+//! Resource accounting ([`profile`](crate::profile)) leans on facilities
+//! that may simply be absent: `/proc/thread-self`, `/proc/self/task` and
+//! `getconf(1)`.  The policy in every case is the same: the capability
+//! degrades to a recorded no-op and the *first* failure is reported to
+//! stderr, once per process — a fleet of stage threads failing
+//! identically must not flood the log.
 //!
 //! [`WarnOnce`] is that policy as a value.  Each degradable capability
 //! owns one `static` instance; the message closure only runs (and only

@@ -414,7 +414,7 @@ pub(crate) fn obj(members: Vec<(&str, Json)>) -> Json {
 }
 
 fn stage_to_json(s: &StageStats) -> Json {
-    let mut members = vec![
+    obj(vec![
         ("name", Json::from(s.name.as_str())),
         ("wall_ns", Json::from(s.wall.as_nanos() as u64)),
         (
@@ -427,12 +427,7 @@ fn stage_to_json(s: &StageStats) -> Json {
         ),
         ("buffers_in", Json::from(s.buffers_in)),
         ("buffers_out", Json::from(s.buffers_out)),
-    ];
-    // Written only for pinned stages, so unpinned artifacts are unchanged.
-    if let Some(core) = s.core {
-        members.push(("core", Json::from(core as u64)));
-    }
-    obj(members)
+    ])
 }
 
 fn metrics_to_json(m: &MetricsSnapshot) -> Json {

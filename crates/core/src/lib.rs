@@ -57,7 +57,6 @@
 // allow.  Everything else in the crate stays unsafe-free.
 #![deny(unsafe_code)]
 
-pub mod affinity;
 pub mod alloc;
 pub mod analyze;
 mod buffer;
@@ -78,7 +77,6 @@ mod stats;
 pub mod telemetry;
 pub mod trace;
 
-pub use affinity::PinMode;
 pub use alloc::{
     assert_steady_state_alloc_free, register_tag, set_thread_tag, thread_tag_scope, with_tag,
     FgAlloc, TagCounts, TagId,

@@ -27,11 +27,10 @@
 //! ([`ResourceReport::sample_now`]) serves `GET /resources`, the default
 //! `GET /report` and the watchdog post-mortem.
 //!
-//! Like core pinning ([`affinity`](crate::affinity)), all of this is
-//! Linux-`/proc` shaped and degrades gracefully elsewhere: the first
-//! failed read warns once ([`WarnOnce`]) and CPU/RSS rows simply stay
-//! absent — allocator and ledger accounting (plain atomics) keep working
-//! everywhere.
+//! All of this is Linux-`/proc` shaped and degrades gracefully
+//! elsewhere: the first failed read warns once ([`WarnOnce`]) and CPU/RSS
+//! rows simply stay absent — allocator and ledger accounting (plain
+//! atomics) keep working everywhere.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -142,8 +141,8 @@ pub fn thread_yields() -> u64 {
 // /proc sampling
 // ---------------------------------------------------------------------------
 
-/// `getconf name`, mirroring `affinity`'s `taskset(1)` delegation: the
-/// crate forbids direct `sysconf(3)` (that would need `libc`/unsafe).
+/// `getconf name`: the crate forbids direct `sysconf(3)` (that would
+/// need `libc`/unsafe).
 fn getconf(name: &str) -> Option<u64> {
     let out = std::process::Command::new("getconf")
         .arg(name)
@@ -748,6 +747,13 @@ impl ResourceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn current_tid_is_parseable_on_linux() {
+        let tid = current_tid().expect("linux exposes /proc/thread-self");
+        assert!(tid > 0);
+    }
 
     #[test]
     fn stat_parsing_handles_hostile_comm() {

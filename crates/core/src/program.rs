@@ -23,7 +23,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::affinity::PinMode;
 use crate::analyze::POOL_QUEUE_PREFIX;
 use crate::buffer::{PipelineId, StageId};
 use crate::error::{FgError, Result};
@@ -96,7 +95,6 @@ pub struct Program {
     trace_sink: Option<Arc<crate::trace::TraceSink>>,
     trace_group: Option<u32>,
     watchdog: Option<crate::trace::WatchdogCfg>,
-    pin: Option<PinMode>,
     ledger: Option<Arc<crate::profile::MemoryLedger>>,
 }
 
@@ -112,21 +110,8 @@ impl Program {
             trace_sink: None,
             trace_group: None,
             watchdog: None,
-            pin: None,
             ledger: None,
         }
-    }
-
-    /// Pin every runtime thread (stages and replicas) to a core chosen by
-    /// `mode` at spawn.  Placement is recorded per thread
-    /// in the [`Report`](crate::Report)
-    /// ([`StageStats::core`](crate::StageStats)).  On hosts where
-    /// affinity cannot be changed (non-Linux, no `taskset`) threads run
-    /// unpinned and record no placement.  Off by default: no run on a
-    /// 2-core host has yet shown queue contention worth pinning against
-    /// (EXPERIMENTS.md D15).
-    pub fn set_pinning(&mut self, mode: PinMode) {
-        self.pin = Some(mode);
     }
 
     /// Put this run's span log into the finished
@@ -561,7 +546,6 @@ impl Program {
             trace_sink: self.trace_sink.clone(),
             trace_group: self.trace_group,
             watchdog: self.watchdog.clone(),
-            pin: self.pin.clone(),
             ledger: self.ledger.clone(),
             pipelines: self
                 .pipelines

@@ -38,40 +38,7 @@ pub(crate) struct Plan {
     pub(crate) trace_group: Option<u32>,
     pub(crate) watchdog: Option<WatchdogCfg>,
     pub(crate) pipelines: Vec<crate::stats::PipelineShape>,
-    pub(crate) pin: Option<crate::affinity::PinMode>,
     pub(crate) ledger: Option<Arc<crate::profile::MemoryLedger>>,
-}
-
-/// Round-robin core assigner over the plan's pin map.  Threads draw cores
-/// in spawn order: stages in declaration order, a farm's replicas together.
-struct CorePlacement {
-    cores: Vec<usize>,
-    next: usize,
-}
-
-impl CorePlacement {
-    fn new(pin: Option<crate::affinity::PinMode>) -> Self {
-        CorePlacement {
-            cores: pin.map(|m| m.cores()).unwrap_or_default(),
-            next: 0,
-        }
-    }
-
-    fn assign(&mut self) -> Option<usize> {
-        if self.cores.is_empty() {
-            return None;
-        }
-        let core = self.cores[self.next % self.cores.len()];
-        self.next += 1;
-        Some(core)
-    }
-}
-
-/// Apply a [`CorePlacement`] assignment on the calling thread.  Returns
-/// the core only when the affinity change actually took hold, so reports
-/// never show a placement the scheduler is free to ignore.
-fn pin_self(core: Option<usize>) -> Option<usize> {
-    core.filter(|&c| crate::affinity::pin_current_thread(c))
 }
 
 /// What a stage thread hands back: its statistics and, when its program
@@ -109,10 +76,8 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
         trace_group,
         watchdog,
         pipelines,
-        pin,
         ledger,
     } = plan;
-    let mut placement = CorePlacement::new(pin);
     // A program with a registry or a ledger attached reports its resources:
     // each stage thread's exit row, then one read once they have joined.
     let observed = metrics.is_some() || ledger.is_some();
@@ -160,9 +125,8 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
         // question the ledger answers is "how much does *sort* hold".
         let base = replica_base(&task.name).unwrap_or(&task.name);
         let stage_ledger = ledger.as_ref().map(|l| l.stage(base));
-        let core = placement.assign();
         handles.push(spawn_thread(thread, observed, move || {
-            run_stage_thread(task, registry, counters, ring, core, stage_ledger)
+            run_stage_thread(task, registry, counters, ring, stage_ledger)
         })?);
     }
 
@@ -240,10 +204,8 @@ fn run_stage_thread(
     registry: Arc<Registry>,
     counters: Arc<StageCounters>,
     ring: Option<Arc<SpanRing>>,
-    core: Option<usize>,
     stage_ledger: Option<Arc<crate::profile::StageLedger>>,
 ) -> StageStats {
-    let core = pin_self(core);
     let StageTask {
         name,
         mut stage,
@@ -302,7 +264,7 @@ fn run_stage_thread(
     let end = Instant::now();
     ctx.retire(end);
 
-    counters.stats(name, core, end - start)
+    counters.stats(name, end - start)
 }
 
 /// Watchdog loop: poll the sink's idle clock; on a stall, assemble and

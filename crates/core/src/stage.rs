@@ -653,10 +653,9 @@ impl StageCounters {
     }
 
     /// The thread's row of the report: it ran for `wall`.
-    pub(crate) fn stats(&self, name: String, core: Option<usize>, wall: Duration) -> StageStats {
+    pub(crate) fn stats(&self, name: String, wall: Duration) -> StageStats {
         StageStats {
             name,
-            core,
             wall,
             blocked_accept: Duration::from_nanos(self.blocked_accept_ns.get()),
             blocked_convey: Duration::from_nanos(self.blocked_convey_ns.get()),

@@ -22,11 +22,6 @@ use crate::trace::{ThreadLog, TraceKind};
 pub struct StageStats {
     /// Stage name as given at construction.
     pub name: String,
-    /// CPU core this stage's thread was pinned to, when the program ran
-    /// with [`Program::set_pinning`](crate::Program::set_pinning) and the
-    /// affinity change took hold; `None` for unpinned runs and on hosts
-    /// where pinning degraded to a no-op.
-    pub core: Option<usize>,
     /// Wall-clock time from thread start to thread exit.
     pub wall: Duration,
     /// Time blocked inside `accept`/`accept_from`/`accept_any`.
@@ -362,20 +357,13 @@ impl Report {
             .max()
             .unwrap_or(5)
             .max(5);
-        // The core column only exists when some thread was actually
-        // pinned; unpinned runs keep the historical table shape.
-        let pinned = self.stages.iter().any(|s| s.core.is_some());
         out.push_str(&format!(
-            "{:<name_w$} {:>9} {:>9} {:>9} {:>6} {:>8} {:>8}",
+            "{:<name_w$} {:>9} {:>9} {:>9} {:>6} {:>8} {:>8}\n",
             "stage", "busy ms", "starve ms", "backp ms", "util", "bufs in", "bufs out",
         ));
-        if pinned {
-            out.push_str(&format!(" {:>4}", "core"));
-        }
-        out.push('\n');
         for s in &self.stages {
             out.push_str(&format!(
-                "{:<name_w$} {:>9.1} {:>9.1} {:>9.1} {:>5.0}% {:>8} {:>8}",
+                "{:<name_w$} {:>9.1} {:>9.1} {:>9.1} {:>5.0}% {:>8} {:>8}\n",
                 s.name,
                 s.busy().as_secs_f64() * 1e3,
                 s.blocked_accept.as_secs_f64() * 1e3,
@@ -384,13 +372,6 @@ impl Report {
                 s.buffers_in,
                 s.buffers_out,
             ));
-            if pinned {
-                match s.core {
-                    Some(c) => out.push_str(&format!(" {c:>4}")),
-                    None => out.push_str(&format!(" {:>4}", "-")),
-                }
-            }
-            out.push('\n');
         }
         out
     }
@@ -544,7 +525,6 @@ mod tests {
             blocked_convey: Duration::from_millis(conv_ms),
             buffers_in: 1,
             buffers_out: 1,
-            ..StageStats::default()
         }
     }
 
@@ -610,7 +590,6 @@ mod render_tests {
                     blocked_convey: Duration::from_millis(25),
                     buffers_in: 10,
                     buffers_out: 10,
-                    ..StageStats::default()
                 },
                 StageStats {
                     name: "a-much-longer-stage-name".into(),
@@ -619,7 +598,6 @@ mod render_tests {
                     blocked_convey: Duration::ZERO,
                     buffers_in: 10,
                     buffers_out: 10,
-                    ..StageStats::default()
                 },
             ],
             threads_spawned: 4,

@@ -65,9 +65,7 @@ pub const DEFAULT_RING_CAPACITY: usize = 4096;
 /// `comm-recv` span under the *sender's* trace id, so the Chrome-trace
 /// exporter can stitch one flow arrow from the sending rank's pipeline
 /// through the fabric into the receiving rank's pipeline.  The simulated
-/// fabric passes the struct by value; a network transport must carry
-/// [`TraceCtx::encode`]'s fixed [`TraceCtx::WIRE_LEN`]-byte frame header
-/// (all fields little-endian) so traces survive the socket boundary.
+/// fabric passes the struct by value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceCtx {
     /// Rank that originated the message.
@@ -80,9 +78,6 @@ pub struct TraceCtx {
 }
 
 impl TraceCtx {
-    /// Encoded size in bytes: origin (4) + trace_id (8) + seq (8).
-    pub const WIRE_LEN: usize = 20;
-
     /// The "no tracing" context (untraced runs send this).
     pub const NONE: TraceCtx = TraceCtx {
         origin: 0,
@@ -93,29 +88,6 @@ impl TraceCtx {
     /// True when the context carries no trace id (untraced message).
     pub fn is_none(&self) -> bool {
         self.trace_id == 0
-    }
-
-    /// Fixed-size little-endian wire encoding (the TCP frame-header
-    /// contract for the trace context).
-    pub fn encode(&self) -> [u8; Self::WIRE_LEN] {
-        let mut out = [0u8; Self::WIRE_LEN];
-        out[0..4].copy_from_slice(&self.origin.to_le_bytes());
-        out[4..12].copy_from_slice(&self.trace_id.to_le_bytes());
-        out[12..20].copy_from_slice(&self.seq.to_le_bytes());
-        out
-    }
-
-    /// Parse an encoding written by [`TraceCtx::encode`].  `None` when the
-    /// slice is not exactly [`TraceCtx::WIRE_LEN`] bytes.
-    pub fn decode(bytes: &[u8]) -> Option<TraceCtx> {
-        if bytes.len() != Self::WIRE_LEN {
-            return None;
-        }
-        Some(TraceCtx {
-            origin: u32::from_le_bytes(bytes[0..4].try_into().ok()?),
-            trace_id: u64::from_le_bytes(bytes[4..12].try_into().ok()?),
-            seq: u64::from_le_bytes(bytes[12..20].try_into().ok()?),
-        })
     }
 }
 
@@ -1055,21 +1027,6 @@ mod tests {
             .map(|e| e.get("id").unwrap().as_str().unwrap())
             .collect();
         assert_eq!(ids.len(), 2, "adjacent high-bit ids collapsed: {ids:?}");
-    }
-
-    #[test]
-    fn trace_ctx_wire_round_trips() {
-        let ctx = TraceCtx {
-            origin: 3,
-            trace_id: 0xDEAD_BEEF_CAFE,
-            seq: 42,
-        };
-        let bytes = ctx.encode();
-        assert_eq!(bytes.len(), TraceCtx::WIRE_LEN);
-        assert_eq!(TraceCtx::decode(&bytes), Some(ctx));
-        assert_eq!(TraceCtx::decode(&bytes[..19]), None);
-        assert!(TraceCtx::NONE.is_none());
-        assert!(!ctx.is_none());
     }
 
     #[test]

@@ -159,17 +159,9 @@ fn resources() -> ResourceReport {
     }
 }
 
-fn stage(
-    name: &str,
-    core: Option<usize>,
-    wall_us: u64,
-    accept_us: u64,
-    convey_us: u64,
-    n: u64,
-) -> StageStats {
+fn stage(name: &str, wall_us: u64, accept_us: u64, convey_us: u64, n: u64) -> StageStats {
     StageStats {
         name: name.into(),
-        core,
         wall: Duration::from_micros(wall_us),
         blocked_accept: Duration::from_micros(accept_us),
         blocked_convey: Duration::from_micros(convey_us),
@@ -223,10 +215,10 @@ fn report() -> Report {
     Report {
         wall: Duration::from_micros(12_345),
         stages: vec![
-            stage("read", None, 12_000, 1_500, 250, 4),
-            stage("sort#0", Some(1), 11_500, 3_000, 500, 2),
-            stage("sort#1", Some(0), 11_400, 2_900, 100, 2),
-            stage("write", None, 12_100, 6_000, 0, 4),
+            stage("read", 12_000, 1_500, 250, 4),
+            stage("sort#0", 11_500, 3_000, 500, 2),
+            stage("sort#1", 11_400, 2_900, 100, 2),
+            stage("write", 12_100, 6_000, 0, 4),
         ],
         threads_spawned: 4,
         queues: vec![

@@ -43,17 +43,24 @@ fn profiler_sees_stage_threads_during_a_run() {
 /// A stage that finds its queue empty gives its core away once before it
 /// parks, and the kernel books each such yield that switched threads as an
 /// involuntary switch.  Pass-through stages on more threads than the host
-/// has cores, all pinned to one core so that a yield always finds a stage
-/// with work to switch to, yield thousands of times a run: each exit
-/// sample carries its `yields`, so a reader can take them back out of
-/// `invol_switches`.
+/// has cores, all on one core so that a yield always finds a stage with
+/// work to switch to, yield thousands of times a run: each exit sample
+/// carries its `yields`, so a reader can take them back out of
+/// `invol_switches`.  The test confines its own thread to core 0 with
+/// `taskset(1)`; the stage threads inherit their creator's affinity.
 #[cfg(target_os = "linux")]
 #[test]
 fn exit_samples_carry_the_yields_of_more_stages_than_cores() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let link = std::fs::read_link("/proc/thread-self").expect("/proc/thread-self");
+    let tid = link.file_name().and_then(|t| t.to_str()).expect("a tid");
+    let pinned = std::process::Command::new("taskset")
+        .args(["-p", "-c", "0", tid])
+        .output()
+        .expect("taskset runs");
+    assert!(pinned.status.success(), "{pinned:?}");
     let mut prog = Program::new("yields");
     prog.set_metrics(Arc::new(MetricsRegistry::new()));
-    prog.set_pinning(fg_core::PinMode::Cores(vec![0]));
     let stages: Vec<_> = (0..cores + 2)
         .map(|i| prog.add_stage(format!("s{i}"), map_stage(|_buf, _ctx| Ok(()))))
         .collect();

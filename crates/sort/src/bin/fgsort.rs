@@ -46,10 +46,6 @@ usage: fgsort [flags]   (all optional)
                                                        (default 64)
   --workers N                replicas for the CPU-bound sort stages
                              (csort/csort4)             (default 1)
-  --pin                      pin every pipeline thread to a core,
-                             round-robin over all online cores
-  --pin-cores LIST           pin round-robin over an explicit
-                             comma-separated core list (e.g. 0,2,4,6)
   --backend sim|os           storage backend: simulated in-memory disks
                              or real files               (default sim)
   --dir PATH                 root directory for --backend os (one
@@ -128,8 +124,6 @@ struct Options {
     block_kib: usize,
     run_kib: usize,
     workers: usize,
-    pin: bool,
-    pin_cores: Option<Vec<usize>>,
     backend: String,
     dir: Option<String>,
     free: bool,
@@ -154,8 +148,6 @@ impl Default for Options {
             block_kib: 16,
             run_kib: 64,
             workers: 1,
-            pin: false,
-            pin_cores: None,
             backend: "sim".into(),
             dir: None,
             free: false,
@@ -220,18 +212,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--block-kib" => opts.block_kib = number(arg, value(arg))?,
             "--run-kib" => opts.run_kib = number(arg, value(arg))?,
             "--workers" => opts.workers = number(arg, value(arg))?,
-            "--pin" => opts.pin = true,
-            "--pin-cores" => {
-                let list = value("--pin-cores")?
-                    .split(',')
-                    .map(|c| c.trim().parse::<usize>())
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|e| format!("--pin-cores: {e}"))?;
-                if list.is_empty() {
-                    return Err("--pin-cores needs at least one core".into());
-                }
-                opts.pin_cores = Some(list);
-            }
             "--backend" => opts.backend = value("--backend")?.clone(),
             "--dir" => opts.dir = Some(value("--dir")?.clone()),
             "--free" => opts.free = true,
@@ -282,11 +262,6 @@ fn build_config(opts: &Options) -> Result<SortConfig, String> {
     cfg.run_bytes = (opts.run_kib << 10).max(cfg.block_bytes);
     cfg.vertical_buf_bytes = (cfg.block_bytes / 2).max(record.record_bytes);
     cfg.workers = opts.workers;
-    cfg.pin = match (&opts.pin_cores, opts.pin) {
-        (Some(cores), _) => Some(fg_core::PinMode::Cores(cores.clone())),
-        (None, true) => Some(fg_core::PinMode::RoundRobin),
-        (None, false) => None,
-    };
     if opts.trace.is_some() {
         cfg.trace_sink = Some(fg_core::TraceSink::new());
     }
@@ -708,32 +683,6 @@ mod tests {
         // Programs run on the bare backend: there is no read-ahead depth
         // to set.
         assert!(parse_args(&args("--io-depth 4")).is_err());
-    }
-
-    #[test]
-    fn pin_flags_build_pin_modes() {
-        let o = parse_args(&args("--pin --free")).unwrap();
-        assert!(o.pin);
-        let cfg = build_config(&o).unwrap();
-        assert_eq!(cfg.pin, Some(fg_core::PinMode::RoundRobin));
-        let o = parse_args(&args("--pin-cores 0,2,4 --free")).unwrap();
-        let cfg = build_config(&o).unwrap();
-        assert_eq!(cfg.pin, Some(fg_core::PinMode::Cores(vec![0, 2, 4])));
-        // Explicit cores win over the bare flag; no flag means no pinning.
-        let o = parse_args(&args("--pin --pin-cores 1 --free")).unwrap();
-        assert_eq!(
-            build_config(&o).unwrap().pin,
-            Some(fg_core::PinMode::Cores(vec![1]))
-        );
-        assert_eq!(
-            build_config(&parse_args(&args("--free")).unwrap())
-                .unwrap()
-                .pin,
-            None
-        );
-        assert!(parse_args(&args("--pin-cores")).is_err());
-        assert!(parse_args(&args("--pin-cores banana")).is_err());
-        assert!(parse_args(&args("--pin-cores ,")).is_err());
     }
 
     #[test]

@@ -101,11 +101,6 @@ pub struct SortConfig {
     /// node function) so every program's spans land in that node's track
     /// group of the merged export.
     pub trace_group: Option<u32>,
-    /// Core pinning for every FG program the sort runs (`fgsort --pin` /
-    /// `--pin-cores`): threads are placed round-robin over all cores or an
-    /// explicit list at spawn, and the per-thread placement lands in each
-    /// pass's report.  `None` leaves placement to the OS scheduler.
-    pub pin: Option<fg_core::PinMode>,
     /// Memory ledger shared by every FG program the sort runs (`fgsort
     /// --profile` / `--mem-budget`): pool buffers are charged to it as
     /// they are created and each stage's residency is tracked as buffers
@@ -139,7 +134,6 @@ impl SortConfig {
             watchdog: None,
             metrics: None,
             trace_group: None,
-            pin: None,
             ledger: None,
         }
     }
@@ -168,7 +162,7 @@ impl SortConfig {
     /// Apply this config's observability settings to an FG program: the
     /// causal-trace sink (`trace_sink`, whose spans each program's report
     /// then carries for its Gantt chart), the stall watchdog (`watchdog`),
-    /// registry, track group, pinning and ledger.  Called from the one place
+    /// registry, track group and ledger.  Called from the one place
     /// that makes a sort's programs, [`Node::program`](crate::driver::Node::program).
     pub fn instrument(&self, prog: &mut fg_core::Program) {
         if let Some(sink) = &self.trace_sink {
@@ -183,9 +177,6 @@ impl SortConfig {
         }
         if let Some(group) = self.trace_group {
             prog.set_trace_group(group);
-        }
-        if let Some(pin) = &self.pin {
-            prog.set_pinning(pin.clone());
         }
         if let Some(ledger) = &self.ledger {
             prog.set_memory_ledger(Arc::clone(ledger));
@@ -254,11 +245,6 @@ impl SortConfig {
         }
         if self.workers == 0 {
             return err("workers must be positive".into());
-        }
-        if let Some(fg_core::PinMode::Cores(cores)) = &self.pin {
-            if cores.is_empty() {
-                return err("pin core list must be non-empty".into());
-            }
         }
         if self.run_bytes < self.block_bytes {
             return err(format!(

@@ -43,7 +43,7 @@ pub struct Node {
 impl Node {
     /// A new FG program named `{name}-n{rank}`, instrumented as the config
     /// asks ([`SortConfig::instrument`]): trace sink, watchdog, registry,
-    /// track group, pinning, ledger.
+    /// track group, ledger.
     pub fn program(&self, name: &str) -> Program {
         let mut prog = Program::new(format!("{name}-n{}", self.rank));
         self.cfg.instrument(&mut prog);

@@ -184,3 +184,18 @@ fn the_closed_loop_flag_is_an_unknown_flag() {
     assert!(err.contains("error: unknown flag `--autotune`"), "{err}");
     assert!(err.contains("usage: fgsort"), "{err}");
 }
+
+/// Threads are placed by the OS: the flags that once pinned every stage
+/// thread to a core are refused like any flag `fgsort` does not know.
+#[test]
+fn the_pinning_flags_are_unknown_flags() {
+    for args in ["--pin --free", "--pin-cores 0 --free"] {
+        let out = fgsort(args);
+        assert_eq!(out.status.code(), Some(1), "{args}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let flag = args.split(' ').next().unwrap();
+        let refused = format!("error: unknown flag `{flag}`");
+        assert!(err.contains(&refused), "{err}");
+        assert!(err.contains("usage: fgsort"), "{err}");
+    }
+}
