@@ -453,12 +453,12 @@ fn main() {
         run.one(
             "io-overlap",
             vec![
-                ("blocks", "blocks", Count(res.blocks as u64)),
+                ("blocks", "blocks", Count(res.arms.blocks as u64)),
                 ("block KiB", "block_bytes", KiB(res.block_bytes as u64)),
                 ("passes", "compute_passes", Count(res.compute_passes as u64)),
-                ("sync s", "sync_s", Secs(res.sync)),
-                ("overlapped s", "overlapped_s", Secs(res.overlapped)),
-                ("speedup", "speedup", Ratio(res.speedup())),
+                ("sync s", "sync_s", Secs(res.arms.serial)),
+                ("overlapped s", "overlapped_s", Secs(res.arms.pipelined)),
+                ("speedup", "speedup", Ratio(res.arms.speedup())),
             ],
         );
         run.check("io-overlap", io_overlap::CLAIM, io_overlap::check(&res));

@@ -1,11 +1,9 @@
 //! Experiment runners for the FG reproduction.
 //!
 //! Each public `run_*` function regenerates one artifact of the paper's
-//! evaluation (see DESIGN.md's experiment index): Figure 8's per-pass time
-//! breakdowns, the in-text tables (partition balance, I/O volume, unbalanced
-//! communication), and the ablations (single-linear-pipeline dsort, virtual
-//! stages, overlap, buffer-size sweep).  The `experiments` binary drives
-//! them and prints paper-style tables.
+//! evaluation (DESIGN.md's experiment index: Figure 8, the in-text tables,
+//! the ablations); the `experiments` binary drives them and prints
+//! paper-style tables.
 //!
 //! No seconds are compared across invocations.  A cell that makes a claim
 //! runs all of its arms in one invocation, and a `check*` function beside its

@@ -1,16 +1,12 @@
 //! A3: the overlap ablation — FG's core claim in isolation.
 //!
-//! A single node runs `read → compute → write` over a file of blocks, with
-//! a simulated disk cost model (IO1, [`io_overlap`](crate::io_overlap),
-//! runs the same two arms on real files).  Executed as an FG pipeline, the
-//! three stages overlap: while one buffer's read sleeps on the (serialized)
-//! disk arm, another buffer computes.  Executed serially — the same
-//! operations, one buffer, one thread — nothing overlaps.  The ratio is the
-//! latency FG hides.
-//!
-//! Note the disk arm serializes read and write *service* times, so the
-//! pipeline cannot beat `max(total disk time, total compute time)`; the
-//! win comes from hiding compute under I/O and keeping the arm busy.
+//! A single node runs `read → compute → write` over a file of blocks on a
+//! simulated disk (IO1, [`io_overlap`](crate::io_overlap), runs the same
+//! two arms on real files).  As an FG pipeline the stages overlap: while
+//! one buffer's read sleeps on the (serialized) disk arm, another computes.
+//! Serially — the same operations, one buffer, one thread — nothing does.
+//! The disk arm serializes read and write service times, so the pipeline
+//! cannot beat `max(total disk time, total compute time)`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -22,7 +18,7 @@ use fg_sort::SortError;
 /// Buffers in the pipelined arm's pool: its read-ahead and write-behind.
 pub const POOL_BUFFERS: usize = 4;
 
-/// Result of the overlap ablation.
+/// The two arms' times of A3 or IO1: the median pair of [`paired`].
 #[derive(Debug, Clone, Copy)]
 pub struct OverlapResult {
     /// Wall time of the FG pipeline.
@@ -68,11 +64,9 @@ pub(crate) fn compute(data: &mut [u8], passes: usize) -> u64 {
 }
 
 /// Pick a pass count so [`compute`] on a block of `block_bytes` takes
-/// roughly `target` wall time in the current build profile.  The checksum
-/// loop is an order of magnitude slower under `cargo test` (debug) than
-/// under `--release`; a fixed pass count makes compute dwarf I/O in one
-/// profile and vanish in the other, and the overlap win only shows when
-/// the two are comparable.
+/// roughly `target` wall time in the current build profile: the checksum
+/// loop is ten times slower in a debug build, and the overlap win only
+/// shows when compute and I/O are comparable.
 pub(crate) fn calibrate_passes(block_bytes: usize, target: Duration) -> usize {
     let mut probe = vec![0x5Au8; block_bytes];
     let per_pass = crate::kernel_bench::best_of(3, || compute(&mut probe, 1));
@@ -146,7 +140,7 @@ pub(crate) fn serial_arm(
 }
 
 /// Run the ablation: `blocks` blocks of `block_bytes`, disk cost `disk`,
-/// `compute_passes` checksum passes per block.
+/// `compute_passes` checksum passes per block, each arm on a fresh disk.
 pub fn run_overlap(
     blocks: usize,
     block_bytes: usize,
@@ -158,9 +152,31 @@ pub fn run_overlap(
         d.load("in", vec![0xAB; blocks * block_bytes]);
         d
     };
+    paired(
+        blocks,
+        || pipelined_arm(&arm_disk(), blocks, block_bytes, compute_passes),
+        || serial_arm(&*arm_disk(), blocks, block_bytes, compute_passes),
+    )
+}
+
+/// Time A3's or IO1's two arms in one process: an unjudged warm-up pair,
+/// then five pairs alternating which arm runs first.  The median pair by
+/// `pipelined / serial` is the result, so one burst moves a pair, not it.
+pub(crate) fn paired(
+    blocks: usize,
+    mut pipelined: impl FnMut() -> Result<Duration, SortError>,
+    mut serial: impl FnMut() -> Result<Duration, SortError>,
+) -> Result<OverlapResult, SortError> {
+    let mut pairs = Vec::new();
+    for i in 0..6 {
+        let serial_first = if i % 2 == 1 { Some(serial()?) } else { None };
+        pairs.push((pipelined()?, serial_first.map_or_else(&mut serial, Ok)?));
+    }
+    pairs[1..].sort_by_key(|(p, s)| p.as_nanos() * 1_000_000 / s.as_nanos().max(1));
+    let (pipelined, serial) = pairs[3];
     Ok(OverlapResult {
-        pipelined: pipelined_arm(&arm_disk(), blocks, block_bytes, compute_passes)?,
-        serial: serial_arm(&*arm_disk(), blocks, block_bytes, compute_passes)?,
+        pipelined,
+        serial,
         blocks,
     })
 }

@@ -3,11 +3,13 @@
 //! The `hoard` stage accepts buffers and never conveys or discards them.
 //! With a pool of two buffers the pipeline deadlocks almost immediately:
 //! the source starves waiting for recycled buffers, the `drain` stage
-//! starves waiting for input, and nothing records a span ever again.  The
-//! watchdog notices the silence after one second, prints a post-mortem to
-//! stderr, writes the same report as JSON (first CLI argument, default
+//! starves waiting for input, and no stage thread changes state ever again.
+//! The watchdog notices the silence after one second, prints a post-mortem
+//! to stderr, writes the same report as JSON (first CLI argument, default
 //! `wedged-postmortem.json`), and aborts the program with
-//! [`FgError::Stalled`] naming the hoarder.
+//! [`FgError::Stalled`] naming the hoarder.  The program also enables
+//! tracing, so each thread's entry in the post-mortem ends in its last
+//! spans; a program armed with the watchdog alone records none.
 //!
 //! ```text
 //! cargo run -p fg-core --example wedged -- /tmp/postmortem.json
@@ -52,6 +54,7 @@ fn main() -> ExitCode {
     )
     .expect("wire pipeline");
     prog.set_watchdog(WatchdogCfg::new(Duration::from_secs(1)).artifact(&artifact));
+    prog.enable_tracing();
 
     match prog.run() {
         Err(FgError::Stalled { culprit }) => {

@@ -119,11 +119,12 @@ impl Program {
     /// rings of the threads it spawned into `Report::trace`, which
     /// [`Report::render_gantt`](crate::Report::render_gantt),
     /// [`Report::to_chrome_trace`](crate::Report::to_chrome_trace) and the
-    /// report JSON read.  The rings are the ones a shared
-    /// [`TraceSink`](crate::trace::TraceSink) or the watchdog use (with
-    /// neither, the runtime makes a private sink for the run) and keep each
-    /// thread's newest
+    /// report JSON read.  The rings are the shared
+    /// [`TraceSink`](crate::trace::TraceSink)'s, or a private sink's the
+    /// runtime makes for the run, and keep each thread's newest
     /// [`DEFAULT_RING_CAPACITY`](crate::trace::DEFAULT_RING_CAPACITY) spans.
+    /// A watchdog's post-mortem carries each thread's last spans only when
+    /// a sink exists.
     pub fn enable_tracing(&mut self) {
         self.trace_in_report = true;
     }
@@ -173,12 +174,14 @@ impl Program {
         self.trace_group = Some(group);
     }
 
-    /// Arm the stall watchdog: if no span is recorded pipeline-wide for
-    /// `cfg.timeout`, a [`Postmortem`](crate::trace::Postmortem) is
-    /// rendered to stderr (and optionally a JSON artifact), then the
-    /// program is aborted with
-    /// [`FgError::Stalled`](crate::FgError::Stalled).  Implies an
-    /// internal trace sink when none is installed.
+    /// Arm the stall watchdog: if no stage thread of this program changes
+    /// state (every queue operation does) for `cfg.timeout`, a
+    /// [`Postmortem`](crate::trace::Postmortem) is rendered to stderr (and
+    /// optionally a JSON artifact), then the program is aborted with
+    /// [`FgError::Stalled`](crate::FgError::Stalled).  The watchdog reads
+    /// the stage threads' counter blocks and makes no trace sink: its
+    /// post-mortem lists spans only when the run has one
+    /// ([`Program::set_trace_sink`], [`Program::enable_tracing`]).
     pub fn set_watchdog(&mut self, cfg: crate::trace::WatchdogCfg) {
         self.watchdog = Some(cfg);
     }

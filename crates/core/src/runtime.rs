@@ -8,7 +8,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::error::{FgError, Result};
 use crate::metrics::MetricsRegistry;
-use crate::profile::{ResourceReport, ThreadResources};
+use crate::profile::ResourceReport;
 use crate::program::replica_base;
 use crate::queue::Queue;
 use crate::stage::{Pool, Port, Registry, ReplicaGroup, Stage, StageCounters, StageCtx};
@@ -41,31 +41,34 @@ pub(crate) struct Plan {
     pub(crate) ledger: Option<Arc<crate::profile::MemoryLedger>>,
 }
 
-/// What a stage thread hands back: its statistics and, when its program
-/// is observed, its exit sample.
-type ThreadOutcome = (StageStats, Option<ThreadResources>);
+/// Makes the builder of each thread `execute` spawns from its name.
+type MakeThread<'a> = &'a mut dyn FnMut(String) -> std::io::Result<std::thread::Builder>;
 
-/// Spawn one pipeline thread under `name`: registered for live resource
-/// samples for its lifetime, and, when `observed`, reading its own final
-/// CPU row as it exits.
-fn spawn_thread(
+/// Spawn one pipeline thread under `name`, registered for live resource
+/// samples for its lifetime.
+fn spawn_thread<T: Send + 'static>(
+    make: MakeThread<'_>,
     name: String,
-    observed: bool,
-    body: impl FnOnce() -> StageStats + Send + 'static,
-) -> Result<std::thread::JoinHandle<ThreadOutcome>> {
+    body: impl FnOnce() -> T + Send + 'static,
+) -> Result<std::thread::JoinHandle<T>> {
     let profile_name = name.clone();
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(move || {
-            let _reg = crate::profile::register_current_thread(profile_name.clone());
-            let stats = body();
-            let row = observed.then(|| ResourceReport::exit_sample(&profile_name));
-            (stats, row.flatten())
+    make(name.clone())
+        .and_then(|builder| {
+            builder.spawn(move || {
+                let _reg = crate::profile::register_current_thread(profile_name);
+                body()
+            })
         })
-        .map_err(|e| FgError::Config(format!("failed to spawn pipeline thread: {e}")))
+        .map_err(|e| FgError::Config(format!("failed to spawn pipeline thread `{name}`: {e}")))
 }
 
 pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
+    execute_with(program_name, plan, &mut |name| {
+        Ok(std::thread::Builder::new().name(name))
+    })
+}
+
+fn execute_with(program_name: String, plan: Plan, make: MakeThread<'_>) -> Result<Report> {
     let Plan {
         registry,
         tasks,
@@ -82,31 +85,15 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
     // each stage thread's exit row, then one read once they have joined.
     let observed = metrics.is_some() || ledger.is_some();
 
-    // One rule for when a sink exists: the caller shared one, or a reader
-    // of the rings is armed — the watchdog (their activity clock) or the
-    // report (their span log) — and the runtime makes a private one.
-    let trace_sink =
-        trace_sink.or_else(|| (watchdog.is_some() || trace_in_report).then(TraceSink::new));
-    if let Some(sink) = &trace_sink {
-        sink.touch();
-    }
-    // The rings this program registered, kept when the report is to carry
-    // them: a shared sink also holds other programs' threads.
+    // One rule for when a sink exists: the caller shared one, or the
+    // report is to carry the span log and the runtime makes a private one.
+    // The watchdog reads the counter blocks, not the rings.
+    let trace_sink = trace_sink.or_else(|| trace_in_report.then(TraceSink::new));
+    // The rings this program registered: a shared sink also holds other
+    // programs' threads.
     let mut rings: Vec<Arc<SpanRing>> = Vec::new();
-    let mut ring_for = |task: &str| {
-        trace_sink.as_ref().map(|s| {
-            let name = format!("{program_name}/{task}");
-            let ring = match trace_group {
-                Some(g) => s.register_thread_in_group(name, g),
-                None => s.register_thread(name),
-            };
-            if trace_in_report {
-                rings.push(Arc::clone(&ring));
-            }
-            ring
-        })
-    };
 
+    // The program's epoch: every thread state is in nanoseconds since.
     let start = Instant::now();
     // The pools fill before any stage thread exists: each first stage
     // starts on a full input queue.  (A pool its queue cannot admit is the
@@ -116,38 +103,44 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
     }
     let mut handles = Vec::new();
 
+    // A thread that cannot be spawned is the program's error: the threads
+    // already running are torn down and joined like on any other failure.
     for task in tasks {
-        let registry = Arc::clone(&registry);
         let thread = format!("{program_name}/{}", task.name);
         let counters = registry.stage_counters(thread.clone(), &task.name, metrics.as_deref());
-        let ring = ring_for(&task.name);
+        let ring = trace_sink.as_ref().map(|s| match trace_group {
+            Some(g) => s.register_thread_in_group(thread.clone(), g),
+            None => s.register_thread(thread.clone()),
+        });
+        rings.extend(ring.clone());
         // Replicas (`sort#0`, `sort#1`, …) share one ledger row: the
         // question the ledger answers is "how much does *sort* hold".
         let base = replica_base(&task.name).unwrap_or(&task.name);
         let stage_ledger = ledger.as_ref().map(|l| l.stage(base));
-        handles.push(spawn_thread(thread, observed, move || {
-            run_stage_thread(task, registry, counters, ring, stage_ledger)
-        })?);
+        let (name, reg) = (thread.clone(), Arc::clone(&registry));
+        let spawned = spawn_thread(make, thread, move || {
+            let stats = run_stage_thread(task, reg, counters, ring, stage_ledger, start);
+            let row = observed.then(|| ResourceReport::exit_sample(&name));
+            (stats, row.flatten())
+        });
+        let Ok(handle) = spawned.map_err(|e| registry.cancel(e)) else {
+            break;
+        };
+        handles.push(handle);
     }
 
-    // The watchdog polls the sink's pipeline-wide activity clock and fires
-    // a post-mortem if it goes quiet for the configured timeout.
-    let watchdog_handle = watchdog.map(|cfg| {
-        let sink = Arc::clone(trace_sink.as_ref().expect("watchdog implies a sink"));
-        let registry = Arc::clone(&registry);
+    // The watchdog polls the stage threads' counter blocks and fires a
+    // post-mortem if none changes state for the configured timeout.
+    let watchdog_handle = watchdog.and_then(|cfg| {
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let gate2 = Arc::clone(&gate);
-        let program = program_name.clone();
-        let profile_name = format!("{program_name}/watchdog");
-        let wd_ledger = ledger.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("{program_name}/watchdog"))
-            .spawn(move || {
-                let _reg = crate::profile::register_current_thread(profile_name);
-                run_watchdog(cfg, sink, registry, program, gate2, wd_ledger)
-            })
-            .expect("failed to spawn watchdog thread");
-        (handle, gate)
+        let (reg, gate2, rings) = (Arc::clone(&registry), Arc::clone(&gate), rings.clone());
+        let (program, wd_ledger) = (program_name.clone(), ledger.clone());
+        let body = move || run_watchdog(cfg, start, reg, rings, program, gate2, wd_ledger);
+        let spawned = spawn_thread(make, format!("{program_name}/watchdog"), body);
+        spawned
+            .map_err(|e| registry.cancel(e))
+            .ok()
+            .map(|h| (h, gate))
     });
 
     let threads_spawned = handles.len();
@@ -185,6 +178,8 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
     if registry.is_cancelled() {
         return Err(FgError::Cancelled);
     }
+    // The threads have joined, so each ring holds its thread's final log.
+    let rings = if trace_in_report { &rings[..] } else { &[] };
     Ok(Report {
         wall: start.elapsed(),
         stages,
@@ -193,7 +188,6 @@ pub(crate) fn execute(program_name: String, plan: Plan) -> Result<Report> {
         pipelines,
         metrics: metrics.map(|m| m.snapshot()).unwrap_or_default(),
         resources: observed.then(|| ResourceReport::at_run_end(ledger.as_deref(), exit_rows)),
-        // The threads have joined, so each ring holds its thread's final log.
         trace: rings.iter().map(|r| r.log()).collect(),
         trace_start_ns: rings.first().map_or(0, |r| r.ns_of(start)),
     })
@@ -205,6 +199,7 @@ fn run_stage_thread(
     counters: Arc<StageCounters>,
     ring: Option<Arc<SpanRing>>,
     stage_ledger: Option<Arc<crate::profile::StageLedger>>,
+    epoch: Instant,
 ) -> StageStats {
     let StageTask {
         name,
@@ -228,6 +223,7 @@ fn run_stage_thread(
         shared_input,
         Arc::clone(&registry),
         Arc::clone(&counters),
+        epoch,
         start,
     );
     if let Some(l) = stage_ledger {
@@ -267,17 +263,20 @@ fn run_stage_thread(
     counters.stats(name, end - start)
 }
 
-/// Watchdog loop: poll the sink's idle clock; on a stall, assemble and
-/// report a [`Postmortem`], then abort the program.
+/// Watchdog loop: poll the program's counter blocks; on a stall, assemble
+/// and report a [`Postmortem`], then abort the program.
 fn run_watchdog(
     cfg: WatchdogCfg,
-    sink: Arc<TraceSink>,
+    epoch: Instant,
     registry: Arc<Registry>,
+    rings: Vec<Arc<SpanRing>>,
     program: String,
     gate: Arc<(Mutex<bool>, Condvar)>,
     ledger: Option<Arc<crate::profile::MemoryLedger>>,
 ) {
     let poll = (cfg.timeout / 4).clamp(Duration::from_millis(1), Duration::from_millis(100));
+    let stages = registry.stages();
+    let now = || epoch.elapsed().as_nanos() as u64;
     let idle = loop {
         {
             let mut stopped = gate.0.lock();
@@ -289,23 +288,27 @@ fn run_watchdog(
                 return;
             }
         }
-        let idle = sink.idle();
+        // Every queue operation changes its thread's state, so the newest
+        // change is the program's last progress (its start before any).
+        let newest = stages.iter().map(|(_, c)| c.state().1).max();
+        let idle = Duration::from_nanos(now().saturating_sub(newest.unwrap_or(0)));
         if idle >= cfg.timeout {
             break idle;
         }
     };
-    let threads: Vec<ThreadPostmortem> = sink
-        .rings()
+    let at = now();
+    let threads: Vec<ThreadPostmortem> = stages
         .iter()
-        .map(|r| {
-            let (state, in_state_for) = r.state();
-            let spans = r.snapshot();
+        .map(|(thread, c)| {
+            let (state, since) = c.state();
+            let (intakes, emits) = c.traffic();
+            let ring = rings.iter().find(|r| r.name() == thread);
+            let spans = ring.map(|r| r.snapshot()).unwrap_or_default();
             let keep = spans.len().saturating_sub(cfg.last_spans);
-            let (intakes, emits) = registry.traffic(r.name());
             ThreadPostmortem {
-                thread: r.name().to_string(),
+                thread: thread.clone(),
                 state,
-                in_state_for,
+                in_state_for: Duration::from_nanos(at.saturating_sub(since)),
                 intakes,
                 emits,
                 last_spans: spans[keep..].to_vec(),
@@ -425,6 +428,36 @@ mod tests {
                 |plan| Arc::clone(&plan.pools[0].queue),
                 ("recycle/p", "lockfree"),
             );
+        }
+    }
+
+    /// A spawn that fails at any thread, the watchdog's included, fails the
+    /// program with it, after every thread already spawned has been torn
+    /// down and joined.
+    #[test]
+    fn a_failed_spawn_leaves_no_thread_running() {
+        for k in 1..=4 {
+            let name = format!("spawn-fail-{k}");
+            let mut prog = Program::new(name.as_str());
+            let stages = ["a", "b", "c"].map(|s| prog.add_stage(s, map_stage(|_, _| Ok(()))));
+            prog.add_pipeline(PipelineCfg::new("p", 2, 8).count(1 << 30), &stages)
+                .unwrap();
+            prog.with_watchdog(Duration::from_secs(60));
+            let mut calls = 0;
+            let err = execute_with(name.clone(), prog.wire().unwrap(), &mut |thread| {
+                calls += 1;
+                let refused = std::io::Error::other("no thread for you");
+                (calls != k)
+                    .then(|| std::thread::Builder::new().name(thread))
+                    .ok_or(refused)
+            })
+            .unwrap_err();
+            assert!(
+                matches!(&err, FgError::Config(m) if m.contains("for you")),
+                "{err}"
+            );
+            let live = crate::profile::registered_threads();
+            assert!(live.iter().all(|(t, _)| !t.starts_with(&name)), "{live:?}");
         }
     }
 

@@ -186,14 +186,10 @@ impl Registry {
         counters
     }
 
-    /// `(accepted, rounds)` of the stage thread named `thread`, for
-    /// watchdog post-mortems; zero for a thread of another program.
-    pub(crate) fn traffic(&self, thread: &str) -> (u64, u64) {
-        self.stages
-            .lock()
-            .iter()
-            .find(|(name, _)| name == thread)
-            .map_or((0, 0), |(_, c)| (c.accepted.get(), c.rounds.get()))
+    /// Every stage thread's name and counters, in spawn order: what the
+    /// watchdog reads.
+    pub(crate) fn stages(&self) -> Vec<(String, Arc<StageCounters>)> {
+        self.stages.lock().clone()
     }
 
     /// Record the root-cause error (first wins) and tear everything down.
@@ -613,10 +609,10 @@ impl Tally {
 
 /// The one record of what a stage thread did, counted once per event and
 /// read by everything that reports on the thread: its [`StageStats`] row
-/// at exit, the registry's `core/stage_*` counters live, the watchdog's
-/// post-mortem and the thread's memory-ledger row.  Owned by the program's
-/// [`Registry`]; only the thread itself writes it, at every queue
-/// operation, so no two threads' blocks share a cache line.
+/// at exit, the registry's `core/stage_*` counters live, the watchdog (its
+/// idle clock and post-mortem) and the thread's memory-ledger row.  Owned
+/// by the program's [`Registry`]; only the thread itself writes it, at
+/// every queue operation, so no two threads' blocks share a cache line.
 #[repr(align(128))]
 pub(crate) struct StageCounters {
     /// Buffers accepted (`core/stage_buffers/<task>`).
@@ -631,6 +627,10 @@ pub(crate) struct StageCounters {
     blocked_convey_ns: Tally,
     /// Capacity of the buffers charged to the ledger and not yet credited.
     held_bytes: AtomicI64,
+    /// The [`ThreadState`] the thread advertises, and since when in
+    /// nanoseconds since its program started.
+    state: AtomicU64,
+    since_ns: AtomicU64,
 }
 
 impl StageCounters {
@@ -649,7 +649,27 @@ impl StageCounters {
             blocked_accept_ns: tally(Some(STAGE_STARVED_PREFIX)),
             blocked_convey_ns: tally(Some(STAGE_BACKPRESSURED_PREFIX)),
             held_bytes: AtomicI64::new(0),
+            state: AtomicU64::new(ThreadState::Starting as u64),
+            since_ns: AtomicU64::new(0),
         }
+    }
+
+    /// Advertise that the thread has been in `state` since `at`: the time
+    /// the caller already took around its queue operation; no clock read.
+    fn set_state(&self, state: ThreadState, at: u64) {
+        self.state.store(state as u64, Ordering::Relaxed);
+        self.since_ns.store(at, Ordering::Relaxed);
+    }
+
+    /// The advertised state and since when (ns since the program started).
+    pub(crate) fn state(&self) -> (ThreadState, u64) {
+        let state = ThreadState::from_u64(self.state.load(Ordering::Relaxed));
+        (state, self.since_ns.load(Ordering::Relaxed))
+    }
+
+    /// `(accepted, rounds)`: the buffers the thread took in and handed on.
+    pub(crate) fn traffic(&self) -> (u64, u64) {
+        (self.accepted.get(), self.rounds.get())
     }
 
     /// The thread's row of the report: it ran for `wall`.
@@ -683,15 +703,15 @@ pub struct StageCtx {
     replica_group: Option<Arc<ReplicaGroup>>,
     /// This thread's counters, the one record of what it did.
     counters: Arc<StageCounters>,
-    /// Flight-recorder ring, the one span record; `None` (the default)
+    /// Flight-recorder ring, the one span record; `None` (no trace sink)
     /// costs one never-taken branch per transition.
     ring: Option<Arc<crate::trace::SpanRing>>,
-    /// The thread's start: the stage's clock reads nanoseconds since.
-    started: Instant,
-    /// The ring's clock at `started` (its records are in nanoseconds since
+    /// The program's start: the stage's clock reads nanoseconds since.
+    epoch: Instant,
+    /// The ring's clock at `epoch` (its records are in nanoseconds since
     /// the sink's epoch).
     ring_base: u64,
-    /// End of this thread's last queue operation (0, its start, before the
+    /// End of this thread's last queue operation (its start before the
     /// first): the gap to the next one is the stage's own work.
     last_end: u64,
     /// Buffer-residency row in the program's
@@ -716,8 +736,11 @@ impl StageCtx {
         shared_input: Option<Arc<Queue>>,
         registry: Arc<Registry>,
         counters: Arc<StageCounters>,
+        epoch: Instant,
         started: Instant,
     ) -> Self {
+        let started = (started - epoch).as_nanos() as u64;
+        counters.set_state(ThreadState::Busy, started);
         StageCtx {
             name,
             open: ports.len(),
@@ -726,9 +749,9 @@ impl StageCtx {
             replica_group: None,
             counters,
             ring: None,
-            started,
+            epoch,
             ring_base: 0,
-            last_end: 0,
+            last_end: started,
             ledger: None,
             aux: Vec::new(),
             owed: Vec::new(),
@@ -762,34 +785,25 @@ impl StageCtx {
         }
     }
 
-    /// Attach this thread's ring; it has been busy since it started.
+    /// Attach this thread's ring.
     pub(crate) fn set_ring(&mut self, ring: Arc<crate::trace::SpanRing>) {
-        self.ring_base = ring.ns_of(self.started);
+        self.ring_base = ring.ns_of(self.epoch);
         self.ring = Some(ring);
-        self.enter(ThreadState::Busy, 0);
     }
 
-    /// The thread is done as of `at`: say so on the ring, and book the
-    /// work since its last queue operation.
+    /// The thread is done as of `at`: say so, and book the work since its
+    /// last queue operation.
     pub(crate) fn retire(&mut self, at: Instant) {
-        let at = (at - self.started).as_nanos() as u64;
-        self.enter(ThreadState::Done, at);
+        let at = (at - self.epoch).as_nanos() as u64;
+        self.counters.set_state(ThreadState::Done, at);
         self.counters.busy_ns.add(at - self.last_end);
     }
 
-    /// The stage's clock: nanoseconds since the thread started.  Each
-    /// instant of a queue operation is read once, and the counters and the
-    /// ring both take it from here.
+    /// The stage's clock: nanoseconds since the program started.  Each
+    /// instant of a queue operation is read once, and the counters, the
+    /// thread state and the ring all take it from here.
     fn clock(&self) -> u64 {
-        self.started.elapsed().as_nanos() as u64
-    }
-
-    /// Advertise on the ring, when there is one, that this thread has been
-    /// in `state` since `at` on the stage's clock.
-    fn enter(&self, state: ThreadState, at: u64) {
-        if let Some(ring) = &self.ring {
-            ring.set_state(state, self.ring_base + at);
-        }
+        self.epoch.elapsed().as_nanos() as u64
     }
 
     /// Flight-record `kind` of `(pipeline, round, tid)` over `start..end`
@@ -819,11 +833,11 @@ impl StageCtx {
     }
 
     /// Flight-record the wait `t0..t1` as the accept of `(pipeline, round,
-    /// tid)` — all zero rounds/ids for a caboose, which is still progress
-    /// for the watchdog's clock — and flip this thread back to busy.
+    /// tid)` — all zero rounds/ids for a caboose — and flip this thread
+    /// back to busy, which is progress for the watchdog's clock.
     fn trace_accept(&self, pipeline: PipelineId, round: u64, tid: u64, t0: u64, t1: u64) {
         self.record(TraceKind::Accept, pipeline, round, tid, t0, t1);
-        self.enter(ThreadState::Busy, t1);
+        self.counters.set_state(ThreadState::Busy, t1);
     }
 
     /// Name of this stage.
@@ -933,7 +947,7 @@ impl StageCtx {
                 return Ok(None);
             }
             let t0 = self.clock();
-            self.enter(ThreadState::BlockedAccept, t0);
+            self.counters.set_state(ThreadState::BlockedAccept, t0);
             let popped = shared.pop();
             let t1 = self.clock();
             self.book(t0, t1, |c| &c.blocked_accept_ns);
@@ -1013,7 +1027,7 @@ impl StageCtx {
             }
             let input = self.input_of(idx)?;
             let t0 = self.clock();
-            self.enter(ThreadState::BlockedAccept, t0);
+            self.counters.set_state(ThreadState::BlockedAccept, t0);
             let popped = input.pop();
             let t1 = self.clock();
             self.book(t0, t1, |c| &c.blocked_accept_ns);
@@ -1104,14 +1118,14 @@ impl StageCtx {
         // done computing and is stalled behind a slower earlier round.
         let mut t_push = t0;
         if let Some(group) = self.replica_group.as_deref().filter(|g| g.is_ordered()) {
-            self.enter(ThreadState::TurnWait, t0);
+            self.counters.set_state(ThreadState::TurnWait, t0);
             group.await_turn(&self.name, pipeline, round)?;
             if self.ring.is_some() {
                 t_push = self.clock();
                 self.record(TraceKind::TurnWait, pipeline, round, tid, t0, t_push);
             }
         }
-        self.enter(ThreadState::BlockedConvey, t_push);
+        self.counters.set_state(ThreadState::BlockedConvey, t_push);
         let port = &self.ports[idx];
         let queue = match kind {
             TraceKind::Recycle => &port.pool.queue,
@@ -1128,7 +1142,7 @@ impl StageCtx {
         let sent = sent?;
         if sent {
             self.record(kind, pipeline, round, tid, t_push, t1);
-            self.enter(ThreadState::Busy, t1);
+            self.counters.set_state(ThreadState::Busy, t1);
         }
         Ok(sent)
     }
@@ -1244,5 +1258,18 @@ impl StageCtx {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn set_state_keeps_the_callers_timestamp() {
+        let counters = StageCounters::new("s", None);
+        assert_eq!(counters.state(), (ThreadState::Starting, 0));
+        counters.set_state(ThreadState::BlockedAccept, 5_000_000);
+        assert_eq!(counters.state(), (ThreadState::BlockedAccept, 5_000_000));
     }
 }

@@ -1,43 +1,38 @@
 //! Causal tracing: per-buffer spans, the flight recorder, and watchdog
 //! post-mortems.
 //!
-//! Aggregate metrics (PR 1–2) say which stage is busy *on average*; they
-//! cannot explain a slow round, a tail-latency spike, or a hung farm.  This
-//! module records *what actually happened*, cheaply enough to leave on:
-//!
-//! * every buffer carries a **trace id** (assigned by the source when it
-//!   injects a round), and
-//! * every stage transition — source-inject, accept, work, convey, recycle,
-//!   farm turnstile wait — appends a fixed-size [`SpanRec`] into a per-thread **flight recorder ring**
-//!   ([`SpanRing`]).
+//! Aggregate metrics say which stage is busy *on average*; they cannot
+//! explain a slow round or a hung farm.  This module records *what actually
+//! happened*: every buffer carries a **trace id** from the start of its
+//! round, and every stage transition — accept, work, convey, recycle, farm
+//! turnstile wait — appends a fixed-size [`SpanRec`] into a per-thread
+//! **flight recorder ring** ([`SpanRing`]).
 //!
 //! The ring is bounded (overwrite-oldest), allocation-free on the hot path,
-//! and entirely absent when no [`TraceSink`] is installed: stages hold an
-//! `Option<Arc<SpanRing>>` that is `None`, so the untraced cost is one
-//! never-taken branch per transition.
+//! and exists only when a run has a [`TraceSink`]: one the caller shared
+//! ([`Program::set_trace_sink`](crate::Program::set_trace_sink)) or one the
+//! runtime makes because the report is to carry the spans
+//! ([`Program::enable_tracing`](crate::Program::enable_tracing)).  Without
+//! one, a stage's ring is `None` (one never-taken branch per transition)
+//! and buffers carry trace id 0.  The runtime times each queue operation
+//! once and hands the same two instants to the stage's counter block (its
+//! totals and thread state) and the ring record.  `enable_tracing` copies
+//! a run's rings into [`Report::trace`](crate::Report), which the Gantt
+//! chart, [`crate::critical_path`] and the Chrome export (flow events
+//! linking each buffer's journey across stage tracks, loadable in
+//! <https://ui.perfetto.dev>) read.  Retention is the newest
+//! [`DEFAULT_RING_CAPACITY`] spans per thread (or
+//! [`TraceSink::with_ring_capacity`]).
 //!
-//! The ring is the *one* span record: the runtime times each queue
-//! operation once and hands the same two instants to the `StageStats`
-//! accumulators, the live `core/stage_*` counters, the ring record and the
-//! thread state.  [`Program::enable_tracing`](crate::Program::enable_tracing)
-//! copies a run's rings into [`Report::trace`](crate::Report), which is
-//! what the Gantt chart and [`Report::to_chrome_trace`](crate::Report)
-//! read.  Retention is the newest [`DEFAULT_RING_CAPACITY`] spans per
-//! thread (or [`TraceSink::with_ring_capacity`]).
-//!
-//! From the collected span log, [`crate::critical_path`] reconstructs
-//! per-round buffer timelines, and [`TraceSink::to_chrome_trace`] exports
-//! the spans with *flow events* linking each buffer's journey across stage
-//! tracks (loadable in <https://ui.perfetto.dev>).
-//!
-//! On top of the recorder sits the **watchdog**
-//! ([`Program::set_watchdog`](crate::Program::set_watchdog)): if no span is
-//! recorded pipeline-wide for a configurable timeout, it assembles a
-//! [`Postmortem`] — per-thread state with the last N spans, live queue
-//! depths, farm turnstile positions, and a best-guess culprit — renders it
-//! to stderr and optionally a JSON artifact, then aborts the program:
-//! queues close, stages unblock, and [`Program::run`](crate::Program::run)
-//! returns [`FgError::Stalled`](crate::FgError::Stalled) naming the culprit.
+//! The **watchdog** ([`Program::set_watchdog`](crate::Program::set_watchdog))
+//! reads the counter blocks, not the rings: if no stage thread of the
+//! program changes state for a configurable timeout, it assembles a
+//! [`Postmortem`] — per-thread state and traffic, the last N spans when the
+//! run has a sink, live queue depths, farm turnstile positions, and a
+//! best-guess culprit — renders it to stderr and optionally a JSON
+//! artifact, then aborts the program: queues close, stages unblock, and
+//! [`Program::run`](crate::Program::run) returns
+//! [`FgError::Stalled`](crate::FgError::Stalled) naming the culprit.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -194,7 +189,8 @@ impl SpanRec {
     }
 }
 
-/// Coarse state a traced thread advertises for the watchdog's post-mortem.
+/// Coarse state a stage thread advertises in its counter block: what the
+/// watchdog polls and its post-mortem shows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadState {
     /// Not yet past its first transition.
@@ -215,7 +211,7 @@ pub enum ThreadState {
 
 impl ThreadState {
     /// Inverse of `state as u64` (the variants' declaration order).
-    fn from_u64(v: u64) -> ThreadState {
+    pub(crate) fn from_u64(v: u64) -> ThreadState {
         match v {
             1 => ThreadState::Busy,
             2 => ThreadState::BlockedAccept,
@@ -246,7 +242,7 @@ impl fmt::Display for ThreadState {
 }
 
 /// One thread's flight recorder: a fixed number of [`SpanRec`] slots
-/// overwritten oldest-first, plus the thread's advertised [`ThreadState`].
+/// overwritten oldest-first.
 ///
 /// `record` never allocates: it claims a slot with one `fetch_add` and
 /// overwrites it under that slot's (uncontended) mutex — the mutexes exist
@@ -262,10 +258,6 @@ pub struct SpanRing {
     slots: Box<[Mutex<SpanRec>]>,
     /// Total records ever written; `cursor % slots.len()` is the next slot.
     cursor: AtomicU64,
-    state: AtomicU64,
-    state_since_ns: AtomicU64,
-    /// Shared with the owning sink: bumped on every record, pipeline-wide.
-    last_activity_ns: Arc<AtomicU64>,
     /// Shared with the owning sink: the next buffer trace id.
     next_trace_id: Arc<AtomicU64>,
 }
@@ -276,7 +268,6 @@ impl SpanRing {
         group: Option<u32>,
         epoch: Instant,
         capacity: usize,
-        last: Arc<AtomicU64>,
         next_trace_id: Arc<AtomicU64>,
     ) -> SpanRing {
         let slots: Vec<Mutex<SpanRec>> = (0..capacity.max(1))
@@ -288,9 +279,6 @@ impl SpanRing {
             epoch,
             slots: slots.into_boxed_slice(),
             cursor: AtomicU64::new(0),
-            state: AtomicU64::new(ThreadState::Starting as u64),
-            state_since_ns: AtomicU64::new(0),
-            last_activity_ns: last,
             next_trace_id,
         }
     }
@@ -338,24 +326,6 @@ impl SpanRing {
             start_ns,
             end_ns,
         };
-        self.last_activity_ns.fetch_max(end_ns, Ordering::Relaxed);
-    }
-
-    /// Advertise what this thread has been doing since `at_ns` (sink-epoch
-    /// ns, see [`SpanRing::ns_of`]) for post-mortems.  The caller passes the
-    /// timestamp it already took around its queue operation; this reads no
-    /// clock.
-    pub fn set_state(&self, state: ThreadState, at_ns: u64) {
-        self.state.store(state as u64, Ordering::Relaxed);
-        self.state_since_ns.store(at_ns, Ordering::Relaxed);
-    }
-
-    /// Current advertised state and how long the thread has been in it.
-    pub fn state(&self) -> (ThreadState, Duration) {
-        let st = ThreadState::from_u64(self.state.load(Ordering::Relaxed));
-        let since = self.state_since_ns.load(Ordering::Relaxed);
-        let for_ns = self.now_ns().saturating_sub(since);
-        (st, Duration::from_nanos(for_ns))
     }
 
     /// Records written over the ring's lifetime (may exceed capacity).
@@ -468,7 +438,6 @@ pub struct TraceSink {
     epoch: Instant,
     ring_capacity: usize,
     rings: Mutex<Vec<Arc<SpanRing>>>,
-    last_activity_ns: Arc<AtomicU64>,
     next_trace_id: Arc<AtomicU64>,
 }
 
@@ -484,7 +453,6 @@ impl TraceSink {
             epoch: Instant::now(),
             ring_capacity: capacity.max(1),
             rings: Mutex::new(Vec::new()),
-            last_activity_ns: Arc::new(AtomicU64::new(0)),
             next_trace_id: Arc::new(AtomicU64::new(1)),
         })
     }
@@ -507,7 +475,6 @@ impl TraceSink {
             group,
             self.epoch,
             self.ring_capacity,
-            Arc::clone(&self.last_activity_ns),
             Arc::clone(&self.next_trace_id),
         ));
         self.rings.lock().push(Arc::clone(&ring));
@@ -517,29 +484,6 @@ impl TraceSink {
     /// A fresh non-zero trace id for a buffer about to start a round.
     pub fn next_trace_id(&self) -> u64 {
         self.next_trace_id.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Nanoseconds since the sink's epoch.
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Mark "activity now": called at run start so a watchdog's idle clock
-    /// starts from the run, not from sink creation.
-    pub fn touch(&self) {
-        self.last_activity_ns
-            .fetch_max(self.now_ns(), Ordering::Relaxed);
-    }
-
-    /// How long since *any* ring recorded a span.
-    pub fn idle(&self) -> Duration {
-        let last = self.last_activity_ns.load(Ordering::Relaxed);
-        Duration::from_nanos(self.now_ns().saturating_sub(last))
-    }
-
-    /// Snapshot of all registered rings (for the watchdog).
-    pub(crate) fn rings(&self) -> Vec<Arc<SpanRing>> {
-        self.rings.lock().clone()
     }
 
     /// Collect every thread's live records, oldest first per thread.
@@ -680,16 +624,17 @@ impl fmt::Debug for TraceSink {
     }
 }
 
-/// Watchdog configuration: fire when no span is recorded pipeline-wide for
-/// `timeout`.
+/// Watchdog configuration: fire when no stage thread of the program changes
+/// state for `timeout`.
 #[derive(Debug, Clone)]
 pub struct WatchdogCfg {
-    /// Pipeline-wide idle time that counts as a stall.
+    /// Program-wide idle time that counts as a stall.
     pub timeout: Duration,
     /// Where to write the post-mortem JSON artifact (stderr always gets the
     /// rendered report).
     pub artifact: Option<PathBuf>,
-    /// How many trailing spans per thread the post-mortem keeps.
+    /// How many trailing spans per thread the post-mortem keeps (a run
+    /// without a trace sink has none to keep).
     pub last_spans: usize,
 }
 
@@ -723,7 +668,8 @@ pub struct ThreadPostmortem {
     pub intakes: u64,
     /// Buffers handed on over the thread's lifetime.
     pub emits: u64,
-    /// The last spans the thread recorded (oldest first).
+    /// The last spans the thread recorded (oldest first); empty when the
+    /// run had no trace sink.
     pub last_spans: Vec<SpanRec>,
 }
 
@@ -754,7 +700,7 @@ pub struct TurnstilePostmortem {
 pub struct Postmortem {
     /// Program name.
     pub program: String,
-    /// How long the pipeline had recorded no span when the snapshot was
+    /// How long no stage thread had changed state when the snapshot was
     /// taken.
     pub stalled_for: Duration,
     /// Per-thread state, counters, and trailing spans.
@@ -955,17 +901,6 @@ mod tests {
         let b = sink.next_trace_id();
         assert_ne!(a, 0);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn idle_clock_resets_on_record() {
-        let sink = TraceSink::with_ring_capacity(4);
-        let ring = sink.register_thread("p/s");
-        std::thread::sleep(Duration::from_millis(5));
-        let idle_before = sink.idle();
-        let now = ring.now_ns();
-        ring.record(TraceKind::Accept, 0, 0, 1, now, now);
-        assert!(sink.idle() < idle_before);
     }
 
     #[test]

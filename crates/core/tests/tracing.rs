@@ -201,13 +201,14 @@ fn a_sink_exists_only_for_a_reader_and_the_log_is_reported_only_on_request() {
     assert!(report.trace.is_empty());
     assert_eq!(report.trace_start_ns, 0);
     assert_eq!(seen.load(Ordering::Relaxed), 0, "no sink, so no trace ids");
-    // The watchdog makes a sink for its own use, but the log stays out of
-    // the report, and every Gantt row is the proportional fallback.
+    // The watchdog reads the stage threads' counter blocks and makes no
+    // sink: no trace ids, no log, and every Gantt row is the proportional
+    // fallback.
     let (mut prog, seen) = id_probe("watched");
     prog.with_watchdog(Duration::from_secs(60));
     let report = prog.run().unwrap();
     assert!(report.trace.is_empty());
-    assert_ne!(seen.load(Ordering::Relaxed), 0);
+    assert_eq!(seen.load(Ordering::Relaxed), 0, "a watchdog makes no sink");
     let gantt = report.render_gantt(30);
     assert!(gantt.lines().skip(1).all(|l| l.contains(" ~")), "{gantt}");
     // `enable_tracing()` alone: a private sink, and its rings in the report.

@@ -4,14 +4,14 @@
 //! critical path plus a Perfetto-loadable Chrome trace.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use proptest::prelude::*;
 
 use fg_core::{
     critical_path, map_stage, Buffer, FgError, Json, PipelineCfg, Program, Result, Rounds, Stage,
-    StageCtx, ThreadState, TraceKind, TraceSink, WatchdogCfg,
+    StageCtx, TraceKind, TraceSink, WatchdogCfg,
 };
 
 /// Accepts buffers and never lets go — wedges any bounded-pool pipeline.
@@ -128,8 +128,8 @@ fn a_wedged_middle_stage_is_the_culprit_not_the_first_stage_parked_on_its_pool()
 #[test]
 fn watchdog_spares_a_slow_but_progressing_pipeline() {
     // Each round takes ~20 ms, far longer than a "fast" pipeline but far
-    // shorter than the 500 ms watchdog window: spans keep arriving, the
-    // activity clock keeps advancing, and the watchdog must stay quiet.
+    // shorter than the 500 ms watchdog window: the stage keeps changing
+    // state at every queue operation, and the watchdog must stay quiet.
     let done = Arc::new(AtomicU64::new(0));
     let done2 = Arc::clone(&done);
     let mut prog = Program::new("slowpoke");
@@ -271,9 +271,9 @@ proptest! {
     }
 }
 
-/// A caboose's accept is on the ring — progress for the watchdog's clock
-/// — but is no intake: a stage that only ever saw the caboose took in
-/// nothing.
+/// A caboose's accept is on the ring — and a state change, progress for
+/// the watchdog — but is no intake: a stage that only ever saw the caboose
+/// took in nothing.
 #[test]
 fn a_caboose_record_is_not_an_intake() {
     let mut prog = Program::new("p");
@@ -292,13 +292,85 @@ fn a_caboose_record_is_not_an_intake() {
     assert_eq!(report.stage("s").unwrap().buffers_in, 0);
 }
 
+/// The watchdog reads the stage threads' counter blocks: a program armed
+/// with it alone gets no trace sink, so no buffer carries a trace id and
+/// the report no spans.  With tracing enabled every round has an id.
 #[test]
-fn set_state_keeps_the_callers_timestamp() {
-    let sink = TraceSink::with_ring_capacity(4);
-    let ring = sink.register_thread("p/s");
-    std::thread::sleep(Duration::from_millis(5));
-    ring.set_state(ThreadState::BlockedAccept, 0);
-    let (state, for_) = ring.state();
-    assert_eq!(state, ThreadState::BlockedAccept);
-    assert!(for_ >= Duration::from_millis(5), "in state for {for_:?}");
+fn a_watched_run_records_no_spans() {
+    for traced in [false, true] {
+        let ids = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&ids);
+        let mut prog = Program::new("watched");
+        let s = prog.add_stage(
+            "s",
+            map_stage(move |buf, _| {
+                seen.lock().unwrap().push(buf.trace_id());
+                Ok(())
+            }),
+        );
+        prog.add_pipeline(PipelineCfg::new("p", 2, 16).count(8), &[s])
+            .unwrap();
+        prog.with_watchdog(Duration::from_secs(60));
+        if traced {
+            prog.enable_tracing();
+        }
+        let report = prog.run().unwrap();
+        let ids = ids.lock().unwrap();
+        assert_eq!(ids.len(), 8);
+        assert!(ids.iter().all(|&id| (id != 0) == traced), "{ids:?}");
+        assert_eq!(report.trace.is_empty(), !traced);
+    }
+}
+
+/// Two programs share one sink and one of them wedges: its watchdog fires
+/// on its own threads' silence while the other keeps making progress, and
+/// its post-mortem lists its own threads only, with their last spans.
+#[test]
+fn only_the_wedged_program_of_a_shared_sink_is_stalled() {
+    let sink = TraceSink::new();
+    let healthy = {
+        let mut prog = Program::new("healthy");
+        prog.set_trace_sink(Arc::clone(&sink));
+        let crawl = prog.add_stage(
+            "crawl",
+            map_stage(|_, _| {
+                std::thread::sleep(Duration::from_millis(10));
+                Ok(())
+            }),
+        );
+        prog.add_pipeline(PipelineCfg::new("p", 2, 16).count(100), &[crawl])
+            .unwrap();
+        prog.with_watchdog(Duration::from_millis(300));
+        std::thread::spawn(move || prog.run().map(drop))
+    };
+    let artifact = temp_artifact("shared-sink");
+    let mut prog = Program::new("wedged");
+    prog.set_trace_sink(Arc::clone(&sink));
+    let hoard = prog.add_stage("hoard", Box::new(Hoarder { stash: Vec::new() }));
+    let drain = prog.add_stage("drain", map_stage(|_, _| Ok(())));
+    prog.add_pipeline(PipelineCfg::new("p", 2, 64).count(1000), &[hoard, drain])
+        .unwrap();
+    prog.set_watchdog(
+        WatchdogCfg::new(Duration::from_millis(300)).artifact(artifact.to_str().unwrap()),
+    );
+    match prog.run() {
+        Err(FgError::Stalled { culprit }) => assert_eq!(culprit, "wedged/hoard"),
+        other => panic!("expected FgError::Stalled, got {other:?}"),
+    }
+    healthy
+        .join()
+        .unwrap()
+        .expect("the progressing program's watchdog stays quiet");
+    let text = std::fs::read_to_string(&artifact).expect("post-mortem artifact written");
+    let _ = std::fs::remove_file(&artifact);
+    let pm = Json::parse(&text).expect("post-mortem parses as JSON");
+    let threads = pm.get("threads").and_then(Json::as_arr).unwrap();
+    let names: Vec<&str> = threads
+        .iter()
+        .map(|t| t.get("thread").and_then(Json::as_str).unwrap())
+        .collect();
+    assert_eq!(names, ["wedged/hoard", "wedged/drain"]);
+    // `drain` never got past its first accept; `hoard` took two buffers.
+    let spans = threads[0].get("last_spans").and_then(Json::as_arr).unwrap();
+    assert!(!spans.is_empty(), "{:?}", threads[0]);
 }

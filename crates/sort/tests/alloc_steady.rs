@@ -297,3 +297,34 @@ fn csort4_exchange_allocations_do_not_grow_with_the_input() {
         "shift: {small} B for 4 MiB of input, {large} B for 8 MiB"
     );
 }
+
+/// A watchdog reads the stage threads' counter blocks and costs its
+/// program no span rings: armed on a four-stage program, it allocates at
+/// most 16 KiB more on the caller's thread than the bare run does (four
+/// 4096-slot rings were 768 KiB).
+#[test]
+fn a_watched_program_allocates_no_span_rings() {
+    let run = |tag: &str, watched: bool| {
+        let tag = fg_core::register_tag(tag);
+        let before = fg_core::alloc::counts(tag).bytes;
+        fg_core::with_tag(tag, || {
+            let mut prog = fg_core::Program::new("watched");
+            let stages: Vec<_> = (0..4)
+                .map(|i| prog.add_stage(format!("s{i}"), fg_core::map_stage(|_, _| Ok(()))))
+                .collect();
+            prog.add_pipeline(fg_core::PipelineCfg::new("p", 4, 64).count(64), &stages)
+                .unwrap();
+            if watched {
+                prog.with_watchdog(std::time::Duration::from_secs(60));
+            }
+            prog.run().expect("a four-stage run");
+        });
+        fg_core::alloc::counts(tag).bytes - before
+    };
+    let bare = run("program/bare", false);
+    let watched = run("program/watched", true);
+    assert!(
+        watched <= bare + (16 << 10),
+        "watched run {watched} B, bare run {bare} B"
+    );
+}
