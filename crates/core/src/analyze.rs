@@ -7,7 +7,7 @@
 //! pool — is manual.  [`diagnose`] automates the diagnosis half:
 //!
 //! * each stage's wall time splits into **busy** / **starved** (blocked in
-//!   accept) / **backpressured** (blocked in convey: an ordered farm's
+//!   accept) / **backpressured** (blocked in convey: a farm's
 //!   worker waiting its emission turn — the push itself never waits)
 //!   fractions, with the dominant one as its [`StageVerdict`] — refined by
 //!   topology: a starved stage *upstream* of the limiting stage is reported
@@ -40,7 +40,7 @@ pub enum StageVerdict {
     /// Mostly blocked waiting to accept: its upstream cannot keep up.
     Starved,
     /// Mostly held up by other work on its pipeline rather than by a lack
-    /// of input.  Either an ordered farm's workers waiting, inside
+    /// of input.  Either a farm's workers waiting, inside
     /// `convey`, for a slower earlier round to be emitted (the only wait
     /// `convey` has: queues admit whole pools, so the push itself never
     /// blocks), or — upstream of the limiting stage — a stage waiting to
@@ -81,7 +81,7 @@ pub struct StageDiagnosis {
     /// The dominant of the three fractions.
     pub verdict: StageVerdict,
     /// Replica count: 1 for ordinary stages, `n` for a stage declared with
-    /// `workers(n)` / `add_replicated_stage`.
+    /// `workers(n)`.
     pub workers: usize,
 }
 
@@ -96,7 +96,7 @@ pub enum Verdict {
     /// more than [`DOMINANT_FRAC`] of, the line also cites that stage and
     /// the slowest round.
     Limiting,
-    /// An ordered farm's workers spend most of their wall in `convey`,
+    /// A farm's workers spend most of their wall in `convey`,
     /// waiting their emission turn behind a slower earlier round.
     EmissionTurn,
     /// Peak memory came within [`MEMORY_BOUND_FRAC`] of the ledger budget.
@@ -173,26 +173,6 @@ pub(crate) const MEMORY_BOUND_FRAC: f64 = 0.85;
 /// A rank must receive this many times the mean bytes to be called the hot
 /// rank of a skewed exchange.
 pub(crate) const SKEW_RATIO: f64 = 1.5;
-
-/// Name prefix of a buffer pool's queue (`recycle/<pipeline>`, or
-/// `recycle/<stage>` for the pool shared by the pipelines that start at a
-/// virtual stage): the first stage's input, which the last stage conveys
-/// into.  Running dry means every buffer is in flight.
-pub const POOL_QUEUE_PREFIX: &str = "recycle/";
-
-/// Metric-name prefix of the live per-stage busy counter (nanoseconds).
-pub const STAGE_BUSY_PREFIX: &str = "core/stage_busy_ns/";
-/// Metric-name prefix of the live per-stage blocked-accept counter.
-pub const STAGE_STARVED_PREFIX: &str = "core/stage_blocked_accept_ns/";
-/// Metric-name prefix of the live per-stage blocked-convey counter.
-pub const STAGE_BACKPRESSURED_PREFIX: &str = "core/stage_blocked_convey_ns/";
-/// Metric-name prefix of the live per-stage buffers-processed counter.
-pub const STAGE_ROUNDS_PREFIX: &str = "core/stage_rounds/";
-/// Metric-name prefix of the per-queue depth gauges.
-pub const QUEUE_DEPTH_PREFIX: &str = "core/queue_depth/";
-/// Metric-name prefix of the per-queue capacity gauges (set once at wire
-/// time).
-pub const QUEUE_CAPACITY_PREFIX: &str = "core/queue_capacity/";
 
 /// Derive per-stage fractions and verdicts from attribution rows.
 fn stage_diagnoses(rows: &[StageRollup]) -> Vec<StageDiagnosis> {

@@ -98,7 +98,7 @@ pub use profile::{
     StageLedger, StageResidency, ThreadResources,
 };
 pub use program::{run_linear, PipelineCfg, Program};
-pub use stage::{map_stage, reorder_stage, MapStage, Rounds, Stage, StageCtx};
+pub use stage::{map_stage, MapStage, Rounds, Stage, StageCtx};
 pub use stats::{PipelineShape, QueueDepth, Report, StageRollup, StageStats};
 pub use telemetry::TelemetryServer;
 pub use trace::{

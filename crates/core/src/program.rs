@@ -23,13 +23,23 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::analyze::POOL_QUEUE_PREFIX;
 use crate::buffer::{PipelineId, StageId};
 use crate::error::{FgError, Result};
 use crate::queue::{FlavorKind, Queue};
 use crate::runtime;
 use crate::stage::{Pool, Port, Registry, ReplicaGroup, Rounds, Stage};
 use crate::stats::Report;
+
+/// Name prefix of a buffer pool's queue (`recycle/<pipeline>`, or
+/// `recycle/<stage>` for the pool shared by the pipelines that start at a
+/// virtual stage): the first stage's input, which the last stage conveys
+/// into.  Running dry means every buffer is in flight.
+const POOL_QUEUE_PREFIX: &str = "recycle/";
+/// Metric-name prefix of the per-queue depth gauges.
+const QUEUE_DEPTH_PREFIX: &str = "core/queue_depth/";
+/// Metric-name prefix of the per-queue capacity gauges (set once at wire
+/// time).
+const QUEUE_CAPACITY_PREFIX: &str = "core/queue_capacity/";
 
 /// Configuration of one pipeline: its buffer pool and round policy.
 #[derive(Debug, Clone)]
@@ -72,9 +82,6 @@ pub(crate) struct StageSlot {
     /// One object per replica (length 1 for ordinary stages).
     pub(crate) stages: Vec<Box<dyn Stage>>,
     pub(crate) is_virtual: bool,
-    /// Replicated stages only: whether emission is serialized by round
-    /// (a worker farm built with [`Program::workers`]).
-    pub(crate) ordered: bool,
 }
 
 pub(crate) struct PipeSpec {
@@ -215,55 +222,22 @@ impl Program {
             name,
             stages: vec![stage],
             is_virtual,
-            ordered: false,
         });
         id
     }
 
-    /// Declare a *replicated* stage: `n` copies (built by `factory`) share
-    /// the stage's position in a pipeline, its input queue, and its output
-    /// queue, so buffers fan out to whichever replica is free and rejoin
-    /// downstream — FG's fork–join, used to parallelize a slow stage.
-    ///
-    /// Buffers rejoin *out of round order*; place a
-    /// [`reorder_stage`](crate::reorder_stage) downstream if order matters.
-    /// A replicated stage must belong to exactly one pipeline and cannot
-    /// be virtual.
-    pub fn add_replicated_stage<F>(
-        &mut self,
-        name: impl Into<String>,
-        replicas: usize,
-        factory: F,
-    ) -> StageId
-    where
-        F: Fn(usize) -> Box<dyn Stage>,
-    {
-        assert!(replicas > 0, "need at least one replica");
-        let id = StageId(self.stages.len() as u32);
-        self.stages.push(StageSlot {
-            name: name.into(),
-            stages: (0..replicas).map(factory).collect(),
-            is_virtual: false,
-            ordered: false,
-        });
-        id
-    }
-
-    /// Declare a *worker farm*: an ordered replicated stage.  `n` worker
-    /// threads (built by `factory`, which receives the worker index) share
-    /// the stage's position in a pipeline and its input queue, so rounds
-    /// fan out to whichever worker is free — but unlike
-    /// [`Program::add_replicated_stage`], emission is serialized by round:
-    /// a worker holding round `r` waits (inside `convey`/`discard`) until
+    /// Declare a *worker farm*, FG's fork–join: `n` worker threads (built
+    /// by `factory`, which receives the worker index) share the stage's
+    /// position in a pipeline and its input queue, so rounds fan out to
+    /// whichever worker is free, and emission is serialized by round: a
+    /// worker holding round `r` waits (inside `convey`/`discard`) until
     /// rounds `0..r` have been emitted, so downstream stages observe rounds
-    /// in order with no [`reorder_stage`](crate::reorder_stage) and no
-    /// stash buffers.
+    /// in order with no join stage and no stash buffers.
     ///
     /// Each accepted round must be conveyed or discarded exactly once
     /// (the natural shape of a [`map_stage`](crate::map_stage)); a farm
     /// stage that emits twice for one round fails with a usage error.
-    /// Caboose, error, and shutdown semantics are those of a replicated
-    /// stage: the caboose travels downstream only after every worker has
+    /// The caboose travels downstream only after every worker has
     /// finished, and teardown wakes workers parked on the ordering gate.
     /// A farm must belong to exactly one pipeline and cannot be virtual.
     /// `workers(name, 1, factory)` degenerates to an ordinary stage with
@@ -278,7 +252,6 @@ impl Program {
             name: name.into(),
             stages: (0..n).map(factory).collect(),
             is_virtual: false,
-            ordered: true,
         });
         id
     }
@@ -366,7 +339,7 @@ impl Program {
             let memberships = self.members(sid).count();
             if slot.stages.len() > 1 && memberships != 1 {
                 return Err(FgError::Config(format!(
-                    "replicated stage `{}` must belong to exactly one \
+                    "worker farm `{}` must belong to exactly one \
                      pipeline (found {memberships})",
                     slot.name
                 )));
@@ -393,15 +366,15 @@ impl Program {
         // Build a queue, register it for shutdown, and — when a metrics
         // registry is attached — wire up its depth gauge and capacity.
         // `FlavorKind::Spsc` may only be passed for stage-to-stage links the
-        // planner has proven exclusive; every other queue takes the
-        // lock-free MPMC ring (the mutex flavor survives as the
-        // property-test oracle and `Queue::new` default).
+        // planner has proven exclusive; every other queue is the
+        // mutex-guarded deque, which measures no slower than the lock-free
+        // ring on any host this was run on (EXPERIMENTS.md Q1, D10, D19).
         let metrics = self.metrics.clone();
         let reg = |name: String, cap: usize, kind: FlavorKind| {
             let gauge = metrics.as_ref().map(|m| {
-                m.gauge(&format!("{}{name}", crate::analyze::QUEUE_CAPACITY_PREFIX))
+                m.gauge(&format!("{QUEUE_CAPACITY_PREFIX}{name}"))
                     .set(cap as u64);
-                m.gauge(&format!("{}{name}", crate::analyze::QUEUE_DEPTH_PREFIX))
+                m.gauge(&format!("{QUEUE_DEPTH_PREFIX}{name}"))
             });
             let q = Queue::flavored(name, cap, kind, gauge);
             registry.register(Arc::clone(&q));
@@ -434,7 +407,7 @@ impl Program {
                     reg(
                         format!("{prefix}{}", slot.name),
                         self.members(sid).map(slots).sum(),
-                        FlavorKind::LockFree,
+                        FlavorKind::Mutex,
                     ),
                 );
             }
@@ -443,7 +416,7 @@ impl Program {
         // Queues along each pipeline: into_q[p][i] feeds stage i of
         // pipeline p, and into_q[p][0] — the first stage's input — is the
         // pipeline's pool, which the last stage conveys into and any stage
-        // may discard into: always the lock-free MPMC ring.  A queue
+        // may discard into: always the MPMC deque.  A queue
         // between two stages is specialized to the SPSC ring when exactly
         // one thread pushes and one pops: both stages have a single replica
         // (replicas also *push* into their own input — they hand the
@@ -460,13 +433,13 @@ impl Program {
                     reg(
                         format!("{POOL_QUEUE_PREFIX}{}", pipe.name),
                         slots(pipe),
-                        FlavorKind::LockFree,
+                        FlavorKind::Mutex,
                     )
                 } else {
                     let kind = if single(sid) && single(&pipe.chain[pos - 1]) {
                         FlavorKind::Spsc
                     } else {
-                        FlavorKind::LockFree
+                        FlavorKind::Mutex
                     };
                     reg(format!("{}[{}]", pipe.name, pos), slots(pipe), kind)
                 };
@@ -515,14 +488,13 @@ impl Program {
         for (sid, slot) in self.stages.iter_mut().enumerate() {
             let shared_input = shared_in.get(&sid).map(Arc::clone);
             let replicas = slot.stages.len();
-            let group = if replicas > 1 {
-                let g = ReplicaGroup::new(slot.name.clone(), replicas, slot.ordered);
-                registry.register_group(Arc::clone(&g));
-                Some(g)
-            } else {
-                None
-            };
             let base_ports = std::mem::take(&mut ports[sid]);
+            // `validate` holds a farm to one pipeline, so one port.
+            let group = (replicas > 1).then(|| {
+                let g = ReplicaGroup::new(slot.name.clone(), replicas, base_ports[0].pipeline);
+                registry.register_group(Arc::clone(&g));
+                g
+            });
             for (i, stage) in slot.stages.drain(..).enumerate() {
                 let task_ports = base_ports.iter().map(|p| p.clone_for_replica()).collect();
                 tasks.push(runtime::StageTask {

@@ -15,14 +15,15 @@
 //!
 //! Queues are multi-producer multi-consumer because *virtual* stages share a
 //! single queue among many pipelines, and several stages may discard buffers
-//! into the same buffer pool.  Three flavors share one API: a
-//! mutex-guarded deque (the conservative baseline and property-test
-//! oracle), a bounded lock-free MPMC ring with per-slot sequence numbers
-//! (Vyukov-style; the planner's default for farm inputs, buffer pools,
-//! and virtual shared inputs), and — when the planner can prove a
-//! queue has exactly one producer and one consumer thread (a plain
-//! stage-to-stage link with no replication on either side) — a lock-free
-//! SPSC ring.
+//! into the same buffer pool.  The planner builds two flavors behind one
+//! API: a mutex-guarded deque (every buffer pool, farm input and virtual
+//! shared input) and — when it can prove a queue has exactly one producer
+//! and one consumer thread (a plain stage-to-stage link with no replication
+//! on either side) — a lock-free SPSC ring.  A third, a bounded lock-free
+//! MPMC ring with per-slot sequence numbers (Vyukov-style), measured no
+//! faster than the deque on the hosts this was run on (EXPERIMENTS.md Q1,
+//! D10, D19); it is built only by `qbench` for the benchmark's
+//! `queue.lockfree_*` rows and property-tested against the deque.
 //!
 //! A pop that finds nothing to take tries once, gives its core away once
 //! ([`yield_core`]), tries again, then parks on a condvar: the producer
@@ -127,10 +128,10 @@ enum Flavor {
 /// Which queue implementation to build; the planner picks per queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FlavorKind {
-    /// Mutex-guarded deque (the conservative MPMC baseline and the oracle
-    /// the lock-free flavor is property-tested against).
+    /// Mutex-guarded deque: every MPMC queue the planner builds, and the
+    /// oracle the lock-free flavor is property-tested against.
     Mutex,
-    /// Lock-free MPMC ring.
+    /// Lock-free MPMC ring (`qbench` only).
     LockFree,
     /// SPSC ring; caller promises one producer and one consumer thread.
     Spsc,

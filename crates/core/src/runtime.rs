@@ -426,7 +426,7 @@ mod tests {
                 prog,
                 &victim,
                 |plan| Arc::clone(&plan.pools[0].queue),
-                ("recycle/p", "lockfree"),
+                ("recycle/p", "mutex"),
             );
         }
     }
@@ -490,7 +490,7 @@ mod tests {
             prog,
             &victim,
             |plan| Arc::clone(&plan.tasks[0].ports[0].output),
-            ("p[1]", "lockfree"),
+            ("p[1]", "mutex"),
         );
     }
 }

@@ -19,13 +19,10 @@
 //!   stages share one thread and one input queue, and buffers from any of
 //!   the member pipelines arrive interleaved (§IV, Figure 5(b)).
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::analyze::{
-    STAGE_BACKPRESSURED_PREFIX, STAGE_BUSY_PREFIX, STAGE_ROUNDS_PREFIX, STAGE_STARVED_PREFIX,
-};
 use crate::buffer::{Buffer, PipelineId};
 use crate::error::{FgError, Result};
 use crate::metrics::{Counter, MetricsRegistry};
@@ -33,6 +30,15 @@ use crate::profile::MemoryLedger;
 use crate::queue::{Item, PushError, Queue};
 use crate::stats::StageStats;
 use crate::trace::{ThreadState, TraceKind};
+
+/// Metric-name prefix of the live per-stage busy counter (nanoseconds).
+const STAGE_BUSY_PREFIX: &str = "core/stage_busy_ns/";
+/// Metric-name prefix of the live per-stage blocked-accept counter.
+const STAGE_STARVED_PREFIX: &str = "core/stage_blocked_accept_ns/";
+/// Metric-name prefix of the live per-stage blocked-convey counter.
+const STAGE_BACKPRESSURED_PREFIX: &str = "core/stage_blocked_convey_ns/";
+/// Metric-name prefix of the live per-stage buffers-processed counter.
+const STAGE_ROUNDS_PREFIX: &str = "core/stage_rounds/";
 
 /// How many rounds a pipeline runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,44 +114,11 @@ where
     Box::new(MapStage { f })
 }
 
-/// A stage that restores round order downstream of a *replicated* stage.
-///
-/// Replicas finish buffers out of order; this stage stashes early arrivals
-/// and conveys rounds `0, 1, 2, ...` in order (FG's join).  It requires
-/// every round to arrive exactly once (replicated map stages guarantee
-/// that), and its pipeline needs enough buffers for the stash — at least
-/// the replica count.
-pub fn reorder_stage() -> Box<dyn Stage> {
-    let mut stash: std::collections::HashMap<u64, Buffer> = std::collections::HashMap::new();
-    let mut next = 0u64;
-    Box::new(move |ctx: &mut StageCtx| loop {
-        match ctx.accept()? {
-            Some(buf) => {
-                stash.insert(buf.round(), buf);
-                while let Some(b) = stash.remove(&next) {
-                    ctx.convey(b)?;
-                    next += 1;
-                }
-            }
-            None => {
-                if !stash.is_empty() {
-                    return Err(FgError::Usage(format!(
-                            "reorder stage ended with {} stashed rounds                              (round {} never arrived)",
-                            stash.len(),
-                            next
-                        )));
-                }
-                return Ok(());
-            }
-        }
-    })
-}
-
 /// Shared shutdown machinery: set once a stage fails, and closes every queue
 /// in the program so all threads unblock.
 pub(crate) struct Registry {
     queues: parking_lot::Mutex<Vec<Arc<Queue>>>,
-    /// Replica groups whose ordered-emission waiters must be woken on
+    /// Worker farms whose emission waiters must be woken on
     /// cancel (they park on the group's condvar, not on a queue).
     groups: parking_lot::Mutex<Vec<Arc<ReplicaGroup>>>,
     /// Every stage thread's counters, by thread name (`program/task`).
@@ -246,20 +219,15 @@ impl Registry {
             .collect()
     }
 
-    /// Every ordered farm's turnstile position, for watchdog post-mortems.
+    /// Every farm's turnstile position, for watchdog post-mortems.
     pub(crate) fn turnstiles(&self) -> Vec<crate::trace::TurnstilePostmortem> {
         self.groups
             .lock()
             .iter()
-            .flat_map(|g| {
-                let group = g.name().to_string();
-                g.turnstile_positions()
-                    .into_iter()
-                    .map(move |(p, next_round)| crate::trace::TurnstilePostmortem {
-                        group: group.clone(),
-                        pipeline: p.0,
-                        next_round,
-                    })
+            .map(|g| crate::trace::TurnstilePostmortem {
+                group: g.name.clone(),
+                pipeline: g.pipeline.0,
+                next_round: *g.next_round.lock(),
             })
             .collect()
     }
@@ -426,91 +394,59 @@ impl Pool {
     }
 }
 
-/// Shared state of a *replicated* stage (FG's fork–join): n replica
-/// threads share the stage's input and output queues, so buffers fan out
-/// to whichever replica is free and rejoin downstream.  The caboose must
-/// only travel downstream after *every* replica has finished, so replicas
-/// pass it around like a poison pill until the last one consumes it.
-///
-/// An *ordered* group (a worker farm built with
-/// [`Program::workers`](crate::Program::workers)) additionally serializes
-/// emission: each replica, before conveying (or discarding) round `r`,
-/// waits until every earlier round has been emitted, so downstream stages
-/// observe rounds in order without a separate [`reorder_stage`].  An
-/// unordered group (built with `add_replicated_stage`) emits as replicas
-/// finish, out of round order.
+/// Shared state of a worker farm ([`Program::workers`](crate::Program::workers),
+/// FG's fork–join): n replica threads share the stage's input and output
+/// queues, so buffers fan out to whichever replica is free.  The caboose
+/// must only travel downstream after *every* replica has finished, so
+/// replicas pass it around like a poison pill until the last one consumes
+/// it.  Emission is serialized by round: each replica, before conveying
+/// (or discarding) round `r`, waits until every earlier round has been
+/// emitted, so downstream stages observe rounds in order.  A farm belongs
+/// to exactly one pipeline (`Program::validate`), so one count of each
+/// kind serves it.
 pub(crate) struct ReplicaGroup {
     /// Stage name the group replicates (diagnostics).
     name: String,
-    /// Per pipeline: how many replicas have not yet seen the caboose.
-    remaining: parking_lot::Mutex<std::collections::HashMap<PipelineId, usize>>,
-    replicas: usize,
-    /// Whether emission is round-ordered (worker farm) or free-for-all.
-    ordered: bool,
-    /// Per pipeline: the next round allowed to emit (ordered groups only).
-    next_round: parking_lot::Mutex<std::collections::HashMap<PipelineId, u64>>,
+    /// The farm's one pipeline.
+    pipeline: PipelineId,
+    /// How many replicas have not yet seen the caboose.
+    remaining: AtomicUsize,
+    /// The next round allowed to emit.
+    next_round: parking_lot::Mutex<u64>,
     emit_turn: parking_lot::Condvar,
     /// Set on program teardown so emission waiters unblock.
     cancelled: AtomicBool,
 }
 
 impl ReplicaGroup {
-    pub(crate) fn new(name: impl Into<String>, replicas: usize, ordered: bool) -> Arc<Self> {
+    pub(crate) fn new(name: String, replicas: usize, pipeline: PipelineId) -> Arc<Self> {
         Arc::new(ReplicaGroup {
-            name: name.into(),
-            remaining: parking_lot::Mutex::new(std::collections::HashMap::new()),
-            replicas,
-            ordered,
-            next_round: parking_lot::Mutex::new(std::collections::HashMap::new()),
+            name,
+            pipeline,
+            remaining: AtomicUsize::new(replicas),
+            next_round: parking_lot::Mutex::new(0),
             emit_turn: parking_lot::Condvar::new(),
             cancelled: AtomicBool::new(false),
         })
     }
 
-    pub(crate) fn name(&self) -> &str {
-        &self.name
+    /// Record that one replica observed the caboose; returns true iff it
+    /// was the last replica (which then owns forwarding).
+    fn observe_caboose(&self) -> bool {
+        self.remaining.fetch_sub(1, Ordering::SeqCst) == 1
     }
 
-    pub(crate) fn is_ordered(&self) -> bool {
-        self.ordered
-    }
-
-    /// `(pipeline, next round allowed to emit)` for every pipeline an
-    /// ordered group has seen; empty for unordered groups.
-    pub(crate) fn turnstile_positions(&self) -> Vec<(PipelineId, u64)> {
-        if !self.ordered {
-            return Vec::new();
-        }
-        self.next_round
-            .lock()
-            .iter()
-            .map(|(p, r)| (*p, *r))
-            .collect()
-    }
-
-    /// Record that one replica observed pipeline `p`'s caboose; returns
-    /// true iff it was the last replica (which then owns forwarding).
-    fn observe_caboose(&self, p: PipelineId) -> bool {
-        let mut remaining = self.remaining.lock();
-        let slot = remaining.entry(p).or_insert(self.replicas);
-        *slot -= 1;
-        *slot == 0
-    }
-
-    /// Block until round `round` of pipeline `p` is the next to emit.
-    /// No-op for unordered groups.
-    fn await_turn(&self, stage: &str, p: PipelineId, round: u64) -> Result<()> {
-        if !self.ordered {
-            return Ok(());
-        }
+    /// Block until round `round` is the next to emit.
+    fn await_turn(&self, stage: &str, round: u64) -> Result<()> {
         let mut next = self.next_round.lock();
         loop {
-            let turn = *next.entry(p).or_insert(0);
+            let turn = *next;
             if round < turn {
                 return Err(FgError::Usage(format!(
-                    "replicated stage `{stage}` emitted round {round} of {p} \
-                     twice (round {turn} is next); ordered farms emit exactly \
-                     one buffer per round"
+                    "farm stage `{stage}` emitted round {round} of {} twice \
+                     (round {turn} is next); farms emit exactly one buffer \
+                     per round",
+                    self.pipeline
                 )));
             }
             if round == turn {
@@ -523,15 +459,9 @@ impl ReplicaGroup {
         }
     }
 
-    /// Mark round `round` of pipeline `p` emitted, releasing the waiter for
-    /// the next round.  No-op for unordered groups.
-    fn finish_turn(&self, p: PipelineId, round: u64) {
-        if !self.ordered {
-            return;
-        }
-        let mut next = self.next_round.lock();
-        next.insert(p, round + 1);
-        drop(next);
+    /// Mark round `round` emitted, releasing the waiter for the next round.
+    fn finish_turn(&self, round: u64) {
+        *self.next_round.lock() = round + 1;
         self.emit_turn.notify_all();
     }
 
@@ -699,7 +629,8 @@ pub struct StageCtx {
     /// Present iff the stage is virtual: the single queue shared by all
     /// member pipelines (Figure 5(b)).
     shared_input: Option<Arc<Queue>>,
-    /// Present iff the stage is replicated: shared caboose bookkeeping.
+    /// Present iff the stage is a farm of two or more workers: its shared
+    /// caboose count and turnstile.
     replica_group: Option<Arc<ReplicaGroup>>,
     /// This thread's counters, the one record of what it did.
     counters: Arc<StageCounters>,
@@ -1053,7 +984,7 @@ impl StageCtx {
     /// their own end of stream and hand the caboose to a sibling.
     fn observe_caboose(&mut self, idx: usize, p: PipelineId) -> Result<()> {
         if let Some(group) = self.replica_group.clone() {
-            if !group.observe_caboose(p) {
+            if !group.observe_caboose() {
                 self.end_port(idx);
                 if let Some(input) = &self.ports[idx].input {
                     send(input, Item::Caboose(p))?;
@@ -1110,16 +1041,16 @@ impl StageCtx {
         if t0 > self.last_end {
             self.record(TraceKind::Work, pipeline, round, tid, self.last_end, t0);
         }
-        // In an ordered farm, wait until every earlier round has been
+        // In a farm, wait until every earlier round has been
         // emitted so downstream stages see rounds in order — a discarded
         // round too: it produces nothing downstream, but later rounds may
         // only emit after it.  The wait is all but a few nanoseconds of
         // blocked-convey time (the push itself never waits): the replica is
         // done computing and is stalled behind a slower earlier round.
         let mut t_push = t0;
-        if let Some(group) = self.replica_group.as_deref().filter(|g| g.is_ordered()) {
+        if let Some(group) = self.replica_group.as_deref() {
             self.counters.set_state(ThreadState::TurnWait, t0);
-            group.await_turn(&self.name, pipeline, round)?;
+            group.await_turn(&self.name, round)?;
             if self.ring.is_some() {
                 t_push = self.clock();
                 self.record(TraceKind::TurnWait, pipeline, round, tid, t0, t_push);
@@ -1134,7 +1065,7 @@ impl StageCtx {
         let sent = send(queue, Item::Buf(buf));
         if matches!(sent, Ok(true)) {
             if let Some(group) = &self.replica_group {
-                group.finish_turn(pipeline, round);
+                group.finish_turn(round);
             }
         }
         let t1 = self.clock();

@@ -6,7 +6,7 @@
 //! an external profiler), the runtime records, for every stage:
 //!
 //! * time spent blocked waiting to **accept** a buffer (starved),
-//! * time spent inside **convey** (an ordered farm's emission-turn wait,
+//! * time spent inside **convey** (a farm's emission-turn wait,
 //!   plus the push — which never waits),
 //! * the remaining wall time, which is the stage's own **busy** time, and
 //! * how many buffers it processed.
@@ -26,7 +26,7 @@ pub struct StageStats {
     pub wall: Duration,
     /// Time blocked inside `accept`/`accept_from`/`accept_any`.
     pub blocked_accept: Duration,
-    /// Time inside `convey`: an ordered farm worker's wait for its
+    /// Time inside `convey`: a farm worker's wait for its
     /// emission turn, plus the push itself (a few nanoseconds — a push
     /// never waits, the queues admit whole pools).
     pub blocked_convey: Duration,
@@ -95,9 +95,9 @@ pub struct QueueDepth {
     /// Whether the planner specialized this queue to the single-producer
     /// single-consumer ring.
     pub spsc: bool,
-    /// Queue implementation label (`"mutex"`, `"lockfree"`, or `"spsc"`);
-    /// redundant with [`spsc`](QueueDepth::spsc) for the SPSC ring but the
-    /// only way to tell the two MPMC flavors apart.
+    /// Queue implementation label: `"spsc"` for a link between two
+    /// single-thread stages, `"mutex"` for every other queue the planner
+    /// builds (the `"lockfree"` ring is built only by `qbench`'s rows).
     pub flavor: String,
 }
 
@@ -236,7 +236,7 @@ impl Report {
     /// Render a text Gantt chart: one row per thread, `width` time buckets
     /// across the program's wall time, with `#` for busy, `.` for starved
     /// (waiting to accept) and `o` for backpressured (waiting to convey,
-    /// or for an ordered farm's emission turn), bucketed from the run's
+    /// or for a farm's emission turn), bucketed from the run's
     /// span log ([`Report::trace`]).  A thread whose ring overwrote its
     /// oldest spans draws the columns before the oldest one it kept as
     /// `?`, and the header counts the spans dropped.  A thread with no

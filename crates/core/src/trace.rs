@@ -101,7 +101,7 @@ pub enum TraceKind {
     Convey,
     /// A stage discarded a buffer straight back to its pipeline's pool.
     Recycle,
-    /// An ordered farm replica waited at the turnstile for its round's turn
+    /// A farm replica waited at the turnstile for its round's turn
     /// to emit.
     TurnWait,
     /// A `Communicator` handed a tagged point-to-point message to the
@@ -203,7 +203,7 @@ pub enum ThreadState {
     /// Pushing an output queue — momentary, since a push never waits, so
     /// a thread stalled here points at the queue itself.
     BlockedConvey,
-    /// Blocked at an ordered farm's emission turnstile.
+    /// Blocked at a farm's emission turnstile.
     TurnWait,
     /// Finished; the thread has exited (or is draining for exit).
     Done,
@@ -684,7 +684,7 @@ pub struct QueuePostmortem {
     pub capacity: usize,
 }
 
-/// One ordered-farm turnstile position in a [`Postmortem`].
+/// One farm turnstile position in a [`Postmortem`].
 #[derive(Debug, Clone)]
 pub struct TurnstilePostmortem {
     /// Replica-group (farm) name.
@@ -707,7 +707,7 @@ pub struct Postmortem {
     pub threads: Vec<ThreadPostmortem>,
     /// Live depth of every queue in the program.
     pub queues: Vec<QueuePostmortem>,
-    /// Ordered-farm turnstile positions.
+    /// Farm turnstile positions: one row a farm.
     pub turnstiles: Vec<TurnstilePostmortem>,
     /// Best-guess culprit task name, if the heuristic found one.
     pub culprit: Option<String>,

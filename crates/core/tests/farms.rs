@@ -1,7 +1,8 @@
-//! Tests for ordered worker farms (`Program::workers`): downstream order
-//! without a reorder stage, batched accept, SPSC specialization of plain
-//! chain queues, prompt teardown on error/stop, and a farm wider than its
-//! round count ending at its declared width.
+//! Tests for worker farms (`Program::workers`, FG's fork–join): every
+//! round processed once and downstream in order without a join stage, a
+//! speed-up on a slow stage, one pipeline a farm, SPSC specialization of
+//! plain chain queues, prompt teardown on error/stop, and a farm wider
+//! than its round count ending at its declared width.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -54,6 +55,75 @@ fn workers_emit_rounds_in_order_without_reorder_stage() {
     // Per-replica rows roll up under the base name.
     let rolled = rollup(&report, "work");
     assert_eq!((rolled.workers, rolled.buffers_in), (4, 100));
+}
+
+#[test]
+fn replicated_stage_processes_every_round_once() {
+    let count = Arc::new(AtomicU64::new(0));
+    let mut prog = Program::new("farm-alone");
+    let c = Arc::clone(&count);
+    let work = prog.workers("work", 4, move |_i| {
+        let c = Arc::clone(&c);
+        map_stage(move |_, _| {
+            c.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        })
+    });
+    prog.add_pipeline(
+        PipelineCfg::new("p", 6, 16).rounds(Rounds::Count(200)),
+        &[work],
+    )
+    .unwrap();
+    let report = prog.run().unwrap();
+    assert_eq!(count.load(Ordering::Relaxed), 200);
+    // The 4 worker threads and nothing else.
+    assert_eq!(report.threads_spawned, 4);
+    // One row a worker, named `<stage>#<i>`, which together took every
+    // round once.
+    let names: Vec<&str> = report.stages.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, ["work#0", "work#1", "work#2", "work#3"]);
+    let taken: u64 = report.stages.iter().map(|s| s.buffers_in).sum();
+    assert_eq!(taken, 200);
+}
+
+#[test]
+fn replication_speeds_up_slow_stage() {
+    let run = |workers: usize| {
+        let mut prog = Program::new("speed");
+        let slow = prog.workers("slow", workers, |_| {
+            map_stage(|_, _| {
+                std::thread::sleep(Duration::from_millis(2));
+                Ok(())
+            })
+        });
+        prog.add_pipeline(
+            PipelineCfg::new("p", 8, 16).rounds(Rounds::Count(60)),
+            &[slow],
+        )
+        .unwrap();
+        prog.run().unwrap().wall
+    };
+    let serial = run(1);
+    let parallel = run(4);
+    assert!(
+        parallel.as_secs_f64() < serial.as_secs_f64() * 0.5,
+        "4 workers should cut sleep-bound wall time: serial {serial:?}, parallel {parallel:?}"
+    );
+}
+
+#[test]
+fn replicated_stage_in_two_pipelines_rejected() {
+    let mut prog = Program::new("bad");
+    let work = prog.workers("work", 2, |_| map_stage(|_, _| Ok(())));
+    prog.add_pipeline(PipelineCfg::new("a", 2, 8).count(1), &[work])
+        .unwrap();
+    prog.add_pipeline(PipelineCfg::new("b", 2, 8).count(1), &[work])
+        .unwrap();
+    let err = prog.run().unwrap_err();
+    assert!(
+        matches!(&err, FgError::Config(m) if m.contains("exactly one pipeline")),
+        "{err}"
+    );
 }
 
 #[test]
@@ -219,66 +289,50 @@ fn spsc_detection_specializes_plain_chains_only() {
         q.flavor.clone()
     };
     // a -> farm: the farm's replicas also push (caboose handoff): MPMC,
-    // on the lock-free ring.
-    assert_eq!(flavor("p[1]"), "lockfree");
+    // the deque.
+    assert_eq!(flavor("p[1]"), "mutex");
     // farm -> b: two replica producers: MPMC.
-    assert_eq!(flavor("p[2]"), "lockfree");
+    assert_eq!(flavor("p[2]"), "mutex");
     // b -> c: one producer thread, one consumer thread.
     assert_eq!(flavor("p[3]"), "spsc");
     // The pools — `a`'s input, and the virtual stage's shared input, which
     // is the common pool of the two pipelines that start there — collect
-    // from many threads: MPMC, lock-free.
-    assert_eq!(flavor("recycle/p"), "lockfree");
-    assert_eq!(flavor("recycle/v"), "lockfree");
+    // from many threads: MPMC, the deque.
+    assert_eq!(flavor("recycle/p"), "mutex");
+    assert_eq!(flavor("recycle/v"), "mutex");
     // And that is every queue: no position-0 link, no sink queue.
     assert_eq!(report.queues.len(), 5);
 }
 
 /// A farm runs at its declared width, and nothing gates its replicas: one
 /// wider than its pipeline's round count ends once the caboose relay has
-/// reached the replicas that never took a round.  Ordered and unordered
-/// farms alike, at the head of the pipeline and in its middle.
+/// reached the replicas that never took a round, at the head of the
+/// pipeline and in its middle.
 #[test]
 fn a_farm_wider_than_its_rounds_ends_at_its_declared_width() {
-    for ordered in [true, false] {
-        for head in [true, false] {
-            let seen = Arc::new(Mutex::new(Vec::<u64>::new()));
-            let mut prog = Program::new("wide");
-            prog.with_watchdog(Duration::from_secs(2));
-            let mut chain = Vec::new();
-            if !head {
-                chain.push(prog.add_stage("fill", map_stage(|_, _| Ok(()))));
-            }
-            let factory = |_| map_stage(|_, _| Ok(()));
-            chain.push(if ordered {
-                prog.workers("farm", 4, factory)
-            } else {
-                prog.add_replicated_stage("farm", 4, factory)
-            });
-            let s2 = Arc::clone(&seen);
-            chain.push(prog.add_stage(
-                "check",
-                map_stage(move |buf, _| {
-                    s2.lock().unwrap().push(buf.round());
-                    Ok(())
-                }),
-            ));
-            // An unordered farm keeps no order of its own: one buffer makes
-            // the pool serialize its rounds.
-            let buffers = if ordered { 6 } else { 1 };
-            prog.add_pipeline(PipelineCfg::new("p", buffers, 16).count(2), &chain)
-                .unwrap();
-            let report = prog
-                .run()
-                .unwrap_or_else(|e| panic!("{ordered} {head}: {e:?}"));
-            assert_eq!(*seen.lock().unwrap(), [0, 1], "{ordered} {head}");
-            let rolled = rollup(&report, "farm");
-            assert_eq!(
-                (rolled.buffers_in, rolled.workers),
-                (2, 4),
-                "{ordered} {head}"
-            );
+    for head in [true, false] {
+        let seen = Arc::new(Mutex::new(Vec::<u64>::new()));
+        let mut prog = Program::new("wide");
+        prog.with_watchdog(Duration::from_secs(2));
+        let mut chain = Vec::new();
+        if !head {
+            chain.push(prog.add_stage("fill", map_stage(|_, _| Ok(()))));
         }
+        chain.push(prog.workers("farm", 4, |_| map_stage(|_, _| Ok(()))));
+        let s2 = Arc::clone(&seen);
+        chain.push(prog.add_stage(
+            "check",
+            map_stage(move |buf, _| {
+                s2.lock().unwrap().push(buf.round());
+                Ok(())
+            }),
+        ));
+        prog.add_pipeline(PipelineCfg::new("p", 6, 16).count(2), &chain)
+            .unwrap();
+        let report = prog.run().unwrap_or_else(|e| panic!("{head}: {e:?}"));
+        assert_eq!(*seen.lock().unwrap(), [0, 1], "{head}");
+        let rolled = rollup(&report, "farm");
+        assert_eq!((rolled.buffers_in, rolled.workers), (2, 4), "{head}");
     }
 }
 

@@ -2,9 +2,9 @@
 //! stage's input queue, and the first and last stage play source and sink
 //! on their own threads.  For each shape the runtime knows, the program
 //! spawns exactly one thread per stage replica, nothing in its report is
-//! named like a source or a sink, and every pipeline's last stage sees
-//! rounds `0..n` exactly once — in order, unless an unordered farm sits in
-//! between.
+//! named like a source or a sink, every queue is the MPMC deque but a
+//! link between two single-thread stages, which is the SPSC ring, and
+//! every pipeline's last stage sees rounds `0..n` exactly once, in order.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -36,7 +36,8 @@ struct Shape {
     prog: Program,
     threads: usize,
     rounds: Vec<(&'static str, u64)>,
-    /// An unordered farm sits on some pipeline: rounds arrive in any order.
+    /// The recorder runs before its stage's emission turn (a farm that is
+    /// the whole pipeline): rounds are recorded in any order.
     unordered: bool,
 }
 
@@ -92,6 +93,25 @@ fn check(shape: Shape, seen: &Seen) {
             "{name}: queue `{}`",
             q.name
         );
+    }
+    // A link `<pipeline>[i]` between two single-thread stages is the SPSC
+    // ring; every other queue (pools, farm links, virtual stages' shared
+    // inputs) is the deque.
+    let single = |stage: &String| report.stages.iter().any(|s| &s.name == stage);
+    let spsc: Vec<String> = (report.pipelines.iter())
+        .flat_map(|p| {
+            (1..p.stages.len())
+                .filter(|&i| single(&p.stages[i - 1]) && single(&p.stages[i]))
+                .map(move |i| format!("{}[{i}]", p.name))
+        })
+        .collect();
+    for q in &report.queues {
+        let want = if spsc.contains(&q.name) {
+            "spsc"
+        } else {
+            "mutex"
+        };
+        assert_eq!(q.flavor, want, "{name}: queue `{}`", q.name);
     }
 
     let mut by_pipeline: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
@@ -232,17 +252,6 @@ fn farm_first_ordered() {
     let farm = s.prog.workers("farm", 4, |_| pass());
     let last = s.prog.add_stage("last", recorder(&seen));
     s.pipeline("p", 3, 80, &[farm, last]);
-    check(s, &seen);
-}
-
-#[test]
-fn farm_first_unordered() {
-    let seen = Seen::default();
-    let mut s = Shape::new("replicas-first", 4);
-    s.unordered = true;
-    let farm = s.prog.add_replicated_stage("farm", 3, |_| pass());
-    let last = s.prog.add_stage("last", recorder(&seen));
-    s.pipeline("p", 5, 80, &[farm, last]);
     check(s, &seen);
 }
 

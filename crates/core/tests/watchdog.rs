@@ -374,3 +374,49 @@ fn only_the_wedged_program_of_a_shared_sink_is_stalled() {
     let spans = threads[0].get("last_spans").and_then(Json::as_arr).unwrap();
     assert!(!spans.is_empty(), "{:?}", threads[0]);
 }
+
+/// A farm wedged at its turnstile: the worker that takes round 0 holds it
+/// until the program is torn down, so the workers holding later rounds
+/// wait for a turn that never comes.  The post-mortem has the farm's one
+/// turnstile row, on the farm's own pipeline, still waiting for round 0.
+#[test]
+fn a_wedged_farm_reports_its_one_turnstile_row() {
+    let mut prog = Program::new("wedged-farm");
+    // A pipeline declared first, so the farm's is not pipeline 0.
+    let solo = prog.add_stage("solo", map_stage(|_, _| Ok(())));
+    prog.add_pipeline(PipelineCfg::new("other", 1, 16).count(3), &[solo])
+        .unwrap();
+    let farm = prog.workers("farm", 3, |_| {
+        Box::new(|ctx: &mut StageCtx| {
+            while let Some(buf) = ctx.accept()? {
+                while buf.round() == 0 && !ctx.is_cancelled() {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                ctx.convey(buf)?;
+            }
+            Ok(())
+        }) as Box<dyn Stage>
+    });
+    let last = prog.add_stage("last", map_stage(|_, _| Ok(())));
+    prog.add_pipeline(PipelineCfg::new("p", 4, 16).count(100), &[farm, last])
+        .unwrap();
+    let artifact = temp_artifact("wedged-farm");
+    prog.set_watchdog(
+        WatchdogCfg::new(Duration::from_millis(200)).artifact(artifact.to_str().unwrap()),
+    );
+    let err = prog.run().unwrap_err();
+    assert!(matches!(err, FgError::Stalled { .. }), "got {err:?}");
+    let text = std::fs::read_to_string(&artifact).expect("post-mortem artifact written");
+    let _ = std::fs::remove_file(&artifact);
+    let pm = Json::parse(&text).expect("post-mortem parses as JSON");
+    let rows = pm.get("turnstiles").and_then(Json::as_arr).unwrap();
+    let row = |t: &Json| {
+        (
+            t.get("group").and_then(Json::as_str).unwrap().to_string(),
+            t.get("pipeline").and_then(Json::as_u64).unwrap(),
+            t.get("next_round").and_then(Json::as_u64).unwrap(),
+        )
+    };
+    let rows: Vec<_> = rows.iter().map(row).collect();
+    assert_eq!(rows, [("farm".to_string(), 1, 0)]);
+}

@@ -1,9 +1,10 @@
-//! Fork–join: parallelizing a slow stage with replicated copies.
+//! Fork–join: parallelizing a slow stage with a worker farm.
 //!
-//! One compute stage dominates this pipeline.  Declaring it *replicated*
-//! makes FG run n copies on n threads sharing the stage's queues, so
-//! buffers fan out to whichever copy is free; a `reorder_stage` downstream
-//! restores round order (FG's join).
+//! One compute stage dominates this pipeline.  Declaring it a *worker
+//! farm* makes FG run n copies on n threads sharing the stage's queues, so
+//! buffers fan out to whichever worker is free (FG's fork), and each worker
+//! waits for its round's turn to emit, so rounds leave the farm in order
+//! (FG's join) with no stage of its own.
 //!
 //! ```text
 //! cargo run --release --example fork_join
@@ -11,13 +12,13 @@
 
 use std::time::{Duration, Instant};
 
-use fg::core::{map_stage, reorder_stage, PipelineCfg, Program, Rounds};
+use fg::core::{map_stage, PipelineCfg, Program, Rounds};
 
 const ROUNDS: u64 = 120;
 const BLOCK: usize = 8 * 1024;
 
-fn build(replicas: usize) -> Program {
-    let mut prog = Program::new(format!("forkjoin-{replicas}"));
+fn build(workers: usize) -> Program {
+    let mut prog = Program::new(format!("forkjoin-{workers}"));
     let fill = prog.add_stage(
         "fill",
         map_stage(|buf, _| {
@@ -30,7 +31,7 @@ fn build(replicas: usize) -> Program {
         }),
     );
     // The hot stage: a deliberately slow transform (~2 ms per block).
-    let work = prog.add_replicated_stage("work", replicas, |_| {
+    let work = prog.workers("work", workers, |_| {
         map_stage(|buf, _| {
             std::thread::sleep(Duration::from_millis(2));
             for b in buf.filled_mut() {
@@ -39,13 +40,12 @@ fn build(replicas: usize) -> Program {
             Ok(())
         })
     });
-    let join = prog.add_stage("join", reorder_stage());
     let check = prog.add_stage(
         "check",
         map_stage({
             let mut expected = 0u64;
             move |buf, _| {
-                assert_eq!(buf.round(), expected, "join must restore order");
+                assert_eq!(buf.round(), expected, "the farm must emit in order");
                 expected += 1;
                 Ok(())
             }
@@ -53,21 +53,21 @@ fn build(replicas: usize) -> Program {
     );
     prog.add_pipeline(
         PipelineCfg::new("p", 8, BLOCK).rounds(Rounds::Count(ROUNDS)),
-        &[fill, work, join, check],
+        &[fill, work, check],
     )
     .unwrap();
     prog
 }
 
 fn main() {
-    for replicas in [1usize, 2, 4] {
+    for workers in [1usize, 2, 4] {
         let t0 = Instant::now();
-        let report = build(replicas).run().expect("run");
+        let report = build(workers).run().expect("run");
         println!(
-            "{replicas} replica(s): {:>7.1} ms wall, {} threads",
+            "{workers} worker(s): {:>7.1} ms wall, {} threads",
             t0.elapsed().as_secs_f64() * 1e3,
             report.threads_spawned
         );
     }
-    println!("\n(the ~2 ms/block stage is the bottleneck: replicas divide it)");
+    println!("\n(the ~2 ms/block stage is the bottleneck: workers divide it)");
 }
