@@ -27,8 +27,8 @@ impl BenchQueue {
         }
     }
 
-    /// A queue using the lock-free MPMC ring flavor (the planner's default
-    /// for farm inputs and buffer pools).
+    /// A queue using the lock-free MPMC ring flavor, which no plan builds: it
+    /// exists only for `benchmark/`'s `queue.lockfree_*` rows (ROADMAP item 4).
     pub fn mpmc_lock_free(capacity: usize) -> Self {
         BenchQueue {
             q: Queue::lock_free("bench/lockfree", capacity),

@@ -7,6 +7,7 @@ use std::time::Duration;
 use fg_cluster::NetCfg;
 use fg_pdm::DiskCfg;
 
+use crate::kernels::SortScratch;
 use crate::keygen::KeyDist;
 use crate::record::RecordFormat;
 use crate::SortError;
@@ -183,14 +184,12 @@ impl SortConfig {
         }
     }
 
-    /// Fresh kernel scratch for a pipeline's sort stage, wired to this
-    /// config's metrics registry (when present) so the `kernel/*` counters
-    /// are published.  One scratch per stage replica.
-    pub fn sort_scratch(&self) -> crate::kernels::SortScratch {
-        match &self.metrics {
-            Some(reg) => crate::kernels::SortScratch::with_registry(reg),
-            None => crate::kernels::SortScratch::new(),
-        }
+    /// Fresh kernel scratch, wired to this config's metrics registry (when
+    /// present) so the `kernel/*` counters are published: what a run's
+    /// [`Node`](crate::driver::Node) makes for each sort-stage replica.
+    pub fn sort_scratch(&self) -> SortScratch {
+        let wired = SortScratch::with_registry;
+        self.metrics.as_deref().map_or_else(SortScratch::new, wired)
     }
 
     /// Total records across the cluster.

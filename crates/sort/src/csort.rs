@@ -174,14 +174,13 @@ pub fn route_column(
 }
 
 /// Append records `d`, `d + s`, `d + 2s`, … of `data` to `part` as
-/// fixed-size copies (straight-line vector moves, as `kernels::gather`'s).
+/// fixed-size copies (straight-line vector moves).
 fn gather_strided<const RB: usize>(data: &[u8], part: &mut Vec<u8>, d: usize, s: usize) {
-    let recs = data.chunks_exact(RB).skip(d).step_by(s);
+    let recs = data.as_chunks::<RB>().0.iter().skip(d).step_by(s);
     let at = part.len();
     part.resize(at + recs.len() * RB, 0);
-    for (out, rec) in part[at..].chunks_exact_mut(RB).zip(recs) {
-        let rec: &[u8; RB] = rec.try_into().expect("record bounds");
-        out.copy_from_slice(rec);
+    for (out, rec) in part[at..].as_chunks_mut::<RB>().0.iter_mut().zip(recs) {
+        *out = *rec;
     }
 }
 
@@ -208,7 +207,7 @@ pub(crate) fn pass12(pass_no: u8, node: &mut Node, m: Matrix) -> Result<(), Sort
     );
 
     // sort: odd columnsort step (1 or 3), farmed when cfg.workers > 1.
-    let sort = prog.workers("sort", cfg.workers, |_| stages::sort_stage(cfg));
+    let sort = prog.workers("sort", cfg.workers, |i| stages::sort_stage(node, i));
 
     // communicate: balanced alltoallv; the same buffer is conveyed (§I:
     // "with balanced communication ... we can convey to the successor the
@@ -251,8 +250,8 @@ fn pass3(node: &mut Node, m: Matrix) -> Result<(), SortError> {
         "read",
         stages::read_stage(&node.disk, M2_FILE, move |t| (t * cbytes as u64, cbytes)),
     );
-    // sort: step 5, farmed when cfg.workers > 1; replicas own their scratch.
-    let sort = prog.workers("sort", cfg.workers, |_| stages::sort_stage(cfg));
+    // sort: step 5, farmed when cfg.workers > 1, on the scratch of pass 1.
+    let sort = prog.workers("sort", cfg.workers, |i| stages::sort_stage(node, i));
     let exchange = prog.add_stage(
         "exchange",
         stages::exchange_halves_stage(&node.comm, m, q, rb),

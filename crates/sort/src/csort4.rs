@@ -79,7 +79,7 @@ fn pass3_shift(node: &mut Node, m: Matrix) -> Result<(), SortError> {
         stages::read_stage(&node.disk, M2_FILE, move |t| (t * cbytes as u64, cbytes)),
     );
     // sort: step 5, farmed when cfg.workers > 1.
-    let sort = prog.workers("sort", cfg.workers, |_| stages::sort_stage(cfg));
+    let sort = prog.workers("sort", cfg.workers, |i| stages::sort_stage(node, i));
     let shift = prog.add_stage("shift", stages::exchange_halves_stage(&node.comm, m, q, rb));
     let disk = Arc::clone(&node.disk);
     let write = prog.add_stage(

@@ -10,7 +10,8 @@
 //! A pass ends when its writes have landed ([`Node::run`]); a run ends
 //! durable, each rank's disk flushed once in a last phase named `sync`; and
 //! a scratch file is deleted by the pass that reads it last, so it is never
-//! made durable at all.
+//! made durable at all.  A node's sort scratch is grown once a run: each
+//! pass's sort stages borrow it (`Node::scratch`).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -21,8 +22,10 @@ use fg_cluster::{
 use fg_core::metrics::{MetricsRegistry, MetricsSnapshot};
 use fg_core::{Program, Report};
 use fg_pdm::{DiskRef, DiskStats};
+use parking_lot::Mutex;
 
 use crate::config::SortConfig;
+use crate::kernels::SortScratch;
 use crate::SortError;
 
 /// One rank of a running program.
@@ -38,6 +41,9 @@ pub struct Node {
     pub disk: DiskRef,
     phases: Vec<(&'static str, Duration)>,
     reports: Vec<Report>,
+    /// Sort scratch, one a sort-stage replica: each pass's stage `i`
+    /// borrows the `i`-th while its program runs, and the node drops it.
+    pub(crate) scratch: Vec<Arc<Mutex<SortScratch>>>,
 }
 
 impl Node {
@@ -163,7 +169,9 @@ pub fn launch_observed<T: Send + 'static>(
         if per_rank {
             cfg.metrics = ctx.registry().cloned();
         }
+        let scratch = (0..cfg.workers).map(|_| Arc::new(Mutex::new(cfg.sort_scratch())));
         let mut node = Node {
+            scratch: scratch.collect(),
             cfg,
             rank,
             comm: ctx.comm().clone(),

@@ -69,7 +69,7 @@ pub fn pass1(node: &mut Node, splitters: &[ExtKey], run_len: usize) -> Result<Ve
     // from the received payloads; one sorted run per buffer.
     let receive = stages::receive_stage(node.comm.clone(), TAG_PASS1, stages::land_bytes);
     let receive = prog.add_stage("receive", receive);
-    let sort = prog.add_stage("sort", stages::sort_stage(cfg));
+    let sort = prog.add_stage("sort", stages::sort_stage(node, 0));
     let (write, run_lens) = stages::append_runs_stage(&node.disk, RUNS_FILE);
     let write = prog.add_stage("write", write);
 

@@ -120,7 +120,7 @@ fn pass1_linear(node: &mut Node, splitters: &[ExtKey]) -> Result<Vec<u64>, SortE
         })
     });
 
-    let sort = prog.add_stage("sort", stages::sort_stage(cfg));
+    let sort = prog.add_stage("sort", stages::sort_stage(node, 0));
     let (write, run_lens) = stages::append_runs_stage(&node.disk, RUNS_FILE);
     let write = prog.add_stage("write", write);
 

@@ -14,20 +14,21 @@
 //!   finishes each — by insertion when it is small, by the same level on
 //!   the bits its own keys differ in otherwise.  A group with no descent is
 //!   never looked at again, so uniform keys are done after one level
-//!   whatever the key's width.  16-byte records are sorted whole as
-//!   `(key, payload)` register pairs, read straight out of the record
-//!   bytes; wider formats sort `(key, original index)` permutation pairs
-//!   and gather;
-//! * **specialized gather loops** for the 16- and 64-byte record formats
-//!   that apply the sorted permutation with fixed-size copies the compiler
-//!   can vectorize;
+//!   whatever the key's width;
+//! * **sorts that finish in the caller's bytes.**  16-byte records are
+//!   sorted whole as `(key, payload)` register pairs, scattered into one
+//!   scratch array and back; the tidy-up copies a group that holds a descent
+//!   into that array and back (16 bytes of scratch a record).  Wider formats
+//!   sort `(key, original index)` pairs (32 bytes a record) and permute the
+//!   records in place, cycle by cycle;
 //! * **galloping run detection** over sorted record slices ([`run_len`]) —
 //!   the building block of the batched `MergeRun` fast path in
 //!   [`crate::merge`] and of the two-run merge in csort pass 3 / csort4
 //!   pass 4.
 //!
 //! All scratch memory lives in a [`SortScratch`] that callers thread
-//! through their rounds, so steady-state sorting allocates nothing
+//! through their rounds — a program's sort stages borrow their node's
+//! ([`crate::driver::Node`]) — so steady-state sorting allocates nothing
 //! (`tests/alloc_steady.rs` asserts this under the tracking allocator).
 
 use std::sync::Arc;
@@ -58,25 +59,19 @@ struct KernelCounters {
 
 /// Reusable scratch for the sort kernels.
 ///
-/// Owns the `(key, index)` permutation pairs, the whole-record `(key,
-/// payload)` pairs the 16-byte radix path sorts directly, their radix
-/// ping-pong buffers, and the auxiliary record bytes the permutation is
-/// applied through.  One scratch per sort-stage replica (threaded through
-/// csort, csort4, dsort pass 1, dsort-linear, and input verification)
-/// keeps the per-round allocation count at zero once the buffers are warm.
+/// Owns the `(key, index)` permutation pairs and their radix ping-pong
+/// buffer, and the whole-record `(key, payload)` pairs the 16-byte radix
+/// path sorts through.  One scratch per sort-stage replica, kept by its node
+/// for every pass of a run, allocates nothing once the buffers are warm.
 #[derive(Default)]
 pub struct SortScratch {
     /// `(key, original index)` pairs; after sorting, the permutation.
     pairs: Vec<(u64, u32)>,
     /// Ping-pong target for the radix scatter passes.
     pairs_tmp: Vec<(u64, u32)>,
-    /// Whole 16-byte records as `(key, payload)` — the REC16 radix path
-    /// sorts these directly, skipping the permutation gather.
+    /// Whole 16-byte records as `(key, payload)`: where a level's first
+    /// scatter lands and the tidy-up finishes each group.
     recs: Vec<(u64, u64)>,
-    /// Ping-pong target for the whole-record radix passes.
-    recs_tmp: Vec<(u64, u64)>,
-    /// Auxiliary record bytes the permutation gathers into.
-    aux: Vec<u8>,
     /// A level's two digit histograms; every level below reuses them.
     hist: Vec<usize>,
     counters: Option<KernelCounters>,
@@ -99,17 +94,14 @@ impl SortScratch {
         }
     }
 
-    /// Capacities of the owned buffers (permutation pairs and ping-pong,
-    /// whole-record pairs and ping-pong, aux bytes).  The bench's
-    /// zero-allocation assertion checks this stays constant across
-    /// steady-state rounds.
-    pub fn capacity_fingerprint(&self) -> (usize, usize, usize, usize, usize) {
+    /// Capacities of the owned record-sized buffers (permutation pairs and
+    /// ping-pong, whole-record pairs).  The zero-allocation tests check this
+    /// stays constant across steady-state rounds.
+    pub fn capacity_fingerprint(&self) -> (usize, usize, usize) {
         (
             self.pairs.capacity(),
             self.pairs_tmp.capacity(),
             self.recs.capacity(),
-            self.recs_tmp.capacity(),
-            self.aux.capacity(),
         )
     }
 }
@@ -141,10 +133,10 @@ pub fn sort_records_using(
         if let Some(c) = &scratch.counters {
             c.comparison_sorts.inc();
         }
-        return apply_permutation(fmt, bytes, scratch);
+        return permute(fmt, bytes, &mut scratch.pairs);
     }
     if fmt.record_bytes == 16 {
-        radix_sort_rec16(bytes, scratch)
+        radix_sort_rec16(bytes.as_chunks_mut().0, scratch)
     } else {
         radix_sort_wide(fmt, bytes, scratch)
     }
@@ -164,44 +156,58 @@ fn index_pairs(fmt: RecordFormat, bytes: &[u8]) -> impl Iterator<Item = (u64, u3
 
 /// A 16-byte record is one `(key, payload)` register pair: the records
 /// themselves are sorted (every step is stable, so the payload rides along
-/// in input order) and there is no permutation to gather through.  The top
-/// level's first scatter reads them straight out of `bytes`.
-fn radix_sort_rec16(bytes: &mut [u8], scratch: &mut SortScratch) {
-    let diff = key_diff(rec16_items(bytes).map(|it| it.0));
+/// in input order).  The level scatters them into `recs` and back (a
+/// one-digit level copies them back); each group the tidy-up finds is
+/// copied into `recs`, free by then, finished there and copied back.
+fn radix_sort_rec16(bytes: &mut [[u8; 16]], scratch: &mut SortScratch) {
+    let diff = key_diff(bytes.iter().map(|r| rec16(r).0));
     if diff == 0 {
         // All keys equal: the input order is the stable order, and no
         // scratch array has been touched.
         return;
     }
-    let n = bytes.len() / 16;
-    scratch.recs.resize(n, (0, 0));
-    scratch.recs_tmp.resize(n, (0, 0));
-    let (a, b) = (&mut scratch.recs[..], &mut scratch.recs_tmp[..]);
+    let (n, recs) = (bytes.len(), &mut scratch.recs);
+    recs.resize(recs.len().max(n), (0, 0));
     let level = Level::of(diff, n);
     let hist = level.hist(&mut scratch.hist);
-    level.first_scatter(rec16_items(bytes), a, hist);
-    let (cur, other) = if level.hi_bits > 0 {
-        level.second_scatter(a, b, hist);
-        (b, a)
+    level.first_scatter(bytes.iter().map(rec16), &mut recs[..n], hist);
+    if level.hi_bits > 0 {
+        level.second_scatter(&recs[..n], hist, |i, item| bytes[i] = rec16_bytes(item));
     } else {
-        (a, b)
+        put_rec16(&recs[..n], bytes);
+    }
+    // Only a group longer than half the span grows `recs` past it.
+    let finish = |group: &mut [[u8; 16]], _| {
+        let m = group.len();
+        recs.resize(recs.len().max(2 * m), (0, 0));
+        let (items, other) = recs.split_at_mut(m);
+        for (it, r) in items.iter_mut().zip(&*group) {
+            *it = rec16(r);
+        }
+        finish_group(items, &mut other[..m], hist);
+        put_rec16(items, group);
     };
-    tidy(cur, other, level.shift, hist);
-    for (r, &(key, payload)) in bytes.chunks_exact_mut(16).zip(cur.iter()) {
-        r[..8].copy_from_slice(&key.to_le_bytes());
-        r[8..].copy_from_slice(&payload.to_le_bytes());
+    descent_groups(bytes, |r| rec16(r).0, level.shift, finish);
+}
+
+/// A 16-byte record as its `(key, payload)` item (one little-endian
+/// `u128`, key in the low half), and back.
+fn rec16(r: &[u8; 16]) -> Item<u64> {
+    let v = u128::from_le_bytes(*r);
+    (v as u64, (v >> 64) as u64)
+}
+
+fn rec16_bytes((key, payload): Item<u64>) -> [u8; 16] {
+    ((payload as u128) << 64 | key as u128).to_le_bytes()
+}
+
+fn put_rec16(items: &[Item<u64>], bytes: &mut [[u8; 16]]) {
+    for (r, &item) in bytes.iter_mut().zip(items) {
+        *r = rec16_bytes(item);
     }
 }
 
-/// The records of `bytes` as `(key, payload)` items.
-fn rec16_items(bytes: &[u8]) -> impl Iterator<Item = Item<u64>> + Clone + '_ {
-    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
-    bytes
-        .chunks_exact(16)
-        .map(move |r| (word(&r[..8]), word(&r[8..])))
-}
-
-/// Other widths sort `(key, original index)` pairs and gather once.
+/// Other widths sort `(key, original index)` pairs and permute once.
 fn radix_sort_wide(fmt: RecordFormat, bytes: &mut [u8], scratch: &mut SortScratch) {
     let (first, mut diff) = (fmt.key(bytes), 0);
     scratch.pairs.clear();
@@ -212,7 +218,7 @@ fn radix_sort_wide(fmt: RecordFormat, bytes: &mut [u8], scratch: &mut SortScratc
         scratch.pairs_tmp.resize(n, (0, 0));
         let hist = Level::of(diff, n).hist(&mut scratch.hist);
         sort_span(&mut scratch.pairs, &mut scratch.pairs_tmp, diff, hist);
-        apply_permutation(fmt, bytes, scratch);
+        permute(fmt, bytes, &mut scratch.pairs);
     }
 }
 
@@ -317,15 +323,20 @@ impl Level {
             }
         }
         starts(lo);
-        scatter(src, dst, lo, |k| self.lo_digit(k));
+        scatter(src, lo, |k| self.lo_digit(k), |i, item| dst[i] = item);
     }
 
-    /// The second half: `src`, in low-digit order, to `dst` by the high
+    /// The second half: `src`, in low-digit order, to `put` by the high
     /// digit.
     #[inline]
-    fn second_scatter<P: Copy>(self, src: &[Item<P>], dst: &mut [Item<P>], hist: &mut [usize]) {
+    fn second_scatter<P: Copy>(
+        self,
+        src: &[Item<P>],
+        hist: &mut [usize],
+        put: impl FnMut(usize, Item<P>),
+    ) {
         let hi = &mut hist[1 << self.lo_bits..];
-        scatter(src.iter().copied(), dst, hi, |k| self.hi_digit(k));
+        scatter(src.iter().copied(), hi, |k| self.hi_digit(k), put);
     }
 }
 
@@ -337,25 +348,26 @@ fn starts(hist: &mut [usize]) {
     }
 }
 
-/// One stable counting scatter: `src`'s items to `dst`, each to the next
+/// One stable counting scatter: each of `src`'s items to `put` at the next
 /// free slot of its digit's bucket (`pos` holds the start positions).
 #[inline]
 fn scatter<P: Copy>(
     src: impl Iterator<Item = Item<P>>,
-    dst: &mut [Item<P>],
     pos: &mut [usize],
     digit: impl Fn(u64) -> usize,
+    mut put: impl FnMut(usize, Item<P>),
 ) {
     for item in src {
         let p = &mut pos[digit(item.0)];
-        dst[*p] = item;
+        put(*p, item);
         *p += 1;
     }
 }
 
 /// Sort `cur` (whose keys differ in the bits of `diff`, not 0) stably by
-/// key, with the equally long `other` as scratch: one level, then
-/// [`tidy`].  Returns the item moves made, for the test of the work bound.
+/// key, with the equally long `other` as scratch: one level, then the
+/// tidy-up, each group finished with its own slice of `other`.  Returns the
+/// item moves made, for the test of the work bound.
 fn sort_span<P: Copy>(
     cur: &mut [Item<P>],
     other: &mut [Item<P>],
@@ -365,92 +377,100 @@ fn sort_span<P: Copy>(
     let level = Level::of(diff, cur.len());
     level.first_scatter(cur.iter().copied(), other, hist);
     if level.hi_bits > 0 {
-        level.second_scatter(other, cur, hist);
+        level.second_scatter(other, hist, |i, item| cur[i] = item);
     } else {
         cur.copy_from_slice(other);
     }
-    2 * cur.len() as u64 + tidy(cur, other, level.shift, hist)
+    let mut moves = 2 * cur.len() as u64;
+    let finish = |group: &mut [Item<P>], lo| {
+        moves += finish_group(group, &mut other[lo..lo + group.len()], hist)
+    };
+    descent_groups(cur, |it| it.0, level.shift, finish);
+    moves
 }
 
 /// After a level at `shift`, keys ascend across groups of equal
 /// `key >> shift`, so a descent can only sit inside a group: find each
-/// group that holds one and finish it — by stable insertion when it is
-/// small, by [`sort_span`] on the bits its keys still differ in (all below
-/// `shift`) otherwise.  A group with no descent is never looked at again.
-fn tidy<P: Copy>(
-    cur: &mut [Item<P>],
-    other: &mut [Item<P>],
+/// group that holds one and hand it to `finish` with its first index.  A
+/// group with no descent is never looked at again.
+fn descent_groups<T>(
+    cur: &mut [T],
+    key: impl Fn(&T) -> u64,
     shift: u32,
-    hist: &mut [usize],
-) -> u64 {
+    mut finish: impl FnMut(&mut [T], usize),
+) {
     let n = cur.len();
-    let mut moves = 0;
     let mut i = 1;
     while i < n {
-        if cur[i - 1].0 <= cur[i].0 {
+        if key(&cur[i - 1]) <= key(&cur[i]) {
             i += 1;
             continue;
         }
-        let prefix = cur[i].0 >> shift;
+        let prefix = key(&cur[i]) >> shift;
         let mut lo = i - 1;
-        while lo > 0 && cur[lo - 1].0 >> shift == prefix {
+        while lo > 0 && key(&cur[lo - 1]) >> shift == prefix {
             lo -= 1;
         }
         let mut hi = i + 1;
-        while hi < n && cur[hi].0 >> shift == prefix {
+        while hi < n && key(&cur[hi]) >> shift == prefix {
             hi += 1;
         }
-        let group = &mut cur[lo..hi];
-        if group.len() <= INSERTION_MAX {
-            // Shifts only past strictly greater keys: stable.
-            for j in 1..group.len() {
-                let item = group[j];
-                let mut k = j;
-                while k > 0 && group[k - 1].0 > item.0 {
-                    group[k] = group[k - 1];
-                    k -= 1;
-                }
-                group[k] = item;
-            }
-        } else {
-            let diff = key_diff(group.iter().map(|it| it.0));
-            moves += sort_span(group, &mut other[lo..hi], diff, hist);
-        }
+        finish(&mut cur[lo..hi], lo);
         i = hi + 1;
     }
-    moves
 }
 
-/// Apply the sorted permutation: gather records into `scratch.aux` in
-/// order, then copy back (FG's auxiliary-buffer pattern).  REC16 and REC64
-/// go through fixed-size gathers.
-fn apply_permutation(fmt: RecordFormat, bytes: &mut [u8], scratch: &mut SortScratch) {
-    let rb = fmt.record_bytes;
-    if scratch.aux.len() < bytes.len() {
-        scratch.aux.resize(bytes.len(), 0);
+/// Finish a group that holds a descent: by stable insertion when it is
+/// small, by [`sort_span`] on the bits its keys still differ in (all below
+/// the level's shift) otherwise, with the equally long `other` as scratch.
+fn finish_group<P: Copy>(group: &mut [Item<P>], other: &mut [Item<P>], hist: &mut [usize]) -> u64 {
+    if group.len() > INSERTION_MAX {
+        let diff = key_diff(group.iter().map(|it| it.0));
+        return sort_span(group, other, diff, hist);
     }
-    let aux = &mut scratch.aux[..bytes.len()];
-    match rb {
-        16 => gather::<16>(bytes, aux, &scratch.pairs),
-        64 => gather::<64>(bytes, aux, &scratch.pairs),
-        _ => {
-            for (dst, &(_, src)) in scratch.pairs.iter().enumerate() {
-                let s = src as usize * rb;
-                aux[dst * rb..(dst + 1) * rb].copy_from_slice(&bytes[s..s + rb]);
-            }
+    // Shifts only past strictly greater keys: stable.
+    for j in 1..group.len() {
+        let item = group[j];
+        let mut k = j;
+        while k > 0 && group[k - 1].0 > item.0 {
+            group[k] = group[k - 1];
+            k -= 1;
         }
+        group[k] = item;
     }
-    bytes.copy_from_slice(aux);
+    0
 }
 
-/// Fixed-size gather: an `RB`-byte `copy_from_slice` lowers to
-/// straight-line vector moves instead of a variable-length `memcpy` call
-/// per record.
-fn gather<const RB: usize>(src: &[u8], dst: &mut [u8], order: &[(u64, u32)]) {
-    for (out, &(_, si)) in dst.chunks_exact_mut(RB).zip(order) {
-        let s = si as usize * RB;
-        let rec: &[u8; RB] = src[s..s + RB].try_into().expect("record bounds");
-        out.copy_from_slice(rec);
+/// Apply the sorted permutation in place: slot `j` takes the record that
+/// stood at `pairs[j].1`.  The 16- and 64-byte formats swap fixed-size
+/// records, which lower to straight-line vector moves; other widths swap
+/// byte slices.
+fn permute(fmt: RecordFormat, bytes: &mut [u8], pairs: &mut [(u64, u32)]) {
+    match fmt.record_bytes {
+        16 => cycles(pairs, |a, b| bytes.as_chunks_mut::<16>().0.swap(a, b)),
+        64 => cycles(pairs, |a, b| bytes.as_chunks_mut::<64>().0.swap(a, b)),
+        rb => cycles(pairs, |a, b| {
+            let (lo, hi) = bytes.split_at_mut(a.max(b) * rb);
+            lo[a.min(b) * rb..][..rb].swap_with_slice(&mut hi[..rb])
+        }),
+    }
+}
+
+/// Follow each cycle of the permutation once from its first slot: the
+/// record that stood there is swapped along the cycle, the one record in
+/// hand, to the slot that takes it.  A slot is marked done by pointing it
+/// at itself, so a later start on the cycle stops at once.
+fn cycles(pairs: &mut [(u64, u32)], mut swap: impl FnMut(usize, usize)) {
+    for i in 0..pairs.len() {
+        let mut j = i;
+        loop {
+            let s = std::mem::replace(&mut pairs[j].1, j as u32) as usize;
+            if s == i {
+                break;
+            }
+            swap(j, s);
+            j = s;
+        }
     }
 }
 
@@ -503,21 +523,21 @@ mod tests {
         out
     }
 
-    /// The pre-kernel `sort_bytes` body: the byte-identity oracle.
-    fn comparison_oracle(fmt: RecordFormat, bytes: &mut [u8]) {
-        let rb = fmt.record_bytes;
-        let mut order: Vec<(u64, u32)> = fmt
-            .records(bytes)
-            .enumerate()
-            .map(|(i, r)| (fmt.key(r), i as u32))
-            .collect();
-        order.sort_unstable();
-        let mut aux = vec![0u8; bytes.len()];
-        for (dst, (_, src)) in order.iter().enumerate() {
-            let s = *src as usize * rb;
-            aux[dst * rb..(dst + 1) * rb].copy_from_slice(&bytes[s..s + rb]);
-        }
-        bytes.copy_from_slice(&aux);
+    /// The records as slices, sorted by the standard library's stable
+    /// sort: a reference that shares no code with either kernel.
+    fn reference(fmt: RecordFormat, bytes: &mut [u8]) {
+        let mut recs: Vec<&[u8]> = fmt.records(bytes).collect();
+        recs.sort_by_key(|r| fmt.key(r));
+        bytes.copy_from_slice(&recs.concat());
+    }
+
+    /// The radix kernel against [`reference`] on records with `keys`.
+    fn check(fmt: RecordFormat, keys: &[u64]) {
+        let mut got = make_records(fmt, keys);
+        let mut want = got.clone();
+        sort_records_using(fmt, &mut got, &mut SortScratch::new(), Kernel::Radix);
+        reference(fmt, &mut want);
+        assert_eq!(got, want, "fmt {fmt:?} n {}", keys.len());
     }
 
     #[test]
@@ -525,17 +545,15 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(7);
-        for fmt in [RecordFormat::REC16, RecordFormat::REC64] {
+        let odd = RecordFormat::new(40).expect("a 40-byte format");
+        for fmt in [RecordFormat::REC16, RecordFormat::REC64, odd] {
             for n in [0usize, 1, 2, 3, 255, 256, 257, 1000] {
                 // Narrow key range forces duplicates (stability) and
                 // degenerate high digits (skipping).
-                let keys: Vec<u64> = (0..n).map(|_| rng.random_range(0..50)).collect();
-                let mut got = make_records(fmt, &keys);
-                let mut want = got.clone();
-                let mut scratch = SortScratch::new();
-                sort_records_using(fmt, &mut got, &mut scratch, Kernel::Radix);
-                comparison_oracle(fmt, &mut want);
-                assert_eq!(got, want, "fmt {fmt:?} n {n}");
+                check(
+                    fmt,
+                    &(0..n).map(|_| rng.random_range(0..50)).collect::<Vec<_>>(),
+                );
             }
         }
     }
@@ -545,13 +563,7 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(11);
-        let keys: Vec<u64> = (0..2000).map(|_| rng.random()).collect();
-        let mut got = make_records(F, &keys);
-        let mut want = got.clone();
-        let mut scratch = SortScratch::new();
-        sort_records_using(F, &mut got, &mut scratch, Kernel::Radix);
-        comparison_oracle(F, &mut want);
-        assert_eq!(got, want);
+        check(F, &(0..2000).map(|_| rng.random()).collect::<Vec<_>>());
     }
 
     #[test]
@@ -624,8 +636,8 @@ mod tests {
             sort_records_using(fmt, &mut bytes, &mut scratch, Kernel::Radix);
             assert_eq!(bytes, want);
         }
-        let (_, pairs_tmp, recs, recs_tmp, _) = scratch.capacity_fingerprint();
-        assert_eq!((pairs_tmp, recs, recs_tmp), (0, 0, 0));
+        let (_, pairs_tmp, recs) = scratch.capacity_fingerprint();
+        assert_eq!((pairs_tmp, recs), (0, 0));
     }
 
     #[test]
@@ -634,15 +646,17 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(3);
         let keys: Vec<u64> = (0..4096).map(|_| rng.random()).collect();
-        let pristine = make_records(F, &keys);
-        let mut scratch = SortScratch::new();
-        let mut bytes = pristine.clone();
-        sort_records(F, &mut bytes, &mut scratch);
-        let warm = scratch.capacity_fingerprint();
-        for _ in 0..5 {
-            bytes.copy_from_slice(&pristine);
-            sort_records(F, &mut bytes, &mut scratch);
-            assert_eq!(scratch.capacity_fingerprint(), warm, "scratch reallocated");
+        // REC16 keeps one record-sized array, where the level's scatter
+        // lands and the tidy-up finishes each group; wide records keep the
+        // permutation pairs and their ping-pong array, and permute in place.
+        for (fmt, warm) in [(F, (0, 0, 4096)), (RecordFormat::REC64, (4096, 4096, 0))] {
+            let pristine = make_records(fmt, &keys);
+            let (mut bytes, mut scratch) = (pristine.clone(), SortScratch::new());
+            for _ in 0..6 {
+                bytes.copy_from_slice(&pristine);
+                sort_records(fmt, &mut bytes, &mut scratch);
+                assert_eq!(scratch.capacity_fingerprint(), warm, "{fmt:?}");
+            }
         }
     }
 

@@ -83,17 +83,7 @@ impl RecordFormat {
 
     /// Whether the records in `bytes` are sorted by key (non-decreasing).
     pub fn is_sorted(&self, bytes: &[u8]) -> bool {
-        let mut prev = None;
-        for rec in self.records(bytes) {
-            let k = self.key(rec);
-            if let Some(p) = prev {
-                if k < p {
-                    return false;
-                }
-            }
-            prev = Some(k);
-        }
-        true
+        self.records(bytes).map(|r| self.key(r)).is_sorted()
     }
 
     /// Order-insensitive fingerprint of a multiset of records: the wrapping

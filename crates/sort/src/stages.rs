@@ -2,13 +2,13 @@
 //! runs.
 //!
 //! A pass is a list of these — plus the stages only it has — added to the
-//! `Program` its [`Node`](crate::driver::Node) made, under whatever stage
-//! names the pass chooses (csort4 calls the exchange of halves `shift` and
-//! the merge of halves `sort`).  Each constructor returns a boxed
-//! [`Stage`]; what a stage keeps across rounds (exchange parts, scatter
-//! scratch) lives in its closure, so a warmed-up round
-//! allocates nothing.  A second copy of one of these bodies is a bug: a
-//! fix made to one copy does not reach the other.
+//! `Program` its [`Node`] made, under whatever stage names the pass chooses
+//! (csort4 calls the exchange of halves `shift` and the merge of halves
+//! `sort`).  Each constructor returns a boxed [`Stage`]; what a stage keeps
+//! across rounds (exchange parts, scatter scratch, its node's sort scratch)
+//! lives in its closure, so a warmed-up round allocates nothing.  A second
+//! copy of one of these bodies is a bug: a fix made to one copy does not
+//! reach the other.
 //!
 //! An unbalanced exchange is a [`receive_stage`] on a pipeline of its own
 //! and a sender: [`scatter_send_stage`] (dsort pass 1, group-by), or a
@@ -24,6 +24,7 @@ use parking_lot::Mutex;
 
 use crate::chunks::{self, Exchange, Scatter};
 use crate::config::{Matrix, SortConfig};
+use crate::driver::Node;
 use crate::record::{partition_of, ExtKey, RecordFormat};
 use crate::SortError;
 
@@ -66,35 +67,31 @@ pub fn read_input_stage(disk: &DiskRef, cfg: &SortConfig) -> Box<dyn Stage> {
     })
 }
 
-/// One in-core sort stage (or farm replica) with its own kernel scratch
-/// ([`crate::kernels`]), so steady-state rounds allocate nothing.  csort and
+/// Sort stage (or farm replica) `i`, on its node's `i`-th sort scratch
+/// (`Node::scratch`), so steady-state rounds allocate nothing and a run
+/// grows its sort scratch once a replica, not once a pass.  csort and
 /// csort4 farm it across [`SortConfig::workers`] replicas with
 /// `Program::workers`, whose ordered emission keeps the lockstep
 /// communication stages downstream correct (one worker is an ordinary
 /// stage).
 ///
-/// When the tracking allocator is installed ([`fg_core::FgAlloc`]), the
-/// **first** sort call — the one that grows the scratch to the working size
-/// — is attributed to the `sort/warmup` tag, so the steady-state `sort` tag
-/// counting every later round stays at zero allocations.  That split is
-/// what lets the resource report (and the CI smoke job) assert the hot loop
-/// is alloc-free without exempting the by-design warmup growth.
-pub fn sort_stage(cfg: &SortConfig) -> Box<dyn Stage> {
-    let fmt = cfg.record;
-    let mut scratch = cfg.sort_scratch();
+/// When the tracking allocator is installed ([`fg_core::FgAlloc`]), each
+/// stage's **first** sort call — in a run's first pass, the one that grows
+/// the scratch to the working size — is attributed to the `sort/warmup`
+/// tag, so the steady-state `sort` tag counting every later round stays at
+/// zero allocations.  That split is what lets the resource report (and the
+/// CI smoke job) assert the hot loop is alloc-free without exempting the
+/// by-design warmup growth.
+pub fn sort_stage(node: &Node, i: usize) -> Box<dyn Stage> {
+    let (fmt, scratch) = (node.cfg.record, Arc::clone(&node.scratch[i]));
     let mut warmed = false;
-    map_stage(move |buf: &mut Buffer, _ctx: &mut StageCtx| {
-        if !warmed {
-            warmed = true;
-            if fg_core::alloc::installed() {
-                let warmup = fg_core::register_tag("sort/warmup");
-                return fg_core::with_tag(warmup, || {
-                    fmt.sort_bytes_with(buf.filled_mut(), &mut scratch);
-                    Ok(())
-                });
-            }
+    map_stage(move |buf, _ctx| {
+        let mut sort = || fmt.sort_bytes_with(buf.filled_mut(), &mut scratch.lock());
+        if std::mem::replace(&mut warmed, true) || !fg_core::alloc::installed() {
+            sort();
+        } else {
+            fg_core::with_tag(fg_core::register_tag("sort/warmup"), sort);
         }
-        fmt.sort_bytes_with(buf.filled_mut(), &mut scratch);
         Ok(())
     })
 }

@@ -46,19 +46,12 @@ pub fn verify_output(
             got.len()
         )));
     }
-    if !cfg.record.is_sorted(&got) {
-        // Locate the first violation for a useful message.
-        let mut prev = 0u64;
-        for (i, rec) in cfg.record.records(&got).enumerate() {
-            let k = cfg.record.key(rec);
-            if i > 0 && k < prev {
-                return Err(SortError::Verify(format!(
-                    "keys out of order at record {i}: {prev} then {k}"
-                )));
-            }
-            prev = k;
-        }
-        unreachable!("is_sorted said unsorted but no violation found");
+    let key = |i| cfg.record.key(cfg.record.record(&got, i));
+    if let Some(i) = (1..cfg.record.count(&got)).find(|&i| key(i) < key(i - 1)) {
+        let (prev, k) = (key(i - 1), key(i));
+        return Err(SortError::Verify(format!(
+            "keys out of order at record {i}: {prev} then {k}"
+        )));
     }
     let got_fp = cfg.record.multiset_fingerprint(&got);
     let want_fp = input::input_fingerprint(cfg);

@@ -35,9 +35,22 @@ fn assert_steady_state(fmt: RecordFormat) {
     // here.  Tagged so a resource report attributes it as setup.
     let warmup = fg_core::register_tag("sort/warmup");
     refill(fmt, &mut data, 0xFEED);
+    let before = fg_core::alloc::counts(warmup).bytes;
     fg_core::with_tag(warmup, || {
         fmt.sort_bytes_with(&mut data, &mut scratch);
     });
+    // Both kernels finish in `data`: a 16-byte record costs one 16-byte
+    // `(key, payload)` item of scratch, a wider one two 16-byte permutation
+    // pairs, and no record-sized copy of the data besides (96 B a 64-byte
+    // record, and 32 a 16-byte one, while the permutation was gathered
+    // into an auxiliary copy and the records scattered twice).  The rest
+    // is a level's histograms.
+    let per_record = if fmt.record_bytes == 16 { 16 } else { 32 };
+    let grown = fg_core::alloc::counts(warmup).bytes - before;
+    assert!(
+        grown <= (per_record * records + (64 << 10)) as u64,
+        "{fmt:?}: the warm-up grew {grown} B of scratch for {records} records"
+    );
 
     // Steady state: same buffer size, fresh keys each round; the kernel
     // must reuse its scratch and never touch the heap.
@@ -55,6 +68,7 @@ fn assert_steady_state(fmt: RecordFormat) {
 
 #[test]
 fn warmed_kernel_sort_is_alloc_free_in_steady_state() {
+    let _turn = TAG_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     // The assertion only bites when the wrapper really is the global
     // allocator; building `data` above guarantees at least one recorded
     // allocation, so this must hold here.
@@ -295,6 +309,44 @@ fn csort4_exchange_allocations_do_not_grow_with_the_input() {
     assert!(
         large <= small + 4 * 3 * COLUMN / 2,
         "shift: {small} B for 4 MiB of input, {large} B for 8 MiB"
+    );
+}
+
+/// csort's sort stages, one a node, sort on the scratch the node grows in
+/// pass 1: a column of `(key, payload)` items and a level's histograms, so
+/// `sort/warmup` holds at most a column and 64 KiB a node (about 3 MiB on
+/// four nodes while every pass's stage grew two columns of its own).
+#[test]
+fn csort_grows_its_sort_scratch_once_a_node() {
+    let _turn = TAG_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let _ = vec![0u8; 16];
+    assert!(fg_core::alloc::installed());
+    const COLUMN: u64 = 128 << 10;
+    let [warmup] = csort_os_warmup(64 << 10);
+    assert!(
+        warmup > 0 && warmup <= 4 * (COLUMN + (64 << 10)),
+        "sort/warmup: {warmup} B for four nodes' {COLUMN} B columns"
+    );
+}
+
+/// What csort's sort stages grew on four nodes of `records_per_node`.
+fn csort_os_warmup(records_per_node: usize) -> [u64; 1] {
+    columnsort_os_stage_allocations(["sort/warmup"], records_per_node, |cfg, disks| {
+        fg_sort::csort::run_csort(cfg, disks).expect("csort run");
+    })
+}
+
+/// A node's sort scratch lives and dies with its run: a second csort of the
+/// same shape grows as much scratch as the first, none of it left over.
+#[test]
+fn every_csort_run_grows_its_own_sort_scratch() {
+    let _turn = TAG_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let _ = vec![0u8; 16];
+    assert!(fg_core::alloc::installed());
+    let ([first], [second]) = (csort_os_warmup(64 << 10), csort_os_warmup(64 << 10));
+    assert!(
+        first > 0 && first == second,
+        "sort/warmup: {first} B in the first run, {second} B in the second"
     );
 }
 

@@ -24,6 +24,21 @@ fn records_with_payloads(f: RecordFormat, keys: &[u64]) -> Vec<u8> {
     bytes
 }
 
+/// The records of `bytes` as slices, sorted by the standard library's stable
+/// sort: a reference that shares no code with either sort kernel.
+fn reference_sort(f: RecordFormat, bytes: &[u8]) -> Vec<u8> {
+    let mut recs: Vec<&[u8]> = f.records(bytes).collect();
+    recs.sort_by_key(|r| f.key(r));
+    recs.concat()
+}
+
+/// The record formats the kernels are checked on: the paper's two, and a
+/// width no fixed-size path covers.
+fn kernel_formats() -> [RecordFormat; 3] {
+    let odd = RecordFormat::new(40).expect("a 40-byte format");
+    [RecordFormat::REC16, RecordFormat::REC64, odd]
+}
+
 proptest! {
     /// Columnsort sorts any input meeting Leighton's geometry (r = 12,
     /// s = 3 is the smallest interesting valid shape; larger shapes too).
@@ -275,18 +290,21 @@ proptest! {
         prop_assert_eq!(f.multiset_fingerprint(&bytes), before);
     }
 
-    /// The radix kernel is byte-identical to the stable comparison kernel —
-    /// payload order of equal keys included — on both record formats, over
+    /// The radix kernel is byte-identical to the stable comparison kernel,
+    /// and both to [`reference_sort`] — payload order of equal keys
+    /// included — on the paper's record formats and a 40-byte one, over
     /// what its levels can get wrong: sizes either side of the insertion
     /// threshold (24), of the first two-digit level (64) and of a power of
     /// two, where a level gains a bit, and far past all three; keys a level
     /// cannot separate (a few high-bit values over many low-bit ones: four
     /// levels deep at the largest size), keys that differ in one bit at
     /// either end of the key, two values, one value, sorted and reversed
-    /// input, and 0 mixed with `u64::MAX`.
+    /// input, 0 mixed with `u64::MAX`, and one outlier above keys that share
+    /// the level's prefix (a 16-byte tidy-up group longer than half the
+    /// span, which grows the record scratch past it).
     #[test]
     fn radix_kernel_is_byte_identical_to_comparison(
-        shape in 0usize..11,
+        shape in 0usize..12,
         size_pick in 0usize..20,
         seed in any::<u64>(),
     ) {
@@ -312,17 +330,60 @@ proptest! {
                 7 => a,
                 8 => i * 3,
                 9 => u64::MAX - i / 2,
-                _ => if rng.random() { 0 } else { u64::MAX },
+                10 => if rng.random() { 0 } else { u64::MAX },
+                _ => if i == n as u64 / 2 { u64::MAX } else { rng.random_range(0..1 << 32) },
             })
             .collect();
         let mut scratch = SortScratch::new();
-        for f in [RecordFormat::REC16, RecordFormat::REC64] {
+        for f in kernel_formats() {
             let pristine = records_with_payloads(f, &keys);
+            let want = reference_sort(f, &pristine);
             let mut via_radix = pristine.clone();
             let mut via_cmp = pristine;
             sort_records_using(f, &mut via_radix, &mut scratch, Kernel::Radix);
             sort_records_using(f, &mut via_cmp, &mut scratch, Kernel::Comparison);
             prop_assert!(via_radix == via_cmp, "shape {shape}, {n} records, {f:?}");
+            prop_assert!(via_cmp == want, "shape {shape}, {n} records, {f:?}: not the reference");
+        }
+    }
+
+    /// The in-place permutation the comparison kernel, and the radix kernel
+    /// on records wider than 16 bytes, finish with, over the cycle shapes it
+    /// walks: the identity, one cycle through every record, every record in
+    /// a 2-cycle, and random permutations.  Record `i` carries key `π(i)`,
+    /// so a sort must land it in slot `π(i)`.
+    #[test]
+    fn the_permutation_lands_every_record_in_its_slot(
+        shape in 0usize..4,
+        n in 0usize..700,
+        seed in any::<u64>(),
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let m = n as u64;
+        let mut slot: Vec<u64> = match shape {
+            0 | 3 => (0..m).collect(),
+            1 => (0..m).map(|i| (i + 1) % m).collect(),
+            _ => (0..m).map(|i| if i ^ 1 < m { i ^ 1 } else { i }).collect(),
+        };
+        if shape == 3 {
+            // Fisher–Yates.
+            let mut rng = StdRng::seed_from_u64(seed);
+            for i in (1..slot.len()).rev() {
+                slot.swap(i, rng.random_range(0..=i));
+            }
+        }
+        for f in kernel_formats() {
+            let pristine = records_with_payloads(f, &slot);
+            for kernel in [Kernel::Comparison, Kernel::Radix] {
+                let mut got = pristine.clone();
+                sort_records_using(f, &mut got, &mut SortScratch::new(), kernel);
+                for (i, &at) in slot.iter().enumerate() {
+                    prop_assert!(
+                        f.record(&got, at as usize) == f.record(&pristine, i),
+                        "shape {shape}, {n} records, {f:?}, {kernel:?}: record {i} not in slot {at}"
+                    );
+                }
+            }
         }
     }
 
@@ -824,4 +885,30 @@ proptest! {
             }
         }
     }
+}
+
+/// A 16-byte sort's tidy-up finishes each group in the record scratch, which
+/// a level leaves a span long.  A group longer than half the span — every
+/// key but one outlier under the level's one prefix — needs twice its own
+/// length there, so the scratch grows once, to about twice the span.
+#[test]
+fn a_group_over_half_the_span_grows_the_record_scratch() {
+    let (f, n) = (RecordFormat::REC16, 4096usize);
+    let keys: Vec<u64> = (0..n as u64)
+        .map(|i| match i {
+            0 => u64::MAX,
+            _ => i.wrapping_mul(0x9E37_79B9) % (1 << 32),
+        })
+        .collect();
+    let mut bytes = records_with_payloads(f, &keys);
+    let want = reference_sort(f, &bytes);
+    let mut scratch = SortScratch::new();
+    sort_records_using(f, &mut bytes, &mut scratch, Kernel::Radix);
+    assert!(bytes == want, "not the reference order");
+    let (pairs, pairs_tmp, recs) = scratch.capacity_fingerprint();
+    assert_eq!((pairs, pairs_tmp), (0, 0));
+    assert!(
+        (2 * (n - 1)..=2 * n).contains(&recs),
+        "{recs} items for {n} records"
+    );
 }
