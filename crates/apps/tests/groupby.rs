@@ -137,7 +137,7 @@ fn groupby_publishes_stage_rounds_into_the_configs_registry() {
 /// A group-by reads and writes its disks directly, whatever `io_depth`
 /// says: on real files with a registry, the disks publish their own
 /// counters and no I/O scheduler's `disk/*/prefetch_*` counters or
-/// `disk/*/writeback_queue_depth` gauge.
+/// `disk/*/writeback_wait_ns` histogram.
 #[test]
 fn groupby_runs_on_the_bare_backend() {
     let scratch = fg_pdm::ScratchDir::new("groupby-bare").expect("scratch directory");
@@ -154,10 +154,10 @@ fn groupby_runs_on_the_bare_backend() {
     let metrics = registry.snapshot();
     assert!(metrics.counter("disk/d0/bytes_read") > Some(0));
     let counters = metrics.counters.iter().map(|c| &c.0);
-    let gauges = metrics.gauges.iter().map(|g| &g.0);
+    let histograms = metrics.histograms.iter().map(|h| &h.0);
     let found: Vec<_> = counters
         .filter(|n| n.contains("/prefetch_"))
-        .chain(gauges.filter(|n| n.ends_with("/writeback_queue_depth")))
+        .chain(histograms.filter(|n| n.ends_with("/writeback_wait_ns")))
         .filter(|n| n.starts_with("disk/"))
         .collect();
     assert!(found.is_empty(), "{found:?}");

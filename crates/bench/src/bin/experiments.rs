@@ -245,7 +245,7 @@ fn main() {
     // an HTTP endpoint exposes it live (GET /metrics, GET /report).
     let registry = Arc::new(MetricsRegistry::new());
     let telemetry = args.telemetry.map(|addr| {
-        let server = TelemetryServer::bind(&addr, Arc::clone(&registry)).unwrap_or_else(|e| {
+        let server = TelemetryServer::bind(&addr, registry.clone(), None).unwrap_or_else(|e| {
             eprintln!("error: failed to bind telemetry server on {addr}: {e}");
             std::process::exit(1);
         });

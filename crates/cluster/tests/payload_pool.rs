@@ -2,20 +2,25 @@
 //! receiver's `Drop` returns it, a sender out of credits blocks, poison
 //! wakes it, and a foreign `Vec` never joins a pool.
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use fg_cluster::{Cluster, ClusterCfg, ClusterError, ClusterRun, CommError};
+use fg_core::MetricsRegistry;
 
 /// Run `f` on a fresh cluster from a helper thread, so that a sender stuck
-/// on a credit fails the test instead of hanging it.
+/// on a credit fails the test instead of hanging it; the communicators
+/// record into `registry`.
 fn run_bounded<R: Send + 'static>(
     nodes: usize,
+    registry: &Arc<MetricsRegistry>,
     f: impl Fn(fg_cluster::NodeCtx) -> Result<R, ClusterError> + Send + Sync + 'static,
 ) -> Result<ClusterRun<R>, ClusterError> {
     let (tx, rx) = mpsc::channel();
+    let registry = Arc::clone(registry);
     std::thread::spawn(move || {
-        let _ = tx.send(Cluster::run(ClusterCfg::zero_cost(nodes), f));
+        let cfg = ClusterCfg::zero_cost(nodes);
+        let _ = tx.send(Cluster::run_with_metrics(cfg, registry, f));
     });
     rx.recv_timeout(Duration::from_secs(20))
         .expect("cluster run hung: a blocked sender was never woken")
@@ -24,7 +29,7 @@ fn run_bounded<R: Send + 'static>(
 #[test]
 fn a_payload_circulates_and_keeps_its_capacity() {
     const ROUNDS: usize = 500;
-    let run = run_bounded(2, |node| {
+    let run = run_bounded(2, &Arc::default(), |node| {
         let comm = node.comm();
         if node.rank() == 0 {
             for i in 0..ROUNDS {
@@ -57,7 +62,8 @@ fn a_payload_circulates_and_keeps_its_capacity() {
 
 #[test]
 fn a_sender_out_of_credits_blocks_until_a_receiver_drops_one() {
-    run_bounded(2, |node| {
+    let registry = Arc::default();
+    run_bounded(2, &registry, |node| {
         let comm = node.comm();
         let population = comm.payload_stats().population;
         assert_eq!(population, 3 * node.nodes());
@@ -90,11 +96,20 @@ fn a_sender_out_of_credits_blocks_until_a_receiver_drops_one() {
         Ok(())
     })
     .unwrap();
+    // `comm/payload_wait_ns` holds the one call that blocked: none of the
+    // population's takes, and nothing on the node that only received.
+    let waits = |rank| {
+        registry
+            .snapshot()
+            .histogram(&format!("comm/payload_wait_ns/r{rank}"))
+            .map(|h| h.count)
+    };
+    assert_eq!((waits(0), waits(1)), (Some(1), Some(0)));
 }
 
 #[test]
 fn poison_wakes_a_sender_blocked_on_a_credit() {
-    let err = run_bounded(2, |node| {
+    let err = run_bounded(2, &Arc::default(), |node| {
         let comm = node.comm();
         if node.rank() == 0 {
             let held: Vec<_> = (0..comm.payload_stats().population)
@@ -130,7 +145,7 @@ fn poison_wakes_a_sender_blocked_on_a_credit() {
 
 #[test]
 fn a_foreign_vec_is_never_adopted_into_a_pool() {
-    let run = run_bounded(2, |node| {
+    let run = run_bounded(2, &Arc::default(), |node| {
         let comm = node.comm();
         let peer = 1 - node.rank();
         for i in 0..100u8 {

@@ -442,23 +442,6 @@ fn metrics_to_json(m: &MetricsSnapshot) -> Json {
             ),
         ),
         (
-            "gauges",
-            Json::Obj(
-                m.gauges
-                    .iter()
-                    .map(|(k, g)| {
-                        (
-                            k.clone(),
-                            obj(vec![
-                                ("value", Json::from(g.value)),
-                                ("peak", Json::from(g.peak)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-        (
             "histograms",
             Json::Obj(
                 m.histograms
@@ -485,8 +468,8 @@ fn metrics_to_json(m: &MetricsSnapshot) -> Json {
 }
 
 impl MetricsSnapshot {
-    /// The snapshot as a [`Json`] value (counters, gauges with peaks, and
-    /// full histogram buckets) — the `"metrics"` member of
+    /// The snapshot as a [`Json`] value (counters and full histogram
+    /// buckets) — the `"metrics"` member of
     /// [`Report::to_json_value`].
     pub fn to_json_value(&self) -> Json {
         metrics_to_json(self)
@@ -521,7 +504,6 @@ impl Report {
                                 ("name", Json::from(q.name.as_str())),
                                 ("capacity", Json::from(q.capacity)),
                                 ("max_depth", Json::from(q.max_depth)),
-                                ("spsc", Json::Bool(q.spsc)),
                                 ("flavor", Json::from(q.flavor.as_str())),
                             ])
                         })

@@ -62,7 +62,6 @@ pub mod analyze;
 mod buffer;
 pub mod cluster_report;
 pub mod critical_path;
-pub mod degrade;
 mod error;
 mod json;
 pub mod metrics;
@@ -90,9 +89,7 @@ pub use cluster_report::{ClusterReport, CollectiveStat, RankReport};
 pub use critical_path::{critical_path, CriticalPath, PathSegment, RoundPath};
 pub use error::{FgError, Result};
 pub use json::Json;
-pub use metrics::{
-    Counter, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
-};
+pub use metrics::{Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use profile::{
     register_current_thread, AllocResources, LedgerSnapshot, MemoryLedger, ResourceReport,
     StageLedger, StageResidency, ThreadResources,

@@ -1,4 +1,4 @@
-//! Lock-free metrics: counters, gauges, and log2-bucketed histograms.
+//! Lock-free metrics: counters and log2-bucketed histograms.
 //!
 //! Every *update* path is a handful of relaxed atomic operations — safe to
 //! call from pipeline hot paths, communicator sends, and simulated disk
@@ -7,8 +7,8 @@
 //! takes a lock, and callers are expected to register once and cache the
 //! returned `Arc`.
 //!
-//! The same three primitive types serve all layers: `fg-core` records
-//! queue depths and stage events, `fg-cluster` records per-peer traffic
+//! The same two primitive types serve all layers: `fg-core` records
+//! stage events, `fg-cluster` records per-peer traffic
 //! and collective latencies, and `fg-pdm` records I/O latencies.  A
 //! [`MetricsSnapshot`] taken at the end of a run travels inside a
 //! [`Report`](crate::Report) and renders/exports with it.
@@ -51,53 +51,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-}
-
-/// A sampled instantaneous value that also remembers its peak.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicU64,
-    peak: AtomicU64,
-}
-
-impl Gauge {
-    /// A gauge at zero.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Record the current value (and fold it into the peak).
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
-        self.peak.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Most recently set value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// Largest value ever set.
-    pub fn peak(&self) -> u64 {
-        self.peak.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot value and peak.
-    pub fn snapshot(&self) -> GaugeSnapshot {
-        GaugeSnapshot {
-            value: self.get(),
-            peak: self.peak(),
-        }
-    }
-}
-
-/// Point-in-time copy of a [`Gauge`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GaugeSnapshot {
-    /// Most recently set value.
-    pub value: u64,
-    /// Largest value ever set.
-    pub peak: u64,
 }
 
 /// A log2-bucketed histogram of `u64` samples (latencies in nanoseconds,
@@ -223,7 +176,7 @@ impl HistogramSnapshot {
     }
 }
 
-/// A named collection of [`Counter`]s, [`Gauge`]s, and [`Histogram`]s.
+/// A named collection of [`Counter`]s and [`Histogram`]s.
 ///
 /// Lookup-or-register takes a short write lock; updates through the
 /// returned `Arc`s are lock-free.  Names are free-form; by convention the
@@ -233,7 +186,6 @@ impl HistogramSnapshot {
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
-    gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
 }
 
@@ -253,19 +205,6 @@ impl MetricsRegistry {
                 .write()
                 .entry(name.to_string())
                 .or_insert_with(|| Arc::new(Counter::new())),
-        )
-    }
-
-    /// Get or register the gauge named `name`.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        if let Some(g) = self.gauges.read().get(name) {
-            return Arc::clone(g);
-        }
-        Arc::clone(
-            self.gauges
-                .write()
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Gauge::new())),
         )
     }
 
@@ -291,12 +230,6 @@ impl MetricsRegistry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            gauges: self
-                .gauges
-                .read()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
             histograms: self
                 .histograms
                 .read()
@@ -314,15 +247,13 @@ pub struct MetricsSnapshot {
     /// `(name, count)` pairs, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// `(name, snapshot)` pairs, sorted by name.
-    pub gauges: Vec<(String, GaugeSnapshot)>,
-    /// `(name, snapshot)` pairs, sorted by name.
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
 impl MetricsSnapshot {
     /// True when no metrics were recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
     /// Fold `other` into `self`: entries with new names are appended,
@@ -337,7 +268,6 @@ impl MetricsSnapshot {
             }
         }
         merge_into(&mut self.counters, &other.counters);
-        merge_into(&mut self.gauges, &other.gauges);
         merge_into(&mut self.histograms, &other.histograms);
     }
 
@@ -357,20 +287,14 @@ impl MetricsSnapshot {
             .map(|(_, v)| v)
     }
 
-    /// Snapshot of the gauge named `name`, if present.
-    pub fn gauge(&self, name: &str) -> Option<GaugeSnapshot> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-    }
-
     /// Render the snapshot in the Prometheus text exposition format
     /// (version 0.0.4), the payload a `GET /metrics` scrape expects.
     ///
     /// Metric names are `/`-separated paths internally
-    /// (`core/queue_depth/p[1]`); Prometheus names admit only
+    /// (`comm/bytes/0->1`); Prometheus names admit only
     /// `[a-zA-Z0-9_:]`, so every name is prefixed with `fg_` and each run
     /// of disallowed characters collapses to a single `_` (see METRICS.md
-    /// for the authoritative mapping).  Counters export as-is, gauges
-    /// export their value plus a `<name>_peak` companion, and log2
+    /// for the authoritative mapping).  Counters export as-is, and log2
     /// histograms export cumulative `_bucket{le="…"}` lines (the inclusive
     /// upper bound of each occupied bucket) with `_sum` and `_count`.
     pub fn to_prometheus(&self) -> String {
@@ -378,14 +302,6 @@ impl MetricsSnapshot {
         for (name, v) in &self.counters {
             let name = prometheus_name(name);
             out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-        }
-        for (name, g) in &self.gauges {
-            let name = prometheus_name(name);
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", g.value));
-            out.push_str(&format!(
-                "# TYPE {name}_peak gauge\n{name}_peak {}\n",
-                g.peak
-            ));
         }
         for (name, h) in &self.histograms {
             let name = prometheus_name(name);
@@ -440,17 +356,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_basics() {
         let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-
-        let g = Gauge::new();
-        g.set(7);
-        g.set(3);
-        assert_eq!(g.get(), 3);
-        assert_eq!(g.peak(), 7);
     }
 
     #[test]
@@ -512,11 +422,9 @@ mod tests {
         a.inc();
         assert_eq!(r.counter("x").get(), 1);
 
-        r.gauge("g").set(9);
         r.histogram("h").record(5);
         let snap = r.snapshot();
         assert_eq!(snap.counter("x"), Some(1));
-        assert_eq!(snap.gauge("g").unwrap().value, 9);
         assert_eq!(snap.histogram("h").unwrap().count, 1);
         assert!(snap.counter("missing").is_none());
     }

@@ -28,20 +28,21 @@
 //! `GET /report` and the watchdog post-mortem.
 //!
 //! All of this is Linux-`/proc` shaped and degrades gracefully
-//! elsewhere: the first failed read warns once ([`WarnOnce`]) and CPU/RSS
+//! elsewhere: the first failed read warns once a process and CPU/RSS
 //! rows simply stay absent — allocator and ledger accounting (plain
 //! atomics) keep working everywhere.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::degrade::WarnOnce;
 use crate::json::{obj, Json};
 
-static PROC_WARN: WarnOnce = WarnOnce::new();
+/// Set by the first sample that found `/proc` unreadable: a fleet of stage
+/// threads failing alike warns once a process, not once a thread.
+static PROC_WARNED: AtomicBool = AtomicBool::new(false);
 
 // ---------------------------------------------------------------------------
 // Thread registry
@@ -375,12 +376,6 @@ impl MemoryLedger {
         (self.buffers.load(Relaxed), self.total_bytes.load(Relaxed))
     }
 
-    /// True when the pool total exceeds a nonzero budget.
-    pub fn over_budget(&self) -> bool {
-        let budget = self.budget();
-        budget > 0 && self.outstanding().1 > budget
-    }
-
     /// Point-in-time copy of the whole ledger.
     pub fn snapshot(&self) -> LedgerSnapshot {
         let stages = self.stages.lock().unwrap_or_else(|e| e.into_inner());
@@ -551,15 +546,11 @@ impl ResourceReport {
                         .collect()
                 });
             }
-            None => {
-                PROC_WARN.warn(|| {
-                    format!(
-                        "fg: resource accounting degraded, no CPU/RSS attribution \
-                         ({} unreadable)",
-                        source.root.display()
-                    )
-                });
-            }
+            None if !PROC_WARNED.swap(true, Relaxed) => eprintln!(
+                "fg: resource accounting degraded, no CPU/RSS attribution ({} unreadable)",
+                source.root.display()
+            ),
+            None => {}
         }
         report
     }
@@ -825,9 +816,9 @@ mod tests {
         let ledger = MemoryLedger::with_budget(1024);
         ledger.charge_pool(600);
         ledger.charge_pool(600);
-        assert!(ledger.over_budget());
+        assert_eq!(ledger.outstanding(), (2, 1200));
         ledger.credit_pool(600);
-        assert!(!ledger.over_budget());
+        assert_eq!(ledger.outstanding(), (1, 600));
         let sort = ledger.stage("sort");
         sort.acquire(4096);
         sort.acquire(4096);

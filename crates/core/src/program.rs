@@ -35,11 +35,6 @@ use crate::stats::Report;
 /// virtual stage): the first stage's input, which the last stage conveys
 /// into.  Running dry means every buffer is in flight.
 const POOL_QUEUE_PREFIX: &str = "recycle/";
-/// Metric-name prefix of the per-queue depth gauges.
-const QUEUE_DEPTH_PREFIX: &str = "core/queue_depth/";
-/// Metric-name prefix of the per-queue capacity gauges (set once at wire
-/// time).
-const QUEUE_CAPACITY_PREFIX: &str = "core/queue_capacity/";
 
 /// Configuration of one pipeline: its buffer pool and round policy.
 #[derive(Debug, Clone)]
@@ -137,9 +132,9 @@ impl Program {
     }
 
     /// Attach a [`MetricsRegistry`](crate::metrics::MetricsRegistry):
-    /// every queue samples its depth into a
-    /// `core/queue_depth/<queue>` gauge, and the registry's snapshot is
-    /// embedded in the final [`Report`](crate::Report) (rendered by
+    /// every stage thread adds its counter block's events to the
+    /// `core/stage_*` counters as they happen, and the registry's snapshot
+    /// is embedded in the final [`Report`](crate::Report) (rendered by
     /// [`Report::render_dashboard`](crate::Report::render_dashboard) and
     /// exported by [`Report::to_json`](crate::Report::to_json)).  Other
     /// layers (communicators, disks) may record into the same registry to
@@ -363,20 +358,13 @@ impl Program {
     pub(crate) fn wire(&mut self) -> Result<runtime::Plan> {
         let registry = Registry::new();
 
-        // Build a queue, register it for shutdown, and — when a metrics
-        // registry is attached — wire up its depth gauge and capacity.
-        // `FlavorKind::Spsc` may only be passed for stage-to-stage links the
-        // planner has proven exclusive; every other queue is the
-        // mutex-guarded deque, which measures no slower than the lock-free
-        // ring on any host this was run on (EXPERIMENTS.md Q1, D10, D19).
-        let metrics = self.metrics.clone();
+        // Build a queue and register it for shutdown.  `FlavorKind::Spsc`
+        // may only be passed for stage-to-stage links the planner has
+        // proven exclusive; every other queue is the mutex-guarded deque,
+        // which measures no slower than the lock-free ring on any host this
+        // was run on (EXPERIMENTS.md Q1, D10, D19).
         let reg = |name: String, cap: usize, kind: FlavorKind| {
-            let gauge = metrics.as_ref().map(|m| {
-                m.gauge(&format!("{QUEUE_CAPACITY_PREFIX}{name}"))
-                    .set(cap as u64);
-                m.gauge(&format!("{QUEUE_DEPTH_PREFIX}{name}"))
-            });
-            let q = Queue::flavored(name, cap, kind, gauge);
+            let q = Queue::flavored(name, cap, kind);
             registry.register(Arc::clone(&q));
             q
         };

@@ -44,7 +44,7 @@ use std::sync::Arc;
 use parking_lot::{Condvar, Mutex};
 
 use crate::buffer::{Buffer, PipelineId};
-use crate::metrics::{Counter, Gauge};
+use crate::metrics::Counter;
 use crate::profile::yield_core;
 
 /// What travels through a queue: a buffer, or the end-of-stream marker for
@@ -165,37 +165,33 @@ pub(crate) struct Queue {
     not_empty: Condvar,
     capacity: usize,
     name: String,
-    /// Depth gauge sampled once per push/pop, present only when the
-    /// program runs with a metrics registry attached.
-    gauge: Option<Arc<Gauge>>,
     metrics: QueueMetrics,
 }
 
 impl Queue {
     /// Create a mutex-flavor MPMC queue holding at most `capacity` items.
     pub(crate) fn new(name: impl Into<String>, capacity: usize) -> Arc<Self> {
-        Self::flavored(name, capacity, FlavorKind::Mutex, None)
+        Self::flavored(name, capacity, FlavorKind::Mutex)
     }
 
     /// Create a lock-free MPMC queue.
     pub(crate) fn lock_free(name: impl Into<String>, capacity: usize) -> Arc<Self> {
-        Self::flavored(name, capacity, FlavorKind::LockFree, None)
+        Self::flavored(name, capacity, FlavorKind::LockFree)
     }
 
     /// Create an SPSC queue.  The caller promises that at most one thread
     /// ever pushes and at most one thread ever pops (`close` may still be
     /// called from anywhere).
     pub(crate) fn spsc(name: impl Into<String>, capacity: usize) -> Arc<Self> {
-        Self::flavored(name, capacity, FlavorKind::Spsc, None)
+        Self::flavored(name, capacity, FlavorKind::Spsc)
     }
 
-    /// Create a queue of the given flavor with an optional depth gauge.
-    /// The planner's one construction point.
+    /// Create a queue of the given flavor.  The planner's one construction
+    /// point.
     pub(crate) fn flavored(
         name: impl Into<String>,
         capacity: usize,
         kind: FlavorKind,
-        gauge: Option<Arc<Gauge>>,
     ) -> Arc<Self> {
         assert!(capacity > 0, "queue capacity must be positive");
         // Vyukov's bounded MPMC algorithm requires capacity >= 2: at
@@ -237,7 +233,6 @@ impl Queue {
             not_empty: Condvar::new(),
             capacity,
             name: name.into(),
-            gauge,
             metrics: QueueMetrics::default(),
         })
     }
@@ -250,11 +245,6 @@ impl Queue {
     /// Maximum number of items this queue can hold.
     pub(crate) fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Whether this queue uses the single-producer single-consumer ring.
-    pub(crate) fn is_spsc(&self) -> bool {
-        matches!(self.flavor, Flavor::Spsc(_))
     }
 
     /// Stable label of this queue's flavor (reports, dashboards, JSON).
@@ -293,12 +283,6 @@ impl Queue {
                 let tail = tail.load(Ordering::SeqCst);
                 tail.saturating_sub(head.load(Ordering::SeqCst)) as usize
             }
-        }
-    }
-
-    fn sample_depth(&self, depth: usize) {
-        if let Some(g) = &self.gauge {
-            g.set(depth as u64);
         }
     }
 
@@ -354,14 +338,7 @@ impl Queue {
 
     fn try_pop(&self) -> Option<Item> {
         match &self.flavor {
-            Flavor::Mpmc(lock) => {
-                let mut items = lock.lock();
-                let item = items.pop_front()?;
-                let depth = items.len();
-                drop(items);
-                self.sample_depth(depth);
-                Some(item)
-            }
+            Flavor::Mpmc(lock) => lock.lock().pop_front(),
             Flavor::LockFree(ring) => self.lf_try_pop(ring),
             Flavor::Spsc(ring) => self.spsc_try_pop(ring),
         }
@@ -404,7 +381,6 @@ impl Queue {
     /// producer's half of the handshake now that its item is visible.
     fn after_push(&self, depth: usize) {
         self.max_depth.fetch_max(depth, Ordering::Relaxed);
-        self.sample_depth(depth);
         if self.pop_sleepers.load(Ordering::SeqCst) > 0 {
             self.metrics.wakes.inc();
             let _guard = self.park.lock();
@@ -509,7 +485,7 @@ impl Queue {
                             .take()
                             .expect("lock-free slot unexpectedly empty");
                         slot.seq.store(pos + cap, Ordering::SeqCst);
-                        break Some((item, pos));
+                        break Some(item);
                     }
                     Err(cur) => {
                         retries += 1;
@@ -527,11 +503,7 @@ impl Queue {
         if retries > 0 {
             self.metrics.cas_retries.add(retries);
         }
-        result.map(|(item, pos)| {
-            let tail = ring.tail.load(Ordering::SeqCst);
-            self.sample_depth(tail.saturating_sub(pos + 1) as usize);
-            item
-        })
+        result
     }
 
     // --- SPSC flavor internals -------------------------------------------
@@ -566,7 +538,6 @@ impl Queue {
         let slot = &ring.slots[(head % self.capacity as u64) as usize];
         let item = slot.lock().take().expect("spsc slot unexpectedly empty");
         ring.head.store(head + 1, Ordering::SeqCst);
-        self.sample_depth((tail - head - 1) as usize);
         Some(item)
     }
 }
@@ -766,20 +737,6 @@ mod tests {
     }
 
     #[test]
-    fn gauge_samples_depth_on_push_and_pop() {
-        for kind in [FlavorKind::Mutex, FlavorKind::LockFree, FlavorKind::Spsc] {
-            let g = Arc::new(crate::metrics::Gauge::new());
-            let q = Queue::flavored("t", 4, kind, Some(Arc::clone(&g)));
-            q.push(buf_item(0, 0)).unwrap();
-            q.push(buf_item(0, 1)).unwrap();
-            assert_eq!(g.get(), 2);
-            q.pop().unwrap();
-            assert_eq!(g.get(), 1);
-            assert_eq!(g.peak(), 2);
-        }
-    }
-
-    #[test]
     fn caboose_travels_like_data() {
         for_both(|q| {
             q.push(buf_item(3, 5)).unwrap();
@@ -794,9 +751,9 @@ mod tests {
 
     #[test]
     fn spsc_flavor_is_reported() {
-        assert!(!Queue::new("m", 2).is_spsc());
-        assert!(!Queue::lock_free("l", 2).is_spsc());
-        assert!(Queue::spsc("s", 2).is_spsc());
+        assert_eq!(Queue::new("m", 2).flavor_label(), "mutex");
+        assert_eq!(Queue::lock_free("l", 2).flavor_label(), "lockfree");
+        assert_eq!(Queue::spsc("s", 2).flavor_label(), "spsc");
     }
 
     #[test]

@@ -200,7 +200,6 @@ impl Registry {
                 name: q.name().to_string(),
                 capacity: q.capacity(),
                 max_depth: q.max_depth(),
-                spsc: q.is_spsc(),
                 flavor: q.flavor_label().to_string(),
             })
             .collect()
@@ -545,7 +544,7 @@ impl Tally {
 /// every queue operation, so no two threads' blocks share a cache line.
 #[repr(align(128))]
 pub(crate) struct StageCounters {
-    /// Buffers accepted (`core/stage_buffers/<task>`).
+    /// Buffers accepted.
     accepted: Tally,
     /// Buffers conveyed downstream.
     conveyed: Tally,
@@ -572,7 +571,7 @@ impl StageCounters {
                 .map(|(p, m)| m.counter(&format!("{p}{task}"))),
         };
         StageCounters {
-            accepted: tally(Some("core/stage_buffers/")),
+            accepted: tally(None),
             conveyed: tally(None),
             rounds: tally(Some(STAGE_ROUNDS_PREFIX)),
             busy_ns: tally(Some(STAGE_BUSY_PREFIX)),

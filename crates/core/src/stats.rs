@@ -92,9 +92,6 @@ pub struct QueueDepth {
     /// waited in it at once.  (`capacity` admits the pipeline's whole pool
     /// and its caboose, so reaching it stalls no one.)
     pub max_depth: usize,
-    /// Whether the planner specialized this queue to the single-producer
-    /// single-consumer ring.
-    pub spsc: bool,
     /// Queue implementation label: `"spsc"` for a link between two
     /// single-thread stages, `"mutex"` for every other queue the planner
     /// builds (the `"lockfree"` ring is built only by `qbench`'s rows).
@@ -474,7 +471,6 @@ impl Report {
                 .counters
                 .iter()
                 .map(|(k, _)| group_of(k))
-                .chain(self.metrics.gauges.iter().map(|(k, _)| group_of(k)))
                 .chain(self.metrics.histograms.iter().map(|(k, _)| group_of(k)))
                 .collect();
             groups.sort();
@@ -488,9 +484,6 @@ impl Report {
                     .filter(|(k, _)| group_of(k) == g)
                 {
                     out.push_str(&format!("{k} = {v}\n"));
-                }
-                for (k, gauge) in self.metrics.gauges.iter().filter(|(k, _)| group_of(k) == g) {
-                    out.push_str(&format!("{k} = {} (peak {})\n", gauge.value, gauge.peak));
                 }
                 for (k, h) in self
                     .metrics
@@ -736,13 +729,12 @@ mod render_tests {
             name: "p[1]".into(),
             capacity: 4,
             max_depth: 3,
-            spsc: true,
             flavor: "spsc".into(),
         });
         let reg = crate::metrics::MetricsRegistry::new();
         reg.counter("core/accepts").add(7);
         reg.histogram("disk/read_ns").record(1_000);
-        reg.gauge("comm/inflight").set(2);
+        reg.counter("comm/msgs/0->1").add(2);
         report.metrics = reg.snapshot();
         let text = report.render_dashboard();
         for section in [

@@ -6,10 +6,10 @@
 //! *after* a run ends.  A [`TelemetryServer`] answers them *while the
 //! pipeline is running*: it serves `GET /metrics` (Prometheus text format
 //! 0.0.4, via [`MetricsSnapshot::to_prometheus`](crate::MetricsSnapshot::to_prometheus)),
-//! `GET /report` (the live dashboard text) and `GET /resources` over a
-//! plain `std::net::TcpListener`, so a long-running `fgsort` or
-//! `experiments` invocation can be scraped by a stock Prometheus or
-//! inspected with `curl`.
+//! `GET /report` (the live dashboard text), `GET /resources` and
+//! `GET /healthz` over a plain `std::net::TcpListener`, so a long-running
+//! `fgsort` or `experiments` invocation can be scraped by a stock
+//! Prometheus or inspected with `curl`.
 //!
 //! Every answer is read when it is asked for: a registry snapshot, or one
 //! [`ResourceReport::sample_now`](crate::ResourceReport::sample_now).
@@ -27,10 +27,6 @@ use crate::metrics::MetricsRegistry;
 use crate::profile::{MemoryLedger, ResourceReport};
 use crate::stats::Report;
 
-/// Source of the `GET /report` body — entry points with richer context (a
-/// finished pass's [`Report`]) can install their own renderer.
-pub type ReportFn = Arc<dyn Fn() -> String + Send + Sync>;
-
 /// A minimal HTTP/1.1 endpoint exposing a [`MetricsRegistry`] while a run
 /// is in flight.
 ///
@@ -38,22 +34,17 @@ pub type ReportFn = Arc<dyn Fn() -> String + Send + Sync>;
 ///
 /// * `GET /metrics` — the registry snapshot in Prometheus text format
 ///   0.0.4 ([`MetricsSnapshot::to_prometheus`]);
-/// * `GET /report` — human-readable live dashboard text (by default
+/// * `GET /report` — human-readable live dashboard text:
 ///   [`Report::render_dashboard`] over the current snapshot and a live
-///   resource sample);
-/// * `GET /cluster` — the merged [`ClusterReport`](crate::ClusterReport)
-///   as JSON, when a cluster source was installed with
-///   [`TelemetryServer::bind_all`] (`404` otherwise);
+///   resource sample;
 /// * `GET /resources` — a live [`ResourceReport`] as JSON (per-thread CPU
 ///   attribution, process RSS/peak, allocator counters, and the buffer
-///   ledger when one was installed with [`TelemetryServer::bind_all`]),
-///   sampled fresh on every request;
+///   ledger when one was given to [`TelemetryServer::bind`]), sampled
+///   fresh on every request;
 /// * `GET /healthz` — liveness probe, always `200 ok`;
 /// * any other path — `404` with a body listing the routes above.
 ///
-/// Each scrape also increments the registry's `telemetry/scrapes` counter,
-/// so the exposition layer is observable through itself.  The listener
-/// thread shuts down when the server is dropped.
+/// The listener thread shuts down when the server is dropped.
 pub struct TelemetryServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -62,42 +53,17 @@ pub struct TelemetryServer {
 
 impl TelemetryServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and start
-    /// serving the registry.
-    pub fn bind(addr: impl ToSocketAddrs, registry: Arc<MetricsRegistry>) -> std::io::Result<Self> {
-        Self::bind_all(addr, registry, None, None, None)
-    }
-
-    /// [`TelemetryServer::bind`] with a custom `GET /report` body, a
-    /// cluster-report source for `GET /cluster` and a memory ledger for
-    /// `GET /resources`.
-    /// `cluster` should return the current
-    /// [`ClusterReport`](crate::ClusterReport) serialized as JSON
-    /// ([`ClusterReport::to_json`](crate::ClusterReport::to_json)); without
-    /// it the route answers `404`.  `ledger` rows are folded into every
-    /// `/resources` response when given.
-    pub fn bind_all(
+    /// serving the registry; `ledger`'s rows are folded into every
+    /// `/report` and `/resources` response when given.
+    pub fn bind(
         addr: impl ToSocketAddrs,
         registry: Arc<MetricsRegistry>,
-        report: Option<ReportFn>,
-        cluster: Option<ReportFn>,
         ledger: Option<Arc<MemoryLedger>>,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
-        let report = report.unwrap_or_else(|| {
-            let registry = Arc::clone(&registry);
-            let ledger = ledger.clone();
-            Arc::new(move || {
-                Report {
-                    metrics: registry.snapshot(),
-                    resources: Some(ResourceReport::sample_now(ledger.as_deref())),
-                    ..Report::default()
-                }
-                .render_dashboard()
-            })
-        });
         let handle = std::thread::Builder::new()
             .name("fg-telemetry-server".into())
             .spawn(move || {
@@ -107,13 +73,7 @@ impl TelemetryServer {
                         return;
                     }
                     let Ok(mut stream) = conn else { continue };
-                    serve_one(
-                        &mut stream,
-                        &registry,
-                        &report,
-                        cluster.as_ref(),
-                        ledger.as_deref(),
-                    );
+                    serve_one(&mut stream, &registry, ledger.as_deref());
                 }
             })
             .expect("spawn telemetry server");
@@ -142,13 +102,7 @@ impl Drop for TelemetryServer {
 }
 
 /// Handle one connection: parse the request line, route, respond, close.
-fn serve_one(
-    stream: &mut TcpStream,
-    registry: &MetricsRegistry,
-    report: &ReportFn,
-    cluster: Option<&ReportFn>,
-    ledger: Option<&MemoryLedger>,
-) {
+fn serve_one(stream: &mut TcpStream, registry: &MetricsRegistry, ledger: Option<&MemoryLedger>) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
     let mut buf = [0u8; 1024];
     let mut len = 0;
@@ -170,41 +124,35 @@ fn serve_one(
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
     let (status, content_type, body) = match (method, path) {
-        ("GET", "/metrics") => {
-            registry.counter("telemetry/scrapes").inc();
-            (
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                registry.snapshot().to_prometheus(),
-            )
-        }
+        ("GET", "/metrics") => (
+            "200 OK",
+            "text/plain; version=0.0.4; charset=utf-8",
+            registry.snapshot().to_prometheus(),
+        ),
         ("GET", "/report") => {
-            registry.counter("telemetry/scrapes").inc();
-            ("200 OK", "text/plain; charset=utf-8", report())
-        }
-        ("GET", "/cluster") if cluster.is_some() => {
-            registry.counter("telemetry/scrapes").inc();
+            let live = Report {
+                metrics: registry.snapshot(),
+                resources: Some(ResourceReport::sample_now(ledger)),
+                ..Report::default()
+            };
             (
                 "200 OK",
-                "application/json; charset=utf-8",
-                cluster.unwrap()(),
+                "text/plain; charset=utf-8",
+                live.render_dashboard(),
             )
         }
-        ("GET", "/resources") => {
-            registry.counter("telemetry/scrapes").inc();
-            (
-                "200 OK",
-                "application/json; charset=utf-8",
-                ResourceReport::sample_now(ledger)
-                    .to_json_value()
-                    .to_string(),
-            )
-        }
+        ("GET", "/resources") => (
+            "200 OK",
+            "application/json; charset=utf-8",
+            ResourceReport::sample_now(ledger)
+                .to_json_value()
+                .to_string(),
+        ),
         ("GET", "/healthz") => ("200 OK", "text/plain; charset=utf-8", "ok\n".to_string()),
         ("GET", _) => (
             "404 Not Found",
             "text/plain; charset=utf-8",
-            "not found; routes: /metrics /report /cluster /resources /healthz\n".to_string(),
+            "not found; routes: /metrics /report /resources /healthz\n".to_string(),
         ),
         _ => (
             "405 Method Not Allowed",

@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use fg_core::cluster_report::{ClusterReport, RankReport};
-use fg_core::metrics::{GaugeSnapshot, HistogramSnapshot, MetricsSnapshot};
+use fg_core::metrics::{HistogramSnapshot, MetricsSnapshot};
 use fg_core::profile::{
     AllocResources, LedgerSnapshot, ResourceReport, StageResidency, ThreadResources,
 };
@@ -82,22 +82,6 @@ fn metrics() -> MetricsSnapshot {
             ("core/stage_buffers/read".into(), 4),
             ("core/stage_busy_ns/read".into(), 8_250),
             ("core/stage_rounds/read".into(), 4),
-        ],
-        gauges: vec![
-            (
-                "resource/ledger/read/bytes".into(),
-                GaugeSnapshot {
-                    value: 1_024,
-                    peak: 4_096,
-                },
-            ),
-            (
-                "resource/rss_bytes".into(),
-                GaugeSnapshot {
-                    value: 10_000,
-                    peak: 12_000,
-                },
-            ),
         ],
         histograms: vec![
             ("comm/allgather_ns/r0".into(), histogram()),
@@ -226,21 +210,18 @@ fn report() -> Report {
                 name: "recycle/p".into(),
                 capacity: 5,
                 max_depth: 4,
-                spsc: false,
                 flavor: "lockfree".into(),
             },
             QueueDepth {
                 name: "p[1]".into(),
                 capacity: 5,
                 max_depth: 2,
-                spsc: false,
                 flavor: "lockfree".into(),
             },
             QueueDepth {
                 name: "p[2]".into(),
                 capacity: 5,
                 max_depth: 1,
-                spsc: true,
                 flavor: "spsc".into(),
             },
         ],

@@ -285,7 +285,6 @@ fn spsc_detection_specializes_plain_chains_only() {
             .iter()
             .find(|q| q.name == name)
             .unwrap_or_else(|| panic!("queue {name} missing"));
-        assert_eq!(q.spsc, q.flavor == "spsc", "spsc bool disagrees with label");
         q.flavor.clone()
     };
     // a -> farm: the farm's replicas also push (caboose handoff): MPMC,

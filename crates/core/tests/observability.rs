@@ -85,20 +85,15 @@ fn metrics_registry_collects_core_metrics_and_queue_depths() {
     for stage in ["fill", "check"] {
         let counter = |prefix: &str| report.metrics.counter(&format!("core/{prefix}/{stage}"));
         assert_eq!(counter("stage_rounds"), Some(ROUNDS));
-        assert_eq!(counter("stage_buffers"), Some(ROUNDS));
         assert!(counter("stage_busy_ns").is_some());
     }
 
-    // Every wired queue reports depth statistics and a live gauge.
+    // Every wired queue reports its depth statistics in the report, with
+    // or without a registry.
     assert!(!report.queues.is_empty());
     for q in &report.queues {
         assert!(q.max_depth <= q.capacity, "{q:?}");
         assert!(q.max_depth > 0, "every queue carried traffic: {q:?}");
-        let gauge = report
-            .metrics
-            .gauge(&format!("core/queue_depth/{}", q.name))
-            .unwrap_or_else(|| panic!("no gauge for queue {:?}", q.name));
-        assert_eq!(gauge.peak as usize, q.max_depth);
     }
 
     // The dashboard renders every section for this run.
@@ -149,9 +144,8 @@ fn metrics_md_catalogues_every_name_a_run_emits() {
     assert!(report.resources.is_some_and(|r| r.ledger.is_some()));
 
     let snap = registry.snapshot();
-    let names = (snap.counters.iter().map(|(n, _)| n))
-        .chain(snap.gauges.iter().map(|(n, _)| n))
-        .chain(snap.histograms.iter().map(|(n, _)| n));
+    let names =
+        (snap.counters.iter().map(|(n, _)| n)).chain(snap.histograms.iter().map(|(n, _)| n));
     let missing: Vec<&String> = names
         .filter(|n| !catalogue.iter().any(|p| fills(p, n)))
         .collect();

@@ -13,17 +13,10 @@ use fg_core::{
 
 /// Build a snapshot by replaying `(metric index, value)` ops against a
 /// fresh registry, so every generated snapshot is internally consistent.
-fn snapshot_from(
-    counters: &[(u8, u64)],
-    gauges: &[(u8, u64)],
-    samples: &[(u8, u64)],
-) -> MetricsSnapshot {
+fn snapshot_from(counters: &[(u8, u64)], samples: &[(u8, u64)]) -> MetricsSnapshot {
     let reg = MetricsRegistry::new();
     for (i, v) in counters {
         reg.counter(&format!("c{}", i % 4)).add(*v);
-    }
-    for (i, v) in gauges {
-        reg.gauge(&format!("g{}", i % 4)).set(*v);
     }
     for (i, v) in samples {
         reg.histogram(&format!("h{}", i % 4)).record(*v);
@@ -161,13 +154,13 @@ proptest! {
     /// last writer of each name survives, regardless of grouping.
     #[test]
     fn snapshot_merge_is_associative(
-        a in (ops(), ops(), ops()),
-        b in (ops(), ops(), ops()),
-        c in (ops(), ops(), ops()),
+        a in (ops(), ops()),
+        b in (ops(), ops()),
+        c in (ops(), ops()),
     ) {
-        let a = snapshot_from(&a.0, &a.1, &a.2);
-        let b = snapshot_from(&b.0, &b.1, &b.2);
-        let c = snapshot_from(&c.0, &c.1, &c.2);
+        let a = snapshot_from(&a.0, &a.1);
+        let b = snapshot_from(&b.0, &b.1);
+        let c = snapshot_from(&c.0, &c.1);
         let mut left = a.clone();
         left.merge(&b);
         left.merge(&c);
@@ -224,26 +217,11 @@ fn percentile_p_is_clamped_to_unit_interval() {
 }
 
 #[test]
-fn merge_replaces_gauge_peaks_rather_than_maxing() {
-    // Documented replace semantics: a merged-in gauge's peak wins even
-    // when lower, because each snapshot is a self-consistent point in time.
-    let a = MetricsRegistry::new();
-    a.gauge("g").set(100);
-    let b = MetricsRegistry::new();
-    b.gauge("g").set(5);
-    let mut merged = a.snapshot();
-    merged.merge(&b.snapshot());
-    let g = merged.gauge("g").unwrap();
-    assert_eq!(g.value, 5);
-    assert_eq!(g.peak, 5);
-}
-
-#[test]
 fn merge_with_empty_is_identity_and_keeps_sorted_order() {
     let reg = MetricsRegistry::new();
     reg.counter("z").inc();
     reg.counter("a").inc();
-    reg.gauge("m").set(7);
+    reg.histogram("m").record(7);
     let snap = reg.snapshot();
     let mut merged = snap.clone();
     merged.merge(&MetricsSnapshot::default());

@@ -52,7 +52,7 @@ fn assert_valid_prometheus(body: &str) {
             );
             let kind = parts.next().expect("type line has a kind");
             assert!(
-                ["counter", "gauge", "histogram"].contains(&kind),
+                ["counter", "histogram"].contains(&kind),
                 "bad kind {kind:?}"
             );
             continue;
@@ -105,7 +105,9 @@ fn assert_valid_prometheus(body: &str) {
 fn populated_registry() -> Arc<MetricsRegistry> {
     let reg = Arc::new(MetricsRegistry::new());
     reg.counter("core/accepts").add(42);
-    reg.gauge("core/queue_depth/p[1]").set(3);
+    // Registered, still zero at the first scrape: dashboards discover
+    // series from the first scrape, so it must be announced anyway.
+    reg.counter("core/idle_counter");
     let h = reg.histogram("disk/d0/read_ns");
     for v in [100, 1_000, 10_000, 100_000] {
         h.record(v);
@@ -116,7 +118,7 @@ fn populated_registry() -> Arc<MetricsRegistry> {
 #[test]
 fn metrics_endpoint_serves_valid_prometheus_text() {
     let reg = populated_registry();
-    let server = TelemetryServer::bind("127.0.0.1:0", Arc::clone(&reg)).expect("bind");
+    let server = TelemetryServer::bind("127.0.0.1:0", Arc::clone(&reg), None).expect("bind");
     let (status, headers, body) = http_get(server.local_addr(), "/metrics");
     assert!(status.contains("200"), "status was {status}");
     assert_eq!(
@@ -128,62 +130,17 @@ fn metrics_endpoint_serves_valid_prometheus_text() {
         Some(body.len())
     );
     assert!(body.contains("fg_core_accepts 42"), "body:\n{body}");
-    assert!(body.contains("fg_core_queue_depth_p_1"), "body:\n{body}");
+    assert!(
+        body.contains("# TYPE fg_core_idle_counter counter\nfg_core_idle_counter 0\n"),
+        "a zero counter lost its TYPE line, body:\n{body}"
+    );
     assert_valid_prometheus(&body);
-}
-
-#[test]
-fn zero_valued_gauges_keep_their_type_lines() {
-    // Regression guard: a gauge that is registered but still zero at the
-    // first scrape (a write-behind queue that never filled, say) must
-    // still be announced with a `# TYPE` line and a zero sample —
-    // dashboards discover series from the first scrape.
-    let reg = Arc::new(MetricsRegistry::new());
-    reg.gauge("core/idle_gauge").set(0);
-    reg.counter("core/idle_counter");
-    // Per-row gauges follow the same discovery contract: a row that never
-    // moved (a thread with no CPU yet, an allocator tag that never fired)
-    // still announces its series on the first scrape.
-    reg.gauge("resource/thread/sort/utime_ns").set(0);
-    reg.gauge("resource/alloc/sort/count").set(0);
-    let server = TelemetryServer::bind("127.0.0.1:0", Arc::clone(&reg)).expect("bind");
-    let (_, _, body) = http_get(server.local_addr(), "/metrics");
-    assert!(
-        body.contains("# TYPE fg_core_idle_gauge gauge"),
-        "zero gauge lost its TYPE line, body:\n{body}"
-    );
-    assert!(body.contains("fg_core_idle_gauge 0"), "body:\n{body}");
-    assert!(
-        body.contains("# TYPE fg_core_idle_counter counter"),
-        "zero counter lost its TYPE line, body:\n{body}"
-    );
-    assert!(body.contains("fg_core_idle_counter 0"), "body:\n{body}");
-    assert!(
-        body.contains("# TYPE fg_resource_thread_sort_utime_ns gauge"),
-        "zero resource gauge lost its TYPE line, body:\n{body}"
-    );
-    assert!(
-        body.contains("fg_resource_alloc_sort_count 0"),
-        "body:\n{body}"
-    );
-}
-
-#[test]
-fn scrape_counter_increments_per_request() {
-    let reg = populated_registry();
-    let server = TelemetryServer::bind("127.0.0.1:0", Arc::clone(&reg)).expect("bind");
-    let (_, _, first) = http_get(server.local_addr(), "/metrics");
-    let (_, _, second) = http_get(server.local_addr(), "/metrics");
-    // Each request bumps the counter before snapshotting, so a scrape
-    // observes itself.
-    assert!(first.contains("fg_telemetry_scrapes 1"), "body:\n{first}");
-    assert!(second.contains("fg_telemetry_scrapes 2"), "body:\n{second}");
 }
 
 #[test]
 fn report_endpoint_renders_dashboard() {
     let reg = populated_registry();
-    let server = TelemetryServer::bind("127.0.0.1:0", Arc::clone(&reg)).expect("bind");
+    let server = TelemetryServer::bind("127.0.0.1:0", Arc::clone(&reg), None).expect("bind");
     let (status, _, body) = http_get(server.local_addr(), "/report");
     assert!(status.contains("200"), "status was {status}");
     assert!(body.contains("core/accepts"), "body:\n{body}");
@@ -200,11 +157,11 @@ fn report_endpoint_renders_dashboard() {
 #[test]
 fn unknown_path_is_404_and_server_survives() {
     let reg = populated_registry();
-    let server = TelemetryServer::bind("127.0.0.1:0", Arc::clone(&reg)).expect("bind");
+    let server = TelemetryServer::bind("127.0.0.1:0", Arc::clone(&reg), None).expect("bind");
     let (status, _, body) = http_get(server.local_addr(), "/nope");
     assert!(status.contains("404"), "status was {status}");
     // The 404 body tells the operator where to look instead.
-    for route in ["/metrics", "/report", "/cluster", "/resources", "/healthz"] {
+    for route in ["/metrics", "/report", "/resources", "/healthz"] {
         assert!(body.contains(route), "404 body missing {route}: {body}");
     }
     // The listener keeps serving after a 404.
@@ -215,7 +172,7 @@ fn unknown_path_is_404_and_server_survives() {
 #[test]
 fn healthz_answers_ok() {
     let reg = populated_registry();
-    let server = TelemetryServer::bind("127.0.0.1:0", Arc::clone(&reg)).expect("bind");
+    let server = TelemetryServer::bind("127.0.0.1:0", Arc::clone(&reg), None).expect("bind");
     let (status, headers, body) = http_get(server.local_addr(), "/healthz");
     assert!(status.contains("200"), "status was {status}");
     assert_eq!(body, "ok\n");
@@ -226,48 +183,9 @@ fn healthz_answers_ok() {
 }
 
 #[test]
-fn cluster_endpoint_serves_the_installed_report() {
-    use std::time::Duration;
-
-    let reg = populated_registry();
-    // Without a cluster source, the route 404s.
-    let server = TelemetryServer::bind("127.0.0.1:0", Arc::clone(&reg)).expect("bind");
-    let (status, _, _) = http_get(server.local_addr(), "/cluster");
-    assert!(status.contains("404"), "status was {status}");
-    drop(server);
-
-    // With one, it serves the merged report as JSON.
-    let mut cr = fg_core::ClusterReport::new(2);
-    for rank in 0..2 {
-        cr.push(fg_core::RankReport {
-            rank,
-            wall: Duration::from_millis(10),
-            reports: Vec::new(),
-            metrics: fg_core::MetricsSnapshot::default(),
-        });
-    }
-    let body_src = cr.to_json();
-    let server = TelemetryServer::bind_all(
-        "127.0.0.1:0",
-        Arc::clone(&reg),
-        None,
-        Some(Arc::new(move || body_src.clone())),
-        None,
-    )
-    .expect("bind");
-    let (status, headers, body) = http_get(server.local_addr(), "/cluster");
-    assert!(status.contains("200"), "status was {status}");
-    assert_eq!(
-        headers.get("content-type").map(String::as_str),
-        Some("application/json; charset=utf-8")
-    );
-    assert_eq!(body, cr.to_json(), "the report's own bytes");
-}
-
-#[test]
 fn resources_endpoint_serves_a_live_sample() {
     let reg = populated_registry();
-    let server = TelemetryServer::bind("127.0.0.1:0", Arc::clone(&reg)).expect("bind");
+    let server = TelemetryServer::bind("127.0.0.1:0", Arc::clone(&reg), None).expect("bind");
     let (status, headers, body) = http_get(server.local_addr(), "/resources");
     assert!(status.contains("200"), "status was {status}");
     assert_eq!(
@@ -283,12 +201,6 @@ fn resources_endpoint_serves_a_live_sample() {
         j.get("alloc_tracking").and_then(fg_core::Json::as_bool),
         Some(false)
     );
-    // Each request bumps the same scrape counter as /metrics.
-    let (_, _, metrics) = http_get(server.local_addr(), "/metrics");
-    assert!(
-        metrics.contains("fg_telemetry_scrapes 2"),
-        "body:\n{metrics}"
-    );
 }
 
 #[test]
@@ -297,14 +209,8 @@ fn resources_endpoint_reports_the_installed_ledger() {
     let ledger = Arc::new(fg_core::MemoryLedger::with_budget(64 << 20));
     ledger.stage("sort").acquire(8 << 20);
     ledger.charge_pool(8 << 20);
-    let server = TelemetryServer::bind_all(
-        "127.0.0.1:0",
-        Arc::clone(&reg),
-        None,
-        None,
-        Some(Arc::clone(&ledger)),
-    )
-    .expect("bind");
+    let server = TelemetryServer::bind("127.0.0.1:0", Arc::clone(&reg), Some(Arc::clone(&ledger)))
+        .expect("bind");
     let (status, _, body) = http_get(server.local_addr(), "/resources");
     assert!(status.contains("200"), "status was {status}");
     let j = fg_core::Json::parse(&body).expect("resources body is JSON");

@@ -46,10 +46,9 @@
 //! waiting.
 //!
 //! With a metrics registry attached, the scheduler reports
-//! `disk/{label}/prefetch_hit`, `disk/{label}/prefetch_miss`, the
-//! `disk/{label}/writeback_queue_depth` gauge (write calls staged and not
-//! yet landed) and the `disk/{label}/writeback_wait_ns` histogram (one
-//! sample per write call that blocked on a full staging buffer).
+//! `disk/{label}/prefetch_hit`, `disk/{label}/prefetch_miss` and the
+//! `disk/{label}/writeback_wait_ns` histogram (one sample per write call
+//! that blocked on a full staging buffer).
 //!
 //! No program is handed a scheduler: a read stage's buffer pool already is
 //! its read-ahead, and a write stage its write-behind (DESIGN.md §6).  Code
@@ -61,7 +60,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use fg_core::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
+use fg_core::metrics::{Counter, Histogram, MetricsRegistry};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::disk::{Disk, DiskRef, DiskStats};
@@ -110,8 +109,7 @@ struct Extent {
 struct Staging {
     bytes: Vec<u8>,
     extents: Vec<Extent>,
-    /// `write_at`/`append` calls staged here (the queue-depth gauge counts
-    /// calls, not extents).
+    /// `write_at`/`append` calls staged here (calls, not extents).
     calls: usize,
 }
 
@@ -165,7 +163,6 @@ struct FetchReq {
 struct SchedMetrics {
     hits: Arc<Counter>,
     misses: Arc<Counter>,
-    queue_depth: Arc<Gauge>,
     writeback_wait: Arc<Histogram>,
 }
 
@@ -277,13 +274,6 @@ struct Shared {
 }
 
 impl Shared {
-    fn set_queue_gauge(&self, st: &State) {
-        if let Some(m) = &self.metrics {
-            m.queue_depth
-                .set((st.filling.calls + st.draining_calls) as u64);
-        }
-    }
-
     fn logical_len(&self, st: &mut State, id: FileId) -> u64 {
         let file = st.file(id);
         *file
@@ -361,7 +351,6 @@ impl Shared {
         if st.filling.push(id, offset, data) {
             st.file(id).pending += 1;
         }
-        self.set_queue_gauge(&st);
         self.work_cv.notify_one();
         offset
     }
@@ -391,9 +380,9 @@ impl IoScheduler {
         Self::build(inner, depth, None, "io")
     }
 
-    /// Like [`IoScheduler::new`], recording prefetch hit/miss counters, the
-    /// write-behind queue-depth gauge and the back-pressure wait histogram
-    /// into `registry` under `disk/{label}/…`.
+    /// Like [`IoScheduler::new`], recording prefetch hit/miss counters and
+    /// the back-pressure wait histogram into `registry` under
+    /// `disk/{label}/…`.
     pub fn with_metrics(
         inner: DiskRef,
         depth: usize,
@@ -403,7 +392,6 @@ impl IoScheduler {
         let metrics = SchedMetrics {
             hits: registry.counter(&format!("disk/{label}/prefetch_hit")),
             misses: registry.counter(&format!("disk/{label}/prefetch_miss")),
-            queue_depth: registry.gauge(&format!("disk/{label}/writeback_queue_depth")),
             writeback_wait: registry.histogram(&format!("disk/{label}/writeback_wait_ns")),
         };
         Self::build(inner, depth, Some(metrics), label)
@@ -582,7 +570,6 @@ fn worker_loop(sh: &Shared) {
                 if let Some(e) = err {
                     st.first_error.get_or_insert(e);
                 }
-                sh.set_queue_gauge(&st);
                 sh.idle_cv.notify_all();
             }
             Job::Fetch(req, mut block) => {
@@ -1086,9 +1073,6 @@ mod tests {
                 (1..24).contains(&waits),
                 "24 writes, {waits} of them blocked"
             );
-            let depth = snap.gauge("disk/d0/writeback_queue_depth").unwrap();
-            assert_eq!(depth.value, 0);
-            assert!((1..=24).contains(&depth.peak), "peak depth {}", depth.peak);
         });
     }
 

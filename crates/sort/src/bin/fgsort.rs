@@ -385,13 +385,7 @@ fn main() -> ExitCode {
     }
     let telemetry = match &opts.telemetry {
         Some(addr) => {
-            match TelemetryServer::bind_all(
-                addr.as_str(),
-                Arc::clone(&registry),
-                None,
-                None,
-                cfg.ledger.clone(),
-            ) {
+            match TelemetryServer::bind(addr.as_str(), Arc::clone(&registry), cfg.ledger.clone()) {
                 Ok(server) => {
                     println!(
                         "telemetry: serving /metrics, /report, /resources, /healthz on http://{}",

@@ -7,7 +7,6 @@ use std::time::Duration;
 use fg_cluster::NetCfg;
 use fg_pdm::DiskCfg;
 
-use crate::kernels::SortScratch;
 use crate::keygen::KeyDist;
 use crate::record::RecordFormat;
 use crate::SortError;
@@ -182,14 +181,6 @@ impl SortConfig {
         if let Some(ledger) = &self.ledger {
             prog.set_memory_ledger(Arc::clone(ledger));
         }
-    }
-
-    /// Fresh kernel scratch, wired to this config's metrics registry (when
-    /// present) so the `kernel/*` counters are published: what a run's
-    /// [`Node`](crate::driver::Node) makes for each sort-stage replica.
-    pub fn sort_scratch(&self) -> SortScratch {
-        let wired = SortScratch::with_registry;
-        self.metrics.as_deref().map_or_else(SortScratch::new, wired)
     }
 
     /// Total records across the cluster.

@@ -42,7 +42,8 @@ pub struct Node {
     phases: Vec<(&'static str, Duration)>,
     reports: Vec<Report>,
     /// Sort scratch, one a sort-stage replica: each pass's stage `i`
-    /// borrows the `i`-th while its program runs, and the node drops it.
+    /// borrows the `i`-th while its program runs.  A program whose last
+    /// sorting pass has run clears it; the node drops what is left.
     pub(crate) scratch: Vec<Arc<Mutex<SortScratch>>>,
 }
 
@@ -169,7 +170,7 @@ pub fn launch_observed<T: Send + 'static>(
         if per_rank {
             cfg.metrics = ctx.registry().cloned();
         }
-        let scratch = (0..cfg.workers).map(|_| Arc::new(Mutex::new(cfg.sort_scratch())));
+        let scratch = (0..cfg.workers).map(|_| Arc::new(Mutex::new(SortScratch::new())));
         let mut node = Node {
             scratch: scratch.collect(),
             cfg,
@@ -211,4 +212,28 @@ pub fn launch_observed<T: Send + 'static>(
         metrics: run.metrics,
         node_metrics: run.node_metrics,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Pass 1 is dsort's and dsort-linear's last sort: a node frees its
+    /// sort scratch there, not when the run ends.
+    #[test]
+    fn a_node_frees_its_sort_scratch_after_its_last_sort() -> Result<(), SortError> {
+        let cfg = SortConfig::test_default(2, 64);
+        type Passes = fn(&mut Node) -> Result<(), SortError>;
+        let dsort: Passes = |node| crate::dsort::passes(node, true).map(drop);
+        for passes in [dsort, crate::dsort_linear::passes] {
+            let disks = crate::input::provision(&cfg);
+            let run = launch(&cfg, &disks, move |node| {
+                let scratch = Arc::downgrade(&node.scratch[0]);
+                passes(node)?;
+                Ok(scratch.upgrade().is_none())
+            })?;
+            assert!(run.ranks.iter().all(|rank| rank.out));
+        }
+        Ok(())
+    }
 }

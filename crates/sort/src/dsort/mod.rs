@@ -25,7 +25,7 @@ use fg_core::metrics::{MetricsRegistry, MetricsSnapshot};
 use fg_pdm::{DiskRef, DiskStats};
 
 use crate::config::SortConfig;
-use crate::driver;
+use crate::driver::{self, Node};
 use crate::SortError;
 
 /// Timings and counters from one dsort run.
@@ -124,26 +124,12 @@ pub fn run_dsort_with(
 ) -> Result<DsortReport, SortError> {
     let virtual_reads = opts.virtual_reads;
     let run = driver::launch_observed(cfg, disks, opts.metrics, opts.observe, move |node| {
-        let splitters = node.phase("sampling", |node| sampling::select_splitters(node))?;
-        let run_len = plan::run_len(&node.cfg);
-        let run_lens = node.phase("pass 1", |node| pass1::pass1(node, &splitters, run_len))?;
-        // Pass 2: merge, load-balance, stripe.  The exchange of partition
-        // sizes (needed for global rank offsets) is part of the pass.
-        let (partitions, threads) = node.phase("pass 2", |node| {
-            let received = run_lens.iter().sum::<u64>() / node.cfg.record.record_bytes as u64;
-            let partitions = node.comm.allgather_u64(received)?;
-            let rank_offset: u64 = partitions[..node.rank].iter().sum(); // records
-            let threads = pass2::pass2(node, &run_lens, rank_offset, virtual_reads)?;
-            Ok((partitions, threads))
-        })?;
-        let runs = node.comm.allgather_u64(run_lens.len() as u64)?;
-        let threads = node.comm.allgather_u64(threads as u64)?;
-        Ok((partitions, runs, threads))
+        passes(node, virtual_reads)
     })?;
 
     let [sampling, pass1, pass2] = run.times();
     let node0 = &run.ranks[0];
-    let (partition_records, runs_per_node, pass2_threads) = node0.out.clone();
+    let [partition_records, runs_per_node, pass2_threads] = node0.out.clone();
     let node0_reports = match &node0.reports[..] {
         [p1, p2] => Some((p1.clone(), p2.clone())),
         _ => None,
@@ -177,4 +163,26 @@ pub fn run_dsort_with(
         cluster,
         phases: run.phases,
     })
+}
+
+/// One node's passes; returns every node's partition records, runs and
+/// pass-2 threads.
+pub(crate) fn passes(node: &mut Node, virtual_reads: bool) -> Result<[Vec<u64>; 3], SortError> {
+    let splitters = node.phase("sampling", |node| sampling::select_splitters(node))?;
+    let run_len = plan::run_len(&node.cfg);
+    let run_lens = node.phase("pass 1", |node| pass1::pass1(node, &splitters, run_len))?;
+    // Pass 1 was the run's last sort: the merge needs no sort scratch.
+    node.scratch.clear();
+    // Pass 2: merge, load-balance, stripe.  The exchange of partition
+    // sizes (needed for global rank offsets) is part of the pass.
+    let (partitions, threads) = node.phase("pass 2", |node| {
+        let received = run_lens.iter().sum::<u64>() / node.cfg.record.record_bytes as u64;
+        let partitions = node.comm.allgather_u64(received)?;
+        let rank_offset: u64 = partitions[..node.rank].iter().sum(); // records
+        let threads = pass2::pass2(node, &run_lens, rank_offset, virtual_reads)?;
+        Ok((partitions, threads))
+    })?;
+    let runs = node.comm.allgather_u64(run_lens.len() as u64)?;
+    let threads = node.comm.allgather_u64(threads as u64)?;
+    Ok([partitions, runs, threads])
 }

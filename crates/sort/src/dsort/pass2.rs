@@ -98,10 +98,6 @@ pub fn pass2(
 
     // ---- merge stage (common to all verticals + the horizontal) ----
     let fmt = cfg.record;
-    let batches = cfg
-        .metrics
-        .as_ref()
-        .map(|r| r.histogram("kernel/merge_batch_records"));
     let merge = prog.add_stage(
         "merge",
         Box::new(move |ctx: &mut StageCtx| {
@@ -117,7 +113,7 @@ pub fn pass2(
                 spent.map_or(Ok(()), |buf| ctx.discard(buf))?;
                 ctx.accept_from(pipes[lane])
             };
-            let mut merge = Merge::new(fmt, pipes.len(), next, batches.clone());
+            let mut merge = Merge::new(fmt, pipes.len(), next);
             // A message's piece starts at global byte offset `goff` and ends
             // at the output's next stripe boundary at the latest: one
             // message, one write.

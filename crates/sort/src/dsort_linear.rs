@@ -70,16 +70,7 @@ pub fn run_dsort_linear(
     cfg: &SortConfig,
     disks: &[DiskRef],
 ) -> Result<DsortLinearReport, SortError> {
-    let mut run = driver::launch(cfg, disks, |node| {
-        let splitters = node.phase("sampling", |node| sampling::select_splitters(node))?;
-        let run_lens = node.phase("pass 1", |node| pass1_linear(node, &splitters))?;
-        node.phase("pass 2", |node| {
-            // Every record received went into exactly one run.
-            let received = run_lens.iter().sum::<u64>() / node.cfg.record.record_bytes as u64;
-            let partitions = node.comm.allgather_u64(received)?;
-            pass2_linear(node, &run_lens, &partitions)
-        })
-    })?;
+    let mut run = driver::launch(cfg, disks, passes)?;
     let [sampling, pass1, pass2] = run.times();
     Ok(DsortLinearReport {
         sampling,
@@ -87,6 +78,20 @@ pub fn run_dsort_linear(
         pass2,
         node0_reports: run.take_node0_reports(),
         phases: run.phases,
+    })
+}
+
+/// One node's passes.
+pub(crate) fn passes(node: &mut Node) -> Result<(), SortError> {
+    let splitters = node.phase("sampling", |node| sampling::select_splitters(node))?;
+    let run_lens = node.phase("pass 1", |node| pass1_linear(node, &splitters))?;
+    // Pass 1 was the run's last sort: the merge needs no sort scratch.
+    node.scratch.clear();
+    node.phase("pass 2", |node| {
+        // Every record received went into exactly one run.
+        let received = run_lens.iter().sum::<u64>() / node.cfg.record.record_bytes as u64;
+        let partitions = node.comm.allgather_u64(received)?;
+        pass2_linear(node, &run_lens, &partitions)
     })
 }
 
@@ -166,7 +171,7 @@ fn pass2_linear(node: &mut Node, run_lens: &[u64], partitions: &[u64]) -> Result
         span.start += data.len() as u64;
         Ok::<_, SortError>((!data.is_empty()).then_some(data))
     };
-    let mut merge = Merge::new(cfg.record, run_lens.len(), next, None);
+    let mut merge = Merge::new(cfg.record, run_lens.len(), next);
     let mut produced = 0u64;
     let mergeread = prog.add_stage(
         "mergeread",

@@ -31,10 +31,6 @@
 //! ([`crate::driver::Node`]) — so steady-state sorting allocates nothing
 //! (`tests/alloc_steady.rs` asserts this under the tracking allocator).
 
-use std::sync::Arc;
-
-use fg_core::metrics::{Counter, MetricsRegistry};
-
 use crate::record::RecordFormat;
 
 /// Which sort kernel to run.
@@ -48,13 +44,6 @@ pub enum Kernel {
     Radix,
     /// The comparison kernel: the byte-identity oracle and K1's other arm.
     Comparison,
-}
-
-/// Metric handles resolved once at scratch construction so the hot loop
-/// never touches the registry's interning lock.
-struct KernelCounters {
-    radix_sorts: Arc<Counter>,
-    comparison_sorts: Arc<Counter>,
 }
 
 /// Reusable scratch for the sort kernels.
@@ -74,24 +63,12 @@ pub struct SortScratch {
     recs: Vec<(u64, u64)>,
     /// A level's two digit histograms; every level below reuses them.
     hist: Vec<usize>,
-    counters: Option<KernelCounters>,
 }
 
 impl SortScratch {
     /// Empty scratch; buffers grow on first use and are then reused.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Scratch whose sorts publish `kernel/*` counters to `registry`.
-    pub fn with_registry(registry: &MetricsRegistry) -> Self {
-        SortScratch {
-            counters: Some(KernelCounters {
-                radix_sorts: registry.counter("kernel/radix_sorts"),
-                comparison_sorts: registry.counter("kernel/comparison_sorts"),
-            }),
-            ..Self::default()
-        }
     }
 
     /// Capacities of the owned record-sized buffers (permutation pairs and
@@ -130,18 +107,12 @@ pub fn sort_records_using(
         scratch.pairs.extend(index_pairs(fmt, bytes));
         // Stable by construction: the original index breaks ties.
         scratch.pairs.sort_unstable();
-        if let Some(c) = &scratch.counters {
-            c.comparison_sorts.inc();
-        }
         return permute(fmt, bytes, &mut scratch.pairs);
     }
     if fmt.record_bytes == 16 {
         radix_sort_rec16(bytes.as_chunks_mut().0, scratch)
     } else {
         radix_sort_wide(fmt, bytes, scratch)
-    }
-    if let Some(c) = &scratch.counters {
-        c.radix_sorts.inc();
     }
 }
 
@@ -580,22 +551,27 @@ mod tests {
 
     #[test]
     fn auto_is_the_radix_kernel_at_every_size() {
-        let reg = MetricsRegistry::new();
-        let mut scratch = SortScratch::with_registry(&reg);
+        // The two kernels leave different footprints in a fresh scratch: a
+        // 16-byte radix sort works through the whole-record array alone,
+        // the comparison kernel through the permutation pairs alone.
         for n in [2u64, 25, 3000] {
             let mut bytes = make_records(F, &(0..n).rev().collect::<Vec<_>>());
+            let mut scratch = SortScratch::new();
             sort_records(F, &mut bytes, &mut scratch);
             assert!(F.is_sorted(&bytes));
+            let (pairs, pairs_tmp, recs) = scratch.capacity_fingerprint();
+            assert_eq!((pairs, pairs_tmp), (0, 0), "{n} records");
+            assert!(recs >= n as usize, "{n} records: recs {recs}");
         }
-        sort_records_using(
-            F,
-            &mut make_records(F, &[2, 1]),
-            &mut scratch,
-            Kernel::Comparison,
+        let mut scratch = SortScratch::new();
+        let mut bytes = make_records(F, &[2, 1]);
+        sort_records_using(F, &mut bytes, &mut scratch, Kernel::Comparison);
+        let (pairs, _, recs) = scratch.capacity_fingerprint();
+        assert!(
+            pairs >= 2 && recs == 0,
+            "{:?}",
+            scratch.capacity_fingerprint()
         );
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("kernel/radix_sorts"), Some(3));
-        assert_eq!(snap.counter("kernel/comparison_sorts"), Some(1));
     }
 
     /// Every level below a group consumes at least eight of the bits that

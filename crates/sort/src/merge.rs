@@ -13,9 +13,6 @@
 
 use std::convert::Infallible;
 use std::hint::select_unpredictable;
-use std::sync::Arc;
-
-use fg_core::metrics::Histogram;
 
 use crate::record::RecordFormat;
 
@@ -263,9 +260,6 @@ pub struct Merge<B, F> {
     started: bool,
     policy: BatchPolicy,
     lanes: Lanes<B, F>,
-    /// Records a batch, when a registry wants them
-    /// (`kernel/merge_batch_records`).
-    batches: Option<Arc<Histogram>>,
 }
 
 /// Each lane's head buffer and how far into it the merge is.
@@ -281,14 +275,13 @@ where
     F: FnMut(usize, Option<B>) -> Result<Option<B>, E>,
 {
     /// A merge over `lanes` lanes brought by `next`.
-    pub fn new(fmt: RecordFormat, lanes: usize, next: F, batches: Option<Arc<Histogram>>) -> Self {
+    pub fn new(fmt: RecordFormat, lanes: usize, next: F) -> Self {
         let heads = (0..lanes).map(|_| None).collect();
         Merge {
             tree: LoserTree::new([None]),
             started: false,
             policy: BatchPolicy::new(),
             lanes: Lanes { fmt, heads, next },
-            batches,
         }
     }
 
@@ -324,9 +317,6 @@ where
             };
             let next = self.lanes.take(lane, |head| {
                 let n = (self.policy.merge_run(&self.tree, fmt, head) * rb).min(room - at);
-                if let Some(h) = &self.batches {
-                    h.record((n / rb) as u64);
-                }
                 put(&head[..n]);
                 at += n;
                 n
@@ -387,7 +377,7 @@ pub fn merge_in_pieces(format: RecordFormat, runs: &[&[u8]], piece: usize) -> Ve
     let next = |lane: usize, _| Ok::<_, Infallible>(pieces[lane].next());
     let total = runs.iter().map(|r| r.len()).sum();
     let mut out = Vec::with_capacity(total);
-    let mut merge = Merge::new(format, runs.len(), next, None);
+    let mut merge = Merge::new(format, runs.len(), next);
     let Ok(_) = merge.merge(total, |batch| out.extend_from_slice(batch));
     out
 }

@@ -589,7 +589,7 @@ fn every_program_is_instrumented_and_reports() {
 /// Every program reads and writes its disks directly, whatever `io_depth`
 /// says: on real files with a registry, the disks publish their own
 /// `disk/d{rank}/…` counters and no I/O scheduler's read-ahead counters or
-/// write-behind gauge.
+/// write-behind wait histogram.
 #[test]
 fn every_program_runs_on_the_bare_backend() {
     use fg_sort::csort4::run_csort4;
@@ -620,13 +620,13 @@ fn every_program_runs_on_the_bare_backend() {
 }
 
 /// What an `IoScheduler` publishes: `disk/*/prefetch_*` counters and
-/// `disk/*/writeback_queue_depth` gauges.
+/// `disk/*/writeback_wait_ns` histograms.
 fn scheduler_metrics(m: &fg_core::MetricsSnapshot) -> Vec<&str> {
     let counters = m.counters.iter().map(|c| &c.0);
-    let gauges = m.gauges.iter().map(|g| &g.0);
+    let histograms = m.histograms.iter().map(|h| &h.0);
     let prefetch = counters.filter(|n| n.contains("/prefetch_"));
-    let queues = gauges.filter(|n| n.ends_with("/writeback_queue_depth"));
-    let names = prefetch.chain(queues).map(String::as_str);
+    let waits = histograms.filter(|n| n.ends_with("/writeback_wait_ns"));
+    let names = prefetch.chain(waits).map(String::as_str);
     names.filter(|n| n.starts_with("disk/")).collect()
 }
 
