@@ -170,11 +170,7 @@ fn scalar_merge(fmt: RecordFormat, runs: &[&[u8]]) -> Vec<u8> {
 /// shrinks the merges for CI (the ratios survive; absolute times don't).
 pub fn run_kernel_bench(quick: bool) -> KernelBenchResult {
     let fmt = RecordFormat::REC16;
-    let (sort_cells, merge_total, reps) = if quick {
-        (3, 64 << 10, 3)
-    } else {
-        (4, 256 << 10, 5)
-    };
+    let (sort_cells, merge_total, reps) = [(4, 256 << 10, 5), (3, 64 << 10, 3)][quick as usize];
     let sort_ns = &[32 << 10, 48 << 10, 512 << 10, 4 << 20][..sort_cells];
 
     // Sort cells: same pristine input restored before every rep, one warm
@@ -200,6 +196,12 @@ pub fn run_kernel_bench(quick: bool) -> KernelBenchResult {
     };
     let sorts = sort_ns.iter().map(sort_cell).collect();
 
+    // A merge arm repeats its merge until a timing lasts 50 ms, and reads a
+    // merge's time: 2 ms arms were decided by host noise (EXPERIMENTS K1).
+    let long = |f: &dyn Fn() -> usize| {
+        let calls = (50_000_000 / best_of(1, f).as_nanos().max(1)) as u32 + 1;
+        best_of(reps, || (0..calls).map(|_| f()).sum::<usize>()) / calls
+    };
     let merge_cell = |lanes: Vec<Vec<u8>>| {
         let refs: Vec<&[u8]> = lanes.iter().map(|l| l.as_slice()).collect();
         let batched = || merge_runs(fmt, &refs);
@@ -207,25 +209,21 @@ pub fn run_kernel_bench(quick: bool) -> KernelBenchResult {
         MergeCell {
             k: lanes.len(),
             per_lane: fmt.count(&lanes[0]),
-            batched: best_of(reps, || batched().len()),
-            staged: best_of(reps, || staged().len()),
-            scalar: best_of(reps, || scalar_merge(fmt, &refs).len()),
+            batched: long(&|| batched().len()),
+            staged: long(&|| staged().len()),
+            scalar: long(&|| scalar_merge(fmt, &refs).len()),
             identical: batched() == scalar_merge(fmt, &refs) && staged() == batched(),
         }
     };
-    let merge = [4usize, 64, 256]
-        .into_iter()
-        .map(|k| merge_cell(presorted_lanes(fmt, k, merge_total / k)))
-        .collect();
-    let merge_interleaved = [16usize, 256]
-        .into_iter()
-        .map(|k| merge_cell(interleaved_lanes(fmt, k, merge_total / k)))
-        .collect();
-
+    let cells = |lanes: fn(RecordFormat, usize, usize) -> Vec<Vec<u8>>, ks: &[usize]| {
+        ks.iter()
+            .map(|&k| merge_cell(lanes(fmt, k, merge_total / k)))
+            .collect()
+    };
     KernelBenchResult {
         sorts,
-        merge,
-        merge_interleaved,
+        merge: cells(presorted_lanes, &[4, 64, 256]),
+        merge_interleaved: cells(interleaved_lanes, &[16, 256]),
     }
 }
 

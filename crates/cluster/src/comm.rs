@@ -62,23 +62,22 @@ pub struct Communicator {
 /// Names: per-peer byte/message counters `comm/bytes/{src}->{dst}` and
 /// `comm/msgs/{src}->{dst}` (which include collective-internal traffic, so
 /// their totals match the fabric's byte accounting), plus **per-rank**
-/// latency histograms `comm/{send,recv_wait,payload_wait}_ns/r{rank}` for user
+/// latency histograms `comm/{recv_wait,payload_wait}_ns/r{rank}` for user
 /// point-to-point calls (`payload_wait` holds only the calls that blocked for
-/// a credit) and `comm/{barrier,broadcast,allgather,alltoallv}_ns/r{rank}`
-/// for collectives.  Labelling by rank keeps each histogram's `count` equal
-/// to the number of operations *that rank* performed — merging N per-node
+/// a credit) and `comm/{barrier,broadcast,allgather}_ns/r{rank}` for
+/// collectives (an `alltoallv` records its span only).  Labelling by rank
+/// keeps each histogram's `count` equal to the number of operations *that
+/// rank* performed — merging N per-node
 /// registries is lossless, and a cluster-wide view sums the per-rank rows
 /// instead of multiplying counts by N as a shared histogram would.
 struct CommMetrics {
     bytes_to: Vec<Arc<Counter>>,
     msgs_to: Vec<Arc<Counter>>,
-    send_ns: Arc<Histogram>,
     recv_wait_ns: Arc<Histogram>,
     payload_wait_ns: Arc<Histogram>,
     barrier_ns: Arc<Histogram>,
     broadcast_ns: Arc<Histogram>,
     allgather_ns: Arc<Histogram>,
-    alltoallv_ns: Arc<Histogram>,
 }
 
 impl CommMetrics {
@@ -90,13 +89,11 @@ impl CommMetrics {
             msgs_to: (0..nodes)
                 .map(|dst| registry.counter(&format!("comm/msgs/{rank}->{dst}")))
                 .collect(),
-            send_ns: registry.histogram(&format!("comm/send_ns/r{rank}")),
             recv_wait_ns: registry.histogram(&format!("comm/recv_wait_ns/r{rank}")),
             payload_wait_ns: registry.histogram(&format!("comm/payload_wait_ns/r{rank}")),
             barrier_ns: registry.histogram(&format!("comm/barrier_ns/r{rank}")),
             broadcast_ns: registry.histogram(&format!("comm/broadcast_ns/r{rank}")),
             allgather_ns: registry.histogram(&format!("comm/allgather_ns/r{rank}")),
-            alltoallv_ns: registry.histogram(&format!("comm/alltoallv_ns/r{rank}")),
         }
     }
 }
@@ -193,15 +190,16 @@ impl Communicator {
     fn collective<T>(
         &self,
         kind: TraceKind,
-        pick: impl Fn(&CommMetrics) -> &Histogram,
+        pick: impl Fn(&CommMetrics) -> Option<&Histogram>,
         op: impl FnOnce() -> Result<T, CommError>,
     ) -> Result<T, CommError> {
         let seq = self.coll_seq.load(Ordering::SeqCst);
         let start_ns = self.trace.as_ref().map(|t| t.ring.now_ns());
-        let timer = self.metrics.as_ref().map(|_| Instant::now());
+        let histogram = self.metrics.as_deref().and_then(pick);
+        let timer = histogram.map(|_| Instant::now());
         let out = op()?;
-        if let (Some(m), Some(t0)) = (&self.metrics, timer) {
-            pick(m).record_duration(t0.elapsed());
+        if let (Some(h), Some(t0)) = (histogram, timer) {
+            h.record_duration(t0.elapsed());
         }
         if let (Some(t), Some(start_ns)) = (&self.trace, start_ns) {
             let end_ns = t.ring.now_ns();
@@ -325,11 +323,7 @@ impl Communicator {
             }
             None => (TraceCtx::NONE, None),
         };
-        let timer = self.metrics.as_ref().map(|_| Instant::now());
         self.send_raw(dst, tag, ctx, payload.into())?;
-        if let (Some(m), Some(t0)) = (&self.metrics, timer) {
-            m.send_ns.record_duration(t0.elapsed());
-        }
         if let (Some(t), Some(start_ns)) = (&self.trace, start_ns) {
             t.ring.record(
                 TraceKind::CommSend,
@@ -417,7 +411,7 @@ impl Communicator {
     pub fn barrier(&self) -> Result<(), CommError> {
         self.collective(
             TraceKind::Barrier,
-            |m| &m.barrier_ns,
+            |m| Some(&m.barrier_ns),
             || self.barrier_impl(),
         )
     }
@@ -444,7 +438,7 @@ impl Communicator {
     pub fn broadcast(&self, root: usize, data: &[u8]) -> Result<Vec<u8>, CommError> {
         self.collective(
             TraceKind::Broadcast,
-            |m| &m.broadcast_ns,
+            |m| Some(&m.broadcast_ns),
             || self.broadcast_impl(root, data),
         )
     }
@@ -490,7 +484,7 @@ impl Communicator {
     pub fn allgather(&self, data: Vec<u8>) -> Result<Vec<Vec<u8>>, CommError> {
         self.collective(
             TraceKind::Allgather,
-            |m| &m.allgather_ns,
+            |m| Some(&m.allgather_ns),
             || {
                 // gather at 0 + broadcast of the length-prefixed concatenation.
                 // Composed from the unobserved internals so the public call
@@ -521,7 +515,7 @@ impl Communicator {
         }
         self.collective(
             TraceKind::Alltoallv,
-            |m| &m.alltoallv_ns,
+            |_| None,
             move || {
                 let tag = self.next_coll_tag();
                 for (dst, part) in parts.iter_mut().enumerate() {

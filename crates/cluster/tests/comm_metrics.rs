@@ -38,16 +38,12 @@ fn run_with_metrics_counts_peer_traffic_and_collectives() {
     // holds exactly one sample per collective call that rank made — the
     // count is per-operation, not multiplied by the cluster size.
     for rank in 0..NODES {
-        for op in ["barrier", "allgather", "alltoallv"] {
+        for op in ["barrier", "allgather"] {
             let name = format!("comm/{op}_ns/r{rank}");
             let h = m.histogram(&name).unwrap();
             assert_eq!(h.count, 1, "{name}");
         }
-        // One point-to-point send and one receive per rank.
-        assert_eq!(
-            m.histogram(&format!("comm/send_ns/r{rank}")).unwrap().count,
-            1
-        );
+        // One point-to-point receive per rank.
         assert_eq!(
             m.histogram(&format!("comm/recv_wait_ns/r{rank}"))
                 .unwrap()

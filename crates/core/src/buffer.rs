@@ -10,6 +10,10 @@
 //! §IV: "each buffer is tied to a specific pipeline"); conveying it through a
 //! stage routes it to that pipeline's successor, and the runtime rejects any
 //! attempt to move a buffer across pipelines.
+//!
+//! A buffer ends with its program; its storage need not.  Programs given
+//! one [`BufferStock`] hand the storage of their pools' buffers on, so the
+//! programs of one owner (a cluster node's passes) make their buffers once.
 
 use std::fmt;
 
@@ -75,6 +79,15 @@ impl Buffer {
             round: 0,
             trace_id: 0,
             meta: 0,
+        }
+    }
+
+    /// A buffer of `storage`, zeroed as a fresh one is, owned by `pipeline`.
+    pub(crate) fn reuse(mut storage: Box<[u8]>, pipeline: PipelineId) -> Self {
+        storage.fill(0);
+        Buffer {
+            data: storage,
+            ..Buffer::new(0, pipeline)
         }
     }
 
@@ -201,6 +214,42 @@ impl Buffer {
     pub fn copy_from(&mut self, src: &[u8]) {
         self.set_filled(src.len());
         self.data[..src.len()].copy_from_slice(src);
+    }
+}
+
+/// The storage of retired pool buffers, shared by the programs of one owner
+/// ([`Program::set_buffer_stock`](crate::Program::set_buffer_stock)).  As
+/// a program is built each pool first takes stored storage of exactly its
+/// buffer size, and what no pool took is freed before any pool allocates
+/// fresh, so a stock carries no memory past a program that does not use
+/// it.  Every buffer a first stage retires, and once the program's threads
+/// have joined every buffer its pools still hold, returns its storage here.
+#[derive(Default)]
+pub struct BufferStock {
+    stored: parking_lot::Mutex<Vec<Box<[u8]>>>,
+}
+
+impl BufferStock {
+    /// An empty stock.
+    pub fn new() -> Self {
+        BufferStock::default()
+    }
+
+    /// The size of each storage the stock holds now.
+    pub fn sizes(&self) -> Vec<usize> {
+        self.stored.lock().iter().map(|s| s.len()).collect()
+    }
+
+    /// Everything stored, for a program's pools to claim from; the stock
+    /// keeps room for the `buffers` the program hands back, so a first
+    /// stage that retires one does not allocate.
+    pub(crate) fn take(&self, buffers: usize) -> Vec<Box<[u8]>> {
+        std::mem::replace(&mut *self.stored.lock(), Vec::with_capacity(buffers))
+    }
+
+    /// Keep `buf`'s storage for a later program.
+    pub(crate) fn put(&self, buf: Buffer) {
+        self.stored.lock().push(buf.data);
     }
 }
 

@@ -34,28 +34,10 @@ impl RankReport {
         self.reports.iter().map(|r| r.total_busy()).sum()
     }
 
-    /// Sum of a histogram's `sum` field (total ns) under `name`.
-    fn hist_sum_ns(&self, name: &str) -> u64 {
-        self.metrics.histogram(name).map_or(0, |h| h.sum)
-    }
-
-    /// Total time this rank spent in user point-to-point sends (includes
-    /// the simulated network charge).
-    pub fn send_ns(&self) -> u64 {
-        self.hist_sum_ns(&format!("comm/send_ns/r{}", self.rank))
-    }
-
     /// Total time this rank spent blocked in user point-to-point receives.
     pub fn recv_wait_ns(&self) -> u64 {
-        self.hist_sum_ns(&format!("comm/recv_wait_ns/r{}", self.rank))
-    }
-
-    /// Total time this rank spent inside collectives.
-    pub fn collective_ns(&self) -> u64 {
-        COLLECTIVE_OPS
-            .iter()
-            .map(|op| self.hist_sum_ns(&format!("comm/{op}_ns/r{}", self.rank)))
-            .sum()
+        let name = format!("comm/recv_wait_ns/r{}", self.rank);
+        self.metrics.histogram(&name).map_or(0, |h| h.sum)
     }
 
     /// JSON object for this rank report.
@@ -70,23 +52,6 @@ impl RankReport {
             ("metrics", self.metrics.to_json_value()),
         ])
     }
-}
-
-/// The collective operations carrying per-rank latency histograms.
-pub const COLLECTIVE_OPS: [&str; 4] = ["barrier", "broadcast", "allgather", "alltoallv"];
-
-/// One collective's latency rollup on one rank (from the per-rank
-/// `comm/{op}_ns/r{rank}` histograms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CollectiveStat {
-    /// Rank that recorded the samples.
-    pub rank: usize,
-    /// Calls this rank made.
-    pub count: u64,
-    /// Total ns this rank spent in the operation.
-    pub total_ns: u64,
-    /// Slowest single call, ns.
-    pub max_ns: u64,
 }
 
 /// Aggregated observability of one cluster run: every rank's report,
@@ -158,24 +123,6 @@ impl ClusterReport {
             .collect()
     }
 
-    /// Latency rollup of collective `op` ("barrier", "broadcast",
-    /// "allgather", "alltoallv") across ranks, one entry per rank that
-    /// recorded samples.
-    pub fn collective(&self, op: &str) -> Vec<CollectiveStat> {
-        self.ranks
-            .iter()
-            .filter_map(|r| {
-                let h = r.metrics.histogram(&format!("comm/{op}_ns/r{}", r.rank))?;
-                (h.count > 0).then_some(CollectiveStat {
-                    rank: r.rank,
-                    count: h.count,
-                    total_ns: h.sum,
-                    max_ns: h.max,
-                })
-            })
-            .collect()
-    }
-
     /// Serialize as a self-contained JSON document.
     pub fn to_json(&self) -> String {
         self.to_json_value().to_string()
@@ -192,14 +139,14 @@ impl ClusterReport {
         ])
     }
 
-    /// Human-readable cluster rollup: per-rank summary table, per-peer
-    /// traffic heatmap, and collective latency breakdown.
+    /// Human-readable cluster rollup: per-rank summary table and per-peer
+    /// traffic heatmap.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("=== cluster report ({} nodes) ===\n", self.nodes));
         out.push_str(&format!(
-            "{:<6} {:>10} {:>10} {:>6} {:>12} {:>12} {:>12}\n",
-            "rank", "wall", "busy", "util", "send", "recv-wait", "collectives"
+            "{:<6} {:>10} {:>10} {:>6} {:>12}\n",
+            "rank", "wall", "busy", "util", "recv-wait"
         ));
         for r in &self.ranks {
             let util = if r.wall.as_nanos() > 0 {
@@ -208,43 +155,15 @@ impl ClusterReport {
                 0.0
             };
             out.push_str(&format!(
-                "{:<6} {:>10} {:>10} {:>5.0}% {:>12} {:>12} {:>12}\n",
+                "{:<6} {:>10} {:>10} {:>5.0}% {:>12}\n",
                 format!("r{}", r.rank),
                 fmt_dur_ns(r.wall.as_nanos() as u64),
                 fmt_dur_ns(r.busy().as_nanos() as u64),
                 util * 100.0,
-                fmt_dur_ns(r.send_ns()),
                 fmt_dur_ns(r.recv_wait_ns()),
-                fmt_dur_ns(r.collective_ns()),
             ));
         }
         out.push_str(&render_traffic_matrix(&self.traffic_matrix()));
-        let mut any = false;
-        for op in COLLECTIVE_OPS {
-            let stats = self.collective(op);
-            if stats.is_empty() {
-                continue;
-            }
-            if !any {
-                out.push_str("collectives:\n");
-                out.push_str(&format!(
-                    "  {:<10} {:<6} {:>7} {:>12} {:>12} {:>12}\n",
-                    "op", "rank", "calls", "total", "mean", "max"
-                ));
-                any = true;
-            }
-            for s in stats {
-                out.push_str(&format!(
-                    "  {:<10} {:<6} {:>7} {:>12} {:>12} {:>12}\n",
-                    op,
-                    format!("r{}", s.rank),
-                    s.count,
-                    fmt_dur_ns(s.total_ns),
-                    fmt_dur_ns(s.total_ns / s.count.max(1)),
-                    fmt_dur_ns(s.max_ns),
-                ));
-            }
-        }
         out
     }
 }
@@ -288,8 +207,6 @@ pub(crate) fn render_traffic_matrix(matrix: &[Vec<u64>]) -> String {
             out.push_str(&format!(" {:>9}{shade}", fmt_bytes(bytes)));
         }
         out.push('\n');
-        let sent: u64 = row.iter().sum();
-        let _ = sent;
     }
     out.push_str("  recv total");
     for dst in 0..nodes {
@@ -340,8 +257,6 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter(&format!("comm/bytes/{rank}->{}", (rank + 1) % 4))
             .add(1000 + rank as u64);
-        reg.histogram(&format!("comm/barrier_ns/r{rank}"))
-            .record(500);
         RankReport {
             rank,
             wall: Duration::from_millis(wall_ms),
@@ -375,24 +290,13 @@ mod tests {
     }
 
     #[test]
-    fn collective_rollup_is_per_rank() {
-        let mut cr = ClusterReport::new(2);
-        cr.push(rank_report(0, 10));
-        cr.push(rank_report(1, 10));
-        let b = cr.collective("barrier");
-        assert_eq!(b.len(), 2);
-        assert!(b.iter().all(|s| s.count == 1));
-        assert!(cr.collective("alltoallv").is_empty());
-    }
-
-    #[test]
-    fn render_includes_matrix_and_collectives() {
+    fn render_includes_ranks_and_matrix() {
         let mut cr = ClusterReport::new(2);
         cr.push(rank_report(0, 5));
         cr.push(rank_report(1, 5));
         let text = cr.render();
         assert!(text.contains("traffic matrix"));
-        assert!(text.contains("barrier"));
+        assert!(text.contains("recv-wait"));
         assert!(text.contains("r0"));
     }
 }

@@ -84,8 +84,8 @@ pub use analyze::{
     diagnose, diagnose_cluster, ClusterDiagnosis, Diagnosis, Recommendation, StageDiagnosis,
     StageVerdict, Verdict,
 };
-pub use buffer::{Buffer, PipelineId, StageId};
-pub use cluster_report::{ClusterReport, CollectiveStat, RankReport};
+pub use buffer::{Buffer, BufferStock, PipelineId, StageId};
+pub use cluster_report::{ClusterReport, RankReport};
 pub use critical_path::{critical_path, CriticalPath, PathSegment, RoundPath};
 pub use error::{FgError, Result};
 pub use json::Json;

@@ -359,8 +359,8 @@ impl MemoryLedger {
     }
 
     /// Credit one pool buffer of `bytes` capacity: it was retired as its
-    /// pipeline or program ended (pool buffers cannot outlive their
-    /// program).  The high-water marks stay.
+    /// pipeline or program ended (a pool buffer cannot outlive its program;
+    /// a `BufferStock` keeps only its storage).  The high-water marks stay.
     pub fn credit_pool(&self, bytes: u64) {
         self.buffers
             .fetch_update(Relaxed, Relaxed, |v| Some(v.saturating_sub(1)))

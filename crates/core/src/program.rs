@@ -23,7 +23,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::buffer::{PipelineId, StageId};
+use crate::buffer::{BufferStock, PipelineId, StageId};
 use crate::error::{FgError, Result};
 use crate::queue::{FlavorKind, Queue};
 use crate::runtime;
@@ -98,6 +98,7 @@ pub struct Program {
     trace_group: Option<u32>,
     watchdog: Option<crate::trace::WatchdogCfg>,
     ledger: Option<Arc<crate::profile::MemoryLedger>>,
+    stock: Option<Arc<BufferStock>>,
 }
 
 impl Program {
@@ -113,6 +114,7 @@ impl Program {
             trace_group: None,
             watchdog: None,
             ledger: None,
+            stock: None,
         }
     }
 
@@ -153,6 +155,13 @@ impl Program {
     /// (`GET /resources`, `fgsort --profile`, the watchdog post-mortem).
     pub fn set_memory_ledger(&mut self, ledger: Arc<crate::profile::MemoryLedger>) {
         self.ledger = Some(ledger);
+    }
+
+    /// Draw this program's pool buffers from `stock`, and leave their
+    /// storage there when it ends ([`BufferStock`]): programs that share
+    /// one and never run together make their buffers once.
+    pub fn set_buffer_stock(&mut self, stock: Arc<BufferStock>) {
+        self.stock = Some(stock);
     }
 
     /// Install a [`TraceSink`](crate::trace::TraceSink): every runtime
@@ -449,6 +458,7 @@ impl Program {
                     pipe.buffers,
                     pipe.buffer_size,
                     self.ledger.clone(),
+                    self.stock.clone(),
                 )
             })
             .collect();
@@ -510,6 +520,7 @@ impl Program {
             trace_group: self.trace_group,
             watchdog: self.watchdog.clone(),
             ledger: self.ledger.clone(),
+            stock: self.stock.clone(),
             pipelines: self
                 .pipelines
                 .iter()

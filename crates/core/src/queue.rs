@@ -336,7 +336,7 @@ impl Queue {
         }
     }
 
-    fn try_pop(&self) -> Option<Item> {
+    pub(crate) fn try_pop(&self) -> Option<Item> {
         match &self.flavor {
             Flavor::Mpmc(lock) => lock.lock().pop_front(),
             Flavor::LockFree(ring) => self.lf_try_pop(ring),

@@ -6,6 +6,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::buffer::BufferStock;
 use crate::error::{FgError, Result};
 use crate::metrics::MetricsRegistry;
 use crate::profile::ResourceReport;
@@ -39,6 +40,7 @@ pub(crate) struct Plan {
     pub(crate) watchdog: Option<WatchdogCfg>,
     pub(crate) pipelines: Vec<crate::stats::PipelineShape>,
     pub(crate) ledger: Option<Arc<crate::profile::MemoryLedger>>,
+    pub(crate) stock: Option<Arc<BufferStock>>,
 }
 
 /// Makes the builder of each thread `execute` spawns from its name.
@@ -80,6 +82,7 @@ fn execute_with(program_name: String, plan: Plan, make: MakeThread<'_>) -> Resul
         watchdog,
         pipelines,
         ledger,
+        stock,
     } = plan;
     // A program with a registry or a ledger attached reports its resources:
     // each stage thread's exit row, then one read once they have joined.
@@ -98,7 +101,14 @@ fn execute_with(program_name: String, plan: Plan, make: MakeThread<'_>) -> Resul
     // The pools fill before any stage thread exists: each first stage
     // starts on a full input queue.  (A pool its queue cannot admit is the
     // program's error; the stage threads then start on closed queues.)
-    if let Err(e) = pools.iter().try_for_each(|pool| pool.seed()) {
+    // Each pool first claims stored storage of its buffer size; what none
+    // claimed is freed before any pool allocates fresh (tagged `pool`).
+    let buffers = pools.iter().map(|pool| pool.buffers).sum();
+    let mut stored = stock.map(|s| s.take(buffers)).unwrap_or_default();
+    let claimed: Vec<_> = pools.iter().map(|pool| pool.claim(&mut stored)).collect();
+    drop(stored);
+    let seed = || (pools.iter().zip(claimed)).try_for_each(|(pool, c)| pool.seed(c));
+    if let Err(e) = crate::alloc::with_tag(crate::alloc::register_tag("pool"), seed) {
         registry.cancel(e);
     }
     let mut handles = Vec::new();

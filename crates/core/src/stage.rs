@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering}
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::buffer::{Buffer, PipelineId};
+use crate::buffer::{Buffer, BufferStock, PipelineId};
 use crate::error::{FgError, Result};
 use crate::metrics::{Counter, MetricsRegistry};
 use crate::profile::MemoryLedger;
@@ -272,7 +272,7 @@ pub(crate) struct Pool {
     /// pipelines that start at the same virtual stage).
     pub(crate) queue: Arc<Queue>,
     pub(crate) rounds: Rounds,
-    buffers: usize,
+    pub(crate) buffers: usize,
     buffer_size: usize,
     /// Rounds started so far; shared because a farm's replicas all draw
     /// round numbers from it.
@@ -283,6 +283,8 @@ pub(crate) struct Pool {
     ledger: Option<Arc<MemoryLedger>>,
     /// Buffers charged to `ledger` and not yet credited.
     charged: AtomicU64,
+    /// Where a retired buffer's storage goes: the program's stock, if any.
+    stock: Option<Arc<BufferStock>>,
 }
 
 impl Pool {
@@ -293,6 +295,7 @@ impl Pool {
         buffers: usize,
         buffer_size: usize,
         ledger: Option<Arc<MemoryLedger>>,
+        stock: Option<Arc<BufferStock>>,
     ) -> Arc<Self> {
         Arc::new(Pool {
             pipeline,
@@ -305,44 +308,68 @@ impl Pool {
             ended: AtomicBool::new(false),
             ledger,
             charged: AtomicU64::new(0),
+            stock,
         })
     }
 
-    /// Allocate the pool into its queue, before any stage thread runs.  A
-    /// pipeline of zero rounds gets its caboose instead of buffers.
-    pub(crate) fn seed(&self) -> Result<()> {
+    /// Up to a pool's worth of `stored` storage of exactly this pool's
+    /// buffer size, taken out of `stored`.
+    pub(crate) fn claim(&self, stored: &mut Vec<Box<[u8]>>) -> Vec<Box<[u8]>> {
+        let fits = |s: &mut Box<[u8]>| s.len() == self.buffer_size;
+        stored.extract_if(.., fits).take(self.buffers).collect()
+    }
+
+    /// Fill the pool's queue, before any stage thread runs: with the
+    /// `claimed` storage first, then with fresh buffers.  A pipeline of
+    /// zero rounds gets its caboose instead of buffers.
+    pub(crate) fn seed(&self, mut claimed: Vec<Box<[u8]>>) -> Result<()> {
         if self.rounds == Rounds::Count(0) {
             return self.stop();
         }
-        (0..self.buffers).try_for_each(|_| self.grow())
+        (0..self.buffers).try_for_each(|_| self.grow(claimed.pop()))
     }
 
-    /// Add one fresh buffer.  The queue admits the whole pool; once the
-    /// program is torn down the buffer is simply dropped.
-    fn grow(&self) -> Result<()> {
+    /// Add one buffer, of `storage` if given.  The queue admits the whole
+    /// pool; the buffer ends with the program (its storage: [`Pool::settle`]).
+    fn grow(&self, storage: Option<Box<[u8]>>) -> Result<()> {
         if let Some(l) = &self.ledger {
             l.charge_pool(self.buffer_size as u64);
             self.charged.fetch_add(1, Ordering::SeqCst);
         }
-        let fresh = Buffer::new(self.buffer_size, self.pipeline);
-        send(&self.queue, Item::Buf(fresh)).map(drop)
+        let buf = match storage {
+            Some(storage) => Buffer::reuse(storage, self.pipeline),
+            None => Buffer::new(self.buffer_size, self.pipeline),
+        };
+        send(&self.queue, Item::Buf(buf)).map(drop)
     }
 
-    /// Take `buf` out of circulation: its pipeline has ended.
+    /// Take `buf` out of circulation: its pipeline has ended.  Its storage
+    /// goes to the stock, if the program has one.
     fn release(&self, buf: Buffer) {
-        drop(buf);
+        if let Some(stock) = &self.stock {
+            stock.put(buf);
+        }
         if let Some(l) = &self.ledger {
             l.credit_pool(self.buffer_size as u64);
             self.charged.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
-    /// Credit whatever the pool still has charged: no pool buffer outlives
-    /// its program.  Called once every stage thread has joined.
+    /// Credit whatever the pool still has charged, and hand the storage of
+    /// every buffer left in its queue to the stock: no pool buffer outlives
+    /// its program, but with a stock its storage does.  Called once every
+    /// stage thread has joined.
     pub(crate) fn settle(&self) {
         if let Some(l) = &self.ledger {
             for _ in 0..self.charged.swap(0, Ordering::SeqCst) {
                 l.credit_pool(self.buffer_size as u64);
+            }
+        }
+        if let Some(stock) = &self.stock {
+            while let Some(item) = self.queue.try_pop() {
+                if let Item::Buf(buf) = item {
+                    stock.put(buf);
+                }
             }
         }
     }

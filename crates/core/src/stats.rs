@@ -435,14 +435,7 @@ impl Report {
             let mut rollup = String::new();
             for rank in 0..nodes {
                 let mut cells = Vec::new();
-                for op in [
-                    "send",
-                    "recv_wait",
-                    "barrier",
-                    "broadcast",
-                    "allgather",
-                    "alltoallv",
-                ] {
+                for op in ["recv_wait", "barrier", "broadcast", "allgather"] {
                     if let Some(h) = self.metrics.histogram(&format!("comm/{op}_ns/r{rank}")) {
                         if h.count > 0 {
                             cells.push(format!(
@@ -759,7 +752,7 @@ mod render_tests {
         let reg = crate::metrics::MetricsRegistry::new();
         reg.counter("comm/bytes/0->1").add(4096);
         reg.counter("comm/bytes/1->0").add(1024);
-        reg.histogram("comm/send_ns/r0").record(2_000_000);
+        reg.histogram("comm/recv_wait_ns/r0").record(2_000_000);
         reg.histogram("comm/barrier_ns/r1").record(500_000);
         report.metrics = reg.snapshot();
         let text = report.render_dashboard();
@@ -770,7 +763,10 @@ mod render_tests {
             text.contains("per-rank comm time:"),
             "missing rollup:\n{text}"
         );
-        assert!(text.contains("r0: send n=1"), "missing r0 row:\n{text}");
+        assert!(
+            text.contains("r0: recv_wait n=1"),
+            "missing r0 row:\n{text}"
+        );
         assert!(text.contains("r1: barrier n=1"), "missing r1 row:\n{text}");
     }
 }

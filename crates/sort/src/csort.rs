@@ -32,7 +32,7 @@
 
 use std::time::Duration;
 
-use fg_core::{map_stage, PipelineCfg, Rounds};
+use fg_core::{map_stage, PipelineCfg};
 use fg_pdm::{DiskRef, DiskStats, Striping};
 
 use crate::chunks::{self, Exchange, CHUNK_HEADER_BYTES};
@@ -102,24 +102,25 @@ pub(crate) fn run_columnsort<const N: usize>(
     })
 }
 
-/// The configuration of a pass's (possibly farmed) pipeline.  Each sort
-/// worker holds a buffer in flight, so the pool must exceed the worker count
-/// or replication just starves the pool.
-pub(crate) fn pass_pipeline(
-    cfg: &SortConfig,
-    name: &str,
-    buf_bytes: usize,
-    rounds: u64,
-) -> PipelineCfg {
+/// The configuration of a pass's (possibly farmed) pipeline, a round a
+/// column the node owns.  Every pass of a run shares one buffer size, the
+/// largest any of them needs ([`window_buf_bytes`]), so the passes after the
+/// first take all their buffers from the node's stock.  Each sort worker
+/// holds a buffer in flight, so the pool must exceed the worker count or
+/// replication just starves the pool.
+pub(crate) fn pass_pipeline(cfg: &SortConfig, name: &str, m: Matrix) -> PipelineCfg {
     let buffers = cfg.pipeline_buffers.max(cfg.workers + 2);
-    PipelineCfg::new(name, buffers, buf_bytes).rounds(Rounds::Count(rounds))
+    PipelineCfg::new(name, buffers, window_buf_bytes(cfg, m)).count(m.cols_per_node() as u64)
 }
 
 /// Bytes of a pass-3 buffer: a merged window (`r` records), plus the extra
 /// half window `w(s)` on the last column, plus what striping adds — the
 /// stripe exchange is balanced only on average, so a node can receive up to
 /// a block of slack from each sender, each piece behind a chunk header.
-pub(crate) fn window_buf_bytes(cfg: &SortConfig, m: Matrix) -> usize {
+/// It holds every other pass's round too: a column and a half-column
+/// window, and, since `r ≥ 2(s−1)²`, the column and `s` chunk headers of
+/// what pass 1 or 2 lands.
+fn window_buf_bytes(cfg: &SortConfig, m: Matrix) -> usize {
     let window_cap = (m.r + m.r / 2) * cfg.record.record_bytes;
     let max_chunks = window_cap / cfg.block_bytes + 2 * m.nodes + 4;
     window_cap + m.nodes * cfg.block_bytes + max_chunks * CHUNK_HEADER_BYTES + 64
@@ -192,8 +193,6 @@ pub(crate) fn pass12(pass_no: u8, node: &mut Node, m: Matrix) -> Result<(), Sort
     let q = node.rank;
     let rb = cfg.record.record_bytes;
     let cbytes = m.r * rb;
-    // Per round a node receives r records in at most s chunks.
-    let buf_bytes = cbytes + m.s * CHUNK_HEADER_BYTES + 64;
     let (name, in_file, out_file) = match pass_no {
         1 => ("csort-p1", INPUT_FILE, M1_FILE),
         _ => ("csort-p2", M1_FILE, M2_FILE),
@@ -225,9 +224,8 @@ pub(crate) fn pass12(pass_no: u8, node: &mut Node, m: Matrix) -> Result<(), Sort
 
     let write = prog.add_stage("write", stages::write_stage(&node.disk, out_file));
 
-    let rounds = m.cols_per_node() as u64;
     prog.add_pipeline(
-        pass_pipeline(cfg, "pass", buf_bytes, rounds),
+        pass_pipeline(cfg, "pass", m),
         &[read, sort, communicate, write],
     )?;
     node.run(prog)?;
@@ -259,9 +257,8 @@ fn pass3(node: &mut Node, m: Matrix) -> Result<(), SortError> {
     let merge = prog.add_stage("merge", stages::merge_halves_stage(cfg.record, m, q));
     let (stripe, write) = stripe_and_write(&mut prog, node, m);
 
-    let rounds = m.cols_per_node() as u64;
     prog.add_pipeline(
-        pass_pipeline(cfg, "pass3", window_buf_bytes(cfg, m), rounds),
+        pass_pipeline(cfg, "pass3", m),
         &[read, sort, exchange, merge, stripe, write],
     )?;
     node.run(prog)?;

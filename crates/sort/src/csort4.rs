@@ -30,8 +30,7 @@ use fg_pdm::DiskRef;
 
 use crate::config::{Matrix, SortConfig};
 use crate::csort::{
-    pass12, pass_pipeline, run_columnsort, stripe_and_write, window_buf_bytes, ColumnsortReport,
-    M2_FILE,
+    pass12, pass_pipeline, run_columnsort, stripe_and_write, ColumnsortReport, M2_FILE,
 };
 use crate::driver::Node;
 use crate::stages;
@@ -93,11 +92,7 @@ fn pass3_shift(node: &mut Node, m: Matrix) -> Result<(), SortError> {
         }),
     );
 
-    let rounds = m.cols_per_node() as u64;
-    prog.add_pipeline(
-        pass_pipeline(cfg, "pass3", cbytes + cbytes / 2 + 64, rounds),
-        &[read, sort, shift, write],
-    )?;
+    prog.add_pipeline(pass_pipeline(cfg, "pass3", m), &[read, sort, shift, write])?;
     node.run(prog)?;
     node.disk.delete(M2_FILE); // its last reader
     Ok(())
@@ -120,11 +115,7 @@ fn pass4_unshift(node: &mut Node, m: Matrix) -> Result<(), SortError> {
     });
     let (stripe, write) = stripe_and_write(&mut prog, node, m);
 
-    let rounds = m.cols_per_node() as u64;
-    prog.add_pipeline(
-        pass_pipeline(cfg, "pass4", window_buf_bytes(cfg, m), rounds),
-        &[read, sort, stripe, write],
-    )?;
+    prog.add_pipeline(pass_pipeline(cfg, "pass4", m), &[read, sort, stripe, write])?;
     node.run(prog)?;
     node.disk.delete(M3_FILE); // its last reader
     Ok(())

@@ -11,7 +11,8 @@
 //! durable, each rank's disk flushed once in a last phase named `sync`; and
 //! a scratch file is deleted by the pass that reads it last, so it is never
 //! made durable at all.  A node's sort scratch is grown once a run: each
-//! pass's sort stages borrow it (`Node::scratch`).
+//! pass's sort stages borrow it (`Node::scratch`); and its pool buffers are
+//! made once a run: each pass's pools draw from its stock (`Node::stock`).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -20,7 +21,7 @@ use fg_cluster::{
     Cluster, ClusterCfg, ClusterError, ClusterObs, Communicator, NodeCtx, PayloadStats,
 };
 use fg_core::metrics::{MetricsRegistry, MetricsSnapshot};
-use fg_core::{Program, Report};
+use fg_core::{BufferStock, Program, Report};
 use fg_pdm::{DiskRef, DiskStats};
 use parking_lot::Mutex;
 
@@ -45,15 +46,18 @@ pub struct Node {
     /// borrows the `i`-th while its program runs.  A program whose last
     /// sorting pass has run clears it; the node drops what is left.
     pub(crate) scratch: Vec<Arc<Mutex<SortScratch>>>,
+    /// The storage of every program's pool buffers, passed from pass to pass.
+    pub stock: Arc<BufferStock>,
 }
 
 impl Node {
     /// A new FG program named `{name}-n{rank}`, instrumented as the config
     /// asks ([`SortConfig::instrument`]): trace sink, watchdog, registry,
-    /// track group, ledger.
+    /// track group, ledger; its pools draw from the node's stock.
     pub fn program(&self, name: &str) -> Program {
         let mut prog = Program::new(format!("{name}-n{}", self.rank));
         self.cfg.instrument(&mut prog);
+        prog.set_buffer_stock(Arc::clone(&self.stock));
         prog
     }
 
@@ -173,6 +177,7 @@ pub fn launch_observed<T: Send + 'static>(
         let scratch = (0..cfg.workers).map(|_| Arc::new(Mutex::new(SortScratch::new())));
         let mut node = Node {
             scratch: scratch.collect(),
+            stock: Arc::default(),
             cfg,
             rank,
             comm: ctx.comm().clone(),

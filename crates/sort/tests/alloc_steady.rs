@@ -206,6 +206,69 @@ fn dsort_pass2_trades_storage_without_allocating() {
     }
 }
 
+/// A node's passes draw their pools from its stock, and a pass-1 run buffer
+/// fits no pool of pass 2 (its vertical and payload buffers are smaller):
+/// pass 1 leaves every run buffer of its receive pool in the stock — those
+/// its first stage retired and those left in the pool — and pass 2's build
+/// frees them before its pools allocate, so none is left once pass 2 has
+/// run.
+#[test]
+fn dsort_frees_its_run_buffers_when_pass2_is_built() {
+    use fg_sort::dsort::{pass1, pass2, plan, sampling};
+    let _turn = TAG_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = dsort_cfg(16 << 10);
+    let disks = fg_sort::input::provision(&cfg);
+    let run = fg_sort::driver::launch(&cfg, &disks, |node| {
+        let run_len = plan::run_len(&node.cfg);
+        let splitters = sampling::select_splitters(node)?;
+        let run_lens = pass1::pass1(node, &splitters, run_len)?;
+        let after_pass1 = node.stock.sizes();
+        let records = run_lens.iter().sum::<u64>() / node.cfg.record.record_bytes as u64;
+        let partitions = node.comm.allgather_u64(records)?;
+        let rank_offset = partitions[..node.rank].iter().sum();
+        pass2::pass2(node, &run_lens, rank_offset, true)?;
+        let runs = |sizes: Vec<usize>| sizes.iter().filter(|&&s| s == run_len).count();
+        Ok((runs(after_pass1), runs(node.stock.sizes())))
+    })
+    .expect("dsort phases");
+    for (rank, out) in run.ranks.iter().enumerate() {
+        let (after_pass1, after_pass2) = out.out;
+        let pool = cfg.pipeline_buffers;
+        assert_eq!(
+            after_pass1, pool,
+            "rank {rank}: pass 1 stocked {after_pass1} run buffers"
+        );
+        assert_eq!(after_pass2, 0, "rank {rank}: run buffers outlived pass 2");
+    }
+}
+
+/// Every pass of a columnsort shares one buffer size, the largest any pass
+/// needs — a window of a column and a half and its striping slack — so a
+/// node makes its pools once a run: the `pool` tag holds one pool a node of
+/// that size (csort made three, two of a column and one of a window).
+#[test]
+fn csort_makes_its_pools_once_a_node() {
+    let _turn = TAG_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let _ = vec![0u8; 16];
+    assert!(fg_core::alloc::installed());
+    const COLUMN: u64 = 128 << 10;
+    let cfg = fg_sort::config::SortConfig::test_default(4, 64 << 10);
+    let buffers = cfg.pipeline_buffers.max(cfg.workers + 2) as u64;
+    let bound = 4 * buffers * (COLUMN * 3 / 2 + (64 << 10));
+    let pools = |sort: fn(&fg_sort::config::SortConfig, &[fg_pdm::DiskRef])| {
+        let [pool] = columnsort_os_stage_allocations(["pool"], 64 << 10, sort);
+        pool
+    };
+    let csort = pools(|cfg, disks| drop(fg_sort::csort::run_csort(cfg, disks).expect("csort")));
+    let csort4 = pools(|cfg, disks| drop(fg_sort::csort4::run_csort4(cfg, disks).expect("csort4")));
+    for (sort, pool) in [("csort", csort), ("csort4", csort4)] {
+        assert!(
+            pool > 0 && pool <= bound,
+            "{sort}: {pool} B of pool buffers on four nodes, bound {bound} B"
+        );
+    }
+}
+
 /// The stages of csort's data path.
 const CSORT_TAGS: [&str; 5] = ["communicate", "stripe", "exchange", "read", "write"];
 

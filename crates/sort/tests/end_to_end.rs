@@ -333,11 +333,13 @@ fn dsort_observed_builds_cluster_report_and_cross_rank_trace() {
     for r in &cluster.ranks {
         assert_eq!(r.reports.len(), 2, "rank {} pass reports", r.rank);
         assert!(r.wall > std::time::Duration::ZERO);
-        assert!(
-            r.collective_ns() > 0,
-            "rank {} timed no collectives",
-            r.rank
-        );
+        let collectives: u64 = ["barrier", "broadcast", "allgather"]
+            .map(|op| format!("comm/{op}_ns/r{}", r.rank))
+            .iter()
+            .filter_map(|name| r.metrics.histogram(name))
+            .map(|h| h.sum)
+            .sum();
+        assert!(collectives > 0, "rank {} timed no collectives", r.rank);
     }
     // The traffic matrix accounts for every byte the fabric moved.
     let matrix_total: u64 = cluster.traffic_matrix().iter().flatten().sum();
