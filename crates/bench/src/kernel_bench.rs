@@ -126,15 +126,11 @@ fn uniform_records(fmt: RecordFormat, n: usize, seed: u64) -> Vec<u8> {
 /// `[i·m, (i+1)·m)` — the batched merge's best case and the shape dsort's
 /// splitter-partitioned runs approach.
 fn presorted_lanes(fmt: RecordFormat, k: usize, per_lane: usize) -> Vec<Vec<u8>> {
-    let rb = fmt.record_bytes;
-    (0..k)
-        .map(|i| {
-            let mut bytes = vec![0u8; per_lane * rb];
-            for (j, rec) in bytes.chunks_exact_mut(rb).enumerate() {
-                fmt.set_key(rec, (i * per_lane + j) as u64);
-            }
-            bytes
-        })
+    let mut all = vec![0u8; k * per_lane * fmt.record_bytes];
+    let records = all.chunks_exact_mut(fmt.record_bytes).enumerate();
+    records.for_each(|(key, rec)| fmt.set_key(rec, key as u64));
+    all.chunks(per_lane * fmt.record_bytes)
+        .map(<[u8]>::to_vec)
         .collect()
 }
 
@@ -142,13 +138,12 @@ fn presorted_lanes(fmt: RecordFormat, k: usize, per_lane: usize) -> Vec<Vec<u8>>
 /// so consecutive records of the merged output almost never share a lane.
 fn interleaved_lanes(fmt: RecordFormat, k: usize, per_lane: usize) -> Vec<Vec<u8>> {
     let mut scratch = SortScratch::new();
-    (0..k)
-        .map(|i| {
-            let mut bytes = uniform_records(fmt, per_lane, 0xBEEF + i as u64);
-            sort_records_using(fmt, &mut bytes, &mut scratch, Kernel::Auto);
-            bytes
-        })
-        .collect()
+    let lane = |i: usize| {
+        let mut bytes = uniform_records(fmt, per_lane, 0xBEEF + i as u64);
+        sort_records_using(fmt, &mut bytes, &mut scratch, Kernel::Auto);
+        bytes
+    };
+    (0..k).map(lane).collect()
 }
 
 /// The pre-kernel scalar merge: one winner/replace per record.
@@ -196,29 +191,34 @@ pub fn run_kernel_bench(quick: bool) -> KernelBenchResult {
     };
     let sorts = sort_ns.iter().map(sort_cell).collect();
 
-    // A merge arm repeats its merge until a timing lasts 50 ms, and reads a
-    // merge's time: 2 ms arms were decided by host noise (EXPERIMENTS K1).
-    let long = |f: &dyn Fn() -> usize| {
-        let calls = (50_000_000 / best_of(1, f).as_nanos().max(1)) as u32 + 1;
-        best_of(reps, || (0..calls).map(|_| f()).sum::<usize>()) / calls
+    // A merge arm repeats its merge for 50 ms and reads a merge's time (2 ms
+    // arms were decided by host noise, EXPERIMENTS K1); the arms take turns
+    // rep by rep, each keeping its best, so a slow spell slows all three.
+    let interleaved = |arms: [&dyn Fn() -> Vec<u8>; 3]| {
+        let calls = arms.map(|f| (50_000_000 / best_of(1, f).as_nanos().max(1)) as u32 + 1);
+        let time = |a: usize| best_of(1, || (0..calls[a]).map(|_| arms[a]().len()).sum::<usize>());
+        let rep = |best: [Duration; 3]| std::array::from_fn(|a| best[a].min(time(a) / calls[a]));
+        (0..reps).fold([Duration::MAX; 3], |best, _| rep(best))
     };
     let merge_cell = |lanes: Vec<Vec<u8>>| {
         let refs: Vec<&[u8]> = lanes.iter().map(|l| l.as_slice()).collect();
         let batched = || merge_runs(fmt, &refs);
         let staged = || merge_in_pieces(fmt, &refs, 8 << 10);
+        let scalar = || scalar_merge(fmt, &refs);
+        let identical = batched() == scalar() && staged() == batched();
+        let [batched, staged, scalar] = interleaved([&batched, &staged, &scalar]);
         MergeCell {
             k: lanes.len(),
             per_lane: fmt.count(&lanes[0]),
-            batched: long(&|| batched().len()),
-            staged: long(&|| staged().len()),
-            scalar: long(&|| scalar_merge(fmt, &refs).len()),
-            identical: batched() == scalar_merge(fmt, &refs) && staged() == batched(),
+            scalar,
+            batched,
+            staged,
+            identical,
         }
     };
     let cells = |lanes: fn(RecordFormat, usize, usize) -> Vec<Vec<u8>>, ks: &[usize]| {
-        ks.iter()
-            .map(|&k| merge_cell(lanes(fmt, k, merge_total / k)))
-            .collect()
+        let cell = |&k: &usize| merge_cell(lanes(fmt, k, merge_total / k));
+        ks.iter().map(cell).collect()
     };
     KernelBenchResult {
         sorts,

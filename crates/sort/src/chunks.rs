@@ -140,11 +140,11 @@ impl Scatter {
 /// A stage fills [`part`](Exchange::part)`(dest)` for every destination and
 /// calls [`trade`](Exchange::trade): the parts go out, what arrives replaces
 /// the pipeline buffer's contents, and the `Vec`s that arrived — emptied,
-/// capacity kept — are the next round's parts.  In a balanced exchange every
-/// part a node receives is as large as the one it sent, so the capacities it
-/// gets back are the capacities it needs and nothing allocates after round
-/// 0; in an unbalanced one a traded `Vec` regrows now and then, and is still
-/// never rebuilt per round.
+/// capacity kept — are the next round's parts.  A program's node owns one
+/// (`Node::exchange`) and sizes its parts once a run for the largest part any
+/// of its exchanges sends ([`size_parts`](Exchange::size_parts)); every node
+/// sizes alike, so whatever `Vec`s a node gets back have that room and no
+/// round's part regrows.
 pub struct Exchange {
     parts: Vec<Vec<u8>>,
     /// [`land_placed`]'s scratch, kept across rounds.
@@ -160,6 +160,14 @@ impl Exchange {
         }
     }
 
+    /// Give every part room for `bytes`: once a run, on every node, before
+    /// the first trade.
+    pub fn size_parts(&mut self, bytes: usize) {
+        self.parts
+            .iter_mut()
+            .for_each(|part| part.reserve_exact(bytes));
+    }
+
     /// The part bound for node `dest`, to append to.
     pub fn part(&mut self, dest: usize) -> &mut Vec<u8> {
         &mut self.parts[dest]
@@ -170,14 +178,10 @@ impl Exchange {
     /// chunks for the pieces' owners: each header carries the offset the
     /// piece has in its owner's stripe file.
     pub fn gather_stripes(&mut self, striping: &Striping, goff: u64, data: &[u8]) {
-        // A node owns at most every `nodes`-th block the range touches.  On
-        // an empty part this reserves exactly that; a part filled by many
-        // small calls grows by doubling as usual.
-        let block = striping.block_bytes;
-        let blocks_each = (data.len() / block + 2).div_ceil(self.parts.len());
-        for part in &mut self.parts {
-            part.reserve(blocks_each * chunk_size(block));
-        }
+        // On a sized part this reserves nothing; a part filled by many small
+        // calls grows by doubling as usual.
+        let bytes = stripe_part_bytes(striping, data.len());
+        self.parts.iter_mut().for_each(|part| part.reserve(bytes));
         for (dest, local, range) in striping.split_range_iter(goff, data.len()) {
             push_chunk(self.part(dest), local, 0, &data[range]);
         }
@@ -210,6 +214,14 @@ impl Exchange {
         self.parts = received;
         Ok(())
     }
+}
+
+/// The most bytes [`Exchange::gather_stripes`] puts in one part for `len`
+/// bytes of data: a node owns at most every `nodes`-th block the range
+/// touches, each piece behind a chunk header.
+pub fn stripe_part_bytes(striping: &Striping, len: usize) -> usize {
+    let blocks_each = (len / striping.block_bytes + 2).div_ceil(striping.nodes);
+    blocks_each * chunk_size(striping.block_bytes)
 }
 
 fn overfull(capacity: usize) -> SortError {

@@ -20,16 +20,18 @@
 //!   has a `permute` stage between the two; its arithmetic is the header.)
 //! * **Pass 2** (steps 3–4): identical shape; after sorting, record `i`
 //!   belongs to column `i div (r/s)` of the untransposed matrix.
-//! * **Pass 3** (steps 5–8, coalesced): `read → sort → exchange-halves →
-//!   merge → stripe → write`.  After the step-5 sort, steps 6–8 reduce to
-//!   sorting each disjoint *boundary window* `[c·r − r/2, c·r + r/2)` (see
+//! * **Pass 3** (steps 5–8, coalesced): `read → sort → exchange → stripe →
+//!   write`.  After the step-5 sort, steps 6–8 reduce to sorting each
+//!   disjoint *boundary window* `[c·r − r/2, c·r + r/2)` (see
 //!   [`crate::columnsort`]): the owner of column `c` sends its sorted
 //!   column's larger half to the owner of column `c+1` (a balanced
-//!   `sendrecv`-style exchange), merges the half it receives with its own
-//!   smaller half, and the merged window — a contiguous run of the final
-//!   sorted sequence at known global ranks — is exchanged once more
-//!   (balanced `alltoallv`) to land, striped, on the cluster's disks.
+//!   `sendrecv`-style exchange) and merges the half it receives with its
+//!   own smaller half where the window lands ([`merge_window`]); the merged
+//!   window — a contiguous run of the final sorted sequence at known global
+//!   ranks — is exchanged once more (balanced `alltoallv`) to land, striped,
+//!   on the cluster's disks.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use fg_core::{map_stage, PipelineCfg};
@@ -39,6 +41,7 @@ use crate::chunks::{self, Exchange, CHUNK_HEADER_BYTES};
 use crate::config::{Matrix, SortConfig};
 use crate::driver::{self, Node};
 use crate::input::INPUT_FILE;
+use crate::record::RecordFormat;
 use crate::stages;
 use crate::verify::OUTPUT_FILE;
 use crate::SortError;
@@ -90,7 +93,11 @@ pub(crate) fn run_columnsort<const N: usize>(
 ) -> Result<ColumnsortReport<N>, SortError> {
     cfg.validate()?; // `Matrix::choose` divides by the node count
     let matrix = Matrix::choose(cfg.total_records(), cfg.nodes)?;
-    let mut run = driver::launch(cfg, disks, move |node| passes(node, matrix))?;
+    let mut run = driver::launch(cfg, disks, move |node| {
+        let part_bytes = exchange_part_bytes(&node.cfg, matrix);
+        node.exchange.lock().size_parts(part_bytes);
+        passes(node, matrix)
+    })?;
     Ok(ColumnsortReport {
         pass: run.times(),
         total: run.phases.iter().map(|p| p.1).sum(),
@@ -126,6 +133,18 @@ fn window_buf_bytes(cfg: &SortConfig, m: Matrix) -> usize {
     window_cap + m.nodes * cfg.block_bytes + max_chunks * CHUNK_HEADER_BYTES + 64
 }
 
+/// Bytes of each part of the node's exchange, sized once a run for the
+/// largest part any exchange of the run sends one node: a round of passes
+/// 1–2 sends each owner `s/P` chunks of `r/s` records, and pass 3's stripe
+/// exchange the blocks one node owns of the longest window, the last
+/// column's with `w(s)` behind it.
+fn exchange_part_bytes(cfg: &SortConfig, m: Matrix) -> usize {
+    let rb = cfg.record.record_bytes;
+    let routed = m.cols_per_node() * chunks::chunk_size(m.r / m.s * rb);
+    let striping = Striping::new(m.nodes, cfg.block_bytes);
+    routed.max(chunks::stripe_part_bytes(&striping, (m.r + m.r / 2) * rb))
+}
+
 /// The even columnsort step after pass `pass_no`'s sort, as chunks for the
 /// owners of the destination columns: node `q`'s sorted column of round
 /// `t` (`data`, records of `rb` bytes) contributes `r/s` records to every
@@ -145,10 +164,6 @@ pub fn route_column(
     exchange: &mut Exchange,
 ) {
     let chunk_records = m.r / m.s;
-    let part_bytes = m.cols_per_node() * chunks::chunk_size(chunk_records * rb);
-    for node in 0..m.nodes {
-        exchange.part(node).reserve_exact(part_bytes);
-    }
     for d in 0..m.s {
         let part = exchange.part(m.owner(d));
         let at = m.local_index(d) * m.r + (t * m.nodes + q) * chunk_records;
@@ -208,19 +223,20 @@ pub(crate) fn pass12(pass_no: u8, node: &mut Node, m: Matrix) -> Result<(), Sort
     // sort: odd columnsort step (1 or 3), farmed when cfg.workers > 1.
     let sort = prog.workers("sort", cfg.workers, |i| stages::sort_stage(node, i));
 
-    // communicate: balanced alltoallv; the same buffer is conveyed (§I:
-    // "with balanced communication ... we can convey to the successor the
-    // same buffer that the stage accepted").  The senders place every
-    // chunk, so what lands is the round's writes, in file order.
-    let comm = node.comm.clone();
-    let communicate = prog.add_stage("communicate", {
-        let mut exchange = Exchange::new(m.nodes);
+    // communicate: balanced alltoallv on the node's exchange; the buffer is
+    // conveyed (§I: "with balanced communication ... we can convey to the
+    // successor the same buffer that the stage accepted").  The senders
+    // place every chunk, so what lands is the round's writes, in file order.
+    let (comm, exchange) = (node.comm.clone(), Arc::clone(&node.exchange));
+    let communicate = prog.add_stage(
+        "communicate",
         map_stage(move |buf, _ctx| {
+            let mut exchange = exchange.lock();
             let t = buf.round() as usize;
             route_column(pass_no, m, q, t, rb, buf.filled(), &mut exchange);
             Ok(exchange.trade_placed(&comm, buf)?)
-        })
-    });
+        }),
+    );
 
     let write = prog.add_stage("write", stages::write_stage(&node.disk, out_file));
 
@@ -235,13 +251,10 @@ pub(crate) fn pass12(pass_no: u8, node: &mut Node, m: Matrix) -> Result<(), Sort
     Ok(())
 }
 
-/// Pass 3: steps 5–8 coalesced —
-/// `read → sort → exchange-halves → merge → stripe → write`.
+/// Pass 3: steps 5–8 coalesced — `read → sort → exchange → stripe → write`.
 fn pass3(node: &mut Node, m: Matrix) -> Result<(), SortError> {
     let cfg = &node.cfg;
-    let q = node.rank;
-    let rb = cfg.record.record_bytes;
-    let cbytes = m.r * rb;
+    let cbytes = m.r * cfg.record.record_bytes;
     let mut prog = node.program("csort-p3");
 
     let read = prog.add_stage(
@@ -250,16 +263,13 @@ fn pass3(node: &mut Node, m: Matrix) -> Result<(), SortError> {
     );
     // sort: step 5, farmed when cfg.workers > 1, on the scratch of pass 1.
     let sort = prog.workers("sort", cfg.workers, |i| stages::sort_stage(node, i));
-    let exchange = prog.add_stage(
-        "exchange",
-        stages::exchange_halves_stage(&node.comm, m, q, rb),
-    );
-    let merge = prog.add_stage("merge", stages::merge_halves_stage(cfg.record, m, q));
+    // exchange: steps 6–7, each window merged where it lands.
+    let exchange = prog.add_stage("exchange", stages::exchange_halves_stage(node, m));
     let (stripe, write) = stripe_and_write(&mut prog, node, m);
 
     prog.add_pipeline(
         pass_pipeline(cfg, "pass3", m),
-        &[read, sort, exchange, merge, stripe, write],
+        &[read, sort, exchange, stripe, write],
     )?;
     node.run(prog)?;
     node.disk.delete(M2_FILE); // its last reader
@@ -277,7 +287,7 @@ pub(crate) fn stripe_and_write(
 ) -> (fg_core::StageId, fg_core::StageId) {
     let (q, rb) = (node.rank, node.cfg.record.record_bytes);
     let striping = Striping::new(m.nodes, node.cfg.block_bytes);
-    let stripe = stages::stripe_stage(&node.comm, striping, move |buf| {
+    let stripe = stages::stripe_stage(node, striping, move |buf| {
         let c = m.col_of_round(q, buf.round() as usize);
         (c * m.r).saturating_sub(m.r / 2) as u64 * rb as u64
     });
@@ -288,52 +298,34 @@ pub(crate) fn stripe_and_write(
     )
 }
 
-/// Merge `data` (two sorted runs: `[0, split_bytes)` and
-/// `[split_bytes, len)`) into `out[..len]`.
-///
-/// Gallops ([`crate::kernels::run_len`]): instead of one key comparison
-/// and one `memcpy` per record, each iteration finds the whole run of
-/// records the leading side contributes and copies it at once — on the
-/// nearly-sorted boundary windows of pass 3 this collapses to a handful
-/// of bulk copies.
-pub(crate) fn merge_two_sorted(
-    fmt: crate::record::RecordFormat,
-    data: &[u8],
-    split_bytes: usize,
-    out: &mut [u8],
-) {
+/// Columnsort's step 7 where the window lands: `window` holds the sorted
+/// smaller half of a column in front of room for `received`, the sorted
+/// larger half of the column before it; merge the two into `window`, the
+/// received records first among equal keys.  It works from the back, so a
+/// record is read before the write position reaches it, and gallops
+/// (`kernels::run_len_back`): each step moves the whole run of
+/// records one side contributes, so a boundary window, nearly sorted,
+/// costs a few bulk copies.
+pub fn merge_window(fmt: RecordFormat, received: &[u8], window: &mut [u8]) {
     let rb = fmt.record_bytes;
-    let (a, b) = data.split_at(split_bytes);
-    let (mut i, mut j, mut o) = (0usize, 0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        // Ties favor `a` (the run holding the earlier global ranks).
-        let bkey = fmt.key(&b[j..]);
-        let run = crate::kernels::run_len(fmt, &a[i..], |k| k <= bkey) * rb;
-        if run > 0 {
-            out[o..o + run].copy_from_slice(&a[i..i + run]);
-            i += run;
-            o += run;
-            if i == a.len() {
-                break;
-            }
+    let (mut i, mut j) = (window.len() - received.len(), received.len());
+    while j > 0 {
+        // My records not below the received half's last key go behind it.
+        let rkey = fmt.key(&received[j - rb..]);
+        let run = crate::kernels::run_len_back(fmt, &window[..i], |k| k >= rkey) * rb;
+        window.copy_within(i - run..i, i - run + j);
+        i -= run;
+        if i == 0 {
+            break;
         }
-        // `a`'s (new) head strictly beats `b`'s, so `b` contributes at
+        // My (new) last record is below it, so the received half gives at
         // least one record here — the loop always makes progress.
-        let akey = fmt.key(&a[i..]);
-        let run = crate::kernels::run_len(fmt, &b[j..], |k| k < akey) * rb;
-        out[o..o + run].copy_from_slice(&b[j..j + run]);
-        j += run;
-        o += run;
+        let okey = fmt.key(&window[i - rb..]);
+        let run = crate::kernels::run_len_back(fmt, &received[..j], |k| k > okey) * rb;
+        window[i + j - run..i + j].copy_from_slice(&received[j - run..j]);
+        j -= run;
     }
-    if i < a.len() {
-        out[o..o + a.len() - i].copy_from_slice(&a[i..]);
-        o += a.len() - i;
-    }
-    if j < b.len() {
-        out[o..o + b.len() - j].copy_from_slice(&b[j..]);
-        o += b.len() - j;
-    }
-    debug_assert_eq!(o, data.len());
+    window[..j].copy_from_slice(&received[..j]);
 }
 
 #[cfg(test)]
@@ -344,19 +336,19 @@ mod tests {
     #[test]
     fn merge_two_sorted_runs() {
         let f = RecordFormat::REC16;
-        let mk = |keys: &[u64]| {
-            let mut out = vec![0u8; keys.len() * 16];
+        let mk = |keys: &[u64], tag: u8| {
+            let mut out = vec![tag; keys.len() * 16];
             for (i, &k) in keys.iter().enumerate() {
                 f.set_key(&mut out[i * 16..(i + 1) * 16], k);
             }
             out
         };
-        let mut data = mk(&[1, 4, 9]);
-        data.extend_from_slice(&mk(&[2, 4, 8]));
-        let mut out = vec![0u8; data.len()];
-        merge_two_sorted(f, &data, 3 * 16, &mut out);
-        let keys: Vec<u64> = f.records(&out).map(|r| f.key(r)).collect();
-        assert_eq!(keys, vec![1, 2, 4, 4, 8, 9]);
+        let received = mk(&[1, 4, 9], 1);
+        let mut window = mk(&[2, 4, 8], 2);
+        window.resize(6 * 16, 0);
+        merge_window(f, &received, &mut window);
+        let keys: Vec<(u64, u8)> = f.records(&window).map(|r| (f.key(r), r[8])).collect();
+        assert_eq!(keys, [(1, 1), (2, 2), (4, 1), (4, 2), (8, 2), (9, 1)]);
     }
 
     #[test]
@@ -365,8 +357,8 @@ mod tests {
         let mut data = vec![0u8; 32];
         f.set_key(&mut data[0..16], 3);
         f.set_key(&mut data[16..32], 5);
-        let mut out = vec![0u8; 32];
-        merge_two_sorted(f, &data, 0, &mut out);
-        assert_eq!(out, data);
+        let mut window = data.clone();
+        merge_window(f, &[], &mut window);
+        assert_eq!(window, data);
     }
 }

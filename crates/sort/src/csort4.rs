@@ -8,20 +8,19 @@
 //!
 //! * **Pass 1** (steps 1–2) and **pass 2** (steps 3–4): identical to the
 //!   three-pass version (re-used from [`crate::csort`]).
-//! * **Pass 3** (steps 5–6): `read → sort → shift → write`, which is
+//! * **Pass 3** (steps 5–7): `read → sort → shift → write`, which is
 //!   csort's pass 3 cut after its exchange of halves: the buffer leaves
-//!   `shift` holding boundary window `w(c)` unmerged — `[larger half of
-//!   column c−1][smaller half of column c]`, plus, on the last column, its
-//!   own larger half, `w(s)` — and is written as it is to the node's
-//!   intermediate file, the windows back to back in round order.
-//! * **Pass 4** (steps 7–8): `read → sort → stripe → write`, the rest of
-//!   csort's pass 3 behind a read of those windows: the `sort` stage merges
-//!   the two sorted halves (step 7), and the unshift (step 8) places the
-//!   merged window at its global ranks, exchanged once (balanced
-//!   `alltoallv`) into the striped output.
+//!   `shift` holding boundary window `w(c)`, its two halves merged where
+//!   they landed — plus, on the last column, its own larger half, `w(s)` —
+//!   and is written as it is to the node's intermediate file, the windows
+//!   back to back in round order.
+//! * **Pass 4** (step 8): `read → stripe → write`, the rest of csort's pass
+//!   3 behind a read of those windows: the unshift places each merged window
+//!   at its global ranks, exchanged once (balanced `alltoallv`) into the
+//!   striped output.
 //!
-//! So the two passes are three lists of [`stages`] constructors csort also
-//! uses, and one new pair: the write and the read of a window.
+//! So the two passes are lists of [`stages`] constructors csort also uses,
+//! and one new pair: the write and the read of a window.
 
 use std::sync::Arc;
 
@@ -36,7 +35,7 @@ use crate::driver::Node;
 use crate::stages;
 use crate::SortError;
 
-/// Intermediate file after pass 3: the node's boundary windows, unmerged,
+/// Intermediate file after pass 3: the node's boundary windows, merged,
 /// back to back in round order (`window` says where).
 pub const M3_FILE: &str = "csort4_m3";
 
@@ -65,8 +64,8 @@ fn window(m: Matrix, q: usize, rb: usize, t: u64) -> (u64, usize) {
     (t * cbytes as u64 - short as u64, len)
 }
 
-/// Pass 3 (steps 5–6): sort each column, shift halves across column
-/// owners, write the windows.
+/// Pass 3 (steps 5–7): sort each column, shift halves across column
+/// owners, merge each window where it lands, write the windows.
 fn pass3_shift(node: &mut Node, m: Matrix) -> Result<(), SortError> {
     let cfg = &node.cfg;
     let (q, rb) = (node.rank, cfg.record.record_bytes);
@@ -79,7 +78,7 @@ fn pass3_shift(node: &mut Node, m: Matrix) -> Result<(), SortError> {
     );
     // sort: step 5, farmed when cfg.workers > 1.
     let sort = prog.workers("sort", cfg.workers, |i| stages::sort_stage(node, i));
-    let shift = prog.add_stage("shift", stages::exchange_halves_stage(&node.comm, m, q, rb));
+    let shift = prog.add_stage("shift", stages::exchange_halves_stage(node, m));
     let disk = Arc::clone(&node.disk);
     let write = prog.add_stage(
         "write",
@@ -98,8 +97,8 @@ fn pass3_shift(node: &mut Node, m: Matrix) -> Result<(), SortError> {
     Ok(())
 }
 
-/// Pass 4 (steps 7–8): merge each window's halves, unshift to global
-/// ranks, stripe, write.
+/// Pass 4 (step 8): unshift the merged windows to global ranks, stripe,
+/// write.
 fn pass4_unshift(node: &mut Node, m: Matrix) -> Result<(), SortError> {
     let cfg = &node.cfg;
     let (q, rb) = (node.rank, cfg.record.record_bytes);
@@ -109,13 +108,9 @@ fn pass4_unshift(node: &mut Node, m: Matrix) -> Result<(), SortError> {
         "read",
         stages::read_stage(&node.disk, M3_FILE, move |t| window(m, q, rb, t)),
     );
-    // The merge is the pass's CPU-bound stage, so it farms like the sorts do.
-    let sort = prog.workers("sort", cfg.workers, |_| {
-        stages::merge_halves_stage(cfg.record, m, q)
-    });
     let (stripe, write) = stripe_and_write(&mut prog, node, m);
 
-    prog.add_pipeline(pass_pipeline(cfg, "pass4", m), &[read, sort, stripe, write])?;
+    prog.add_pipeline(pass_pipeline(cfg, "pass4", m), &[read, stripe, write])?;
     node.run(prog)?;
     node.disk.delete(M3_FILE); // its last reader
     Ok(())

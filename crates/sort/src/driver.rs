@@ -11,8 +11,10 @@
 //! durable, each rank's disk flushed once in a last phase named `sync`; and
 //! a scratch file is deleted by the pass that reads it last, so it is never
 //! made durable at all.  A node's sort scratch is grown once a run: each
-//! pass's sort stages borrow it (`Node::scratch`); and its pool buffers are
-//! made once a run: each pass's pools draw from its stock (`Node::stock`).
+//! pass's sort stages borrow it (`Node::scratch`); its pool buffers are
+//! made once a run: each pass's pools draw from its stock (`Node::stock`);
+//! and its exchange parts are sized once a run: each pass's exchanging
+//! stage borrows them (`Node::exchange`).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -25,6 +27,7 @@ use fg_core::{BufferStock, Program, Report};
 use fg_pdm::{DiskRef, DiskStats};
 use parking_lot::Mutex;
 
+use crate::chunks::Exchange;
 use crate::config::SortConfig;
 use crate::kernels::SortScratch;
 use crate::SortError;
@@ -48,6 +51,9 @@ pub struct Node {
     pub(crate) scratch: Vec<Arc<Mutex<SortScratch>>>,
     /// The storage of every program's pool buffers, passed from pass to pass.
     pub stock: Arc<BufferStock>,
+    /// The parts of every `alltoallv` its passes run, one stage at a time;
+    /// a program sizes them once a run ([`Exchange::size_parts`]).
+    pub exchange: Arc<Mutex<Exchange>>,
 }
 
 impl Node {
@@ -178,6 +184,7 @@ pub fn launch_observed<T: Send + 'static>(
         let mut node = Node {
             scratch: scratch.collect(),
             stock: Arc::default(),
+            exchange: Arc::new(Mutex::new(Exchange::new(cfg.nodes))),
             cfg,
             rank,
             comm: ctx.comm().clone(),

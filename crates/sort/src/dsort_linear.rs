@@ -28,7 +28,7 @@ use std::time::Duration;
 use fg_core::{map_stage, PipelineCfg, Rounds};
 use fg_pdm::{DiskRef, Striping};
 
-use crate::chunks::{self, Exchange, CHUNK_HEADER_BYTES};
+use crate::chunks::{self, CHUNK_HEADER_BYTES};
 use crate::config::SortConfig;
 use crate::driver::{self, Node};
 use crate::dsort::pass1::run_offsets;
@@ -81,8 +81,13 @@ pub fn run_dsort_linear(
     })
 }
 
-/// One node's passes.
+/// One node's passes.  Both trade the node's exchange parts, sized once for
+/// a block's stripe pieces, which is more than pass 1's largest part: a
+/// block of records all bound for one node.
 pub(crate) fn passes(node: &mut Node) -> Result<(), SortError> {
+    let (nodes, block) = (node.cfg.nodes, node.cfg.block_bytes);
+    let part_bytes = chunks::stripe_part_bytes(&Striping::new(nodes, block), block);
+    node.exchange.lock().size_parts(part_bytes);
     let splitters = node.phase("sampling", |node| sampling::select_splitters(node))?;
     let run_lens = node.phase("pass 1", |node| pass1_linear(node, &splitters))?;
     // Pass 1 was the run's last sort: the merge needs no sort scratch.
@@ -113,17 +118,18 @@ fn pass1_linear(node: &mut Node, splitters: &[ExtKey]) -> Result<Vec<u64>, SortE
 
     // exchange: blocking alltoallv per round — send rate chained to receive
     // rate, all nodes in lockstep.
-    let comm = node.comm.clone();
-    let exchange = prog.add_stage("exchange", {
-        let mut parts = Exchange::new(nodes);
+    let (comm, parts) = (node.comm.clone(), Arc::clone(&node.exchange));
+    let exchange = prog.add_stage(
+        "exchange",
         map_stage(move |buf, _ctx| {
+            let mut parts = parts.lock();
             for chunk in chunks::iter_chunks(buf.filled()) {
                 let chunk = chunk?;
                 parts.part(chunk.a as usize).extend_from_slice(chunk.data);
             }
             Ok(parts.trade(&comm, buf)?)
-        })
-    });
+        }),
+    );
 
     let sort = prog.add_stage("sort", stages::sort_stage(node, 0));
     let (write, run_lens) = stages::append_runs_stage(&node.disk, RUNS_FILE);
@@ -190,7 +196,7 @@ fn pass2_linear(node: &mut Node, run_lens: &[u64], partitions: &[u64]) -> Result
     // nothing but still participate).
     let exchange = prog.add_stage(
         "exchange",
-        stages::stripe_stage(&node.comm, striping, move |buf| buf.meta * rb as u64),
+        stages::stripe_stage(node, striping, move |buf| buf.meta * rb as u64),
     );
     let write = prog.add_stage("write", stages::write_stage(&node.disk, OUTPUT_FILE));
 

@@ -21,10 +21,10 @@
 //!   into that array and back (16 bytes of scratch a record).  Wider formats
 //!   sort `(key, original index)` pairs (32 bytes a record) and permute the
 //!   records in place, cycle by cycle;
-//! * **galloping run detection** over sorted record slices ([`run_len`]) —
-//!   the building block of the batched `MergeRun` fast path in
-//!   [`crate::merge`] and of the two-run merge in csort pass 3 / csort4
-//!   pass 4.
+//! * **galloping run detection** over sorted record slices ([`run_len`],
+//!   and from the back) — the building block of the batched `MergeRun` fast
+//!   path in [`crate::merge`] and of the backward window merge of csort's
+//!   exchange of halves ([`crate::csort::merge_window`]).
 //!
 //! All scratch memory lives in a [`SortScratch`] that callers thread
 //! through their rounds — a program's sort stages borrow their node's
@@ -452,8 +452,18 @@ fn cycles(pairs: &mut [(u64, u32)], mut swap: impl FnMut(usize, usize)) {
 /// loads instead of `m`.
 pub fn run_len(fmt: RecordFormat, data: &[u8], pred: impl Fn(u64) -> bool) -> usize {
     let rb = fmt.record_bytes;
-    let n = data.len() / rb;
-    let ok = |i: usize| pred(fmt.key(&data[i * rb..]));
+    gallop(data.len() / rb, |i| pred(fmt.key(&data[i * rb..])))
+}
+
+/// [`run_len`] from the back: the number of trailing records of sorted
+/// `data` whose key satisfies `pred` (false for a prefix, true after).
+pub(crate) fn run_len_back(fmt: RecordFormat, data: &[u8], pred: impl Fn(u64) -> bool) -> usize {
+    let (rb, n) = (fmt.record_bytes, data.len() / fmt.record_bytes);
+    gallop(n, |i| pred(fmt.key(&data[(n - 1 - i) * rb..])))
+}
+
+/// The length of the prefix of `0..n` on which `ok` holds (true, then false).
+fn gallop(n: usize, ok: impl Fn(usize) -> bool) -> usize {
     if n == 0 || !ok(0) {
         return 0;
     }
@@ -647,5 +657,13 @@ mod tests {
         assert_eq!(run_len(F, &bytes, |_| true), keys.len());
         assert_eq!(run_len(F, &bytes, |_| false), 0);
         assert_eq!(run_len(F, &[], |_| true), 0);
+        for bound in [0u64, 1, 5, 32, 33, 100] {
+            let want = keys.iter().rev().take_while(|&&k| k >= bound).count();
+            assert_eq!(
+                run_len_back(F, &bytes, |k| k >= bound),
+                want,
+                "bound {bound}"
+            );
+        }
     }
 }

@@ -3,12 +3,11 @@
 //!
 //! A pass is a list of these — plus the stages only it has — added to the
 //! `Program` its [`Node`] made, under whatever stage names the pass chooses
-//! (csort4 calls the exchange of halves `shift` and the merge of halves
-//! `sort`).  Each constructor returns a boxed [`Stage`]; what a stage keeps
-//! across rounds (exchange parts, scatter scratch, its node's sort scratch)
-//! lives in its closure, so a warmed-up round allocates nothing.  A second
-//! copy of one of these bodies is a bug: a fix made to one copy does not
-//! reach the other.
+//! (csort4 calls the exchange of halves `shift`).  Each constructor returns
+//! a boxed [`Stage`]; what a stage keeps across rounds (scatter scratch, its
+//! node's sort scratch and exchange parts) lives in its closure, so a
+//! warmed-up round allocates nothing.  A second copy of one of these bodies
+//! is a bug: a fix made to one copy does not reach the other.
 //!
 //! An unbalanced exchange is a [`receive_stage`] on a pipeline of its own
 //! and a sender: [`scatter_send_stage`] (dsort pass 1, group-by), or a
@@ -22,10 +21,10 @@ use fg_core::{map_stage, Buffer, Stage, StageCtx};
 use fg_pdm::{DiskRef, Striping};
 use parking_lot::Mutex;
 
-use crate::chunks::{self, Exchange, Scatter};
+use crate::chunks::{self, Scatter};
 use crate::config::{Matrix, SortConfig};
 use crate::driver::Node;
-use crate::record::{partition_of, ExtKey, RecordFormat};
+use crate::record::{partition_of, ExtKey};
 use crate::SortError;
 
 /// First payload byte of an exchange message: data follows.
@@ -130,22 +129,17 @@ pub fn permute_stage(cfg: &SortConfig, rank: usize, splitters: Vec<ExtKey>) -> B
     })
 }
 
-/// Columnsort's exchange of halves (steps 5–6) on node `q`: the buffer
-/// arrives holding sorted column `c` of `rb`-byte records.  Its larger half
-/// goes to the owner of column `c+1` in a pooled payload — after the first
-/// rounds a buffer this node has sent before, at its full capacity — and the
-/// larger half of column `c−1` arrives, so the buffer leaves holding the
-/// merge input of boundary window `w(c)`: `[received larger half of
-/// c−1][my smaller half]`, plus — only for the last column — my own larger
-/// half, which is window `w(s)`.
-pub fn exchange_halves_stage(
-    comm: &Communicator,
-    m: Matrix,
-    q: usize,
-    rb: usize,
-) -> Box<dyn Stage> {
-    let comm = comm.clone();
-    let (cbytes, half) = (m.r * rb, m.r / 2 * rb);
+/// Columnsort's exchange of halves and merge (steps 6–7) on node `q`: the
+/// buffer arrives holding sorted column `c`.  Its larger half goes to the
+/// owner of column `c+1` in a pooled payload — after the first rounds a
+/// buffer this node has sent before, at its full capacity — and the larger
+/// half of column `c−1` arrives and is merged, read in place, with the
+/// smaller half at the buffer's front ([`crate::csort::merge_window`]), so
+/// the buffer leaves holding boundary window `w(c)` sorted — plus, only for
+/// the last column, my own larger half, window `w(s)`, moved past it first.
+pub fn exchange_halves_stage(node: &Node, m: Matrix) -> Box<dyn Stage> {
+    let (comm, q, fmt) = (node.comm.clone(), node.rank, node.cfg.record);
+    let (cbytes, half) = (m.r * fmt.record_bytes, m.r / 2 * fmt.record_bytes);
     map_stage(move |buf, _ctx| {
         let c = m.col_of_round(q, buf.round() as usize);
         let last = c == m.s - 1;
@@ -155,60 +149,35 @@ pub fn exchange_halves_stage(
             comm.send(m.owner(c + 1), (c + 1) as u64, larger)
                 .map_err(SortError::from)?;
         }
-        // Read in place; dropping the message hands its payload back to
-        // the sender's pool.
-        let msg = match c {
-            0 => None,
-            _ => Some(
-                comm.recv(Some(m.owner(c - 1)), c as u64)
-                    .map_err(SortError::from)?,
-            ),
-        };
+        // Dropping the message hands its payload back to the sender's pool.
+        let msg = (c > 0).then(|| comm.recv(Some(m.owner(c - 1)), c as u64));
+        let msg = msg.transpose().map_err(SortError::from)?;
         let received: &[u8] = msg.as_ref().map_or(&[], |msg| &msg.payload);
-        // What stays of the column moves up behind the received half (the
-        // larger half has been sent, or stays as well).
-        let keep = if last { cbytes } else { half };
+        let window = received.len() + half;
         let space = buf.space_mut();
-        space.copy_within(..keep, received.len());
-        space[..received.len()].copy_from_slice(received);
-        buf.set_filled(received.len() + keep);
-        Ok(())
-    })
-}
-
-/// Columnsort's step 7 on what [`exchange_halves_stage`] left: merge the
-/// two sorted halves of window `w(c)` with the galloping two-run kernel
-/// (`csort::merge_two_sorted`) — boundary windows are nearly
-/// sorted, so the merge collapses to a few bulk copies.  Column 0's window
-/// is one half, and the last column's trailing `w(s)` is sorted already;
-/// both stay in place.
-pub fn merge_halves_stage(fmt: RecordFormat, m: Matrix, q: usize) -> Box<dyn Stage> {
-    let window = m.r * fmt.record_bytes;
-    map_stage(move |buf, ctx| {
-        if m.col_of_round(q, buf.round() as usize) > 0 {
-            debug_assert!(buf.len() >= window);
-            let aux = ctx.aux(window);
-            crate::csort::merge_two_sorted(fmt, &buf.filled()[..window], window / 2, aux);
-            buf.filled_mut()[..window].copy_from_slice(&aux[..window]);
-        }
+        let kept = if last { cbytes - half } else { 0 };
+        space.copy_within(half..half + kept, window);
+        crate::csort::merge_window(fmt, received, &mut space[..window]);
+        buf.set_filled(window + kept);
         Ok(())
     })
 }
 
 /// A striping exchange: the buffer's bytes belong at global byte offset
 /// `goff(buf)` of a file striped by `striping`.  Cut them along
-/// stripe-block boundaries, trade the pieces with their owners (one
-/// `alltoallv` a round, so every node runs the same number of rounds), and
-/// leave in the buffer the `(local offset, piece)` chunks that arrived,
-/// landed in file order (`Exchange::trade_placed`).
+/// stripe-block boundaries into the parts of the node's exchange
+/// (`Node::exchange`), trade the pieces with their owners (one `alltoallv` a
+/// round, so every node runs the same number of rounds), and leave in the
+/// buffer the `(local offset, piece)` chunks that arrived, landed in file
+/// order (`Exchange::trade_placed`).
 pub fn stripe_stage(
-    comm: &Communicator,
+    node: &Node,
     striping: Striping,
     mut goff: impl FnMut(&Buffer) -> u64 + Send + 'static,
 ) -> Box<dyn Stage> {
-    let comm = comm.clone();
-    let mut stripes = Exchange::new(striping.nodes);
+    let (comm, exchange) = (node.comm.clone(), Arc::clone(&node.exchange));
     map_stage(move |buf, _ctx| {
+        let mut stripes = exchange.lock();
         stripes.gather_stripes(&striping, goff(buf), buf.filled());
         Ok(stripes.trade_placed(&comm, buf)?)
     })

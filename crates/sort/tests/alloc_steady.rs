@@ -269,6 +269,44 @@ fn csort_makes_its_pools_once_a_node() {
     }
 }
 
+/// A node makes its exchange parts once a run, each sized for the largest
+/// part any exchange of the run sends one node — a stripe part of the
+/// longest window, a column and a half — and every exchanging stage of
+/// every pass borrows them: so the `communicate` and `stripe` tags of a
+/// csort or csort4 run together stay within one set of parts, nodes × nodes
+/// of that size (each pass's stage made its own, and pass 3's regrew what it
+/// was handed).  The exchange of halves merges each window where it lands,
+/// so no stage allocates an `aux` column for the merge: `merge` and `sort`
+/// together stay under a column on the whole cluster (a column a node
+/// before).
+#[test]
+fn csort_makes_its_exchange_parts_once_a_node() {
+    let _turn = TAG_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let _ = vec![0u8; 16];
+    assert!(fg_core::alloc::installed());
+    const COLUMN: usize = 128 << 10;
+    let (nodes, block) = (4, 4 << 10); // as `columnsort_os_stage_allocations` runs
+    let striping = fg_pdm::Striping::new(nodes, block);
+    let part = fg_sort::chunks::stripe_part_bytes(&striping, COLUMN * 3 / 2);
+    let bound = (nodes * nodes * part) as u64;
+    const TAGS: [&str; 4] = ["communicate", "stripe", "merge", "sort"];
+    let csort = |cfg: &_, disks: &_| drop(fg_sort::csort::run_csort(cfg, disks).expect("csort"));
+    let csort4 =
+        |cfg: &_, disks: &_| drop(fg_sort::csort4::run_csort4(cfg, disks).expect("csort4"));
+    for (sort, run) in [("csort", csort as fn(&_, &_)), ("csort4", csort4)] {
+        let [communicate, stripe, merge, sorts] =
+            columnsort_os_stage_allocations(TAGS, 64 << 10, run);
+        assert!(
+            communicate + stripe <= bound,
+            "{sort}: communicate {communicate} B + stripe {stripe} B, bound {bound} B"
+        );
+        assert!(
+            merge + sorts < COLUMN as u64,
+            "{sort}: merge {merge} B + sort {sorts} B"
+        );
+    }
+}
+
 /// The stages of csort's data path.
 const CSORT_TAGS: [&str; 5] = ["communicate", "stripe", "exchange", "read", "write"];
 

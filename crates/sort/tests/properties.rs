@@ -94,6 +94,51 @@ proptest! {
         prop_assert_eq!(d, data);
     }
 
+    /// Columnsort's step 7 where the window lands (`csort::merge_window`):
+    /// merging the received larger half of column c−1 backward into the
+    /// smaller half of column c, at the buffer's front, equals a stable sort
+    /// of the window with the received records first — at any length of
+    /// either half (column 0's received half is empty), over uniform,
+    /// all-equal and Poisson keys, for 16- and 64-byte records.  On the last
+    /// column the exchange first moves its own larger half, `w(s)`, past the
+    /// window; it comes out untouched.
+    #[test]
+    fn the_backward_window_merge_is_a_stable_sort_of_the_window(
+        received_len in prop_oneof![Just(0usize), 0usize..48],
+        half_len in 0usize..48,
+        dist in 0usize..3,
+        wide in any::<bool>(),
+        last in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        use fg_sort::keygen::{KeyDist, KeyGen};
+        let f = if wide { RecordFormat::REC64 } else { RecordFormat::REC16 };
+        let dist = [KeyDist::Uniform, KeyDist::AllEqual, KeyDist::Poisson][dist];
+        let mut keys = KeyGen::new(dist, seed, 0, 1);
+        let mut sorted = |n: usize| {
+            let mut run: Vec<u64> = (0..n).map(|_| keys.next_key()).collect();
+            run.sort_unstable();
+            run
+        };
+        // One call numbers every record's payload, so ties show who went first.
+        let (received, column) = (sorted(received_len), sorted(2 * half_len));
+        let bytes = records_with_payloads(f, &[received, column].concat());
+        let (received, column) = bytes.split_at(received_len * f.record_bytes);
+        let (half, window) = (half_len * f.record_bytes, received.len() + half_len * f.record_bytes);
+
+        // The buffer as the exchange leaves it: the column, its larger half
+        // sent or — on the last column — moved past the window.
+        let mut space = column.to_vec();
+        space.resize(window + half, 0);
+        let kept = if last { half } else { 0 };
+        space.copy_within(half..half + kept, window);
+        fg_sort::csort::merge_window(f, received, &mut space[..window]);
+
+        let expect = reference_sort(f, &[received, &column[..half]].concat());
+        prop_assert_eq!(&space[..window], &expect[..]);
+        prop_assert_eq!(&space[window..window + kept], &column[half..half + kept]);
+    }
+
     /// The loser tree merges arbitrary sorted lanes into the global sort.
     #[test]
     fn loser_tree_merges(lanes in vec(vec(0u64..1000, 0..30), 1..10)) {
