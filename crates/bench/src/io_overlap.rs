@@ -49,7 +49,7 @@ pub fn check(res: &IoOverlapResult) -> Result<(), String> {
 
 /// Measure this filesystem's per-block `read + write` cost: the loop body
 /// with zero compute over a handful of blocks, best of three, without the
-/// pass-end `flush` (a tail both arms pay, not a cost a pipeline can hide).
+/// pass-end `flush`, which forces nothing after durable writes.
 fn probe_io_per_block(root: &std::path::Path, block_bytes: usize) -> Result<Duration, SortError> {
     const PROBE_BLOCKS: usize = 16;
     let disk = OsDisk::durable(root.join("probe"))?;

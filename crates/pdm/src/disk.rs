@@ -42,9 +42,9 @@ use crate::PdmError;
 ///   sees it, and the first error of any *deferred* write is returned here.
 ///   It promises no durability.
 /// * [`flush`](Disk::flush) is the same barrier and a durability point: it
-///   also forces what has landed down to the device (`sync_data` on
-///   [`OsDisk`](crate::OsDisk)); backends with nothing to force return
-///   `Ok(())`.
+///   also forces every write this handle accepted since the last flush down
+///   to the device (`sync_data` on [`OsDisk`](crate::OsDisk)); backends with
+///   nothing to force return `Ok(())`.
 ///
 /// A pass ends at `land` and a run at `flush`.
 pub trait Disk: Send + Sync {
@@ -79,8 +79,8 @@ pub trait Disk: Send + Sync {
     /// Inject a failure: after `ops` more successful operations, every
     /// read/write fails with [`PdmError::DiskFailed`].
     fn fail_after_ops(&self, ops: u64);
-    /// Write barrier: block until every accepted write has reached the
-    /// backend, surfacing the first deferred-write error.
+    /// Durability barrier: force every write accepted since the last flush
+    /// (a `load` is not one), surfacing the first deferred-write error.
     fn flush(&self) -> Result<(), PdmError> {
         Ok(())
     }

@@ -16,14 +16,15 @@
 //!
 //! [`land`](Disk::land) is free: a returned `pwrite` is in the page cache,
 //! which serves every later read.  [`flush`](Disk::flush) is the durability
-//! point, a `sync_data` of every file this handle has open — so a file
+//! point, a `sync_data` of each file written since the last flush: a file
 //! deleted before the run's one `flush` is never forced to the device, and
-//! the kernel may drop its dirty pages unwritten.
+//! one only `load`ed and read (a run's input) is left to kernel writeback.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -38,10 +39,12 @@ use crate::PdmError;
 /// The length mutex serializes appends (reserve an offset, then write) and
 /// lets `read_at` range-check without a `stat` round trip.  Positioned
 /// writes themselves need no lock: `pwrite` is atomic with respect to
-/// offset.
+/// offset.  `owed` is set (`Release`) once a write has returned and swapped
+/// clear (`AcqRel`) by the `flush` that then syncs the file.
 struct Entry {
     file: File,
     len: Mutex<u64>,
+    owed: AtomicBool,
 }
 
 /// A disk backed by real files under a root directory.
@@ -175,6 +178,7 @@ impl OsDisk {
         let entry = Arc::new(Entry {
             file,
             len: Mutex::new(len),
+            owed: AtomicBool::new(false),
         });
         files.insert(name.to_string(), Arc::clone(&entry));
         Ok(Some(entry))
@@ -184,24 +188,31 @@ impl OsDisk {
     /// is real elapsed wall time.
     fn account(&self, dir: Dir, bytes: usize, start: Instant) {
         let elapsed = start.elapsed();
-        self.counters.busy_nanos.fetch_add(
-            elapsed.as_nanos() as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
-        let ord = std::sync::atomic::Ordering::Relaxed;
+        let (c, ord) = (&self.counters, Ordering::Relaxed);
+        c.busy_nanos.fetch_add(elapsed.as_nanos() as u64, ord);
         match dir {
             Dir::Read => {
-                self.counters.bytes_read.fetch_add(bytes as u64, ord);
-                self.counters.read_ops.fetch_add(1, ord);
+                c.bytes_read.fetch_add(bytes as u64, ord);
+                c.read_ops.fetch_add(1, ord);
             }
             Dir::Write => {
-                self.counters.bytes_written.fetch_add(bytes as u64, ord);
-                self.counters.write_ops.fetch_add(1, ord);
+                c.bytes_written.fetch_add(bytes as u64, ord);
+                c.write_ops.fetch_add(1, ord);
             }
         }
         if let Some(m) = &self.metrics {
             m.record(dir, bytes, elapsed);
         }
+    }
+
+    /// After a returned `pwrite`: a durable handle forces it now, any other
+    /// leaves the file owed to the next [`flush`](Disk::flush).
+    fn settle(&self, entry: &Entry, name: &str) -> Result<(), PdmError> {
+        if self.durable {
+            return entry.file.sync_data().map_err(|e| io_err("sync", name, e));
+        }
+        entry.owed.store(true, Ordering::Release);
+        Ok(())
     }
 }
 
@@ -214,12 +225,7 @@ impl Disk for OsDisk {
             .file
             .write_all_at(data, offset)
             .map_err(|e| io_err("write", name, e))?;
-        if self.durable {
-            entry
-                .file
-                .sync_data()
-                .map_err(|e| io_err("sync", name, e))?;
-        }
+        self.settle(&entry, name)?;
         {
             let mut len = entry.len.lock();
             *len = (*len).max(offset + data.len() as u64);
@@ -241,12 +247,7 @@ impl Disk for OsDisk {
                 .file
                 .write_all_at(data, offset)
                 .map_err(|e| io_err("append", name, e))?;
-            if self.durable {
-                entry
-                    .file
-                    .sync_data()
-                    .map_err(|e| io_err("sync", name, e))?;
-            }
+            self.settle(&entry, name)?;
             *len = offset + data.len() as u64;
             offset
         };
@@ -285,16 +286,14 @@ impl Disk for OsDisk {
         let file_len = *entry.len.lock();
         let take = file_len.saturating_sub(offset).min(len as u64) as usize;
         let mut out = vec![0u8; take];
+        let t0 = Instant::now();
         if take > 0 {
-            let t0 = Instant::now();
             entry
                 .file
                 .read_exact_at(&mut out, offset)
                 .map_err(|e| io_err("read", name, e))?;
-            self.account(Dir::Read, take, t0);
-        } else {
-            self.account(Dir::Read, 0, Instant::now());
         }
+        self.account(Dir::Read, take, t0);
         Ok(out)
     }
 
@@ -374,19 +373,20 @@ impl Disk for OsDisk {
         Ok(())
     }
 
-    /// Durability barrier: force completed writes down to the device.
+    /// Durability barrier: force every write since the last flush down to
+    /// the device.  A file whose sync fails stays owed.
     fn flush(&self) -> Result<(), PdmError> {
-        let entries: Vec<(String, Arc<Entry>)> = self
-            .files
-            .read()
-            .iter()
+        let owed: Vec<(String, Arc<Entry>)> = (self.files.read().iter())
+            .filter(|(_, e)| e.owed.load(Ordering::Acquire))
             .map(|(k, v)| (k.clone(), Arc::clone(v)))
             .collect();
-        for (name, entry) in entries {
-            entry
-                .file
-                .sync_data()
-                .map_err(|e| io_err("sync", &name, e))?;
+        for (name, entry) in owed {
+            if entry.owed.swap(false, Ordering::AcqRel) {
+                entry.file.sync_data().map_err(|e| {
+                    entry.owed.store(true, Ordering::Release);
+                    io_err("sync", &name, e)
+                })?;
+            }
         }
         Ok(())
     }
