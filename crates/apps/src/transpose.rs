@@ -25,7 +25,7 @@ use std::time::Duration;
 
 use fg_cluster::{Cluster, ClusterCfg, ClusterError, Communicator, NetCfg};
 use fg_core::{map_stage, PipelineCfg, Program, Rounds};
-use fg_pdm::{DiskCfg, DiskRef, SimDisk, Striping};
+use fg_pdm::{Disk, DiskCfg, DiskRef, SimDisk, Striping};
 use fg_sort::chunks::{Exchange, CHUNK_HEADER_BYTES};
 use fg_sort::stages;
 use fg_sort::SortError;

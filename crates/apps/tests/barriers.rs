@@ -98,9 +98,6 @@ impl Disk for Barriers {
     fn fail_after_ops(&self, ops: u64) {
         self.inner.fail_after_ops(ops)
     }
-    fn reserve(&self, name: &str, bytes: u64) {
-        self.inner.reserve(name, bytes)
-    }
     fn land(&self) -> Result<(), PdmError> {
         self.barrier("land", self.inner.land())
     }

@@ -88,23 +88,23 @@ fn replicated_stage_processes_every_round_once() {
 
 #[test]
 fn replication_speeds_up_slow_stage() {
-    let run = |workers: usize| {
-        let mut prog = Program::new("speed");
-        let slow = prog.workers("slow", workers, |_| {
-            map_stage(|_, _| {
-                std::thread::sleep(Duration::from_millis(2));
-                Ok(())
-            })
-        });
-        prog.add_pipeline(
-            PipelineCfg::new("p", 8, 16).rounds(Rounds::Count(60)),
-            &[slow],
-        )
-        .unwrap();
-        prog.run().unwrap().wall
-    };
-    let serial = run(1);
-    let parallel = run(4);
+    // Four workers share 60 sleeps of 2ms.  The serial time is the workers'
+    // summed busy time in this same run, so a host that sleeps long or
+    // schedules late moves both sides of the comparison alike.
+    let mut prog = Program::new("speed");
+    let slow = prog.workers("slow", 4, |_| {
+        map_stage(|_, _| {
+            std::thread::sleep(Duration::from_millis(2));
+            Ok(())
+        })
+    });
+    prog.add_pipeline(
+        PipelineCfg::new("p", 8, 16).rounds(Rounds::Count(60)),
+        &[slow],
+    )
+    .unwrap();
+    let report = prog.run().unwrap();
+    let (serial, parallel) = (report.total_busy(), report.wall);
     assert!(
         parallel.as_secs_f64() < serial.as_secs_f64() * 0.5,
         "4 workers should cut sleep-bound wall time: serial {serial:?}, parallel {parallel:?}"

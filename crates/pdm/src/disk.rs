@@ -12,6 +12,7 @@
 //! Tests use [`DiskCfg::zero`] and run at memory speed.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -32,7 +33,9 @@ use crate::PdmError;
 /// Semantics all backends share:
 ///
 /// * files are flat named byte arrays under one per-node namespace;
-/// * [`write_at`](Disk::write_at) past the end grows the file zero-filled;
+/// * a file grows by exactly what is written: [`write_at`](Disk::write_at)
+///   past the end grows it zero-filled to the write's end, and nothing asks
+///   ahead for the size a file will reach;
 /// * [`load`](Disk::load)/[`snapshot`](Disk::snapshot) are *out-of-band*
 ///   provisioning/verification hooks — they move bytes without charging
 ///   costs or touching the I/O counters, and they keep working after an
@@ -92,11 +95,6 @@ pub trait Disk: Send + Sync {
     fn land(&self) -> Result<(), PdmError> {
         self.flush()
     }
-    /// Hint that `name` will grow to about `bytes` in total, so a backend
-    /// that pays for growing a file piecemeal can make room once.  Never
-    /// fails and never changes an existing file's contents or length (it may
-    /// create `name`, empty); backends with nothing to gain ignore it.
-    fn reserve(&self, _name: &str, _bytes: u64) {}
 }
 
 /// Shared handle to a disk backend, as the pipelines hold it.
@@ -248,6 +246,13 @@ impl Counters {
     }
 }
 
+/// Direction of one I/O operation, for metric recording.
+#[derive(Clone, Copy)]
+pub(crate) enum Dir {
+    Read,
+    Write,
+}
+
 /// Metric handles of one disk, resolved once at attachment.  Latencies are
 /// measured wall time per operation *including* queueing behind other
 /// requests for the disk arm, so the histograms expose contention, not just
@@ -270,16 +275,7 @@ impl DiskMetrics {
             bytes_written: registry.counter(&format!("disk/{label}/bytes_written")),
         }
     }
-}
 
-/// Direction of one I/O operation, for metric recording.
-#[derive(Clone, Copy)]
-pub(crate) enum Dir {
-    Read,
-    Write,
-}
-
-impl DiskMetrics {
     /// Record one operation's wall time and byte count.
     pub(crate) fn record(&self, dir: Dir, bytes: usize, elapsed: Duration) {
         match dir {
@@ -295,12 +291,76 @@ impl DiskMetrics {
     }
 }
 
+/// One simulated file: its bytes as extents laid end to end.  Each extent
+/// is made once, at the size a `load`, an `append` or a write past the end
+/// grew the file by, so a file never copies what it already holds and
+/// needs no hint of the size it will reach.
+#[derive(Default)]
+struct Extents {
+    parts: Vec<Vec<u8>>,
+    /// `ends[i]`: the file offset one past `parts[i]`.
+    ends: Vec<u64>,
+}
+
+/// The pieces of `at..at + len` over extents ending at `ends`, in order:
+/// each an extent's index and the range of that extent it covers.
+fn pieces(ends: &[u64], at: u64, len: usize) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+    let stop = at + len as u64;
+    (ends.partition_point(|&end| end <= at)..ends.len()).map_while(move |i| {
+        let start = i.checked_sub(1).map_or(0, |j| ends[j]);
+        let piece = at.max(start) - start..ends[i].min(stop).saturating_sub(start);
+        (start < stop).then_some((i, piece.start as usize..piece.end as usize))
+    })
+}
+
+impl Extents {
+    fn len(&self) -> u64 {
+        self.ends.last().copied().unwrap_or(0)
+    }
+
+    /// Add `bytes` as the last extent; returns the offset it starts at.
+    fn push(&mut self, bytes: Vec<u8>) -> u64 {
+        let at = self.len();
+        self.ends.push(at + bytes.len() as u64);
+        self.parts.push(bytes);
+        at
+    }
+
+    fn read(&self, offset: u64, out: &mut [u8]) {
+        let mut at = 0;
+        for (i, piece) in pieces(&self.ends, offset, out.len()) {
+            at += piece.len();
+            out[at - piece.len()..at].copy_from_slice(&self.parts[i][piece]);
+        }
+    }
+
+    /// Write `data` at `offset`: what falls inside the file is copied into
+    /// the extents it overlaps, and the rest, behind any zero gap, becomes
+    /// one new extent.
+    fn write(&mut self, offset: u64, data: &[u8]) {
+        let len = self.len();
+        let inside = len.saturating_sub(offset).min(data.len() as u64) as usize;
+        let mut at = 0;
+        for (i, piece) in pieces(&self.ends, offset, inside) {
+            at += piece.len();
+            self.parts[i][piece.clone()].copy_from_slice(&data[at - piece.len()..at]);
+        }
+        if offset + data.len() as u64 > len {
+            let gap = offset.saturating_sub(len) as usize;
+            let mut tail = Vec::with_capacity(gap + data.len() - inside);
+            tail.resize(gap, 0);
+            tail.extend_from_slice(&data[inside..]);
+            self.push(tail);
+        }
+    }
+}
+
 /// An in-memory simulated disk holding named files.
 pub struct SimDisk {
     cfg: DiskCfg,
     /// The disk arm: held (while sleeping the op cost) to serialize access.
     arm: Mutex<()>,
-    files: RwLock<HashMap<String, Arc<Mutex<Vec<u8>>>>>,
+    files: RwLock<HashMap<String, Arc<Mutex<Extents>>>>,
     counters: Counters,
     /// Failure injection; see [`FailGate`].
     fail: FailGate,
@@ -312,40 +372,25 @@ pub struct SimDisk {
 impl SimDisk {
     /// Create an empty disk with the given cost model.
     pub fn new(cfg: DiskCfg) -> Arc<Self> {
-        Arc::new(SimDisk {
-            cfg,
-            arm: Mutex::new(()),
-            files: RwLock::new(HashMap::new()),
-            counters: Counters::default(),
-            fail: FailGate::default(),
-            metrics: None,
-        })
+        Self::build(cfg, None)
     }
 
     /// Create an empty disk that additionally records per-operation latency
     /// histograms and byte counters into `registry`, under
     /// `disk/{label}/…` names (one label per disk, e.g. `d0`, `d1`).
     pub fn with_metrics(cfg: DiskCfg, registry: &MetricsRegistry, label: &str) -> Arc<Self> {
+        Self::build(cfg, Some(DiskMetrics::new(registry, label)))
+    }
+
+    fn build(cfg: DiskCfg, metrics: Option<DiskMetrics>) -> Arc<Self> {
         Arc::new(SimDisk {
             cfg,
             arm: Mutex::new(()),
-            files: RwLock::new(HashMap::new()),
+            files: RwLock::default(),
             counters: Counters::default(),
             fail: FailGate::default(),
-            metrics: Some(DiskMetrics::new(registry, label)),
+            metrics,
         })
-    }
-
-    /// Inject a failure: after `ops` more successful operations, every
-    /// read/write on this disk fails with [`PdmError::DiskFailed`] — for
-    /// testing that errors propagate out of pipelines and across the
-    /// cluster.
-    pub fn fail_after_ops(&self, ops: u64) {
-        self.fail.arm(ops);
-    }
-
-    fn check_alive(&self) -> Result<(), PdmError> {
-        self.fail.check()
     }
 
     /// Hold the disk arm: until the guard drops, every operation with a
@@ -361,7 +406,24 @@ impl SimDisk {
         self.cfg
     }
 
+    /// Snapshot of the I/O counters (also [`Disk::stats`]).
+    pub fn stats(&self) -> DiskStats {
+        self.counters.snapshot()
+    }
+
+    /// Count one operation moving `bytes` and charge its cost.
     fn charge(&self, dir: Dir, bytes: usize) {
+        let (c, ord) = (&self.counters, Ordering::Relaxed);
+        match dir {
+            Dir::Read => {
+                c.bytes_read.fetch_add(bytes as u64, ord);
+                c.read_ops.fetch_add(1, ord);
+            }
+            Dir::Write => {
+                c.bytes_written.fetch_add(bytes as u64, ord);
+                c.write_ops.fetch_add(1, ord);
+            }
+        }
         let d = self.cfg.cost(bytes);
         if d.is_zero() {
             // Memory-speed disks (DiskCfg::zero) skip the clock reads, the
@@ -373,9 +435,7 @@ impl SimDisk {
             }
             return;
         }
-        self.counters
-            .busy_nanos
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
+        c.busy_nanos.fetch_add(d.as_nanos() as u64, ord);
         let t0 = Instant::now();
         {
             // Hold the arm while the operation is "in flight".
@@ -389,197 +449,98 @@ impl SimDisk {
         }
     }
 
-    fn file(&self, name: &str) -> Option<Arc<Mutex<Vec<u8>>>> {
+    fn file(&self, name: &str) -> Option<Arc<Mutex<Extents>>> {
         self.files.read().get(name).map(Arc::clone)
     }
 
-    fn file_or_create(&self, name: &str) -> Arc<Mutex<Vec<u8>>> {
+    fn existing(&self, name: &str) -> Result<Arc<Mutex<Extents>>, PdmError> {
+        self.fail.check()?;
+        self.file(name)
+            .ok_or_else(|| PdmError::NoSuchFile(name.to_string()))
+    }
+
+    fn file_or_create(&self, name: &str) -> Arc<Mutex<Extents>> {
         if let Some(f) = self.file(name) {
             return f;
         }
-        let mut files = self.files.write();
-        Arc::clone(
-            files
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Mutex::new(Vec::new()))),
-        )
+        Arc::clone(self.files.write().entry(name.to_string()).or_default())
     }
+}
 
-    /// Write `data` at byte `offset` of `name`, creating and growing the
-    /// file (zero-filled) as needed.
-    pub fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<(), PdmError> {
-        self.check_alive()?;
-        let file = self.file_or_create(name);
-        {
-            let mut bytes = file.lock();
-            let end = offset as usize + data.len();
-            if bytes.len() < end {
-                bytes.resize(end, 0);
-            }
-            bytes[offset as usize..end].copy_from_slice(data);
-        }
-        self.counters
-            .bytes_written
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.counters.write_ops.fetch_add(1, Ordering::Relaxed);
+impl Disk for SimDisk {
+    fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<(), PdmError> {
+        self.fail.check()?;
+        self.file_or_create(name).lock().write(offset, data);
         self.charge(Dir::Write, data.len());
         Ok(())
     }
 
-    /// Append `data` to `name` (creating it), returning the offset the data
-    /// landed at.
-    pub fn append(&self, name: &str, data: &[u8]) -> Result<u64, PdmError> {
-        self.check_alive()?;
-        let file = self.file_or_create(name);
-        let offset = {
-            let mut bytes = file.lock();
-            let offset = bytes.len() as u64;
-            bytes.extend_from_slice(data);
-            offset
-        };
-        self.counters
-            .bytes_written
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.counters.write_ops.fetch_add(1, Ordering::Relaxed);
+    fn append(&self, name: &str, data: &[u8]) -> Result<u64, PdmError> {
+        self.fail.check()?;
+        let offset = self.file_or_create(name).lock().push(data.to_vec());
         self.charge(Dir::Write, data.len());
         Ok(offset)
     }
 
-    /// Read exactly `out.len()` bytes at `offset` of `name`.
-    pub fn read_at(&self, name: &str, offset: u64, out: &mut [u8]) -> Result<(), PdmError> {
-        self.check_alive()?;
-        let file = self
-            .file(name)
-            .ok_or_else(|| PdmError::NoSuchFile(name.to_string()))?;
+    fn read_at(&self, name: &str, offset: u64, out: &mut [u8]) -> Result<(), PdmError> {
         {
-            let bytes = file.lock();
-            let end = offset as usize + out.len();
-            if end > bytes.len() {
+            let file = self.existing(name)?;
+            let file = file.lock();
+            if offset + out.len() as u64 > file.len() {
                 return Err(PdmError::OutOfRange {
                     file: name.to_string(),
                     offset,
                     len: out.len(),
-                    file_len: bytes.len() as u64,
+                    file_len: file.len(),
                 });
             }
-            out.copy_from_slice(&bytes[offset as usize..end]);
+            file.read(offset, out);
         }
-        self.counters
-            .bytes_read
-            .fetch_add(out.len() as u64, Ordering::Relaxed);
-        self.counters.read_ops.fetch_add(1, Ordering::Relaxed);
         self.charge(Dir::Read, out.len());
         Ok(())
     }
 
-    /// Read up to `len` bytes at `offset` (short read at end of file).
-    pub fn read_up_to(&self, name: &str, offset: u64, len: usize) -> Result<Vec<u8>, PdmError> {
-        self.check_alive()?;
-        let file = self
-            .file(name)
-            .ok_or_else(|| PdmError::NoSuchFile(name.to_string()))?;
+    fn read_up_to(&self, name: &str, offset: u64, len: usize) -> Result<Vec<u8>, PdmError> {
         let data = {
-            let bytes = file.lock();
-            let start = (offset as usize).min(bytes.len());
-            let end = (start + len).min(bytes.len());
-            bytes[start..end].to_vec()
+            let file = self.existing(name)?;
+            let file = file.lock();
+            let start = offset.min(file.len());
+            let mut data = vec![0; (file.len() - start).min(len as u64) as usize];
+            file.read(start, &mut data);
+            data
         };
-        self.counters
-            .bytes_read
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.counters.read_ops.fetch_add(1, Ordering::Relaxed);
         self.charge(Dir::Read, data.len());
         Ok(data)
     }
 
-    /// Install a file's full contents **without charging any cost** — an
-    /// out-of-band provisioning hook for experiment setup (loading the
-    /// input dataset is not part of any measured pass).
-    pub fn load(&self, name: &str, bytes: Vec<u8>) {
-        let file = self.file_or_create(name);
-        *file.lock() = bytes;
-    }
-
-    /// Copy a file's full contents **without charging any cost** — the
-    /// verification counterpart of [`SimDisk::load`].
-    pub fn snapshot(&self, name: &str) -> Option<Vec<u8>> {
-        self.file(name).map(|f| f.lock().clone())
-    }
-
-    /// Length of a file, or `None` if it does not exist.
-    pub fn len(&self, name: &str) -> Option<u64> {
-        self.file(name).map(|f| f.lock().len() as u64)
-    }
-
-    /// Whether the file exists.
-    pub fn exists(&self, name: &str) -> bool {
-        self.files.read().contains_key(name)
-    }
-
-    /// Delete a file; returns whether it existed.
-    pub fn delete(&self, name: &str) -> bool {
-        self.files.write().remove(name).is_some()
-    }
-
-    /// Names of all files on the disk (unspecified order).
-    pub fn list(&self) -> Vec<String> {
-        self.files.read().keys().cloned().collect()
-    }
-
-    /// Snapshot of the I/O counters.
-    pub fn stats(&self) -> DiskStats {
-        self.counters.snapshot()
-    }
-
-    /// Reset the I/O counters (e.g. between experiment passes).
-    pub fn reset_stats(&self) {
-        self.counters.reset()
-    }
-}
-
-// The trait impl delegates to the inherent methods above (inherent methods
-// win during resolution, so there is no recursion), letting existing code
-// that holds a concrete `Arc<SimDisk>` keep working unchanged while the
-// pipelines hold `Arc<dyn Disk>`.
-impl Disk for SimDisk {
-    fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<(), PdmError> {
-        SimDisk::write_at(self, name, offset, data)
-    }
-
-    fn append(&self, name: &str, data: &[u8]) -> Result<u64, PdmError> {
-        SimDisk::append(self, name, data)
-    }
-
-    fn read_at(&self, name: &str, offset: u64, out: &mut [u8]) -> Result<(), PdmError> {
-        SimDisk::read_at(self, name, offset, out)
-    }
-
-    fn read_up_to(&self, name: &str, offset: u64, len: usize) -> Result<Vec<u8>, PdmError> {
-        SimDisk::read_up_to(self, name, offset, len)
-    }
-
+    /// Installs `bytes` as the file's one extent, **without charging any
+    /// cost** (loading the input dataset is not part of any measured pass).
     fn load(&self, name: &str, bytes: Vec<u8>) {
-        SimDisk::load(self, name, bytes)
+        let ends = vec![bytes.len() as u64];
+        *self.file_or_create(name).lock() = Extents {
+            parts: vec![bytes],
+            ends,
+        };
     }
 
     fn snapshot(&self, name: &str) -> Option<Vec<u8>> {
-        SimDisk::snapshot(self, name)
+        self.file(name).map(|f| f.lock().parts.concat())
     }
 
     fn len(&self, name: &str) -> Option<u64> {
-        SimDisk::len(self, name)
+        self.file(name).map(|f| f.lock().len())
     }
 
     fn exists(&self, name: &str) -> bool {
-        SimDisk::exists(self, name)
+        self.files.read().contains_key(name)
     }
 
     fn delete(&self, name: &str) -> bool {
-        SimDisk::delete(self, name)
+        self.files.write().remove(name).is_some()
     }
 
     fn list(&self) -> Vec<String> {
-        SimDisk::list(self)
+        self.files.read().keys().cloned().collect()
     }
 
     fn stats(&self) -> DiskStats {
@@ -587,18 +548,11 @@ impl Disk for SimDisk {
     }
 
     fn reset_stats(&self) {
-        SimDisk::reset_stats(self)
+        self.counters.reset()
     }
 
     fn fail_after_ops(&self, ops: u64) {
-        SimDisk::fail_after_ops(self, ops)
-    }
-
-    fn reserve(&self, name: &str, bytes: u64) {
-        let file = self.file_or_create(name);
-        let mut data = file.lock();
-        let more = (bytes as usize).saturating_sub(data.len());
-        data.reserve_exact(more);
+        self.fail.arm(ops);
     }
 }
 
@@ -660,6 +614,56 @@ mod tests {
         d.write_at("f", 0, &[1, 2, 3]).unwrap();
         assert_eq!(d.read_up_to("f", 2, 10).unwrap(), vec![3]);
         assert_eq!(d.read_up_to("f", 5, 10).unwrap(), Vec::<u8>::new());
+    }
+
+    /// A file of three extents: `0..4` loaded, `4..6` and `6..9` appended.
+    fn three_extents() -> Arc<SimDisk> {
+        let d = SimDisk::new(DiskCfg::zero());
+        d.load("f", vec![0, 1, 2, 3]);
+        d.append("f", &[4, 5]).unwrap();
+        d.append("f", &[6, 7, 8]).unwrap();
+        d
+    }
+
+    #[test]
+    fn extents_read_as_one_flat_file() {
+        let d = three_extents();
+        let mut out = [0u8; 7];
+        d.read_at("f", 1, &mut out).unwrap();
+        assert_eq!(out, [1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(d.read_up_to("f", 5, 10).unwrap(), vec![5, 6, 7, 8]);
+        assert_eq!(d.read_up_to("f", 9, 10).unwrap(), Vec::<u8>::new());
+        assert_eq!(d.snapshot("f").unwrap(), (0..9).collect::<Vec<u8>>());
+    }
+
+    #[test]
+    fn a_write_straddling_extents_lands_in_both() {
+        let d = three_extents();
+        d.write_at("f", 3, &[30, 40, 50]).unwrap();
+        assert_eq!(d.len("f"), Some(9));
+        assert_eq!(d.snapshot("f").unwrap(), [0, 1, 2, 30, 40, 50, 6, 7, 8]);
+        // Over the end: the part inside is copied, the rest appended.
+        d.write_at("f", 8, &[80, 90]).unwrap();
+        assert_eq!(d.read_up_to("f", 7, 9).unwrap(), [7, 80, 90]);
+    }
+
+    #[test]
+    fn a_write_past_the_end_reads_back_its_gap_as_zeros() {
+        let d = three_extents();
+        d.write_at("f", 12, &[12, 13]).unwrap();
+        assert_eq!(d.len("f"), Some(14));
+        assert_eq!(d.read_up_to("f", 7, 10).unwrap(), [7, 8, 0, 0, 0, 12, 13]);
+        d.write_at("f", 10, &[10]).unwrap();
+        assert_eq!(d.read_up_to("f", 9, 3).unwrap(), [0, 10, 0]);
+    }
+
+    #[test]
+    fn load_replaces_every_extent() {
+        let d = three_extents();
+        d.load("f", vec![7, 7]);
+        assert_eq!(d.len("f"), Some(2));
+        assert_eq!(d.snapshot("f").unwrap(), [7, 7]);
+        assert_eq!(d.append("f", &[1]).unwrap(), 2);
     }
 
     #[test]

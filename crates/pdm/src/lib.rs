@@ -23,7 +23,7 @@
 //!   and a verification helper that reassembles the global stream.
 //!
 //! ```
-//! use fg_pdm::{DiskCfg, SimDisk, Striping};
+//! use fg_pdm::{Disk, DiskCfg, SimDisk, Striping};
 //!
 //! let disks: Vec<_> = (0..4).map(|_| SimDisk::new(DiskCfg::zero())).collect();
 //! let s = Striping::new(4, 8);
@@ -54,7 +54,7 @@ use std::fmt;
 /// Errors from the simulated storage layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PdmError {
-    /// The disk has failed (injected via [`SimDisk::fail_after_ops`]).
+    /// The disk has failed (injected via [`Disk::fail_after_ops`]).
     DiskFailed,
     /// The named file does not exist on this disk.
     NoSuchFile(String),

@@ -704,10 +704,6 @@ impl Disk for IoScheduler {
         self.shared.inner.fail_after_ops(ops)
     }
 
-    fn reserve(&self, name: &str, bytes: u64) {
-        self.shared.inner.reserve(name, bytes)
-    }
-
     fn land(&self) -> Result<(), PdmError> {
         self.shared.drain()?;
         self.shared.inner.land()

@@ -182,6 +182,16 @@ proptest! {
             let want = sim.snapshot(name);
             prop_assert_eq!(os.snapshot(name), want.clone(), "OsDisk diverged on {}", name);
             prop_assert_eq!(sched.snapshot(name), want, "IoScheduler diverged on {}", name);
+            // Every append and every write past the end made the SimDisk
+            // file one more extent, so these reads cross extents.
+            let len = sim.len(name).unwrap_or(0);
+            let (mut a, mut b) = (vec![0; len as usize], vec![1; len as usize]);
+            prop_assert_eq!(sim.read_at(name, 0, &mut a), os.read_at(name, 0, &mut b));
+            prop_assert_eq!(a, b, "whole-file read of {}", name);
+            for at in (0..len + 3).step_by(5) {
+                let (a, b) = (sim.read_up_to(name, at, 13), os.read_up_to(name, at, 13));
+                prop_assert_eq!(a, b, "read of 13 at {} of {}", at, name);
+            }
         }
     }
 

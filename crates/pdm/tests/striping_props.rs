@@ -5,7 +5,7 @@ use std::sync::Arc;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use fg_pdm::{DiskCfg, SimDisk, Striping};
+use fg_pdm::{Disk, DiskCfg, SimDisk, Striping};
 
 proptest! {
     /// Block location round-trips for any geometry.

@@ -161,11 +161,13 @@ impl Exchange {
     }
 
     /// Give every part room for `bytes`: once a run, on every node, before
-    /// the first trade.
+    /// the first trade, booked to the `exchange/parts` alloc tag.
     pub fn size_parts(&mut self, bytes: usize) {
-        self.parts
-            .iter_mut()
-            .for_each(|part| part.reserve_exact(bytes));
+        fg_core::with_tag(fg_core::register_tag("exchange/parts"), || {
+            for part in &mut self.parts {
+                part.reserve_exact(bytes);
+            }
+        });
     }
 
     /// The part bound for node `dest`, to append to.

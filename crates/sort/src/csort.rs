@@ -138,7 +138,7 @@ fn window_buf_bytes(cfg: &SortConfig, m: Matrix) -> usize {
 /// 1–2 sends each owner `s/P` chunks of `r/s` records, and pass 3's stripe
 /// exchange the blocks one node owns of the longest window, the last
 /// column's with `w(s)` behind it.
-fn exchange_part_bytes(cfg: &SortConfig, m: Matrix) -> usize {
+pub fn exchange_part_bytes(cfg: &SortConfig, m: Matrix) -> usize {
     let rb = cfg.record.record_bytes;
     let routed = m.cols_per_node() * chunks::chunk_size(m.r / m.s * rb);
     let striping = Striping::new(m.nodes, cfg.block_bytes);

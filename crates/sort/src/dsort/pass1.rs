@@ -49,12 +49,6 @@ pub fn pass1(node: &mut Node, splitters: &[ExtKey], run_len: usize) -> Result<Ve
     let cfg = &node.cfg;
     let nblocks = cfg.bytes_per_node().div_ceil(cfg.block_bytes as u64);
 
-    // The runs file ends as this node's partition.  Splitters from an
-    // oversample keep a partition within a fifth of the mean, so a third of
-    // slack spares an in-memory disk every regrowth of the file.
-    node.disk
-        .reserve(RUNS_FILE, cfg.bytes_per_node() + cfg.bytes_per_node() / 3);
-
     let mut prog = node.program("dsort-p1");
 
     // ---- send pipeline ----

@@ -278,24 +278,30 @@ fn csort_makes_its_pools_once_a_node() {
 /// was handed).  The exchange of halves merges each window where it lands,
 /// so no stage allocates an `aux` column for the merge: `merge` and `sort`
 /// together stay under a column on the whole cluster (a column a node
-/// before).
+/// before).  The node function sizes the parts under the `exchange/parts`
+/// tag: exactly nodes × nodes parts of `csort::exchange_part_bytes`.
 #[test]
 fn csort_makes_its_exchange_parts_once_a_node() {
     let _turn = TAG_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let _ = vec![0u8; 16];
     assert!(fg_core::alloc::installed());
     const COLUMN: usize = 128 << 10;
-    let (nodes, block) = (4, 4 << 10); // as `columnsort_os_stage_allocations` runs
-    let striping = fg_pdm::Striping::new(nodes, block);
+    // As `columnsort_os_stage_allocations` runs.
+    let mut cfg = fg_sort::config::SortConfig::test_default(4, 64 << 10);
+    cfg.block_bytes = 4 << 10;
+    let m = fg_sort::config::Matrix::choose(cfg.total_records(), cfg.nodes).expect("geometry");
+    let sized = (cfg.nodes * cfg.nodes * fg_sort::csort::exchange_part_bytes(&cfg, m)) as u64;
+    let striping = fg_pdm::Striping::new(cfg.nodes, cfg.block_bytes);
     let part = fg_sort::chunks::stripe_part_bytes(&striping, COLUMN * 3 / 2);
-    let bound = (nodes * nodes * part) as u64;
-    const TAGS: [&str; 4] = ["communicate", "stripe", "merge", "sort"];
+    let bound = (cfg.nodes * cfg.nodes * part) as u64;
+    const TAGS: [&str; 5] = ["communicate", "stripe", "merge", "sort", "exchange/parts"];
     let csort = |cfg: &_, disks: &_| drop(fg_sort::csort::run_csort(cfg, disks).expect("csort"));
     let csort4 =
         |cfg: &_, disks: &_| drop(fg_sort::csort4::run_csort4(cfg, disks).expect("csort4"));
     for (sort, run) in [("csort", csort as fn(&_, &_)), ("csort4", csort4)] {
-        let [communicate, stripe, merge, sorts] =
+        let [communicate, stripe, merge, sorts, parts] =
             columnsort_os_stage_allocations(TAGS, 64 << 10, run);
+        assert_eq!(parts, sized, "{sort}: exchange/parts");
         assert!(
             communicate + stripe <= bound,
             "{sort}: communicate {communicate} B + stripe {stripe} B, bound {bound} B"
@@ -480,4 +486,98 @@ fn a_watched_program_allocates_no_span_rings() {
         watched <= bare + (16 << 10),
         "watched run {watched} B, bare run {bare} B"
     );
+}
+
+/// A disk that forwards what a timing wrapper forwards (the benchmark's
+/// traced run puts one over every disk): each required method and `flush`,
+/// and nothing a backend only has a default for.
+struct Forwarding(fg_pdm::DiskRef);
+
+impl fg_pdm::Disk for Forwarding {
+    fn write_at(&self, name: &str, offset: u64, data: &[u8]) -> Result<(), fg_pdm::PdmError> {
+        self.0.write_at(name, offset, data)
+    }
+    fn append(&self, name: &str, data: &[u8]) -> Result<u64, fg_pdm::PdmError> {
+        self.0.append(name, data)
+    }
+    fn read_at(&self, name: &str, offset: u64, out: &mut [u8]) -> Result<(), fg_pdm::PdmError> {
+        self.0.read_at(name, offset, out)
+    }
+    fn read_up_to(&self, name: &str, at: u64, len: usize) -> Result<Vec<u8>, fg_pdm::PdmError> {
+        self.0.read_up_to(name, at, len)
+    }
+    fn flush(&self) -> Result<(), fg_pdm::PdmError> {
+        self.0.flush()
+    }
+    fn load(&self, name: &str, bytes: Vec<u8>) {
+        self.0.load(name, bytes)
+    }
+    fn snapshot(&self, name: &str) -> Option<Vec<u8>> {
+        self.0.snapshot(name)
+    }
+    fn len(&self, name: &str) -> Option<u64> {
+        self.0.len(name)
+    }
+    fn exists(&self, name: &str) -> bool {
+        self.0.exists(name)
+    }
+    fn delete(&self, name: &str) -> bool {
+        self.0.delete(name)
+    }
+    fn list(&self) -> Vec<String> {
+        self.0.list()
+    }
+    fn stats(&self) -> fg_pdm::DiskStats {
+        self.0.stats()
+    }
+    fn reset_stats(&self) {
+        self.0.reset_stats()
+    }
+    fn fail_after_ops(&self, ops: u64) {
+        self.0.fail_after_ops(ops)
+    }
+}
+
+/// Pass 1 cannot know how many bytes its partition will hold, and asks no
+/// one: a simulated file grows by what is written, so the runs file and
+/// the output of a dsort are each allocated once, at their size, whether
+/// the program holds its `SimDisk`s bare or behind a forwarding wrapper.
+/// What the `write` stages and the node functions (`untagged`, where a
+/// capacity hint once ran) allocate over a run is at most what the runs
+/// and the output hold, plus the run's pools and a block a node — a file
+/// that grew by doubling, or a hint of a third of slack, would exceed it.
+#[test]
+fn dsort_allocates_its_files_once_on_a_bare_or_a_wrapped_disk() {
+    use fg_core::alloc::{counts, TagId};
+    use fg_sort::verify::{verify_output, Strictness, OUTPUT_FILE};
+    let _turn = TAG_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let _ = vec![0u8; 16];
+    assert!(fg_core::alloc::installed());
+    let cfg = dsort_cfg(64 << 10);
+    let bare = fg_sort::input::provision(&cfg);
+    let wrapped: Vec<fg_pdm::DiskRef> = bare
+        .iter()
+        .map(|disk| std::sync::Arc::new(Forwarding(disk.clone())) as _)
+        .collect();
+    let files = 2 * (cfg.nodes as u64 * cfg.bytes_per_node());
+    let slack = cfg.nodes as u64 * cfg.block_bytes as u64;
+    let tags = [
+        fg_core::register_tag("write"),
+        TagId::UNTAGGED,
+        fg_core::register_tag("pool"),
+    ];
+    for (how, disks) in [("bare", &bare), ("wrapped", &wrapped)] {
+        let before = tags.map(|tag| counts(tag).bytes);
+        fg_sort::dsort::run_dsort(&cfg, disks).expect("dsort run");
+        let [write, untagged, pool] = std::array::from_fn(|i| counts(tags[i]).bytes - before[i]);
+        verify_output(&cfg, disks, Strictness::Fingerprint).expect("dsort output");
+        for disk in disks {
+            disk.delete(OUTPUT_FILE); // the next run writes it afresh
+        }
+        assert!(
+            write + untagged <= files + pool + slack,
+            "{how}: write {write} B + untagged {untagged} B for {files} B of runs and output, \
+             pools {pool} B"
+        );
+    }
 }

@@ -22,7 +22,7 @@ use fg_core::{
     diagnose, diagnose_cluster, map_stage, Diagnosis, FgError, MemoryLedger, MetricsRegistry,
     PipelineCfg, Program, Rounds, Stage, StageCtx, TraceSink,
 };
-use fg_pdm::{DiskCfg, SimDisk};
+use fg_pdm::{Disk, DiskCfg, SimDisk};
 use fg_sort::csort::run_csort;
 use fg_sort::dsort::{run_dsort_with, DsortOptions};
 use fg_sort::input::{generate_node_input, provision, INPUT_FILE};

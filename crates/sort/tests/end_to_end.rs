@@ -793,9 +793,6 @@ impl fg_pdm::Disk for KeepsDeleted {
     fn land(&self) -> Result<(), fg_pdm::PdmError> {
         self.inner.land()
     }
-    fn reserve(&self, name: &str, bytes: u64) {
-        self.inner.reserve(name, bytes)
-    }
 }
 
 /// Each of `regions` — `(node, first record, positions)` — holds in that

@@ -145,9 +145,6 @@ impl Disk for DiesAtAppend {
     fn flush(&self) -> Result<(), PdmError> {
         self.inner.flush()
     }
-    fn reserve(&self, name: &str, bytes: u64) {
-        self.inner.reserve(name, bytes)
-    }
 }
 
 /// The *receiving* side dies while senders hold credits half-full.  Pass 1's

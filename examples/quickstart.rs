@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fg::core::{map_stage, PipelineCfg, Program, Rounds};
-use fg::pdm::{DiskCfg, SimDisk};
+use fg::pdm::{Disk, DiskCfg, SimDisk};
 
 const BLOCKS: u64 = 64;
 const BLOCK_BYTES: usize = 32 * 1024;

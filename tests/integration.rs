@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use fg::cluster::{Cluster, ClusterCfg, ClusterError, NetCfg};
 use fg::core::{map_stage, PipelineCfg, Program, Rounds};
-use fg::pdm::{DiskCfg, SimDisk, Striping};
+use fg::pdm::{Disk, DiskCfg, SimDisk, Striping};
 use fg::sort::config::SortConfig;
 use fg::sort::csort::run_csort;
 use fg::sort::dsort::run_dsort;
