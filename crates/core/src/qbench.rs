@@ -73,6 +73,11 @@ impl BenchQueue {
         self.q.cas_retries()
     }
 
+    /// The queue's high-water depth so far.
+    pub fn max_depth(&self) -> usize {
+        self.q.max_depth()
+    }
+
     /// Consumer condvar waits so far.
     pub fn pop_parks(&self) -> u64 {
         self.q.parks()

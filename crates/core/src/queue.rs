@@ -310,15 +310,16 @@ impl Queue {
     }
 
     /// Blocking pop.  After close, drains remaining items, then fails.
-    ///
-    /// The one wait rule: try, give the core away once, try again, then
-    /// park until a push or the close.
     pub(crate) fn pop(&self) -> Result<Item, Closed> {
+        self.try_pop().map_or_else(|| self.pop_missed(), Ok)
+    }
+
+    /// The one wait rule, after a [`Queue::try_pop`] that found nothing:
+    /// give the core away once, try again, then park until a push or the
+    /// close.
+    pub(crate) fn pop_missed(&self) -> Result<Item, Closed> {
         let mut yielded = false;
         loop {
-            if let Some(item) = self.try_pop() {
-                return Ok(item);
-            }
             let depth = self.depth();
             if depth == 0 && self.closed.load(Ordering::SeqCst) {
                 return Err(Closed);
@@ -332,6 +333,9 @@ impl Queue {
                 // (after a close too: its item must not be stranded).
                 yielded = true;
                 yield_core();
+            }
+            if let Some(item) = self.try_pop() {
+                return Ok(item);
             }
         }
     }
@@ -378,9 +382,12 @@ impl Queue {
     }
 
     /// A push left `depth` items behind it: the bookkeeping, and the
-    /// producer's half of the handshake now that its item is visible.
+    /// producer's half of the handshake now that its item is visible (only a
+    /// new high writes the mark: a push at a depth seen before writes none).
     fn after_push(&self, depth: usize) {
-        self.max_depth.fetch_max(depth, Ordering::Relaxed);
+        if depth > self.max_depth.load(Ordering::Relaxed) {
+            self.max_depth.fetch_max(depth, Ordering::Relaxed);
+        }
         if self.pop_sleepers.load(Ordering::SeqCst) > 0 {
             self.metrics.wakes.inc();
             let _guard = self.park.lock();

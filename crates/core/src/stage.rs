@@ -859,21 +859,11 @@ impl StageCtx {
         Ok(())
     }
 
-    /// Port `idx`'s own input queue.
-    fn input_of(&self, idx: usize) -> Result<Arc<Queue>> {
-        self.ports[idx].input.clone().ok_or_else(|| {
-            FgError::Usage(format!(
-                "stage `{}` has no direct input queue for {}",
-                self.name, self.ports[idx].pipeline
-            ))
-        })
-    }
-
     /// Accept the next buffer; only valid for a stage that belongs to
     /// exactly one pipeline.  Returns `Ok(None)` once at end of stream.
     pub fn accept(&mut self) -> Result<Option<Buffer>> {
         self.sole_port()?;
-        self.pop_port(0)
+        self.take(Some(0))
     }
 
     /// Accept the next buffer from a specific pipeline (common stage of
@@ -882,47 +872,20 @@ impl StageCtx {
     pub fn accept_from(&mut self, pipeline: PipelineId) -> Result<Option<Buffer>> {
         self.not_virtual()?;
         let idx = self.port_index(pipeline)?;
-        self.pop_port(idx)
+        self.take(Some(idx))
     }
 
     /// Accept the next buffer from whichever member pipeline has one ready
     /// (virtual stages only).  Returns `Ok(None)` once *all* member
     /// pipelines have ended.
     pub fn accept_any(&mut self) -> Result<Option<Buffer>> {
-        let shared = match &self.shared_input {
-            Some(q) => Arc::clone(q),
-            None => {
-                return Err(FgError::Usage(format!(
-                    "stage `{}` is not virtual; use accept()/accept_from()",
-                    self.name
-                )))
-            }
-        };
-        loop {
-            self.pay_cabooses()?;
-            if self.open == 0 {
-                return Ok(None);
-            }
-            let t0 = self.clock();
-            self.counters.set_state(ThreadState::BlockedAccept, t0);
-            let popped = shared.pop();
-            let t1 = self.clock();
-            self.book(t0, t1, |c| &c.blocked_accept_ns);
-            match popped {
-                Ok(Item::Buf(b)) => {
-                    let idx = self.port_index(b.pipeline())?;
-                    if let Some(b) = self.admit(idx, b, t0, t1)? {
-                        return Ok(Some(b));
-                    }
-                }
-                Ok(Item::Caboose(p)) => {
-                    self.trace_accept(p, 0, 0, t0, t1);
-                    self.mark_eos_and_forward(p)?;
-                    // Keep waiting: other member pipelines may still flow.
-                }
-                Err(_) => return Err(FgError::Cancelled),
-            }
+        if self.shared_input.is_none() {
+            return Err(FgError::Usage(format!(
+                "stage `{}` is not virtual; use accept()/accept_from()",
+                self.name
+            )));
         }
+        self.take(None)
     }
 
     /// Accept using whatever mode fits this stage: `accept_any` when
@@ -976,31 +939,47 @@ impl StageCtx {
         Ok(Some(b))
     }
 
-    fn pop_port(&mut self, idx: usize) -> Result<Option<Buffer>> {
+    /// Accept from port `lane`'s own input, or from a virtual stage's
+    /// shared one (`None`) until every member pipeline has ended.  A pop
+    /// that finds an item is one instant and no wait; only a miss
+    /// advertises the wait, from `t0`, and takes the queue's wait rule.
+    fn take(&mut self, lane: Option<usize>) -> Result<Option<Buffer>> {
         loop {
             self.pay_cabooses()?;
-            if self.ports[idx].eos {
+            if lane.map_or(self.open == 0, |idx| self.ports[idx].eos) {
                 return Ok(None);
             }
-            let input = self.input_of(idx)?;
-            let t0 = self.clock();
-            self.counters.set_state(ThreadState::BlockedAccept, t0);
-            let popped = input.pop();
+            let input = match lane {
+                Some(idx) => self.ports[idx].input.as_deref(),
+                None => self.shared_input.as_deref(),
+            }
+            .expect("the planner wires every accept an input");
+            let (popped, t0) = match input.try_pop() {
+                Some(item) => (Ok(item), None),
+                None => {
+                    let t0 = self.clock();
+                    self.counters.set_state(ThreadState::BlockedAccept, t0);
+                    (input.pop_missed(), Some(t0))
+                }
+            };
             let t1 = self.clock();
+            let t0 = t0.unwrap_or(t1);
             self.book(t0, t1, |c| &c.blocked_accept_ns);
-            match popped {
-                Ok(Item::Buf(b)) => {
+            match popped.map_err(|_| FgError::Cancelled)? {
+                Item::Buf(b) => {
+                    let idx = lane.map_or_else(|| self.port_index(b.pipeline()), Ok)?;
                     if let Some(b) = self.admit(idx, b, t0, t1)? {
                         return Ok(Some(b));
                     }
                 }
-                Ok(Item::Caboose(p)) => {
+                Item::Caboose(p) => {
+                    let idx = lane.map_or_else(|| self.port_index(p), Ok)?;
                     debug_assert_eq!(p, self.ports[idx].pipeline);
                     self.trace_accept(p, 0, 0, t0, t1);
+                    // A lane ends here; a virtual stage keeps waiting while
+                    // its other pipelines may still flow.
                     self.observe_caboose(idx, p)?;
-                    return Ok(None);
                 }
-                Err(_) => return Err(FgError::Cancelled),
             }
         }
     }
@@ -1070,19 +1049,16 @@ impl StageCtx {
         // In a farm, wait until every earlier round has been
         // emitted so downstream stages see rounds in order — a discarded
         // round too: it produces nothing downstream, but later rounds may
-        // only emit after it.  The wait is all but a few nanoseconds of
-        // blocked-convey time (the push itself never waits): the replica is
-        // done computing and is stalled behind a slower earlier round.
+        // only emit after it.  The wait is the blocked-convey time: the
+        // replica is done computing and is stalled behind a slower earlier
+        // round.
         let mut t_push = t0;
         if let Some(group) = self.replica_group.as_deref() {
             self.counters.set_state(ThreadState::TurnWait, t0);
             group.await_turn(&self.name, round)?;
-            if self.ring.is_some() {
-                t_push = self.clock();
-                self.record(TraceKind::TurnWait, pipeline, round, tid, t0, t_push);
-            }
+            t_push = self.clock();
+            self.record(TraceKind::TurnWait, pipeline, round, tid, t0, t_push);
         }
-        self.counters.set_state(ThreadState::BlockedConvey, t_push);
         let port = &self.ports[idx];
         let queue = match kind {
             TraceKind::Recycle => &port.pool.queue,
@@ -1094,12 +1070,13 @@ impl StageCtx {
                 group.finish_turn(round);
             }
         }
-        let t1 = self.clock();
-        self.book(t0, t1, |c| &c.blocked_convey_ns);
+        // The push never waits: it is the instant `t_push`, and the time it
+        // took is the stage's own, in its next `Work` span.
+        self.book(t0, t_push, |c| &c.blocked_convey_ns);
         let sent = sent?;
         if sent {
-            self.record(kind, pipeline, round, tid, t_push, t1);
-            self.counters.set_state(ThreadState::Busy, t1);
+            self.record(kind, pipeline, round, tid, t_push, t_push);
+            self.counters.set_state(ThreadState::Busy, t_push);
         }
         Ok(sent)
     }
@@ -1202,11 +1179,10 @@ impl StageCtx {
         }
         // Drain per-pipeline inputs.
         for idx in 0..self.ports.len() {
+            let Some(input) = self.ports[idx].input.clone() else {
+                continue;
+            };
             while !self.ports[idx].eos {
-                let input = match &self.ports[idx].input {
-                    Some(q) => Arc::clone(q),
-                    None => break,
-                };
                 match input.pop() {
                     Ok(Item::Buf(b)) => self.drain_buffer(idx, b)?,
                     Ok(Item::Caboose(p)) => self.observe_caboose(idx, p)?,

@@ -24,11 +24,12 @@ pub struct StageStats {
     pub name: String,
     /// Wall-clock time from thread start to thread exit.
     pub wall: Duration,
-    /// Time blocked inside `accept`/`accept_from`/`accept_any`.
+    /// Time blocked inside `accept`/`accept_from`/`accept_any`: only a
+    /// pop that found its queue empty waits.
     pub blocked_accept: Duration,
-    /// Time inside `convey`: a farm worker's wait for its
-    /// emission turn, plus the push itself (a few nanoseconds — a push
-    /// never waits, the queues admit whole pools).
+    /// Time inside `convey`: a farm worker's wait for its emission turn.
+    /// The push itself never waits (the queues admit whole pools) and is
+    /// busy time.
     pub blocked_convey: Duration,
     /// Buffers this stage accepted.
     pub buffers_in: u64,

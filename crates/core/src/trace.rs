@@ -15,7 +15,7 @@
 //! ([`Program::enable_tracing`](crate::Program::enable_tracing)).  Without
 //! one, a stage's ring is `None` (one never-taken branch per transition)
 //! and buffers carry trace id 0.  The runtime times each queue operation
-//! once and hands the same two instants to the stage's counter block (its
+//! once and hands the same instants to the stage's counter block (its
 //! totals and thread state) and the ring record.  `enable_tracing` copies
 //! a run's rings into [`Report::trace`](crate::Report), which the Gantt
 //! chart, [`crate::critical_path`] and the Chrome export (flow events
@@ -96,8 +96,8 @@ pub enum TraceKind {
     /// A stage's own computation between accepting a buffer and starting to
     /// convey it.
     Work,
-    /// A stage pushed a buffer into its output queue (momentary: a push
-    /// never waits).
+    /// A stage pushed a buffer into its output queue: an instant, since a
+    /// push never waits (what the push cost is in the next `Work` span).
     Convey,
     /// A stage discarded a buffer straight back to its pipeline's pool.
     Recycle,
@@ -200,9 +200,6 @@ pub enum ThreadState {
     /// Blocked popping an input queue (the buffer pool, for a pipeline's
     /// first stage).
     BlockedAccept,
-    /// Pushing an output queue — momentary, since a push never waits, so
-    /// a thread stalled here points at the queue itself.
-    BlockedConvey,
     /// Blocked at a farm's emission turnstile.
     TurnWait,
     /// Finished; the thread has exited (or is draining for exit).
@@ -215,9 +212,8 @@ impl ThreadState {
         match v {
             1 => ThreadState::Busy,
             2 => ThreadState::BlockedAccept,
-            3 => ThreadState::BlockedConvey,
-            4 => ThreadState::TurnWait,
-            5 => ThreadState::Done,
+            3 => ThreadState::TurnWait,
+            4 => ThreadState::Done,
             _ => ThreadState::Starting,
         }
     }
@@ -228,7 +224,6 @@ impl ThreadState {
             ThreadState::Starting => "starting",
             ThreadState::Busy => "busy",
             ThreadState::BlockedAccept => "blocked-accept",
-            ThreadState::BlockedConvey => "blocked-convey",
             ThreadState::TurnWait => "turn-wait",
             ThreadState::Done => "done",
         }

@@ -272,7 +272,8 @@ fn buffer_meta_travels_downstream() {
 #[test]
 fn report_records_blocking_time_for_starved_stage() {
     // Stage 1 sleeps per buffer; stage 2 is fast and thus starved, so its
-    // blocked_accept must dominate its busy time.
+    // blocked_accept must dominate its busy time: each pop that missed is
+    // booked whole, from before the miss to the buffer's arrival.
     let report = run_linear(
         "starved",
         PipelineCfg::new("p", 2, 8).rounds(Rounds::Count(20)),
@@ -293,6 +294,12 @@ fn report_records_blocking_time_for_starved_stage() {
         fast.blocked_accept > fast.busy(),
         "starved stage should mostly block: {fast:?}"
     );
+    assert!(
+        fast.blocked_accept >= 20 * Duration::from_millis(2) / 2,
+        "{fast:?}"
+    );
+    // Its pushes never wait, and an untraced one books nothing.
+    assert_eq!(fast.blocked_convey, Duration::ZERO, "{fast:?}");
 }
 
 #[test]

@@ -334,3 +334,50 @@ fn spsc_flavor_unaffected() {
     });
     assert_eq!(out.cas_retries(), 0, "spsc path never CASes");
 }
+
+/// A push writes the high-water mark only when its depth is a new high;
+/// the mark stays exact on every flavor, and under several producers on
+/// the mutex flavor (whose pushes read their depth under the lock).
+#[test]
+fn max_depth_is_the_exact_high_water_mark() {
+    for make in FLAVORS {
+        let q = make(8);
+        assert_eq!(q.max_depth(), 0);
+        // Up to 3, down to 1, up to 5, down to 0, up to 4: the marks are
+        // 3, 5 and 5.
+        let mut depth = 0;
+        for (push, pop, mark) in [(3, 2, 3), (4, 5, 5), (4, 4, 5)] {
+            for i in 0..push {
+                assert!(q.push(tagged(0, i)));
+                depth += 1;
+            }
+            assert_eq!(q.max_depth(), mark, "{} at depth {depth}", q.flavor());
+            for _ in 0..pop {
+                q.pop().unwrap();
+                depth -= 1;
+            }
+        }
+        assert_eq!(q.max_depth(), 5, "{}", q.flavor());
+    }
+
+    const PRODUCERS: u64 = 4;
+    const EACH: u64 = 500;
+    let q = BenchQueue::mpmc((PRODUCERS * EACH) as usize + 1);
+    let racing = |f: &(dyn Fn(u64) + Sync)| {
+        thread::scope(|s| (0..PRODUCERS).for_each(|p| drop(s.spawn(move || f(p)))));
+    };
+    // The producers race to fill the queue: the last push saw every item.
+    racing(&|p| (0..EACH).for_each(|i| assert!(q.push(tagged(p, i)))));
+    assert_eq!(q.max_depth(), (PRODUCERS * EACH) as usize);
+    // Churn below the mark writes nothing: it stays where it was.
+    racing(&|p| {
+        for i in 0..EACH {
+            q.pop().unwrap();
+            assert!(q.push(tagged(p, i)));
+        }
+    });
+    assert_eq!(q.max_depth(), (PRODUCERS * EACH) as usize);
+    // One more item is a new high.
+    assert!(q.push(tagged(0, 0)));
+    assert_eq!(q.max_depth(), (PRODUCERS * EACH) as usize + 1);
+}

@@ -1,5 +1,5 @@
 //! One timing, several readers: the flight-recorder ring is the run's one
-//! span log, written from the same two instants that feed `StageStats` and
+//! span log, written from the same instants that feed `StageStats` and
 //! the live `core/stage_*` counters, so the readers must agree exactly.
 
 use std::collections::BTreeSet;
