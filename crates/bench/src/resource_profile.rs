@@ -10,8 +10,8 @@
 //! require the attribution to be populated as well as cheap.
 //!
 //! The acceptance bound is `overhead_frac < 0.02`: each stage thread reads
-//! two small `/proc` files as it exits, and each program reads the process
-//! once at its end — microseconds of work a pass.  (ROADMAP item 1
+//! its CPU clock and `getrusage` as it exits, and each program reads the
+//! process once at its end — microseconds of work a pass.  (ROADMAP item 1
 //! re-gates it on a run longer than this cell's few milliseconds.)
 
 use std::sync::Arc;

@@ -90,10 +90,7 @@ pub use critical_path::{critical_path, CriticalPath, PathSegment, RoundPath};
 pub use error::{FgError, Result};
 pub use json::Json;
 pub use metrics::{Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use profile::{
-    register_current_thread, AllocResources, LedgerSnapshot, MemoryLedger, ResourceReport,
-    StageLedger, StageResidency, ThreadResources,
-};
+pub use profile::{AllocResources, LedgerSnapshot, MemoryLedger, ResourceReport, ThreadResources};
 pub use program::{run_linear, PipelineCfg, Program};
 pub use stage::{map_stage, MapStage, Rounds, Stage, StageCtx};
 pub use stats::{PipelineShape, QueueDepth, Report, StageRollup, StageStats};

@@ -146,12 +146,11 @@ impl Program {
     }
 
     /// Attach a [`MemoryLedger`](crate::profile::MemoryLedger): each pool
-    /// is charged as its buffers are created (and retired), and every
-    /// stage charges/credits its per-stage residency row as buffers flow
-    /// through — so at any instant the ledger says which stage holds how
-    /// much of the pool, against the ledger's budget.  Share one ledger
-    /// across programs to account for a whole process.  The ledger rows
-    /// land in [`ResourceReport`](crate::profile::ResourceReport) samples
+    /// is charged as its buffers are created and credited as they retire,
+    /// so the ledger holds the pools' total and its high-water marks
+    /// against the ledger's budget.  Share one ledger across programs to
+    /// account for a whole process.  The ledger's totals land in
+    /// [`ResourceReport`](crate::profile::ResourceReport) samples
     /// (`GET /resources`, `fgsort --profile`, the watchdog post-mortem).
     pub fn set_memory_ledger(&mut self, ledger: Arc<crate::profile::MemoryLedger>) {
         self.ledger = Some(ledger);
@@ -539,8 +538,8 @@ impl Program {
 
 /// The farm a task name belongs to: `sort#3` → `sort`, the name `wire`
 /// gives worker 3 of `sort`; `None` for any other name.  The one parser of
-/// that name (diagnosis, the report's rollup, ledger rows and alloc tags all
-/// fold replicas through it), and unambiguous because `validate` refuses a
+/// that name (diagnosis, the report's rollup and alloc tags all fold
+/// replicas through it), and unambiguous because `validate` refuses a
 /// stage named this way.
 pub(crate) fn replica_base(name: &str) -> Option<&str> {
     let (base, index) = name.rsplit_once('#')?;

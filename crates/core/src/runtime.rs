@@ -46,21 +46,14 @@ pub(crate) struct Plan {
 /// Makes the builder of each thread `execute` spawns from its name.
 type MakeThread<'a> = &'a mut dyn FnMut(String) -> std::io::Result<std::thread::Builder>;
 
-/// Spawn one pipeline thread under `name`, registered for live resource
-/// samples for its lifetime.
+/// Spawn one pipeline thread under `name`.
 fn spawn_thread<T: Send + 'static>(
     make: MakeThread<'_>,
     name: String,
     body: impl FnOnce() -> T + Send + 'static,
 ) -> Result<std::thread::JoinHandle<T>> {
-    let profile_name = name.clone();
     make(name.clone())
-        .and_then(|builder| {
-            builder.spawn(move || {
-                let _reg = crate::profile::register_current_thread(profile_name);
-                body()
-            })
-        })
+        .and_then(|builder| builder.spawn(body))
         .map_err(|e| FgError::Config(format!("failed to spawn pipeline thread `{name}`: {e}")))
 }
 
@@ -123,13 +116,9 @@ fn execute_with(program_name: String, plan: Plan, make: MakeThread<'_>) -> Resul
             None => s.register_thread(thread.clone()),
         });
         rings.extend(ring.clone());
-        // Replicas (`sort#0`, `sort#1`, …) share one ledger row: the
-        // question the ledger answers is "how much does *sort* hold".
-        let base = replica_base(&task.name).unwrap_or(&task.name);
-        let stage_ledger = ledger.as_ref().map(|l| l.stage(base));
         let (name, reg) = (thread.clone(), Arc::clone(&registry));
         let spawned = spawn_thread(make, thread, move || {
-            let stats = run_stage_thread(task, reg, counters, ring, stage_ledger, start);
+            let stats = run_stage_thread(task, reg, counters, ring, start);
             let row = observed.then(|| ResourceReport::exit_sample(&name));
             (stats, row.flatten())
         });
@@ -208,7 +197,6 @@ fn run_stage_thread(
     registry: Arc<Registry>,
     counters: Arc<StageCounters>,
     ring: Option<Arc<SpanRing>>,
-    stage_ledger: Option<Arc<crate::profile::StageLedger>>,
     epoch: Instant,
 ) -> StageStats {
     let StageTask {
@@ -236,9 +224,6 @@ fn run_stage_thread(
         epoch,
         start,
     );
-    if let Some(l) = stage_ledger {
-        ctx.set_ledger(l);
-    }
     if let Some(group) = replica_group {
         ctx.set_replica_group(group);
     }
@@ -333,9 +318,8 @@ fn run_watchdog(
         queues: registry.live_queue_depths(),
         turnstiles: registry.turnstiles(),
         culprit: culprit.clone(),
-        // Stalled threads are still alive, so the snapshot carries their
-        // CPU rows: a wedged run's post-mortem says who was spinning and
-        // what memory looked like at the moment of death.
+        // What memory looked like at the moment of death; who held what
+        // is each thread's `intakes` and `emits` above.
         resources: Some(ResourceReport::sample_now(ledger.as_deref())),
     };
     eprint!("{}", pm.render());
@@ -443,7 +427,8 @@ mod tests {
 
     /// A spawn that fails at any thread, the watchdog's included, fails the
     /// program with it, after every thread already spawned has been torn
-    /// down and joined.
+    /// down and joined: each one held the program's registry until it
+    /// returned.
     #[test]
     fn a_failed_spawn_leaves_no_thread_running() {
         for k in 1..=4 {
@@ -453,8 +438,10 @@ mod tests {
             prog.add_pipeline(PipelineCfg::new("p", 2, 8).count(1 << 30), &stages)
                 .unwrap();
             prog.with_watchdog(Duration::from_secs(60));
+            let plan = prog.wire().unwrap();
+            let registry = Arc::clone(&plan.registry);
             let mut calls = 0;
-            let err = execute_with(name.clone(), prog.wire().unwrap(), &mut |thread| {
+            let err = execute_with(name.clone(), plan, &mut |thread| {
                 calls += 1;
                 let refused = std::io::Error::other("no thread for you");
                 (calls != k)
@@ -466,8 +453,7 @@ mod tests {
                 matches!(&err, FgError::Config(m) if m.contains("for you")),
                 "{err}"
             );
-            let live = crate::profile::registered_threads();
-            assert!(live.iter().all(|(t, _)| !t.starts_with(&name)), "{live:?}");
+            assert_eq!(Arc::strong_count(&registry), 1, "a thread outlived {name}");
         }
     }
 

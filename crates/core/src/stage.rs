@@ -19,7 +19,7 @@
 //!   stages share one thread and one input queue, and buffers from any of
 //!   the member pipelines arrive interleaved (§IV, Figure 5(b)).
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -565,10 +565,10 @@ impl Tally {
 
 /// The one record of what a stage thread did, counted once per event and
 /// read by everything that reports on the thread: its [`StageStats`] row
-/// at exit, the registry's `core/stage_*` counters live, the watchdog (its
-/// idle clock and post-mortem) and the thread's memory-ledger row.  Owned
-/// by the program's [`Registry`]; only the thread itself writes it, at
-/// every queue operation, so no two threads' blocks share a cache line.
+/// at exit, the registry's `core/stage_*` counters live and the watchdog
+/// (its idle clock and post-mortem).  Owned by the program's [`Registry`];
+/// only the thread itself writes it, at every queue operation, so no two
+/// threads' blocks share a cache line.
 #[repr(align(128))]
 pub(crate) struct StageCounters {
     /// Buffers accepted.
@@ -581,8 +581,6 @@ pub(crate) struct StageCounters {
     busy_ns: Tally,
     blocked_accept_ns: Tally,
     blocked_convey_ns: Tally,
-    /// Capacity of the buffers charged to the ledger and not yet credited.
-    held_bytes: AtomicI64,
     /// The [`ThreadState`] the thread advertises, and since when in
     /// nanoseconds since its program started.
     state: AtomicU64,
@@ -604,7 +602,6 @@ impl StageCounters {
             busy_ns: tally(Some(STAGE_BUSY_PREFIX)),
             blocked_accept_ns: tally(Some(STAGE_STARVED_PREFIX)),
             blocked_convey_ns: tally(Some(STAGE_BACKPRESSURED_PREFIX)),
-            held_bytes: AtomicI64::new(0),
             state: AtomicU64::new(ThreadState::Starting as u64),
             since_ns: AtomicU64::new(0),
         }
@@ -639,13 +636,6 @@ impl StageCounters {
             buffers_out: self.conveyed.get(),
         }
     }
-
-    fn hold(&self, bytes: i64) {
-        self.held_bytes.store(
-            self.held_bytes.load(Ordering::Relaxed) + bytes,
-            Ordering::Relaxed,
-        );
-    }
 }
 
 /// The handle through which a stage interacts with its pipelines.
@@ -671,10 +661,6 @@ pub struct StageCtx {
     /// End of this thread's last queue operation (its start before the
     /// first): the gap to the next one is the stage's own work.
     last_end: u64,
-    /// Buffer-residency row in the program's
-    /// [`MemoryLedger`](crate::profile::MemoryLedger); `None` (the
-    /// default) costs one never-taken branch per accept/convey.
-    ledger: Option<Arc<crate::profile::StageLedger>>,
     aux: Vec<u8>,
     /// Ports whose caboose this thread makes and must observe before it
     /// next waits on an input: it started the pipeline's last round
@@ -709,7 +695,6 @@ impl StageCtx {
             epoch,
             ring_base: 0,
             last_end: started,
-            ledger: None,
             aux: Vec::new(),
             owed: Vec::new(),
             registry,
@@ -718,28 +703,6 @@ impl StageCtx {
 
     pub(crate) fn set_replica_group(&mut self, group: Arc<ReplicaGroup>) {
         self.replica_group = Some(group);
-    }
-
-    /// Attach this stage's residency row in the program's memory ledger;
-    /// accepted buffers charge it, conveyed/discarded buffers credit it.
-    pub(crate) fn set_ledger(&mut self, ledger: Arc<crate::profile::StageLedger>) {
-        self.ledger = Some(ledger);
-    }
-
-    /// Charge an accepted buffer's capacity to this stage's ledger row.
-    fn ledger_acquire(&self, bytes: usize) {
-        if let Some(l) = &self.ledger {
-            l.acquire(bytes);
-            self.counters.hold(bytes as i64);
-        }
-    }
-
-    /// Credit a conveyed/discarded buffer's capacity back.
-    fn ledger_release(&self, bytes: usize) {
-        if let Some(l) = &self.ledger {
-            l.release(bytes);
-            self.counters.hold(-(bytes as i64));
-        }
     }
 
     /// Attach this thread's ring.
@@ -934,7 +897,6 @@ impl StageCtx {
             }
         }
         self.counters.accepted.add(1);
-        self.ledger_acquire(b.capacity());
         self.trace_accept(b.pipeline(), b.round(), b.trace_id(), t0, t1);
         Ok(Some(b))
     }
@@ -1038,7 +1000,6 @@ impl StageCtx {
         let (pipeline, round, tid) = (buf.pipeline(), buf.round(), buf.trace_id());
         // The buffer leaves this stage whether the push lands or the
         // program is cancelled underneath it.
-        self.ledger_release(buf.capacity());
         self.counters.rounds.add(1);
         let t0 = self.clock();
         // The gap since this thread's last queue operation is the stage's
@@ -1137,13 +1098,6 @@ impl StageCtx {
         // one is the program's error like anywhere else.
         if let Err(e) = self.wind_down() {
             self.registry.cancel(e);
-        }
-        // Whatever this thread still holds (a buffer dropped on an error
-        // path) leaves the ledger with the thread.
-        if let Some(l) = &self.ledger {
-            let c = &self.counters;
-            let buffers = c.accepted.get() as i64 - c.rounds.get() as i64;
-            l.settle(buffers, c.held_bytes.load(Ordering::Relaxed));
         }
     }
 

@@ -67,7 +67,6 @@ impl TelemetryServer {
         let handle = std::thread::Builder::new()
             .name("fg-telemetry-server".into())
             .spawn(move || {
-                let _reg = crate::profile::register_current_thread("telemetry-server");
                 for conn in listener.incoming() {
                     if stop2.load(Ordering::Acquire) {
                         return;

@@ -11,9 +11,7 @@ use std::time::Duration;
 
 use fg_core::cluster_report::{ClusterReport, RankReport};
 use fg_core::metrics::{HistogramSnapshot, MetricsSnapshot};
-use fg_core::profile::{
-    AllocResources, LedgerSnapshot, ResourceReport, StageResidency, ThreadResources,
-};
+use fg_core::profile::{AllocResources, LedgerSnapshot, ResourceReport, ThreadResources};
 use fg_core::trace::{
     Postmortem, QueuePostmortem, SpanRec, ThreadLog, ThreadPostmortem, ThreadState, TraceKind,
     TurnstilePostmortem,
@@ -97,16 +95,14 @@ fn resources() -> ResourceReport {
         threads: vec![
             ThreadResources {
                 name: "golden/read".into(),
-                utime_ns: 20_000_000,
-                stime_ns: 10_000_000,
+                cpu_ns: 30_000_000,
                 vol_switches: 7,
                 invol_switches: 3,
                 yields: 1,
             },
             ThreadResources {
                 name: "golden/sort#0".into(),
-                utime_ns: 40_000_000,
-                stime_ns: 0,
+                cpu_ns: 40_000_000,
                 vol_switches: 2,
                 invol_switches: 0,
                 yields: 0,
@@ -127,18 +123,6 @@ fn resources() -> ResourceReport {
             total_bytes: 16_384,
             peak_bytes: 32_768,
             total_buffers: 8,
-            stages: vec![
-                StageResidency {
-                    stage: "read".into(),
-                    buffers: 1,
-                    bytes: 4_096,
-                },
-                StageResidency {
-                    stage: "sort".into(),
-                    buffers: 0,
-                    bytes: 0,
-                },
-            ],
         }),
     }
 }

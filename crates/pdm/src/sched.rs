@@ -377,7 +377,7 @@ impl IoScheduler {
     /// is zero or above [`MAX_IO_DEPTH`] — callers who want no scheduling
     /// should use the backend directly.
     pub fn new(inner: DiskRef, depth: usize) -> Result<Arc<Self>, PdmError> {
-        Self::build(inner, depth, None, "io")
+        Self::build(inner, depth, None)
     }
 
     /// Like [`IoScheduler::new`], recording prefetch hit/miss counters and
@@ -394,14 +394,13 @@ impl IoScheduler {
             misses: registry.counter(&format!("disk/{label}/prefetch_miss")),
             writeback_wait: registry.histogram(&format!("disk/{label}/writeback_wait_ns")),
         };
-        Self::build(inner, depth, Some(metrics), label)
+        Self::build(inner, depth, Some(metrics))
     }
 
     fn build(
         inner: DiskRef,
         depth: usize,
         metrics: Option<SchedMetrics>,
-        label: &str,
     ) -> Result<Arc<Self>, PdmError> {
         if !(1..=MAX_IO_DEPTH).contains(&depth) {
             return Err(PdmError::Config(format!(
@@ -437,15 +436,11 @@ impl IoScheduler {
             fetched_cap: 8 * MAX_IO_DEPTH + 32,
         });
         let worker_shared = Arc::clone(&shared);
-        let profile_name = format!("io/{label}");
         let worker = std::thread::Builder::new()
             .name("fg-io-sched".into())
             .spawn(move || {
-                // Register for live resource samples so read-ahead CPU
-                // shows up as its own row, attributed to this scheduler,
-                // and tag the thread so what it allocates (block buffers,
-                // queue slots) shows up as the `io` row, not as `untagged`.
-                let _reg = fg_core::profile::register_current_thread(profile_name);
+                // Tag the thread so what it allocates (block buffers, queue
+                // slots) shows up as the `io` row, not as `untagged`.
                 let _tag = fg_core::alloc::thread_tag_scope(fg_core::register_tag("io"));
                 worker_loop(&worker_shared)
             })

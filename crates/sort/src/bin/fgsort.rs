@@ -276,7 +276,7 @@ fn build_config(opts: &Options) -> Result<SortConfig, String> {
         };
         cfg.backend = DiskBackend::Os { dir };
     }
-    // --profile wants residency attribution; --mem-budget wants the
+    // --profile wants the pools' ledger totals; --mem-budget wants the
     // budget check.  Either one attaches a ledger to every program.
     if opts.profile.is_some() || opts.mem_budget_mib.is_some() {
         cfg.ledger = Some(Arc::new(fg_core::MemoryLedger::with_budget(
@@ -494,12 +494,10 @@ fn main() -> ExitCode {
 
     if let Some(path) = &opts.profile {
         // Every pass report carries its stage threads' exit rows; the
-        // process, allocator and ledger are read once, now, and so is any
-        // runtime thread still alive.
+        // process, allocator and ledger are read once, now.
         let mut resources = fg_core::ResourceReport::sample_now(cfg.ledger.as_deref());
         let exited = reports.iter().filter_map(|r| r.resources.as_ref());
-        let exited = exited.flat_map(|r| r.threads.clone());
-        resources.threads = exited.chain(resources.threads).collect();
+        resources.threads = exited.flat_map(|r| r.threads.clone()).collect();
         println!("\n== resources ==\n{}", resources.render());
         let doc = fg_core::Json::Obj(vec![
             ("program".into(), fg_core::Json::from(opts.program.name())),

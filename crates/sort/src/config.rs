@@ -103,10 +103,9 @@ pub struct SortConfig {
     pub trace_group: Option<u32>,
     /// Memory ledger shared by every FG program the sort runs (`fgsort
     /// --profile` / `--mem-budget`): pool buffers are charged to it as
-    /// they are created and each stage's residency is tracked as buffers
-    /// flow through, making `GET /resources` and the end-of-run resource
-    /// report answer "which stage holds the memory".  `None` skips the
-    /// accounting entirely.
+    /// they are created and credited as they retire, so `GET /resources`
+    /// and the end-of-run resource report carry the pools' total and
+    /// high-water marks.  `None` skips the accounting entirely.
     pub ledger: Option<Arc<fg_core::MemoryLedger>>,
 }
 
